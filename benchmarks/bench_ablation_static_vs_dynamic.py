@@ -8,7 +8,7 @@ added.  Figure 13 shows the dynamic side of the claim; this ablation measures
 the static side directly by running the same workload to exhaustion on
 
 * the Cloud9 cluster (dynamic partitioning + load balancing), and
-* :class:`repro.cluster.StaticPartitionCluster` (one up-front split, no
+* :class:`repro.distrib.StaticPartitionCluster` (one up-front split, no
   transfers),
 
 and comparing (a) virtual rounds until the exhaustive test completes -- the

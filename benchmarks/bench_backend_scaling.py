@@ -1,11 +1,12 @@
-"""Backend scaling: wall-clock time of single vs threaded vs process workers.
+"""Backend scaling: wall-clock time of single vs in-process vs process workers.
 
 The virtual-time benchmarks (Fig. 7-13) compare *rounds*; this one compares
 real seconds.  The paper's architectural bet is that shipping paths to
 shared-nothing workers buys wall-clock speedup on real cores (§7.2); in this
-reproduction the in-process "threaded" cluster is GIL-bound, so the
-multiprocess backend (:mod:`repro.distrib`) is where that bet pays off --
-on a multi-core machine.  (On a single-core runner all parallel backends
+reproduction the in-process ``cluster`` backend steps its members one
+after another (pure-Python workers could not overlap under the GIL anyway),
+so the ``process`` backend -- the same coordinator over mp queues -- is
+where that bet pays off, on a multi-core machine.  (On a single-core runner all parallel backends
 degenerate to IPC overhead; the JSON baseline records ``cpu_count`` so
 readers can interpret the numbers.)
 
@@ -78,7 +79,7 @@ def _run_backend(backend: str, workers: int) -> dict:
 def _run_sweep() -> dict:
     rows = []
     for workers in worker_counts():
-        for backend in ("single", "threaded", "process"):
+        for backend in ("single", "cluster", "process"):
             rows.append(_run_backend(backend, workers))
     baseline = {
         "benchmark": "backend_scaling",
@@ -155,14 +156,14 @@ def test_backend_scaling_baseline(benchmark):
     for row in rows:
         by_backend.setdefault(row["backend"], []).append(row)
     # Every backend measured at every sweep point, wall times recorded.
-    assert set(by_backend) == {"single", "threaded", "process"}
+    assert set(by_backend) == {"single", "cluster", "process"}
     for backend_rows in by_backend.values():
         assert len(backend_rows) == len(worker_counts())
         assert all(r["wall_time"] > 0 for r in backend_rows)
     # Parallel backends must not lose coverage against the single engine
     # under the same limits (the merged-frontier completeness claim).
     single_cov = max(r["coverage_percent"] for r in by_backend["single"])
-    for backend in ("threaded", "process"):
+    for backend in ("cluster", "process"):
         assert max(r["coverage_percent"]
                    for r in by_backend[backend]) >= single_cov
     assert os.path.exists(OUTPUT_PATH)

@@ -8,7 +8,7 @@ generates one concrete test case per explored path -- including the one that
 triggers the (deliberate) division-by-zero-style assertion failure.
 
 The point of the unified API is that the *same* test runs unchanged on a
-single engine, on a simulated Cloud9 cluster, or on a thread-backed cluster:
+single engine, on an in-process Cloud9 cluster, or on worker processes:
 ``test.run(backend=..., ...)`` always returns the same ``RunResult`` shape,
 so the backends compare apples-to-apples.
 
@@ -75,7 +75,7 @@ def main() -> None:
     print()
     print("=== bug hunting with uniform limits ===")
     limits = ExplorationLimits(stop_on_first_bug=True, max_rounds=200)
-    for backend in ("single", "cluster", "threaded"):
+    for backend in ("single", "cluster", "static"):
         options = {} if backend == "single" else {"workers": 2,
                                                   "instructions_per_round": 100}
         result = test.run(backend=backend, limits=limits, **options)

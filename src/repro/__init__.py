@@ -35,9 +35,8 @@ a cluster, which is the paper's core pitch::
     print(test.run().paths_completed)                       # one engine: 2 paths
     print(test.run(backend="cluster", workers=4).paths_completed)
 
-Every backend (``"single"``, ``"cluster"``, ``"static"``, ``"threaded"``,
-``"process"``)
-accepts the same :class:`~repro.api.limits.ExplorationLimits` -- either as a
+Every backend (``"single"``, ``"cluster"``, ``"static"``, ``"process"``,
+``"tcp"``) accepts the same :class:`~repro.api.limits.ExplorationLimits` -- either as a
 ``limits=`` bundle or as direct kwargs -- and returns the same
 :class:`~repro.api.result.RunResult`::
 
@@ -69,7 +68,8 @@ from repro.api import (
     available_backends,
     run_test,
 )
-from repro.cluster import Cloud9Cluster, ClusterConfig, ClusterResult
+from repro.cluster import ClusterConfig, ClusterResult
+from repro.distrib import Cloud9Cluster
 from repro.engine import (
     BugKind,
     BugReport,

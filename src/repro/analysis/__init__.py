@@ -31,9 +31,6 @@ Checker families (see each module's docstring for the rule catalog):
 ``DISP``   dispatch exhaustiveness: every wire message has an
            ``isinstance`` handler arm, no arm references an
            unregistered message (:mod:`repro.analysis.dispatch`)
-``CORE``   cluster-backend hook contracts: shells implement the
-           ``@backend_hook`` surface and never shadow core-owned
-           methods (:mod:`repro.analysis.hooks`)
 =========  ==========================================================
 
 Run it with ``python -m repro.analysis [--baseline FILE] [PATHS...]``;

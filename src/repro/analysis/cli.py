@@ -22,7 +22,7 @@ import sys
 from typing import List, Optional, Sequence
 
 from repro.analysis import baseline as baseline_module
-from repro.analysis import concurrency, determinism, dispatch, hooks
+from repro.analysis import concurrency, determinism, dispatch
 from repro.analysis import protocol, traceschema
 from repro.analysis.core import Finding, filter_suppressed, load_modules
 from repro.analysis.program import ProjectIndex
@@ -39,7 +39,6 @@ CHECKER_FAMILIES = {
     "CONC": "blocking calls under locks, cross-module lock-order cycles",
     "DET": "nondeterminism in schedule/solver decision paths",
     "DISP": "wire-message dispatch exhaustiveness",
-    "CORE": "cluster-backend hook contracts (CoordinatorCore surface)",
     "ANA": "analysis infrastructure (unparseable files)",
 }
 
@@ -65,8 +64,6 @@ def run_analysis(paths: Sequence[str], lock_path: str = DEFAULT_LOCK,
         findings.extend(determinism.check(modules))
     if wanted("DISP"):
         findings.extend(dispatch.check(modules, index))
-    if wanted("CORE"):
-        findings.extend(hooks.check(modules, index))
     findings = filter_suppressed(modules, findings)
     findings.sort(key=lambda f: (f.path, f.line, f.checker, f.message))
     return findings

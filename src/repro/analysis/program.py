@@ -2,10 +2,10 @@
 
 The per-file checkers stop at module boundaries -- ``_resolve_callee`` in the
 original CONC003 only followed ``self.m()`` within a class and bare ``name()``
-within a module, which is exactly wrong for this codebase: since the
-``CoordinatorCore`` extraction the hot concurrency paths *span* modules
-(``cluster/core.py`` calls hooks implemented in ``distrib/cluster.py`` which
-send over locks in ``net/transport.py``).  :class:`ProjectIndex` parses the
+within a module, which is exactly wrong for this codebase: the hot
+concurrency paths *span* modules (``distrib/coordinator.py`` calls
+``_launch`` implemented in ``distrib/cluster.py`` and sends over locks in
+``net/transport.py``).  :class:`ProjectIndex` parses the
 tree once and answers the questions an interprocedural checker needs:
 
 * module naming -- ``src/repro/net/transport.py`` is ``repro.net.transport``
@@ -20,7 +20,7 @@ tree once and answers the questions an interprocedural checker needs:
 * a cross-module call resolver (:meth:`ProjectIndex.callees`) used to build
   the lock-order graph: ``self.method()`` through the MRO, abstract hooks
   expanded to their in-tree overrides (the template-method pattern the
-  coordinator core uses), attribute-typed and annotated-local receivers,
+  coordinator's ``_launch`` uses), attribute-typed and annotated-local receivers,
   and imported functions/constructors.
 
 Everything is plain ``ast``: the analyzed tree is never imported, so fixture

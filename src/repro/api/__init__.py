@@ -4,9 +4,9 @@ This package is the single supported way to execute symbolic tests:
 
 * :class:`~repro.api.limits.ExplorationLimits` -- one bag of budgets/goals
   accepted uniformly by every backend (and by the lower-level ``run``
-  methods of the engine and both clusters).
+  methods of the engine and the coordinator).
 * :mod:`~repro.api.runner` -- the backend registry (``"single"``,
-  ``"cluster"``, ``"static"``, ``"threaded"``, ``"process"``) behind
+  ``"cluster"``, ``"static"``, ``"process"``, ``"tcp"``) behind
   ``SymbolicTest.run(backend=...)``.
 * :class:`~repro.api.result.RunResult` -- the backend-independent result
   facade, adapting the legacy ``ExplorationResult``/``ClusterResult`` types
@@ -23,7 +23,6 @@ from repro.api.runner import (
     Runner,
     SingleRunner,
     StaticPartitionRunner,
-    ThreadedRunner,
     available_backends,
     get_runner,
     register_runner,
@@ -40,7 +39,6 @@ __all__ = [
     "SingleRunner",
     "ClusterRunner",
     "StaticPartitionRunner",
-    "ThreadedRunner",
     "ProcessRunner",
     "available_backends",
     "get_runner",

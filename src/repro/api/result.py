@@ -2,7 +2,7 @@
 
 The legacy surface returns two incompatible types -- the single engine's
 :class:`~repro.engine.executor.ExplorationResult` and the clusters'
-:class:`~repro.cluster.coordinator.ClusterResult` -- with overlapping but
+:class:`~repro.cluster.core.ClusterResult` -- with overlapping but
 differently named fields, so comparing backends meant per-backend glue in
 every benchmark.  :class:`RunResult` adapts both into one shape:
 
@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
-from repro.cluster.coordinator import ClusterResult
+from repro.cluster.core import ClusterResult
 from repro.cluster.stats import ClusterTimeline, TransferCost, WorkerStats
 from repro.engine.errors import BugKind, BugReport
 from repro.engine.executor import ExplorationResult

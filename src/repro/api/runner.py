@@ -12,15 +12,15 @@ runners so callers write::
 Built-in backends:
 
 * ``"single"``   -- one in-process engine (plain KLEE / 1-worker Cloud9).
-* ``"cluster"``  -- the virtual-time Cloud9 cluster with dynamic load
-  balancing (:class:`~repro.cluster.coordinator.Cloud9Cluster`).
-* ``"static"``   -- the §2 static-partitioning strawman baseline.
-* ``"threaded"`` -- the Cloud9 cluster with workers stepped on an OS thread
-  pool each round (wall-clock parallelism on one machine, bounded by the
-  GIL).
-* ``"process"`` -- the multiprocess cluster (:mod:`repro.distrib`): worker
-  processes on real cores, jobs shipped as path-encoded trees and replayed
-  at the destination.  Requires a test built from a registered spec
+* ``"cluster"``  -- the Cloud9 cluster with dynamic load balancing, every
+  member in this process (:class:`~repro.distrib.loopback.Cloud9Cluster`:
+  the coordinator over the loopback carrier; deterministic, virtual time).
+* ``"static"``   -- the §2 static-partitioning strawman: the same in-process
+  cluster, partitioned once by a bootstrap and never balanced.
+* ``"process"`` -- the same coordinator over mp queues
+  (:class:`~repro.distrib.cluster.ProcessCloud9Cluster`): worker processes
+  on real cores, jobs shipped as path-encoded trees and replayed at the
+  destination.  Requires a test built from a registered spec
   (:func:`repro.distrib.specs.resolve_test`) or an explicit ``spec=`` option,
   because live tests do not pickle.
 * ``"tcp"`` -- the same coordinator over the socket transport
@@ -38,9 +38,8 @@ from __future__ import annotations
 from dataclasses import replace as _dc_replace
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
-from repro.cluster.coordinator import ClusterConfig
-from repro.cluster.static_partition import StaticPartitionConfig
-from repro.cluster.threaded import ThreadedCloud9Cluster
+from repro.cluster.core import ClusterConfig, StaticPartitionConfig
+from repro.distrib.cluster import ProcessCloud9Cluster, ProcessClusterConfig
 from repro.solver.cache import aggregate_cache_counters
 
 from repro.api.limits import ExplorationLimits
@@ -62,7 +61,6 @@ __all__ = [
     "SingleRunner",
     "ClusterRunner",
     "StaticPartitionRunner",
-    "ThreadedRunner",
     "ProcessRunner",
     "TcpRunner",
     "available_backends",
@@ -131,29 +129,20 @@ class SingleRunner:
 
 
 class ClusterRunner:
-    """The dynamically load-balanced Cloud9 cluster on virtual time."""
+    """The dynamically load-balanced Cloud9 cluster, in process."""
 
     name = "cluster"
-    config_cls = ClusterConfig
-    cluster_class = None  # default of SymbolicTest.build_cluster
 
     def run(self, test: "SymbolicTest",
             limits: Optional[ExplorationLimits] = None,
             workers: Optional[int] = None,
             resume_from: Optional[object] = None,
             **options: object) -> RunResult:
-        config = _build_cluster_config(self.config_cls, workers, options)
-        cluster = test.build_cluster(config, cluster_class=self.cluster_class)
+        config = _build_cluster_config(ClusterConfig, workers, options)
+        cluster = test.build_cluster(config)
         result = cluster.run(limits=limits, resume_from=resume_from)
         return RunResult.from_cluster(result, backend=self.name,
                                       test_name=test.name)
-
-
-class ThreadedRunner(ClusterRunner):
-    """The same cluster protocol, with per-round worker steps on OS threads."""
-
-    name = "threaded"
-    cluster_class = ThreadedCloud9Cluster
 
 
 class ProcessRunner:
@@ -169,10 +158,6 @@ class ProcessRunner:
             spec_params: Optional[Dict[str, object]] = None,
             resume_from: Optional[object] = None,
             **options: object) -> RunResult:
-        # Imported lazily: repro.distrib reaches back into the testing layer
-        # (which imports repro.api), so a module-level import would cycle.
-        from repro.distrib.cluster import ProcessCloud9Cluster, ProcessClusterConfig
-
         if spec is None and spec_params is None:
             # The test carries its own spec: workers rebuild this very
             # program, so its line count is authoritative.
@@ -283,6 +268,6 @@ def run_test(test: "SymbolicTest", backend: str = "single",
 
 
 for _runner in (SingleRunner(), ClusterRunner(), StaticPartitionRunner(),
-                ThreadedRunner(), ProcessRunner(), TcpRunner()):
+                ProcessRunner(), TcpRunner()):
     register_runner(_runner)
 del _runner

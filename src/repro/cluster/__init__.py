@@ -1,7 +1,8 @@
-"""Cluster-parallel symbolic execution (the paper's core contribution, §3).
+"""Building blocks of cluster-parallel symbolic execution (paper §3).
 
-The package reproduces Cloud9's dynamic partitioning of the symbolic
-execution tree across shared-nothing workers:
+Everything a Cloud9 cluster is made of, short of the coordinator that ties
+it together (that one speaks wire messages over a transport and lives a
+layer up, in :mod:`repro.distrib`):
 
 * :mod:`repro.cluster.jobs` -- jobs encoded as root-to-node paths, aggregated
   into prefix-sharing job trees for transfer.
@@ -12,18 +13,6 @@ execution tree across shared-nothing workers:
 * :mod:`repro.cluster.load_balancer` -- the queue-length-based balancing
   policy (mean +/- delta*sigma classification and pairing).
 * :mod:`repro.cluster.overlay` -- the global coverage bit-vector overlay.
-* :mod:`repro.cluster.transport` -- the simulated shared-nothing network.
-* :mod:`repro.cluster.core` -- the shared :class:`CoordinatorCore` round
-  engine (the one implementation of the §3 protocol, under every backend).
-* :mod:`repro.cluster.coordinator` -- the in-process backend: member
-  construction over the simulated transport and the public
-  :class:`Cloud9Cluster` front end.
-* :mod:`repro.cluster.threaded` -- the same cluster with per-round worker
-  steps on an OS thread pool (wall-clock parallelism on one machine).
-* :mod:`repro.cluster.static_partition` -- the static-partitioning baseline
-  the paper argues against (§2, §8), used by the ablation benchmarks.
-* :mod:`repro.cluster.stats` -- instruction/transfer/coverage timelines used
-  by the evaluation harness.
 * :mod:`repro.cluster.ledger` -- the coordinator-side frontier ledger used
   to recover a dead worker's territory (§2.3 failure model).
 * :mod:`repro.cluster.checkpoint` -- resumable run snapshots (frontier,
@@ -31,32 +20,31 @@ execution tree across shared-nothing workers:
   ``run(resume_from=...)``.
 * :mod:`repro.cluster.autoscale` -- the autoscaling policy engine driving
   elastic membership from queue-length band/spread and round wall time.
+* :mod:`repro.cluster.stats` -- instruction/transfer/coverage timelines used
+  by the evaluation harness.
+* :mod:`repro.cluster.core` -- the coordinator's contract:
+  :class:`ClusterConfig` / :class:`StaticPartitionConfig` in,
+  :class:`ClusterResult` out.
+
+Nothing here imports :mod:`repro.distrib` or :mod:`repro.net`.
 """
 
 from repro.cluster.autoscale import AutoscalePolicy, Autoscaler
 from repro.cluster.checkpoint import ClusterCheckpoint
-from repro.cluster.coordinator import Cloud9Cluster, ClusterConfig, ClusterResult
-from repro.cluster.core import CoordinatorCore, Member, MemberFinal
+from repro.cluster.core import ClusterConfig, ClusterResult, StaticPartitionConfig
 from repro.cluster.jobs import Job, JobTree
 from repro.cluster.ledger import FrontierLedger, RecoveryJob
 from repro.cluster.load_balancer import LoadBalancer, TransferCommand
 from repro.cluster.overlay import CoverageOverlay
-from repro.cluster.static_partition import StaticPartitionCluster, StaticPartitionConfig
 from repro.cluster.stats import ClusterTimeline, WorkerStats
-from repro.cluster.threaded import ThreadedCloud9Cluster
 from repro.cluster.worker import Worker
 
 __all__ = [
     "AutoscalePolicy",
     "Autoscaler",
-    "Cloud9Cluster",
-    "ThreadedCloud9Cluster",
     "ClusterCheckpoint",
     "ClusterConfig",
     "ClusterResult",
-    "CoordinatorCore",
-    "Member",
-    "MemberFinal",
     "FrontierLedger",
     "RecoveryJob",
     "Job",
@@ -64,7 +52,6 @@ __all__ = [
     "LoadBalancer",
     "TransferCommand",
     "CoverageOverlay",
-    "StaticPartitionCluster",
     "StaticPartitionConfig",
     "ClusterTimeline",
     "WorkerStats",

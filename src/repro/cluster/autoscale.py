@@ -30,7 +30,7 @@ Scale-down picks the member with the shortest reported queue and retires it
 through the cluster's *incremental* drain (at most ``drain_chunk`` jobs per
 round leave the draining worker), so shrinking never stalls a round.
 
-Both cluster front ends understand ``config.autoscale``::
+Every cluster backend understands ``config.autoscale``::
 
     test.run(backend="cluster", autoscale=AutoscalePolicy(max_workers=8))
     test.run(backend="process", workers=2, autoscale=True)   # default policy
@@ -43,15 +43,26 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Protocol, Tuple
 
+from repro.cluster.load_balancer import LoadBalancer
 from repro.obs import schema as trace_schema
 
-if TYPE_CHECKING:  # import-time cycle: core.py imports this module
-    from repro.cluster.core import CoordinatorCore
-    from repro.cluster.load_balancer import LoadBalancer
+__all__ = ["AutoscalePolicy", "Autoscaler", "ElasticCluster"]
 
-__all__ = ["AutoscalePolicy", "Autoscaler"]
+
+class ElasticCluster(Protocol):
+    """The surface an :class:`Autoscaler` drives (the coordinator has it)."""
+
+    load_balancer: LoadBalancer
+    round_hook: Optional[Callable[[int, Any], None]]
+
+    @property
+    def live_worker_ids(self) -> List[int]: ...
+
+    def add_worker(self) -> int: ...
+
+    def remove_worker(self, worker_id: int) -> int: ...
 
 
 @dataclass
@@ -146,10 +157,9 @@ class AutoscalePolicy:
 class Autoscaler:
     """Drives elastic membership of a cluster from its ``round_hook``.
 
-    Works against both :class:`~repro.cluster.coordinator.Cloud9Cluster` and
-    :class:`~repro.distrib.cluster.ProcessCloud9Cluster` through the small
-    surface they share: ``load_balancer``, ``live_worker_ids``,
-    ``add_worker()`` and ``remove_worker(worker_id)``.
+    Works against any :class:`ElasticCluster` -- the coordinator under
+    every cluster backend (:class:`~repro.distrib.coordinator.Coordinator`),
+    or a scripted fake in the tests.
 
     Constructed automatically when a cluster config carries
     ``autoscale=AutoscalePolicy(...)``; usable manually via
@@ -170,11 +180,11 @@ class Autoscaler:
         # job fanning out) and must not read as "workers are idle".
         self._cooldown_left = self.policy.cooldown_rounds
 
-    def install(self, cluster: "CoordinatorCore") -> "Autoscaler":
+    def install(self, cluster: ElasticCluster) -> "Autoscaler":
         """Chain this autoscaler after the cluster's existing round hook."""
         previous = cluster.round_hook
 
-        def hook(round_index: int, cl: "CoordinatorCore") -> None:
+        def hook(round_index: int, cl: ElasticCluster) -> None:
             if previous is not None:
                 previous(round_index, cl)
             self(round_index, cl)
@@ -182,7 +192,7 @@ class Autoscaler:
         cluster.round_hook = hook
         return self
 
-    def __call__(self, round_index: int, cluster: "CoordinatorCore") -> None:
+    def __call__(self, round_index: int, cluster: ElasticCluster) -> None:
         now = self._clock()
         round_wall = (now - self._last_tick
                       if self._last_tick is not None else None)
@@ -218,7 +228,7 @@ class Autoscaler:
 
     # -- actions -----------------------------------------------------------------------
 
-    def _grow(self, round_index: int, cluster: "CoordinatorCore",
+    def _grow(self, round_index: int, cluster: ElasticCluster,
               num_live: int) -> None:
         added = 0
         for _ in range(self.policy.scale_step):
@@ -238,8 +248,8 @@ class Autoscaler:
             self.decisions.append((round_index, "grow", added))
             self._trace(cluster, round_index, "grow", added)
 
-    def _shrink(self, round_index: int, cluster: "CoordinatorCore",
-                balancer: "LoadBalancer") -> None:
+    def _shrink(self, round_index: int, cluster: ElasticCluster,
+                balancer: LoadBalancer) -> None:
         removed = 0
         for _ in range(self.policy.scale_step):
             live = list(cluster.live_worker_ids)
@@ -256,10 +266,10 @@ class Autoscaler:
             self._trace(cluster, round_index, "shrink", removed)
 
     @staticmethod
-    def _trace(cluster: "CoordinatorCore", round_index: int, action: str,
+    def _trace(cluster: ElasticCluster, round_index: int, action: str,
                count: int) -> None:
         """Record the decision on the cluster's trace (no-op when untraced;
-        both cluster front ends carry a ``tracer``)."""
+        the coordinator carries a ``tracer``, a bare fake need not)."""
         tracer = getattr(cluster, "tracer", None)
         if tracer is not None:
             tracer.emit(trace_schema.AUTOSCALE_DECISION, round=round_index,

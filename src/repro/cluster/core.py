@@ -1,156 +1,95 @@
-"""The one coordinator: a shared round engine under every cluster backend.
+"""The coordinator's contract: what goes in (configs) and what comes out.
 
-The paper's §3 worker/coordinator protocol used to be implemented twice --
-once over in-process workers (:mod:`repro.cluster.coordinator`, also driving
-the threaded backend) and once over worker processes / TCP agents
-(:mod:`repro.distrib.cluster`) -- and the copies drifted: checkpoint cadence,
-trace keys and status payloads each had to be re-unified by hand at least
-once.  :class:`CoordinatorCore` now owns the protocol end to end:
-
-* the round loop -- hooks, autoscaler, drain advancement, exploration,
-  status collection into the :class:`~repro.cluster.load_balancer.LoadBalancer`,
-  balancing decisions, per-round recording;
-* elastic membership (:meth:`add_worker` / :meth:`remove_worker`, incremental
-  drain bookkeeping) and the membership trace events;
-* checkpoint cadence and ``resume_from=`` carried-over counters;
-* termination (coverage / path / bug goals, exhaustion, budgets);
-* result finalization, including bug dedup, coverage/test-case merging and
-  solver-cache aggregation;
-* tracing (``run_started`` ... ``run_finished``), the live
-  :class:`~repro.obs.status.StatusServer` and the round wall-time /
-  solver-latency histograms.
-
-Backends implement a small set of hooks against the :class:`Member`
-protocol -- an in-process :class:`~repro.cluster.worker.Worker` or a
-transport-backed ``_WorkerHandle`` -- plus backend plumbing (message
-delivery, process spawn, frontier-ledger recovery).  Cross-backend drift in
-the protocol itself is impossible by construction: there is exactly one
-``_run``.
+The coordinator itself -- the one implementation of the paper's §3 round
+protocol -- lives a layer up, in :mod:`repro.distrib.coordinator`, because
+it speaks :mod:`repro.distrib.messages` over a
+:class:`repro.net.transport.Transport`.  This module holds the plain data
+both sides of that boundary share: :class:`ClusterConfig` (the knobs every
+carrier understands; :class:`~repro.distrib.cluster.ProcessClusterConfig`
+adds the process/socket ones), :class:`StaticPartitionConfig` (the §2
+strawman as a policy on the same coordinator) and :class:`ClusterResult`.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import (Any, Callable, Dict, List, Optional, Protocol, Sequence,
-                    Set, Tuple, Union)
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.cluster.autoscale import AutoscalePolicy, Autoscaler
-from repro.cluster.checkpoint import ClusterCheckpoint
-from repro.cluster.load_balancer import LoadBalancer, TransferCommand
-from repro.cluster.stats import ClusterTimeline, RoundSnapshot, TransferCost, WorkerStats
+from repro.cluster.autoscale import AutoscalePolicy
+from repro.cluster.stats import ClusterTimeline, TransferCost, WorkerStats
 from repro.engine.errors import BugReport
-from repro.engine.limits import ExplorationLimits, effective_limits
 from repro.engine.test_case import TestCase
-from repro.obs import schema as trace_schema
-from repro.obs.metrics import Histogram
-from repro.obs.status import StatusServer
-from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 
-from repro.solver.cache import aggregate_cache_counters
-
-__all__ = ["Member", "MemberFailure", "MemberFinal", "RoundWork",
-           "CoordinatorConfig", "CoordinatorCore", "ClusterResult",
-           "backend_hook", "_dedupe_bugs"]
-
-_Hook = Callable[..., Any]
-
-
-def backend_hook(method: _Hook) -> _Hook:
-    """Mark a method as part of the backend hook surface.
-
-    The core owns the round protocol; backends may only override methods
-    carrying this marker.  The ``CORE`` checker family
-    (:mod:`repro.analysis.hooks`) enforces both directions statically:
-    a concrete backend must implement every abstract hook, and must never
-    shadow an un-marked (core-owned) method.
-    """
-    setattr(method, "__backend_hook__", True)
-    return method
-
-
-class Member(Protocol):
-    """What the round engine needs to know about one cluster member.
-
-    Satisfied structurally by the in-process ``Worker`` and the
-    transport-backed ``_WorkerHandle``; everything richer (explore, drain,
-    finalize) goes through the backend hooks, which know their concrete
-    member type.
-    """
-
-    worker_id: int
-
-    @property
-    def queue_length(self) -> int: ...
-
-
-class MemberFailure(Exception):
-    """A member died or misbehaved mid-protocol.
-
-    Backends that can lose members (the process/tcp backend) raise their
-    subclass from transport errors; the in-process backends never do.
-    """
-
-    def __init__(self, member: Any, reason: str):
-        super().__init__(reason)
-        self.member = member
-        self.reason = reason
+__all__ = ["ClusterConfig", "StaticPartitionConfig", "ClusterResult",
+           "_dedupe_bugs"]
 
 
 @dataclass
-class MemberFinal:
-    """One member's final accounting, backend-neutral.
+class ClusterConfig:
+    """Configuration of a Cloud9 cluster, whatever carries its messages."""
 
-    Produced by :meth:`CoordinatorCore._collect_finals` -- from live worker
-    objects in process, or from ``FinalReply`` messages over a transport --
-    and consumed by the shared :meth:`CoordinatorCore._finalize`.
-    """
+    num_workers: int = 2
+    instructions_per_round: int = 500
+    status_update_interval: int = 1
+    balance_interval: int = 1
+    delta: float = 1.0
+    min_transfer: int = 1
+    # None = "resolve at build time": a SymbolicTest substitutes its own
+    # strategy, a bare cluster falls back to DEFAULT_STRATEGY.  (A concrete
+    # default here used to silently override the test's strategy.)
+    strategy: Optional[str] = None
+    load_balancing_enabled: bool = True
+    # Disable load balancing from this round on (None = never): Fig. 13.
+    disable_balancing_after_round: Optional[int] = None
+    max_rounds: int = 10_000
+    #: Write a :class:`~repro.cluster.checkpoint.ClusterCheckpoint` every N
+    #: rounds (None = never).  The latest checkpoint is kept on the cluster
+    #: (``last_checkpoint``) and, when ``checkpoint_path`` is set, saved to
+    #: that file so a killed run can resume via ``run(resume_from=...)``.
+    checkpoint_every: Optional[int] = None
+    checkpoint_path: Optional[str] = None
+    #: Autoscaling policy driving elastic membership from the round hook
+    #: (None = fixed size; ``True`` = default :class:`AutoscalePolicy`).
+    #: ``num_workers`` is the *initial* size; the policy's min/max bound it
+    #: from there.
+    autoscale: Optional[AutoscalePolicy] = None
+    #: Jobs a retiring worker hands over per round: ``remove_worker`` keeps
+    #: the worker as a non-exploring *draining* member and exports at most
+    #: this many jobs per round until its frontier is empty, so scale-down
+    #: never stalls a round on a large frontier.
+    drain_chunk: int = 16
+    #: Bind a read-only live-status endpoint (:mod:`repro.obs.status`) on
+    #: this ``host:port`` for the duration of the run (``"127.0.0.1:0"``
+    #: picks a free port; see ``cluster.status_address``).  None = no server.
+    status_listen: Optional[str] = None
 
-    worker_id: int
-    paths_completed: int
-    useful_instructions: int
-    replay_instructions: int
-    covered_lines: Set[int]
-    bugs: List[BugReport]
-    test_cases: List[TestCase]
-    stats: WorkerStats
-    cache_counters: Dict[str, int]
-    #: The member solver's query-latency histogram (``None`` when the
-    #: backend predates the field, e.g. a checkpointed departed final).
-    latency: Optional[Histogram] = None
+    def __post_init__(self) -> None:
+        if self.num_workers < 1:
+            raise ValueError("a cluster needs at least one worker")
+        if self.instructions_per_round < 1:
+            raise ValueError("instructions_per_round must be positive")
+        if self.drain_chunk < 1:
+            raise ValueError("drain_chunk must be positive")
+        self.autoscale = AutoscalePolicy.coerce(self.autoscale)
 
 
 @dataclass
-class RoundWork:
-    """What one round of exploration produced, backend-neutral."""
+class StaticPartitionConfig(ClusterConfig):
+    """The static-partitioning baseline: the same cluster, never balanced."""
 
-    useful_delta: int = 0
-    replay_delta: int = 0
-    states_transferred: int = 0
-    #: Per-worker ``{"useful": .., "replay": .., "queue": ..}`` for the
-    #: ``round_completed`` trace event.
-    detail: Dict[int, Dict[str, int]] = field(default_factory=dict)
+    load_balancing_enabled: bool = False
+    # How many partitions to carve out per worker during the bootstrap split.
+    partitions_per_worker: int = 1
+    # Hard limit on the bootstrap exploration itself.
+    max_bootstrap_steps: int = 2_000
 
-
-class CoordinatorConfig(Protocol):
-    """The config surface the shared round engine reads.
-
-    ``ClusterConfig`` and ``ProcessClusterConfig`` both satisfy it; each
-    adds backend-specific knobs (transport delay vs. reply timeouts) that
-    only their own hooks consume.
-    """
-
-    num_workers: int
-    status_update_interval: int
-    balance_interval: int
-    load_balancing_enabled: bool
-    disable_balancing_after_round: Optional[int]
-    max_rounds: int
-    checkpoint_every: Optional[int]
-    checkpoint_path: Optional[str]
-    autoscale: Optional[AutoscalePolicy]
-    drain_chunk: int
-    status_listen: Optional[str]
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.load_balancing_enabled:
+            raise ValueError("static partitioning never balances; use "
+                             "ClusterConfig for a balanced cluster")
+        if self.partitions_per_worker < 1:
+            raise ValueError("partitions_per_worker must be positive")
 
 
 @dataclass
@@ -174,8 +113,8 @@ class ClusterResult:
     total_states_transferred: int = 0
     transfer_commands: int = 0
     messages_sent: int = 0
-    # Real elapsed seconds of the run (rounds are virtual time, but the
-    # threaded cluster's wall-clock speedup is only visible here).
+    # Real elapsed seconds of the run (rounds are virtual time; wall-clock
+    # speedup across worker processes is only visible here).
     wall_time: float = 0.0
     # Wire cost of the path-encoded job transfers (prefix-sharing savings).
     transfer_cost: TransferCost = field(default_factory=TransferCost)
@@ -230,539 +169,3 @@ def _dedupe_bugs(bugs: Sequence[BugReport]) -> List[BugReport]:
             seen.add(key)
             unique.append(bug)
     return unique
-
-
-class CoordinatorCore:
-    """The §3 round protocol, shared by every backend.
-
-    Subclasses provide member construction and the backend hooks (grouped
-    at the bottom of the class); the round loop, membership bookkeeping,
-    checkpoint cadence, termination and finalization live here and only
-    here.
-    """
-
-    #: Name this backend reports in trace/status events; every subclass
-    #: defines it (the process backend as a transport-dependent property).
-    backend_name: str
-
-    #: The balancer is created by the subclass constructor before any
-    #: engine method runs.
-    load_balancer: LoadBalancer
-
-    def __init__(self, config: CoordinatorConfig):
-        self.config = config
-        #: Optional callback invoked at the start of every round as
-        #: ``round_hook(round_index, cluster)`` -- the supported place to
-        #: exercise elastic membership (add/remove workers) mid-run.
-        self.round_hook: Optional[Callable[[int, Any], None]] = None
-        #: The Autoscaler driving the current run (None unless
-        #: ``config.autoscale`` is set; fresh per ``run()`` call).
-        self.autoscaler: Optional[Autoscaler] = None
-        #: Most recent checkpoint written by this run (None until the first).
-        self.last_checkpoint: Optional[ClusterCheckpoint] = None
-        #: Structured event trace of the current run (:mod:`repro.obs.trace`);
-        #: the no-op tracer outside a traced ``run()``.
-        self.tracer: Union[Tracer, NullTracer] = NULL_TRACER
-        #: Live-status endpoint of the current run (None unless
-        #: ``config.status_listen`` is set; fresh per ``run()``).
-        self.status_server: Optional[StatusServer] = None
-        # Members retiring incrementally: no longer exploring or balanced,
-        # handing over drain_chunk jobs per round until empty.
-        self._draining: List[Any] = []
-        # Elastic-membership accounting (reported on ClusterResult).
-        self._workers_added = 0
-        self._workers_removed = 0
-        self._peak_workers = 0
-        # Carried-over counters when resuming from a checkpoint.
-        self._base_paths = 0
-        self._base_useful = 0
-        self._base_replay = 0
-        self._base_wall = 0.0
-        self._base_covered: Set[int] = set()
-        self._base_bugs: List[BugReport] = []
-        self._base_tests: List[TestCase] = []
-        self._resumed_from_round: Optional[int] = None
-        self._run_started = 0.0
-        # Round wall-time distribution of the current run (p50/p99 on
-        # ``run_finished``); fresh per ``run()``.
-        self._round_seconds = Histogram("round_seconds")
-        # Solver-query latency merged across members in _finalize (p50/p99
-        # on the final ``solver_query`` event).
-        self._member_latency: Optional[Histogram] = None
-
-    # -- shared membership surface -------------------------------------------------------
-
-    @property
-    def live_worker_ids(self) -> List[int]:
-        """Ids of the live (exploring) members, excluding draining ones."""
-        return [m.worker_id for m in self._live_members()]
-
-    @property
-    def status_address(self) -> Optional[Tuple[str, int]]:
-        """``(host, port)`` of the live-status endpoint, if one is running."""
-        return self.status_server.address if self.status_server else None
-
-    def add_worker(self) -> int:
-        """Join a fresh, empty member; the load balancer will feed it.
-
-        Returns the new worker id.  Callable between rounds (e.g. from
-        ``round_hook``).
-        """
-        member = self._admit_member()
-        self._workers_added += 1
-        self._peak_workers = max(self._peak_workers, len(self._live_members()))
-        self.tracer.emit(trace_schema.WORKER_JOINED, worker=member.worker_id,
-                         workers=len(self._live_members()))
-        return member.worker_id
-
-    def remove_worker(self, worker_id: int) -> int:
-        """Start retiring a member, handing its frontier over incrementally.
-
-        The member immediately stops exploring and leaves the load
-        balancer's view, but its frontier drains in ``drain_chunk``-sized
-        job exports across the following rounds (it stays a *draining*
-        member until empty), so removal never stalls a round.  Its results
-        (paths, bugs, coverage, stats) still count toward the final
-        :class:`ClusterResult`.  Returns the number of jobs handed over in
-        the first drain chunk.
-        """
-        live = self._live_members()
-        member = next((m for m in live if m.worker_id == worker_id), None)
-        if member is None:
-            raise ValueError("no live worker with id %d" % worker_id)
-        if len(live) == 1:
-            raise ValueError("cannot remove the last worker")
-        self._detach_member(member)
-        self._draining.append(member)
-        self._workers_removed += 1
-        self.tracer.emit(trace_schema.WORKER_DRAINING, worker=worker_id,
-                         queue=member.queue_length)
-        self._purge_departing(member)
-        return self._drain_member(member)
-
-    def _advance_drains(self) -> None:
-        for member in list(self._draining):
-            self._drain_member(member)
-
-    def _note_member_left(self, worker_id: int) -> None:
-        """Trace a fully-drained member's departure (backends call this
-        when they retire a draining member)."""
-        self.tracer.emit(trace_schema.WORKER_LEFT, worker=worker_id,
-                         workers=len(self._live_members()))
-
-    # -- shared round-loop helpers -------------------------------------------------------
-
-    def _balancing_active(self, round_index: int) -> bool:
-        if not self.config.load_balancing_enabled:
-            return False
-        cutoff = self.config.disable_balancing_after_round
-        if cutoff is not None and round_index >= cutoff:
-            return False
-        return True
-
-    def _total_candidates(self) -> int:
-        # Draining members' outstanding jobs count: they are still part of
-        # the global frontier (survivors receive them chunk by chunk).
-        total = sum(m.queue_length for m in self._live_members())
-        return total + sum(m.queue_length for m in self._draining)
-
-    # -- the round protocol --------------------------------------------------------------
-
-    def run(self, max_rounds: Optional[int] = None,
-            target_coverage_percent: Optional[float] = None,
-            max_paths: Optional[int] = None,
-            stop_on_first_bug: bool = False,
-            max_wall_time: Optional[float] = None,
-            max_instructions: Optional[int] = None,
-            limits: Optional[ExplorationLimits] = None,
-            resume_from: Optional[Union[ClusterCheckpoint, str]] = None
-            ) -> ClusterResult:
-        """Run rounds until exhaustion, a goal, or a budget is spent.
-
-        Limits may be given as explicit kwargs or bundled in an
-        :class:`~repro.engine.limits.ExplorationLimits`; explicit kwargs win.
-        ``limits.coverage_target`` maps to ``target_coverage_percent`` and
-        ``limits.max_steps`` does not apply to cluster runs.
-
-        ``resume_from`` (a :class:`~repro.cluster.checkpoint.ClusterCheckpoint`
-        or a path to a saved one) restores a checkpointed frontier, coverage
-        and counters instead of starting from the seed job.
-
-        ``limits.trace_path`` turns on structured event tracing for the run,
-        and ``config.status_listen`` serves a live status snapshot
-        (:mod:`repro.obs`) on every backend; both are torn down when the
-        run returns.
-        """
-        lim = effective_limits(limits, max_rounds=max_rounds,
-                               coverage_target=target_coverage_percent,
-                               max_paths=max_paths,
-                               stop_on_first_bug=stop_on_first_bug,
-                               max_wall_time=max_wall_time,
-                               max_instructions=max_instructions)
-        tracer = Tracer(lim.trace_path) if lim.trace_path else NULL_TRACER
-        self.tracer = tracer
-        if self.config.status_listen is not None:
-            self.status_server = StatusServer(self.config.status_listen)
-        try:
-            return self._run(lim, resume_from)
-        finally:
-            try:
-                self._teardown_run()
-            finally:
-                self.tracer = NULL_TRACER
-                tracer.close()
-                if self.status_server is not None:
-                    self.status_server.close()
-                    self.status_server = None
-
-    def _run(self, lim: ExplorationLimits,
-             resume_from: Optional[Union[ClusterCheckpoint, str]]
-             ) -> ClusterResult:
-        config = self.config
-        limit = lim.max_rounds if lim.max_rounds is not None else config.max_rounds
-        start = time.monotonic()
-        self._run_started = start
-        instructions_executed = 0
-        policy = config.autoscale
-        self.autoscaler = Autoscaler(policy) if policy is not None else None
-        self._round_seconds = Histogram("round_seconds")
-        self._member_latency = None
-
-        result = ClusterResult(num_workers=config.num_workers)
-        self._begin_run(result, resume_from)
-        line_count = self._line_count()
-        result.line_count = line_count
-
-        tracer = self.tracer
-        tracer.emit(trace_schema.RUN_STARTED, backend=self.backend_name,
-                    workers=len(self._live_members()),
-                    test=self._spec_label(), line_count=line_count,
-                    resumed_from_round=self._resumed_from_round)
-        traced_bugs = 0
-
-        round_index = 0
-        while round_index < limit:
-            if self.round_hook is not None:
-                self.round_hook(round_index, self)
-            if self.autoscaler is not None:
-                self.autoscaler(round_index, self)
-            self._pre_round(result)
-            self._peak_workers = max(self._peak_workers,
-                                     len(self._live_members()))
-            balancing = self._balancing_active(round_index)
-            # Unified checkpoint cadence across backends: a snapshot lands
-            # after every checkpoint_every *completed* rounds.
-            checkpoint_due = bool(
-                config.checkpoint_every
-                and (round_index + 1) % config.checkpoint_every == 0)
-            failures_before = result.worker_failures
-            round_started = time.monotonic()
-
-            # 1. Deliver and explore one round of virtual time.
-            work = self._explore_phase(result, round_index, checkpoint_due)
-            instructions_executed += work.useful_delta + work.replay_delta
-
-            # 2. Status updates into the load balancer (+ merged coverage
-            # back out to the members, §3.3).
-            if round_index % config.status_update_interval == 0:
-                self._status_phase(round_index)
-
-            # 3. Balancing decisions; execution/counting is per backend
-            # (queued on the virtual fabric vs. executed synchronously).
-            states_transferred = work.states_transferred
-            if balancing and round_index % config.balance_interval == 0:
-                for command in self.load_balancer.balance(round_index):
-                    states_transferred += self._dispatch_transfer(
-                        command, result, round_index)
-            self._post_balance(result)
-
-            # 4. Record the round.
-            live = self._live_members()
-            covered_count = self._covered_line_count()
-            coverage_percent = (100.0 * covered_count / line_count
-                                if line_count else 0.0)
-            paths_completed = self._paths_completed()
-            bugs_found = self._bugs_found()
-            candidates = self._total_candidates()
-            elapsed = time.monotonic() - start
-            queues = {m.worker_id: m.queue_length for m in live}
-            result.timeline.record(RoundSnapshot(
-                round_index=round_index,
-                queue_lengths=dict(queues),
-                total_candidates=candidates,
-                states_transferred=states_transferred,
-                useful_instructions=work.useful_delta,
-                replay_instructions=work.replay_delta,
-                covered_lines=covered_count,
-                coverage_percent=coverage_percent,
-                paths_completed=paths_completed,
-                bugs_found=bugs_found,
-                load_balancing_enabled=balancing,
-                num_workers=len(live),
-                elapsed=elapsed,
-            ))
-            result.total_states_transferred += states_transferred
-            if tracer.enabled:
-                if bugs_found > traced_bugs:
-                    tracer.emit(trace_schema.BUG_FOUND, round=round_index,
-                                bugs=bugs_found, new=bugs_found - traced_bugs)
-                    traced_bugs = bugs_found
-                tracer.emit(
-                    trace_schema.ROUND_COMPLETED, round=round_index,
-                    elapsed=round(elapsed, 6),
-                    coverage_percent=round(coverage_percent, 3),
-                    covered_lines=covered_count, paths=paths_completed,
-                    candidates=candidates,
-                    workers=len(live),
-                    useful=work.useful_delta, replay=work.replay_delta,
-                    transferred=states_transferred,
-                    queues=queues, workers_detail=work.detail)
-            if self.status_server is not None:
-                self.status_server.update({
-                    "backend": self.backend_name,
-                    "round": round_index,
-                    "elapsed": round(elapsed, 3),
-                    "coverage_percent": round(coverage_percent, 3),
-                    "covered_lines": covered_count,
-                    "paths_completed": paths_completed,
-                    "bugs_found": bugs_found,
-                    "candidates": candidates,
-                    "live_workers": len(live),
-                    "draining_workers": len(self._draining),
-                    "queues": dict(queues),
-                })
-            self._round_seconds.observe(time.monotonic() - round_started)
-            round_index += 1
-
-            # 4b. Periodic checkpoint (between rounds, after status merge);
-            # skipped when this round lost a member, so a snapshot never
-            # captures a half-recovered frontier.
-            if checkpoint_due and result.worker_failures == failures_before:
-                self._take_checkpoint(round_index)
-                tracer.emit(trace_schema.CHECKPOINT_WRITTEN, round=round_index,
-                            path=config.checkpoint_path)
-
-            # 5. Termination checks.
-            if (lim.coverage_target is not None
-                    and coverage_percent >= lim.coverage_target):
-                result.goal_reached = True
-                break
-            if lim.max_paths is not None and paths_completed >= lim.max_paths:
-                result.goal_reached = True
-                break
-            if lim.stop_on_first_bug and bugs_found:
-                result.goal_reached = True
-                break
-            if candidates == 0 and self._work_idle():
-                result.exhausted = True
-                break
-            # Budget limits (spent, not reached: goal_reached stays False).
-            if (lim.max_instructions is not None
-                    and instructions_executed >= lim.max_instructions):
-                break
-            if (lim.max_wall_time is not None
-                    and time.monotonic() - start >= lim.max_wall_time):
-                break
-
-        # Cumulative across resume_from= segments: the checkpoint carries the
-        # wall time already spent, this run adds its own elapsed time.
-        result.wall_time = self._base_wall + (time.monotonic() - start)
-        final = self._finalize(result, round_index)
-        if tracer.enabled:
-            payload: Dict[str, Any] = {
-                k: v for k, v in final.cache_stats.items()
-                if isinstance(v, int) and v}
-            latency = self._solver_latency()
-            if latency is not None and latency.count:
-                p50 = latency.percentile(50.0)
-                p99 = latency.percentile(99.0)
-                payload["latency_count"] = latency.count
-                payload["latency_p50"] = round(p50 or 0.0, 6)
-                payload["latency_p99"] = round(p99 or 0.0, 6)
-            tracer.emit(trace_schema.SOLVER_QUERY, **payload)
-            round_p50 = self._round_seconds.percentile(50.0)
-            round_p99 = self._round_seconds.percentile(99.0)
-            tracer.emit(trace_schema.RUN_FINISHED, rounds=final.rounds_executed,
-                        paths=final.paths_completed,
-                        coverage_percent=round(final.coverage_percent, 3),
-                        bugs=len(final.bugs),
-                        useful=final.total_useful_instructions,
-                        replay=final.total_replay_instructions,
-                        exhausted=final.exhausted,
-                        goal_reached=final.goal_reached,
-                        wall_time=round(final.wall_time, 6),
-                        round_time_p50=(None if round_p50 is None
-                                        else round(round_p50, 6)),
-                        round_time_p99=(None if round_p99 is None
-                                        else round(round_p99, 6)))
-        return final
-
-    def _finalize(self, result: ClusterResult, rounds: int) -> ClusterResult:
-        finals = self._collect_finals(result)
-        live = self._live_members()
-        result.num_workers = len(live) or result.num_workers
-        result.rounds_executed = rounds
-        result.resumed_from_round = self._resumed_from_round
-        result.workers_added = self._workers_added
-        result.workers_removed = self._workers_removed
-        result.peak_workers = max(self._peak_workers, len(live))
-        result.paths_completed = (self._base_paths
-                                  + sum(f.paths_completed for f in finals))
-        result.total_useful_instructions = self._base_useful + sum(
-            f.useful_instructions for f in finals)
-        result.total_replay_instructions = self._base_replay + sum(
-            f.replay_instructions for f in finals)
-        covered: Set[int] = set(self._base_covered)
-        all_bugs: List[BugReport] = list(self._base_bugs)
-        result.test_cases.extend(self._base_tests)
-        latency = Histogram("solver_query_seconds")
-        for final in finals:
-            covered.update(final.covered_lines)
-            all_bugs.extend(final.bugs)
-            result.test_cases.extend(final.test_cases)
-            result.worker_stats[final.worker_id] = final.stats
-            if final.latency is not None:
-                latency.merge_from(final.latency)
-        self._member_latency = latency
-        result.covered_lines = covered
-        result.coverage_percent = (100.0 * len(covered) / result.line_count
-                                   if result.line_count else 0.0)
-        result.bugs = _dedupe_bugs(all_bugs)
-        result.transfer_cost = TransferCost.from_worker_stats(
-            result.worker_stats.values())
-        finalized_ids = {f.worker_id for f in finals}
-        counter_maps: List[Dict[str, int]] = [f.cache_counters for f in finals]
-        counter_maps.extend(self._orphan_cache_counters(finalized_ids))
-        result.cache_stats = aggregate_cache_counters(counter_maps)
-        self._finalize_extras(result, finals)
-        return result
-
-    # -- backend hooks -------------------------------------------------------------------
-    # Membership/construction hooks: how members are made, found and retired.
-
-    @backend_hook
-    def _live_members(self) -> List[Member]:
-        """The live (exploring) members, excluding draining ones."""
-        raise NotImplementedError
-
-    @backend_hook
-    def _admit_member(self) -> Member:
-        """Construct, register and coverage-prime one new member."""
-        raise NotImplementedError
-
-    @backend_hook
-    def _detach_member(self, member: Member) -> None:
-        """Remove a member from the live list (about to start draining)."""
-        self._live_members().remove(member)
-
-    @backend_hook
-    def _purge_departing(self, member: Member) -> None:
-        """Purge a newly-draining member from the balancer's view (and
-        re-route anything in flight to it)."""
-        raise NotImplementedError
-
-    @backend_hook
-    def _drain_member(self, member: Any) -> int:
-        """Export one drain chunk from a draining member to the
-        least-loaded survivor; retire it once empty.  Returns jobs moved."""
-        raise NotImplementedError
-
-    # Round-phase hooks: the backend-specific halves of each phase.
-
-    @backend_hook
-    def _line_count(self) -> int:
-        """Line count of the program under test (coverage denominator)."""
-        raise NotImplementedError
-
-    @backend_hook
-    def _spec_label(self) -> Optional[str]:
-        """Spec name for the ``run_started`` event (None = untraced key)."""
-        return None
-
-    @backend_hook
-    def _begin_run(self, result: ClusterResult,
-                   resume_from: Optional[Union[ClusterCheckpoint, str]]
-                   ) -> None:
-        """Start-of-run plumbing: spawn/seed members, restore a checkpoint."""
-
-    @backend_hook
-    def _teardown_run(self) -> None:
-        """End-of-run plumbing (shut down processes, thread pools, ...)."""
-
-    @backend_hook
-    def _pre_round(self, result: ClusterResult) -> None:
-        """Start-of-round housekeeping (advance drains, liveness checks)."""
-
-    @backend_hook
-    def _explore_phase(self, result: ClusterResult, round_index: int,
-                       checkpoint_due: bool) -> RoundWork:
-        """Deliver pending work and explore one round's instruction budget
-        on every live member; advance draining members' status."""
-        raise NotImplementedError
-
-    @backend_hook
-    def _status_phase(self, round_index: int) -> None:
-        """Feed member status into the load balancer and push the merged
-        global coverage back out (§3.3)."""
-        raise NotImplementedError
-
-    @backend_hook
-    def _dispatch_transfer(self, command: TransferCommand,
-                           result: ClusterResult, round_index: int) -> int:
-        """Act on one balancing decision.  Returns the states counted as
-        transferred *this* round (the virtual fabric queues the request and
-        returns 0; the process backend executes it synchronously)."""
-        raise NotImplementedError
-
-    @backend_hook
-    def _post_balance(self, result: ClusterResult) -> None:
-        """After balancing, before recording (the process backend advances
-        drains here, once transfers have settled the queues)."""
-
-    @backend_hook
-    def _work_idle(self) -> bool:
-        """True when no work is hidden in the fabric (in-flight messages);
-        gates the exhaustion check alongside ``_total_candidates() == 0``."""
-        return True
-
-    # Observation hooks: the numbers the shared recorder reports.
-
-    @backend_hook
-    def _covered_line_count(self) -> int:
-        raise NotImplementedError
-
-    @backend_hook
-    def _paths_completed(self) -> int:
-        raise NotImplementedError
-
-    @backend_hook
-    def _bugs_found(self) -> int:
-        raise NotImplementedError
-
-    @backend_hook
-    def _solver_latency(self) -> Optional[Histogram]:
-        """The run-level solver-latency distribution, aggregated from
-        ``MemberFinal.latency`` during :meth:`_finalize`."""
-        return self._member_latency
-
-    # Checkpoint / finalization hooks.
-
-    @backend_hook
-    def _take_checkpoint(self, round_index: int) -> None:
-        raise NotImplementedError
-
-    @backend_hook
-    def _collect_finals(self, result: ClusterResult) -> List[MemberFinal]:
-        """Every member's final accounting (live, draining and departed)."""
-        raise NotImplementedError
-
-    @backend_hook
-    def _orphan_cache_counters(self, finalized_ids: Set[int]
-                               ) -> List[Dict[str, int]]:
-        """Cache counters from members that died before finalization."""
-        return []
-
-    @backend_hook
-    def _finalize_extras(self, result: ClusterResult,
-                         finals: List[MemberFinal]) -> None:
-        """Backend-specific result fields (message counts, recovery...)."""

@@ -83,7 +83,7 @@ class FrontierLedger:
     def owned_roots(self, worker_id: int) -> Set[Path]:
         return set(self._owned.get(worker_id, ()))
 
-    def _covering_owned(self, worker_id: int, path: Path) -> bool:
+    def covers(self, worker_id: int, path: Path) -> bool:
         """Whether ``path`` currently lies inside the worker's territory.
 
         The deepest owned/ceded root that is a prefix of ``path`` decides:
@@ -106,12 +106,17 @@ class FrontierLedger:
     def acquire(self, worker_id: int, path: Path) -> None:
         path = tuple(path)
         self.register(worker_id)
-        # Anything previously recorded below the acquired root is subsumed.
-        self._ceded[worker_id] = {c for c in self._ceded[worker_id]
-                                  if not _within(c, path)}
-        self._owned[worker_id] = {o for o in self._owned[worker_id]
-                                  if not _within(o, path)}
-        if not self._covering_owned(worker_id, path):
+        # Roots already owned below the acquired one are subsumed, and so is
+        # a cession of the acquired subtree itself (a job bouncing back).
+        # Subtrees ceded from *inside* a subsumed root stay ceded: they are
+        # someone else's, and a recovered root above them does not fill the
+        # hole.
+        subsumed = {o for o in self._owned[worker_id] if _within(o, path)}
+        self._owned[worker_id] -= subsumed
+        self._ceded[worker_id] = {
+            c for c in self._ceded[worker_id]
+            if not _within(c, path) or any(_within(c, o) for o in subsumed)}
+        if not self.covers(worker_id, path):
             self._owned[worker_id].add(path)
 
     def cede(self, worker_id: int, path: Path) -> None:
@@ -121,7 +126,7 @@ class FrontierLedger:
                                   if not _within(o, path)}
         self._ceded[worker_id] = {c for c in self._ceded[worker_id]
                                   if not _within(c, path)}
-        if self._covering_owned(worker_id, path):
+        if self.covers(worker_id, path):
             self._ceded[worker_id].add(path)
 
     # -- recovery ------------------------------------------------------------------

@@ -10,8 +10,10 @@ exploration frontier.  A worker:
 * exports candidate nodes as path-encoded jobs when asked by the load
   balancer (the exported node becomes a fence node locally),
 * imports job trees from other workers (their leaves become virtual
-  candidates), and
-* periodically reports its queue length and coverage to the load balancer.
+  candidates).
+
+How a worker hears from the coordinator -- commands in, status replies out
+-- is :class:`repro.distrib.worker.DistribWorker`'s job, on every carrier.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from repro.cluster.jobs import Job, JobTree
 from repro.cluster.replay import replay_path
 from repro.cluster.stats import WorkerStats
 from repro.cluster.overlay import WorkerCoverageView
-from repro.cluster.transport import LOAD_BALANCER_ID, Message, MessageKind, Transport
 from repro.engine.errors import BugReport
 from repro.engine.executor import StepResult, SymbolicExecutor
 from repro.engine.state import ExecutionState
@@ -43,8 +44,8 @@ class Worker:
                  state_factory: StateFactory,
                  strategy: Optional[SearchStrategy] = None,
                  strategy_name: str = DEFAULT_STRATEGY):
-        if worker_id == LOAD_BALANCER_ID:
-            raise ValueError("worker id 0 is reserved for the load balancer")
+        if worker_id < 1:
+            raise ValueError("worker ids start at 1")
         self.worker_id = worker_id
         self.executor = executor
         self.state_factory = state_factory
@@ -57,7 +58,6 @@ class Worker:
         self.bugs: List[BugReport] = []
         self.test_cases: List[TestCase] = []
         self.paths_completed = 0
-        self.seeded = False
         # Recovered territories this worker re-explores (root, fence paths):
         # inside them, replay must not fence off-path siblings -- they are
         # ours to explore, not "being explored elsewhere" (§2.3 recovery).
@@ -93,21 +93,6 @@ class Worker:
         self.tree.root.materialize(state)
         self.tree.root.mark_candidate()
         self._add_candidate(self.tree.root)
-        self.seeded = True
-
-    def unseed(self) -> None:
-        """Drop the frontier so checkpointed jobs can be imported instead.
-
-        Used when a cluster resumes from a :class:`~repro.cluster.checkpoint.
-        ClusterCheckpoint`: the worker starts from an empty tree and receives
-        its share of the checkpointed frontier as ordinary job imports.
-        """
-        self.candidates.clear()
-        self.tree = ExecutionTree()
-        self.tree.root.status = NodeStatus.VIRTUAL
-        self.tree.root.mark_dead()
-        self._recovered_regions.clear()
-        self.seeded = False
 
     # -- exploration -------------------------------------------------------------------
 
@@ -381,6 +366,14 @@ class Worker:
                         child.mark_fence()
                     continue
                 if child_path in keep_interior:
+                    if child.node_id not in self.candidates:
+                        # Whatever this shell recorded -- a replay-time
+                        # fence, or one a later replay marked dead while it
+                        # still looked materialized -- described the *dead*
+                        # worker's exploration: re-exploration must step
+                        # through it, not stop at it.
+                        child.status = NodeStatus.VIRTUAL
+                        child.mark_dead()
                     walk(child, child_path)
                     continue
                 self._discard_subtree(child)
@@ -423,43 +416,3 @@ class Worker:
             if within(path, root) and not any(within(path, f) for f in fences):
                 return True
         return False
-
-    # -- messaging ----------------------------------------------------------------------------
-
-    def send_status(self, transport: Transport, round_index: int) -> None:
-        transport.send(Message(
-            kind=MessageKind.STATUS_UPDATE,
-            sender=self.worker_id,
-            recipient=LOAD_BALANCER_ID,
-            payload={
-                "queue_length": self.queue_length,
-                "useful_instructions": self.stats.useful_instructions,
-                "coverage_bits": self.coverage_view.snapshot_bits(),
-                "round": round_index,
-            },
-        ))
-
-    def handle_messages(self, transport: Transport) -> int:
-        """Process all pending messages; returns the number of states received."""
-        states_received = 0
-        for message in transport.receive_all(self.worker_id):
-            if message.kind == MessageKind.TRANSFER_REQUEST:
-                destination = int(message.payload["destination"])
-                count = int(message.payload["job_count"])
-                job_tree = self.export_jobs(count)
-                if len(job_tree):
-                    transport.send(Message(
-                        kind=MessageKind.JOB_TRANSFER,
-                        sender=self.worker_id,
-                        recipient=destination,
-                        payload={"jobs": job_tree.encode(),
-                                 "count": len(job_tree)},
-                    ), size_hint=job_tree.encoded_size())
-            elif message.kind == MessageKind.JOB_TRANSFER:
-                job_tree = JobTree.decode(message.payload["jobs"])
-                states_received += self.import_jobs(job_tree)
-            elif message.kind == MessageKind.COVERAGE_UPDATE:
-                bits = int(message.payload["coverage_bits"])
-                new_lines = self.coverage_view.merge_global(bits)
-                self.strategy.merge_global_coverage(new_lines)
-        return states_received

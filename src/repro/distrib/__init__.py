@@ -1,40 +1,57 @@
-"""Multiprocess exploration: real cores behind the same cluster protocol.
+"""The coordinator and its members: one §3 protocol, three carriers.
 
-The in-process clusters (:mod:`repro.cluster`) simulate the paper's
-distributed architecture on virtual time, and the threaded variant adds OS
-threads -- but a pure-Python interpreter under the GIL leaves the extra cores
-mostly idle.  This package runs the same worker/load-balancer protocol across
-*worker processes*, exchanging only the small picklable messages the paper's
-design already calls for (§3.2): status updates, transfer requests, and
-path-encoded :class:`~repro.cluster.jobs.JobTree` payloads that the
-destination process materializes with
-:func:`~repro.cluster.replay.replay_path`.
+:mod:`repro.cluster` holds what a Cloud9 cluster is made of; this package
+ties it together.  One :class:`~repro.distrib.coordinator.Coordinator`
+drives every member with the small picklable messages the paper's design
+calls for (§3.2) -- status updates, transfer requests, and path-encoded
+:class:`~repro.cluster.jobs.JobTree` payloads that the destination
+materializes with :func:`~repro.cluster.replay.replay_path` -- over a
+:class:`repro.net.transport.Transport`.  The carrier decides where members
+live: in this process (loopback), in worker processes on real cores (mp
+queues), or on other machines (TCP agents).
 
 Because live execution states and programs built from closures do not
-pickle, work ships as ``(spec_name, path)`` pairs: :mod:`repro.distrib.specs`
-keeps a registry of named test factories, and every worker process rebuilds
-the program locally from the spec before replaying paths into it.
+pickle, work ships to other processes as ``(spec_name, path)`` pairs:
+:mod:`repro.distrib.specs` keeps a registry of named test factories, and
+every worker process rebuilds the program locally from the spec before
+replaying paths into it.
 
 Public pieces:
 
+* :mod:`repro.distrib.messages` -- the command/reply vocabulary.
+* :class:`~repro.distrib.worker.DistribWorker` -- the member side: a
+  :class:`~repro.cluster.worker.Worker` behind ``handle(command)``, shared
+  verbatim by in-process members, forked worker processes and TCP agents.
+* :class:`~repro.distrib.coordinator.Coordinator` -- the coordinator side:
+  round loop, balancing, transfers, frontier ledger and recovery,
+  checkpoints, finalization.
+* :class:`~repro.distrib.loopback.Cloud9Cluster` -- the in-process shell
+  (the ``"cluster"`` backend of :mod:`repro.api.runner`), and
+  :class:`~repro.distrib.loopback.StaticPartitionCluster`, the §2 strawman
+  on the same coordinator (``"static"``).
+* :class:`~repro.distrib.cluster.ProcessCloud9Cluster` -- the process shell
+  (``"process"``); with ``ProcessClusterConfig(transport="tcp")`` (the
+  ``"tcp"`` backend) it admits remote worker agents over the
+  :mod:`repro.net` socket transport instead of forking local processes.
 * :mod:`repro.distrib.specs` -- the test-spec registry
   (:func:`~repro.distrib.specs.resolve_test` and friends).
-* :class:`~repro.distrib.cluster.ProcessCloud9Cluster` -- the coordinator,
-  registered as the ``"process"`` backend of :mod:`repro.api.runner`; with
-  ``ProcessClusterConfig(transport="tcp")`` (the ``"tcp"`` backend) it
-  drives remote worker agents over the :mod:`repro.net` socket transport
-  instead of local processes.
-* :class:`~repro.distrib.worker.DistribWorker` -- the per-worker command
-  loop (also drivable in-process, which is how the unit tests exercise
-  broken-replay handling without forking), shared verbatim by forked
-  worker processes and remote TCP agents.
 """
 
 from repro.distrib.cluster import ProcessCloud9Cluster, ProcessClusterConfig
+from repro.distrib.coordinator import Coordinator
+from repro.distrib.loopback import (
+    Cloud9Cluster,
+    LoopbackTransport,
+    StaticPartitionCluster,
+)
 from repro.distrib.specs import available_specs, register_spec, resolve_test
 from repro.distrib.worker import DistribWorker
 
 __all__ = [
+    "Coordinator",
+    "Cloud9Cluster",
+    "StaticPartitionCluster",
+    "LoopbackTransport",
     "ProcessCloud9Cluster",
     "ProcessClusterConfig",
     "DistribWorker",

@@ -1,4 +1,4 @@
-"""The multiprocess Cloud9 cluster: N worker processes, one load balancer.
+"""The process shell: worker processes and TCP agents under the coordinator.
 
 This is the paper's deployment shape: shared-nothing workers (each owning a
 private executor, solver, strategy and subtree of the global execution tree)
@@ -7,8 +7,13 @@ coverage bit vectors (§3.1/§3.3).  Work moves between workers as
 path-encoded job trees that the destination replays (§3.2) -- never as
 serialized program state.
 
-The coordinator<->worker channel is a :class:`~repro.net.transport.Transport`
-with two carriers, selected by ``ProcessClusterConfig(transport=...)``:
+The protocol itself -- rounds, balancing, transfers, the frontier ledger and
+failure recovery, checkpoints, finalization -- is
+:class:`~repro.distrib.coordinator.Coordinator`, the same class that drives
+the in-process cluster over the loopback carrier, so results are directly
+comparable across backends by construction.  This module contributes how a
+member's :class:`~repro.net.transport.Transport` comes to exist, selected by
+``ProcessClusterConfig(transport=...)``:
 
 * ``"mp"`` (default) -- one worker process per channel on a pair of
   multiprocessing queues, all on this host; liveness is
@@ -19,69 +24,28 @@ with two carriers, selected by ``ProcessClusterConfig(transport=...)``:
   this machine or any other.  Liveness is heartbeat-based (periodic pings;
   ``heartbeat_interval`` x ``heartbeat_miss_threshold`` of silence means
   dead), so a SIGKILLed or partitioned remote agent is detected without an
-  OS-level oracle and recovered through the same ledger machinery below.
+  OS-level oracle and recovered through the coordinator's ledger.
 
-The round protocol itself -- virtual-time rounds, status collection,
-balancing, checkpoint cadence, termination, result finalization -- is the
-shared :class:`~repro.cluster.core.CoordinatorCore` engine, the same one
-driving the in-process backends, so results are directly comparable across
-backends by construction.  This module contributes the process half: each
-round the hooks command every worker process to explore one instruction
-budget (the processes run concurrently on real cores), collect their status
-replies, and broker job transfers synchronously before the next round.  The
-returned :class:`~repro.cluster.core.ClusterResult` has the same timeline,
-worker stats, transfer-cost and cache-stats fields as the in-process
-clusters.
-
-Fault tolerance (§2.3) is the coordinator's job.  Because the seed job and
-every brokered transfer flow through it, the coordinator maintains a
-:class:`~repro.cluster.ledger.FrontierLedger` mapping each worker to the
-execution-tree territory it owns.  When a worker process dies mid-round the
-coordinator marks it dead, re-materializes its territory as path-encoded
-jobs (fencing off subtrees that live workers own), requeues them to the
-survivors, and -- under ``ProcessClusterConfig(respawn=True)`` -- spawns a
-replacement instead of raising.  Workers may also join and leave voluntarily
-between rounds (:meth:`~repro.cluster.core.CoordinatorCore.add_worker` /
-:meth:`~repro.cluster.core.CoordinatorCore.remove_worker`), and periodic
-:class:`~repro.cluster.checkpoint.ClusterCheckpoint` snapshots let a killed
-run resume (``run(resume_from=...)``) instead of restarting.
+Each round the worker processes explore their instruction budgets
+concurrently on real cores; a worker that dies mid-round is marked dead, its
+territory requeued to the survivors, and -- under
+``ProcessClusterConfig(respawn=True)`` -- replaced instead of the run
+raising.  Workers live for one ``run()``: they are started when it begins
+and stopped when it returns.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import Any, Dict, Optional, Tuple
 
-from repro.cluster.autoscale import AutoscalePolicy
-from repro.cluster.checkpoint import ClusterCheckpoint
-from repro.cluster.core import (
-    ClusterResult,
-    CoordinatorCore,
-    MemberFailure,
-    MemberFinal,
-    RoundWork,
-    _dedupe_bugs,
-)
-from repro.cluster.jobs import Job, JobTree
-from repro.cluster.ledger import FrontierLedger, RecoveryJob
-from repro.cluster.load_balancer import LoadBalancer
-from repro.cluster.stats import WorkerStats
-from repro.distrib.messages import (
-    DrainStatusCommand,
-    ErrorReply,
-    ExploreCommand,
-    ExportCommand,
-    ExportReply,
-    FinalizeCommand,
-    FinalReply,
-    ImportCommand,
-    ImportReply,
-    ReadyReply,
-    SeedCommand,
-    StatusReply,
-    StopCommand,
+from repro.cluster.core import ClusterConfig
+from repro.distrib import specs
+from repro.distrib.coordinator import (
+    Coordinator,
+    WorkerProcessError,
+    _WorkerHandle,
 )
 from repro.distrib.worker import worker_main
 from repro.net.framing import DEFAULT_MAX_FRAME_SIZE
@@ -90,30 +54,10 @@ from repro.net.heartbeat import (
     DEFAULT_MISS_THRESHOLD,
 )
 from repro.net.server import AgentServer, NoPendingAgent
-from repro.net.transport import (
-    QueuePairTransport,
-    ReceiveTimeout,
-    Transport,
-    TransportError,
-    reap_process,
-)
-from repro.obs import schema as trace_schema
+from repro.net.transport import QueuePairTransport, reap_process
 
 __all__ = ["ProcessClusterConfig", "ProcessCloud9Cluster", "WorkerProcessError",
            "default_start_method", "default_mp_context"]
-
-
-class WorkerProcessError(RuntimeError):
-    """A worker process crashed and the run could not (or was configured not
-    to) recover: startup failure, failure budget exhausted, or no survivors."""
-
-
-class _WorkerFailure(MemberFailure):
-    """Internal: one worker process died or reported a crash."""
-
-    def __init__(self, handle: "_WorkerHandle", reason: str):
-        super().__init__(handle, reason)
-        self.handle = handle
 
 
 def default_start_method() -> str:
@@ -125,31 +69,22 @@ def default_start_method() -> str:
             else "spawn")
 
 
-def default_mp_context():
+def default_mp_context() -> Any:
     return multiprocessing.get_context(default_start_method())
 
 
 @dataclass
-class ProcessClusterConfig:
+class ProcessClusterConfig(ClusterConfig):
     """Configuration of a multiprocess Cloud9 cluster.
 
-    Mirrors :class:`~repro.cluster.coordinator.ClusterConfig` where the
-    concepts coincide; the extra knobs cover process management.  The default
-    ``instructions_per_round`` is higher than the in-process cluster's
-    because each round costs a command/reply round trip per worker, and
-    amortizing that IPC is what makes real-core parallelism pay off.
+    The shared :class:`~repro.cluster.core.ClusterConfig` knobs plus process
+    and socket management.  The default ``instructions_per_round`` is higher
+    than the in-process cluster's because each round costs a command/reply
+    round trip per worker, and amortizing that IPC is what makes real-core
+    parallelism pay off.
     """
 
-    num_workers: int = 2
     instructions_per_round: int = 2000
-    status_update_interval: int = 1
-    balance_interval: int = 1
-    delta: float = 1.0
-    min_transfer: int = 1
-    strategy: Optional[str] = None
-    load_balancing_enabled: bool = True
-    disable_balancing_after_round: Optional[int] = None
-    max_rounds: int = 10_000
     #: multiprocessing start method; None picks "fork" where available
     #: (cheap, inherits runtime-registered specs) and "spawn" elsewhere.
     start_method: Optional[str] = None
@@ -160,7 +95,7 @@ class ProcessClusterConfig:
     #: already exited (a drain grace for replies still in the queue).  A
     #: *live* worker is waited on indefinitely -- a big
     #: ``instructions_per_round`` legitimately takes long, exactly as it
-    #: would on the in-process backends; bound total time with
+    #: would in process; bound total time with
     #: ``ExplorationLimits.max_wall_time`` instead.
     reply_timeout: float = 30.0
     #: Total worker failures tolerated before the run raises
@@ -174,21 +109,6 @@ class ProcessClusterConfig:
     #: Seconds granted to a worker at each escalation step of teardown
     #: (cooperative join, then terminate, then kill).
     shutdown_timeout: float = 5.0
-    #: Write a :class:`~repro.cluster.checkpoint.ClusterCheckpoint` every N
-    #: rounds (None = never); the latest is kept on ``last_checkpoint`` and,
-    #: when ``checkpoint_path`` is set, saved there for ``resume_from=``.
-    checkpoint_every: Optional[int] = None
-    checkpoint_path: Optional[str] = None
-    #: Autoscaling policy driving elastic membership from the round hook
-    #: (None = fixed size; ``True`` = default :class:`AutoscalePolicy`).
-    #: ``num_workers`` is the *initial* size; the policy's min/max bound it
-    #: from there.
-    autoscale: Optional[AutoscalePolicy] = None
-    #: Jobs a retiring worker hands over per round: ``remove_worker`` keeps
-    #: the worker as a non-exploring *draining* member and exports at most
-    #: this many jobs per round until its frontier is empty, instead of
-    #: stalling the round on a synchronous whole-frontier drain.
-    drain_chunk: int = 16
     #: Carrier of the coordinator<->worker channel: ``"mp"`` (the in-host
     #: multiprocessing-queue pair, the default) or ``"tcp"`` (framed pickles
     #: over sockets, :mod:`repro.net` -- workers are *agents* that dial in
@@ -215,25 +135,15 @@ class ProcessClusterConfig:
     #: Exercises the full socket path self-contained -- the CI smoke, the
     #: benchmarks and ``backend="tcp"`` quickstarts use this.
     spawn_local_agents: bool = False
-    #: ``"host:port"`` to serve the live run status on (read-only JSON, one
-    #: line per connection; see :mod:`repro.obs.status`).  ``None`` disables
-    #: the status server; port 0 picks a free port, with the bound address
-    #: on ``cluster.status_address`` while the run is live.
-    status_listen: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.num_workers < 1:
-            raise ValueError("a cluster needs at least one worker")
-        if self.instructions_per_round < 1:
-            raise ValueError("instructions_per_round must be positive")
+        super().__post_init__()
         if self.reply_timeout <= 0:
             raise ValueError("reply_timeout must be positive")
         if self.shutdown_timeout <= 0:
             raise ValueError("shutdown_timeout must be positive")
         if self.max_worker_failures is not None and self.max_worker_failures < 0:
             raise ValueError("max_worker_failures must be non-negative")
-        if self.drain_chunk < 1:
-            raise ValueError("drain_chunk must be positive")
         if self.transport not in ("mp", "tcp"):
             raise ValueError("transport must be 'mp' or 'tcp', got %r"
                              % (self.transport,))
@@ -247,48 +157,10 @@ class ProcessClusterConfig:
             raise ValueError("agent_wait_timeout must be positive")
         if self.spawn_local_agents and self.transport != "tcp":
             raise ValueError("spawn_local_agents requires transport='tcp'")
-        self.autoscale = AutoscalePolicy.coerce(self.autoscale)
 
 
-class _WorkerHandle:
-    """Coordinator-side bookkeeping for one worker, behind its transport."""
-
-    def __init__(self, worker_id: int, transport: Transport,
-                 agent_process=None):
-        self.worker_id = worker_id
-        self.transport = transport
-        #: The loopback agent process, when this coordinator spawned one
-        #: itself (``spawn_local_agents=True``); None for external agents.
-        self.agent_process = agent_process
-        self.queue_length = 0
-        self.paths_completed = 0
-        self.bugs_found = 0
-        self.useful_instructions = 0
-        self.replay_instructions = 0
-        #: Merged coverage bits to piggyback on the next explore command.
-        self.pending_coverage_bits: Optional[int] = None
-        #: Last-known solver/cache counters, piggybacked on every status
-        #: reply: when this worker dies before its FinalReply, these still
-        #: enter the run's aggregated cache statistics.
-        self.cache_counters: Dict[str, int] = {}
-
-    @property
-    def process(self):
-        """The underlying worker process, where one exists on this host
-        (the mp-queue pair's child, or a coordinator-spawned loopback
-        agent); None for a remote agent."""
-        return getattr(self.transport, "process", None) or self.agent_process
-
-
-class ProcessCloud9Cluster(CoordinatorCore):
-    """Run a registered test spec across worker processes.
-
-    The round protocol (rounds, balancing, checkpoint cadence, termination,
-    finalization) is the shared :class:`~repro.cluster.core.CoordinatorCore`
-    engine; this class supplies its hooks over command/reply messages to
-    worker processes (mp queues) or dialed-in agents (TCP), plus the
-    process-specific machinery: spawn/admit, the frontier ledger, failure
-    recovery and respawn.
+class ProcessCloud9Cluster(Coordinator):
+    """Run a registered test spec across worker processes or TCP agents.
 
     Parameters
     ----------
@@ -302,60 +174,41 @@ class ProcessCloud9Cluster(CoordinatorCore):
         the spec is resolved once in the coordinator to measure it.
     """
 
+    config: ProcessClusterConfig
+
     def __init__(self, spec_name: str,
                  spec_params: Optional[Dict[str, object]] = None,
                  config: Optional[ProcessClusterConfig] = None,
                  line_count: Optional[int] = None,
                  strategy: Optional[str] = None):
-        from repro.distrib import specs
-        super().__init__(config or ProcessClusterConfig())
-        self.config: ProcessClusterConfig
-        self.spec_name = spec_name
-        self.spec_params = dict(spec_params or {})
+        config = config or ProcessClusterConfig()
         # Validate the spec (and its arguments' picklability matters only in
         # the children; a bad name should fail fast here in the parent).
         specs.get_spec(spec_name)
-        self.strategy = strategy if strategy is not None else self.config.strategy
         if line_count is None:
             line_count = specs.resolve_test(
-                spec_name, **self.spec_params).program.line_count
-        self.line_count = line_count
-        self.load_balancer = LoadBalancer(line_count=line_count,
-                                          delta=self.config.delta,
-                                          min_transfer=self.config.min_transfer)
-        self.handles: List[_WorkerHandle] = []
-        self.messages_sent = 0
-        #: Which execution-tree territory each worker owns (for recovery).
-        self.ledger = FrontierLedger()
-        self._next_worker_id = 1
-        self._pending_recovery: List[RecoveryJob] = []
-        self._pending_respawns = 0
-        self._departed_finals: List[FinalReply] = []
-        self._result: Optional[ClusterResult] = None
-        self._round_statuses: Dict[int, StatusReply] = {}
-        self._heartbeat_misses = 0
-        self._agents_reconnected = 0
-        # Dead workers' last-known cache counters: the run's cache aggregate
-        # must include members that never finalized.
-        self._failed_cache_counters: Dict[int, Dict[str, int]] = {}
+                spec_name, **dict(spec_params or {})).program.line_count
+        super().__init__(config, line_count, spec_name=spec_name,
+                         spec_params=spec_params, strategy=strategy)
+        self.reply_timeout = config.reply_timeout
+        self.shutdown_timeout = config.shutdown_timeout
+        self.max_worker_failures = config.max_worker_failures
+        self.respawn = config.respawn
+        self.backend_name = "tcp" if config.transport == "tcp" else "process"
         # TCP transport: workers are agents that dial into this listener.
         # Created eagerly so ``listen_address`` is known (and printable, and
         # dialable) before ``run()`` blocks waiting for agents.
         self.server: Optional[AgentServer] = None
-        if self.config.transport == "tcp":
+        if config.transport == "tcp":
             self._open_server()
-
-    @property
-    def backend_name(self) -> str:
-        return "tcp" if self.config.transport == "tcp" else "process"
 
     # -- process / agent management ----------------------------------------------------
 
-    def _context(self):
+    def _context(self) -> Any:
         method = self.config.start_method or default_start_method()
         return multiprocessing.get_context(method)
 
-    def _open_server(self) -> None:
+    def _open_server(self) -> AgentServer:
         self.server = AgentServer(
             spec_name=self.spec_name,
             spec_params=self.spec_params,
@@ -365,6 +218,7 @@ class ProcessCloud9Cluster(CoordinatorCore):
             heartbeat_interval=self.config.heartbeat_interval,
             heartbeat_miss_threshold=self.config.heartbeat_miss_threshold,
             max_frame_size=self.config.max_frame_size)
+        return self.server
 
     @property
     def listen_address(self) -> Optional[Tuple[str, int]]:
@@ -376,10 +230,10 @@ class ProcessCloud9Cluster(CoordinatorCore):
         """Dialed-in agents waiting to be admitted (TCP transport only)."""
         return self.server.pending_count if self.server is not None else 0
 
-    def _spawn_local_agent(self):
+    def _spawn_local_agent(self, server: AgentServer) -> Any:
         """Fork one loopback agent process pointed at our own listener."""
         from repro.net.agent import _local_agent_main  # lazy: import cycle
-        host, port = self.server.address
+        host, port = server.address
         process = self._context().Process(
             target=_local_agent_main,
             args=("%s:%d" % (host, port), tuple(self.config.spec_modules),
@@ -396,14 +250,15 @@ class ProcessCloud9Cluster(CoordinatorCore):
         pending pool (first spawning a loopback agent of our own under
         ``spawn_local_agents=True``).
         """
-        worker_id = self._next_worker_id
-        self._next_worker_id += 1
+        worker_id = self._take_worker_id()
         if self.config.transport == "tcp":
+            # Re-running after a completed run() finds the listener closed.
+            server = self.server or self._open_server()
             agent_process = None
             if self.config.spawn_local_agents:
-                agent_process = self._spawn_local_agent()
+                agent_process = self._spawn_local_agent(server)
             try:
-                transport = self.server.admit(
+                transport = server.admit(
                     worker_id, timeout=self.config.agent_wait_timeout)
             except NoPendingAgent as exc:
                 if agent_process is not None:
@@ -426,292 +281,19 @@ class ProcessCloud9Cluster(CoordinatorCore):
         return _WorkerHandle(
             worker_id, QueuePairTransport(process, command_queue, reply_queue))
 
-    def _check_ready(self, handle: _WorkerHandle) -> None:
-        """Wait for the ReadyReply and enroll the worker; _WorkerFailure on death."""
-        ready = self._receive(handle)
-        if not isinstance(ready, ReadyReply):
-            raise WorkerProcessError(
-                "worker %d sent %r instead of ReadyReply"
-                % (handle.worker_id, ready))
-        if ready.line_count != self.line_count:
-            raise WorkerProcessError(
-                "worker %d compiled a program with %d lines, coordinator "
-                "expected %d -- the spec factory is not deterministic"
-                % (handle.worker_id, ready.line_count, self.line_count))
-        self.handles.append(handle)
-        self.load_balancer.register_worker(handle.worker_id)
-        self.ledger.register(handle.worker_id)
-
-    def _start_workers(self) -> None:
-        launched = [self._launch() for _ in range(self.config.num_workers)]
-        for handle in launched:
-            try:
-                self._check_ready(handle)
-            except _WorkerFailure as failure:
-                # Startup failures are configuration errors, not churn.
-                raise WorkerProcessError(
-                    "worker %d %s" % (failure.handle.worker_id,
-                                      failure.reason)) from None
-
-    def _spawn_worker(self) -> _WorkerHandle:
-        """Start one worker and wait for it (respawn / elastic join path)."""
-        # Seed the newcomer's balancer report with the mean queue length:
-        # until its first real status arrives, a fabricated zero would skew
-        # queue_length_spread() and draw spurious transfers (computed before
-        # registration so the newcomer's own empty report is excluded).
-        seed_length = round(self.load_balancer.mean_queue_length())
-        handle = self._launch()
-        self._check_ready(handle)
-        if self.config.transport == "tcp":
-            # Every admission past the initial membership is an agent
-            # (re)connecting into a running cluster: a respawn replacement
-            # or an elastic join.
-            self._agents_reconnected += 1
-        self.load_balancer.register_worker(handle.worker_id,
-                                           queue_length=seed_length)
-        bits = self.load_balancer.overlay.global_vector.as_int()
-        if bits:
-            handle.pending_coverage_bits = bits
-        return handle
-
-    def _cleanup_handle(self, handle: _WorkerHandle) -> None:
-        """Tear down a worker's channel (alive, stuck, or dead).
-
-        The transport owns the escalation: the queue pair reaps its child
-        process (join -> terminate -> kill) and drains its queues; the TCP
-        transport grants a drain window for a graceful hang-up, then cuts
-        the socket.  A coordinator-spawned loopback agent process is reaped
-        here too, with the same escalation.
-        """
-        timeout = self.config.shutdown_timeout
-        handle.transport.close(timeout=timeout)
-        if handle.agent_process is not None:
-            reap_process(handle.agent_process, timeout=timeout)
-
     def _shutdown_workers(self) -> None:
-        everyone = self.handles + self._draining
-        for handle in everyone:
-            if handle.transport.is_alive():
-                try:
-                    handle.transport.send(StopCommand())
-                except TransportError:  # pragma: no cover - channel torn down
-                    pass
-        for handle in everyone:
-            self._cleanup_handle(handle)
-        self.handles = []
-        self._draining = []
+        super()._shutdown_workers()
         if self.server is not None:
             self.server.close()
             self.server = None
 
-    # -- messaging ---------------------------------------------------------------------
-
-    def _send(self, handle: _WorkerHandle, command) -> None:
-        try:
-            handle.transport.send(command)
-        except TransportError as exc:
-            raise _WorkerFailure(handle, str(exc)) from None
-        self.messages_sent += 1
-
-    def _receive(self, handle: _WorkerHandle):
-        transport = handle.transport
-        death_deadline: Optional[float] = None
-        while True:
-            try:
-                reply = transport.recv(timeout=0.5)
-            except ReceiveTimeout:
-                if transport.is_alive():
-                    # Still computing; a long round is legitimate.  Total run
-                    # time is bounded by limits, not by this loop.
-                    continue
-                # Dead peer (process exit, connection lost, or heartbeats
-                # missed): give in-flight replies a grace period to drain,
-                # then report the death.
-                if death_deadline is None:
-                    death_deadline = time.monotonic() + self.config.reply_timeout
-                if time.monotonic() >= death_deadline:
-                    raise _WorkerFailure(
-                        handle, transport.liveness_error()) from None
-                continue
-            except TransportError as exc:
-                # The channel itself broke (peer hung up, corrupt or
-                # oversized frame): this worker is lost, the run is not.
-                raise _WorkerFailure(handle, str(exc)) from None
-            if isinstance(reply, ErrorReply):
-                raise _WorkerFailure(
-                    handle, "failed:\n%s" % reply.details)
-            return reply
-
-    # Typed receives: a worker answering with the wrong reply class is a
-    # protocol violation, handled like any other worker failure instead of
-    # crashing the coordinator with an AttributeError three frames later.
-
-    def _receive_status(self, handle: _WorkerHandle) -> StatusReply:
-        reply = self._receive(handle)
-        if not isinstance(reply, StatusReply):
-            raise _WorkerFailure(
-                handle, "sent %r instead of StatusReply" % (reply,))
-        return reply
-
-    def _receive_export(self, handle: _WorkerHandle) -> ExportReply:
-        reply = self._receive(handle)
-        if not isinstance(reply, ExportReply):
-            raise _WorkerFailure(
-                handle, "sent %r instead of ExportReply" % (reply,))
-        return reply
-
-    def _receive_import(self, handle: _WorkerHandle) -> ImportReply:
-        reply = self._receive(handle)
-        if not isinstance(reply, ImportReply):
-            raise _WorkerFailure(
-                handle, "sent %r instead of ImportReply" % (reply,))
-        return reply
-
-    def _receive_final(self, handle: _WorkerHandle) -> FinalReply:
-        reply = self._receive(handle)
-        if not isinstance(reply, FinalReply):
-            raise _WorkerFailure(
-                handle, "sent %r instead of FinalReply" % (reply,))
-        return reply
-
-    # -- fault tolerance ----------------------------------------------------------------
-
-    def _live_ids(self) -> Set[int]:
-        return {h.worker_id for h in self.handles + self._draining}
-
-    def _handle_failure(self, failure: _WorkerFailure, result: ClusterResult,
-                        requeue: bool = True) -> None:
-        """Mark a worker dead and stage its territory for recovery.
-
-        Covers live and draining members alike (a worker can die mid-drain;
-        its not-yet-exported territory is requeued from the ledger exactly
-        like any other death).  Raises :class:`WorkerProcessError` when the
-        failure budget is exhausted.  The staged recovery jobs (and the
-        replacement worker, under ``respawn=True``) materialize at the next
-        :meth:`_flush_recovery` call -- a point where no commands are
-        outstanding, so request/reply pairing stays intact.
-        """
-        handle = failure.handle
-        if handle.worker_id not in self._live_ids():
-            return  # already accounted
-        was_draining = handle in self._draining
-        if was_draining:
-            self._draining.remove(handle)
-        else:
-            self.handles.remove(handle)
-        result.worker_failures += 1
-        if getattr(handle.transport, "heartbeat_missed", False):
-            # Death detected by heartbeat silence (vs. connection loss or
-            # process exit) -- kept as its own counter on the result.
-            self._heartbeat_misses += 1
-            if self.tracer.enabled:
-                self.tracer.emit(trace_schema.HEARTBEAT_MISS, worker=handle.worker_id)
-        if self.tracer.enabled:
-            self.tracer.emit(trace_schema.WORKER_DIED, worker=handle.worker_id,
-                             reason=failure.reason, draining=was_draining)
-        if handle.cache_counters:
-            # Its FinalReply will never arrive; the last piggybacked
-            # counters keep the run's cache aggregate honest.
-            self._failed_cache_counters[handle.worker_id] = dict(
-                handle.cache_counters)
-        result.failed_worker_stats[handle.worker_id] = WorkerStats(
-            worker_id=handle.worker_id,
-            useful_instructions=handle.useful_instructions,
-            replay_instructions=handle.replay_instructions,
-            paths_completed=handle.paths_completed)
-        self.load_balancer.deregister_worker(handle.worker_id)
-        budget = self.config.max_worker_failures
-        if budget is not None and result.worker_failures > budget:
-            self._cleanup_handle(handle)
-            raise WorkerProcessError(
-                "worker %d %s; failure budget exhausted "
-                "(max_worker_failures=%d)"
-                % (handle.worker_id, failure.reason, budget)) from None
-        if requeue:
-            self._pending_recovery.extend(
-                self.ledger.recovery_jobs(handle.worker_id))
-            # A draining worker was leaving anyway: recover its territory
-            # but do not respawn a replacement for it.
-            if self.config.respawn and not was_draining:
-                self._pending_respawns += 1
-        self.ledger.forget(handle.worker_id)
-        self._cleanup_handle(handle)
-
-    def _flush_recovery(self, result: ClusterResult) -> None:
-        """Respawn replacements and requeue dead workers' territories.
-
-        Only called at protocol barriers (every outstanding command has been
-        answered or its worker declared dead).
-        """
-        while self._pending_respawns or self._pending_recovery:
-            if self._pending_respawns:
-                self._pending_respawns -= 1
-                try:
-                    replacement = self._spawn_worker()
-                    result.respawns += 1
-                    if self.tracer.enabled:
-                        self.tracer.emit(trace_schema.WORKER_RESPAWNED,
-                                         worker=replacement.worker_id)
-                except _WorkerFailure as failure:
-                    result.worker_failures += 1
-                    budget = self.config.max_worker_failures
-                    if (budget is not None
-                            and result.worker_failures > budget):
-                        raise WorkerProcessError(
-                            "respawned worker %d %s; failure budget "
-                            "exhausted (max_worker_failures=%d)"
-                            % (failure.handle.worker_id, failure.reason,
-                               budget)) from None
-                    self._cleanup_handle(failure.handle)
-                continue
-            if not self.handles:
-                raise WorkerProcessError(
-                    "every worker died and respawn is disabled; "
-                    "%d recovery job(s) have nowhere to go"
-                    % len(self._pending_recovery))
-            job = self._pending_recovery.pop(0)
-            handle = min(self.handles, key=lambda h: h.queue_length)
-            self.ledger.acquire(handle.worker_id, job.root)
-            for fence in job.fences:
-                self.ledger.cede(handle.worker_id, fence)
-            tree = JobTree.from_jobs([Job(job.root)])
-            try:
-                self._send(handle, ImportCommand(
-                    encoded_jobs=tree.encode(),
-                    fence_paths=job.fences,
-                    recovered=True))
-                reply = self._receive_import(handle)
-            except _WorkerFailure as failure:
-                # The survivor died too; its ledger now includes this job,
-                # so _handle_failure re-stages it (budget permitting).
-                self._handle_failure(failure, result)
-                continue
-            handle.queue_length += reply.imported
-            result.jobs_recovered += 1
-            if self.tracer.enabled:
-                self.tracer.emit(trace_schema.JOBS_RECOVERED, worker=handle.worker_id,
-                                 jobs=reply.imported)
-            report = self.load_balancer.reports.get(handle.worker_id)
-            if report is not None:
-                report.queue_length = handle.queue_length
-
-    # -- membership hooks (§2.3: workers join and leave mid-run) -------------------------
-
-    def _live_members(self) -> List[_WorkerHandle]:
-        return self.handles
-
-    def _admit_member(self) -> _WorkerHandle:
-        """Join a fresh worker (``add_worker``): fork a new worker process
-        on the mp transport, or admit the next dialed-in agent on TCP
-        (spawning a loopback agent first under ``spawn_local_agents=True``)
-        -- which is how the autoscaler scales against a pool of standby
-        remote hosts."""
-        if not self.handles:
-            raise RuntimeError("add_worker() requires a running cluster "
-                               "(call it from round_hook)")
-        if (self.config.transport == "tcp"
+    def add_worker(self) -> int:
+        """Join a fresh worker: fork a new worker process on the mp
+        transport, or admit the next dialed-in agent on TCP (spawning a
+        loopback agent first under ``spawn_local_agents=True``) -- which is
+        how the autoscaler scales against a pool of standby remote hosts."""
+        if (self.server is not None
                 and not self.config.spawn_local_agents
-                and self.server is not None
                 and self.server.pending_count == 0):
             # Fail fast instead of stalling the round for agent_wait_timeout:
             # mid-run growth admits agents that have *already* dialed in.
@@ -719,449 +301,4 @@ class ProcessCloud9Cluster(CoordinatorCore):
                 "no pending agent to admit at %s:%d -- start one with: "
                 "python -m repro.net.agent --connect %s:%d"
                 % (self.server.address + self.server.address))
-        try:
-            return self._spawn_worker()
-        except _WorkerFailure as failure:
-            # The newcomer died during startup; it owned nothing yet.
-            self._cleanup_handle(failure.handle)
-            raise WorkerProcessError(
-                "worker %d %s while joining"
-                % (failure.handle.worker_id, failure.reason)) from None
-
-    def _purge_departing(self, member: _WorkerHandle) -> None:
-        self.load_balancer.deregister_worker(member.worker_id)
-
-    def _drain_member(self, handle: _WorkerHandle) -> int:
-        """Export one drain chunk from a draining worker; retire it (collect
-        final results, stop the process) once its frontier is empty."""
-        result = self._result
-        if not self.handles:
-            # Nobody to hand jobs to; try again once a survivor exists.
-            return 0
-        try:
-            self._send(handle, ExportCommand(count=self.config.drain_chunk))
-            export = self._receive_export(handle)
-        except _WorkerFailure as failure:
-            # Died mid-drain: its remaining territory is recovered from the
-            # ledger like any other worker death.
-            if result is not None:
-                self._handle_failure(failure, result)
-                self._flush_recovery(result)
-            return 0
-        moved = 0
-        if export.encoded_jobs is not None and self.handles:
-            target = min(self.handles, key=lambda h: h.queue_length)
-            paths = [job.path for job in
-                     JobTree.decode(export.encoded_jobs).jobs()]
-            for path in paths:
-                self.ledger.cede(handle.worker_id, path)
-                # Acquire before the import so a target that dies
-                # mid-handover is recovered with these jobs included.
-                self.ledger.acquire(target.worker_id, path)
-            try:
-                self._send(target, ImportCommand(
-                    encoded_jobs=export.encoded_jobs))
-                reply = self._receive_import(target)
-            except _WorkerFailure as failure:
-                if result is not None:
-                    self._handle_failure(failure, result)
-                    self._flush_recovery(result)
-            else:
-                target.queue_length += reply.imported
-                moved = reply.imported
-                report = self.load_balancer.reports.get(target.worker_id)
-                if report is not None:
-                    report.queue_length = target.queue_length
-        # An export smaller than the chunk means the frontier is empty now.
-        if export.job_count < self.config.drain_chunk:
-            handle.queue_length = 0
-        else:
-            handle.queue_length = max(0, handle.queue_length
-                                      - export.job_count)
-        if handle.queue_length == 0:
-            self._retire_draining(handle)
-        return moved
-
-    def _retire_draining(self, handle: _WorkerHandle) -> None:
-        """Collect a drained worker's final results and stop its process."""
-        try:
-            self._send(handle, FinalizeCommand())
-            final = self._receive_final(handle)
-        except _WorkerFailure as failure:
-            if self._result is not None:
-                self._handle_failure(failure, self._result)
-                self._flush_recovery(self._result)
-            return
-        self._departed_finals.append(final)
-        if handle in self._draining:
-            self._draining.remove(handle)
-        self._note_member_left(handle.worker_id)
-        self.ledger.forget(handle.worker_id)
-        try:
-            self._send(handle, StopCommand())
-        except _WorkerFailure:  # pragma: no cover - channel torn down
-            pass
-        self._cleanup_handle(handle)
-
-    # -- round-phase hooks ---------------------------------------------------------------
-
-    def _line_count(self) -> int:
-        return self.line_count
-
-    def _spec_label(self) -> Optional[str]:
-        return self.spec_name
-
-    def _begin_run(self, result: ClusterResult,
-                   resume_from: Optional[Union[ClusterCheckpoint, str]]
-                   ) -> None:
-        self._result = result
-        self._failed_cache_counters = {}
-        self._round_statuses = {}
-        if self.config.transport == "tcp" and self.server is None:
-            self._open_server()  # re-running after a completed run()
-        self._start_workers()
-        self._peak_workers = max(self._peak_workers, len(self.handles))
-        if resume_from is not None:
-            self._restore(resume_from, result)
-        else:
-            # The first worker to join receives the seed job (§3.1).
-            seed_handle = self.handles[0]
-            self.ledger.acquire(seed_handle.worker_id, ())
-            try:
-                self._send(seed_handle, SeedCommand())
-                self._apply_status(seed_handle,
-                                   self._receive_status(seed_handle))
-            except _WorkerFailure as failure:
-                self._handle_failure(failure, result)
-                self._flush_recovery(result)
-
-    def _teardown_run(self) -> None:
-        self._shutdown_workers()
-
-    def _pre_round(self, result: ClusterResult) -> None:
-        if not self.handles:
-            raise WorkerProcessError("no live workers left")
-
-    def _explore_phase(self, result: ClusterResult, round_index: int,
-                       checkpoint_due: bool) -> RoundWork:
-        # One round of exploration, concurrently across processes.  Draining
-        # members take part with a status-only heartbeat: they no longer
-        # explore, but their replies keep queue lengths fresh and carry
-        # their frontier into checkpoints.
-        round_handles = list(self.handles)
-        drain_handles = list(self._draining)
-        previous = {h.worker_id: (h.useful_instructions,
-                                  h.replay_instructions)
-                    for h in round_handles}
-        for handle in round_handles:
-            self._send(handle, ExploreCommand(
-                budget=self.config.instructions_per_round,
-                global_coverage_bits=handle.pending_coverage_bits,
-                report_frontier=checkpoint_due,
-                trace=self.tracer.enabled))
-            handle.pending_coverage_bits = None
-        for handle in drain_handles:
-            self._send(handle, DrainStatusCommand(
-                report_frontier=checkpoint_due))
-        statuses: Dict[int, StatusReply] = {}
-        work = RoundWork()
-        for handle in round_handles:
-            try:
-                status = self._receive_status(handle)
-            except _WorkerFailure as failure:
-                self._handle_failure(failure, result)
-                continue
-            statuses[handle.worker_id] = status
-            prev_useful, prev_replay = previous[handle.worker_id]
-            work.useful_delta += status.useful_instructions - prev_useful
-            work.replay_delta += status.replay_instructions - prev_replay
-            self._apply_status(handle, status)
-        for handle in drain_handles:
-            try:
-                status = self._receive_status(handle)
-            except _WorkerFailure as failure:
-                self._handle_failure(failure, result)
-                continue
-            statuses[handle.worker_id] = status
-            self._apply_status(handle, status)
-        # Requeue dead workers' territories / respawn replacements now that
-        # every outstanding command has been resolved.
-        self._flush_recovery(result)
-        for worker_id, status in statuses.items():
-            prev_u, prev_r = previous.get(
-                worker_id, (status.useful_instructions,
-                            status.replay_instructions))
-            work.detail[worker_id] = {
-                "useful": status.useful_instructions - prev_u,
-                "replay": status.replay_instructions - prev_r,
-                "queue": status.queue_length,
-            }
-        self._round_statuses = statuses
-        return work
-
-    def _status_phase(self, round_index: int) -> None:
-        # Live members only: draining workers left the balancer's view
-        # when their removal began.
-        for handle in self.handles:
-            status = self._round_statuses.get(handle.worker_id)
-            if status is None:
-                continue
-            merged_bits = self.load_balancer.receive_status(
-                worker_id=handle.worker_id,
-                queue_length=handle.queue_length,
-                useful_instructions=status.useful_instructions,
-                coverage_bits=status.coverage_bits,
-                round_index=round_index)
-            handle.pending_coverage_bits = merged_bits
-
-    def _dispatch_transfer(self, command, result: ClusterResult,
-                           round_index: int) -> int:
-        return self._execute_transfer(command, result, round_index)
-
-    def _post_balance(self, result: ClusterResult) -> None:
-        # Drain chunks move once transfers have settled the queues.
-        self._advance_drains()
-
-    def _covered_line_count(self) -> int:
-        return self.load_balancer.overlay.covered_count
-
-    def _paths_completed(self) -> int:
-        return (self._base_paths
-                + sum(h.paths_completed
-                      for h in self.handles + self._draining)
-                + sum(f.paths_completed for f in self._departed_finals))
-
-    def _bugs_found(self) -> int:
-        return sum(h.bugs_found for h in self.handles + self._draining)
-
-    def _take_checkpoint(self, round_index: int) -> None:
-        self._write_checkpoint(round_index, self._round_statuses)
-
-    def _apply_status(self, handle: _WorkerHandle, status: StatusReply) -> None:
-        handle.queue_length = status.queue_length
-        handle.paths_completed = status.paths_completed
-        handle.bugs_found = status.bugs_found
-        handle.useful_instructions = status.useful_instructions
-        handle.replay_instructions = status.replay_instructions
-        if status.cache_counters is not None:
-            handle.cache_counters = dict(status.cache_counters)
-        if status.events:
-            # Worker-side buffered events (explore spans, ...) merge into
-            # the single coordinator-owned trace file.
-            self.tracer.ingest(status.events, worker=handle.worker_id)
-
-    # -- checkpoint / resume -------------------------------------------------------------
-
-    def _write_checkpoint(self, round_index: int,
-                          statuses: Dict[int, StatusReply]) -> ClusterCheckpoint:
-        frontier: List[Tuple[int, ...]] = []
-        # Frontiers come from every status: a worker that finished draining
-        # after the statuses were collected listed its final chunk's jobs,
-        # which the receiving survivor's (earlier) status does not -- the
-        # union still holds each job exactly once.
-        for status in statuses.values():
-            if status.frontier is None:
-                continue
-            frontier.extend(job.path
-                            for job in JobTree.decode(status.frontier).jobs())
-        # Counters and results are different: a member retired between
-        # status collection and this snapshot already moved its totals into
-        # _departed_finals, so summing its status too would double count.
-        active_ids = {h.worker_id for h in self.handles + self._draining}
-        statuses = {worker_id: status
-                    for worker_id, status in statuses.items()
-                    if worker_id in active_ids}
-        departed_paths = sum(f.paths_completed for f in self._departed_finals)
-        departed_useful = sum(f.stats.useful_instructions
-                              for f in self._departed_finals)
-        departed_replay = sum(f.stats.replay_instructions
-                              for f in self._departed_finals)
-        # The overlay lags by up to status_update_interval rounds; fold in
-        # the coverage bits just collected so lines covered on completed
-        # paths (never re-explored on resume) cannot be lost.
-        coverage_bits = self.load_balancer.overlay.global_vector.as_int()
-        for status in statuses.values():
-            coverage_bits |= status.coverage_bits
-        # Self-contained resume: bug reports and generated inputs found
-        # before the snapshot travel with it (workers attach them to their
-        # status replies on checkpoint rounds only).
-        bugs = list(self._base_bugs)
-        test_cases = list(self._base_tests)
-        for final in self._departed_finals:
-            bugs.extend(final.bugs)
-            test_cases.extend(final.test_cases)
-        for status in statuses.values():
-            bugs.extend(status.bugs or ())
-            test_cases.extend(status.test_cases or ())
-        checkpoint = ClusterCheckpoint(
-            round_index=round_index,
-            frontier_paths=sorted(frontier),
-            coverage_bits=coverage_bits,
-            line_count=self.line_count,
-            paths_completed=(self._base_paths + departed_paths
-                             + sum(s.paths_completed
-                                   for s in statuses.values())),
-            useful_instructions=(self._base_useful + departed_useful
-                                 + sum(s.useful_instructions
-                                       for s in statuses.values())),
-            replay_instructions=(self._base_replay + departed_replay
-                                 + sum(s.replay_instructions
-                                       for s in statuses.values())),
-            wall_time=(self._base_wall
-                       + (time.monotonic() - self._run_started)),
-            bug_reports=[ClusterCheckpoint.encode_bug(b)
-                         for b in _dedupe_bugs(bugs)],
-            test_cases=[ClusterCheckpoint.encode_test_case(t)
-                        for t in test_cases],
-            worker_stats={
-                worker_id: {
-                    "useful_instructions": s.useful_instructions,
-                    "replay_instructions": s.replay_instructions,
-                    "paths_completed": s.paths_completed,
-                    "queue_length": s.queue_length,
-                }
-                for worker_id, s in statuses.items()},
-            strategy_seeds={h.worker_id: h.worker_id for h in self.handles},
-            spec_name=self.spec_name,
-            spec_params=dict(self.spec_params),
-            backend=("tcp" if self.config.transport == "tcp" else "process"),
-        )
-        if self.config.checkpoint_path:
-            checkpoint.save(self.config.checkpoint_path)
-        self.last_checkpoint = checkpoint
-        return checkpoint
-
-    def _restore(self, checkpoint: Union[ClusterCheckpoint, str],
-                 result: ClusterResult) -> None:
-        checkpoint = ClusterCheckpoint.coerce(checkpoint)
-        if checkpoint.line_count != self.line_count:
-            raise WorkerProcessError(
-                "checkpoint was taken against a %d-line program, this "
-                "cluster's spec builds %d lines -- wrong spec?"
-                % (checkpoint.line_count, self.line_count))
-        bits = checkpoint.coverage_bits
-        self.load_balancer.overlay.merge_from_worker(bits)
-        shares: Dict[int, List[Tuple[int, ...]]] = {
-            h.worker_id: [] for h in self.handles}
-        live = list(self.handles)
-        for index, path in enumerate(sorted(checkpoint.frontier_paths)):
-            shares[live[index % len(live)].worker_id].append(tuple(path))
-        for handle in live:
-            share = shares[handle.worker_id]
-            handle.pending_coverage_bits = bits or None
-            if not share:
-                continue
-            for path in share:
-                self.ledger.acquire(handle.worker_id, path)
-            tree = JobTree.from_jobs([Job(p) for p in share])
-            try:
-                self._send(handle, ImportCommand(encoded_jobs=tree.encode()))
-                reply = self._receive_import(handle)
-            except _WorkerFailure as failure:
-                self._handle_failure(failure, result)
-                self._flush_recovery(result)
-                continue
-            handle.queue_length += reply.imported
-            report = self.load_balancer.reports.get(handle.worker_id)
-            if report is not None:
-                report.queue_length = handle.queue_length
-        self._base_paths = checkpoint.paths_completed
-        self._base_useful = checkpoint.useful_instructions
-        self._base_replay = checkpoint.replay_instructions
-        self._base_wall = checkpoint.wall_time
-        self._base_covered = checkpoint.covered_lines()
-        self._base_bugs = checkpoint.decode_bugs()
-        self._base_tests = checkpoint.decode_test_cases()
-        self._resumed_from_round = checkpoint.round_index
-
-    # -- transfers and finalization ------------------------------------------------------
-
-    def _execute_transfer(self, command, result: ClusterResult,
-                          round_index: int = 0) -> int:
-        """Broker one source->destination job transfer; returns jobs moved."""
-        by_id = {h.worker_id: h for h in self.handles}
-        source = by_id.get(command.source)
-        destination = by_id.get(command.destination)
-        if source is None or destination is None:
-            # One end died or departed after the balance decision.
-            self.load_balancer.cancel_transfer(command)
-            return 0
-        result.transfer_commands += 1
-        try:
-            self._send(source, ExportCommand(count=command.job_count))
-            export = self._receive_export(source)
-        except _WorkerFailure as failure:
-            self.load_balancer.cancel_transfer(command)
-            self._handle_failure(failure, result)
-            self._flush_recovery(result)
-            return 0
-        source.queue_length -= export.job_count
-        if export.encoded_jobs is None:
-            return 0
-        exported_paths = [job.path
-                          for job in JobTree.decode(export.encoded_jobs).jobs()]
-        for path in exported_paths:
-            self.ledger.cede(command.source, path)
-            self.ledger.acquire(command.destination, path)
-        try:
-            self._send(destination,
-                       ImportCommand(encoded_jobs=export.encoded_jobs))
-            imported = self._receive_import(destination)
-        except _WorkerFailure as failure:
-            # The jobs are in the dead destination's territory already, so
-            # recovery requeues them; nothing is lost.
-            self._handle_failure(failure, result)
-            self._flush_recovery(result)
-            return 0
-        destination.queue_length += imported.imported
-        if self.tracer.enabled and imported.imported:
-            self.tracer.emit(trace_schema.JOB_TRANSFERRED, round=round_index,
-                             source=command.source,
-                             destination=command.destination,
-                             jobs=imported.imported)
-        # Keep the balancer's view fresh within this round.
-        for handle in (source, destination):
-            report = self.load_balancer.reports.get(handle.worker_id)
-            if report is not None:
-                report.queue_length = handle.queue_length
-        return imported.imported
-
-    def _collect_finals(self, result: ClusterResult) -> List[MemberFinal]:
-        finals: List[FinalReply] = []
-        # Members still draining when the run ends are finalized like live
-        # ones: their results count, and any jobs left on them were already
-        # counted as unexplored candidates by the termination checks.
-        for handle in list(self.handles) + list(self._draining):
-            try:
-                self._send(handle, FinalizeCommand())
-                finals.append(self._receive_final(handle))
-            except _WorkerFailure as failure:
-                # Too late to re-explore; keep its last-known counters.
-                self._handle_failure(failure, result, requeue=False)
-        finals.extend(self._departed_finals)
-        return [MemberFinal(
-            worker_id=f.worker_id,
-            paths_completed=f.paths_completed,
-            useful_instructions=f.stats.useful_instructions,
-            replay_instructions=f.stats.replay_instructions,
-            covered_lines=set(f.covered_lines),
-            bugs=list(f.bugs),
-            test_cases=list(f.test_cases),
-            stats=f.stats,
-            cache_counters=dict(f.cache_counters),
-            latency=f.latency) for f in finals]
-
-    def _orphan_cache_counters(self, finalized_ids: Set[int]
-                               ) -> List[Dict[str, int]]:
-        # Dead workers never sent a FinalReply; their last piggybacked
-        # counters (from the status replies) still enter the aggregate so
-        # the run's cache hit rates reflect the whole fleet.
-        return [counters
-                for worker_id, counters in self._failed_cache_counters.items()
-                if worker_id not in finalized_ids]
-
-    def _finalize_extras(self, result: ClusterResult,
-                         finals: List[MemberFinal]) -> None:
-        result.heartbeat_misses = self._heartbeat_misses
-        result.agents_reconnected = self._agents_reconnected
-        result.messages_sent = self.messages_sent
+        return super().add_worker()

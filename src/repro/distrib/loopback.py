@@ -1,0 +1,227 @@
+"""The in-process shell: the coordinator over a loopback carrier.
+
+The paper's prototype runs workers on separate machines and measures wall
+clock.  :class:`Cloud9Cluster` runs the same
+:class:`~repro.distrib.coordinator.Coordinator` with every member in this
+process: :class:`LoopbackTransport` hands each command straight to a
+:class:`~repro.distrib.worker.DistribWorker` and queues its reply.  Members
+step one after another within a round, which makes runs deterministic and
+lets the scalability experiments compare rounds-to-goal and
+useful-work-per-round across cluster sizes -- the shape of Figures 7-13 --
+with exactly the counters a process or TCP cluster would report.
+
+:class:`StaticPartitionCluster` is the §2 strawman on the same coordinator:
+Cloud9 does *not* statically divide the execution tree because "this
+approach leads to high workload imbalance among nodes, making the entire
+cluster proceed at the pace of the slowest node" (§8 discusses the same
+limitation in the static-partitioning parallel JPF of Staats & Pasareanu
+[2010]).  A short bootstrap exploration carves the tree into prefixes, the
+prefixes are dealt to the members once, and balancing stays off -- so a
+member that exhausts its partition early simply idles.
+"""
+
+from __future__ import annotations
+
+from collections import deque
+from dataclasses import dataclass, field
+from typing import Callable, Deque, Dict, List, Optional, Set, Tuple, Type
+
+from repro.cluster.core import ClusterConfig, StaticPartitionConfig
+from repro.cluster.worker import DEFAULT_STRATEGY, Worker
+from repro.distrib.coordinator import Coordinator, _WorkerHandle
+from repro.distrib.messages import ReadyReply, StopCommand
+from repro.distrib.worker import DistribWorker
+from repro.engine.coverage import CoverageBitVector
+from repro.engine.errors import BugReport
+from repro.engine.executor import SymbolicExecutor
+from repro.engine.state import ExecutionState
+from repro.engine.test_case import TestCase
+from repro.net.transport import Transport, TransportClosed
+
+__all__ = ["LoopbackTransport", "Cloud9Cluster", "StaticPartitionCluster",
+           "BootstrapOutcome", "ExecutorFactory", "StateFactory"]
+
+ExecutorFactory = Callable[[], SymbolicExecutor]
+StateFactory = Callable[[SymbolicExecutor], ExecutionState]
+
+
+class LoopbackTransport(Transport):
+    """A channel to a member living in this process: ``send`` runs the
+    command on it, ``recv`` pops the reply.  The one place to inject delay,
+    loss or death in front of an in-process member (subclass and override)."""
+
+    kind = "loopback"
+
+    def __init__(self, member: DistribWorker):
+        self.member = member
+        self.peer = "in-process worker %d" % member.worker_id
+        self._replies: Deque[object] = deque([ReadyReply(
+            worker_id=member.worker_id, line_count=member.line_count)])
+        self._closed = False
+
+    def send(self, message: object) -> None:
+        if self._closed:
+            raise TransportClosed("%s is closed" % self.peer)
+        if isinstance(message, StopCommand):
+            self._closed = True
+        else:
+            self._replies.append(self.member.handle(message))
+
+    def recv(self, timeout: Optional[float] = None) -> object:
+        if not self._replies:
+            # Nothing can arrive later: every reply is queued during send.
+            raise TransportClosed("%s has no reply pending" % self.peer)
+        return self._replies.popleft()
+
+    def is_alive(self) -> bool:
+        return not self._closed
+
+    def close(self, timeout: float = 5.0) -> None:
+        self._closed = True
+
+
+class Cloud9Cluster(Coordinator):
+    """The public front end: build an in-process cluster and run a
+    symbolic-testing goal.
+
+    Members are built eagerly and outlive ``run()``: a cluster can be run a
+    few rounds at a time, inspected through :attr:`workers`, grown or shrunk
+    between runs, and run again.
+    """
+
+    backend_name = "cluster"
+
+    #: The channel put in front of every new member (a fault-injecting
+    #: subclass of the cluster substitutes a faulty one).
+    carrier: Type[LoopbackTransport] = LoopbackTransport
+
+    def __init__(self, executor_factory: ExecutorFactory,
+                 state_factory: StateFactory,
+                 config: Optional[ClusterConfig] = None):
+        self.executor_factory = executor_factory
+        self.state_factory = state_factory
+        # One executor per member; the first is built here, to learn the
+        # program's line count, and goes to the first member.
+        first = executor_factory()
+        self._spare_executor: Optional[SymbolicExecutor] = first
+        # Every Worker ever launched, by id (departed and dead ones included).
+        self._launched: Dict[int, Worker] = {}
+        super().__init__(config or ClusterConfig(), first.program.line_count)
+        self._start_workers()
+
+    def _launch(self) -> _WorkerHandle:
+        executor = self._spare_executor or self.executor_factory()
+        self._spare_executor = None
+        worker = Worker(self._take_worker_id(), executor, self.state_factory,
+                        strategy_name=self.strategy or DEFAULT_STRATEGY)
+        self._launched[worker.worker_id] = worker
+        return _WorkerHandle(worker.worker_id,
+                             self.carrier(DistribWorker(worker)))
+
+    def _teardown_run(self) -> None:
+        """Members outlive the run (see the class docstring)."""
+
+    @property
+    def workers(self) -> List[Worker]:
+        """The live members' :class:`Worker` objects."""
+        return [self._launched[h.worker_id] for h in self.handles]
+
+    # -- invariants (used by the test suite) ---------------------------------------------
+
+    def check_frontier_invariants(self) -> Tuple[bool, str]:
+        """The §3.2 partition invariants, against what members really hold.
+
+        No path is a candidate on two members at once; every candidate lies
+        inside the territory the coordinator's ledger records for its
+        holder; and no two recorded territories overlap.  (Completeness is
+        checked by the tests that compare explored paths against a
+        single-engine exhaustive run.)
+        """
+        members = {h.worker_id: self._launched[h.worker_id]
+                   for h in self.handles + self._draining}
+        seen: Dict[Tuple[int, ...], int] = {}
+        for worker_id, worker in members.items():
+            for path in sorted(worker.frontier_paths()):
+                if path in seen:
+                    return False, ("path %s is a candidate on workers %d and %d"
+                                   % (path, seen[path], worker_id))
+                seen[path] = worker_id
+                if not self.ledger.covers(worker_id, path):
+                    return False, ("worker %d holds %s outside its ledger "
+                                   "territory" % (worker_id, path))
+        for worker_id in members:
+            for root in sorted(self.ledger.owned_roots(worker_id)):
+                for other in members:
+                    if other != worker_id and self.ledger.covers(other, root):
+                        return False, (
+                            "ledger territories of workers %d and %d overlap "
+                            "at %s" % (worker_id, other, root))
+        return True, ""
+
+
+@dataclass
+class BootstrapOutcome:
+    """What the pre-partitioning exploration produced."""
+
+    prefixes: List[Tuple[int, ...]]
+    instructions: int = 0
+    paths_completed: int = 0
+    bugs: List[BugReport] = field(default_factory=list)
+    test_cases: List[TestCase] = field(default_factory=list)
+    covered_lines: Set[int] = field(default_factory=set)
+
+
+class StaticPartitionCluster(Cloud9Cluster):
+    """Statically partitioned parallel symbolic execution (the §2 strawman).
+
+    The bootstrap mimics the offline pre-computation of disjoint
+    preconditions; its own results are carried as the coordinator's base
+    counters, exactly like a resumed checkpoint's.
+    """
+
+    backend_name = "static"
+    config: StaticPartitionConfig
+
+    def __init__(self, executor_factory: ExecutorFactory,
+                 state_factory: StateFactory,
+                 config: Optional[StaticPartitionConfig] = None):
+        super().__init__(executor_factory, state_factory,
+                         config or StaticPartitionConfig())
+        self.bootstrap = self._bootstrap_split()
+        self._base_paths = self.bootstrap.paths_completed
+        self._base_useful = self.bootstrap.instructions
+        self._base_covered = set(self.bootstrap.covered_lines)
+        self._base_bugs = list(self.bootstrap.bugs)
+        self._base_tests = list(self.bootstrap.test_cases)
+        # Nothing will ever move between members afterwards.
+        self._deal_frontier(
+            self.bootstrap.prefixes,
+            CoverageBitVector.from_lines(
+                self.line_count, self.bootstrap.covered_lines).as_int())
+
+    def _bootstrap_split(self) -> BootstrapOutcome:
+        """Expand the tree breadth-first until there is work for every worker."""
+        config = self.config
+        wanted = config.num_workers * config.partitions_per_worker
+        executor = self.executor_factory()
+        frontier: Deque[ExecutionState] = deque([self.state_factory(executor)])
+        steps = 0
+        while frontier and len(frontier) < wanted and steps < config.max_bootstrap_steps:
+            state = frontier.popleft()
+            result = executor.step(state)
+            steps += 1
+            for child in result.children:
+                if child.is_running:
+                    frontier.append(child)
+        return BootstrapOutcome(
+            prefixes=[tuple(state.fork_trace) for state in frontier],
+            instructions=executor.total_instructions,
+            paths_completed=executor.paths_completed,
+            bugs=list(executor.bugs),
+            test_cases=list(executor.test_cases),
+            covered_lines=set(executor.covered_lines),
+        )
+
+    def idle_worker_count(self) -> int:
+        """Workers with nothing left to do (the imbalance the paper measures)."""
+        return sum(1 for w in self.workers if not w.has_work)

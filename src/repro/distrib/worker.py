@@ -1,16 +1,16 @@
-"""The worker-process side of the multiprocess cluster.
+"""The member side of the cluster protocol, on every carrier.
 
-:class:`DistribWorker` wraps the ordinary in-process
-:class:`~repro.cluster.worker.Worker` -- the same frontier bookkeeping,
-job export/import, lazy replay with fence nodes, and broken-replay detection
-(§3.2/§6) -- behind a command/reply interface whose messages all pickle.
-:func:`worker_main` is the process entry point: it rebuilds the test from its
-spec, then pumps commands from a queue into a ``DistribWorker``.
-
-``DistribWorker`` is deliberately drivable without any process machinery:
-the unit tests construct one directly and feed it commands, which is how
+:class:`DistribWorker` wraps a :class:`~repro.cluster.worker.Worker` --
+frontier bookkeeping, job export/import, lazy replay with fence nodes, and
+broken-replay detection (§3.2/§6) -- behind a command/reply interface whose
+messages all pickle.  :func:`worker_main` is the process entry point: it
+rebuilds the test from its spec, then pumps commands from a queue into a
+``DistribWorker``; a TCP agent (:mod:`repro.net.agent`) pumps them from a
+socket; the in-process cluster calls :meth:`DistribWorker.handle` directly
+through a :class:`~repro.distrib.loopback.LoopbackTransport`.  No process
+machinery is needed to drive one, which is also how the unit tests exercise
 broken-replay handling (a shipped job whose path diverges or terminates
-prematurely at the destination) is tested deterministically.
+prematurely at the destination) deterministically.
 """
 
 from __future__ import annotations
@@ -44,17 +44,22 @@ __all__ = ["DistribWorker", "worker_main"]
 
 
 class DistribWorker:
-    """One worker process's state: a private engine plus the command loop."""
+    """One cluster member: a private engine plus the command handlers."""
 
-    def __init__(self, worker_id: int, test, strategy: Optional[str] = None):
-        self.worker_id = worker_id
-        self.test = test
-        executor = test.build_executor()
-        self.worker = Worker(worker_id, executor, test.build_initial_state,
-                             strategy_name=strategy or test.strategy)
+    def __init__(self, worker: Worker):
+        self.worker_id = worker.worker_id
+        self.worker = worker
         # Created on the first traced ExploreCommand; buffered events ride
         # back to the coordinator on every status reply.
         self.tracer: Optional[BufferTracer] = None
+
+    @classmethod
+    def from_test(cls, worker_id: int, test,
+                  strategy: Optional[str] = None) -> "DistribWorker":
+        """Build the member a worker process or agent serves from its spec."""
+        return cls(Worker(worker_id, test.build_executor(),
+                          test.build_initial_state,
+                          strategy_name=strategy or test.strategy))
 
     @property
     def line_count(self) -> int:
@@ -192,7 +197,8 @@ def worker_main(worker_id: int, spec_name: str, spec_params: dict,
             importlib.import_module(module_name)
         from repro.distrib import specs
         test = specs.resolve_test(spec_name, **dict(spec_params))
-        distrib_worker = DistribWorker(worker_id, test, strategy=strategy)
+        distrib_worker = DistribWorker.from_test(worker_id, test,
+                                                   strategy=strategy)
         reply_queue.put(ReadyReply(worker_id=worker_id,
                                    line_count=distrib_worker.line_count))
     except BaseException:

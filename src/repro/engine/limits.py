@@ -6,9 +6,8 @@ subtly different names (``coverage_target`` vs ``target_coverage_percent``,
 engine and a cluster meant re-plumbing every knob.  :class:`ExplorationLimits`
 is the single bag of budgets and goals accepted by
 :meth:`repro.engine.executor.SymbolicExecutor.run`,
-:meth:`repro.cluster.coordinator.Cloud9Cluster.run`,
-:meth:`repro.cluster.static_partition.StaticPartitionCluster.run` and the
-:mod:`repro.api.runner` backends.
+:meth:`repro.distrib.coordinator.Coordinator.run` (under every cluster
+backend) and the :mod:`repro.api.runner` backends.
 
 A backend applies every limit that is meaningful for it and ignores the
 rest (``max_steps`` only bounds single-engine scheduling steps; ``max_rounds``

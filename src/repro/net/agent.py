@@ -113,7 +113,8 @@ def run_agent(connect: str, spec_modules: Sequence[str] = (),
             from repro.distrib.messages import ReadyReply
             test = specs.resolve_test(welcome.spec_name,
                                       **dict(welcome.spec_params))
-            worker = DistribWorker(worker_id, test, strategy=welcome.strategy)
+            worker = DistribWorker.from_test(worker_id, test,
+                                             strategy=welcome.strategy)
             transport.send(ReadyReply(worker_id=worker_id,
                                       line_count=worker.line_count))
         except TransportError:

@@ -21,7 +21,7 @@ Envelope keys, identical on every backend:
 
 Everything else is event-specific payload.  Writers use a single
 ``os.write`` on an ``O_APPEND`` fd per event, so concurrent emitters
-(threaded backend) never interleave partial lines; a reader only ever
+never interleave partial lines; a reader only ever
 sees whole lines plus at most one truncated final line after a crash,
 which :func:`load_trace` tolerates.
 

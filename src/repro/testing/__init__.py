@@ -3,7 +3,7 @@
 A :class:`SymbolicTest` packages a program under test together with the
 environment setup (symbolic data, files, network conditions, fault injection,
 scheduler policy, instruction limits) and can then be run either on a single
-engine ("1-worker Cloud9", i.e. plain KLEE) or on a simulated cluster of any
+engine ("1-worker Cloud9", i.e. plain KLEE) or on a cluster of any
 size.  :class:`SymbolicTestSuite` groups tests and produces the combined
 coverage accounting used by Table 5.
 """

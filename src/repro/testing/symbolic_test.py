@@ -9,7 +9,6 @@ backend through :meth:`SymbolicTest.run`::
     test.run()                                        # one engine (KLEE)
     test.run(backend="cluster", workers=8)            # Cloud9 cluster
     test.run(backend="static", workers=8)             # §2 strawman baseline
-    test.run(backend="threaded", workers=4)           # OS-thread cluster
     test.run(backend="process", workers=4)            # worker processes
                                                       # (spec-built tests)
 
@@ -24,8 +23,8 @@ from typing import Callable, Dict, Optional, Type, Union
 
 from repro.api.limits import ExplorationLimits, effective_limits
 from repro.api.result import RunResult
-from repro.cluster.coordinator import Cloud9Cluster, ClusterConfig, ClusterResult
-from repro.cluster.static_partition import StaticPartitionCluster, StaticPartitionConfig
+from repro.cluster.core import ClusterConfig, ClusterResult, StaticPartitionConfig
+from repro.distrib.loopback import Cloud9Cluster, StaticPartitionCluster
 from repro.engine.config import EngineConfig
 from repro.engine.executor import ExplorationResult, SymbolicExecutor
 from repro.engine.state import ExecutionState
@@ -117,9 +116,9 @@ class SymbolicTest:
         backend-specific (``strategy=`` for ``"single"``; ``workers=``,
         ``config=`` or any cluster-config field for the cluster backends;
         ``resume_from=`` a :class:`~repro.cluster.checkpoint.ClusterCheckpoint`
-        or saved checkpoint path for the ``"cluster"``/``"threaded"``/
-        ``"process"`` backends, paired with the ``checkpoint_every=`` /
-        ``checkpoint_path=`` config knobs that produce the checkpoints;
+        or saved checkpoint path for the cluster backends, paired with the
+        ``checkpoint_every=`` / ``checkpoint_path=`` config knobs that
+        produce the checkpoints;
         ``autoscale=`` an :class:`~repro.cluster.autoscale.AutoscalePolicy`
         (or ``True`` for the defaults) to let those same backends grow and
         shrink the cluster mid-run from queue pressure and round wall time;

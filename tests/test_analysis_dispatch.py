@@ -1,4 +1,4 @@
-"""DISP dispatch exhaustiveness, CORE hook contracts, PROTO004 semver lock."""
+"""DISP dispatch exhaustiveness, PROTO004 semver lock."""
 
 import json
 from pathlib import Path
@@ -93,89 +93,6 @@ class TestDispatch:
                           {"src/repro/distrib/messages.py":
                            self.FILES["src/repro/distrib/messages.py"]})
         assert cli.main(_args(tmp_path, root, "--select", "DISP")) == 0
-
-
-class TestHookContract:
-    CORE = """\
-        def backend_hook(method):
-            return method
-
-        class CoordinatorCore:
-            def run(self):
-                self._advance()
-                return self._explore_phase()
-
-            def _advance(self):
-                return 1
-
-            @backend_hook
-            def _explore_phase(self):
-                raise NotImplementedError
-    """
-
-    def _tree(self, tmp_path, backend):
-        return write_tree(tmp_path, {
-            "src/repro/cluster/core.py": self.CORE,
-            "src/repro/cluster/backend.py": backend,
-        })
-
-    def test_conforming_backend_is_green(self, tmp_path):
-        root = self._tree(tmp_path, """\
-            from repro.cluster.core import CoordinatorCore
-
-            class ThreadBackend(CoordinatorCore):
-                def _explore_phase(self):
-                    return 2
-        """)
-        assert cli.main(_args(tmp_path, root, "--select", "CORE")) == 0
-
-    def test_shadowing_a_core_owned_method_fails(self, tmp_path, capsys):
-        root = self._tree(tmp_path, """\
-            from repro.cluster.core import CoordinatorCore
-
-            class ThreadBackend(CoordinatorCore):
-                def _explore_phase(self):
-                    return 2
-
-                def _advance(self):
-                    return 3
-        """)
-        assert cli.main(_args(tmp_path, root, "--select", "CORE")) == 1
-        out = capsys.readouterr().out
-        assert "[CORE002]" in out
-        assert "_advance" in out
-
-    def test_missing_abstract_hook_fails(self, tmp_path, capsys):
-        root = self._tree(tmp_path, """\
-            from repro.cluster.core import CoordinatorCore
-
-            class ThreadBackend(CoordinatorCore):
-                def setup(self):
-                    return None
-        """)
-        assert cli.main(_args(tmp_path, root, "--select", "CORE")) == 1
-        out = capsys.readouterr().out
-        assert "[CORE001]" in out
-        assert "_explore_phase" in out
-
-    def test_protocol_claim_without_member_fails(self, tmp_path, capsys):
-        root = write_tree(tmp_path, {"src/repro/cluster/member.py": """\
-            from typing import Protocol
-
-            class Member(Protocol):
-                worker_id: int
-
-                def drain(self):
-                    ...
-
-            class BadMember(Member):
-                def drain(self):
-                    return []
-        """})
-        assert cli.main(_args(tmp_path, root, "--select", "CORE")) == 1
-        out = capsys.readouterr().out
-        assert "[CORE003]" in out
-        assert "worker_id" in out
 
 
 class TestSemverLock:

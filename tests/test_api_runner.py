@@ -13,7 +13,7 @@ from repro.api.runner import (
     _RUNNERS,
 )
 from repro.cluster import ClusterConfig, StaticPartitionConfig
-from repro.cluster.coordinator import ClusterResult
+from repro.cluster import ClusterResult
 from repro.engine.executor import ExplorationResult
 from repro.testing import SymbolicTest
 
@@ -36,8 +36,8 @@ def buggy_program() -> L.Program:
 
 class TestRegistry:
     def test_builtin_backends_registered(self):
-        assert set(available_backends()) >= {"single", "cluster", "static",
-                                             "threaded"}
+        assert available_backends() == ("cluster", "process", "single",
+                                        "static", "tcp")
 
     def test_unknown_backend_is_an_error(self):
         with pytest.raises(ValueError, match="unknown backend"):
@@ -85,8 +85,6 @@ class TestBackendDispatch:
         for backend, options in [("single", {}),
                                  ("cluster", {"workers": 3,
                                               "instructions_per_round": 50}),
-                                 ("threaded", {"workers": 2,
-                                               "instructions_per_round": 50}),
                                  ("static", {"workers": 2})]:
             test = SymbolicTest("t", branchy_program(2))
             result = test.run(backend=backend, **options)

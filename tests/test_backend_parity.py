@@ -1,12 +1,13 @@
-"""Cross-backend parity: one round engine, three backends, same answers.
+"""Cross-backend parity: one coordinator, two carriers, same answers.
 
-The regression test for the drift class the shared
-:class:`~repro.cluster.core.CoordinatorCore` eliminates: the same spec run
-under identical limits on the ``cluster``, ``threaded`` and ``process``
-backends must complete the same paths, cover the same lines, report the
-same bugs, and speak the same trace-event vocabulary.  Before the core was
-extracted these were three hand-synchronized copies of the §3 protocol and
-each of these properties drifted at least once.
+``cluster`` (loopback) and ``process`` (mp queues) are the same
+:class:`~repro.distrib.coordinator.Coordinator` over different carriers, so
+the same spec run under identical limits must agree on far more than
+paths, coverage and bugs: the exact work counters -- rounds, states
+transferred, useful and replayed instructions -- and the per-round queue
+lengths are equal too, and the traces speak one event vocabulary.  Before
+the in-process cluster ran the message protocol it delivered a transfer one
+round late and none of the counters could be compared.
 """
 
 import multiprocessing
@@ -14,7 +15,7 @@ import multiprocessing
 import pytest
 
 from repro.api import ExplorationLimits
-from repro.cluster import ClusterConfig, ThreadedCloud9Cluster
+from repro.cluster import ClusterConfig
 from repro.distrib import specs
 from repro.distrib.cluster import ProcessCloud9Cluster, ProcessClusterConfig
 from repro.obs.trace import load_trace
@@ -24,45 +25,45 @@ needs_fork = pytest.mark.skipif(
     not fork_available,
     reason="process-backed tests need the fork start method")
 
-SPEC_NAME = "printf"
-SPEC_PARAMS = {"format_length": 2}
+#: (spec name, spec params): a frontier-heavy target and a packet-driven one.
+SPECS = [("printf", {"format_length": 2}),
+         ("memcached-packets", {"num_packets": 2, "packet_size": 4})]
 NUM_WORKERS = 2
 INSTRUCTIONS_PER_ROUND = 300
 LIMITS_KWARGS = dict(max_rounds=80)
 
 #: Worker-local events (explore spans, forwarded engine events) ride along
-#: on process-backend status replies only; they are not part of the
-#: coordinator protocol whose vocabulary the shared core pins.
+#: on status replies; they are not part of the coordinator protocol whose
+#: vocabulary the parity tests pin.
 WORKER_LOCAL_EVENTS = {"span", "worker_event"}
 
 
-def _run_backend(backend, trace_path):
+def _run_backend(backend, spec_name, spec_params, trace_path):
     limits = ExplorationLimits(trace_path=str(trace_path), **LIMITS_KWARGS)
     if backend == "process":
         config = ProcessClusterConfig(
             num_workers=NUM_WORKERS,
             instructions_per_round=INSTRUCTIONS_PER_ROUND)
-        cluster = ProcessCloud9Cluster(SPEC_NAME, SPEC_PARAMS, config=config)
+        cluster = ProcessCloud9Cluster(spec_name, spec_params, config=config)
         return cluster.run(limits=limits)
-    test = specs.resolve_test(SPEC_NAME, **SPEC_PARAMS)
+    test = specs.resolve_test(spec_name, **spec_params)
     config = ClusterConfig(num_workers=NUM_WORKERS,
                            instructions_per_round=INSTRUCTIONS_PER_ROUND)
-    cluster_class = ThreadedCloud9Cluster if backend == "threaded" else None
-    cluster = test.build_cluster(config, cluster_class=cluster_class)
-    return cluster.run(limits=limits)
+    return test.build_cluster(config).run(limits=limits)
 
 
-@pytest.fixture(scope="module")
-def backend_runs(tmp_path_factory):
-    """Run every backend once; the assertions below slice the results."""
+@pytest.fixture(scope="module", params=SPECS, ids=[name for name, _ in SPECS])
+def backend_runs(request, tmp_path_factory):
+    """Run every backend once per spec; the assertions below slice the results."""
+    spec_name, spec_params = request.param
     runs = {}
     base = tmp_path_factory.mktemp("parity")
-    backends = ["cluster", "threaded"]
+    backends = ["cluster"]
     if fork_available:
         backends.append("process")
     for backend in backends:
         trace_path = base / ("%s.jsonl" % backend)
-        result = _run_backend(backend, trace_path)
+        result = _run_backend(backend, spec_name, spec_params, trace_path)
         runs[backend] = (result, load_trace(str(trace_path)))
     return runs
 
@@ -91,6 +92,45 @@ class TestResultParity:
         for a, b in _pairs(backend_runs):
             assert (backend_runs[a][0].bug_summaries()
                     == backend_runs[b][0].bug_summaries()), (a, b)
+
+
+@needs_fork
+class TestExactCounterParity:
+    """One coordinator means one accounting: every work counter and the
+    whole per-round queue series match between carriers."""
+
+    COUNTERS = ("rounds_executed", "total_states_transferred",
+                "transfer_commands", "total_useful_instructions",
+                "total_replay_instructions", "messages_sent")
+
+    def test_counters_identical(self, backend_runs):
+        cluster, _ = backend_runs["cluster"]
+        process, _ = backend_runs["process"]
+        for counter in self.COUNTERS:
+            assert getattr(cluster, counter) == getattr(process, counter), counter
+        assert cluster.total_states_transferred > 0, "tune: nothing moved"
+
+    def test_queue_length_series_identical(self, backend_runs):
+        cluster, _ = backend_runs["cluster"]
+        process, _ = backend_runs["process"]
+        series = [[snap.queue_lengths for snap in result.timeline.snapshots]
+                  for result in (cluster, process)]
+        assert series[0] == series[1]
+
+    def test_per_round_work_identical(self, backend_runs):
+        cluster, _ = backend_runs["cluster"]
+        process, _ = backend_runs["process"]
+        for field in ("useful_instructions", "replay_instructions",
+                      "states_transferred", "paths_completed", "bugs_found"):
+            assert ([getattr(s, field) for s in cluster.timeline.snapshots]
+                    == [getattr(s, field) for s in process.timeline.snapshots]
+                    ), field
+
+    def test_per_worker_stats_identical(self, backend_runs):
+        cluster, _ = backend_runs["cluster"]
+        process, _ = backend_runs["process"]
+        assert ({w: s.as_dict() for w, s in cluster.worker_stats.items()}
+                == {w: s.as_dict() for w, s in process.worker_stats.items()})
 
 
 class TestTraceVocabularyParity:
@@ -126,8 +166,8 @@ class TestTraceVocabularyParity:
 
     def test_solver_query_reports_latency_percentiles(self, backend_runs):
         """Worker solvers ship their latency histograms home on every
-        backend (FinalReply.latency carries them across the process
-        boundary), so the final solver_query event always has p50/p99."""
+        carrier (FinalReply.latency), so the final solver_query event
+        always has p50/p99."""
         for backend, (_, events) in backend_runs.items():
             queries = [e for e in events if e["event"] == "solver_query"]
             assert queries, backend

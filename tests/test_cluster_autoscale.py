@@ -16,9 +16,8 @@ from repro import lang as L
 from repro.api import ExplorationLimits
 from repro.cluster.autoscale import AutoscalePolicy, Autoscaler
 from repro.cluster.checkpoint import ClusterCheckpoint
-from repro.cluster.coordinator import ClusterConfig
+from repro.cluster.core import ClusterConfig
 from repro.cluster.load_balancer import LoadBalancer
-from repro.cluster.transport import LOAD_BALANCER_ID, Message, MessageKind
 from repro.distrib import specs
 from repro.distrib.cluster import ProcessCloud9Cluster, ProcessClusterConfig
 from repro.engine.errors import BugKind, BugReport
@@ -307,18 +306,6 @@ class TestInProcessAutoscale:
         single = test.run(backend="single", limits=ExplorationLimits())
         assert result.paths_completed == single.paths_completed
 
-    def test_autoscaled_threaded_backend(self, fixed):
-        test = _buggy_test()
-        policy = AutoscalePolicy(min_workers=1, max_workers=3,
-                                 queue_high=3.0, queue_low=1.0,
-                                 cooldown_rounds=1, hysteresis_rounds=1)
-        result = test.run(backend="threaded", workers=1,
-                          instructions_per_round=30, autoscale=policy,
-                          limits=LIMITS)
-        assert result.exhausted
-        assert result.paths_completed == fixed.paths_completed
-        assert result.workers_added >= 1
-
 
 # -- incremental drain -------------------------------------------------------------------
 
@@ -367,7 +354,7 @@ class TestIncrementalDrain:
         assert cluster.workers[1].queue_length == 0
         cluster.remove_worker(2)
         assert cluster._draining == []
-        assert [w.worker_id for w in cluster._departed] == [2]
+        assert [f.worker_id for f in cluster._departed_finals] == [2]
 
     def test_remove_guards_unchanged(self):
         test = _buggy_test()
@@ -418,56 +405,6 @@ class TestMembershipChurnHygiene:
         assert (low, high) != (0, spread_before[1]) or spread_before[0] == 0
         # ...and balance() does not fire a transfer at it on fabricated data.
         assert all(command.destination != new_id for command in lb.balance())
-
-    def test_remove_with_inflight_transfer_purges_atomically(self):
-        """Regression: a TRANSFER_REQUEST still on the wire naming the
-        departing worker must be cancelled with the balancer's estimates
-        rolled back, and a JOB_TRANSFER already addressed to it must be
-        re-routed with the receiving survivor's estimate credited."""
-        test = _buggy_test()
-        cluster = test.build_cluster(
-            ClusterConfig(num_workers=2, instructions_per_round=30))
-        cluster.run(limits=ExplorationLimits(max_rounds=4))
-        lb = cluster.load_balancer
-        survivor = cluster.workers[0]
-        victim = cluster.workers[1].worker_id
-        source_id = survivor.worker_id
-        assert survivor.queue_length >= 2, "tune budgets: survivor is idle"
-        # A transfer decision naming the victim as destination, in flight.
-        lb.reports[source_id].queue_length = 8
-        lb.reports[victim].queue_length = 0
-        (command,) = lb.balance()
-        assert command.source == source_id and command.destination == victim
-        cluster.transport.send(Message(
-            kind=MessageKind.TRANSFER_REQUEST,
-            sender=LOAD_BALANCER_ID, recipient=command.source,
-            payload={"destination": command.destination,
-                     "job_count": command.job_count}))
-        debited = lb.reports[source_id].queue_length
-        assert debited == 8 - command.job_count
-        # And a job tree already on the wire to the victim.
-        jobs = survivor.export_jobs(1)
-        assert len(jobs) == 1
-        cluster.transport.send(Message(
-            kind=MessageKind.JOB_TRANSFER, sender=source_id,
-            recipient=victim, payload={"jobs": jobs.encode(),
-                                       "count": len(jobs)}))
-
-        handed = cluster.remove_worker(victim)
-        # Report purged atomically; the cancelled request's estimate rolled
-        # back on the source; the re-routed job tree AND the victim's own
-        # drained jobs credited to the survivor that received them.
-        assert victim not in lb.reports
-        assert (lb.reports[source_id].queue_length
-                == debited + command.job_count + 1 + handed)
-        # No message addressed to the victim survives anywhere.
-        assert cluster.transport.pending_count(victim) == 0
-        # The re-routed job landed on the survivor, not in the void: the
-        # run still explores every path exactly once.
-        result = cluster.run(limits=LIMITS)
-        assert result.exhausted
-        single = test.run(backend="single", limits=ExplorationLimits())
-        assert result.paths_completed == single.paths_completed
 
 
 # -- checkpoint cadence ------------------------------------------------------------------
@@ -580,6 +517,58 @@ class TestResumeAccounting:
         assert len(resumed.test_cases) == len(full.test_cases)
         # Wall time is cumulative: at least the checkpointed segment's.
         assert resumed.wall_time >= checkpoint.wall_time
+
+    def test_bugs_found_counts_checkpointed_bugs_after_resume(self):
+        """Regression: the per-round ``bugs_found`` ignored the bugs a
+        resumed checkpoint already holds, so the series restarted at zero
+        and ``stop_on_first_bug`` ran on past a bug it had been handed."""
+        test = _buggy_test(buffer_size=4)
+        checkpoint, partial = self._interrupt_after_bug(test)
+        # (The checkpoint stores bug reports deduplicated; members count
+        # every report, so only the checkpoint's own number carries over.)
+        held = len(checkpoint.bug_reports)
+        assert held >= 1 and partial.timeline.snapshots[-1].bugs_found >= held
+
+        resumed = test.build_cluster(
+            ClusterConfig(num_workers=2, instructions_per_round=60)
+        ).run(limits=LIMITS, resume_from=checkpoint)
+        series = [snap.bugs_found for snap in resumed.timeline.snapshots]
+        assert series[0] >= held
+        assert series == sorted(series)
+
+        stopped = test.build_cluster(
+            ClusterConfig(num_workers=2, instructions_per_round=60)
+        ).run(limits=ExplorationLimits(max_rounds=500, stop_on_first_bug=True),
+              resume_from=checkpoint)
+        assert stopped.goal_reached and stopped.rounds_executed == 1
+
+    def test_bugs_found_survives_the_finders_departure(self):
+        """Regression: ``bugs_found`` summed live and draining members only,
+        so it *dropped* once the member that found the bug finished
+        draining and moved to the departed list."""
+        test = _buggy_test(buffer_size=4)
+        cluster = test.build_cluster(
+            ClusterConfig(num_workers=3, instructions_per_round=60,
+                          drain_chunk=64))
+        removed = {}
+
+        def hook(round_index, cl):
+            finders = [w for w in cl.workers if w.bugs]
+            if finders and not removed and len(cl.workers) > 1:
+                removed["id"] = finders[0].worker_id
+                removed["round"] = round_index
+                cl.remove_worker(finders[0].worker_id)
+
+        cluster.round_hook = hook
+        result = cluster.run(limits=LIMITS)
+        assert removed, "no worker found the bug; tune the budgets"
+        assert result.exhausted and result.workers_removed == 1
+        assert removed["id"] in {f.worker_id
+                                 for f in cluster._departed_finals}
+        series = [snap.bugs_found for snap in result.timeline.snapshots]
+        assert series == sorted(series), series
+        assert series[removed["round"]] >= 1
+        assert series[-1] >= len(result.bugs)
 
     @needs_fork
     def test_process_resume_keeps_precrash_bugs_and_wall_time(self, tmp_path):

@@ -17,7 +17,7 @@ import pytest
 from repro import lang as L
 from repro.api import ExplorationLimits
 from repro.cluster.checkpoint import ClusterCheckpoint
-from repro.cluster.coordinator import ClusterConfig
+from repro.cluster.core import ClusterConfig
 from repro.cluster.jobs import Job, JobTree
 from repro.cluster.ledger import FrontierLedger, RecoveryJob
 from repro.cluster.load_balancer import LoadBalancer, TransferCommand
@@ -123,6 +123,18 @@ class TestFrontierLedger:
         jobs = ledger.recovery_jobs(1)
         assert RecoveryJob((), fences=((0,),)) in jobs
         assert RecoveryJob((0, 1)) in jobs
+
+    def test_recovered_root_above_own_territory_keeps_its_holes(self):
+        """A survivor that takes over a dead worker's root keeps what it
+        ceded from inside its own, now subsumed, territory: that subtree is
+        a third worker's, not part of the recovered root."""
+        ledger = FrontierLedger()
+        ledger.acquire(2, (1, 0))      # the survivor's own job...
+        ledger.cede(2, (1, 0, 1))      # ...a piece of which went to worker 3
+        ledger.acquire(2, ())          # the dead seed owner's root
+        assert ledger.recovery_jobs(2) == [
+            RecoveryJob((), fences=((1, 0, 1),))]
+        assert ledger.covers(2, (1, 0, 0)) and not ledger.covers(2, (1, 0, 1, 0))
 
     def test_export_of_whole_owned_root_clears_it(self):
         ledger = FrontierLedger()
@@ -607,7 +619,7 @@ class TestInProcessCheckpointResume:
 class TestRunResultPlumbing:
     def test_run_result_carries_recovery_counters(self):
         from repro.api.result import RunResult
-        from repro.cluster.coordinator import ClusterResult
+        from repro.cluster.core import ClusterResult
 
         cluster_result = ClusterResult(num_workers=2, worker_failures=1,
                                        jobs_recovered=3, respawns=1,

@@ -1,16 +1,10 @@
-"""Unit tests for job encoding, the load balancer, transport and overlays."""
+"""Unit tests for job encoding, the load balancer and overlays."""
 
 import pytest
 
 from repro.cluster.jobs import Job, JobTree
 from repro.cluster.load_balancer import LoadBalancer, TransferCommand
 from repro.cluster.overlay import CoverageOverlay, WorkerCoverageView
-from repro.cluster.transport import (
-    LOAD_BALANCER_ID,
-    Message,
-    MessageKind,
-    Transport,
-)
 
 from hypothesis import given, settings, strategies as st
 
@@ -153,39 +147,6 @@ class TestLoadBalancer:
         merged = lb.receive_status(2, 3, 0, 0b1100)
         assert merged == 0b1111
         assert lb.overlay.covered_count == 4
-
-
-class TestTransport:
-    def test_immediate_delivery(self):
-        transport = Transport()
-        transport.send(Message(MessageKind.STATUS_UPDATE, 1, LOAD_BALANCER_ID))
-        assert transport.pending_count(LOAD_BALANCER_ID) == 1
-        messages = transport.receive_all(LOAD_BALANCER_ID)
-        assert len(messages) == 1
-        assert transport.pending_count() == 0
-
-    def test_delayed_delivery(self):
-        transport = Transport(delivery_delay_rounds=2)
-        transport.send(Message(MessageKind.JOB_TRANSFER, 1, 2))
-        assert transport.receive_all(2) == []
-        transport.advance_round()
-        assert transport.receive_all(2) == []
-        transport.advance_round()
-        assert len(transport.receive_all(2)) == 1
-
-    def test_work_idle_ignores_status_messages(self):
-        transport = Transport()
-        transport.send(Message(MessageKind.STATUS_UPDATE, 1, LOAD_BALANCER_ID))
-        assert transport.work_idle
-        transport.send(Message(MessageKind.JOB_TRANSFER, 1, 2))
-        assert not transport.work_idle
-
-    def test_message_and_byte_counters(self):
-        transport = Transport()
-        transport.send(Message(MessageKind.JOB_TRANSFER, 1, 2), size_hint=10)
-        transport.send(Message(MessageKind.JOB_TRANSFER, 2, 1), size_hint=5)
-        assert transport.messages_sent == 2
-        assert transport.bytes_sent == 15
 
 
 class TestCoverageOverlay:

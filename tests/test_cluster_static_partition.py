@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster import StaticPartitionConfig
+from repro.obs.trace import load_trace
 from repro.testing import SymbolicTest
 
 from conftest import branchy_program, single_branch_program
@@ -21,7 +22,7 @@ class TestBootstrapSplit:
     def test_partitions_are_disjoint(self):
         test = make_test(branchy_program(3))
         cluster = test.build_static_cluster(StaticPartitionConfig(num_workers=3))
-        ok, message = cluster.check_partition_disjointness()
+        ok, message = cluster.check_frontier_invariants()
         assert ok, message
 
     def test_single_path_program_leaves_workers_idle(self):
@@ -67,6 +68,51 @@ class TestStaticExploration:
         static_codes = sorted(tc.exit_code for tc in static.test_cases)
         dynamic_codes = sorted(tc.exit_code for tc in dynamic.test_cases)
         assert static_codes == dynamic_codes
+
+
+class TestSharedCoordinator:
+    """The strawman is the one coordinator with balancing off, so it gets
+    tracing, limits, status and checkpoints without code of its own."""
+
+    def test_static_run_writes_the_coordinator_trace(self, tmp_path):
+        path = tmp_path / "static.jsonl"
+        test = make_test(branchy_program(3))
+        result = test.run(backend="static", workers=2, trace_path=str(path))
+        assert result.exhausted
+        events = load_trace(str(path))
+        names = [e["event"] for e in events]
+        assert names[0] == "run_started" and names[-1] == "run_finished"
+        assert events[0]["backend"] == "static"
+        rounds = [e for e in events if e["event"] == "round_completed"]
+        assert len(rounds) == result.rounds_executed
+        assert all(e["transferred"] == 0 for e in rounds)
+        assert "job_transferred" not in names
+        assert events[-1]["paths"] == result.paths_completed
+
+    def test_static_run_honours_max_wall_time(self):
+        test = make_test(branchy_program(4))
+        full = test.run(backend="static", workers=2,
+                        instructions_per_round=5)
+        assert full.exhausted and full.rounds_executed > 3
+        cut = test.run(backend="static", workers=2, instructions_per_round=5,
+                       max_wall_time=0.0)
+        # A spent budget ends the run after the round in progress.
+        assert cut.rounds_executed == 1
+        assert not cut.exhausted and not cut.goal_reached
+
+    def test_static_config_refuses_balancing(self):
+        with pytest.raises(ValueError, match="never balances"):
+            StaticPartitionConfig(load_balancing_enabled=True)
+
+    def test_bootstrap_results_are_counted_once(self):
+        test = make_test(branchy_program(3))
+        cluster = test.build_static_cluster(StaticPartitionConfig(num_workers=2))
+        result = cluster.run()
+        members = sum(s.useful_instructions
+                      for s in result.worker_stats.values())
+        assert (result.total_useful_instructions
+                == cluster.bootstrap.instructions + members)
+        assert result.paths_completed == test.run_single().paths_completed
 
 
 class TestImbalance:

@@ -72,7 +72,7 @@ class TestDistribWorker:
     """The worker protocol driven in-process (no forking)."""
 
     def _worker(self, worker_id=1):
-        return DistribWorker(worker_id, _branchy_spec_test())
+        return DistribWorker.from_test(worker_id, _branchy_spec_test())
 
     def test_seed_then_explore_to_exhaustion(self):
         worker = self._worker()

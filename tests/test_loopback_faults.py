@@ -1,0 +1,169 @@
+"""In-process fault injection: kill members between protocol messages.
+
+The in-process cluster runs the same failure-aware coordinator the process
+cluster does, so a member can be made to die at an exact protocol point --
+no processes, signals or timing -- by putting a faulty
+:class:`~repro.distrib.loopback.LoopbackTransport` in front of it.  Every
+scenario must converge to the crash-free outcome, and after every round the
+coordinator's :class:`~repro.cluster.ledger.FrontierLedger` must agree with
+what each surviving :class:`~repro.cluster.worker.Worker` really holds.
+"""
+
+import pytest
+
+from repro.api import ExplorationLimits
+from repro.cluster import ClusterConfig
+from repro.distrib import Cloud9Cluster, LoopbackTransport, specs
+from repro.distrib.cluster import WorkerProcessError
+from repro.distrib.messages import (
+    ExploreCommand,
+    ExportCommand,
+    ImportCommand,
+)
+from repro.net.transport import TransportError
+
+CONFIG = dict(num_workers=3, instructions_per_round=60)
+LIMITS = ExplorationLimits(max_rounds=200)
+
+
+class FaultyTransport(LoopbackTransport):
+    """Dies at one protocol point: on the ``occurrence``-th command of type
+    ``command`` it either loses the reply (``when="reply"``: the member did
+    the work, the coordinator never hears) or survives it and fails the next
+    send (``when="after"``)."""
+
+    def __init__(self, member, victim, command, occurrence, when):
+        super().__init__(member)
+        self.armed = member.worker_id == victim
+        self.command, self.left, self.when = command, occurrence, when
+        self.lose_reply = self.dead = self.die_on_next_send = False
+
+    def send(self, message):
+        if self.dead or self.die_on_next_send:
+            self.dead = True
+            raise TransportError("%s died (injected)" % self.peer)
+        super().send(message)
+        if self.armed and isinstance(message, self.command):
+            self.left -= 1
+            if self.left == 0:
+                self.armed = False
+                if self.when == "reply":
+                    self.lose_reply = True
+                else:
+                    self.die_on_next_send = True
+
+    def recv(self, timeout=None):
+        if self.dead or self.lose_reply:
+            self.dead = True
+            raise TransportError("%s died (injected)" % self.peer)
+        return super().recv(timeout=timeout)
+
+
+def _faulty_cluster(test, **fault):
+    class FaultyCluster(Cloud9Cluster):
+        carrier = staticmethod(
+            lambda member: FaultyTransport(member, **fault))
+
+    return test.build_cluster(ClusterConfig(**CONFIG),
+                              cluster_class=FaultyCluster)
+
+
+def _check_every_round(cluster):
+    rounds = []
+
+    def hook(round_index, cl):
+        ok, message = cl.check_frontier_invariants()
+        assert ok, "round %d: %s" % (round_index, message)
+        rounds.append(round_index)
+
+    cluster.round_hook = hook
+    return rounds
+
+
+@pytest.fixture(scope="module")
+def test_and_baseline():
+    test = specs.resolve_test("printf", format_length=2)
+    cluster = test.build_cluster(ClusterConfig(**CONFIG))
+    rounds = _check_every_round(cluster)
+    baseline = cluster.run(limits=LIMITS)
+    assert baseline.exhausted and baseline.worker_failures == 0
+    assert baseline.total_states_transferred > 0 and rounds
+    return test, baseline
+
+
+SCENARIOS = {
+    # The member explored its round, the status reply is lost.
+    "mid-explore": dict(victim=1, command=ExploreCommand, occurrence=3,
+                        when="reply"),
+    # The source fenced off the exported jobs, the job tree is lost.
+    "mid-export": dict(victim=1, command=ExportCommand, occurrence=2,
+                       when="reply"),
+    # The destination acknowledged an import, then went silent.
+    "after-import": dict(victim=2, command=ImportCommand, occurrence=1,
+                         when="after"),
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_member_death_converges_to_the_crash_free_run(test_and_baseline,
+                                                      scenario):
+    test, baseline = test_and_baseline
+    cluster = _faulty_cluster(test, **SCENARIOS[scenario])
+    rounds = _check_every_round(cluster)
+    result = cluster.run(limits=LIMITS)
+
+    assert result.exhausted
+    assert result.worker_failures >= 1
+    assert result.jobs_recovered >= 1
+    assert result.num_workers == CONFIG["num_workers"] - result.worker_failures
+    assert result.paths_completed == baseline.paths_completed
+    assert result.covered_lines == baseline.covered_lines
+    assert result.bug_summaries() == baseline.bug_summaries()
+    assert sorted(tc.fork_trace for tc in result.test_cases) \
+        == sorted(tc.fork_trace for tc in baseline.test_cases)
+    # The invariants were checked at every round barrier, and hold at the end.
+    assert len(rounds) == result.rounds_executed
+    ok, message = cluster.check_frontier_invariants()
+    assert ok, message
+
+
+def test_death_schedule_sweep(test_and_baseline):
+    """Every member, killed at each of its first few explores, exports and
+    imports: no schedule loses a path, explores one twice, or leaves the
+    ledger disagreeing with a survivor."""
+    test, baseline = test_and_baseline
+    expected = sorted(tc.fork_trace for tc in baseline.test_cases)
+    fired = 0
+    for name, scenario in sorted(SCENARIOS.items()):
+        for victim in (1, 2, 3):
+            for occurrence in (1, 3, 5):
+                fault = dict(scenario, victim=victim, occurrence=occurrence)
+                cluster = _faulty_cluster(test, **fault)
+                _check_every_round(cluster)
+                result = cluster.run(limits=LIMITS)
+                label = (name, victim, occurrence)
+                assert result.exhausted, label
+                assert sorted(tc.fork_trace
+                              for tc in result.test_cases) == expected, label
+                assert result.covered_lines == baseline.covered_lines, label
+                fired += result.worker_failures
+    assert fired >= 12, "most schedules never fired; tune the sweep"
+
+
+def test_respawn_replaces_the_dead_member(test_and_baseline):
+    test, baseline = test_and_baseline
+    cluster = _faulty_cluster(test, **SCENARIOS["mid-explore"])
+    cluster.respawn = True
+    _check_every_round(cluster)
+    result = cluster.run(limits=LIMITS)
+    assert result.exhausted and result.respawns == 1
+    assert result.num_workers == CONFIG["num_workers"]
+    assert result.paths_completed == baseline.paths_completed
+
+
+def test_failure_budget_is_enforced_in_process(test_and_baseline):
+    test, _ = test_and_baseline
+    cluster = _faulty_cluster(test, **SCENARIOS["mid-explore"])
+    cluster.max_worker_failures = 0
+    with pytest.raises(WorkerProcessError, match="failure budget"):
+        cluster.run(limits=LIMITS)

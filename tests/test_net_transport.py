@@ -400,9 +400,8 @@ class TestFaultContainment:
         from repro.distrib.cluster import (
             ProcessCloud9Cluster,
             ProcessClusterConfig,
-            _WorkerFailure,
-            _WorkerHandle,
         )
+        from repro.distrib.coordinator import _WorkerFailure, _WorkerHandle
 
         cluster = ProcessCloud9Cluster(
             "printf", spec_params={"format_length": 2},

@@ -59,7 +59,7 @@ def _assert_trace_shape(events, backend):
 
 
 class TestTracePerBackend:
-    @pytest.mark.parametrize("backend", ["single", "cluster", "threaded"])
+    @pytest.mark.parametrize("backend", ["single", "cluster"])
     def test_in_process_backends_trace(self, backend, tmp_path):
         path = tmp_path / f"{backend}.jsonl"
         options = {} if backend == "single" else {"workers": 2}
@@ -129,7 +129,7 @@ class TestDrainStatus:
 
     def test_worker_handles_drain_status_without_exploring(self):
         test = specs.resolve_test("printf", format_length=2)
-        worker = DistribWorker(1, test)
+        worker = DistribWorker.from_test(1, test)
         worker.handle(SeedCommand())
         worker.handle(ExploreCommand(budget=200))
         before = worker.worker.stats.useful_instructions

@@ -5,7 +5,7 @@ import socket
 
 import pytest
 
-from repro.cluster import ClusterConfig, ThreadedCloud9Cluster
+from repro.cluster import ClusterConfig, StaticPartitionConfig
 from repro.obs.status import StatusServer, parse_status_address, read_status
 from repro.testing import SymbolicTest
 
@@ -71,14 +71,16 @@ class TestStatusServer:
 
 
 class TestInProcessBackendsServeStatus:
-    """``status_listen=`` works on every backend through the shared core
-    (it used to be a process-backend-only feature)."""
+    """``status_listen=`` works on every backend through the one
+    coordinator (it used to be a process-backend-only feature)."""
 
-    def _build(self, cluster_class=None):
+    def _build(self, static=False):
         test = SymbolicTest("branchy", branchy_program(3))
-        config = ClusterConfig(num_workers=2, instructions_per_round=40,
-                               status_listen="127.0.0.1:0")
-        return test.build_cluster(config, cluster_class=cluster_class)
+        kwargs = dict(num_workers=2, instructions_per_round=40,
+                      status_listen="127.0.0.1:0")
+        if static:
+            return test.build_static_cluster(StaticPartitionConfig(**kwargs))
+        return test.build_cluster(ClusterConfig(**kwargs))
 
     def _run_and_snapshot(self, cluster):
         seen = {}
@@ -102,10 +104,12 @@ class TestInProcessBackendsServeStatus:
         # Torn down with the run, exactly like the tracer.
         assert cluster.status_address is None
 
-    def test_threaded_backend_serves_live_status(self):
-        cluster = self._build(cluster_class=ThreadedCloud9Cluster)
+    def test_static_backend_serves_live_status(self):
+        """The §2 strawman is the same coordinator with balancing off, so
+        it honours ``status_listen`` too."""
+        cluster = self._build(static=True)
         seen = self._run_and_snapshot(cluster)
-        assert seen["backend"] == "threaded"
+        assert seen["backend"] == "static"
         assert seen["live_workers"] == 2
         assert cluster.status_address is None
 
