@@ -77,7 +77,7 @@ def _run_experiment():
         ("job tree (prefix sharing), path elements", tree_size),
         ("one path per job, path elements", naive_size),
         ("serialized states, bytes (lower bound)", serialized_bytes),
-        ("cluster run: states transferred", result.total_states_transferred),
+        ("cluster run: states transferred", result.states_transferred),
         ("cluster run: replay overhead", "%.1f%%" % (100.0 * result.replay_overhead)),
         ("cluster run: broken replays",
          sum(s.broken_replays for s in result.worker_stats.values())),

@@ -69,8 +69,8 @@ def _row(label, result, baseline=None, killed=None) -> dict:
         "rounds_executed": result.rounds_executed,
         "paths_completed": result.paths_completed,
         "coverage_percent": result.coverage_percent,
-        "useful_instructions": result.total_useful_instructions,
-        "replay_instructions": result.total_replay_instructions,
+        "useful_instructions": result.useful_instructions,
+        "replay_instructions": result.replay_instructions,
         "wall_time": result.wall_time,
         "worker_failures": result.worker_failures,
         "jobs_recovered": result.jobs_recovered,
@@ -87,10 +87,7 @@ def _row(label, result, baseline=None, killed=None) -> dict:
     if baseline is not None:
         row["extra_rounds"] = result.rounds_executed - baseline.rounds_executed
         row["extra_instructions"] = (
-            (result.total_useful_instructions
-             + result.total_replay_instructions)
-            - (baseline.total_useful_instructions
-               + baseline.total_replay_instructions))
+            result.total_instructions - baseline.total_instructions)
     return row
 
 

@@ -23,7 +23,7 @@ def _useful_work(make_test, workers):
     cluster = test.build_cluster(ClusterConfig(
         num_workers=workers, instructions_per_round=INSTRUCTIONS_PER_ROUND))
     result = cluster.run(max_rounds=ROUND_BUDGET)
-    return result.total_useful_instructions
+    return result.useful_instructions
 
 
 def _run_sweep():

@@ -29,7 +29,7 @@ def _useful_work_with_cutoff(workers, cutoff):
         instructions_per_round=INSTRUCTIONS_PER_ROUND,
         disable_balancing_after_round=cutoff))
     result = cluster.run(max_rounds=ROUND_BUDGET)
-    return result.total_useful_instructions
+    return result.useful_instructions
 
 
 def _run_experiment():

@@ -27,7 +27,7 @@ def _useful_work(workers, rounds):
     cluster = test.build_cluster(ClusterConfig(
         num_workers=workers, instructions_per_round=INSTRUCTIONS_PER_ROUND))
     result = cluster.run(max_rounds=rounds)
-    return result.total_useful_instructions
+    return result.useful_instructions
 
 
 def _run_sweep():

@@ -19,11 +19,11 @@ from conftest import print_table, run_once
 
 
 def _run_methods():
-    concrete = memcached.make_concrete_suite_test().run_single()
-    binary = memcached.make_binary_suite_test().run_single()
+    concrete = memcached.make_concrete_suite_test().run()
+    binary = memcached.make_binary_suite_test().run()
     symbolic = memcached.make_symbolic_packets_test(
-        num_packets=1, packet_size=6).run_single()
-    fault = memcached.make_fault_injection_test().run_single(max_paths=400)
+        num_packets=1, packet_size=6).run()
+    fault = memcached.make_fault_injection_test().run(max_paths=400)
 
     accounting = CoverageAccounting(line_count=concrete.line_count)
     accounting.add_method("Entire test suite", concrete.paths_completed,

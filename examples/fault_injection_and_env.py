@@ -22,7 +22,7 @@ from repro.targets import httpd
 def symbolic_header() -> None:
     print("=== 1. symbolic X-NewExtension header value ===")
     test = httpd.make_symbolic_header_test(value_length=2, buggy=True)
-    result = test.run_single(max_steps=20_000)
+    result = test.run(max_steps=20_000)
     print("paths explored:     %d" % result.paths_completed)
     print("distinct outcomes:  %s"
           % sorted({tc.exit_code for tc in result.test_cases
@@ -39,7 +39,7 @@ def fragmentation() -> None:
     print("=== 2. request fragmentation patterns (per-fd ioctl) ===")
     for pattern in ([7, 40], [1, 1, 1, 1, 1, 42], [13, 13, 21]):
         test = httpd.make_fragmentation_test(pattern, header_value=b"n")
-        result = test.run_single()
+        result = test.run()
         verdict = "ok" if not result.bugs else "CRASH"
         print("pattern %-22s -> exit %s (%s)"
               % ("+".join(str(p) for p in pattern),
@@ -50,7 +50,7 @@ def fragmentation() -> None:
 def fault_injection() -> None:
     print("=== 3. fault injection on the server socket ===")
     test = httpd.make_fault_injection_test(header_value=b"n")
-    result = test.run_single(max_steps=20_000)
+    result = test.run(max_steps=20_000)
     print("paths explored: %d" % result.paths_completed)
     for case in result.test_cases:
         faults = case.input_bytes("faults")

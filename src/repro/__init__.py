@@ -14,7 +14,7 @@ EuroSys 2011) as a pure-Python library:
   cores): path-encoded job shipping between private engines.
 * :mod:`repro.testing` -- the symbolic-test platform API (§5).
 * :mod:`repro.api`     -- the unified exploration API: one ``run`` surface,
-  uniform limits, backend registry, unified results, batch campaigns.
+  uniform limits, backend registry, one result type, batch campaigns.
 * :mod:`repro.targets` -- models of the real-world systems evaluated in §7
   (memcached, lighttpd, printf, test, curl, Coreutils, Bandicoot, and a
   producer-consumer benchmark).
@@ -68,13 +68,12 @@ from repro.api import (
     available_backends,
     run_test,
 )
-from repro.cluster import ClusterConfig, ClusterResult
+from repro.cluster import ClusterConfig
 from repro.distrib import Cloud9Cluster
 from repro.engine import (
     BugKind,
     BugReport,
     EngineConfig,
-    ExplorationResult,
     SymbolicExecutor,
     TestCase,
 )
@@ -98,11 +97,9 @@ __all__ = [
     "run_test",
     "Cloud9Cluster",
     "ClusterConfig",
-    "ClusterResult",
     "BugKind",
     "BugReport",
     "EngineConfig",
-    "ExplorationResult",
     "SymbolicExecutor",
     "TestCase",
     "SymbolicTest",

@@ -8,21 +8,19 @@ This package is the single supported way to execute symbolic tests:
 * :mod:`~repro.api.runner` -- the backend registry (``"single"``,
   ``"cluster"``, ``"static"``, ``"process"``, ``"tcp"``) behind
   ``SymbolicTest.run(backend=...)``.
-* :class:`~repro.api.result.RunResult` -- the backend-independent result
-  facade, adapting the legacy ``ExplorationResult``/``ClusterResult`` types
-  so backends compare apples-to-apples.
+* :class:`~repro.api.result.RunResult` -- the one result type: the engine
+  and the coordinator build it directly, so backends compare
+  apples-to-apples.
 * :class:`~repro.api.campaign.Campaign` -- batch execution of many tests
   and/or configuration grids with aggregated coverage, bugs and timelines.
 """
 
-from repro.api.limits import UNLIMITED, ExplorationLimits, effective_limits
+from repro.api.limits import UNLIMITED, ExplorationLimits
 from repro.api.result import RunResult
 from repro.api.runner import (
     ClusterRunner,
-    ProcessRunner,
     Runner,
     SingleRunner,
-    StaticPartitionRunner,
     available_backends,
     get_runner,
     register_runner,
@@ -33,13 +31,10 @@ from repro.api.campaign import Campaign, CampaignEntry, CampaignResult
 __all__ = [
     "ExplorationLimits",
     "UNLIMITED",
-    "effective_limits",
     "RunResult",
     "Runner",
     "SingleRunner",
     "ClusterRunner",
-    "StaticPartitionRunner",
-    "ProcessRunner",
     "available_backends",
     "get_runner",
     "register_runner",

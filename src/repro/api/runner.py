@@ -36,11 +36,12 @@ New backends register through :func:`register_runner`.
 from __future__ import annotations
 
 from dataclasses import replace as _dc_replace
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import (TYPE_CHECKING, Callable, Dict, Optional, Protocol, Tuple,
+                    runtime_checkable)
 
 from repro.cluster.core import ClusterConfig, StaticPartitionConfig
 from repro.distrib.cluster import ProcessCloud9Cluster, ProcessClusterConfig
-from repro.solver.cache import aggregate_cache_counters
+from repro.distrib.coordinator import Coordinator
 
 from repro.api.limits import ExplorationLimits
 from repro.api.result import RunResult
@@ -48,21 +49,10 @@ from repro.api.result import RunResult
 if TYPE_CHECKING:  # pragma: no cover - import cycle: testing imports repro.api
     from repro.testing.symbolic_test import SymbolicTest
 
-try:  # pragma: no cover - Protocol is stdlib from 3.8 on
-    from typing import Protocol, runtime_checkable
-except ImportError:  # pragma: no cover
-    Protocol = object  # type: ignore[assignment]
-
-    def runtime_checkable(cls):  # type: ignore[misc]
-        return cls
-
 __all__ = [
     "Runner",
     "SingleRunner",
     "ClusterRunner",
-    "StaticPartitionRunner",
-    "ProcessRunner",
-    "TcpRunner",
     "available_backends",
     "get_runner",
     "register_runner",
@@ -80,7 +70,7 @@ class Runner(Protocol):
     def run(self, test: "SymbolicTest",
             limits: Optional[ExplorationLimits] = None,
             **options: object) -> RunResult:
-        """Execute ``test`` under ``limits`` and adapt the outcome."""
+        """Execute ``test`` under ``limits``."""
         ...  # pragma: no cover
 
 
@@ -121,101 +111,73 @@ class SingleRunner:
             strategy=strategy or test.strategy,
             limits=limits,
         )
-        cache_stats = aggregate_cache_counters(
-            [executor.solver.cache_counters()])
-        return RunResult.from_exploration(result, backend=self.name,
-                                          test_name=test.name, limits=limits,
-                                          cache_stats=cache_stats)
+        result.test_name = test.name
+        return result
 
 
 class ClusterRunner:
-    """The dynamically load-balanced Cloud9 cluster, in process."""
+    """A coordinator-backed backend.  The four built-in ones differ only in
+    the config class their loose options build and in how a test plus that
+    config become a cluster (``build``, which also receives the options
+    named in ``build_options``)."""
 
-    name = "cluster"
+    def __init__(self, name: str, config_cls: type,
+                 build: Callable[..., Coordinator],
+                 build_options: Tuple[str, ...] = (),
+                 defaults: Optional[Dict[str, object]] = None):
+        self.name = name
+        self.config_cls = config_cls
+        self.build = build
+        self.build_options = build_options
+        #: Config fields preset when the options are loose (a full
+        #: ``config=`` must already carry them).
+        self.defaults = defaults or {}
 
     def run(self, test: "SymbolicTest",
             limits: Optional[ExplorationLimits] = None,
             workers: Optional[int] = None,
             resume_from: Optional[object] = None,
             **options: object) -> RunResult:
-        config = _build_cluster_config(ClusterConfig, workers, options)
-        cluster = test.build_cluster(config)
-        result = cluster.run(limits=limits, resume_from=resume_from)
-        return RunResult.from_cluster(result, backend=self.name,
-                                      test_name=test.name)
-
-
-class ProcessRunner:
-    """The multiprocess cluster: worker processes with path-encoded job
-    shipping (:mod:`repro.distrib`)."""
-
-    name = "process"
-
-    def run(self, test: "SymbolicTest",
-            limits: Optional[ExplorationLimits] = None,
-            workers: Optional[int] = None,
-            spec: Optional[str] = None,
-            spec_params: Optional[Dict[str, object]] = None,
-            resume_from: Optional[object] = None,
-            **options: object) -> RunResult:
-        if spec is None and spec_params is None:
-            # The test carries its own spec: workers rebuild this very
-            # program, so its line count is authoritative.
-            spec = test.spec_name
-            spec_params = dict(test.spec_params)
-            line_count: Optional[int] = test.program.line_count
-        else:
-            # Explicit spec= and/or spec_params= override: the spec may
-            # build a different program; let the cluster resolve it to
-            # measure the real line count.
-            line_count = None
-            if spec is None:
-                spec = test.spec_name
-        if spec is None:
-            raise ValueError(
-                "backend 'process' ships tests to worker processes by spec "
-                "name, but %r carries none; build it with "
-                "repro.distrib.specs.resolve_test(...) or pass spec=" % test.name)
-        config = _build_cluster_config(ProcessClusterConfig, workers, options)
-        if config.strategy is None:
-            config = _dc_replace(config, strategy=test.strategy)
-        cluster = ProcessCloud9Cluster(
-            spec, spec_params=spec_params, config=config,
-            line_count=line_count)
-        result = cluster.run(limits=limits, resume_from=resume_from)
-        return RunResult.from_cluster(result, backend=self.name,
-                                      test_name=test.name)
-
-
-class TcpRunner(ProcessRunner):
-    """The process-cluster coordinator over the socket transport
-    (:mod:`repro.net`): remote worker agents dial in over TCP."""
-
-    name = "tcp"
-
-    def run(self, test: "SymbolicTest",
-            limits: Optional[ExplorationLimits] = None,
-            **options: object) -> RunResult:
-        # Loose options become a ProcessClusterConfig; default the carrier
-        # to TCP (a full config= must already say transport="tcp").
+        build_options = {name: options.pop(name)
+                         for name in self.build_options if name in options}
         if "config" not in options:
-            options.setdefault("transport", "tcp")
-        return super().run(test, limits=limits, **options)
-
-
-class StaticPartitionRunner:
-    """The static-partitioning baseline the paper argues against (§2)."""
-
-    name = "static"
-
-    def run(self, test: "SymbolicTest",
-            limits: Optional[ExplorationLimits] = None,
-            workers: Optional[int] = None, **options: object) -> RunResult:
-        config = _build_cluster_config(StaticPartitionConfig, workers, options)
-        cluster = test.build_static_cluster(config)
-        result = cluster.run(limits=limits)
+            for name, value in self.defaults.items():
+                options.setdefault(name, value)
+        config = _build_cluster_config(self.config_cls, workers, options)
+        cluster = self.build(test, config, **build_options)
+        result = cluster.run(limits=limits, resume_from=resume_from)
         return RunResult.from_cluster(result, backend=self.name,
                                       test_name=test.name)
+
+
+def _process_cluster(test: "SymbolicTest", config: ProcessClusterConfig,
+                     spec: Optional[str] = None,
+                     spec_params: Optional[Dict[str, object]] = None
+                     ) -> ProcessCloud9Cluster:
+    """Worker processes (or TCP agents) rebuild the test from its spec,
+    because live tests do not pickle."""
+    if spec is None and spec_params is None:
+        # The test carries its own spec: workers rebuild this very
+        # program, so its line count is authoritative.
+        spec = test.spec_name
+        spec_params = dict(test.spec_params)
+        line_count: Optional[int] = test.program.line_count
+    else:
+        # Explicit spec= and/or spec_params= override: the spec may
+        # build a different program; let the cluster resolve it to
+        # measure the real line count.
+        line_count = None
+        if spec is None:
+            spec = test.spec_name
+    if spec is None:
+        raise ValueError(
+            "backend 'process' ships tests to worker processes by spec "
+            "name, but %r carries none; build it with "
+            "repro.distrib.specs.resolve_test(...) or pass spec=" % test.name)
+    if config.strategy is None:
+        config = _dc_replace(config, strategy=test.strategy)
+    return ProcessCloud9Cluster(spec, spec_params=spec_params, config=config,
+                                line_count=line_count)
 
 
 # -- the registry ---------------------------------------------------------------------
@@ -267,7 +229,16 @@ def run_test(test: "SymbolicTest", backend: str = "single",
     return get_runner(backend).run(test, limits=limits, **options)
 
 
-for _runner in (SingleRunner(), ClusterRunner(), StaticPartitionRunner(),
-                ProcessRunner(), TcpRunner()):
+for _runner in (
+        SingleRunner(),
+        ClusterRunner("cluster", ClusterConfig,
+                      lambda test, config: test.build_cluster(config)),
+        ClusterRunner("static", StaticPartitionConfig,
+                      lambda test, config: test.build_static_cluster(config)),
+        ClusterRunner("process", ProcessClusterConfig, _process_cluster,
+                      build_options=("spec", "spec_params")),
+        ClusterRunner("tcp", ProcessClusterConfig, _process_cluster,
+                      build_options=("spec", "spec_params"),
+                      defaults={"transport": "tcp"})):
     register_runner(_runner)
 del _runner

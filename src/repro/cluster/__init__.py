@@ -23,15 +23,14 @@ layer up, in :mod:`repro.distrib`):
 * :mod:`repro.cluster.stats` -- instruction/transfer/coverage timelines used
   by the evaluation harness.
 * :mod:`repro.cluster.core` -- the coordinator's contract:
-  :class:`ClusterConfig` / :class:`StaticPartitionConfig` in,
-  :class:`ClusterResult` out.
+  :class:`ClusterConfig` / :class:`StaticPartitionConfig`.
 
 Nothing here imports :mod:`repro.distrib` or :mod:`repro.net`.
 """
 
 from repro.cluster.autoscale import AutoscalePolicy, Autoscaler
 from repro.cluster.checkpoint import ClusterCheckpoint
-from repro.cluster.core import ClusterConfig, ClusterResult, StaticPartitionConfig
+from repro.cluster.core import ClusterConfig, StaticPartitionConfig
 from repro.cluster.jobs import Job, JobTree
 from repro.cluster.ledger import FrontierLedger, RecoveryJob
 from repro.cluster.load_balancer import LoadBalancer, TransferCommand
@@ -44,7 +43,6 @@ __all__ = [
     "Autoscaler",
     "ClusterCheckpoint",
     "ClusterConfig",
-    "ClusterResult",
     "FrontierLedger",
     "RecoveryJob",
     "Job",

@@ -46,7 +46,7 @@ class ClusterCheckpoint:
     replay_instructions: int = 0
     #: Cumulative wall-clock seconds spent exploring up to this snapshot
     #: (including segments before any earlier resume); a resumed run adds
-    #: its own elapsed time on top when reporting ``ClusterResult.wall_time``.
+    #: its own elapsed time on top when reporting ``RunResult.wall_time``.
     wall_time: float = 0.0
     #: Bug reports found before the snapshot, JSON-encoded via
     #: :meth:`encode_bug` (the nested test case, if any, is dropped; the

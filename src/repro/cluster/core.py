@@ -1,4 +1,4 @@
-"""The coordinator's contract: what goes in (configs) and what comes out.
+"""The coordinator's contract: what goes in (the configs).
 
 The coordinator itself -- the one implementation of the paper's §3 round
 protocol -- lives a layer up, in :mod:`repro.distrib.coordinator`, because
@@ -6,22 +6,19 @@ it speaks :mod:`repro.distrib.messages` over a
 :class:`repro.net.transport.Transport`.  This module holds the plain data
 both sides of that boundary share: :class:`ClusterConfig` (the knobs every
 carrier understands; :class:`~repro.distrib.cluster.ProcessClusterConfig`
-adds the process/socket ones), :class:`StaticPartitionConfig` (the §2
-strawman as a policy on the same coordinator) and :class:`ClusterResult`.
+adds the process/socket ones) and :class:`StaticPartitionConfig` (the §2
+strawman as a policy on the same coordinator).  What comes out is the
+:class:`~repro.engine.result.RunResult` every backend returns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Optional
 
 from repro.cluster.autoscale import AutoscalePolicy
-from repro.cluster.stats import ClusterTimeline, TransferCost, WorkerStats
-from repro.engine.errors import BugReport
-from repro.engine.test_case import TestCase
 
-__all__ = ["ClusterConfig", "StaticPartitionConfig", "ClusterResult",
-           "_dedupe_bugs"]
+__all__ = ["ClusterConfig", "StaticPartitionConfig"]
 
 
 @dataclass
@@ -90,82 +87,3 @@ class StaticPartitionConfig(ClusterConfig):
                              "ClusterConfig for a balanced cluster")
         if self.partitions_per_worker < 1:
             raise ValueError("partitions_per_worker must be positive")
-
-
-@dataclass
-class ClusterResult:
-    """Summary and timeline of one cluster run."""
-
-    num_workers: int
-    rounds_executed: int = 0
-    exhausted: bool = False
-    goal_reached: bool = False
-    paths_completed: int = 0
-    total_useful_instructions: int = 0
-    total_replay_instructions: int = 0
-    coverage_percent: float = 0.0
-    covered_lines: Set[int] = field(default_factory=set)
-    line_count: int = 0
-    bugs: List[BugReport] = field(default_factory=list)
-    test_cases: List[TestCase] = field(default_factory=list)
-    worker_stats: Dict[int, WorkerStats] = field(default_factory=dict)
-    timeline: ClusterTimeline = field(default_factory=ClusterTimeline)
-    total_states_transferred: int = 0
-    transfer_commands: int = 0
-    messages_sent: int = 0
-    # Real elapsed seconds of the run (rounds are virtual time; wall-clock
-    # speedup across worker processes is only visible here).
-    wall_time: float = 0.0
-    # Wire cost of the path-encoded job transfers (prefix-sharing savings).
-    transfer_cost: TransferCost = field(default_factory=TransferCost)
-    # Aggregated solver-cache hit/miss counters across all worker solvers.
-    cache_stats: Dict[str, float] = field(default_factory=dict)
-    # Fault tolerance and elasticity (§2.3: workers may die, join and leave).
-    worker_failures: int = 0
-    jobs_recovered: int = 0
-    respawns: int = 0
-    # Last-known counters of workers that died mid-run (their final results
-    # were lost; survivors re-explored their territory, so these are kept
-    # separate from the totals to avoid double counting).
-    failed_worker_stats: Dict[int, WorkerStats] = field(default_factory=dict)
-    # Round index of the checkpoint this run resumed from (None = fresh run).
-    resumed_from_round: Optional[int] = None
-    # Elastic-membership accounting: workers that joined/left (voluntarily
-    # or via autoscaling) and the largest live membership the run reached.
-    # The per-round trace is ``timeline`` (RoundSnapshot.num_workers).
-    workers_added: int = 0
-    workers_removed: int = 0
-    peak_workers: int = 0
-    # TCP-transport liveness accounting (repro.net): worker deaths detected
-    # by heartbeat silence specifically, and agents admitted into an
-    # already-running cluster (respawn replacements + elastic joins).
-    heartbeat_misses: int = 0
-    agents_reconnected: int = 0
-
-    @property
-    def useful_instructions_per_worker(self) -> float:
-        if not self.num_workers:
-            return 0.0
-        return self.total_useful_instructions / self.num_workers
-
-    @property
-    def replay_overhead(self) -> float:
-        total = self.total_useful_instructions + self.total_replay_instructions
-        return self.total_replay_instructions / total if total else 0.0
-
-    def rounds_to_coverage(self, target_percent: float) -> Optional[int]:
-        return self.timeline.rounds_to_coverage(target_percent)
-
-    def bug_summaries(self) -> List[str]:
-        return sorted({b.summary() for b in self.bugs})
-
-
-def _dedupe_bugs(bugs: Sequence[BugReport]) -> List[BugReport]:
-    seen: Set[Tuple[object, ...]] = set()
-    unique: List[BugReport] = []
-    for bug in bugs:
-        key = (bug.kind, bug.message, bug.function, bug.line)
-        if key not in seen:
-            seen.add(key)
-            unique.append(bug)
-    return unique

@@ -188,13 +188,13 @@ class ProcessCloud9Cluster(Coordinator):
         if line_count is None:
             line_count = specs.resolve_test(
                 spec_name, **dict(spec_params or {})).program.line_count
+        self.backend_name = "tcp" if config.transport == "tcp" else "process"
         super().__init__(config, line_count, spec_name=spec_name,
                          spec_params=spec_params, strategy=strategy)
         self.reply_timeout = config.reply_timeout
         self.shutdown_timeout = config.shutdown_timeout
         self.max_worker_failures = config.max_worker_failures
         self.respawn = config.respawn
-        self.backend_name = "tcp" if config.transport == "tcp" else "process"
         # TCP transport: workers are agents that dial into this listener.
         # Created eagerly so ``listen_address`` is known (and printable, and
         # dialable) before ``run()`` blocks waiting for agents.

@@ -43,11 +43,16 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 
 from repro.cluster.autoscale import Autoscaler
 from repro.cluster.checkpoint import ClusterCheckpoint
-from repro.cluster.core import ClusterConfig, ClusterResult, _dedupe_bugs
+from repro.cluster.core import ClusterConfig
 from repro.cluster.jobs import Job, JobTree
 from repro.cluster.ledger import FrontierLedger, RecoveryJob
 from repro.cluster.load_balancer import LoadBalancer, TransferCommand
-from repro.cluster.stats import RoundSnapshot, TransferCost, WorkerStats
+from repro.cluster.stats import (
+    ClusterTimeline,
+    RoundSnapshot,
+    TransferCost,
+    WorkerStats,
+)
 from repro.distrib.messages import (
     DrainStatusCommand,
     ErrorReply,
@@ -64,7 +69,8 @@ from repro.distrib.messages import (
     StopCommand,
 )
 from repro.engine.errors import BugReport
-from repro.engine.limits import ExplorationLimits, effective_limits
+from repro.engine.limits import ExplorationLimits
+from repro.engine.result import RunResult, dedupe_bugs
 from repro.engine.test_case import TestCase
 from repro.net.transport import (
     ReceiveTimeout,
@@ -205,14 +211,14 @@ class Coordinator:
         self._pending_respawns = 0
         # The result of the run in progress (a scratch one between runs, so
         # membership changes outside ``run()`` need no special casing).
-        self._result = ClusterResult(num_workers=config.num_workers)
+        self._result = self._new_result()
         self._round_statuses: Dict[int, StatusReply] = {}
         self._heartbeat_misses = 0
         self._agents_reconnected = 0
         # Dead members' last-known cache counters: the run's cache aggregate
         # must include members that never finalized.
         self._failed_cache_counters: Dict[int, Dict[str, int]] = {}
-        # Elastic-membership accounting (reported on ClusterResult).
+        # Elastic-membership accounting (reported on the result).
         self._workers_added = 0
         self._workers_removed = 0
         self._peak_workers = 0
@@ -589,8 +595,8 @@ class Coordinator:
         job exports across the following rounds (it stays a *draining*
         member until empty), so removal never stalls a round.  Its results
         (paths, bugs, coverage, stats) still count toward the final
-        :class:`ClusterResult`.  Returns the number of jobs handed over in
-        the first drain chunk.
+        result.  Returns the number of jobs handed over in the first drain
+        chunk.
         """
         handle = next((h for h in self.handles if h.worker_id == worker_id),
                       None)
@@ -671,21 +677,14 @@ class Coordinator:
 
     # -- the round protocol --------------------------------------------------------------
 
-    def run(self, max_rounds: Optional[int] = None,
-            target_coverage_percent: Optional[float] = None,
-            max_paths: Optional[int] = None,
-            stop_on_first_bug: bool = False,
-            max_wall_time: Optional[float] = None,
-            max_instructions: Optional[int] = None,
-            limits: Optional[ExplorationLimits] = None,
-            resume_from: Optional[Union[ClusterCheckpoint, str]] = None
-            ) -> ClusterResult:
+    def run(self, limits: Optional[ExplorationLimits] = None,
+            resume_from: Optional[Union[ClusterCheckpoint, str]] = None,
+            **limit_fields: object) -> RunResult:
         """Run rounds until exhaustion, a goal, or a budget is spent.
 
-        Limits may be given as explicit kwargs or bundled in an
-        :class:`~repro.engine.limits.ExplorationLimits`; explicit kwargs win.
-        ``limits.coverage_target`` maps to ``target_coverage_percent`` and
-        ``limits.max_steps`` does not apply to cluster runs.
+        Limits come as an :class:`~repro.engine.limits.ExplorationLimits`
+        bundle, as loose limit fields (``max_rounds=...``), or both (a loose
+        field wins); ``max_steps`` does not apply to cluster runs.
 
         ``resume_from`` (a :class:`~repro.cluster.checkpoint.ClusterCheckpoint`
         or a path to a saved one) restores a checkpointed frontier, coverage
@@ -696,12 +695,7 @@ class Coordinator:
         (:mod:`repro.obs`) on every backend; both are torn down when the
         run returns.
         """
-        lim = effective_limits(limits, max_rounds=max_rounds,
-                               coverage_target=target_coverage_percent,
-                               max_paths=max_paths,
-                               stop_on_first_bug=stop_on_first_bug,
-                               max_wall_time=max_wall_time,
-                               max_instructions=max_instructions)
+        lim = ExplorationLimits.pop_from(limit_fields, base=limits, strict=True)
         tracer = Tracer(lim.trace_path) if lim.trace_path else NULL_TRACER
         self.tracer = tracer
         if self.config.status_listen is not None:
@@ -718,7 +712,13 @@ class Coordinator:
                     self.status_server.close()
                     self.status_server = None
 
-    def _begin_run(self, result: ClusterResult,
+    def _new_result(self) -> RunResult:
+        return RunResult(backend=self.backend_name,
+                         test_name=self.spec_name or "",
+                         num_workers=self.config.num_workers,
+                         line_count=self.line_count)
+
+    def _begin_run(self, result: RunResult,
                    resume_from: Optional[Union[ClusterCheckpoint, str]]
                    ) -> None:
         self._result = result
@@ -729,16 +729,20 @@ class Coordinator:
         if resume_from is not None:
             self._restore(resume_from)
         elif not self._seeded:
-            # The first worker to join receives the seed job (§3.1).
-            self._seeded = True
-            seed_handle = self.handles[0]
-            self.ledger.acquire(seed_handle.worker_id, ())
-            try:
-                self._send(seed_handle, SeedCommand())
-                self._apply_status(seed_handle,
-                                   self._receive_status(seed_handle))
-            except _WorkerFailure as failure:
-                self._lose(failure)
+            self._seed()
+
+    def _seed(self) -> None:
+        """Give fresh members their first frontier: the first worker to
+        join receives the seed job (§3.1)."""
+        self._seeded = True
+        seed_handle = self.handles[0]
+        self.ledger.acquire(seed_handle.worker_id, ())
+        try:
+            self._send(seed_handle, SeedCommand())
+            self._apply_status(seed_handle,
+                               self._receive_status(seed_handle))
+        except _WorkerFailure as failure:
+            self._lose(failure)
 
     def _teardown_run(self) -> None:
         """End of ``run()``: members of a process/tcp cluster are per-run."""
@@ -752,7 +756,7 @@ class Coordinator:
 
     def _run(self, lim: ExplorationLimits,
              resume_from: Optional[Union[ClusterCheckpoint, str]]
-             ) -> ClusterResult:
+             ) -> RunResult:
         config = self.config
         limit = lim.max_rounds if lim.max_rounds is not None else config.max_rounds
         start = time.monotonic()
@@ -763,8 +767,10 @@ class Coordinator:
         self._round_seconds = Histogram("round_seconds")
 
         line_count = self.line_count
-        result = ClusterResult(num_workers=config.num_workers,
-                               line_count=line_count)
+        result = self._new_result()
+        timeline = result.timeline = ClusterTimeline()
+        transferred = 0
+        candidates = 0
         self._begin_run(result, resume_from)
 
         tracer = self.tracer
@@ -823,7 +829,7 @@ class Coordinator:
                              for h in live + self._draining)
             elapsed = time.monotonic() - start
             queues = {h.worker_id: h.queue_length for h in live}
-            result.timeline.record(RoundSnapshot(
+            timeline.record(RoundSnapshot(
                 round_index=round_index,
                 queue_lengths=dict(queues),
                 total_candidates=candidates,
@@ -838,7 +844,7 @@ class Coordinator:
                 num_workers=len(live),
                 elapsed=elapsed,
             ))
-            result.total_states_transferred += states_transferred
+            transferred += states_transferred
             if tracer.enabled:
                 if bugs_found > traced_bugs:
                     tracer.emit(trace_schema.BUG_FOUND, round=round_index,
@@ -879,19 +885,12 @@ class Coordinator:
                 tracer.emit(trace_schema.CHECKPOINT_WRITTEN, round=round_index,
                             path=config.checkpoint_path)
 
-            # 5. Termination checks.
-            if (lim.coverage_target is not None
-                    and coverage_percent >= lim.coverage_target):
-                result.goal_reached = True
-                break
-            if lim.max_paths is not None and paths_completed >= lim.max_paths:
-                result.goal_reached = True
-                break
-            if lim.stop_on_first_bug and bugs_found:
-                result.goal_reached = True
-                break
-            if candidates == 0:
-                result.exhausted = True
+            # 5. Termination checks: a goal met and a frontier run dry are
+            # independent (the last path can be the one the goal asked for).
+            result.goal_reached = lim.satisfied_by(
+                paths_completed, coverage_percent, bugs_found)
+            result.exhausted = candidates == 0
+            if result.goal_reached or result.exhausted:
                 break
             # Budget limits (spent, not reached: goal_reached stays False).
             if (lim.max_instructions is not None
@@ -904,10 +903,12 @@ class Coordinator:
         # Cumulative across resume_from= segments: the checkpoint carries the
         # wall time already spent, this run adds its own elapsed time.
         result.wall_time = self._base_wall + (time.monotonic() - start)
+        result.states_transferred = transferred
+        result.states_remaining = candidates
         latency = self._finalize(result, round_index)
         if tracer.enabled:
             payload: Dict[str, Any] = {
-                k: v for k, v in result.cache_stats.items()
+                k: v for k, v in (result.cache_stats or {}).items()
                 if isinstance(v, int) and v}
             if latency.count:
                 p50 = latency.percentile(50.0)
@@ -922,8 +923,8 @@ class Coordinator:
                         paths=result.paths_completed,
                         coverage_percent=round(result.coverage_percent, 3),
                         bugs=len(result.bugs),
-                        useful=result.total_useful_instructions,
-                        replay=result.total_replay_instructions,
+                        useful=result.useful_instructions,
+                        replay=result.replay_instructions,
                         exhausted=result.exhausted,
                         goal_reached=result.goal_reached,
                         wall_time=round(result.wall_time, 6),
@@ -1133,7 +1134,7 @@ class Coordinator:
             wall_time=(self._base_wall
                        + (time.monotonic() - self._run_started)),
             bug_reports=[ClusterCheckpoint.encode_bug(b)
-                         for b in _dedupe_bugs(bugs)],
+                         for b in dedupe_bugs(bugs)],
             test_cases=[ClusterCheckpoint.encode_test_case(t)
                         for t in test_cases],
             worker_stats={
@@ -1200,7 +1201,7 @@ class Coordinator:
 
     # -- finalization --------------------------------------------------------------------
 
-    def _finalize(self, result: ClusterResult, rounds: int) -> Histogram:
+    def _finalize(self, result: RunResult, rounds: int) -> Histogram:
         """Fill ``result`` from every member's final accounting (live,
         draining and departed); returns the merged solver-query latency."""
         finals: List[FinalReply] = []
@@ -1225,27 +1226,27 @@ class Coordinator:
         result.peak_workers = max(self._peak_workers, len(live))
         result.paths_completed = (self._base_paths
                                   + sum(f.paths_completed for f in finals))
-        result.total_useful_instructions = self._base_useful + sum(
+        result.useful_instructions = self._base_useful + sum(
             f.stats.useful_instructions for f in finals)
-        result.total_replay_instructions = self._base_replay + sum(
+        result.replay_instructions = self._base_replay + sum(
             f.stats.replay_instructions for f in finals)
         covered: Set[int] = set(self._base_covered)
         all_bugs: List[BugReport] = list(self._base_bugs)
         result.test_cases.extend(self._base_tests)
+        worker_stats: Dict[int, WorkerStats] = {}
         latency = Histogram("solver_query_seconds")
         for final in finals:
             covered.update(final.covered_lines)
             all_bugs.extend(final.bugs)
             result.test_cases.extend(final.test_cases)
-            result.worker_stats[final.worker_id] = final.stats
+            worker_stats[final.worker_id] = final.stats
             if final.latency is not None:
                 latency.merge_from(final.latency)
         result.covered_lines = covered
-        result.coverage_percent = (100.0 * len(covered) / result.line_count
-                                   if result.line_count else 0.0)
-        result.bugs = _dedupe_bugs(all_bugs)
+        result.bugs = dedupe_bugs(all_bugs)
+        result.worker_stats = worker_stats
         result.transfer_cost = TransferCost.from_worker_stats(
-            result.worker_stats.values())
+            worker_stats.values())
         # Dead members never sent a FinalReply; their last piggybacked
         # counters (from the status replies) still enter the aggregate so
         # the run's cache hit rates reflect the whole fleet.

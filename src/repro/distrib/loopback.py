@@ -176,7 +176,8 @@ class StaticPartitionCluster(Cloud9Cluster):
 
     The bootstrap mimics the offline pre-computation of disjoint
     preconditions; its own results are carried as the coordinator's base
-    counters, exactly like a resumed checkpoint's.
+    counters, exactly like a resumed checkpoint's.  It runs when a fresh run
+    begins, so a cluster built to resume a checkpoint never bootstraps.
     """
 
     backend_name = "static"
@@ -187,17 +188,22 @@ class StaticPartitionCluster(Cloud9Cluster):
                  config: Optional[StaticPartitionConfig] = None):
         super().__init__(executor_factory, state_factory,
                          config or StaticPartitionConfig())
-        self.bootstrap = self._bootstrap_split()
-        self._base_paths = self.bootstrap.paths_completed
-        self._base_useful = self.bootstrap.instructions
-        self._base_covered = set(self.bootstrap.covered_lines)
-        self._base_bugs = list(self.bootstrap.bugs)
-        self._base_tests = list(self.bootstrap.test_cases)
-        # Nothing will ever move between members afterwards.
+        #: What the bootstrap produced (None until a fresh run has dealt it).
+        self.bootstrap: Optional[BootstrapOutcome] = None
+
+    def _seed(self) -> None:
+        """Deal the bootstrap's prefixes in place of the seed job; nothing
+        will ever move between members afterwards."""
+        bootstrap = self.bootstrap = self._bootstrap_split()
+        self._base_paths = bootstrap.paths_completed
+        self._base_useful = bootstrap.instructions
+        self._base_covered = set(bootstrap.covered_lines)
+        self._base_bugs = list(bootstrap.bugs)
+        self._base_tests = list(bootstrap.test_cases)
         self._deal_frontier(
-            self.bootstrap.prefixes,
+            bootstrap.prefixes,
             CoverageBitVector.from_lines(
-                self.line_count, self.bootstrap.covered_lines).as_int())
+                self.line_count, bootstrap.covered_lines).as_int())
 
     def _bootstrap_split(self) -> BootstrapOutcome:
         """Expand the tree breadth-first until there is work for every worker."""

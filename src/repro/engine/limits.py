@@ -1,13 +1,13 @@
 """Uniform exploration limits shared by every execution backend.
 
-Historically each entry point grew its own subset of limit kwargs with
-subtly different names (``coverage_target`` vs ``target_coverage_percent``,
-``max_steps`` vs ``max_rounds``), so switching a test between the single
-engine and a cluster meant re-plumbing every knob.  :class:`ExplorationLimits`
-is the single bag of budgets and goals accepted by
+Switching a test between the single engine and a cluster must not mean
+re-plumbing every knob, so :class:`ExplorationLimits` is the single bag of
+budgets and goals accepted by
 :meth:`repro.engine.executor.SymbolicExecutor.run`,
 :meth:`repro.distrib.coordinator.Coordinator.run` (under every cluster
-backend) and the :mod:`repro.api.runner` backends.
+backend) and the :mod:`repro.api.runner` backends.  Each of them takes a
+``limits=`` bundle plus loose limit fields as keyword arguments, merged in
+one place: :meth:`ExplorationLimits.pop_from` (a loose field wins).
 
 A backend applies every limit that is meaningful for it and ignores the
 rest (``max_steps`` only bounds single-engine scheduling steps; ``max_rounds``
@@ -20,9 +20,9 @@ every layer) and is re-exported as :mod:`repro.api.limits`, the public name.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from typing import Dict, Optional
+from typing import Any, Dict, Optional
 
-__all__ = ["ExplorationLimits", "UNLIMITED", "effective_limits"]
+__all__ = ["ExplorationLimits", "UNLIMITED"]
 
 
 @dataclass(frozen=True)
@@ -77,19 +77,21 @@ class ExplorationLimits:
 
     @classmethod
     def pop_from(cls, options: Dict[str, object],
-                 base: Optional["ExplorationLimits"] = None) -> "ExplorationLimits":
+                 base: Optional["ExplorationLimits"] = None,
+                 strict: bool = False) -> "ExplorationLimits":
         """Extract limit fields from a kwargs dict, merging over ``base``.
 
         Mutates ``options`` (pops the recognized keys) so the caller can pass
-        the remainder to the backend as backend-specific options.
+        the remainder to the backend as backend-specific options; an entry
+        point with nothing to forward to passes ``strict``, which takes
+        every key and so makes an unrecognized one a ``TypeError`` naming it.
         """
-        picked = {name: options.pop(name)
-                  for name in cls.field_names() if name in options}
-        if base is None:
-            return cls(**picked)
-        return base.merged(**picked)
+        names = list(options) if strict else [
+            name for name in cls.field_names() if name in options]
+        return (base or UNLIMITED).merged(
+            **{name: options.pop(name) for name in names})
 
-    def merged(self, **overrides: object) -> "ExplorationLimits":
+    def merged(self, **overrides: Any) -> "ExplorationLimits":
         """A copy with the given fields replaced."""
         unknown = set(overrides) - set(self.field_names())
         if unknown:
@@ -130,16 +132,3 @@ class ExplorationLimits:
 
 #: Shared "no limits at all" instance (the dataclass is frozen, so safe).
 UNLIMITED = ExplorationLimits()
-
-
-def effective_limits(limits: Optional[ExplorationLimits],
-                     **explicit: object) -> ExplorationLimits:
-    """Merge explicit per-call kwargs over a limits object.
-
-    ``None`` (and ``False`` for ``stop_on_first_bug``) explicit values are
-    treated as "not given" so they never mask a limit carried by ``limits``.
-    """
-    base = limits if limits is not None else UNLIMITED
-    overrides = {name: value for name, value in explicit.items()
-                 if value is not None and value is not False}
-    return base.merged(**overrides) if overrides else base

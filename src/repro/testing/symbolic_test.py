@@ -12,8 +12,7 @@ backend through :meth:`SymbolicTest.run`::
     test.run(backend="process", workers=4)            # worker processes
                                                       # (spec-built tests)
 
-The per-backend ``run_single``/``run_cluster``/``run_static_cluster``
-methods remain as thin shims returning the legacy result types.
+Every backend returns the same :class:`~repro.api.result.RunResult`.
 """
 
 from __future__ import annotations
@@ -21,12 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Optional, Type, Union
 
-from repro.api.limits import ExplorationLimits, effective_limits
+from repro.api.limits import ExplorationLimits
 from repro.api.result import RunResult
-from repro.cluster.core import ClusterConfig, ClusterResult, StaticPartitionConfig
+from repro.cluster.core import ClusterConfig, StaticPartitionConfig
 from repro.distrib.loopback import Cloud9Cluster, StaticPartitionCluster
 from repro.engine.config import EngineConfig
-from repro.engine.executor import ExplorationResult, SymbolicExecutor
+from repro.engine.executor import SymbolicExecutor
 from repro.engine.state import ExecutionState
 from repro.lang.ast import Program
 from repro.lang.compiler import CompiledProgram, compile_program
@@ -128,86 +127,27 @@ class SymbolicTest:
         from repro.api.runner import run_test
         return run_test(self, backend=backend, limits=limits, **options)
 
-    # -- single-node execution (plain KLEE / 1-worker Cloud9) ----------------------------
-
-    def run_single(self,
-                   max_steps: Optional[int] = None,
-                   max_paths: Optional[int] = None,
-                   max_instructions: Optional[int] = None,
-                   max_wall_time: Optional[float] = None,
-                   coverage_target: Optional[float] = None,
-                   strategy: Optional[str] = None) -> ExplorationResult:
-        """Deprecated shim: use ``run(backend="single", ...)`` instead."""
-        limits = effective_limits(None, max_steps=max_steps, max_paths=max_paths,
-                                  max_instructions=max_instructions,
-                                  max_wall_time=max_wall_time,
-                                  coverage_target=coverage_target)
-        return self.run(backend="single", limits=limits, strategy=strategy).raw
-
     # -- cluster execution -----------------------------------------------------------------
 
     def build_cluster(self, config: Optional[ClusterConfig] = None,
-                      cluster_class: Optional[Type[Cloud9Cluster]] = None
+                      cluster_class: Type[Cloud9Cluster] = Cloud9Cluster
                       ) -> Cloud9Cluster:
         cluster_config = config or ClusterConfig()
         if cluster_config.strategy is None:
             # Copy rather than mutate: the caller's config may be reused
             # across tests with different strategies.
             cluster_config = replace(cluster_config, strategy=self.strategy)
-        cluster_cls = cluster_class or Cloud9Cluster
-        return cluster_cls(
+        return cluster_class(
             executor_factory=self.build_executor,
             state_factory=self.build_initial_state,
             config=cluster_config,
         )
-
-    def run_cluster(self, num_workers: int,
-                    instructions_per_round: int = 500,
-                    max_rounds: Optional[int] = None,
-                    target_coverage_percent: Optional[float] = None,
-                    max_paths: Optional[int] = None,
-                    stop_on_first_bug: bool = False,
-                    cluster_config: Optional[ClusterConfig] = None) -> ClusterResult:
-        """Deprecated shim: use ``run(backend="cluster", ...)`` instead."""
-        limits = effective_limits(None, max_rounds=max_rounds,
-                                  coverage_target=target_coverage_percent,
-                                  max_paths=max_paths,
-                                  stop_on_first_bug=stop_on_first_bug)
-        config = cluster_config or ClusterConfig(
-            num_workers=num_workers,
-            instructions_per_round=instructions_per_round,
-        )
-        return self.run(backend="cluster", limits=limits, config=config).raw
-
-    # -- static-partitioning baseline (for the ablation benchmarks) -------------------------
 
     def build_static_cluster(self, config: Optional[StaticPartitionConfig] = None
                              ) -> StaticPartitionCluster:
-        cluster_config = config or StaticPartitionConfig()
-        if cluster_config.strategy is None:
-            cluster_config = replace(cluster_config, strategy=self.strategy)
-        return StaticPartitionCluster(
-            executor_factory=self.build_executor,
-            state_factory=self.build_initial_state,
-            config=cluster_config,
-        )
-
-    def run_static_cluster(self, num_workers: int,
-                           instructions_per_round: int = 500,
-                           max_rounds: Optional[int] = None,
-                           target_coverage_percent: Optional[float] = None,
-                           max_paths: Optional[int] = None,
-                           cluster_config: Optional[StaticPartitionConfig] = None
-                           ) -> ClusterResult:
-        """Deprecated shim: use ``run(backend="static", ...)`` instead."""
-        limits = effective_limits(None, max_rounds=max_rounds,
-                                  coverage_target=target_coverage_percent,
-                                  max_paths=max_paths)
-        config = cluster_config or StaticPartitionConfig(
-            num_workers=num_workers,
-            instructions_per_round=instructions_per_round,
-        )
-        return self.run(backend="static", limits=limits, config=config).raw
+        """The §2 static-partitioning baseline (for the ablation benchmarks)."""
+        return self.build_cluster(config or StaticPartitionConfig(),
+                                  StaticPartitionCluster)
 
     # -- convenience ---------------------------------------------------------------------------
 

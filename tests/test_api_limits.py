@@ -2,7 +2,11 @@
 
 import pytest
 
-from repro.api.limits import UNLIMITED, ExplorationLimits, effective_limits
+from repro.api.limits import UNLIMITED, ExplorationLimits
+from repro.cluster import ClusterConfig
+from repro.testing import SymbolicTest
+
+from conftest import branchy_program
 
 
 class TestExplorationLimits:
@@ -67,16 +71,44 @@ class TestExplorationLimits:
         assert ExplorationLimits(**limits.as_dict()) == limits
 
 
-class TestEffectiveLimits:
-    def test_none_limits_yields_unlimited(self):
-        assert effective_limits(None) == UNLIMITED
+class TestOneLimitsMerge:
+    """``executor.run`` and ``cluster.run`` fold loose limit fields over
+    ``limits=`` through ``pop_from``, exactly as ``test.run`` does."""
 
-    def test_explicit_kwargs_win(self):
-        base = ExplorationLimits(max_paths=10)
-        assert effective_limits(base, max_paths=3).max_paths == 3
+    @staticmethod
+    def _runs():
+        test = SymbolicTest("t", branchy_program(2), use_posix_model=False)
+        executor = test.build_executor()
+        cluster = test.build_cluster(
+            ClusterConfig(num_workers=2, instructions_per_round=5))
+        return [
+            ("executor", lambda **kw: executor.run(
+                initial_state=lambda: test.build_initial_state(executor), **kw)),
+            ("cluster", cluster.run),
+        ]
 
-    def test_none_explicit_values_do_not_mask_base(self):
-        base = ExplorationLimits(max_paths=10, stop_on_first_bug=True)
-        merged = effective_limits(base, max_paths=None, stop_on_first_bug=False)
-        assert merged.max_paths == 10
-        assert merged.stop_on_first_bug is True
+    def test_no_limits_is_unlimited(self):
+        assert ExplorationLimits.pop_from({}) == UNLIMITED
+        for name, run in self._runs():
+            assert run().exhausted, name
+
+    def test_loose_field_overrides_the_bundle(self):
+        bundle = ExplorationLimits(max_paths=1)
+        for name, run in self._runs():
+            result = run(limits=bundle, max_paths=4)
+            assert result.paths_completed >= 4 and result.goal_reached, name
+            assert not result.exhausted, name
+
+    def test_bundle_fields_not_overridden_still_apply(self):
+        bundle = ExplorationLimits(max_paths=2, max_steps=10_000,
+                                   max_rounds=10_000)
+        for name, run in self._runs():
+            result = run(limits=bundle, max_instructions=10_000)
+            assert 2 <= result.paths_completed < 9 and result.goal_reached, name
+
+    def test_unknown_field_is_a_type_error_naming_it(self):
+        for name, run in self._runs():
+            with pytest.raises(TypeError, match="max_bananas"):
+                run(max_bananas=3)
+            with pytest.raises(TypeError, match="coverage_goal"):
+                run(limits=ExplorationLimits(max_paths=1), coverage_goal=50.0)

@@ -1,5 +1,6 @@
 """Tests for the unified runner API: registry dispatch, limits round-trip
-into every backend, RunResult adapters, and the strategy-propagation fix."""
+into every backend, the one RunResult shape, and the strategy-propagation
+fix."""
 
 import pytest
 
@@ -13,8 +14,7 @@ from repro.api.runner import (
     _RUNNERS,
 )
 from repro.cluster import ClusterConfig, StaticPartitionConfig
-from repro.cluster import ClusterResult
-from repro.engine.executor import ExplorationResult
+from repro.distrib import specs
 from repro.testing import SymbolicTest
 
 from conftest import branchy_program, single_branch_program
@@ -53,12 +53,14 @@ class TestRegistry:
         register_runner(runner, replace=True)  # no-op override is fine
 
     def test_custom_backend_dispatches(self):
+        received = []
+
         class EchoRunner:
             name = "echo-test-backend"
 
             def run(self, test, limits=None, **options):
-                return RunResult(backend=self.name, test_name=test.name,
-                                 raw=(limits, options))
+                received.append((limits, options))
+                return RunResult(backend=self.name, test_name=test.name)
 
         register_runner(EchoRunner())
         try:
@@ -66,7 +68,7 @@ class TestRegistry:
             result = test.run(backend="echo-test-backend", max_paths=3,
                               custom_knob=7)
             assert result.backend == "echo-test-backend"
-            limits, options = result.raw
+            [(limits, options)] = received
             assert limits.max_paths == 3           # folded out of the options
             assert options == {"custom_knob": 7}   # the rest passed through
             assert isinstance(EchoRunner(), Runner)
@@ -97,7 +99,6 @@ class TestBackendDispatch:
         config = ClusterConfig(num_workers=2, instructions_per_round=40)
         result = test.run(backend="cluster", config=config)
         assert result.num_workers == 2
-        assert result.raw.num_workers == 2
 
     def test_config_and_loose_options_are_mutually_exclusive(self):
         test = SymbolicTest("t", single_branch_program())
@@ -120,7 +121,7 @@ class TestLimitsRoundTrip:
     def test_single_max_steps(self):
         test = SymbolicTest("t", branchy_program(2))
         result = test.run(limits=ExplorationLimits(max_steps=5))
-        assert result.raw.steps == 5
+        assert result.steps == 5
         assert not result.exhausted
 
     def test_single_stop_on_first_bug(self):
@@ -173,75 +174,53 @@ class TestLimitsRoundTrip:
         assert r1.paths_completed == r2.paths_completed == 3
 
 
-class TestRunResultAdapters:
-    def test_from_exploration_preserves_every_field(self):
-        test = SymbolicTest("t", buggy_program())
-        result = test.run()
-        legacy = result.raw
-        assert isinstance(legacy, ExplorationResult)
-        assert result.test_name == "t"
-        assert result.num_workers == 1
-        assert result.paths_completed == legacy.paths_completed
-        assert result.covered_lines == legacy.covered_lines
-        assert result.line_count == legacy.line_count
-        assert result.coverage_percent == legacy.coverage_percent
-        assert result.bugs == legacy.bugs
-        assert result.test_cases == legacy.test_cases
-        assert result.useful_instructions == legacy.instructions_executed
-        assert result.replay_instructions == 0
-        assert result.total_instructions == legacy.instructions_executed
-        assert result.exhausted == legacy.exhausted
-        assert result.states_remaining == legacy.states_remaining
-        assert result.wall_time == legacy.wall_time
-        assert result.steps == legacy.steps
-        assert result.bug_kinds() == legacy.bug_kinds()
-        # single-engine runs have no cluster-only notions
-        assert result.rounds_executed is None
-        assert result.timeline is None
-        assert result.worker_stats is None
-        assert result.states_transferred is None
-        assert result.rounds_to_coverage(10.0) is None
-        # ... but solver-cache behavior is observable on every backend
-        assert result.transfer_cost is None
-        assert result.transfer_savings_ratio == 0.0
-        assert result.cache_stats is not None
+class TestOneResultShape:
+    """Every backend returns the same class; only the cluster-only notions
+    are absent (None) on a single engine."""
+
+    CLUSTER_ONLY = ("rounds_executed", "timeline", "worker_stats",
+                    "states_transferred", "transfer_cost")
+
+    @pytest.mark.parametrize("backend, options", [
+        ("single", {}),
+        ("cluster", {"workers": 2, "instructions_per_round": 40}),
+        ("static", {"workers": 2, "instructions_per_round": 40}),
+        ("process", {"workers": 2, "instructions_per_round": 40}),
+    ])
+    def test_backend_fills_the_shared_fields(self, backend, options):
+        test = specs.resolve_test("printf", format_length=2)
+        result = test.run(backend=backend, **options)
+        assert type(result) is RunResult
+        assert (result.backend, result.test_name) == (backend, test.name)
+        assert result.num_workers == options.get("workers", 1)
+        assert result.exhausted and not result.goal_reached
+        assert result.paths_completed == len(result.test_cases) == 30
+        assert result.states_remaining == 0
+        assert result.line_count == test.program.line_count
+        assert result.covered_lines and result.coverage_percent > 0
+        assert result.useful_instructions > 0
+        assert result.total_instructions == (result.useful_instructions
+                                             + result.replay_instructions)
+        assert result.wall_time >= 0.0
         assert result.cache_stats["constraint_cache_misses"] > 0
         assert 0.0 <= result.cache_stats["constraint_cache_hit_rate"] <= 1.0
-
-    def test_from_cluster_preserves_every_field(self):
-        test = SymbolicTest("t", branchy_program(2))
-        result = test.run(backend="cluster", workers=3,
-                          instructions_per_round=50)
-        legacy = result.raw
-        assert isinstance(legacy, ClusterResult)
-        assert result.num_workers == legacy.num_workers == 3
-        assert result.paths_completed == legacy.paths_completed
-        assert result.covered_lines == legacy.covered_lines
-        assert result.line_count == legacy.line_count
-        assert result.coverage_percent == pytest.approx(legacy.coverage_percent)
-        assert result.bugs == legacy.bugs
-        assert result.test_cases == legacy.test_cases
-        assert result.useful_instructions == legacy.total_useful_instructions
-        assert result.replay_instructions == legacy.total_replay_instructions
-        assert result.replay_overhead == pytest.approx(legacy.replay_overhead)
-        assert (result.useful_instructions_per_worker
-                == pytest.approx(legacy.useful_instructions_per_worker))
-        assert result.exhausted == legacy.exhausted
-        assert result.goal_reached == legacy.goal_reached
-        assert result.rounds_executed == legacy.rounds_executed
-        assert result.timeline is legacy.timeline
-        assert result.worker_stats == legacy.worker_stats
-        assert result.states_transferred == legacy.total_states_transferred
-        assert result.bug_summaries() == legacy.bug_summaries()
-        assert (result.rounds_to_coverage(1.0)
-                == legacy.rounds_to_coverage(1.0))
-        # rounds are virtual time, but real elapsed seconds are recorded too
-        assert result.wall_time == legacy.wall_time >= 0.0
-        # transfer cost and solver-cache counters are carried over
-        assert result.transfer_cost is legacy.transfer_cost
-        assert result.transfer_cost.jobs >= legacy.total_states_transferred
-        assert result.cache_stats == legacy.cache_stats
-        assert result.cache_stats["constraint_cache_misses"] > 0
+        assert result.bug_kinds() == set() and not result.found_bug
+        for name in self.CLUSTER_ONLY:
+            assert (getattr(result, name) is None) == (backend == "single"), name
+        if backend == "single":
+            assert result.steps > 0
+            assert result.replay_instructions == 0
+            assert result.rounds_to_coverage(10.0) is None
+            assert result.transfer_savings_ratio == 0.0
+        else:
+            assert result.steps is None
+            assert result.rounds_executed == len(result.timeline.snapshots)
+            assert set(result.worker_stats) == {1, 2}
+            assert result.messages_sent > 0
+            assert result.rounds_to_coverage(1.0) is not None
+            assert result.transfer_cost.jobs >= result.states_transferred
+            if backend == "static":
+                assert result.states_transferred == 0
 
 
 class TestStrategyPropagation:

@@ -8,6 +8,10 @@ transferred, useful and replayed instructions -- and the per-round queue
 lengths are equal too, and the traces speak one event vocabulary.  Before
 the in-process cluster ran the message protocol it delivered a transfer one
 round late and none of the counters could be compared.
+
+The single engine and the coordinator also fill one result type, so what
+``exhausted``, ``goal_reached`` and ``bugs`` mean is pinned across
+``single``, ``cluster``, ``static`` and ``process`` at the end of the file.
 """
 
 import multiprocessing
@@ -99,16 +103,16 @@ class TestExactCounterParity:
     """One coordinator means one accounting: every work counter and the
     whole per-round queue series match between carriers."""
 
-    COUNTERS = ("rounds_executed", "total_states_transferred",
-                "transfer_commands", "total_useful_instructions",
-                "total_replay_instructions", "messages_sent")
+    COUNTERS = ("rounds_executed", "states_transferred",
+                "transfer_commands", "useful_instructions",
+                "replay_instructions", "messages_sent")
 
     def test_counters_identical(self, backend_runs):
         cluster, _ = backend_runs["cluster"]
         process, _ = backend_runs["process"]
         for counter in self.COUNTERS:
             assert getattr(cluster, counter) == getattr(process, counter), counter
-        assert cluster.total_states_transferred > 0, "tune: nothing moved"
+        assert cluster.states_transferred > 0, "tune: nothing moved"
 
     def test_queue_length_series_identical(self, backend_runs):
         cluster, _ = backend_runs["cluster"]
@@ -188,3 +192,46 @@ class TestProcessSmoke:
         assert process.paths_completed == reference.paths_completed
         assert process.covered_lines == reference.covered_lines
         assert process.bug_summaries() == reference.bug_summaries()
+
+
+# -- one definition of stopping and of ``bugs``, single engine included --------------------
+
+ALL_BACKENDS = [("single", {})] + [
+    (backend, {"workers": NUM_WORKERS, "instructions_per_round": 2000})
+    for backend in ("cluster", "static") + (("process",) if fork_available else ())]
+
+
+class TestStoppingParity:
+    def test_goal_met_by_the_last_path(self):
+        """``max_paths`` equal to the exhaustive path count: the goal is met
+        *and* the frontier is empty, on every backend (the coordinator used
+        to report the goal and stop looking)."""
+        exhaustive = specs.resolve_test("printf", format_length=3).run()
+        assert exhaustive.exhausted and not exhaustive.goal_reached
+        for backend, options in ALL_BACKENDS:
+            test = specs.resolve_test("printf", format_length=3)
+            result = test.run(backend=backend,
+                              max_paths=exhaustive.paths_completed, **options)
+            assert result.paths_completed == exhaustive.paths_completed, backend
+            assert (result.exhausted, result.goal_reached) == (True, True), backend
+            assert result.states_remaining == 0, backend
+
+
+class TestBugCountParity:
+    @pytest.mark.parametrize("spec_name", ["ghttpd", "curl-glob"])
+    def test_bugs_are_distinct_defects_on_every_backend(self, spec_name, tmp_path):
+        """Many paths reach the same defect; ``result.bugs`` (and the
+        ``run_finished`` event) count it once everywhere, while each error
+        path's inputs stay in ``test_cases``."""
+        counts = {}
+        for backend, options in ALL_BACKENDS:
+            trace_path = str(tmp_path / ("%s.jsonl" % backend))
+            test = specs.resolve_test(spec_name)
+            result = test.run(backend=backend, trace_path=trace_path, **options)
+            assert result.exhausted, backend
+            assert len(result.bugs) == len(result.bug_summaries()), backend
+            assert load_trace(trace_path)[-1]["bugs"] == len(result.bugs), backend
+            error_paths = sum(1 for case in result.test_cases if case.is_error)
+            assert error_paths > len(result.bugs), backend
+            counts[backend] = (len(result.bugs), error_paths)
+        assert len(set(counts.values())) == 1, counts

@@ -41,7 +41,7 @@ class TestEndToEnd:
         busy_workers = [wid for wid, stats in result.worker_stats.items()
                         if stats.useful_instructions > 0]
         assert len(busy_workers) >= 2
-        assert result.total_states_transferred > 0
+        assert result.states_transferred > 0
 
     def test_frontier_disjointness_invariant_holds_during_run(self):
         cluster = make_cluster(3, buffer_size=3, instructions_per_round=30)
@@ -69,18 +69,18 @@ class TestEndToEnd:
             L.ret(0),
         ))
         test = SymbolicTest("buggy", program)
-        result = test.run_cluster(num_workers=3, instructions_per_round=20)
+        result = test.run(backend="cluster", workers=3, instructions_per_round=20)
         assert len(result.bugs) == 1
 
     def test_timeline_records_rounds(self):
         cluster = make_cluster(2)
         result = cluster.run()
         assert len(result.timeline) == result.rounds_executed
-        assert result.timeline.useful_work_series()[-1] == result.total_useful_instructions
+        assert result.timeline.useful_work_series()[-1] == result.useful_instructions
 
     def test_goal_coverage_stops_early(self):
         cluster = make_cluster(2, buffer_size=3)
-        result = cluster.run(target_coverage_percent=50.0)
+        result = cluster.run(coverage_target=50.0)
         assert result.goal_reached or result.exhausted
 
     def test_max_paths_goal(self):
@@ -98,8 +98,8 @@ class TestEndToEnd:
             L.ret(0),
         ))
         test = SymbolicTest("buggy", program)
-        result = test.run_cluster(num_workers=2, instructions_per_round=20,
-                                  stop_on_first_bug=True)
+        result = test.run(backend="cluster", workers=2,
+                          instructions_per_round=20, stop_on_first_bug=True)
         assert result.bugs
 
 
@@ -124,7 +124,7 @@ class TestLoadBalancingBehaviour:
         cluster = make_cluster(4, buffer_size=3, load_balancing_enabled=False)
         result = cluster.run()
         assert result.exhausted
-        assert result.total_states_transferred == 0
+        assert result.states_transferred == 0
         busy = [wid for wid, stats in result.worker_stats.items()
                 if stats.useful_instructions > 0]
         assert busy == [1]

@@ -619,13 +619,14 @@ class TestInProcessCheckpointResume:
 class TestRunResultPlumbing:
     def test_run_result_carries_recovery_counters(self):
         from repro.api.result import RunResult
-        from repro.cluster.core import ClusterResult
 
-        cluster_result = ClusterResult(num_workers=2, worker_failures=1,
-                                       jobs_recovered=3, respawns=1,
-                                       resumed_from_round=5)
+        cluster_result = RunResult(backend="process", test_name="",
+                                   num_workers=2, worker_failures=1,
+                                   jobs_recovered=3, respawns=1,
+                                   resumed_from_round=5)
         run_result = RunResult.from_cluster(cluster_result, backend="process",
                                             test_name="x")
+        assert run_result.test_name == "x"
         assert run_result.worker_failures == 1
         assert run_result.jobs_recovered == 3
         assert run_result.respawns == 1

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cluster import StaticPartitionConfig
+from repro.cluster import ClusterCheckpoint, StaticPartitionConfig
+from repro.distrib import specs
 from repro.obs.trace import load_trace
 from repro.testing import SymbolicTest
 
@@ -13,22 +14,30 @@ def make_test(program):
     return SymbolicTest("t", program, use_posix_model=False)
 
 
+def dealt_cluster(program, num_workers):
+    """A static cluster whose bootstrap has been dealt (a fresh run's first
+    act) but which has not explored a round yet."""
+    cluster = make_test(program).build_static_cluster(
+        StaticPartitionConfig(num_workers=num_workers))
+    assert cluster.bootstrap is None
+    cluster.run(max_rounds=0)
+    return cluster
+
+
 class TestBootstrapSplit:
     def test_bootstrap_produces_enough_prefixes(self):
-        test = make_test(branchy_program(3))
-        cluster = test.build_static_cluster(StaticPartitionConfig(num_workers=3))
+        cluster = dealt_cluster(branchy_program(3), 3)
         assert len(cluster.bootstrap.prefixes) >= 3
 
     def test_partitions_are_disjoint(self):
-        test = make_test(branchy_program(3))
-        cluster = test.build_static_cluster(StaticPartitionConfig(num_workers=3))
+        cluster = dealt_cluster(branchy_program(3), 3)
+        assert sum(len(w.frontier_paths()) for w in cluster.workers) >= 3
         ok, message = cluster.check_frontier_invariants()
         assert ok, message
 
     def test_single_path_program_leaves_workers_idle(self):
         # A program with one path cannot be split: all but one worker idles.
-        test = make_test(single_branch_program())
-        cluster = test.build_static_cluster(StaticPartitionConfig(num_workers=4))
+        cluster = dealt_cluster(single_branch_program(), 4)
         assert cluster.idle_worker_count() >= 2
 
     def test_invalid_config_rejected(self):
@@ -43,28 +52,28 @@ class TestBootstrapSplit:
 class TestStaticExploration:
     def test_explores_all_paths_of_small_program(self):
         test = make_test(branchy_program(3))
-        reference = test.run_single()
-        result = test.run_static_cluster(num_workers=3)
+        reference = test.run()
+        result = test.run(backend="static", workers=3)
         assert result.exhausted
         assert result.paths_completed == reference.paths_completed
 
     def test_coverage_matches_single_node_run(self):
         test = make_test(branchy_program(3))
-        reference = test.run_single()
-        result = test.run_static_cluster(num_workers=2)
+        reference = test.run()
+        result = test.run(backend="static", workers=2)
         assert result.covered_lines == reference.covered_lines
 
     def test_no_states_are_ever_transferred(self):
         test = make_test(branchy_program(3))
-        result = test.run_static_cluster(num_workers=3)
-        assert result.total_states_transferred == 0
+        result = test.run(backend="static", workers=3)
+        assert result.states_transferred == 0
         assert all(not snap.load_balancing_enabled
                    for snap in result.timeline.snapshots)
 
     def test_exit_codes_match_dynamic_cluster(self):
         test = make_test(branchy_program(2))
-        static = test.run_static_cluster(num_workers=2)
-        dynamic = test.run_cluster(num_workers=2)
+        static = test.run(backend="static", workers=2)
+        dynamic = test.run(backend="cluster", workers=2)
         static_codes = sorted(tc.exit_code for tc in static.test_cases)
         dynamic_codes = sorted(tc.exit_code for tc in dynamic.test_cases)
         assert static_codes == dynamic_codes
@@ -110,9 +119,41 @@ class TestSharedCoordinator:
         result = cluster.run()
         members = sum(s.useful_instructions
                       for s in result.worker_stats.values())
-        assert (result.total_useful_instructions
+        assert (result.useful_instructions
                 == cluster.bootstrap.instructions + members)
-        assert result.paths_completed == test.run_single().paths_completed
+        assert result.paths_completed == test.run().paths_completed
+
+
+    def test_static_checkpoint_resumes(self, tmp_path):
+        """``static`` wrote checkpoints nothing could resume: the runner did
+        not take ``resume_from=`` and the cluster dealt its bootstrap before
+        ``run()`` could restore anything."""
+        path = str(tmp_path / "static.ckpt.json")
+        test = specs.resolve_test("printf", format_length=3)
+        full = test.run(backend="static", workers=2)
+        assert full.exhausted and full.paths_completed == 244
+
+        partial = test.run(backend="static", workers=2, checkpoint_every=2,
+                           checkpoint_path=path, max_rounds=4)
+        assert not partial.exhausted
+        checkpoint = ClusterCheckpoint.load(path)
+        assert checkpoint.backend == "static" and checkpoint.round_index == 4
+        # The bootstrap's own work travels in the checkpoint's counters ...
+        assert checkpoint.useful_instructions == partial.useful_instructions
+
+        def paths(result):
+            return sorted(case.fork_trace for case in result.test_cases)
+
+        cluster = test.build_static_cluster(StaticPartitionConfig(num_workers=2))
+        for resumed in (test.run(backend="static", workers=2, resume_from=path),
+                        cluster.run(resume_from=checkpoint)):
+            assert resumed.exhausted and resumed.resumed_from_round == 4
+            # ... so it is counted once: no path appears twice.
+            assert resumed.paths_completed == full.paths_completed
+            assert paths(resumed) == paths(full)
+            assert resumed.covered_lines == full.covered_lines
+            assert resumed.states_transferred == 0
+        assert cluster.bootstrap is None  # a resumed cluster never bootstraps
 
 
 class TestImbalance:

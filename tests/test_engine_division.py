@@ -7,7 +7,7 @@ from repro.testing import SymbolicTest
 
 def run_program(*main_body, posix=False):
     program = L.program("p", L.func("main", [], *main_body))
-    return SymbolicTest("t", program, use_posix_model=posix).run_single()
+    return SymbolicTest("t", program, use_posix_model=posix).run()
 
 
 class TestDivisionByZero:

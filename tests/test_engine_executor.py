@@ -1,8 +1,13 @@
 """Unit tests for the single-node exploration driver and its limits."""
 
+import os
+
+import pytest
+
 from repro import lang as L
 from repro.engine import SymbolicExecutor
-from repro.engine.strategies import make_strategy
+from repro.engine.strategies import DfsStrategy, make_strategy
+from repro.obs.trace import load_trace
 
 from conftest import branchy_program, make_executor
 
@@ -29,7 +34,7 @@ class TestRunLimits:
     def test_max_instructions_limit(self):
         executor = make_executor(branchy_program(3))
         result = executor.run(max_instructions=50)
-        assert result.instructions_executed >= 50
+        assert result.useful_instructions >= 50
         assert not result.exhausted
 
     def test_coverage_target_stops_early(self):
@@ -54,6 +59,32 @@ class TestRunLimits:
         executor = make_executor(branchy_program(1))
         result = executor.run()
         assert result.wall_time >= 0.0
+
+
+class TestTraceLifetime:
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="needs /proc to list open descriptors")
+    def test_trace_is_closed_when_the_loop_raises(self, tmp_path):
+        """The trace descriptor used to be closed on the normal exit path
+        only, so an exception in ``select``/``step`` leaked it."""
+        class FailingStrategy(DfsStrategy):
+            calls = 0
+
+            def select(self, tree, candidates):
+                self.calls += 1
+                if self.calls == 4:
+                    raise RuntimeError("select failed")
+                return super().select(tree, candidates)
+
+        path = str(tmp_path / "trace.jsonl")
+        executor = make_executor(branchy_program(3))
+        open_before = set(os.listdir("/proc/self/fd"))
+        with pytest.raises(RuntimeError, match="select failed"):
+            executor.run(strategy=FailingStrategy(), trace_path=path)
+        assert set(os.listdir("/proc/self/fd")) == open_before
+        events = load_trace(path)
+        assert events[0]["event"] == "run_started"
+        assert "run_finished" not in {e["event"] for e in events}
 
 
 class TestStrategies:

@@ -87,7 +87,7 @@ def test_and_baseline():
     rounds = _check_every_round(cluster)
     baseline = cluster.run(limits=LIMITS)
     assert baseline.exhausted and baseline.worker_failures == 0
-    assert baseline.total_states_transferred > 0 and rounds
+    assert baseline.states_transferred > 0 and rounds
     return test, baseline
 
 

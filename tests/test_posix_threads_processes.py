@@ -8,7 +8,7 @@ from repro.testing import SymbolicTest
 def run_program(entry_body, extra_funcs=(), options=None):
     program = L.program("p", *extra_funcs, L.func("main", [], *entry_body))
     test = SymbolicTest("t", program, options=options or {})
-    return test.run_single()
+    return test.run()
 
 
 class TestThreads:

@@ -11,7 +11,7 @@ class TestCurl(object):
     """§7.3.2: unmatched glob brace crashes curl."""
 
     def test_symbolic_suffix_finds_the_unmatched_brace_crash(self):
-        result = curl.make_globbing_test().run_single()
+        result = curl.make_globbing_test().run()
         memory_errors = [b for b in result.bugs if b.kind == BugKind.MEMORY_ERROR]
         assert memory_errors
         # At least one crashing test case contains an unmatched glob opener.
@@ -20,7 +20,7 @@ class TestCurl(object):
         assert any(b"{" in data or b"[" in data for data in crashing_inputs)
 
     def test_well_formed_urls_do_not_crash(self):
-        result = curl.make_globbing_test(symbolic_suffix=0).run_single()
+        result = curl.make_globbing_test(symbolic_suffix=0).run()
         assert not result.bugs
 
     def test_reported_crashing_url_shape(self):
@@ -31,12 +31,12 @@ class TestBandicoot(object):
     """§7.3.5: out-of-bounds read in GET handling."""
 
     def test_exhaustive_get_exploration_finds_oob_read(self):
-        result = bandicoot.make_get_exploration_test().run_single()
+        result = bandicoot.make_get_exploration_test().run()
         assert result.exhausted
         assert any(b.kind == BugKind.MEMORY_ERROR for b in result.bugs)
 
     def test_crash_requires_oversized_count(self):
-        result = bandicoot.make_get_exploration_test().run_single()
+        result = bandicoot.make_get_exploration_test().run()
         for bug in result.bugs:
             if bug.kind != BugKind.MEMORY_ERROR or bug.test_case is None:
                 continue
@@ -50,19 +50,19 @@ class TestMemcachedUdpHang(object):
     """§7.3.3: infinite loop on certain UDP datagrams."""
 
     def test_hang_detected_via_instruction_limit(self):
-        result = memcached.make_udp_hang_test().run_single()
+        result = memcached.make_udp_hang_test().run()
         hangs = [b for b in result.bugs if b.kind == BugKind.INFINITE_LOOP]
         assert hangs
 
     def test_hang_input_contains_zero_size_record(self):
-        result = memcached.make_udp_hang_test().run_single()
+        result = memcached.make_udp_hang_test().run()
         for bug in result.bugs:
             if bug.kind == BugKind.INFINITE_LOOP and bug.test_case is not None:
                 datagram = bug.test_case.input_bytes("datagram0")
                 assert 0 in datagram
 
     def test_healthy_paths_terminate_quickly(self):
-        result = memcached.make_udp_hang_test().run_single()
+        result = memcached.make_udp_hang_test().run()
         healthy = [t for t in result.test_cases if not t.is_error]
         assert healthy
         assert all(t.path_length < 2_000 for t in healthy)
@@ -72,7 +72,7 @@ class TestLighttpdTable6(object):
     """§7.3.4 / Table 6: behaviour of each version under each fragmentation."""
 
     def _verdict(self, version, pattern):
-        result = lighttpd.make_fragmentation_test(version, pattern).run_single()
+        result = lighttpd.make_fragmentation_test(version, pattern).run()
         crashed = any(b.kind in (BugKind.MEMORY_ERROR, BugKind.ASSERTION_FAILURE)
                       for b in result.bugs)
         return "crash" if crashed else "ok"
@@ -101,7 +101,7 @@ class TestLighttpdTable6(object):
     def test_symbolic_fragmentation_finds_prepatch_crash(self):
         test = lighttpd.make_symbolic_fragmentation_test(
             lighttpd.VERSION_1_4_12, frag_choice_limit=2)
-        result = test.run_single(max_paths=200)
+        result = test.run(max_paths=200)
         assert any(b.kind == BugKind.MEMORY_ERROR for b in result.bugs)
 
     def test_symbolic_fragmentation_proves_fix_incomplete(self):
@@ -110,11 +110,11 @@ class TestLighttpdTable6(object):
         # the per-request chunk array.
         test = lighttpd.make_symbolic_fragmentation_test(
             lighttpd.VERSION_1_4_13, bookkeeping_slots=3, frag_choice_limit=2)
-        result = test.run_single(max_paths=400)
+        result = test.run(max_paths=400)
         assert any(b.kind == BugKind.MEMORY_ERROR for b in result.bugs)
 
     def test_symbolic_fragmentation_fixed_version_clean(self):
         test = lighttpd.make_symbolic_fragmentation_test(
             lighttpd.VERSION_FIXED, bookkeeping_slots=3, frag_choice_limit=2)
-        result = test.run_single(max_paths=400)
+        result = test.run(max_paths=400)
         assert not result.bugs

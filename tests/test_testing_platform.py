@@ -3,6 +3,7 @@
 import pytest
 
 from repro import lang as L
+from repro.api import ExplorationLimits
 from repro.engine.config import EngineConfig
 from repro.testing import SymbolicTest, SymbolicTestSuite
 from repro.testing.report import CoverageAccounting
@@ -11,14 +12,14 @@ from conftest import branchy_program, single_branch_program
 
 
 class TestSymbolicTest:
-    def test_run_single(self):
+    def test_run_on_one_engine(self):
         test = SymbolicTest("t", single_branch_program())
-        result = test.run_single()
+        result = test.run()
         assert result.paths_completed == 2
 
-    def test_run_cluster(self):
+    def test_run_on_a_cluster(self):
         test = SymbolicTest("t", branchy_program(2))
-        result = test.run_cluster(num_workers=3, instructions_per_round=50)
+        result = test.run(backend="cluster", workers=3, instructions_per_round=50)
         assert result.paths_completed == 9
 
     def test_options_reach_the_state(self):
@@ -76,6 +77,14 @@ class TestSuite:
         assert result.total_paths == 2 + 3
         assert result.combined_coverage_percent > 0
         assert set(result.per_test) == {"a", "b"}
+
+    def test_limits_apply_to_each_test(self):
+        result = self._suite().run(limits=ExplorationLimits(max_paths=2),
+                                   max_paths=1)
+        assert {name: r.paths_completed
+                for name, r in result.per_test.items()} == {"a": 1, "b": 1}
+        with pytest.raises(TypeError, match="max_bananas"):
+            self._suite().run(max_bananas=3)
 
     def test_duplicate_names_rejected(self):
         suite = self._suite()
