@@ -1,9 +1,12 @@
 """Cloud9 worker nodes (paper §3.2).
 
 A worker owns a local view of the execution tree rooted at the global root.
-Its *frontier* is the set of candidate nodes; the work-transfer protocol
-guarantees frontiers are pairwise disjoint and that their union is the global
-exploration frontier.  A worker:
+Its *frontier* is the set of candidate nodes -- one
+:class:`~repro.engine.frontier.Frontier`, the same type the single engine's
+loop owns, changed only through its methods and handed to ``strategy.select``
+as it is; a node is a member exactly while its life is ``CANDIDATE``.  The
+work-transfer protocol guarantees frontiers are pairwise disjoint and that
+their union is the global exploration frontier.  A worker:
 
 * explores materialized candidates by stepping their states,
 * lazily replays virtual candidates received in jobs,
@@ -18,14 +21,16 @@ How a worker hears from the coordinator -- commands in, status replies out
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from itertools import islice
+from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 from repro.cluster.jobs import Job, JobTree
 from repro.cluster.replay import replay_path
 from repro.cluster.stats import WorkerStats
 from repro.cluster.overlay import WorkerCoverageView
 from repro.engine.errors import BugReport
-from repro.engine.executor import StepResult, SymbolicExecutor
+from repro.engine.executor import StepResult, SymbolicExecutor, take_new_lines
+from repro.engine.frontier import Frontier
 from repro.engine.state import ExecutionState
 from repro.engine.strategies import SearchStrategy, make_strategy
 from repro.engine.test_case import TestCase
@@ -52,7 +57,12 @@ class Worker:
         self.strategy = strategy or make_strategy(
             strategy_name, seed=worker_id, program=executor.program)
         self.tree = ExecutionTree()
-        self.candidates: Dict[int, TreeNode] = {}
+        # Until seed() or an import says otherwise the root is an interior
+        # shell like any other node on the way to an imported job.
+        self.tree.root.mark_dead()
+        self.frontier = Frontier()
+        # Lines already handed to the coverage view and the strategy.
+        self._told_lines: Set[int] = set()
         self.stats = WorkerStats(worker_id=worker_id)
         self.coverage_view = WorkerCoverageView(executor.program.line_count)
         self.bugs: List[BugReport] = []
@@ -69,21 +79,15 @@ class Worker:
     @property
     def queue_length(self) -> int:
         """Length of the exploration-job queue reported to the load balancer."""
-        return len(self.candidates)
+        return len(self.frontier)
 
     @property
     def has_work(self) -> bool:
-        return bool(self.candidates)
+        return bool(self.frontier)
 
     def frontier_paths(self) -> Set[Tuple[int, ...]]:
         """Paths of all candidate nodes (used to check disjointness/completeness)."""
-        return {tuple(node.path_from_root()) for node in self.candidates.values()}
-
-    def _add_candidate(self, node: TreeNode) -> None:
-        self.candidates[node.node_id] = node
-
-    def _remove_candidate(self, node: TreeNode) -> None:
-        self.candidates.pop(node.node_id, None)
+        return {tuple(node.path_from_root()) for node in self.frontier}
 
     # -- seeding -----------------------------------------------------------------------
 
@@ -92,7 +96,7 @@ class Worker:
         state = self.state_factory(self.executor)
         self.tree.root.materialize(state)
         self.tree.root.mark_candidate()
-        self._add_candidate(self.tree.root)
+        self.frontier.add(self.tree.root)
 
     # -- exploration -------------------------------------------------------------------
 
@@ -104,8 +108,8 @@ class Worker:
         whose states only reschedule still makes bounded progress per round).
         """
         consumed = 0
-        while consumed < instruction_budget and self.candidates:
-            node = self.strategy.select(self.tree, list(self.candidates.values()))
+        while consumed < instruction_budget and self.frontier:
+            node = self.strategy.select(self.tree, self.frontier)
             if node.is_virtual:
                 consumed += max(self._replay_node(node), 1)
                 continue
@@ -127,11 +131,10 @@ class Worker:
         self.test_cases.extend(self.executor.test_cases[tests_before:])
         self.paths_completed += self.executor.paths_completed - paths_before
 
-        newly_covered: Set[int] = set()
-        for child in result.children:
-            newly_covered.update(child.coverage)
-        self.coverage_view.cover(newly_covered)
-        self.strategy.notify_covered(newly_covered)
+        newly_covered = take_new_lines(result.children, self._told_lines)
+        if newly_covered:
+            self.coverage_view.cover(newly_covered)
+            self.strategy.notify_covered(newly_covered)
 
         self._apply_step_to_tree(node, result)
         return result.instructions
@@ -139,11 +142,13 @@ class Worker:
     def _apply_step_to_tree(self, node: TreeNode, result: StepResult) -> None:
         children = result.children
         if len(children) == 1 and children[0] is node.state:
-            if not children[0].is_running:
+            if children[0].is_running:
+                self.frontier.moved(node)
+            else:
                 node.mark_dead()
-                self._remove_candidate(node)
+                self.frontier.discard(node)
             return
-        self._remove_candidate(node)
+        self.frontier.discard(node)
         for index, child_state in enumerate(children):
             child_node = node.children.get(index)
             if child_node is None:
@@ -162,7 +167,7 @@ class Worker:
             if child_state.is_running:
                 child_node.materialize(child_state)
                 child_node.mark_candidate()
-                self._add_candidate(child_node)
+                self.frontier.add(child_node)
             else:
                 child_node.materialize(None)
                 child_node.mark_dead()
@@ -198,7 +203,7 @@ class Worker:
         if not outcome.succeeded:
             self.stats.broken_replays += 1
             node.mark_dead()
-            self._remove_candidate(node)
+            self.frontier.discard(node)
             return max(outcome.instructions, 1)
 
         # Interior nodes along the path are dead; off-path siblings are fences.
@@ -209,7 +214,7 @@ class Worker:
                 child = interior.add_child(index, status=NodeStatus.VIRTUAL,
                                            life=NodeLife.DEAD)
             interior = child
-            if interior.node_id in self.candidates:
+            if interior in self.frontier:
                 # One of our own candidates sits on the replayed path (it
                 # can only happen inside a recovered territory): killing it
                 # would orphan its state; stepping it later covers the same
@@ -226,7 +231,7 @@ class Worker:
             fence_node = self.tree.ensure_path(list(fence_path),
                                                status=NodeStatus.MATERIALIZED,
                                                life=NodeLife.FENCE)
-            if fence_node.node_id in self.candidates:
+            if fence_node in self.frontier:
                 # Never demote one of our own candidates to a fence.
                 continue
             fence_node.state = fence_state
@@ -234,9 +239,7 @@ class Worker:
                 fence_node.mark_fence()
 
         node.materialize(outcome.state)
-        if not node.is_candidate:
-            node.mark_candidate()
-            self._add_candidate(node)
+        self.frontier.moved(node)
         return max(outcome.instructions, 1)
 
     # -- job transfer -----------------------------------------------------------------------
@@ -248,18 +251,17 @@ class Worker:
         boundary between this worker's work and the destination's), which
         prevents redundant exploration (§3.2).
         """
-        if count <= 0 or not self.candidates:
+        if count <= 0 or not self.frontier:
             return JobTree()
         # Prefer to part with the most recently created (deepest) candidates:
         # the local strategy tends to be working near the older/shallower part
         # of its frontier, so these are the least disruptive to give away.
-        ordered = sorted(self.candidates.values(), key=lambda n: -n.node_id)
-        selected = ordered[:count]
+        selected = list(islice(reversed(self.frontier), count))
         jobs: List[Job] = []
         for node in selected:
             jobs.append(Job(tuple(node.path_from_root())))
             node.mark_fence()
-            self._remove_candidate(node)
+            self.frontier.discard(node)
             self.stats.jobs_exported += 1
         job_tree = JobTree.from_jobs(jobs)
         self.stats.transfers += 1
@@ -298,8 +300,8 @@ class Worker:
                 # freshly reset tree, or a node killed by mark_dead): force
                 # a replay instead of stepping a missing state.
                 node.status = NodeStatus.VIRTUAL
-            if node.node_id not in self.candidates:
-                self._add_candidate(node)
+            if node not in self.frontier:
+                self.frontier.add(node)
                 imported += 1
                 self.stats.jobs_imported += 1
         return imported
@@ -334,14 +336,14 @@ class Worker:
         # mechanism guaranteed to rebuild a consistent frontier from a path.
         node.state = None
         node.status = NodeStatus.VIRTUAL
-        if not node.is_candidate:
-            node.mark_candidate()
-        if node.node_id not in self.candidates:
-            self._add_candidate(node)
-            self.stats.jobs_imported += 1
-            self.stats.jobs_recovered += 1
-            return 1
-        return 0
+        if node in self.frontier:
+            self.frontier.moved(node)
+            return 0
+        node.mark_candidate()
+        self.frontier.add(node)
+        self.stats.jobs_imported += 1
+        self.stats.jobs_recovered += 1
+        return 1
 
     def _reset_recovered_subtree(self, root: TreeNode, root_path: Tuple[int, ...],
                                  fences: Set[Tuple[int, ...]]) -> None:
@@ -361,12 +363,11 @@ class Worker:
                     # Live territory (possibly our own): keep it whole, and
                     # make sure stepping past it never re-enters -- unless
                     # it is our own pending candidate, which stays one.
-                    if (child.node_id not in self.candidates
-                            and not child.is_fence):
+                    if child not in self.frontier and not child.is_fence:
                         child.mark_fence()
                     continue
                 if child_path in keep_interior:
-                    if child.node_id not in self.candidates:
+                    if child not in self.frontier:
                         # Whatever this shell recorded -- a replay-time
                         # fence, or one a later replay marked dead while it
                         # still looked materialized -- described the *dead*
@@ -385,7 +386,7 @@ class Worker:
     def _discard_subtree(self, node: TreeNode) -> None:
         """Drop a stale subtree, keeping candidate bookkeeping consistent."""
         for stale in node.iter_subtree():
-            self.candidates.pop(stale.node_id, None)
+            self.frontier.discard(stale)
             if not stale.is_dead:
                 stale.mark_dead()  # fixes ancestor candidate counts, drops state
 

@@ -131,16 +131,24 @@ class Cloud9Cluster(Coordinator):
     def check_frontier_invariants(self) -> Tuple[bool, str]:
         """The §3.2 partition invariants, against what members really hold.
 
-        No path is a candidate on two members at once; every candidate lies
-        inside the territory the coordinator's ledger records for its
-        holder; and no two recorded territories overlap.  (Completeness is
-        checked by the tests that compare explored paths against a
-        single-engine exhaustive run.)
+        On every member, a node is in the frontier exactly when its life is
+        ``CANDIDATE``; no path is a candidate on two members at once; every
+        candidate lies inside the territory the coordinator's ledger records
+        for its holder; and no two recorded territories overlap.
+        (Completeness is checked by the tests that compare explored paths
+        against a single-engine exhaustive run.)
         """
         members = {h.worker_id: self._launched[h.worker_id]
                    for h in self.handles + self._draining}
         seen: Dict[Tuple[int, ...], int] = {}
         for worker_id, worker in members.items():
+            marked = {n.node_id for n in worker.tree.candidates()}
+            held = {n.node_id for n in worker.frontier}
+            if marked != held:
+                return False, ("worker %d: nodes %s are candidates by life "
+                               "but not in the frontier, nodes %s the reverse"
+                               % (worker_id, sorted(marked - held),
+                                  sorted(held - marked)))
             for path in sorted(worker.frontier_paths()):
                 if path in seen:
                     return False, ("path %s is a candidate on workers %d and %d"

@@ -12,7 +12,9 @@ provides:
 * the symbolic system-call primitives of Table 1 (:mod:`repro.engine.syscalls`),
 * the execution tree with node pins and layers (:mod:`repro.engine.tree`, §6),
 * search strategies including random-path and coverage-optimized
-  (:mod:`repro.engine.strategies`, §7),
+  (:mod:`repro.engine.strategies`, §7), selecting from the one
+  :class:`~repro.engine.frontier.Frontier` every exploration loop owns
+  (:mod:`repro.engine.frontier`),
 * the uniform exploration limits shared by every backend
   (:mod:`repro.engine.limits`, re-exported as :mod:`repro.api.limits`) and
   the one result type they all return (:mod:`repro.engine.result`,
@@ -23,6 +25,7 @@ provides:
 from repro.engine.config import EngineConfig
 from repro.engine.errors import BugKind, BugReport
 from repro.engine.executor import SymbolicExecutor, StepResult
+from repro.engine.frontier import Frontier
 from repro.engine.limits import ExplorationLimits
 from repro.engine.result import RunResult
 from repro.engine.state import ExecutionState, StateStatus
@@ -44,6 +47,7 @@ __all__ = [
     "BugKind",
     "BugReport",
     "ExplorationLimits",
+    "Frontier",
     "RunResult",
     "SymbolicExecutor",
     "StepResult",

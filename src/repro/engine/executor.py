@@ -9,17 +9,20 @@ two levels of API:
   worker (:mod:`repro.cluster.worker`) drives exploration through this.
 * :meth:`SymbolicExecutor.run` -- a complete single-node exploration loop
   with a search strategy and limits; this is what "1-worker Cloud9" (i.e.
-  plain KLEE) uses in the evaluation.
+  plain KLEE) uses in the evaluation.  The loop owns one
+  :class:`~repro.engine.frontier.Frontier`, changes it only through its
+  methods and hands it to ``strategy.select`` as it is.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Union
 
 from repro.engine.config import EngineConfig
 from repro.engine.errors import BugKind, BugReport
+from repro.engine.frontier import Frontier
 from repro.engine.interpreter import Interpreter
 from repro.engine.limits import ExplorationLimits
 from repro.engine.natives import NativeRegistry
@@ -63,6 +66,22 @@ class StepResult:
 
 
 StateFactory = Callable[[], ExecutionState]
+
+
+def take_new_lines(children: Iterable[ExecutionState], told: Set[int]) -> Set[int]:
+    """The lines a step's resulting states cover that ``told`` lacks, added
+    to ``told``.
+
+    A state's ``coverage`` is its whole path's, new in at most one line per
+    step; ``told`` is what an exploration loop has already handed on to its
+    strategy (and, on a worker, its coverage view), so the difference is what
+    is new *to them* -- after a replay that includes the replayed prefix.
+    """
+    new: Set[int] = set()
+    for child in children:
+        new.update(child.coverage - told)
+    told.update(new)
+    return new
 
 
 class SymbolicExecutor:
@@ -260,7 +279,9 @@ class SymbolicExecutor:
 
         tree = ExecutionTree()
         tree.root.materialize(state)
-        candidates: Dict[int, TreeNode] = {tree.root.node_id: tree.root}
+        frontier = Frontier()
+        frontier.add(tree.root)
+        told_lines: Set[int] = set()
 
         result = RunResult(backend="single", test_name=self.program.name,
                            line_count=self.program.line_count, steps=0)
@@ -279,7 +300,7 @@ class SymbolicExecutor:
         traced_bugs = bugs_at_start
         traced_prev_useful = 0
 
-        while candidates:
+        while frontier:
             if max_steps is not None and result.steps >= max_steps:
                 break
             if stop_on_first_bug and len(self.bugs) > bugs_at_start:
@@ -296,10 +317,13 @@ class SymbolicExecutor:
                 if percent >= coverage_target:
                     break
 
-            node = strategy.select(tree, list(candidates.values()))
+            node = strategy.select(tree, frontier)
             step_result = self.step(node.state)
             result.steps += 1
-            self._apply_step_to_tree(tree, node, step_result, candidates, strategy)
+            newly_covered = take_new_lines(step_result.children, told_lines)
+            if newly_covered:
+                strategy.notify_covered(newly_covered)
+            self._apply_step_to_tree(node, step_result, frontier)
 
             if tracer.enabled:
                 while len(self.bugs) > traced_bugs:
@@ -310,11 +334,11 @@ class SymbolicExecutor:
                 if result.steps % trace_round == 0:
                     traced_prev_useful = self._trace_round(
                         tracer, traced_rounds, start, result,
-                        instructions_at_start, paths_at_start, candidates,
+                        instructions_at_start, paths_at_start, frontier,
                         traced_prev_useful)
                     traced_rounds += 1
 
-        result.exhausted = not candidates
+        result.exhausted = not frontier
         result.paths_completed = self.paths_completed - paths_at_start
         result.bugs = dedupe_bugs(self.bugs)
         result.test_cases = list(self.test_cases)
@@ -323,13 +347,13 @@ class SymbolicExecutor:
             result.paths_completed, result.coverage_percent,
             len(self.bugs) - bugs_at_start)
         result.useful_instructions = self.total_instructions - instructions_at_start
-        result.states_remaining = len(candidates)
+        result.states_remaining = len(frontier)
         result.wall_time = time.monotonic() - start
         result.cache_stats = aggregate_cache_counters(
             [self.solver.cache_counters()])
         if tracer.enabled:
             self._trace_round(tracer, traced_rounds, start, result,
-                              instructions_at_start, paths_at_start, candidates,
+                              instructions_at_start, paths_at_start, frontier,
                               traced_prev_useful)
             solver_stats = self.solver.stats.delta_since(solver_stats_at_start)
             tracer.emit(trace_schema.SOLVER_QUERY,
@@ -344,7 +368,7 @@ class SymbolicExecutor:
 
     def _trace_round(self, tracer, round_index: int, start: float,
                      result: RunResult, instructions_at_start: int,
-                     paths_at_start: int, candidates: Dict[int, TreeNode],
+                     paths_at_start: int, frontier: Frontier,
                      prev_useful: int) -> int:
         """One pseudo ``round_completed`` event (single-engine time series).
 
@@ -362,39 +386,33 @@ class SymbolicExecutor:
             elapsed=round(time.monotonic() - start, 6),
             coverage_percent=round(percent, 3), covered_lines=covered,
             paths=self.paths_completed - paths_at_start,
-            candidates=len(candidates), workers=1,
+            candidates=len(frontier), workers=1,
             useful=useful, replay=0, transferred=0,
-            queues={0: len(candidates)},
+            queues={0: len(frontier)},
             workers_detail={0: {"useful": useful, "replay": 0,
-                                "queue": len(candidates)}})
+                                "queue": len(frontier)}})
         return total_useful
 
-    def _apply_step_to_tree(self, tree: ExecutionTree, node: TreeNode,
-                            step_result: StepResult,
-                            candidates: Dict[int, TreeNode],
-                            strategy: SearchStrategy) -> None:
-        """Update the execution tree and candidate set after one step."""
+    def _apply_step_to_tree(self, node: TreeNode, step_result: StepResult,
+                            frontier: Frontier) -> None:
+        """Update the execution tree and the frontier after one step."""
         children = step_result.children
-        newly_covered: Set[int] = set()
-        for child in children:
-            newly_covered.update(child.coverage)
-        strategy.notify_covered(newly_covered)
-
         if len(children) == 1 and children[0] is node.state:
-            child = children[0]
-            if not child.is_running:
+            if children[0].is_running:
+                frontier.moved(node)
+            else:
                 node.mark_dead()
-                candidates.pop(node.node_id, None)
+                frontier.discard(node)
             return
 
         # A fork (or a termination that replaced the state object): the node
         # becomes an interior dead node and each resulting state gets a child.
-        candidates.pop(node.node_id, None)
+        frontier.discard(node)
         for index, child_state in enumerate(children):
             child_node = node.add_child(index)
             if child_state.is_running:
                 child_node.materialize(child_state)
-                candidates[child_node.node_id] = child_node
+                frontier.add(child_node)
             else:
                 child_node.status = NodeStatus.MATERIALIZED
                 child_node.mark_dead()

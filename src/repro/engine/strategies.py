@@ -5,6 +5,14 @@ from [Cadar 2008], namely an interleaving of random-path and
 coverage-optimized strategies".  This module provides those two plus the
 classic DFS/BFS/random-state baselines, and an interleaving combinator.
 
+``select(tree, candidates)`` receives the exploration loop's own
+:class:`~repro.engine.frontier.Frontier` -- not a copy: ``len``, ``in`` and
+iteration in ascending ``node_id`` order are all it may rely on, and it must
+not change it.  No strategy here sorts or copies the frontier;
+:class:`CoverageOptimizedStrategy` keeps a
+:class:`~repro.engine.frontier.WeightIndex` on it, so a weighted pick costs
+O(log n) plus the nodes that changed since the previous one.
+
 A strategy operates on worker-local tree nodes; the cluster layer coordinates
 strategies across workers through the global coverage overlay (§3.3), which
 is fed to :class:`CoverageOptimizedStrategy` via :meth:`merge_global_coverage`.
@@ -13,9 +21,16 @@ is fed to :class:`CoverageOptimizedStrategy` via :meth:`merge_global_coverage`.
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, Sequence, Set
+from itertools import islice
+from typing import Dict, Iterable, Optional, Sequence, Set
 
+from repro.engine.frontier import Frontier, WeightIndex
 from repro.engine.tree import ExecutionTree, TreeNode
+
+
+def _uniform(rng: random.Random, candidates: Frontier) -> TreeNode:
+    """A uniformly random member: one draw, counted off in id order."""
+    return next(islice(candidates, rng.randrange(len(candidates)), None))
 
 
 class SearchStrategy:
@@ -23,11 +38,12 @@ class SearchStrategy:
 
     name = "base"
 
-    def select(self, tree: ExecutionTree, candidates: Sequence[TreeNode]) -> TreeNode:
+    def select(self, tree: ExecutionTree, candidates: Frontier) -> TreeNode:
         raise NotImplementedError
 
     def notify_covered(self, lines: Iterable[int]) -> None:
-        """Inform the strategy about newly covered lines (local exploration)."""
+        """Inform the strategy about lines local exploration covered for the
+        first time (called only when there are any)."""
 
     def merge_global_coverage(self, lines: Iterable[int]) -> None:
         """Inform the strategy about lines covered anywhere in the cluster."""
@@ -38,8 +54,8 @@ class DfsStrategy(SearchStrategy):
 
     name = "dfs"
 
-    def select(self, tree: ExecutionTree, candidates: Sequence[TreeNode]) -> TreeNode:
-        return max(candidates, key=lambda n: n.node_id)
+    def select(self, tree: ExecutionTree, candidates: Frontier) -> TreeNode:
+        return candidates.last()
 
 
 class BfsStrategy(SearchStrategy):
@@ -47,8 +63,8 @@ class BfsStrategy(SearchStrategy):
 
     name = "bfs"
 
-    def select(self, tree: ExecutionTree, candidates: Sequence[TreeNode]) -> TreeNode:
-        return min(candidates, key=lambda n: n.node_id)
+    def select(self, tree: ExecutionTree, candidates: Frontier) -> TreeNode:
+        return candidates.first()
 
 
 class RandomStateStrategy(SearchStrategy):
@@ -59,9 +75,8 @@ class RandomStateStrategy(SearchStrategy):
     def __init__(self, seed: int = 0):
         self._rng = random.Random(seed)
 
-    def select(self, tree: ExecutionTree, candidates: Sequence[TreeNode]) -> TreeNode:
-        ordered = sorted(candidates, key=lambda n: n.node_id)
-        return ordered[self._rng.randrange(len(ordered))]
+    def select(self, tree: ExecutionTree, candidates: Frontier) -> TreeNode:
+        return _uniform(self._rng, candidates)
 
 
 class RandomPathStrategy(SearchStrategy):
@@ -78,30 +93,22 @@ class RandomPathStrategy(SearchStrategy):
     def __init__(self, seed: int = 0):
         self._rng = random.Random(seed)
 
-    def select(self, tree: ExecutionTree, candidates: Sequence[TreeNode]) -> TreeNode:
-        candidate_ids = {n.node_id for n in candidates}
+    def select(self, tree: ExecutionTree, candidates: Frontier) -> TreeNode:
         node = tree.root
         guard = 0
         while True:
             guard += 1
             if guard > 100000:
                 # Fall back to uniform choice if the tree is malformed.
-                ordered = sorted(candidates, key=lambda n: n.node_id)
-                return ordered[self._rng.randrange(len(ordered))]
-            if node.node_id in candidate_ids:
-                viable_children = [c for c in node.children.values()
-                                   if c.candidate_count > 0]
-                if not viable_children:
-                    return node
-                # The node is itself a candidate *and* has candidate
-                # descendants (can happen transiently); prefer descending.
+                return _uniform(self._rng, candidates)
+            # A frontier member with candidate descendants can exist
+            # transiently; prefer descending.
             children = [c for k, c in sorted(node.children.items())
                         if c.candidate_count > 0]
             if not children:
-                if node.node_id in candidate_ids:
+                if node in candidates:
                     return node
-                ordered = sorted(candidates, key=lambda n: n.node_id)
-                return ordered[self._rng.randrange(len(ordered))]
+                return _uniform(self._rng, candidates)
             node = children[self._rng.randrange(len(children))]
 
 
@@ -115,6 +122,12 @@ class CoverageOptimizedStrategy(SearchStrategy):
     states in functions that still contain uncovered lines, then the rest.
     The covered-line set is the union of locally covered lines and the global
     coverage vector received from the load balancer.
+
+    A node's weight depends on its state's position and on the covered set
+    only, so the strategy keeps the weights in a
+    :class:`~repro.engine.frontier.WeightIndex` on the frontier: a node is
+    weighed when it joins the frontier or its state moves, and everything is
+    weighed again only after the covered set actually grew.
     """
 
     name = "coverage_optimized"
@@ -127,47 +140,54 @@ class CoverageOptimizedStrategy(SearchStrategy):
         if program is not None:
             for name, fn in program.functions.items():
                 self._function_lines[name] = {i.line for i in fn.instructions}
+        #: function -> number of its lines not covered yet; emptied whenever
+        #: the covered set grows.
+        self._uncovered_left: Dict[str, int] = {}
+        self._index: Optional[WeightIndex] = None
 
     def notify_covered(self, lines: Iterable[int]) -> None:
+        known = len(self._covered)
         self._covered.update(lines)
+        if len(self._covered) != known:
+            self._uncovered_left.clear()
+            if self._index is not None:
+                self._index.invalidate()
 
     def merge_global_coverage(self, lines: Iterable[int]) -> None:
-        self._covered.update(lines)
+        self.notify_covered(lines)
 
-    def _weight(self, node: TreeNode) -> float:
+    def _weight(self, node: TreeNode) -> int:
         state = node.state
         if state is None or not state.is_running or state.current is None:
-            return 1.0
+            return 1
         if not state.current_thread.stack:
             # The current thread just terminated; the state is waiting for a
             # scheduling decision and carries no useful position information.
-            return 1.0
+            return 1
         frame = state.current_thread.top
         function = state.program.function(frame.function)
         if frame.pc < len(function.instructions):
             line = function.instructions[frame.pc].line
             if line not in self._covered:
-                return 16.0
-        fn_lines = self._function_lines.get(frame.function)
-        if fn_lines is None:
-            fn_lines = {i.line for i in function.instructions}
-            self._function_lines[frame.function] = fn_lines
-        uncovered_here = len(fn_lines - self._covered)
+                return 16
+        uncovered_here = self._uncovered_left.get(frame.function)
+        if uncovered_here is None:
+            fn_lines = self._function_lines.get(frame.function)
+            if fn_lines is None:
+                fn_lines = {i.line for i in function.instructions}
+                self._function_lines[frame.function] = fn_lines
+            uncovered_here = len(fn_lines - self._covered)
+            self._uncovered_left[frame.function] = uncovered_here
         if uncovered_here:
-            return 4.0 + min(uncovered_here, 8)
-        return 1.0
+            return 4 + min(uncovered_here, 8)
+        return 1
 
-    def select(self, tree: ExecutionTree, candidates: Sequence[TreeNode]) -> TreeNode:
-        ordered = sorted(candidates, key=lambda n: n.node_id)
-        weights = [self._weight(n) for n in ordered]
-        total = sum(weights)
-        pick = self._rng.uniform(0.0, total)
-        cumulative = 0.0
-        for node, weight in zip(ordered, weights):
-            cumulative += weight
-            if pick <= cumulative:
-                return node
-        return ordered[-1]
+    def select(self, tree: ExecutionTree, candidates: Frontier) -> TreeNode:
+        index = self._index
+        if index is None or index.frontier is not candidates:
+            index = self._index = WeightIndex(candidates, self._weight)
+        total = index.total()
+        return index.pick(self._rng.uniform(0.0, float(total)))
 
 
 class InterleavedStrategy(SearchStrategy):
@@ -181,7 +201,7 @@ class InterleavedStrategy(SearchStrategy):
         self._strategies = list(strategies)
         self._next = 0
 
-    def select(self, tree: ExecutionTree, candidates: Sequence[TreeNode]) -> TreeNode:
+    def select(self, tree: ExecutionTree, candidates: Frontier) -> TreeNode:
         strategy = self._strategies[self._next % len(self._strategies)]
         self._next += 1
         return strategy.select(tree, candidates)
@@ -210,15 +230,16 @@ class FewestFaultsFirstStrategy(SearchStrategy):
     def __init__(self, seed: int = 0):
         self._rng = random.Random(seed)
 
-    def select(self, tree: ExecutionTree, candidates: Sequence[TreeNode]) -> TreeNode:
+    def select(self, tree: ExecutionTree, candidates: Frontier) -> TreeNode:
         def fault_count(node: TreeNode) -> int:
             state = node.state
             if state is None:
                 return 0
             return int(state.options.get("faults_injected", 0))
 
-        ordered = sorted(candidates, key=lambda n: (fault_count(n), n.node_id))
-        return ordered[0]
+        # min() keeps the first of equals, and the frontier iterates in id
+        # order: the oldest node among those with the fewest faults.
+        return min(candidates, key=fault_count)
 
 
 def make_strategy(name: str, seed: int = 0, program=None) -> SearchStrategy:

@@ -267,10 +267,10 @@ class TestRecoveredImport:
             if candidates:
                 deep = sorted(candidates)[-1]
         assert deep is not None
-        node = next(n for n in w1.candidates.values()
+        node = next(n for n in w1.frontier
                     if tuple(n.path_from_root()) == deep)
         node.mark_fence()
-        w1._remove_candidate(node)
+        w1.frontier.discard(node)
         w2.import_jobs(JobTree.from_jobs([Job(deep)]))
         # w2 explores partway down the spine, ceding deep jobs back to w1;
         # w1 replays them (leaving fence shells on the spine) and finishes.

@@ -44,7 +44,7 @@ class TestReplayPathBrokenOutcomes:
         source.seed()
         while source.queue_length and source.queue_length < 3:
             source.explore(5)
-        node = max(source.candidates.values(),
+        node = max(source.frontier,
                    key=lambda n: len(n.path_from_root()))
         path = node.path_from_root()
         assert path
@@ -74,7 +74,7 @@ class TestWorkerSurvivesBrokenReplays:
         assert worker.stats.broken_replays == 1
         assert worker.paths_completed == 9  # the real subtree still finished
         # The broken node is dead, not a lingering candidate.
-        assert all(not n.is_virtual for n in worker.candidates.values())
+        assert all(not n.is_virtual for n in worker.frontier)
 
     def test_multiple_broken_jobs_all_reported(self):
         worker = _make_worker(branchy_program(2))

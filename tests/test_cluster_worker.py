@@ -90,7 +90,7 @@ class TestJobTransfer:
         imported = destination.import_jobs(JobTree.decode(job_tree.encode()))
         assert imported == 2
         assert destination.queue_length == 2
-        assert all(node.is_virtual for node in destination.candidates.values())
+        assert all(node.is_virtual for node in destination.frontier)
 
     def test_frontiers_disjoint_after_transfer(self):
         source = self._worker_with_frontier()
@@ -121,7 +121,7 @@ class TestReplay:
         source.seed()
         while source.queue_length < 2 and source.has_work:
             source.explore(5)
-        node = max(source.candidates.values(), key=lambda n: len(n.path_from_root()))
+        node = max(source.frontier, key=lambda n: len(n.path_from_root()))
         path = node.path_from_root()
         assert path, "need a non-root candidate for this test"
 
