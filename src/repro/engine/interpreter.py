@@ -173,7 +173,8 @@ class Interpreter:
     # -- feasibility ----------------------------------------------------------------
 
     def _feasible(self, state: ExecutionState, condition) -> bool:
-        return self.solver.is_satisfiable(state.path_constraints + [condition])
+        return self.solver.is_satisfiable(
+            state.path_constraints.extended(condition))
 
     # -- instruction execution ---------------------------------------------------------
 

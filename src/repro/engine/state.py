@@ -4,6 +4,12 @@ An :class:`ExecutionState` is one node's worth of program state in the
 symbolic execution tree: everything needed to continue executing a path.
 States are cloned when execution forks at a symbolic branch, at a scheduling
 decision (when schedule forking is enabled), or at a fault-injection point.
+
+The path constraint is an immutable
+:class:`~repro.solver.pathconstraint.PathConstraint`: a fork shares it with
+its parent, and adding a branch condition replaces it with an extended value
+that already carries the solver's view of the whole path (simplified
+conjuncts, independent groups, cache keys).
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from repro.engine.memory import (
 )
 from repro.lang.compiler import CompiledProgram
 from repro.solver.expr import Expr, bv_symbol
+from repro.solver.pathconstraint import PathConstraint
 
 Value = Union[int, Expr]
 
@@ -161,8 +168,7 @@ class ExecutionState:
         self.next_wait_list = 1
 
         # Path bookkeeping.
-        self.path_constraints: List[Expr] = []
-        self._constraint_set: Set[Expr] = set()
+        self.path_constraints = PathConstraint()
         self.coverage: Set[int] = set()
         self.fork_trace: List[int] = []
         self.instructions_executed = 0
@@ -234,8 +240,7 @@ class ExecutionState:
         clone.wait_lists = {k: list(v) for k, v in self.wait_lists.items()}
         clone.next_wait_list = self.next_wait_list
 
-        clone.path_constraints = list(self.path_constraints)
-        clone._constraint_set = set(self._constraint_set)
+        clone.path_constraints = self.path_constraints
         clone.coverage = set(self.coverage)
         clone.fork_trace = list(self.fork_trace)
         clone.instructions_executed = self.instructions_executed
@@ -423,10 +428,8 @@ class ExecutionState:
         duplicates keeps the constraint set (and thus solver queries) small
         on long loop-heavy paths such as the memcached UDP hang.
         """
-        if constraint in self._constraint_set:
-            return
-        self._constraint_set.add(constraint)
-        self.path_constraints.append(constraint)
+        if constraint not in self.path_constraints:
+            self.path_constraints = self.path_constraints.extended(constraint)
 
     # -- termination ----------------------------------------------------------------------
 

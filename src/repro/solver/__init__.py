@@ -6,8 +6,13 @@ for the workloads the paper evaluates (byte-granular symbolic inputs such as
 network packets, format strings and HTTP headers):
 
 * :mod:`repro.solver.expr` -- a small bitvector/boolean expression language
-  with structural hashing.
-* :mod:`repro.solver.simplify` -- canonicalization and constant folding.
+  with structural hashing; per-node facts are memoised on the node.
+* :mod:`repro.solver.simplify` -- canonicalization and constant folding,
+  once per node.
+* :mod:`repro.solver.independence` -- independent constraint groups, grown
+  one constraint at a time.
+* :mod:`repro.solver.pathconstraint` -- the path constraint as an immutable
+  value that keeps its simplified conjuncts, groups and cache keys.
 * :mod:`repro.solver.interval` -- an unsigned-interval abstract domain used
   for fast infeasibility checks and for pruning the search.
 * :mod:`repro.solver.solver` -- a feasibility checker and model generator
@@ -61,6 +66,7 @@ from repro.solver.expr import (
 from repro.solver.model import Model
 from repro.solver.simplify import simplify
 from repro.solver.independence import partition
+from repro.solver.pathconstraint import PathConstraint
 from repro.solver.solver import Solver, SolverConfig, SolverResult, SolverStats
 from repro.solver.cache import ConstraintCache, CounterexampleCache
 
@@ -108,6 +114,7 @@ __all__ = [
     "Model",
     "simplify",
     "partition",
+    "PathConstraint",
     "Solver",
     "SolverConfig",
     "SolverResult",

@@ -1,16 +1,26 @@
 """Bitvector/boolean expression language.
 
-Expressions are immutable, structurally hashable trees.  Bitvector values are
-unsigned integers interpreted modulo ``2**width``; signed comparisons use
-two's-complement interpretation.  The expression language intentionally covers
-only what the symbolic execution engine emits: arithmetic, bitwise operations,
-shifts, concatenation/extraction, comparisons and boolean connectives.
+Expressions are immutable, structurally hashable DAGs (the engine shares
+sub-expressions freely).  Bitvector values are unsigned integers interpreted
+modulo ``2**width``; signed comparisons use two's-complement interpretation.
+The expression language intentionally covers only what the symbolic execution
+engine emits: arithmetic, bitwise operations, shifts, concatenation/extraction,
+comparisons and boolean connectives.
+
+Facts derived from a node live *on* the node: its simplified form (written by
+:func:`repro.solver.simplify.simplify`), its symbol set, its depth and the
+constants it mentions are each computed once per node object and read back
+from a slot afterwards, so every walk is linear in *distinct* nodes however
+often a sub-DAG is referenced.  The memo slots take no part in equality,
+hashing or pickling.  (:func:`evaluate` and the interval walks are not
+memoised and still pay once per reference.)
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Optional, Sequence, Tuple
+from typing import (Any, FrozenSet, Iterable, List, Literal, Mapping, Optional,
+                    Sequence, Tuple, Union)
 
 
 class Op(enum.Enum):
@@ -132,28 +142,44 @@ class Expr:
     (:func:`bv_const`, :func:`add`, :func:`eq`, ...) which validate sorts.
     """
 
-    __slots__ = ("op", "args", "sort", "value", "name", "params", "_hash")
+    __slots__ = ("op", "args", "sort", "value", "name", "params", "_hash",
+                 "_simplified", "_symbols", "_depth", "_constants")
 
     def __init__(
         self,
         op: Op,
         args: Tuple["Expr", ...] = (),
         sort: Optional[Sort] = None,
-        value: Optional[object] = None,
+        value: Any = None,
         name: Optional[str] = None,
         params: Tuple[int, ...] = (),
     ):
         self.op = op
         self.args = args
-        self.sort = sort
+        #: A :class:`BoolSort` or a :class:`BvSort` (``is_bool``/``is_bv``).
+        self.sort: Any = sort
+        #: An ``int`` on bitvector constants, a ``bool`` on boolean ones.
         self.value = value
         self.name = name
         self.params = params
         self._hash = hash(
             (op, args, repr(sort), value, name, params)
         )
+        #: Memo of :func:`repro.solver.simplify.simplify`: the canonical
+        #: form, or ``True`` when this node is its own (a self-reference
+        #: would be a cycle only the garbage collector could free).
+        self._simplified: Union[None, Literal[True], Expr] = None
+        self._symbols: Optional[FrozenSet[Expr]] = None
+        self._depth: Optional[int] = None
+        self._constants: Optional[FrozenSet[int]] = None
 
     # -- identity ---------------------------------------------------------
+
+    def __reduce__(self):
+        # Only the defining fields travel: memo slots stay out of pickles,
+        # and the hash is recomputed where the node is rebuilt.
+        return (type(self), (self.op, self.args, self.sort, self.value,
+                             self.name, self.params))
 
     def __copy__(self) -> "Expr":
         return self
@@ -205,27 +231,35 @@ class Expr:
     def is_symbol(self) -> bool:
         return self.op == Op.BV_SYMBOL
 
-    def symbols(self) -> "set[Expr]":
-        """Return the set of symbol leaves appearing in this expression."""
-        out: set[Expr] = set()
-        stack = [self]
-        seen: set[int] = set()
-        while stack:
-            node = stack.pop()
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            if node.op == Op.BV_SYMBOL:
-                out.add(node)
-            else:
-                stack.extend(node.args)
+    def symbols(self) -> FrozenSet["Expr"]:
+        """The symbol leaves appearing in this expression."""
+        out = self._symbols
+        if out is None:
+            if self.op == Op.BV_SYMBOL:
+                # Not stored: a symbol holding a set that holds the symbol
+                # would be a reference cycle.
+                return frozenset((self,))
+            out = self._symbols = _union(arg.symbols() for arg in self.args)
         return out
 
     def depth(self) -> int:
-        """Height of the expression tree (leaves have depth 1)."""
-        if not self.args:
-            return 1
-        return 1 + max(arg.depth() for arg in self.args)
+        """Height of the expression (leaves have depth 1)."""
+        out = self._depth
+        if out is None:
+            out = 1 + max((arg.depth() for arg in self.args), default=0)
+            self._depth = out
+        return out
+
+    def constants(self) -> FrozenSet[int]:
+        """The values of the bitvector constants appearing in this expression."""
+        out = self._constants
+        if out is None:
+            if self.op == Op.BV_CONST:
+                out = frozenset((self.value,))
+            else:
+                out = _union(arg.constants() for arg in self.args)
+            self._constants = out
+        return out
 
     # -- printing ---------------------------------------------------------
 
@@ -241,6 +275,19 @@ class Expr:
         if self.op == Op.ZEXT:
             return "ZExt(%d, %r)" % (self.params[0], self.args[0])
         return "%s(%s)" % (self.op.value, ", ".join(repr(a) for a in self.args))
+
+
+_NOTHING: FrozenSet = frozenset()
+
+
+def _union(sets: Iterable[FrozenSet]) -> FrozenSet:
+    """Union of ``sets``, handing back one of them whenever it covers the rest
+    (a parent usually mentions exactly what one child does)."""
+    out = _NOTHING
+    for found in sets:
+        if not found <= out:
+            out = found if out <= found else out | found
+    return out
 
 
 # Subclass aliases kept for readable isinstance checks in client code.
@@ -477,11 +524,13 @@ def concat_bytes(byte_exprs: Sequence[Expr]) -> Expr:
     return out
 
 
-def evaluate(expr: Expr, assignment: "dict[Expr, int]") -> object:
-    """Evaluate ``expr`` under a full assignment of symbol -> unsigned int.
+def evaluate(expr: Expr, assignment: Mapping[Expr, int],
+             default: Optional[int] = None) -> object:
+    """Evaluate ``expr`` under an assignment of symbol -> unsigned int.
 
     Returns an ``int`` for bitvector expressions and a ``bool`` for boolean
-    expressions.  Raises ``KeyError`` when a symbol is unassigned.
+    expressions.  An unassigned symbol reads ``default``; without one it
+    raises ``KeyError``.
     """
     op = expr.op
     if op == Op.BV_CONST:
@@ -489,9 +538,12 @@ def evaluate(expr: Expr, assignment: "dict[Expr, int]") -> object:
     if op == Op.BOOL_CONST:
         return expr.value
     if op == Op.BV_SYMBOL:
-        return _mask(assignment[expr], expr.width)
+        value = assignment.get(expr, default)
+        if value is None:
+            raise KeyError(expr)
+        return _mask(value, expr.width)
 
-    args = [evaluate(a, assignment) for a in expr.args]
+    args: List[Any] = [evaluate(a, assignment, default) for a in expr.args]
 
     if op == Op.ADD:
         return _mask(args[0] + args[1], expr.width)

@@ -12,48 +12,97 @@ the same groups as before except for the single group touching the new
 branch's symbols.  Every unchanged group is an exact cache hit; only the
 changed group is re-solved, over a strictly smaller symbol set than the
 whole query.
+
+The grouping exists once, as the incremental step :func:`grouped`: it places
+one more constraint into an ordered tuple of :class:`Group` values and
+leaves every group the constraint does not touch as the same object, cache
+key included.  :class:`~repro.solver.pathconstraint.PathConstraint` applies
+it per new conjunct; :func:`partition` folds it over a whole list.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import FrozenSet, Iterable, List, Sequence, Tuple
 
 from repro.solver.expr import Expr
 
-__all__ = ["partition"]
+__all__ = ["Group", "grouped", "partition"]
 
 
-class _UnionFind:
-    """Union-find over symbol expressions (path compression + size union)."""
+class Group:
+    """One independent group: constraints connected through shared symbols.
 
-    def __init__(self) -> None:
-        self._parent: Dict[Expr, Expr] = {}
-        self._size: Dict[Expr, int] = {}
+    ``constraints`` keeps query order *and duplicates* (the search counts
+    occurrences when it orders variables), ``positions`` the index each one
+    had in the query, ``key`` is the group's cache key (the
+    :data:`~repro.solver.cache.QueryKey` of ``constraints``) and ``symbols``
+    the union of their symbol sets.  Immutable once built.
+    """
 
-    def find(self, item: Expr) -> Expr:
-        parent = self._parent.setdefault(item, item)
-        if parent is item:
-            self._size.setdefault(item, 1)
-            return item
-        root = item
-        while self._parent[root] is not root:
-            root = self._parent[root]
-        while self._parent[item] is not root:
-            self._parent[item], item = root, self._parent[item]
-        return root
+    __slots__ = ("constraints", "positions", "key", "symbols")
 
-    def union(self, a: Expr, b: Expr) -> None:
-        root_a, root_b = self.find(a), self.find(b)
-        if root_a is root_b:
-            return
-        if self._size[root_a] < self._size[root_b]:
-            root_a, root_b = root_b, root_a
-        self._parent[root_b] = root_a
-        self._size[root_a] += self._size[root_b]
+    def __init__(self, constraints: Tuple[Expr, ...], positions: Tuple[int, ...],
+                 key: FrozenSet[Expr], symbols: FrozenSet[Expr]):
+        self.constraints = constraints
+        self.positions = positions
+        self.key = key
+        self.symbols = symbols
+
+    @classmethod
+    def of(cls, constraints: Iterable[Expr]) -> "Group":
+        """All of ``constraints`` as a single group, whatever they share."""
+        members = tuple(constraints)
+        symbols: FrozenSet[Expr] = frozenset().union(
+            *(c.symbols() for c in members))
+        return cls(members, tuple(range(len(members))), frozenset(members),
+                   symbols)
+
+
+def grouped(groups: Tuple[Group, ...], position: int,
+            constraint: Expr) -> Tuple[Group, ...]:
+    """``groups`` with ``constraint`` (query index ``position``, larger than
+    any already placed) added.
+
+    The groups sharing a symbol with the constraint merge with it into one
+    group, which takes the place of the earliest of them; without any, the
+    constraint opens a new last group (so a symbol-free constraint is always
+    a singleton).  Groups therefore stay ordered by their first constraint
+    and every group lists its constraints in query order.
+    """
+    symbols = constraint.symbols()
+    kept: List[Group] = []
+    touched: List[Group] = []
+    slot = 0
+    for group in groups:
+        if symbols.isdisjoint(group.symbols):
+            kept.append(group)
+        else:
+            if not touched:
+                slot = len(kept)
+            touched.append(group)
+    if not touched:
+        return groups + (Group((constraint,), (position,),
+                               frozenset((constraint,)), symbols),)
+    if len(touched) == 1:
+        constraints = touched[0].constraints + (constraint,)
+        positions = touched[0].positions + (position,)
+    else:
+        # Interleave the merging groups back into query order.
+        placed = sorted(
+            (pair for group in touched
+             for pair in zip(group.positions, group.constraints)),
+            key=lambda pair: pair[0])
+        positions = tuple(p for p, _ in placed) + (position,)
+        constraints = tuple(c for _, c in placed) + (constraint,)
+    kept.insert(slot, Group(
+        constraints, positions,
+        touched[0].key.union(*(g.key for g in touched[1:]), (constraint,)),
+        symbols.union(*(g.symbols for g in touched))))
+    return tuple(kept)
 
 
 def partition(constraints: Sequence[Expr]) -> List[List[Expr]]:
-    """Split ``constraints`` into independent groups.
+    """Split ``constraints`` into independent groups, from scratch.
 
     Two constraints land in the same group iff they are connected through
     shared symbols.  The result is deterministic: groups are ordered by the
@@ -61,23 +110,7 @@ def partition(constraints: Sequence[Expr]) -> List[List[Expr]]:
     order within each group.  Constraints without any symbol (fully constant
     after simplification) each form their own singleton group.
     """
-    uf = _UnionFind()
-    constraint_symbols: List[List[Expr]] = []
-    for constraint in constraints:
-        symbols = sorted(constraint.symbols(),
-                         key=lambda s: (s.name or "", s.width))
-        constraint_symbols.append(symbols)
-        for other in symbols[1:]:
-            uf.union(symbols[0], other)
-
-    groups: Dict[object, List[Expr]] = {}
-    order: List[object] = []
-    for index, (constraint, symbols) in enumerate(
-            zip(constraints, constraint_symbols)):
-        # Symbol-free constraints get a unique key so they stay singletons.
-        key: object = uf.find(symbols[0]) if symbols else ("const", index)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(constraint)
-    return [groups[key] for key in order]
+    groups: Tuple[Group, ...] = ()
+    for position, constraint in enumerate(constraints):
+        groups = grouped(groups, position, constraint)
+    return [list(group.constraints) for group in groups]

@@ -24,14 +24,11 @@ class Model:
 
     def evaluate(self, expr: Expr) -> object:
         """Evaluate an expression under this model (don't-cares default to 0)."""
-        assignment = dict(self.assignment)
-        for sym in expr.symbols():
-            assignment.setdefault(sym, 0)
-        return evaluate(expr, assignment)
+        return evaluate(expr, self.assignment, 0)
 
     def satisfies(self, constraints: Iterable[Expr]) -> bool:
         """Whether every constraint evaluates to True under this model."""
-        return all(bool(self.evaluate(c)) for c in constraints)
+        return all(bool(evaluate(c, self.assignment, 0)) for c in constraints)
 
     def as_bytes(self, symbols: Iterable[Expr]) -> bytes:
         """Concretize a sequence of byte-sized symbols into a bytes object."""

@@ -4,11 +4,18 @@ The engine calls :func:`simplify` on every branch condition before adding it
 to a path constraint.  Keeping expressions small is the single biggest lever
 on solver performance, exactly as in KLEE/Cloud9 where the constraint
 simplifier and caches sit in front of STP.
+
+A node is simplified once.  The result is remembered on the node
+(``Expr._simplified``) and the result itself is marked canonical --
+:func:`simplify` is idempotent, ``tests/test_solver_properties.py`` holds it
+to that -- so asking again, for the node or for anything built over it, is
+one slot read.  A node whose children are already canonical and that no
+identity rewrites is returned as is, not rebuilt.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Any, Optional
 
 from repro.solver.expr import (
     BOOL,
@@ -24,35 +31,34 @@ from repro.solver.expr import (
 
 def _fold_concrete(expr: Expr) -> Expr:
     """Fold an expression whose children are all constants."""
-    value = evaluate(expr, {})
+    value: Any = evaluate(expr, {})
     if expr.is_bool:
         return bool_const(bool(value))
     return bv_const(int(value), expr.width)
 
 
-def simplify(expr: Expr, _cache: Dict[Expr, Expr] = None) -> Expr:
+def simplify(expr: Expr) -> Expr:
     """Return a semantically equivalent, usually smaller, expression."""
-    if _cache is None:
-        _cache = {}
-    cached = _cache.get(expr)
-    if cached is not None:
-        return cached
+    memo = expr._simplified
+    if memo is not None:
+        return expr if memo is True else memo
 
-    if expr.op in (Op.BV_CONST, Op.BOOL_CONST, Op.BV_SYMBOL):
-        _cache[expr] = expr
-        return expr
+    if not expr.args:
+        out = expr
+    else:
+        args = tuple(simplify(a) for a in expr.args)
+        node = expr
+        if any(new is not old for new, old in zip(args, expr.args)):
+            node = Expr(expr.op, args, sort=expr.sort, value=expr.value,
+                        name=expr.name, params=expr.params)
+        if all(a.is_constant for a in args):
+            out = _fold_concrete(node)
+        else:
+            out = _apply_identities(node)
 
-    args = tuple(simplify(a, _cache) for a in expr.args)
-    node = Expr(expr.op, args, sort=expr.sort, value=expr.value,
-                name=expr.name, params=expr.params)
-
-    if all(a.is_constant for a in args):
-        out = _fold_concrete(node)
-        _cache[expr] = out
-        return out
-
-    out = _apply_identities(node)
-    _cache[expr] = out
+    out._simplified = True
+    if out is not expr:
+        expr._simplified = out
     return out
 
 
@@ -224,7 +230,7 @@ def _apply_identities(expr: Expr) -> Expr:
     return expr
 
 
-def _fold_ite_comparison(lhs: Expr, rhs: Expr, negate: bool):
+def _fold_ite_comparison(lhs: Expr, rhs: Expr, negate: bool) -> Optional[Expr]:
     """Rewrite ``ite(c, k1, k2) ==/!= k`` into ``c`` / ``not c`` when possible.
 
     The engine encodes C-style comparison results as ``ite(cond, 1, 0)`` and

@@ -6,11 +6,18 @@ The solver answers the only two questions the symbolic execution engine asks:
 * ``get_model(constraints)`` -- concrete inputs that follow this path
   (used to emit test cases for bugs, exactly as in the paper).
 
-Algorithm: simplify every constraint, propagate unsigned interval bounds for
-each free symbol to a fixpoint, then run a backtracking enumeration over the
-(now narrowed) symbol domains.  Candidate values are tried in a
-constraint-guided order (domain endpoints, constants appearing in the
-constraints, then a sweep).  Queries in the paper's workloads involve
+A query is a :class:`~repro.solver.pathconstraint.PathConstraint`: its
+constraints arrive simplified, split into conjuncts and partitioned into
+independent groups, each group with its cache key ready.  The engine hands
+over ``state.path_constraints.extended(branch)``, which carries all of that
+over from the state's own path constraint, so a query costs what its new
+branch costs; any other iterable is wrapped by the same constructor first.
+
+Algorithm, per group the caches cannot answer: propagate unsigned interval
+bounds for each free symbol to a fixpoint, then run a backtracking
+enumeration over the (now narrowed) symbol domains.  Candidate values are
+tried in a constraint-guided order (domain endpoints, constants appearing in
+the constraints, then a sweep).  Queries in the paper's workloads involve
 byte-granular symbols (packet bytes, header characters), for which this
 terminates quickly; a configurable step budget bounds pathological cases.
 """
@@ -25,10 +32,11 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.obs.metrics import CounterField, MetricsRegistry, bind_counters, counter_fields
 from repro.solver.cache import ConstraintCache, CounterexampleCache, QueryKey, query_key
 from repro.solver.expr import Expr, Op, evaluate
-from repro.solver.independence import partition
+from repro.solver.independence import Group
 from repro.solver.interval import Interval, full_interval, refine_bounds, truth_of
 from repro.solver.model import Model
-from repro.solver.simplify import conjuncts, simplify
+from repro.solver.pathconstraint import PathConstraint
+from repro.solver.simplify import simplify
 
 
 class SolverError(Exception):
@@ -182,30 +190,26 @@ class Solver:
 
     def _check(self, constraints: Iterable[Expr]) -> Tuple[SolverResult, Optional[Model]]:
         self.stats.queries += 1
-        simplified: List[Expr] = []
-        for c in constraints:
-            s = simplify(c)
-            for conj in conjuncts(s):
-                if conj.op == Op.BOOL_CONST:
-                    if not conj.value:
-                        self.stats.unsat_queries += 1
-                        return SolverResult.UNSAT, None
-                    continue
-                simplified.append(conj)
+        query = (constraints if isinstance(constraints, PathConstraint)
+                 else PathConstraint(constraints))
+        if query.is_false:
+            self.stats.unsat_queries += 1
+            return SolverResult.UNSAT, None
 
-        if not simplified:
+        if not query.conjuncts:
             self.stats.sat_queries += 1
             return SolverResult.SAT, Model({})
 
-        if self._unknown and query_key(simplified) in self._unknown:
+        if self._unknown and query_key(query.conjuncts) in self._unknown:
             self.stats.unknown_queries += 1
             self.stats.unknown_cache_hits += 1
             return SolverResult.UNKNOWN, None
 
-        groups = (partition(simplified) if self.config.use_independence
-                  else [simplified])
         if self.config.use_independence:
+            groups = query.groups
             self.stats.independence_groups += len(groups)
+        else:
+            groups = (Group.of(query.conjuncts),)
 
         # The step budget is per *query*: groups draw from a shared pool so a
         # pathological query costs max_search_steps total, independent of how
@@ -236,7 +240,7 @@ class Solver:
         if unknown:
             self.stats.unknown_queries += 1
             if memoizable:
-                self._remember_unknown(query_key(simplified))
+                self._remember_unknown(query_key(query.conjuncts))
             return SolverResult.UNKNOWN, None
 
         model = Model(merged)
@@ -247,7 +251,7 @@ class Solver:
             self._remember_model(model)
         return SolverResult.SAT, model
 
-    def _check_group(self, group: List[Expr],
+    def _check_group(self, group: Group,
                      budget: List[int]) -> Tuple[Optional[bool], Optional[Model]]:
         """Resolve one independent group: ``(True/False/None, model)``.
 
@@ -265,26 +269,28 @@ class Solver:
         the y-group's model must not overwrite the x-group's fresh ``x=3``).
         """
         track = self.config.use_independence
+        # The caches key on ``frozenset(constraints)``; handing them the
+        # group's own frozenset makes that a no-op (``frozenset(k) is k``).
+        key = group.key
         if self.config.use_constraint_cache:
-            hit = self._cache.lookup(group)
+            hit = self._cache.lookup(key)
             if hit is not None:
                 self.stats.cache_hits += 1
                 if track:
                     self.stats.independence_hits += 1
                 return hit[0], hit[1]
         if self.config.use_counterexample_cache:
-            hit = self._cex_cache.lookup(group)
+            hit = self._cex_cache.lookup(key)
             if hit is not None:
                 self.stats.cache_hits += 1
                 if track:
                     self.stats.independence_hits += 1
-                model = (hit[1].restricted_to(self._group_symbols(group))
+                model = (hit[1].restricted_to(group.symbols)
                          if hit[1] is not None else None)
                 if self.config.use_constraint_cache:
-                    self._cache.insert(group, hit[0], model)
+                    self._cache.insert(key, hit[0], model)
                 return hit[0], model
 
-        key = query_key(group)
         if key in self._unknown:
             self.stats.unknown_cache_hits += 1
             return None, None
@@ -292,21 +298,21 @@ class Solver:
         # Fast path: one of the recently found models may already satisfy
         # the group (models of supersets solved moments ago usually do).
         for recent in reversed(self._recent_models):
-            if recent.satisfies(group):
+            if recent.satisfies(group.constraints):
                 self.stats.cache_hits += 1
                 if track:
                     self.stats.independence_hits += 1
-                model = recent.restricted_to(self._group_symbols(group))
+                model = recent.restricted_to(group.symbols)
                 if self.config.use_constraint_cache:
-                    self._cache.insert(group, True, model)
+                    self._cache.insert(key, True, model)
                 if self.config.use_counterexample_cache:
-                    self._cex_cache.insert(group, True, model)
+                    self._cex_cache.insert(key, True, model)
                 return True, model
 
         self.stats.groups_solved += 1
         budget_at_entry = budget[0]
         try:
-            model = self._solve(group, budget)
+            model = self._solve(group.constraints, budget)
         except SolverError:
             # Memoize only when this group saw the full per-query budget: a
             # group starved by an earlier group's search might be perfectly
@@ -319,17 +325,10 @@ class Solver:
         if is_sat:
             self._remember_model(model)
         if self.config.use_constraint_cache:
-            self._cache.insert(group, is_sat, model)
+            self._cache.insert(key, is_sat, model)
         if self.config.use_counterexample_cache:
-            self._cex_cache.insert(group, is_sat, model)
+            self._cex_cache.insert(key, is_sat, model)
         return is_sat, model
-
-    @staticmethod
-    def _group_symbols(group: Sequence[Expr]) -> set:
-        out: set = set()
-        for constraint in group:
-            out.update(constraint.symbols())
-        return out
 
     def _remember_model(self, model: Model) -> None:
         self._recent_models.append(model)
@@ -421,7 +420,7 @@ class Solver:
         # Index constraints by the symbols they mention so the backtracking
         # search only re-checks constraints affected by the latest assignment.
         constraint_symbols: Dict[Expr, frozenset] = {
-            c: frozenset(c.symbols()) for c in constraints
+            c: c.symbols() for c in constraints
         }
         affected: Dict[Expr, List[Expr]] = {s: [] for s in symbols}
         for c, syms in constraint_symbols.items():
@@ -446,16 +445,11 @@ class Solver:
         return sorted(symbols, key=lambda s: (-counts[s], s.name or ""))
 
     def _interesting_constants(self, constraints: Sequence[Expr]) -> List[int]:
-        values: set[int] = set()
-        stack = list(constraints)
-        while stack:
-            node = stack.pop()
-            if node.op == Op.BV_CONST:
-                values.add(node.value)
-                values.add(node.value + 1)
-                if node.value > 0:
-                    values.add(node.value - 1)
-            stack.extend(node.args)
+        """Every constant the constraints mention, and its two neighbours."""
+        values = {near for constraint in constraints
+                  for value in constraint.constants()
+                  for near in (value - 1, value, value + 1)}
+        values.discard(-1)
         return sorted(values)
 
     def _candidates(self, symbol: Expr, bounds: Dict[Expr, Interval],

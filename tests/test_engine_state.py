@@ -96,7 +96,7 @@ class TestSymbolicInputs:
         constraint = E.eq(x, E.bv_const(1, 8))
         state.add_constraint(constraint)
         state.add_constraint(constraint)
-        assert state.path_constraints.count(constraint) == 1
+        assert list(state.path_constraints) == [constraint]
 
 
 class TestWaitLists:

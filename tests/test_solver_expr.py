@@ -1,8 +1,13 @@
 """Unit tests for the expression language (repro.solver.expr)."""
 
+import pickle
+import time
+
 import pytest
 
 from repro.solver import expr as E
+from repro.solver.simplify import simplify
+from repro.solver.solver import Solver
 
 
 class TestSorts:
@@ -164,3 +169,41 @@ class TestSignedHelpers:
         assert E.evaluate(E.concat_bytes(cells), {}) == 0x1234
         with pytest.raises(ValueError):
             E.concat_bytes([])
+
+
+class TestSharedSubDags:
+    """``e = add(e, e)`` forty times is 41 nodes and 2**40 references: every
+    per-node fact must be computed per node, not per reference."""
+
+    LEVELS = 40
+
+    def doubled(self, levels=LEVELS):
+        x = E.bv_symbol("x", 8)
+        node = E.add(x, E.bv_const(3, 8))
+        for _ in range(levels):
+            node = E.add(node, node)
+        return x, node
+
+    def test_facts_are_linear_in_distinct_nodes(self):
+        x, node = self.doubled()
+        started = time.monotonic()
+        assert node.symbols() == {x}
+        assert node.depth() == self.LEVELS + 2
+        assert node.constants() == {3}
+        assert simplify(node) is node
+        assert Solver()._interesting_constants([node]) == [2, 3, 4]
+        assert time.monotonic() - started < 1.0
+
+    def test_memos_stay_out_of_equality_hash_and_pickles(self):
+        # Eight levels: ``==`` between distinct-but-equal DAGs is still a walk
+        # per reference (nodes are not interned).
+        _, node = self.doubled(8)
+        _, twin = self.doubled(8)
+        simplify(node), node.symbols(), node.depth(), node.constants()
+        assert node == twin and hash(node) == hash(twin)
+        assert twin._simplified is None and twin._symbols is None
+        assert pickle.dumps(node) == pickle.dumps(twin)
+        clone = pickle.loads(pickle.dumps(node))
+        assert clone == node and clone is not node
+        assert clone._simplified is None and clone._symbols is None
+        assert clone._depth is None and clone._constants is None

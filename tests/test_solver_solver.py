@@ -246,6 +246,17 @@ class TestModel:
         model = Model({X: 7})
         assert model.evaluate(E.add(X, Y)) == 7  # Y defaults to 0
 
+    def test_dont_cares_read_zero_and_the_model_is_left_alone(self):
+        assignment = {X: 7}
+        model = Model(assignment)
+        both = E.eq(E.add(X, Y), E.bv_const(7, 8))
+        assert model.evaluate(Y) == 0
+        assert model.satisfies([both, E.eq(Y, E.bv_const(0, 8))])
+        assert not model.satisfies([E.ne(Y, E.bv_const(0, 8))])
+        # No copy was made to hold the defaults, and none leaked back.
+        assert model.assignment is assignment and assignment == {X: 7}
+        assert Y not in model.assignment and model.value_of(Y, 9) == 9
+
     def test_as_bytes(self):
         model = Model({X: 0x41, Y: 0x42})
         assert model.as_bytes([X, Y]) == b"AB"
