@@ -11,56 +11,39 @@ snapshots that the benchmark harness turns into the paper's figures
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, Iterable, List, Optional
 
-from repro.obs.metrics import CounterField, MetricsRegistry, bind_counters, counter_fields
 
-
+@dataclass
 class WorkerStats:
-    """Per-worker counters.
+    """Per-worker counters: plain ``int`` fields the worker bumps in place.
 
-    A view over a :class:`~repro.obs.metrics.MetricsRegistry`: constructed
-    with ``registry=`` (the in-process worker passes its executor's) the
-    counters are shared cells visible to the status/trace layer; without
-    one they are private, and either way the public surface is the old
-    dataclass's -- keyword construction, ``stats.x += 1``, equality,
-    pickling (the object crosses the process boundary inside
-    ``FinalReply``).
+    The object crosses the process boundary inside ``FinalReply``, so
+    equality and pickling are the dataclass's own.
     """
 
-    useful_instructions = CounterField()
-    replay_instructions = CounterField()
-    paths_completed = CounterField()
-    jobs_imported = CounterField()
-    jobs_exported = CounterField()
+    worker_id: int
+    useful_instructions: int = 0
+    replay_instructions: int = 0
+    paths_completed: int = 0
+    jobs_imported: int = 0
+    jobs_exported: int = 0
     # Jobs imported as part of a dead worker's frontier recovery (a subset
     # of ``jobs_imported``; the failure model is described in §2.3).
-    jobs_recovered = CounterField()
-    replays = CounterField()
-    broken_replays = CounterField()
-    schedule_steps = CounterField()
+    jobs_recovered: int = 0
+    replays: int = 0
+    broken_replays: int = 0
+    schedule_steps: int = 0
     # Transfer-encoding cost (§3.2: jobs ship as a prefix-sharing job tree).
-    transfers = CounterField()
-    transfer_encoded_nodes = CounterField()
-    transfer_naive_nodes = CounterField()
+    transfers: int = 0
+    transfer_encoded_nodes: int = 0
+    transfer_naive_nodes: int = 0
     # Solver work spent inside path replay (§6: the destination worker
     # rebuilds the relevant constraint-cache entries as a side effect of
     # replay, so replay queries seed later cache/independence hits).
-    replay_solver_queries = CounterField()
-    replay_cache_hits = CounterField()
-
-    def __init__(self, worker_id: int, *,
-                 registry: Optional[MetricsRegistry] = None, **counts: int):
-        self.worker_id = worker_id
-        fields_ = counter_fields(type(self))
-        unknown = set(counts) - set(fields_)
-        if unknown:
-            raise TypeError("unknown WorkerStats field(s): %s"
-                            % ", ".join(sorted(unknown)))
-        bind_counters(self, fields_, registry, prefix="worker_")
-        for name, value in counts.items():
-            setattr(self, name, value)
+    replay_solver_queries: int = 0
+    replay_cache_hits: int = 0
 
     @property
     def total_instructions(self) -> int:
@@ -72,29 +55,7 @@ class WorkerStats:
         return self.replay_instructions / total if total else 0.0
 
     def as_dict(self) -> Dict[str, int]:
-        """Plain ``{field: value}`` dict (the old ``dataclasses.asdict``)."""
-        out: Dict[str, int] = {"worker_id": self.worker_id}
-        for name in counter_fields(type(self)):
-            out[name] = getattr(self, name)
-        return out
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, WorkerStats):
-            return NotImplemented
-        return self.as_dict() == other.as_dict()
-
-    def __repr__(self) -> str:
-        body = ", ".join("%s=%r" % kv for kv in self.as_dict().items())
-        return "WorkerStats(%s)" % body
-
-    # Pickling detaches the registry: counters travel as plain values (the
-    # receiving coordinator only reads them).
-    def __getstate__(self) -> Dict[str, int]:
-        return self.as_dict()
-
-    def __setstate__(self, state: Dict[str, int]) -> None:
-        state = dict(state)
-        self.__init__(state.pop("worker_id"), **state)
+        return asdict(self)
 
 
 @dataclass

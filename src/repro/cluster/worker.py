@@ -184,7 +184,9 @@ class Worker:
         tests_before = len(self.executor.test_cases)
         paths_before = self.executor.paths_completed
         instructions_before = self.executor.total_instructions
-        solver_before = self.executor.solver.stats.snapshot()
+        solver_stats = self.executor.solver.stats
+        queries_before = solver_stats.queries
+        cache_hits_before = solver_stats.cache_hits
 
         outcome = replay_path(self.executor, self.state_factory, path)
 
@@ -196,9 +198,8 @@ class Worker:
         self.executor.paths_completed = paths_before
         replayed = self.executor.total_instructions - instructions_before
         self.stats.replay_instructions += replayed
-        solver_delta = self.executor.solver.stats.delta_since(solver_before)
-        self.stats.replay_solver_queries += solver_delta["queries"]
-        self.stats.replay_cache_hits += solver_delta["cache_hits"]
+        self.stats.replay_solver_queries += solver_stats.queries - queries_before
+        self.stats.replay_cache_hits += solver_stats.cache_hits - cache_hits_before
 
         if not outcome.succeeded:
             self.stats.broken_replays += 1

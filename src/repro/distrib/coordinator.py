@@ -81,7 +81,7 @@ from repro.net.transport import (
 from repro.obs import schema as trace_schema
 from repro.obs.metrics import Histogram
 from repro.obs.status import StatusServer
-from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
+from repro.obs.trace import NULL_TRACER, NullTracer, Tracer, emit_solver_query
 from repro.solver.cache import aggregate_cache_counters
 
 __all__ = ["Coordinator", "WorkerProcessError"]
@@ -907,16 +907,7 @@ class Coordinator:
         result.states_remaining = candidates
         latency = self._finalize(result, round_index)
         if tracer.enabled:
-            payload: Dict[str, Any] = {
-                k: v for k, v in (result.cache_stats or {}).items()
-                if isinstance(v, int) and v}
-            if latency.count:
-                p50 = latency.percentile(50.0)
-                p99 = latency.percentile(99.0)
-                payload["latency_count"] = latency.count
-                payload["latency_p50"] = round(p50 or 0.0, 6)
-                payload["latency_p99"] = round(p99 or 0.0, 6)
-            tracer.emit(trace_schema.SOLVER_QUERY, **payload)
+            emit_solver_query(tracer, result.cache_stats, latency)
             round_p50 = self._round_seconds.percentile(50.0)
             round_p99 = self._round_seconds.percentile(99.0)
             tracer.emit(trace_schema.RUN_FINISHED, rounds=result.rounds_executed,

@@ -35,9 +35,8 @@ from repro.engine.test_case import TestCase, generate_test_case
 from repro.engine.tree import ExecutionTree, NodeStatus, TreeNode
 from repro.lang.ast import Program
 from repro.lang.compiler import CompiledProgram, compile_program
-from repro.obs.metrics import CounterField, bind_counters, counter_fields
 from repro.obs import schema as trace_schema
-from repro.obs.trace import NULL_TRACER, Tracer
+from repro.obs.trace import NULL_TRACER, Tracer, emit_solver_query
 from repro.solver.cache import aggregate_cache_counters
 from repro.solver.solver import Solver
 
@@ -87,12 +86,6 @@ def take_new_lines(children: Iterable[ExecutionState], told: Set[int]) -> Set[in
 class SymbolicExecutor:
     """A single-node symbolic execution engine for one compiled program."""
 
-    # Global exploration statistics (across run()/step() calls), registry-
-    # backed (:mod:`repro.obs.metrics`) so the live-status/trace layer sees
-    # them without extra plumbing.  Read/write surface is unchanged.
-    total_instructions = CounterField("engine_instructions")
-    paths_completed = CounterField("engine_paths_completed")
-
     def __init__(self, program: Union[Program, CompiledProgram],
                  config: Optional[EngineConfig] = None,
                  solver: Optional[Solver] = None,
@@ -109,10 +102,10 @@ class SymbolicExecutor:
         self.interpreter = Interpreter(self.solver, self.natives, self.config)
         self.interpreter.executor = self
 
-        #: One registry per engine, shared with the solver and its caches
-        #: (and, on clusters, with the owning worker's ``WorkerStats``).
-        self.metrics = self.solver.metrics
-        bind_counters(self, counter_fields(type(self)), self.metrics)
+        # Global exploration statistics (across run()/step() calls); a
+        # ``RunResult`` reports one run's share of them.
+        self.total_instructions = 0
+        self.paths_completed = 0
         self.covered_lines: Set[int] = set()
         self.bugs: List[BugReport] = []
         self.test_cases: List[TestCase] = []
@@ -289,7 +282,8 @@ class SymbolicExecutor:
         instructions_at_start = self.total_instructions
         paths_at_start = self.paths_completed
         bugs_at_start = len(self.bugs)
-        solver_stats_at_start = self.solver.stats.snapshot()
+        tests_at_start = len(self.test_cases)
+        counters_at_start = self.solver.cache_counters()
 
         tracer.emit(trace_schema.RUN_STARTED, backend="single", workers=1,
                     test=self.program.name, line_count=result.line_count)
@@ -340,8 +334,8 @@ class SymbolicExecutor:
 
         result.exhausted = not frontier
         result.paths_completed = self.paths_completed - paths_at_start
-        result.bugs = dedupe_bugs(self.bugs)
-        result.test_cases = list(self.test_cases)
+        result.bugs = dedupe_bugs(self.bugs[bugs_at_start:])
+        result.test_cases = self.test_cases[tests_at_start:]
         result.covered_lines = set(self.covered_lines)
         result.goal_reached = lim.satisfied_by(
             result.paths_completed, result.coverage_percent,
@@ -349,15 +343,15 @@ class SymbolicExecutor:
         result.useful_instructions = self.total_instructions - instructions_at_start
         result.states_remaining = len(frontier)
         result.wall_time = time.monotonic() - start
-        result.cache_stats = aggregate_cache_counters(
-            [self.solver.cache_counters()])
+        result.cache_stats = aggregate_cache_counters([{
+            key: value - counters_at_start[key]
+            for key, value in self.solver.cache_counters().items()}])
         if tracer.enabled:
             self._trace_round(tracer, traced_rounds, start, result,
                               instructions_at_start, paths_at_start, frontier,
                               traced_prev_useful)
-            solver_stats = self.solver.stats.delta_since(solver_stats_at_start)
-            tracer.emit(trace_schema.SOLVER_QUERY,
-                        **{k: v for k, v in solver_stats.items() if v})
+            emit_solver_query(tracer, result.cache_stats,
+                              self.solver.query_seconds)
             tracer.emit(trace_schema.RUN_FINISHED, paths=result.paths_completed,
                         coverage_percent=round(result.coverage_percent, 3),
                         bugs=len(result.bugs), steps=result.steps,

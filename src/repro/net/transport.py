@@ -45,7 +45,6 @@ from repro.net.framing import (
     encode_message,
 )
 from repro.net.heartbeat import HeartbeatMonitor
-from repro.obs.metrics import MetricsRegistry
 
 __all__ = [
     "PROTOCOL_VERSION", "PROTOCOL_COMPAT_VERSION",
@@ -282,7 +281,6 @@ class TcpTransport(Transport):
     def __init__(self, sock: socket.socket, peer: str,
                  max_frame_size: int = DEFAULT_MAX_FRAME_SIZE,
                  heartbeat: Optional[HeartbeatMonitor] = None,
-                 metrics: Optional[MetricsRegistry] = None,
                  send_timeout: Optional[float] = None):
         self._sock = sock
         self.send_timeout = (self.SEND_TIMEOUT if send_timeout is None
@@ -290,13 +288,6 @@ class TcpTransport(Transport):
         self.peer = peer
         self.max_frame_size = max_frame_size
         self.heartbeat = heartbeat
-        # Wire accounting.  A shared registry (one per coordinator) yields
-        # fleet totals; the default private registry keeps per-peer counts.
-        self.metrics = metrics or MetricsRegistry()
-        self._frames_sent = self.metrics.counter("net_frames_sent")
-        self._bytes_sent = self.metrics.counter("net_bytes_sent")
-        self._frames_received = self.metrics.counter("net_frames_received")
-        self._bytes_received = self.metrics.counter("net_bytes_received")
         self._send_lock = threading.Lock()
         self._inbox: "queue_module.Queue[object]" = queue_module.Queue()
         self._receiver: Optional[threading.Thread] = None
@@ -340,8 +331,6 @@ class TcpTransport(Transport):
         except OSError as exc:
             raise TransportClosed(
                 "connection to %s is closed: %s" % (self.peer, exc)) from exc
-        self._frames_sent.inc()
-        self._bytes_sent.inc(len(data))
 
     def send(self, message: object) -> None:
         if self._closed:
@@ -380,9 +369,7 @@ class TcpTransport(Transport):
                     return
                 if not data:  # orderly EOF
                     return
-                self._bytes_received.inc(len(data))
                 for payload in decoder.feed(data):
-                    self._frames_received.inc()
                     if self.heartbeat is not None:
                         self.heartbeat.beat()
                     if not payload:  # heartbeat ping

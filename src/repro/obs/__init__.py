@@ -10,9 +10,10 @@ aggregates only.  This package is the substrate those views are built on:
   the process and TCP backends forward their events to the coordinator
   over the existing status channel.  Enabled with ``trace_path=`` on
   :class:`~repro.api.limits.ExplorationLimits` / ``SymbolicTest.run``.
-* :mod:`repro.obs.metrics` -- a counter/gauge/histogram registry that the
-  hand-threaded stats classes (``SolverStats``, ``CacheStats``,
-  ``WorkerStats``) are now views over, preserving their public shapes.
+* :mod:`repro.obs.metrics` -- :class:`Histogram`, the one shared metrics
+  primitive (solver latency, round wall time).  Counters are plain fields
+  of ``SolverStats``/``CacheStats``/``WorkerStats``; a run's totals are read
+  from ``RunResult`` and the trace's ``solver_query`` event.
 * :mod:`repro.obs.status` -- a read-only coordinator-side status server:
   connect, read one JSON line (round, coverage, frontier sizes, live and
   draining workers, heartbeat ages), disconnect.
@@ -22,16 +23,13 @@ aggregates only.  This package is the substrate those views are built on:
 """
 
 from repro.obs import schema
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import Histogram
 from repro.obs.trace import NULL_TRACER, BufferTracer, NullTracer, Tracer, load_trace
 from repro.obs.status import StatusServer, read_status
 
 __all__ = [
     "schema",
-    "Counter",
-    "Gauge",
     "Histogram",
-    "MetricsRegistry",
     "Tracer",
     "NullTracer",
     "NULL_TRACER",

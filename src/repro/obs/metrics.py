@@ -1,72 +1,22 @@
-"""A counter/gauge/histogram registry for the fleet's hot-path accounting.
+"""The one shared metrics primitive: a bounded :class:`Histogram`.
 
-Before this module every subsystem hand-threaded its own counters --
-``SolverStats`` fields bumped inside :meth:`Solver.check`, ``CacheStats``
-inside the cache lookups, ``WorkerStats`` inside the worker loop, plain
-ints on the transports -- and anything that wanted a cross-cutting view
-(a status server, a trace event, a benchmark) had to know every one of
-those shapes.  :class:`MetricsRegistry` gives them one home:
-
-* :class:`Counter` / :class:`Gauge` are single mutable cells with a public
-  ``value``; hot paths hold a direct reference and do ``counter.value += 1``
-  -- exactly the cost of the attribute bump they replace.
-* :class:`Histogram` keeps count/total/min/max plus a small bounded,
-  deterministically-decimated sample reservoir, so percentile queries
-  (p50/p99 for solver latency and round wall time) cost O(1) memory.
-* :meth:`MetricsRegistry.snapshot` returns a plain ``{name: number}`` dict,
-  which is what trace events, the status server and ``cache_counters()``
-  style aggregation all consume.
-
-The legacy stats classes stay as the public surface: they are re-built as
-*views* over a registry (see :class:`CounterField`), so ``stats.queries``
-reads and ``stats.queries += 1`` writes keep working unchanged at every
-call site while the same number is visible through the registry.
+Counters are plain ``int`` fields on the object that bumps them
+(``SolverStats``, ``CacheStats``, ``WorkerStats``, the executor's
+``total_instructions``/``paths_completed``); cross-cutting views read them
+off :class:`~repro.engine.result.RunResult` and the trace.  What those
+fields cannot hold is a distribution, and that is all this module keeps:
+:class:`Histogram` records count/total/min/max plus a small bounded,
+deterministically-decimated sample reservoir, so percentile queries
+(p50/p99 for solver latency and round wall time) cost O(1) memory, and
+per-worker histograms merge into one run-level distribution
+(``FinalReply.latency``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Union
+from typing import Dict, List, Optional
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "CounterField",
-           "bind_counters", "counter_fields"]
-
-
-class Counter:
-    """A monotonically *intended* (not enforced) integer cell.
-
-    ``value`` is public on purpose: hot paths -- the interpreter's
-    per-instruction bump, the solver's per-query bump -- hold the Counter
-    and do ``c.value += 1``, which costs the same as bumping a dataclass
-    field did.
-    """
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str, value: int = 0):
-        self.name = name
-        self.value = value
-
-    def inc(self, amount: int = 1) -> None:
-        self.value += amount
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Counter({self.name}={self.value})"
-
-
-class Gauge:
-    """A set-to-current-value cell (queue length, live workers, ...)."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str, value: float = 0):
-        self.name = name
-        self.value = value
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Gauge({self.name}={self.value})"
+__all__ = ["Histogram"]
 
 
 class Histogram:
@@ -158,133 +108,3 @@ class Histogram:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Histogram({self.name} n={self.count} mean={self.mean:.3g})"
-
-
-Metric = Union[Counter, Gauge, Histogram]
-
-
-class MetricsRegistry:
-    """Get-or-create home for named metrics.
-
-    One registry per worker (the solver, its caches, the executor and the
-    worker's ``WorkerStats`` all share it), so a worker's whole hot-path
-    accounting snapshots as one flat dict.  Not thread-safe by design:
-    workers are shared-nothing, and the coordinator only reads snapshots
-    between rounds.
-    """
-
-    __slots__ = ("_metrics",)
-
-    def __init__(self):
-        self._metrics: Dict[str, Metric] = {}
-
-    def counter(self, name: str) -> Counter:
-        metric = self._metrics.get(name)
-        if metric is None:
-            metric = self._metrics[name] = Counter(name)
-        elif not isinstance(metric, Counter):
-            raise TypeError(f"metric {name!r} already registered as "
-                            f"{type(metric).__name__}")
-        return metric
-
-    def gauge(self, name: str) -> Gauge:
-        metric = self._metrics.get(name)
-        if metric is None:
-            metric = self._metrics[name] = Gauge(name)
-        elif not isinstance(metric, Gauge):
-            raise TypeError(f"metric {name!r} already registered as "
-                            f"{type(metric).__name__}")
-        return metric
-
-    def histogram(self, name: str) -> Histogram:
-        metric = self._metrics.get(name)
-        if metric is None:
-            metric = self._metrics[name] = Histogram(name)
-        elif not isinstance(metric, Histogram):
-            raise TypeError(f"metric {name!r} already registered as "
-                            f"{type(metric).__name__}")
-        return metric
-
-    def snapshot(self) -> Dict[str, float]:
-        """Flat ``{name: number}`` view; histograms flatten to dotted keys."""
-        out: Dict[str, float] = {}
-        for name, metric in self._metrics.items():
-            if isinstance(metric, Histogram):
-                for key, value in metric.summary().items():
-                    out[f"{name}.{key}"] = value
-            else:
-                out[name] = metric.value
-        return out
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._metrics
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._metrics)
-
-    def __len__(self) -> int:
-        return len(self._metrics)
-
-
-class CounterField:
-    """Descriptor turning a stats-class attribute into a registry counter.
-
-    The legacy stats classes (``SolverStats``, ``CacheStats``,
-    ``WorkerStats``) keep their exact read/write surface --
-    ``stats.queries``, ``stats.queries += 1``, ``stats.queries = 0`` --
-    while the number itself lives in a :class:`Counter` that the owning
-    registry (and therefore the status server and trace events) can see.
-
-    Each instance stores its counters in ``instance._counters`` (a
-    ``{field_name: Counter}`` dict), which the stats class creates in its
-    ``__init__`` via :func:`bind_counters`.  Reading the attribute off the
-    class itself returns the descriptor (so introspection still works).
-    """
-
-    __slots__ = ("name", "metric_name")
-
-    def __init__(self, metric_name: Optional[str] = None):
-        self.name = ""  # filled by __set_name__
-        self.metric_name = metric_name
-
-    def __set_name__(self, owner, name: str) -> None:
-        self.name = name
-        if self.metric_name is None:
-            self.metric_name = name
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        return instance._counters[self.name].value
-
-    def __set__(self, instance, value) -> None:
-        instance._counters[self.name].value = value
-
-
-def bind_counters(instance, fields: Dict[str, CounterField],
-                  registry: Optional[MetricsRegistry],
-                  prefix: str = "") -> None:
-    """Create the per-instance ``_counters`` dict behind :class:`CounterField`.
-
-    With a registry, counters are get-or-create under ``prefix + metric_name``
-    (shared visibility); without one, private Counters are used, so the stats
-    object behaves exactly like the plain dataclass it replaces.
-    """
-    counters: Dict[str, Counter] = {}
-    for name, field in fields.items():
-        metric_name = prefix + (field.metric_name or name)
-        if registry is not None:
-            counters[name] = registry.counter(metric_name)
-        else:
-            counters[name] = Counter(metric_name)
-    object.__setattr__(instance, "_counters", counters)
-
-
-def counter_fields(cls) -> Dict[str, CounterField]:
-    """All :class:`CounterField` descriptors declared on ``cls`` (and bases)."""
-    out: Dict[str, CounterField] = {}
-    for klass in reversed(cls.__mro__):
-        for name, value in vars(klass).items():
-            if isinstance(value, CounterField):
-                out[name] = value
-    return out

@@ -120,9 +120,20 @@ CHECKPOINT_WRITTEN = _event(
     optional=("path",),
     shared=True)
 
-#: End-of-run (and single-engine) dump of the raw solver/cache counters;
-#: the key set is whatever the counter registry holds, hence open.
-SOLVER_QUERY = _event("solver_query", allow_extra=True, shared=True)
+#: End-of-run dump of the solver/cache counters, built on every backend by
+#: :func:`repro.obs.trace.emit_solver_query`: the non-zero entries of the
+#: ``Solver.cache_counters()`` keys plus the latency percentiles.  Open only
+#: because that helper filters zeros out of a dict and so emits ``**payload``
+#: (TRACE004); ``tests/test_backend_parity.py`` holds the backends to one key
+#: set.
+SOLVER_QUERY = _event(
+    "solver_query",
+    optional=("constraint_cache_hits", "constraint_cache_misses",
+              "cex_cache_hits", "cex_cache_misses", "solver_queries",
+              "solver_search_steps", "independence_groups", "groups_solved",
+              "independence_hits", "unknown_cache_hits",
+              "latency_count", "latency_p50", "latency_p99"),
+    allow_extra=True, shared=True)
 
 # -- load balancing ----------------------------------------------------------------------
 

@@ -49,13 +49,15 @@ import os
 import threading
 import time
 import uuid
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional, Union
 
-from repro.obs.schema import SPAN, TRACE_EVENTS_DROPPED, WORKER_EVENT
+from repro.obs.metrics import Histogram
+from repro.obs.schema import SOLVER_QUERY, SPAN, TRACE_EVENTS_DROPPED, WORKER_EVENT
 from repro.obs.schema import validate_keys as _schema_validate_keys
 
 __all__ = ["Tracer", "NullTracer", "NULL_TRACER", "BufferTracer",
-           "load_trace", "schema_validator", "TRACE_VALIDATE_ENV"]
+           "load_trace", "schema_validator", "TRACE_VALIDATE_ENV",
+           "emit_solver_query"]
 
 #: Environment switch: any value except "" / "0" turns on
 #: :func:`schema_validator` for every tracer constructed without an
@@ -309,6 +311,27 @@ class BufferTracer:
 
     def close(self) -> None:
         self._events = []
+
+
+def emit_solver_query(tracer: Union[Tracer, NullTracer],
+                      cache_stats: Optional[Dict[str, float]],
+                      latency: Histogram) -> None:
+    """The end-of-run ``solver_query`` event, built here for every backend.
+
+    Payload: the non-zero integer counters of a ``RunResult.cache_stats``
+    (the :meth:`~repro.solver.solver.Solver.cache_counters` keys; the
+    derived float hit rates stay out) plus the query-latency percentiles.
+    ``latency`` is a solver's lifetime distribution -- the counters are the
+    run's own, the percentiles also cover earlier runs on a reused solver.
+    """
+    payload: Dict[str, Any] = {
+        key: value for key, value in (cache_stats or {}).items()
+        if isinstance(value, int) and value}
+    if latency.count:
+        payload["latency_count"] = latency.count
+        payload["latency_p50"] = round(latency.percentile(50.0) or 0.0, 6)
+        payload["latency_p99"] = round(latency.percentile(99.0) or 0.0, 6)
+    tracer.emit(SOLVER_QUERY, **payload)
 
 
 def load_trace(path: str) -> List[Dict[str, Any]]:

@@ -13,9 +13,9 @@ of the cache as a side effect of path replay.  We reproduce both caches:
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
-from repro.obs.metrics import CounterField, MetricsRegistry, bind_counters, counter_fields
 from repro.solver.expr import Expr
 from repro.solver.model import Model
 
@@ -28,28 +28,12 @@ def query_key(constraints: Iterable[Expr]) -> QueryKey:
     return frozenset(constraints)
 
 
+@dataclass
 class CacheStats:
-    """Hit/miss accounting for one cache.
+    """Hit/miss accounting for one cache."""
 
-    A view over a :class:`~repro.obs.metrics.MetricsRegistry`: with a
-    registry, ``hits``/``misses`` live in registry counters under
-    ``<prefix>hits`` / ``<prefix>misses`` (e.g. ``constraint_cache_hits``)
-    so the fleet-wide metrics surface sees them; without one they are
-    private cells and the class behaves like the plain dataclass it
-    replaces.
-    """
-
-    hits = CounterField()
-    misses = CounterField()
-
-    def __init__(self, hits: int = 0, misses: int = 0, *,
-                 registry: Optional[MetricsRegistry] = None,
-                 prefix: str = ""):
-        bind_counters(self, counter_fields(type(self)), registry, prefix)
-        if hits:
-            self.hits = hits
-        if misses:
-            self.misses = misses
+    hits: int = 0
+    misses: int = 0
 
     @property
     def lookups(self) -> int:
@@ -58,14 +42,6 @@ class CacheStats:
     @property
     def hit_rate(self) -> float:
         return self.hits / self.lookups if self.lookups else 0.0
-
-    def __repr__(self) -> str:
-        return f"CacheStats(hits={self.hits}, misses={self.misses})"
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CacheStats):
-            return NotImplemented
-        return self.hits == other.hits and self.misses == other.misses
 
 
 def aggregate_cache_counters(counters: Iterable[Dict[str, int]]) -> Dict[str, float]:
@@ -99,13 +75,12 @@ def aggregate_cache_counters(counters: Iterable[Dict[str, int]]) -> Dict[str, fl
 class ConstraintCache:
     """Exact-match cache of query -> (is_sat, model)."""
 
-    def __init__(self, capacity: int = 65536, *,
-                 registry: Optional[MetricsRegistry] = None):
+    def __init__(self, capacity: int = 65536):
         if capacity <= 0:
             raise ValueError("cache capacity must be positive")
         self._capacity = capacity
         self._entries: Dict[QueryKey, Tuple[bool, Optional[Model]]] = {}
-        self.stats = CacheStats(registry=registry, prefix="constraint_cache_")
+        self.stats = CacheStats()
 
     def lookup(self, constraints: Iterable[Expr]) -> Optional[Tuple[bool, Optional[Model]]]:
         key = query_key(constraints)
@@ -141,15 +116,14 @@ class CounterexampleCache:
     a large cache would dominate solving time.
     """
 
-    def __init__(self, capacity: int = 16384, scan_window: int = 64, *,
-                 registry: Optional[MetricsRegistry] = None):
+    def __init__(self, capacity: int = 16384, scan_window: int = 64):
         self._capacity = capacity
         self._scan_window = scan_window
         self._sat_models: Dict[QueryKey, Model] = {}
         self._unsat: Dict[QueryKey, None] = {}
         self._recent_sat: List[QueryKey] = []
         self._recent_unsat: List[QueryKey] = []
-        self.stats = CacheStats(registry=registry, prefix="cex_cache_")
+        self.stats = CacheStats()
 
     def lookup(self, constraints: Iterable[Expr]) -> Optional[Tuple[bool, Optional[Model]]]:
         key = query_key(constraints)

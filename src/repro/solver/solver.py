@@ -26,10 +26,10 @@ from __future__ import annotations
 
 import enum
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.obs.metrics import CounterField, MetricsRegistry, bind_counters, counter_fields
+from repro.obs.metrics import Histogram
 from repro.solver.cache import ConstraintCache, CounterexampleCache, QueryKey, query_key
 from repro.solver.expr import Expr, Op, evaluate
 from repro.solver.independence import Group
@@ -49,66 +49,29 @@ class SolverResult(enum.Enum):
     UNKNOWN = "unknown"
 
 
+@dataclass
 class SolverStats:
-    """Counters exposed for the evaluation harness.
+    """Counters exposed for the evaluation harness: plain ``int`` fields
+    the solver bumps in place, cumulative over its lifetime."""
 
-    A view over a :class:`~repro.obs.metrics.MetricsRegistry`: with a
-    registry, each field lives in a shared counter (named after the
-    :meth:`~Solver.cache_counters` key where one exists, e.g.
-    ``solver_queries``) so the status server and trace see live values;
-    without one it behaves like the plain dataclass it replaces.
-    """
-
-    queries = CounterField("solver_queries")
-    sat_queries = CounterField("solver_sat_queries")
-    unsat_queries = CounterField("solver_unsat_queries")
-    unknown_queries = CounterField("solver_unknown_queries")
-    cache_hits = CounterField("solver_cache_hits")
-    search_steps = CounterField("solver_search_steps")
+    queries: int = 0
+    sat_queries: int = 0
+    unsat_queries: int = 0
+    unknown_queries: int = 0
+    cache_hits: int = 0
+    search_steps: int = 0
     # Independence layer (KLEE's IndependentSolver): every query is split
     # into groups of constraints connected by shared symbols, and each group
     # is resolved separately (see :mod:`repro.solver.independence`).
-    independence_groups = CounterField("independence_groups")
-    groups_solved = CounterField("groups_solved")
-    independence_hits = CounterField("independence_hits")
+    independence_groups: int = 0
+    groups_solved: int = 0
+    independence_hits: int = 0
     # Memoized budget-exhaustion verdicts (re-testing the same hard fork
     # must not re-pay the full search budget).
-    unknown_cache_hits = CounterField("unknown_cache_hits")
-
-    def __init__(self, *, registry: Optional[MetricsRegistry] = None,
-                 **counts: int):
-        fields = counter_fields(type(self))
-        unknown = set(counts) - set(fields)
-        if unknown:
-            raise TypeError("unknown SolverStats field(s): %s"
-                            % ", ".join(sorted(unknown)))
-        bind_counters(self, fields, registry)
-        for name, value in counts.items():
-            setattr(self, name, value)
-
-    def __repr__(self) -> str:
-        body = ", ".join("%s=%d" % (name, getattr(self, name))
-                         for name in counter_fields(type(self)))
-        return "SolverStats(%s)" % body
+    unknown_cache_hits: int = 0
 
     def snapshot(self) -> Dict[str, int]:
-        return {
-            "queries": self.queries,
-            "sat_queries": self.sat_queries,
-            "unsat_queries": self.unsat_queries,
-            "unknown_queries": self.unknown_queries,
-            "cache_hits": self.cache_hits,
-            "search_steps": self.search_steps,
-            "independence_groups": self.independence_groups,
-            "groups_solved": self.groups_solved,
-            "independence_hits": self.independence_hits,
-            "unknown_cache_hits": self.unknown_cache_hits,
-        }
-
-    def delta_since(self, earlier: Dict[str, int]) -> Dict[str, int]:
-        """Counter increments since an earlier :meth:`snapshot`."""
-        now = self.snapshot()
-        return {key: now[key] - earlier.get(key, 0) for key in now}
+        return asdict(self)
 
 
 @dataclass
@@ -128,19 +91,14 @@ class SolverConfig:
 class Solver:
     """Bitvector constraint solver with caching."""
 
-    def __init__(self, config: Optional[SolverConfig] = None,
-                 metrics: Optional[MetricsRegistry] = None):
+    def __init__(self, config: Optional[SolverConfig] = None):
         self.config = config or SolverConfig()
-        #: The registry behind every counter this solver (and its caches)
-        #: bumps; shared upward by the executor and worker stats so one
-        #: worker's accounting snapshots as one flat dict.
-        self.metrics = metrics or MetricsRegistry()
-        self.stats = SolverStats(registry=self.metrics)
+        self.stats = SolverStats()
         #: Per-query latency distribution (p50/p99 surfaced in the
-        #: coordinator's ``solver_query`` trace event).
-        self.query_seconds = self.metrics.histogram("solver_query_seconds")
-        self._cache = ConstraintCache(registry=self.metrics)
-        self._cex_cache = CounterexampleCache(registry=self.metrics)
+        #: end-of-run ``solver_query`` trace event).
+        self.query_seconds = Histogram("solver_query_seconds")
+        self._cache = ConstraintCache()
+        self._cex_cache = CounterexampleCache()
         # Recently found models: checking a new query against them is far
         # cheaper than a fresh search and succeeds very often because path
         # constraints grow incrementally.

@@ -22,6 +22,7 @@ from repro.api import ExplorationLimits
 from repro.cluster import ClusterConfig
 from repro.distrib import specs
 from repro.distrib.cluster import ProcessCloud9Cluster, ProcessClusterConfig
+from repro.obs.schema import ENVELOPE_KEYS, schema_for
 from repro.obs.trace import load_trace
 
 fork_available = "fork" in multiprocessing.get_all_start_methods()
@@ -178,6 +179,27 @@ class TestTraceVocabularyParity:
             final = queries[-1]
             assert final["latency_count"] > 0, backend
             assert final["latency_p99"] >= final["latency_p50"] >= 0.0, backend
+
+    def test_solver_query_speaks_one_vocabulary(self, tmp_path):
+        """Single engine included: the event is the non-zero integer
+        counters of ``result.cache_stats`` under their own names plus the
+        latency percentiles, so two backends' key sets differ only where a
+        counter is zero on one of them.  (The single engine used to report
+        ``queries``/``search_steps``/... and no latency.)"""
+        latency = {"latency_count", "latency_p50", "latency_p99"}
+        declared = schema_for("solver_query").allowed()
+        for backend, options in ALL_BACKENDS:
+            trace_path = str(tmp_path / ("%s.jsonl" % backend))
+            test = specs.resolve_test("printf", format_length=2)
+            result = test.run(backend=backend, trace_path=trace_path, **options)
+            (event,) = [e for e in load_trace(trace_path)
+                        if e["event"] == "solver_query"]
+            counters = {key: value for key, value in result.cache_stats.items()
+                        if isinstance(value, int) and value}
+            assert counters["solver_queries"] > 0, backend
+            assert set(event) - ENVELOPE_KEYS == set(counters) | latency, backend
+            assert set(event) - ENVELOPE_KEYS <= declared, backend
+            assert {key: event[key] for key in counters} == counters, backend
 
 
 @needs_fork

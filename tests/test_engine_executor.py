@@ -4,7 +4,10 @@ import os
 
 import pytest
 
+import dataclasses
+
 from repro import lang as L
+from repro.distrib import specs
 from repro.engine import SymbolicExecutor
 from repro.engine.strategies import DfsStrategy, make_strategy
 from repro.obs.trace import load_trace
@@ -59,6 +62,60 @@ class TestRunLimits:
         executor = make_executor(branchy_program(1))
         result = executor.run()
         assert result.wall_time >= 0.0
+
+
+class TestExecutorReuse:
+    """Every ``RunResult`` field is the run's own; the executor's lists and
+    the solver's stats stay cumulative."""
+
+    @staticmethod
+    def _comparable(result, *skip):
+        out = {f.name: getattr(result, f.name)
+               for f in dataclasses.fields(result)
+               if f.name not in ("wall_time",) + skip}
+        # State ids come from a process-wide counter; the inputs do not.
+        out["test_cases"] = [dataclasses.replace(tc, state_id=0)
+                             for tc in result.test_cases]
+        return out
+
+    def test_second_run_reports_only_itself(self):
+        test = specs.resolve_test("printf", format_length=2)
+        executor = test.build_executor()
+
+        def run():
+            return executor.run(
+                initial_state=lambda: test.build_initial_state(executor),
+                strategy="dfs", max_paths=20)
+
+        first, warm = run(), run()
+        # Same exploration; only the hit/miss split moves with warm caches.
+        assert (self._comparable(warm, "cache_stats")
+                == self._comparable(first, "cache_stats"))
+        assert len(warm.test_cases) == warm.paths_completed == 20
+        for key in ("solver_queries", "independence_groups"):
+            assert warm.cache_stats[key] == first.cache_stats[key] > 0
+        assert warm.cache_stats["constraint_cache_misses"] == 0
+        assert warm.cache_stats["solver_search_steps"] == 0
+
+        executor.solver.reset_caches()
+        assert self._comparable(run()) == self._comparable(first)
+
+        assert len(executor.test_cases) == 60
+        assert (executor.solver.stats.queries
+                == 3 * first.cache_stats["solver_queries"])
+
+    def test_second_run_reports_only_its_own_bugs(self):
+        program = L.program("p", L.func(
+            "main", [],
+            L.decl("buf", L.call("cloud9_symbolic_buffer", 1, L.strconst("d"))),
+            L.decl("d", L.index(L.var("buf"), 0)),
+            L.if_(L.eq(L.var("d"), 0), [L.ret(L.div(100, L.var("d")))]),
+            L.ret(1)))
+        executor = make_executor(program)
+        first, second = executor.run(), executor.run()
+        assert len(first.bugs) == len(second.bugs) == 1
+        assert first.bugs[0] is executor.bugs[0]
+        assert second.bugs[0] is executor.bugs[1]
 
 
 class TestTraceLifetime:

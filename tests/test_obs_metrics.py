@@ -1,38 +1,19 @@
-"""The metrics registry and the stats classes rebuilt as views over it."""
+"""``Histogram`` (the one shared metrics primitive) and the stats classes
+whose counters are plain dataclass fields."""
 
 import pickle
 
 import pytest
 
 from repro.cluster.stats import WorkerStats
-from repro.obs.metrics import (
-    Counter,
-    CounterField,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    bind_counters,
-    counter_fields,
-)
-from repro.solver.cache import CacheStats, ConstraintCache
-from repro.solver.solver import Solver, SolverStats
-
-from conftest import branchy_program, make_executor
+from repro.distrib.messages import FinalReply
+from repro.net.framing import FrameDecoder, decode_message, encode_message
+from repro.obs.metrics import Histogram
+from repro.solver.cache import CacheStats
+from repro.solver.solver import SolverStats
 
 
 class TestPrimitives:
-    def test_counter(self):
-        c = Counter("x")
-        c.inc()
-        c.inc(4)
-        c.value += 2
-        assert c.value == 7
-
-    def test_gauge(self):
-        g = Gauge("q")
-        g.set(3.5)
-        assert g.value == 3.5
-
     def test_histogram(self):
         h = Histogram("lat")
         for v in (1.0, 3.0, 2.0):
@@ -46,59 +27,18 @@ class TestPrimitives:
         assert Histogram("e").summary() == {
             "count": 0, "total": 0.0, "mean": 0.0, "min": 0.0, "max": 0.0}
 
-
-class TestRegistry:
-    def test_get_or_create(self):
-        reg = MetricsRegistry()
-        assert reg.counter("a") is reg.counter("a")
-        assert "a" in reg and len(reg) == 1
-
-    def test_kind_mismatch_raises(self):
-        reg = MetricsRegistry()
-        reg.counter("a")
-        with pytest.raises(TypeError):
-            reg.gauge("a")
-        with pytest.raises(TypeError):
-            reg.histogram("a")
-
-    def test_snapshot_flattens_histograms(self):
-        reg = MetricsRegistry()
-        reg.counter("c").inc(2)
-        reg.gauge("g").set(1.5)
-        reg.histogram("h").observe(4.0)
-        snap = reg.snapshot()
-        assert snap["c"] == 2
-        assert snap["g"] == 1.5
-        assert snap["h.count"] == 1 and snap["h.mean"] == 4.0
-
-
-class TestCounterField:
-    def test_view_class_round_trip(self):
-        class Stats:
-            hits = CounterField("demo_hits")
-
-            def __init__(self, registry=None):
-                bind_counters(self, counter_fields(type(self)), registry)
-
-        reg = MetricsRegistry()
-        stats = Stats(registry=reg)
-        stats.hits += 3
-        stats.hits = stats.hits + 1
-        assert stats.hits == 4
-        assert reg.snapshot()["demo_hits"] == 4
-        # Class access returns the descriptor (introspection works).
-        assert isinstance(Stats.hits, CounterField)
-
-    def test_private_without_registry(self):
-        class Stats:
-            n = CounterField()
-
-            def __init__(self):
-                bind_counters(self, counter_fields(type(self)), None)
-
-        a, b = Stats(), Stats()
-        a.n += 1
-        assert a.n == 1 and b.n == 0
+    def test_merge_past_the_sample_limit_stays_bounded_and_exact(self):
+        n = Histogram.SAMPLE_LIMIT * 3
+        low, high = Histogram("low"), Histogram("high")
+        for i in range(n):
+            low.observe(float(i))
+            high.observe(float(n + i))
+        low.merge_from(high)
+        assert len(low._samples) <= Histogram.SAMPLE_LIMIT
+        assert low.count == 2 * n
+        assert low.total == float(sum(range(2 * n)))
+        assert (low.min, low.max) == (0.0, float(2 * n - 1))
+        assert 0.0 <= low.percentile(50.0) <= low.percentile(99.0) <= low.max
 
 
 class TestStatsViews:
@@ -106,6 +46,7 @@ class TestStatsViews:
         s = SolverStats(queries=3, cache_hits=1)
         assert s.queries == 3 and s.cache_hits == 1
         assert s.snapshot()["queries"] == 3
+        assert s == SolverStats(queries=3, cache_hits=1)
         with pytest.raises(TypeError):
             SolverStats(bogus=1)
 
@@ -123,28 +64,20 @@ class TestStatsViews:
         assert clone == stats
         assert clone.worker_id == 7
         assert clone.useful_instructions == 10
-        clone.replays += 1  # the detached copy is still mutable
+        clone.replays += 1  # the copy is still mutable
         assert clone != stats
+        with pytest.raises(TypeError):
+            WorkerStats(worker_id=1, bogus=1)
 
-    def test_worker_stats_registry_visibility(self):
-        reg = MetricsRegistry()
-        stats = WorkerStats(worker_id=1, registry=reg)
-        stats.jobs_imported += 4
-        assert reg.snapshot()["worker_jobs_imported"] == 4
-
-    def test_solver_and_caches_share_one_registry(self):
-        solver = Solver()
-        assert isinstance(solver.metrics, MetricsRegistry)
-        cache = ConstraintCache(registry=solver.metrics)
-        cache.stats.hits += 1
-        snap = solver.metrics.snapshot()
-        assert snap["constraint_cache_hits"] == 1
-        assert "solver_queries" in snap
-
-    def test_executor_counters_live_in_solver_registry(self):
-        executor = make_executor(branchy_program(2))
-        executor.run(max_paths=4)
-        snap = executor.metrics.snapshot()
-        assert snap["engine_instructions"] == executor.total_instructions
-        assert snap["engine_instructions"] > 0
-        assert snap["solver_queries"] == executor.solver.stats.queries
+        # The real wire: inside a FinalReply, through the frame codec.
+        latency = Histogram("solver_query_seconds")
+        latency.observe(0.25)
+        reply = FinalReply(worker_id=7, stats=stats, paths_completed=4,
+                           latency=latency)
+        (payload,) = FrameDecoder().feed(encode_message(reply))
+        decoded = decode_message(payload)
+        assert decoded.stats == stats
+        assert decoded.stats.as_dict() == stats.as_dict()
+        assert decoded.latency.summary() == latency.summary()
+        decoded.latency = reply.latency = None
+        assert decoded == reply
