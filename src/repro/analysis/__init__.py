@@ -28,9 +28,6 @@ Checker families (see each module's docstring for the rule catalog):
            cycles over the cross-module call graph
 ``DET``    unseeded RNGs, wall clocks, and set-iteration order feeding
            schedule/solver decisions
-``DISP``   dispatch exhaustiveness: every wire message has an
-           ``isinstance`` handler arm, no arm references an
-           unregistered message (:mod:`repro.analysis.dispatch`)
 =========  ==========================================================
 
 Run it with ``python -m repro.analysis [--baseline FILE] [PATHS...]``;

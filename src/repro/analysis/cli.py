@@ -22,8 +22,7 @@ import sys
 from typing import List, Optional, Sequence
 
 from repro.analysis import baseline as baseline_module
-from repro.analysis import concurrency, determinism, dispatch
-from repro.analysis import protocol, traceschema
+from repro.analysis import concurrency, determinism, protocol, traceschema
 from repro.analysis.core import Finding, filter_suppressed, load_modules
 from repro.analysis.program import ProjectIndex
 
@@ -38,7 +37,6 @@ CHECKER_FAMILIES = {
     "TRACE": "trace-event schema registry drift",
     "CONC": "blocking calls under locks, cross-module lock-order cycles",
     "DET": "nondeterminism in schedule/solver decision paths",
-    "DISP": "wire-message dispatch exhaustiveness",
     "ANA": "analysis infrastructure (unparseable files)",
 }
 
@@ -62,8 +60,6 @@ def run_analysis(paths: Sequence[str], lock_path: str = DEFAULT_LOCK,
         findings.extend(concurrency.check(modules, index))
     if wanted("DET"):
         findings.extend(determinism.check(modules))
-    if wanted("DISP"):
-        findings.extend(dispatch.check(modules, index))
     findings = filter_suppressed(modules, findings)
     findings.sort(key=lambda f: (f.path, f.line, f.checker, f.message))
     return findings

@@ -250,9 +250,6 @@ class ProjectIndex:
 
     # -- lookups -------------------------------------------------------------------------
 
-    def module_name(self, module: SourceModule) -> str:
-        return self.module_names.get(module.path, "")
-
     def resolve(self, module: SourceModule, chain: str) -> Optional[str]:
         """Resolve a dotted source-text chain to a project dotted name.
 

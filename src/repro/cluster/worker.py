@@ -1,14 +1,18 @@
 """Cloud9 worker nodes (paper §3.2).
 
-A worker owns a local view of the execution tree rooted at the global root.
-Its *frontier* is the set of candidate nodes -- one
-:class:`~repro.engine.frontier.Frontier`, the same type the single engine's
-loop owns, changed only through its methods and handed to ``strategy.select``
-as it is; a node is a member exactly while its life is ``CANDIDATE``.  The
-work-transfer protocol guarantees frontiers are pairwise disjoint and that
-their union is the global exploration frontier.  A worker:
+In the paper a worker is a KLEE engine plus job import/export, and so it is
+here: :class:`Worker` *is* an :class:`~repro.engine.explorer.Explorer` -- the
+tree, the frontier, the strategy, the one step that counts results and grafts
+children, exactly what :meth:`SymbolicExecutor.run
+<repro.engine.executor.SymbolicExecutor.run>` explores with -- plus replay,
+export/import and recovered regions.  The tree is a local view of the
+execution tree rooted at the global root; a node is a frontier member exactly
+while its life is ``CANDIDATE``.  The work-transfer protocol guarantees
+frontiers are pairwise disjoint and that their union is the global
+exploration frontier.  A worker:
 
-* explores materialized candidates by stepping their states,
+* explores materialized candidates with :meth:`Explorer.step_node
+  <repro.engine.explorer.Explorer.step_node>`,
 * lazily replays virtual candidates received in jobs,
 * exports candidate nodes as path-encoded jobs when asked by the load
   balancer (the exported node becomes a fence node locally),
@@ -28,13 +32,11 @@ from repro.cluster.jobs import Job, JobTree
 from repro.cluster.replay import replay_path
 from repro.cluster.stats import WorkerStats
 from repro.cluster.overlay import WorkerCoverageView
-from repro.engine.errors import BugReport
-from repro.engine.executor import StepResult, SymbolicExecutor, take_new_lines
-from repro.engine.frontier import Frontier
+from repro.engine.executor import SymbolicExecutor
+from repro.engine.explorer import Explorer
 from repro.engine.state import ExecutionState
 from repro.engine.strategies import SearchStrategy, make_strategy
-from repro.engine.test_case import TestCase
-from repro.engine.tree import ExecutionTree, NodeLife, NodeStatus, TreeNode
+from repro.engine.tree import NodeLife, NodeStatus, TreeNode
 
 StateFactory = Callable[[SymbolicExecutor], ExecutionState]
 
@@ -42,7 +44,7 @@ StateFactory = Callable[[SymbolicExecutor], ExecutionState]
 DEFAULT_STRATEGY = "interleaved"
 
 
-class Worker:
+class Worker(Explorer):
     """One cluster node running an independent symbolic execution engine."""
 
     def __init__(self, worker_id: int, executor: SymbolicExecutor,
@@ -52,27 +54,27 @@ class Worker:
         if worker_id < 1:
             raise ValueError("worker ids start at 1")
         self.worker_id = worker_id
-        self.executor = executor
         self.state_factory = state_factory
-        self.strategy = strategy or make_strategy(
-            strategy_name, seed=worker_id, program=executor.program)
-        self.tree = ExecutionTree()
-        # Until seed() or an import says otherwise the root is an interior
-        # shell like any other node on the way to an imported job.
-        self.tree.root.mark_dead()
-        self.frontier = Frontier()
-        # Lines already handed to the coverage view and the strategy.
-        self._told_lines: Set[int] = set()
+        # Before Explorer.__init__: ``paths_completed`` lives on the stats.
         self.stats = WorkerStats(worker_id=worker_id)
+        super().__init__(executor, strategy or make_strategy(
+            strategy_name, seed=worker_id, program=executor.program))
         self.coverage_view = WorkerCoverageView(executor.program.line_count)
-        self.bugs: List[BugReport] = []
-        self.test_cases: List[TestCase] = []
-        self.paths_completed = 0
         # Recovered territories this worker re-explores (root, fence paths):
         # inside them, replay must not fence off-path siblings -- they are
         # ours to explore, not "being explored elsewhere" (§2.3 recovery).
         self._recovered_regions: List[Tuple[Tuple[int, ...],
                                             Tuple[Tuple[int, ...], ...]]] = []
+
+    @property
+    def paths_completed(self) -> int:
+        """The one path counter: the ``WorkerStats`` field that ships in
+        ``FinalReply`` is the number ``Explorer.step_node`` bumps."""
+        return self.stats.paths_completed
+
+    @paths_completed.setter
+    def paths_completed(self, value: int) -> None:
+        self.stats.paths_completed = value
 
     # -- frontier bookkeeping ----------------------------------------------------------
 
@@ -93,10 +95,7 @@ class Worker:
 
     def seed(self) -> None:
         """Receive the initial job covering the entire execution tree (§3.1)."""
-        state = self.state_factory(self.executor)
-        self.tree.root.materialize(state)
-        self.tree.root.mark_candidate()
-        self.frontier.add(self.tree.root)
+        self.seed_state(self.state_factory(self.executor))
 
     # -- exploration -------------------------------------------------------------------
 
@@ -108,70 +107,24 @@ class Worker:
         whose states only reschedule still makes bounded progress per round).
         """
         consumed = 0
+        stats = self.stats
         while consumed < instruction_budget and self.frontier:
             node = self.strategy.select(self.tree, self.frontier)
             if node.is_virtual:
-                consumed += max(self._replay_node(node), 1)
+                consumed += self._replay_node(node)
                 continue
-            consumed += max(self._explore_node(node), 1)
+            instructions = self.step_node(node).instructions
+            if instructions:
+                stats.useful_instructions += instructions
+                consumed += instructions
+            else:
+                stats.schedule_steps += 1
+                consumed += 1
         return consumed
 
-    def _explore_node(self, node: TreeNode) -> int:
-        state = node.state
-        bugs_before = len(self.executor.bugs)
-        tests_before = len(self.executor.test_cases)
-        paths_before = self.executor.paths_completed
-
-        result = self.executor.step(state)
-        self.stats.useful_instructions += result.instructions
-        if result.instructions == 0:
-            self.stats.schedule_steps += 1
-
-        self.bugs.extend(self.executor.bugs[bugs_before:])
-        self.test_cases.extend(self.executor.test_cases[tests_before:])
-        self.paths_completed += self.executor.paths_completed - paths_before
-
-        newly_covered = take_new_lines(result.children, self._told_lines)
-        if newly_covered:
-            self.coverage_view.cover(newly_covered)
-            self.strategy.notify_covered(newly_covered)
-
-        self._apply_step_to_tree(node, result)
-        return result.instructions
-
-    def _apply_step_to_tree(self, node: TreeNode, result: StepResult) -> None:
-        children = result.children
-        if len(children) == 1 and children[0] is node.state:
-            if children[0].is_running:
-                self.frontier.moved(node)
-            else:
-                node.mark_dead()
-                self.frontier.discard(node)
-            return
-        self.frontier.discard(node)
-        for index, child_state in enumerate(children):
-            child_node = node.children.get(index)
-            if child_node is None:
-                child_node = node.add_child(index)
-            elif child_node.is_fence:
-                # The subtree below this child belongs to another worker --
-                # either a fence installed by replay or one shipped with a
-                # recovered job (a dead worker's ceded subtree).  Leave it.
-                continue
-            elif child_node.is_dead and child_node.is_materialized:
-                # Explored to completion here earlier (its paths are already
-                # counted); reachable again only by re-stepping a revived
-                # ancestor -- a bounced job or a recovered subtree whose
-                # fence-protected part this worker finished meanwhile.
-                continue
-            if child_state.is_running:
-                child_node.materialize(child_state)
-                child_node.mark_candidate()
-                self.frontier.add(child_node)
-            else:
-                child_node.materialize(None)
-                child_node.mark_dead()
-        node.mark_dead()
+    def new_lines(self, lines: Set[int]) -> None:
+        self.coverage_view.cover(lines)
+        super().new_lines(lines)
 
     # -- replay of virtual nodes ------------------------------------------------------------
 

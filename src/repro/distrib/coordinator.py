@@ -39,7 +39,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
+from typing import (Any, Callable, Dict, List, Optional, Set, Tuple, Type,
+                    TypeVar, Union)
 
 from repro.cluster.autoscale import Autoscaler
 from repro.cluster.checkpoint import ClusterCheckpoint
@@ -87,6 +88,7 @@ from repro.solver.cache import aggregate_cache_counters
 __all__ = ["Coordinator", "WorkerProcessError"]
 
 Path = Tuple[int, ...]
+_Reply = TypeVar("_Reply")
 
 
 class WorkerProcessError(RuntimeError):
@@ -364,38 +366,16 @@ class Coordinator:
                     handle, "failed:\n%s" % reply.details)
             return reply
 
-    # Typed receives: a member answering with the wrong reply class is a
-    # protocol violation, handled like any other member failure instead of
-    # crashing the coordinator with an AttributeError three frames later.
-    # (One explicit isinstance arm per reply type: the DISP checker reads
-    # these as the coordinator's dispatch arms.)
-
-    def _receive_status(self, handle: _WorkerHandle) -> StatusReply:
+    def _expect(self, handle: _WorkerHandle, reply_type: Type[_Reply]) -> _Reply:
+        """The member's next reply, which must be a ``reply_type`` (the
+        answer :data:`~repro.distrib.messages.REPLY_OF` names for the command
+        just sent).  Any other class is a protocol violation, handled like
+        any other member failure instead of crashing the coordinator with an
+        AttributeError three frames later."""
         reply = self._receive(handle)
-        if not isinstance(reply, StatusReply):
-            raise _WorkerFailure(
-                handle, "sent %r instead of StatusReply" % (reply,))
-        return reply
-
-    def _receive_export(self, handle: _WorkerHandle) -> ExportReply:
-        reply = self._receive(handle)
-        if not isinstance(reply, ExportReply):
-            raise _WorkerFailure(
-                handle, "sent %r instead of ExportReply" % (reply,))
-        return reply
-
-    def _receive_import(self, handle: _WorkerHandle) -> ImportReply:
-        reply = self._receive(handle)
-        if not isinstance(reply, ImportReply):
-            raise _WorkerFailure(
-                handle, "sent %r instead of ImportReply" % (reply,))
-        return reply
-
-    def _receive_final(self, handle: _WorkerHandle) -> FinalReply:
-        reply = self._receive(handle)
-        if not isinstance(reply, FinalReply):
-            raise _WorkerFailure(
-                handle, "sent %r instead of FinalReply" % (reply,))
+        if not isinstance(reply, reply_type):
+            raise _WorkerFailure(handle, "sent %r instead of %s"
+                                 % (reply, reply_type.__name__))
         return reply
 
     def _broadcast(self, handles: List[_WorkerHandle],
@@ -418,7 +398,7 @@ class Coordinator:
         """Ship one job tree to a member; returns the jobs it took on and
         keeps the balancer's view of its queue fresh within the round."""
         self._send(handle, command)
-        imported = self._receive_import(handle).imported
+        imported = self._expect(handle, ImportReply).imported
         handle.queue_length += imported
         self._refresh_report(handle)
         return imported
@@ -621,7 +601,7 @@ class Coordinator:
             return 0
         try:
             self._send(handle, ExportCommand(count=self.config.drain_chunk))
-            export = self._receive_export(handle)
+            export = self._expect(handle, ExportReply)
         except _WorkerFailure as failure:
             # Died mid-drain: its remaining territory is recovered from the
             # ledger like any other member death.
@@ -659,7 +639,7 @@ class Coordinator:
         """Collect a drained member's final results and stop it."""
         try:
             self._send(handle, FinalizeCommand())
-            final = self._receive_final(handle)
+            final = self._expect(handle, FinalReply)
         except _WorkerFailure as failure:
             self._lose(failure)
             return
@@ -740,7 +720,7 @@ class Coordinator:
         try:
             self._send(seed_handle, SeedCommand())
             self._apply_status(seed_handle,
-                               self._receive_status(seed_handle))
+                               self._expect(seed_handle, StatusReply))
         except _WorkerFailure as failure:
             self._lose(failure)
 
@@ -952,7 +932,7 @@ class Coordinator:
         work = _RoundWork()
         for handle in round_handles:
             try:
-                status = self._receive_status(handle)
+                status = self._expect(handle, StatusReply)
             except _WorkerFailure as failure:
                 self._handle_failure(failure)
                 continue
@@ -963,7 +943,7 @@ class Coordinator:
             self._apply_status(handle, status)
         for handle in drain_handles:
             try:
-                status = self._receive_status(handle)
+                status = self._expect(handle, StatusReply)
             except _WorkerFailure as failure:
                 self._handle_failure(failure)
                 continue
@@ -1012,7 +992,7 @@ class Coordinator:
         self._result.transfer_commands += 1
         try:
             self._send(source, ExportCommand(count=command.job_count))
-            export = self._receive_export(source)
+            export = self._expect(source, ExportReply)
         except _WorkerFailure as failure:
             self.load_balancer.cancel_transfer(command)
             self._lose(failure)
@@ -1202,7 +1182,7 @@ class Coordinator:
         for handle in self.handles + self._draining:
             try:
                 self._send(handle, FinalizeCommand())
-                finals.append(self._receive_final(handle))
+                finals.append(self._expect(handle, FinalReply))
             except _WorkerFailure as failure:
                 # Too late to re-explore; keep its last-known counters.
                 self._handle_failure(failure, requeue=False)

@@ -8,9 +8,9 @@ dataclasses (:class:`~repro.cluster.stats.WorkerStats`, bug reports, test
 cases).  Program state never does -- that is the point of path-encoded job
 shipping.
 
-Every command sent to a worker produces exactly one reply, which keeps the
-coordinator's request/reply bookkeeping trivial and makes worker death
-detectable as a reply timeout.
+Every command sent to a worker produces exactly one reply -- :data:`REPLY_OF`
+says of which class -- which keeps the coordinator's request/reply
+bookkeeping trivial and makes worker death detectable as a reply timeout.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ __all__ = [
     "SeedCommand", "ExploreCommand", "DrainStatusCommand", "ExportCommand",
     "ImportCommand", "FinalizeCommand", "StopCommand",
     "ReadyReply", "StatusReply", "ExportReply", "ImportReply", "FinalReply",
-    "ErrorReply",
+    "ErrorReply", "REPLY_OF",
 ]
 
 
@@ -186,3 +186,17 @@ class ErrorReply:
 
     worker_id: int
     details: str
+
+
+#: Which reply answers which command (an :class:`ErrorReply` may stand in for
+#: any of them; :class:`StopCommand` ends the serving loop unanswered).  The
+#: coordinator expects exactly this class after sending the command, and
+#: ``tests/test_distrib_process.py`` holds ``DistribWorker.handle`` to it.
+REPLY_OF: Dict[type, type] = {
+    SeedCommand: StatusReply,
+    ExploreCommand: StatusReply,
+    DrainStatusCommand: StatusReply,
+    ExportCommand: ExportReply,
+    ImportCommand: ImportReply,
+    FinalizeCommand: FinalReply,
+}

@@ -3,14 +3,16 @@
 :class:`DistribWorker` wraps a :class:`~repro.cluster.worker.Worker` --
 frontier bookkeeping, job export/import, lazy replay with fence nodes, and
 broken-replay detection (§3.2/§6) -- behind a command/reply interface whose
-messages all pickle.  :func:`worker_main` is the process entry point: it
-rebuilds the test from its spec, then pumps commands from a queue into a
-``DistribWorker``; a TCP agent (:mod:`repro.net.agent`) pumps them from a
-socket; the in-process cluster calls :meth:`DistribWorker.handle` directly
-through a :class:`~repro.distrib.loopback.LoopbackTransport`.  No process
-machinery is needed to drive one, which is also how the unit tests exercise
-broken-replay handling (a shipped job whose path diverges or terminates
-prematurely at the destination) deterministically.
+messages all pickle.  :func:`serve` is the one member serving loop: it
+rebuilds the test from its spec, announces itself, then answers commands
+until told to stop, over whatever ``recv``/``send`` pair the carrier hands
+it -- :func:`worker_main` (the process entry point) a pair of mp queues, a
+TCP agent (:mod:`repro.net.agent`) a socket.  The in-process cluster calls
+:meth:`DistribWorker.handle` directly through a
+:class:`~repro.distrib.loopback.LoopbackTransport`.  No process machinery is
+needed to drive one, which is also how the unit tests exercise broken-replay
+handling (a shipped job whose path diverges or terminates prematurely at the
+destination) deterministically.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from typing import Callable, Optional, Sequence
 
 from repro.cluster.jobs import Job, JobTree
 from repro.cluster.worker import Worker
+from repro.distrib import specs
 from repro.distrib.messages import (
     DrainStatusCommand,
     ErrorReply,
@@ -38,9 +41,10 @@ from repro.distrib.messages import (
     StatusReply,
     StopCommand,
 )
+from repro.net.transport import TransportError
 from repro.obs.trace import BufferTracer
 
-__all__ = ["DistribWorker", "worker_main"]
+__all__ = ["DistribWorker", "serve", "worker_main"]
 
 
 class DistribWorker:
@@ -165,6 +169,48 @@ class DistribWorker:
         )
 
 
+def serve(worker_id: int, spec_name: str, spec_params: dict,
+          strategy: Optional[str], spec_modules: Sequence[str],
+          recv: Callable[[], Optional[object]],
+          send: Callable[[object], None]) -> int:
+    """Be one cluster member on some carrier; returns the commands served.
+
+    Rebuild the test from its spec, ``send`` a :class:`ReadyReply`, then
+    answer each command ``recv`` yields with its one reply until a
+    :class:`StopCommand` -- or ``None``, the carrier's word that no command
+    will ever come (the coordinator hung up or died).  Any exception --
+    during startup or while handling a command -- is shipped back as an
+    :class:`ErrorReply` so the coordinator can fail *this member* with its
+    traceback instead of hanging; a :class:`TransportError` is the channel
+    itself failing and propagates to the carrier.
+    """
+    try:
+        for module_name in spec_modules:
+            importlib.import_module(module_name)
+        test = specs.resolve_test(spec_name, **dict(spec_params))
+        member = DistribWorker.from_test(worker_id, test, strategy=strategy)
+        send(ReadyReply(worker_id=worker_id, line_count=member.line_count))
+    except TransportError:
+        raise
+    except BaseException:
+        send(ErrorReply(worker_id=worker_id, details=traceback.format_exc()))
+        return 0
+    served = 0
+    while True:
+        command = recv()
+        if command is None or isinstance(command, StopCommand):
+            return served
+        try:
+            send(member.handle(command))
+        except TransportError:
+            raise
+        except BaseException:
+            send(ErrorReply(worker_id=worker_id,
+                            details=traceback.format_exc()))
+            return served
+        served += 1
+
+
 #: How long :func:`worker_main` waits on its command queue before checking
 #: that the parent coordinator still exists.  Small enough that an orphaned
 #: worker exits promptly; command latency is unaffected (a queued command
@@ -181,42 +227,22 @@ def worker_main(worker_id: int, spec_name: str, spec_params: dict,
                 strategy: Optional[str], spec_modules: Sequence[str],
                 command_queue, reply_queue,
                 parent_alive: Optional[Callable[[], bool]] = None) -> None:
-    """Process entry point: rebuild the test from its spec and serve commands.
+    """Process entry point: :func:`serve` over a pair of mp queues.
 
-    Any exception -- during startup or while handling a command -- is shipped
-    back as an :class:`~repro.distrib.messages.ErrorReply` so the coordinator
-    can fail the run with the worker's traceback instead of hanging.  The
-    command wait is bounded: between attempts the worker checks that the
+    The command wait is bounded: between attempts the worker checks that the
     coordinator process still exists (``parent_alive``, injectable for
     tests) and exits instead of surviving as an orphan when it does not.
     """
     if parent_alive is None:
         parent_alive = _parent_is_alive
-    try:
-        for module_name in spec_modules:
-            importlib.import_module(module_name)
-        from repro.distrib import specs
-        test = specs.resolve_test(spec_name, **dict(spec_params))
-        distrib_worker = DistribWorker.from_test(worker_id, test,
-                                                   strategy=strategy)
-        reply_queue.put(ReadyReply(worker_id=worker_id,
-                                   line_count=distrib_worker.line_count))
-    except BaseException:
-        reply_queue.put(ErrorReply(worker_id=worker_id,
-                                   details=traceback.format_exc()))
-        return
-    while True:
-        try:
-            command = command_queue.get(timeout=COMMAND_POLL_INTERVAL)
-        except queue_module.Empty:
-            if not parent_alive():
-                return  # orphaned: the coordinator died without StopCommand
-            continue
-        if isinstance(command, StopCommand):
-            break
-        try:
-            reply_queue.put(distrib_worker.handle(command))
-        except BaseException:
-            reply_queue.put(ErrorReply(worker_id=worker_id,
-                                       details=traceback.format_exc()))
-            break
+
+    def recv() -> Optional[object]:
+        while True:
+            try:
+                return command_queue.get(timeout=COMMAND_POLL_INTERVAL)
+            except queue_module.Empty:
+                if not parent_alive():
+                    return None  # orphaned: the coordinator died without StopCommand
+
+    serve(worker_id, spec_name, spec_params, strategy, spec_modules,
+          recv, reply_queue.put)

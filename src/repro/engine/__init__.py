@@ -10,11 +10,16 @@ provides:
 * a cooperative thread scheduler with optional schedule forking and hang
   detection (:mod:`repro.engine.scheduler`),
 * the symbolic system-call primitives of Table 1 (:mod:`repro.engine.syscalls`),
-* the execution tree with node pins and layers (:mod:`repro.engine.tree`, §6),
+* the execution tree and its node life-cycle (:mod:`repro.engine.tree`,
+  Fig. 2--3),
 * search strategies including random-path and coverage-optimized
   (:mod:`repro.engine.strategies`, §7), selecting from the one
-  :class:`~repro.engine.frontier.Frontier` every exploration loop owns
+  :class:`~repro.engine.frontier.Frontier` an exploration owns
   (:mod:`repro.engine.frontier`),
+* the one :class:`~repro.engine.explorer.Explorer` -- tree, frontier,
+  strategy, results, and the single step that counts a result where it
+  happens and grafts the children -- that both the single-node driver and
+  the cluster worker explore with (:mod:`repro.engine.explorer`),
 * the uniform exploration limits shared by every backend
   (:mod:`repro.engine.limits`, re-exported as :mod:`repro.api.limits`) and
   the one result type they all return (:mod:`repro.engine.result`,
@@ -25,6 +30,7 @@ provides:
 from repro.engine.config import EngineConfig
 from repro.engine.errors import BugKind, BugReport
 from repro.engine.executor import SymbolicExecutor, StepResult
+from repro.engine.explorer import Explorer
 from repro.engine.frontier import Frontier
 from repro.engine.limits import ExplorationLimits
 from repro.engine.result import RunResult
@@ -47,6 +53,7 @@ __all__ = [
     "BugKind",
     "BugReport",
     "ExplorationLimits",
+    "Explorer",
     "Frontier",
     "RunResult",
     "SymbolicExecutor",

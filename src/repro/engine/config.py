@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Optional
 
 
@@ -18,31 +18,17 @@ class EngineConfig:
     * ``fork_on_schedule`` enables forking the state for every possible next
       thread at scheduling points (§4.2), useful for concurrency bugs but a
       significant source of path explosion, hence off by default.
-    * ``max_forks`` and ``max_states`` bound the exploration for use in unit
-      tests and benchmarks.
+
+    What bounds an exploration (steps, paths, instructions, wall time) is a
+    per-run :class:`~repro.engine.limits.ExplorationLimits`, not a knob here.
     """
 
     max_instructions_per_path: Optional[int] = None
-    max_forks: Optional[int] = None
-    max_states: Optional[int] = None
     max_call_depth: int = 256
     fork_on_schedule: bool = False
     detect_deadlocks: bool = True
-    default_int_width: int = 32
     max_symbolic_malloc: int = 4096
     scheduler_policy: str = "round_robin"
-    max_loop_concretizations: int = 64
 
     def copy(self) -> "EngineConfig":
-        return EngineConfig(
-            max_instructions_per_path=self.max_instructions_per_path,
-            max_forks=self.max_forks,
-            max_states=self.max_states,
-            max_call_depth=self.max_call_depth,
-            fork_on_schedule=self.fork_on_schedule,
-            detect_deadlocks=self.detect_deadlocks,
-            default_int_width=self.default_int_width,
-            max_symbolic_malloc=self.max_symbolic_malloc,
-            scheduler_policy=self.scheduler_policy,
-            max_loop_concretizations=self.max_loop_concretizations,
-        )
+        return replace(self)

@@ -5,24 +5,27 @@ scheduler, the native-function registry and the execution tree.  It exposes
 two levels of API:
 
 * :meth:`SymbolicExecutor.step` -- execute one scheduling decision or one
-  instruction of one state, returning all resulting states.  The cluster
-  worker (:mod:`repro.cluster.worker`) drives exploration through this.
-* :meth:`SymbolicExecutor.run` -- a complete single-node exploration loop
-  with a search strategy and limits; this is what "1-worker Cloud9" (i.e.
-  plain KLEE) uses in the evaluation.  The loop owns one
-  :class:`~repro.engine.frontier.Frontier`, changes it only through its
-  methods and hands it to ``strategy.select`` as it is.
+  instruction of one state, returning all resulting states and, on the
+  :class:`StepResult`, everything the step produced (terminated paths, bugs,
+  test cases).  Exploration steps through
+  :meth:`repro.engine.explorer.Explorer.step_node`; replay and the static
+  bootstrap call it directly.
+* :meth:`SymbolicExecutor.run` -- a complete single-node exploration with a
+  search strategy and limits; this is what "1-worker Cloud9" (i.e. plain
+  KLEE) uses in the evaluation.  It is limits and tracing around one
+  :class:`~repro.engine.explorer.Explorer` -- the same tree, frontier, step
+  and result counting a cluster worker (:mod:`repro.cluster.worker`) uses.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Union
+from typing import Callable, Dict, List, Optional, Sequence, Set, Union
 
 from repro.engine.config import EngineConfig
 from repro.engine.errors import BugKind, BugReport
-from repro.engine.frontier import Frontier
+from repro.engine.explorer import Explorer
 from repro.engine.interpreter import Interpreter
 from repro.engine.limits import ExplorationLimits
 from repro.engine.natives import NativeRegistry
@@ -32,7 +35,6 @@ from repro.engine.state import ExecutionState, ThreadStatus
 from repro.engine.strategies import SearchStrategy, make_strategy
 from repro.engine.syscalls import default_registry
 from repro.engine.test_case import TestCase, generate_test_case
-from repro.engine.tree import ExecutionTree, NodeStatus, TreeNode
 from repro.lang.ast import Program
 from repro.lang.compiler import CompiledProgram, compile_program
 from repro.obs import schema as trace_schema
@@ -65,22 +67,6 @@ class StepResult:
 
 
 StateFactory = Callable[[], ExecutionState]
-
-
-def take_new_lines(children: Iterable[ExecutionState], told: Set[int]) -> Set[int]:
-    """The lines a step's resulting states cover that ``told`` lacks, added
-    to ``told``.
-
-    A state's ``coverage`` is its whole path's, new in at most one line per
-    step; ``told`` is what an exploration loop has already handed on to its
-    strategy (and, on a worker, its coverage view), so the difference is what
-    is new *to them* -- after a replay that includes the replayed prefix.
-    """
-    new: Set[int] = set()
-    for child in children:
-        new.update(child.coverage - told)
-    told.update(new)
-    return new
 
 
 class SymbolicExecutor:
@@ -270,19 +256,15 @@ class SymbolicExecutor:
         elif isinstance(strategy, str):
             strategy = make_strategy(strategy, program=self.program)
 
-        tree = ExecutionTree()
-        tree.root.materialize(state)
-        frontier = Frontier()
-        frontier.add(tree.root)
-        told_lines: Set[int] = set()
+        explorer = Explorer(self, strategy)
+        explorer.seed_state(state)
+        frontier = explorer.frontier
+        bugs = explorer.bugs
 
         result = RunResult(backend="single", test_name=self.program.name,
                            line_count=self.program.line_count, steps=0)
         start = time.monotonic()
         instructions_at_start = self.total_instructions
-        paths_at_start = self.paths_completed
-        bugs_at_start = len(self.bugs)
-        tests_at_start = len(self.test_cases)
         counters_at_start = self.solver.cache_counters()
 
         tracer.emit(trace_schema.RUN_STARTED, backend="single", workers=1,
@@ -291,15 +273,15 @@ class SymbolicExecutor:
         # emits a pseudo round so coverage-over-time still renders.
         trace_round = 256
         traced_rounds = 0
-        traced_bugs = bugs_at_start
+        traced_bugs = 0
         traced_prev_useful = 0
 
         while frontier:
             if max_steps is not None and result.steps >= max_steps:
                 break
-            if stop_on_first_bug and len(self.bugs) > bugs_at_start:
+            if stop_on_first_bug and bugs:
                 break
-            if max_paths is not None and self.paths_completed - paths_at_start >= max_paths:
+            if max_paths is not None and explorer.paths_completed >= max_paths:
                 break
             if max_instructions is not None and (
                     self.total_instructions - instructions_at_start >= max_instructions):
@@ -311,35 +293,28 @@ class SymbolicExecutor:
                 if percent >= coverage_target:
                     break
 
-            node = strategy.select(tree, frontier)
-            step_result = self.step(node.state)
+            explorer.step_node(strategy.select(explorer.tree, frontier))
             result.steps += 1
-            newly_covered = take_new_lines(step_result.children, told_lines)
-            if newly_covered:
-                strategy.notify_covered(newly_covered)
-            self._apply_step_to_tree(node, step_result, frontier)
 
             if tracer.enabled:
-                while len(self.bugs) > traced_bugs:
-                    bug = self.bugs[traced_bugs]
+                while len(bugs) > traced_bugs:
+                    bug = bugs[traced_bugs]
                     traced_bugs += 1
                     tracer.emit(trace_schema.BUG_FOUND, kind=bug.kind.name,
                                 message=bug.message)
                 if result.steps % trace_round == 0:
                     traced_prev_useful = self._trace_round(
                         tracer, traced_rounds, start, result,
-                        instructions_at_start, paths_at_start, frontier,
-                        traced_prev_useful)
+                        instructions_at_start, explorer, traced_prev_useful)
                     traced_rounds += 1
 
         result.exhausted = not frontier
-        result.paths_completed = self.paths_completed - paths_at_start
-        result.bugs = dedupe_bugs(self.bugs[bugs_at_start:])
-        result.test_cases = self.test_cases[tests_at_start:]
+        result.paths_completed = explorer.paths_completed
+        result.bugs = dedupe_bugs(bugs)
+        result.test_cases = explorer.test_cases
         result.covered_lines = set(self.covered_lines)
         result.goal_reached = lim.satisfied_by(
-            result.paths_completed, result.coverage_percent,
-            len(self.bugs) - bugs_at_start)
+            result.paths_completed, result.coverage_percent, len(bugs))
         result.useful_instructions = self.total_instructions - instructions_at_start
         result.states_remaining = len(frontier)
         result.wall_time = time.monotonic() - start
@@ -348,7 +323,7 @@ class SymbolicExecutor:
             for key, value in self.solver.cache_counters().items()}])
         if tracer.enabled:
             self._trace_round(tracer, traced_rounds, start, result,
-                              instructions_at_start, paths_at_start, frontier,
+                              instructions_at_start, explorer,
                               traced_prev_useful)
             emit_solver_query(tracer, result.cache_stats,
                               self.solver.query_seconds)
@@ -362,8 +337,7 @@ class SymbolicExecutor:
 
     def _trace_round(self, tracer, round_index: int, start: float,
                      result: RunResult, instructions_at_start: int,
-                     paths_at_start: int, frontier: Frontier,
-                     prev_useful: int) -> int:
+                     explorer: Explorer, prev_useful: int) -> int:
         """One pseudo ``round_completed`` event (single-engine time series).
 
         Like the cluster events, ``useful``/``replay`` are this round's
@@ -371,6 +345,7 @@ class SymbolicExecutor:
         useful-instruction count for the next delta.
         """
         covered = len(self.covered_lines)
+        frontier = explorer.frontier
         percent = (100.0 * covered / result.line_count
                    if result.line_count else 0.0)
         total_useful = self.total_instructions - instructions_at_start
@@ -379,35 +354,10 @@ class SymbolicExecutor:
             trace_schema.ROUND_COMPLETED, round=round_index,
             elapsed=round(time.monotonic() - start, 6),
             coverage_percent=round(percent, 3), covered_lines=covered,
-            paths=self.paths_completed - paths_at_start,
+            paths=explorer.paths_completed,
             candidates=len(frontier), workers=1,
             useful=useful, replay=0, transferred=0,
             queues={0: len(frontier)},
             workers_detail={0: {"useful": useful, "replay": 0,
                                 "queue": len(frontier)}})
         return total_useful
-
-    def _apply_step_to_tree(self, node: TreeNode, step_result: StepResult,
-                            frontier: Frontier) -> None:
-        """Update the execution tree and the frontier after one step."""
-        children = step_result.children
-        if len(children) == 1 and children[0] is node.state:
-            if children[0].is_running:
-                frontier.moved(node)
-            else:
-                node.mark_dead()
-                frontier.discard(node)
-            return
-
-        # A fork (or a termination that replaced the state object): the node
-        # becomes an interior dead node and each resulting state gets a child.
-        frontier.discard(node)
-        for index, child_state in enumerate(children):
-            child_node = node.add_child(index)
-            if child_state.is_running:
-                child_node.materialize(child_state)
-                frontier.add(child_node)
-            else:
-                child_node.status = NodeStatus.MATERIALIZED
-                child_node.mark_dead()
-        node.mark_dead()

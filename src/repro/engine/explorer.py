@@ -1,0 +1,124 @@
+"""The one exploration step: step a candidate, count what the step produced,
+graft its children.
+
+An :class:`Explorer` owns what one exploration consists of -- the execution
+tree, the :class:`~repro.engine.frontier.Frontier` of its candidates, the
+search strategy, and the exploration's own results (``bugs``,
+``test_cases``, ``paths_completed``).  :meth:`Explorer.step_node` is the only
+place a node is stepped for exploration: it reads what the step produced off
+the :class:`~repro.engine.executor.StepResult` -- never off the executor's
+cumulative lists, which a replay on the same executor also appends to -- and
+is the only place a step's children enter the tree.
+
+The paper's worker *is* a KLEE engine plus job import/export (§3.1--3.2), and
+so it is here: :meth:`SymbolicExecutor.run
+<repro.engine.executor.SymbolicExecutor.run>` is limits and tracing around an
+``Explorer``, and :class:`repro.cluster.worker.Worker` is an ``Explorer`` plus
+replay, export/import and recovered regions.  With nothing imported, fenced
+or revived, the two explore the same nodes in the same order.
+"""
+
+from __future__ import annotations
+
+from typing import TYPE_CHECKING, List, Sequence, Set
+
+from repro.engine.errors import BugReport
+from repro.engine.frontier import Frontier
+from repro.engine.state import ExecutionState
+from repro.engine.strategies import SearchStrategy
+from repro.engine.test_case import TestCase
+from repro.engine.tree import ExecutionTree, TreeNode
+
+if TYPE_CHECKING:  # pragma: no cover - the executor's run loop builds an Explorer
+    from repro.engine.executor import StepResult, SymbolicExecutor
+
+__all__ = ["Explorer"]
+
+
+class Explorer:
+    """One exploration of one program on one executor."""
+
+    def __init__(self, executor: SymbolicExecutor,
+                 strategy: SearchStrategy) -> None:
+        self.executor = executor
+        self.strategy = strategy
+        self.tree = ExecutionTree()
+        # Until seed_state() -- or, on a worker, an import -- says otherwise
+        # the root is an interior shell like any other node on the way to a
+        # candidate.
+        self.tree.root.mark_dead()
+        self.frontier = Frontier()
+        self.bugs: List[BugReport] = []
+        self.test_cases: List[TestCase] = []
+        self.paths_completed = 0
+        # Lines already handed on through new_lines().
+        self._told_lines: Set[int] = set()
+
+    def seed_state(self, state: ExecutionState) -> None:
+        """Make the root the one candidate, holding ``state``."""
+        root = self.tree.root
+        root.materialize(state)
+        root.mark_candidate()
+        self.frontier.add(root)
+
+    def step_node(self, node: TreeNode) -> StepResult:
+        """Step ``node``'s state once and book everything the step produced."""
+        result = self.executor.step(node.state)
+        if result.terminated:
+            self.paths_completed += len(result.terminated)
+            self.bugs.extend(result.bugs)
+            self.test_cases.extend(result.test_cases)
+        children = result.children
+        # A state's ``coverage`` is its whole path's, new in at most one line
+        # per step; after a replay the difference to what was already handed
+        # on includes the replayed prefix.
+        told = self._told_lines
+        new: Set[int] = set()
+        for child in children:
+            new.update(child.coverage - told)
+        if new:
+            told.update(new)
+            self.new_lines(new)
+        self._graft(node, children)
+        return result
+
+    def new_lines(self, lines: Set[int]) -> None:
+        """Lines this exploration covered for the first time (never empty)."""
+        self.strategy.notify_covered(lines)
+
+    def _graft(self, node: TreeNode, children: Sequence[ExecutionState]) -> None:
+        """Update the tree and the frontier after ``node`` was stepped."""
+        frontier = self.frontier
+        if len(children) == 1 and children[0] is node.state:
+            if children[0].is_running:
+                frontier.moved(node)
+            else:
+                node.mark_dead()
+                frontier.discard(node)
+            return
+        # A fork (or a termination that replaced the state object): the node
+        # becomes an interior dead node and each resulting state gets a child.
+        frontier.discard(node)
+        for index, child_state in enumerate(children):
+            child_node = node.children.get(index)
+            if child_node is None:
+                child_node = node.add_child(index)
+            elif child_node.is_fence:
+                # The subtree below this child belongs to another worker --
+                # either a fence installed by replay or one shipped with a
+                # recovered job (a dead worker's ceded subtree).  Leave it.
+                continue
+            elif child_node.is_dead and child_node.is_materialized:
+                # Explored to completion here earlier (its paths are already
+                # counted); reachable again only by re-stepping a revived
+                # ancestor -- a bounced job or a recovered subtree whose
+                # fence-protected part this worker finished meanwhile.
+                continue
+            if child_state.is_running:
+                child_node.materialize(child_state)
+                child_node.mark_candidate()
+                frontier.add(child_node)
+            else:
+                child_node.materialize(None)
+                child_node.mark_dead()
+        node.mark_dead()

@@ -1,8 +1,9 @@
 """The exploration frontier: the candidate nodes, in ``node_id`` order.
 
-Both exploration loops -- :meth:`repro.engine.executor.SymbolicExecutor.run`
-and :meth:`repro.cluster.worker.Worker.explore` -- own one
-:class:`Frontier`, change it only through its methods and hand *it* to
+Every :class:`~repro.engine.explorer.Explorer` -- the one behind
+:meth:`repro.engine.executor.SymbolicExecutor.run` and each
+:class:`repro.cluster.worker.Worker` -- owns one :class:`Frontier`, changes
+it only through its methods and hands *it* to
 ``strategy.select(tree, frontier)``.  A strategy reads it like a sequence of
 nodes sorted by ``node_id`` (``len``, ``in``, iteration, :meth:`Frontier.first`
 / :meth:`Frontier.last`); nothing is copied or sorted per step.

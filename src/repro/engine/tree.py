@@ -10,22 +10,13 @@ execution tree.  Every node carries two attributes:
   exploration frontier, *fence* nodes demarcate work delegated to other
   workers, and *dead* nodes are fully explored interior nodes whose program
   state can be discarded.
-
-The module also reproduces the two custom data structures of §6:
-
-* :class:`NodePin` -- a "rubber band" smart pointer that keeps the path from
-  a node up to the root alive; unpinned interior nodes are garbage collected
-  in bulk rather than by chained destructors.
-* *tree layers* -- each node may be tagged as belonging to any subset of
-  layers (symbolic states, imported jobs, ...), and traversals take the layer
-  of interest as a filter, so switching layers costs nothing.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-from typing import Dict, Iterator, List, Optional, Sequence, Set
+from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 
 class NodeStatus(enum.Enum):
@@ -39,12 +30,6 @@ class NodeLife(enum.Enum):
     DEAD = "dead"
 
 
-# Standard layers (callers may define their own names as well).
-LAYER_STATES = "states"
-LAYER_JOBS = "jobs"
-LAYER_BREAKPOINTS = "breakpoints"
-
-
 _node_id_counter = itertools.count(1)
 
 
@@ -52,7 +37,7 @@ class TreeNode:
     """One node of a worker's local view of the execution tree."""
 
     __slots__ = ("node_id", "parent", "children", "status", "life", "state",
-                 "layers", "pin_count", "fork_index", "candidate_count")
+                 "fork_index", "candidate_count")
 
     def __init__(self, parent: Optional["TreeNode"] = None, fork_index: int = 0,
                  status: NodeStatus = NodeStatus.MATERIALIZED,
@@ -62,9 +47,8 @@ class TreeNode:
         self.children: Dict[int, TreeNode] = {}
         self.status = status
         self.life = life
-        self.state = None  # ExecutionState for materialized candidate/fence nodes
-        self.layers: Set[str] = set()
-        self.pin_count = 0
+        # ExecutionState for materialized candidate/fence nodes
+        self.state: Any = None
         self.fork_index = fork_index
         # Number of candidate nodes in this subtree (self included); kept up
         # to date by _set_life so random-path selection can walk the tree
@@ -175,57 +159,17 @@ class TreeNode:
 
     # -- traversal ---------------------------------------------------------------
 
-    def iter_subtree(self, layer: Optional[str] = None) -> Iterator["TreeNode"]:
-        """Depth-first iteration over the subtree, optionally layer-filtered."""
+    def iter_subtree(self) -> Iterator["TreeNode"]:
+        """Depth-first iteration over the subtree, children in fork-index order."""
         stack = [self]
         while stack:
             node = stack.pop()
-            if layer is None or layer in node.layers:
-                yield node
+            yield node
             stack.extend(node.children[k] for k in sorted(node.children, reverse=True))
-
-    def leaves(self, layer: Optional[str] = None) -> List["TreeNode"]:
-        return [n for n in self.iter_subtree(layer) if n.is_leaf]
 
     def __repr__(self) -> str:
         return "TreeNode(id=%d, %s/%s, children=%d)" % (
             self.node_id, self.status.value, self.life.value, len(self.children))
-
-
-class NodePin:
-    """A smart pointer that anchors the path from ``node`` to the root.
-
-    While at least one pin references a node, the chain of ancestors up to the
-    root is protected from pruning.  Releasing a pin lets
-    :meth:`ExecutionTree.prune` free, in one sweep, every unpinned node that
-    no longer leads to a pinned descendant -- the "rubber band" behaviour of
-    §6 that avoids deep recursive destructor chains.
-    """
-
-    __slots__ = ("node", "_released")
-
-    def __init__(self, node: TreeNode):
-        self.node = node
-        self._released = False
-        current: Optional[TreeNode] = node
-        while current is not None:
-            current.pin_count += 1
-            current = current.parent
-
-    def release(self) -> None:
-        if self._released:
-            return
-        self._released = True
-        current: Optional[TreeNode] = self.node
-        while current is not None:
-            current.pin_count -= 1
-            current = current.parent
-
-    def __enter__(self) -> "NodePin":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.release()
 
 
 class ExecutionTree:
@@ -234,11 +178,8 @@ class ExecutionTree:
     def __init__(self):
         self.root = TreeNode()
 
-    def new_pin(self, node: TreeNode) -> NodePin:
-        return NodePin(node)
-
-    def nodes(self, layer: Optional[str] = None) -> List[TreeNode]:
-        return list(self.root.iter_subtree(layer))
+    def nodes(self) -> List[TreeNode]:
+        return list(self.root.iter_subtree())
 
     def candidates(self) -> List[TreeNode]:
         return [n for n in self.root.iter_subtree() if n.is_candidate]
@@ -248,25 +189,6 @@ class ExecutionTree:
 
     def node_count(self) -> int:
         return sum(1 for _ in self.root.iter_subtree())
-
-    def prune(self) -> int:
-        """Remove unpinned dead leaves (iteratively, so interior chains of
-        dead nodes whose subtrees were fully pruned get removed too).
-
-        Returns the number of nodes removed.
-        """
-        removed = 0
-        changed = True
-        while changed:
-            changed = False
-            for node in list(self.root.iter_subtree()):
-                if (node.parent is not None and node.is_leaf and node.is_dead
-                        and node.pin_count == 0):
-                    del node.parent.children[node.fork_index]
-                    node.parent = None
-                    removed += 1
-                    changed = True
-        return removed
 
     def node_at(self, path: Sequence[int]) -> Optional[TreeNode]:
         return self.root.descend(path)

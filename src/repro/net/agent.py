@@ -4,12 +4,12 @@ Run this on any machine that can reach the coordinator.  The agent dials in,
 introduces itself (:class:`~repro.net.transport.HelloMessage`, protocol
 version checked by the coordinator), waits in the coordinator's pending pool
 until admitted, and on the :class:`~repro.net.transport.WelcomeMessage`
-rebuilds the target locally from the spec registry -- exactly what a forked
-:func:`~repro.distrib.worker.worker_main` process does, except the
-``(spec_name, spec_params)`` pair arrives over the wire instead of as
-process arguments.  From then on it runs the unchanged §3 worker loop
-(:class:`~repro.distrib.worker.DistribWorker`): explore one budget per
-round, report status, export/import path-encoded jobs.
+runs :func:`repro.distrib.worker.serve` -- the very loop a forked
+:func:`~repro.distrib.worker.worker_main` process runs, except that the
+``(spec_name, spec_params)`` pair arrived over the wire instead of as
+process arguments and commands come off a socket instead of a queue: rebuild
+the target from the spec registry, then explore one budget per round, report
+status, export/import path-encoded jobs.
 
 A daemon thread sends heartbeat pings every ``heartbeat_interval`` seconds
 (from the welcome), so the coordinator can tell "busy exploring" from
@@ -22,11 +22,9 @@ coordinator (EOF on the socket) just ends the agent.
 from __future__ import annotations
 
 import argparse
-import importlib
 import os
 import socket
 import sys
-import traceback
 from typing import Optional, Sequence
 
 from repro.net.framing import DEFAULT_MAX_FRAME_SIZE
@@ -74,7 +72,6 @@ def run_agent(connect: str, spec_modules: Sequence[str] = (),
                              max_frame_size=max_frame_size)
     transport.start_receiver()
     sender = None
-    served = 0
     try:
         transport.send(HelloMessage(protocol_version=PROTOCOL_VERSION,
                                     agent=_agent_name()))
@@ -101,46 +98,20 @@ def run_agent(connect: str, spec_modules: Sequence[str] = (),
         # target cannot read as a dead newcomer.
         sender = HeartbeatSender(transport.send_ping,
                                  interval=welcome.heartbeat_interval).start()
-        worker_id = welcome.worker_id
-        # Late imports: pulling in the engine stack only once we are
+        # Late import: pulling in the engine stack only once we are
         # actually admitted keeps the dial-and-wait phase cheap.
-        from repro.distrib.messages import ErrorReply, StopCommand
-        try:
-            for module_name in tuple(spec_modules) + tuple(welcome.spec_modules):
-                importlib.import_module(module_name)
-            from repro.distrib import specs
-            from repro.distrib.worker import DistribWorker
-            from repro.distrib.messages import ReadyReply
-            test = specs.resolve_test(welcome.spec_name,
-                                      **dict(welcome.spec_params))
-            worker = DistribWorker.from_test(worker_id, test,
-                                             strategy=welcome.strategy)
-            transport.send(ReadyReply(worker_id=worker_id,
-                                      line_count=worker.line_count))
-        except TransportError:
-            raise
-        except BaseException:
-            transport.send(ErrorReply(worker_id=worker_id,
-                                      details=traceback.format_exc()))
-            return served
-        while True:
+        from repro.distrib.worker import serve
+
+        def recv() -> Optional[object]:
             try:
-                command = transport.recv()
+                return transport.recv()
             except TransportError:
-                break  # coordinator hung up; nothing left to serve
-            if isinstance(command, StopCommand):
-                break
-            try:
-                reply = worker.handle(command)
-            except TransportError:
-                raise
-            except BaseException:
-                transport.send(ErrorReply(worker_id=worker_id,
-                                          details=traceback.format_exc()))
-                break
-            transport.send(reply)
-            served += 1
-        return served
+                return None  # coordinator hung up; nothing left to serve
+
+        return serve(welcome.worker_id, welcome.spec_name, welcome.spec_params,
+                     welcome.strategy,
+                     tuple(spec_modules) + tuple(welcome.spec_modules),
+                     recv, transport.send)
     finally:
         if sender is not None:
             sender.stop()

@@ -1,4 +1,4 @@
-"""DISP dispatch exhaustiveness, PROTO004 semver lock."""
+"""PROTO004: the semver rule of the protocol lock."""
 
 import json
 from pathlib import Path
@@ -11,88 +11,6 @@ from conftest import write_tree
 def _args(tmp_path, *extra):
     return [*extra, "--baseline", str(tmp_path / "analysis_baseline.json"),
             "--lock", str(tmp_path / "protocol.lock.json")]
-
-
-class TestDispatch:
-    FILES = {
-        "src/repro/distrib/messages.py": """\
-            from dataclasses import dataclass
-
-            @dataclass
-            class PingCommand:
-                nonce: int
-
-            @dataclass
-            class PongReply:
-                nonce: int
-        """,
-        "src/repro/distrib/worker.py": """\
-            from repro.distrib.messages import PingCommand, PongReply
-
-            def handle(command):
-                if isinstance(command, PingCommand):
-                    return PongReply(nonce=command.nonce)
-                raise TypeError(command)
-
-            def read_reply(reply):
-                if isinstance(reply, PongReply):
-                    return reply.nonce
-                raise TypeError(reply)
-        """,
-    }
-
-    def test_fully_handled_tree_is_green(self, tmp_path):
-        root = write_tree(tmp_path, self.FILES)
-        assert cli.main(_args(tmp_path, root, "--select", "DISP")) == 0
-
-    def test_unhandled_message_fails(self, tmp_path, capsys):
-        partial = dict(self.FILES)
-        partial["src/repro/distrib/worker.py"] = """\
-            from repro.distrib.messages import PingCommand
-
-            def handle(command):
-                if isinstance(command, PingCommand):
-                    return "pong"
-                raise TypeError(command)
-        """
-        root = write_tree(tmp_path, partial)
-        assert cli.main(_args(tmp_path, root, "--select", "DISP")) == 1
-        out = capsys.readouterr().out
-        assert "[DISP001]" in out
-        assert "PongReply" in out
-
-    def test_unregistered_arm_is_dead_code(self, tmp_path, capsys):
-        grown = dict(self.FILES)
-        grown["src/repro/distrib/worker.py"] = """\
-            from repro.distrib.messages import (
-                GhostCommand,
-                PingCommand,
-                PongReply,
-            )
-
-            def handle(command):
-                if isinstance(command, PingCommand):
-                    return PongReply(nonce=command.nonce)
-                if isinstance(command, GhostCommand):
-                    return None
-                raise TypeError(command)
-
-            def read_reply(reply):
-                if isinstance(reply, PongReply):
-                    return reply.nonce
-                raise TypeError(reply)
-        """
-        root = write_tree(tmp_path, grown)
-        assert cli.main(_args(tmp_path, root, "--select", "DISP")) == 1
-        out = capsys.readouterr().out
-        assert "[DISP002]" in out
-        assert "GhostCommand" in out
-
-    def test_message_only_tree_stays_quiet(self, tmp_path):
-        root = write_tree(tmp_path,
-                          {"src/repro/distrib/messages.py":
-                           self.FILES["src/repro/distrib/messages.py"]})
-        assert cli.main(_args(tmp_path, root, "--select", "DISP")) == 0
 
 
 class TestSemverLock:

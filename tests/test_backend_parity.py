@@ -88,6 +88,13 @@ class TestResultParity:
             assert (backend_runs[a][0].paths_completed
                     == backend_runs[b][0].paths_completed), (a, b)
 
+    def test_worker_stats_hold_the_real_path_counts(self, backend_runs):
+        """A live worker's ``WorkerStats.paths_completed`` is its path
+        counter, not a second number nobody bumps."""
+        for backend, (result, _) in backend_runs.items():
+            assert (sum(s.paths_completed for s in result.worker_stats.values())
+                    == result.paths_completed > 0), backend
+
     def test_coverage_identical(self, backend_runs):
         for a, b in _pairs(backend_runs):
             assert (backend_runs[a][0].covered_lines

@@ -3,7 +3,8 @@
 from repro.cluster.jobs import JobTree
 from repro.cluster.replay import replay_path
 from repro.cluster.worker import Worker
-from repro.engine import SymbolicExecutor
+from repro.distrib import specs
+from repro.engine import SymbolicExecutor, make_strategy
 from repro.engine.tree import NodeStatus
 from repro.posix import install_posix_model
 
@@ -149,3 +150,35 @@ class TestReplay:
         destination.explore(10_000)
         assert destination.stats.replays == 1
         assert destination.stats.broken_replays == 0
+
+
+class TestOneWorkerIsTheSingleEngine:
+    """§7's baseline is "1-worker Cloud9": a worker nobody exports from or
+    imports into explores through the same ``Explorer`` step as
+    ``SymbolicExecutor.run``, so it visits the same nodes in the same order."""
+
+    def test_same_test_cases_in_the_same_order(self):
+        test = specs.resolve_test("printf", format_length=3)
+
+        engine = test.build_executor()
+        result = engine.run(
+            initial_state=test.build_initial_state(engine),
+            strategy=make_strategy("interleaved", program=engine.program))
+        assert result.exhausted
+
+        executor = test.build_executor()
+        worker = Worker(1, executor, test.build_initial_state,
+                        strategy=make_strategy("interleaved",
+                                               program=executor.program))
+        worker.seed()
+        while worker.has_work:
+            worker.explore(1000)
+
+        assert ([case.inputs for case in worker.test_cases]
+                == [case.inputs for case in result.test_cases])
+        assert len(worker.test_cases) > 100
+        assert worker.paths_completed == result.paths_completed
+        assert worker.stats.useful_instructions == result.useful_instructions
+        assert worker.stats.replays == 0
+        assert executor.covered_lines == result.covered_lines
+        assert worker.coverage_view.known_covered() == result.covered_lines

@@ -8,7 +8,10 @@ from repro.api import Campaign, ExplorationLimits
 from repro.cluster.jobs import JobTree
 from repro.distrib import DistribWorker, ProcessClusterConfig, specs
 from repro.distrib.cluster import ProcessCloud9Cluster, WorkerProcessError
+from repro.distrib import messages
 from repro.distrib.messages import (
+    REPLY_OF,
+    DrainStatusCommand,
     ExploreCommand,
     ExportCommand,
     FinalizeCommand,
@@ -140,6 +143,36 @@ class TestDistribWorker:
             status = worker.handle(ExploreCommand(budget=1000))
         assert status.broken_replays == 1
         assert status.paths_completed == 9
+
+
+class TestEveryCommandHasItsReply:
+    """``REPLY_OF`` is the protocol's one statement of which reply answers
+    which command; the coordinator expects exactly that class, so the member
+    must send it.  A command added to ``messages`` without a row in the
+    table, a sample here, or an arm in ``DistribWorker.handle`` fails."""
+
+    SAMPLES = (SeedCommand(), ExploreCommand(budget=5), DrainStatusCommand(),
+               ExportCommand(count=1),
+               ImportCommand(encoded_jobs=JobTree().encode()),
+               FinalizeCommand())
+
+    def test_table_and_samples_cover_every_command_but_stop(self):
+        commands = {getattr(messages, name) for name in messages.__all__
+                    if name.endswith("Command")} - {StopCommand}
+        assert set(REPLY_OF) == commands
+        assert {type(sample) for sample in self.SAMPLES} == commands
+
+    def test_handle_answers_each_command_with_the_reply_the_table_names(self):
+        worker = DistribWorker.from_test(1, _branchy_spec_test())
+        for command in self.SAMPLES:
+            reply = worker.handle(command)
+            assert type(reply) is REPLY_OF[type(command)], command
+            assert reply.worker_id == 1
+
+    def test_stop_is_not_a_command_handle_answers(self):
+        worker = DistribWorker.from_test(1, _branchy_spec_test())
+        with pytest.raises(TypeError):
+            worker.handle(StopCommand())
 
 
 class TestWorkerMainOrphanExit:

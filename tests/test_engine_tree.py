@@ -3,7 +3,6 @@
 from repro.engine.tree import (
     ExecutionTree,
     NodeLife,
-    NodePin,
     NodeStatus,
 )
 
@@ -93,54 +92,7 @@ class TestCandidateCounts:
         assert tree.fences() == [a]
 
 
-class TestPinsAndPrune:
-    def test_prune_removes_unpinned_dead_leaves(self):
-        tree = ExecutionTree()
-        a = tree.root.add_child(0)
-        b = a.add_child(0)
-        b.mark_dead()
-        a.mark_dead()
-        removed = tree.prune()
-        assert removed == 2
-        assert tree.node_count() == 1
-
-    def test_pin_protects_path_to_root(self):
-        tree = ExecutionTree()
-        a = tree.root.add_child(0)
-        b = a.add_child(0)
-        b.mark_dead()
-        a.mark_dead()
-        pin = NodePin(b)
-        assert tree.prune() == 0
-        pin.release()
-        assert tree.prune() == 2
-
-    def test_pin_context_manager(self):
-        tree = ExecutionTree()
-        a = tree.root.add_child(0)
-        a.mark_dead()
-        with tree.new_pin(a):
-            assert tree.prune() == 0
-        assert tree.prune() == 1
-
-    def test_candidate_nodes_not_pruned(self):
-        tree = ExecutionTree()
-        tree.root.add_child(0)
-        assert tree.prune() == 0
-
-
 class TestLayers:
-    def test_layer_filtering(self):
-        tree = ExecutionTree()
-        a = tree.root.add_child(0)
-        b = tree.root.add_child(1)
-        a.layers.add("states")
-        b.layers.add("jobs")
-        states = list(tree.root.iter_subtree(layer="states"))
-        jobs = list(tree.root.iter_subtree(layer="jobs"))
-        assert states == [a]
-        assert jobs == [b]
-
     def test_unfiltered_traversal_is_deterministic(self):
         tree = ExecutionTree()
         a = tree.root.add_child(1)
@@ -150,10 +102,3 @@ class TestLayers:
         # Children visited in fork-index order regardless of creation order.
         assert order[1] == b.node_id
         assert order[2] == a.node_id
-
-    def test_leaves(self):
-        tree = ExecutionTree()
-        a = tree.root.add_child(0)
-        a.add_child(0)
-        leaves = tree.root.leaves()
-        assert len(leaves) == 1

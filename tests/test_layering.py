@@ -1,0 +1,46 @@
+"""The package layering, as module-level imports state it.
+
+``obs``/``lang`` <- ``solver`` <- ``engine`` <- {``posix``, ``cluster``} <-
+``distrib`` (+ ``net``) <- ``api`` <- ``testing`` <- ``targets``: a package
+imports, at module level, only from its own layer or a lower one.  (An import
+inside a function or under ``if TYPE_CHECKING:`` is a stated exception where
+it stands; ``repro.analysis`` imports nothing it analyzes.)
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+LAYERS = [{"obs", "lang"}, {"solver"}, {"engine"}, {"posix", "cluster"},
+          {"distrib", "net"}, {"api"}, {"testing"}, {"targets"}, {"analysis"}]
+RANK = {package: rank for rank, layer in enumerate(LAYERS) for package in layer}
+
+
+def _imported_packages(path):
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.ImportFrom) and not node.level:
+            names = ([node.module] if node.module != "repro"
+                     else ["repro.%s" % alias.name for alias in node.names])
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        for name in names:
+            parts = (name or "").split(".")
+            if parts[0] == "repro" and len(parts) > 1:
+                yield parts[1]
+
+
+def test_no_package_imports_from_a_higher_layer():
+    upward = sorted(
+        "%s imports repro.%s" % (path.relative_to(SRC), target)
+        for package in RANK for path in (SRC / package).rglob("*.py")
+        for target in _imported_packages(path)
+        if RANK[target] > RANK[package]
+        or (package == "analysis") != (target == "analysis"))
+    assert upward == []
+
+
+def test_every_package_has_a_layer():
+    packages = {p.name for p in SRC.iterdir() if (p / "__init__.py").exists()}
+    assert packages == set(RANK)
