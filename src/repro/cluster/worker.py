@@ -193,6 +193,7 @@ class Worker(Explorer):
                 fence_node.mark_fence()
 
         node.materialize(outcome.state)
+        self.adopt(node)
         self.frontier.moved(node)
         return max(outcome.instructions, 1)
 
@@ -255,6 +256,10 @@ class Worker(Explorer):
                 # a replay instead of stepping a missing state.
                 node.status = NodeStatus.VIRTUAL
             if node not in self.frontier:
+                if node.state is not None:
+                    # A fence revived with the state it kept (a replay-time
+                    # sibling, or a job that bounced back).
+                    self.adopt(node)
                 self.frontier.add(node)
                 imported += 1
                 self.stats.jobs_imported += 1

@@ -6,8 +6,9 @@ two levels of API:
 
 * :meth:`SymbolicExecutor.step` -- execute one scheduling decision or one
   instruction of one state, returning all resulting states and, on the
-  :class:`StepResult`, everything the step produced (terminated paths, bugs,
-  test cases).  Exploration steps through
+  :class:`StepResult`, everything the step produced (the executed line and,
+  when a path ended, the terminated states, bugs and test cases).
+  Exploration steps through
   :meth:`repro.engine.explorer.Explorer.step_node`; replay and the static
   bootstrap call it directly.
 * :meth:`SymbolicExecutor.run` -- a complete single-node exploration with a
@@ -15,12 +16,18 @@ two levels of API:
   KLEE) uses in the evaluation.  It is limits and tracing around one
   :class:`~repro.engine.explorer.Explorer` -- the same tree, frontier, step
   and result counting a cluster worker (:mod:`repro.cluster.worker`) uses.
+
+A step costs the same however long the path behind it is.  ``covered_lines``
+grows by the one line a step executes; a whole ``state.coverage`` is unioned
+in only when a path finishes and when a state that already has a path behind
+it is seeded (:meth:`Explorer.seed_state
+<repro.engine.explorer.Explorer.seed_state>`).  Every other state ``step``
+sees was stepped here from such a root, so its lines are already in.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Union
 
 from repro.engine.config import EngineConfig
@@ -31,7 +38,7 @@ from repro.engine.limits import ExplorationLimits
 from repro.engine.natives import NativeRegistry
 from repro.engine.result import RunResult, dedupe_bugs
 from repro.engine.scheduler import CooperativeScheduler
-from repro.engine.state import ExecutionState, ThreadStatus
+from repro.engine.state import ExecutionState, StateStatus, ThreadStatus
 from repro.engine.strategies import SearchStrategy, make_strategy
 from repro.engine.syscalls import default_registry
 from repro.engine.test_case import TestCase, generate_test_case
@@ -42,20 +49,29 @@ from repro.obs.trace import NULL_TRACER, Tracer, emit_solver_query
 from repro.solver.cache import aggregate_cache_counters
 from repro.solver.solver import Solver
 
-@dataclass
+
 class StepResult:
     """Outcome of stepping one state once.
 
     ``children`` is the ordered list of all resulting states (running or
     terminated); its order defines the fork indices used in job paths.
-    ``forked`` is true when more than one child was produced.
+    ``forked`` is true when more than one child was produced.  ``line`` is
+    the line of the instruction the step executed, ``None`` for a pure
+    scheduling step.  ``terminated``/``bugs``/``test_cases`` are empty and
+    shared until a path ends in this step.
     """
 
-    children: List[ExecutionState] = field(default_factory=list)
-    terminated: List[ExecutionState] = field(default_factory=list)
-    bugs: List[BugReport] = field(default_factory=list)
-    test_cases: List[TestCase] = field(default_factory=list)
-    instructions: int = 0
+    __slots__ = ("children", "line", "instructions", "terminated", "bugs",
+                 "test_cases")
+
+    def __init__(self, children: List[ExecutionState],
+                 line: Optional[int] = None) -> None:
+        self.children = children
+        self.line = line
+        self.instructions = 0 if line is None else 1
+        self.terminated: Sequence[ExecutionState] = ()
+        self.bugs: Sequence[BugReport] = ()
+        self.test_cases: Sequence[TestCase] = ()
 
     @property
     def forked(self) -> bool:
@@ -117,49 +133,50 @@ class SymbolicExecutor:
 
     # -- stepping ---------------------------------------------------------------------
 
-    def _needs_schedule(self, state: ExecutionState) -> bool:
-        if state.current is None:
-            return True
-        if state.options.pop("force_reschedule", False):
-            return True
-        return state.current_thread.status != ThreadStatus.ENABLED
-
     def step(self, state: ExecutionState) -> StepResult:
         """Advance a state by one scheduling decision or one instruction."""
-        result = StepResult()
-        if not state.is_running:
-            return result
+        if state.status is not StateStatus.RUNNING:
+            return StepResult([])
 
         # Per-path instruction limit: the infinite-loop/hang detector.
         limit = state.options.get("max_instructions",
                                   self.config.max_instructions_per_path)
-        if limit is not None and state.instructions_executed >= int(limit):
-            report = BugReport(
-                kind=BugKind.INFINITE_LOOP,
-                message="path exceeded %d instructions (possible hang)" % int(limit),
-                state_id=state.state_id,
-                function=(state.current_thread.top.function
-                          if state.current else None),
-            )
-            state.terminate_error(report)
-            self._finish_state(state, result)
-            result.children = [state]
-            return result
+        if limit is not None:
+            limit = int(limit)
+            if state.instructions_executed >= limit:
+                report = BugReport(
+                    kind=BugKind.INFINITE_LOOP,
+                    message="path exceeded %d instructions (possible hang)" % limit,
+                    state_id=state.state_id,
+                    function=(state.current_thread.top.function
+                              if state.current else None),
+                )
+                state.terminate_error(report)
+                return self._finished(state)
 
-        if self._needs_schedule(state):
-            return self._schedule(state, result)
+        current = state.current
+        if current is None or state.options.pop("force_reschedule", False):
+            return self._schedule(state)
+        thread = state.processes[current[0]].threads[current[1]]
+        if thread.status is not ThreadStatus.ENABLED:
+            return self._schedule(state)
 
-        children = self.interpreter.execute_instruction(state)
-        result.instructions = 1
+        line, children = self.interpreter.execute_instruction(state, thread)
+        result = StepResult(children, line)
         self.total_instructions += 1
-        result.children = children
+        self.covered_lines.add(line)
         for child in children:
-            self.covered_lines.update(child.coverage)
-            if not child.is_running:
+            if child.status is not StateStatus.RUNNING:
                 self._finish_state(child, result)
         return result
 
-    def _schedule(self, state: ExecutionState, result: StepResult) -> StepResult:
+    def _finished(self, state: ExecutionState) -> StepResult:
+        """The result of a step that ended ``state`` without executing."""
+        result = StepResult([state])
+        self._finish_state(state, result)
+        return result
+
+    def _schedule(self, state: ExecutionState) -> StepResult:
         decision = self.scheduler.decide(state)
         if decision.all_exited:
             exit_code = 0
@@ -167,24 +184,18 @@ class SymbolicExecutor:
             if main_process is not None and main_process.exit_code is not None:
                 exit_code = main_process.exit_code
             state.terminate(exit_code)
-            self._finish_state(state, result)
-            result.children = [state]
-            return result
+            return self._finished(state)
         if decision.deadlock:
             if self.config.detect_deadlocks:
                 state.terminate_error(self.scheduler.deadlock_report(state))
-                self._finish_state(state, result)
             else:
                 state.terminate(0)
-                self._finish_state(state, result)
-            result.children = [state]
-            return result
+            return self._finished(state)
 
         choices = decision.choices
         if len(choices) == 1:
             self.scheduler.apply(state, choices[0])
-            result.children = [state]
-            return result
+            return StepResult([state])
 
         # Schedule fork: one successor per runnable thread.  All clones are
         # taken from the unmodified state before any choice is applied.
@@ -196,11 +207,12 @@ class SymbolicExecutor:
         for index, (choice, succ) in enumerate(zip(choices, children)):
             succ.fork_trace.append(index)
             self.scheduler.apply(succ, choice)
-        result.children = children
-        return result
+        return StepResult(children)
 
     def _finish_state(self, state: ExecutionState, result: StepResult) -> None:
         """Bookkeeping when a state reaches a terminal status."""
+        if not result.terminated:
+            result.terminated, result.bugs, result.test_cases = [], [], []
         result.terminated.append(state)
         self.paths_completed += 1
         self.covered_lines.update(state.coverage)

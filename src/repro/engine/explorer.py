@@ -16,6 +16,15 @@ so it is here: :meth:`SymbolicExecutor.run
 ``Explorer``, and :class:`repro.cluster.worker.Worker` is an ``Explorer`` plus
 replay, export/import and recovered regions.  With nothing imported, fenced
 or revived, the two explore the same nodes in the same order.
+
+Coverage is handed on (:meth:`Explorer.new_lines`) one line per step: the
+state ``step_node`` steps came out of an earlier ``step_node``, which handed
+on everything up to there, so only the line just executed can be new.  The
+exception is a node holding a state ``step_node`` did *not* produce -- the
+seeded root, a node a worker materialised by replay, a fence revived with the
+state it kept.  Whoever installs such a state calls :meth:`Explorer.adopt`,
+and that node's next step diffs its children's whole ``coverage`` against
+what was handed on, as every step once did.
 """
 
 from __future__ import annotations
@@ -24,7 +33,7 @@ from typing import TYPE_CHECKING, List, Sequence, Set
 
 from repro.engine.errors import BugReport
 from repro.engine.frontier import Frontier
-from repro.engine.state import ExecutionState
+from repro.engine.state import ExecutionState, StateStatus
 from repro.engine.strategies import SearchStrategy
 from repro.engine.test_case import TestCase
 from repro.engine.tree import ExecutionTree, TreeNode
@@ -53,6 +62,8 @@ class Explorer:
         self.paths_completed = 0
         # Lines already handed on through new_lines().
         self._told_lines: Set[int] = set()
+        # Ids of nodes whose state did not come out of step_node (see adopt()).
+        self._adopted: Set[int] = set()
 
     def seed_state(self, state: ExecutionState) -> None:
         """Make the root the one candidate, holding ``state``."""
@@ -60,6 +71,22 @@ class Explorer:
         root.materialize(state)
         root.mark_candidate()
         self.frontier.add(root)
+        # The executor only ever adds the line a step executes; a state that
+        # arrives with a path behind it brings that path's lines once, here.
+        self.executor.covered_lines.update(state.coverage)
+        self.adopt(root)
+
+    def adopt(self, node: TreeNode) -> None:
+        """``node`` now holds a state that :meth:`step_node` did not produce.
+
+        Whoever puts such a state on a node that may be stepped must say so:
+        :meth:`seed_state` (the root), a worker's replay (the replayed node)
+        and a worker's import reviving a node that kept its state (a fence).
+        Lines on that state's path may not have been handed on yet, so the
+        node's next step diffs its children's whole coverage; every other
+        step hands on just the line it executed.
+        """
+        self._adopted.add(node.node_id)
 
     def step_node(self, node: TreeNode) -> StepResult:
         """Step ``node``'s state once and book everything the step produced."""
@@ -69,16 +96,22 @@ class Explorer:
             self.bugs.extend(result.bugs)
             self.test_cases.extend(result.test_cases)
         children = result.children
-        # A state's ``coverage`` is its whole path's, new in at most one line
-        # per step; after a replay the difference to what was already handed
-        # on includes the replayed prefix.
         told = self._told_lines
-        new: Set[int] = set()
-        for child in children:
-            new.update(child.coverage - told)
-        if new:
-            told.update(new)
-            self.new_lines(new)
+        if node.node_id in self._adopted:
+            self._adopted.discard(node.node_id)
+            new: Set[int] = set()
+            for child in children:
+                new.update(child.coverage - told)
+            if new:
+                told.update(new)
+                self.new_lines(new)
+        else:
+            # The stepped state came out of an earlier step_node, so all of
+            # its path was handed on then: only this step's line can be new.
+            line = result.line
+            if line is not None and line not in told:
+                told.add(line)
+                self.new_lines({line})
         self._graft(node, children)
         return result
 
@@ -90,7 +123,7 @@ class Explorer:
         """Update the tree and the frontier after ``node`` was stepped."""
         frontier = self.frontier
         if len(children) == 1 and children[0] is node.state:
-            if children[0].is_running:
+            if children[0].status is StateStatus.RUNNING:
                 frontier.moved(node)
             else:
                 node.mark_dead()
@@ -114,7 +147,7 @@ class Explorer:
                 # ancestor -- a bounced job or a recovered subtree whose
                 # fence-protected part this worker finished meanwhile.
                 continue
-            if child_state.is_running:
+            if child_state.status is StateStatus.RUNNING:
                 child_node.materialize(child_state)
                 child_node.mark_candidate()
                 frontier.add(child_node)

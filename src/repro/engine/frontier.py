@@ -99,7 +99,8 @@ class Frontier:
 
     def last(self) -> TreeNode:
         """The member with the highest id (the most recently created)."""
-        return next(reversed(self))
+        nodes = self._nodes if self._in_order else self._ordered()
+        return next(reversed(nodes.values()))
 
 
 class WeightIndex:

@@ -7,11 +7,25 @@ injection fork, out-of-bounds possibility, schedule fork handled by the
 executor).  The order of the returned list is deterministic; the cluster
 layer relies on this to encode jobs as fork-index paths and to replay them on
 other workers.
+
+Instructions are *decoded on first run*, the way KLEE interprets pre-lowered
+``KInstruction``s rather than source trees: the first time a function of a
+program executes on an :class:`Interpreter`, each of its
+:class:`~repro.lang.compiler.Instruction` records becomes a ``(line,
+handler)`` pair, where the handler is a closure over closure-compiled operand
+evaluators (a constant is masked once, a variable is one dict lookup, a
+binary operator is bound from :mod:`repro.engine.values`' operator table).
+:meth:`Interpreter.execute_instruction` is then bookkeeping, ``code[pc]`` and
+the exception ladder.  The decoded table lives on the interpreter, one entry
+per function, built when the function is first entered:
+``Instruction``/``CompiledProgram`` stay plain data (``repro.lang`` knows
+nothing of the engine), nothing is decoded at construction, and a native is
+still looked up by name on every call, so late registration keeps working.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.config import EngineConfig
 from repro.engine.errors import BugKind, BugReport
@@ -20,6 +34,7 @@ from repro.engine.natives import (
     Block,
     ExitProcess,
     ExitState,
+    ForkBranch,
     NativeBug,
     NativeContext,
     NativeFork,
@@ -28,15 +43,19 @@ from repro.engine.natives import (
 from repro.engine.state import (
     ExecutionState,
     Frame,
+    StateStatus,
     Thread,
     ThreadStatus,
 )
 from repro.engine.values import (
+    CONCRETE_BINOPS,
+    CONCRETE_UNOPS,
+    DEFAULT_WIDTH,
+    _DEFAULT_MASK,
     Value,
-    binop,
     byte_value,
     false_condition,
-    is_concrete,
+    symbolic_binop,
     to_expr,
     truth_condition,
     unop,
@@ -51,10 +70,17 @@ from repro.lang.ast import (
     UnExpr,
     Var,
 )
-from repro.lang.compiler import Instruction, Opcode
+from repro.lang.compiler import CompiledProgram, Instruction, Opcode
 from repro.solver import expr as E
 from repro.solver.simplify import simplify
 from repro.solver.solver import Solver
+
+#: A decoded operand: evaluates a call-free expression in a frame.
+Evaluator = Callable[[ExecutionState, Frame], Value]
+#: A decoded instruction: executes in the current thread's top frame and
+#: returns the ordered successor states.
+Handler = Callable[[ExecutionState, Thread, Frame], List[ExecutionState]]
+DecodedFunction = List[Tuple[int, Handler]]
 
 
 class EngineInternalError(Exception):
@@ -70,6 +96,14 @@ class DivisionByZeroError(Exception):
     """
 
 
+def _raiser(message: str) -> Evaluator:
+    """An operand that is an engine error to evaluate (not to decode: the
+    instruction may never run)."""
+    def malformed(state: ExecutionState, frame: Frame) -> Value:
+        raise EngineInternalError(message)
+    return malformed
+
+
 class Interpreter:
     """Executes instructions of compiled programs over execution states."""
 
@@ -79,45 +113,143 @@ class Interpreter:
         self.natives = natives
         self.config = config
         # Back-reference installed by the executor (native handlers need it).
-        self.executor = None
+        self.executor: Any = None
+        # Decoded functions of ``_program``, by name, each built when first
+        # entered.  An engine runs one program; a state of another one
+        # starts the table afresh.
+        self._program: Optional[CompiledProgram] = None
+        self._code: Dict[str, DecodedFunction] = {}
 
-    # -- expression evaluation ----------------------------------------------------
+    # -- instruction execution ---------------------------------------------------------
 
-    def eval_expr(self, state: ExecutionState, frame: Frame, expr) -> Value:
-        """Evaluate a call-free expression to a concrete or symbolic value."""
+    def execute_instruction(self, state: ExecutionState, thread: Thread
+                            ) -> Tuple[int, List[ExecutionState]]:
+        """Execute one instruction of ``thread``, the state's current thread.
+
+        Returns the executed line and the ordered list of resulting states
+        (the input state is always included, possibly terminated).  All
+        bookkeeping (coverage, instruction counters) is applied to every
+        resulting state.
+        """
+        frame = thread.stack[-1]
+        program = state.program
+        if program is not self._program:
+            self._program = program
+            self._code = {}
+        code = self._code.get(frame.function)
+        if code is None:
+            code = self._code[frame.function] = self._decode_function(
+                program, frame.function)
+        try:
+            line, handler = code[frame.pc]
+        except IndexError:
+            raise EngineInternalError(
+                "program counter %d out of range in %s"
+                % (frame.pc, frame.function)) from None
+
+        state.instructions_executed += 1
+        state.coverage.add(line)
+        state.depth += 1
+
+        try:
+            return line, handler(state, thread, frame)
+        except MemoryError_ as exc:
+            return line, [self._terminate_error(
+                state, BugKind.MEMORY_ERROR, str(exc), line)]
+        except DivisionByZeroError as exc:
+            return line, [self._terminate_error(
+                state, BugKind.DIVISION_BY_ZERO, str(exc), line)]
+        except NativeBug as exc:
+            return line, [self._terminate_error(state, exc.kind, exc.message, line)]
+        except ExitProcess as exc:
+            return line, [self._exit_process(state, exc.code)]
+        except ExitState as exc:
+            state.terminate(exc.code)
+            return line, [state]
+
+    # -- decoding: expressions -------------------------------------------------------
+
+    def _decode_function(self, program: CompiledProgram, name: str) -> DecodedFunction:
+        return [(instr.line, self._decode_instruction(program, instr))
+                for instr in program.function(name).instructions]
+
+    def _decode_expr(self, expr) -> Evaluator:
+        """Compile a call-free expression into an evaluator closure."""
         if isinstance(expr, Const):
-            return expr.value & ((1 << 32) - 1) if expr.value < 0 else expr.value
+            constant = expr.value & _DEFAULT_MASK
+            return lambda state, frame: constant
         if isinstance(expr, StrConst):
-            return state.string_address(expr.data)
+            data = expr.data
+            return lambda state, frame: state.data_segment[data]
         if isinstance(expr, Var):
+            return self._decode_var(expr.name)
+        if isinstance(expr, BinExpr):
+            return self._decode_binary(expr)
+        if isinstance(expr, UnExpr):
+            op = expr.op
+            operand = self._decode_expr(expr.operand)
+            concrete_unary = CONCRETE_UNOPS[op]
+
+            def unary(state: ExecutionState, frame: Frame) -> Value:
+                value = operand(state, frame)
+                if isinstance(value, int):
+                    return concrete_unary(value)
+                return unop(op, value)
+            return unary
+        if isinstance(expr, Index):
+            base = self._decode_expr(expr.base)
+            offset = self._decode_expr(expr.offset)
+            load = self._load
+            return lambda state, frame: load(
+                state, base(state, frame), offset(state, frame))
+        if isinstance(expr, CallExpr):
+            return _raiser("call expression survived lowering: %r" % (expr,))
+        return _raiser("unknown expression node %r" % (expr,))
+
+    @staticmethod
+    def _decode_var(name: str) -> Evaluator:
+        def variable(state: ExecutionState, frame: Frame) -> Value:
             try:
-                return frame.locals[expr.name]
+                return frame.locals[name]
             except KeyError:
                 raise EngineInternalError(
                     "use of undefined variable %r in %s"
-                    % (expr.name, frame.function)) from None
-        if isinstance(expr, BinExpr):
-            left = self.eval_expr(state, frame, expr.left)
-            right = self.eval_expr(state, frame, expr.right)
-            if expr.op in (BinaryOp.DIV, BinaryOp.MOD):
-                self._check_divisor(state, right)
-            return binop(expr.op, left, right)
-        if isinstance(expr, UnExpr):
-            return unop(expr.op, self.eval_expr(state, frame, expr.operand))
-        if isinstance(expr, Index):
-            return self._eval_load(state, frame, expr)
-        if isinstance(expr, CallExpr):
-            raise EngineInternalError(
-                "call expression survived lowering: %r" % (expr,))
-        raise EngineInternalError("unknown expression node %r" % (expr,))
+                    % (name, frame.function)) from None
+        return variable
 
-    def _eval_load(self, state: ExecutionState, frame: Frame, expr: Index) -> Value:
-        base = self.eval_expr(state, frame, expr.base)
-        offset = self.eval_expr(state, frame, expr.offset)
+    def _decode_binary(self, expr: BinExpr) -> Evaluator:
+        op = expr.op
+        left = self._decode_expr(expr.left)
+        right = self._decode_expr(expr.right)
+        concrete = CONCRETE_BINOPS[op]
+        mask, width = _DEFAULT_MASK, DEFAULT_WIDTH
+
+        def binary(state: ExecutionState, frame: Frame) -> Value:
+            a = left(state, frame)
+            b = right(state, frame)
+            if isinstance(a, int) and isinstance(b, int):
+                return concrete(a & mask, b & mask, mask, width)
+            return simplify(symbolic_binop(op, a, b))
+
+        if op not in (BinaryOp.DIV, BinaryOp.MOD):
+            return binary
+        check_divisor = self._check_divisor
+
+        def divide(state: ExecutionState, frame: Frame) -> Value:
+            a = left(state, frame)
+            b = right(state, frame)
+            check_divisor(state, b)
+            if isinstance(a, int) and isinstance(b, int):
+                return concrete(a & mask, b & mask, mask, width)
+            return simplify(symbolic_binop(op, a, b))
+        return divide
+
+    def _load(self, state: ExecutionState, base: Value, offset: Value) -> Value:
+        """Read the byte at ``base[offset]`` (the ``Index`` expression)."""
         base = self._concretize(state, base)
         obj, base_off, _ = state.resolve(base)
 
-        if is_concrete(offset):
+        if isinstance(offset, int):
             return byte_value(obj.read_byte(base_off + offset))
 
         # Symbolic offset: constrain it in bounds (an offset that can only be
@@ -152,7 +284,7 @@ class Interpreter:
         be zero the division goes through with KLEE's unsigned semantics (the
         zero case surfaces once a branch pins the divisor down).
         """
-        if is_concrete(divisor):
+        if isinstance(divisor, int):
             if divisor == 0:
                 raise DivisionByZeroError("division by zero")
             return
@@ -162,7 +294,7 @@ class Interpreter:
             raise DivisionByZeroError("division by a divisor constrained to zero")
 
     def _concretize(self, state: ExecutionState, value: Value) -> int:
-        if is_concrete(value):
+        if isinstance(value, int):
             return value
         model = self.solver.get_model(state.path_constraints)
         concrete = int(model.evaluate(value)) if model is not None else 0
@@ -176,74 +308,119 @@ class Interpreter:
         return self.solver.is_satisfiable(
             state.path_constraints.extended(condition))
 
-    # -- instruction execution ---------------------------------------------------------
+    # -- decoding: instructions ------------------------------------------------------
 
-    def execute_instruction(self, state: ExecutionState) -> List[ExecutionState]:
-        """Execute one instruction of the state's current thread.
+    def _decode_instruction(self, program: CompiledProgram,
+                            instr: Instruction) -> Handler:
+        """Build the handler of one instruction.
 
-        Returns the ordered list of resulting states (the input state is
-        always included, possibly terminated).  All bookkeeping (coverage,
-        instruction counters) is applied to every resulting state.
+        A handler does the instruction's common, concrete case inline and
+        hands the symbolic one to the ``_exec_*`` method with the operands it
+        already evaluated.
         """
-        thread = state.current_thread
-        frame = thread.top
-        function = state.program.function(frame.function)
-        if frame.pc >= len(function.instructions):
-            raise EngineInternalError(
-                "program counter %d out of range in %s" % (frame.pc, frame.function))
-        instr = function.instructions[frame.pc]
+        opcode = instr.opcode
+        if opcode == Opcode.ASSIGN:
+            dest = instr.dest
+            value_of = self._decode_expr(instr.expr)
 
-        state.instructions_executed += 1
-        state.coverage.add(instr.line)
-        state.depth += 1
-
-        try:
-            if instr.opcode == Opcode.ASSIGN:
-                return self._exec_assign(state, frame, instr)
-            if instr.opcode == Opcode.STORE:
-                return self._exec_store(state, frame, instr)
-            if instr.opcode == Opcode.BRANCH:
-                return self._exec_branch(state, frame, instr)
-            if instr.opcode == Opcode.JUMP:
-                frame.pc = instr.target
+            def assign(state, thread, frame):
+                frame.locals[dest] = value_of(state, frame)
+                frame.pc += 1
                 return [state]
-            if instr.opcode == Opcode.CALL:
-                return self._exec_call(state, thread, frame, instr)
-            if instr.opcode == Opcode.RET:
-                return self._exec_ret(state, thread, frame, instr)
-            if instr.opcode == Opcode.ASSERT:
-                return self._exec_assert(state, frame, instr)
-        except MemoryError_ as exc:
-            return [self._terminate_error(state, BugKind.MEMORY_ERROR, str(exc), instr)]
-        except DivisionByZeroError as exc:
-            return [self._terminate_error(state, BugKind.DIVISION_BY_ZERO,
-                                          str(exc), instr)]
-        except NativeBug as exc:
-            return [self._terminate_error(state, exc.kind, exc.message, instr)]
-        except ExitProcess as exc:
-            return [self._exit_process(state, exc.code)]
-        except ExitState as exc:
-            state.terminate(exc.code)
+            return assign
+        if opcode == Opcode.BRANCH:
+            condition = self._decode_expr(instr.expr)
+            target, false_target = instr.target, instr.false_target
+            branch_symbolic = self._exec_branch
+
+            def branch(state, thread, frame):
+                value = condition(state, frame)
+                if isinstance(value, int):
+                    frame.pc = target if value != 0 else false_target
+                    return [state]
+                return branch_symbolic(state, frame, value, target, false_target)
+            return branch
+        if opcode == Opcode.JUMP:
+            jump_target = instr.target
+
+            def jump(state, thread, frame):
+                frame.pc = jump_target
+                return [state]
+            return jump
+        if opcode == Opcode.STORE:
+            base = self._decode_expr(instr.base)
+            offset = self._decode_expr(instr.offset)
+            stored = self._decode_expr(instr.value)
+            concretize, store = self._concretize, self._exec_store
+            # Left to right: the base is pinned down before the offset reads.
+            return lambda state, thread, frame: store(
+                state, frame, instr, concretize(state, base(state, frame)),
+                offset(state, frame), stored(state, frame))
+        if opcode == Opcode.CALL:
+            name = str(instr.name)
+            arguments = tuple(self._decode_expr(a) for a in instr.args)
+            if name in program.functions:
+                return self._decode_program_call(program, instr, name, arguments)
+            # A native is looked up when the call runs, not now: environment
+            # models may register it later.
+            call_native = self._exec_native_call
+            return lambda state, thread, frame: call_native(
+                state, thread, frame, instr, name,
+                [argument(state, frame) for argument in arguments])
+        if opcode == Opcode.RET:
+            ret = self._exec_ret
+            if instr.expr is None:
+                return lambda state, thread, frame: ret(state, thread, frame, 0)
+            returned = self._decode_expr(instr.expr)
+            return lambda state, thread, frame: ret(
+                state, thread, frame, returned(state, frame))
+        if opcode == Opcode.ASSERT:
+            asserted = self._decode_expr(instr.expr)
+            failed = self._exec_assert
+
+            def assertion(state, thread, frame):
+                value = asserted(state, frame)
+                if isinstance(value, int) and value != 0:
+                    frame.pc += 1
+                    return [state]
+                return failed(state, frame, instr, value)
+            return assertion
+
+        def unknown(state, thread, frame):
+            raise EngineInternalError("unknown opcode %r" % (opcode,))
+        return unknown
+
+    def _decode_program_call(self, program: CompiledProgram, instr: Instruction,
+                             name: str, arguments: Sequence[Evaluator]) -> Handler:
+        dest = instr.dest
+        params = tuple(program.function(name).params)
+        # Missing arguments read as 0, surplus ones are dropped.
+        padding = [0] * max(0, len(params) - len(arguments))
+        config = self.config
+
+        def call(state, thread, frame):
+            args = [argument(state, frame) for argument in arguments]
+            if len(thread.stack) >= config.max_call_depth:
+                return [self._terminate_error(
+                    state, BugKind.STACK_OVERFLOW,
+                    "call depth limit (%d) exceeded calling %s"
+                    % (config.max_call_depth, name), instr.line)]
+            frame.pc += 1
+            thread.stack.append(
+                Frame(name, 0, dict(zip(params, args + padding)), dest))
             return [state]
-        raise EngineInternalError("unknown opcode %r" % (instr.opcode,))
+        return call
 
-    # -- opcode handlers ------------------------------------------------------------------
+    # -- opcode handlers: the symbolic and the rare cases ------------------------------
 
-    def _exec_assign(self, state: ExecutionState, frame: Frame,
-                     instr: Instruction) -> List[ExecutionState]:
-        frame.locals[instr.dest] = self.eval_expr(state, frame, instr.expr)
-        frame.pc += 1
-        return [state]
+    def _exec_store(self, state: ExecutionState, frame: Frame, instr: Instruction,
+                    base: int, offset: Value, value: Value
+                    ) -> List[ExecutionState]:
+        value = byte_value(value)
+        obj, base_off, _ = state.resolve(base)
 
-    def _exec_store(self, state: ExecutionState, frame: Frame,
-                    instr: Instruction) -> List[ExecutionState]:
-        base = self._concretize(state, self.eval_expr(state, frame, instr.base))
-        offset = self.eval_expr(state, frame, instr.offset)
-        value = byte_value(self.eval_expr(state, frame, instr.value))
-        obj, base_off, is_shared = state.resolve(base)
-
-        if is_concrete(offset):
-            self._store_byte(state, base, offset, value)
+        if isinstance(offset, int):
+            state.mem_write(base, offset, value)
             frame.pc += 1
             return [state]
 
@@ -266,39 +443,31 @@ class Interpreter:
             state.add_constraint(in_bounds)
             state.fork_trace.append(0)
             concrete_offset = self._concretize(state, offset)
-            self._store_byte(state, base, concrete_offset, value)
+            state.mem_write(base, concrete_offset, value)
             frame.pc += 1
             successors.append(state)
             # Out-of-bounds error path (fork index 1).
             err_state.add_constraint(oob)
             err_state.fork_trace.append(1)
             successors.append(self._terminate_error(
-                err_state, BugKind.MEMORY_ERROR, err_message, instr))
+                err_state, BugKind.MEMORY_ERROR, err_message, instr.line))
             return successors
         if in_feasible:
             state.add_constraint(in_bounds)
             concrete_offset = self._concretize(state, offset)
-            self._store_byte(state, base, concrete_offset, value)
+            state.mem_write(base, concrete_offset, value)
             frame.pc += 1
             return [state]
         if oob_feasible:
             state.add_constraint(oob)
             return [self._terminate_error(state, BugKind.MEMORY_ERROR,
-                                          err_message, instr)]
+                                          err_message, instr.line)]
         return [self._terminate_error(state, BugKind.MEMORY_ERROR,
-                                      "store with infeasible bounds", instr)]
+                                      "store with infeasible bounds", instr.line)]
 
-    def _store_byte(self, state: ExecutionState, base: int, offset: int,
-                    value: Value) -> None:
-        state.mem_write(base, offset, value)
-
-    def _exec_branch(self, state: ExecutionState, frame: Frame,
-                     instr: Instruction) -> List[ExecutionState]:
-        cond_value = self.eval_expr(state, frame, instr.expr)
-        if is_concrete(cond_value):
-            frame.pc = instr.target if cond_value != 0 else instr.false_target
-            return [state]
-
+    def _exec_branch(self, state: ExecutionState, frame: Frame, cond_value: Value,
+                     target: int, false_target: int) -> List[ExecutionState]:
+        """A branch on a symbolic condition: follow the feasible side(s)."""
         true_cond = truth_condition(cond_value)
         false_cond = false_condition(cond_value)
         can_true = self._feasible(state, true_cond)
@@ -310,43 +479,28 @@ class Interpreter:
             # True branch continues in the original state (fork index 0).
             state.add_constraint(true_cond)
             state.fork_trace.append(0)
-            frame.pc = instr.target
+            frame.pc = target
             # False branch in the clone (fork index 1).
             false_state.add_constraint(false_cond)
             false_state.fork_trace.append(1)
-            false_state.current_thread.top.pc = instr.false_target
+            false_state.current_thread.top.pc = false_target
             return [state, false_state]
         if can_true:
             state.add_constraint(true_cond)
-            frame.pc = instr.target
+            frame.pc = target
             return [state]
         if can_false:
             state.add_constraint(false_cond)
-            frame.pc = instr.false_target
+            frame.pc = false_target
             return [state]
         # Neither side feasible: the path constraint itself became
         # unsatisfiable (possible only after an "unknown" solver verdict).
         state.terminate(0)
         return [state]
 
-    def _exec_call(self, state: ExecutionState, thread: Thread, frame: Frame,
-                   instr: Instruction) -> List[ExecutionState]:
-        args = [self.eval_expr(state, frame, a) for a in instr.args]
-        name = instr.name
-
-        if name in state.program.functions:
-            if len(thread.stack) >= self.config.max_call_depth:
-                return [self._terminate_error(
-                    state, BugKind.STACK_OVERFLOW,
-                    "call depth limit (%d) exceeded calling %s"
-                    % (self.config.max_call_depth, name), instr)]
-            callee = state.program.function(name)
-            locals_ = {p: (args[i] if i < len(args) else 0)
-                       for i, p in enumerate(callee.params)}
-            frame.pc += 1
-            thread.stack.append(Frame(name, 0, locals_, return_dest=instr.dest))
-            return [state]
-
+    def _exec_native_call(self, state: ExecutionState, thread: Thread, frame: Frame,
+                          instr: Instruction, name: str, args: List[Value]
+                          ) -> List[ExecutionState]:
         handler = self.natives.lookup(name)
         if handler is None:
             raise EngineInternalError("call to unknown function %r" % name)
@@ -375,7 +529,7 @@ class Interpreter:
 
     def _apply_native_fork(self, state: ExecutionState, instr: Instruction,
                            fork: NativeFork) -> List[ExecutionState]:
-        feasible: List[Tuple[int, object]] = []
+        feasible: List[ForkBranch] = []
         for branch in fork.branches:
             if branch.condition is None or self._feasible(state, branch.condition):
                 feasible.append(branch)
@@ -406,8 +560,7 @@ class Interpreter:
         return successors
 
     def _exec_ret(self, state: ExecutionState, thread: Thread, frame: Frame,
-                  instr: Instruction) -> List[ExecutionState]:
-        value = self.eval_expr(state, frame, instr.expr) if instr.expr is not None else 0
+                  value: Value) -> List[ExecutionState]:
         thread.stack.pop()
         if thread.stack:
             caller = thread.top
@@ -432,15 +585,13 @@ class Interpreter:
         state.options["force_reschedule"] = True
         return [state]
 
-    def _exec_assert(self, state: ExecutionState, frame: Frame,
-                     instr: Instruction) -> List[ExecutionState]:
-        cond_value = self.eval_expr(state, frame, instr.expr)
-        if is_concrete(cond_value):
-            if cond_value != 0:
-                frame.pc += 1
-                return [state]
+    def _exec_assert(self, state: ExecutionState, frame: Frame, instr: Instruction,
+                     cond_value: Value) -> List[ExecutionState]:
+        """An assertion whose condition is not a concrete non-zero."""
+        if isinstance(cond_value, int):
             return [self._terminate_error(state, BugKind.ASSERTION_FAILURE,
-                                          instr.message or "assertion failed", instr)]
+                                          instr.message or "assertion failed",
+                                          instr.line)]
 
         holds = truth_condition(cond_value)
         fails = false_condition(cond_value)
@@ -454,7 +605,8 @@ class Interpreter:
         if can_fail and not can_hold:
             state.add_constraint(fails)
             return [self._terminate_error(state, BugKind.ASSERTION_FAILURE,
-                                          instr.message or "assertion failed", instr)]
+                                          instr.message or "assertion failed",
+                                          instr.line)]
         # Both possible: continue on the holding side, report the failing side.
         state.forks += 1
         fail_state = state.fork()
@@ -464,21 +616,23 @@ class Interpreter:
         fail_state.add_constraint(fails)
         fail_state.fork_trace.append(1)
         failed = self._terminate_error(fail_state, BugKind.ASSERTION_FAILURE,
-                                       instr.message or "assertion failed", instr)
+                                       instr.message or "assertion failed",
+                                       instr.line)
         return [state, failed]
 
     # -- termination helpers -------------------------------------------------------------
 
     def _terminate_error(self, state: ExecutionState, kind: BugKind, message: str,
-                         instr: Optional[Instruction]) -> ExecutionState:
+                         line: int) -> ExecutionState:
         in_function = None
-        if state.is_running and state.current and state.current_thread.stack:
+        if (state.status is StateStatus.RUNNING and state.current
+                and state.current_thread.stack):
             in_function = state.current_thread.top.function
         report = BugReport(
             kind=kind,
             message=message,
             state_id=state.state_id,
-            line=instr.line if instr is not None else None,
+            line=line,
             function=in_function,
         )
         state.terminate_error(report)

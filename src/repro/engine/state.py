@@ -17,7 +17,6 @@ from __future__ import annotations
 import copy
 import enum
 import itertools
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.engine.memory import (
@@ -49,14 +48,21 @@ class ThreadStatus(enum.Enum):
     TERMINATED = "terminated"
 
 
-@dataclass
 class Frame:
     """One activation record of a program function."""
 
-    function: str
-    pc: int
-    locals: Dict[str, Value]
-    return_dest: Optional[str] = None
+    __slots__ = ("function", "pc", "locals", "return_dest")
+
+    def __init__(self, function: str, pc: int, locals: Dict[str, Value],
+                 return_dest: Optional[str] = None):
+        self.function = function
+        self.pc = pc
+        self.locals = locals
+        self.return_dest = return_dest
+
+    def __repr__(self) -> str:
+        return "Frame(%r, pc=%d, locals=%r, return_dest=%r)" % (
+            self.function, self.pc, self.locals, self.return_dest)
 
     def copy(self) -> "Frame":
         return Frame(self.function, self.pc, dict(self.locals), self.return_dest)

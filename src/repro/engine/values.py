@@ -10,7 +10,7 @@ expressions small is what keeps the solver fast.
 
 from __future__ import annotations
 
-from typing import Union
+from typing import Callable, Dict, Union
 
 from repro.lang.ast import BinaryOp, UnaryOp
 from repro.solver import expr as E
@@ -56,52 +56,43 @@ def common_width(a: Value, b: Value) -> int:
     return max(width_of(a), width_of(b), DEFAULT_WIDTH)
 
 
-def as_signed(value: int, width: int = DEFAULT_WIDTH) -> int:
-    return E.to_signed(value, width)
+#: The one table of concrete binary operators, C-like unsigned semantics.
+#: Each entry takes ``(a, b, mask, width)`` with both operands already masked
+#: to ``width`` bits.  :func:`concrete_binop` looks operators up here, and the
+#: interpreter's decoder binds them once per instruction.  Signed comparisons
+#: flip the sign bit, which maps signed order onto unsigned order.
+CONCRETE_BINOPS: Dict[BinaryOp, Callable[[int, int, int, int], int]] = {
+    BinaryOp.ADD: lambda a, b, mask, width: (a + b) & mask,
+    BinaryOp.SUB: lambda a, b, mask, width: (a - b) & mask,
+    BinaryOp.MUL: lambda a, b, mask, width: (a * b) & mask,
+    BinaryOp.DIV: lambda a, b, mask, width: mask if b == 0 else a // b,
+    BinaryOp.MOD: lambda a, b, mask, width: a if b == 0 else a % b,
+    BinaryOp.AND: lambda a, b, mask, width: a & b,
+    BinaryOp.OR: lambda a, b, mask, width: a | b,
+    BinaryOp.XOR: lambda a, b, mask, width: a ^ b,
+    BinaryOp.SHL: lambda a, b, mask, width: 0 if b >= width else (a << b) & mask,
+    BinaryOp.SHR: lambda a, b, mask, width: 0 if b >= width else a >> b,
+    BinaryOp.EQ: lambda a, b, mask, width: int(a == b),
+    BinaryOp.NE: lambda a, b, mask, width: int(a != b),
+    BinaryOp.LT: lambda a, b, mask, width: int(a ^ (1 << (width - 1)) < b ^ (1 << (width - 1))),
+    BinaryOp.LE: lambda a, b, mask, width: int(a ^ (1 << (width - 1)) <= b ^ (1 << (width - 1))),
+    BinaryOp.GT: lambda a, b, mask, width: int(a ^ (1 << (width - 1)) > b ^ (1 << (width - 1))),
+    BinaryOp.GE: lambda a, b, mask, width: int(a ^ (1 << (width - 1)) >= b ^ (1 << (width - 1))),
+    BinaryOp.LAND: lambda a, b, mask, width: int(a != 0 and b != 0),
+    BinaryOp.LOR: lambda a, b, mask, width: int(a != 0 or b != 0),
+}
+
+CONCRETE_UNOPS: Dict[UnaryOp, Callable[[int], int]] = {
+    UnaryOp.NEG: lambda value: -value & _DEFAULT_MASK,
+    UnaryOp.NOT: lambda value: int(value == 0),
+    UnaryOp.BNOT: lambda value: ~value & _DEFAULT_MASK,
+}
 
 
 def concrete_binop(op: BinaryOp, a: int, b: int, width: int = DEFAULT_WIDTH) -> int:
     """Concrete evaluation of a binary operator with C-like unsigned semantics."""
     mask = (1 << width) - 1
-    a &= mask
-    b &= mask
-    if op == BinaryOp.ADD:
-        return (a + b) & mask
-    if op == BinaryOp.SUB:
-        return (a - b) & mask
-    if op == BinaryOp.MUL:
-        return (a * b) & mask
-    if op == BinaryOp.DIV:
-        return mask if b == 0 else (a // b) & mask
-    if op == BinaryOp.MOD:
-        return a if b == 0 else (a % b) & mask
-    if op == BinaryOp.AND:
-        return a & b
-    if op == BinaryOp.OR:
-        return a | b
-    if op == BinaryOp.XOR:
-        return a ^ b
-    if op == BinaryOp.SHL:
-        return 0 if b >= width else (a << b) & mask
-    if op == BinaryOp.SHR:
-        return 0 if b >= width else a >> b
-    if op == BinaryOp.EQ:
-        return int(a == b)
-    if op == BinaryOp.NE:
-        return int(a != b)
-    if op == BinaryOp.LT:
-        return int(as_signed(a, width) < as_signed(b, width))
-    if op == BinaryOp.LE:
-        return int(as_signed(a, width) <= as_signed(b, width))
-    if op == BinaryOp.GT:
-        return int(as_signed(a, width) > as_signed(b, width))
-    if op == BinaryOp.GE:
-        return int(as_signed(a, width) >= as_signed(b, width))
-    if op == BinaryOp.LAND:
-        return int(bool(a) and bool(b))
-    if op == BinaryOp.LOR:
-        return int(bool(a) or bool(b))
-    raise NotImplementedError("concrete_binop: unsupported operator %r" % op)
+    return CONCRETE_BINOPS[op](a & mask, b & mask, mask, width)
 
 
 def symbolic_binop(op: BinaryOp, a: Value, b: Value) -> Expr:
@@ -153,20 +144,14 @@ def symbolic_binop(op: BinaryOp, a: Value, b: Value) -> Expr:
 
 def binop(op: BinaryOp, a: Value, b: Value) -> Value:
     """Evaluate a binary operator, staying concrete when both operands are."""
-    if is_concrete(a) and is_concrete(b):
+    if isinstance(a, int) and isinstance(b, int):
         return concrete_binop(op, a, b)
     return simplify(symbolic_binop(op, a, b))
 
 
 def unop(op: UnaryOp, value: Value) -> Value:
-    if is_concrete(value):
-        if op == UnaryOp.NEG:
-            return mask_concrete(-value)
-        if op == UnaryOp.NOT:
-            return int(value == 0)
-        if op == UnaryOp.BNOT:
-            return mask_concrete(~value)
-        raise NotImplementedError("unop: unsupported operator %r" % op)
+    if isinstance(value, int):
+        return CONCRETE_UNOPS[op](value)
     width = width_of(value)
     expr = to_expr(value, width)
     if op == UnaryOp.NEG:

@@ -7,8 +7,12 @@ import textwrap
 import pytest
 
 from repro import lang as L
+from repro.distrib import specs
 from repro.engine import EngineConfig, SymbolicExecutor
 from repro.posix import install_posix_model
+
+#: The stock specs, listed before any test module registers its own.
+BUILTIN_SPECS = specs.available_specs()
 
 
 def write_tree(root, files):

@@ -89,6 +89,92 @@ class TestConcreteExecution:
         assert result.test_cases[0].exit_code == ord("Z")
 
 
+class TestConstantWidth:
+    """Every constant is a default-width machine integer, wherever it is used
+    (only negative ones used to be masked, so ``1 << 32`` was true as a
+    condition and zero as an operand)."""
+
+    def test_constant_beyond_the_width_is_false_as_a_condition(self):
+        program = L.program("p", L.func(
+            "main", [],
+            L.if_(L.const(1 << 32), [L.ret(7)]),
+            L.ret(0),
+        ))
+        result, _ = run(program)
+        assert result.test_cases[0].exit_code == 0
+
+    def test_constant_beyond_the_width_is_zero_as_an_operand(self):
+        program = L.program("p", L.func(
+            "main", [], L.ret(L.add(L.const(1 << 32), 0))))
+        result, _ = run(program)
+        assert result.test_cases[0].exit_code == 0
+
+    def test_constants_wrap_the_same_on_every_path_into_the_engine(self):
+        program = L.program("p", L.func(
+            "main", [],
+            L.decl("big", L.const((1 << 32) + 5)),
+            L.decl("minus", L.const(-1)),
+            L.assert_(L.eq(L.var("big"), 5)),
+            L.assert_(L.eq(L.var("minus"), 0xFFFFFFFF)),
+            L.ret(L.var("big")),
+        ))
+        result, _ = run(program)
+        assert not result.bugs
+        assert result.test_cases[0].exit_code == 5
+
+
+class TestDecodeOnFirstRun:
+    def test_a_function_is_decoded_when_first_entered(self):
+        program = L.program(
+            "p",
+            L.func("never", [], L.ret(L.var("undefined"))),
+            L.func("square", ["v"], L.ret(L.mul(L.var("v"), L.var("v")))),
+            L.func("main", [], L.ret(L.call("square", 9))),
+        )
+        executor = make_executor(program)
+        assert executor.interpreter._code == {}
+        state = executor.make_initial_state()
+        executor.step(state)
+        assert set(executor.interpreter._code) == {"main"}
+        result = executor.run()
+        assert result.test_cases[0].exit_code == 81
+        assert set(executor.interpreter._code) == {"main", "square"}
+
+    def test_instructions_and_programs_stay_plain_data(self):
+        program = L.program("p", L.func("main", [], L.ret(1)))
+        executor = make_executor(program)
+        fields_before = {name: dict(vars(instr)) for name, fn
+                         in executor.program.functions.items()
+                         for instr in fn.instructions}
+        executor.run()
+        assert fields_before == {name: dict(vars(instr)) for name, fn
+                                 in executor.program.functions.items()
+                                 for instr in fn.instructions}
+
+    def test_natives_registered_after_decoding_are_found(self):
+        program = L.program("p", L.func(
+            "main", [],
+            L.decl("i", 0),
+            L.while_(L.lt(L.var("i"), 2),
+                     L.assign("i", L.add(L.var("i"), 1))),
+            L.ret(L.call("late", 20)),
+        ))
+        executor = make_executor(program)
+        state = executor.make_initial_state()
+        executor.step(state)  # decodes main, the call to ``late`` included
+        executor.natives.register("late", lambda ctx: ctx.arg(0) + 1)
+        result = executor.run(initial_state=state)
+        assert result.test_cases[0].exit_code == 21
+
+    def test_a_state_of_another_program_is_decoded_afresh(self):
+        one = L.program("one", L.func("main", [], L.ret(1)))
+        two = L.program("two", L.func("main", [], L.decl("x", 2), L.ret(L.var("x"))))
+        executor = make_executor(one)
+        assert executor.run().test_cases[0].exit_code == 1
+        other = make_executor(two).make_initial_state()
+        assert executor.run(initial_state=other).test_cases[0].exit_code == 2
+
+
 class TestSymbolicForking:
     def test_two_way_fork(self, single_branch):
         result, _ = run(single_branch)

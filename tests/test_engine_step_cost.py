@@ -1,0 +1,92 @@
+"""What one step costs, counted rather than timed.
+
+Both guards count events that repeat exactly from run to run, so they hold on
+a noisy runner: the Python-level calls one instruction takes (32.1 with the
+tree-walking interpreter, 19.6 decoded), and the set elements the coverage
+books copy or scan per step, which must not grow with the length of the path.
+"""
+
+import sys
+
+from repro import lang as L
+from repro.distrib import specs
+from repro.engine.explorer import Explorer
+from repro.engine.limits import ExplorationLimits
+from repro.engine.strategies import make_strategy
+
+from conftest import make_executor
+
+
+def test_python_calls_per_instruction_stay_under_the_decoded_budget():
+    test = specs.resolve_test("lighttpd-frag-1.4.12")
+    strategy = make_strategy("dfs", program=test.program)
+    calls = 0
+
+    def count_calls(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count_calls)
+    try:
+        result = test.run(backend="single", strategy=strategy,
+                          limits=ExplorationLimits(max_instructions=20_000))
+    finally:
+        sys.setprofile(previous)
+    assert result.useful_instructions == 20_000
+    assert calls / result.useful_instructions <= 24
+
+
+class CountingSet(set):
+    """A set that tallies the sizes of the operands of its bulk operations."""
+
+    touched = 0
+
+    def update(self, *others):
+        CountingSet.touched += sum(len(other) for other in others)
+        super().update(*others)
+
+    def __sub__(self, other):
+        CountingSet.touched += len(self) + len(other)
+        return super().__sub__(other)
+
+    def __rsub__(self, other):
+        CountingSet.touched += len(self) + len(other)
+        return super().__rsub__(other)
+
+
+def test_coverage_books_do_not_grow_with_the_path():
+    distinct_lines, iterations = 40, 3000
+    body = [L.assign("x", L.add(L.var("x"), k)) for k in range(distinct_lines - 1)]
+    program = L.program("p", L.func(
+        "main", [],
+        L.decl("i", 0),
+        L.decl("x", 0),
+        L.while_(L.lt(L.var("i"), iterations),
+                 L.assign("i", L.add(L.var("i"), 1)),
+                 *body),
+        L.ret(L.var("x")),
+    ))
+    executor = make_executor(program)
+    strategy = make_strategy("dfs", program=executor.program)
+    explorer = Explorer(executor, strategy)
+    CountingSet.touched = 0
+    executor.covered_lines = CountingSet()
+    explorer._told_lines = CountingSet()
+    explorer.seed_state(executor.make_initial_state(
+        options={"max_instructions": 10 * distinct_lines * iterations}))
+
+    steps = 0
+    while explorer.frontier:
+        explorer.step_node(strategy.select(explorer.tree, explorer.frontier))
+        steps += 1
+
+    lines = executor.program.line_count
+    assert explorer.paths_completed == 1 and not explorer.bugs
+    assert steps > distinct_lines * iterations
+    assert distinct_lines <= len(executor.covered_lines) <= lines
+    assert explorer._told_lines == executor.covered_lines
+    # The seed, the root's first step and the finished path each touch the
+    # whole line set once; nothing is touched per step.
+    assert CountingSet.touched <= 8 * lines

@@ -1,0 +1,579 @@
+"""Differential oracle: the decoded interpreter does what the tree walker did.
+
+Until instructions were decoded into closures, ``Interpreter.eval_expr``
+re-walked the expression tree through an ``isinstance`` chain on every
+evaluation, ``execute_instruction`` found the opcode through a chain of
+``Opcode.X`` comparisons, and ``concrete_binop`` was an 18-way ``if`` ladder.
+That code lives on here as the *reference*: a :class:`ReferenceInterpreter`
+that shares only what the decoder did not replace (feasibility, concretising,
+native forks, termination helpers).  Two executors -- one per interpreter --
+are stepped in lock-step and must agree after every step on the number of
+children and, per child, on status, program counter, locals, path-constraint
+conjuncts, coverage and fork trace, and on the bugs and engine errors raised.
+
+The one deliberate difference to the code that was deleted: every constant is
+masked to the default width (the deleted evaluator masked only negative ones,
+which is the bug ``test_engine_interpreter.TestConstantWidth`` pins).
+"""
+
+from typing import List
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.lang import builder as L
+from repro.distrib import specs
+from repro.engine import BugKind, SymbolicExecutor
+from repro.engine.interpreter import (
+    DivisionByZeroError,
+    EngineInternalError,
+    Interpreter,
+)
+from repro.engine.memory import MemoryError_
+from repro.engine.natives import (
+    Block,
+    ExitProcess,
+    ExitState,
+    NativeBug,
+    NativeContext,
+    NativeFork,
+)
+from repro.engine.state import Frame, ThreadStatus
+from repro.engine.values import (
+    byte_value,
+    false_condition,
+    is_concrete,
+    mask_concrete,
+    symbolic_binop,
+    to_expr,
+    truth_condition,
+    width_of,
+)
+from repro.lang.ast import (
+    BinaryOp,
+    BinExpr,
+    CallExpr,
+    Const,
+    Index,
+    StrConst,
+    UnaryOp,
+    UnExpr,
+    Var,
+)
+from repro.lang.compiler import Opcode
+from repro.solver import expr as E
+from repro.solver.simplify import simplify
+from repro.solver.solver import Solver, SolverConfig
+
+from conftest import BUILTIN_SPECS
+
+
+# -- the reference: what src/ did before instructions were decoded --------------
+
+
+def reference_concrete_binop(op, a, b, width=32):
+    mask = (1 << width) - 1
+    a &= mask
+    b &= mask
+    if op == BinaryOp.ADD:
+        return (a + b) & mask
+    if op == BinaryOp.SUB:
+        return (a - b) & mask
+    if op == BinaryOp.MUL:
+        return (a * b) & mask
+    if op == BinaryOp.DIV:
+        return mask if b == 0 else (a // b) & mask
+    if op == BinaryOp.MOD:
+        return a if b == 0 else (a % b) & mask
+    if op == BinaryOp.AND:
+        return a & b
+    if op == BinaryOp.OR:
+        return a | b
+    if op == BinaryOp.XOR:
+        return a ^ b
+    if op == BinaryOp.SHL:
+        return 0 if b >= width else (a << b) & mask
+    if op == BinaryOp.SHR:
+        return 0 if b >= width else a >> b
+    if op == BinaryOp.EQ:
+        return int(a == b)
+    if op == BinaryOp.NE:
+        return int(a != b)
+    if op == BinaryOp.LT:
+        return int(E.to_signed(a, width) < E.to_signed(b, width))
+    if op == BinaryOp.LE:
+        return int(E.to_signed(a, width) <= E.to_signed(b, width))
+    if op == BinaryOp.GT:
+        return int(E.to_signed(a, width) > E.to_signed(b, width))
+    if op == BinaryOp.GE:
+        return int(E.to_signed(a, width) >= E.to_signed(b, width))
+    if op == BinaryOp.LAND:
+        return int(bool(a) and bool(b))
+    if op == BinaryOp.LOR:
+        return int(bool(a) or bool(b))
+    raise NotImplementedError("concrete_binop: unsupported operator %r" % op)
+
+
+def reference_binop(op, a, b):
+    if is_concrete(a) and is_concrete(b):
+        return reference_concrete_binop(op, a, b)
+    return simplify(symbolic_binop(op, a, b))
+
+
+def reference_unop(op, value):
+    if is_concrete(value):
+        if op == UnaryOp.NEG:
+            return mask_concrete(-value)
+        if op == UnaryOp.NOT:
+            return int(value == 0)
+        if op == UnaryOp.BNOT:
+            return mask_concrete(~value)
+        raise NotImplementedError("unop: unsupported operator %r" % op)
+    width = width_of(value)
+    expr = to_expr(value, width)
+    if op == UnaryOp.NEG:
+        return simplify(E.sub(E.bv_const(0, width), expr))
+    if op == UnaryOp.NOT:
+        return simplify(E.ite(E.eq(expr, E.bv_const(0, width)),
+                              E.bv_const(1, width), E.bv_const(0, width)))
+    if op == UnaryOp.BNOT:
+        return simplify(E.bnot(expr))
+    raise NotImplementedError("unop: unsupported operator %r" % op)
+
+
+class ReferenceInterpreter(Interpreter):
+    """The tree-walking interpreter, as it was."""
+
+    def eval_expr(self, state, frame, expr):
+        if isinstance(expr, Const):
+            return expr.value & ((1 << 32) - 1)
+        if isinstance(expr, StrConst):
+            return state.string_address(expr.data)
+        if isinstance(expr, Var):
+            try:
+                return frame.locals[expr.name]
+            except KeyError:
+                raise EngineInternalError(
+                    "use of undefined variable %r in %s"
+                    % (expr.name, frame.function)) from None
+        if isinstance(expr, BinExpr):
+            left = self.eval_expr(state, frame, expr.left)
+            right = self.eval_expr(state, frame, expr.right)
+            if expr.op in (BinaryOp.DIV, BinaryOp.MOD):
+                self._check_divisor(state, right)
+            return reference_binop(expr.op, left, right)
+        if isinstance(expr, UnExpr):
+            return reference_unop(expr.op,
+                                  self.eval_expr(state, frame, expr.operand))
+        if isinstance(expr, Index):
+            return self._eval_load(state, frame, expr)
+        if isinstance(expr, CallExpr):
+            raise EngineInternalError(
+                "call expression survived lowering: %r" % (expr,))
+        raise EngineInternalError("unknown expression node %r" % (expr,))
+
+    def _eval_load(self, state, frame, expr):
+        base = self.eval_expr(state, frame, expr.base)
+        offset = self.eval_expr(state, frame, expr.offset)
+        base = self._concretize(state, base)
+        obj, base_off, _ = state.resolve(base)
+        if is_concrete(offset):
+            return byte_value(obj.read_byte(base_off + offset))
+        offset32 = to_expr(offset, 32)
+        limit = E.bv_const(obj.size - base_off, 32)
+        in_bounds = simplify(E.ult(offset32, limit))
+        if not self._feasible(state, in_bounds):
+            raise MemoryError_(
+                "out-of-bounds read from %s (symbolic offset)"
+                % (obj.name or hex(obj.address)), address=base)
+        state.add_constraint(in_bounds)
+        size = obj.size
+        if size - base_off <= 64:
+            result = 0
+            offset_expr = to_expr(offset, 32)
+            for i in range(size - base_off):
+                cell = byte_value(obj.read_byte(base_off + i))
+                cond = E.eq(offset_expr, E.bv_const(i, 32))
+                result = simplify(E.ite(cond, to_expr(cell, 8), to_expr(result, 8)))
+            return result
+        concrete_offset = self._concretize(state, offset)
+        return byte_value(obj.read_byte(base_off + concrete_offset))
+
+    def execute_instruction(self, state, thread):
+        frame = thread.top
+        function = state.program.function(frame.function)
+        if frame.pc >= len(function.instructions):
+            raise EngineInternalError(
+                "program counter %d out of range in %s" % (frame.pc, frame.function))
+        instr = function.instructions[frame.pc]
+        line = instr.line
+
+        state.instructions_executed += 1
+        state.coverage.add(line)
+        state.depth += 1
+
+        try:
+            if instr.opcode == Opcode.ASSIGN:
+                return line, self._ref_assign(state, frame, instr)
+            if instr.opcode == Opcode.STORE:
+                return line, self._ref_store(state, frame, instr)
+            if instr.opcode == Opcode.BRANCH:
+                return line, self._ref_branch(state, frame, instr)
+            if instr.opcode == Opcode.JUMP:
+                frame.pc = instr.target
+                return line, [state]
+            if instr.opcode == Opcode.CALL:
+                return line, self._ref_call(state, thread, frame, instr)
+            if instr.opcode == Opcode.RET:
+                return line, self._ref_ret(state, thread, frame, instr)
+            if instr.opcode == Opcode.ASSERT:
+                return line, self._ref_assert(state, frame, instr)
+        except MemoryError_ as exc:
+            return line, [self._terminate_error(
+                state, BugKind.MEMORY_ERROR, str(exc), line)]
+        except DivisionByZeroError as exc:
+            return line, [self._terminate_error(
+                state, BugKind.DIVISION_BY_ZERO, str(exc), line)]
+        except NativeBug as exc:
+            return line, [self._terminate_error(state, exc.kind, exc.message, line)]
+        except ExitProcess as exc:
+            return line, [self._exit_process(state, exc.code)]
+        except ExitState as exc:
+            state.terminate(exc.code)
+            return line, [state]
+        raise EngineInternalError("unknown opcode %r" % (instr.opcode,))
+
+    def _ref_assign(self, state, frame, instr):
+        frame.locals[instr.dest] = self.eval_expr(state, frame, instr.expr)
+        frame.pc += 1
+        return [state]
+
+    def _ref_store(self, state, frame, instr):
+        base = self._concretize(state, self.eval_expr(state, frame, instr.base))
+        offset = self.eval_expr(state, frame, instr.offset)
+        value = byte_value(self.eval_expr(state, frame, instr.value))
+        obj, base_off, _ = state.resolve(base)
+
+        if is_concrete(offset):
+            state.mem_write(base, offset, value)
+            frame.pc += 1
+            return [state]
+
+        offset_expr = to_expr(offset, 32)
+        limit = E.bv_const(obj.size - base_off, 32)
+        oob = simplify(E.uge(offset_expr, limit))
+        in_bounds = simplify(E.ult(offset_expr, limit))
+        oob_feasible = self._feasible(state, oob)
+        in_feasible = self._feasible(state, in_bounds)
+        err_message = ("out-of-bounds write to %s (symbolic offset)"
+                       % (obj.name or hex(obj.address)))
+        if in_feasible and oob_feasible:
+            state.forks += 1
+            err_state = state.fork()
+            state.add_constraint(in_bounds)
+            state.fork_trace.append(0)
+            concrete_offset = self._concretize(state, offset)
+            state.mem_write(base, concrete_offset, value)
+            frame.pc += 1
+            err_state.add_constraint(oob)
+            err_state.fork_trace.append(1)
+            return [state, self._terminate_error(
+                err_state, BugKind.MEMORY_ERROR, err_message, instr.line)]
+        if in_feasible:
+            state.add_constraint(in_bounds)
+            concrete_offset = self._concretize(state, offset)
+            state.mem_write(base, concrete_offset, value)
+            frame.pc += 1
+            return [state]
+        if oob_feasible:
+            state.add_constraint(oob)
+            return [self._terminate_error(state, BugKind.MEMORY_ERROR,
+                                          err_message, instr.line)]
+        return [self._terminate_error(state, BugKind.MEMORY_ERROR,
+                                      "store with infeasible bounds", instr.line)]
+
+    def _ref_branch(self, state, frame, instr):
+        cond_value = self.eval_expr(state, frame, instr.expr)
+        if is_concrete(cond_value):
+            frame.pc = instr.target if cond_value != 0 else instr.false_target
+            return [state]
+        true_cond = truth_condition(cond_value)
+        false_cond = false_condition(cond_value)
+        can_true = self._feasible(state, true_cond)
+        can_false = self._feasible(state, false_cond)
+        if can_true and can_false:
+            state.forks += 1
+            false_state = state.fork()
+            state.add_constraint(true_cond)
+            state.fork_trace.append(0)
+            frame.pc = instr.target
+            false_state.add_constraint(false_cond)
+            false_state.fork_trace.append(1)
+            false_state.current_thread.top.pc = instr.false_target
+            return [state, false_state]
+        if can_true:
+            state.add_constraint(true_cond)
+            frame.pc = instr.target
+            return [state]
+        if can_false:
+            state.add_constraint(false_cond)
+            frame.pc = instr.false_target
+            return [state]
+        state.terminate(0)
+        return [state]
+
+    def _ref_call(self, state, thread, frame, instr):
+        args = [self.eval_expr(state, frame, a) for a in instr.args]
+        name = instr.name
+        if name in state.program.functions:
+            if len(thread.stack) >= self.config.max_call_depth:
+                return [self._terminate_error(
+                    state, BugKind.STACK_OVERFLOW,
+                    "call depth limit (%d) exceeded calling %s"
+                    % (self.config.max_call_depth, name), instr.line)]
+            callee = state.program.function(name)
+            locals_ = {p: (args[i] if i < len(args) else 0)
+                       for i, p in enumerate(callee.params)}
+            frame.pc += 1
+            thread.stack.append(Frame(name, 0, locals_, return_dest=instr.dest))
+            return [state]
+
+        handler = self.natives.lookup(name)
+        if handler is None:
+            raise EngineInternalError("call to unknown function %r" % name)
+        ctx = NativeContext(self.executor, state, args, instr)
+        try:
+            result = handler(ctx)
+        except Block as blocked:
+            if blocked.wait_list is None:
+                thread.status = ThreadStatus.SLEEPING
+            else:
+                state.sleep_on(blocked.wait_list, thread)
+            state.options["force_reschedule"] = True
+            return [state]
+        if isinstance(result, NativeFork):
+            return self._apply_native_fork(state, instr, result)
+        value = 0 if result is None else result
+        if instr.dest is not None:
+            frame.locals[instr.dest] = value
+        frame.pc += 1
+        return [state]
+
+    def _ref_ret(self, state, thread, frame, instr):
+        value = (self.eval_expr(state, frame, instr.expr)
+                 if instr.expr is not None else 0)
+        return self._exec_ret(state, thread, frame, value)
+
+    def _ref_assert(self, state, frame, instr):
+        cond_value = self.eval_expr(state, frame, instr.expr)
+        if is_concrete(cond_value) and cond_value != 0:
+            frame.pc += 1
+            return [state]
+        return self._exec_assert(state, frame, instr, cond_value)
+
+
+# -- lock-step ---------------------------------------------------------------------
+
+
+def _with_reference(executor: SymbolicExecutor) -> SymbolicExecutor:
+    reference = ReferenceInterpreter(executor.solver, executor.natives,
+                                     executor.config)
+    reference.executor = executor
+    executor.interpreter = reference
+    return executor
+
+
+def _snapshot(state):
+    """What one child looks like, without process-global ids."""
+    frames = None
+    if state.is_running and state.current is not None:
+        frames = [(f.function, f.pc, dict(f.locals), f.return_dest)
+                  for f in state.current_thread.stack]
+    return (state.status, state.exit_code, state.current, frames,
+            list(state.path_constraints), set(state.coverage),
+            list(state.fork_trace), state.instructions_executed, state.forks,
+            state.error.summary() if state.error is not None else None)
+
+
+def _step(executor, state):
+    """The step's result, or the engine error it raised."""
+    try:
+        return executor.step(state), None
+    except EngineInternalError as exc:
+        return None, str(exc)
+
+
+def lock_step(make_executor, make_state, budget: int):
+    """Explore depth-first on both interpreters at once.  Returns the decoded
+    side's executor and the engine errors both sides raised."""
+    errors = []
+    decoded = make_executor()
+    reference = _with_reference(make_executor())
+    assert type(decoded.interpreter) is Interpreter
+    stack = [(make_state(decoded), make_state(reference))]
+    while stack and decoded.total_instructions < budget:
+        mine, theirs = stack.pop()
+        got, got_error = _step(decoded, mine)
+        want, want_error = _step(reference, theirs)
+        assert got_error == want_error
+        if got is None:
+            errors.append(got_error)
+            continue
+        assert got.line == want.line
+        assert got.instructions == want.instructions
+        assert len(got.children) == len(want.children)
+        for child, expected in zip(got.children, want.children):
+            assert _snapshot(child) == _snapshot(expected)
+        assert ([b.summary() for b in got.bugs]
+                == [b.summary() for b in want.bugs])
+        assert len(got.terminated) == len(want.terminated)
+        pairs = [(a, b) for a, b in zip(got.children, want.children)
+                 if a.is_running]
+        stack.extend(reversed(pairs))
+    assert decoded.total_instructions == reference.total_instructions
+    assert decoded.covered_lines == reference.covered_lines
+    assert ([b.summary() for b in decoded.bugs]
+            == [b.summary() for b in reference.bugs])
+    assert decoded.solver.stats.queries == reference.solver.stats.queries
+    return decoded, errors
+
+
+@pytest.mark.parametrize("spec", BUILTIN_SPECS)
+def test_every_registered_spec_steps_the_same(spec):
+    test = specs.resolve_test(spec)
+    executor, _ = lock_step(test.build_executor, test.build_initial_state, 2000)
+    assert executor.total_instructions > 0
+
+
+# -- generated programs ---------------------------------------------------------------
+
+BINARY = [L.add, L.sub, L.mul, L.div, L.mod, L.band, L.bor, L.bxor, L.shl,
+          L.shr, L.eq, L.ne, L.lt, L.le, L.gt, L.ge, L.land, L.lor]
+UNARY = [L.lnot, L.neg, L.bnot]
+VARIABLES = ["a", "b", "c"]
+BUF = L.var("buf")      # two symbolic bytes
+LIT = L.strconst("lit")  # four read-only bytes
+
+
+def _often(common, rare, times=5):
+    """``one_of`` draws uniformly; repeat what should be drawn often."""
+    return st.one_of(*([common] * times + [rare]))
+
+
+constants = st.one_of(
+    st.integers(0, 4),
+    st.sampled_from([-1, -7, 31, 32, 33, 255, 2**31 - 1, 2**31, 2**32 - 1, 2**32,
+                     2**33 + 5]))
+# ``s`` is a symbolic byte.
+leaves = st.one_of(
+    constants.map(L.const),
+    st.sampled_from(VARIABLES + ["s", "s"]).map(L.var))
+
+
+def _grow(children):
+    # Offsets are mostly masked into bounds so that paths live long enough
+    # to reach the other statements; the unmasked ones are the memory errors.
+    offset = _often(children.map(lambda e: L.band(e, 1)), children)
+    load = st.builds(L.index, st.just(BUF), offset)
+    return st.one_of(
+        st.builds(lambda op, a, b: op(a, b), st.sampled_from(BINARY),
+                  children, children),
+        st.builds(lambda op, a, b: op(a, b), st.sampled_from(BINARY),
+                  children, children),
+        st.builds(lambda op, a: op(a), st.sampled_from(UNARY), children),
+        load,
+        # An index whose offset is itself a load, and a constant string's byte.
+        st.builds(lambda inner: L.index(BUF, L.band(inner, 1)), load),
+        st.builds(lambda e: L.index(LIT, L.band(e, 3)), children),
+        st.builds(L.call, st.just("helper"), children, children))
+
+
+expressions = st.recursive(leaves, _grow, max_leaves=4)
+store_offsets = _often(expressions.map(lambda e: L.band(e, 1)), expressions)
+
+
+def _statements(depth, in_loop):
+    plain = st.one_of(
+        st.builds(L.assign, st.sampled_from(VARIABLES), expressions),
+        st.builds(L.store, st.just(BUF), store_offsets, expressions))
+    # What may end a path; ``ghost`` is never declared, so reading it is the
+    # undefined-variable engine error.
+    # What may end a path.  ``ghost`` is never declared: reading it is the
+    # undefined-variable engine error.
+    ending = [st.builds(L.assert_, expressions), st.builds(L.ret, expressions)]
+    if in_loop:
+        ending += [st.just(L.break_()), st.just(L.continue_())]
+    else:
+        ending += [expressions.map(
+            lambda e: L.assign("a", L.add(e, L.var("ghost"))))]
+    simple = _often(plain, st.one_of(*ending), 8)
+    if depth == 0:
+        return simple
+    body = st.lists(_statements(depth - 1, in_loop), min_size=1, max_size=3)
+    return st.one_of(
+        simple,
+        st.builds(L.if_, expressions, body, body),
+        st.builds(L.if_, expressions, body))
+
+
+def _program(body: List, loop: List):
+    return L.program(
+        "generated",
+        L.func("helper", ["x", "y"],
+               L.if_(L.lt(L.var("x"), L.var("y")), [L.ret(L.bnot(L.var("y")))]),
+               L.ret(L.sub(L.var("x"), L.var("y")))),
+        L.func(
+            "main", [],
+            L.decl("buf", L.call("cloud9_symbolic_buffer", 2, L.strconst("in"))),
+            L.decl("s", L.index(BUF, 0)),
+            L.decl("a", 3), L.decl("b", 0), L.decl("c", L.const(-2)),
+            L.decl("n", 0),
+            L.while_(L.lt(L.var("n"), 2),
+                     L.assign("n", L.add(L.var("n"), 1)),
+                     *loop),
+            *body,
+            L.ret(L.var("a"))))
+
+
+def _bounded_executor(program) -> SymbolicExecutor:
+    """Generated arithmetic over symbolic bytes can be hard; a small search
+    budget keeps a query cheap, and an undecided one is "feasible" on both
+    sides alike."""
+    return SymbolicExecutor(
+        program, solver=Solver(SolverConfig(
+            max_search_steps=100, max_candidates_per_symbol=16,
+            propagation_rounds=1)))
+
+
+programs = st.builds(
+    _program,
+    st.lists(_statements(2, in_loop=False), min_size=1, max_size=5),
+    st.lists(_statements(2, in_loop=True), min_size=1, max_size=4))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(programs)
+def test_generated_programs_step_the_same(program):
+    lock_step(lambda: _bounded_executor(program),
+              lambda executor: executor.make_initial_state(), 1500)
+
+
+def test_the_error_paths_step_the_same():
+    """Division by zero, both memory errors and an undefined variable occur,
+    and are compared, on hand-picked programs of the generated shape."""
+    kinds, errors = set(), []
+    for statement in [
+            L.assign("a", L.div(L.var("a"), L.var("b"))),
+            L.assign("a", L.mod(L.var("a"), L.sub(L.var("s"), L.var("s")))),
+            L.store(L.var("buf"), 9, 1),
+            L.assign("a", L.index(L.var("buf"), L.add(L.var("s"), 2))),
+            L.store(L.var("buf"), L.var("s"), 1),
+            L.assign("a", L.var("ghost"))]:
+        program = _program([statement], [])
+        executor, raised = lock_step(
+            lambda program=program: _bounded_executor(program),
+            lambda executor: executor.make_initial_state(), 1500)
+        kinds.update(bug.kind for bug in executor.bugs)
+        errors.extend(raised)
+    assert {BugKind.DIVISION_BY_ZERO, BugKind.MEMORY_ERROR} <= kinds
+    assert errors == ["use of undefined variable 'ghost' in main"]
