@@ -59,6 +59,24 @@ class ClusterConfig:
     #: this ``host:port`` for the duration of the run (``"127.0.0.1:0"``
     #: picks a free port; see ``cluster.status_address``).  None = no server.
     status_listen: Optional[str] = None
+    # The failure policy (§2.3), the same under every carrier.
+    #: Seconds to keep waiting for a reply from a member already known dead
+    #: (a drain grace for replies still in the channel).  A *live* member is
+    #: waited on indefinitely -- a big ``instructions_per_round``
+    #: legitimately takes long; bound total time with
+    #: ``ExplorationLimits.max_wall_time`` instead.
+    reply_timeout: float = 30.0
+    #: Total member failures tolerated before the run raises
+    #: ``WorkerProcessError``.  ``None`` (the default) tolerates any number
+    #: as long as at least one member survives or can be respawned; ``0``
+    #: ends the run on the first failure.
+    max_worker_failures: Optional[int] = None
+    #: Launch a replacement for every dead member, keeping the cluster at
+    #: its configured size through worker churn.
+    respawn: bool = False
+    #: Seconds granted to a member at each escalation step of teardown
+    #: (cooperative join, then terminate, then kill).
+    shutdown_timeout: float = 5.0
 
     def __post_init__(self) -> None:
         if self.num_workers < 1:
@@ -67,6 +85,12 @@ class ClusterConfig:
             raise ValueError("instructions_per_round must be positive")
         if self.drain_chunk < 1:
             raise ValueError("drain_chunk must be positive")
+        if self.reply_timeout <= 0:
+            raise ValueError("reply_timeout must be positive")
+        if self.shutdown_timeout <= 0:
+            raise ValueError("shutdown_timeout must be positive")
+        if self.max_worker_failures is not None and self.max_worker_failures < 0:
+            raise ValueError("max_worker_failures must be non-negative")
         self.autoscale = AutoscalePolicy.coerce(self.autoscale)
 
 

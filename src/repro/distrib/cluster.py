@@ -28,10 +28,11 @@ member's :class:`~repro.net.transport.Transport` comes to exist, selected by
 
 Each round the worker processes explore their instruction budgets
 concurrently on real cores; a worker that dies mid-round is marked dead, its
-territory requeued to the survivors, and -- under
-``ProcessClusterConfig(respawn=True)`` -- replaced instead of the run
-raising.  Workers live for one ``run()``: they are started when it begins
-and stopped when it returns.
+territory requeued to the survivors, and -- under ``respawn=True`` --
+replaced instead of the run raising.  Workers live for one ``run()``: they
+are started when it begins and stopped when it returns, and the
+coordinator's books, balancer and ledger go with them, so a second ``run()``
+of the same cluster object starts clean.
 """
 
 from __future__ import annotations
@@ -57,20 +58,16 @@ from repro.net.server import AgentServer, NoPendingAgent
 from repro.net.transport import QueuePairTransport, reap_process
 
 __all__ = ["ProcessClusterConfig", "ProcessCloud9Cluster", "WorkerProcessError",
-           "default_start_method", "default_mp_context"]
-
-
-def default_start_method() -> str:
-    """The start method process-based execution prefers: "fork" where
-    available (cheap, inherits runtime-registered specs), else "spawn".
-    Shared by the process cluster and the Campaign pool so the two process
-    paths cannot diverge."""
-    return ("fork" if "fork" in multiprocessing.get_all_start_methods()
-            else "spawn")
+           "default_mp_context"]
 
 
 def default_mp_context() -> Any:
-    return multiprocessing.get_context(default_start_method())
+    """The multiprocessing context every process path uses (the process
+    cluster and the Campaign pool, so the two cannot diverge): "fork" where
+    available (cheap, inherits runtime-registered specs), else "spawn"."""
+    return multiprocessing.get_context(
+        "fork" if "fork" in multiprocessing.get_all_start_methods()
+        else "spawn")
 
 
 @dataclass
@@ -85,30 +82,9 @@ class ProcessClusterConfig(ClusterConfig):
     """
 
     instructions_per_round: int = 2000
-    #: multiprocessing start method; None picks "fork" where available
-    #: (cheap, inherits runtime-registered specs) and "spawn" elsewhere.
-    start_method: Optional[str] = None
     #: Modules each worker process imports before resolving the spec, for
     #: specs registered outside repro.targets (required under "spawn").
     spec_modules: Tuple[str, ...] = ()
-    #: Seconds to keep waiting for a reply from a worker whose process has
-    #: already exited (a drain grace for replies still in the queue).  A
-    #: *live* worker is waited on indefinitely -- a big
-    #: ``instructions_per_round`` legitimately takes long, exactly as it
-    #: would in process; bound total time with
-    #: ``ExplorationLimits.max_wall_time`` instead.
-    reply_timeout: float = 30.0
-    #: Total worker failures tolerated before the run raises
-    #: :class:`WorkerProcessError`.  ``None`` (the default) tolerates any
-    #: number as long as at least one worker survives or can be respawned;
-    #: ``0`` restores the old die-on-first-failure behavior.
-    max_worker_failures: Optional[int] = None
-    #: Spawn a replacement process for every dead worker, keeping the
-    #: cluster at its configured size through worker churn.
-    respawn: bool = False
-    #: Seconds granted to a worker at each escalation step of teardown
-    #: (cooperative join, then terminate, then kill).
-    shutdown_timeout: float = 5.0
     #: Carrier of the coordinator<->worker channel: ``"mp"`` (the in-host
     #: multiprocessing-queue pair, the default) or ``"tcp"`` (framed pickles
     #: over sockets, :mod:`repro.net` -- workers are *agents* that dial in
@@ -138,12 +114,6 @@ class ProcessClusterConfig(ClusterConfig):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.reply_timeout <= 0:
-            raise ValueError("reply_timeout must be positive")
-        if self.shutdown_timeout <= 0:
-            raise ValueError("shutdown_timeout must be positive")
-        if self.max_worker_failures is not None and self.max_worker_failures < 0:
-            raise ValueError("max_worker_failures must be non-negative")
         if self.transport not in ("mp", "tcp"):
             raise ValueError("transport must be 'mp' or 'tcp', got %r"
                              % (self.transport,))
@@ -191,10 +161,6 @@ class ProcessCloud9Cluster(Coordinator):
         self.backend_name = "tcp" if config.transport == "tcp" else "process"
         super().__init__(config, line_count, spec_name=spec_name,
                          spec_params=spec_params, strategy=strategy)
-        self.reply_timeout = config.reply_timeout
-        self.shutdown_timeout = config.shutdown_timeout
-        self.max_worker_failures = config.max_worker_failures
-        self.respawn = config.respawn
         # TCP transport: workers are agents that dial into this listener.
         # Created eagerly so ``listen_address`` is known (and printable, and
         # dialable) before ``run()`` blocks waiting for agents.
@@ -203,10 +169,6 @@ class ProcessCloud9Cluster(Coordinator):
             self._open_server()
 
     # -- process / agent management ----------------------------------------------------
-
-    def _context(self) -> Any:
-        method = self.config.start_method or default_start_method()
-        return multiprocessing.get_context(method)
 
     def _open_server(self) -> AgentServer:
         self.server = AgentServer(
@@ -234,7 +196,7 @@ class ProcessCloud9Cluster(Coordinator):
         """Fork one loopback agent process pointed at our own listener."""
         from repro.net.agent import _local_agent_main  # lazy: import cycle
         host, port = server.address
-        process = self._context().Process(
+        process = default_mp_context().Process(
             target=_local_agent_main,
             args=("%s:%d" % (host, port), tuple(self.config.spec_modules),
                   self.config.max_frame_size),
@@ -267,7 +229,7 @@ class ProcessCloud9Cluster(Coordinator):
                 raise WorkerProcessError(str(exc)) from None
             return _WorkerHandle(worker_id, transport,
                                  agent_process=agent_process)
-        ctx = self._context()
+        ctx = default_mp_context()
         command_queue = ctx.Queue()
         reply_queue = ctx.Queue()
         process = ctx.Process(

@@ -29,10 +29,24 @@ coordinator only ever sees queue lengths and coverage bit vectors
   :class:`~repro.obs.status.StatusServer` and the round wall-time /
   solver-latency histograms.
 
+What the run has produced so far is one set of books (``Coordinator.books``).
+Each member has one account, on its handle, for its whole life: its last
+``StatusReply`` while it reports, its ``FinalReply`` once it retires or is
+finalized, a ``dead`` mark when its channel fails (its work is redone by
+whoever recovers its territory, so it then adds nothing).  Work done before
+these members existed -- a resumed checkpoint's totals, the static
+bootstrap's exploration -- is the one :class:`CarriedIn` account.  Only
+:meth:`Coordinator._totals` adds the accounts up; the round record, the
+checkpoint and the final ``RunResult`` all read it.  The books, the balancer
+and the ledger live exactly as long as the membership
+(:meth:`Coordinator._shutdown_workers` replaces them).
+
 A shell supplies :meth:`Coordinator._launch` -- how one member's channel
 comes to exist -- and decides whether members outlive a run:
-:class:`~repro.distrib.cluster.ProcessCloud9Cluster` (mp / tcp) and
-:class:`~repro.distrib.loopback.Cloud9Cluster` (loopback).
+:class:`~repro.distrib.cluster.ProcessCloud9Cluster` (mp / tcp: per-run
+members, so every ``run()`` starts clean) and
+:class:`~repro.distrib.loopback.Cloud9Cluster` (loopback: members outlive a
+run, so the books are cumulative across ``run()`` calls).
 """
 
 from __future__ import annotations
@@ -69,6 +83,7 @@ from repro.distrib.messages import (
     StatusReply,
     StopCommand,
 )
+from repro.engine.coverage import CoverageBitVector
 from repro.engine.errors import BugReport
 from repro.engine.limits import ExplorationLimits
 from repro.engine.result import RunResult, dedupe_bugs
@@ -85,7 +100,7 @@ from repro.obs.status import StatusServer
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer, emit_solver_query
 from repro.solver.cache import aggregate_cache_counters
 
-__all__ = ["Coordinator", "WorkerProcessError"]
+__all__ = ["Coordinator", "CarriedIn", "WorkerProcessError"]
 
 Path = Tuple[int, ...]
 _Reply = TypeVar("_Reply")
@@ -106,7 +121,7 @@ class _WorkerFailure(Exception):
 
 
 class _WorkerHandle:
-    """Coordinator-side bookkeeping for one member, behind its transport."""
+    """One member behind its transport, and its account in the books."""
 
     def __init__(self, worker_id: int, transport: Transport,
                  agent_process: Any = None):
@@ -115,17 +130,18 @@ class _WorkerHandle:
         #: The loopback agent process, when this coordinator spawned one
         #: itself (``spawn_local_agents=True``); None for external agents.
         self.agent_process = agent_process
+        #: The coordinator's own estimate between statuses: imports and
+        #: exports adjust it (the balancer's report may lag behind it).
         self.queue_length = 0
-        self.paths_completed = 0
-        self.bugs_found = 0
-        self.useful_instructions = 0
-        self.replay_instructions = 0
         #: Merged coverage bits to piggyback on the next explore command.
         self.pending_coverage_bits: Optional[int] = None
-        #: Last-known solver/cache counters, piggybacked on every status
-        #: reply: when this member dies before its FinalReply, these still
-        #: enter the run's aggregated cache statistics.
-        self.cache_counters: Dict[str, int] = {}
+        #: The account: the last status, verbatim, and the FinalReply that
+        #: supersedes it -- until a newer status arrives (loopback re-runs).
+        self.status: Optional[StatusReply] = None
+        self.final: Optional[FinalReply] = None
+        #: The channel failed.  The last status stays for the failure report
+        #: and the cache aggregate, but counts toward no total.
+        self.dead = False
 
     @property
     def process(self) -> Any:
@@ -133,6 +149,54 @@ class _WorkerHandle:
         (the mp-queue pair's child, or a coordinator-spawned loopback
         agent); None for a remote agent or an in-process member."""
         return getattr(self.transport, "process", None) or self.agent_process
+
+
+@dataclass
+class CarriedIn:
+    """The account of work done before the members existed: a resumed
+    checkpoint's totals, or the static bootstrap's own exploration."""
+
+    paths_completed: int = 0
+    useful_instructions: int = 0
+    replay_instructions: int = 0
+    covered_lines: Set[int] = field(default_factory=set)
+    bugs: List[BugReport] = field(default_factory=list)
+    test_cases: List[TestCase] = field(default_factory=list)
+    wall_time: float = 0.0
+    #: Round index of the checkpoint it came from (None = not resumed).
+    resumed_from_round: Optional[int] = None
+
+
+@dataclass
+class _Books:
+    """What one membership has produced and been through; replaced as a
+    whole when the membership is (:meth:`Coordinator._new_membership`)."""
+
+    carried: CarriedIn = field(default_factory=CarriedIn)
+    #: Closed accounts: members that retired (``final`` set) or died.
+    departed: List[_WorkerHandle] = field(default_factory=list)
+    messages_sent: int = 0
+    workers_added: int = 0
+    workers_removed: int = 0
+    peak_workers: int = 0
+    heartbeat_misses: int = 0
+    agents_reconnected: int = 0
+
+
+@dataclass
+class _Totals:
+    """The accounts added up (:meth:`Coordinator._totals`)."""
+
+    paths_completed: int
+    bugs_found: int
+    useful_instructions: int
+    replay_instructions: int
+    covered_lines: Set[int]
+    #: Coverage of members known by their status only, still as bits.
+    coverage_bits: int
+    #: Complete on checkpoint rounds (statuses carry them) and at the end.
+    bugs: List[BugReport]
+    test_cases: List[TestCase]
 
 
 @dataclass
@@ -144,6 +208,8 @@ class _RoundWork:
     #: Per-worker ``{"useful": .., "replay": .., "queue": ..}`` for the
     #: ``round_completed`` trace event.
     detail: Dict[int, Dict[str, int]] = field(default_factory=dict)
+    #: Candidate paths the members listed (checkpoint rounds only).
+    frontier: List[Path] = field(default_factory=list)
 
 
 class Coordinator:
@@ -151,20 +217,6 @@ class Coordinator:
 
     #: Name this backend reports in trace/status events and checkpoints.
     backend_name: str
-
-    # Failure policy and channel timeouts.  The in-process shell keeps these
-    # defaults; the process shell copies its config's values over them.
-    #: Seconds to keep waiting for a reply from a member already known dead
-    #: (a drain grace for replies still in the channel).
-    reply_timeout = 30.0
-    #: Seconds granted to a member at each escalation step of teardown.
-    shutdown_timeout = 5.0
-    #: Total member failures tolerated before the run raises
-    #: :class:`WorkerProcessError` (None = any number, as long as one member
-    #: survives or can be respawned).
-    max_worker_failures: Optional[int] = None
-    #: Launch a replacement for every dead member.
-    respawn = False
 
     def __init__(self, config: ClusterConfig, line_count: int,
                  spec_name: Optional[str] = None,
@@ -177,19 +229,6 @@ class Coordinator:
         self.spec_name = spec_name
         self.spec_params = dict(spec_params or {})
         self.strategy = strategy if strategy is not None else config.strategy
-        self.load_balancer = LoadBalancer(line_count=line_count,
-                                          delta=config.delta,
-                                          min_transfer=config.min_transfer)
-        #: The live (exploring) members.
-        self.handles: List[_WorkerHandle] = []
-        # Members retiring incrementally: no longer exploring or balanced,
-        # handing over drain_chunk jobs per round until empty.
-        self._draining: List[_WorkerHandle] = []
-        # Final accounting of members that finished draining; it still counts.
-        self._departed_finals: List[FinalReply] = []
-        self.messages_sent = 0
-        #: Which execution-tree territory each member owns (for recovery).
-        self.ledger = FrontierLedger()
         #: Optional callback invoked at the start of every round as
         #: ``round_hook(round_index, cluster)`` -- the supported place to
         #: exercise elastic membership (add/remove workers) mid-run.
@@ -205,39 +244,33 @@ class Coordinator:
         #: Live-status endpoint of the current run (None unless
         #: ``config.status_listen`` is set; fresh per ``run()``).
         self.status_server: Optional[StatusServer] = None
-        self._next_worker_id = 1
-        # Whether the members hold a frontier yet (the seed job, a restored
-        # checkpoint or dealt partitions); reset when they are shut down.
-        self._seeded = False
-        self._pending_recovery: List[RecoveryJob] = []
-        self._pending_respawns = 0
         # The result of the run in progress (a scratch one between runs, so
         # membership changes outside ``run()`` need no special casing).
         self._result = self._new_result()
-        self._round_statuses: Dict[int, StatusReply] = {}
-        self._heartbeat_misses = 0
-        self._agents_reconnected = 0
-        # Dead members' last-known cache counters: the run's cache aggregate
-        # must include members that never finalized.
-        self._failed_cache_counters: Dict[int, Dict[str, int]] = {}
-        # Elastic-membership accounting (reported on the result).
-        self._workers_added = 0
-        self._workers_removed = 0
-        self._peak_workers = 0
-        # Counters carried in from before this coordinator's members started:
-        # a checkpoint being resumed, or a static bootstrap exploration.
-        self._base_paths = 0
-        self._base_useful = 0
-        self._base_replay = 0
-        self._base_wall = 0.0
-        self._base_covered: Set[int] = set()
-        self._base_bugs: List[BugReport] = []
-        self._base_tests: List[TestCase] = []
-        self._resumed_from_round: Optional[int] = None
         self._run_started = 0.0
-        # Round wall-time distribution of the current run (p50/p99 on
-        # ``run_finished``); fresh per ``run()``.
-        self._round_seconds = Histogram("round_seconds")
+        self._new_membership()
+
+    def _new_membership(self) -> None:
+        """No members, and everything that is about *these* members made
+        anew with them: nothing of one membership reaches the next."""
+        #: The live (exploring) members.
+        self.handles: List[_WorkerHandle] = []
+        # Members retiring incrementally: no longer exploring or balanced,
+        # handing over drain_chunk jobs per round until empty.
+        self._draining: List[_WorkerHandle] = []
+        self.load_balancer = LoadBalancer(line_count=self.line_count,
+                                          delta=self.config.delta,
+                                          min_transfer=self.config.min_transfer)
+        #: Which execution-tree territory each member owns (for recovery).
+        self.ledger = FrontierLedger()
+        #: What the members have produced so far (see the module docstring).
+        self.books = _Books()
+        self._next_worker_id = 1
+        # Whether the members hold a frontier yet (the seed job, a restored
+        # checkpoint or dealt partitions).
+        self._seeded = False
+        self._pending_recovery: List[RecoveryJob] = []
+        self._pending_respawns = 0
 
     # -- members: launch, enroll, tear down ----------------------------------------------
 
@@ -251,33 +284,43 @@ class Coordinator:
         self._next_worker_id += 1
         return worker_id
 
-    def _check_ready(self, handle: _WorkerHandle) -> None:
-        """Wait for the ReadyReply and enroll the member; _WorkerFailure on death."""
-        ready = self._receive(handle)
-        if not isinstance(ready, ReadyReply):
-            raise WorkerProcessError(
-                "worker %d sent %r instead of ReadyReply"
-                % (handle.worker_id, ready))
+    def _check_ready(self, handle: _WorkerHandle,
+                     queue_length: Optional[int] = None) -> None:
+        """Wait for the ReadyReply and enroll the member; _WorkerFailure when
+        it died or is not the member this cluster needs."""
+        ready = self._expect(handle, ReadyReply)
         if ready.line_count != self.line_count:
-            raise WorkerProcessError(
-                "worker %d compiled a program with %d lines, coordinator "
+            raise _WorkerFailure(
+                handle, "compiled a program with %d lines, coordinator "
                 "expected %d -- the spec factory is not deterministic"
-                % (handle.worker_id, ready.line_count, self.line_count))
+                % (ready.line_count, self.line_count))
         self.handles.append(handle)
-        self.load_balancer.register_worker(handle.worker_id)
+        self.load_balancer.register_worker(handle.worker_id,
+                                           queue_length=queue_length)
         self.ledger.register(handle.worker_id)
 
     def _start_workers(self) -> None:
-        launched = [self._launch() for _ in range(self.config.num_workers)]
-        for handle in launched:
-            try:
+        launched: List[_WorkerHandle] = []
+        try:
+            for _ in range(self.config.num_workers):
+                launched.append(self._launch())
+            for handle in launched:
                 self._check_ready(handle)
-            except _WorkerFailure as failure:
-                # Startup failures are configuration errors, not churn.
+        except (_WorkerFailure, WorkerProcessError) as failure:
+            # Startup failures are configuration errors, not churn -- and no
+            # member launched so far, enrolled or not, may outlive the error.
+            self.handles = launched
+            self._shutdown_workers()
+            if isinstance(failure, _WorkerFailure):
                 raise WorkerProcessError(
                     "worker %d %s" % (failure.handle.worker_id,
                                       failure.reason)) from None
-        self._peak_workers = max(self._peak_workers, len(self.handles))
+            raise
+        self._note_peak()
+
+    def _note_peak(self) -> None:
+        self.books.peak_workers = max(self.books.peak_workers,
+                                      len(self.handles))
 
     def _spawn_worker(self) -> _WorkerHandle:
         """Start one member and wait for it (respawn / elastic join path)."""
@@ -287,18 +330,15 @@ class Coordinator:
         # registration so the newcomer's own empty report is excluded).
         seed_length = round(self.load_balancer.mean_queue_length())
         handle = self._launch()
-        self._check_ready(handle)
+        self._check_ready(handle, queue_length=seed_length)
         if handle.transport.kind == "tcp":
             # Every admission past the initial membership is an agent
             # (re)connecting into a running cluster: a respawn replacement
             # or an elastic join.
-            self._agents_reconnected += 1
-        self.load_balancer.register_worker(handle.worker_id,
-                                           queue_length=seed_length)
+            self.books.agents_reconnected += 1
         # A joining member starts from the merged global coverage (§3.3).
-        bits = self.load_balancer.overlay.global_vector.as_int()
-        if bits:
-            handle.pending_coverage_bits = bits
+        handle.pending_coverage_bits = (
+            self.load_balancer.overlay.global_vector.as_int() or None)
         return handle
 
     def _cleanup_handle(self, handle: _WorkerHandle) -> None:
@@ -310,11 +350,13 @@ class Coordinator:
         the socket.  A coordinator-spawned loopback agent process is reaped
         here too, with the same escalation.
         """
-        handle.transport.close(timeout=self.shutdown_timeout)
+        timeout = self.config.shutdown_timeout
+        handle.transport.close(timeout=timeout)
         if handle.agent_process is not None:
-            reap_process(handle.agent_process, timeout=self.shutdown_timeout)
+            reap_process(handle.agent_process, timeout=timeout)
 
     def _shutdown_workers(self) -> None:
+        """Stop every member; the membership's books go with it."""
         everyone = self.handles + self._draining
         for handle in everyone:
             if handle.transport.is_alive():
@@ -324,9 +366,7 @@ class Coordinator:
                     pass
         for handle in everyone:
             self._cleanup_handle(handle)
-        self.handles = []
-        self._draining = []
-        self._seeded = False
+        self._new_membership()
 
     # -- messaging ---------------------------------------------------------------------
 
@@ -335,7 +375,7 @@ class Coordinator:
             handle.transport.send(command)
         except TransportError as exc:
             raise _WorkerFailure(handle, str(exc)) from None
-        self.messages_sent += 1
+        self.books.messages_sent += 1
 
     def _receive(self, handle: _WorkerHandle) -> object:
         transport = handle.transport
@@ -352,7 +392,8 @@ class Coordinator:
                 # missed): give in-flight replies a grace period to drain,
                 # then report the death.
                 if death_deadline is None:
-                    death_deadline = time.monotonic() + self.reply_timeout
+                    death_deadline = (time.monotonic()
+                                      + self.config.reply_timeout)
                 if time.monotonic() >= death_deadline:
                     raise _WorkerFailure(
                         handle, transport.liveness_error()) from None
@@ -393,15 +434,28 @@ class Coordinator:
                 reached.append(handle)
         return reached
 
+    def _ask(self, handle: _WorkerHandle, command: object,
+             reply_type: Type[_Reply]) -> Optional[_Reply]:
+        """Command a member at a protocol barrier and return its reply, or
+        None when it died instead (it has been recovered by then)."""
+        try:
+            self._send(handle, command)
+            return self._expect(handle, reply_type)
+        except _WorkerFailure as failure:
+            self._lose(failure)
+            return None
+
     def _import_into(self, handle: _WorkerHandle,
-                     command: ImportCommand) -> int:
-        """Ship one job tree to a member; returns the jobs it took on and
-        keeps the balancer's view of its queue fresh within the round."""
-        self._send(handle, command)
-        imported = self._expect(handle, ImportReply).imported
-        handle.queue_length += imported
+                     command: ImportCommand) -> Optional[int]:
+        """Ship one job tree to a member; returns the jobs it took on (None
+        when it died) and keeps the balancer's view of its queue fresh
+        within the round."""
+        reply = self._ask(handle, command, ImportReply)
+        if reply is None:
+            return None
+        handle.queue_length += reply.imported
         self._refresh_report(handle)
-        return imported
+        return reply.imported
 
     def _refresh_report(self, handle: _WorkerHandle) -> None:
         report = self.load_balancer.reports.get(handle.worker_id)
@@ -423,7 +477,6 @@ class Coordinator:
         outstanding, so request/reply pairing stays intact.
         """
         handle = failure.handle
-        result = self._result
         was_draining = handle in self._draining
         if was_draining:
             self._draining.remove(handle)
@@ -431,43 +484,49 @@ class Coordinator:
             self.handles.remove(handle)
         else:
             return  # already accounted
-        result.worker_failures += 1
+        # No FinalReply will arrive (one filed at the end of an earlier run
+        # is void): the account closes on its last status.
+        handle.dead = True
+        handle.final = None
+        self.books.departed.append(handle)
         if getattr(handle.transport, "heartbeat_missed", False):
             # Death detected by heartbeat silence (vs. connection loss or
             # process exit) -- kept as its own counter on the result.
-            self._heartbeat_misses += 1
+            self.books.heartbeat_misses += 1
             if self.tracer.enabled:
                 self.tracer.emit(trace_schema.HEARTBEAT_MISS, worker=handle.worker_id)
         if self.tracer.enabled:
             self.tracer.emit(trace_schema.WORKER_DIED, worker=handle.worker_id,
                              reason=failure.reason, draining=was_draining)
-        if handle.cache_counters:
-            # Its FinalReply will never arrive; the last piggybacked
-            # counters keep the run's cache aggregate honest.
-            self._failed_cache_counters[handle.worker_id] = dict(
-                handle.cache_counters)
-        result.failed_worker_stats[handle.worker_id] = WorkerStats(
-            worker_id=handle.worker_id,
-            useful_instructions=handle.useful_instructions,
-            replay_instructions=handle.replay_instructions,
-            paths_completed=handle.paths_completed)
+        stats = WorkerStats(worker_id=handle.worker_id)
+        if handle.status is not None:
+            stats.useful_instructions = handle.status.useful_instructions
+            stats.replay_instructions = handle.status.replay_instructions
+            stats.paths_completed = handle.status.paths_completed
+        self._result.failed_worker_stats[handle.worker_id] = stats
         self.load_balancer.deregister_worker(handle.worker_id)
-        budget = self.max_worker_failures
-        if budget is not None and result.worker_failures > budget:
-            self._cleanup_handle(handle)
-            raise WorkerProcessError(
-                "worker %d %s; failure budget exhausted "
-                "(max_worker_failures=%d)"
-                % (handle.worker_id, failure.reason, budget)) from None
+        self._charge_failure(failure)
         if requeue:
             self._pending_recovery.extend(
                 self.ledger.recovery_jobs(handle.worker_id))
             # A draining member was leaving anyway: recover its territory
             # but do not respawn a replacement for it.
-            if self.respawn and not was_draining:
+            if self.config.respawn and not was_draining:
                 self._pending_respawns += 1
         self.ledger.forget(handle.worker_id)
         self._cleanup_handle(handle)
+
+    def _charge_failure(self, failure: _WorkerFailure) -> None:
+        """Count one member failure against ``max_worker_failures``; past
+        the budget, tear the member down and end the run."""
+        self._result.worker_failures += 1
+        budget = self.config.max_worker_failures
+        if budget is not None and self._result.worker_failures > budget:
+            self._cleanup_handle(failure.handle)
+            raise WorkerProcessError(
+                "worker %d %s; failure budget exhausted "
+                "(max_worker_failures=%d)"
+                % (failure.handle.worker_id, failure.reason, budget)) from None
 
     def _flush_recovery(self) -> None:
         """Respawn replacements and requeue dead members' territories.
@@ -486,15 +545,8 @@ class Coordinator:
                         self.tracer.emit(trace_schema.WORKER_RESPAWNED,
                                          worker=replacement.worker_id)
                 except _WorkerFailure as failure:
-                    result.worker_failures += 1
-                    budget = self.max_worker_failures
-                    if (budget is not None
-                            and result.worker_failures > budget):
-                        raise WorkerProcessError(
-                            "respawned worker %d %s; failure budget "
-                            "exhausted (max_worker_failures=%d)"
-                            % (failure.handle.worker_id, failure.reason,
-                               budget)) from None
+                    # The replacement never started; it owned nothing yet.
+                    self._charge_failure(failure)
                     self._cleanup_handle(failure.handle)
                 continue
             if not self.handles:
@@ -512,15 +564,12 @@ class Coordinator:
             for fence in foreign:
                 self.ledger.cede(handle.worker_id, fence)
             tree = JobTree.from_jobs([Job(job.root)])
-            try:
-                imported = self._import_into(handle, ImportCommand(
-                    encoded_jobs=tree.encode(),
-                    fence_paths=job.fences,
-                    recovered=True))
-            except _WorkerFailure as failure:
-                # The survivor died too; its ledger now includes this job,
-                # so _handle_failure re-stages it (budget permitting).
-                self._handle_failure(failure)
+            imported = self._import_into(handle, ImportCommand(
+                encoded_jobs=tree.encode(), fence_paths=job.fences,
+                recovered=True))
+            if imported is None:
+                # The survivor died too; its ledger included this job by
+                # then, so it has been staged and requeued again.
                 continue
             result.jobs_recovered += 1
             if self.tracer.enabled:
@@ -561,8 +610,8 @@ class Coordinator:
             raise WorkerProcessError(
                 "worker %d %s while joining"
                 % (failure.handle.worker_id, failure.reason)) from None
-        self._workers_added += 1
-        self._peak_workers = max(self._peak_workers, len(self.handles))
+        self.books.workers_added += 1
+        self._note_peak()
         self.tracer.emit(trace_schema.WORKER_JOINED, worker=handle.worker_id,
                          workers=len(self.handles))
         return handle.worker_id
@@ -586,7 +635,7 @@ class Coordinator:
             raise ValueError("cannot remove the last worker")
         self.handles.remove(handle)
         self._draining.append(handle)
-        self._workers_removed += 1
+        self.books.workers_removed += 1
         self.tracer.emit(trace_schema.WORKER_DRAINING, worker=worker_id,
                          queue=handle.queue_length)
         self.load_balancer.deregister_worker(worker_id)
@@ -599,22 +648,17 @@ class Coordinator:
         if not self.handles:
             # Nobody to hand jobs to; try again once a survivor exists.
             return 0
-        try:
-            self._send(handle, ExportCommand(count=self.config.drain_chunk))
-            export = self._expect(handle, ExportReply)
-        except _WorkerFailure as failure:
-            # Died mid-drain: its remaining territory is recovered from the
+        export = self._ask(handle, ExportCommand(count=self.config.drain_chunk),
+                           ExportReply)
+        if export is None:
+            # Died mid-drain: its remaining territory was recovered from the
             # ledger like any other member death.
-            self._lose(failure)
             return 0
         moved = 0
         if export.encoded_jobs is not None and self.handles:
             target = min(self.handles, key=lambda h: h.queue_length)
-            try:
-                moved = self._hand_over(handle.worker_id, target,
-                                        export.encoded_jobs)
-            except _WorkerFailure as failure:
-                self._lose(failure)
+            moved = self._hand_over(handle.worker_id, target,
+                                    export.encoded_jobs) or 0
         # An export smaller than the chunk means the frontier is empty now.
         if export.job_count < self.config.drain_chunk:
             handle.queue_length = 0
@@ -626,7 +670,7 @@ class Coordinator:
         return moved
 
     def _hand_over(self, source_id: int, target: _WorkerHandle,
-                   encoded_jobs: bytes) -> int:
+                   encoded_jobs: bytes) -> Optional[int]:
         """Move exported jobs into ``target``, ledger first: a target that
         dies mid-handover is recovered with these jobs included."""
         for job in JobTree.decode(encoded_jobs).jobs():
@@ -637,15 +681,11 @@ class Coordinator:
 
     def _retire_draining(self, handle: _WorkerHandle) -> None:
         """Collect a drained member's final results and stop it."""
-        try:
-            self._send(handle, FinalizeCommand())
-            final = self._expect(handle, FinalReply)
-        except _WorkerFailure as failure:
-            self._lose(failure)
+        handle.final = self._ask(handle, FinalizeCommand(), FinalReply)
+        if handle.final is None:
             return
-        self._departed_finals.append(final)
-        if handle in self._draining:
-            self._draining.remove(handle)
+        self._draining.remove(handle)
+        self.books.departed.append(handle)
         self.tracer.emit(trace_schema.WORKER_LEFT, worker=handle.worker_id,
                          workers=len(self.handles))
         self.ledger.forget(handle.worker_id)
@@ -698,31 +738,15 @@ class Coordinator:
                          num_workers=self.config.num_workers,
                          line_count=self.line_count)
 
-    def _begin_run(self, result: RunResult,
-                   resume_from: Optional[Union[ClusterCheckpoint, str]]
-                   ) -> None:
-        self._result = result
-        self._failed_cache_counters = {}
-        self._round_statuses = {}
-        if not self.handles:
-            self._start_workers()
-        if resume_from is not None:
-            self._restore(resume_from)
-        elif not self._seeded:
-            self._seed()
-
     def _seed(self) -> None:
         """Give fresh members their first frontier: the first worker to
         join receives the seed job (§3.1)."""
         self._seeded = True
         seed_handle = self.handles[0]
         self.ledger.acquire(seed_handle.worker_id, ())
-        try:
-            self._send(seed_handle, SeedCommand())
-            self._apply_status(seed_handle,
-                               self._expect(seed_handle, StatusReply))
-        except _WorkerFailure as failure:
-            self._lose(failure)
+        status = self._ask(seed_handle, SeedCommand(), StatusReply)
+        if status is not None:
+            self._apply_status(seed_handle, status)
 
     def _teardown_run(self) -> None:
         """End of ``run()``: members of a process/tcp cluster are per-run."""
@@ -739,27 +763,27 @@ class Coordinator:
              ) -> RunResult:
         config = self.config
         limit = lim.max_rounds if lim.max_rounds is not None else config.max_rounds
-        start = time.monotonic()
-        self._run_started = start
-        instructions_executed = 0
+        start = self._run_started = time.monotonic()
         policy = config.autoscale
         self.autoscaler = Autoscaler(policy) if policy is not None else None
-        self._round_seconds = Histogram("round_seconds")
-
-        line_count = self.line_count
-        result = self._new_result()
+        # Round wall-time distribution (p50/p99 on ``run_finished``).
+        round_seconds = Histogram("round_seconds")
+        result = self._result = self._new_result()
         timeline = result.timeline = ClusterTimeline()
-        transferred = 0
-        candidates = 0
-        self._begin_run(result, resume_from)
+        if not self.handles:
+            self._start_workers()
+        if resume_from is not None:
+            self._restore(resume_from)
+        elif not self._seeded:
+            self._seed()
 
         tracer = self.tracer
         tracer.emit(trace_schema.RUN_STARTED, backend=self.backend_name,
                     workers=len(self.handles),
-                    test=self.spec_name, line_count=line_count,
-                    resumed_from_round=self._resumed_from_round)
+                    test=self.spec_name, line_count=self.line_count,
+                    resumed_from_round=self.books.carried.resumed_from_round)
+        instructions_executed = 0
         traced_bugs = 0
-
         round_index = 0
         while round_index < limit:
             if self.round_hook is not None:
@@ -768,7 +792,7 @@ class Coordinator:
                 self.autoscaler(round_index, self)
             if not self.handles:
                 raise WorkerProcessError("no live workers left")
-            self._peak_workers = max(self._peak_workers, len(self.handles))
+            self._note_peak()
             balancing = self._balancing_active(round_index)
             # A snapshot lands after every checkpoint_every *completed* rounds.
             checkpoint_due = bool(
@@ -797,79 +821,27 @@ class Coordinator:
                 self._drain_member(handle)
 
             # 4. Record the round.
-            live = self.handles
-            covered_count = self.load_balancer.overlay.covered_count
-            coverage_percent = (100.0 * covered_count / line_count
-                                if line_count else 0.0)
-            paths_completed = self._paths_completed()
-            bugs_found = self._bugs_found()
-            # Draining members' outstanding jobs count: they are still part
-            # of the global frontier (survivors receive them chunk by chunk).
-            candidates = sum(h.queue_length
-                             for h in live + self._draining)
-            elapsed = time.monotonic() - start
-            queues = {h.worker_id: h.queue_length for h in live}
-            timeline.record(RoundSnapshot(
-                round_index=round_index,
-                queue_lengths=dict(queues),
-                total_candidates=candidates,
-                states_transferred=states_transferred,
-                useful_instructions=work.useful_delta,
-                replay_instructions=work.replay_delta,
-                covered_lines=covered_count,
-                coverage_percent=coverage_percent,
-                paths_completed=paths_completed,
-                bugs_found=bugs_found,
-                load_balancing_enabled=balancing,
-                num_workers=len(live),
-                elapsed=elapsed,
-            ))
-            transferred += states_transferred
-            if tracer.enabled:
-                if bugs_found > traced_bugs:
-                    tracer.emit(trace_schema.BUG_FOUND, round=round_index,
-                                bugs=bugs_found, new=bugs_found - traced_bugs)
-                    traced_bugs = bugs_found
-                tracer.emit(
-                    trace_schema.ROUND_COMPLETED, round=round_index,
-                    elapsed=round(elapsed, 6),
-                    coverage_percent=round(coverage_percent, 3),
-                    covered_lines=covered_count, paths=paths_completed,
-                    candidates=candidates,
-                    workers=len(live),
-                    useful=work.useful_delta, replay=work.replay_delta,
-                    transferred=states_transferred,
-                    queues=queues, workers_detail=work.detail)
-            if self.status_server is not None:
-                self.status_server.update({
-                    "backend": self.backend_name,
-                    "round": round_index,
-                    "elapsed": round(elapsed, 3),
-                    "coverage_percent": round(coverage_percent, 3),
-                    "covered_lines": covered_count,
-                    "paths_completed": paths_completed,
-                    "bugs_found": bugs_found,
-                    "candidates": candidates,
-                    "live_workers": len(live),
-                    "draining_workers": len(self._draining),
-                    "queues": dict(queues),
-                })
-            self._round_seconds.observe(time.monotonic() - round_started)
+            snapshot = self._record_round(round_index, work,
+                                          states_transferred, balancing,
+                                          traced_bugs)
+            traced_bugs = max(traced_bugs, snapshot.bugs_found)
+            round_seconds.observe(time.monotonic() - round_started)
             round_index += 1
 
             # 4b. Periodic checkpoint (between rounds, after status merge);
             # skipped when this round lost a member, so a snapshot never
             # captures a half-recovered frontier.
             if checkpoint_due and result.worker_failures == failures_before:
-                self._write_checkpoint(round_index)
+                self._write_checkpoint(round_index, work.frontier)
                 tracer.emit(trace_schema.CHECKPOINT_WRITTEN, round=round_index,
                             path=config.checkpoint_path)
 
             # 5. Termination checks: a goal met and a frontier run dry are
             # independent (the last path can be the one the goal asked for).
             result.goal_reached = lim.satisfied_by(
-                paths_completed, coverage_percent, bugs_found)
-            result.exhausted = candidates == 0
+                snapshot.paths_completed, snapshot.coverage_percent,
+                snapshot.bugs_found)
+            result.exhausted = snapshot.total_candidates == 0
             if result.goal_reached or result.exhausted:
                 break
             # Budget limits (spent, not reached: goal_reached stays False).
@@ -882,27 +854,13 @@ class Coordinator:
 
         # Cumulative across resume_from= segments: the checkpoint carries the
         # wall time already spent, this run adds its own elapsed time.
-        result.wall_time = self._base_wall + (time.monotonic() - start)
-        result.states_transferred = transferred
-        result.states_remaining = candidates
-        latency = self._finalize(result, round_index)
-        if tracer.enabled:
-            emit_solver_query(tracer, result.cache_stats, latency)
-            round_p50 = self._round_seconds.percentile(50.0)
-            round_p99 = self._round_seconds.percentile(99.0)
-            tracer.emit(trace_schema.RUN_FINISHED, rounds=result.rounds_executed,
-                        paths=result.paths_completed,
-                        coverage_percent=round(result.coverage_percent, 3),
-                        bugs=len(result.bugs),
-                        useful=result.useful_instructions,
-                        replay=result.replay_instructions,
-                        exhausted=result.exhausted,
-                        goal_reached=result.goal_reached,
-                        wall_time=round(result.wall_time, 6),
-                        round_time_p50=(None if round_p50 is None
-                                        else round(round_p50, 6)),
-                        round_time_p99=(None if round_p99 is None
-                                        else round(round_p99, 6)))
+        result.wall_time = (self.books.carried.wall_time
+                            + (time.monotonic() - start))
+        result.states_transferred = sum(snap.states_transferred
+                                        for snap in timeline.snapshots)
+        result.states_remaining = (timeline.snapshots[-1].total_candidates
+                                   if timeline.snapshots else 0)
+        self._finalize(result, round_index, round_seconds)
         return result
 
     # -- round phases --------------------------------------------------------------------
@@ -914,70 +872,57 @@ class Coordinator:
         # part with a status-only heartbeat: they no longer explore, but
         # their replies keep queue lengths fresh and carry their frontier
         # into checkpoints.
-        previous = {h.worker_id: (h.useful_instructions,
-                                  h.replay_instructions)
-                    for h in self.handles}
-        round_handles = self._broadcast(
+        reached = self._broadcast(
             self.handles, lambda handle: ExploreCommand(
                 budget=self.config.instructions_per_round,
                 global_coverage_bits=handle.pending_coverage_bits,
                 report_frontier=checkpoint_due,
                 trace=self.tracer.enabled))
-        for handle in round_handles:
+        for handle in reached:
             handle.pending_coverage_bits = None
-        drain_handles = self._broadcast(
+        reached += self._broadcast(
             self._draining, lambda handle: DrainStatusCommand(
                 report_frontier=checkpoint_due))
-        statuses: Dict[int, StatusReply] = {}
         work = _RoundWork()
-        for handle in round_handles:
+        for handle in reached:
             try:
                 status = self._expect(handle, StatusReply)
             except _WorkerFailure as failure:
                 self._handle_failure(failure)
                 continue
-            statuses[handle.worker_id] = status
-            prev_useful, prev_replay = previous[handle.worker_id]
-            work.useful_delta += status.useful_instructions - prev_useful
-            work.replay_delta += status.replay_instructions - prev_replay
-            self._apply_status(handle, status)
-        for handle in drain_handles:
-            try:
-                status = self._expect(handle, StatusReply)
-            except _WorkerFailure as failure:
-                self._handle_failure(failure)
-                continue
-            statuses[handle.worker_id] = status
+            before = handle.status
+            useful = status.useful_instructions - (
+                before.useful_instructions if before is not None else 0)
+            replay = status.replay_instructions - (
+                before.replay_instructions if before is not None else 0)
+            work.useful_delta += useful
+            work.replay_delta += replay
+            work.detail[handle.worker_id] = {
+                "useful": useful, "replay": replay,
+                "queue": status.queue_length}
+            if status.frontier is not None:
+                work.frontier.extend(
+                    job.path for job in JobTree.decode(status.frontier).jobs())
             self._apply_status(handle, status)
         # Requeue dead members' territories / respawn replacements now that
         # every outstanding command has been resolved.
         self._flush_recovery()
-        for worker_id, status in statuses.items():
-            prev_u, prev_r = previous.get(
-                worker_id, (status.useful_instructions,
-                            status.replay_instructions))
-            work.detail[worker_id] = {
-                "useful": status.useful_instructions - prev_u,
-                "replay": status.replay_instructions - prev_r,
-                "queue": status.queue_length,
-            }
-        self._round_statuses = statuses
         return work
 
     def _status_phase(self, round_index: int) -> None:
         # Live members only: draining members left the balancer's view
-        # when their removal began.
+        # when their removal began; one that joined after this round's
+        # statuses were collected has none yet.
         for handle in self.handles:
-            status = self._round_statuses.get(handle.worker_id)
+            status = handle.status
             if status is None:
                 continue
-            merged_bits = self.load_balancer.receive_status(
+            handle.pending_coverage_bits = self.load_balancer.receive_status(
                 worker_id=handle.worker_id,
                 queue_length=handle.queue_length,
                 useful_instructions=status.useful_instructions,
                 coverage_bits=status.coverage_bits,
                 round_index=round_index)
-            handle.pending_coverage_bits = merged_bits
 
     def _dispatch_transfer(self, command: TransferCommand,
                            round_index: int) -> int:
@@ -1001,14 +946,10 @@ class Coordinator:
         self._refresh_report(source)
         if export.encoded_jobs is None:
             return 0
-        try:
-            imported = self._hand_over(command.source, destination,
-                                       export.encoded_jobs)
-        except _WorkerFailure as failure:
-            # The jobs are in the dead destination's territory already, so
-            # recovery requeues them; nothing is lost.
-            self._lose(failure)
-            return 0
+        # Should the destination die here, the jobs are in its territory
+        # already, so recovery requeues them; nothing is lost.
+        imported = self._hand_over(command.source, destination,
+                                   export.encoded_jobs) or 0
         if self.tracer.enabled and imported:
             self.tracer.emit(trace_schema.JOB_TRANSFERRED, round=round_index,
                              source=command.source,
@@ -1017,105 +958,150 @@ class Coordinator:
         return imported
 
     def _apply_status(self, handle: _WorkerHandle, status: StatusReply) -> None:
+        handle.status = status
+        handle.final = None
         handle.queue_length = status.queue_length
-        handle.paths_completed = status.paths_completed
-        handle.bugs_found = status.bugs_found
-        handle.useful_instructions = status.useful_instructions
-        handle.replay_instructions = status.replay_instructions
-        if status.cache_counters is not None:
-            handle.cache_counters = dict(status.cache_counters)
         if status.events:
             # Member-side buffered events (explore spans, ...) merge into
             # the single coordinator-owned trace file.
             self.tracer.ingest(status.events, worker=handle.worker_id)
 
-    # -- what the recorder reports -------------------------------------------------------
-    # Base (resumed checkpoint / bootstrap) + departed + live and draining,
-    # each counted once, so neither number drops when a member retires.
+    # -- the books, added up -------------------------------------------------------------
 
-    def _paths_completed(self) -> int:
-        return (self._base_paths
-                + sum(f.paths_completed for f in self._departed_finals)
-                + sum(h.paths_completed
-                      for h in self.handles + self._draining))
+    def _totals(self) -> _Totals:
+        """The one place results are added up: the carried-in account plus
+        every member's, each counted once by its latest report -- no number
+        drops when a member retires, and none doubles when it retires
+        between a status and the checkpoint that follows it."""
+        carried = self.books.carried
+        total = _Totals(
+            paths_completed=carried.paths_completed,
+            bugs_found=len(carried.bugs),
+            useful_instructions=carried.useful_instructions,
+            replay_instructions=carried.replay_instructions,
+            covered_lines=set(carried.covered_lines), coverage_bits=0,
+            bugs=list(carried.bugs), test_cases=list(carried.test_cases))
+        for member in self.handles + self._draining + self.books.departed:
+            final, status = member.final, member.status
+            if final is not None:
+                total.paths_completed += final.paths_completed
+                total.bugs_found += len(final.bugs)
+                total.useful_instructions += final.stats.useful_instructions
+                total.replay_instructions += final.stats.replay_instructions
+                total.covered_lines.update(final.covered_lines)
+                total.bugs.extend(final.bugs)
+                total.test_cases.extend(final.test_cases)
+            elif status is not None and not member.dead:
+                total.paths_completed += status.paths_completed
+                total.bugs_found += status.bugs_found
+                total.useful_instructions += status.useful_instructions
+                total.replay_instructions += status.replay_instructions
+                total.coverage_bits |= status.coverage_bits
+                total.bugs.extend(status.bugs or ())
+                total.test_cases.extend(status.test_cases or ())
+        return total
 
-    def _bugs_found(self) -> int:
-        return (len(self._base_bugs)
-                + sum(len(f.bugs) for f in self._departed_finals)
-                + sum(h.bugs_found for h in self.handles + self._draining))
+    def _record_round(self, round_index: int, work: _RoundWork,
+                      states_transferred: int, balancing: bool,
+                      traced_bugs: int) -> RoundSnapshot:
+        """Close one round: its timeline snapshot, its trace events and the
+        live-status document all say what the books say."""
+        live = self.handles
+        totals = self._totals()
+        covered_count = self.load_balancer.overlay.covered_count
+        coverage_percent = (100.0 * covered_count / self.line_count
+                            if self.line_count else 0.0)
+        queues = {h.worker_id: h.queue_length for h in live}
+        snapshot = RoundSnapshot(
+            round_index=round_index,
+            queue_lengths=dict(queues),
+            # Draining members' outstanding jobs count: they are still part
+            # of the global frontier (survivors receive them chunk by chunk).
+            total_candidates=sum(h.queue_length
+                                 for h in live + self._draining),
+            states_transferred=states_transferred,
+            useful_instructions=work.useful_delta,
+            replay_instructions=work.replay_delta,
+            covered_lines=covered_count,
+            coverage_percent=coverage_percent,
+            paths_completed=totals.paths_completed,
+            bugs_found=totals.bugs_found,
+            load_balancing_enabled=balancing,
+            num_workers=len(live),
+            elapsed=time.monotonic() - self._run_started,
+        )
+        self._result.timeline.record(snapshot)
+        tracer = self.tracer
+        if tracer.enabled:
+            if snapshot.bugs_found > traced_bugs:
+                tracer.emit(trace_schema.BUG_FOUND, round=round_index,
+                            bugs=snapshot.bugs_found,
+                            new=snapshot.bugs_found - traced_bugs)
+            tracer.emit(
+                trace_schema.ROUND_COMPLETED, round=round_index,
+                elapsed=round(snapshot.elapsed, 6),
+                coverage_percent=round(coverage_percent, 3),
+                covered_lines=covered_count, paths=snapshot.paths_completed,
+                candidates=snapshot.total_candidates,
+                workers=len(live),
+                useful=work.useful_delta, replay=work.replay_delta,
+                transferred=states_transferred,
+                queues=queues, workers_detail=work.detail)
+        if self.status_server is not None:
+            self.status_server.update({
+                "backend": self.backend_name,
+                "round": round_index,
+                "elapsed": round(snapshot.elapsed, 3),
+                "coverage_percent": round(coverage_percent, 3),
+                "covered_lines": covered_count,
+                "paths_completed": snapshot.paths_completed,
+                "bugs_found": snapshot.bugs_found,
+                "candidates": snapshot.total_candidates,
+                "live_workers": len(live),
+                "draining_workers": len(self._draining),
+                "queues": dict(queues),
+            })
+        return snapshot
 
     # -- checkpoint / resume -------------------------------------------------------------
 
-    def _write_checkpoint(self, round_index: int) -> ClusterCheckpoint:
-        statuses = self._round_statuses
-        frontier: List[Path] = []
-        # Frontiers come from every status: a member that finished draining
-        # after the statuses were collected listed its final chunk's jobs,
-        # which the receiving survivor's (earlier) status does not -- the
-        # union still holds each job exactly once.
-        for status in statuses.values():
-            if status.frontier is None:
-                continue
-            frontier.extend(job.path
-                            for job in JobTree.decode(status.frontier).jobs())
-        # Counters and results are different: a member retired between
-        # status collection and this snapshot already moved its totals into
-        # _departed_finals, so summing its status too would double count.
-        active_ids = {h.worker_id for h in self.handles + self._draining}
-        statuses = {worker_id: status
-                    for worker_id, status in statuses.items()
-                    if worker_id in active_ids}
-        departed = self._departed_finals
-        # The overlay lags by up to status_update_interval rounds; fold in
-        # the coverage bits just collected so lines covered on completed
-        # paths (never re-explored on resume) cannot be lost.
-        coverage_bits = self.load_balancer.overlay.global_vector.as_int()
-        for status in statuses.values():
-            coverage_bits |= status.coverage_bits
-        # Self-contained resume: bug reports and generated inputs found
-        # before the snapshot travel with it (members attach them to their
-        # status replies on checkpoint rounds only).
-        bugs = list(self._base_bugs)
-        test_cases = list(self._base_tests)
-        for final in departed:
-            bugs.extend(final.bugs)
-            test_cases.extend(final.test_cases)
-        for status in statuses.values():
-            bugs.extend(status.bugs or ())
-            test_cases.extend(status.test_cases or ())
+    def _write_checkpoint(self, round_index: int,
+                          frontier: List[Path]) -> ClusterCheckpoint:
+        """Snapshot the books and ``frontier``, the candidate paths every
+        member that reported this round listed.  One that finished draining
+        after the statuses were collected listed its final chunk's jobs,
+        which the receiving survivor's (earlier) status does not, so the
+        union holds each job exactly once.  Bug reports and generated
+        inputs travel with the snapshot (statuses carry them on checkpoint
+        rounds only)."""
+        totals = self._totals()
         checkpoint = ClusterCheckpoint(
             round_index=round_index,
             frontier_paths=sorted(frontier),
-            coverage_bits=coverage_bits,
+            # The overlay lags by up to status_update_interval rounds; fold
+            # in the coverage bits just collected so lines covered on
+            # completed paths (never re-explored on resume) cannot be lost.
+            coverage_bits=(self.load_balancer.overlay.global_vector.as_int()
+                           | totals.coverage_bits),
             line_count=self.line_count,
-            paths_completed=(self._base_paths
-                             + sum(f.paths_completed for f in departed)
-                             + sum(s.paths_completed
-                                   for s in statuses.values())),
-            useful_instructions=(self._base_useful
-                                 + sum(f.stats.useful_instructions
-                                       for f in departed)
-                                 + sum(s.useful_instructions
-                                       for s in statuses.values())),
-            replay_instructions=(self._base_replay
-                                 + sum(f.stats.replay_instructions
-                                       for f in departed)
-                                 + sum(s.replay_instructions
-                                       for s in statuses.values())),
-            wall_time=(self._base_wall
+            paths_completed=totals.paths_completed,
+            useful_instructions=totals.useful_instructions,
+            replay_instructions=totals.replay_instructions,
+            wall_time=(self.books.carried.wall_time
                        + (time.monotonic() - self._run_started)),
             bug_reports=[ClusterCheckpoint.encode_bug(b)
-                         for b in dedupe_bugs(bugs)],
+                         for b in dedupe_bugs(totals.bugs)],
             test_cases=[ClusterCheckpoint.encode_test_case(t)
-                        for t in test_cases],
+                        for t in totals.test_cases],
             worker_stats={
-                worker_id: {
-                    "useful_instructions": s.useful_instructions,
-                    "replay_instructions": s.replay_instructions,
-                    "paths_completed": s.paths_completed,
-                    "queue_length": s.queue_length,
+                h.worker_id: {
+                    "useful_instructions": h.status.useful_instructions,
+                    "replay_instructions": h.status.replay_instructions,
+                    "paths_completed": h.status.paths_completed,
+                    "queue_length": h.status.queue_length,
                 }
-                for worker_id, s in statuses.items()},
+                for h in self.handles + self._draining
+                if h.status is not None},
             strategy_seeds={h.worker_id: h.worker_id for h in self.handles},
             spec_name=self.spec_name,
             spec_params=dict(self.spec_params),
@@ -1136,25 +1122,29 @@ class Coordinator:
         if self._seeded:
             raise ValueError("resume_from= needs a fresh cluster: these "
                              "members already hold a frontier")
-        self._base_paths = checkpoint.paths_completed
-        self._base_useful = checkpoint.useful_instructions
-        self._base_replay = checkpoint.replay_instructions
-        self._base_wall = checkpoint.wall_time
-        self._base_covered = checkpoint.covered_lines()
-        self._base_bugs = checkpoint.decode_bugs()
-        self._base_tests = checkpoint.decode_test_cases()
-        self._resumed_from_round = checkpoint.round_index
-        self._deal_frontier(checkpoint.frontier_paths,
-                            checkpoint.coverage_bits)
+        self._carry_in(
+            CarriedIn(paths_completed=checkpoint.paths_completed,
+                      useful_instructions=checkpoint.useful_instructions,
+                      replay_instructions=checkpoint.replay_instructions,
+                      covered_lines=checkpoint.covered_lines(),
+                      bugs=checkpoint.decode_bugs(),
+                      test_cases=checkpoint.decode_test_cases(),
+                      wall_time=checkpoint.wall_time,
+                      resumed_from_round=checkpoint.round_index),
+            checkpoint.frontier_paths)
 
-    def _deal_frontier(self, paths: List[Path], coverage_bits: int) -> None:
-        """Deal a frontier round-robin to the live members as ordinary job
-        imports, priming them with the coverage that came with it."""
+    def _carry_in(self, carried: CarriedIn, frontier: List[Path]) -> None:
+        """Open the books with work done before these members existed, and
+        deal the frontier it left round-robin to them as ordinary job
+        imports, primed with the coverage that came with it."""
+        self.books.carried = carried
         self._seeded = True
+        coverage_bits = CoverageBitVector.from_lines(
+            self.line_count, carried.covered_lines).as_int()
         self.load_balancer.overlay.merge_from_worker(coverage_bits)
         live = list(self.handles)
         shares: Dict[int, List[Path]] = {h.worker_id: [] for h in live}
-        for index, path in enumerate(sorted(paths)):
+        for index, path in enumerate(sorted(frontier)):
             shares[live[index % len(live)].worker_id].append(tuple(path))
         for handle in live:
             share = shares[handle.worker_id]
@@ -1164,71 +1154,80 @@ class Coordinator:
             for path in share:
                 self.ledger.acquire(handle.worker_id, path)
             tree = JobTree.from_jobs([Job(p) for p in share])
-            try:
-                self._import_into(handle,
-                                  ImportCommand(encoded_jobs=tree.encode()))
-            except _WorkerFailure as failure:
-                self._lose(failure)
+            self._import_into(handle,
+                              ImportCommand(encoded_jobs=tree.encode()))
 
     # -- finalization --------------------------------------------------------------------
 
-    def _finalize(self, result: RunResult, rounds: int) -> Histogram:
-        """Fill ``result`` from every member's final accounting (live,
-        draining and departed); returns the merged solver-query latency."""
-        finals: List[FinalReply] = []
+    def _finalize(self, result: RunResult, rounds: int,
+                  round_seconds: Histogram) -> None:
+        """Close the run: every member still enrolled files its final
+        account, ``result`` is filled from the books, and the run's last
+        trace events go out."""
         # Members still draining when the run ends are finalized like live
         # ones: their results count, and any jobs left on them were already
         # counted as unexplored candidates by the termination checks.
         for handle in self.handles + self._draining:
             try:
                 self._send(handle, FinalizeCommand())
-                finals.append(self._expect(handle, FinalReply))
+                handle.final = self._expect(handle, FinalReply)
             except _WorkerFailure as failure:
                 # Too late to re-explore; keep its last-known counters.
                 self._handle_failure(failure, requeue=False)
-        finals.extend(self._departed_finals)
 
+        books = self.books
         live = self.handles
         result.num_workers = len(live) or result.num_workers
         result.rounds_executed = rounds
-        result.resumed_from_round = self._resumed_from_round
-        result.workers_added = self._workers_added
-        result.workers_removed = self._workers_removed
-        result.peak_workers = max(self._peak_workers, len(live))
-        result.paths_completed = (self._base_paths
-                                  + sum(f.paths_completed for f in finals))
-        result.useful_instructions = self._base_useful + sum(
-            f.stats.useful_instructions for f in finals)
-        result.replay_instructions = self._base_replay + sum(
-            f.stats.replay_instructions for f in finals)
-        covered: Set[int] = set(self._base_covered)
-        all_bugs: List[BugReport] = list(self._base_bugs)
-        result.test_cases.extend(self._base_tests)
+        result.resumed_from_round = books.carried.resumed_from_round
+        result.workers_added = books.workers_added
+        result.workers_removed = books.workers_removed
+        result.peak_workers = max(books.peak_workers, len(live))
+        result.heartbeat_misses = books.heartbeat_misses
+        result.agents_reconnected = books.agents_reconnected
+        result.messages_sent = books.messages_sent
+        totals = self._totals()
+        result.paths_completed = totals.paths_completed
+        result.useful_instructions = totals.useful_instructions
+        result.replay_instructions = totals.replay_instructions
+        result.covered_lines = totals.covered_lines
+        result.bugs = dedupe_bugs(totals.bugs)
+        result.test_cases.extend(totals.test_cases)
         worker_stats: Dict[int, WorkerStats] = {}
+        counter_maps: List[Dict[str, int]] = []
         latency = Histogram("solver_query_seconds")
-        for final in finals:
-            covered.update(final.covered_lines)
-            all_bugs.extend(final.bugs)
-            result.test_cases.extend(final.test_cases)
-            worker_stats[final.worker_id] = final.stats
-            if final.latency is not None:
-                latency.merge_from(final.latency)
-        result.covered_lines = covered
-        result.bugs = dedupe_bugs(all_bugs)
+        for member in live + self._draining + books.departed:
+            final = member.final
+            if final is not None:
+                worker_stats[final.worker_id] = final.stats
+                counter_maps.append(dict(final.cache_counters))
+                if final.latency is not None:
+                    latency.merge_from(final.latency)
+            elif member.status is not None and member.status.cache_counters:
+                # Dead members never sent a FinalReply; the counters on
+                # their last status still enter the aggregate so the run's
+                # cache hit rates reflect the whole fleet.
+                counter_maps.append(dict(member.status.cache_counters))
         result.worker_stats = worker_stats
         result.transfer_cost = TransferCost.from_worker_stats(
             worker_stats.values())
-        # Dead members never sent a FinalReply; their last piggybacked
-        # counters (from the status replies) still enter the aggregate so
-        # the run's cache hit rates reflect the whole fleet.
-        finalized_ids = {f.worker_id for f in finals}
-        counter_maps = [dict(f.cache_counters) for f in finals]
-        counter_maps.extend(
-            counters
-            for worker_id, counters in self._failed_cache_counters.items()
-            if worker_id not in finalized_ids)
         result.cache_stats = aggregate_cache_counters(counter_maps)
-        result.heartbeat_misses = self._heartbeat_misses
-        result.agents_reconnected = self._agents_reconnected
-        result.messages_sent = self.messages_sent
-        return latency
+
+        tracer = self.tracer
+        if tracer.enabled:
+            emit_solver_query(tracer, result.cache_stats, latency)
+            round_p50 = round_seconds.percentile(50.0)
+            round_p99 = round_seconds.percentile(99.0)
+            tracer.emit(trace_schema.RUN_FINISHED, rounds=result.rounds_executed,
+                        paths=result.paths_completed,
+                        coverage_percent=round(result.coverage_percent, 3),
+                        bugs=len(result.bugs),
+                        useful=result.useful_instructions,
+                        replay=result.replay_instructions,
+                        exhausted=result.exhausted,
+                        goal_reached=result.goal_reached,
+                        wall_time=round(result.wall_time, 6),
+                        round_time_p50=(None if round_p50 is None
+                                        else round(round_p50, 6)),
+                        round_time_p99=(None if round_p99 is None
+                                        else round(round_p99, 6)))

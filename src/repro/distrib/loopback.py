@@ -24,18 +24,15 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Set, Tuple, Type
+from typing import Callable, Deque, Dict, List, Optional, Tuple, Type
 
 from repro.cluster.core import ClusterConfig, StaticPartitionConfig
 from repro.cluster.worker import DEFAULT_STRATEGY, Worker
-from repro.distrib.coordinator import Coordinator, _WorkerHandle
+from repro.distrib.coordinator import CarriedIn, Coordinator, _WorkerHandle
 from repro.distrib.messages import ReadyReply, StopCommand
 from repro.distrib.worker import DistribWorker
-from repro.engine.coverage import CoverageBitVector
-from repro.engine.errors import BugReport
 from repro.engine.executor import SymbolicExecutor
 from repro.engine.state import ExecutionState
-from repro.engine.test_case import TestCase
 from repro.net.transport import Transport, TransportClosed
 
 __all__ = ["LoopbackTransport", "Cloud9Cluster", "StaticPartitionCluster",
@@ -168,24 +165,25 @@ class Cloud9Cluster(Coordinator):
 
 
 @dataclass
-class BootstrapOutcome:
-    """What the pre-partitioning exploration produced."""
+class BootstrapOutcome(CarriedIn):
+    """What the pre-partitioning exploration produced: the prefixes it carved
+    the tree into, on top of its own results -- the account the run carries
+    in, exactly like a resumed checkpoint's."""
 
-    prefixes: List[Tuple[int, ...]]
-    instructions: int = 0
-    paths_completed: int = 0
-    bugs: List[BugReport] = field(default_factory=list)
-    test_cases: List[TestCase] = field(default_factory=list)
-    covered_lines: Set[int] = field(default_factory=set)
+    prefixes: List[Tuple[int, ...]] = field(default_factory=list)
+
+    @property
+    def instructions(self) -> int:
+        return self.useful_instructions
 
 
 class StaticPartitionCluster(Cloud9Cluster):
     """Statically partitioned parallel symbolic execution (the §2 strawman).
 
     The bootstrap mimics the offline pre-computation of disjoint
-    preconditions; its own results are carried as the coordinator's base
-    counters, exactly like a resumed checkpoint's.  It runs when a fresh run
-    begins, so a cluster built to resume a checkpoint never bootstraps.
+    preconditions; its own results are the run's carried-in account, exactly
+    like a resumed checkpoint's.  It runs when a fresh run begins, so a
+    cluster built to resume a checkpoint never bootstraps.
     """
 
     backend_name = "static"
@@ -202,16 +200,8 @@ class StaticPartitionCluster(Cloud9Cluster):
     def _seed(self) -> None:
         """Deal the bootstrap's prefixes in place of the seed job; nothing
         will ever move between members afterwards."""
-        bootstrap = self.bootstrap = self._bootstrap_split()
-        self._base_paths = bootstrap.paths_completed
-        self._base_useful = bootstrap.instructions
-        self._base_covered = set(bootstrap.covered_lines)
-        self._base_bugs = list(bootstrap.bugs)
-        self._base_tests = list(bootstrap.test_cases)
-        self._deal_frontier(
-            bootstrap.prefixes,
-            CoverageBitVector.from_lines(
-                self.line_count, bootstrap.covered_lines).as_int())
+        self.bootstrap = self._bootstrap_split()
+        self._carry_in(self.bootstrap, self.bootstrap.prefixes)
 
     def _bootstrap_split(self) -> BootstrapOutcome:
         """Expand the tree breadth-first until there is work for every worker."""
@@ -229,7 +219,7 @@ class StaticPartitionCluster(Cloud9Cluster):
                     frontier.append(child)
         return BootstrapOutcome(
             prefixes=[tuple(state.fork_trace) for state in frontier],
-            instructions=executor.total_instructions,
+            useful_instructions=executor.total_instructions,
             paths_completed=executor.paths_completed,
             bugs=list(executor.bugs),
             test_cases=list(executor.test_cases),

@@ -354,7 +354,8 @@ class TestIncrementalDrain:
         assert cluster.workers[1].queue_length == 0
         cluster.remove_worker(2)
         assert cluster._draining == []
-        assert [f.worker_id for f in cluster._departed_finals] == [2]
+        assert [(a.worker_id, a.final is not None)
+                for a in cluster.books.departed] == [(2, True)]
 
     def test_remove_guards_unchanged(self):
         test = _buggy_test()
@@ -563,8 +564,8 @@ class TestResumeAccounting:
         result = cluster.run(limits=LIMITS)
         assert removed, "no worker found the bug; tune the budgets"
         assert result.exhausted and result.workers_removed == 1
-        assert removed["id"] in {f.worker_id
-                                 for f in cluster._departed_finals}
+        assert removed["id"] in {a.worker_id for a in cluster.books.departed
+                                 if a.final is not None}
         series = [snap.bugs_found for snap in result.timeline.snapshots]
         assert series == sorted(series), series
         assert series[removed["round"]] >= 1
@@ -645,9 +646,10 @@ class TestProcessAutoscale:
         def hook(round_index, cl):
             if "removed" not in captured and round_index >= 2:
                 victim = max(cl.handles,
-                             key=lambda h: (h.paths_completed,
+                             key=lambda h: (h.status.paths_completed,
                                             h.queue_length))
-                if (victim.queue_length >= 3 and victim.paths_completed >= 1
+                if (victim.queue_length >= 3
+                        and victim.status.paths_completed >= 1
                         and len(cl.handles) > 1):
                     captured["removed"] = round_index
                     cl.remove_worker(victim.worker_id)

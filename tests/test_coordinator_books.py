@@ -1,0 +1,273 @@
+"""The coordinator's books: one account per member, one carried-in account,
+one place that adds them up -- and books that live exactly as long as the
+membership they describe.
+
+Also the enroll paths' teardown: a member whose channel was launched must
+not outlive the error that refused it (start-up, respawn, elastic join).
+"""
+
+import multiprocessing
+
+import pytest
+
+from repro.cluster import ClusterConfig
+from repro.distrib import Cloud9Cluster, LoopbackTransport, specs
+from repro.distrib.cluster import (
+    ProcessCloud9Cluster,
+    ProcessClusterConfig,
+    WorkerProcessError,
+)
+from repro.distrib.messages import ExploreCommand, ReadyReply
+from repro.net.transport import TransportError
+
+from test_loopback_faults import FaultyTransport
+
+fork_available = "fork" in multiprocessing.get_all_start_methods()
+needs_fork = pytest.mark.skipif(not fork_available,
+                                reason="process clusters are forked here")
+
+
+@pytest.fixture(scope="module")
+def printf2():
+    return specs.resolve_test("printf", format_length=2)
+
+
+def _cluster(test, carrier, **config):
+    """A loopback cluster behind ``carrier(member)``; returns it (or the
+    error its construction raised) and every transport the carrier built."""
+    built = []
+
+    def recording(member):
+        built.append(carrier(member))
+        return built[-1]
+
+    class Cluster(Cloud9Cluster):
+        carrier = staticmethod(recording)
+
+    try:
+        return test.build_cluster(ClusterConfig(**config),
+                                  cluster_class=Cluster), built
+    except WorkerProcessError as error:
+        return error, built
+
+
+class WrongProgram(LoopbackTransport):
+    """A member that compiled some other program."""
+
+    def __init__(self, member):
+        super().__init__(member)
+        self._replies[0] = ReadyReply(worker_id=member.worker_id,
+                                      line_count=member.line_count + 1)
+
+
+class Stillborn(LoopbackTransport):
+    """A member whose channel breaks before its ReadyReply."""
+
+    def recv(self, timeout=None):
+        raise TransportError("%s never came up" % self.peer)
+
+
+# -- books live as long as members --------------------------------------------------------
+
+
+@needs_fork
+def test_second_run_of_a_process_cluster_starts_with_clean_books():
+    """Per-run members, per-run books: the first run's retired member, its
+    balancer report and its ledger entry must not reach the second run."""
+    cluster = ProcessCloud9Cluster(
+        "printf", {"format_length": 2},
+        config=ProcessClusterConfig(num_workers=2, instructions_per_round=40,
+                                    reply_timeout=1.0, shutdown_timeout=2.0))
+    seen = []
+
+    def hook(round_index, cl):
+        if round_index == 4:
+            cl.remove_worker(cl.live_worker_ids[-1])
+        members = {h.worker_id for h in cl.handles + cl._draining}
+        assert members <= {1, 2}
+        assert sorted(cl.load_balancer.reports) == cl.live_worker_ids
+        assert set(cl.ledger.worker_ids) == members
+        seen.append(members)
+
+    cluster.round_hook = hook
+    first = cluster.run()
+    rounds_of_first = len(seen)
+    second = cluster.run()
+    assert first.exhausted and first.workers_removed == 1
+    assert first.transfer_commands > 0 and rounds_of_first > 5
+    for name in ("paths_completed", "useful_instructions",
+                 "replay_instructions", "rounds_executed",
+                 "transfer_commands", "states_transferred", "messages_sent",
+                 "workers_removed", "peak_workers", "exhausted"):
+        assert getattr(second, name) == getattr(first, name), name
+    assert sorted(second.worker_stats) == sorted(first.worker_stats) == [1, 2]
+    assert seen[rounds_of_first:] == seen[:rounds_of_first]
+    assert cluster.handles == [] and cluster.books.departed == []
+
+
+def test_loopback_cluster_run_a_few_rounds_at_a_time_stays_cumulative(printf2):
+    """Members of the in-process cluster outlive a run, so its books do too."""
+    whole = printf2.build_cluster(
+        ClusterConfig(num_workers=2, instructions_per_round=60)).run()
+    cluster = printf2.build_cluster(
+        ClusterConfig(num_workers=2, instructions_per_round=60))
+    results = [cluster.run(max_rounds=3)]
+    cluster.remove_worker(2)  # between runs: counted on the next result
+    cluster.add_worker()
+    while not results[-1].exhausted:
+        results.append(cluster.run(max_rounds=3))
+    assert len(results) > 2
+    for earlier, later in zip(results, results[1:]):
+        assert later.paths_completed >= earlier.paths_completed
+        assert later.useful_instructions > earlier.useful_instructions
+        assert later.messages_sent > earlier.messages_sent
+        assert later.covered_lines >= earlier.covered_lines
+        assert (later.workers_removed, later.workers_added) == (1, 1)
+    last = results[-1]
+    assert last.paths_completed == whole.paths_completed
+    assert last.covered_lines == whole.covered_lines
+    assert sorted(t.fork_trace for t in last.test_cases) \
+        == sorted(t.fork_trace for t in whole.test_cases)
+    assert sum(r.rounds_executed for r in results) >= whole.rounds_executed
+    # The retired member's account stayed in the books across the runs.
+    assert 2 in last.worker_stats and last.peak_workers == 2
+
+
+def test_final_filed_at_the_end_of_a_run_is_void_once_the_member_dies(printf2):
+    """A loopback member is finalized at the end of every run; when it dies
+    in the next one before reporting again, that final must not keep its
+    (redone) work in the totals."""
+    whole = printf2.build_cluster(
+        ClusterConfig(num_workers=3, instructions_per_round=60)).run()
+    cluster, _ = _cluster(
+        printf2, lambda member: FaultyTransport(
+            member, victim=1, command=ExploreCommand, occurrence=3,
+            when="reply"),
+        num_workers=3, instructions_per_round=60)
+    first = cluster.run(max_rounds=2)
+    assert first.worker_failures == 0 and 1 in first.worker_stats
+    second = cluster.run()
+    assert second.exhausted and list(second.failed_worker_stats) == [1]
+    assert second.paths_completed == whole.paths_completed
+    assert sorted(t.fork_trace for t in second.test_cases) \
+        == sorted(t.fork_trace for t in whole.test_cases)
+    assert 1 not in second.worker_stats
+
+
+# -- one place adds up -------------------------------------------------------------------
+
+
+def test_round_record_checkpoint_and_result_read_the_same_books():
+    """One run with a retirement, a member death and a checkpoint after every
+    round: wherever a number is reported, it is the same number."""
+    test = specs.resolve_test("printf", format_length=3)
+    single = test.run(backend="single")
+    cluster, _ = _cluster(
+        test, lambda member: FaultyTransport(
+            member, victim=3, command=ExploreCommand, occurrence=6,
+            when="reply"),
+        num_workers=4, instructions_per_round=120, checkpoint_every=1,
+        drain_chunk=4)
+    checkpoints = {}
+
+    def hook(round_index, cl):
+        if round_index == 3:
+            cl.remove_worker(2)
+        if cl.last_checkpoint is not None:
+            checkpoints[cl.last_checkpoint.round_index] = cl.last_checkpoint
+
+    cluster.round_hook = hook
+    result = cluster.run()
+    checkpoints[cluster.last_checkpoint.round_index] = cluster.last_checkpoint
+
+    assert result.exhausted and result.workers_removed == 1
+    assert result.worker_failures == 1 and list(result.failed_worker_stats) == [3]
+    lost = result.failed_worker_stats[3]
+    died_in = next(snap.round_index for snap in result.timeline.snapshots
+                   if snap.round_index + 1 not in checkpoints)
+    assert 3 < died_in < result.rounds_executed - 1
+    assert len(checkpoints) == result.rounds_executed - 1  # none that round
+
+    useful = replay = 0
+    for snap in result.timeline.snapshots:
+        useful += snap.useful_instructions
+        replay += snap.replay_instructions
+        checkpoint = checkpoints.get(snap.round_index + 1)
+        if checkpoint is None:
+            continue
+        # The dead member's work left the books (survivors redo it); the
+        # per-round increments had already counted it.
+        redone = snap.round_index > died_in
+        assert checkpoint.paths_completed == snap.paths_completed
+        assert len(checkpoint.test_cases) == snap.paths_completed
+        assert bool(checkpoint.bug_reports) == bool(snap.bugs_found)
+        assert checkpoint.useful_instructions == useful - (
+            lost.useful_instructions if redone else 0)
+        assert checkpoint.replay_instructions == replay - (
+            lost.replay_instructions if redone else 0)
+
+    final = checkpoints[result.rounds_executed]
+    assert final.frontier_paths == []
+    assert final.paths_completed == result.paths_completed
+    assert final.useful_instructions == result.useful_instructions
+    assert final.replay_instructions == result.replay_instructions
+    assert len(final.bug_reports) == len(result.bugs)
+    assert final.covered_lines() == result.covered_lines
+    assert sorted(tuple(t["fork_trace"]) for t in final.test_cases) \
+        == sorted(tuple(t.fork_trace) for t in result.test_cases)
+    assert result.timeline.snapshots[-1].paths_completed == result.paths_completed
+
+    assert result.paths_completed == single.paths_completed
+    assert result.covered_lines == single.covered_lines
+    assert result.bug_summaries() == single.bug_summaries()
+    assert sorted(t.fork_trace for t in result.test_cases) \
+        == sorted(t.fork_trace for t in single.test_cases)
+    # Accounts: the retired member's is final, the dead one's is not.
+    assert {(a.worker_id, a.dead, a.final is not None)
+            for a in cluster.books.departed} == {(2, False, True),
+                                                 (3, True, False)}
+    assert sorted(result.worker_stats) == [1, 2, 4]
+
+
+# -- a launched member does not outlive the error that refused it -------------------------
+
+
+def test_startup_failure_closes_every_launched_member(printf2):
+    error, built = _cluster(
+        printf2, lambda member: (WrongProgram if member.worker_id == 2
+                                 else LoopbackTransport)(member),
+        num_workers=4)
+    assert isinstance(error, WorkerProcessError)
+    assert "worker 2 compiled a program" in str(error)
+    assert [transport.is_alive() for transport in built] == [False] * 4
+
+
+def test_replacement_that_fails_to_start_past_the_budget_is_closed(printf2):
+    def carrier(member):
+        if member.worker_id == 4:
+            return Stillborn(member)
+        return FaultyTransport(member, victim=1, command=ExploreCommand,
+                               occurrence=3, when="reply")
+
+    cluster, built = _cluster(printf2, carrier, num_workers=3,
+                              instructions_per_round=60, respawn=True,
+                              max_worker_failures=1)
+    with pytest.raises(WorkerProcessError, match="worker 4 .*failure budget"):
+        cluster.run(max_rounds=50)
+    assert [t.peer for t in built if not t.is_alive()] \
+        == [built[0].peer, built[3].peer]
+    assert cluster.live_worker_ids == [2, 3]
+
+
+def test_joining_member_that_is_refused_is_closed(printf2):
+    cluster, built = _cluster(
+        printf2, lambda member: (WrongProgram if member.worker_id == 3
+                                 else LoopbackTransport)(member),
+        num_workers=2)
+    with pytest.raises(WorkerProcessError,
+                       match="worker 3 compiled .* while joining"):
+        cluster.add_worker()
+    assert not built[2].is_alive()
+    assert cluster.live_worker_ids == [1, 2]
+    assert sorted(cluster.load_balancer.reports) == [1, 2]
+    assert cluster.run().exhausted

@@ -59,12 +59,12 @@ class FaultyTransport(LoopbackTransport):
         return super().recv(timeout=timeout)
 
 
-def _faulty_cluster(test, **fault):
+def _faulty_cluster(test, policy=None, **fault):
     class FaultyCluster(Cloud9Cluster):
         carrier = staticmethod(
             lambda member: FaultyTransport(member, **fault))
 
-    return test.build_cluster(ClusterConfig(**CONFIG),
+    return test.build_cluster(ClusterConfig(**CONFIG, **(policy or {})),
                               cluster_class=FaultyCluster)
 
 
@@ -152,8 +152,8 @@ def test_death_schedule_sweep(test_and_baseline):
 
 def test_respawn_replaces_the_dead_member(test_and_baseline):
     test, baseline = test_and_baseline
-    cluster = _faulty_cluster(test, **SCENARIOS["mid-explore"])
-    cluster.respawn = True
+    cluster = _faulty_cluster(test, policy=dict(respawn=True),
+                              **SCENARIOS["mid-explore"])
     _check_every_round(cluster)
     result = cluster.run(limits=LIMITS)
     assert result.exhausted and result.respawns == 1
@@ -163,7 +163,7 @@ def test_respawn_replaces_the_dead_member(test_and_baseline):
 
 def test_failure_budget_is_enforced_in_process(test_and_baseline):
     test, _ = test_and_baseline
-    cluster = _faulty_cluster(test, **SCENARIOS["mid-explore"])
-    cluster.max_worker_failures = 0
+    cluster = _faulty_cluster(test, policy=dict(max_worker_failures=0),
+                              **SCENARIOS["mid-explore"])
     with pytest.raises(WorkerProcessError, match="failure budget"):
         cluster.run(limits=LIMITS)

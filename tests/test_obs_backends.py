@@ -177,7 +177,7 @@ class TestFaultTracing:
 
         def hook(round_index, cl):
             if round_index == 3 and "victim" not in state:
-                victim = cl.handles[0]
+                victim = state["account"] = cl.handles[0]
                 state["victim"] = victim.worker_id
                 os.kill(victim.process.pid, signal.SIGKILL)
 
@@ -202,7 +202,8 @@ class TestFaultTracing:
         # Dead-worker cache counters: the victim never sent a FinalReply,
         # yet its piggybacked counters are in the aggregate.
         assert victim not in result.worker_stats
-        failed = cluster._failed_cache_counters[victim]
+        assert state["account"].dead and state["account"].final is None
+        failed = state["account"].status.cache_counters
         assert failed["solver_queries"] > 0
         assert result.cache_stats["solver_queries"] >= (
             failed["solver_queries"] + 1)
