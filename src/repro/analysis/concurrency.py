@@ -1,10 +1,11 @@
-"""CONC: blocking calls under locks, untimed receives, lock-order cycles.
+"""CONC: blocking calls under locks, untimed receives.
 
 The coordinator is a single-threaded request/reply loop surrounded by
 helper threads (TCP receivers, heartbeat pumps, the status server), and
 the discipline that keeps it live is simple: never block indefinitely
-while holding a lock, and never wait on a peer without a timeout.  Both
-rules are cross-file conventions no tool checked until now:
+while holding a lock, and never wait on a peer without a timeout
+(``TcpTransport._sendall`` and ``QueuePairTransport.recv`` are the code
+both rules are about):
 
 ``CONC001``
     A blocking call (``socket.recv/accept/sendall/connect``, ``Queue.get``/
@@ -15,16 +16,6 @@ rules are cross-file conventions no tool checked until now:
     An untimed ``.get()`` on a queue: a dead sender hangs the caller
     forever (the worker loop's exact failure mode when its coordinator
     dies).
-``CONC003``
-    The inter-module lock-acquisition graph has a cycle -- two code paths
-    that take the same locks in opposite orders are a deadlock candidate.
-    Call edges are resolved through the whole-program index
-    (:class:`repro.analysis.program.ProjectIndex`): ``self.method()``
-    through the MRO with abstract hooks expanded to their in-tree
-    overrides, typed-attribute receivers (``self.transport.send()``
-    follows the annotation on the constructor parameter), and imported
-    functions -- so a coordinator->transport inversion two modules apart
-    still closes the cycle.
 
 Lock identification is heuristic but strict enough to be quiet: a ``with``
 context is a lock when its expression resolves to a ``threading.Lock/
@@ -35,8 +26,7 @@ its dotted name contains ``lock``.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from repro.analysis.core import (
     Finding,
@@ -45,7 +35,6 @@ from repro.analysis.core import (
     enclosing_context,
     qualname_index,
 )
-from repro.analysis.program import ProjectIndex
 
 __all__ = ["check"]
 
@@ -75,21 +64,6 @@ def _is_queueish(receiver: str) -> bool:
     return any(hint in lowered for hint in _QUEUEISH_HINTS)
 
 
-def _is_lockish_name(receiver: str) -> bool:
-    return "lock" in receiver.lower()
-
-
-@dataclass
-class _FunctionInfo:
-    qualname: str
-    module: SourceModule
-    node: ast.AST
-    #: Locks this function acquires anywhere in its own body.
-    acquires: Set[str] = field(default_factory=set)
-    #: Callees resolvable inside the analyzed tree (same-module names).
-    calls: Set[str] = field(default_factory=set)
-
-
 def _collect_lock_attrs(modules: List[SourceModule]) -> Set[str]:
     """Attribute/name targets assigned a ``threading.Lock()``-style value."""
     lock_names: Set[str] = set()
@@ -112,21 +86,6 @@ def _collect_lock_attrs(modules: List[SourceModule]) -> Set[str]:
                     # any method of any class with that attribute.
                     lock_names.add(chain.split(".")[-1])
     return lock_names
-
-
-def _lock_identity(module: SourceModule, context: str, expr: ast.AST) -> str:
-    """Stable identity for a lock acquisition site.
-
-    ``self._send_lock`` inside ``TcpTransport._sendall`` becomes
-    ``repro/net/transport.py::TcpTransport._send_lock`` -- one node per
-    (class, attribute) pair, so acquisitions in different methods of the
-    same class meet in the graph.
-    """
-    chain = attr_chain(expr) or ast.unparse(expr)
-    owner = context.split(".")[0] if context else "<module>"
-    if chain.startswith("self."):
-        return "%s::%s.%s" % (module.path, owner, chain[len("self."):])
-    return "%s::%s" % (module.path, chain)
 
 
 def _blocking_reason(node: ast.Call) -> Optional[str]:
@@ -158,73 +117,38 @@ def _blocking_reason(node: ast.Call) -> Optional[str]:
     return None
 
 
-def check(modules: List[SourceModule],
-          index: Optional[ProjectIndex] = None) -> List[Finding]:
-    if index is None:
-        index = ProjectIndex(modules)
+def check(modules: List[SourceModule]) -> List[Finding]:
     findings: List[Finding] = []
     known_lock_attrs = _collect_lock_attrs(modules)
-    functions: Dict[str, _FunctionInfo] = {}
-    #: (outer lock, inner lock, path, line) lexical nesting edges.
-    edges: Dict[Tuple[str, str], Tuple[str, int, str]] = {}
-
-    def resolve_calls(module: SourceModule, qualname: str,
-                      func_node: Optional[ast.AST],
-                      call_func: ast.AST) -> List[str]:
-        """Cross-module callee keys, with the old same-module fallback."""
-        keys = index.callees(module, qualname, func_node, call_func)
-        if keys:
-            return keys
-        legacy = _resolve_callee(call_func, qualname)
-        if legacy:
-            return ["%s::%s" % (module.path, legacy)]
-        return []
 
     def is_lock_expr(expr: ast.AST) -> bool:
         chain = attr_chain(expr)
         if not chain:
             return False
-        if _is_lockish_name(chain):
-            return True
-        return chain.split(".")[-1] in known_lock_attrs
+        return ("lock" in chain.lower()
+                or chain.split(".")[-1] in known_lock_attrs)
 
     def scan_module(module: SourceModule) -> None:
-        index_names = qualname_index(module)
+        index = qualname_index(module)
 
-        def walk(node: ast.AST, held: Tuple[str, ...],
-                 function: Optional[_FunctionInfo]) -> None:
+        def walk(node: ast.AST, held: Tuple[str, ...]) -> None:
             for child in ast.iter_child_nodes(node):
                 if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    info = _FunctionInfo(
-                        qualname=index_names.get(child, child.name),
-                        module=module, node=child)
-                    functions["%s::%s" % (module.path, info.qualname)] = info
                     # A nested def's body runs later; locks held here are
                     # not held inside it.
-                    walk(child, (), info)
+                    walk(child, ())
                     continue
                 if isinstance(child, ast.Lambda):
                     continue
                 acquired: List[str] = []
                 if isinstance(child, (ast.With, ast.AsyncWith)):
                     for item in child.items:
-                        expr = item.context_expr
                         # `with lock:` or `with lock.acquire_timeout(..)`
-                        target = expr
-                        if isinstance(expr, ast.Call):
-                            target = expr.func
+                        target = item.context_expr
+                        if isinstance(target, ast.Call):
+                            target = target.func
                         if is_lock_expr(target):
-                            context = (function.qualname if function else "")
-                            lock_id = _lock_identity(module, context, target)
-                            acquired.append(lock_id)
-                            if function is not None:
-                                function.acquires.add(lock_id)
-                            for outer in held:
-                                if outer != lock_id:
-                                    edges.setdefault(
-                                        (outer, lock_id),
-                                        (module.path, child.lineno,
-                                         context))
+                            acquired.append(attr_chain(target))
                 if isinstance(child, ast.Call):
                     reason = _blocking_reason(child)
                     receiver = (attr_chain(child.func.value)
@@ -234,11 +158,11 @@ def check(modules: List[SourceModule],
                         findings.append(Finding(
                             "CONC001", module.path, child.lineno,
                             "blocking call under lock %s: %s"
-                            % (_short(held[-1]), reason),
+                            % (held[-1], reason),
                             hint="bound the wait (timeout=, select with a "
                                  "deadline) or move the call outside the "
                                  "lock",
-                            context=(function.qualname if function else "")))
+                            context=enclosing_context(module, child, index)))
                     elif (isinstance(child.func, ast.Attribute)
                           and child.func.attr == "get"
                           and _is_queueish(receiver)
@@ -251,124 +175,11 @@ def check(modules: List[SourceModule],
                             "loop forever" % (receiver or "<queue>"),
                             hint="pass timeout= and re-check liveness "
                                  "between attempts",
-                            context=(function.qualname if function else "")))
-                    if function is not None:
-                        function.calls.update(resolve_calls(
-                            module, function.qualname, function.node,
-                            child.func))
-                walk(child, held + tuple(acquired), function)
+                            context=enclosing_context(module, child, index)))
+                walk(child, held + tuple(acquired))
 
-        walk(module.tree, (), None)
+        walk(module.tree, ())
 
     for module in modules:
         scan_module(module)
-
-    # Propagate: a call made while holding lock A reaches locks acquired in
-    # the (same-module) callee, transitively.
-    closure: Dict[str, Set[str]] = {}
-
-    def locks_of(function_key: str, seen: Set[str]) -> Set[str]:
-        if function_key in closure:
-            return closure[function_key]
-        if function_key in seen:
-            return set()
-        seen.add(function_key)
-        info = functions.get(function_key)
-        if info is None:
-            return set()
-        total = set(info.acquires)
-        for callee in info.calls:
-            total |= locks_of(callee, seen)
-        closure[function_key] = total
-        return total
-
-    def scan_module_calls(module: SourceModule) -> None:
-        index_names = qualname_index(module)
-
-        def walk_calls(node: ast.AST, held: Tuple[str, ...],
-                       context: str, func_node: Optional[ast.AST]) -> None:
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    walk_calls(child, (), index_names.get(child, child.name),
-                               child)
-                    continue
-                acquired: List[str] = []
-                if isinstance(child, (ast.With, ast.AsyncWith)):
-                    for item in child.items:
-                        target = item.context_expr
-                        if isinstance(target, ast.Call):
-                            target = target.func
-                        if is_lock_expr(target):
-                            acquired.append(
-                                _lock_identity(module, context, target))
-                if held and isinstance(child, ast.Call):
-                    for callee in resolve_calls(module, context, func_node,
-                                                child.func):
-                        for inner in locks_of(callee, set()):
-                            for outer in held:
-                                if outer != inner:
-                                    edges.setdefault(
-                                        (outer, inner),
-                                        (module.path, child.lineno, context))
-                walk_calls(child, held + tuple(acquired), context, func_node)
-
-        walk_calls(module.tree, (), "", None)
-
-    for module in modules:
-        scan_module_calls(module)
-
-    findings.extend(_find_cycles(edges))
-    return findings
-
-
-def _resolve_callee(func: ast.AST, caller_qualname: str) -> Optional[str]:
-    """Same-module callee qualname for ``self.m()`` / ``name()`` calls.
-
-    A ``self.m()`` call inside ``C.f`` resolves to ``C.m`` (methods of the
-    same class); a bare ``name()`` call resolves to the module-level
-    function ``name``.
-    """
-    if isinstance(func, ast.Name):
-        return func.id
-    if (isinstance(func, ast.Attribute)
-            and isinstance(func.value, ast.Name)
-            and func.value.id in ("self", "cls")):
-        if "." in caller_qualname:
-            owner = caller_qualname.rsplit(".", 1)[0]
-            return "%s.%s" % (owner, func.attr)
-        return func.attr
-    return None
-
-
-def _short(lock_id: str) -> str:
-    return lock_id.split("::", 1)[-1]
-
-
-def _find_cycles(edges: Dict[Tuple[str, str], Tuple[str, int, str]]
-                 ) -> List[Finding]:
-    graph: Dict[str, Set[str]] = {}
-    for (outer, inner) in edges:
-        graph.setdefault(outer, set()).add(inner)
-    findings: List[Finding] = []
-    reported: Set[frozenset] = set()
-    for start in sorted(graph):
-        stack = [(start, (start,))]
-        while stack:
-            node, path = stack.pop()
-            for neighbor in sorted(graph.get(node, ())):
-                if neighbor == start and len(path) > 1:
-                    cycle = frozenset(path)
-                    if cycle in reported:
-                        continue
-                    reported.add(cycle)
-                    src_path, line, context = edges[(path[-1], start)]
-                    findings.append(Finding(
-                        "CONC003", src_path, line,
-                        "lock-order cycle (deadlock candidate): %s"
-                        % " -> ".join(_short(p) for p in path + (start,)),
-                        hint="acquire these locks in one global order, or "
-                             "collapse them into a single lock",
-                        context=context))
-                elif neighbor not in path:
-                    stack.append((neighbor, path + (neighbor,)))
     return findings

@@ -27,13 +27,8 @@ class Finding:
     line: int
     message: str
     hint: str = ""
-    #: Enclosing ``Class.function`` qualname -- the stable half of the
-    #: baseline fingerprint (line numbers shift, qualnames rarely do).
+    #: Enclosing ``Class.function`` qualname ("" at module level).
     context: str = ""
-
-    def fingerprint(self) -> str:
-        """Line-independent identity used by the baseline file."""
-        return "|".join((self.checker, self.path, self.context, self.message))
 
     def render(self) -> str:
         text = "%s:%d: [%s] %s" % (self.path, self.line, self.checker,

@@ -13,11 +13,11 @@ when they drift apart:
     A message class or field changed while ``PROTOCOL_VERSION`` stayed at
     the locked value: bump the version, then regenerate the lock.
 ``PROTO002``
-    The lock file is missing or records a different version than the code:
-    regenerate with ``python -m repro.analysis --update-lock``.
-``PROTO003``
-    A message field's declared type (or default) cannot cross a pickle
-    boundary: locks, sockets, open files, lambdas, threads, queues.
+    The lock file is missing, does not parse, or records a different
+    version than the code: regenerate with ``python -m repro.analysis
+    --update-lock`` (a lock that exists but does not parse has to be
+    restored from version control first -- ``--update-lock`` refuses to
+    overwrite what it cannot diff against).
 ``PROTO004``
     The semver rule.  The lock (format 2) records both the current
     ``PROTOCOL_VERSION`` and the ``PROTOCOL_COMPAT_VERSION`` floor -- the
@@ -30,8 +30,8 @@ when they drift apart:
     breaking change at a compatible version bump -- advance the floor or
     make the change additive.  Compatible additions are tagged in the
     lock with ``"since": <version>`` so the window stays auditable;
-    ``--update-lock`` migrates format-1 locks and refuses to write a lock
-    that would paper over a breaking compatible bump.
+    ``--update-lock`` refuses to write a lock that would paper over a
+    breaking compatible bump.
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ from repro.analysis.core import Finding, SourceModule
 
 __all__ = ["MESSAGE_MODULES", "VERSION_MODULE", "VERSION_CONSTANT",
            "COMPAT_CONSTANT", "LOCK_FORMAT", "extract_protocol",
-           "classify_changes", "normalize_lock", "build_lock",
-           "verify_lock", "write_lock", "load_lock", "check"]
+           "classify_changes", "build_lock", "verify_lock", "write_lock",
+           "load_lock", "LockError", "check"]
 
 #: Path suffix -> dotted module name of every file whose dataclasses are
 #: wire messages.  Matched by suffix so fixture trees work unchanged.
@@ -63,20 +63,9 @@ VERSION_CONSTANT = "PROTOCOL_VERSION"
 #: (no compatibility window).
 COMPAT_CONSTANT = "PROTOCOL_COMPAT_VERSION"
 
-#: Current on-disk lock format.  Format 1 was flat (version + messages);
-#: format 2 adds the compat floor and per-field ``since`` tags.
+#: On-disk lock format: version, compat floor, messages with per-field
+#: ``since`` tags.
 LOCK_FORMAT = 2
-
-#: Identifiers in a field annotation (or default) that name values which do
-#: not survive pickling -- the process/TCP transports ship every message
-#: through ``pickle.dumps``.
-_UNPICKLABLE_NAMES = frozenset({
-    "Lock", "RLock", "Condition", "Event", "Semaphore", "BoundedSemaphore",
-    "Barrier", "Thread", "socket", "Socket", "Popen", "Queue", "SimpleQueue",
-    "LifoQueue", "PriorityQueue", "IO", "TextIO", "BinaryIO", "TextIOWrapper",
-    "FileIO", "BufferedReader", "BufferedWriter", "Callable", "Generator",
-    "lambda",
-})
 
 
 def _is_dataclass_decorated(node: ast.ClassDef) -> bool:
@@ -157,53 +146,33 @@ def extract_protocol(modules: List[SourceModule]) -> Tuple[dict, dict]:
     return lock_data, locations
 
 
-def _check_picklable(modules: List[SourceModule]) -> List[Finding]:
-    findings: List[Finding] = []
-    for module in modules:
-        dotted = _module_name(module)
-        if dotted is None:
-            continue
-        for node in module.tree.body:
-            if not isinstance(node, ast.ClassDef) or not _is_dataclass_decorated(node):
-                continue
-            for statement in node.body:
-                if not isinstance(statement, ast.AnnAssign):
-                    continue
-                bad = _unpicklable_names_in(statement.annotation)
-                if statement.value is not None:
-                    bad |= _unpicklable_names_in(statement.value)
-                if bad:
-                    target = (statement.target.id
-                              if isinstance(statement.target, ast.Name)
-                              else ast.unparse(statement.target))
-                    findings.append(Finding(
-                        "PROTO003", module.path, node.lineno,
-                        "message %s.%s field %r has unpicklable type (%s); "
-                        "it cannot cross the process/TCP wire"
-                        % (dotted, node.name, target, ", ".join(sorted(bad))),
-                        hint="ship plain data (ids, encoded trees) and "
-                             "rebuild the live object on the far side",
-                        context=node.name))
-    return findings
-
-
-def _unpicklable_names_in(node: ast.AST) -> set:
-    bad = set()
-    for child in ast.walk(node):
-        if isinstance(child, ast.Lambda):
-            bad.add("lambda")
-        elif isinstance(child, ast.Name) and child.id in _UNPICKLABLE_NAMES:
-            bad.add(child.id)
-        elif isinstance(child, ast.Attribute) and child.attr in _UNPICKLABLE_NAMES:
-            bad.add(child.attr)
-    return bad
+class LockError(ValueError):
+    """The lock file exists but is not a format-2 lock."""
 
 
 def load_lock(path: str) -> Optional[dict]:
+    """The committed lock; ``None`` only when there is no such file.
+
+    A file that is there but cannot be read as a format-2 lock raises
+    :class:`LockError`: treating it as absent would let ``--update-lock``
+    write a fresh lock without diffing against the old one, which is the
+    semver gate switched off.
+    """
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError):
+        text = Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
         return None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise LockError("cannot read %s: %s" % (path, exc)) from None
+    try:
+        lock = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise LockError("%s is not valid JSON (%s)" % (path, exc)) from None
+    if not (isinstance(lock, dict) and lock.get("format") == LOCK_FORMAT
+            and isinstance(lock.get("messages"), dict)):
+        raise LockError("%s is not a format-%d protocol lock"
+                        % (path, LOCK_FORMAT))
+    return lock
 
 
 def write_lock(lock_data: dict, path: str) -> None:
@@ -221,24 +190,6 @@ def _signature(entry: dict) -> Tuple[object, object]:
     ``since`` tags are lock bookkeeping, not part of the wire shape.
     """
     return (entry.get("type"), entry.get("default"))
-
-
-def normalize_lock(locked: Optional[dict]) -> Optional[dict]:
-    """Read any committed lock as format 2.
-
-    A flat format-1 lock has no compatibility window: its floor is its own
-    version and nothing carries a ``since`` tag.
-    """
-    if locked is None:
-        return None
-    if locked.get("format", 1) >= LOCK_FORMAT:
-        return locked
-    return {
-        "format": LOCK_FORMAT,
-        "protocol_version": locked.get("protocol_version"),
-        "compat_version": locked.get("protocol_version"),
-        "messages": locked.get("messages", {}),
-    }
 
 
 def classify_changes(frozen: dict, current: dict
@@ -290,7 +241,6 @@ def build_lock(lock_data: dict,
     ``"since": <new version>``; prior tags are carried forward until the
     compat floor catches up, then folded into the base message shape.
     """
-    previous = normalize_lock(previous)
     version = lock_data.get("protocol_version")
     compat = lock_data.get("compat_version", version)
     messages = {
@@ -353,11 +303,10 @@ def verify_lock(lock_data: dict, locations: dict,
             % (COMPAT_CONSTANT, compat, VERSION_CONSTANT, version),
             hint="keep %s <= %s" % (COMPAT_CONSTANT, VERSION_CONSTANT)))
         return findings
-    locked = normalize_lock(locked)
     if locked is None:
         findings.append(Finding(
             "PROTO002", version_path, version_line,
-            "protocol lock file %s is missing or unreadable" % lock_path,
+            "protocol lock file %s is missing" % lock_path,
             hint="run `python -m repro.analysis --update-lock` and commit "
                  "the result"))
         return findings
@@ -460,11 +409,17 @@ def _describe(entry: dict) -> str:
 
 
 def check(modules: List[SourceModule], lock_path: str) -> List[Finding]:
-    """The full PROTO family: picklability plus lock verification."""
+    """The PROTO family: the tree's message set against the lock file."""
     lock_data, locations = extract_protocol(modules)
-    findings = _check_picklable(modules)
     if not lock_data["messages"] and lock_data["protocol_version"] is None:
-        return findings  # tree has no wire modules at all (fixture trees)
-    findings.extend(verify_lock(lock_data, locations, load_lock(lock_path),
-                                lock_path))
-    return findings
+        return []  # tree has no wire modules at all (fixture trees)
+    try:
+        locked = load_lock(lock_path)
+    except LockError as exc:
+        path, line = locations.get(VERSION_CONSTANT, (VERSION_MODULE, 1))
+        return [Finding(
+            "PROTO002", path, line,
+            "protocol lock file is corrupt: %s" % exc,
+            hint="restore %s from version control; --update-lock will not "
+                 "overwrite a lock it cannot compare against" % lock_path)]
+    return verify_lock(lock_data, locations, locked, lock_path)

@@ -96,7 +96,6 @@ def _ensure_builtins() -> None:
     with _LOCK:
         if _BUILTINS_LOADED:
             return
-        _BUILTINS_LOADED = True
         from repro.targets import (
             bandicoot, coreutils, curl, ghttpd, httpd, libevent, lighttpd,
             memcached, pbzip, printf, prodcons, rsync, testcmd)
@@ -137,3 +136,6 @@ def _ensure_builtins() -> None:
             builtins["coreutils-%s" % utility] = _coreutils_factory(utility)
         for name, factory in builtins.items():
             _REGISTRY.setdefault(name, factory)
+        # Only now: an import that raised above must raise again on the next
+        # call, not leave an empty registry behind.
+        _BUILTINS_LOADED = True

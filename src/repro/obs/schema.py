@@ -1,25 +1,23 @@
-"""The declared trace-event schema registry: one vocabulary, six backends.
+"""The declared trace-event schema registry: one vocabulary, every backend.
 
 Every backend writes the same JSONL trace format (:mod:`repro.obs.trace`),
-and downstream consumers -- the report CLI, the replay tooling ROADMAP item
-6 asks for, and the trace-integrity tests -- key off event names and field
-names that until now lived only as string literals scattered across four
-subsystems.  This module makes the vocabulary explicit:
+and downstream consumers -- the report CLI and the trace-integrity tests --
+key off event names and field names.  This module makes that vocabulary
+explicit:
 
 * one :class:`EventSchema` per event, declaring its required keys (present
-  at every emit site), its optional keys (backend-specific extras), and
-  whether the payload is open (``allow_extra``, for pass-through dumps like
+  at every emit site), its optional keys (present at some), and whether the
+  payload is open (``allow_extra``, for pass-through dumps like
   ``solver_query``);
 * one module-level constant per event name (``ROUND_COMPLETED`` ...), which
   emit call sites use instead of string literals.
 
-The registry is deliberately *statically parseable*: every ``_event(...)``
-call below uses only literals, so the static checker
-(:mod:`repro.analysis.traceschema`) reads this file's AST -- no imports, no
-execution -- and verifies every ``Tracer.emit`` call site in the tree
-against it.  Drift between backends on a shared event (a key renamed in one
-coordinator but not the other) is a CI failure, not a silently broken
-report.
+The registry is checked in one place, at runtime:
+:func:`repro.obs.trace.schema_validator` holds every record to
+:func:`validate_keys` before it is written, and ``tests/conftest.py`` turns
+it on for the whole suite (worker processes and TCP agents included), so an
+emit site that drifts from its schema fails the first traced test that
+reaches it.
 
 Registering a new event
 -----------------------
@@ -28,8 +26,9 @@ Registering a new event
    optional=(...))``; keys in ``required`` must appear at every emit site,
    keys in ``optional`` may appear at some.
 2. Use the constant at the emit site: ``tracer.emit(schema.MY_EVENT, ...)``.
-3. Run ``python -m repro.analysis src/`` -- unknown events, unknown keys
-   and missing required keys are findings with file:line positions.
+3. Reach the emit site from a test that passes ``trace_path=`` -- an
+   unknown event, an undeclared key or a missing required key raises
+   ``ValueError`` there.
 
 Envelope keys (``seq``/``ts``/``event``/``run``/``worker``/``round``/
 ``wts``) are added by the tracer itself and never declared per event.
@@ -60,9 +59,6 @@ class EventSchema:
     optional: Tuple[str, ...] = ()
     #: Open payload: sites may pass keys not listed here (dynamic dumps).
     allow_extra: bool = False
-    #: Emitted by more than one backend; the checker holds every site to
-    #: the same required set, which is what keeps the backends in sync.
-    shared: bool = False
 
     def allowed(self) -> frozenset:
         return frozenset(self.required) | frozenset(self.optional)
@@ -73,18 +69,13 @@ EVENT_SCHEMAS: Dict[str, EventSchema] = {}
 
 
 def _event(name: str, required: Tuple[str, ...] = (),
-           optional: Tuple[str, ...] = (), allow_extra: bool = False,
-           shared: bool = False) -> str:
-    """Register one event schema; returns the name (bound to a constant).
-
-    Call sites of this helper must stay literal-only -- the static checker
-    parses them from the AST.
-    """
+           optional: Tuple[str, ...] = (), allow_extra: bool = False) -> str:
+    """Register one event schema; returns the name (bound to a constant)."""
     if name in EVENT_SCHEMAS:
         raise ValueError("duplicate trace event schema %r" % name)
     EVENT_SCHEMAS[name] = EventSchema(name=name, required=tuple(required),
                                       optional=tuple(optional),
-                                      allow_extra=allow_extra, shared=shared)
+                                      allow_extra=allow_extra)
     return name
 
 
@@ -93,39 +84,33 @@ def _event(name: str, required: Tuple[str, ...] = (),
 RUN_STARTED = _event(
     "run_started",
     required=("backend", "workers", "line_count"),
-    optional=("test", "resumed_from_round"),
-    shared=True)
+    optional=("test", "resumed_from_round"))
 
 ROUND_COMPLETED = _event(
     "round_completed",
     required=("elapsed", "coverage_percent", "covered_lines", "paths",
               "candidates", "workers", "useful", "replay", "transferred",
-              "queues", "workers_detail"),
-    shared=True)
+              "queues", "workers_detail"))
 
 RUN_FINISHED = _event(
     "run_finished",
     required=("paths", "coverage_percent", "bugs", "exhausted", "wall_time"),
     optional=("rounds", "steps", "instructions", "useful", "replay",
-              "goal_reached", "round_time_p50", "round_time_p99"),
-    shared=True)
+              "goal_reached", "round_time_p50", "round_time_p99"))
 
 BUG_FOUND = _event(
     "bug_found",
-    optional=("kind", "message", "bugs", "new"),
-    shared=True)
+    optional=("kind", "message", "bugs", "new"))
 
 CHECKPOINT_WRITTEN = _event(
     "checkpoint_written",
-    optional=("path",),
-    shared=True)
+    optional=("path",))
 
 #: End-of-run dump of the solver/cache counters, built on every backend by
 #: :func:`repro.obs.trace.emit_solver_query`: the non-zero entries of the
-#: ``Solver.cache_counters()`` keys plus the latency percentiles.  Open only
-#: because that helper filters zeros out of a dict and so emits ``**payload``
-#: (TRACE004); ``tests/test_backend_parity.py`` holds the backends to one key
-#: set.
+#: ``Solver.cache_counters()`` keys plus the latency percentiles.  Open
+#: because the payload is whatever integer counters the solver reports;
+#: ``tests/test_backend_parity.py`` holds the backends to one key set.
 SOLVER_QUERY = _event(
     "solver_query",
     optional=("constraint_cache_hits", "constraint_cache_misses",
@@ -133,22 +118,21 @@ SOLVER_QUERY = _event(
               "solver_search_steps", "independence_groups", "groups_solved",
               "independence_hits", "unknown_cache_hits",
               "latency_count", "latency_p50", "latency_p99"),
-    allow_extra=True, shared=True)
+    allow_extra=True)
 
 # -- load balancing ----------------------------------------------------------------------
 
 JOB_TRANSFERRED = _event(
     "job_transferred",
-    required=("source", "destination", "jobs"),
-    shared=True)
+    required=("source", "destination", "jobs"))
 
 # -- membership --------------------------------------------------------------------------
 
-WORKER_JOINED = _event("worker_joined", optional=("workers",), shared=True)
+WORKER_JOINED = _event("worker_joined", optional=("workers",))
 
-WORKER_DRAINING = _event("worker_draining", required=("queue",), shared=True)
+WORKER_DRAINING = _event("worker_draining", required=("queue",))
 
-WORKER_LEFT = _event("worker_left", optional=("workers",), shared=True)
+WORKER_LEFT = _event("worker_left", optional=("workers",))
 
 AUTOSCALE_DECISION = _event(
     "autoscale_decision",
@@ -187,8 +171,8 @@ def schema_for(name: str) -> EventSchema:
 def validate_keys(name: str, keys) -> Tuple[str, ...]:
     """Problems with emitting ``keys`` for event ``name`` (empty = valid).
 
-    The same contract the static checker enforces, usable at runtime by
-    tests that build events dynamically.
+    The contract :func:`repro.obs.trace.schema_validator` enforces on every
+    record.
     """
     problems = []
     schema = EVENT_SCHEMAS.get(name)

@@ -34,12 +34,14 @@ single ordered file (the worker-local timestamp survives as ``wts``).
 every method is a no-op, so call sites guard hot-path payload building
 with ``if tracer.enabled:`` and pay nothing when tracing is off.
 
-Payloads can additionally be validated against the declared schema
-registry *at runtime*: pass ``validate=`` to :class:`Tracer` /
-:class:`BufferTracer`, or set ``REPRO_TRACE_VALIDATE=1`` in the
-environment to turn on :func:`schema_validator` everywhere (the tier-1 CI
-run does).  The static TRACE checkers cover literal emit sites; the
-runtime hook catches dynamically-built payloads they cannot see.
+Payloads are validated against the declared schema registry
+(:mod:`repro.obs.schema`) at runtime, and nowhere else: pass ``validate=``
+to :class:`Tracer` / :class:`BufferTracer`, or set
+``REPRO_TRACE_VALIDATE=1`` in the environment to turn on
+:func:`schema_validator` for every tracer, worker processes and TCP agents
+included.  ``tests/conftest.py`` sets it, so every record the test suite
+emits is checked -- literal payloads and ``**``-built ones alike; a plain
+run leaves it off and pays nothing.
 """
 
 from __future__ import annotations
@@ -101,9 +103,10 @@ class Tracer:
     whose value is ``None`` so call sites can pass optional fields
     unconditionally.
 
-    ``validate`` is an opt-in runtime schema hook called with every
-    finished record before it is written (default: on only when
-    ``REPRO_TRACE_VALIDATE`` is set in the environment).
+    ``validate`` is the runtime schema hook, called with every finished
+    record before it is written (default: on only when
+    ``REPRO_TRACE_VALIDATE`` is set in the environment, as it is under
+    pytest).
     """
 
     enabled = True

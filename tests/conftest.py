@@ -2,6 +2,13 @@
 
 from __future__ import annotations
 
+import os
+
+# The one trace-schema check: every record any test emits is held to
+# repro.obs.schema.  Set before repro is imported so forked worker
+# processes and spawned TCP agents inherit it.
+os.environ["REPRO_TRACE_VALIDATE"] = "1"
+
 import textwrap
 
 import pytest

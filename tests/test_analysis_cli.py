@@ -22,8 +22,7 @@ def _tree(tmp_path, source=VIOLATING, relpath="src/repro/engine/pick.py"):
 
 
 def _args(tmp_path, *extra):
-    return [*extra, "--baseline", str(tmp_path / "analysis_baseline.json"),
-            "--lock", str(tmp_path / "protocol.lock.json")]
+    return [*extra, "--lock", str(tmp_path / "protocol.lock.json")]
 
 
 class TestExitCodes:
@@ -44,61 +43,10 @@ class TestExitCodes:
         assert cli.main([str(tmp_path / "nowhere")]) == 2
         assert "no such path" in capsys.readouterr().err
 
-    def test_unknown_select_family_is_a_usage_error(self, tmp_path, capsys):
-        root = _tree(tmp_path)
-        assert cli.main(_args(tmp_path, root, "--select", "BOGUS")) == 2
-        assert "unknown checker families" in capsys.readouterr().err
-
     def test_syntax_errors_are_findings_not_crashes(self, tmp_path, capsys):
         root = _tree(tmp_path, source="def broken(:\n")
         assert cli.main(_args(tmp_path, root)) == 1
         assert "[ANA001]" in capsys.readouterr().out
-
-
-class TestSelect:
-    def test_select_filters_checker_families(self, tmp_path, capsys):
-        root = _tree(tmp_path)
-        assert cli.main(_args(tmp_path, root, "--select", "CONC")) == 0
-        assert cli.main(_args(tmp_path, root, "--select", "DET,CONC")) == 1
-        assert "[DET001]" in capsys.readouterr().out
-
-
-class TestBaselineFlow:
-    def test_write_baseline_then_rerun_is_green(self, tmp_path, capsys):
-        root = _tree(tmp_path)
-        assert cli.main(_args(tmp_path, root, "--write-baseline")) == 0
-        assert cli.main(_args(tmp_path, root)) == 0
-        assert "grandfathered" in capsys.readouterr().out
-
-    def test_new_finding_breaks_through_the_baseline(self, tmp_path, capsys):
-        root = _tree(tmp_path)
-        assert cli.main(_args(tmp_path, root, "--write-baseline")) == 0
-        _tree(tmp_path, relpath="src/repro/engine/other.py", source="""\
-            import time
-
-            def stale(job):
-                return time.time() - job.created > 60
-        """)
-        assert cli.main(_args(tmp_path, root)) == 1
-        out = capsys.readouterr().out
-        assert "[DET003]" in out          # the new one fails the run
-        assert "[DET001]" not in out      # the grandfathered one stays quiet
-
-    def test_no_baseline_reports_everything(self, tmp_path, capsys):
-        root = _tree(tmp_path)
-        assert cli.main(_args(tmp_path, root, "--write-baseline")) == 0
-        assert cli.main(_args(tmp_path, root, "--no-baseline")) == 1
-        assert "[DET001]" in capsys.readouterr().out
-
-    def test_fixed_finding_is_reported_stale(self, tmp_path, capsys):
-        root = _tree(tmp_path)
-        assert cli.main(_args(tmp_path, root, "--write-baseline")) == 0
-        _tree(tmp_path)  # rewrite tree...
-        (Path(root) / "src/repro/engine/pick.py").write_text(
-            "def pick(items):\n    return items[0]\n", encoding="utf-8")
-        assert cli.main(_args(tmp_path, root)) == 0  # stale is a note, not a failure
-        captured = capsys.readouterr()
-        assert "stale baseline entr" in captured.err + captured.out
 
 
 class TestInlineSuppression:
@@ -144,6 +92,24 @@ class TestLockFlow:
         assert data["protocol_version"] == 1
         assert cli.main(_args(tmp_path, root)) == 0
 
+    def test_update_lock_refuses_to_replace_a_corrupt_lock(
+            self, tmp_path, capsys):
+        """A lock that cannot be diffed against must not be overwritten:
+        that would skip the PROTO004 refusal."""
+        root = write_tree(tmp_path, self.WIRE)
+        lock = tmp_path / "protocol.lock.json"
+        assert cli.main(_args(tmp_path, root, "--update-lock")) == 0
+        truncated = lock.read_text(encoding="utf-8")[:40]
+        lock.write_text(truncated, encoding="utf-8")
+        capsys.readouterr()
+        assert cli.main(_args(tmp_path, root, "--update-lock")) == 1
+        captured = capsys.readouterr()
+        assert "refusing" in captured.err and "wrote" not in captured.out
+        assert lock.read_text(encoding="utf-8") == truncated
+        # Only a file that is not there counts as "no previous lock".
+        lock.unlink()
+        assert cli.main(_args(tmp_path, root, "--update-lock")) == 0
+
     def test_field_add_without_bump_fails_the_gate(self, tmp_path, capsys):
         root = write_tree(tmp_path, self.WIRE)
         assert cli.main(_args(tmp_path, root, "--update-lock")) == 0
@@ -159,13 +125,9 @@ class TestLockFlow:
 
 class TestShippedTree:
     def test_the_real_tree_is_clean_against_its_committed_lock(self):
-        """The repo must stay green under its own gate: no findings beyond
-        the committed baseline, lock in sync with the message set."""
+        """The repo must stay green under its own gate: no findings, lock
+        in sync with the message set."""
         findings = cli.run_analysis(
             [str(REPO_ROOT / "src")],
             lock_path=str(REPO_ROOT / "protocol.lock.json"))
-        from repro.analysis import baseline as baseline_module
-        entries = baseline_module.load_baseline(
-            str(REPO_ROOT / "analysis_baseline.json"))
-        active, _, _ = baseline_module.apply_baseline(findings, entries)
-        assert active == [], "\n".join(f.render() for f in active)
+        assert findings == [], "\n".join(f.render() for f in findings)

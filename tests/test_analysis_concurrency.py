@@ -1,4 +1,4 @@
-"""CONC: blocking-under-lock, untimed receives, lock-order cycles."""
+"""CONC: blocking-under-lock, untimed receives."""
 
 from repro.analysis import concurrency
 from repro.analysis.core import load_modules
@@ -120,53 +120,3 @@ class TestUntimedQueueGet:
                 return mapping.get(key)
         """)
         assert findings == []
-
-
-class TestLockOrderCycles:
-    def test_opposite_acquisition_order_is_conc003(self, tmp_path):
-        findings = _check(tmp_path, """\
-            class State:
-                def forward(self):
-                    with self.alpha_lock:
-                        with self.beta_lock:
-                            pass
-                def backward(self):
-                    with self.beta_lock:
-                        with self.alpha_lock:
-                            pass
-        """)
-        cycles = [f for f in findings if f.checker == "CONC003"]
-        assert len(cycles) == 1
-        assert "alpha_lock" in cycles[0].message
-        assert "beta_lock" in cycles[0].message
-
-    def test_cycle_through_a_same_module_call_is_found(self, tmp_path):
-        findings = _check(tmp_path, """\
-            class State:
-                def forward(self):
-                    with self.alpha_lock:
-                        self.notify()
-                def notify(self):
-                    with self.beta_lock:
-                        pass
-                def backward(self):
-                    with self.beta_lock:
-                        with self.alpha_lock:
-                            pass
-        """)
-        cycles = [f for f in findings if f.checker == "CONC003"]
-        assert len(cycles) == 1
-
-    def test_consistent_global_order_is_clean(self, tmp_path):
-        findings = _check(tmp_path, """\
-            class State:
-                def forward(self):
-                    with self.alpha_lock:
-                        with self.beta_lock:
-                            pass
-                def also_forward(self):
-                    with self.alpha_lock:
-                        with self.beta_lock:
-                            pass
-        """)
-        assert [f.checker for f in findings] == []

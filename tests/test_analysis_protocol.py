@@ -1,11 +1,15 @@
-"""PROTO: the wire-protocol lock checker, driven on fixture trees.
+"""PROTO: the wire-protocol lock checker and its semver rule (PROTO004),
+driven on fixture trees.
 
 Fixture trees mirror the real layout (``repro/distrib/messages.py`` etc.)
 under a tmp dir; the checker matches modules by path suffix, so nothing
 here needs to be importable.
 """
 
-from repro.analysis import protocol
+import json
+from pathlib import Path
+
+from repro.analysis import cli, protocol
 from repro.analysis.core import load_modules
 
 from conftest import write_tree
@@ -100,6 +104,21 @@ class TestLockVerification:
         assert [f.checker for f in findings] == ["PROTO002"]
         assert "missing" in findings[0].message
 
+    def test_corrupt_lock_is_its_own_proto002_not_a_missing_one(
+            self, tmp_path):
+        modules = _tree(tmp_path)
+        lock_path = self._lock(tmp_path, modules)
+        whole = Path(lock_path).read_text(encoding="utf-8")
+        # Truncated, a JSON list, and a flat format-1 lock.
+        for text in (whole[:len(whole) // 2], "[]",
+                     '{"protocol_version": 1, "messages": {}}'):
+            Path(lock_path).write_text(text, encoding="utf-8")
+            findings = protocol.check(modules, lock_path)
+            assert [f.checker for f in findings] == ["PROTO002"]
+            assert "corrupt" in findings[0].message
+            assert "missing" not in findings[0].message
+            assert "restore" in findings[0].hint
+
     def test_field_added_without_bump_is_proto001(self, tmp_path):
         modules = _tree(tmp_path)
         lock_path = self._lock(tmp_path, modules)
@@ -158,32 +177,116 @@ class TestLockVerification:
         assert "plain integer" in findings[0].hint
 
 
-class TestPicklability:
-    def test_lock_and_socket_fields_are_proto003(self, tmp_path):
-        modules = _tree(tmp_path, messages="""\
-    import socket
-    import threading
-    from dataclasses import dataclass
-    from typing import Callable, Optional
+def _args(tmp_path, *extra):
+    return [*extra, "--lock", str(tmp_path / "protocol.lock.json")]
 
-    @dataclass
-    class BadCommand:
-        guard: threading.Lock
-        conn: Optional[socket.socket] = None
 
-    @dataclass
-    class WorseReply:
-        callback: Callable[[], None] = lambda: None
-""")
-        findings = [f for f in protocol.check(modules, str(tmp_path / "x.json"))
-                    if f.checker == "PROTO003"]
-        messages = " ".join(f.message for f in findings)
-        assert len(findings) == 3
-        assert "Lock" in messages and "socket" in messages
-        assert "lambda" in messages or "Callable" in messages
+class TestSemverLock:
+    V1 = {
+        "src/repro/distrib/messages.py": """\
+            from dataclasses import dataclass
 
-    def test_plain_data_fields_are_clean(self, tmp_path):
-        modules = _tree(tmp_path)
-        findings = [f for f in protocol.check(modules, str(tmp_path / "x.json"))
-                    if f.checker == "PROTO003"]
-        assert findings == []
+            @dataclass
+            class PingCommand:
+                nonce: int
+        """,
+        "src/repro/net/transport.py": """\
+            PROTOCOL_VERSION = 1
+            PROTOCOL_COMPAT_VERSION = 1
+        """,
+    }
+
+    RETYPED = """\
+        from dataclasses import dataclass
+
+        @dataclass
+        class PingCommand:
+            nonce: str
+    """
+
+    ADDITIVE = """\
+        from dataclasses import dataclass
+
+        @dataclass
+        class PingCommand:
+            nonce: int
+            urgent: bool = False
+    """
+
+    def _bump(self, messages_source, version=2, compat=1):
+        grown = dict(self.V1)
+        grown["src/repro/distrib/messages.py"] = messages_source
+        grown["src/repro/net/transport.py"] = (
+            "PROTOCOL_VERSION = %d\nPROTOCOL_COMPAT_VERSION = %d\n"
+            % (version, compat))
+        return grown
+
+    def test_breaking_change_at_compatible_bump_fails(self, tmp_path, capsys):
+        root = write_tree(tmp_path, self.V1)
+        assert cli.main(_args(tmp_path, root, "--update-lock")) == 0
+        capsys.readouterr()
+        # Bump to v2 while still admitting v1 agents, but retype a field --
+        # a v1 agent's pickle no longer matches.
+        write_tree(tmp_path, self._bump(self.RETYPED))
+        assert cli.main(_args(tmp_path, root)) == 1
+        out = capsys.readouterr().out
+        assert "[PROTO004]" in out
+        assert "compat floor 1" in out
+
+    def test_update_lock_refuses_the_breaking_compatible_bump(
+            self, tmp_path, capsys):
+        root = write_tree(tmp_path, self.V1)
+        assert cli.main(_args(tmp_path, root, "--update-lock")) == 0
+        capsys.readouterr()
+        write_tree(tmp_path, self._bump(self.RETYPED))
+        assert cli.main(_args(tmp_path, root, "--update-lock")) == 1
+        err = capsys.readouterr().err
+        assert "refusing" in err
+        assert "PROTO004" in err
+
+    def test_additive_bump_passes_and_tags_since(self, tmp_path, capsys):
+        root = write_tree(tmp_path, self.V1)
+        assert cli.main(_args(tmp_path, root, "--update-lock")) == 0
+        write_tree(tmp_path, self._bump(self.ADDITIVE))
+        assert cli.main(_args(tmp_path, root, "--update-lock")) == 0
+        capsys.readouterr()
+        lock = json.loads((tmp_path / "protocol.lock.json")
+                          .read_text(encoding="utf-8"))
+        assert lock["format"] == 2
+        assert lock["compat_version"] == 1
+        entry = lock["messages"]["repro.distrib.messages.PingCommand"]
+        fields = {f["name"]: f for f in entry["fields"]}
+        assert fields["urgent"]["since"] == 2
+        assert "since" not in fields["nonce"]
+        assert cli.main(_args(tmp_path, root)) == 0
+
+    def test_advancing_the_floor_folds_since_tags(self, tmp_path):
+        root = write_tree(tmp_path, self.V1)
+        assert cli.main(_args(tmp_path, root, "--update-lock")) == 0
+        write_tree(tmp_path, self._bump(self.ADDITIVE))
+        assert cli.main(_args(tmp_path, root, "--update-lock")) == 0
+        # Dropping v1 agents: the since tag has served its purpose.
+        write_tree(tmp_path, self._bump(self.ADDITIVE, version=2, compat=2))
+        assert cli.main(_args(tmp_path, root, "--update-lock")) == 0
+        lock = json.loads((tmp_path / "protocol.lock.json")
+                          .read_text(encoding="utf-8"))
+        entry = lock["messages"]["repro.distrib.messages.PingCommand"]
+        fields = {f["name"]: f for f in entry["fields"]}
+        assert "since" not in fields["urgent"]
+
+    def test_floor_above_version_is_always_wrong(self, tmp_path, capsys):
+        root = write_tree(tmp_path, self._bump(
+            self.V1["src/repro/distrib/messages.py"], version=2, compat=3))
+        assert cli.main(_args(tmp_path, root)) == 1
+        out = capsys.readouterr().out
+        assert "[PROTO004]" in out
+        assert "can never pass" in out
+
+
+class TestShippedLockIsSemver:
+    def test_committed_lock_is_format_2_and_floor_sane(self):
+        repo = Path(__file__).resolve().parent.parent
+        lock = json.loads((repo / "protocol.lock.json")
+                          .read_text(encoding="utf-8"))
+        assert lock["format"] == 2
+        assert lock["compat_version"] <= lock["protocol_version"]

@@ -22,6 +22,7 @@ from repro.distrib import specs
 from repro.distrib.cluster import ProcessCloud9Cluster, ProcessClusterConfig
 from repro.engine.errors import BugKind, BugReport
 from repro.engine.test_case import TestCase
+from repro.obs.trace import load_trace
 from repro.testing.symbolic_test import SymbolicTest
 
 LIMITS = ExplorationLimits(max_rounds=500)
@@ -263,15 +264,23 @@ class TestInProcessAutoscale:
         assert result.exhausted and result.found_bug
         return result
 
-    def test_autoscaled_run_matches_fixed_size_run(self, fixed):
+    def test_autoscaled_run_matches_fixed_size_run(self, fixed, tmp_path):
         test = _buggy_test()
         policy = AutoscalePolicy(min_workers=1, max_workers=4,
                                  queue_high=3.0, queue_low=1.0,
                                  cooldown_rounds=1, hysteresis_rounds=1)
+        trace_path = str(tmp_path / "trace.jsonl")
         result = test.run(backend="cluster", workers=1,
                           instructions_per_round=30, autoscale=policy,
-                          limits=LIMITS)
+                          limits=LIMITS.merged(trace_path=trace_path))
         assert result.exhausted
+        # Every decision and every join is on the trace.
+        events = load_trace(trace_path)
+        grown = sum(e["count"] for e in events
+                    if e["event"] == "autoscale_decision"
+                    and e["action"] == "grow")
+        joined = [e for e in events if e["event"] == "worker_joined"]
+        assert grown == len(joined) == result.workers_added
         # Deterministic target: elasticity must not change the outcome.
         assert result.paths_completed == fixed.paths_completed
         assert result.covered_lines == fixed.covered_lines

@@ -30,6 +30,7 @@ from repro.distrib.cluster import (
 )
 from repro.distrib.messages import ExploreCommand, SeedCommand
 from repro.engine.config import EngineConfig
+from repro.obs.trace import load_trace
 from repro.testing.symbolic_test import SymbolicTest
 
 from conftest import branchy_program, make_executor
@@ -505,12 +506,17 @@ class TestProcessCheckpointResume:
         assert full.exhausted
 
         path = str(tmp_path / "ckpt.json")
+        trace_path = str(tmp_path / "trace.jsonl")
         partial = test.run(backend="process", workers=2,
-                           limits=ExplorationLimits(max_rounds=2),
+                           limits=ExplorationLimits(max_rounds=2,
+                                                    trace_path=trace_path),
                            instructions_per_round=40, reply_timeout=1.0,
                            checkpoint_every=1, checkpoint_path=path)
         assert not partial.exhausted  # killed mid-way (by budget)
         assert os.path.exists(path)
+        written = [e for e in load_trace(trace_path)
+                   if e["event"] == "checkpoint_written"]
+        assert [e["path"] for e in written] == [path, path]
 
         resumed = test.run(backend="process", workers=2, limits=LIMITS,
                            instructions_per_round=40, reply_timeout=1.0,

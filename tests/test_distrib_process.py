@@ -1,6 +1,7 @@
 """Tests for repro.distrib: spec registry, worker protocol, process cluster."""
 
 import multiprocessing
+import sys
 
 import pytest
 
@@ -23,7 +24,7 @@ from repro.distrib.messages import (
 )
 from repro.testing.symbolic_test import SymbolicTest
 
-from conftest import branchy_program
+from conftest import BUILTIN_SPECS, branchy_program
 
 LIMITS = ExplorationLimits(max_rounds=300)
 
@@ -69,6 +70,20 @@ class TestSpecRegistry:
         test = specs.resolve_test("printf", format_length=2)
         derived = test.with_options(max_instructions=10)
         assert derived.spec_name is None
+
+    def test_failed_first_load_is_retried_not_remembered(self, monkeypatch):
+        """A target module that fails to import must fail every lookup the
+        same way until it is fixed, not leave an empty registry behind."""
+        import repro.targets
+        monkeypatch.setattr(specs, "_REGISTRY", {})
+        monkeypatch.setattr(specs, "_BUILTINS_LOADED", False)
+        with monkeypatch.context() as broken:
+            broken.delattr(repro.targets, "rsync")
+            broken.setitem(sys.modules, "repro.targets.rsync", None)
+            for _ in range(2):
+                with pytest.raises(ModuleNotFoundError):
+                    specs.available_specs()
+        assert specs.available_specs() == BUILTIN_SPECS
 
 
 class TestDistribWorker:

@@ -21,6 +21,7 @@ from repro.distrib.messages import (
     ImportCommand,
 )
 from repro.net.transport import TransportError
+from repro.obs.trace import load_trace
 
 CONFIG = dict(num_workers=3, instructions_per_round=60)
 LIMITS = ExplorationLimits(max_rounds=200)
@@ -30,13 +31,20 @@ class FaultyTransport(LoopbackTransport):
     """Dies at one protocol point: on the ``occurrence``-th command of type
     ``command`` it either loses the reply (``when="reply"``: the member did
     the work, the coordinator never hears) or survives it and fails the next
-    send (``when="after"``)."""
+    send (``when="after"``).  ``silent`` makes the death look like the one a
+    TCP transport reports after heartbeat silence."""
 
-    def __init__(self, member, victim, command, occurrence, when):
+    def __init__(self, member, victim, command, occurrence, when,
+                 silent=False):
         super().__init__(member)
         self.armed = member.worker_id == victim
         self.command, self.left, self.when = command, occurrence, when
         self.lose_reply = self.dead = self.die_on_next_send = False
+        self.silent = silent
+
+    @property
+    def heartbeat_missed(self):
+        return self.silent and self.dead
 
     def send(self, message):
         if self.dead or self.die_on_next_send:
@@ -150,15 +158,25 @@ def test_death_schedule_sweep(test_and_baseline):
     assert fired >= 12, "most schedules never fired; tune the sweep"
 
 
-def test_respawn_replaces_the_dead_member(test_and_baseline):
+def test_respawn_replaces_the_dead_member(test_and_baseline, tmp_path):
     test, baseline = test_and_baseline
-    cluster = _faulty_cluster(test, policy=dict(respawn=True),
+    cluster = _faulty_cluster(test, policy=dict(respawn=True), silent=True,
                               **SCENARIOS["mid-explore"])
     _check_every_round(cluster)
-    result = cluster.run(limits=LIMITS)
+    trace_path = str(tmp_path / "trace.jsonl")
+    result = cluster.run(limits=LIMITS.merged(trace_path=trace_path))
     assert result.exhausted and result.respawns == 1
     assert result.num_workers == CONFIG["num_workers"]
     assert result.paths_completed == baseline.paths_completed
+    # The death was by heartbeat silence, and the trace says so.
+    assert result.heartbeat_misses == 1
+    fault_events = [(e["event"], e["worker"]) for e in load_trace(trace_path)
+                    if e["event"] in ("heartbeat_miss", "worker_died",
+                                      "worker_respawned", "jobs_recovered")]
+    assert fault_events[:2] == [("heartbeat_miss", 1), ("worker_died", 1)]
+    assert {name for name, _ in fault_events} == {
+        "heartbeat_miss", "worker_died", "worker_respawned",
+        "jobs_recovered"}
 
 
 def test_failure_budget_is_enforced_in_process(test_and_baseline):

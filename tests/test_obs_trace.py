@@ -16,8 +16,9 @@ from repro.obs.trace import (
 
 # The mechanics tests below emit deliberately minimal payloads (they test
 # the envelope, the buffer, and crash tolerance -- not the event schemas),
-# so they opt out of runtime validation explicitly; TestRuntimeValidation
-# covers the validator itself.
+# so they opt out of runtime validation (which tests/conftest.py turns on
+# for the whole suite) explicitly; TestRuntimeValidation covers the
+# validator itself.
 
 
 class TestTracer:
@@ -141,7 +142,19 @@ class TestRuntimeValidation:
         buf = BufferTracer(validate=True)
         with pytest.raises(ValueError, match="declared schema"):
             buf.emit("worker_died", reason="x", draining=False, bogus=1)
+        with pytest.raises(ValueError, match="unknown trace event"):
+            buf.emit("no_such_event")
         assert buf.drain() == []
+
+    def test_validation_is_on_for_the_whole_suite(self, tmp_path):
+        """conftest.py owns the switch; this is the only schema check there
+        is, so turning it off there must not go unnoticed."""
+        with Tracer(str(tmp_path / "t.jsonl")) as tracer:
+            with pytest.raises(ValueError, match="undeclared key"):
+                tracer.emit("worker_died", reason="x", draining=False,
+                            bogus=1)
+        with pytest.raises(ValueError, match="undeclared key"):
+            BufferTracer().emit("jobs_recovered", jobs=1, bogus=1)
 
     def test_env_switch_enables_validation(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE_VALIDATE", "1")
