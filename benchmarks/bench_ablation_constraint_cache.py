@@ -5,25 +5,19 @@ Cloud9 "states are transferred between workers without the source worker's
 cache", and the paper observes that "the necessary portion of the cache is
 mostly reconstructed as a side effect of path replay".
 
-This module measures the whole solver stack on those claims:
+This module checks the whole solver stack on those claims, in search steps
+and cache hits (exact counts; no clock):
 
-* ``test_ablation_constraint_caches`` -- the original two-point ablation:
-  the same exploration budget with the solver caches enabled and disabled,
-  plus cache reconstruction at a fresh executor after a path replay;
+* ``test_ablation_constraint_caches`` -- the same exploration budget with
+  the solver caches enabled and disabled, plus cache reconstruction at a
+  fresh executor after a path replay;
 * ``test_solver_stack_ablation`` -- the full grid: independence
   partitioning on/off x caches on/off x backends (``single`` and the
-  virtual-time ``cluster``) on two targets.  Results are written to
-  ``BENCH_solver_stack.json`` at the repository root, alongside
-  ``BENCH_backend_scaling.json``.
-
-Environment knob: ``REPRO_SOLVER_BENCH_STEPS`` scales the exploration
-budget (default 1200; CI smoke uses a small value).
+  virtual-time ``cluster``) on two targets.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import replace
 
 from repro.api import ExplorationLimits
@@ -32,11 +26,9 @@ from repro.engine import SymbolicExecutor
 from repro.solver.solver import Solver, SolverConfig
 from repro.targets import printf, testcmd
 
-from conftest import print_table, run_once
+from conftest import print_table
 
-DEFAULT_STEP_BUDGET = 1200
-STEP_BUDGET = int(os.environ.get("REPRO_SOLVER_BENCH_STEPS",
-                                 str(DEFAULT_STEP_BUDGET)))
+STEP_BUDGET = 1200
 FORMAT_LENGTH = 3
 
 #: Solver-stack configurations swept by the ablation grid.
@@ -57,9 +49,6 @@ TARGETS = {
 
 BACKENDS = ("single", "cluster")
 CLUSTER_WORKERS = 2
-
-OUTPUT_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                           os.pardir, "BENCH_solver_stack.json")
 
 
 # -- original two-point ablation (caches on/off + replay reconstruction) ------
@@ -111,9 +100,8 @@ def _run_experiment():
     return with_cache, without_cache, replay_hit_rate, rows
 
 
-def test_ablation_constraint_caches(benchmark):
-    with_cache, without_cache, replay_hit_rate, rows = run_once(
-        benchmark, _run_experiment)
+def test_ablation_constraint_caches():
+    with_cache, without_cache, replay_hit_rate, rows = _run_experiment()
     print_table(
         "Ablation -- constraint caches on/off and cache reconstruction by replay",
         ["quantity", "value"],
@@ -140,105 +128,44 @@ def _run_cell(target_name: str, backend: str, config_name: str) -> dict:
     else:
         result = test.run(
             backend="cluster", workers=CLUSTER_WORKERS,
-            limits=ExplorationLimits(max_rounds=max(2, STEP_BUDGET // 100)),
+            limits=ExplorationLimits(max_rounds=STEP_BUDGET // 100),
             instructions_per_round=100)
-    stats = result.cache_stats or {}
-    return {
-        "target": target_name,
-        "backend": backend,
-        "config": config_name,
-        "independence": SOLVER_CONFIGS[config_name].use_independence,
-        "caches": SOLVER_CONFIGS[config_name].use_constraint_cache,
-        "wall_time": result.wall_time,
-        "paths_completed": result.paths_completed,
-        "coverage_percent": result.coverage_percent,
-        "solver_queries": stats.get("solver_queries", 0),
-        "search_steps": stats.get("solver_search_steps", 0),
-        "independence_groups": stats.get("independence_groups", 0),
-        "groups_solved": stats.get("groups_solved", 0),
-        "independence_hits": stats.get("independence_hits", 0),
-        "independence_hit_rate": stats.get("independence_hit_rate", 0.0),
-        "unknown_cache_hits": stats.get("unknown_cache_hits", 0),
-        "constraint_cache_hit_rate": stats.get("constraint_cache_hit_rate", 0.0),
-        "cex_cache_hit_rate": stats.get("cex_cache_hit_rate", 0.0),
-    }
+    return result.cache_stats
 
 
 def _run_grid() -> dict:
-    rows = []
-    for target_name in TARGETS:
-        for backend in BACKENDS:
-            for config_name in SOLVER_CONFIGS:
-                rows.append(_run_cell(target_name, backend, config_name))
-    baseline = {
-        "benchmark": "solver_stack",
-        "step_budget": STEP_BUDGET,
-        "cluster_workers": CLUSTER_WORKERS,
-        "targets": sorted(TARGETS),
-        "backends": list(BACKENDS),
-        "configs": sorted(SOLVER_CONFIGS),
-        "rows": rows,
-    }
-    # Only the default budget refreshes the committed baseline: a smoke run
-    # (CI uses REPRO_SOLVER_BENCH_STEPS=200) must not clobber it with
-    # incomparable numbers.
-    if STEP_BUDGET == DEFAULT_STEP_BUDGET:
-        with open(OUTPUT_PATH, "w") as handle:
-            json.dump(baseline, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    return baseline
+    return {(target, backend, config): _run_cell(target, backend, config)
+            for target in TARGETS
+            for backend in BACKENDS
+            for config in SOLVER_CONFIGS}
 
 
-def _print_grid(baseline: dict) -> None:
+def test_solver_stack_ablation():
+    grid = _run_grid()
     print_table(
         "Solver-stack ablation -- independence x caches x backend "
-        "(step budget %d)" % baseline["step_budget"],
+        "(step budget %d)" % STEP_BUDGET,
         ["target", "backend", "config", "queries", "search steps",
-         "groups solved", "indep hit %", "wall s"],
-        [(row["target"], row["backend"], row["config"],
-          row["solver_queries"], row["search_steps"], row["groups_solved"],
-          round(100 * row["independence_hit_rate"], 1),
-          round(row["wall_time"], 3))
-         for row in baseline["rows"]])
-    if baseline["step_budget"] == DEFAULT_STEP_BUDGET:
-        print("baseline written to %s" % os.path.normpath(OUTPUT_PATH))
-    else:
-        print("non-default step budget %d: committed baseline not rewritten"
-              % baseline["step_budget"])
+         "groups solved", "indep hit %"],
+        [(target, backend, config, stats["solver_queries"],
+          stats["solver_search_steps"], stats["groups_solved"],
+          round(100 * stats["independence_hit_rate"], 1))
+         for (target, backend, config), stats in grid.items()])
 
-
-def _cell(baseline: dict, target: str, backend: str, config: str) -> dict:
-    for row in baseline["rows"]:
-        if (row["target"], row["backend"], row["config"]) == (
-                target, backend, config):
-            return row
-    raise KeyError((target, backend, config))
-
-
-def test_solver_stack_ablation(benchmark):
-    baseline = run_once(benchmark, _run_grid)
-    _print_grid(baseline)
-
-    assert len(baseline["rows"]) == len(TARGETS) * len(BACKENDS) * len(
-        SOLVER_CONFIGS)
     for target in TARGETS:
         for backend in BACKENDS:
-            caches_only = _cell(baseline, target, backend, "caches")
-            full = _cell(baseline, target, backend, "full")
-            none = _cell(baseline, target, backend, "none")
+            caches_only = grid[target, backend, "caches"]
+            full = grid[target, backend, "full"]
+            none = grid[target, backend, "none"]
             # The acceptance claim: adding independence partitioning on top
             # of the caches does not increase -- and on these targets
             # reduces -- backtracking-search effort for the same exploration
             # budget.
-            assert full["search_steps"] <= caches_only["search_steps"]
+            assert (full["solver_search_steps"]
+                    <= caches_only["solver_search_steps"])
             # And the stack as a whole beats the bare solver.
-            assert full["search_steps"] <= none["search_steps"]
+            assert full["solver_search_steps"] <= none["solver_search_steps"]
             # Independence bookkeeping is live exactly when enabled.
             assert full["groups_solved"] <= full["independence_groups"]
             assert caches_only["independence_groups"] <= caches_only[
                 "solver_queries"]
-    assert os.path.exists(OUTPUT_PATH)
-
-
-if __name__ == "__main__":
-    _print_grid(_run_grid())

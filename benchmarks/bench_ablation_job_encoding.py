@@ -19,7 +19,7 @@ format-string workload of Fig. 8:
 from repro.cluster import ClusterConfig, Job, JobTree
 from repro.targets import printf
 
-from conftest import print_table, run_once, worker_counts
+from conftest import WORKER_COUNTS, print_table
 
 INSTRUCTIONS_PER_ROUND = 200
 BALANCE_INTERVAL = 2
@@ -66,7 +66,7 @@ def _run_experiment():
     tree_size = tree.encoded_size()
     naive_size = JobTree.naive_size(jobs)
 
-    workers = worker_counts()[-1]
+    workers = WORKER_COUNTS[-1]
     cluster = test.build_cluster(ClusterConfig(
         num_workers=workers, instructions_per_round=INSTRUCTIONS_PER_ROUND,
         balance_interval=BALANCE_INTERVAL))
@@ -85,9 +85,8 @@ def _run_experiment():
     return jobs, tree_size, naive_size, serialized_bytes, result, rows
 
 
-def test_ablation_job_encoding_tradeoff(benchmark):
-    jobs, tree_size, naive_size, serialized_bytes, result, rows = run_once(
-        benchmark, _run_experiment)
+def test_ablation_job_encoding_tradeoff():
+    jobs, tree_size, naive_size, serialized_bytes, result, rows = _run_experiment()
     print_table(
         "Ablation -- job encoding: path-encoded job trees vs. alternatives",
         ["quantity", "value"],

@@ -21,15 +21,12 @@ split leaves some workers starved while one grinds through a heavy subtree.
 from repro.api import ExplorationLimits
 from repro.targets import printf
 
-from conftest import bench_scale, print_table, run_once, worker_counts
+from conftest import WORKER_COUNTS, print_table
 
 INSTRUCTIONS_PER_ROUND = 200
 BALANCE_INTERVAL = 2
 ROUND_LIMIT = 5_000
-
-
-def _format_length() -> int:
-    return 4 if bench_scale() == "full" else 3
+FORMAT_LENGTH = 3
 
 
 def _idle_fraction(result) -> float:
@@ -44,7 +41,7 @@ def _idle_fraction(result) -> float:
 
 
 def _run_pair(workers: int):
-    test = printf.make_symbolic_test(format_length=_format_length())
+    test = printf.make_symbolic_test(format_length=FORMAT_LENGTH)
     limits = ExplorationLimits(max_rounds=ROUND_LIMIT)
     dynamic = test.run(backend="cluster", workers=workers,
                        instructions_per_round=INSTRUCTIONS_PER_ROUND,
@@ -56,7 +53,7 @@ def _run_pair(workers: int):
 
 
 def _run_experiment():
-    workers = max(w for w in worker_counts() if w > 1)
+    workers = WORKER_COUNTS[-1]
     dynamic, static = _run_pair(workers)
     rows = [
         ("dynamic (Cloud9)", dynamic.rounds_executed, dynamic.paths_completed,
@@ -69,8 +66,8 @@ def _run_experiment():
     return workers, dynamic, static, rows
 
 
-def test_ablation_static_vs_dynamic_partitioning(benchmark):
-    workers, dynamic, static, rows = run_once(benchmark, _run_experiment)
+def test_ablation_static_vs_dynamic_partitioning():
+    workers, dynamic, static, rows = _run_experiment()
     print_table(
         "Ablation -- dynamic load balancing vs. static partitioning "
         "(printf exhaustive test, %d workers)" % workers,

@@ -10,7 +10,7 @@ that the interleaved default (the paper's choice) is competitive.
 
 from repro.targets import printf
 
-from conftest import print_table, run_once
+from conftest import print_table
 
 STRATEGIES = ["dfs", "bfs", "random_path", "random_state",
               "coverage_optimized", "interleaved"]
@@ -32,8 +32,8 @@ def _run_experiment():
     return rows
 
 
-def test_ablation_search_strategies(benchmark):
-    rows = run_once(benchmark, _run_experiment)
+def test_ablation_search_strategies():
+    rows = _run_experiment()
     print_table(
         "Ablation -- line coverage of printf by search strategy "
         "(%d-step budget)" % STEP_BUDGET,

@@ -16,7 +16,7 @@ from repro.api import Campaign
 from repro.engine import BugKind
 from repro.targets import bandicoot, curl, memcached
 
-from conftest import print_table, run_once
+from conftest import print_table
 
 
 def _run_case_studies():
@@ -54,8 +54,8 @@ def _run_case_studies():
     return rows
 
 
-def test_case_studies_bugs_rediscovered(benchmark):
-    rows = run_once(benchmark, _run_case_studies)
+def test_case_studies_bugs_rediscovered():
+    rows = _run_case_studies()
     print_table(
         "Case studies -- bugs rediscovered by symbolic testing",
         ["case study", "bug class", "found", "paths explored",

@@ -14,11 +14,12 @@ per utility exactly like the lower plot of Fig. 11.
 from repro.cluster import ClusterConfig
 from repro.targets import coreutils
 
-from conftest import bench_scale, print_table, run_once, worker_counts
+from conftest import WORKER_COUNTS, print_table
 
 ROUND_BUDGET = 12
 INSTRUCTIONS_PER_ROUND = 40
 INPUT_SIZE = 4
+UTILITIES = 10
 
 
 def _coverage(name, workers):
@@ -30,10 +31,8 @@ def _coverage(name, workers):
 
 
 def _run_experiment():
-    cluster_size = worker_counts()[-1]
-    names = coreutils.utility_names()
-    if bench_scale() != "full":
-        names = names[:10]
+    cluster_size = WORKER_COUNTS[-1]
+    names = coreutils.utility_names()[:UTILITIES]
     rows = []
     for name in names:
         baseline = _coverage(name, 1)
@@ -44,8 +43,8 @@ def _run_experiment():
     return cluster_size, rows
 
 
-def test_fig11_coreutils_coverage_improvement(benchmark):
-    cluster_size, rows = run_once(benchmark, _run_experiment)
+def test_fig11_coreutils_coverage_improvement():
+    cluster_size, rows = _run_experiment()
     print_table(
         "Figure 11 -- Coreutils coverage: 1 worker vs %d workers "
         "(equal budget of %d rounds)" % (cluster_size, ROUND_BUDGET),

@@ -13,14 +13,14 @@ balancing keeps happening, not just at start-up).
 from repro.cluster import ClusterConfig
 from repro.targets import memcached
 
-from conftest import print_table, run_once, worker_counts
+from conftest import WORKER_COUNTS, print_table
 
 INSTRUCTIONS_PER_ROUND = 80
 PACKET_SIZE = 5
 
 
 def _run_experiment():
-    workers = worker_counts()[-1]
+    workers = WORKER_COUNTS[-1]
     test = memcached.make_symbolic_packets_test(num_packets=1,
                                                 packet_size=PACKET_SIZE)
     cluster = test.build_cluster(ClusterConfig(
@@ -33,8 +33,8 @@ def _run_experiment():
     return workers, result, series
 
 
-def test_fig12_states_transferred_over_time(benchmark):
-    workers, result, series = run_once(benchmark, _run_experiment)
+def test_fig12_states_transferred_over_time():
+    workers, result, series = _run_experiment()
     print_table(
         "Figure 12 -- states transferred between workers per round "
         "(%d workers, memcached symbolic packet)" % workers,

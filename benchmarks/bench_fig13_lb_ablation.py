@@ -13,7 +13,7 @@ done within a fixed budget of rounds.
 from repro.cluster import ClusterConfig
 from repro.targets import memcached
 
-from conftest import print_table, run_once, worker_counts
+from conftest import WORKER_COUNTS, print_table
 
 INSTRUCTIONS_PER_ROUND = 50
 ROUND_BUDGET = 30
@@ -33,7 +33,7 @@ def _useful_work_with_cutoff(workers, cutoff):
 
 
 def _run_experiment():
-    workers = worker_counts()[-1]
+    workers = WORKER_COUNTS[-1]
     rows = []
     for cutoff in CUTOFFS:
         label = "continuous LB" if cutoff is None else "LB stops after round %d" % cutoff
@@ -41,8 +41,8 @@ def _run_experiment():
     return workers, rows
 
 
-def test_fig13_load_balancing_ablation(benchmark):
-    workers, rows = run_once(benchmark, _run_experiment)
+def test_fig13_load_balancing_ablation():
+    workers, rows = _run_experiment()
     print_table(
         "Figure 13 -- useful work within %d rounds under load-balancing "
         "cut-offs (%d workers)" % (ROUND_BUDGET, workers),

@@ -14,7 +14,7 @@ the identical set of paths.
 
 from repro.targets import memcached
 
-from conftest import print_table, run_once, worker_counts
+from conftest import WORKER_COUNTS, print_table
 
 INSTRUCTIONS_PER_ROUND = 20
 PACKET_SIZE = 6
@@ -25,7 +25,7 @@ BALANCE_INTERVAL = 2
 def _run_sweep():
     rows = []
     baseline_rounds = None
-    for workers in worker_counts():
+    for workers in WORKER_COUNTS:
         test = memcached.make_symbolic_packets_test(
             num_packets=NUM_PACKETS, packet_size=PACKET_SIZE)
         result = test.run(backend="cluster", workers=workers,
@@ -41,8 +41,8 @@ def _run_sweep():
     return rows
 
 
-def test_fig7_memcached_exhaustive_scalability(benchmark):
-    rows = run_once(benchmark, _run_sweep)
+def test_fig7_memcached_exhaustive_scalability():
+    rows = _run_sweep()
     print_table(
         "Figure 7 -- time (virtual rounds) to exhaustively explore %d symbolic "
         "memcached packet(s)" % NUM_PACKETS,

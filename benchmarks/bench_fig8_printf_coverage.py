@@ -12,7 +12,7 @@ the printf model, for increasing cluster sizes.
 from repro.cluster import ClusterConfig
 from repro.targets import printf
 
-from conftest import print_table, run_once, worker_counts
+from conftest import WORKER_COUNTS, print_table
 
 COVERAGE_TARGETS = [50.0, 60.0, 70.0, 80.0]
 INSTRUCTIONS_PER_ROUND = 100
@@ -31,13 +31,13 @@ def _rounds_to_targets(workers):
 
 def _run_sweep():
     table = {}
-    for workers in worker_counts():
+    for workers in WORKER_COUNTS:
         table[workers] = _rounds_to_targets(workers)
     return table
 
 
-def test_fig8_printf_time_to_coverage(benchmark):
-    table = run_once(benchmark, _run_sweep)
+def test_fig8_printf_time_to_coverage():
+    table = _run_sweep()
     rows = []
     for workers, per_target in sorted(table.items()):
         rows.append([workers] + [per_target[t] if per_target[t] is not None else "-"

@@ -13,7 +13,7 @@ workload.
 from repro.cluster import ClusterConfig
 from repro.targets import memcached
 
-from conftest import print_table, run_once, worker_counts
+from conftest import WORKER_COUNTS, print_table
 
 ROUND_BUDGETS = [10, 20, 30]        # the analogue of the 4/6/8/10-minute budgets
 INSTRUCTIONS_PER_ROUND = 60
@@ -32,14 +32,14 @@ def _useful_work(workers, rounds):
 
 def _run_sweep():
     table = {}
-    for workers in worker_counts():
+    for workers in WORKER_COUNTS:
         table[workers] = {budget: _useful_work(workers, budget)
                           for budget in ROUND_BUDGETS}
     return table
 
 
-def test_fig9_memcached_useful_work_scaling(benchmark):
-    table = run_once(benchmark, _run_sweep)
+def test_fig9_memcached_useful_work_scaling():
+    table = _run_sweep()
 
     total_rows = []
     per_worker_rows = []

@@ -28,7 +28,7 @@ from repro.targets import (
     testcmd,
 )
 
-from conftest import print_table, run_once
+from conftest import print_table
 
 
 def _target_catalogue():
@@ -82,8 +82,8 @@ def _run_all():
     return rows
 
 
-def test_table4_every_target_runs_under_the_posix_model(benchmark):
-    rows = run_once(benchmark, _run_all)
+def test_table4_every_target_runs_under_the_posix_model():
+    rows = _run_all()
     print_table(
         "Table 4 -- modeled testing targets running on the reproduction",
         ["target", "type of software", "model size (lines)",

@@ -15,7 +15,7 @@ suite, and explored path counts).
 from repro.targets import memcached
 from repro.testing.report import CoverageAccounting
 
-from conftest import print_table, run_once
+from conftest import print_table
 
 
 def _run_methods():
@@ -38,8 +38,8 @@ def _run_methods():
                         "symbolic": symbolic, "fault": fault}
 
 
-def test_table5_memcached_coverage_accounting(benchmark):
-    accounting, results = run_once(benchmark, _run_methods)
+def test_table5_memcached_coverage_accounting():
+    accounting, results = _run_methods()
     rows = []
     for row in accounting.rows():
         rows.append((row["method"], row["paths"], row["isolated_percent"],

@@ -19,7 +19,7 @@ one.
 from repro.engine import BugKind
 from repro.targets import lighttpd
 
-from conftest import print_table, run_once
+from conftest import print_table
 
 PATTERN_LABELS = [
     ("1x28", lighttpd.PATTERN_WHOLE),
@@ -62,8 +62,8 @@ def _run_matrix():
     return matrix, found_incomplete_fix
 
 
-def test_table6_lighttpd_fragmentation_matrix(benchmark):
-    matrix, found_incomplete_fix = run_once(benchmark, _run_matrix)
+def test_table6_lighttpd_fragmentation_matrix():
+    matrix, found_incomplete_fix = _run_matrix()
     rows = []
     for label, _pattern in PATTERN_LABELS:
         rows.append((label,

@@ -1,38 +1,29 @@
-"""Shared helpers for the benchmark harness.
+"""Shared helpers for the paper-figure scripts.
 
-Every benchmark module regenerates one table or figure of the paper's
-evaluation (§7).  The workloads are scaled down so the whole harness runs on
-a laptop in minutes (the paper used up to 48 EC2 workers for hours); what is
-being reproduced is the *shape* of each result -- who wins, how quantities
-scale with cluster size, which inputs crash -- not the absolute numbers.
-Scaling factors are recorded in EXPERIMENTS.md.
+Every module here regenerates one table, figure or §-claim of the paper's
+evaluation (§7) as a deterministic run -- virtual rounds or a step budget,
+never a clock -- followed by a shape assertion.  The workloads are scaled
+down so the whole directory runs in well under a minute (the paper used up
+to 48 EC2 workers for hours); what is being reproduced is the *shape* of
+each result -- who wins, how quantities scale with cluster size, which
+inputs crash -- not the absolute numbers.  Each module's constants are its
+scaling factors.
 
-Environment knob: set ``REPRO_BENCH_SCALE=full`` to run the larger variants
-(more workers, bigger symbolic inputs).
+Nothing here writes a file, reads an environment variable or needs a pytest
+plugin; wall-clock is measured in one place, ``bench/run.py``.
 """
 
 from __future__ import annotations
 
-import os
-from typing import List, Sequence
+from typing import Sequence
 
-import pytest
-
-
-def bench_scale() -> str:
-    return os.environ.get("REPRO_BENCH_SCALE", "quick")
-
-
-def worker_counts() -> List[int]:
-    """Cluster sizes swept by the scalability benchmarks."""
-    if bench_scale() == "full":
-        return [1, 2, 4, 8, 12]
-    return [1, 2, 4]
+#: Cluster sizes swept by the scalability figures.
+WORKER_COUNTS = (1, 2, 4)
 
 
 def print_table(title: str, header: Sequence[str],
                 rows: Sequence[Sequence[object]]) -> None:
-    """Render one reproduced table/figure as text (captured into bench output)."""
+    """Render one reproduced table/figure as text (shown with ``pytest -s``)."""
     print()
     print("=" * 78)
     print(title)
@@ -44,8 +35,3 @@ def print_table(title: str, header: Sequence[str],
     for row in rows:
         print("  ".join(str(cell).ljust(widths[i]) for i, cell in enumerate(row)))
     print()
-
-
-def run_once(benchmark, func):
-    """Run an expensive experiment exactly once under pytest-benchmark."""
-    return benchmark.pedantic(func, rounds=1, iterations=1, warmup_rounds=0)

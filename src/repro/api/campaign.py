@@ -55,8 +55,9 @@ class CampaignEntry:
 
         The pool worker rebuilds the test from its spec and then re-applies
         the picklable test fields (``name``, ``strategy``, ``options``,
-        ``engine_config``, ``use_posix_model``) from this entry's live test,
-        so post-``resolve_test`` tweaks to those fields are honored.
+        ``engine_config``, ``solver_config``, ``use_posix_model``) from this
+        entry's live test, so post-``resolve_test`` tweaks to those fields
+        are honored.
         Mutations to ``setup`` or ``program`` cannot travel; tests carrying
         such mutations should not keep their spec reference.
         """
@@ -70,6 +71,7 @@ class CampaignEntry:
             "strategy": test.strategy,
             "options": dict(test.options),
             "engine_config": test.engine_config,
+            "solver_config": test.solver_config,
             "use_posix_model": test.use_posix_model,
         }
         return (test.spec_name, dict(test.spec_params), overrides,
@@ -83,11 +85,8 @@ def _execute_shipped(spec_name: str, spec_params: Dict[str, object],
     """Pool-worker entry point: rebuild the test from its spec and run it."""
     from repro.distrib.specs import resolve_test
     test = resolve_test(spec_name, **spec_params)
-    test.name = overrides["name"]
-    test.strategy = overrides["strategy"]
-    test.options = dict(overrides["options"])
-    test.engine_config = overrides["engine_config"]
-    test.use_posix_model = overrides["use_posix_model"]
+    for field_name, value in overrides.items():
+        setattr(test, field_name, value)
     return run_test(test, backend=backend, limits=limits, **dict(options))
 
 

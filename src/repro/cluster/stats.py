@@ -80,10 +80,6 @@ class TransferCost:
             return 0.0
         return 1.0 - self.encoded_nodes / self.naive_nodes
 
-    @property
-    def nodes_per_job(self) -> float:
-        return self.encoded_nodes / self.jobs if self.jobs else 0.0
-
     @classmethod
     def from_worker_stats(cls, stats: Iterable[WorkerStats]) -> "TransferCost":
         total = cls()
@@ -147,9 +143,6 @@ class ClusterTimeline:
             series.append(total)
         return series
 
-    def transfer_fraction_series(self) -> List[float]:
-        return [snap.transfer_fraction for snap in self.snapshots]
-
     def worker_count_series(self) -> List[int]:
         """Live workers per round (flat for fixed clusters, the scaling
         trace for autoscaled/elastic ones)."""
@@ -165,9 +158,6 @@ class ClusterTimeline:
         all rounds.  This is the run's capacity bill -- what an autoscaled
         cluster is trying to keep below a fixed-size cluster's."""
         return sum(snap.num_workers for snap in self.snapshots)
-
-    def coverage_series(self) -> List[float]:
-        return [snap.coverage_percent for snap in self.snapshots]
 
     def rounds_to_coverage(self, target_percent: float) -> Optional[int]:
         """First round index at which coverage reached the target, if any."""

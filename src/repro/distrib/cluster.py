@@ -187,11 +187,6 @@ class ProcessCloud9Cluster(Coordinator):
         """The bound (host, port) agents should dial (TCP transport only)."""
         return self.server.address if self.server is not None else None
 
-    @property
-    def pending_agents(self) -> int:
-        """Dialed-in agents waiting to be admitted (TCP transport only)."""
-        return self.server.pending_count if self.server is not None else 0
-
     def _spawn_local_agent(self, server: AgentServer) -> Any:
         """Fork one loopback agent process pointed at our own listener."""
         from repro.net.agent import _local_agent_main  # lazy: import cycle

@@ -141,12 +141,6 @@ class RunResult:
         return self.replay_instructions / total if total else 0.0
 
     @property
-    def useful_instructions_per_worker(self) -> float:
-        if not self.num_workers:
-            return 0.0
-        return self.useful_instructions / self.num_workers
-
-    @property
     def independence_hit_rate(self) -> float:
         """Fraction of independent constraint groups answered without a
         fresh search (cache or recent-model reuse), across all workers;

@@ -87,10 +87,6 @@ class Thread:
     def top(self) -> Frame:
         return self.stack[-1]
 
-    @property
-    def is_enabled(self) -> bool:
-        return self.status == ThreadStatus.ENABLED
-
     def copy(self) -> "Thread":
         clone = Thread.__new__(Thread)
         clone.tid = self.tid
@@ -296,9 +292,6 @@ class ExecutionState:
 
     def all_threads(self) -> List[Thread]:
         return [t for p in self.processes.values() for t in p.threads.values()]
-
-    def enabled_threads(self) -> List[Thread]:
-        return [t for t in self.all_threads() if t.status == ThreadStatus.ENABLED]
 
     def live_threads(self) -> List[Thread]:
         return [t for t in self.all_threads() if t.status != ThreadStatus.TERMINATED]

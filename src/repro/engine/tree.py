@@ -61,14 +61,6 @@ class TreeNode:
 
     # -- structure ----------------------------------------------------------
 
-    @property
-    def is_root(self) -> bool:
-        return self.parent is None
-
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
-
     def add_child(self, fork_index: int,
                   status: NodeStatus = NodeStatus.MATERIALIZED,
                   life: NodeLife = NodeLife.CANDIDATE) -> "TreeNode":
@@ -186,9 +178,6 @@ class ExecutionTree:
 
     def fences(self) -> List[TreeNode]:
         return [n for n in self.root.iter_subtree() if n.is_fence]
-
-    def node_count(self) -> int:
-        return sum(1 for _ in self.root.iter_subtree())
 
     def node_at(self, path: Sequence[int]) -> Optional[TreeNode]:
         return self.root.descend(path)

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Set
 
-from repro.lang.ast import CallExpr, BinExpr, Expr, Index, UnExpr
 from repro.lang.compiler import CompiledProgram, Opcode
 
 
@@ -24,23 +23,6 @@ def program_function_names(compiled: CompiledProgram) -> List[str]:
 def lines_of_function(compiled: CompiledProgram, name: str) -> Set[int]:
     """The set of line numbers belonging to one function."""
     return {instr.line for instr in compiled.function(name).instructions}
-
-
-def _called_names(expr: Expr) -> Set[str]:
-    out: Set[str] = set()
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, CallExpr):
-            out.add(node.name)
-            stack.extend(node.args)
-        elif isinstance(node, BinExpr):
-            stack.extend((node.left, node.right))
-        elif isinstance(node, UnExpr):
-            stack.append(node.operand)
-        elif isinstance(node, Index):
-            stack.extend((node.base, node.offset))
-    return out
 
 
 def call_graph(compiled: CompiledProgram) -> Dict[str, Set[str]]:

@@ -53,10 +53,6 @@ class HeartbeatMonitor:
         """Record traffic from the peer (a ping or any other frame)."""
         self._last_seen = self._clock()
 
-    @property
-    def last_seen(self) -> float:
-        return self._last_seen
-
     def silence(self) -> float:
         """Seconds since the peer was last heard from."""
         return self._clock() - self._last_seen

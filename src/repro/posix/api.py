@@ -12,12 +12,12 @@ symbolic tests control global behaviour:
 
 This module also provides setup helpers used by the Python-side testing
 platform (:mod:`repro.testing`) to pre-populate the modeled environment:
-symbolic files, concrete files and UDP datagrams.
+symbolic files and concrete files.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from repro.engine.natives import NativeContext
 from repro.engine.scheduler import (
@@ -26,7 +26,7 @@ from repro.engine.scheduler import (
     POLICY_ROUND_ROBIN,
 )
 from repro.engine.state import ExecutionState
-from repro.posix.buffers import BlockBuffer, Cell
+from repro.posix.buffers import BlockBuffer
 from repro.posix.data import FileNode, posix_of
 
 SCHEDULER_POLICIES = {
@@ -93,14 +93,3 @@ def add_symbolic_file(state: ExecutionState, path: Union[str, bytes],
     node = FileNode(path=path, data=BlockBuffer(), symbolic=True)
     node.data.set_contents(cells)
     posix_of(state).filesystem[path] = node
-
-
-def queue_udp_datagram(state: ExecutionState, port: int,
-                       payload: Sequence[Cell]) -> bool:
-    """Deliver a datagram to a bound UDP port (test harness helper)."""
-    posix = posix_of(state)
-    target = posix.udp_ports.get(port)
-    if target is None:
-        return False
-    target.queue.push_datagram(list(payload))
-    return True

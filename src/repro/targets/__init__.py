@@ -32,8 +32,8 @@ Module                 Paper target / experiment
 
 The models are not line-by-line ports of the original C code; they recreate
 the *path structure* the paper's experiments depend on (which inputs crash,
-hang, or cover new code), which is what the substitution policy in DESIGN.md
-calls for.
+hang, or cover new code): each target stands in for its original only as far
+as the figure, table or case study named above needs.
 """
 
 from repro.targets import (

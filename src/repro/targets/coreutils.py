@@ -14,7 +14,7 @@ which is the property the Fig. 11 experiment measures.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List
 
 from repro import lang as L
 from repro.engine.config import EngineConfig
@@ -411,9 +411,3 @@ def make_utility_test(name: str, input_size: int = DEFAULT_INPUT_SIZE,
         engine_config=EngineConfig(max_instructions_per_path=max_instructions),
         use_posix_model=False,
     )
-
-
-def coreutils_suite(input_size: int = DEFAULT_INPUT_SIZE
-                    ) -> List[Tuple[str, SymbolicTest]]:
-    """The whole suite, in deterministic order (the Fig. 11 benchmark set)."""
-    return [(name, make_utility_test(name, input_size)) for name in utility_names()]

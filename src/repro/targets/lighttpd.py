@@ -231,12 +231,3 @@ def make_symbolic_fragmentation_test(version: int,
         options={"frag_choice_limit": frag_choice_limit},
         engine_config=EngineConfig(max_instructions_per_path=50_000),
     )
-
-
-def table6_patterns() -> List[List[int]]:
-    return [list(PATTERN_WHOLE), list(PATTERN_SPLIT_TERMINATOR),
-            list(PATTERN_MANY_SMALL)]
-
-
-def table6_versions() -> List[int]:
-    return [VERSION_1_4_12, VERSION_1_4_13]

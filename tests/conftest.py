@@ -9,7 +9,10 @@ import os
 # processes and spawned TCP agents inherit it.
 os.environ["REPRO_TRACE_VALIDATE"] = "1"
 
+import sys
 import textwrap
+from collections import Counter
+from contextlib import contextmanager
 
 import pytest
 
@@ -31,6 +34,25 @@ def write_tree(root, files):
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(textwrap.dedent(source), encoding="utf-8")
     return str(root)
+
+
+@contextmanager
+def python_calls():
+    """Count the Python-level calls made inside the block, per source file
+    (``sum(calls.values())`` is all of them).  Calls repeat exactly from run
+    to run, so a cost pinned this way holds on a noisy runner."""
+    calls: Counter = Counter()
+
+    def on_event(frame, event, arg):
+        if event == "call":
+            calls[frame.f_code.co_filename] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(on_event)
+    try:
+        yield calls
+    finally:
+        sys.setprofile(previous)
 
 
 def branchy_program(buffer_size: int = 3) -> L.Program:

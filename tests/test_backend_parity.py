@@ -234,7 +234,8 @@ class TestStoppingParity:
     def test_goal_met_by_the_last_path(self):
         """``max_paths`` equal to the exhaustive path count: the goal is met
         *and* the frontier is empty, on every backend (the coordinator used
-        to report the goal and stop looking)."""
+        to report the goal and stop looking) -- and no backend loses a
+        covered line against ``single``."""
         exhaustive = specs.resolve_test("printf", format_length=3).run()
         assert exhaustive.exhausted and not exhaustive.goal_reached
         for backend, options in ALL_BACKENDS:
@@ -242,6 +243,7 @@ class TestStoppingParity:
             result = test.run(backend=backend,
                               max_paths=exhaustive.paths_completed, **options)
             assert result.paths_completed == exhaustive.paths_completed, backend
+            assert result.covered_lines == exhaustive.covered_lines, backend
             assert (result.exhausted, result.goal_reached) == (True, True), backend
             assert result.states_remaining == 0, backend
 

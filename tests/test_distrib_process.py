@@ -22,6 +22,7 @@ from repro.distrib.messages import (
     StatusReply,
     StopCommand,
 )
+from repro.solver.solver import SolverConfig
 from repro.testing.symbolic_test import SymbolicTest
 
 from conftest import BUILTIN_SPECS, branchy_program
@@ -372,3 +373,18 @@ class TestCampaignFanOut:
         result = outcome.results["capped"]
         assert result.paths_completed < 9
         assert result.found_bug
+
+    def test_pool_honors_solver_config(self):
+        """A pooled entry solves with the test's ``solver_config``, so
+        ``run(processes=2)`` and ``run()`` report the same solver work."""
+        def campaign():
+            test = specs.resolve_test("printf", format_length=2)
+            test.solver_config = SolverConfig(use_independence=False)
+            batch = Campaign("solver-config",
+                             limits=ExplorationLimits(max_steps=400))
+            batch.add(test, backend="single", label="no-independence")
+            return batch
+        local = campaign().run().results["no-independence"]
+        pooled = campaign().run(processes=2).results["no-independence"]
+        assert local.cache_stats["independence_groups"] == 0
+        assert pooled.cache_stats == local.cache_stats

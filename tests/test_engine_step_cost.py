@@ -6,36 +6,23 @@ tree-walking interpreter, 19.6 decoded), and the set elements the coverage
 books copy or scan per step, which must not grow with the length of the path.
 """
 
-import sys
-
 from repro import lang as L
 from repro.distrib import specs
 from repro.engine.explorer import Explorer
 from repro.engine.limits import ExplorationLimits
 from repro.engine.strategies import make_strategy
 
-from conftest import make_executor
+from conftest import make_executor, python_calls
 
 
 def test_python_calls_per_instruction_stay_under_the_decoded_budget():
     test = specs.resolve_test("lighttpd-frag-1.4.12")
     strategy = make_strategy("dfs", program=test.program)
-    calls = 0
-
-    def count_calls(frame, event, arg):
-        nonlocal calls
-        if event == "call":
-            calls += 1
-
-    previous = sys.getprofile()
-    sys.setprofile(count_calls)
-    try:
+    with python_calls() as calls:
         result = test.run(backend="single", strategy=strategy,
                           limits=ExplorationLimits(max_instructions=20_000))
-    finally:
-        sys.setprofile(previous)
     assert result.useful_instructions == 20_000
-    assert calls / result.useful_instructions <= 24
+    assert sum(calls.values()) / result.useful_instructions <= 24
 
 
 class CountingSet(set):

@@ -5,6 +5,8 @@ import threading
 
 import pytest
 
+from repro.distrib import specs
+from repro.obs import trace as trace_module
 from repro.obs.trace import (
     NULL_TRACER,
     BufferTracer,
@@ -12,6 +14,8 @@ from repro.obs.trace import (
     Tracer,
     load_trace,
 )
+
+from conftest import python_calls
 
 
 # The mechanics tests below emit deliberately minimal payloads (they test
@@ -192,3 +196,46 @@ class TestLoadTrace:
         path.write_text('{"event": "a"}\nnot json\n{"event": "b"}\n')
         with pytest.raises(json.JSONDecodeError):
             load_trace(str(path))
+
+
+class TestTracingCost:
+    """What tracing costs, counted rather than timed (the style of
+    ``tests/test_engine_step_cost.py``): Python-level calls repeat from run
+    to run, seconds on a shared runner do not."""
+
+    @staticmethod
+    def _counted_run(max_rounds, trace_path=None):
+        """One ``cluster`` run: ``(result, every Python call it made, the
+        calls among them into repro/obs/trace.py)``."""
+        test = specs.resolve_test("printf", format_length=3)
+        with python_calls() as calls:
+            result = test.run(backend="cluster", workers=2,
+                              instructions_per_round=500,
+                              max_rounds=max_rounds, trace_path=trace_path)
+        return result, sum(calls.values()), calls[trace_module.__file__]
+
+    def test_tracing_costs_calls_per_event_and_nothing_when_off(self, tmp_path):
+        trace_path = str(tmp_path / "t.jsonl")
+        plain, plain_calls, plain_tracer_calls = self._counted_run(60)
+        traced, traced_calls, _ = self._counted_run(60, trace_path)
+        events = load_trace(trace_path)
+
+        # Tracing observes the run; it does not steer it.
+        assert plain.exhausted and traced.exhausted
+        for counter in ("rounds_executed", "paths_completed", "covered_lines",
+                        "useful_instructions", "replay_instructions",
+                        "states_transferred"):
+            assert getattr(traced, counter) == getattr(plain, counter), counter
+
+        # On: a bounded number of calls per emitted record (9.5 measured,
+        # 12.9 with the suite's schema validation), under 1 % of the run.
+        extra = traced_calls - plain_calls
+        assert 0 < extra <= 20 * len(events)
+        assert extra <= 0.01 * plain_calls
+
+        # Off: the tracer module is entered a constant number of times (one
+        # emit, one close), not once per round -- a short run makes exactly
+        # as many calls into it as a long one.
+        short, _, short_tracer_calls = self._counted_run(5)
+        assert short.rounds_executed == 5 < plain.rounds_executed
+        assert plain_tracer_calls == short_tracer_calls <= 2
