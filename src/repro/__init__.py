@@ -77,7 +77,7 @@ from repro.engine import (
     SymbolicExecutor,
     TestCase,
 )
-from repro.testing import SymbolicTest, SymbolicTestSuite
+from repro.testing import SymbolicTest
 
 __version__ = "0.2.0"
 
@@ -103,6 +103,5 @@ __all__ = [
     "SymbolicExecutor",
     "TestCase",
     "SymbolicTest",
-    "SymbolicTestSuite",
     "__version__",
 ]

@@ -30,6 +30,7 @@ from repro.api.result import RunResult
 from repro.api.runner import run_test
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle: testing imports repro.api
+    from repro.testing.report import CoverageAccounting
     from repro.testing.symbolic_test import SymbolicTest
 
 __all__ = ["Campaign", "CampaignEntry", "CampaignResult"]
@@ -138,6 +139,20 @@ class CampaignResult:
             return 0.0
         return 100.0 * len(self.combined_covered_lines(test_name)) / line_count
 
+    def coverage_accounting(self, baseline: Optional[str] = None
+                            ) -> "CoverageAccounting":
+        """Table 5's bookkeeping with one method per entry (all entries are
+        taken to run the same program); ``baseline`` is the label of the
+        entry the others are cumulated onto."""
+        from repro.testing.report import CoverageAccounting  # layered above
+        accounting = CoverageAccounting(line_count=max(
+            (r.line_count for r in self.results.values()), default=0))
+        for label, result in self.results.items():
+            accounting.add_method(label, result.paths_completed,
+                                  result.covered_lines,
+                                  baseline=(label == baseline))
+        return accounting
+
     def timelines(self) -> Dict[str, object]:
         """Per-entry cluster timelines (entries without one are omitted)."""
         return {label: r.timeline for label, r in self.results.items()
@@ -203,7 +218,12 @@ class Campaign:
                   backend: str = "single",
                   limits: Optional[ExplorationLimits] = None,
                   **options: object) -> List[CampaignEntry]:
-        """Schedule a list of tests under one shared configuration."""
+        """Schedule a list of tests under one shared configuration; two
+        tests of one name in the list is an error."""
+        tests = list(tests)
+        names = [test.name for test in tests]
+        if len(set(names)) != len(names):
+            raise ValueError("duplicate test name among %r" % (names,))
         return [self.add(test, backend=backend, limits=limits, **dict(options))
                 for test in tests]
 

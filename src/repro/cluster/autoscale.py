@@ -93,8 +93,6 @@ class AutoscalePolicy:
     cooldown_rounds: int = 2
     #: Consecutive rounds a signal must persist before acting.
     hysteresis_rounds: int = 2
-    #: Workers added/removed per action.
-    scale_step: int = 1
 
     def __post_init__(self) -> None:
         if self.min_workers < 1:
@@ -108,8 +106,6 @@ class AutoscalePolicy:
             raise ValueError("cooldown_rounds must be non-negative")
         if self.hysteresis_rounds < 1:
             raise ValueError("hysteresis_rounds must be at least 1")
-        if self.scale_step < 1:
-            raise ValueError("scale_step must be at least 1")
 
     @classmethod
     def coerce(cls, value: object) -> Optional["AutoscalePolicy"]:
@@ -230,40 +226,32 @@ class Autoscaler:
 
     def _grow(self, round_index: int, cluster: ElasticCluster,
               num_live: int) -> None:
-        added = 0
-        for _ in range(self.policy.scale_step):
-            if num_live + added >= self.policy.max_workers:
-                break
-            try:
-                cluster.add_worker()
-            except RuntimeError:
-                # No capacity to grow right now -- e.g. the TCP transport's
-                # pending-agent pool is empty, or the newcomer died while
-                # joining.  A policy decision must not kill the run; the
-                # pressure signal will re-fire once capacity exists.
-                break
-            added += 1
-        if added:
-            self.workers_added += added
-            self.decisions.append((round_index, "grow", added))
-            self._trace(cluster, round_index, "grow", added)
+        if num_live >= self.policy.max_workers:
+            return
+        try:
+            cluster.add_worker()
+        except RuntimeError:
+            # No capacity to grow right now -- e.g. the TCP transport's
+            # pending-agent pool is empty, or the newcomer died while
+            # joining.  A policy decision must not kill the run; the
+            # pressure signal will re-fire once capacity exists.
+            return
+        self.workers_added += 1
+        self.decisions.append((round_index, "grow", 1))
+        self._trace(cluster, round_index, "grow", 1)
 
     def _shrink(self, round_index: int, cluster: ElasticCluster,
                 balancer: LoadBalancer) -> None:
-        removed = 0
-        for _ in range(self.policy.scale_step):
-            live = list(cluster.live_worker_ids)
-            if len(live) <= self.policy.min_workers:
-                break
-            victim = min(live, key=lambda w: (
-                balancer.reports[w].queue_length if w in balancer.reports
-                else 0, w))
-            cluster.remove_worker(victim)
-            removed += 1
-        if removed:
-            self.workers_removed += removed
-            self.decisions.append((round_index, "shrink", removed))
-            self._trace(cluster, round_index, "shrink", removed)
+        live = list(cluster.live_worker_ids)
+        if len(live) <= self.policy.min_workers:
+            return
+        victim = min(live, key=lambda w: (
+            balancer.reports[w].queue_length if w in balancer.reports
+            else 0, w))
+        cluster.remove_worker(victim)
+        self.workers_removed += 1
+        self.decisions.append((round_index, "shrink", 1))
+        self._trace(cluster, round_index, "shrink", 1)
 
     @staticmethod
     def _trace(cluster: ElasticCluster, round_index: int, action: str,

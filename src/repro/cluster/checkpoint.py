@@ -2,10 +2,9 @@
 
 A running cluster's durable state is small: the global exploration frontier
 (as path-encoded jobs, the same representation transfers use, §3.2), the
-global coverage bit vector (§3.3), cumulative result counters, and the
-per-worker strategy seeds.  Program states are deliberately excluded -- a
-resumed cluster re-materializes the frontier by replaying the paths, exactly
-as a job transfer would.
+global coverage bit vector (§3.3) and cumulative result counters.  Program
+states are deliberately excluded -- a resumed cluster re-materializes the
+frontier by replaying the paths, exactly as a job transfer would.
 
 Checkpoints serialize to plain JSON so a resumed run needs nothing beyond
 the spec registry (process backend) or the test object (in-process backends)
@@ -55,26 +54,14 @@ class ClusterCheckpoint:
     #: Generated test cases (concrete inputs) found before the snapshot,
     #: JSON-encoded via :meth:`encode_test_case`.
     test_cases: List[Dict[str, Any]] = field(default_factory=list)
-    #: Per-worker counter snapshots (informational; not restored into workers).
-    worker_stats: Dict[int, Dict[str, int]] = field(default_factory=dict)
-    #: Search-strategy seeds per worker, recorded so an identical cluster can
-    #: be rebuilt (workers deterministically seed by their worker id, so a
-    #: same-shape resume reproduces them; the seeds are not pushed into the
-    #: resumed workers).
-    strategy_seeds: Dict[int, int] = field(default_factory=dict)
     #: Identity of the test this checkpoint belongs to, when known.
     spec_name: Optional[str] = None
     spec_params: Dict[str, object] = field(default_factory=dict)
-    test_name: Optional[str] = None
     backend: Optional[str] = None
 
     def __post_init__(self) -> None:
         self.frontier_paths = [tuple(int(i) for i in path)
                                for path in self.frontier_paths]
-        self.worker_stats = {int(k): dict(v)
-                             for k, v in self.worker_stats.items()}
-        self.strategy_seeds = {int(k): int(v)
-                               for k, v in self.strategy_seeds.items()}
         self.bug_reports = [dict(b) for b in self.bug_reports]
         self.test_cases = [dict(t) for t in self.test_cases]
 
@@ -83,7 +70,6 @@ class ClusterCheckpoint:
     def to_json(self) -> str:
         payload = asdict(self)
         payload["frontier_paths"] = [list(p) for p in self.frontier_paths]
-        # JSON keys are strings; __post_init__ re-ints them on load.
         payload["coverage_bits"] = hex(self.coverage_bits)
         return json.dumps(payload, indent=2, sort_keys=True)
 

@@ -38,7 +38,6 @@ class ClusterConfig:
     load_balancing_enabled: bool = True
     # Disable load balancing from this round on (None = never): Fig. 13.
     disable_balancing_after_round: Optional[int] = None
-    max_rounds: int = 10_000
     #: Write a :class:`~repro.cluster.checkpoint.ClusterCheckpoint` every N
     #: rounds (None = never).  The latest checkpoint is kept on the cluster
     #: (``last_checkpoint``) and, when ``checkpoint_path`` is set, saved to
@@ -101,8 +100,6 @@ class StaticPartitionConfig(ClusterConfig):
     load_balancing_enabled: bool = False
     # How many partitions to carve out per worker during the bootstrap split.
     partitions_per_worker: int = 1
-    # Hard limit on the bootstrap exploration itself.
-    max_bootstrap_steps: int = 2_000
 
     def __post_init__(self) -> None:
         super().__post_init__()

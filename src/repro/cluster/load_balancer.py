@@ -56,7 +56,6 @@ class LoadBalancer:
         self.reports: Dict[int, WorkerReport] = {}
         self.overlay = CoverageOverlay(line_count)
         self.transfer_log: List[Tuple[int, TransferCommand]] = []
-        self.enabled = True
 
     # -- worker membership -------------------------------------------------------
 
@@ -148,7 +147,7 @@ class LoadBalancer:
 
     def balance(self, round_index: int = 0) -> List[TransferCommand]:
         """Compute the transfer requests for the current reports."""
-        if not self.enabled or len(self.reports) < 2:
+        if len(self.reports) < 2:
             return []
         underloaded, _ok, overloaded = self.classify()
         if not underloaded:

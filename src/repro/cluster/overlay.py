@@ -23,11 +23,9 @@ class CoverageOverlay:
     def __init__(self, line_count: int):
         self.line_count = line_count
         self.global_vector = CoverageBitVector(line_count)
-        self.updates_received = 0
 
     def merge_from_worker(self, worker_bits: int) -> int:
         """OR a worker's vector into the global one; return the merged bits."""
-        self.updates_received += 1
         incoming = CoverageBitVector(self.line_count, worker_bits)
         self.global_vector.or_with(incoming)
         return self.global_vector.as_int()

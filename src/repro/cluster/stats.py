@@ -19,8 +19,9 @@ from typing import Dict, Iterable, List, Optional
 class WorkerStats:
     """Per-worker counters: plain ``int`` fields the worker bumps in place.
 
-    The object crosses the process boundary inside ``FinalReply``, so
-    equality and pickling are the dataclass's own.
+    A copy crosses the process boundary inside every ``StatusReply``, so
+    equality and pickling are the dataclass's own; a new per-worker counter
+    is a field here and nothing else.
     """
 
     worker_id: int

@@ -69,7 +69,7 @@ class Worker(Explorer):
     @property
     def paths_completed(self) -> int:
         """The one path counter: the ``WorkerStats`` field that ships in
-        ``FinalReply`` is the number ``Explorer.step_node`` bumps."""
+        every ``StatusReply`` is the number ``Explorer.step_node`` bumps."""
         return self.stats.paths_completed
 
     @paths_completed.setter

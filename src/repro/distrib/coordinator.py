@@ -30,13 +30,13 @@ coordinator only ever sees queue lengths and coverage bit vectors
   solver-latency histograms.
 
 What the run has produced so far is one set of books (``Coordinator.books``).
-Each member has one account, on its handle, for its whole life: its last
-``StatusReply`` while it reports, its ``FinalReply`` once it retires or is
-finalized, a ``dead`` mark when its channel fails (its work is redone by
-whoever recovers its territory, so it then adds nothing).  Work done before
-these members existed -- a resumed checkpoint's totals, the static
-bootstrap's exploration -- is the one :class:`CarriedIn` account.  Only
-:meth:`Coordinator._totals` adds the accounts up; the round record, the
+Each member has one account, on its handle, for its whole life: its latest
+``StatusReply`` -- asked for in full on checkpoint rounds, when it retires
+and at the end of the run -- plus a ``dead`` mark when its channel fails (its
+work is redone by whoever recovers its territory, so it then adds nothing).
+Work done before these members existed -- a resumed checkpoint's totals, the
+static bootstrap's exploration -- is the one :class:`CarriedIn` account.
+Only :meth:`Coordinator._totals` adds the accounts up; the round record, the
 checkpoint and the final ``RunResult`` all read it.  The books, the balancer
 and the ledger live exactly as long as the membership
 (:meth:`Coordinator._shutdown_workers` replaces them).
@@ -69,16 +69,14 @@ from repro.cluster.stats import (
     WorkerStats,
 )
 from repro.distrib.messages import (
-    DrainStatusCommand,
     ErrorReply,
     ExploreCommand,
     ExportCommand,
     ExportReply,
-    FinalizeCommand,
-    FinalReply,
     ImportCommand,
     ImportReply,
     ReadyReply,
+    ReportCommand,
     SeedCommand,
     StatusReply,
     StopCommand,
@@ -104,6 +102,9 @@ __all__ = ["Coordinator", "CarriedIn", "WorkerProcessError"]
 
 Path = Tuple[int, ...]
 _Reply = TypeVar("_Reply")
+
+#: Rounds a run may take when its limits set no ``max_rounds``.
+MAX_ROUNDS = 10_000
 
 
 class WorkerProcessError(RuntimeError):
@@ -135,11 +136,9 @@ class _WorkerHandle:
         self.queue_length = 0
         #: Merged coverage bits to piggyback on the next explore command.
         self.pending_coverage_bits: Optional[int] = None
-        #: The account: the last status, verbatim, and the FinalReply that
-        #: supersedes it -- until a newer status arrives (loopback re-runs).
+        #: The account: the member's latest report, verbatim.
         self.status: Optional[StatusReply] = None
-        self.final: Optional[FinalReply] = None
-        #: The channel failed.  The last status stays for the failure report
+        #: The channel failed.  The last report stays for the failure report
         #: and the cache aggregate, but counts toward no total.
         self.dead = False
 
@@ -173,7 +172,8 @@ class _Books:
     whole when the membership is (:meth:`Coordinator._new_membership`)."""
 
     carried: CarriedIn = field(default_factory=CarriedIn)
-    #: Closed accounts: members that retired (``final`` set) or died.
+    #: Closed accounts: members that retired (their last report is a full
+    #: one) or died.
     departed: List[_WorkerHandle] = field(default_factory=list)
     messages_sent: int = 0
     workers_added: int = 0
@@ -191,10 +191,9 @@ class _Totals:
     bugs_found: int
     useful_instructions: int
     replay_instructions: int
+    #: These three are complete when every report is a full one: on
+    #: checkpoint rounds and at the end.
     covered_lines: Set[int]
-    #: Coverage of members known by their status only, still as bits.
-    coverage_bits: int
-    #: Complete on checkpoint rounds (statuses carry them) and at the end.
     bugs: List[BugReport]
     test_cases: List[TestCase]
 
@@ -484,10 +483,8 @@ class Coordinator:
             self.handles.remove(handle)
         else:
             return  # already accounted
-        # No FinalReply will arrive (one filed at the end of an earlier run
-        # is void): the account closes on its last status.
+        # The account closes on its last report.
         handle.dead = True
-        handle.final = None
         self.books.departed.append(handle)
         if getattr(handle.transport, "heartbeat_missed", False):
             # Death detected by heartbeat silence (vs. connection loss or
@@ -498,12 +495,9 @@ class Coordinator:
         if self.tracer.enabled:
             self.tracer.emit(trace_schema.WORKER_DIED, worker=handle.worker_id,
                              reason=failure.reason, draining=was_draining)
-        stats = WorkerStats(worker_id=handle.worker_id)
-        if handle.status is not None:
-            stats.useful_instructions = handle.status.useful_instructions
-            stats.replay_instructions = handle.status.replay_instructions
-            stats.paths_completed = handle.status.paths_completed
-        self._result.failed_worker_stats[handle.worker_id] = stats
+        self._result.failed_worker_stats[handle.worker_id] = (
+            handle.status.stats if handle.status is not None
+            else WorkerStats(worker_id=handle.worker_id))
         self.load_balancer.deregister_worker(handle.worker_id)
         self._charge_failure(failure)
         if requeue:
@@ -680,10 +674,11 @@ class Coordinator:
                                  ImportCommand(encoded_jobs=encoded_jobs))
 
     def _retire_draining(self, handle: _WorkerHandle) -> None:
-        """Collect a drained member's final results and stop it."""
-        handle.final = self._ask(handle, FinalizeCommand(), FinalReply)
-        if handle.final is None:
+        """Collect a drained member's full report and stop it."""
+        report = self._ask(handle, ReportCommand(full=True), StatusReply)
+        if report is None:
             return
+        self._apply_status(handle, report)
         self._draining.remove(handle)
         self.books.departed.append(handle)
         self.tracer.emit(trace_schema.WORKER_LEFT, worker=handle.worker_id,
@@ -762,7 +757,7 @@ class Coordinator:
              resume_from: Optional[Union[ClusterCheckpoint, str]]
              ) -> RunResult:
         config = self.config
-        limit = lim.max_rounds if lim.max_rounds is not None else config.max_rounds
+        limit = lim.max_rounds if lim.max_rounds is not None else MAX_ROUNDS
         start = self._run_started = time.monotonic()
         policy = config.autoscale
         self.autoscaler = Autoscaler(policy) if policy is not None else None
@@ -869,20 +864,17 @@ class Coordinator:
                        checkpoint_due: bool) -> _RoundWork:
         # One round of exploration on every live member (concurrently, where
         # the carrier has real processes behind it).  Draining members take
-        # part with a status-only heartbeat: they no longer explore, but
-        # their replies keep queue lengths fresh and carry their frontier
-        # into checkpoints.
+        # part with a report only: they no longer explore, but their replies
+        # keep queue lengths fresh and carry their frontier into checkpoints.
         reached = self._broadcast(
             self.handles, lambda handle: ExploreCommand(
                 budget=self.config.instructions_per_round,
                 global_coverage_bits=handle.pending_coverage_bits,
-                report_frontier=checkpoint_due,
-                trace=self.tracer.enabled))
+                full=checkpoint_due, trace=self.tracer.enabled))
         for handle in reached:
             handle.pending_coverage_bits = None
         reached += self._broadcast(
-            self._draining, lambda handle: DrainStatusCommand(
-                report_frontier=checkpoint_due))
+            self._draining, lambda handle: ReportCommand(full=checkpoint_due))
         work = _RoundWork()
         for handle in reached:
             try:
@@ -890,11 +882,12 @@ class Coordinator:
             except _WorkerFailure as failure:
                 self._handle_failure(failure)
                 continue
-            before = handle.status
-            useful = status.useful_instructions - (
-                before.useful_instructions if before is not None else 0)
-            replay = status.replay_instructions - (
-                before.replay_instructions if before is not None else 0)
+            before = (handle.status.stats if handle.status is not None
+                      else WorkerStats(worker_id=handle.worker_id))
+            useful = (status.stats.useful_instructions
+                      - before.useful_instructions)
+            replay = (status.stats.replay_instructions
+                      - before.replay_instructions)
             work.useful_delta += useful
             work.replay_delta += replay
             work.detail[handle.worker_id] = {
@@ -920,7 +913,7 @@ class Coordinator:
             handle.pending_coverage_bits = self.load_balancer.receive_status(
                 worker_id=handle.worker_id,
                 queue_length=handle.queue_length,
-                useful_instructions=status.useful_instructions,
+                useful_instructions=status.stats.useful_instructions,
                 coverage_bits=status.coverage_bits,
                 round_index=round_index)
 
@@ -959,7 +952,6 @@ class Coordinator:
 
     def _apply_status(self, handle: _WorkerHandle, status: StatusReply) -> None:
         handle.status = status
-        handle.final = None
         handle.queue_length = status.queue_length
         if status.events:
             # Member-side buffered events (explore spans, ...) merge into
@@ -979,26 +971,19 @@ class Coordinator:
             bugs_found=len(carried.bugs),
             useful_instructions=carried.useful_instructions,
             replay_instructions=carried.replay_instructions,
-            covered_lines=set(carried.covered_lines), coverage_bits=0,
+            covered_lines=set(carried.covered_lines),
             bugs=list(carried.bugs), test_cases=list(carried.test_cases))
         for member in self.handles + self._draining + self.books.departed:
-            final, status = member.final, member.status
-            if final is not None:
-                total.paths_completed += final.paths_completed
-                total.bugs_found += len(final.bugs)
-                total.useful_instructions += final.stats.useful_instructions
-                total.replay_instructions += final.stats.replay_instructions
-                total.covered_lines.update(final.covered_lines)
-                total.bugs.extend(final.bugs)
-                total.test_cases.extend(final.test_cases)
-            elif status is not None and not member.dead:
-                total.paths_completed += status.paths_completed
-                total.bugs_found += status.bugs_found
-                total.useful_instructions += status.useful_instructions
-                total.replay_instructions += status.replay_instructions
-                total.coverage_bits |= status.coverage_bits
-                total.bugs.extend(status.bugs or ())
-                total.test_cases.extend(status.test_cases or ())
+            status = member.status
+            if status is None or member.dead:
+                continue
+            total.paths_completed += status.stats.paths_completed
+            total.bugs_found += status.bugs_found
+            total.useful_instructions += status.stats.useful_instructions
+            total.replay_instructions += status.stats.replay_instructions
+            total.covered_lines.update(status.covered_lines or ())
+            total.bugs.extend(status.bugs or ())
+            total.test_cases.extend(status.test_cases or ())
         return total
 
     def _record_round(self, round_index: int, work: _RoundWork,
@@ -1066,7 +1051,7 @@ class Coordinator:
     # -- checkpoint / resume -------------------------------------------------------------
 
     def _write_checkpoint(self, round_index: int,
-                          frontier: List[Path]) -> ClusterCheckpoint:
+                          frontier: List[Path]) -> None:
         """Snapshot the books and ``frontier``, the candidate paths every
         member that reported this round listed.  One that finished draining
         after the statuses were collected listed its final chunk's jobs,
@@ -1079,10 +1064,11 @@ class Coordinator:
             round_index=round_index,
             frontier_paths=sorted(frontier),
             # The overlay lags by up to status_update_interval rounds; fold
-            # in the coverage bits just collected so lines covered on
-            # completed paths (never re-explored on resume) cannot be lost.
+            # in the lines just reported so lines covered on completed paths
+            # (never re-explored on resume) cannot be lost.
             coverage_bits=(self.load_balancer.overlay.global_vector.as_int()
-                           | totals.coverage_bits),
+                           | CoverageBitVector.from_lines(
+                               self.line_count, totals.covered_lines).as_int()),
             line_count=self.line_count,
             paths_completed=totals.paths_completed,
             useful_instructions=totals.useful_instructions,
@@ -1093,16 +1079,6 @@ class Coordinator:
                          for b in dedupe_bugs(totals.bugs)],
             test_cases=[ClusterCheckpoint.encode_test_case(t)
                         for t in totals.test_cases],
-            worker_stats={
-                h.worker_id: {
-                    "useful_instructions": h.status.useful_instructions,
-                    "replay_instructions": h.status.replay_instructions,
-                    "paths_completed": h.status.paths_completed,
-                    "queue_length": h.status.queue_length,
-                }
-                for h in self.handles + self._draining
-                if h.status is not None},
-            strategy_seeds={h.worker_id: h.worker_id for h in self.handles},
             spec_name=self.spec_name,
             spec_params=dict(self.spec_params),
             backend=self.backend_name,
@@ -1110,7 +1086,6 @@ class Coordinator:
         if self.config.checkpoint_path:
             checkpoint.save(self.config.checkpoint_path)
         self.last_checkpoint = checkpoint
-        return checkpoint
 
     def _restore(self, checkpoint: Union[ClusterCheckpoint, str]) -> None:
         checkpoint = ClusterCheckpoint.coerce(checkpoint)
@@ -1161,18 +1136,19 @@ class Coordinator:
 
     def _finalize(self, result: RunResult, rounds: int,
                   round_seconds: Histogram) -> None:
-        """Close the run: every member still enrolled files its final
-        account, ``result`` is filled from the books, and the run's last
-        trace events go out."""
-        # Members still draining when the run ends are finalized like live
-        # ones: their results count, and any jobs left on them were already
+        """Close the run: every member still enrolled files a full report,
+        ``result`` is filled from the books, and the run's last trace events
+        go out."""
+        # Members still draining when the run ends report like live ones:
+        # their results count, and any jobs left on them were already
         # counted as unexplored candidates by the termination checks.
         for handle in self.handles + self._draining:
             try:
-                self._send(handle, FinalizeCommand())
-                handle.final = self._expect(handle, FinalReply)
+                self._send(handle, ReportCommand(full=True))
+                self._apply_status(handle, self._expect(handle, StatusReply))
             except _WorkerFailure as failure:
-                # Too late to re-explore; keep its last-known counters.
+                # Too late to re-explore; its last report stays in
+                # ``failed_worker_stats`` and counts toward no total.
                 self._handle_failure(failure, requeue=False)
 
         books = self.books
@@ -1197,17 +1173,17 @@ class Coordinator:
         counter_maps: List[Dict[str, int]] = []
         latency = Histogram("solver_query_seconds")
         for member in live + self._draining + books.departed:
-            final = member.final
-            if final is not None:
-                worker_stats[final.worker_id] = final.stats
-                counter_maps.append(dict(final.cache_counters))
-                if final.latency is not None:
-                    latency.merge_from(final.latency)
-            elif member.status is not None and member.status.cache_counters:
-                # Dead members never sent a FinalReply; the counters on
-                # their last status still enter the aggregate so the run's
-                # cache hit rates reflect the whole fleet.
-                counter_maps.append(dict(member.status.cache_counters))
+            status = member.status
+            if status is None:
+                continue
+            # A dead member's solver counters still enter the aggregate, so
+            # the run's cache hit rates reflect the whole fleet.
+            counter_maps.append(dict(status.cache_counters))
+            if member.dead:
+                continue
+            worker_stats[member.worker_id] = status.stats
+            if status.latency is not None:
+                latency.merge_from(status.latency)
         result.worker_stats = worker_stats
         result.transfer_cost = TransferCost.from_worker_stats(
             worker_stats.values())

@@ -41,6 +41,9 @@ __all__ = ["LoopbackTransport", "Cloud9Cluster", "StaticPartitionCluster",
 ExecutorFactory = Callable[[], SymbolicExecutor]
 StateFactory = Callable[[SymbolicExecutor], ExecutionState]
 
+#: Hard limit on the static-partition bootstrap exploration, in steps.
+BOOTSTRAP_STEPS = 2_000
+
 
 class LoopbackTransport(Transport):
     """A channel to a member living in this process: ``send`` runs the
@@ -210,7 +213,7 @@ class StaticPartitionCluster(Cloud9Cluster):
         executor = self.executor_factory()
         frontier: Deque[ExecutionState] = deque([self.state_factory(executor)])
         steps = 0
-        while frontier and len(frontier) < wanted and steps < config.max_bootstrap_steps:
+        while frontier and len(frontier) < wanted and steps < BOOTSTRAP_STEPS:
             state = frontier.popleft()
             result = executor.step(state)
             steps += 1

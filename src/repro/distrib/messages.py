@@ -3,10 +3,14 @@
 Everything crossing the process boundary is one of these small picklable
 dataclasses.  Jobs travel as the nested-list encoding of a
 :class:`~repro.cluster.jobs.JobTree` (prefix-sharing trie, §3.2), coverage as
-the overlay bit vector packed into an int (§3.3), and final results as plain
+the overlay bit vector packed into an int (§3.3), and results as plain
 dataclasses (:class:`~repro.cluster.stats.WorkerStats`, bug reports, test
 cases).  Program state never does -- that is the point of path-encoded job
 shipping.
+
+A member tells the coordinator about itself one way: the
+:class:`StatusReply`, which answers the seed, every round of exploration and
+every :class:`ReportCommand`.
 
 Every command sent to a worker produces exactly one reply -- :data:`REPLY_OF`
 says of which class -- which keeps the coordinator's request/reply
@@ -15,8 +19,8 @@ bookkeeping trivial and makes worker death detectable as a reply timeout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Optional, Tuple
 
 from repro.cluster.stats import WorkerStats
 from repro.engine.errors import BugReport
@@ -24,10 +28,10 @@ from repro.engine.test_case import TestCase
 from repro.obs.metrics import Histogram
 
 __all__ = [
-    "SeedCommand", "ExploreCommand", "DrainStatusCommand", "ExportCommand",
-    "ImportCommand", "FinalizeCommand", "StopCommand",
-    "ReadyReply", "StatusReply", "ExportReply", "ImportReply", "FinalReply",
-    "ErrorReply", "REPLY_OF",
+    "SeedCommand", "ExploreCommand", "ReportCommand", "ExportCommand",
+    "ImportCommand", "StopCommand",
+    "ReadyReply", "StatusReply", "ExportReply", "ImportReply", "ErrorReply",
+    "REPLY_OF",
 ]
 
 
@@ -47,31 +51,30 @@ class ExploreCommand:
     vector (§3.3), exactly as the in-process cluster's COVERAGE_UPDATE
     message does; ``None`` means no update this round.
 
-    ``report_frontier`` asks the worker to attach its full frontier (as an
-    encoded JobTree) to the status reply; the coordinator sets it on
-    checkpoint rounds only, to keep the steady-state wire cost flat.
+    ``full`` asks for the status reply in full (see :class:`StatusReply`);
+    the coordinator sets it on checkpoint rounds only, to keep the
+    steady-state wire cost flat.
     """
 
     budget: int
     global_coverage_bits: Optional[int] = None
-    report_frontier: bool = False
+    full: bool = False
     #: Buffer trace events (:class:`repro.obs.trace.BufferTracer`) and
     #: attach them to status replies; set once the coordinator runs traced.
     trace: bool = False
 
 
 @dataclass(frozen=True)
-class DrainStatusCommand:
-    """Report status without exploring (the lightweight drain heartbeat).
+class ReportCommand:
+    """Report status without exploring.
 
-    Draining members used to answer zero-budget :class:`ExploreCommand`\\ s
-    to stay visible; this carries none of the explore machinery (no global
-    coverage merge, no budget bookkeeping) and says what it is on the wire.
-    ``report_frontier`` has the same checkpoint-round meaning as on
-    :class:`ExploreCommand`.
+    A draining member answers one every round (it no longer explores, but
+    its replies keep its queue length fresh); with ``full`` set it is how a
+    member files its results -- on checkpoint rounds, when it retires and
+    at the end of the run.
     """
 
-    report_frontier: bool = False
+    full: bool = False
 
 
 @dataclass(frozen=True)
@@ -97,11 +100,6 @@ class ImportCommand:
 
 
 @dataclass(frozen=True)
-class FinalizeCommand:
-    """Ship back the full per-worker results."""
-
-
-@dataclass(frozen=True)
 class StopCommand:
     """Exit the worker loop."""
 
@@ -120,32 +118,38 @@ class ReadyReply:
 
 @dataclass(frozen=True)
 class StatusReply:
-    """Post-round status: the §3.3 status update, plus result counters."""
+    """A member's one report: the §3.3 status update plus its counters, and
+    -- when the command asked for it in ``full`` -- its results so far."""
 
     worker_id: int
     queue_length: int
-    useful_instructions: int
-    replay_instructions: int
     coverage_bits: int
-    paths_completed: int
     bugs_found: int
-    broken_replays: int
-    #: Encoded JobTree of the worker's candidate paths; present only when
-    #: the coordinator asked for it (checkpoint rounds).
-    frontier: Optional[object] = None
-    #: Bug reports and generated test cases found so far; attached only on
-    #: checkpoint rounds (``report_frontier``) so snapshots are
-    #: self-contained without inflating the steady-state wire cost.
-    bugs: Optional[Tuple[BugReport, ...]] = None
-    test_cases: Optional[Tuple[TestCase, ...]] = None
+    #: The worker's counters as they stand (a copy: the worker keeps bumping
+    #: its own).  A new per-worker counter is a field there, nowhere else.
+    stats: WorkerStats
+    #: The worker solver's raw cache/solver counters, on every report so the
+    #: last one a member files before dying still enters the aggregate and
+    #: post-recovery cache hit rates are not inflated.
+    cache_counters: Dict[str, int]
     #: Buffered trace events since the last reply (only when the run is
     #: traced; the coordinator ingests them into the single trace file).
     events: Optional[Tuple[Dict, ...]] = None
-    #: The worker solver's raw cache/solver counters.  Piggybacked on every
-    #: status so the coordinator holds a last-known copy: when a worker dies
-    #: before its FinalReply, these counters still enter the aggregate and
-    #: post-recovery cache hit rates are not inflated.
-    cache_counters: Optional[Dict[str, int]] = None
+    # -- present only on a full report -----------------------------------------
+    #: Encoded JobTree of the worker's candidate paths.
+    frontier: Optional[object] = None
+    #: Bug reports and generated test cases found so far, so a checkpoint is
+    #: self-contained (a resumed run never re-explores the paths they came
+    #: from) and the final result needs no second message.
+    bugs: Optional[Tuple[BugReport, ...]] = None
+    test_cases: Optional[Tuple[TestCase, ...]] = None
+    #: Every line the worker's executor ran, replay included -- a superset
+    #: of ``coverage_bits``, which holds what was handed to the strategy.
+    covered_lines: Optional[FrozenSet[int]] = None
+    #: The worker solver's query-latency histogram (bounded reservoir, a
+    #: few KB), merged coordinator-side into the run-level p50/p99 on the
+    #: final ``solver_query`` trace event.
+    latency: Optional[Histogram] = None
 
 
 @dataclass(frozen=True)
@@ -163,23 +167,6 @@ class ImportReply:
     imported: int
 
 
-@dataclass
-class FinalReply:
-    """Everything the coordinator needs to build the merged RunResult."""
-
-    worker_id: int
-    stats: WorkerStats
-    paths_completed: int
-    covered_lines: Set[int] = field(default_factory=set)
-    bugs: List[BugReport] = field(default_factory=list)
-    test_cases: List[TestCase] = field(default_factory=list)
-    cache_counters: Dict[str, int] = field(default_factory=dict)
-    #: The worker solver's query-latency histogram (bounded reservoir, a
-    #: few KB), merged coordinator-side into the run-level p50/p99 on the
-    #: final ``solver_query`` trace event.
-    latency: Optional[Histogram] = None
-
-
 @dataclass(frozen=True)
 class ErrorReply:
     """A worker crashed; ``details`` carries the formatted traceback."""
@@ -195,8 +182,7 @@ class ErrorReply:
 REPLY_OF: Dict[type, type] = {
     SeedCommand: StatusReply,
     ExploreCommand: StatusReply,
-    DrainStatusCommand: StatusReply,
+    ReportCommand: StatusReply,
     ExportCommand: ExportReply,
     ImportCommand: ImportReply,
-    FinalizeCommand: FinalReply,
 }

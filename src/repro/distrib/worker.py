@@ -17,6 +17,7 @@ destination) deterministically.
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import multiprocessing
 import queue as queue_module
@@ -27,16 +28,14 @@ from repro.cluster.jobs import Job, JobTree
 from repro.cluster.worker import Worker
 from repro.distrib import specs
 from repro.distrib.messages import (
-    DrainStatusCommand,
     ErrorReply,
     ExploreCommand,
     ExportCommand,
     ExportReply,
-    FinalizeCommand,
-    FinalReply,
     ImportCommand,
     ImportReply,
     ReadyReply,
+    ReportCommand,
     SeedCommand,
     StatusReply,
     StopCommand,
@@ -78,46 +77,40 @@ class DistribWorker:
             return self.status()
         if isinstance(command, ExploreCommand):
             return self._explore(command)
-        if isinstance(command, DrainStatusCommand):
-            # The drain heartbeat: a draining member reports, never explores.
-            return self.status(include_frontier=command.report_frontier)
+        if isinstance(command, ReportCommand):
+            return self.status(full=command.full)
         if isinstance(command, ExportCommand):
             return self._export(command)
         if isinstance(command, ImportCommand):
             return self._import(command)
-        if isinstance(command, FinalizeCommand):
-            return self._finalize()
         raise TypeError("unknown worker command %r" % (command,))
 
-    def status(self, include_frontier: bool = False) -> StatusReply:
+    def status(self, full: bool = False) -> StatusReply:
+        """The member's one report; ``full`` adds its results so far."""
         worker = self.worker
-        frontier = None
-        bugs = None
-        test_cases = None
-        if include_frontier:
-            frontier = JobTree.from_jobs(
-                [Job(path) for path in sorted(worker.frontier_paths())]).encode()
-            # Checkpoint rounds only: ship the results found so far so the
-            # snapshot is self-contained (a resumed run never re-explores
-            # the completed paths these came from).
-            bugs = tuple(worker.bugs)
-            test_cases = tuple(worker.test_cases)
-        return StatusReply(
+        executor = worker.executor
+        reply = StatusReply(
             worker_id=self.worker_id,
             queue_length=worker.queue_length,
-            useful_instructions=worker.stats.useful_instructions,
-            replay_instructions=worker.stats.replay_instructions,
             coverage_bits=worker.coverage_view.snapshot_bits(),
-            paths_completed=worker.paths_completed,
             bugs_found=len(worker.bugs),
-            broken_replays=worker.stats.broken_replays,
-            frontier=frontier,
-            bugs=bugs,
-            test_cases=test_cases,
+            # A copy: the loopback carrier does not pickle, and the
+            # coordinator diffs consecutive reports.
+            stats=dataclasses.replace(worker.stats),
+            cache_counters=executor.solver.cache_counters(),
             events=(tuple(self.tracer.drain())
-                    if self.tracer is not None else None),
-            cache_counters=worker.executor.solver.cache_counters(),
-        )
+                    if self.tracer is not None else None))
+        if not full:
+            return reply
+        return dataclasses.replace(
+            reply,
+            frontier=JobTree.from_jobs(
+                [Job(path) for path in sorted(worker.frontier_paths())]
+            ).encode(),
+            bugs=tuple(worker.bugs),
+            test_cases=tuple(worker.test_cases),
+            covered_lines=frozenset(executor.covered_lines),
+            latency=executor.solver.query_seconds)
 
     def _explore(self, command: ExploreCommand) -> StatusReply:
         if command.trace and self.tracer is None:
@@ -137,7 +130,7 @@ class DistribWorker:
                     self.worker.explore(command.budget)
             else:
                 self.worker.explore(command.budget)
-        return self.status(include_frontier=command.report_frontier)
+        return self.status(full=command.full)
 
     def _export(self, command: ExportCommand) -> ExportReply:
         job_tree = self.worker.export_jobs(command.count)
@@ -154,19 +147,6 @@ class DistribWorker:
                                            fence_paths=command.fence_paths,
                                            recovered=command.recovered)
         return ImportReply(worker_id=self.worker_id, imported=imported)
-
-    def _finalize(self) -> FinalReply:
-        worker = self.worker
-        return FinalReply(
-            worker_id=self.worker_id,
-            stats=worker.stats,
-            paths_completed=worker.paths_completed,
-            covered_lines=set(worker.executor.covered_lines),
-            bugs=list(worker.bugs),
-            test_cases=list(worker.test_cases),
-            cache_counters=worker.executor.solver.cache_counters(),
-            latency=worker.executor.solver.query_seconds,
-        )
 
 
 def serve(worker_id: int, spec_name: str, spec_params: dict,

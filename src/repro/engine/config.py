@@ -27,8 +27,6 @@ class EngineConfig:
     max_call_depth: int = 256
     fork_on_schedule: bool = False
     detect_deadlocks: bool = True
-    max_symbolic_malloc: int = 4096
-    scheduler_policy: str = "round_robin"
 
     def copy(self) -> "EngineConfig":
         return replace(self)

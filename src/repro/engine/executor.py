@@ -99,7 +99,6 @@ class SymbolicExecutor:
         self.solver = solver or Solver()
         self.natives = natives or default_registry()
         self.scheduler = CooperativeScheduler(
-            policy=self.config.scheduler_policy,
             fork_schedules=self.config.fork_on_schedule)
         self.interpreter = Interpreter(self.solver, self.natives, self.config)
         self.interpreter.executor = self
@@ -301,7 +300,7 @@ class SymbolicExecutor:
             if max_wall_time is not None and time.monotonic() - start > max_wall_time:
                 break
             if coverage_target is not None and result.line_count:
-                percent = 100.0 * len(self.covered_lines) / result.line_count
+                percent = 100.0 * len(explorer.covered_lines) / result.line_count
                 if percent >= coverage_target:
                     break
 
@@ -324,7 +323,7 @@ class SymbolicExecutor:
         result.paths_completed = explorer.paths_completed
         result.bugs = dedupe_bugs(bugs)
         result.test_cases = explorer.test_cases
-        result.covered_lines = set(self.covered_lines)
+        result.covered_lines = set(explorer.covered_lines)
         result.goal_reached = lim.satisfied_by(
             result.paths_completed, result.coverage_percent, len(bugs))
         result.useful_instructions = self.total_instructions - instructions_at_start
@@ -356,7 +355,7 @@ class SymbolicExecutor:
         increments, not cumulative totals.  Returns the new cumulative
         useful-instruction count for the next delta.
         """
-        covered = len(self.covered_lines)
+        covered = len(explorer.covered_lines)
         frontier = explorer.frontier
         percent = (100.0 * covered / result.line_count
                    if result.line_count else 0.0)

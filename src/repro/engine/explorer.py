@@ -60,8 +60,10 @@ class Explorer:
         self.bugs: List[BugReport] = []
         self.test_cases: List[TestCase] = []
         self.paths_completed = 0
-        # Lines already handed on through new_lines().
-        self._told_lines: Set[int] = set()
+        # The lines this exploration covered, each handed on through
+        # new_lines() once (the executor's own set is cumulative over every
+        # exploration and replay it ever ran).
+        self.covered_lines: Set[int] = set()
         # Ids of nodes whose state did not come out of step_node (see adopt()).
         self._adopted: Set[int] = set()
 
@@ -96,7 +98,7 @@ class Explorer:
             self.bugs.extend(result.bugs)
             self.test_cases.extend(result.test_cases)
         children = result.children
-        told = self._told_lines
+        told = self.covered_lines
         if node.node_id in self._adopted:
             self._adopted.discard(node.node_id)
             new: Set[int] = set()

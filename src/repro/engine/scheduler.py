@@ -47,11 +47,8 @@ class ScheduleDecision:
 class CooperativeScheduler:
     """Chooses the next thread to run within a state."""
 
-    def __init__(self, policy: str = POLICY_ROUND_ROBIN, fork_schedules: bool = False,
-                 context_bound: int = 2):
-        self.policy = policy
-        self.fork_schedules = fork_schedules or policy == POLICY_FORK_ALL
-        self.context_bound = context_bound
+    def __init__(self, fork_schedules: bool = False):
+        self.fork_schedules = fork_schedules
 
     def runnable(self, state: ExecutionState) -> List[Thread]:
         return [t for t in state.all_threads() if t.status == ThreadStatus.ENABLED]
@@ -65,7 +62,7 @@ class CooperativeScheduler:
                 return ScheduleDecision([], deadlock=True)
             return ScheduleDecision([], all_exited=True)
 
-        policy = state.options.get("scheduler_policy", self.policy)
+        policy = state.options.get("scheduler_policy", POLICY_ROUND_ROBIN)
         fork = self.fork_schedules or state.options.get("fork_schedules", False)
         ordered = self._order(state, runnable, policy)
         if fork and len(ordered) > 1:

@@ -152,6 +152,9 @@ def cloud9_get_wlist(ctx: NativeContext):
 
 # -- libc-like built-ins ----------------------------------------------------------
 
+#: Bytes a single ``malloc`` models at most (a larger request is clamped).
+MAX_MALLOC = 4096
+
 
 def native_malloc(ctx: NativeContext):
     size = ctx.concrete_arg(0)
@@ -161,8 +164,7 @@ def native_malloc(ctx: NativeContext):
         if used + size > int(limit):
             return 0  # NULL: out of (modeled) memory, cloud9_set_max_heap
         ctx.state.options["heap_used"] = used + size
-    if size > ctx.executor.config.max_symbolic_malloc:
-        size = ctx.executor.config.max_symbolic_malloc
+    size = min(size, MAX_MALLOC)
     obj = ctx.allocate(size, name="heap")
     return obj.address
 

@@ -33,7 +33,6 @@ from repro.net.transport import (
     PROTOCOL_COMPAT_VERSION,
     PROTOCOL_VERSION,
     HelloMessage,
-    ReceiveTimeout,
     RejectMessage,
     TcpTransport,
     TransportError,
@@ -48,25 +47,26 @@ class AgentRejected(RuntimeError):
     """The coordinator refused this agent during the handshake."""
 
 
+#: Seconds to wait for the TCP connection to the coordinator.
+DIAL_TIMEOUT = 30.0
+
+
 def _agent_name() -> str:
     return "%s:%d" % (socket.gethostname(), os.getpid())
 
 
 def run_agent(connect: str, spec_modules: Sequence[str] = (),
-              max_frame_size: int = DEFAULT_MAX_FRAME_SIZE,
-              dial_timeout: float = 30.0,
-              admission_timeout: Optional[float] = None) -> int:
+              max_frame_size: int = DEFAULT_MAX_FRAME_SIZE) -> int:
     """Dial the coordinator and serve as one worker until stopped.
 
     Returns the number of commands served (useful to tests; the CLI ignores
-    it).  ``admission_timeout`` bounds the wait in the pending pool (None =
-    wait for admission indefinitely, the right default for a standby pool
-    an autoscaler admits from).  Raises :class:`AgentRejected` on a
+    it).  The wait in the pending pool is unbounded, which is what a standby
+    pool an autoscaler admits from needs.  Raises :class:`AgentRejected` on a
     handshake refusal and :class:`TransportError` if the coordinator
     vanishes before admission.
     """
     host, port = parse_address(connect)
-    sock = socket.create_connection((host, port), timeout=dial_timeout)
+    sock = socket.create_connection((host, port), timeout=DIAL_TIMEOUT)
     sock.settimeout(None)
     transport = TcpTransport(sock, peer="coordinator %s:%d" % (host, port),
                              max_frame_size=max_frame_size)
@@ -75,12 +75,7 @@ def run_agent(connect: str, spec_modules: Sequence[str] = (),
     try:
         transport.send(HelloMessage(protocol_version=PROTOCOL_VERSION,
                                     agent=_agent_name()))
-        try:
-            welcome = transport.recv(timeout=admission_timeout)
-        except ReceiveTimeout:
-            raise TransportError(
-                "coordinator %s:%d did not admit this agent within %.1fs"
-                % (host, port, admission_timeout)) from None
+        welcome = transport.recv()
         if isinstance(welcome, RejectMessage):
             raise AgentRejected(welcome.reason)
         if not isinstance(welcome, WelcomeMessage):

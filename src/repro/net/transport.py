@@ -58,11 +58,15 @@ __all__ = [
 #: to the framing, the handshake, or the command/reply message set; the
 #: handshake rejects mismatches so a stale agent fails fast with a clear
 #: reason instead of desynchronizing mid-run.
-#: v2: ExploreCommand.trace, DrainStatusCommand, StatusReply events and
-#: cache_counters (the observability message set).
-#: v3: FinalReply.latency -- the worker solver's query-latency histogram,
-#: so the run-level solver_query p50/p99 covers process/tcp workers too.
-PROTOCOL_VERSION = 3
+#: v2: ExploreCommand.trace, the no-explore status command, StatusReply
+#: events and cache_counters (the observability message set).
+#: v3: the worker solver's query-latency histogram rides home with the
+#: results, so the run-level solver_query p50/p99 covers process/tcp
+#: workers too.
+#: v4: a member files one report -- StatusReply carries its WorkerStats and,
+#: asked in full, its results; ReportCommand replaces the drain-status and
+#: finalize commands and the final reply is gone (breaking: floor moved too).
+PROTOCOL_VERSION = 4
 
 #: Oldest protocol version whose agents may still join a campaign: the
 #: coordinator admits any hello in
@@ -71,7 +75,7 @@ PROTOCOL_VERSION = 3
 #: ``PROTOCOL_VERSION`` and leaves this floor behind; a breaking change
 #: advances both.  The semver rule is enforced statically against
 #: ``protocol.lock.json`` (PROTO004, :mod:`repro.analysis.protocol`).
-PROTOCOL_COMPAT_VERSION = 3
+PROTOCOL_COMPAT_VERSION = 4
 
 
 # -- handshake messages ------------------------------------------------------------------

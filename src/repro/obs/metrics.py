@@ -9,7 +9,7 @@ fields cannot hold is a distribution, and that is all this module keeps:
 deterministically-decimated sample reservoir, so percentile queries
 (p50/p99 for solver latency and round wall time) cost O(1) memory, and
 per-worker histograms merge into one run-level distribution
-(``FinalReply.latency``).
+(``StatusReply.latency``, on a full report).
 """
 
 from __future__ import annotations

@@ -36,7 +36,6 @@ class FileNode:
     data: BlockBuffer = field(default_factory=BlockBuffer)
     symbolic: bool = False
     exists: bool = True
-    concrete_passthrough: bool = False   # "concrete file" mode of the paper
 
 
 @dataclass

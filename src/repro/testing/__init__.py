@@ -4,18 +4,16 @@ A :class:`SymbolicTest` packages a program under test together with the
 environment setup (symbolic data, files, network conditions, fault injection,
 scheduler policy, instruction limits) and can then be run either on a single
 engine ("1-worker Cloud9", i.e. plain KLEE) or on a cluster of any
-size.  :class:`SymbolicTestSuite` groups tests and produces the combined
-coverage accounting used by Table 5.
+size.  A batch of tests is a :class:`repro.api.Campaign`, whose result
+produces the combined coverage accounting used by Table 5
+(:class:`CoverageAccounting`).
 """
 
 from repro.testing.symbolic_test import SymbolicTest
-from repro.testing.suite import SuiteResult, SymbolicTestSuite
 from repro.testing.report import CoverageAccounting, MethodCoverage
 
 __all__ = [
     "SymbolicTest",
-    "SymbolicTestSuite",
-    "SuiteResult",
     "CoverageAccounting",
     "MethodCoverage",
 ]

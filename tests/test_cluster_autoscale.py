@@ -81,8 +81,6 @@ class TestAutoscalePolicy:
             AutoscalePolicy(hysteresis_rounds=0)
         with pytest.raises(ValueError, match="cooldown"):
             AutoscalePolicy(cooldown_rounds=-1)
-        with pytest.raises(ValueError, match="scale_step"):
-            AutoscalePolicy(scale_step=0)
 
     def test_grow_on_queue_band(self):
         policy = AutoscalePolicy(queue_high=4.0, queue_low=1.0, max_workers=8)
@@ -363,8 +361,8 @@ class TestIncrementalDrain:
         assert cluster.workers[1].queue_length == 0
         cluster.remove_worker(2)
         assert cluster._draining == []
-        assert [(a.worker_id, a.final is not None)
-                for a in cluster.books.departed] == [(2, True)]
+        assert [(a.worker_id, a.dead)
+                for a in cluster.books.departed] == [(2, False)]
 
     def test_remove_guards_unchanged(self):
         test = _buggy_test()
@@ -574,7 +572,7 @@ class TestResumeAccounting:
         assert removed, "no worker found the bug; tune the budgets"
         assert result.exhausted and result.workers_removed == 1
         assert removed["id"] in {a.worker_id for a in cluster.books.departed
-                                 if a.final is not None}
+                                 if not a.dead}
         series = [snap.bugs_found for snap in result.timeline.snapshots]
         assert series == sorted(series), series
         assert series[removed["round"]] >= 1
@@ -655,10 +653,10 @@ class TestProcessAutoscale:
         def hook(round_index, cl):
             if "removed" not in captured and round_index >= 2:
                 victim = max(cl.handles,
-                             key=lambda h: (h.status.paths_completed,
+                             key=lambda h: (h.status.stats.paths_completed,
                                             h.queue_length))
                 if (victim.queue_length >= 3
-                        and victim.status.paths_completed >= 1
+                        and victim.status.stats.paths_completed >= 1
                         and len(cl.handles) > 1):
                     captured["removed"] = round_index
                     cl.remove_worker(victim.worker_id)

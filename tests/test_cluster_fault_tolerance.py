@@ -164,8 +164,6 @@ class TestClusterCheckpoint:
             paths_completed=4,
             useful_instructions=100,
             replay_instructions=20,
-            worker_stats={1: {"paths_completed": 4}},
-            strategy_seeds={1: 1, 2: 2},
             spec_name="test-ft-buggy",
         )
 
@@ -174,7 +172,6 @@ class TestClusterCheckpoint:
         restored = ClusterCheckpoint.from_json(checkpoint.to_json())
         assert restored == checkpoint
         assert restored.frontier_paths == [(0, 1), (2,)]
-        assert restored.strategy_seeds == {1: 1, 2: 2}
 
     def test_save_load_and_coerce(self, tmp_path):
         path = str(tmp_path / "ckpt.json")
@@ -557,7 +554,6 @@ class TestProcessCheckpointResume:
         checkpoint = ClusterCheckpoint.load(path)
         assert checkpoint.spec_name == "test-ft-buggy"
         assert checkpoint.backend == "process"
-        assert checkpoint.strategy_seeds == {1: 1, 2: 2}
         assert checkpoint.frontier_paths  # mid-run: work outstanding
         assert checkpoint.line_count == test.program.line_count
 

@@ -89,11 +89,6 @@ class TestLoadBalancer:
         lb = self._lb_with_queues({1: 1, 2: 0})
         assert lb.balance() == []
 
-    def test_disabled_balancer(self):
-        lb = self._lb_with_queues({1: 100, 2: 0})
-        lb.enabled = False
-        assert lb.balance() == []
-
     def test_transfer_log_records_rounds(self):
         lb = self._lb_with_queues({1: 100, 2: 0})
         lb.balance(round_index=7)

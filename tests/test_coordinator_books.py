@@ -17,7 +17,7 @@ from repro.distrib.cluster import (
     ProcessClusterConfig,
     WorkerProcessError,
 )
-from repro.distrib.messages import ExploreCommand, ReadyReply
+from repro.distrib.messages import ExploreCommand, ReadyReply, ReportCommand
 from repro.net.transport import TransportError
 
 from test_loopback_faults import FaultyTransport
@@ -154,7 +154,121 @@ def test_final_filed_at_the_end_of_a_run_is_void_once_the_member_dies(printf2):
     assert 1 not in second.worker_stats
 
 
+def test_an_account_is_the_latest_report_whichever_kind_it_is(printf2):
+    """Run three rounds at a time: every run ends on a full report and the
+    next run's first brief one takes its place -- there is no second kind
+    of account to void, and nothing is counted twice or dropped."""
+    cluster = printf2.build_cluster(
+        ClusterConfig(num_workers=2, instructions_per_round=60))
+    kinds = []
+
+    def hook(round_index, cl):
+        kinds.append([h.status is not None
+                      and h.status.covered_lines is not None
+                      for h in cl.handles])
+
+    cluster.round_hook = hook
+    results = []
+    while not (results and results[-1].exhausted):
+        results.append(cluster.run(max_rounds=3))
+        for handle in cluster.handles:
+            assert set(vars(handle)) >= {"status", "dead"}
+            assert "final" not in vars(handle)
+            assert handle.status.covered_lines is not None
+            assert results[-1].worker_stats[handle.worker_id] \
+                is handle.status.stats
+        assert results[-1].paths_completed == sum(
+            stats.paths_completed
+            for stats in results[-1].worker_stats.values())
+        assert len(results[-1].test_cases) == results[-1].paths_completed
+    assert len(results) > 2
+    # A run's first round still sees the full report the run before ended
+    # on; by the next round a brief one has taken its place.
+    assert kinds[:3] == [[False, False]] * 3
+    assert kinds[3:6] == [[True, True], [False, False], [False, False]]
+    single = printf2.run(backend="single")
+    assert results[-1].paths_completed == single.paths_completed
+    assert results[-1].covered_lines == single.covered_lines
+
+
+def test_member_lost_while_filing_its_end_of_run_report(printf2):
+    """Too late to redo its work: the member's counters stay out of every
+    total, and its last report's ``WorkerStats`` -- all of it, not three
+    hand-picked counters -- is what ``failed_worker_stats`` keeps."""
+    cluster, _ = _cluster(
+        printf2, lambda member: FaultyTransport(
+            member, victim=1, command=ReportCommand, occurrence=1,
+            when="reply"),
+        num_workers=2, instructions_per_round=60)
+    result = cluster.run(max_rounds=6)
+    assert not result.exhausted
+    assert result.worker_failures == 1 and result.jobs_recovered == 0
+    assert sorted(result.worker_stats) == [2]
+    lost = result.failed_worker_stats[1]
+    (account,) = cluster.books.departed
+    assert account.dead and lost is account.status.stats
+    assert account.status.covered_lines is None  # its last *brief* report
+    assert lost.useful_instructions > 0 and lost.paths_completed > 0
+    assert lost.jobs_exported > 0 and lost.transfers > 0  # whole
+    survivor = result.worker_stats[2]
+    assert result.paths_completed == survivor.paths_completed
+    assert result.useful_instructions == survivor.useful_instructions
+    assert result.replay_instructions == survivor.replay_instructions
+    assert len(result.test_cases) == survivor.paths_completed
+    # The per-round increments had counted the lost member's work.
+    assert sum(snap.useful_instructions
+               for snap in result.timeline.snapshots) \
+        == survivor.useful_instructions + lost.useful_instructions
+    # Its solver counters still enter the aggregate.
+    assert result.cache_stats["solver_queries"] \
+        > cluster.handles[0].status.cache_counters["solver_queries"]
+
+
 # -- one place adds up -------------------------------------------------------------------
+
+
+def test_member_retiring_between_a_status_and_the_checkpoint_is_counted_once():
+    """A draining member reports with everyone else, then hands over its
+    last chunk and retires in the same round's drain step, filing a full
+    report; the checkpoint written right after must count it once."""
+    test = specs.resolve_test("printf", format_length=3)
+    cluster = test.build_cluster(ClusterConfig(
+        num_workers=3, instructions_per_round=120, checkpoint_every=1,
+        drain_chunk=2))
+    seen = {}
+
+    def hook(round_index, cl):
+        if round_index == 3:
+            victim = max(cl.handles, key=lambda h: h.queue_length)
+            assert victim.queue_length > 2 * cl.config.drain_chunk
+            seen["victim"] = victim
+            cl.remove_worker(victim.worker_id)
+        victim = seen.get("victim")
+        if victim in cl.books.departed and "retired" not in seen:
+            # Retired during the round that just closed, after its status.
+            seen["retired"] = round_index - 1
+            seen["checkpoint"] = cl.last_checkpoint
+
+    cluster.round_hook = hook
+    result = cluster.run()
+    assert result.exhausted and result.workers_removed == 1
+    assert seen["retired"] > 3  # it took several drain steps
+    victim, checkpoint = seen["victim"], seen["checkpoint"]
+    assert checkpoint.round_index == seen["retired"] + 1
+    snapshot = result.timeline.snapshots[seen["retired"]]
+    assert victim.status.stats.paths_completed > 0
+    assert checkpoint.paths_completed == snapshot.paths_completed
+    assert len(checkpoint.test_cases) == checkpoint.paths_completed
+    traces = [tuple(t["fork_trace"]) for t in checkpoint.test_cases]
+    assert len(set(traces)) == len(traces)
+    # Each outstanding job is listed once, by whoever held it at its report.
+    assert len(set(checkpoint.frontier_paths)) \
+        == len(checkpoint.frontier_paths) == snapshot.total_candidates
+    single = test.run(backend="single")
+    assert result.paths_completed == single.paths_completed
+    assert sorted(t.fork_trace for t in result.test_cases) \
+        == sorted(t.fork_trace for t in single.test_cases)
+    assert result.worker_stats[victim.worker_id] is victim.status.stats
 
 
 def test_round_record_checkpoint_and_result_read_the_same_books():
@@ -222,10 +336,10 @@ def test_round_record_checkpoint_and_result_read_the_same_books():
     assert result.bug_summaries() == single.bug_summaries()
     assert sorted(t.fork_trace for t in result.test_cases) \
         == sorted(t.fork_trace for t in single.test_cases)
-    # Accounts: the retired member's is final, the dead one's is not.
-    assert {(a.worker_id, a.dead, a.final is not None)
-            for a in cluster.books.departed} == {(2, False, True),
-                                                 (3, True, False)}
+    # Accounts: the retired member's is closed and counted, the dead one's
+    # closed and void.
+    assert {(a.worker_id, a.dead) for a in cluster.books.departed} \
+        == {(2, False), (3, True)}
     assert sorted(result.worker_stats) == [1, 2, 4]
 
 

@@ -45,7 +45,7 @@ def reference_step_node(self, node):
     children = result.children
     for child in children:
         self.executor.covered_lines.update(child.coverage)
-    told = self._told_lines
+    told = self.covered_lines
     new: Set[int] = set()
     for child in children:
         new.update(child.coverage - told)

@@ -1,23 +1,26 @@
 """Tests for repro.distrib: spec registry, worker protocol, process cluster."""
 
+import dataclasses
 import multiprocessing
+import pickle
 import sys
 
 import pytest
 
 from repro.api import Campaign, ExplorationLimits
 from repro.cluster.jobs import JobTree
+from repro.cluster.stats import WorkerStats
 from repro.distrib import DistribWorker, ProcessClusterConfig, specs
 from repro.distrib.cluster import ProcessCloud9Cluster, WorkerProcessError
 from repro.distrib import messages
 from repro.distrib.messages import (
     REPLY_OF,
-    DrainStatusCommand,
+    ErrorReply,
     ExploreCommand,
     ExportCommand,
-    FinalizeCommand,
     ImportCommand,
     ReadyReply,
+    ReportCommand,
     SeedCommand,
     StatusReply,
     StopCommand,
@@ -100,8 +103,8 @@ class TestDistribWorker:
         assert status.queue_length == 1
         while status.queue_length:
             status = worker.handle(ExploreCommand(budget=1000))
-        assert status.paths_completed == 9
-        assert status.useful_instructions > 0
+        assert status.stats.paths_completed == 9
+        assert status.stats.useful_instructions > 0
         assert status.coverage_bits > 0
 
     def test_export_import_round_trip_completes_the_tree(self):
@@ -123,9 +126,10 @@ class TestDistribWorker:
         for worker in (source, destination):
             while worker.handle(ExploreCommand(budget=1000)).queue_length:
                 pass
-        src_final = source.handle(FinalizeCommand())
-        dst_final = destination.handle(FinalizeCommand())
-        assert src_final.paths_completed + dst_final.paths_completed == 9
+        src_final = source.handle(ReportCommand(full=True))
+        dst_final = destination.handle(ReportCommand(full=True))
+        assert (src_final.stats.paths_completed
+                + dst_final.stats.paths_completed) == 9
         assert dst_final.stats.replay_instructions > 0
         assert dst_final.stats.jobs_imported == 2
         assert src_final.stats.transfer_encoded_nodes > 0
@@ -144,8 +148,8 @@ class TestDistribWorker:
         assert status.queue_length == 2  # root + the virtual bogus node
         while status.queue_length:
             status = worker.handle(ExploreCommand(budget=1000))
-        assert status.broken_replays == 1
-        assert status.paths_completed == 9  # the real work still finished
+        assert status.stats.broken_replays == 1
+        assert status.stats.paths_completed == 9  # the real work still finished
 
     def test_premature_termination_job_is_reported_not_fatal(self):
         worker = self._worker()
@@ -157,8 +161,8 @@ class TestDistribWorker:
         status = worker.status()
         while status.queue_length:
             status = worker.handle(ExploreCommand(budget=1000))
-        assert status.broken_replays == 1
-        assert status.paths_completed == 9
+        assert status.stats.broken_replays == 1
+        assert status.stats.paths_completed == 9
 
 
 class TestEveryCommandHasItsReply:
@@ -167,10 +171,10 @@ class TestEveryCommandHasItsReply:
     must send it.  A command added to ``messages`` without a row in the
     table, a sample here, or an arm in ``DistribWorker.handle`` fails."""
 
-    SAMPLES = (SeedCommand(), ExploreCommand(budget=5), DrainStatusCommand(),
+    SAMPLES = (SeedCommand(), ExploreCommand(budget=5), ReportCommand(),
                ExportCommand(count=1),
                ImportCommand(encoded_jobs=JobTree().encode()),
-               FinalizeCommand())
+               ReportCommand(full=True))
 
     def test_table_and_samples_cover_every_command_but_stop(self):
         commands = {getattr(messages, name) for name in messages.__all__
@@ -184,6 +188,48 @@ class TestEveryCommandHasItsReply:
             reply = worker.handle(command)
             assert type(reply) is REPLY_OF[type(command)], command
             assert reply.worker_id == 1
+
+    def test_the_vocabulary_is_eleven_classes_and_all_of_it_pickles(self):
+        """Six commands, five replies: a member files one kind of report."""
+        vocabulary = [getattr(messages, name) for name in messages.__all__
+                      if name != "REPLY_OF"]
+        assert len(vocabulary) == 11
+        worker = DistribWorker.from_test(1, _branchy_spec_test())
+        instances = list(self.SAMPLES) + [StopCommand()]
+        instances += [worker.handle(command) for command in self.SAMPLES]
+        instances += [ReadyReply(worker_id=1, line_count=worker.line_count),
+                      ErrorReply(worker_id=1, details="Traceback ...")]
+        assert {type(instance) for instance in instances} == set(vocabulary)
+        for instance in instances:
+            copy = pickle.loads(pickle.dumps(instance))
+            if isinstance(copy, StatusReply) and copy.latency is not None:
+                # A Histogram compares by identity; its numbers must survive.
+                assert copy.latency.summary() == instance.latency.summary()
+                copy = dataclasses.replace(copy, latency=instance.latency)
+            assert copy == instance
+
+    def test_a_status_counts_nothing_worker_stats_already_counts(self):
+        own = {field.name for field in dataclasses.fields(StatusReply)}
+        assert own.isdisjoint(
+            field.name for field in dataclasses.fields(WorkerStats)
+            if field.name != "worker_id")
+
+    def test_a_full_report_adds_the_results_and_nothing_else_changes(self):
+        worker = DistribWorker.from_test(1, _branchy_spec_test())
+        worker.handle(SeedCommand())
+        brief = worker.handle(ExploreCommand(budget=1000))
+        full = worker.handle(ReportCommand(full=True))
+        assert (brief.frontier, brief.bugs, brief.test_cases,
+                brief.covered_lines, brief.latency) == (None,) * 5
+        assert dataclasses.replace(
+            full, frontier=None, bugs=None, test_cases=None,
+            covered_lines=None, latency=None) == brief
+        assert full.covered_lines == worker.worker.executor.covered_lines
+        assert len(full.test_cases) == full.stats.paths_completed
+        assert full.latency is worker.worker.executor.solver.query_seconds
+        # The report is a copy: the worker keeps counting on its own.
+        worker.worker.stats.replays += 1
+        assert full.stats.replays == brief.stats.replays == 0
 
     def test_stop_is_not_a_command_handle_answers(self):
         worker = DistribWorker.from_test(1, _branchy_spec_test())

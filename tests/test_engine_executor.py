@@ -104,6 +104,27 @@ class TestExecutorReuse:
         assert (executor.solver.stats.queries
                 == 3 * first.cache_stats["solver_queries"])
 
+    def test_second_run_reports_only_its_own_coverage(self):
+        test = specs.resolve_test("printf", format_length=2)
+
+        def run(executor, **limits):
+            return executor.run(
+                initial_state=lambda: test.build_initial_state(executor),
+                strategy="dfs", **limits)
+
+        reused = test.build_executor()
+        wide = run(reused, max_paths=3)
+        narrow = run(reused, max_paths=1)
+        fresh = run(test.build_executor(), max_paths=1)
+        assert narrow.covered_lines == fresh.covered_lines < wide.covered_lines
+        assert reused.covered_lines == wide.covered_lines  # cumulative
+        # A coverage goal is the run's own too: it is met by exploring, not
+        # by what an earlier run on this executor covered.
+        again = run(reused, coverage_target=wide.coverage_percent)
+        assert again.goal_reached and again.steps > 0
+        assert again.paths_completed > 0
+        assert again.coverage_percent >= wide.coverage_percent
+
     def test_second_run_reports_only_its_own_bugs(self):
         program = L.program("p", L.func(
             "main", [],

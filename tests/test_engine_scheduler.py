@@ -143,10 +143,15 @@ class TestSchedulerUnit:
         state.create_main_process()
         extra = state.current_process.new_thread()
         extra.stack.append(state.current_thread.top.copy())
-        scheduler = CooperativeScheduler(policy=POLICY_ROUND_ROBIN)
+        scheduler = CooperativeScheduler()
         decision = scheduler.decide(state)
         assert len(decision.choices) == 1
 
-        forking = CooperativeScheduler(policy=POLICY_FORK_ALL)
-        decision = forking.decide(state)
+        # The policy is the state's own (cloud9_set_scheduler sets these).
+        state.options.update(scheduler_policy=POLICY_FORK_ALL,
+                             fork_schedules=True)
+        decision = scheduler.decide(state)
         assert len(decision.choices) == 2
+        state.options["scheduler_policy"] = POLICY_ROUND_ROBIN
+        assert len(CooperativeScheduler(fork_schedules=True)
+                   .decide(state).choices) == 2

@@ -60,7 +60,7 @@ def test_coverage_books_do_not_grow_with_the_path():
     explorer = Explorer(executor, strategy)
     CountingSet.touched = 0
     executor.covered_lines = CountingSet()
-    explorer._told_lines = CountingSet()
+    explorer.covered_lines = CountingSet()
     explorer.seed_state(executor.make_initial_state(
         options={"max_instructions": 10 * distinct_lines * iterations}))
 
@@ -73,7 +73,7 @@ def test_coverage_books_do_not_grow_with_the_path():
     assert explorer.paths_completed == 1 and not explorer.bugs
     assert steps > distinct_lines * iterations
     assert distinct_lines <= len(executor.covered_lines) <= lines
-    assert explorer._told_lines == executor.covered_lines
+    assert explorer.covered_lines == executor.covered_lines
     # The seed, the root's first step and the finished path each touch the
     # whole line set once; nothing is touched per step.
     assert CountingSet.touched <= 8 * lines

@@ -27,6 +27,7 @@ from repro.net.framing import (
 from repro.net.heartbeat import HeartbeatMonitor, HeartbeatSender
 from repro.net.server import AgentServer, NoPendingAgent
 from repro.net.transport import (
+    PROTOCOL_COMPAT_VERSION,
     PROTOCOL_VERSION,
     HelloMessage,
     ReceiveTimeout,
@@ -470,20 +471,24 @@ class TestHandshake:
             server.close()
 
     def test_version_mismatch_is_rejected_with_reason(self):
+        # Too new, and version 3: its agents still send FinalReply.
+        assert PROTOCOL_COMPAT_VERSION == PROTOCOL_VERSION == 4
         server = _server()
-        client = None
+        clients = []
         try:
-            client = _dial(server)
-            client.send(HelloMessage(protocol_version=PROTOCOL_VERSION + 1))
-            reply = client.recv(timeout=5.0)
-            assert isinstance(reply, RejectMessage)
-            assert "version mismatch" in reply.reason
-            assert str(PROTOCOL_VERSION) in reply.reason
-            _wait_until(lambda: server.handshakes_rejected == 1,
-                        what="rejection count")
-            assert server.pending_count == 0
+            for rejected, version in enumerate((PROTOCOL_VERSION + 1, 3), 1):
+                clients.append(_dial(server))
+                clients[-1].send(HelloMessage(protocol_version=version))
+                reply = clients[-1].recv(timeout=5.0)
+                assert isinstance(reply, RejectMessage)
+                assert "version mismatch" in reply.reason
+                assert "accepts 4..4, agent sent %d" % version in reply.reason
+                _wait_until(lambda expected=rejected:
+                            server.handshakes_rejected == expected,
+                            what="rejection count")
+                assert server.pending_count == 0
         finally:
-            if client is not None:
+            for client in clients:
                 client.close(timeout=0)
             server.close()
 

@@ -12,8 +12,8 @@ from repro.api import ExplorationLimits
 from repro.distrib import specs
 from repro.distrib.cluster import ProcessCloud9Cluster, ProcessClusterConfig
 from repro.distrib.messages import (
-    DrainStatusCommand,
     ExploreCommand,
+    ReportCommand,
     SeedCommand,
 )
 from repro.distrib.worker import DistribWorker
@@ -133,11 +133,11 @@ class TestDrainStatus:
         worker.handle(SeedCommand())
         worker.handle(ExploreCommand(budget=200))
         before = worker.worker.stats.useful_instructions
-        reply = worker.handle(DrainStatusCommand())
+        reply = worker.handle(ReportCommand())
         assert worker.worker.stats.useful_instructions == before
         assert reply.queue_length == worker.worker.queue_length
         assert reply.frontier is None
-        with_frontier = worker.handle(DrainStatusCommand(report_frontier=True))
+        with_frontier = worker.handle(ReportCommand(full=True))
         assert with_frontier.frontier is not None
 
     @needs_fork
@@ -199,10 +199,11 @@ class TestFaultTracing:
         assert respawned[0]["seq"] > died[0]["seq"]
         assert all(e["seq"] > died[0]["seq"] for e in recovered)
 
-        # Dead-worker cache counters: the victim never sent a FinalReply,
-        # yet its piggybacked counters are in the aggregate.
+        # Dead-worker cache counters: the victim filed no end-of-run
+        # report, yet its piggybacked counters are in the aggregate.
         assert victim not in result.worker_stats
-        assert state["account"].dead and state["account"].final is None
+        assert state["account"].dead
+        assert state["account"].status.covered_lines is None
         failed = state["account"].status.cache_counters
         assert failed["solver_queries"] > 0
         assert result.cache_stats["solver_queries"] >= (

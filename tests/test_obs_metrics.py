@@ -1,12 +1,13 @@
 """``Histogram`` (the one shared metrics primitive) and the stats classes
 whose counters are plain dataclass fields."""
 
+import dataclasses
 import pickle
 
 import pytest
 
 from repro.cluster.stats import WorkerStats
-from repro.distrib.messages import FinalReply
+from repro.distrib.messages import StatusReply
 from repro.net.framing import FrameDecoder, decode_message, encode_message
 from repro.obs.metrics import Histogram
 from repro.solver.cache import CacheStats
@@ -69,15 +70,16 @@ class TestStatsViews:
         with pytest.raises(TypeError):
             WorkerStats(worker_id=1, bogus=1)
 
-        # The real wire: inside a FinalReply, through the frame codec.
+        # The real wire: inside a full StatusReply, through the frame codec.
         latency = Histogram("solver_query_seconds")
         latency.observe(0.25)
-        reply = FinalReply(worker_id=7, stats=stats, paths_completed=4,
-                           latency=latency)
+        reply = StatusReply(worker_id=7, queue_length=0, coverage_bits=0b101,
+                            bugs_found=0, stats=stats, cache_counters={},
+                            frontier=[], bugs=(), test_cases=(),
+                            covered_lines=frozenset({0, 2}), latency=latency)
         (payload,) = FrameDecoder().feed(encode_message(reply))
         decoded = decode_message(payload)
         assert decoded.stats == stats
         assert decoded.stats.as_dict() == stats.as_dict()
         assert decoded.latency.summary() == latency.summary()
-        decoded.latency = reply.latency = None
-        assert decoded == reply
+        assert dataclasses.replace(decoded, latency=latency) == reply

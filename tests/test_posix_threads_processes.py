@@ -229,3 +229,57 @@ class TestProcesses:
         ])
         assert not result.bugs
         assert result.test_cases[0].exit_code == ord("k")
+
+
+class TestTable2Api:
+    """``cloud9_set_scheduler`` / ``cloud9_set_max_instructions`` (Table 2):
+    the program under test picks its own scheduling policy and hang bound."""
+
+    @staticmethod
+    def _interleaving_paths(policy, options=None):
+        """main starts two threads that preempt twice each, preempts once
+        itself and returns what ``cloud9_set_scheduler(policy)`` did."""
+        preempt = L.expr_stmt(L.call("cloud9_thread_preempt"))
+        worker = L.func("worker", ["arg"], preempt, preempt, L.ret(0))
+        result = run_program([
+            L.decl("rc", L.call("cloud9_set_scheduler", policy)),
+            L.decl("a", L.call("pthread_create", L.strconst("worker"), 0)),
+            L.decl("b", L.call("pthread_create", L.strconst("worker"), 0)),
+            preempt,
+            L.ret(L.var("rc")),
+        ], extra_funcs=[worker], options=options)
+        assert not result.bugs and result.exhausted
+        return result.paths_completed, {t.exit_code for t in result.test_cases}
+
+    def test_set_scheduler_selects_the_policy_of_the_calling_state(self):
+        # 0 = round robin: one schedule.  1 = fork at every scheduling point.
+        # 2 = fork, but only while fewer than 2 preemptions were spent.
+        assert self._interleaving_paths(0) == (1, {0})
+        assert self._interleaving_paths(1) == (69, {0})
+        assert self._interleaving_paths(2) == (13, {0})
+        # The context bound is all that separates the last two.
+        assert self._interleaving_paths(2, {"context_bound": 0}) == (1, {0})
+        assert self._interleaving_paths(2, {"context_bound": 99}) == (69, {0})
+
+    def test_set_scheduler_refuses_an_unknown_policy_code(self):
+        assert self._interleaving_paths(7) == (1, {0xFFFFFFFF})
+
+    def test_set_max_instructions_ends_a_runaway_path(self):
+        result = run_program([
+            L.expr_stmt(L.call("cloud9_set_max_instructions", 50)),
+            L.decl("i", 0),
+            L.while_(L.lt(L.var("i"), 1000),
+                     L.assign("i", L.add(L.var("i"), 1))),
+            L.ret(L.var("i")),
+        ])
+        assert result.paths_completed == 1
+        assert [bug.kind for bug in result.bugs] == [BugKind.INFINITE_LOOP]
+        assert "exceeded 50 instructions" in result.bugs[0].message
+        # Without the call the loop is just a loop.
+        plain = run_program([
+            L.decl("i", 0),
+            L.while_(L.lt(L.var("i"), 1000),
+                     L.assign("i", L.add(L.var("i"), 1))),
+            L.ret(L.var("i")),
+        ])
+        assert not plain.bugs and plain.test_cases[0].exit_code == 1000
