@@ -27,8 +27,9 @@ there), applies hysteresis (a signal must persist for ``hysteresis_rounds``
 consecutive rounds) and a post-action cooldown (``cooldown_rounds``) so the
 cluster never flaps, and always respects ``min_workers``/``max_workers``.
 Scale-down picks the member with the shortest reported queue and retires it
-through the cluster's *incremental* drain (at most ``drain_chunk`` jobs per
-round leave the draining worker), so shrinking never stalls a round.
+in one step (``remove_worker`` hands its whole frontier to the least-loaded
+survivor at the membership barrier); since it shrinks only when the mean
+queue is under ``queue_low``, that frontier is a handful of jobs.
 
 Every cluster backend understands ``config.autoscale``::
 
@@ -36,14 +37,15 @@ Every cluster backend understands ``config.autoscale``::
     test.run(backend="process", workers=2, autoscale=True)   # default policy
 
 and report ``workers_added`` / ``workers_removed`` / ``peak_workers`` plus a
-per-round worker-count trace on the result.
+per-round worker-count trace on the result; every action is also an
+``autoscale_decision`` trace event.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Protocol, Tuple
+from typing import Callable, List, Optional, Protocol, Tuple
 
 from repro.cluster.load_balancer import LoadBalancer
 from repro.obs import schema as trace_schema
@@ -55,7 +57,6 @@ class ElasticCluster(Protocol):
     """The surface an :class:`Autoscaler` drives (the coordinator has it)."""
 
     load_balancer: LoadBalancer
-    round_hook: Optional[Callable[[int, Any], None]]
 
     @property
     def live_worker_ids(self) -> List[int]: ...
@@ -155,38 +156,19 @@ class Autoscaler:
 
     Works against any :class:`ElasticCluster` -- the coordinator under
     every cluster backend (:class:`~repro.distrib.coordinator.Coordinator`),
-    or a scripted fake in the tests.
-
-    Constructed automatically when a cluster config carries
-    ``autoscale=AutoscalePolicy(...)``; usable manually via
-    :meth:`install` (which chains after any existing ``round_hook``).
+    or a scripted fake in the tests.  Constructed automatically when a
+    cluster config carries ``autoscale=AutoscalePolicy(...)``.
     """
 
     def __init__(self, policy: Optional[AutoscalePolicy] = None,
                  clock: Callable[[], float] = time.monotonic):
         self.policy = policy or AutoscalePolicy()
-        #: Actions taken, as ``(round_index, "grow"/"shrink", count)``.
-        self.decisions: List[Tuple[int, str, int]] = []
-        self.workers_added = 0
-        self.workers_removed = 0
         self._clock = clock
         self._last_tick: Optional[float] = None
         self._streak = 0  # signed run length of the current raw signal
         # Start in cooldown: the first rounds of a run are ramp-up (one seed
         # job fanning out) and must not read as "workers are idle".
         self._cooldown_left = self.policy.cooldown_rounds
-
-    def install(self, cluster: ElasticCluster) -> "Autoscaler":
-        """Chain this autoscaler after the cluster's existing round hook."""
-        previous = cluster.round_hook
-
-        def hook(round_index: int, cl: ElasticCluster) -> None:
-            if previous is not None:
-                previous(round_index, cl)
-            self(round_index, cl)
-
-        cluster.round_hook = hook
-        return self
 
     def __call__(self, round_index: int, cluster: ElasticCluster) -> None:
         now = self._clock()
@@ -236,8 +218,6 @@ class Autoscaler:
             # joining.  A policy decision must not kill the run; the
             # pressure signal will re-fire once capacity exists.
             return
-        self.workers_added += 1
-        self.decisions.append((round_index, "grow", 1))
         self._trace(cluster, round_index, "grow", 1)
 
     def _shrink(self, round_index: int, cluster: ElasticCluster,
@@ -249,8 +229,6 @@ class Autoscaler:
             balancer.reports[w].queue_length if w in balancer.reports
             else 0, w))
         cluster.remove_worker(victim)
-        self.workers_removed += 1
-        self.decisions.append((round_index, "shrink", 1))
         self._trace(cluster, round_index, "shrink", 1)
 
     @staticmethod

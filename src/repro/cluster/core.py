@@ -27,7 +27,6 @@ class ClusterConfig:
 
     num_workers: int = 2
     instructions_per_round: int = 500
-    status_update_interval: int = 1
     balance_interval: int = 1
     delta: float = 1.0
     min_transfer: int = 1
@@ -49,11 +48,6 @@ class ClusterConfig:
     #: ``num_workers`` is the *initial* size; the policy's min/max bound it
     #: from there.
     autoscale: Optional[AutoscalePolicy] = None
-    #: Jobs a retiring worker hands over per round: ``remove_worker`` keeps
-    #: the worker as a non-exploring *draining* member and exports at most
-    #: this many jobs per round until its frontier is empty, so scale-down
-    #: never stalls a round on a large frontier.
-    drain_chunk: int = 16
     #: Bind a read-only live-status endpoint (:mod:`repro.obs.status`) on
     #: this ``host:port`` for the duration of the run (``"127.0.0.1:0"``
     #: picks a free port; see ``cluster.status_address``).  None = no server.
@@ -82,8 +76,6 @@ class ClusterConfig:
             raise ValueError("a cluster needs at least one worker")
         if self.instructions_per_round < 1:
             raise ValueError("instructions_per_round must be positive")
-        if self.drain_chunk < 1:
-            raise ValueError("drain_chunk must be positive")
         if self.reply_timeout <= 0:
             raise ValueError("reply_timeout must be positive")
         if self.shutdown_timeout <= 0:

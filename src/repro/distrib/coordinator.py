@@ -12,10 +12,10 @@ coordinator only ever sees queue lengths and coverage bit vectors
 * the round loop -- round hook, autoscaler, one instruction budget of
   exploration on every live member, status collection into the
   :class:`~repro.cluster.load_balancer.LoadBalancer`, brokered
-  ⟨source, destination, count⟩ transfers, drain advancement, per-round
-  recording -- in virtual time, so results compare across carriers;
-* elastic membership (:meth:`add_worker` / :meth:`remove_worker` with
-  incremental drains) and the membership trace events;
+  ⟨source, destination, count⟩ transfers, per-round recording -- in
+  virtual time, so results compare across carriers;
+* elastic membership (:meth:`add_worker` / :meth:`remove_worker`, each one
+  step at the membership barrier) and the membership trace events;
 * fault tolerance (§2.3): because the seed job and every transfer flow
   through it, the coordinator keeps a
   :class:`~repro.cluster.ledger.FrontierLedger` of the execution-tree
@@ -90,6 +90,7 @@ from repro.net.transport import (
     ReceiveTimeout,
     Transport,
     TransportError,
+    parse_address,
     reap_process,
 )
 from repro.obs import schema as trace_schema
@@ -252,11 +253,9 @@ class Coordinator:
     def _new_membership(self) -> None:
         """No members, and everything that is about *these* members made
         anew with them: nothing of one membership reaches the next."""
-        #: The live (exploring) members.
+        #: The live members; a member that leaves or dies moves to
+        #: ``books.departed``.
         self.handles: List[_WorkerHandle] = []
-        # Members retiring incrementally: no longer exploring or balanced,
-        # handing over drain_chunk jobs per round until empty.
-        self._draining: List[_WorkerHandle] = []
         self.load_balancer = LoadBalancer(line_count=self.line_count,
                                           delta=self.config.delta,
                                           min_transfer=self.config.min_transfer)
@@ -356,14 +355,13 @@ class Coordinator:
 
     def _shutdown_workers(self) -> None:
         """Stop every member; the membership's books go with it."""
-        everyone = self.handles + self._draining
-        for handle in everyone:
+        for handle in self.handles:
             if handle.transport.is_alive():
                 try:
                     handle.transport.send(StopCommand())
                 except TransportError:  # pragma: no cover - channel torn down
                     pass
-        for handle in everyone:
+        for handle in self.handles:
             self._cleanup_handle(handle)
         self._new_membership()
 
@@ -418,21 +416,6 @@ class Coordinator:
                                  % (reply, reply_type.__name__))
         return reply
 
-    def _broadcast(self, handles: List[_WorkerHandle],
-                   command_for: Callable[[_WorkerHandle], object]
-                   ) -> List[_WorkerHandle]:
-        """Send each member its command; returns the members that took it
-        (one whose channel is already broken is marked dead instead)."""
-        reached = []
-        for handle in list(handles):
-            try:
-                self._send(handle, command_for(handle))
-            except _WorkerFailure as failure:
-                self._handle_failure(failure)
-            else:
-                reached.append(handle)
-        return reached
-
     def _ask(self, handle: _WorkerHandle, command: object,
              reply_type: Type[_Reply]) -> Optional[_Reply]:
         """Command a member at a protocol barrier and return its reply, or
@@ -467,22 +450,21 @@ class Coordinator:
                         requeue: bool = True) -> None:
         """Mark a member dead and stage its territory for recovery.
 
-        Covers live and draining members alike (a member can die mid-drain;
-        its not-yet-exported territory is requeued from the ledger exactly
-        like any other death).  Raises :class:`WorkerProcessError` when the
-        failure budget is exhausted.  The staged recovery jobs (and the
-        replacement member, under ``respawn``) materialize at the next
-        :meth:`_flush_recovery` call -- a point where no commands are
-        outstanding, so request/reply pairing stays intact.
+        Covers live and leaving members alike (a member can die during its
+        removal; its not-yet-handed-over territory is requeued from the
+        ledger exactly like any other death).  Raises
+        :class:`WorkerProcessError` when the failure budget is exhausted.
+        The staged recovery jobs (and the replacement member, under
+        ``respawn``) materialize at the next :meth:`_flush_recovery` call
+        -- a point where no commands are outstanding, so request/reply
+        pairing stays intact.
         """
         handle = failure.handle
-        was_draining = handle in self._draining
-        if was_draining:
-            self._draining.remove(handle)
-        elif handle in self.handles:
-            self.handles.remove(handle)
-        else:
+        if handle.dead:
             return  # already accounted
+        leaving = handle not in self.handles  # removal took it out already
+        if not leaving:
+            self.handles.remove(handle)
         # The account closes on its last report.
         handle.dead = True
         self.books.departed.append(handle)
@@ -494,7 +476,7 @@ class Coordinator:
                 self.tracer.emit(trace_schema.HEARTBEAT_MISS, worker=handle.worker_id)
         if self.tracer.enabled:
             self.tracer.emit(trace_schema.WORKER_DIED, worker=handle.worker_id,
-                             reason=failure.reason, draining=was_draining)
+                             reason=failure.reason)
         self._result.failed_worker_stats[handle.worker_id] = (
             handle.status.stats if handle.status is not None
             else WorkerStats(worker_id=handle.worker_id))
@@ -503,9 +485,9 @@ class Coordinator:
         if requeue:
             self._pending_recovery.extend(
                 self.ledger.recovery_jobs(handle.worker_id))
-            # A draining member was leaving anyway: recover its territory
-            # but do not respawn a replacement for it.
-            if self.config.respawn and not was_draining:
+            # A member being removed was leaving anyway: recover its
+            # territory but do not respawn a replacement for it.
+            if self.config.respawn and not leaving:
                 self._pending_respawns += 1
         self.ledger.forget(handle.worker_id)
         self._cleanup_handle(handle)
@@ -579,7 +561,7 @@ class Coordinator:
 
     @property
     def live_worker_ids(self) -> List[int]:
-        """Ids of the live (exploring) members, excluding draining ones."""
+        """Ids of the live members."""
         return [h.worker_id for h in self.handles]
 
     @property
@@ -611,15 +593,14 @@ class Coordinator:
         return handle.worker_id
 
     def remove_worker(self, worker_id: int) -> int:
-        """Start retiring a member, handing its frontier over incrementally.
+        """Retire a member in one step: its whole frontier goes to the
+        least-loaded survivor, then it files its full report and stops.
 
-        The member immediately stops exploring and leaves the load
-        balancer's view, but its frontier drains in ``drain_chunk``-sized
-        job exports across the following rounds (it stays a *draining*
-        member until empty), so removal never stalls a round.  Its results
-        (paths, bugs, coverage, stats) still count toward the final
-        result.  Returns the number of jobs handed over in the first drain
-        chunk.
+        Callable between rounds (e.g. from ``round_hook``, the membership
+        barrier), so no command is outstanding.  Its results (paths, bugs,
+        coverage, stats) still count toward the final result.  Returns the
+        number of jobs handed over.  A member that dies during its removal
+        is recovered from the ledger like any death, and not replaced.
         """
         handle = next((h for h in self.handles if h.worker_id == worker_id),
                       None)
@@ -628,67 +609,46 @@ class Coordinator:
         if len(self.handles) == 1:
             raise ValueError("cannot remove the last worker")
         self.handles.remove(handle)
-        self._draining.append(handle)
-        self.books.workers_removed += 1
-        self.tracer.emit(trace_schema.WORKER_DRAINING, worker=worker_id,
-                         queue=handle.queue_length)
         self.load_balancer.deregister_worker(worker_id)
-        return self._drain_member(handle)
-
-    def _drain_member(self, handle: _WorkerHandle) -> int:
-        """Export one drain chunk from a draining member to the least-loaded
-        survivor; retire it (collect final results, stop it) once its
-        frontier is empty.  Returns jobs moved."""
-        if not self.handles:
-            # Nobody to hand jobs to; try again once a survivor exists.
-            return 0
-        export = self._ask(handle, ExportCommand(count=self.config.drain_chunk),
+        self.books.workers_removed += 1
+        export = self._ask(handle, ExportCommand(count=handle.queue_length),
                            ExportReply)
         if export is None:
-            # Died mid-drain: its remaining territory was recovered from the
-            # ledger like any other member death.
             return 0
-        moved = 0
-        if export.encoded_jobs is not None and self.handles:
-            target = min(self.handles, key=lambda h: h.queue_length)
-            moved = self._hand_over(handle.worker_id, target,
-                                    export.encoded_jobs) or 0
-        # An export smaller than the chunk means the frontier is empty now.
-        if export.job_count < self.config.drain_chunk:
-            handle.queue_length = 0
-        else:
-            handle.queue_length = max(0, handle.queue_length
-                                      - export.job_count)
-        if handle.queue_length == 0:
-            self._retire_draining(handle)
-        return moved
-
-    def _hand_over(self, source_id: int, target: _WorkerHandle,
-                   encoded_jobs: bytes) -> Optional[int]:
-        """Move exported jobs into ``target``, ledger first: a target that
-        dies mid-handover is recovered with these jobs included."""
-        for job in JobTree.decode(encoded_jobs).jobs():
-            self.ledger.cede(source_id, job.path)
-            self.ledger.acquire(target.worker_id, job.path)
-        return self._import_into(target,
-                                 ImportCommand(encoded_jobs=encoded_jobs))
-
-    def _retire_draining(self, handle: _WorkerHandle) -> None:
-        """Collect a drained member's full report and stop it."""
-        report = self._ask(handle, ReportCommand(full=True), StatusReply)
+        target = min(self.handles, key=lambda h: h.queue_length)
+        moved = self._hand_over(worker_id, target, export)
+        report = self._ask(handle, ReportCommand(), StatusReply)
         if report is None:
-            return
+            return moved
         self._apply_status(handle, report)
-        self._draining.remove(handle)
+        if report.queue_length:
+            self._lose(_WorkerFailure(
+                handle, "still held %d job(s) after handing over its "
+                "frontier" % report.queue_length))
+            return moved
         self.books.departed.append(handle)
-        self.tracer.emit(trace_schema.WORKER_LEFT, worker=handle.worker_id,
+        self.ledger.forget(worker_id)
+        self.tracer.emit(trace_schema.WORKER_LEFT, worker=worker_id,
                          workers=len(self.handles))
-        self.ledger.forget(handle.worker_id)
         try:
             self._send(handle, StopCommand())
         except _WorkerFailure:  # pragma: no cover - channel torn down
             pass
         self._cleanup_handle(handle)
+        return moved
+
+    def _hand_over(self, source_id: int, target: _WorkerHandle,
+                   export: ExportReply) -> int:
+        """Move an export's jobs into ``target``, ledger first: a target
+        that dies mid-handover is recovered with these jobs included.
+        Returns the jobs it took on (0 when it died)."""
+        if export.encoded_jobs is None:
+            return 0
+        for job in JobTree.decode(export.encoded_jobs).jobs():
+            self.ledger.cede(source_id, job.path)
+            self.ledger.acquire(target.worker_id, job.path)
+        return self._import_into(target, ImportCommand(
+            encoded_jobs=export.encoded_jobs)) or 0
 
     # -- the round protocol --------------------------------------------------------------
 
@@ -714,7 +674,8 @@ class Coordinator:
         tracer = Tracer(lim.trace_path) if lim.trace_path else NULL_TRACER
         self.tracer = tracer
         if self.config.status_listen is not None:
-            self.status_server = StatusServer(self.config.status_listen)
+            self.status_server = StatusServer(
+                parse_address(self.config.status_listen))
         try:
             return self._run(lim, resume_from)
         finally:
@@ -802,18 +763,14 @@ class Coordinator:
 
             # 2. Status updates into the load balancer (+ merged coverage
             # back out to the members, §3.3).
-            if round_index % config.status_update_interval == 0:
-                self._status_phase(round_index)
+            self._status_phase(round_index)
 
-            # 3. Balancing decisions, brokered synchronously; then drain
-            # chunks move, once transfers have settled the queues.
+            # 3. Balancing decisions, brokered synchronously.
             states_transferred = 0
             if balancing and round_index % config.balance_interval == 0:
                 for command in self.load_balancer.balance(round_index):
                     states_transferred += self._dispatch_transfer(
                         command, round_index)
-            for handle in list(self._draining):
-                self._drain_member(handle)
 
             # 4. Record the round.
             snapshot = self._record_round(round_index, work,
@@ -863,20 +820,23 @@ class Coordinator:
     def _explore_phase(self, round_index: int,
                        checkpoint_due: bool) -> _RoundWork:
         # One round of exploration on every live member (concurrently, where
-        # the carrier has real processes behind it).  Draining members take
-        # part with a report only: they no longer explore, but their replies
-        # keep queue lengths fresh and carry their frontier into checkpoints.
-        reached = self._broadcast(
-            self.handles, lambda handle: ExploreCommand(
-                budget=self.config.instructions_per_round,
-                global_coverage_bits=handle.pending_coverage_bits,
-                full=checkpoint_due, trace=self.tracer.enabled))
-        for handle in reached:
-            handle.pending_coverage_bits = None
-        reached += self._broadcast(
-            self._draining, lambda handle: ReportCommand(full=checkpoint_due))
+        # the carrier has real processes behind it): send every command, then
+        # collect the replies of the members that took one (one whose channel
+        # is already broken is marked dead instead).
+        reached = []
+        for handle in list(self.handles):
+            try:
+                self._send(handle, ExploreCommand(
+                    budget=self.config.instructions_per_round,
+                    global_coverage_bits=handle.pending_coverage_bits,
+                    full=checkpoint_due, trace=self.tracer.enabled))
+            except _WorkerFailure as failure:
+                self._handle_failure(failure)
+            else:
+                reached.append(handle)
         work = _RoundWork()
         for handle in reached:
+            handle.pending_coverage_bits = None
             try:
                 status = self._expect(handle, StatusReply)
             except _WorkerFailure as failure:
@@ -903,9 +863,8 @@ class Coordinator:
         return work
 
     def _status_phase(self, round_index: int) -> None:
-        # Live members only: draining members left the balancer's view
-        # when their removal began; one that joined after this round's
-        # statuses were collected has none yet.
+        # A member that joined after this round's statuses were collected
+        # has none yet.
         for handle in self.handles:
             status = handle.status
             if status is None:
@@ -937,12 +896,9 @@ class Coordinator:
             return 0
         source.queue_length -= export.job_count
         self._refresh_report(source)
-        if export.encoded_jobs is None:
-            return 0
         # Should the destination die here, the jobs are in its territory
         # already, so recovery requeues them; nothing is lost.
-        imported = self._hand_over(command.source, destination,
-                                   export.encoded_jobs) or 0
+        imported = self._hand_over(command.source, destination, export)
         if self.tracer.enabled and imported:
             self.tracer.emit(trace_schema.JOB_TRANSFERRED, round=round_index,
                              source=command.source,
@@ -963,8 +919,7 @@ class Coordinator:
     def _totals(self) -> _Totals:
         """The one place results are added up: the carried-in account plus
         every member's, each counted once by its latest report -- no number
-        drops when a member retires, and none doubles when it retires
-        between a status and the checkpoint that follows it."""
+        drops when a member retires."""
         carried = self.books.carried
         total = _Totals(
             paths_completed=carried.paths_completed,
@@ -973,7 +928,7 @@ class Coordinator:
             replay_instructions=carried.replay_instructions,
             covered_lines=set(carried.covered_lines),
             bugs=list(carried.bugs), test_cases=list(carried.test_cases))
-        for member in self.handles + self._draining + self.books.departed:
+        for member in self.handles + self.books.departed:
             status = member.status
             if status is None or member.dead:
                 continue
@@ -1000,10 +955,7 @@ class Coordinator:
         snapshot = RoundSnapshot(
             round_index=round_index,
             queue_lengths=dict(queues),
-            # Draining members' outstanding jobs count: they are still part
-            # of the global frontier (survivors receive them chunk by chunk).
-            total_candidates=sum(h.queue_length
-                                 for h in live + self._draining),
+            total_candidates=sum(queues.values()),
             states_transferred=states_transferred,
             useful_instructions=work.useful_delta,
             replay_instructions=work.replay_delta,
@@ -1043,7 +995,6 @@ class Coordinator:
                 "bugs_found": snapshot.bugs_found,
                 "candidates": snapshot.total_candidates,
                 "live_workers": len(live),
-                "draining_workers": len(self._draining),
                 "queues": dict(queues),
             })
         return snapshot
@@ -1053,19 +1004,17 @@ class Coordinator:
     def _write_checkpoint(self, round_index: int,
                           frontier: List[Path]) -> None:
         """Snapshot the books and ``frontier``, the candidate paths every
-        member that reported this round listed.  One that finished draining
-        after the statuses were collected listed its final chunk's jobs,
-        which the receiving survivor's (earlier) status does not, so the
-        union holds each job exactly once.  Bug reports and generated
-        inputs travel with the snapshot (statuses carry them on checkpoint
-        rounds only)."""
+        member listed in this round's full status.  Bug reports and
+        generated inputs travel with the snapshot (statuses carry them on
+        checkpoint rounds only)."""
         totals = self._totals()
         checkpoint = ClusterCheckpoint(
             round_index=round_index,
             frontier_paths=sorted(frontier),
-            # The overlay lags by up to status_update_interval rounds; fold
-            # in the lines just reported so lines covered on completed paths
-            # (never re-explored on resume) cannot be lost.
+            # A full report's covered_lines includes replay, so it is a
+            # superset of the coverage_bits the overlay merged; fold it in so
+            # lines covered on completed paths (never re-explored on resume)
+            # cannot be lost.
             coverage_bits=(self.load_balancer.overlay.global_vector.as_int()
                            | CoverageBitVector.from_lines(
                                self.line_count, totals.covered_lines).as_int()),
@@ -1139,12 +1088,9 @@ class Coordinator:
         """Close the run: every member still enrolled files a full report,
         ``result`` is filled from the books, and the run's last trace events
         go out."""
-        # Members still draining when the run ends report like live ones:
-        # their results count, and any jobs left on them were already
-        # counted as unexplored candidates by the termination checks.
-        for handle in self.handles + self._draining:
+        for handle in list(self.handles):
             try:
-                self._send(handle, ReportCommand(full=True))
+                self._send(handle, ReportCommand())
                 self._apply_status(handle, self._expect(handle, StatusReply))
             except _WorkerFailure as failure:
                 # Too late to re-explore; its last report stays in
@@ -1172,7 +1118,7 @@ class Coordinator:
         worker_stats: Dict[int, WorkerStats] = {}
         counter_maps: List[Dict[str, int]] = []
         latency = Histogram("solver_query_seconds")
-        for member in live + self._draining + books.departed:
+        for member in live + books.departed:
             status = member.status
             if status is None:
                 continue

@@ -139,7 +139,7 @@ class Cloud9Cluster(Coordinator):
         against a single-engine exhaustive run.)
         """
         members = {h.worker_id: self._launched[h.worker_id]
-                   for h in self.handles + self._draining}
+                   for h in self.handles}
         seen: Dict[Tuple[int, ...], int] = {}
         for worker_id, worker in members.items():
             marked = {n.node_id for n in worker.tree.candidates()}

@@ -10,7 +10,8 @@ shipping.
 
 A member tells the coordinator about itself one way: the
 :class:`StatusReply`, which answers the seed, every round of exploration and
-every :class:`ReportCommand`.
+every :class:`ReportCommand` -- the full report a member files when it
+leaves the cluster and at the end of the run.
 
 Every command sent to a worker produces exactly one reply -- :data:`REPLY_OF`
 says of which class -- which keeps the coordinator's request/reply
@@ -66,15 +67,9 @@ class ExploreCommand:
 
 @dataclass(frozen=True)
 class ReportCommand:
-    """Report status without exploring.
-
-    A draining member answers one every round (it no longer explores, but
-    its replies keep its queue length fresh); with ``full`` set it is how a
-    member files its results -- on checkpoint rounds, when it retires and
-    at the end of the run.
-    """
-
-    full: bool = False
+    """File the full report (see :class:`StatusReply`) without exploring:
+    how a member files its results when it is removed and at the end of
+    the run."""
 
 
 @dataclass(frozen=True)

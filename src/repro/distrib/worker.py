@@ -78,7 +78,7 @@ class DistribWorker:
         if isinstance(command, ExploreCommand):
             return self._explore(command)
         if isinstance(command, ReportCommand):
-            return self.status(full=command.full)
+            return self.status(full=True)
         if isinstance(command, ExportCommand):
             return self._export(command)
         if isinstance(command, ImportCommand):

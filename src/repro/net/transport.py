@@ -66,7 +66,9 @@ __all__ = [
 #: v4: a member files one report -- StatusReply carries its WorkerStats and,
 #: asked in full, its results; ReportCommand replaces the drain-status and
 #: finalize commands and the final reply is gone (breaking: floor moved too).
-PROTOCOL_VERSION = 4
+#: v5: a member leaves in one step, so ReportCommand always asks for the
+#: full report and its ``full`` field is gone (breaking: floor moved too).
+PROTOCOL_VERSION = 5
 
 #: Oldest protocol version whose agents may still join a campaign: the
 #: coordinator admits any hello in
@@ -75,7 +77,7 @@ PROTOCOL_VERSION = 4
 #: ``PROTOCOL_VERSION`` and leaves this floor behind; a breaking change
 #: advances both.  The semver rule is enforced statically against
 #: ``protocol.lock.json`` (PROTO004, :mod:`repro.analysis.protocol`).
-PROTOCOL_COMPAT_VERSION = 4
+PROTOCOL_COMPAT_VERSION = 5
 
 
 # -- handshake messages ------------------------------------------------------------------

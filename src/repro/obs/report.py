@@ -31,8 +31,8 @@ __all__ = ["analyze_trace", "render_report", "main"]
 
 _TIMELINE_EVENTS = (
     schema.RUN_STARTED, schema.JOB_TRANSFERRED, schema.WORKER_JOINED,
-    schema.WORKER_DRAINING, schema.WORKER_LEFT, schema.WORKER_DIED,
-    schema.WORKER_RESPAWNED, schema.JOBS_RECOVERED,
+    schema.WORKER_LEFT, schema.WORKER_DIED, schema.WORKER_RESPAWNED,
+    schema.JOBS_RECOVERED,
     schema.AUTOSCALE_DECISION, schema.CHECKPOINT_WRITTEN,
     schema.HEARTBEAT_MISS, schema.BUG_FOUND, schema.TRACE_EVENTS_DROPPED,
     schema.RUN_FINISHED,

@@ -130,8 +130,6 @@ JOB_TRANSFERRED = _event(
 
 WORKER_JOINED = _event("worker_joined", optional=("workers",))
 
-WORKER_DRAINING = _event("worker_draining", required=("queue",))
-
 WORKER_LEFT = _event("worker_left", optional=("workers",))
 
 AUTOSCALE_DECISION = _event(
@@ -142,7 +140,7 @@ AUTOSCALE_DECISION = _event(
 
 HEARTBEAT_MISS = _event("heartbeat_miss")
 
-WORKER_DIED = _event("worker_died", required=("reason", "draining"))
+WORKER_DIED = _event("worker_died", required=("reason",))
 
 WORKER_RESPAWNED = _event("worker_respawned")
 

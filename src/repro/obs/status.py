@@ -22,25 +22,20 @@ import threading
 import time
 from typing import Any, Dict, Optional, Tuple
 
-__all__ = ["StatusServer", "read_status", "parse_status_address"]
-
-
-def parse_status_address(value: str) -> Tuple[str, int]:
-    """``"host:port"`` -> ``(host, port)``; bare ``":0"`` binds loopback."""
-    host, _, port = value.rpartition(":")
-    if not port.isdigit():
-        raise ValueError(f"status address must be host:port, got {value!r}")
-    return (host or "127.0.0.1", int(port))
+__all__ = ["StatusServer", "read_status"]
 
 
 class StatusServer:
-    """Serve the latest status snapshot as one JSON line per connection."""
+    """Serve the latest status snapshot as one JSON line per connection.
 
-    def __init__(self, listen: str = "127.0.0.1:0"):
-        host, port = parse_status_address(listen)
+    ``listen`` is an already parsed ``(host, port)`` (port 0 picks a free
+    one); the coordinator parses ``status_listen`` with
+    :func:`repro.net.transport.parse_address`."""
+
+    def __init__(self, listen: Tuple[str, int] = ("127.0.0.1", 0)):
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._sock.bind((host, port))
+        self._sock.bind(listen)
         self._sock.listen(8)
         self._sock.settimeout(0.2)
         self.address: Tuple[str, int] = self._sock.getsockname()[:2]

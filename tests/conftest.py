@@ -15,11 +15,20 @@ from collections import Counter
 from contextlib import contextmanager
 
 import pytest
+from hypothesis import settings
 
 from repro import lang as L
 from repro.distrib import specs
 from repro.engine import EngineConfig, SymbolicExecutor
 from repro.posix import install_posix_model
+
+# One hypothesis profile for every property test: the same examples on every
+# run and every machine (a CI failure reproduces locally), no example
+# database, and no per-example deadline (solver-heavy examples vary in time).
+# Each test sets only its own max_examples.
+settings.register_profile("repro", derandomize=True, database=None,
+                          deadline=None)
+settings.load_profile("repro")
 
 #: The stock specs, listed before any test module registers its own.
 BUILTIN_SPECS = specs.available_specs()

@@ -1,11 +1,11 @@
-"""Autoscaling elastic clusters and the incremental drain (§2.3).
+"""Autoscaling elastic clusters and one-step member removal (§2.3).
 
 Covers the :mod:`repro.cluster.autoscale` policy engine (band/spread/
-wall-time signals, hysteresis, cooldown, min/max clamps), the chunked
-``remove_worker`` drain on both backends, the load balancer's membership-
-churn hygiene (report seeding on join, atomic purge on leave), the unified
-checkpoint cadence, and cumulative accounting (wall time, pre-crash bugs)
-across ``resume_from=``.
+wall-time signals, hysteresis, cooldown, min/max clamps), ``remove_worker``
+handing a member's whole frontier to a survivor on both backends, the load
+balancer's membership-churn hygiene (report seeding on join, atomic purge on
+leave), the unified checkpoint cadence, and cumulative accounting (wall time,
+pre-crash bugs) across ``resume_from=``.
 """
 
 import multiprocessing
@@ -129,7 +129,6 @@ class _FakeCluster:
     def __init__(self, queue_lengths):
         self.load_balancer = LoadBalancer(line_count=10)
         self._next_id = 1
-        self.round_hook = None
         for length in queue_lengths:
             self.load_balancer.receive_status(
                 self._next_id, queue_length=length, useful_instructions=0,
@@ -186,9 +185,7 @@ class TestAutoscaler:
         tick(); tick()
         assert cluster.added == []  # hysteresis not yet satisfied
         tick()
-        assert len(cluster.added) == 1
-        assert scaler.workers_added == 1
-        assert scaler.decisions == [(2, "grow", 1)]
+        assert cluster.added == [3]
 
     def test_transient_spike_resets_the_streak(self):
         cluster = _FakeCluster([20, 20])
@@ -237,17 +234,6 @@ class TestAutoscaler:
         assert cluster.removed == [1, 3]
         tick(); tick()
         assert cluster.removed == [1, 3]  # min_workers floor
-        assert scaler.workers_removed == 2
-
-    def test_install_chains_after_existing_hook(self):
-        cluster = _FakeCluster([20, 20])
-        calls = []
-        cluster.round_hook = lambda r, c: calls.append(r)
-        scaler = self._scaler(queue_high=4.0, queue_low=1.0)
-        scaler.install(cluster)
-        cluster.round_hook(0, cluster)
-        assert calls == [0]
-        assert len(cluster.added) == 1  # the autoscaler ran after the hook
 
 
 # -- in-process integration --------------------------------------------------------------
@@ -305,7 +291,7 @@ class TestInProcessAutoscale:
                                  cooldown_rounds=0, hysteresis_rounds=1)
         cluster = test.build_cluster(
             ClusterConfig(num_workers=3, instructions_per_round=30,
-                          autoscale=policy, drain_chunk=2))
+                          autoscale=policy))
         result = cluster.run(limits=LIMITS)
         assert result.exhausted
         assert result.num_workers == 1
@@ -314,39 +300,41 @@ class TestInProcessAutoscale:
         assert result.paths_completed == single.paths_completed
 
 
-# -- incremental drain -------------------------------------------------------------------
+# -- removal -----------------------------------------------------------------------------
 
 
 class TestIncrementalDrain:
-    def test_drain_spans_rounds_without_losing_paths(self):
-        """With drain_chunk=1 a removal takes as many rounds as the worker
-        had jobs; the worker stays a draining member meanwhile and every
-        path still gets explored exactly once."""
+    """``remove_worker`` is one step: when it returns, the member's whole
+    frontier is on a survivor and the member is in ``books.departed``."""
+
+    def test_removal_run_holds_the_invariants_every_round(self):
         test = _buggy_test()
         cluster = test.build_cluster(
-            ClusterConfig(num_workers=3, instructions_per_round=30,
-                          drain_chunk=1))
-        observed = {"draining_rounds": 0, "removed_at": None,
-                    "victim_queue": 0}
+            ClusterConfig(num_workers=3, instructions_per_round=30))
+        observed = {"rounds": 0}
 
         def hook(round_index, cl):
-            if observed["removed_at"] is None and round_index >= 3:
+            if "moved" not in observed and round_index >= 3:
                 victim = max(cl.workers, key=lambda w: w.queue_length)
-                if victim.queue_length >= 3 and len(cl.workers) > 1:
-                    observed["removed_at"] = round_index
-                    observed["victim_queue"] = victim.queue_length
-                    cl.remove_worker(victim.worker_id)
-            if cl._draining:
-                observed["draining_rounds"] += 1
-                ok, message = cl.check_frontier_invariants()
-                assert ok, message
+                if victim.queue_length >= 3:
+                    observed["queue"] = victim.queue_length
+                    observed["moved"] = cl.remove_worker(victim.worker_id)
+                    assert victim.queue_length == 0
+                    assert [(a.worker_id, a.dead)
+                            for a in cl.books.departed] \
+                        == [(victim.worker_id, False)]
+            ok, message = cl.check_frontier_invariants()
+            assert ok, "round %d: %s" % (round_index, message)
+            observed["rounds"] += 1
 
         cluster.round_hook = hook
         result = cluster.run(limits=LIMITS)
-        assert observed["removed_at"] is not None, \
+        assert "moved" in observed, \
             "no worker accumulated enough queue; tune the budgets"
-        # One job left at remove time; the rest drained round by round.
-        assert observed["draining_rounds"] >= observed["victim_queue"] - 2
+        assert observed["moved"] == observed["queue"]
+        assert observed["rounds"] == result.rounds_executed
+        ok, message = cluster.check_frontier_invariants()
+        assert ok, message
         assert result.exhausted
         assert result.workers_removed == 1
         assert result.num_workers == 2
@@ -357,10 +345,9 @@ class TestIncrementalDrain:
         test = _buggy_test()
         cluster = test.build_cluster(
             ClusterConfig(num_workers=2, instructions_per_round=30))
-        # Worker 2 never got jobs yet: removal completes synchronously.
+        # Worker 2 never got jobs yet: nothing to hand over.
         assert cluster.workers[1].queue_length == 0
-        cluster.remove_worker(2)
-        assert cluster._draining == []
+        assert cluster.remove_worker(2) == 0
         assert [(a.worker_id, a.dead)
                 for a in cluster.books.departed] == [(2, False)]
 
@@ -556,8 +543,7 @@ class TestResumeAccounting:
         draining and moved to the departed list."""
         test = _buggy_test(buffer_size=4)
         cluster = test.build_cluster(
-            ClusterConfig(num_workers=3, instructions_per_round=60,
-                          drain_chunk=64))
+            ClusterConfig(num_workers=3, instructions_per_round=60))
         removed = {}
 
         def hook(round_index, cl):
@@ -628,7 +614,7 @@ class TestProcessAutoscale:
                                  cooldown_rounds=1, hysteresis_rounds=1)
         result = test.run(backend="process", workers=1, limits=LIMITS,
                           instructions_per_round=40, reply_timeout=1.0,
-                          autoscale=policy, drain_chunk=4)
+                          autoscale=policy)
         assert result.exhausted
         assert result.workers_added >= 1
         assert result.peak_workers <= 3
@@ -638,76 +624,76 @@ class TestProcessAutoscale:
         assert result.bug_summaries() == fixed.bug_summaries()
 
     def test_retire_on_checkpoint_round_counts_members_once(self):
-        """Regression: a worker whose drain completes during the transfer
-        phase of a checkpoint round used to be counted twice in that
-        checkpoint -- once via its (stale) status reply and once via the
-        final results collected at retirement."""
+        """A member removed at the start of a checkpoint round is counted
+        once in that round's checkpoint: by its closing full report, which
+        lists no frontier, while the survivor that took its jobs lists them
+        in its own full status."""
         cluster = ProcessCloud9Cluster(
             "test-as-buggy",
             config=ProcessClusterConfig(num_workers=3,
                                         instructions_per_round=40,
                                         reply_timeout=1.0,
-                                        checkpoint_every=1, drain_chunk=1))
+                                        checkpoint_every=1))
         captured = {"ckpts": {}}
 
         def hook(round_index, cl):
+            if cl.last_checkpoint is not None:
+                captured["ckpts"][cl.last_checkpoint.round_index] = \
+                    cl.last_checkpoint
             if "removed" not in captured and round_index >= 2:
                 victim = max(cl.handles,
                              key=lambda h: (h.status.stats.paths_completed,
                                             h.queue_length))
-                if (victim.queue_length >= 3
-                        and victim.status.stats.paths_completed >= 1
-                        and len(cl.handles) > 1):
+                if (victim.queue_length >= 2
+                        and victim.status.stats.paths_completed >= 1):
                     captured["removed"] = round_index
-                    cl.remove_worker(victim.worker_id)
-            if cl.last_checkpoint is not None:
-                captured["ckpts"][cl.last_checkpoint.round_index] = \
-                    cl.last_checkpoint
+                    captured["moved"] = cl.remove_worker(victim.worker_id)
+                    assert captured["moved"] >= 2
+                    assert victim in cl.books.departed and not victim.dead
 
         cluster.round_hook = hook
         result = cluster.run(limits=LIMITS)
+        captured["ckpts"][cluster.last_checkpoint.round_index] = \
+            cluster.last_checkpoint
         assert "removed" in captured, \
             "no victim had paths and queue; tune the budgets"
-        assert result.workers_removed == 1
-        # Every checkpoint's cumulative counters must agree with the round
-        # snapshot taken at the same barrier (which sums each member once).
-        mismatches = [
-            (snap.round_index, checkpoint.paths_completed,
-             snap.paths_completed)
-            for snap in result.timeline.snapshots
-            for checkpoint in [captured["ckpts"].get(snap.round_index + 1)]
-            if checkpoint is not None
-            and checkpoint.paths_completed != snap.paths_completed]
-        assert not mismatches, \
-            "checkpoint double-counted a retiring member: %r" % mismatches
+        assert result.exhausted and result.workers_removed == 1
+        # Every checkpoint's counters must agree with the round snapshot
+        # taken at the same barrier (which sums each member once).
+        for snap in result.timeline.snapshots:
+            checkpoint = captured["ckpts"][snap.round_index + 1]
+            assert checkpoint.paths_completed == snap.paths_completed
+            assert len(checkpoint.test_cases) == snap.paths_completed
+            assert len(set(checkpoint.frontier_paths)) \
+                == len(checkpoint.frontier_paths) == snap.total_candidates
 
-    def test_remove_worker_drains_incrementally_mid_run(self):
+    def test_remove_worker_hands_over_its_whole_frontier_mid_run(self):
         cluster = ProcessCloud9Cluster(
             "test-as-buggy",
             config=ProcessClusterConfig(num_workers=3,
                                         instructions_per_round=40,
-                                        reply_timeout=1.0, drain_chunk=1))
+                                        reply_timeout=1.0))
         events = {}
 
         def hook(round_index, cl):
             if "removed" not in events and round_index >= 2:
                 victim = max(cl.handles, key=lambda h: h.queue_length)
-                if victim.queue_length >= 2 and len(cl.handles) > 1:
+                if victim.queue_length >= 2:
                     events["removed"] = victim.worker_id
                     events["queue"] = victim.queue_length
-                    cl.remove_worker(victim.worker_id)
-            if cl._draining:
-                events["saw_draining"] = True
+                    events["moved"] = cl.remove_worker(victim.worker_id)
+                    assert victim in cl.books.departed
+                    assert victim.status.queue_length == 0
+                    assert not victim.process.is_alive()
 
         cluster.round_hook = hook
         result = cluster.run(limits=LIMITS)
         assert "removed" in events, \
             "no worker accumulated enough queue; tune the budgets"
-        assert events.get("saw_draining"), \
-            "drain completed synchronously despite drain_chunk=1"
+        assert events["moved"] == events["queue"]
         assert result.exhausted
         assert result.workers_removed == 1
-        # The drained worker's results still merged into the totals.
+        # The removed worker's results still merged into the totals.
         assert events["removed"] in result.worker_stats
         test = specs.resolve_test("test-as-buggy")
         single = test.run(backend="single", limits=ExplorationLimits())

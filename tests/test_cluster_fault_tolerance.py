@@ -524,26 +524,6 @@ class TestProcessCheckpointResume:
         assert resumed.covered_lines == full.covered_lines
         assert resumed.paths_completed == full.paths_completed
 
-    def test_stale_overlay_interval_does_not_lose_coverage(self, tmp_path):
-        """Regression: with status_update_interval > 1 the LB overlay lags;
-        checkpoints must fold in the freshly collected coverage bits or
-        lines covered on completed paths are lost forever on resume."""
-        test = specs.resolve_test("test-ft-buggy")
-        kwargs = dict(instructions_per_round=40, reply_timeout=1.0,
-                      status_update_interval=3)
-        full = test.run(backend="process", workers=2, limits=LIMITS, **kwargs)
-        assert full.exhausted
-
-        path = str(tmp_path / "ckpt.json")
-        test.run(backend="process", workers=2,
-                 limits=ExplorationLimits(max_rounds=2),
-                 checkpoint_every=2, checkpoint_path=path, **kwargs)
-        resumed = test.run(backend="process", workers=2, limits=LIMITS,
-                           resume_from=path, **kwargs)
-        assert resumed.exhausted
-        assert resumed.covered_lines == full.covered_lines
-        assert resumed.paths_completed == full.paths_completed
-
     def test_checkpoint_carries_identity_and_seeds(self, tmp_path):
         path = str(tmp_path / "ckpt.json")
         test = specs.resolve_test("test-ft-buggy")

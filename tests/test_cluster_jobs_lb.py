@@ -35,7 +35,7 @@ class TestJobTree:
         tree = JobTree.from_jobs([Job((0,)), Job((0, 1))])
         assert len(tree) == 2
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     @given(paths=st.lists(st.lists(st.integers(min_value=0, max_value=3),
                                    min_size=1, max_size=6),
                           min_size=1, max_size=10))

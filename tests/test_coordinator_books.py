@@ -83,7 +83,7 @@ def test_second_run_of_a_process_cluster_starts_with_clean_books():
     def hook(round_index, cl):
         if round_index == 4:
             cl.remove_worker(cl.live_worker_ids[-1])
-        members = {h.worker_id for h in cl.handles + cl._draining}
+        members = {h.worker_id for h in cl.handles}
         assert members <= {1, 2}
         assert sorted(cl.load_balancer.reports) == cl.live_worker_ids
         assert set(cl.ledger.worker_ids) == members
@@ -228,34 +228,31 @@ def test_member_lost_while_filing_its_end_of_run_report(printf2):
 
 
 def test_member_retiring_between_a_status_and_the_checkpoint_is_counted_once():
-    """A draining member reports with everyone else, then hands over its
-    last chunk and retires in the same round's drain step, filing a full
-    report; the checkpoint written right after must count it once."""
+    """A member reports with everyone else, then is retired at the next
+    membership barrier, handing over its whole frontier and filing a full
+    report; the checkpoint written after that round must count it once."""
     test = specs.resolve_test("printf", format_length=3)
     cluster = test.build_cluster(ClusterConfig(
-        num_workers=3, instructions_per_round=120, checkpoint_every=1,
-        drain_chunk=2))
+        num_workers=3, instructions_per_round=120, checkpoint_every=1))
     seen = {}
 
     def hook(round_index, cl):
         if round_index == 3:
             victim = max(cl.handles, key=lambda h: h.queue_length)
-            assert victim.queue_length > 2 * cl.config.drain_chunk
+            assert victim.queue_length > 0
             seen["victim"] = victim
             cl.remove_worker(victim.worker_id)
-        victim = seen.get("victim")
-        if victim in cl.books.departed and "retired" not in seen:
-            # Retired during the round that just closed, after its status.
-            seen["retired"] = round_index - 1
+            assert victim in cl.books.departed
+        elif round_index == 4:
+            # Written after round 3, the first round without the victim.
             seen["checkpoint"] = cl.last_checkpoint
 
     cluster.round_hook = hook
     result = cluster.run()
     assert result.exhausted and result.workers_removed == 1
-    assert seen["retired"] > 3  # it took several drain steps
     victim, checkpoint = seen["victim"], seen["checkpoint"]
-    assert checkpoint.round_index == seen["retired"] + 1
-    snapshot = result.timeline.snapshots[seen["retired"]]
+    assert checkpoint.round_index == 4
+    snapshot = result.timeline.snapshots[3]
     assert victim.status.stats.paths_completed > 0
     assert checkpoint.paths_completed == snapshot.paths_completed
     assert len(checkpoint.test_cases) == checkpoint.paths_completed
@@ -272,7 +269,7 @@ def test_member_retiring_between_a_status_and_the_checkpoint_is_counted_once():
 
 
 def test_round_record_checkpoint_and_result_read_the_same_books():
-    """One run with a retirement, a member death and a checkpoint after every
+    """One run with a removal, a member death and a checkpoint after every
     round: wherever a number is reported, it is the same number."""
     test = specs.resolve_test("printf", format_length=3)
     single = test.run(backend="single")
@@ -280,8 +277,7 @@ def test_round_record_checkpoint_and_result_read_the_same_books():
         test, lambda member: FaultyTransport(
             member, victim=3, command=ExploreCommand, occurrence=6,
             when="reply"),
-        num_workers=4, instructions_per_round=120, checkpoint_every=1,
-        drain_chunk=4)
+        num_workers=4, instructions_per_round=120, checkpoint_every=1)
     checkpoints = {}
 
     def hook(round_index, cl):
@@ -315,6 +311,10 @@ def test_round_record_checkpoint_and_result_read_the_same_books():
         assert checkpoint.paths_completed == snap.paths_completed
         assert len(checkpoint.test_cases) == snap.paths_completed
         assert bool(checkpoint.bug_reports) == bool(snap.bugs_found)
+        # Each outstanding job is listed once, by whoever held it at its
+        # report -- on the removal round too.
+        assert len(set(checkpoint.frontier_paths)) \
+            == len(checkpoint.frontier_paths) == snap.total_candidates
         assert checkpoint.useful_instructions == useful - (
             lost.useful_instructions if redone else 0)
         assert checkpoint.replay_instructions == replay - (

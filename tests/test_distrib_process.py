@@ -126,8 +126,8 @@ class TestDistribWorker:
         for worker in (source, destination):
             while worker.handle(ExploreCommand(budget=1000)).queue_length:
                 pass
-        src_final = source.handle(ReportCommand(full=True))
-        dst_final = destination.handle(ReportCommand(full=True))
+        src_final = source.handle(ReportCommand())
+        dst_final = destination.handle(ReportCommand())
         assert (src_final.stats.paths_completed
                 + dst_final.stats.paths_completed) == 9
         assert dst_final.stats.replay_instructions > 0
@@ -173,8 +173,7 @@ class TestEveryCommandHasItsReply:
 
     SAMPLES = (SeedCommand(), ExploreCommand(budget=5), ReportCommand(),
                ExportCommand(count=1),
-               ImportCommand(encoded_jobs=JobTree().encode()),
-               ReportCommand(full=True))
+               ImportCommand(encoded_jobs=JobTree().encode()))
 
     def test_table_and_samples_cover_every_command_but_stop(self):
         commands = {getattr(messages, name) for name in messages.__all__
@@ -218,7 +217,7 @@ class TestEveryCommandHasItsReply:
         worker = DistribWorker.from_test(1, _branchy_spec_test())
         worker.handle(SeedCommand())
         brief = worker.handle(ExploreCommand(budget=1000))
-        full = worker.handle(ReportCommand(full=True))
+        full = worker.handle(ReportCommand())
         assert (brief.frontier, brief.bugs, brief.test_cases,
                 brief.covered_lines, brief.latency) == (None,) * 5
         assert dataclasses.replace(

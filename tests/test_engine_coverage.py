@@ -74,7 +74,7 @@ def test_negative_size_rejected():
         CoverageBitVector(-1)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(lines_a=st.sets(st.integers(min_value=0, max_value=63)),
        lines_b=st.sets(st.integers(min_value=0, max_value=63)))
 def test_or_matches_set_union_property(lines_a, lines_b):

@@ -98,7 +98,7 @@ class TestWeightIndexAgainstTheScan:
         for point in points:
             assert index.pick(point) is scan_pick(members, weight_of, point), point
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(ops=OPS, fractions=st.lists(st.floats(0.0, 1.0), max_size=4))
     # The lowest ids all removed, then a pick of 0.0 and of the total.
     @example(ops=[("add", i, 2) for i in range(20)]

@@ -86,7 +86,7 @@ def test_byte_value_normalization():
     assert V.byte_value(narrow) is narrow
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(op=BINOPS, a=BYTES, b=BYTES)
 def test_symbolic_binop_matches_concrete_binop(op, a, b):
     """Evaluating the symbolic encoding equals direct concrete computation."""
@@ -99,7 +99,7 @@ def test_symbolic_binop_matches_concrete_binop(op, a, b):
     assert evaluated == expected
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(op=UNOPS, a=WORDS)
 def test_symbolic_unop_matches_concrete_unop(op, a):
     sym = E.bv_symbol("a", 32)
@@ -108,7 +108,7 @@ def test_symbolic_unop_matches_concrete_unop(op, a):
     assert int(model.evaluate(symbolic)) == V.unop(op, a)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(a=BYTES, b=BYTES)
 def test_mixed_operands_match(a, b):
     """concrete op symbolic == fully concrete result."""

@@ -551,7 +551,7 @@ programs = st.builds(
     st.lists(_statements(2, in_loop=True), min_size=1, max_size=4))
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(programs)
 def test_generated_programs_step_the_same(program):
     lock_step(lambda: _bounded_executor(program),

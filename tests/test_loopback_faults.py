@@ -19,6 +19,7 @@ from repro.distrib.messages import (
     ExploreCommand,
     ExportCommand,
     ImportCommand,
+    ReportCommand,
 )
 from repro.net.transport import TransportError
 from repro.obs.trace import load_trace
@@ -177,6 +178,99 @@ def test_respawn_replaces_the_dead_member(test_and_baseline, tmp_path):
     assert {name for name, _ in fault_events} == {
         "heartbeat_miss", "worker_died", "worker_respawned",
         "jobs_recovered"}
+
+
+@pytest.mark.parametrize("command", [ExportCommand, ReportCommand],
+                         ids=["at-export", "at-report"])
+def test_member_dying_during_its_removal_is_recovered_not_replaced(
+        test_and_baseline, command):
+    """A member killed at its removal's ExportCommand, or at its closing
+    ReportCommand once its frontier is on a survivor: its territory is
+    recovered from the ledger like any death's, and even under
+    ``respawn=True`` it is not replaced -- it was leaving anyway."""
+    test, _ = test_and_baseline
+    single = test.run(backend="single")
+    # Nobody is armed up front (worker ids start at 1); the hook arms the
+    # member it removes, so it dies at its first ``command`` from then on.
+    cluster = _faulty_cluster(test, policy=dict(respawn=True), victim=0,
+                              command=command, occurrence=1, when="reply")
+    seen = {}
+
+    def hook(round_index, cl):
+        if round_index == 3:
+            # One with finished paths: its territory outlives the handover.
+            victim = max(cl.handles, key=lambda h: (
+                h.status.stats.paths_completed, h.queue_length))
+            assert victim.status.stats.paths_completed > 0
+            victim.transport.armed = True
+            seen["moved"] = cl.remove_worker(victim.worker_id)
+            seen["victim"] = victim
+            assert victim.dead and victim in cl.books.departed
+            assert victim.worker_id not in cl.live_worker_ids
+        ok, message = cl.check_frontier_invariants()
+        assert ok, "round %d: %s" % (round_index, message)
+
+    cluster.round_hook = hook
+    result = cluster.run(limits=LIMITS)
+    assert result.exhausted
+    assert result.workers_removed == 1
+    assert result.worker_failures == 1 and result.respawns == 0
+    assert result.jobs_recovered >= 1
+    assert list(result.failed_worker_stats) == [seen["victim"].worker_id]
+    assert result.num_workers == CONFIG["num_workers"] - 1
+    if command is ExportCommand:
+        assert seen["moved"] == 0
+    assert result.paths_completed == single.paths_completed
+    assert result.covered_lines == single.covered_lines
+    assert sorted(tc.fork_trace for tc in result.test_cases) \
+        == sorted(tc.fork_trace for tc in single.test_cases)
+
+
+class HoldsBack(LoopbackTransport):
+    """Exports one job fewer than asked for: a member that would leave the
+    cluster still holding work."""
+
+    def send(self, message):
+        if isinstance(message, ExportCommand) and message.count > 1:
+            message = ExportCommand(count=message.count - 1)
+        super().send(message)
+
+
+def test_member_still_holding_a_job_after_its_removal_is_failed(
+        test_and_baseline):
+    """``remove_worker`` never returns while the member holds a job: a
+    closing report with a non-empty queue fails the member, and the job it
+    kept is recovered from the ledger."""
+    test, _ = test_and_baseline
+    single = test.run(backend="single")
+
+    class Cluster(Cloud9Cluster):
+        carrier = HoldsBack
+
+    cluster = test.build_cluster(ClusterConfig(**CONFIG),
+                                 cluster_class=Cluster)
+    seen = {}
+
+    def hook(round_index, cl):
+        if round_index == 3:
+            victim = max(cl.handles, key=lambda h: h.queue_length)
+            queue = victim.queue_length
+            assert queue >= 2
+            seen["moved"] = cl.remove_worker(victim.worker_id)
+            assert seen["moved"] == queue - 1
+            assert victim.dead and victim.status.queue_length == 1
+            assert not victim.transport.is_alive()
+        ok, message = cl.check_frontier_invariants()
+        assert ok, "round %d: %s" % (round_index, message)
+
+    cluster.round_hook = hook
+    result = cluster.run(limits=LIMITS)
+    assert "moved" in seen
+    assert result.exhausted and result.worker_failures == 1
+    assert result.jobs_recovered >= 1
+    assert result.paths_completed == single.paths_completed
+    assert sorted(tc.fork_trace for tc in result.test_cases) \
+        == sorted(tc.fork_trace for tc in single.test_cases)
 
 
 def test_failure_budget_is_enforced_in_process(test_and_baseline):

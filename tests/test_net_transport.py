@@ -471,18 +471,19 @@ class TestHandshake:
             server.close()
 
     def test_version_mismatch_is_rejected_with_reason(self):
-        # Too new, and version 3: its agents still send FinalReply.
-        assert PROTOCOL_COMPAT_VERSION == PROTOCOL_VERSION == 4
+        # Too new, and version 4: its coordinator still sends
+        # ReportCommand.full.
+        assert PROTOCOL_COMPAT_VERSION == PROTOCOL_VERSION == 5
         server = _server()
         clients = []
         try:
-            for rejected, version in enumerate((PROTOCOL_VERSION + 1, 3), 1):
+            for rejected, version in enumerate((PROTOCOL_VERSION + 1, 4), 1):
                 clients.append(_dial(server))
                 clients[-1].send(HelloMessage(protocol_version=version))
                 reply = clients[-1].recv(timeout=5.0)
                 assert isinstance(reply, RejectMessage)
                 assert "version mismatch" in reply.reason
-                assert "accepts 4..4, agent sent %d" % version in reply.reason
+                assert "accepts 5..5, agent sent %d" % version in reply.reason
                 _wait_until(lambda expected=rejected:
                             server.handshakes_rejected == expected,
                             what="rejection count")

@@ -1,5 +1,5 @@
 """End-to-end observability: one trace per run on every backend, trace
-integrity through faults, drain heartbeats, and dead-worker cache counters."""
+integrity through faults, member removal, and dead-worker cache counters."""
 
 import multiprocessing
 import os
@@ -124,10 +124,11 @@ class TestElapsedTimeline:
         assert series and all(b > a for a, b in zip(series, series[1:]))
 
 
-class TestDrainStatus:
-    """Satellite: draining members answer a status-only heartbeat."""
+class TestRemoval:
+    """A leaving member files its full report without exploring, and its
+    removal is on the trace."""
 
-    def test_worker_handles_drain_status_without_exploring(self):
+    def test_worker_files_a_full_report_without_exploring(self):
         test = specs.resolve_test("printf", format_length=2)
         worker = DistribWorker.from_test(1, test)
         worker.handle(SeedCommand())
@@ -136,13 +137,12 @@ class TestDrainStatus:
         reply = worker.handle(ReportCommand())
         assert worker.worker.stats.useful_instructions == before
         assert reply.queue_length == worker.worker.queue_length
-        assert reply.frontier is None
-        with_frontier = worker.handle(ReportCommand(full=True))
-        assert with_frontier.frontier is not None
+        assert reply.frontier is not None
+        assert reply.covered_lines == worker.worker.executor.covered_lines
 
     @needs_fork
-    def test_drain_is_traced(self, tmp_path):
-        path = tmp_path / "drain.jsonl"
+    def test_removal_is_traced(self, tmp_path):
+        path = tmp_path / "removal.jsonl"
         config = ProcessClusterConfig(num_workers=3,
                                       instructions_per_round=300)
         cluster = ProcessCloud9Cluster("printf", {"format_length": 2},
@@ -156,9 +156,10 @@ class TestDrainStatus:
         result = cluster.run(limits=ExplorationLimits(
             max_rounds=60, trace_path=str(path)))
         assert result.workers_removed == 1
-        names = [e["event"] for e in load_trace(str(path))]
-        assert "worker_draining" in names
-        assert "worker_left" in names
+        events = load_trace(str(path))
+        left = [e for e in events if e["event"] == "worker_left"]
+        assert [(e["worker"], e["workers"]) for e in left] == [(3, 2)]
+        assert not [e for e in events if e["event"] == "worker_died"]
 
 
 class TestFaultTracing:

@@ -6,27 +6,31 @@ import socket
 import pytest
 
 from repro.cluster import ClusterConfig, StaticPartitionConfig
-from repro.obs.status import StatusServer, parse_status_address, read_status
+from repro.net.transport import parse_address
+from repro.obs.status import StatusServer, read_status
 from repro.testing import SymbolicTest
 
 from conftest import branchy_program
 
 
 class TestParseAddress:
+    """``status_listen`` values go through the one address parser."""
+
     def test_host_port(self):
-        assert parse_status_address("0.0.0.0:4850") == ("0.0.0.0", 4850)
+        assert parse_address("0.0.0.0:4850") == ("0.0.0.0", 4850)
 
     def test_bare_port_defaults_loopback(self):
-        assert parse_status_address("4850") == ("127.0.0.1", 4850)
+        assert parse_address("4850") == ("127.0.0.1", 4850)
+        assert parse_address(":0") == ("127.0.0.1", 0)
 
     def test_bad_port_raises(self):
         with pytest.raises(ValueError):
-            parse_status_address("host:notaport")
+            parse_address("host:notaport")
 
 
 class TestStatusServer:
     def test_serves_latest_snapshot(self):
-        server = StatusServer("127.0.0.1:0")
+        server = StatusServer(("127.0.0.1", 0))
         try:
             server.update({"round": 1, "coverage_percent": 10.0})
             server.update({"round": 2, "coverage_percent": 25.0})
@@ -39,7 +43,7 @@ class TestStatusServer:
 
     def test_one_json_line_per_connection(self):
         """The wire protocol is healthz-style: connect, read one line, EOF."""
-        server = StatusServer("127.0.0.1:0")
+        server = StatusServer(("127.0.0.1", 0))
         try:
             server.update({"round": 7})
             with socket.create_connection(server.address, timeout=2.0) as sock:
@@ -56,7 +60,7 @@ class TestStatusServer:
             server.close()
 
     def test_empty_snapshot_before_first_update(self):
-        server = StatusServer("127.0.0.1:0")
+        server = StatusServer(("127.0.0.1", 0))
         try:
             status = read_status(server.address)
             assert "updated" in status
@@ -64,7 +68,7 @@ class TestStatusServer:
             server.close()
 
     def test_read_after_close_returns_none(self):
-        server = StatusServer("127.0.0.1:0")
+        server = StatusServer(("127.0.0.1", 0))
         address = server.address
         server.close()
         assert read_status(address, timeout=0.5) is None
@@ -99,7 +103,6 @@ class TestInProcessBackendsServeStatus:
         assert seen["backend"] == "cluster"
         assert seen["round"] >= 0
         assert seen["live_workers"] == 2  # an int count, as on process
-        assert seen["draining_workers"] == 0
         assert isinstance(seen["queues"], dict)
         # Torn down with the run, exactly like the tracer.
         assert cluster.status_address is None

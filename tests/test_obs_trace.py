@@ -145,7 +145,7 @@ class TestRuntimeValidation:
     def test_schema_validator_rejects_unknown_key(self):
         buf = BufferTracer(validate=True)
         with pytest.raises(ValueError, match="declared schema"):
-            buf.emit("worker_died", reason="x", draining=False, bogus=1)
+            buf.emit("worker_died", reason="x", bogus=1)
         with pytest.raises(ValueError, match="unknown trace event"):
             buf.emit("no_such_event")
         assert buf.drain() == []
@@ -155,8 +155,7 @@ class TestRuntimeValidation:
         is, so turning it off there must not go unnoticed."""
         with Tracer(str(tmp_path / "t.jsonl")) as tracer:
             with pytest.raises(ValueError, match="undeclared key"):
-                tracer.emit("worker_died", reason="x", draining=False,
-                            bogus=1)
+                tracer.emit("worker_died", reason="x", bogus=1)
         with pytest.raises(ValueError, match="undeclared key"):
             BufferTracer().emit("jobs_recovered", jobs=1, bogus=1)
 

@@ -236,7 +236,7 @@ def _constraint(draw):
     return E.ult(total, E.bv_const(draw(st.integers(1, 4)), 8))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(constraints=st.lists(_constraint(), max_size=12))
 def test_partition_matches_the_union_find(constraints):
     assert independence.partition(constraints) == reference_partition(constraints)

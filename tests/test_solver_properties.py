@@ -49,19 +49,19 @@ assignments = st.fixed_dictionaries({
 })
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(expr=expr_strategy(), assignment=assignments)
 def test_simplify_preserves_bitvector_semantics(expr, assignment):
     assert E.evaluate(simplify(expr), assignment) == E.evaluate(expr, assignment)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(expr=bool_expr_strategy(), assignment=assignments)
 def test_simplify_preserves_boolean_semantics(expr, assignment):
     assert E.evaluate(simplify(expr), assignment) == E.evaluate(expr, assignment)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(expr=expr_strategy(), assignment=assignments)
 def test_interval_domain_is_sound(expr, assignment):
     """The concrete value always lies within the computed interval."""
@@ -71,7 +71,7 @@ def test_interval_domain_is_sound(expr, assignment):
     assert interval.lo <= value <= interval.hi
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(expr=bool_expr_strategy(), assignment=assignments)
 def test_truth_of_is_sound(expr, assignment):
     """When the interval domain decides a truth value, it matches reality."""
@@ -81,7 +81,7 @@ def test_truth_of_is_sound(expr, assignment):
         assert verdict == E.evaluate(expr, assignment)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(constraint=bool_expr_strategy())
 def test_solver_models_satisfy_their_constraints(constraint):
     solver = Solver()
@@ -90,7 +90,7 @@ def test_solver_models_satisfy_their_constraints(constraint):
         assert model.satisfies([constraint])
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(constraint=bool_expr_strategy(), assignment=assignments)
 def test_solver_never_reports_unsat_for_satisfiable_queries(constraint, assignment):
     """If a witness exists, the solver must not claim UNSAT."""
@@ -99,7 +99,7 @@ def test_solver_never_reports_unsat_for_satisfiable_queries(constraint, assignme
         assert solver.is_satisfiable([constraint])
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(value=st.integers(min_value=0, max_value=255),
        other=st.integers(min_value=0, max_value=255))
 def test_solver_equality_pair(value, other):
@@ -184,14 +184,14 @@ def rebuilt(expr):
                       params=expr.params)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(expr=st.one_of(nibble_strategy(), condition_strategy()),
        point=st.sampled_from(POINTS))
 def test_simplify_preserves_semantics_on_the_full_operator_set(expr, point):
     assert E.evaluate(simplify(expr), point) == E.evaluate(expr, point)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(expr=st.one_of(nibble_strategy(), condition_strategy()))
 def test_simplify_is_idempotent(expr):
     """``simplify`` marks its result canonical, so it had better be: a memo-free
@@ -222,7 +222,7 @@ paths_strategy = st.lists(
     min_size=1, max_size=3)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(paths=paths_strategy, budget=st.sampled_from([200_000, 200_000, 24]))
 def test_full_stack_agrees_with_enumeration(paths, budget):
     """Explore like the engine does -- test both sides of every branch against
