@@ -16,7 +16,7 @@ layer up, in :mod:`repro.distrib`):
 * :mod:`repro.cluster.ledger` -- the coordinator-side frontier ledger used
   to recover a dead worker's territory (§2.3 failure model).
 * :mod:`repro.cluster.checkpoint` -- resumable run snapshots (frontier,
-  coverage, counters, bugs/test cases, strategy seeds) behind
+  coverage, counters, bugs/test cases, the spec that produced them) behind
   ``run(resume_from=...)``.
 * :mod:`repro.cluster.autoscale` -- the autoscaling policy engine driving
   elastic membership from queue-length band/spread and round wall time.

@@ -94,6 +94,9 @@ class RandomPathStrategy(SearchStrategy):
         self._rng = random.Random(seed)
 
     def select(self, tree: ExecutionTree, candidates: Frontier) -> TreeNode:
+        # ``randrange(n)`` is ``_randbelow(n)`` for every ``n >= 1``: the
+        # same draw, without the argument checks at every level.
+        below = self._rng._randbelow  # type: ignore[attr-defined]
         node = tree.root
         guard = 0
         while True:
@@ -101,15 +104,20 @@ class RandomPathStrategy(SearchStrategy):
             if guard > 100000:
                 # Fall back to uniform choice if the tree is malformed.
                 return _uniform(self._rng, candidates)
+            # Children in fork-index order; a two-way fork needs no sort.
+            kids = node.children
+            if len(kids) == 2 and 0 in kids and 1 in kids:
+                ordered: Sequence[TreeNode] = (kids[0], kids[1])
+            else:
+                ordered = [kids[k] for k in sorted(kids)]
             # A frontier member with candidate descendants can exist
             # transiently; prefer descending.
-            children = [c for k, c in sorted(node.children.items())
-                        if c.candidate_count > 0]
+            children = [c for c in ordered if c.candidate_count > 0]
             if not children:
                 if node in candidates:
                     return node
                 return _uniform(self._rng, candidates)
-            node = children[self._rng.randrange(len(children))]
+            node = children[below(len(children))]
 
 
 class CoverageOptimizedStrategy(SearchStrategy):

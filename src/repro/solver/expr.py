@@ -7,11 +7,20 @@ The expression language intentionally covers only what the symbolic execution
 engine emits: arithmetic, bitwise operations, shifts, concatenation/extraction,
 comparisons and boolean connectives.
 
+There is one node per structure.  Every construction -- the helpers below,
+:func:`~repro.solver.simplify.simplify`, unpickling -- looks its defining
+fields up in a weak intern table first and hands back the node that is
+already alive, so equal expressions built on different paths are the same
+object and a solver-cache hit is an identity check.  ``Expr.__init__`` runs
+only for a structure that is new.  Hashing and ``==`` stay structural: a node
+built around the table is still equal, only slower to compare.
+
 Facts derived from a node live *on* the node: its simplified form (written by
 :func:`repro.solver.simplify.simplify`), its symbol set, its depth and the
-constants it mentions are each computed once per node object and read back
-from a slot afterwards, so every walk is linear in *distinct* nodes however
-often a sub-DAG is referenced.  The memo slots take no part in equality,
+constants it mentions are each computed once per node and read back from a
+slot afterwards, so every walk is linear in *distinct* nodes however often a
+sub-DAG is referenced, and every path that builds a structure shares what
+another path already paid for.  The memo slots take no part in equality,
 hashing or pickling.  (:func:`evaluate` and the interval walks are not
 memoised and still pay once per reference.)
 """
@@ -19,6 +28,7 @@ memoised and still pay once per reference.)
 from __future__ import annotations
 
 import enum
+import weakref
 from typing import (Any, FrozenSet, Iterable, List, Literal, Mapping, Optional,
                     Sequence, Tuple, Union)
 
@@ -135,15 +145,39 @@ def from_signed(value: int, width: int) -> int:
     return _mask(value, width)
 
 
-class Expr:
+#: Every live node, keyed on its class and defining fields.  Weak: a
+#: structure nothing references any more is dropped with its node.  Two
+#: threads racing to build one new structure may each build it; the loser's
+#: node is equal, only not shared.
+_NODES: weakref.WeakValueDictionary[tuple, Expr] = weakref.WeakValueDictionary()
+
+
+class _Interned(type):
+    """Metaclass of :class:`Expr`: constructing a structure that is already
+    alive returns that node; only a new structure reaches ``__init__``."""
+
+    def __call__(cls, op: Op, args: Tuple["Expr", ...] = (),
+                 sort: Optional[Sort] = None, value: Any = None,
+                 name: Optional[str] = None, params: Tuple[int, ...] = ()) -> Any:
+        key = (cls, op, args, sort, value, name, params)
+        node = _NODES.get(key)
+        if node is None:
+            node = _NODES[key] = super().__call__(op, args, sort, value, name,
+                                                  params)
+        return node
+
+
+class Expr(metaclass=_Interned):
     """An immutable expression node.
 
     Instances should be created through the module-level constructor helpers
     (:func:`bv_const`, :func:`add`, :func:`eq`, ...) which validate sorts.
+    Constructing a structure that is already alive returns the existing node.
     """
 
     __slots__ = ("op", "args", "sort", "value", "name", "params", "_hash",
-                 "_simplified", "_symbols", "_depth", "_constants")
+                 "_simplified", "_symbols", "_depth", "_constants",
+                 "__weakref__")
 
     def __init__(
         self,
@@ -177,7 +211,8 @@ class Expr:
 
     def __reduce__(self):
         # Only the defining fields travel: memo slots stay out of pickles,
-        # and the hash is recomputed where the node is rebuilt.
+        # and the receiver rebuilds through the intern table, so an
+        # unpickled node is the one already alive there, if any.
         return (type(self), (self.op, self.args, self.sort, self.value,
                              self.name, self.params))
 

@@ -9,6 +9,7 @@ import os
 # processes and spawned TCP agents inherit it.
 os.environ["REPRO_TRACE_VALIDATE"] = "1"
 
+import gc
 import sys
 import textwrap
 from collections import Counter
@@ -48,20 +49,32 @@ def write_tree(root, files):
 @contextmanager
 def python_calls():
     """Count the Python-level calls made inside the block, per source file
-    (``sum(calls.values())`` is all of them).  Calls repeat exactly from run
-    to run, so a cost pinned this way holds on a noisy runner."""
+    (``sum(calls.values())`` is all of them).  Calls repeat exactly between
+    runs that start from the same state, including the same live nodes in
+    the expression intern table (a node still alive is not built again), so
+    a cost pinned this way holds on a noisy runner.
+
+    The cycle collector is run before the block and held off inside it: a
+    collection frees interned nodes, and each freed node is a Python-level
+    call into the table, at a point set by allocation counts rather than by
+    the code under test."""
     calls: Counter = Counter()
 
     def on_event(frame, event, arg):
         if event == "call":
             calls[frame.f_code.co_filename] += 1
 
+    gc.collect()
+    collecting = gc.isenabled()
+    gc.disable()
     previous = sys.getprofile()
     sys.setprofile(on_event)
     try:
         yield calls
     finally:
         sys.setprofile(previous)
+        if collecting:
+            gc.enable()
 
 
 def branchy_program(buffer_size: int = 3) -> L.Program:

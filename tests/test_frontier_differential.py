@@ -6,7 +6,9 @@ weighed every node and walked the cumulative weights.  That code lives on
 here as the *reference*: every ``select`` of a run is answered twice -- by
 the reference on a cloned RNG and by the strategy itself -- and must return
 the same node object; every ``export_jobs`` must give away the nodes the old
-``sorted(..., key=-node_id)`` expression named.  Runs cover the single engine,
+``sorted(..., key=-node_id)`` expression named.  The random-path walk is
+checked the same way against its plain form (a sort and a ``randrange`` at
+every level), so a changed draw fails here.  Runs cover the single engine,
 in-process clusters (imports, replays, exports) and the death sweep of
 ``test_loopback_faults`` (recovered jobs, discarded subtrees).
 """
@@ -25,6 +27,7 @@ from repro.engine.strategies import (
     CoverageOptimizedStrategy,
     DfsStrategy,
     FewestFaultsFirstStrategy,
+    RandomPathStrategy,
     RandomStateStrategy,
 )
 
@@ -78,6 +81,24 @@ def reference_random_state(strategy, candidates):
     return ordered[_cloned(strategy._rng).randrange(len(ordered))]
 
 
+def reference_random_path(strategy, candidates):
+    """KLEE's walk from the root: at every level sort the children, keep the
+    ones with candidates below, draw with ``randrange``."""
+    rng = _cloned(strategy._rng)
+    node = candidates[0]
+    while node.parent is not None:
+        node = node.parent
+    while True:
+        children = [c for k, c in sorted(node.children.items())
+                    if c.candidate_count > 0]
+        if not children:
+            if node in candidates:
+                return node
+            ordered = sorted(candidates, key=lambda n: n.node_id)
+            return ordered[rng.randrange(len(ordered))]
+        node = children[rng.randrange(len(children))]
+
+
 def reference_dfs(strategy, candidates):
     return max(candidates, key=lambda n: n.node_id)
 
@@ -105,6 +126,7 @@ def reference_export(worker, count):
 
 REFERENCES = {
     CoverageOptimizedStrategy: reference_coverage_optimized,
+    RandomPathStrategy: reference_random_path,
     RandomStateStrategy: reference_random_state,
     DfsStrategy: reference_dfs,
     BfsStrategy: reference_bfs,
@@ -158,8 +180,10 @@ def test_single_engine_picks_match_the_scan(checked, spec):
     test = specs.resolve_test(spec, **TARGETS[spec])
     result = test.run(backend="single")
     assert result.exhausted
-    # Interleaved: every other select is the coverage-optimised searcher's.
+    # Interleaved: every other select is the coverage-optimised searcher's,
+    # the rest are random-path walks.
     assert checked["coverage_optimized"] == result.steps // 2
+    assert checked["random_path"] == result.steps - result.steps // 2
     assert checked["coverage_optimized"] > 2000
 
 

@@ -247,6 +247,11 @@ class TestTcpElasticity:
         def hook(round_index, cl):
             if added or round_index < 2:
                 return
+            # The third agent dials in on its own schedule; under load it
+            # may not have yet, and add_worker refuses an empty pool.
+            deadline = time.monotonic() + 30.0
+            while cl.server.pending_count < 1 and time.monotonic() < deadline:
+                time.sleep(0.01)
             added["worker_id"] = cl.add_worker()
 
         cluster.round_hook = hook

@@ -215,11 +215,16 @@ class TestTracingCost:
 
     def test_tracing_costs_calls_per_event_and_nothing_when_off(self, tmp_path):
         trace_path = str(tmp_path / "t.jsonl")
+        # A first run fills the expression intern table with what a run
+        # leaves alive; the two compared runs then start from the same table
+        # and build the same nodes.
+        warm, _, _ = self._counted_run(60)
         plain, plain_calls, plain_tracer_calls = self._counted_run(60)
         traced, traced_calls, _ = self._counted_run(60, trace_path)
         events = load_trace(trace_path)
 
         # Tracing observes the run; it does not steer it.
+        assert warm.paths_completed == plain.paths_completed
         assert plain.exhausted and traced.exhausted
         for counter in ("rounds_executed", "paths_completed", "covered_lines",
                         "useful_instructions", "replay_instructions",

@@ -1,7 +1,10 @@
 """Unit tests for the expression language (repro.solver.expr)."""
 
+import copy
+import gc
 import pickle
 import time
+import weakref
 
 import pytest
 
@@ -194,16 +197,54 @@ class TestSharedSubDags:
         assert Solver()._interesting_constants([node]) == [2, 3, 4]
         assert time.monotonic() - started < 1.0
 
-    def test_memos_stay_out_of_equality_hash_and_pickles(self):
-        # Eight levels: ``==`` between distinct-but-equal DAGs is still a walk
-        # per reference (nodes are not interned).
+    def test_a_twin_dag_is_the_same_node(self):
         _, node = self.doubled(8)
-        _, twin = self.doubled(8)
         simplify(node), node.symbols(), node.depth(), node.constants()
-        assert node == twin and hash(node) == hash(twin)
-        assert twin._simplified is None and twin._symbols is None
-        assert pickle.dumps(node) == pickle.dumps(twin)
-        clone = pickle.loads(pickle.dumps(node))
-        assert clone == node and clone is not node
-        assert clone._simplified is None and clone._symbols is None
-        assert clone._depth is None and clone._constants is None
+        _, twin = self.doubled(8)
+        assert twin is node
+        # So a fact one path paid for is there for every other path.
+        assert twin._simplified is True and twin._depth == 10
+
+    def test_a_pickle_round_trip_returns_the_live_node(self):
+        _, node = self.doubled(8)
+        assert pickle.loads(pickle.dumps(node)) is node
+        assert copy.copy(node) is node and copy.deepcopy(node) is node
+
+    def test_memos_stay_out_of_equality_hash_and_pickles(self):
+        # ``type.__call__`` builds around the intern table: a second node of
+        # the same structure, without the memos.  It is equal, only slower
+        # to compare (a walk per reference).
+        _, node = self.doubled(8)
+        before = pickle.dumps(node)
+        simplify(node), node.symbols(), node.depth(), node.constants()
+        stray = type.__call__(E.Expr, node.op, node.args, node.sort)
+        assert stray is not node
+        assert stray == node and node == stray and hash(stray) == hash(node)
+        assert stray._simplified is None and stray._symbols is None
+        assert stray._depth is None and stray._constants is None
+        assert pickle.dumps(node) == pickle.dumps(stray) == before
+        assert pickle.loads(before) is node
+
+    def test_the_intern_table_is_weak(self, monkeypatch):
+        built = []
+        real_init = E.Expr.__init__
+
+        def counting_init(self, op, *args, **kwargs):
+            built.append(op)
+            real_init(self, op, *args, **kwargs)
+
+        monkeypatch.setattr(E.Expr, "__init__", counting_init)
+
+        def build():
+            x = E.bv_symbol("intern_table_probe", 8)
+            return E.ult(E.add(x, x), x)
+
+        node = build()
+        assert built == [E.Op.BV_SYMBOL, E.Op.ADD, E.Op.ULT]
+        assert build() is node and len(built) == 3
+        gone = weakref.ref(node)
+        del node
+        gc.collect()
+        assert gone() is None
+        build()
+        assert built == [E.Op.BV_SYMBOL, E.Op.ADD, E.Op.ULT] * 2
