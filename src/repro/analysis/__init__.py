@@ -1,34 +1,30 @@
-"""Static distributed-invariants checker for the repro codebase.
+"""Static wire-protocol checker for the repro codebase.
 
-A symbolic-execution cluster fails in ways unit tests are bad at
-catching: a wire-message field added on one side of a version bump, a
-blocking socket call that sneaks under a lock, an unordered ``set``
-silently deciding which state gets explored first.  This package checks
-those invariants *statically* -- pure :mod:`ast`, no imports of the
-analyzed code -- so the CI gate runs in milliseconds and works on any
-parseable tree (including test fixtures that are not importable
-packages).  A rule stays only while this tree has code it is about.
+A wire-message field added on one side of a version bump desynchronizes
+a cluster in a way unit tests are bad at catching, because both sides of
+a test run the same tree.  This package checks the wire messages
+*statically* -- pure :mod:`ast`, no imports of the analyzed code -- so
+the CI gate runs in milliseconds and works on any parseable tree
+(including test fixtures that are not importable packages).
 
-Checker families (see each module's docstring for the rule catalog):
+One checker family (see :mod:`repro.analysis.protocol` for the rules):
 
 =========  ==========================================================
 ``PROTO``  wire-protocol lock: message classes vs ``PROTOCOL_VERSION``
            and the committed ``protocol.lock.json``; semver rule
            (``PROTOCOL_COMPAT_VERSION`` floor, additive-only
            compatible bumps)
-``CONC``   blocking calls under held locks; untimed queue receives
-``DET``    unseeded RNGs, wall clocks, and set-iteration order feeding
-           schedule/solver decisions
 =========  ==========================================================
 
-The trace-event schema (:mod:`repro.obs.schema`) is not checked here: it
-is checked at runtime, on every record the test suite emits
+The rest is checked by running the code, not by reading it: the
+trace-event schema on every record the test suite emits
 (:func:`repro.obs.trace.schema_validator`, switched on by
-``tests/conftest.py``).
+``tests/conftest.py``), and determinism -- exploration as a pure function
+of program and seed -- by ``tests/test_determinism.py``, which runs every
+registered spec under two hash seeds and compares what they explored.
 
 Run it with ``python -m repro.analysis [PATHS...]``; any finding fails
-the run.  Suppress a single line with a ``# analysis-ignore`` (or
-``# analysis-ignore[ID]``) comment.
+the run.
 """
 
 from repro.analysis.cli import main, run_analysis

@@ -1,4 +1,4 @@
-"""``python -m repro.analysis``: run the distributed-invariants checkers.
+"""``python -m repro.analysis``: check the wire messages against the protocol lock.
 
 Usage::
 
@@ -20,8 +20,8 @@ import os
 import sys
 from typing import List, Optional, Sequence
 
-from repro.analysis import concurrency, determinism, protocol
-from repro.analysis.core import Finding, filter_suppressed, load_modules
+from repro.analysis import protocol
+from repro.analysis.core import Finding, load_modules
 
 __all__ = ["main", "run_analysis"]
 
@@ -30,13 +30,10 @@ DEFAULT_LOCK = "protocol.lock.json"
 
 def run_analysis(paths: Sequence[str],
                  lock_path: str = DEFAULT_LOCK) -> List[Finding]:
-    """Run every checker over ``paths``; returns the findings that no
-    inline ``analysis-ignore`` comment waives, in report order."""
+    """Check the wire messages under ``paths`` against the protocol lock;
+    returns the findings in report order."""
     modules, findings = load_modules(paths)
     findings.extend(protocol.check(modules, lock_path))
-    findings.extend(concurrency.check(modules))
-    findings.extend(determinism.check(modules))
-    findings = filter_suppressed(modules, findings)
     findings.sort(key=lambda f: (f.path, f.line, f.checker, f.message))
     return findings
 
@@ -44,8 +41,8 @@ def run_analysis(paths: Sequence[str],
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
-        description="Static distributed-invariants checker: protocol lock, "
-                    "concurrency and determinism lints.")
+        description="Static wire-protocol checker: message classes against "
+                    "the committed protocol lock.")
     parser.add_argument("paths", nargs="*", default=None, metavar="PATH",
                         help="files or directories to analyze "
                              "(default: src)")

@@ -1,4 +1,4 @@
-"""Shared machinery for the static checkers: findings, source loading, AST helpers.
+"""Shared machinery for the protocol checker: findings and source loading.
 
 Everything here is plain stdlib ``ast`` work -- the analysis package never
 imports the repro runtime, so it can check a tree that does not even import
@@ -9,13 +9,11 @@ from __future__ import annotations
 
 import ast
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
-__all__ = ["Finding", "SourceModule", "load_modules", "qualname_index",
-           "enclosing_context", "is_suppressed", "filter_suppressed",
-           "attr_chain"]
+__all__ = ["Finding", "SourceModule", "load_modules"]
 
 
 @dataclass(frozen=True)
@@ -40,26 +38,10 @@ class Finding:
 
 @dataclass
 class SourceModule:
-    """One parsed source file plus everything checkers need about it."""
+    """One parsed source file."""
 
     path: str             # as reported in findings (posix slashes)
     tree: ast.Module
-    lines: List[str] = field(default_factory=list)
-    #: Map from every AST node to its parent (filled at load time).
-    parents: Dict[ast.AST, ast.AST] = field(default_factory=dict)
-
-    def source_line(self, lineno: int) -> str:
-        if 1 <= lineno <= len(self.lines):
-            return self.lines[lineno - 1]
-        return ""
-
-
-def _fill_parents(tree: ast.Module) -> Dict[ast.AST, ast.AST]:
-    parents: Dict[ast.AST, ast.AST] = {}
-    for node in ast.walk(tree):
-        for child in ast.iter_child_nodes(node):
-            parents[child] = node
-    return parents
 
 
 def load_modules(paths: Sequence[str]) -> Tuple[List[SourceModule], List[Finding]]:
@@ -84,9 +66,7 @@ def load_modules(paths: Sequence[str]) -> Tuple[List[SourceModule], List[Finding
             findings.append(Finding("ANA001", display, exc.lineno or 1,
                                     "syntax error: %s" % exc.msg))
             continue
-        modules.append(SourceModule(path=display, tree=tree,
-                                    lines=source.splitlines(),
-                                    parents=_fill_parents(tree)))
+        modules.append(SourceModule(path=display, tree=tree))
     return modules, findings
 
 
@@ -103,81 +83,3 @@ def _iter_python_files(paths: Sequence[str]) -> Iterator[str]:
             for name in sorted(filenames):
                 if name.endswith(".py"):
                     yield os.path.join(dirpath, name)
-
-
-def qualname_index(module: SourceModule) -> Dict[ast.AST, str]:
-    """Map every ClassDef/FunctionDef node to its dotted qualname."""
-    index: Dict[ast.AST, str] = {}
-
-    def visit(node: ast.AST, prefix: str) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.ClassDef, ast.FunctionDef,
-                                  ast.AsyncFunctionDef)):
-                qualname = (prefix + "." + child.name) if prefix else child.name
-                index[child] = qualname
-                visit(child, qualname)
-            else:
-                visit(child, prefix)
-
-    visit(module.tree, "")
-    return index
-
-
-def enclosing_context(module: SourceModule, node: ast.AST,
-                      index: Optional[Dict[ast.AST, str]] = None) -> str:
-    """Qualname of the nearest enclosing class/function (may be "")."""
-    if index is None:
-        index = qualname_index(module)
-    current: Optional[ast.AST] = node
-    while current is not None:
-        if current in index:
-            return index[current]
-        current = module.parents.get(current)
-    return ""
-
-
-#: Marker accepted in a trailing comment to waive findings on that line:
-#: ``# analysis-ignore`` (all checkers) or ``# analysis-ignore[CONC001]``.
-IGNORE_MARKER = "analysis-ignore"
-
-
-def is_suppressed(module: SourceModule, finding: Finding) -> bool:
-    line = module.source_line(finding.line)
-    marker = line.find(IGNORE_MARKER)
-    if marker < 0:
-        return False
-    rest = line[marker + len(IGNORE_MARKER):]
-    if rest.startswith("["):
-        listed = rest[1:rest.find("]")] if "]" in rest else ""
-        ids = {part.strip() for part in listed.split(",") if part.strip()}
-        return finding.checker in ids
-    return True
-
-
-def attr_chain(node: ast.AST) -> str:
-    """Dotted-source text of a Name/Attribute chain ("self._send_lock")."""
-    parts: List[str] = []
-    current = node
-    while isinstance(current, ast.Attribute):
-        parts.append(current.attr)
-        current = current.value
-    if isinstance(current, ast.Name):
-        parts.append(current.id)
-    elif parts:
-        parts.append("<expr>")
-    else:
-        return ""
-    return ".".join(reversed(parts))
-
-
-def filter_suppressed(modules: Iterable[SourceModule],
-                      findings: Iterable[Finding]) -> List[Finding]:
-    """Drop findings waived by an inline ``analysis-ignore`` comment."""
-    by_path = {m.path: m for m in modules}
-    kept = []
-    for finding in findings:
-        module = by_path.get(finding.path)
-        if module is not None and is_suppressed(module, finding):
-            continue
-        kept.append(finding)
-    return kept

@@ -19,13 +19,18 @@ resumed segment re-finds.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
 from repro.engine.errors import BugKind, BugReport
 from repro.engine.test_case import TestCase
 
-__all__ = ["ClusterCheckpoint"]
+__all__ = ["CHECKPOINT_FORMAT", "ClusterCheckpoint"]
+
+#: The JSON layout :meth:`ClusterCheckpoint.to_json` writes, recorded in the
+#: file as ``"format"``.  Bump it when a field is added, removed or changes
+#: meaning; :meth:`ClusterCheckpoint.from_json` reads this format only.
+CHECKPOINT_FORMAT = 1
 
 
 @dataclass
@@ -71,11 +76,22 @@ class ClusterCheckpoint:
         payload = asdict(self)
         payload["frontier_paths"] = [list(p) for p in self.frontier_paths]
         payload["coverage_bits"] = hex(self.coverage_bits)
+        payload["format"] = CHECKPOINT_FORMAT
         return json.dumps(payload, indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "ClusterCheckpoint":
+        """Parse :meth:`to_json` output; a checkpoint in another format (an
+        older tree's, say) is a ``ValueError`` naming both formats and the
+        keys this tree does not know."""
         payload = json.loads(text)
+        found = payload.pop("format", None)
+        unknown = sorted(set(payload) - {f.name for f in fields(cls)})
+        if found != CHECKPOINT_FORMAT or unknown:
+            raise ValueError(
+                "cannot read checkpoint: it is format %s, this tree reads "
+                "format %d (unknown keys: %s)"
+                % (found, CHECKPOINT_FORMAT, ", ".join(unknown) or "none"))
         payload["coverage_bits"] = int(payload["coverage_bits"], 16)
         return cls(**payload)
 

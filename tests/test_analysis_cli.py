@@ -9,16 +9,31 @@ from conftest import write_tree
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-VIOLATING = """\
-    import random
+#: A one-message wire tree: ``messages.py`` plus the version constant.
+WIRE = {
+    "src/repro/distrib/messages.py": """\
+        from dataclasses import dataclass
 
-    def pick(items):
-        return random.choice(items)
-"""
+        @dataclass
+        class PingCommand:
+            nonce: int
+    """,
+    "src/repro/net/transport.py": """\
+        PROTOCOL_VERSION = 1
+    """,
+}
 
 
-def _tree(tmp_path, source=VIOLATING, relpath="src/repro/engine/pick.py"):
-    return write_tree(tmp_path, {relpath: source})
+def _grown():
+    """``WIRE`` with a field added to ``PingCommand`` and no version bump."""
+    return dict(WIRE, **{"src/repro/distrib/messages.py": """\
+        from dataclasses import dataclass
+
+        @dataclass
+        class PingCommand:
+            nonce: int
+            urgent: bool = False
+    """})
 
 
 def _args(tmp_path, *extra):
@@ -27,15 +42,19 @@ def _args(tmp_path, *extra):
 
 class TestExitCodes:
     def test_violations_exit_nonzero_and_print_findings(self, tmp_path, capsys):
-        root = _tree(tmp_path)
+        root = write_tree(tmp_path, WIRE)
+        assert cli.main(_args(tmp_path, root, "--update-lock")) == 0
+        write_tree(tmp_path, _grown())
+        capsys.readouterr()
         assert cli.main(_args(tmp_path, root)) == 1
         out = capsys.readouterr().out
-        assert "[DET001]" in out
-        assert "pick.py:4" in out
+        assert "[PROTO001]" in out
+        assert "messages.py:4" in out
         assert "(fix:" in out
+        assert "1 finding(s)" in out
 
     def test_clean_tree_exits_zero(self, tmp_path, capsys):
-        root = _tree(tmp_path, source="x = 1\n")
+        root = write_tree(tmp_path, {"src/repro/engine/pick.py": "x = 1\n"})
         assert cli.main(_args(tmp_path, root)) == 0
         assert "0 finding(s)" in capsys.readouterr().out
 
@@ -44,47 +63,15 @@ class TestExitCodes:
         assert "no such path" in capsys.readouterr().err
 
     def test_syntax_errors_are_findings_not_crashes(self, tmp_path, capsys):
-        root = _tree(tmp_path, source="def broken(:\n")
+        root = write_tree(tmp_path,
+                          {"src/repro/engine/pick.py": "def broken(:\n"})
         assert cli.main(_args(tmp_path, root)) == 1
         assert "[ANA001]" in capsys.readouterr().out
 
 
-class TestInlineSuppression:
-    def test_analysis_ignore_comment_waives_the_line(self, tmp_path):
-        root = _tree(tmp_path, source="""\
-            import random
-
-            def pick(items):
-                return random.choice(items)  # analysis-ignore
-        """)
-        assert cli.main(_args(tmp_path, root)) == 0
-
-    def test_scoped_ignore_only_waives_the_named_checker(self, tmp_path):
-        root = _tree(tmp_path, source="""\
-            import random
-
-            def pick(items):
-                return random.choice(items)  # analysis-ignore[DET003]
-        """)
-        assert cli.main(_args(tmp_path, root)) == 1
-
-
 class TestLockFlow:
-    WIRE = {
-        "src/repro/distrib/messages.py": """\
-            from dataclasses import dataclass
-
-            @dataclass
-            class PingCommand:
-                nonce: int
-        """,
-        "src/repro/net/transport.py": """\
-            PROTOCOL_VERSION = 1
-        """,
-    }
-
     def test_update_lock_writes_and_then_verifies_green(self, tmp_path, capsys):
-        root = write_tree(tmp_path, self.WIRE)
+        root = write_tree(tmp_path, WIRE)
         lock = str(tmp_path / "protocol.lock.json")
         assert cli.main([root, "--lock", lock, "--update-lock"]) == 0
         assert "1 message classes" in capsys.readouterr().out
@@ -96,7 +83,7 @@ class TestLockFlow:
             self, tmp_path, capsys):
         """A lock that cannot be diffed against must not be overwritten:
         that would skip the PROTO004 refusal."""
-        root = write_tree(tmp_path, self.WIRE)
+        root = write_tree(tmp_path, WIRE)
         lock = tmp_path / "protocol.lock.json"
         assert cli.main(_args(tmp_path, root, "--update-lock")) == 0
         truncated = lock.read_text(encoding="utf-8")[:40]
@@ -111,16 +98,14 @@ class TestLockFlow:
         assert cli.main(_args(tmp_path, root, "--update-lock")) == 0
 
     def test_field_add_without_bump_fails_the_gate(self, tmp_path, capsys):
-        root = write_tree(tmp_path, self.WIRE)
+        root = write_tree(tmp_path, WIRE)
         assert cli.main(_args(tmp_path, root, "--update-lock")) == 0
         capsys.readouterr()
-        grown = dict(self.WIRE)
-        grown["src/repro/distrib/messages.py"] = (
-            self.WIRE["src/repro/distrib/messages.py"].replace(
-                "nonce: int", "nonce: int\n    urgent: bool = False"))
-        write_tree(tmp_path, grown)
+        write_tree(tmp_path, _grown())
         assert cli.main(_args(tmp_path, root)) == 1
-        assert "[PROTO001]" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "[PROTO001] field 'urgent' added to wire message" in out
+        assert "1 finding(s)" in out
 
 
 class TestShippedTree:

@@ -6,6 +6,7 @@ killed workers, elastic add/remove on both cluster backends, and
 checkpoint/resume equivalence with uninterrupted runs.
 """
 
+import json
 import multiprocessing
 import os
 import signal
@@ -16,7 +17,7 @@ import pytest
 
 from repro import lang as L
 from repro.api import ExplorationLimits
-from repro.cluster.checkpoint import ClusterCheckpoint
+from repro.cluster.checkpoint import CHECKPOINT_FORMAT, ClusterCheckpoint
 from repro.cluster.core import ClusterConfig
 from repro.cluster.jobs import Job, JobTree
 from repro.cluster.ledger import FrontierLedger, RecoveryJob
@@ -172,6 +173,31 @@ class TestClusterCheckpoint:
         restored = ClusterCheckpoint.from_json(checkpoint.to_json())
         assert restored == checkpoint
         assert restored.frontier_paths == [(0, 1), (2,)]
+
+    def test_a_checkpoint_in_another_format_is_refused_by_name(self):
+        """A checkpoint from an older tree, with keys this one dropped, is a
+        ValueError naming both formats and those keys, not a constructor
+        TypeError."""
+        older = json.loads(self._checkpoint().to_json())
+        del older["format"]
+        older["worker_stats"] = {}
+        older["strategy_seeds"] = {}
+        with pytest.raises(ValueError, match=(
+                r"format None, this tree reads format %d \(unknown keys: "
+                r"strategy_seeds, worker_stats\)" % CHECKPOINT_FORMAT)):
+            ClusterCheckpoint.from_json(json.dumps(older))
+        newer = json.loads(self._checkpoint().to_json())
+        newer["format"] = CHECKPOINT_FORMAT + 1
+        with pytest.raises(ValueError, match=(
+                r"format %d, this tree reads format %d \(unknown keys: none\)"
+                % (CHECKPOINT_FORMAT + 1, CHECKPOINT_FORMAT))):
+            ClusterCheckpoint.from_json(json.dumps(newer))
+
+    def test_an_unknown_key_is_refused_by_name(self):
+        grown = json.loads(self._checkpoint().to_json())
+        grown["queue_lengths"] = [3, 1]
+        with pytest.raises(ValueError, match=r"unknown keys: queue_lengths"):
+            ClusterCheckpoint.from_json(json.dumps(grown))
 
     def test_save_load_and_coerce(self, tmp_path):
         path = str(tmp_path / "ckpt.json")
