@@ -184,8 +184,10 @@ class ExecutionState:
         # Environment-model private data (the POSIX model hangs its
         # auxiliary structures here; see repro.posix).  Copy-on-write across
         # forks: read/mutate it through env_for_write(), never directly.
+        # ``_env_sharers`` is a one-element list, the same object in every
+        # state that holds this same ``env`` dict: how many states hold it.
         self.env: Dict[str, object] = {}
-        self._env_shared = False
+        self._env_sharers = [1]
 
         # Testing-platform knobs (fault injection, scheduler policy, ...).
         self.options: Dict[str, object] = {}
@@ -252,28 +254,37 @@ class ExecutionState:
         clone.symbolic_inputs = {k: list(v) for k, v in self.symbolic_inputs.items()}
         clone._symbol_counter = self._symbol_counter
 
-        # The environment area is copied lazily: forking used to deep-copy
-        # it eagerly, which made every fork pay for the whole POSIX model
-        # even when the child was pruned (or exported) without ever running.
-        # Both sides now share the structure and the first write (any
-        # env_for_write call) peels off a private deep copy.
+        # The environment area is copied lazily, on a write: both sides
+        # share the dict and its sharer count, which the fork raises by one.
+        # env_for_write copies only while another state still shares it, so
+        # an n-way fork costs n - 1 copies and the last sharer writes in
+        # place.  The copy is copy.deepcopy, which hands the POSIX model to
+        # PosixState.__deepcopy__ (a structural copy, repro.posix.data).
         clone.env = self.env
-        clone._env_shared = True
-        self._env_shared = True
+        clone._env_sharers = self._env_sharers
+        self._env_sharers[0] += 1
+        # Option values must be flat (ints, bools, strings): a fork copies
+        # the dict, not its values.
         clone.options = dict(self.options)
         return clone
 
     def env_for_write(self) -> Dict[str, object]:
         """The environment area, privately owned by this state.
 
-        The write barrier of the copy-on-write fork: when the area is still
-        shared with a fork sibling, take a private deep copy first.  Every
-        accessor that may mutate model data (in practice: any syscall) must
-        come through here rather than touching ``env`` directly.
+        The write barrier of the copy-on-write fork: while another state
+        still shares the area, take a private deep copy and leave the shared
+        one to the others (one sharer fewer); the last sharer owns it and
+        writes in place.  A sharer that dies without writing is never
+        subtracted, which only makes a later copy unnecessary, never a
+        write shared.  Every accessor that may mutate model data (in
+        practice: any syscall) must come through here rather than touching
+        ``env`` directly.
         """
-        if self._env_shared:
+        sharers = self._env_sharers
+        if sharers[0] > 1:
+            sharers[0] -= 1
             self.env = copy.deepcopy(self.env)
-            self._env_shared = False
+            self._env_sharers = [1]
         return self.env
 
     # -- processes / threads -------------------------------------------------------

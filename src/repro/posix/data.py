@@ -5,13 +5,18 @@ running status, parenthood); everything else mandated by POSIX -- open file
 descriptors, flags, sockets, synchronization objects -- is stored by the
 model in auxiliary structures held in the execution state's environment area
 (``state.env['posix']``), mirroring §4.3 of the paper.
+
+A fork copies this data on the first write after it (the state's
+``env_for_write`` barrier), and :meth:`PosixState.__deepcopy__` copies it by
+structure: each table once, each record once, aliases kept.
 """
 
 from __future__ import annotations
 
 import enum
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, TypeVar
 
 from repro.engine.state import ExecutionState
 from repro.posix.buffers import BlockBuffer, StreamBuffer
@@ -145,6 +150,89 @@ class FileDescriptor:
     closed: bool = False
 
 
+_R = TypeVar("_R")
+
+
+def _record(record: _R, memo: Dict[int, object]) -> _R:
+    """The copy of one record: made once per copy, found in ``memo`` after.
+
+    A shallow copy first (registered before its fields are filled, so a
+    cycle back to it finds it), then ``_FILL`` replaces each mutable field.
+    """
+    new = memo.get(id(record))
+    if new is None:
+        new = object.__new__(type(record))
+        new.__dict__.update(record.__dict__)
+        memo[id(record)] = new
+        fill = _FILL.get(type(record))
+        if fill is not None:
+            fill(new, memo)
+    return new
+
+
+def _fill_stream(new: StreamBuffer, memo: Dict[int, object]) -> None:
+    new.cells = deque(new.cells)
+    new.datagram_sizes = deque(new.datagram_sizes)
+
+
+def _fill_block(new: BlockBuffer, memo: Dict[int, object]) -> None:
+    new.cells = list(new.cells)
+
+
+def _fill_file(new: FileNode, memo: Dict[int, object]) -> None:
+    new.data = _record(new.data, memo)
+
+
+def _fill_endpoint(new: StreamEndpoint, memo: Dict[int, object]) -> None:
+    new.rx = _record(new.rx, memo)
+    new.tx = _record(new.tx, memo)
+
+
+def _fill_listener(new: ListeningSocket, memo: Dict[int, object]) -> None:
+    new.pending = [_record(endpoint, memo) for endpoint in new.pending]
+
+
+def _fill_dgram(new: DatagramSocket, memo: Dict[int, object]) -> None:
+    new.queue = _record(new.queue, memo)
+
+
+def _fill_queue(new: MessageQueue, memo: Dict[int, object]) -> None:
+    new.messages = [(mtype, list(body)) for mtype, body in new.messages]
+
+
+def _fill_descriptor(new: FileDescriptor, memo: Dict[int, object]) -> None:
+    if new.file is not None:
+        new.file = _record(new.file, memo)
+    if new.endpoint is not None:
+        new.endpoint = _record(new.endpoint, memo)
+    if new.listener is not None:
+        new.listener = _record(new.listener, memo)
+    if new.dgram is not None:
+        new.dgram = _record(new.dgram, memo)
+    if new.fragment_pattern is not None:
+        new.fragment_pattern = list(new.fragment_pattern)
+
+
+#: How to fill the mutable fields of each record class's shallow copy; a
+#: class that is absent here (the sync records, shm segments, mappings) has
+#: immutable fields only.
+_FILL = {
+    StreamBuffer: _fill_stream,
+    BlockBuffer: _fill_block,
+    FileNode: _fill_file,
+    StreamEndpoint: _fill_endpoint,
+    ListeningSocket: _fill_listener,
+    DatagramSocket: _fill_dgram,
+    MessageQueue: _fill_queue,
+    FileDescriptor: _fill_descriptor,
+}
+
+#: The ``PosixState`` tables that map a key to one record each.
+_RECORD_TABLES = ("filesystem", "listeners", "udp_ports", "mutexes",
+                  "condvars", "semaphores", "shm_segments", "message_queues",
+                  "mappings")
+
+
 class PosixState:
     """All POSIX-model bookkeeping for one execution state."""
 
@@ -176,6 +264,34 @@ class PosixState:
         # Modeled process environment variables (name -> concrete bytes or
         # symbolic cells), shared by all processes of the state.
         self.env_vars: Dict[bytes, List[object]] = {}
+
+    def __deepcopy__(self, memo: Dict[int, object]) -> "PosixState":
+        """The copy a fork's write barrier takes: the same object graph as
+        the generic ``copy.deepcopy``, built by structure.
+
+        Tables are copied as dicts and lists, and each record once: ``memo``
+        (the deepcopy memo, keyed by ``id``) keeps the aliases -- a socket
+        pair's shared buffers, descriptors shared across pids by
+        :meth:`duplicate_table`, a listener's pending endpoints and the
+        descriptors that accept them, ``filesystem`` nodes and ``fd.file``.
+        Cells, ints, ``Expr`` and tuples of them are immutable and stay
+        shared.  A record that gains a mutable field must be filled in
+        ``_FILL``; ``tests/test_posix_copy.py`` fails until it is.
+        """
+        new = object.__new__(PosixState)
+        new.__dict__.update(self.__dict__)
+        memo[id(self)] = new
+        new.fd_tables = {
+            pid: {fd: _record(entry, memo) for fd, entry in table.items()}
+            for pid, table in self.fd_tables.items()}
+        new.next_fd = dict(self.next_fd)
+        new.cond_wait_phase = dict(self.cond_wait_phase)
+        new.env_vars = {name: list(value)
+                        for name, value in self.env_vars.items()}
+        for name in _RECORD_TABLES:
+            setattr(new, name, {key: _record(record, memo) for key, record
+                                in getattr(self, name).items()})
+        return new
 
     # -- descriptor management -------------------------------------------------------
 

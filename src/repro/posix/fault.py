@@ -37,10 +37,10 @@ def fault_injection_active(ctx: NativeContext, entry: Optional[FileDescriptor],
     return entry.fault_inject_write if is_write else entry.fault_inject_read
 
 
-def record_injected_fault(state: ExecutionState, call_name: str) -> None:
+def record_injected_fault(state: ExecutionState) -> None:
+    """Count a fault on the state that takes a failure branch; the
+    fewest-faults-first strategy reads the count."""
     state.options["faults_injected"] = int(state.options.get("faults_injected", 0)) + 1
-    log = state.options.setdefault("fault_log", [])
-    log.append(call_name)
 
 
 def fork_with_fault(ctx: NativeContext, call_name: str,
@@ -58,15 +58,11 @@ def fork_with_fault(ctx: NativeContext, call_name: str,
     chooser = ctx.state.new_symbol(label)
     ctx.state.symbolic_inputs.setdefault("faults", []).append(chooser)
     zero = E.bv_const(0, 8)
-
-    def failure_effect(state: ExecutionState) -> None:
-        record_injected_fault(state, call_name)
-
     return NativeFork([
         ForkBranch(condition=E.eq(chooser, zero), return_value=success_value,
                    side_effect=success_effect, label="%s:ok" % call_name),
         ForkBranch(condition=E.ne(chooser, zero), return_value=failure_value,
-                   side_effect=failure_effect, label="%s:fail" % call_name),
+                   side_effect=record_injected_fault, label="%s:fail" % call_name),
     ])
 
 

@@ -12,6 +12,7 @@ os.environ["REPRO_TRACE_VALIDATE"] = "1"
 import gc
 import sys
 import textwrap
+import time
 from collections import Counter
 from contextlib import contextmanager
 
@@ -44,6 +45,17 @@ def write_tree(root, files):
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(textwrap.dedent(source), encoding="utf-8")
     return str(root)
+
+
+def wait_until(predicate, timeout=5.0, what="condition"):
+    """Poll ``predicate`` until it holds, failing with ``what`` after
+    ``timeout`` seconds.  A test that needs an event waits for that event,
+    bounded, never for a fixed time that a loaded machine can outrun."""
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() >= deadline:
+            raise AssertionError("timed out waiting for %s" % what)
+        time.sleep(0.01)
 
 
 @contextmanager

@@ -174,9 +174,9 @@ class TestForking:
         assert clone.env is not shared
         assert state.env is shared  # the parent still sees the original
         assert state.env["posixish"]["table"][1] == "a"
-        # The parent's first write peels its own copy too (a second fork
-        # sibling may still reference the shared structure).
+        # The parent is now the last sharer: it writes in place.
         state.env_for_write()["posixish"]["table"][1] = "c"
+        assert state.env is shared
         assert state.env["posixish"]["table"][1] == "c"
         assert clone.env["posixish"]["table"][1] == "b"
 
@@ -185,6 +185,41 @@ class TestForking:
         env = state.env_for_write()
         assert env is state.env
         assert state.env_for_write() is env  # no spurious copies
+
+    def test_a_three_way_fork_copies_twice_and_the_last_sharer_keeps_it(self):
+        state = _state()
+        state.env_for_write()["posixish"] = {"table": {1: "a"}}
+        shared = state.env
+        siblings = [state, state.fork(), state.fork()]
+        envs = [s.env_for_write() for s in siblings]
+        assert [env is shared for env in envs] == [False, False, True]
+        assert len({id(env) for env in envs}) == 3
+        for sibling in siblings:  # now every one writes in place
+            assert sibling.env_for_write() is sibling.env
+
+    def test_no_sibling_sees_another_s_write(self):
+        state = _state()
+        state.env_for_write()["posixish"] = {"table": {1: "a"}}
+        siblings = [state, state.fork(), state.fork()]
+        grandchild = siblings[1].fork()
+        family = siblings + [grandchild]
+        for name, member in zip("wxyz", family):
+            member.env_for_write()["posixish"]["table"][1] = name
+        assert [m.env["posixish"]["table"][1] for m in family] == list("wxyz")
+
+    def test_a_sibling_that_dies_unwritten_is_harmless(self):
+        state = _state()
+        state.env_for_write()["posixish"] = {"table": {1: "a"}}
+        shared = state.env
+        dead, live = state.fork(), state.fork()
+        dead.terminate(0)
+        # The dead sibling still counts: both writers copy, conservatively,
+        # and the original is left to it untouched.
+        state.env_for_write()["posixish"]["table"][1] = "b"
+        live.env_for_write()["posixish"]["table"][1] = "c"
+        assert state.env is not shared and live.env is not shared
+        assert dead.env is shared and shared["posixish"]["table"][1] == "a"
+        assert state.env["posixish"]["table"][1] == "b"
 
     def test_fork_gets_fresh_state_id(self):
         state = _state()

@@ -14,6 +14,7 @@ import time
 
 import pytest
 
+from conftest import wait_until
 from repro import lang as L
 from repro.api import ExplorationLimits
 from repro.cluster.autoscale import AutoscalePolicy
@@ -249,9 +250,8 @@ class TestTcpElasticity:
                 return
             # The third agent dials in on its own schedule; under load it
             # may not have yet, and add_worker refuses an empty pool.
-            deadline = time.monotonic() + 30.0
-            while cl.server.pending_count < 1 and time.monotonic() < deadline:
-                time.sleep(0.01)
+            wait_until(lambda: cl.server.pending_count >= 1, timeout=30.0,
+                       what="the third agent to dial in")
             added["worker_id"] = cl.add_worker()
 
         cluster.round_hook = hook
@@ -330,14 +330,9 @@ class TestTcpApiAndLifecycle:
         result = cluster.run(limits=LIMITS)
         assert result.exhausted
         assert cluster.server is None  # listener closed with the run
-        deadline = time.monotonic() + 5.0
-        while time.monotonic() < deadline:
-            orphans = [p for p in multiprocessing.active_children()
-                       if p.name == "cloud9-agent"]
-            if not orphans:
-                break
-            time.sleep(0.05)
-        assert not orphans, "agent processes outlived the run: %r" % orphans
+        wait_until(lambda: not [p for p in multiprocessing.active_children()
+                                if p.name == "cloud9-agent"],
+                   what="the agent processes to exit with the run")
 
     def test_agent_cli_reports_unreachable_coordinator(self):
         # Port 1 on loopback: nothing listens there, connect is refused.

@@ -14,6 +14,7 @@ import time
 
 import pytest
 
+from conftest import wait_until
 from repro.net.framing import (
     DEFAULT_MAX_FRAME_SIZE,
     PING_FRAME,
@@ -51,15 +52,6 @@ class _Clock:
 
     def advance(self, seconds):
         self.now += seconds
-
-
-def _wait_until(predicate, timeout=5.0, what="condition"):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return
-        time.sleep(0.01)
-    raise AssertionError("timed out waiting for %s" % what)
 
 
 # -- framing -----------------------------------------------------------------------------
@@ -191,11 +183,12 @@ class TestHeartbeatSender:
         pings = []
         sender = HeartbeatSender(lambda: pings.append(1), interval=0.01)
         sender.start()
-        _wait_until(lambda: len(pings) >= 3, what="three pings")
+        wait_until(lambda: len(pings) >= 3, what="three pings")
         sender.stop()
         settled = len(pings)
-        time.sleep(0.05)
-        assert len(pings) <= settled + 1  # stopped means stopped
+        wait_until(lambda: not sender._thread.is_alive(),
+                   what="sender thread exit")
+        assert len(pings) <= settled + 1  # stopped means stopped, for good
 
     def test_failing_send_ends_the_thread(self):
         def boom():
@@ -203,7 +196,7 @@ class TestHeartbeatSender:
 
         sender = HeartbeatSender(boom, interval=0.01)
         sender.start()
-        _wait_until(lambda: not sender._thread.is_alive(),
+        wait_until(lambda: not sender._thread.is_alive(),
                     what="sender thread exit")
 
 
@@ -257,7 +250,7 @@ class TestTcpTransport:
         try:
             clock.advance(1.9)  # nearly dead...
             b.send_ping()
-            _wait_until(lambda: monitor.silence() == 0.0, what="ping to land")
+            wait_until(lambda: monitor.silence() == 0.0, what="ping to land")
             assert a.is_alive()  # ...revived by the ping
             b.send("real message")
             assert a.recv(timeout=5.0) == "real message"  # ping not queued
@@ -295,7 +288,7 @@ class TestTcpTransport:
         b.send("parting gift 2")
         # Wait for delivery before hanging up, then the inbox must still
         # serve both messages ahead of the closure error.
-        _wait_until(lambda: a._inbox.qsize() == 2, what="delivery")
+        wait_until(lambda: a._inbox.qsize() == 2, what="delivery")
         b.close(timeout=0)
         try:
             assert a.recv(timeout=5.0) == "parting gift 1"
@@ -446,7 +439,7 @@ class TestHandshake:
             client = _dial(server)
             client.send(HelloMessage(protocol_version=PROTOCOL_VERSION,
                                      agent="testhost:1234"))
-            _wait_until(lambda: server.pending_count == 1, what="parking")
+            wait_until(lambda: server.pending_count == 1, what="parking")
             admitted = server.admit(worker_id=7, timeout=5.0)
             assert "testhost:1234" in admitted.peer
             welcome = client.recv(timeout=5.0)
@@ -484,7 +477,7 @@ class TestHandshake:
                 assert isinstance(reply, RejectMessage)
                 assert "version mismatch" in reply.reason
                 assert "accepts 5..5, agent sent %d" % version in reply.reason
-                _wait_until(lambda expected=rejected:
+                wait_until(lambda expected=rejected:
                             server.handshakes_rejected == expected,
                             what="rejection count")
                 assert server.pending_count == 0
@@ -499,13 +492,13 @@ class TestHandshake:
         try:
             raw = socket.create_connection(server.address, timeout=5.0)
             raw.sendall(encode_frame(b"not a hello at all"))
-            _wait_until(lambda: server.handshakes_rejected == 1,
+            wait_until(lambda: server.handshakes_rejected == 1,
                         what="garbage rejection")
             raw.close()
             # The acceptor is still alive: a well-behaved agent parks fine.
             client = _dial(server)
             client.send(HelloMessage(protocol_version=PROTOCOL_VERSION))
-            _wait_until(lambda: server.pending_count == 1,
+            wait_until(lambda: server.pending_count == 1,
                         what="post-garbage parking")
         finally:
             if client is not None:
@@ -526,7 +519,7 @@ class TestHandshake:
         client = _dial(server)
         try:
             client.send(HelloMessage(protocol_version=PROTOCOL_VERSION))
-            _wait_until(lambda: server.pending_count == 1, what="parking")
+            wait_until(lambda: server.pending_count == 1, what="parking")
             server.close()
             # The parked channel was hung up on: the client sees EOF.
             with pytest.raises(TransportError):

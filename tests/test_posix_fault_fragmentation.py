@@ -65,6 +65,32 @@ class TestFaultInjection:
         result = run_program(body, options={"fault_injection_all": True})
         assert result.paths_completed == 2
 
+    def test_fault_forks_share_nothing_mutable_in_options(self):
+        """Two fault points in a row: every path's state holds its own
+        options, so a fault on one path is never counted on a sibling."""
+        body = socketpair_prelude() + [
+            L.decl("msg", L.strconst("x")),
+            L.expr_stmt(L.call("write", L.var("client"), L.var("msg"), 1)),
+            L.expr_stmt(L.call("write", L.var("client"), L.var("msg"), 1)),
+            L.ret(0),
+        ]
+        program = L.program("p", L.func("main", [], *body))
+        test = SymbolicTest("t", program, options={"fault_injection_all": True})
+        executor = test.build_executor()
+        finished, todo = [], [test.build_initial_state(executor)]
+        while todo:
+            state = todo.pop()
+            for child in executor.step(state).children:
+                (todo if child.is_running else finished).append(child)
+        assert sorted(s.options.get("faults_injected", 0)
+                      for s in finished) == [0, 1, 1, 2]
+        atoms = (int, float, bool, str, bytes, type(None))
+        seen = {}
+        for state in finished:
+            for value in state.options.values():
+                if not isinstance(value, atoms):
+                    assert seen.setdefault(id(value), state) is state
+
     def test_failed_read_does_not_consume_stream_data(self):
         body = socketpair_prelude() + [
             L.decl("msg", L.strconst("Q")),
