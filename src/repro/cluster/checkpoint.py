@@ -19,9 +19,11 @@ resumed segment re-finds.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+import typing
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
+from repro.engine.coverage import CoverageBits
 from repro.engine.errors import BugKind, BugReport
 from repro.engine.test_case import TestCase
 
@@ -33,6 +35,31 @@ __all__ = ["CHECKPOINT_FORMAT", "ClusterCheckpoint"]
 CHECKPOINT_FORMAT = 1
 
 
+#: The JSON types an annotation's values are written as (a coverage vector
+#: as a hex string, a tuple as a list).
+_JSON_TYPES: Dict[Any, Tuple[type, ...]] = {
+    int: (int,), float: (int, float), str: (str,), CoverageBits: (str,),
+    list: (list,), tuple: (list,), dict: (dict,),
+}
+
+
+def _json_error(value: Any, hint: Any) -> Optional[str]:
+    """Why ``value``, read from JSON, is not of kind ``hint``; None if it is
+    (bools are not ints; a dict's entries are not looked into)."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is Union:  # Optional[X]
+        return None if value is None else _json_error(value, args[0])
+    if type(value) not in _JSON_TYPES[hint if hint in _JSON_TYPES
+                                      else origin]:
+        return " is a %s" % type(value).__name__
+    if origin in (list, tuple):
+        for index, item in enumerate(value):
+            error = _json_error(item, args[0])
+            if error:
+                return "[%d]%s" % (index, error)
+    return None
+
+
 @dataclass
 class ClusterCheckpoint:
     """A resumable snapshot of one cluster run, taken between rounds."""
@@ -42,7 +69,7 @@ class ClusterCheckpoint:
     #: The global exploration frontier: every live worker's candidate paths.
     frontier_paths: List[Tuple[int, ...]]
     #: The load balancer's merged coverage bit vector, packed into an int.
-    coverage_bits: int
+    coverage_bits: CoverageBits
     line_count: int
     #: Cumulative counters at checkpoint time (including any earlier resume).
     paths_completed: int = 0
@@ -81,19 +108,46 @@ class ClusterCheckpoint:
 
     @classmethod
     def from_json(cls, text: str) -> "ClusterCheckpoint":
-        """Parse :meth:`to_json` output; a checkpoint in another format (an
-        older tree's, say) is a ``ValueError`` naming both formats and the
-        keys this tree does not know."""
-        payload = json.loads(text)
+        """Parse :meth:`to_json` output.  Anything else is a ``ValueError``
+        that says what is wrong: text that is not a JSON object, a
+        checkpoint in another format (an older tree's, say; the message
+        names both formats and the keys this tree does not know), a missing
+        field, or a field or entry of the wrong kind.  Bug and test-case
+        entries are read back in their canonical form: what decoding them
+        gives, encoded again."""
+        try:
+            payload = json.loads(text)
+        except (ValueError, RecursionError) as exc:
+            raise ValueError("cannot read checkpoint: not JSON (%s)" % exc
+                             ) from None
+        if not isinstance(payload, dict):
+            raise ValueError("cannot read checkpoint: it is a JSON %s, not "
+                             "an object" % type(payload).__name__)
         found = payload.pop("format", None)
-        unknown = sorted(set(payload) - {f.name for f in fields(cls)})
+        hints = typing.get_type_hints(cls, include_extras=True)
+        unknown = sorted(set(payload) - set(hints))
         if found != CHECKPOINT_FORMAT or unknown:
             raise ValueError(
                 "cannot read checkpoint: it is format %s, this tree reads "
                 "format %d (unknown keys: %s)"
                 % (found, CHECKPOINT_FORMAT, ", ".join(unknown) or "none"))
-        payload["coverage_bits"] = int(payload["coverage_bits"], 16)
-        return cls(**payload)
+        for name, value in payload.items():
+            error = _json_error(value, hints[name])
+            if error:
+                raise ValueError("cannot read checkpoint: %s%s"
+                                 % (name, error))
+        try:
+            checkpoint = cls(**payload)  # a missing field is a TypeError
+            checkpoint.coverage_bits = int(payload["coverage_bits"], 16)
+            checkpoint.bug_reports = [cls.encode_bug(bug)
+                                      for bug in checkpoint.decode_bugs()]
+            checkpoint.test_cases = [cls.encode_test_case(case) for case
+                                     in checkpoint.decode_test_cases()]
+        except (KeyError, TypeError, ValueError, ArithmeticError,
+                RecursionError) as exc:
+            raise ValueError("cannot read checkpoint: %s: %s"
+                             % (type(exc).__name__, exc)) from None
+        return checkpoint
 
     def save(self, path: str) -> None:
         with open(path, "w") as handle:

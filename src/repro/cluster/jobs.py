@@ -11,8 +11,13 @@ path prefixes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, NewType, Sequence, Tuple
+
+#: The wire form of a :class:`JobTree` (:meth:`JobTree.encode`): nested
+#: ``[terminal, [[index, subtree], ...]]`` lists.  A type of its own so the
+#: message codec knows which fields carry one and checks their shape.
+EncodedJobTree = NewType("EncodedJobTree", list)
 
 
 @dataclass(frozen=True)
@@ -71,17 +76,17 @@ class JobTree:
 
     # -- wire format ---------------------------------------------------------------
 
-    def encode(self) -> List[object]:
+    def encode(self) -> EncodedJobTree:
         """A compact nested-list encoding: [terminal, [[index, subtree], ...]].
 
         The encoded size is proportional to the number of *trie nodes*, i.e.
         shared prefixes are transferred once.  :meth:`encoded_size` measures
         it, which the evaluation uses to compare against per-path encoding.
         """
-        return [
+        return EncodedJobTree([
             1 if self._terminal else 0,
             [[index, child.encode()] for index, child in sorted(self._children.items())],
-        ]
+        ])
 
     @classmethod
     def decode(cls, payload: Sequence[object]) -> "JobTree":

@@ -20,8 +20,8 @@ class WorkerStats:
     """Per-worker counters: plain ``int`` fields the worker bumps in place.
 
     A copy crosses the process boundary inside every ``StatusReply``, so
-    equality and pickling are the dataclass's own; a new per-worker counter
-    is a field here and nothing else.
+    equality is the dataclass's own and the wire codec sends it field by
+    field; a new per-worker counter is a field here and nothing else.
     """
 
     worker_id: int

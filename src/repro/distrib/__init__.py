@@ -2,7 +2,7 @@
 
 :mod:`repro.cluster` holds what a Cloud9 cluster is made of; this package
 ties it together.  One :class:`~repro.distrib.coordinator.Coordinator`
-drives every member with the small picklable messages the paper's design
+drives every member with the small plain-data messages the paper's design
 calls for (§3.2) -- status updates, transfer requests, and path-encoded
 :class:`~repro.cluster.jobs.JobTree` payloads that the destination
 materializes with :func:`~repro.cluster.replay.replay_path` -- over a

@@ -18,7 +18,7 @@ member's :class:`~repro.net.transport.Transport` comes to exist, selected by
 * ``"mp"`` (default) -- one worker process per channel on a pair of
   multiprocessing queues, all on this host; liveness is
   ``Process.is_alive()``.
-* ``"tcp"`` -- framed pickles over sockets (:mod:`repro.net`): the
+* ``"tcp"`` -- framed JSON messages over sockets (:mod:`repro.net`): the
   coordinator listens (``listen="host:port"``) and workers are *agents*
   that dial in (``python -m repro.net.agent --connect HOST:PORT``), from
   this machine or any other.  Liveness is heartbeat-based (periodic pings;
@@ -86,8 +86,8 @@ class ProcessClusterConfig(ClusterConfig):
     #: specs registered outside repro.targets (required under "spawn").
     spec_modules: Tuple[str, ...] = ()
     #: Carrier of the coordinator<->worker channel: ``"mp"`` (the in-host
-    #: multiprocessing-queue pair, the default) or ``"tcp"`` (framed pickles
-    #: over sockets, :mod:`repro.net` -- workers are *agents* that dial in
+    #: multiprocessing-queue pair, the default) or ``"tcp"`` (framed JSON
+    #: messages over sockets, :mod:`repro.net` -- workers are *agents* that dial in
     #: from anywhere, ``python -m repro.net.agent --connect HOST:PORT``).
     transport: str = "mp"
     #: TCP only: the ``"host:port"`` the coordinator listens on for agents

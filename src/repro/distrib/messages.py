@@ -1,7 +1,9 @@
 """Wire messages between the coordinator process and worker processes.
 
-Everything crossing the process boundary is one of these small picklable
-dataclasses.  Jobs travel as the nested-list encoding of a
+Everything crossing the process boundary is one of these small dataclasses,
+plain data that the TCP carrier writes as JSON (:mod:`repro.net.framing`,
+where every dataclass in this module is a registered wire class) and the mp
+carrier pickles.  Jobs travel as the nested-list encoding of a
 :class:`~repro.cluster.jobs.JobTree` (prefix-sharing trie, §3.2), coverage as
 the overlay bit vector packed into an int (§3.3), and results as plain
 dataclasses (:class:`~repro.cluster.stats.WorkerStats`, bug reports, test
@@ -23,7 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Optional, Tuple
 
+from repro.cluster.jobs import EncodedJobTree
 from repro.cluster.stats import WorkerStats
+from repro.engine.coverage import CoverageBits
 from repro.engine.errors import BugReport
 from repro.engine.test_case import TestCase
 from repro.obs.metrics import Histogram
@@ -58,7 +62,7 @@ class ExploreCommand:
     """
 
     budget: int
-    global_coverage_bits: Optional[int] = None
+    global_coverage_bits: Optional[CoverageBits] = None
     full: bool = False
     #: Buffer trace events (:class:`repro.obs.trace.BufferTracer`) and
     #: attach them to status replies; set once the coordinator runs traced.
@@ -89,7 +93,7 @@ class ImportCommand:
     marks the import as failure recovery for the worker's statistics.
     """
 
-    encoded_jobs: object
+    encoded_jobs: EncodedJobTree
     fence_paths: Tuple[Tuple[int, ...], ...] = ()
     recovered: bool = False
 
@@ -118,7 +122,7 @@ class StatusReply:
 
     worker_id: int
     queue_length: int
-    coverage_bits: int
+    coverage_bits: CoverageBits
     bugs_found: int
     #: The worker's counters as they stand (a copy: the worker keeps bumping
     #: its own).  A new per-worker counter is a field there, nowhere else.
@@ -132,7 +136,7 @@ class StatusReply:
     events: Optional[Tuple[Dict, ...]] = None
     # -- present only on a full report -----------------------------------------
     #: Encoded JobTree of the worker's candidate paths.
-    frontier: Optional[object] = None
+    frontier: Optional[EncodedJobTree] = None
     #: Bug reports and generated test cases found so far, so a checkpoint is
     #: self-contained (a resumed run never re-explores the paths they came
     #: from) and the final result needs no second message.
@@ -152,7 +156,7 @@ class ExportReply:
     """The encoded job tree (None when the worker had nothing to give)."""
 
     worker_id: int
-    encoded_jobs: Optional[object]
+    encoded_jobs: Optional[EncodedJobTree]
     job_count: int
 
 

@@ -39,9 +39,12 @@ def register_spec(name: str, factory: SpecFactory,
     """Register a named symbolic-test factory.
 
     The factory must be importable/definable in every worker process and
-    accept only picklable keyword arguments; given the same arguments it must
-    build the same program (path replay across processes relies on
-    deterministic fork structure).
+    accept only plain-data keyword arguments -- None, bools, numbers,
+    strings, bytes, and lists, tuples and str-keyed dicts of them -- which
+    forked workers receive pickled and tcp agents as JSON
+    (:mod:`repro.net.framing`).  Given the same arguments it must build the
+    same program (path replay across processes relies on deterministic
+    fork structure).
     """
     if not name or not isinstance(name, str):
         raise ValueError("spec name must be a non-empty string")

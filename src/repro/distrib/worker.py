@@ -2,12 +2,13 @@
 
 :class:`DistribWorker` wraps a :class:`~repro.cluster.worker.Worker` --
 frontier bookkeeping, job export/import, lazy replay with fence nodes, and
-broken-replay detection (§3.2/§6) -- behind a command/reply interface whose
-messages all pickle.  :func:`serve` is the one member serving loop: it
-rebuilds the test from its spec, announces itself, then answers commands
-until told to stop, over whatever ``recv``/``send`` pair the carrier hands
-it -- :func:`worker_main` (the process entry point) a pair of mp queues, a
-TCP agent (:mod:`repro.net.agent`) a socket.  The in-process cluster calls
+broken-replay detection (§3.2/§6) -- behind a command/reply interface of
+plain-data messages (:mod:`repro.distrib.messages`).  :func:`serve` is the
+one member serving loop: it rebuilds the test from its spec, announces
+itself, then answers commands until told to stop, over whatever
+``recv``/``send`` pair the carrier hands it -- :func:`worker_main` (the
+process entry point) a pair of mp queues, a TCP agent
+(:mod:`repro.net.agent`) a socket.  The in-process cluster calls
 :meth:`DistribWorker.handle` directly through a
 :class:`~repro.distrib.loopback.LoopbackTransport`.  No process machinery is
 needed to drive one, which is also how the unit tests exercise broken-replay
@@ -94,7 +95,7 @@ class DistribWorker:
             queue_length=worker.queue_length,
             coverage_bits=worker.coverage_view.snapshot_bits(),
             bugs_found=len(worker.bugs),
-            # A copy: the loopback carrier does not pickle, and the
+            # A copy: the loopback carrier does not serialise, and the
             # coordinator diffs consecutive reports.
             stats=dataclasses.replace(worker.stats),
             cache_counters=executor.solver.cache_counters(),

@@ -9,7 +9,12 @@ harness (Table 5, Figures 8 and 11).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Set
+from typing import Annotated, Iterable, Iterator, Set
+
+#: A vector's bits packed into an int (:meth:`CoverageBitVector.as_int`), as
+#: messages and checkpoints carry it.  Marked so serializers write it as hex:
+#: one bit per line outgrows a decimal JSON integer.
+CoverageBits = Annotated[int, "hex"]
 
 
 class CoverageBitVector:

@@ -8,8 +8,11 @@ and a per-path instruction threshold for infinite loops / livelocks.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Optional
+
+if TYPE_CHECKING:
+    from repro.engine.test_case import TestCase
 
 
 class BugKind(enum.Enum):
@@ -32,7 +35,7 @@ class BugReport:
     state_id: int
     line: Optional[int] = None
     function: Optional[str] = None
-    test_case: Optional[object] = None  # repro.engine.test_case.TestCase
+    test_case: Optional[TestCase] = None
 
     def summary(self) -> str:
         location = ""

@@ -4,12 +4,13 @@ The paper evaluated Cloud9 on large EC2 clusters; :mod:`repro.distrib`
 reproduces the coordinator/worker protocol but carried it on one host's
 multiprocessing queues.  This package abstracts the carrier:
 
-* :mod:`repro.net.framing` -- length-prefixed frames with size limits and
-  corrupt-frame containment (the TCP wire format).
+* :mod:`repro.net.framing` -- the TCP wire format: length-prefixed frames
+  with size limits, and the message codec (schema-checked JSON of the
+  registered message classes; nothing a peer sends is unpickled).
 * :mod:`repro.net.transport` -- the :class:`~repro.net.transport.Transport`
   interface plus both implementations: the in-host mp-queue pair
   (:class:`~repro.net.transport.QueuePairTransport`, unchanged behavior)
-  and framed pickles over a socket
+  and framed messages over a socket
   (:class:`~repro.net.transport.TcpTransport`), with the hello/welcome
   handshake messages and protocol version.
 * :mod:`repro.net.heartbeat` -- ping-based liveness replacing

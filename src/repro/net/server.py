@@ -18,6 +18,7 @@ the exact same command/reply protocol as a local worker process.
 
 from __future__ import annotations
 
+import dataclasses
 import queue as queue_module
 import socket
 import threading
@@ -29,6 +30,7 @@ from repro.net.framing import (
     FrameDecoder,
     FrameError,
     decode_message,
+    encode_message,
 )
 from repro.net.heartbeat import (
     DEFAULT_HEARTBEAT_INTERVAL,
@@ -60,7 +62,9 @@ class AgentServer:
     (heartbeat cadence, frame-size ceiling).  ``listen`` is ``"host:port"``
     with port 0 meaning "pick a free port" -- the bound address is on
     :attr:`address` immediately after construction, so callers can print or
-    publish it before any agent exists.
+    publish it before any agent exists.  A ``spec_params`` value the wire
+    cannot carry (see :mod:`repro.net.framing`) is a ``ValueError`` naming
+    it, raised here rather than at every admission.
     """
 
     def __init__(self, spec_name: str,
@@ -73,13 +77,21 @@ class AgentServer:
                  max_frame_size: int = DEFAULT_MAX_FRAME_SIZE,
                  handshake_timeout: float = 5.0):
         from repro.net.transport import parse_address
-        self.spec_name = spec_name
-        self.spec_params = dict(spec_params or {})
-        self.strategy = strategy
-        self.spec_modules = tuple(spec_modules)
         self.heartbeat_interval = heartbeat_interval
         self.heartbeat_miss_threshold = heartbeat_miss_threshold
         self.max_frame_size = max_frame_size
+        #: Every admission's welcome but for the worker id.
+        self._welcome = WelcomeMessage(
+            protocol_version=PROTOCOL_VERSION, worker_id=0,
+            spec_name=spec_name, spec_params=dict(spec_params or {}),
+            strategy=strategy, spec_modules=tuple(spec_modules),
+            heartbeat_interval=heartbeat_interval,
+            max_frame_size=max_frame_size)
+        try:
+            encode_message(self._welcome, max_frame_size=max_frame_size)
+        except FrameError as exc:
+            raise ValueError("tcp agents cannot be sent spec %r's "
+                             "spec_params: %s" % (spec_name, exc)) from None
         self.handshake_timeout = handshake_timeout
         host, port = parse_address(listen)
         self._sock = socket.create_server((host, port))
@@ -194,15 +206,8 @@ class AgentServer:
             transport.heartbeat = monitor
             monitor.beat()
             try:
-                transport.send(WelcomeMessage(
-                    protocol_version=PROTOCOL_VERSION,
-                    worker_id=worker_id,
-                    spec_name=self.spec_name,
-                    spec_params=dict(self.spec_params),
-                    strategy=self.strategy,
-                    spec_modules=self.spec_modules,
-                    heartbeat_interval=self.heartbeat_interval,
-                    max_frame_size=self.max_frame_size))
+                transport.send(dataclasses.replace(self._welcome,
+                                                   worker_id=worker_id))
             except TransportError:
                 transport.close(timeout=0)
                 continue  # vanished while pending; try the next one

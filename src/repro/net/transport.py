@@ -1,9 +1,9 @@
 """The coordinator<->worker channel, abstracted.
 
 The process cluster's protocol was message-based from day one: every command
-gets exactly one reply, and everything crossing the boundary pickles
-(:mod:`repro.distrib.messages`).  What varied was the *carrier* -- hardwired
-multiprocessing queues.  This module names the carrier:
+gets exactly one reply, and everything crossing the boundary is a plain-data
+dataclass (:mod:`repro.distrib.messages`).  What varied was the *carrier* --
+hardwired multiprocessing queues.  This module names the carrier:
 
 * :class:`Transport` -- what the coordinator needs from a channel to one
   worker: ``send``/``recv``, a liveness verdict, and teardown with the
@@ -12,8 +12,9 @@ multiprocessing queues.  This module names the carrier:
   worker process, refactored behind the interface with zero behavior change
   (liveness is still ``Process.is_alive()``, teardown is still
   join -> terminate -> kill plus queue draining).
-* :class:`TcpTransport` -- length-prefixed framed pickles
-  (:mod:`repro.net.framing`) over a socket, with heartbeat-based liveness
+* :class:`TcpTransport` -- length-prefixed JSON frames of registered
+  message classes (:mod:`repro.net.framing`) over a socket, with
+  heartbeat-based liveness
   (:mod:`repro.net.heartbeat`) and a receiver thread that turns wire faults
   (EOF, oversized or corrupt frames) into per-peer errors instead of
   coordinator crashes.
@@ -68,16 +69,17 @@ __all__ = [
 #: finalize commands and the final reply is gone (breaking: floor moved too).
 #: v5: a member leaves in one step, so ReportCommand always asks for the
 #: full report and its ``full`` field is gone (breaking: floor moved too).
-PROTOCOL_VERSION = 5
+#: v6: frames carry schema-checked JSON instead of pickles (breaking: floor
+#: moved too).
+PROTOCOL_VERSION = 6
 
 #: Oldest protocol version whose agents may still join a campaign: the
 #: coordinator admits any hello in
 #: ``[PROTOCOL_COMPAT_VERSION, PROTOCOL_VERSION]``.  A purely additive
-#: protocol change (new message fields with defaults) bumps
-#: ``PROTOCOL_VERSION`` and leaves this floor behind; a breaking change
-#: advances both.  The semver rule is enforced statically against
-#: ``protocol.lock.json`` (PROTO004, :mod:`repro.analysis.protocol`).
-PROTOCOL_COMPAT_VERSION = 5
+#: change (new trailing message fields with defaults) bumps only
+#: ``PROTOCOL_VERSION``; a breaking change advances both.  The golden frames
+#: in ``tests/golden/`` hold both numbers to the code.
+PROTOCOL_COMPAT_VERSION = 6
 
 
 # -- handshake messages ------------------------------------------------------------------
@@ -257,13 +259,13 @@ class QueuePairTransport(Transport):
 
 
 class TcpTransport(Transport):
-    """Framed pickles over one socket, with per-peer fault containment.
+    """Framed messages over one socket, with per-peer fault containment.
 
     A receiver thread reassembles frames (:class:`FrameDecoder`), feeds
     every arrival into the heartbeat monitor, answers pings by updating it,
     and parks decoded messages on an inbox queue that :meth:`recv` serves.
-    Any wire fault -- EOF, an oversized frame, a payload that will not
-    unpickle -- is recorded as *this peer's* failure: ``recv`` raises a
+    Any wire fault -- EOF, an oversized frame, a payload that does not
+    decode -- is recorded as *this peer's* failure: ``recv`` raises a
     :class:`TransportError` naming the peer, the coordinator turns that into
     a single ``_WorkerFailure``, and the run continues on the survivors.
 

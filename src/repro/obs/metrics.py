@@ -14,11 +14,13 @@ per-worker histograms merge into one run-level distribution
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 __all__ = ["Histogram"]
 
 
+@dataclass(eq=False)
 class Histogram:
     """Bounded distribution summary: count, total, min, max, percentiles.
 
@@ -32,17 +34,15 @@ class Histogram:
 
     SAMPLE_LIMIT = 512
 
-    __slots__ = ("name", "count", "total", "min", "max", "_samples",
-                 "_stride")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.count = 0
-        self.total = 0.0
-        self.min: Optional[float] = None
-        self.max: Optional[float] = None
-        self._samples: List[float] = []
-        self._stride = 1
+    name: str
+    count: int = 0
+    total: float = 0.0
+    min: Optional[float] = None
+    max: Optional[float] = None
+    #: The reservoir, and how many observations each retained sample stands
+    #: for.  Fields like the rest, so a histogram crosses the wire by field.
+    _samples: List[float] = field(default_factory=list)
+    _stride: int = 1
 
     def observe(self, value: float) -> None:
         self.count += 1

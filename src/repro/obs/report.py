@@ -184,7 +184,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         events = load_trace(args.trace)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: cannot read trace {args.trace!r}: {exc}",
               file=sys.stderr)
         return 2

@@ -341,20 +341,33 @@ def load_trace(path: str) -> List[Dict[str, Any]]:
     """Parse a JSONL trace, tolerating one truncated final line.
 
     A coordinator SIGKILL can leave a partial last record (the ``O_APPEND``
-    write was cut); everything before it is still whole lines.  A parse
-    error anywhere *except* the final line is a real corruption and
-    raises.
+    write was cut); everything before it is still whole lines.  A line that
+    does not parse anywhere *except* at the end is a real corruption: a
+    :class:`json.JSONDecodeError` naming the file, with the file's line and
+    column.  A line that parses to anything but a JSON object is a
+    ``ValueError`` naming the file and line.
     """
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        text = fh.read()
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
     events: List[Dict[str, Any]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    for index, line in enumerate(lines):
+    end = 0
+    for number, line in enumerate(lines, 1):
+        start, end = end, end + len(line) + 1
         if not line.strip():
             continue
         try:
-            events.append(json.loads(line))
-        except json.JSONDecodeError:
-            if index == len(lines) - 1:
+            event = json.loads(line)
+        except (ValueError, RecursionError) as exc:
+            if number == len(lines):
                 break  # torn final write -- expected after a crash
-            raise
+            raise json.JSONDecodeError(
+                "corrupt trace record in %s" % path, text,
+                start + getattr(exc, "pos", 0)) from None
+        if not isinstance(event, dict):
+            raise ValueError("%s: line %d: a trace record is a JSON object, "
+                             "not %s" % (path, number, type(event).__name__))
+        events.append(event)
     return events

@@ -11,7 +11,6 @@ os.environ["REPRO_TRACE_VALIDATE"] = "1"
 
 import gc
 import sys
-import textwrap
 import time
 from collections import Counter
 from contextlib import contextmanager
@@ -34,17 +33,6 @@ settings.load_profile("repro")
 
 #: The stock specs, listed before any test module registers its own.
 BUILTIN_SPECS = specs.available_specs()
-
-
-def write_tree(root, files):
-    """Materialize ``{relative/path.py: source}`` under ``root`` for the
-    static-analysis tests; sources are dedented so fixtures can be written
-    inline.  Returns ``root`` as a string."""
-    for relative, source in files.items():
-        path = root / relative
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(textwrap.dedent(source), encoding="utf-8")
-    return str(root)
 
 
 def wait_until(predicate, timeout=5.0, what="condition"):

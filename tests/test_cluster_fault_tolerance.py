@@ -9,11 +9,13 @@ checkpoint/resume equivalence with uninterrupted runs.
 import json
 import multiprocessing
 import os
+import re
 import signal
 import threading
-import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import lang as L
 from repro.api import ExplorationLimits
@@ -30,11 +32,12 @@ from repro.distrib.cluster import (
     WorkerProcessError,
 )
 from repro.distrib.messages import ExploreCommand, SeedCommand
+from repro.distrib.worker import DistribWorker
 from repro.engine.config import EngineConfig
 from repro.obs.trace import load_trace
 from repro.testing.symbolic_test import SymbolicTest
 
-from conftest import branchy_program, make_executor
+from conftest import branchy_program, make_executor, wait_until
 
 LIMITS = ExplorationLimits(max_rounds=500)
 
@@ -198,6 +201,70 @@ class TestClusterCheckpoint:
         grown["queue_lengths"] = [3, 1]
         with pytest.raises(ValueError, match=r"unknown keys: queue_lengths"):
             ClusterCheckpoint.from_json(json.dumps(grown))
+
+    @pytest.mark.parametrize("text, says", [
+        ("[]", "it is a JSON list, not an object"),
+        ('"x"', "it is a JSON str, not an object"),
+        ("{", "not JSON"),
+        ('{"format": %d}' % CHECKPOINT_FORMAT,
+         "missing 4 required positional arguments: 'round_index', "
+         "'frontier_paths', 'coverage_bits', and 'line_count'"),
+    ])
+    def test_a_malformed_checkpoint_is_a_value_error_saying_why(self, text,
+                                                                 says):
+        with pytest.raises(ValueError, match=re.escape(says)):
+            ClusterCheckpoint.from_json(text)
+
+    @pytest.mark.parametrize("key, value, says", [
+        ("round_index", "6", "round_index is a str"),
+        ("line_count", True, "line_count is a bool"),
+        ("coverage_bits", "xyz", "invalid literal for int() with base 16: 'xyz'"),
+        ("frontier_paths", [[0, "1"]], "frontier_paths[0][1] is a str"),
+        ("test_cases", [7], "test_cases[0] is a int"),
+        ("spec_name", 3, "spec_name is a int"),
+        ("bug_reports", [{"message": "no kind"}], "KeyError: 'kind'"),
+        ("bug_reports", [{"kind": "no_such_kind"}],
+         "'no_such_kind' is not a valid BugKind"),
+        ("test_cases", [{"inputs": {"in": "zz"}}],
+         "ValueError: non-hexadecimal number"),
+    ])
+    def test_a_field_of_the_wrong_kind_is_named(self, key, value, says):
+        payload = json.loads(self._checkpoint().to_json())
+        payload[key] = value
+        with pytest.raises(ValueError, match=re.escape(says)):
+            ClusterCheckpoint.from_json(json.dumps(payload))
+
+
+    _JSON = st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats()
+        | st.text(max_size=6),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=12), inner, max_size=3),
+        max_leaves=8)
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_fuzzed_checkpoints_fail_only_with_value_error(self, data):
+        """Text, or a good checkpoint with one key dropped or replaced (the
+        bug and test-case entries included): from_json either reads it or
+        raises ValueError."""
+        payload = json.loads(self._checkpoint().to_json())
+        payload["bug_reports"] = [{"kind": "abort", "message": "m"}]
+        payload["test_cases"] = [{"inputs": {"in": "41"}, "fork_trace": [1]}]
+        target = data.draw(st.sampled_from(
+            [payload, payload["bug_reports"][0], payload["test_cases"][0]]))
+        key = data.draw(st.sampled_from(sorted(target) + ["kind", "inputs"]))
+        if data.draw(st.booleans()):
+            target.pop(key, None)
+        else:
+            target[key] = data.draw(self._JSON)
+        text = data.draw(st.sampled_from(
+            [json.dumps(payload), json.dumps(payload)[:-3]])
+            | st.text(max_size=40))
+        try:
+            ClusterCheckpoint.from_json(text)
+        except ValueError:
+            pass
 
     def test_save_load_and_coerce(self, tmp_path):
         path = str(tmp_path / "ckpt.json")
@@ -468,17 +535,21 @@ class TestProcessFaultTolerance:
         cluster.run(limits=LIMITS)
         assert cluster.handles == []
         assert len(pids) >= 2
-        deadline = time.monotonic() + 5.0
-        while time.monotonic() < deadline:
-            alive = [pid for pid in pids if _pid_alive(pid)]
-            if not alive:
-                break
-            time.sleep(0.05)
-        assert not alive, "worker processes leaked: %r" % alive
+        wait_until(lambda: not any(_pid_alive(pid) for pid in pids),
+                   what="worker processes %r to exit" % pids)
 
-    def test_wedged_worker_teardown_escalates(self):
+    def test_wedged_worker_teardown_escalates(self, monkeypatch):
         """A worker stuck in an unbounded explore never reads StopCommand;
         teardown must terminate (or kill) it without leaking processes."""
+        exploring = multiprocessing.get_context("fork").Event()
+        explore = DistribWorker._explore
+
+        def signalling_explore(self, command):
+            exploring.set()
+            return explore(self, command)
+
+        # Patched before the fork, so the worker process inherits it.
+        monkeypatch.setattr(DistribWorker, "_explore", signalling_explore)
         config = _pconfig(num_workers=1, shutdown_timeout=0.5)
         cluster = ProcessCloud9Cluster("test-ft-spin", config=config)
         cluster._start_workers()
@@ -487,15 +558,12 @@ class TestProcessFaultTolerance:
         cluster._receive(handle)
         # An effectively unbounded budget on a concrete infinite loop.
         cluster._send(handle, ExploreCommand(budget=10 ** 9))
-        time.sleep(0.2)  # let it get properly stuck
+        assert exploring.wait(timeout=5.0), "the worker never began exploring"
         pid = handle.process.pid
         assert _pid_alive(pid)
         cluster._shutdown_workers()
         assert cluster.handles == []
-        deadline = time.monotonic() + 5.0
-        while time.monotonic() < deadline and _pid_alive(pid):
-            time.sleep(0.05)
-        assert not _pid_alive(pid)
+        wait_until(lambda: not _pid_alive(pid), what="the wedged worker to exit")
 
 
 def _pid_alive(pid: int) -> bool:

@@ -4,7 +4,7 @@
 ``distrib`` (+ ``net``) <- ``api`` <- ``testing`` <- ``targets``: a package
 imports, at module level, only from its own layer or a lower one.  (An import
 inside a function or under ``if TYPE_CHECKING:`` is a stated exception where
-it stands; ``repro.analysis`` imports nothing it analyzes.)
+it stands.)
 """
 
 import ast
@@ -12,7 +12,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 LAYERS = [{"obs", "lang"}, {"solver"}, {"engine"}, {"posix", "cluster"},
-          {"distrib", "net"}, {"api"}, {"testing"}, {"targets"}, {"analysis"}]
+          {"distrib", "net"}, {"api"}, {"testing"}, {"targets"}]
 RANK = {package: rank for rank, layer in enumerate(LAYERS) for package in layer}
 
 
@@ -36,8 +36,7 @@ def test_no_package_imports_from_a_higher_layer():
         "%s imports repro.%s" % (path.relative_to(SRC), target)
         for package in RANK for path in (SRC / package).rglob("*.py")
         for target in _imported_packages(path)
-        if RANK[target] > RANK[package]
-        or (package == "analysis") != (target == "analysis"))
+        if RANK[target] > RANK[package])
     assert upward == []
 
 

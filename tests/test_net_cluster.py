@@ -324,6 +324,20 @@ class TestTcpApiAndLifecycle:
         assert result.found_bug
         assert result.worker_failures == 0
 
+    def test_a_bytes_spec_parameter_reaches_the_agents(self):
+        """curl-glob's ``prefix`` is bytes: the welcome carries it as such,
+        and the agents explore what forked workers explore."""
+        test = specs.resolve_test("curl-glob", prefix=b"http://a{b,c}")
+        baseline = test.run(backend="process", workers=2, limits=LIMITS,
+                            reply_timeout=1.0)
+        result = test.run(backend="tcp", workers=2, limits=LIMITS,
+                          spawn_local_agents=True, reply_timeout=1.0,
+                          shutdown_timeout=2.0)
+        assert baseline.exhausted and result.exhausted
+        assert result.worker_failures == 0
+        assert result.found_bug
+        _assert_matches(result, baseline)
+
     def test_graceful_shutdown_leaves_no_orphan_agents(self):
         cluster = ProcessCloud9Cluster(
             "test-net-buggy", config=_tcp_config(spawn_local_agents=True))

@@ -7,6 +7,7 @@ send/recv/liveness surface over a socketpair, and the coordinator-side
 handshake (version check, pending pool, admission).
 """
 
+import pickle
 import socket
 import struct
 import threading
@@ -15,6 +16,15 @@ import time
 import pytest
 
 from conftest import wait_until
+from repro.cluster.jobs import Job, JobTree
+from repro.distrib.messages import (
+    ErrorReply,
+    ExploreCommand,
+    ExportCommand,
+    ImportCommand,
+    ImportReply,
+    ReadyReply,
+)
 from repro.net.framing import (
     DEFAULT_MAX_FRAME_SIZE,
     PING_FRAME,
@@ -54,24 +64,31 @@ class _Clock:
         self.now += seconds
 
 
+def _text(details):
+    """A real wire message whose size is the size of ``details``."""
+    return ErrorReply(worker_id=1, details=details)
+
+
 # -- framing -----------------------------------------------------------------------------
 
 
 class TestFraming:
     def test_message_round_trip(self):
-        message = {"cmd": "explore", "budget": 40}
+        message = ExploreCommand(budget=40)
         payloads = FrameDecoder().feed(encode_message(message))
         assert len(payloads) == 1
         assert decode_message(payloads[0]) == message
 
     def test_coalesced_frames_split_apart(self):
-        messages = ["one", {"two": 2}, ("three", 3)]
+        messages = [_text("one"), ImportReply(worker_id=2, imported=2),
+                    ExportCommand(count=3)]
         wire = b"".join(encode_message(m) for m in messages)
         payloads = FrameDecoder().feed(wire)  # one chunk, three frames
         assert [decode_message(p) for p in payloads] == messages
 
     def test_partial_reads_reassemble_byte_by_byte(self):
-        message = {"payload": list(range(50))}
+        message = ImportCommand(encoded_jobs=JobTree.from_jobs(
+            Job((index,)) for index in range(50)).encode())
         wire = encode_message(message)
         decoder = FrameDecoder()
         payloads = []
@@ -82,7 +99,7 @@ class TestFraming:
         assert decoder.buffered_bytes == 0
 
     def test_buffered_bytes_tracks_incomplete_frames(self):
-        wire = encode_message("hello")
+        wire = encode_message(_text("hello"))
         decoder = FrameDecoder()
         assert decoder.feed(wire[:3]) == []
         assert decoder.buffered_bytes == 3
@@ -94,17 +111,18 @@ class TestFraming:
         assert encode_frame(b"") == PING_FRAME
         decoder = FrameDecoder()
         # A ping sandwiched between real frames comes out as b"".
-        wire = encode_message("a") + PING_FRAME + encode_message("b")
+        wire = (encode_message(_text("a")) + PING_FRAME
+                + encode_message(_text("b")))
         payloads = decoder.feed(wire)
         assert payloads[1] == b""
-        assert decode_message(payloads[0]) == "a"
-        assert decode_message(payloads[2]) == "b"
+        assert decode_message(payloads[0]) == _text("a")
+        assert decode_message(payloads[2]) == _text("b")
 
     def test_encode_rejects_oversized_payloads(self):
         with pytest.raises(FrameTooLarge, match="refusing to send"):
             encode_frame(b"x" * 2048, max_frame_size=1024)
         with pytest.raises(FrameTooLarge):
-            encode_message("y" * 2048, max_frame_size=1024)
+            encode_message(_text("y" * 2048), max_frame_size=1024)
 
     def test_decoder_rejects_oversized_declarations_before_allocating(self):
         header = struct.pack(">I", 1 << 30)  # declares a 1 GiB payload
@@ -116,8 +134,21 @@ class TestFraming:
             decode_message(b"\x00not a pickle at all")
 
     def test_unpicklable_message_raises_on_encode(self):
-        with pytest.raises(FrameCorruptError, match="does not pickle"):
+        with pytest.raises(FrameCorruptError, match="does not encode"):
             encode_message(lambda: None)
+
+    def test_a_pickle_is_refused_and_never_run(self, tmp_path):
+        """Regression: a frame payload used to go to ``pickle.loads``, so a
+        peer could run code on the coordinator before the handshake."""
+        marker = tmp_path / "side-effect"
+
+        class Exploit:
+            def __reduce__(self):
+                return (marker.mkdir, ())
+
+        with pytest.raises(FrameCorruptError, match="corrupt frame"):
+            decode_message(pickle.dumps(Exploit()))
+        assert not marker.exists()
 
 
 class TestParseAddress:
@@ -226,10 +257,10 @@ class TestTcpTransport:
     def test_send_recv_round_trip_both_directions(self):
         a, b = _transport_pair()
         try:
-            a.send({"seq": 1})
-            b.send({"seq": 2})
-            assert b.recv(timeout=5.0) == {"seq": 1}
-            assert a.recv(timeout=5.0) == {"seq": 2}
+            a.send(ImportReply(worker_id=1, imported=1))
+            b.send(ImportReply(worker_id=2, imported=2))
+            assert b.recv(timeout=5.0) == ImportReply(worker_id=1, imported=1)
+            assert a.recv(timeout=5.0) == ImportReply(worker_id=2, imported=2)
         finally:
             a.close(timeout=0)
             b.close(timeout=0)
@@ -252,8 +283,8 @@ class TestTcpTransport:
             b.send_ping()
             wait_until(lambda: monitor.silence() == 0.0, what="ping to land")
             assert a.is_alive()  # ...revived by the ping
-            b.send("real message")
-            assert a.recv(timeout=5.0) == "real message"  # ping not queued
+            b.send(_text("real message"))
+            assert a.recv(timeout=5.0) == _text("real message")  # ping not queued
         finally:
             a.close(timeout=0)
             b.close(timeout=0)
@@ -284,15 +315,15 @@ class TestTcpTransport:
 
     def test_inbox_drains_before_reporting_the_death(self):
         a, b = _transport_pair()
-        b.send("parting gift 1")
-        b.send("parting gift 2")
+        b.send(_text("parting gift 1"))
+        b.send(_text("parting gift 2"))
         # Wait for delivery before hanging up, then the inbox must still
         # serve both messages ahead of the closure error.
         wait_until(lambda: a._inbox.qsize() == 2, what="delivery")
         b.close(timeout=0)
         try:
-            assert a.recv(timeout=5.0) == "parting gift 1"
-            assert a.recv(timeout=5.0) == "parting gift 2"
+            assert a.recv(timeout=5.0) == _text("parting gift 1")
+            assert a.recv(timeout=5.0) == _text("parting gift 2")
             with pytest.raises(TransportClosed):
                 a.recv(timeout=5.0)
         finally:
@@ -326,7 +357,7 @@ class TestTcpTransport:
         a, b = _transport_pair(max_frame_size=1024)
         try:
             with pytest.raises(TransportError, match="cannot send to peer-b"):
-                a.send("x" * 4096)
+                a.send(_text("x" * 4096))
         finally:
             a.close(timeout=0)
             b.close(timeout=0)
@@ -336,7 +367,7 @@ class TestTcpTransport:
         a.close(timeout=0)
         b.close(timeout=0)
         with pytest.raises(TransportClosed, match="already closed"):
-            a.send("too late")
+            a.send(_text("too late"))
 
     def test_send_to_stalled_peer_fails_within_the_deadline(self):
         """Regression: a peer that stops *reading* must not wedge the sender.
@@ -356,7 +387,7 @@ class TestTcpTransport:
             start = time.monotonic()
             with pytest.raises(TransportClosed, match="stalled"):
                 for _ in range(1000):
-                    transport.send("x" * 8192)
+                    transport.send(_text("x" * 8192))
             assert time.monotonic() - start < 5.0
         finally:
             transport.close(timeout=0)
@@ -371,7 +402,7 @@ class TestTcpTransport:
             sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
         a = TcpTransport(sock_a, peer="peer-b")
         b = TcpTransport(sock_b, peer="peer-a").start_receiver()
-        payload = "y" * (1 << 20)  # 1 MiB >> the 4 KiB socket buffers
+        payload = _text("y" * (1 << 20))  # 1 MiB >> the 4 KiB socket buffers
         try:
             sender = threading.Thread(target=a.send, args=(payload,))
             sender.start()
@@ -450,10 +481,11 @@ class TestHandshake:
             assert welcome.protocol_version == PROTOCOL_VERSION
             assert welcome.heartbeat_interval == server.heartbeat_interval
             # Admission armed a live channel: commands flow both ways.
-            admitted.send({"cmd": "explore"})
-            assert client.recv(timeout=5.0) == {"cmd": "explore"}
-            client.send({"reply": "status"})
-            assert admitted.recv(timeout=5.0) == {"reply": "status"}
+            admitted.send(ExploreCommand(budget=40))
+            assert client.recv(timeout=5.0) == ExploreCommand(budget=40)
+            client.send(ReadyReply(worker_id=7, line_count=112))
+            assert admitted.recv(timeout=5.0) == ReadyReply(worker_id=7,
+                                                            line_count=112)
             assert server.agents_admitted == 1
             assert server.pending_count == 0
         finally:
@@ -464,19 +496,18 @@ class TestHandshake:
             server.close()
 
     def test_version_mismatch_is_rejected_with_reason(self):
-        # Too new, and version 4: its coordinator still sends
-        # ReportCommand.full.
-        assert PROTOCOL_COMPAT_VERSION == PROTOCOL_VERSION == 5
+        # Too new, and version 5: its agents speak pickles.
+        assert PROTOCOL_COMPAT_VERSION == PROTOCOL_VERSION == 6
         server = _server()
         clients = []
         try:
-            for rejected, version in enumerate((PROTOCOL_VERSION + 1, 4), 1):
+            for rejected, version in enumerate((PROTOCOL_VERSION + 1, 5), 1):
                 clients.append(_dial(server))
                 clients[-1].send(HelloMessage(protocol_version=version))
                 reply = clients[-1].recv(timeout=5.0)
                 assert isinstance(reply, RejectMessage)
                 assert "version mismatch" in reply.reason
-                assert "accepts 5..5, agent sent %d" % version in reply.reason
+                assert "accepts 6..6, agent sent %d" % version in reply.reason
                 wait_until(lambda expected=rejected:
                             server.handshakes_rejected == expected,
                             what="rejection count")
@@ -504,6 +535,39 @@ class TestHandshake:
             if client is not None:
                 client.close(timeout=0)
             server.close()
+
+    def test_a_pickled_hello_is_dropped_and_the_next_agent_admitted(self):
+        """A version-5 agent sends its hello as a pickle; the server drops
+        that connection without unpickling it and keeps serving."""
+        server = _server()
+        client = admitted = None
+        try:
+            raw = socket.create_connection(server.address, timeout=5.0)
+            raw.sendall(encode_frame(pickle.dumps(
+                HelloMessage(protocol_version=5, agent="old:1"))))
+            wait_until(lambda: server.handshakes_rejected == 1,
+                       what="pickled hello rejection")
+            raw.close()
+            assert server.pending_count == 0
+            client = _dial(server)
+            client.send(HelloMessage(protocol_version=PROTOCOL_VERSION,
+                                     agent="new:2"))
+            admitted = server.admit(worker_id=1, timeout=5.0)
+            assert "new:2" in admitted.peer
+            assert isinstance(client.recv(timeout=5.0), WelcomeMessage)
+        finally:
+            if admitted is not None:
+                admitted.close(timeout=0)
+            if client is not None:
+                client.close(timeout=0)
+            server.close()
+
+    def test_a_parameter_the_wire_cannot_carry_is_refused_up_front(self):
+        """Not at every admission, where each agent would be dropped."""
+        with pytest.raises(ValueError, match=r"spec 'printf'.*'when': "
+                                             r"<object object .*> is not "
+                                             r"plain data"):
+            _server(spec_params={"format_length": 2, "when": object()})
 
     def test_admit_without_agents_names_the_dial_command(self):
         server = _server()

@@ -4,7 +4,6 @@ integrity through faults, member removal, and dead-worker cache counters."""
 import multiprocessing
 import os
 import signal
-import time
 
 import pytest
 
@@ -21,7 +20,7 @@ from repro.obs.report import analyze_trace
 from repro.obs.trace import load_trace
 from repro.testing.symbolic_test import SymbolicTest
 
-from conftest import branchy_program
+from conftest import branchy_program, wait_until
 
 fork_available = "fork" in multiprocessing.get_all_start_methods()
 needs_fork = pytest.mark.skipif(
@@ -228,13 +227,8 @@ class TestCoordinatorCrash:
         child = ctx.Process(target=_run_traced_cluster, args=(str(path),))
         child.start()
         try:
-            deadline = time.monotonic() + 30.0
-            while time.monotonic() < deadline:
-                if path.exists() and path.stat().st_size > 2000:
-                    break
-                time.sleep(0.02)
-            else:
-                pytest.fail("trace never grew; cluster did not start")
+            wait_until(lambda: path.exists() and path.stat().st_size > 2000,
+                       timeout=30.0, what="the trace to grow (cluster start)")
             os.kill(child.pid, signal.SIGKILL)
         finally:
             child.join(timeout=10.0)

@@ -6,6 +6,7 @@ import pickle
 
 import pytest
 
+from repro.cluster.jobs import JobTree
 from repro.cluster.stats import WorkerStats
 from repro.distrib.messages import StatusReply
 from repro.net.framing import FrameDecoder, decode_message, encode_message
@@ -75,7 +76,7 @@ class TestStatsViews:
         latency.observe(0.25)
         reply = StatusReply(worker_id=7, queue_length=0, coverage_bits=0b101,
                             bugs_found=0, stats=stats, cache_counters={},
-                            frontier=[], bugs=(), test_cases=(),
+                            frontier=JobTree().encode(), bugs=(), test_cases=(),
                             covered_lines=frozenset({0, 2}), latency=latency)
         (payload,) = FrameDecoder().feed(encode_message(reply))
         decoded = decode_message(payload)

@@ -1,9 +1,13 @@
 """The JSONL tracer, the worker-side buffer, and crash-tolerant loading."""
 
 import json
+import os
+import tempfile
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.distrib import specs
 from repro.obs import trace as trace_module
@@ -195,6 +199,41 @@ class TestLoadTrace:
         path.write_text('{"event": "a"}\nnot json\n{"event": "b"}\n')
         with pytest.raises(json.JSONDecodeError):
             load_trace(str(path))
+
+    def test_corruption_names_the_file_and_line(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_text('{"event": "a"}\n{"event": b}\n{"event": "c"}\n')
+        with pytest.raises(ValueError,
+                           match=r"t\.jsonl: line 2 column 11 \(char 25\)"):
+            load_trace(str(path))
+
+    def test_a_record_that_is_not_an_object_is_refused(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_text('{"event": "a"}\n[1, 2]\n{"event": "b"}\n')
+        with pytest.raises(ValueError, match=r"t\.jsonl: line 2: .* not list"):
+            load_trace(str(path))
+
+    def test_a_torn_multibyte_character_is_a_torn_line(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_bytes('{"event": "a"}\n{"event": "\u00e9'.encode()[:-1])
+        assert [e["event"] for e in load_trace(str(path))] == ["a"]
+
+    @settings(max_examples=300)
+    @given(st.lists(st.sampled_from(
+        [b'{"event": "a", "seq": 1}', b"[1]", b"7", b'"s"', b"{", b"\xff\xfe",
+         b"", b"   ", b"[" * 5000, b'{"event": "\xc3']) | st.binary(max_size=20),
+        max_size=6))
+    def test_fuzzed_traces_fail_only_with_value_error(self, lines):
+        with tempfile.TemporaryDirectory() as scratch:
+            path = os.path.join(scratch, "t.jsonl")
+            with open(path, "wb") as fh:
+                fh.write(b"\n".join(lines))
+            try:
+                events = load_trace(path)
+            except ValueError as exc:
+                assert path in str(exc)
+            else:
+                assert all(isinstance(event, dict) for event in events)
 
 
 class TestTracingCost:
