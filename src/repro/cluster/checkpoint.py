@@ -23,6 +23,7 @@ import typing
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
+from repro.cluster.plain import decode_value, encode_value
 from repro.engine.coverage import CoverageBits
 from repro.engine.errors import BugKind, BugReport
 from repro.engine.test_case import TestCase
@@ -32,7 +33,10 @@ __all__ = ["CHECKPOINT_FORMAT", "ClusterCheckpoint"]
 #: The JSON layout :meth:`ClusterCheckpoint.to_json` writes, recorded in the
 #: file as ``"format"``.  Bump it when a field is added, removed or changes
 #: meaning; :meth:`ClusterCheckpoint.from_json` reads this format only.
-CHECKPOINT_FORMAT = 1
+#: Format 2: spec parameter values are tagged plain data
+#: (:mod:`repro.cluster.plain`), so bytes, tuples and dicts come back as
+#: themselves.
+CHECKPOINT_FORMAT = 2
 
 
 #: The JSON types an annotation's values are written as (a coverage vector
@@ -88,6 +92,7 @@ class ClusterCheckpoint:
     test_cases: List[Dict[str, Any]] = field(default_factory=list)
     #: Identity of the test this checkpoint belongs to, when known.
     spec_name: Optional[str] = None
+    #: Saved as tagged plain data (:func:`repro.cluster.plain.encode_value`).
     spec_params: Dict[str, object] = field(default_factory=dict)
     backend: Optional[str] = None
 
@@ -103,6 +108,13 @@ class ClusterCheckpoint:
         payload = asdict(self)
         payload["frontier_paths"] = [list(p) for p in self.frontier_paths]
         payload["coverage_bits"] = hex(self.coverage_bits)
+        params = payload["spec_params"] = {}
+        for key, value in self.spec_params.items():
+            try:
+                params[key] = encode_value(value)
+            except TypeError as exc:
+                raise TypeError("cannot save checkpoint: spec parameter %r: %s"
+                                % (key, exc)) from None
         payload["format"] = CHECKPOINT_FORMAT
         return json.dumps(payload, indent=2, sort_keys=True)
 
@@ -139,6 +151,9 @@ class ClusterCheckpoint:
         try:
             checkpoint = cls(**payload)  # a missing field is a TypeError
             checkpoint.coverage_bits = int(payload["coverage_bits"], 16)
+            checkpoint.spec_params = {
+                key: decode_value(value)
+                for key, value in checkpoint.spec_params.items()}
             checkpoint.bug_reports = [cls.encode_bug(bug)
                                       for bug in checkpoint.decode_bugs()]
             checkpoint.test_cases = [cls.encode_test_case(case) for case

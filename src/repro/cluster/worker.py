@@ -36,7 +36,7 @@ from repro.engine.executor import SymbolicExecutor
 from repro.engine.explorer import Explorer
 from repro.engine.state import ExecutionState
 from repro.engine.strategies import SearchStrategy, make_strategy
-from repro.engine.tree import NodeLife, NodeStatus, TreeNode
+from repro.engine.tree import VIRTUAL, NodeLife, NodeStatus, TreeNode
 
 StateFactory = Callable[[SymbolicExecutor], ExecutionState]
 
@@ -110,7 +110,7 @@ class Worker(Explorer):
         stats = self.stats
         while consumed < instruction_budget and self.frontier:
             node = self.strategy.select(self.tree, self.frontier)
-            if node.is_virtual:
+            if node.status is VIRTUAL:
                 consumed += self._replay_node(node)
                 continue
             instructions = self.step_node(node).instructions

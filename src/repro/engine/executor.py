@@ -23,6 +23,17 @@ in only when a path finishes and when a state that already has a path behind
 it is seeded (:meth:`Explorer.seed_state
 <repro.engine.explorer.Explorer.seed_state>`).  Every other state ``step``
 sees was stepped here from such a root, so its lines are already in.
+
+A step is one pass.  ``step`` tests the state's status, its instruction
+limit and its thread once, runs the instruction, and books a child only
+when the child ended.  :meth:`Explorer.step_node
+<repro.engine.explorer.Explorer.step_node>` handles the common result, the
+node's own state still running, by telling the frontier that the state
+moved.  Only forks and terminations reach ``Explorer._graft``.  ``run``
+decides before its loop which limits are set; an unset one is never
+checked.  Enum members are read from module constants (``RUNNING``,
+``ENABLED``): on CPython 3.11 ``StateStatus.RUNNING`` inside a function
+costs about ten global loads.
 """
 
 from __future__ import annotations
@@ -38,7 +49,7 @@ from repro.engine.limits import ExplorationLimits
 from repro.engine.natives import NativeRegistry
 from repro.engine.result import RunResult, dedupe_bugs
 from repro.engine.scheduler import CooperativeScheduler
-from repro.engine.state import ExecutionState, StateStatus, ThreadStatus
+from repro.engine.state import ENABLED, RUNNING, ExecutionState
 from repro.engine.strategies import SearchStrategy, make_strategy
 from repro.engine.syscalls import default_registry
 from repro.engine.test_case import TestCase, generate_test_case
@@ -134,30 +145,22 @@ class SymbolicExecutor:
 
     def step(self, state: ExecutionState) -> StepResult:
         """Advance a state by one scheduling decision or one instruction."""
-        if state.status is not StateStatus.RUNNING:
+        if state.status is not RUNNING:
             return StepResult([])
+        options = state.options
 
         # Per-path instruction limit: the infinite-loop/hang detector.
-        limit = state.options.get("max_instructions",
-                                  self.config.max_instructions_per_path)
-        if limit is not None:
-            limit = int(limit)
-            if state.instructions_executed >= limit:
-                report = BugReport(
-                    kind=BugKind.INFINITE_LOOP,
-                    message="path exceeded %d instructions (possible hang)" % limit,
-                    state_id=state.state_id,
-                    function=(state.current_thread.top.function
-                              if state.current else None),
-                )
-                state.terminate_error(report)
-                return self._finished(state)
+        limit = options.get("max_instructions",
+                            self.config.max_instructions_per_path)
+        if limit is not None and state.instructions_executed >= int(limit):
+            return self._hung(state, int(limit))
 
         current = state.current
-        if current is None or state.options.pop("force_reschedule", False):
+        if current is None or ("force_reschedule" in options
+                               and options.pop("force_reschedule")):
             return self._schedule(state)
         thread = state.processes[current[0]].threads[current[1]]
-        if thread.status is not ThreadStatus.ENABLED:
+        if thread.status is not ENABLED:
             return self._schedule(state)
 
         line, children = self.interpreter.execute_instruction(state, thread)
@@ -165,9 +168,28 @@ class SymbolicExecutor:
         self.total_instructions += 1
         self.covered_lines.add(line)
         for child in children:
-            if child.status is not StateStatus.RUNNING:
+            if child.status is not RUNNING:
                 self._finish_state(child, result)
         return result
+
+    def _hung(self, state: ExecutionState, limit: int) -> StepResult:
+        """End ``state``, which reached its instruction limit, as a hang.
+
+        The current thread may have just returned from its bottom frame (a
+        thread other than main, waiting for the scheduler): then the report
+        names no function, as :meth:`Interpreter._terminate_error
+        <repro.engine.interpreter.Interpreter._terminate_error>` does.
+        """
+        function = None
+        if state.current and state.current_thread.stack:
+            function = state.current_thread.top.function
+        state.terminate_error(BugReport(
+            kind=BugKind.INFINITE_LOOP,
+            message="path exceeded %d instructions (possible hang)" % limit,
+            state_id=state.state_id,
+            function=function,
+        ))
+        return self._finished(state)
 
     def _finished(self, state: ExecutionState) -> StepResult:
         """The result of a step that ended ``state`` without executing."""
@@ -287,38 +309,51 @@ class SymbolicExecutor:
         traced_bugs = 0
         traced_prev_useful = 0
 
+        # Decided once, here: a limit this run leaves unset is never checked.
+        instruction_stop = (None if max_instructions is None
+                            else instructions_at_start + max_instructions)
+        line_count = result.line_count
+        if not line_count:
+            coverage_target = None
+        other_limits = (max_steps is not None or stop_on_first_bug
+                        or max_paths is not None or max_wall_time is not None
+                        or coverage_target is not None)
+        traced = tracer.enabled
+        tree = explorer.tree
+        steps = 0
+
         while frontier:
-            if max_steps is not None and result.steps >= max_steps:
+            if instruction_stop is not None and (
+                    self.total_instructions >= instruction_stop):
                 break
-            if stop_on_first_bug and bugs:
+            if other_limits and (
+                    (max_steps is not None and steps >= max_steps)
+                    or (stop_on_first_bug and bugs)
+                    or (max_paths is not None
+                        and explorer.paths_completed >= max_paths)
+                    or (max_wall_time is not None
+                        and time.monotonic() - start > max_wall_time)
+                    or (coverage_target is not None
+                        and 100.0 * len(explorer.covered_lines) / line_count
+                        >= coverage_target)):
                 break
-            if max_paths is not None and explorer.paths_completed >= max_paths:
-                break
-            if max_instructions is not None and (
-                    self.total_instructions - instructions_at_start >= max_instructions):
-                break
-            if max_wall_time is not None and time.monotonic() - start > max_wall_time:
-                break
-            if coverage_target is not None and result.line_count:
-                percent = 100.0 * len(explorer.covered_lines) / result.line_count
-                if percent >= coverage_target:
-                    break
 
-            explorer.step_node(strategy.select(explorer.tree, frontier))
-            result.steps += 1
+            explorer.step_node(strategy.select(tree, frontier))
+            steps += 1
 
-            if tracer.enabled:
+            if traced:
                 while len(bugs) > traced_bugs:
                     bug = bugs[traced_bugs]
                     traced_bugs += 1
                     tracer.emit(trace_schema.BUG_FOUND, kind=bug.kind.name,
                                 message=bug.message)
-                if result.steps % trace_round == 0:
+                if steps % trace_round == 0:
                     traced_prev_useful = self._trace_round(
                         tracer, traced_rounds, start, result,
                         instructions_at_start, explorer, traced_prev_useful)
                     traced_rounds += 1
 
+        result.steps = steps
         result.exhausted = not frontier
         result.paths_completed = explorer.paths_completed
         result.bugs = dedupe_bugs(bugs)

@@ -8,7 +8,10 @@ search strategy, and the exploration's own results (``bugs``,
 place a node is stepped for exploration: it reads what the step produced off
 the :class:`~repro.engine.executor.StepResult` -- never off the executor's
 cumulative lists, which a replay on the same executor also appends to -- and
-is the only place a step's children enter the tree.
+is the only place a step's children enter the tree.  Most steps never get
+that far: when the only child is the node's own state, still running, the
+node stays a candidate and the frontier is told that its state moved, and
+only forks and terminations reach :meth:`Explorer._graft`.
 
 The paper's worker *is* a KLEE engine plus job import/export (§3.1--3.2), and
 so it is here: :meth:`SymbolicExecutor.run
@@ -33,10 +36,11 @@ from typing import TYPE_CHECKING, List, Sequence, Set
 
 from repro.engine.errors import BugReport
 from repro.engine.frontier import Frontier
-from repro.engine.state import ExecutionState, StateStatus
+from repro.engine.state import RUNNING, ExecutionState
 from repro.engine.strategies import SearchStrategy
 from repro.engine.test_case import TestCase
-from repro.engine.tree import ExecutionTree, TreeNode
+from repro.engine.tree import (DEAD, FENCE, MATERIALIZED, ExecutionTree,
+                               TreeNode)
 
 if TYPE_CHECKING:  # pragma: no cover - the executor's run loop builds an Explorer
     from repro.engine.executor import StepResult, SymbolicExecutor
@@ -91,8 +95,15 @@ class Explorer:
         self._adopted.add(node.node_id)
 
     def step_node(self, node: TreeNode) -> StepResult:
-        """Step ``node``'s state once and book everything the step produced."""
-        result = self.executor.step(node.state)
+        """Step ``node``'s state once and book everything the step produced.
+
+        Most steps run one instruction straight on: the only child is the
+        node's own state, still running.  Then the node stays where it is
+        and the frontier only hears that its state moved; forks and
+        terminations go on to :meth:`_graft`.
+        """
+        state = node.state
+        result = self.executor.step(state)
         if result.terminated:
             self.paths_completed += len(result.terminated)
             self.bugs.extend(result.bugs)
@@ -114,7 +125,10 @@ class Explorer:
             if line is not None and line not in told:
                 told.add(line)
                 self.new_lines({line})
-        self._graft(node, children)
+        if len(children) == 1 and children[0] is state and state.status is RUNNING:
+            self.frontier.moved(node)
+        else:
+            self._graft(node, children)
         return result
 
     def new_lines(self, lines: Set[int]) -> None:
@@ -125,7 +139,7 @@ class Explorer:
         """Update the tree and the frontier after ``node`` was stepped."""
         frontier = self.frontier
         if len(children) == 1 and children[0] is node.state:
-            if children[0].status is StateStatus.RUNNING:
+            if children[0].status is RUNNING:
                 frontier.moved(node)
             else:
                 node.mark_dead()
@@ -138,18 +152,18 @@ class Explorer:
             child_node = node.children.get(index)
             if child_node is None:
                 child_node = node.add_child(index)
-            elif child_node.is_fence:
+            elif child_node.life is FENCE:
                 # The subtree below this child belongs to another worker --
                 # either a fence installed by replay or one shipped with a
                 # recovered job (a dead worker's ceded subtree).  Leave it.
                 continue
-            elif child_node.is_dead and child_node.is_materialized:
+            elif child_node.life is DEAD and child_node.status is MATERIALIZED:
                 # Explored to completion here earlier (its paths are already
                 # counted); reachable again only by re-stepping a revived
                 # ancestor -- a bounced job or a recovered subtree whose
                 # fence-protected part this worker finished meanwhile.
                 continue
-            if child_state.status is StateStatus.RUNNING:
+            if child_state.status is RUNNING:
                 child_node.materialize(child_state)
                 child_node.mark_candidate()
                 frontier.add(child_node)

@@ -48,6 +48,13 @@ class ThreadStatus(enum.Enum):
     TERMINATED = "terminated"
 
 
+# The members the step path tests on every instruction, as module constants:
+# on CPython 3.11 ``StateStatus.RUNNING`` inside a function goes through the
+# enum metaclass's attribute hook, about ten times a global load.
+RUNNING = StateStatus.RUNNING
+ENABLED = ThreadStatus.ENABLED
+
+
 class Frame:
     """One activation record of a program function."""
 
@@ -453,7 +460,7 @@ class ExecutionState:
 
     @property
     def is_running(self) -> bool:
-        return self.status == StateStatus.RUNNING
+        return self.status is RUNNING
 
     def __repr__(self) -> str:
         return "ExecutionState(id=%d, status=%s, depth=%d, pc=%s)" % (

@@ -25,6 +25,7 @@ from itertools import islice
 from typing import Dict, Iterable, Optional, Sequence, Set
 
 from repro.engine.frontier import Frontier, WeightIndex
+from repro.engine.state import RUNNING
 from repro.engine.tree import ExecutionTree, TreeNode
 
 
@@ -104,20 +105,30 @@ class RandomPathStrategy(SearchStrategy):
             if guard > 100000:
                 # Fall back to uniform choice if the tree is malformed.
                 return _uniform(self._rng, candidates)
-            # Children in fork-index order; a two-way fork needs no sort.
             kids = node.children
+            live: Sequence[TreeNode] = ()
             if len(kids) == 2 and 0 in kids and 1 in kids:
-                ordered: Sequence[TreeNode] = (kids[0], kids[1])
-            else:
-                ordered = [kids[k] for k in sorted(kids)]
-            # A frontier member with candidate descendants can exist
-            # transiently; prefer descending.
-            children = [c for c in ordered if c.candidate_count > 0]
-            if not children:
+                # A two-way fork, walked without building a list: draw among
+                # the children that still hold candidates, in fork-index
+                # order.  A lone live child still costs its ``below(1)``
+                # draw, exactly as in the general case.
+                first, second = kids[0], kids[1]
+                live_first = first.candidate_count > 0
+                live_second = second.candidate_count > 0
+                if live_first or live_second:
+                    pick = below(2 if live_first and live_second else 1)
+                    node = second if pick or not live_first else first
+                    continue
+            elif kids:
+                live = [kids[k] for k in sorted(kids)
+                        if kids[k].candidate_count > 0]
+            if not live:
+                # A frontier member with candidate descendants can exist
+                # transiently; descending is preferred above.
                 if node in candidates:
                     return node
                 return _uniform(self._rng, candidates)
-            node = children[below(len(children))]
+            node = live[below(len(live))]
 
 
 class CoverageOptimizedStrategy(SearchStrategy):
@@ -166,7 +177,7 @@ class CoverageOptimizedStrategy(SearchStrategy):
 
     def _weight(self, node: TreeNode) -> int:
         state = node.state
-        if state is None or not state.is_running or state.current is None:
+        if state is None or state.status is not RUNNING or state.current is None:
             return 1
         if not state.current_thread.stack:
             # The current thread just terminated; the state is waiting for a

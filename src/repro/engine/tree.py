@@ -30,6 +30,13 @@ class NodeLife(enum.Enum):
     DEAD = "dead"
 
 
+# Every member as a module constant, for the checks made per step: on
+# CPython 3.11 ``NodeLife.DEAD`` inside a function goes through the enum
+# metaclass's attribute hook, about ten times a global load.
+MATERIALIZED, VIRTUAL = NodeStatus.MATERIALIZED, NodeStatus.VIRTUAL
+CANDIDATE, FENCE, DEAD = NodeLife.CANDIDATE, NodeLife.FENCE, NodeLife.DEAD
+
+
 _node_id_counter = itertools.count(1)
 
 
@@ -53,7 +60,7 @@ class TreeNode:
         # Number of candidate nodes in this subtree (self included); kept up
         # to date by _set_life so random-path selection can walk the tree
         # without scanning it.
-        self.candidate_count = 1 if life == NodeLife.CANDIDATE else 0
+        self.candidate_count = 1 if life is CANDIDATE else 0
         if parent is not None:
             parent.children[fork_index] = self
             if self.candidate_count:
@@ -104,8 +111,8 @@ class TreeNode:
             node = node.parent
 
     def _set_life(self, life: NodeLife) -> None:
-        was_candidate = self.life == NodeLife.CANDIDATE
-        will_be_candidate = life == NodeLife.CANDIDATE
+        was_candidate = self.life is CANDIDATE
+        will_be_candidate = life is CANDIDATE
         self.life = life
         if was_candidate and not will_be_candidate:
             self._propagate_candidate_delta(-1)
@@ -114,40 +121,40 @@ class TreeNode:
 
     def mark_dead(self) -> None:
         """Explored: discard the program state, keep only the skeleton."""
-        self._set_life(NodeLife.DEAD)
+        self._set_life(DEAD)
         self.state = None
 
     def mark_fence(self) -> None:
         """The subtree below is being explored elsewhere (job sent away)."""
-        self._set_life(NodeLife.FENCE)
+        self._set_life(FENCE)
 
     def mark_candidate(self) -> None:
-        self._set_life(NodeLife.CANDIDATE)
+        self._set_life(CANDIDATE)
 
     def materialize(self, state) -> None:
         """Attach a program state (virtual -> materialized after replay)."""
-        self.status = NodeStatus.MATERIALIZED
+        self.status = MATERIALIZED
         self.state = state
 
     @property
     def is_candidate(self) -> bool:
-        return self.life == NodeLife.CANDIDATE
+        return self.life is CANDIDATE
 
     @property
     def is_fence(self) -> bool:
-        return self.life == NodeLife.FENCE
+        return self.life is FENCE
 
     @property
     def is_dead(self) -> bool:
-        return self.life == NodeLife.DEAD
+        return self.life is DEAD
 
     @property
     def is_materialized(self) -> bool:
-        return self.status == NodeStatus.MATERIALIZED
+        return self.status is MATERIALIZED
 
     @property
     def is_virtual(self) -> bool:
-        return self.status == NodeStatus.VIRTUAL
+        return self.status is VIRTUAL
 
     # -- traversal ---------------------------------------------------------------
 
@@ -198,8 +205,8 @@ class ExecutionTree:
                 is_last = depth == len(path) - 1
                 child = node.add_child(
                     index,
-                    status=status if is_last else NodeStatus.VIRTUAL,
-                    life=life if is_last else NodeLife.DEAD,
+                    status=status if is_last else VIRTUAL,
+                    life=life if is_last else DEAD,
                 )
             node = child
         return node

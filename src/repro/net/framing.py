@@ -11,9 +11,10 @@ plus ``WorkerStats``, ``BugReport``, ``TestCase`` and ``Histogram``.  A
 field's annotation is its kind.  Bytes and coverage vectors travel as hex,
 frozensets as sorted lists, enums by value, a nested class as the list of
 its fields and a job tree in its :meth:`~repro.cluster.jobs.JobTree.encode`
-form.  An ``object`` field (a spec parameter) is any plain data: JSON's own
-values, with bytes, tuples and dicts tagged (``{"bytes": hex}``,
-``{"tuple": [...]}``, ``{"dict": {...}}``) so they come back as themselves.
+form.  An ``object`` field (a spec parameter) is any plain data, tagged as
+:mod:`repro.cluster.plain` writes it (and as a checkpoint saves it): JSON's
+own values, with bytes, tuples and dicts tagged so they come back as
+themselves.
 
 The decoder builds only registered classes and checks every field's kind
 and every job tree's shape.  A frame may omit trailing fields that have
@@ -35,6 +36,8 @@ import json
 import struct
 import typing
 from typing import Any, Callable, Dict, List, Optional, Tuple
+
+from repro.cluster.plain import decode_value, encode_value
 
 __all__ = [
     "DEFAULT_MAX_FRAME_SIZE", "FrameError", "FrameTooLarge",
@@ -128,40 +131,12 @@ def _hex_int(value: Any) -> int:
     raise _Mismatch("expected a hex integer, got %.40r" % (value,))
 
 
-def _encode_value(value: Any) -> Any:
-    """An ``object`` field's value as JSON data (see the module docstring)."""
-    kind = type(value)
-    if value is None or kind in (bool, int, float, str):
-        return value
-    if kind is list:
-        return [_encode_value(item) for item in value]
-    if kind is tuple:
-        return {"tuple": [_encode_value(item) for item in value]}
-    if kind is bytes:
-        return {"bytes": value.hex()}
-    if kind is dict and all(type(key) is str for key in value):
-        return {"dict": {key: _encode_value(item)
-                         for key, item in value.items()}}
-    raise TypeError("%.60r is not plain data (None, bool, int, float, str, "
-                    "bytes, or a list, tuple or str-keyed dict of them)"
-                    % (value,))
-
-
 def _value(value: Any) -> Any:
-    """Decodes :func:`_encode_value`'s output."""
-    if type(value) is list:
-        return [_value(item) for item in value]
-    if type(value) is not dict:
-        return value
-    if len(value) == 1:
-        (tag, inner), = value.items()
-        if tag == "tuple" and type(inner) is list:
-            return tuple(_value(item) for item in inner)
-        if tag == "bytes":
-            return _bytes(inner)
-        if tag == "dict" and type(inner) is dict:
-            return {key: _value(item) for key, item in inner.items()}
-    raise _Mismatch("untagged object %.60r" % (value,))
+    """An ``object`` field (a spec parameter): tagged plain data."""
+    try:
+        return decode_value(value)
+    except ValueError as exc:
+        raise _Mismatch(str(exc)) from None
 
 
 def _job_tree(value: Any) -> Any:
@@ -267,7 +242,7 @@ def _kind(hint: Any, table: Dict[type, _Record]) -> Tuple[_Encoder, _Decoder]:
     if hint == CoverageBits:
         return hex, _hex_int
     if hint in (object, Any):
-        return _encode_value, _value
+        return encode_value, _value
     if hint is float:
         return None, _float
     if hint is bytes:

@@ -76,6 +76,18 @@ class Op(enum.Enum):
     ITE = "ite"
 
 
+# Every operator as a module constant.  On CPython 3.11 ``Op.ADD`` inside a
+# function goes through the enum metaclass's attribute hook, about ten times
+# a global load, and the walks below (and ``simplify``, ``interval``) test
+# operators once per node.  Per-node code reads these, never ``Op.X``.
+BV_CONST, BOOL_CONST, BV_SYMBOL = Op.BV_CONST, Op.BOOL_CONST, Op.BV_SYMBOL
+ADD, SUB, MUL, UDIV, UREM = Op.ADD, Op.SUB, Op.MUL, Op.UDIV, Op.UREM
+AND, OR, XOR, NOT, SHL, LSHR = Op.AND, Op.OR, Op.XOR, Op.NOT, Op.SHL, Op.LSHR
+CONCAT, EXTRACT, ZEXT = Op.CONCAT, Op.EXTRACT, Op.ZEXT
+EQ, NE, ULT, ULE, SLT, SLE = Op.EQ, Op.NE, Op.ULT, Op.ULE, Op.SLT, Op.SLE
+BOOL_AND, BOOL_OR, BOOL_NOT, ITE = Op.BOOL_AND, Op.BOOL_OR, Op.BOOL_NOT, Op.ITE
+
+
 class Sort:
     """Base class for expression sorts."""
 
@@ -260,17 +272,17 @@ class Expr(metaclass=_Interned):
 
     @property
     def is_constant(self) -> bool:
-        return self.op in (Op.BV_CONST, Op.BOOL_CONST)
+        return self.op is BV_CONST or self.op is BOOL_CONST
 
     @property
     def is_symbol(self) -> bool:
-        return self.op == Op.BV_SYMBOL
+        return self.op is BV_SYMBOL
 
     def symbols(self) -> FrozenSet["Expr"]:
         """The symbol leaves appearing in this expression."""
         out = self._symbols
         if out is None:
-            if self.op == Op.BV_SYMBOL:
+            if self.op is BV_SYMBOL:
                 # Not stored: a symbol holding a set that holds the symbol
                 # would be a reference cycle.
                 return frozenset((self,))
@@ -289,7 +301,7 @@ class Expr(metaclass=_Interned):
         """The values of the bitvector constants appearing in this expression."""
         out = self._constants
         if out is None:
-            if self.op == Op.BV_CONST:
+            if self.op is BV_CONST:
                 out = frozenset((self.value,))
             else:
                 out = _union(arg.constants() for arg in self.args)
@@ -299,15 +311,15 @@ class Expr(metaclass=_Interned):
     # -- printing ---------------------------------------------------------
 
     def __repr__(self) -> str:
-        if self.op == Op.BV_CONST:
+        if self.op is BV_CONST:
             return "Bv%d(%d)" % (self.width, self.value)
-        if self.op == Op.BOOL_CONST:
+        if self.op is BOOL_CONST:
             return "Bool(%s)" % self.value
-        if self.op == Op.BV_SYMBOL:
+        if self.op is BV_SYMBOL:
             return "%s:%d" % (self.name, self.width)
-        if self.op == Op.EXTRACT:
+        if self.op is EXTRACT:
             return "Extract(%d,%d, %r)" % (self.params[0], self.params[1], self.args[0])
-        if self.op == Op.ZEXT:
+        if self.op is ZEXT:
             return "ZExt(%d, %r)" % (self.params[0], self.args[0])
         return "%s(%s)" % (self.op.value, ", ".join(repr(a) for a in self.args))
 
@@ -338,8 +350,8 @@ class BvSymbol(Expr):
     __slots__ = ()
 
 
-TRUE = BoolConst(Op.BOOL_CONST, sort=BOOL, value=True)
-FALSE = BoolConst(Op.BOOL_CONST, sort=BOOL, value=False)
+TRUE = BoolConst(BOOL_CONST, sort=BOOL, value=True)
+FALSE = BoolConst(BOOL_CONST, sort=BOOL, value=False)
 
 
 # -- constructors ----------------------------------------------------------
@@ -347,7 +359,7 @@ FALSE = BoolConst(Op.BOOL_CONST, sort=BOOL, value=False)
 
 def bv_const(value: int, width: int) -> Expr:
     """A bitvector constant of the given width (value taken modulo 2**width)."""
-    return BvConst(Op.BV_CONST, sort=BvSort(width), value=_mask(int(value), width))
+    return BvConst(BV_CONST, sort=BvSort(width), value=_mask(int(value), width))
 
 
 def bool_const(value: bool) -> Expr:
@@ -358,7 +370,7 @@ def bv_symbol(name: str, width: int = 8) -> Expr:
     """A free bitvector variable."""
     if not name:
         raise ValueError("symbol name must be non-empty")
-    return BvSymbol(Op.BV_SYMBOL, sort=BvSort(width), name=name)
+    return BvSymbol(BV_SYMBOL, sort=BvSort(width), name=name)
 
 
 def _require_bv(*exprs: Expr) -> None:
@@ -387,54 +399,54 @@ def _binop(op: Op, a: Expr, b: Expr) -> Expr:
 
 
 def add(a: Expr, b: Expr) -> Expr:
-    return _binop(Op.ADD, a, b)
+    return _binop(ADD, a, b)
 
 
 def sub(a: Expr, b: Expr) -> Expr:
-    return _binop(Op.SUB, a, b)
+    return _binop(SUB, a, b)
 
 
 def mul(a: Expr, b: Expr) -> Expr:
-    return _binop(Op.MUL, a, b)
+    return _binop(MUL, a, b)
 
 
 def udiv(a: Expr, b: Expr) -> Expr:
-    return _binop(Op.UDIV, a, b)
+    return _binop(UDIV, a, b)
 
 
 def urem(a: Expr, b: Expr) -> Expr:
-    return _binop(Op.UREM, a, b)
+    return _binop(UREM, a, b)
 
 
 def band(a: Expr, b: Expr) -> Expr:
-    return _binop(Op.AND, a, b)
+    return _binop(AND, a, b)
 
 
 def bor(a: Expr, b: Expr) -> Expr:
-    return _binop(Op.OR, a, b)
+    return _binop(OR, a, b)
 
 
 def bxor(a: Expr, b: Expr) -> Expr:
-    return _binop(Op.XOR, a, b)
+    return _binop(XOR, a, b)
 
 
 def bnot(a: Expr) -> Expr:
     _require_bv(a)
-    return Expr(Op.NOT, (a,), sort=a.sort)
+    return Expr(NOT, (a,), sort=a.sort)
 
 
 def shl(a: Expr, b: Expr) -> Expr:
-    return _binop(Op.SHL, a, b)
+    return _binop(SHL, a, b)
 
 
 def lshr(a: Expr, b: Expr) -> Expr:
-    return _binop(Op.LSHR, a, b)
+    return _binop(LSHR, a, b)
 
 
 def concat(high: Expr, low: Expr) -> Expr:
     """Concatenate two bitvectors; ``high`` supplies the most significant bits."""
     _require_bv(high, low)
-    return Expr(Op.CONCAT, (high, low), sort=BvSort(high.width + low.width))
+    return Expr(CONCAT, (high, low), sort=BvSort(high.width + low.width))
 
 
 def extract(expr: Expr, high_bit: int, low_bit: int) -> Expr:
@@ -445,7 +457,7 @@ def extract(expr: Expr, high_bit: int, low_bit: int) -> Expr:
             "invalid extract range [%d:%d] on width %d" % (high_bit, low_bit, expr.width)
         )
     return Expr(
-        Op.EXTRACT,
+        EXTRACT,
         (expr,),
         sort=BvSort(high_bit - low_bit + 1),
         params=(high_bit, low_bit),
@@ -459,27 +471,27 @@ def zext(expr: Expr, new_width: int) -> Expr:
         raise ValueError("cannot zero-extend width %d to %d" % (expr.width, new_width))
     if new_width == expr.width:
         return expr
-    return Expr(Op.ZEXT, (expr,), sort=BvSort(new_width), params=(new_width,))
+    return Expr(ZEXT, (expr,), sort=BvSort(new_width), params=(new_width,))
 
 
 def eq(a: Expr, b: Expr) -> Expr:
     _require_same_width(a, b)
-    return Expr(Op.EQ, (a, b), sort=BOOL)
+    return Expr(EQ, (a, b), sort=BOOL)
 
 
 def ne(a: Expr, b: Expr) -> Expr:
     _require_same_width(a, b)
-    return Expr(Op.NE, (a, b), sort=BOOL)
+    return Expr(NE, (a, b), sort=BOOL)
 
 
 def ult(a: Expr, b: Expr) -> Expr:
     _require_same_width(a, b)
-    return Expr(Op.ULT, (a, b), sort=BOOL)
+    return Expr(ULT, (a, b), sort=BOOL)
 
 
 def ule(a: Expr, b: Expr) -> Expr:
     _require_same_width(a, b)
-    return Expr(Op.ULE, (a, b), sort=BOOL)
+    return Expr(ULE, (a, b), sort=BOOL)
 
 
 def ugt(a: Expr, b: Expr) -> Expr:
@@ -492,12 +504,12 @@ def uge(a: Expr, b: Expr) -> Expr:
 
 def slt(a: Expr, b: Expr) -> Expr:
     _require_same_width(a, b)
-    return Expr(Op.SLT, (a, b), sort=BOOL)
+    return Expr(SLT, (a, b), sort=BOOL)
 
 
 def sle(a: Expr, b: Expr) -> Expr:
     _require_same_width(a, b)
-    return Expr(Op.SLE, (a, b), sort=BOOL)
+    return Expr(SLE, (a, b), sort=BOOL)
 
 
 def sgt(a: Expr, b: Expr) -> Expr:
@@ -515,7 +527,7 @@ def logical_and(*exprs: Expr) -> Expr:
         return TRUE
     out = exprs[0]
     for e in exprs[1:]:
-        out = Expr(Op.BOOL_AND, (out, e), sort=BOOL)
+        out = Expr(BOOL_AND, (out, e), sort=BOOL)
     return out
 
 
@@ -526,13 +538,13 @@ def logical_or(*exprs: Expr) -> Expr:
         return FALSE
     out = exprs[0]
     for e in exprs[1:]:
-        out = Expr(Op.BOOL_OR, (out, e), sort=BOOL)
+        out = Expr(BOOL_OR, (out, e), sort=BOOL)
     return out
 
 
 def logical_not(expr: Expr) -> Expr:
     _require_bool(expr)
-    return Expr(Op.BOOL_NOT, (expr,), sort=BOOL)
+    return Expr(BOOL_NOT, (expr,), sort=BOOL)
 
 
 def implies(a: Expr, b: Expr) -> Expr:
@@ -546,7 +558,7 @@ def ite(cond: Expr, then: Expr, otherwise: Expr) -> Expr:
         raise TypeError(
             "ite branch sorts differ: %r vs %r" % (then.sort, otherwise.sort)
         )
-    return Expr(Op.ITE, (cond, then, otherwise), sort=then.sort)
+    return Expr(ITE, (cond, then, otherwise), sort=then.sort)
 
 
 def concat_bytes(byte_exprs: Sequence[Expr]) -> Expr:
@@ -568,11 +580,11 @@ def evaluate(expr: Expr, assignment: Mapping[Expr, int],
     raises ``KeyError``.
     """
     op = expr.op
-    if op == Op.BV_CONST:
+    if op is BV_CONST:
         return expr.value
-    if op == Op.BOOL_CONST:
+    if op is BOOL_CONST:
         return expr.value
-    if op == Op.BV_SYMBOL:
+    if op is BV_SYMBOL:
         value = assignment.get(expr, default)
         if value is None:
             raise KeyError(expr)
@@ -580,55 +592,55 @@ def evaluate(expr: Expr, assignment: Mapping[Expr, int],
 
     args: List[Any] = [evaluate(a, assignment, default) for a in expr.args]
 
-    if op == Op.ADD:
+    if op is ADD:
         return _mask(args[0] + args[1], expr.width)
-    if op == Op.SUB:
+    if op is SUB:
         return _mask(args[0] - args[1], expr.width)
-    if op == Op.MUL:
+    if op is MUL:
         return _mask(args[0] * args[1], expr.width)
-    if op == Op.UDIV:
+    if op is UDIV:
         return expr.sort.mask if args[1] == 0 else _mask(args[0] // args[1], expr.width)
-    if op == Op.UREM:
+    if op is UREM:
         return args[0] if args[1] == 0 else _mask(args[0] % args[1], expr.width)
-    if op == Op.AND:
+    if op is AND:
         return args[0] & args[1]
-    if op == Op.OR:
+    if op is OR:
         return args[0] | args[1]
-    if op == Op.XOR:
+    if op is XOR:
         return args[0] ^ args[1]
-    if op == Op.NOT:
+    if op is NOT:
         return _mask(~args[0], expr.width)
-    if op == Op.SHL:
+    if op is SHL:
         return 0 if args[1] >= expr.width else _mask(args[0] << args[1], expr.width)
-    if op == Op.LSHR:
+    if op is LSHR:
         return 0 if args[1] >= expr.width else args[0] >> args[1]
-    if op == Op.CONCAT:
+    if op is CONCAT:
         return (args[0] << expr.args[1].width) | args[1]
-    if op == Op.EXTRACT:
+    if op is EXTRACT:
         high, low = expr.params
         return (args[0] >> low) & ((1 << (high - low + 1)) - 1)
-    if op == Op.ZEXT:
+    if op is ZEXT:
         return args[0]
-    if op == Op.EQ:
+    if op is EQ:
         return args[0] == args[1]
-    if op == Op.NE:
+    if op is NE:
         return args[0] != args[1]
-    if op == Op.ULT:
+    if op is ULT:
         return args[0] < args[1]
-    if op == Op.ULE:
+    if op is ULE:
         return args[0] <= args[1]
-    if op == Op.SLT:
+    if op is SLT:
         w = expr.args[0].width
         return to_signed(args[0], w) < to_signed(args[1], w)
-    if op == Op.SLE:
+    if op is SLE:
         w = expr.args[0].width
         return to_signed(args[0], w) <= to_signed(args[1], w)
-    if op == Op.BOOL_AND:
+    if op is BOOL_AND:
         return args[0] and args[1]
-    if op == Op.BOOL_OR:
+    if op is BOOL_OR:
         return args[0] or args[1]
-    if op == Op.BOOL_NOT:
+    if op is BOOL_NOT:
         return not args[0]
-    if op == Op.ITE:
+    if op is ITE:
         return args[1] if args[0] else args[2]
     raise NotImplementedError("evaluate: unhandled operator %r" % op)

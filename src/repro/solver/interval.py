@@ -15,7 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from repro.solver.expr import Expr, Op, to_signed
+from repro.solver.expr import (
+    ADD, AND, BOOL_AND, BOOL_CONST, BOOL_NOT, BOOL_OR, BV_CONST, BV_SYMBOL,
+    CONCAT, EQ, EXTRACT, ITE, LSHR, MUL, NE, NOT, OR, SHL, SLE, SLT, SUB, UDIV,
+    ULE, ULT, UREM, XOR, ZEXT, Expr, Op, to_signed,
+)
 
 
 @dataclass(frozen=True)
@@ -61,52 +65,52 @@ MAYBE = None
 def interval_of(expr: Expr, bounds: Dict[Expr, Interval]) -> Interval:
     """Over-approximate the value range of a bitvector expression."""
     op = expr.op
-    if op == Op.BV_CONST:
+    if op is BV_CONST:
         return Interval(expr.value, expr.value)
-    if op == Op.BV_SYMBOL:
+    if op is BV_SYMBOL:
         got = bounds.get(expr)
         return got if got is not None else full_interval(expr.width)
 
     width = expr.width if expr.is_bv else None
     mask = (1 << width) - 1 if width is not None else None
 
-    if op == Op.ADD:
+    if op is ADD:
         a = interval_of(expr.args[0], bounds)
         b = interval_of(expr.args[1], bounds)
         lo, hi = a.lo + b.lo, a.hi + b.hi
         if hi <= mask:
             return Interval(lo, hi)
         return full_interval(width)
-    if op == Op.SUB:
+    if op is SUB:
         a = interval_of(expr.args[0], bounds)
         b = interval_of(expr.args[1], bounds)
         lo, hi = a.lo - b.hi, a.hi - b.lo
         if lo >= 0:
             return Interval(lo, hi)
         return full_interval(width)
-    if op == Op.MUL:
+    if op is MUL:
         a = interval_of(expr.args[0], bounds)
         b = interval_of(expr.args[1], bounds)
         hi = a.hi * b.hi
         if hi <= mask:
             return Interval(a.lo * b.lo, hi)
         return full_interval(width)
-    if op == Op.UDIV:
+    if op is UDIV:
         a = interval_of(expr.args[0], bounds)
         b = interval_of(expr.args[1], bounds)
         if b.lo > 0:
             return Interval(a.lo // b.hi, a.hi // b.lo)
         return full_interval(width)
-    if op == Op.UREM:
+    if op is UREM:
         b = interval_of(expr.args[1], bounds)
         if b.hi > 0:
             return Interval(0, b.hi - 1 if b.lo > 0 else mask)
         return full_interval(width)
-    if op in (Op.AND,):
+    if op is AND:
         a = interval_of(expr.args[0], bounds)
         b = interval_of(expr.args[1], bounds)
         return Interval(0, min(a.hi, b.hi))
-    if op in (Op.OR, Op.XOR):
+    if op in (OR, XOR):
         a = interval_of(expr.args[0], bounds)
         b = interval_of(expr.args[1], bounds)
         # Upper bound: smallest all-ones mask covering both.
@@ -114,31 +118,31 @@ def interval_of(expr: Expr, bounds: Dict[Expr, Interval]) -> Interval:
         while cover - 1 < max(a.hi, b.hi):
             cover <<= 1
         return Interval(0, min(mask, cover - 1))
-    if op == Op.NOT:
+    if op is NOT:
         a = interval_of(expr.args[0], bounds)
         return Interval(mask - a.hi, mask - a.lo)
-    if op == Op.SHL:
+    if op is SHL:
         return full_interval(width)
-    if op == Op.LSHR:
+    if op is LSHR:
         a = interval_of(expr.args[0], bounds)
         b = interval_of(expr.args[1], bounds)
         if b.is_point and b.lo < width:
             return Interval(a.lo >> b.lo, a.hi >> b.lo)
         return Interval(0, a.hi)
-    if op == Op.CONCAT:
+    if op is CONCAT:
         a = interval_of(expr.args[0], bounds)
         b = interval_of(expr.args[1], bounds)
         low_width = expr.args[1].width
         return Interval((a.lo << low_width) + b.lo, (a.hi << low_width) + b.hi)
-    if op == Op.EXTRACT:
+    if op is EXTRACT:
         high, low = expr.params
         a = interval_of(expr.args[0], bounds)
         if low == 0 and a.hi <= (1 << (high + 1)) - 1:
             return a
         return full_interval(width)
-    if op == Op.ZEXT:
+    if op is ZEXT:
         return interval_of(expr.args[0], bounds)
-    if op == Op.ITE:
+    if op is ITE:
         cond = truth_of(expr.args[0], bounds)
         if cond is True:
             return interval_of(expr.args[1], bounds)
@@ -153,38 +157,38 @@ def interval_of(expr: Expr, bounds: Dict[Expr, Interval]) -> Interval:
 def truth_of(expr: Expr, bounds: Dict[Expr, Interval]) -> Optional[bool]:
     """Three-valued truth of a boolean expression (None means unknown)."""
     op = expr.op
-    if op == Op.BOOL_CONST:
+    if op is BOOL_CONST:
         return bool(expr.value)
-    if op in (Op.EQ, Op.NE, Op.ULT, Op.ULE):
+    if op in (EQ, NE, ULT, ULE):
         a = interval_of(expr.args[0], bounds)
         b = interval_of(expr.args[1], bounds)
         if a.is_empty or b.is_empty:
             return None
-        if op == Op.EQ:
+        if op is EQ:
             if a.is_point and b.is_point:
                 return a.lo == b.lo
             if a.intersect(b).is_empty:
                 return False
             return MAYBE
-        if op == Op.NE:
+        if op is NE:
             if a.is_point and b.is_point:
                 return a.lo != b.lo
             if a.intersect(b).is_empty:
                 return True
             return MAYBE
-        if op == Op.ULT:
+        if op is ULT:
             if a.hi < b.lo:
                 return True
             if a.lo >= b.hi:
                 return False
             return MAYBE
-        if op == Op.ULE:
+        if op is ULE:
             if a.hi <= b.lo:
                 return True
             if a.lo > b.hi:
                 return False
             return MAYBE
-    if op in (Op.SLT, Op.SLE):
+    if op in (SLT, SLE):
         # Only decide when both operand intervals stay within one sign half.
         width = expr.args[0].width
         half = 1 << (width - 1)
@@ -194,7 +198,7 @@ def truth_of(expr: Expr, bounds: Dict[Expr, Interval]) -> Optional[bool]:
         if same_half:
             sa = Interval(to_signed(a.lo, width), to_signed(a.hi, width))
             sb = Interval(to_signed(b.lo, width), to_signed(b.hi, width))
-            if op == Op.SLT:
+            if op is SLT:
                 if sa.hi < sb.lo:
                     return True
                 if sa.lo >= sb.hi:
@@ -205,7 +209,7 @@ def truth_of(expr: Expr, bounds: Dict[Expr, Interval]) -> Optional[bool]:
                 if sa.lo > sb.hi:
                     return False
         return MAYBE
-    if op == Op.BOOL_AND:
+    if op is BOOL_AND:
         a = truth_of(expr.args[0], bounds)
         b = truth_of(expr.args[1], bounds)
         if a is False or b is False:
@@ -213,7 +217,7 @@ def truth_of(expr: Expr, bounds: Dict[Expr, Interval]) -> Optional[bool]:
         if a is True and b is True:
             return True
         return MAYBE
-    if op == Op.BOOL_OR:
+    if op is BOOL_OR:
         a = truth_of(expr.args[0], bounds)
         b = truth_of(expr.args[1], bounds)
         if a is True or b is True:
@@ -221,12 +225,12 @@ def truth_of(expr: Expr, bounds: Dict[Expr, Interval]) -> Optional[bool]:
         if a is False and b is False:
             return False
         return MAYBE
-    if op == Op.BOOL_NOT:
+    if op is BOOL_NOT:
         a = truth_of(expr.args[0], bounds)
         if a is None:
             return MAYBE
         return not a
-    if op == Op.ITE:
+    if op is ITE:
         cond = truth_of(expr.args[0], bounds)
         if cond is True:
             return truth_of(expr.args[1], bounds)
@@ -249,7 +253,7 @@ def refine_bounds(
     new_bounds = dict(bounds)
 
     def strip(e: Expr) -> Expr:
-        while e.op == Op.ZEXT:
+        while e.op is ZEXT:
             e = e.args[0]
         return e
 
@@ -262,7 +266,7 @@ def refine_bounds(
             changed = True
 
     op = constraint.op
-    if op in (Op.EQ, Op.NE, Op.ULT, Op.ULE):
+    if op in (EQ, NE, ULT, ULE):
         lhs, rhs = constraint.args
         lhs_s, rhs_s = strip(lhs), strip(rhs)
         lhs_iv = interval_of(lhs, bounds)
@@ -273,7 +277,7 @@ def refine_bounds(
         if rhs_s.is_symbol:
             refine(rhs_s, _bound_from_cmp(op, lhs_iv, lhs_side=False,
                                           width=rhs_s.width))
-    elif op == Op.BOOL_AND:
+    elif op is BOOL_AND:
         for arg in constraint.args:
             new_bounds, sub_changed = refine_bounds(arg, new_bounds)
             changed = changed or sub_changed
@@ -286,9 +290,9 @@ def _bound_from_cmp(op: Op, other: Interval, lhs_side: bool, width: int) -> Inte
     full = full_interval(width)
     if other.is_empty:
         return full
-    if op == Op.EQ:
+    if op is EQ:
         return Interval(other.lo, other.hi)
-    if op == Op.NE:
+    if op is NE:
         if other.is_point:
             # Can only trim when the excluded point is at an end of the domain.
             if other.lo == 0:
@@ -296,11 +300,11 @@ def _bound_from_cmp(op: Op, other: Interval, lhs_side: bool, width: int) -> Inte
             if other.lo == full.hi:
                 return Interval(0, full.hi - 1)
         return full
-    if op == Op.ULT:
+    if op is ULT:
         if lhs_side:   # sym < other
             return Interval(0, other.hi - 1)
         return Interval(other.lo + 1, full.hi)  # other < sym
-    if op == Op.ULE:
+    if op is ULE:
         if lhs_side:   # sym <= other
             return Interval(0, other.hi)
         return Interval(other.lo, full.hi)      # other <= sym

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import FrozenSet, Iterable, Iterator, Tuple
 
-from repro.solver.expr import Expr, Op
+from repro.solver.expr import BOOL_CONST, Expr
 from repro.solver.independence import Group, grouped
 from repro.solver.simplify import conjuncts, simplify
 
@@ -72,7 +72,7 @@ class PathConstraint:
         self.constraints += (constraint,)
         self._members = self._members.union((constraint,))
         for conjunct in conjuncts(simplify(constraint)):
-            if conjunct.op == Op.BOOL_CONST:
+            if conjunct.op is BOOL_CONST:
                 if not conjunct.value:
                     self.is_false = True
                 continue

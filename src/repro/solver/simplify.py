@@ -18,14 +18,9 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from repro.solver.expr import (
-    BOOL,
-    Expr,
-    Op,
-    TRUE,
-    FALSE,
-    bool_const,
-    bv_const,
-    evaluate,
+    ADD, AND, BOOL, BOOL_AND, BOOL_NOT, BOOL_OR, BV_CONST, EQ, EXTRACT, FALSE,
+    ITE, LSHR, MUL, NE, OR, SHL, SLE, SLT, SUB, TRUE, ULE, ULT, XOR, ZEXT,
+    Expr, bool_const, bv_const, evaluate,
 )
 
 
@@ -63,38 +58,49 @@ def simplify(expr: Expr) -> Expr:
 
 
 def _is_zero(e: Expr) -> bool:
-    return e.op == Op.BV_CONST and e.value == 0
+    return e.op is BV_CONST and e.value == 0
 
 
 def _is_all_ones(e: Expr) -> bool:
-    return e.op == Op.BV_CONST and e.value == e.sort.mask
+    return e.op is BV_CONST and e.value == e.sort.mask
+
+
+#: The comparison a negated one becomes (its operands swapped when ordered).
+_NEGATED = {
+    EQ: NE,
+    NE: EQ,
+    ULT: ULE,   # not(a < b)  -> b <= a
+    ULE: ULT,   # not(a <= b) -> b < a
+    SLT: SLE,
+    SLE: SLT,
+}
 
 
 def _apply_identities(expr: Expr) -> Expr:
     op = expr.op
     args = expr.args
 
-    if op == Op.ADD:
+    if op is ADD:
         a, b = args
         if _is_zero(a):
             return b
         if _is_zero(b):
             return a
-    elif op == Op.SUB:
+    elif op is SUB:
         a, b = args
         if _is_zero(b):
             return a
         if a == b:
             return bv_const(0, expr.width)
-    elif op == Op.MUL:
+    elif op is MUL:
         a, b = args
         if _is_zero(a) or _is_zero(b):
             return bv_const(0, expr.width)
-        if a.op == Op.BV_CONST and a.value == 1:
+        if a.op is BV_CONST and a.value == 1:
             return b
-        if b.op == Op.BV_CONST and b.value == 1:
+        if b.op is BV_CONST and b.value == 1:
             return a
-    elif op == Op.AND:
+    elif op is AND:
         a, b = args
         if _is_zero(a) or _is_zero(b):
             return bv_const(0, expr.width)
@@ -104,7 +110,7 @@ def _apply_identities(expr: Expr) -> Expr:
             return a
         if a == b:
             return a
-    elif op == Op.OR:
+    elif op is OR:
         a, b = args
         if _is_zero(a):
             return b
@@ -114,7 +120,7 @@ def _apply_identities(expr: Expr) -> Expr:
             return bv_const(expr.sort.mask, expr.width)
         if a == b:
             return a
-    elif op == Op.XOR:
+    elif op is XOR:
         a, b = args
         if a == b:
             return bv_const(0, expr.width)
@@ -122,22 +128,22 @@ def _apply_identities(expr: Expr) -> Expr:
             return b
         if _is_zero(b):
             return a
-    elif op in (Op.SHL, Op.LSHR):
+    elif op in (SHL, LSHR):
         a, b = args
         if _is_zero(b):
             return a
         if _is_zero(a):
             return bv_const(0, expr.width)
-    elif op == Op.ZEXT:
+    elif op is ZEXT:
         (a,) = args
-        if a.op == Op.ZEXT:
-            return Expr(Op.ZEXT, (a.args[0],), sort=expr.sort, params=expr.params)
-    elif op == Op.EXTRACT:
+        if a.op is ZEXT:
+            return Expr(ZEXT, (a.args[0],), sort=expr.sort, params=expr.params)
+    elif op is EXTRACT:
         (a,) = args
         high, low = expr.params
         if low == 0 and high == a.width - 1:
             return a
-    elif op == Op.EQ:
+    elif op is EQ:
         a, b = args
         if a == b:
             return TRUE
@@ -147,7 +153,7 @@ def _apply_identities(expr: Expr) -> Expr:
         folded = _fold_ite_comparison(b, a, negate=False)
         if folded is not None:
             return folded
-    elif op == Op.NE:
+    elif op is NE:
         a, b = args
         if a == b:
             return FALSE
@@ -157,27 +163,27 @@ def _apply_identities(expr: Expr) -> Expr:
         folded = _fold_ite_comparison(b, a, negate=True)
         if folded is not None:
             return folded
-    elif op == Op.ULT:
+    elif op is ULT:
         a, b = args
         if a == b:
             return FALSE
         if _is_zero(b):
             return FALSE
-    elif op == Op.ULE:
+    elif op is ULE:
         a, b = args
         if a == b:
             return TRUE
         if _is_zero(a):
             return TRUE
-    elif op in (Op.SLT,):
+    elif op is SLT:
         a, b = args
         if a == b:
             return FALSE
-    elif op in (Op.SLE,):
+    elif op is SLE:
         a, b = args
         if a == b:
             return TRUE
-    elif op == Op.BOOL_AND:
+    elif op is BOOL_AND:
         a, b = args
         if a == FALSE or b == FALSE:
             return FALSE
@@ -187,7 +193,7 @@ def _apply_identities(expr: Expr) -> Expr:
             return a
         if a == b:
             return a
-    elif op == Op.BOOL_OR:
+    elif op is BOOL_OR:
         a, b = args
         if a == TRUE or b == TRUE:
             return TRUE
@@ -197,28 +203,20 @@ def _apply_identities(expr: Expr) -> Expr:
             return a
         if a == b:
             return a
-    elif op == Op.BOOL_NOT:
+    elif op is BOOL_NOT:
         (a,) = args
         if a == TRUE:
             return FALSE
         if a == FALSE:
             return TRUE
-        if a.op == Op.BOOL_NOT:
+        if a.op is BOOL_NOT:
             return a.args[0]
         # Push negation into comparisons: not(a == b) -> a != b, etc.
-        negations = {
-            Op.EQ: Op.NE,
-            Op.NE: Op.EQ,
-            Op.ULT: Op.ULE,   # not(a < b)  -> b <= a
-            Op.ULE: Op.ULT,   # not(a <= b) -> b < a
-            Op.SLT: Op.SLE,
-            Op.SLE: Op.SLT,
-        }
-        if a.op in (Op.EQ, Op.NE):
-            return Expr(negations[a.op], a.args, sort=a.sort)
-        if a.op in (Op.ULT, Op.ULE, Op.SLT, Op.SLE):
-            return Expr(negations[a.op], (a.args[1], a.args[0]), sort=a.sort)
-    elif op == Op.ITE:
+        if a.op in (EQ, NE):
+            return Expr(_NEGATED[a.op], a.args, sort=a.sort)
+        if a.op in (ULT, ULE, SLT, SLE):
+            return Expr(_NEGATED[a.op], (a.args[1], a.args[0]), sort=a.sort)
+    elif op is ITE:
         cond, then, otherwise = args
         if cond == TRUE:
             return then
@@ -238,10 +236,10 @@ def _fold_ite_comparison(lhs: Expr, rhs: Expr, negate: bool) -> Optional[Expr]:
     path constraints flat, which is the single most important simplification
     for solver performance on parser-style code.
     """
-    if lhs.op != Op.ITE or rhs.op != Op.BV_CONST:
+    if lhs.op is not ITE or rhs.op is not BV_CONST:
         return None
     cond, then_branch, else_branch = lhs.args
-    if then_branch.op != Op.BV_CONST or else_branch.op != Op.BV_CONST:
+    if then_branch.op is not BV_CONST or else_branch.op is not BV_CONST:
         return None
     then_matches = then_branch.value == rhs.value
     else_matches = else_branch.value == rhs.value
@@ -249,7 +247,7 @@ def _fold_ite_comparison(lhs: Expr, rhs: Expr, negate: bool) -> Optional[Expr]:
         # eq -> cond; ne -> not cond.
         result = cond
     elif else_matches and not then_matches:
-        result = _apply_identities(Expr(Op.BOOL_NOT, (cond,), sort=BOOL))
+        result = _apply_identities(Expr(BOOL_NOT, (cond,), sort=BOOL))
     elif not then_matches and not else_matches:
         # Never equal to the constant.
         result = FALSE
@@ -261,19 +259,19 @@ def _fold_ite_comparison(lhs: Expr, rhs: Expr, negate: bool) -> Optional[Expr]:
             return FALSE
         if result is FALSE:
             return TRUE
-        return _apply_identities(Expr(Op.BOOL_NOT, (result,), sort=BOOL))
+        return _apply_identities(Expr(BOOL_NOT, (result,), sort=BOOL))
     return result
 
 
 def conjuncts(expr: Expr) -> "list[Expr]":
     """Split a boolean expression into its top-level conjuncts."""
-    if expr.op != Op.BOOL_AND:
+    if expr.op is not BOOL_AND:
         return [expr]
     out: list[Expr] = []
     stack = [expr]
     while stack:
         node = stack.pop()
-        if node.op == Op.BOOL_AND:
+        if node.op is BOOL_AND:
             stack.extend(node.args)
         else:
             out.append(node)

@@ -31,7 +31,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obs.metrics import Histogram
 from repro.solver.cache import ConstraintCache, CounterexampleCache, QueryKey, query_key
-from repro.solver.expr import Expr, Op, evaluate
+from repro.solver.expr import BOOL_NOT, Expr, evaluate
 from repro.solver.independence import Group
 from repro.solver.interval import Interval, full_interval, refine_bounds, truth_of
 from repro.solver.model import Model
@@ -343,7 +343,7 @@ class Solver:
         # condition) is unsatisfiable without any search.
         constraint_set = set(constraints)
         for c in constraints:
-            negated = simplify(Expr(Op.BOOL_NOT, (c,), sort=c.sort))
+            negated = simplify(Expr(BOOL_NOT, (c,), sort=c.sort))
             if negated in constraint_set:
                 return None
 

@@ -177,6 +177,32 @@ class TestClusterCheckpoint:
         assert restored == checkpoint
         assert restored.frontier_paths == [(0, 1), (2,)]
 
+    def test_bytes_tuple_and_dict_parameters_survive_save_and_load(self,
+                                                                    tmp_path):
+        """A curl-glob checkpoint carries ``prefix=b"..."``: every plain
+        parameter comes back as the type it was saved as."""
+        params = {"prefix": b"http://{", "pair": (1, "a", (b"",)),
+                  "nested": {"k": [b"x", None, 2.5]}, "flag": True,
+                  "count": 3, "name": "n", "list": [1, [2]], "empty": {}}
+        checkpoint = self._checkpoint()
+        checkpoint.spec_params = params
+        path = str(tmp_path / "checkpoint.json")
+        checkpoint.save(path)
+        restored = ClusterCheckpoint.load(path)
+        assert restored == checkpoint
+        assert restored.spec_params == params
+        for key, value in params.items():
+            assert type(restored.spec_params[key]) is type(value), key
+        assert type(restored.spec_params["pair"][2]) is tuple
+        assert type(restored.spec_params["nested"]["k"][0]) is bytes
+
+    def test_a_parameter_that_is_not_plain_data_is_named_on_save(self):
+        checkpoint = self._checkpoint()
+        checkpoint.spec_params = {"when": object()}
+        with pytest.raises(TypeError, match=r"spec parameter 'when': "
+                                            r"<object object .*> is not plain"):
+            checkpoint.to_json()
+
     def test_a_checkpoint_in_another_format_is_refused_by_name(self):
         """A checkpoint from an older tree, with keys this one dropped, is a
         ValueError naming both formats and those keys, not a constructor
@@ -227,6 +253,8 @@ class TestClusterCheckpoint:
          "'no_such_kind' is not a valid BugKind"),
         ("test_cases", [{"inputs": {"in": "zz"}}],
          "ValueError: non-hexadecimal number"),
+        ("spec_params", {"p": {"a": 1}}, "untagged object {'a': 1}"),
+        ("spec_params", {"p": {"bytes": "q"}}, "expected hex bytes, got 'q'"),
     ])
     def test_a_field_of_the_wrong_kind_is_named(self, key, value, says):
         payload = json.loads(self._checkpoint().to_json())

@@ -98,6 +98,23 @@ class TestHangDetection:
         result = make_executor(program, config=config).run()
         assert not result.bugs
 
+    def test_a_limit_reached_after_a_thread_returned_names_no_function(self):
+        """At limit 7 the path runs out on the step right after the worker
+        thread returned from its bottom frame: the current thread has an
+        empty stack and is waiting for the scheduler."""
+        program = two_thread_program(
+            L.store(L.var("shared"), 0, 11),
+            L.ret(0),
+        )
+        functions = {}
+        for limit in (6, 7, 8):
+            config = EngineConfig(max_instructions_per_path=limit)
+            result = make_executor(program, config=config).run()
+            assert result.paths_completed == 1
+            functions[limit] = [bug.function for bug in result.bugs
+                                if bug.kind == BugKind.INFINITE_LOOP]
+        assert functions == {6: ["worker"], 7: [None], 8: []}
+
 
 class TestScheduleForking:
     def test_fork_all_explores_interleavings(self):

@@ -1,10 +1,15 @@
 """What one step costs, counted rather than timed.
 
-Both guards count events that repeat exactly from run to run, so they hold on
-a noisy runner: the Python-level calls one instruction takes (32.1 with the
-tree-walking interpreter, 19.6 decoded), and the set elements the coverage
-books copy or scan per step, which must not grow with the length of the path.
+These guards count events that repeat exactly from run to run, so they hold
+on a noisy runner: the Python-level calls one instruction takes (32.1 with
+the tree-walking interpreter, 16.15 decoded, 15.14 once a straight-line step
+no longer reaches ``Explorer._graft``), the calls one random-path select
+makes (35.1 when every level built a list, 17.0 walking two-way forks
+without one), and the set elements the coverage books copy or scan per step,
+which must not grow with the length of the path.
 """
+
+import os
 
 from repro import lang as L
 from repro.distrib import specs
@@ -22,7 +27,23 @@ def test_python_calls_per_instruction_stay_under_the_decoded_budget():
         result = test.run(backend="single", strategy=strategy,
                           limits=ExplorationLimits(max_instructions=20_000))
     assert result.useful_instructions == 20_000
-    assert sum(calls.values()) / result.useful_instructions <= 24
+    assert sum(calls.values()) / result.useful_instructions <= 16
+
+
+def test_python_calls_per_random_path_select_stay_under_the_walk_budget():
+    """Calls in the strategy and in ``random`` only: the walk itself and
+    one ``_randbelow`` per level (the frontier's ``in`` check is not
+    counted)."""
+    test = specs.resolve_test("printf", format_length=4)
+    strategy = make_strategy("random_path", program=test.program)
+    with python_calls() as calls:
+        result = test.run(backend="single", strategy=strategy,
+                          limits=ExplorationLimits(max_instructions=15_000))
+    assert result.steps == 15_000
+    walk = sum(count for path, count in calls.items()
+               if path.endswith((os.path.join("engine", "strategies.py"),
+                                 os.sep + "random.py")))
+    assert walk / result.steps <= 18
 
 
 class CountingSet(set):

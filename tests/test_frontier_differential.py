@@ -5,8 +5,9 @@ candidates, sorted it by ``node_id`` and, for the coverage-optimised searcher,
 weighed every node and walked the cumulative weights.  That code lives on
 here as the *reference*: every ``select`` of a run is answered twice -- by
 the reference on a cloned RNG and by the strategy itself -- and must return
-the same node object; every ``export_jobs`` must give away the nodes the old
-``sorted(..., key=-node_id)`` expression named.  The random-path walk is
+the same node object and leave the RNG where the clone ended; every
+``export_jobs`` must give away the nodes the old ``sorted(...,
+key=-node_id)`` expression named.  The random-path walk is
 checked the same way against its plain form (a sort and a ``randrange`` at
 every level), so a changed draw fails here.  Runs cover the single engine,
 in-process clusters (imports, replays, exports) and the death sweep of
@@ -62,8 +63,7 @@ def reference_weight(strategy, node):
     return 1.0
 
 
-def reference_coverage_optimized(strategy, candidates):
-    rng = _cloned(strategy._rng)
+def reference_coverage_optimized(strategy, candidates, rng):
     ordered = sorted(candidates, key=lambda n: n.node_id)
     weights = [reference_weight(strategy, n) for n in ordered]
     total = sum(weights)
@@ -76,15 +76,15 @@ def reference_coverage_optimized(strategy, candidates):
     return ordered[-1]
 
 
-def reference_random_state(strategy, candidates):
+def reference_random_state(strategy, candidates, rng):
     ordered = sorted(candidates, key=lambda n: n.node_id)
-    return ordered[_cloned(strategy._rng).randrange(len(ordered))]
+    return ordered[rng.randrange(len(ordered))]
 
 
-def reference_random_path(strategy, candidates):
+def reference_random_path(strategy, candidates, rng):
     """KLEE's walk from the root: at every level sort the children, keep the
-    ones with candidates below, draw with ``randrange``."""
-    rng = _cloned(strategy._rng)
+    ones with candidates below, draw with ``randrange`` (also where only one
+    child is left)."""
     node = candidates[0]
     while node.parent is not None:
         node = node.parent
@@ -99,15 +99,15 @@ def reference_random_path(strategy, candidates):
         node = children[rng.randrange(len(children))]
 
 
-def reference_dfs(strategy, candidates):
+def reference_dfs(strategy, candidates, rng):
     return max(candidates, key=lambda n: n.node_id)
 
 
-def reference_bfs(strategy, candidates):
+def reference_bfs(strategy, candidates, rng):
     return min(candidates, key=lambda n: n.node_id)
 
 
-def reference_fewest_faults_first(strategy, candidates):
+def reference_fewest_faults_first(strategy, candidates, rng):
     def fault_count(node):
         state = node.state
         if state is None:
@@ -136,7 +136,11 @@ REFERENCES = {
 
 @pytest.fixture
 def checked(monkeypatch):
-    """Answer every select and export twice; count the comparisons made."""
+    """Answer every select and export twice; count the comparisons made.
+
+    A strategy that draws must leave its RNG where the reference left the
+    clone it drew from: the same pick made with a different number of
+    draws fails here, not later in the oracle."""
     compared = Counter()
     for cls, reference in REFERENCES.items():
         def select(self, tree, candidates, _real=cls.select,
@@ -145,9 +149,14 @@ def checked(monkeypatch):
             # frontier's order, only its membership.
             members = list(candidates)
             random.Random(len(members)).shuffle(members)
-            expected = _reference(self, members)
+            own_rng = getattr(self, "_rng", None)
+            clone = None if own_rng is None else _cloned(own_rng)
+            expected = _reference(self, members, clone)
             chosen = _real(self, tree, candidates)
             assert chosen is expected, (_name, compared[_name])
+            if clone is not None:
+                assert own_rng.getstate() == clone.getstate(), (
+                    _name, compared[_name])
             compared[_name] += 1
             return chosen
 
