@@ -59,8 +59,7 @@ def _explore(use_caches: bool):
     solver = Solver(SolverConfig(use_constraint_cache=use_caches,
                                  use_counterexample_cache=use_caches))
     executor = SymbolicExecutor(test.program, solver=solver)
-    executor.run(initial_state=lambda: executor.make_initial_state(),
-                 strategy="interleaved", max_steps=STEP_BUDGET)
+    executor.run(strategy="interleaved", max_steps=STEP_BUDGET)
     return solver
 
 
@@ -68,16 +67,15 @@ def _replay_rebuilds_cache():
     """Explore on a source executor, replay one deep path on a destination."""
     test = printf.make_symbolic_test(format_length=FORMAT_LENGTH)
     source = SymbolicExecutor(test.program)
-    result = source.run(initial_state=lambda: source.make_initial_state(),
-                        strategy="dfs", max_steps=STEP_BUDGET // 3)
+    result = source.run(strategy="dfs", max_steps=STEP_BUDGET // 3)
     # Pick the longest completed path as the "transferred job".
-    fork_traces = [tc.fork_trace for tc in source.test_cases if tc.fork_trace]
+    fork_traces = [tc.fork_trace for tc in result.test_cases if tc.fork_trace]
     if not fork_traces:
         return 0.0, result
     path = max(fork_traces, key=len)
 
     destination = SymbolicExecutor(test.program)
-    replay_path(destination, lambda ex: ex.make_initial_state(), list(path))
+    replay_path(destination, destination.make_initial_state(), list(path))
     stats = destination.solver.cache_stats
     return stats["constraint_cache_hit_rate"], result
 

@@ -107,7 +107,7 @@ class SingleRunner:
                             % ", ".join(sorted(options)))
         executor = test.build_executor()
         result = executor.run(
-            initial_state=lambda: test.build_initial_state(executor),
+            initial_state=test.build_initial_state(executor),
             strategy=strategy or test.strategy,
             limits=limits,
         )

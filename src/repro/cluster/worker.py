@@ -13,7 +13,10 @@ exploration frontier.  A worker:
 
 * explores materialized candidates with :meth:`Explorer.step_node
   <repro.engine.explorer.Explorer.step_node>`,
-* lazily replays virtual candidates received in jobs,
+* lazily replays virtual candidates received in jobs, each from a fork of
+  the pristine initial state the worker was built with
+  (:meth:`Worker._materialize` is the only place a node gets a state that
+  ``step_node`` did not produce),
 * exports candidate nodes as path-encoded jobs when asked by the load
   balancer (the exported node becomes a fence node locally),
 * imports job trees from other workers (their leaves become virtual
@@ -26,7 +29,7 @@ How a worker hears from the coordinator -- commands in, status replies out
 from __future__ import annotations
 
 from itertools import islice
-from typing import Callable, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.cluster.jobs import Job, JobTree
 from repro.cluster.replay import replay_path
@@ -38,8 +41,6 @@ from repro.engine.state import ExecutionState
 from repro.engine.strategies import SearchStrategy, make_strategy
 from repro.engine.tree import VIRTUAL, NodeLife, NodeStatus, TreeNode
 
-StateFactory = Callable[[SymbolicExecutor], ExecutionState]
-
 #: Strategy used when neither a config nor a symbolic test names one.
 DEFAULT_STRATEGY = "interleaved"
 
@@ -48,13 +49,15 @@ class Worker(Explorer):
     """One cluster node running an independent symbolic execution engine."""
 
     def __init__(self, worker_id: int, executor: SymbolicExecutor,
-                 state_factory: StateFactory,
+                 initial_state: ExecutionState,
                  strategy: Optional[SearchStrategy] = None,
                  strategy_name: str = DEFAULT_STRATEGY):
         if worker_id < 1:
             raise ValueError("worker ids start at 1")
         self.worker_id = worker_id
-        self.state_factory = state_factory
+        # Pristine: never stepped, only forked -- the seed and every replay
+        # start from a fork of it.
+        self.initial_state = initial_state
         # Before Explorer.__init__: ``paths_completed`` lives on the stats.
         self.stats = WorkerStats(worker_id=worker_id)
         super().__init__(executor, strategy or make_strategy(
@@ -94,8 +97,9 @@ class Worker(Explorer):
     # -- seeding -----------------------------------------------------------------------
 
     def seed(self) -> None:
-        """Receive the initial job covering the entire execution tree (§3.1)."""
-        self.seed_state(self.state_factory(self.executor))
+        """Receive the initial job covering the entire execution tree (§3.1),
+        on a fork of the pristine initial state."""
+        self.seed_state(self.initial_state.fork())
 
     # -- exploration -------------------------------------------------------------------
 
@@ -111,7 +115,7 @@ class Worker(Explorer):
         while consumed < instruction_budget and self.frontier:
             node = self.strategy.select(self.tree, self.frontier)
             if node.status is VIRTUAL:
-                consumed += self._replay_node(node)
+                consumed += self._materialize(node)
                 continue
             instructions = self.step_node(node).instructions
             if instructions:
@@ -126,36 +130,39 @@ class Worker(Explorer):
         self.coverage_view.cover(lines)
         super().new_lines(lines)
 
-    # -- replay of virtual nodes ------------------------------------------------------------
+    # -- materializing nodes ----------------------------------------------------------------
 
-    def _replay_node(self, node: TreeNode) -> int:
-        """Materialize a virtual candidate by replaying its path from the root."""
+    def _materialize(self, node: TreeNode) -> int:
+        """Put on ``node`` a state that :meth:`step_node` did not produce.
+
+        A materialized node kept its state (a revived fence, or a job that
+        bounced back) and is adopted as it is.  A virtual one is replayed
+        from a fork of the pristine initial state along its whole path; the
+        replay is booked as replay work, its interiors are marked dead and
+        its off-path siblings fenced (§3.2).  Returns the budget the replay
+        consumed.
+        """
+        if node.is_materialized:
+            self.adopt(node)
+            return 0
         path = node.path_from_root()
-        self.stats.replays += 1
-
-        bugs_before = len(self.executor.bugs)
-        tests_before = len(self.executor.test_cases)
-        paths_before = self.executor.paths_completed
-        instructions_before = self.executor.total_instructions
-        solver_stats = self.executor.solver.stats
+        stats, executor = self.stats, self.executor
+        stats.replays += 1
+        instructions_before = executor.total_instructions
+        solver_stats = executor.solver.stats
         queries_before = solver_stats.queries
         cache_hits_before = solver_stats.cache_hits
 
-        outcome = replay_path(self.executor, self.state_factory, path)
+        outcome = replay_path(executor, self.initial_state.fork(), path)
 
-        # Work done during replay is accounted as replay (non-useful) work,
-        # and anything "discovered" along the replayed prefix was already
-        # discovered by the worker that explored it first.
-        del self.executor.bugs[bugs_before:]
-        del self.executor.test_cases[tests_before:]
-        self.executor.paths_completed = paths_before
-        replayed = self.executor.total_instructions - instructions_before
-        self.stats.replay_instructions += replayed
-        self.stats.replay_solver_queries += solver_stats.queries - queries_before
-        self.stats.replay_cache_hits += solver_stats.cache_hits - cache_hits_before
+        # The replay's steps are replay work; what they found (paths, bugs,
+        # test cases on each StepResult) the exporter already booked.
+        stats.replay_instructions += executor.total_instructions - instructions_before
+        stats.replay_solver_queries += solver_stats.queries - queries_before
+        stats.replay_cache_hits += solver_stats.cache_hits - cache_hits_before
 
-        if not outcome.succeeded:
-            self.stats.broken_replays += 1
+        if outcome.broken:
+            stats.broken_replays += 1
             node.mark_dead()
             self.frontier.discard(node)
             return max(outcome.instructions, 1)
@@ -256,10 +263,10 @@ class Worker(Explorer):
                 # a replay instead of stepping a missing state.
                 node.status = NodeStatus.VIRTUAL
             if node not in self.frontier:
-                if node.state is not None:
+                if node.is_materialized:
                     # A fence revived with the state it kept (a replay-time
                     # sibling, or a job that bounced back).
-                    self.adopt(node)
+                    self._materialize(node)
                 self.frontier.add(node)
                 imported += 1
                 self.stats.jobs_imported += 1

@@ -5,7 +5,8 @@ ties it together.  One :class:`~repro.distrib.coordinator.Coordinator`
 drives every member with the small plain-data messages the paper's design
 calls for (§3.2) -- status updates, transfer requests, and path-encoded
 :class:`~repro.cluster.jobs.JobTree` payloads that the destination
-materializes with :func:`~repro.cluster.replay.replay_path` -- over a
+materializes by replay (:meth:`Worker._materialize
+<repro.cluster.worker.Worker._materialize>`) -- over a
 :class:`repro.net.transport.Transport`.  The carrier decides where members
 live: in this process (loopback), in worker processes on real cores (mp
 queues), or on other machines (TCP agents).
@@ -13,8 +14,8 @@ queues), or on other machines (TCP agents).
 Because live execution states and programs built from closures do not
 pickle, work ships to other processes as ``(spec_name, path)`` pairs:
 :mod:`repro.distrib.specs` keeps a registry of named test factories, and
-every worker process rebuilds the program locally from the spec before
-replaying paths into it.
+every worker process rebuilds the program and its initial state from the
+spec, once, and replays each path from a fork of that pristine state.
 
 Public pieces:
 

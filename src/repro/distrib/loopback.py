@@ -112,7 +112,9 @@ class Cloud9Cluster(Coordinator):
     def _launch(self) -> _WorkerHandle:
         executor = self._spare_executor or self.executor_factory()
         self._spare_executor = None
-        worker = Worker(self._take_worker_id(), executor, self.state_factory,
+        # The member's pristine initial state: built once, only ever forked.
+        worker = Worker(self._take_worker_id(), executor,
+                        self.state_factory(executor),
                         strategy_name=self.strategy or DEFAULT_STRATEGY)
         self._launched[worker.worker_id] = worker
         return _WorkerHandle(worker.worker_id,
@@ -212,22 +214,22 @@ class StaticPartitionCluster(Cloud9Cluster):
         wanted = config.num_workers * config.partitions_per_worker
         executor = self.executor_factory()
         frontier: Deque[ExecutionState] = deque([self.state_factory(executor)])
+        outcome = BootstrapOutcome()
         steps = 0
         while frontier and len(frontier) < wanted and steps < BOOTSTRAP_STEPS:
             state = frontier.popleft()
             result = executor.step(state)
             steps += 1
+            outcome.paths_completed += len(result.terminated)
+            outcome.bugs.extend(result.bugs)
+            outcome.test_cases.extend(result.test_cases)
             for child in result.children:
                 if child.is_running:
                     frontier.append(child)
-        return BootstrapOutcome(
-            prefixes=[tuple(state.fork_trace) for state in frontier],
-            useful_instructions=executor.total_instructions,
-            paths_completed=executor.paths_completed,
-            bugs=list(executor.bugs),
-            test_cases=list(executor.test_cases),
-            covered_lines=set(executor.covered_lines),
-        )
+        outcome.prefixes = [tuple(state.fork_trace) for state in frontier]
+        outcome.useful_instructions = executor.total_instructions
+        outcome.covered_lines = set(executor.covered_lines)
+        return outcome
 
     def idle_worker_count(self) -> int:
         """Workers with nothing left to do (the imbalance the paper measures)."""

@@ -61,8 +61,9 @@ class DistribWorker:
     def from_test(cls, worker_id: int, test,
                   strategy: Optional[str] = None) -> "DistribWorker":
         """Build the member a worker process or agent serves from its spec."""
-        return cls(Worker(worker_id, test.build_executor(),
-                          test.build_initial_state,
+        executor = test.build_executor()
+        return cls(Worker(worker_id, executor,
+                          test.build_initial_state(executor),
                           strategy_name=strategy or test.strategy))
 
     @property

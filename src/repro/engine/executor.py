@@ -93,9 +93,6 @@ class StepResult:
         return [s for s in self.children if s.is_running]
 
 
-StateFactory = Callable[[], ExecutionState]
-
-
 class SymbolicExecutor:
     """A single-node symbolic execution engine for one compiled program."""
 
@@ -114,13 +111,12 @@ class SymbolicExecutor:
         self.interpreter = Interpreter(self.solver, self.natives, self.config)
         self.interpreter.executor = self
 
-        # Global exploration statistics (across run()/step() calls); a
-        # ``RunResult`` reports one run's share of them.
+        # Cumulative over every step this executor ever took (explorations,
+        # replays, a bootstrap): worker status and the instruction accounting
+        # read them.  What a run or a step found is on its ``RunResult`` or
+        # ``StepResult``, never here.
         self.total_instructions = 0
-        self.paths_completed = 0
         self.covered_lines: Set[int] = set()
-        self.bugs: List[BugReport] = []
-        self.test_cases: List[TestCase] = []
 
         # Environment models (e.g. the POSIX model) register natives and
         # per-state initialization hooks through installers.
@@ -235,29 +231,26 @@ class SymbolicExecutor:
         if not result.terminated:
             result.terminated, result.bugs, result.test_cases = [], [], []
         result.terminated.append(state)
-        self.paths_completed += 1
         self.covered_lines.update(state.coverage)
         error = state.error
         summary = error.summary() if error is not None else None
         test_case = generate_test_case(state, self.solver, error_summary=summary)
         if test_case is not None:
-            state_test_case = test_case
-            self.test_cases.append(test_case)
             result.test_cases.append(test_case)
             if error is not None:
-                error.test_case = state_test_case
+                error.test_case = test_case
         if error is not None:
-            self.bugs.append(error)
             result.bugs.append(error)
 
     # -- complete exploration -------------------------------------------------------------
 
     def run(self,
-            initial_state: Optional[Union[ExecutionState, StateFactory]] = None,
+            initial_state: Optional[ExecutionState] = None,
             strategy: Optional[Union[str, SearchStrategy]] = None,
             limits: Optional[ExplorationLimits] = None,
             **limit_fields: object) -> RunResult:
-        """Explore until exhaustion or until a limit/goal is reached.
+        """Explore ``initial_state`` (``None``: the program's plain initial
+        state) until exhaustion or until a limit/goal is reached.
 
         Limits come as an :class:`~repro.engine.limits.ExplorationLimits`
         bundle, as loose limit fields (``max_paths=...``), or both (a loose
@@ -271,18 +264,14 @@ class SymbolicExecutor:
         finally:
             tracer.close()
 
-    def _run(self, initial_state: Optional[Union[ExecutionState, StateFactory]],
+    def _run(self, initial_state: Optional[ExecutionState],
              strategy: Optional[Union[str, SearchStrategy]],
              lim: ExplorationLimits, tracer) -> RunResult:
         max_steps, max_paths = lim.max_steps, lim.max_paths
         max_instructions, max_wall_time = lim.max_instructions, lim.max_wall_time
         coverage_target, stop_on_first_bug = lim.coverage_target, lim.stop_on_first_bug
-        if initial_state is None:
-            state = self.make_initial_state()
-        elif callable(initial_state):
-            state = initial_state()
-        else:
-            state = initial_state
+        state = (self.make_initial_state() if initial_state is None
+                 else initial_state)
 
         if strategy is None:
             strategy = make_strategy("interleaved", program=self.program)

@@ -4,11 +4,12 @@ graft its children.
 An :class:`Explorer` owns what one exploration consists of -- the execution
 tree, the :class:`~repro.engine.frontier.Frontier` of its candidates, the
 search strategy, and the exploration's own results (``bugs``,
-``test_cases``, ``paths_completed``).  :meth:`Explorer.step_node` is the only
-place a node is stepped for exploration: it reads what the step produced off
-the :class:`~repro.engine.executor.StepResult` -- never off the executor's
-cumulative lists, which a replay on the same executor also appends to -- and
-is the only place a step's children enter the tree.  Most steps never get
+``test_cases``, ``paths_completed``), which are the only books of results:
+the executor keeps none.  :meth:`Explorer.step_node` is the only place a node
+is stepped for exploration: it reads what the step produced off the
+:class:`~repro.engine.executor.StepResult` -- so a replay on the same
+executor, which steps without it, books nothing -- and is the only place a
+step's children enter the tree.  Most steps never get
 that far: when the only child is the node's own state, still running, the
 node stays a candidate and the frontier is told that its state moved, and
 only forks and terminations reach :meth:`Explorer._graft`.
@@ -24,10 +25,10 @@ Coverage is handed on (:meth:`Explorer.new_lines`) one line per step: the
 state ``step_node`` steps came out of an earlier ``step_node``, which handed
 on everything up to there, so only the line just executed can be new.  The
 exception is a node holding a state ``step_node`` did *not* produce -- the
-seeded root, a node a worker materialised by replay, a fence revived with the
-state it kept.  Whoever installs such a state calls :meth:`Explorer.adopt`,
-and that node's next step diffs its children's whole ``coverage`` against
-what was handed on, as every step once did.
+seeded root, or a node a worker materialised (by replay, or a fence revived
+with the state it kept).  Whoever installs such a state calls
+:meth:`Explorer.adopt`, and that node's next step diffs its children's whole
+``coverage`` against what was handed on, as every step once did.
 """
 
 from __future__ import annotations
@@ -86,8 +87,8 @@ class Explorer:
         """``node`` now holds a state that :meth:`step_node` did not produce.
 
         Whoever puts such a state on a node that may be stepped must say so:
-        :meth:`seed_state` (the root), a worker's replay (the replayed node)
-        and a worker's import reviving a node that kept its state (a fence).
+        :meth:`seed_state` (the root) and a worker's ``_materialize`` (a
+        replayed node, or a revived fence that kept its state).
         Lines on that state's path may not have been handed on yet, so the
         node's next step diffs its children's whole coverage; every other
         step hands on just the line it executed.

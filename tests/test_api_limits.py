@@ -83,7 +83,7 @@ class TestOneLimitsMerge:
             ClusterConfig(num_workers=2, instructions_per_round=5))
         return [
             ("executor", lambda **kw: executor.run(
-                initial_state=lambda: test.build_initial_state(executor), **kw)),
+                initial_state=test.build_initial_state(executor), **kw)),
             ("cluster", cluster.run),
         ]
 

@@ -73,6 +73,11 @@ def backend_runs(request, tmp_path_factory):
     return runs
 
 
+def _broken_replays(result):
+    """Summed over the members (``single`` has none)."""
+    return sum(s.broken_replays for s in (result.worker_stats or {}).values())
+
+
 def _pairs(runs):
     names = sorted(runs)
     return [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
@@ -94,6 +99,14 @@ class TestResultParity:
         for backend, (result, _) in backend_runs.items():
             assert (sum(s.paths_completed for s in result.worker_stats.values())
                     == result.paths_completed > 0), backend
+
+    def test_no_replay_broke(self, backend_runs):
+        """Fault-free, every moved job replays: one started from a wrong
+        state would break and silently drop the node's paths."""
+        for backend, (result, _) in backend_runs.items():
+            assert sum(s.replays for s in result.worker_stats.values()) > 0, \
+                backend
+            assert _broken_replays(result) == 0, backend
 
     def test_coverage_identical(self, backend_runs):
         for a, b in _pairs(backend_runs):
@@ -246,6 +259,7 @@ class TestStoppingParity:
             assert result.covered_lines == exhaustive.covered_lines, backend
             assert (result.exhausted, result.goal_reached) == (True, True), backend
             assert result.states_remaining == 0, backend
+            assert _broken_replays(result) == 0, backend
 
 
 class TestBugCountParity:
@@ -264,5 +278,6 @@ class TestBugCountParity:
             assert load_trace(trace_path)[-1]["bugs"] == len(result.bugs), backend
             error_paths = sum(1 for case in result.test_cases if case.is_error)
             assert error_paths > len(result.bugs), backend
+            assert _broken_replays(result) == 0, backend
             counts[backend] = (len(result.bugs), error_paths)
         assert len(set(counts.values())) == 1, counts

@@ -342,7 +342,7 @@ class TestCancelTransfer:
 class TestRecoveredImport:
     def test_fences_exclude_live_workers_subtrees(self):
         executor = make_executor(branchy_program(2))
-        worker = Worker(1, executor, lambda e: e.make_initial_state())
+        worker = Worker(1, executor, executor.make_initial_state())
         tree = JobTree.from_jobs([Job(())])
         imported = worker.import_jobs(tree, fence_paths=[(0,)], recovered=True)
         assert imported == 1
@@ -354,7 +354,7 @@ class TestRecoveredImport:
 
     def test_recovered_root_import_replays_the_seed(self):
         executor = make_executor(branchy_program(2))
-        worker = Worker(1, executor, lambda e: e.make_initial_state())
+        worker = Worker(1, executor, executor.make_initial_state())
         worker.import_jobs(JobTree.from_jobs([Job(())]), recovered=True)
         while worker.has_work:
             worker.explore(1000)
@@ -373,8 +373,9 @@ class TestRecoveredImport:
         single = test.run(backend="single").paths_completed
 
         def mkworker(worker_id):
-            return Worker(worker_id, test.build_executor(),
-                          test.build_initial_state)
+            executor = test.build_executor()
+            return Worker(worker_id, executor,
+                          test.build_initial_state(executor))
 
         w1, w2 = mkworker(1), mkworker(2)
         w1.seed()

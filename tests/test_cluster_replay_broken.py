@@ -3,6 +3,7 @@ reported, and survivable at worker level."""
 
 import pytest
 
+from repro.cluster import replay
 from repro.cluster.jobs import JobTree
 from repro.cluster.replay import replay_path
 from repro.cluster.worker import Worker
@@ -13,29 +14,29 @@ from conftest import branchy_program, single_branch_program
 
 def _make_worker(program, worker_id=1):
     executor = SymbolicExecutor(program)
-    return Worker(worker_id, executor, lambda ex: ex.make_initial_state())
+    return Worker(worker_id, executor, executor.make_initial_state())
 
 
 class TestReplayPathBrokenOutcomes:
     def test_divergent_fork_index_reports_divergence(self):
         executor = SymbolicExecutor(single_branch_program())
-        outcome = replay_path(executor, lambda ex: ex.make_initial_state(), [7])
+        outcome = replay_path(executor, executor.make_initial_state(), [7])
         assert outcome.broken
-        assert not outcome.succeeded
         assert "divergence" in outcome.reason
         assert outcome.state is None
 
     def test_path_longer_than_tree_reports_premature_termination(self):
         executor = SymbolicExecutor(single_branch_program())
-        outcome = replay_path(executor, lambda ex: ex.make_initial_state(),
+        outcome = replay_path(executor, executor.make_initial_state(),
                               [0, 0, 0])
         assert outcome.broken
         assert "prematurely" in outcome.reason
 
-    def test_step_budget_exceeded_reports_broken(self):
+    def test_step_budget_exceeded_reports_broken(self, monkeypatch):
+        monkeypatch.setattr(replay, "MAX_REPLAY_STEPS", 1)
         executor = SymbolicExecutor(branchy_program(2))
-        outcome = replay_path(executor, lambda ex: ex.make_initial_state(),
-                              [0, 0], max_steps=1)
+        outcome = replay_path(executor, executor.make_initial_state(),
+                              [0, 0])
         assert outcome.broken
         assert "exceeded" in outcome.reason
 
@@ -50,8 +51,8 @@ class TestReplayPathBrokenOutcomes:
         assert path
 
         executor = SymbolicExecutor(branchy_program(2))
-        outcome = replay_path(executor, lambda ex: ex.make_initial_state(), path)
-        assert outcome.succeeded
+        outcome = replay_path(executor, executor.make_initial_state(), path)
+        assert not outcome.broken
         # Off-path siblings surfaced as fences (explored elsewhere, §3.2).
         assert outcome.fence_states
         for fence_path, fence_state in outcome.fence_states:

@@ -18,11 +18,8 @@ def make_worker(worker_id=1, buffer_size=2):
         return SymbolicExecutor(program,
                                 environment_installers=[install_posix_model])
 
-    def state_factory(executor):
-        return executor.make_initial_state()
-
-    worker = Worker(worker_id, executor_factory(), state_factory)
-    return worker
+    executor = executor_factory()
+    return Worker(worker_id, executor, executor.make_initial_state())
 
 
 class TestSeedAndExplore:
@@ -127,15 +124,16 @@ class TestReplay:
         assert path, "need a non-root candidate for this test"
 
         destination = make_worker(worker_id=2)
-        outcome = replay_path(destination.executor, destination.state_factory, path)
-        assert outcome.succeeded
+        outcome = replay_path(destination.executor,
+                              destination.initial_state.fork(), path)
+        assert not outcome.broken
         assert outcome.state is not None and outcome.state.is_running
         assert outcome.instructions > 0
 
     def test_replay_divergent_path_reports_broken(self):
         destination = make_worker(worker_id=2)
-        outcome = replay_path(destination.executor, destination.state_factory,
-                              [0] * 50)
+        outcome = replay_path(destination.executor,
+                              destination.initial_state.fork(), [0] * 50)
         assert outcome.broken
         assert outcome.reason
 
@@ -167,7 +165,7 @@ class TestOneWorkerIsTheSingleEngine:
         assert result.exhausted
 
         executor = test.build_executor()
-        worker = Worker(1, executor, test.build_initial_state,
+        worker = Worker(1, executor, test.build_initial_state(executor),
                         strategy=make_strategy("interleaved",
                                                program=executor.program))
         worker.seed()

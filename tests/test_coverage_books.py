@@ -89,7 +89,7 @@ def keep_books(monkeypatch, step_node) -> Books:
         books.events.append(("told", name_of(self), frozenset(lines)))
         new_lines(self, lines)
 
-    import_jobs, replay_node = Worker.import_jobs, Worker._replay_node
+    import_jobs, materialize = Worker.import_jobs, Worker._materialize
     export_jobs = Worker.export_jobs
 
     def counting_import(self, job_tree, fence_paths=(), recovered=False):
@@ -100,8 +100,9 @@ def keep_books(monkeypatch, step_node) -> Books:
         return import_jobs(self, job_tree, fence_paths, recovered)
 
     def counting_replay(self, node):
-        books.flows["replay"] += 1
-        return replay_node(self, node)
+        if not node.is_materialized:
+            books.flows["replay"] += 1
+        return materialize(self, node)
 
     def counting_export(self, count):
         job_tree = export_jobs(self, count)
@@ -111,7 +112,7 @@ def keep_books(monkeypatch, step_node) -> Books:
     monkeypatch.setattr(Explorer, "step_node", recording_step)
     monkeypatch.setattr(Explorer, "new_lines", recording_new_lines)
     monkeypatch.setattr(Worker, "import_jobs", counting_import)
-    monkeypatch.setattr(Worker, "_replay_node", counting_replay)
+    monkeypatch.setattr(Worker, "_materialize", counting_replay)
     monkeypatch.setattr(Worker, "export_jobs", counting_export)
     return books
 
@@ -221,7 +222,7 @@ def test_a_replay_time_fence_revived_before_its_sibling_ran_keeps_the_books(bran
     that state, so its first step must hand the replayed prefix on."""
     def run():
         executor = make_executor(branchy)
-        worker = Worker(2, executor, lambda ex: ex.make_initial_state(),
+        worker = Worker(2, executor, executor.make_initial_state(),
                         strategy_name="dfs")
         worker.import_jobs(JobTree.from_jobs([Job((0, 1))]))
         worker.explore(1)  # the replay, and nothing else

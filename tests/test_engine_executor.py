@@ -84,7 +84,7 @@ class TestExecutorReuse:
 
         def run():
             return executor.run(
-                initial_state=lambda: test.build_initial_state(executor),
+                initial_state=test.build_initial_state(executor),
                 strategy="dfs", max_paths=20)
 
         first, warm = run(), run()
@@ -98,9 +98,12 @@ class TestExecutorReuse:
         assert warm.cache_stats["solver_search_steps"] == 0
 
         executor.solver.reset_caches()
-        assert self._comparable(run()) == self._comparable(first)
+        cold = run()
+        assert self._comparable(cold) == self._comparable(first)
 
-        assert len(executor.test_cases) == 60
+        # Each run's test cases are its own, none carried over from another.
+        assert len({id(case) for r in (first, warm, cold)
+                    for case in r.test_cases}) == 60
         assert (executor.solver.stats.queries
                 == 3 * first.cache_stats["solver_queries"])
 
@@ -109,7 +112,7 @@ class TestExecutorReuse:
 
         def run(executor, **limits):
             return executor.run(
-                initial_state=lambda: test.build_initial_state(executor),
+                initial_state=test.build_initial_state(executor),
                 strategy="dfs", **limits)
 
         reused = test.build_executor()
@@ -135,8 +138,10 @@ class TestExecutorReuse:
         executor = make_executor(program)
         first, second = executor.run(), executor.run()
         assert len(first.bugs) == len(second.bugs) == 1
-        assert first.bugs[0] is executor.bugs[0]
-        assert second.bugs[0] is executor.bugs[1]
+        assert first.bugs[0] is not second.bugs[0]
+        assert first.bugs[0].summary() == second.bugs[0].summary()
+        for run in (first, second):
+            assert any(case is run.bugs[0].test_case for case in run.test_cases)
 
 
 class TestTraceLifetime:

@@ -233,7 +233,8 @@ def test_a_recovered_job_that_is_already_a_member_is_weighed_again(checked):
     already be in the frontier (the sweep never gets there): its weight
     drops to 1 and the index must hear of it."""
     test = specs.resolve_test("printf", format_length=2)
-    worker = Worker(1, test.build_executor(), test.build_initial_state)
+    executor = test.build_executor()
+    worker = Worker(1, executor, test.build_initial_state(executor))
     worker.seed()
     worker.explore(300)
     searcher = next(s for s in worker.strategy._strategies
