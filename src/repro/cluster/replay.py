@@ -11,9 +11,13 @@ node, because it represents a node that is being explored elsewhere".
 :func:`replay_path` is that re-execution and nothing more: it steps the state
 it is handed -- a worker passes a fork of its pristine initial state (see
 :meth:`Worker._materialize <repro.cluster.worker.Worker._materialize>`) --
-along the path and reports what it found.  Whatever the steps produced is
-replay work, not results: the caller books it from the executor's
-instruction and solver counters.
+along the path and reports what it found.  Between two forks the path is a
+straight line, and one :meth:`SymbolicExecutor.step
+<repro.engine.executor.SymbolicExecutor.step>` runs it; ``MAX_REPLAY_STEPS``
+still counts one step per instruction or scheduling decision, so a broken
+replay breaks on the step it broke on one instruction at a time.  Whatever
+the steps produced is replay work, not results: the caller books it from
+the executor's instruction and solver counters.
 
 Section 6 ("Broken Replays"): a replay is *broken* when the destination
 cannot reconstruct the state -- the path diverges or terminates prematurely.
@@ -68,8 +72,8 @@ def replay_path(executor: SymbolicExecutor, state: ExecutionState,
         if steps >= MAX_REPLAY_STEPS:
             return outcome.fail("replay exceeded %d steps" % MAX_REPLAY_STEPS)
 
-        result = executor.step(state)
-        steps += 1
+        result = executor.step(state, MAX_REPLAY_STEPS - steps)
+        steps += result.instructions or 1
         outcome.instructions += result.instructions
 
         children = result.children

@@ -112,12 +112,17 @@ class Worker(Explorer):
         """
         consumed = 0
         stats = self.stats
+        # A sticky strategy picks a stepped node again until it forks or
+        # ends: step its straight line at once, up to what is left.
+        sticky = self.strategy.sticky
         while consumed < instruction_budget and self.frontier:
             node = self.strategy.select(self.tree, self.frontier)
             if node.status is VIRTUAL:
                 consumed += self._materialize(node)
                 continue
-            instructions = self.step_node(node).instructions
+            instructions = self.step_node(
+                node, instruction_budget - consumed if sticky else 1
+            ).instructions
             if instructions:
                 stats.useful_instructions += instructions
                 consumed += instructions

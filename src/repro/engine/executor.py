@@ -4,10 +4,11 @@
 scheduler, the native-function registry and the execution tree.  It exposes
 two levels of API:
 
-* :meth:`SymbolicExecutor.step` -- execute one scheduling decision or one
-  instruction of one state, returning all resulting states and, on the
-  :class:`StepResult`, everything the step produced (the executed line and,
-  when a path ended, the terminated states, bugs and test cases).
+* :meth:`SymbolicExecutor.step` -- execute one scheduling decision, or up to
+  ``budget`` instructions of one state's straight line (one by default),
+  returning all resulting states and, on the :class:`StepResult`,
+  everything the step produced (the executed lines and, when a path ended,
+  the terminated states, bugs and test cases).
   Exploration steps through
   :meth:`repro.engine.explorer.Explorer.step_node`; replay and the static
   bootstrap call it directly.
@@ -18,7 +19,7 @@ two levels of API:
   and result counting a cluster worker (:mod:`repro.cluster.worker`) uses.
 
 A step costs the same however long the path behind it is.  ``covered_lines``
-grows by the one line a step executes; a whole ``state.coverage`` is unioned
+grows by the lines a step executes; a whole ``state.coverage`` is unioned
 in only when a path finishes and when a state that already has a path behind
 it is seeded (:meth:`Explorer.seed_state
 <repro.engine.explorer.Explorer.seed_state>`).  Every other state ``step``
@@ -34,6 +35,15 @@ decides before its loop which limits are set; an unset one is never
 checked.  Enum members are read from module constants (``RUNNING``,
 ``ENABLED``): on CPython 3.11 ``StateStatus.RUNNING`` inside a function
 costs about ten global loads.
+
+A step may run a straight line.  Under a sticky strategy (DFS, BFS: see
+:attr:`SearchStrategy.sticky <repro.engine.strategies.SearchStrategy.sticky>`)
+the node just stepped would be selected again after every instruction until
+it forks or ends, so ``run`` hands ``step`` the largest budget that still
+stops every limit on the step it stops on one instruction at a time, and
+the select, the ``StepResult`` and the bookkeeping are paid once per line.
+``steps`` still counts instructions.  Every other strategy, and a run with
+a coverage target, steps one instruction at a time through the same code.
 """
 
 from __future__ import annotations
@@ -61,32 +71,35 @@ from repro.solver.cache import aggregate_cache_counters
 from repro.solver.solver import Solver
 
 
+#: The budget of a straight-line step that no limit caps.
+_UNBOUNDED = 1 << 62
+
+
 class StepResult:
-    """Outcome of stepping one state once.
+    """Outcome of one step of one state.
 
     ``children`` is the ordered list of all resulting states (running or
     terminated); its order defines the fork indices used in job paths.
-    ``forked`` is true when more than one child was produced.  ``line`` is
-    the line of the instruction the step executed, ``None`` for a pure
-    scheduling step.  ``terminated``/``bugs``/``test_cases`` are empty and
-    shared until a path ends in this step.
+    ``line`` is the line of the last instruction the step executed, ``None``
+    for a pure scheduling step, and ``instructions`` how many it executed.
+    ``lines`` is ``None`` for a step that executed at most one instruction;
+    a step that ran on holds every line it executed.
+    ``terminated``/``bugs``/``test_cases`` are empty and shared until a path
+    ends in this step.
     """
 
-    __slots__ = ("children", "line", "instructions", "terminated", "bugs",
-                 "test_cases")
+    __slots__ = ("children", "line", "lines", "instructions", "terminated",
+                 "bugs", "test_cases")
 
     def __init__(self, children: List[ExecutionState],
                  line: Optional[int] = None) -> None:
         self.children = children
         self.line = line
+        self.lines: Optional[Set[int]] = None
         self.instructions = 0 if line is None else 1
         self.terminated: Sequence[ExecutionState] = ()
         self.bugs: Sequence[BugReport] = ()
         self.test_cases: Sequence[TestCase] = ()
-
-    @property
-    def forked(self) -> bool:
-        return len(self.children) > 1
 
     @property
     def running(self) -> List[ExecutionState]:
@@ -139,15 +152,26 @@ class SymbolicExecutor:
 
     # -- stepping ---------------------------------------------------------------------
 
-    def step(self, state: ExecutionState) -> StepResult:
-        """Advance a state by one scheduling decision or one instruction."""
+    def step(self, state: ExecutionState, budget: int = 1) -> StepResult:
+        """Advance a state by one scheduling decision, or by up to ``budget``
+        instructions of its current thread.
+
+        After the first instruction the step runs on only while each one
+        leaves the state its own only child, still running, and stops at the
+        first of: a fork or termination; another current thread, or this one
+        no longer enabled; ``force_reschedule`` set; the path's instruction
+        limit reached (re-read every time: a native may set it); ``budget``
+        instructions.  Each of those is where a one-instruction step would
+        have done something else next.  A scheduling decision is always a
+        step of its own.
+        """
         if state.status is not RUNNING:
             return StepResult([])
         options = state.options
 
         # Per-path instruction limit: the infinite-loop/hang detector.
-        limit = options.get("max_instructions",
-                            self.config.max_instructions_per_path)
+        default_limit = self.config.max_instructions_per_path
+        limit = options.get("max_instructions", default_limit)
         if limit is not None and state.instructions_executed >= int(limit):
             return self._hung(state, int(limit))
 
@@ -159,10 +183,34 @@ class SymbolicExecutor:
         if thread.status is not ENABLED:
             return self._schedule(state)
 
-        line, children = self.interpreter.execute_instruction(state, thread)
+        # A straight line: nothing but this thread's next instruction can
+        # happen to the state until one of the stops above.  ``lines`` is
+        # made only when the step goes on past its first instruction.
+        execute = self.interpreter.execute_instruction
+        line, children = execute(state, thread)
+        instructions = 1
+        lines = None
+        while (instructions < budget
+               and len(children) == 1 and children[0] is state
+               and state.status is RUNNING and state.current is current
+               and thread.status is ENABLED
+               and "force_reschedule" not in options):
+            limit = options.get("max_instructions", default_limit)
+            if limit is not None and state.instructions_executed >= int(limit):
+                break
+            if lines is None:
+                lines = {line}
+            line, children = execute(state, thread)
+            lines.add(line)
+            instructions += 1
         result = StepResult(children, line)
-        self.total_instructions += 1
-        self.covered_lines.add(line)
+        self.total_instructions += instructions
+        if lines is None:
+            self.covered_lines.add(line)
+        else:
+            result.instructions = instructions
+            result.lines = lines
+            self.covered_lines.update(lines)
         for child in children:
             if child.status is not RUNNING:
                 self._finish_state(child, result)
@@ -310,6 +358,13 @@ class SymbolicExecutor:
         traced = tracer.enabled
         tree = explorer.tree
         steps = 0
+        # A sticky strategy would pick the stepped node again until it forks
+        # or ends, so a step may run its straight line -- as far as every
+        # limit still stops on the step it stops on one instruction at a time.
+        # A coverage target may be met on any line, so its run steps one
+        # instruction at a time.
+        sticky = strategy.sticky and coverage_target is None
+        budget = 1
 
         while frontier:
             if instruction_stop is not None and (
@@ -327,8 +382,18 @@ class SymbolicExecutor:
                         >= coverage_target)):
                 break
 
-            explorer.step_node(strategy.select(tree, frontier))
-            steps += 1
+            if sticky:
+                budget = _UNBOUNDED
+                if instruction_stop is not None:
+                    budget = instruction_stop - self.total_instructions
+                if max_steps is not None:
+                    budget = min(budget, max_steps - steps)
+                if traced:
+                    budget = min(budget, trace_round - steps % trace_round)
+                if max_wall_time is not None:
+                    budget = min(budget, trace_round)
+            steps += explorer.step_node(strategy.select(tree, frontier),
+                                        budget).instructions or 1
 
             if traced:
                 while len(bugs) > traced_bugs:

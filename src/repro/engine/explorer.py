@@ -21,9 +21,11 @@ so it is here: :meth:`SymbolicExecutor.run
 replay, export/import and recovered regions.  With nothing imported, fenced
 or revived, the two explore the same nodes in the same order.
 
-Coverage is handed on (:meth:`Explorer.new_lines`) one line per step: the
-state ``step_node`` steps came out of an earlier ``step_node``, which handed
-on everything up to there, so only the line just executed can be new.  The
+Coverage is handed on (:meth:`Explorer.new_lines`) once per step, as the
+lines that step executed: the state ``step_node`` steps came out of an
+earlier ``step_node``, which handed on everything up to there, so only the
+lines just executed can be new -- one for a one-instruction step, the set a
+straight-line step ran through otherwise.  The
 exception is a node holding a state ``step_node`` did *not* produce -- the
 seeded root, or a node a worker materialised (by replay, or a fence revived
 with the state it kept).  Whoever installs such a state calls
@@ -95,16 +97,22 @@ class Explorer:
         """
         self._adopted.add(node.node_id)
 
-    def step_node(self, node: TreeNode) -> StepResult:
-        """Step ``node``'s state once and book everything the step produced.
+    def step_node(self, node: TreeNode, budget: int = 1) -> StepResult:
+        """Step ``node``'s state once, by up to ``budget`` instructions of a
+        straight line (see :meth:`SymbolicExecutor.step
+        <repro.engine.executor.SymbolicExecutor.step>`), and book everything
+        the step produced.
 
-        Most steps run one instruction straight on: the only child is the
-        node's own state, still running.  Then the node stays where it is
-        and the frontier only hears that its state moved; forks and
-        terminations go on to :meth:`_graft`.
+        Most steps run straight on: the only child is the node's own state,
+        still running.  Then the node stays where it is and the frontier
+        only hears that its state moved; forks and terminations go on to
+        :meth:`_graft`.  A budget above one is for a strategy that would
+        select this node again after every instruction until it forks or
+        ends (:attr:`SearchStrategy.sticky
+        <repro.engine.strategies.SearchStrategy.sticky>`).
         """
         state = node.state
-        result = self.executor.step(state)
+        result = self.executor.step(state, budget)
         if result.terminated:
             self.paths_completed += len(result.terminated)
             self.bugs.extend(result.bugs)
@@ -121,11 +129,18 @@ class Explorer:
                 self.new_lines(new)
         else:
             # The stepped state came out of an earlier step_node, so all of
-            # its path was handed on then: only this step's line can be new.
-            line = result.line
-            if line is not None and line not in told:
-                told.add(line)
-                self.new_lines({line})
+            # its path was handed on then: only this step's lines can be new.
+            lines = result.lines
+            if lines is None:
+                line = result.line
+                if line is not None and line not in told:
+                    told.add(line)
+                    self.new_lines({line})
+            else:
+                new = lines - told
+                if new:
+                    told.update(new)
+                    self.new_lines(new)
         if len(children) == 1 and children[0] is state and state.status is RUNNING:
             self.frontier.moved(node)
         else:

@@ -13,6 +13,16 @@ not change it.  No strategy here sorts or copies the frontier;
 :class:`~repro.engine.frontier.WeightIndex` on it, so a weighted pick costs
 O(log n) plus the nodes that changed since the previous one.
 
+``sticky`` is a fact about a strategy, not a setting.  A sticky strategy's
+pick depends on the frontier's members alone -- not on their states, on the
+coverage it is told about, on a random draw or on how often it was asked --
+so after a step that left the node a candidate and the frontier otherwise
+as it was, it picks that node again.  The loops may then step the node
+through its whole straight line at once (``Explorer.step_node(node,
+budget)``): the strategy is asked once per line instead of once per
+instruction and answers every remaining question as before.  DFS and BFS
+are sticky; the other strategies here are not.
+
 A strategy operates on worker-local tree nodes; the cluster layer coordinates
 strategies across workers through the global coverage overlay (§3.3), which
 is fed to :class:`CoverageOptimizedStrategy` via :meth:`merge_global_coverage`.
@@ -38,6 +48,9 @@ class SearchStrategy:
     """Base class for candidate-selection strategies."""
 
     name = "base"
+    #: Whether the pick depends on the frontier's members alone, so that a
+    #: straight-line step never changes it (see the module docstring).
+    sticky = False
 
     def select(self, tree: ExecutionTree, candidates: Frontier) -> TreeNode:
         raise NotImplementedError
@@ -54,6 +67,7 @@ class DfsStrategy(SearchStrategy):
     """Depth-first: always pick the deepest (most recently created) node."""
 
     name = "dfs"
+    sticky = True
 
     def select(self, tree: ExecutionTree, candidates: Frontier) -> TreeNode:
         return candidates.last()
@@ -63,6 +77,7 @@ class BfsStrategy(SearchStrategy):
     """Breadth-first: always pick the oldest node."""
 
     name = "bfs"
+    sticky = True
 
     def select(self, tree: ExecutionTree, candidates: Frontier) -> TreeNode:
         return candidates.first()

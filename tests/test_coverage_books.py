@@ -12,6 +12,8 @@ only caller), on ``executor.covered_lines`` after every step, and on every
 worker's final ``WorkerCoverageView`` bits.  The cluster flows are checked to
 contain the three ways a node comes to hold a state ``step_node`` did not
 produce: a replay, an export, and a bounced job revived from a fence.
+The DFS flows take straight-line steps (a budget above one), which hand on
+the set of lines they ran through; the reference steps with the same budget.
 """
 
 from collections import Counter
@@ -36,8 +38,8 @@ TARGETS = {
 # -- the reference: the books as src/ kept them -------------------------------------
 
 
-def reference_step_node(self, node):
-    result = self.executor.step(node.state)
+def reference_step_node(self, node, budget=1):
+    result = self.executor.step(node.state, budget)
     if result.terminated:
         self.paths_completed += len(result.terminated)
         self.bugs.extend(result.bugs)
@@ -75,8 +77,8 @@ def keep_books(monkeypatch, step_node) -> Books:
         return names.setdefault(
             id(explorer), getattr(explorer, "worker_id", "single"))
 
-    def recording_step(self, node):
-        result = step_node(self, node)
+    def recording_step(self, node, budget=1):
+        result = step_node(self, node, budget)
         books.events.append(
             ("covered", name_of(self), frozenset(self.executor.covered_lines)))
         if isinstance(self, Worker):

@@ -3,7 +3,10 @@
 These guards count events that repeat exactly from run to run, so they hold
 on a noisy runner: the Python-level calls one instruction takes (32.1 with
 the tree-walking interpreter, 16.15 decoded, 15.14 once a straight-line step
-no longer reaches ``Explorer._graft``), the calls one random-path select
+no longer reaches ``Explorer._graft``, 8.16 under DFS once one step runs a
+whole straight line -- one select, one ``StepResult`` and one pass through
+the loops per line -- while a step of one instruction stays at 15.14), the
+calls one random-path select
 makes (35.1 when every level built a list, 17.0 walking two-way forks
 without one), and the set elements the coverage books copy or scan per step,
 which must not grow with the length of the path.
@@ -15,19 +18,33 @@ from repro import lang as L
 from repro.distrib import specs
 from repro.engine.explorer import Explorer
 from repro.engine.limits import ExplorationLimits
-from repro.engine.strategies import make_strategy
+from repro.engine.strategies import DfsStrategy, make_strategy
 
 from conftest import make_executor, python_calls
 
 
-def test_python_calls_per_instruction_stay_under_the_decoded_budget():
+class OneStepDfs(DfsStrategy):
+    """DFS stepped one instruction at a time: the path every non-sticky
+    strategy takes."""
+
+    sticky = False
+
+
+def _calls_per_instruction(strategy) -> float:
     test = specs.resolve_test("lighttpd-frag-1.4.12")
-    strategy = make_strategy("dfs", program=test.program)
     with python_calls() as calls:
         result = test.run(backend="single", strategy=strategy,
                           limits=ExplorationLimits(max_instructions=20_000))
     assert result.useful_instructions == 20_000
-    assert sum(calls.values()) / result.useful_instructions <= 16
+    return sum(calls.values()) / result.useful_instructions
+
+
+def test_python_calls_per_instruction_stay_under_the_straight_line_budget():
+    assert _calls_per_instruction(make_strategy("dfs")) <= 9
+
+
+def test_python_calls_per_instruction_stay_under_the_decoded_budget():
+    assert _calls_per_instruction(OneStepDfs()) <= 16
 
 
 def test_python_calls_per_random_path_select_stay_under_the_walk_budget():
