@@ -14,7 +14,7 @@ EuroSys 2011) as a pure-Python library:
   cores): path-encoded job shipping between private engines.
 * :mod:`repro.testing` -- the symbolic-test platform API (§5).
 * :mod:`repro.api`     -- the unified exploration API: one ``run`` surface,
-  uniform limits, backend registry, one result type, batch campaigns.
+  uniform limits, five fixed backends, one result type, batch campaigns.
 * :mod:`repro.targets` -- models of the real-world systems evaluated in §7
   (memcached, lighttpd, printf, test, curl, Coreutils, Bandicoot, and a
   producer-consumer benchmark).

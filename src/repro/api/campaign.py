@@ -1,27 +1,21 @@
 """Batch execution of symbolic tests: the scenario-diversity engine.
 
 A :class:`Campaign` collects runnable entries -- any mix of symbolic tests,
-backends, limits and backend options -- and executes them through the
-:mod:`repro.api.runner` registry, aggregating the unified
+backends, limits and backend options -- runs each one through
+:func:`repro.api.runner.run_test`, in order, and aggregates the unified
 :class:`~repro.api.result.RunResult` outcomes.  Two common shapes:
 
 * many tests, one configuration (``add_tests``): a regression battery or the
   Table 4 "does everything run" sweep;
 * one test, a grid of configurations (``add_grid``): the scalability and
   ablation experiments (same workload across backends or worker counts).
-
-Campaigns over spec-built tests (:func:`repro.distrib.specs.resolve_test`)
-can fan their entries out across a process pool with
-``campaign.run(processes=N)``: each shippable entry travels as its
-``(spec_name, spec_params, backend, limits, options)`` tuple and is rebuilt
-and executed in a pool worker, so independent grid points use real cores.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Set,
-                    Tuple, TYPE_CHECKING)
+                    TYPE_CHECKING)
 
 from repro.engine.errors import BugReport
 
@@ -49,46 +43,6 @@ class CampaignEntry:
     def execute(self) -> RunResult:
         return run_test(self.test, backend=self.backend, limits=self.limits,
                         **dict(self.options))
-
-    @property
-    def shippable(self) -> bool:
-        """Whether this entry can run in a pool process (spec-built test).
-
-        The pool worker rebuilds the test from its spec and then re-applies
-        the picklable test fields (``name``, ``strategy``, ``options``,
-        ``engine_config``, ``solver_config``, ``use_posix_model``) from this
-        entry's live test, so post-``resolve_test`` tweaks to those fields
-        are honored.
-        Mutations to ``setup`` or ``program`` cannot travel; tests carrying
-        such mutations should not keep their spec reference.
-        """
-        return self.test.spec_name is not None
-
-    def ship(self) -> Tuple[object, ...]:
-        """The picklable description a pool worker rebuilds this entry from."""
-        test = self.test
-        overrides = {
-            "name": test.name,
-            "strategy": test.strategy,
-            "options": dict(test.options),
-            "engine_config": test.engine_config,
-            "solver_config": test.solver_config,
-            "use_posix_model": test.use_posix_model,
-        }
-        return (test.spec_name, dict(test.spec_params), overrides,
-                self.backend, self.limits, dict(self.options))
-
-
-def _execute_shipped(spec_name: str, spec_params: Dict[str, object],
-                     overrides: Dict[str, object], backend: str,
-                     limits: Optional[ExplorationLimits],
-                     options: Dict[str, object]) -> RunResult:
-    """Pool-worker entry point: rebuild the test from its spec and run it."""
-    from repro.distrib.specs import resolve_test
-    test = resolve_test(spec_name, **spec_params)
-    for field_name, value in overrides.items():
-        setattr(test, field_name, value)
-    return run_test(test, backend=backend, limits=limits, **dict(options))
 
 
 @dataclass
@@ -235,10 +189,8 @@ class Campaign:
         Each grid point is a dict that may name ``backend``, ``label``,
         ``limits``, limit fields, and backend options, e.g.::
 
-            campaign.add_grid(test, [
-                {"backend": "single"},
-                {"backend": "cluster", "workers": w} for w in (2, 4, 8) ...
-            ])
+            campaign.add_grid(test, [{"backend": "single"}] + [
+                {"backend": "cluster", "workers": w} for w in (2, 4, 8)])
         """
         entries = []
         for point in grid:
@@ -253,65 +205,19 @@ class Campaign:
     # -- execution --------------------------------------------------------------------
 
     def run(self, fail_fast: bool = False,
-            on_result: Optional[Callable[[CampaignEntry, RunResult], None]] = None,
-            processes: Optional[int] = None) -> CampaignResult:
-        """Execute every entry and aggregate the outcomes.
+            on_result: Optional[Callable[[CampaignEntry, RunResult], None]] = None
+            ) -> CampaignResult:
+        """Execute every entry, in order, and aggregate the outcomes.
 
         ``fail_fast`` stops the campaign after the first run that reports a
         bug; ``on_result`` is called after each run (progress reporting).
-
-        ``processes=N`` fans the campaign out across a pool of N worker
-        processes: entries whose tests were built from a registered spec
-        (see :attr:`CampaignEntry.shippable`) execute in the pool, the rest
-        in this process.  Results are still reported in entry order, and
-        ``fail_fast`` still truncates in entry order -- but pool entries
-        scheduled before the truncation point may have run anyway.
         """
-        if processes is not None and processes > 1:
-            return self._run_pooled(processes, fail_fast, on_result)
         outcome = CampaignResult(name=self.name)
         for entry in self.entries:
-            if not self._record(outcome, entry, entry.execute(),
-                                fail_fast, on_result):
-                break
-        return outcome
-
-    def _record(self, outcome: CampaignResult, entry: CampaignEntry,
-                result: RunResult, fail_fast: bool,
-                on_result: Optional[Callable[[CampaignEntry, RunResult], None]]
-                ) -> bool:
-        """Record one entry's result; False means fail_fast says stop."""
-        outcome.results[entry.label] = result
-        if on_result is not None:
-            on_result(entry, result)
-        return not (fail_fast and result.found_bug)
-
-    def _run_pooled(self, processes: int, fail_fast: bool,
-                    on_result: Optional[Callable[[CampaignEntry, RunResult], None]]
-                    ) -> CampaignResult:
-        from concurrent.futures import ProcessPoolExecutor
-
-        # Prefer fork so specs registered at runtime in this process are
-        # visible in the pool workers (the shared process-backend default;
-        # spawn-only platforms fall back to import-time registrations).
-        from repro.distrib.cluster import default_mp_context
-
-        outcome = CampaignResult(name=self.name)
-        gathered: Dict[str, RunResult] = {}
-        with ProcessPoolExecutor(max_workers=processes,
-                                 mp_context=default_mp_context()) as pool:
-            futures = {
-                entry.label: pool.submit(_execute_shipped, *entry.ship())
-                for entry in self.entries if entry.shippable
-            }
-            # Non-shippable entries run here while the pool works.
-            for entry in self.entries:
-                if entry.label not in futures:
-                    gathered[entry.label] = entry.execute()
-            for label, future in futures.items():
-                gathered[label] = future.result()
-        for entry in self.entries:
-            if not self._record(outcome, entry, gathered[entry.label],
-                                fail_fast, on_result):
+            result = entry.execute()
+            outcome.results[entry.label] = result
+            if on_result is not None:
+                on_result(entry, result)
+            if fail_fast and result.found_bug:
                 break
         return outcome

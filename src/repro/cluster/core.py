@@ -34,8 +34,8 @@ class ClusterConfig:
     # strategy, a bare cluster falls back to DEFAULT_STRATEGY.  (A concrete
     # default here used to silently override the test's strategy.)
     strategy: Optional[str] = None
-    load_balancing_enabled: bool = True
-    # Disable load balancing from this round on (None = never): Fig. 13.
+    # Disable load balancing from this round on (None = never; 0 = the
+    # cluster never balances): Fig. 13.
     disable_balancing_after_round: Optional[int] = None
     #: Write a :class:`~repro.cluster.checkpoint.ClusterCheckpoint` every N
     #: rounds (None = never).  The latest checkpoint is kept on the cluster
@@ -89,14 +89,10 @@ class ClusterConfig:
 class StaticPartitionConfig(ClusterConfig):
     """The static-partitioning baseline: the same cluster, never balanced."""
 
-    load_balancing_enabled: bool = False
-    # How many partitions to carve out per worker during the bootstrap split.
-    partitions_per_worker: int = 1
+    disable_balancing_after_round: Optional[int] = 0
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.load_balancing_enabled:
+        if self.disable_balancing_after_round != 0:
             raise ValueError("static partitioning never balances; use "
                              "ClusterConfig for a balanced cluster")
-        if self.partitions_per_worker < 1:
-            raise ValueError("partitions_per_worker must be positive")

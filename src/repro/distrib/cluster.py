@@ -57,14 +57,13 @@ from repro.net.heartbeat import (
 from repro.net.server import AgentServer, NoPendingAgent
 from repro.net.transport import QueuePairTransport, reap_process
 
-__all__ = ["ProcessClusterConfig", "ProcessCloud9Cluster", "WorkerProcessError",
-           "default_mp_context"]
+__all__ = ["ProcessClusterConfig", "ProcessCloud9Cluster", "WorkerProcessError"]
 
 
 def default_mp_context() -> Any:
-    """The multiprocessing context every process path uses (the process
-    cluster and the Campaign pool, so the two cannot diverge): "fork" where
-    available (cheap, inherits runtime-registered specs), else "spawn"."""
+    """The multiprocessing context of the worker processes and their
+    channels: "fork" where available (cheap, inherits runtime-registered
+    specs), else "spawn"."""
     return multiprocessing.get_context(
         "fork" if "fork" in multiprocessing.get_all_start_methods()
         else "spawn")

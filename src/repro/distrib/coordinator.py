@@ -709,8 +709,6 @@ class Coordinator:
         self._shutdown_workers()
 
     def _balancing_active(self, round_index: int) -> bool:
-        if not self.config.load_balancing_enabled:
-            return False
         cutoff = self.config.disable_balancing_after_round
         return cutoff is None or round_index < cutoff
 

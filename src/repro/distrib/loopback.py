@@ -210,8 +210,7 @@ class StaticPartitionCluster(Cloud9Cluster):
 
     def _bootstrap_split(self) -> BootstrapOutcome:
         """Expand the tree breadth-first until there is work for every worker."""
-        config = self.config
-        wanted = config.num_workers * config.partitions_per_worker
+        wanted = self.config.num_workers
         executor = self.executor_factory()
         frontier: Deque[ExecutionState] = deque([self.state_factory(executor)])
         outcome = BootstrapOutcome()

@@ -115,7 +115,7 @@ class RunResult:
     @classmethod
     def from_cluster(cls, result: "RunResult", *, backend: str,
                      test_name: str) -> "RunResult":
-        """Label a coordinator's result with the registry backend and the
+        """Label a coordinator's result with the backend name and the
         test it ran (a coordinator knows its carrier and spec, not
         ``test.name``)."""
         result.backend = backend

@@ -107,7 +107,8 @@ class SymbolicTest:
     def run(self, backend: str = "single",
             limits: Optional[ExplorationLimits] = None,
             **options: object) -> RunResult:
-        """Run this test on any registered backend, returning a
+        """Run this test on one of the five backends (``"single"``,
+        ``"cluster"``, ``"static"``, ``"process"``, ``"tcp"``), returning a
         :class:`~repro.api.result.RunResult`.
 
         Limit fields (``max_paths=...``, ``coverage_target=...``, ...) may be

@@ -1,4 +1,4 @@
-"""Tests for the unified runner API: registry dispatch, limits round-trip
+"""Tests for the unified runner API: backend dispatch, limits round-trip
 into every backend, the one RunResult shape, and the strategy-propagation
 fix."""
 
@@ -6,13 +6,7 @@ import pytest
 
 from repro import lang as L
 from repro.api import ExplorationLimits, RunResult, available_backends
-from repro.api.runner import (
-    Runner,
-    get_runner,
-    register_runner,
-    run_test,
-    _RUNNERS,
-)
+from repro.api.runner import run_test
 from repro.cluster import ClusterConfig, StaticPartitionConfig
 from repro.distrib import specs
 from repro.testing import SymbolicTest
@@ -40,40 +34,12 @@ class TestRegistry:
                                         "static", "tcp")
 
     def test_unknown_backend_is_an_error(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            get_runner("carrier-pigeon")
         test = SymbolicTest("t", single_branch_program())
         with pytest.raises(ValueError, match="unknown backend"):
+            run_test(test, backend="carrier-pigeon")
+        with pytest.raises(ValueError,
+                           match="available: cluster, process, single"):
             test.run(backend="carrier-pigeon")
-
-    def test_duplicate_registration_rejected_unless_replaced(self):
-        runner = get_runner("single")
-        with pytest.raises(ValueError, match="already registered"):
-            register_runner(runner)
-        register_runner(runner, replace=True)  # no-op override is fine
-
-    def test_custom_backend_dispatches(self):
-        received = []
-
-        class EchoRunner:
-            name = "echo-test-backend"
-
-            def run(self, test, limits=None, **options):
-                received.append((limits, options))
-                return RunResult(backend=self.name, test_name=test.name)
-
-        register_runner(EchoRunner())
-        try:
-            test = SymbolicTest("t", single_branch_program())
-            result = test.run(backend="echo-test-backend", max_paths=3,
-                              custom_knob=7)
-            assert result.backend == "echo-test-backend"
-            [(limits, options)] = received
-            assert limits.max_paths == 3           # folded out of the options
-            assert options == {"custom_knob": 7}   # the rest passed through
-            assert isinstance(EchoRunner(), Runner)
-        finally:
-            del _RUNNERS["echo-test-backend"]
 
     def test_run_test_function_matches_method(self):
         test = SymbolicTest("t", single_branch_program())

@@ -121,7 +121,7 @@ class TestLoadBalancingBehaviour:
         assert rounds[4] <= rounds[1]
 
     def test_disabling_balancing_prevents_distribution(self):
-        cluster = make_cluster(4, buffer_size=3, load_balancing_enabled=False)
+        cluster = make_cluster(4, buffer_size=3, disable_balancing_after_round=0)
         result = cluster.run()
         assert result.exhausted
         assert result.states_transferred == 0

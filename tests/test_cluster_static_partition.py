@@ -46,7 +46,7 @@ class TestBootstrapSplit:
         with pytest.raises(ValueError):
             StaticPartitionConfig(instructions_per_round=0)
         with pytest.raises(ValueError):
-            StaticPartitionConfig(partitions_per_worker=0)
+            StaticPartitionConfig(disable_balancing_after_round=3)
 
 
 class TestStaticExploration:
@@ -111,7 +111,7 @@ class TestSharedCoordinator:
 
     def test_static_config_refuses_balancing(self):
         with pytest.raises(ValueError, match="never balances"):
-            StaticPartitionConfig(load_balancing_enabled=True)
+            StaticPartitionConfig(disable_balancing_after_round=None)
 
     def test_bootstrap_results_are_counted_once(self):
         test = make_test(branchy_program(3))
@@ -182,8 +182,7 @@ class TestImbalance:
             ),
         )
         test = make_test(program)
-        config = StaticPartitionConfig(num_workers=2, partitions_per_worker=1,
-                                       instructions_per_round=30)
+        config = StaticPartitionConfig(num_workers=2, instructions_per_round=30)
         cluster = test.build_static_cluster(config)
         result = cluster.run()
         assert result.exhausted

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from repro.api import Campaign, ExplorationLimits
+from repro.api import ExplorationLimits
 from repro.cluster.jobs import JobTree
 from repro.cluster.stats import WorkerStats
 from repro.distrib import DistribWorker, ProcessClusterConfig, specs
@@ -25,7 +25,6 @@ from repro.distrib.messages import (
     StatusReply,
     StopCommand,
 )
-from repro.solver.solver import SolverConfig
 from repro.testing.symbolic_test import SymbolicTest
 
 from conftest import BUILTIN_SPECS, branchy_program
@@ -346,11 +345,23 @@ specs.register_spec("test-crash", _crashing_spec, replace=True)
 
 
 class TestProcessRunnerValidation:
-    def test_unshippable_test_is_rejected_helpfully(self):
+    def test_specless_test_is_rejected_helpfully(self):
         test = _branchy_spec_test()
         assert test.spec_name is None
-        with pytest.raises(ValueError, match="resolve_test"):
+        with pytest.raises(ValueError, match="backend 'process' ships.*resolve_test"):
             test.run(backend="process", workers=2)
+
+    def test_specless_refusal_names_the_backend_asked_for(self, monkeypatch):
+        """The tcp refusal names 'tcp', and comes before the cluster (and
+        with it any socket) is built."""
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the refusal must come first")
+
+        monkeypatch.setattr("repro.api.runner.ProcessCloud9Cluster", forbidden)
+        monkeypatch.setattr("socket.socket", forbidden)
+        test = SymbolicTest("t", branchy_program(2), use_posix_model=False)
+        with pytest.raises(ValueError, match="backend 'tcp' ships"):
+            test.run(backend="tcp")
 
     def test_explicit_spec_option_overrides(self):
         test = _branchy_spec_test()
@@ -377,59 +388,3 @@ class TestProcessRunnerValidation:
         assert result.exhausted
         assert result.paths_completed == 30  # printf's tree, not branchy's
         assert result.line_count > test.program.line_count
-
-
-@needs_fork
-class TestCampaignFanOut:
-    def test_grid_fans_out_across_processes(self):
-        test = specs.resolve_test("test-branchy")
-        campaign = Campaign("fan-out", limits=LIMITS)
-        campaign.add_grid(test, [
-            {"backend": "single", "label": "single"},
-            {"backend": "cluster", "workers": 2, "label": "cluster",
-             "instructions_per_round": 50},
-        ])
-        entries = list(campaign)
-        assert all(entry.shippable for entry in entries)
-        outcome = campaign.run(processes=2)
-        assert set(outcome.results) == {"single", "cluster"}
-        paths = {label: r.paths_completed for label, r in outcome.results.items()}
-        assert paths["single"] == paths["cluster"] == 9
-        assert outcome.combined_coverage_percent(test.name) > 0
-
-    def test_unshippable_entries_run_locally(self):
-        campaign = Campaign("mixed", limits=LIMITS)
-        campaign.add(_branchy_spec_test(), backend="single", label="local")
-        assert not campaign.entries[0].shippable
-        outcome = campaign.run(processes=2)
-        assert outcome.results["local"].paths_completed == 9
-
-    def test_pool_honors_mutated_test_fields(self):
-        """Regression: picklable tweaks made after resolve_test (here the
-        per-path instruction cap) must reach the pool worker, not be silently
-        reset to the spec factory's defaults."""
-        test = specs.resolve_test("test-branchy")
-        test.engine_config.max_instructions_per_path = 5
-        campaign = Campaign("mutated", limits=LIMITS)
-        campaign.add(test, backend="single", label="capped")
-        outcome = campaign.run(processes=2)
-        # branchy(2) normally completes 9 clean paths; the 5-instruction cap
-        # trips the infinite-loop detector instead.
-        result = outcome.results["capped"]
-        assert result.paths_completed < 9
-        assert result.found_bug
-
-    def test_pool_honors_solver_config(self):
-        """A pooled entry solves with the test's ``solver_config``, so
-        ``run(processes=2)`` and ``run()`` report the same solver work."""
-        def campaign():
-            test = specs.resolve_test("printf", format_length=2)
-            test.solver_config = SolverConfig(use_independence=False)
-            batch = Campaign("solver-config",
-                             limits=ExplorationLimits(max_steps=400))
-            batch.add(test, backend="single", label="no-independence")
-            return batch
-        local = campaign().run().results["no-independence"]
-        pooled = campaign().run(processes=2).results["no-independence"]
-        assert local.cache_stats["independence_groups"] == 0
-        assert pooled.cache_stats == local.cache_stats

@@ -4,7 +4,9 @@ import pytest
 
 from repro import lang as L
 from repro.api import Campaign, ExplorationLimits
+from repro.distrib import specs
 from repro.engine.config import EngineConfig
+from repro.solver.solver import SolverConfig
 from repro.testing import SymbolicTest
 from repro.testing.report import CoverageAccounting
 
@@ -52,6 +54,17 @@ class TestSymbolicTest:
         test = SymbolicTest("t", single_branch_program(), engine_config=config)
         executor = test.build_executor()
         assert executor.config.max_instructions_per_path == 123
+
+    def test_solver_config_respected(self):
+        """A test's ``solver_config`` reaches the executor a run solves with."""
+        def run(solver_config=None):
+            test = specs.resolve_test("printf", format_length=2)
+            if solver_config is not None:
+                test.solver_config = solver_config
+            return test.run(max_steps=400)
+        assert run().cache_stats["independence_groups"] > 0
+        no_independence = run(SolverConfig(use_independence=False))
+        assert no_independence.cache_stats["independence_groups"] == 0
 
     def test_posix_model_optional(self):
         test = SymbolicTest("t", single_branch_program(), use_posix_model=False)
