@@ -26,8 +26,10 @@ it is seeded (:meth:`Explorer.seed_state
 sees was stepped here from such a root, so its lines are already in.
 
 A step is one pass.  ``step`` tests the state's status, its instruction
-limit and its thread once, runs the instruction, and books a child only
-when the child ended.  :meth:`Explorer.step_node
+limit and its thread once, hands the thread to
+:meth:`Interpreter.run_line <repro.engine.interpreter.Interpreter.run_line>`
+-- the one loop that executes instructions, for every budget, one included
+-- and books a child only when the child ended.  :meth:`Explorer.step_node
 <repro.engine.explorer.Explorer.step_node>` handles the common result, the
 node's own state still running, by telling the frontier that the state
 moved.  Only forks and terminations reach ``Explorer._graft``.  ``run``
@@ -156,14 +158,16 @@ class SymbolicExecutor:
         """Advance a state by one scheduling decision, or by up to ``budget``
         instructions of its current thread.
 
-        After the first instruction the step runs on only while each one
-        leaves the state its own only child, still running, and stops at the
-        first of: a fork or termination; another current thread, or this one
-        no longer enabled; ``force_reschedule`` set; the path's instruction
-        limit reached (re-read every time: a native may set it); ``budget``
-        instructions.  Each of those is where a one-instruction step would
-        have done something else next.  A scheduling decision is always a
-        step of its own.
+        A scheduling decision is always a step of its own.  Otherwise the
+        step is one call of :meth:`Interpreter.run_line
+        <repro.engine.interpreter.Interpreter.run_line>`: after the first
+        instruction it runs on only while each one leaves the state its own
+        only child, still running, and stops at the first of: a fork or
+        termination; another current thread, or this one no longer enabled;
+        ``force_reschedule`` set; the path's instruction limit reached (it
+        is re-read after every instruction that may have changed it: a
+        native may set it); ``budget`` instructions.  Each of those is where
+        a one-instruction step would have done something else next.
         """
         if state.status is not RUNNING:
             return StepResult([])
@@ -183,26 +187,8 @@ class SymbolicExecutor:
         if thread.status is not ENABLED:
             return self._schedule(state)
 
-        # A straight line: nothing but this thread's next instruction can
-        # happen to the state until one of the stops above.  ``lines`` is
-        # made only when the step goes on past its first instruction.
-        execute = self.interpreter.execute_instruction
-        line, children = execute(state, thread)
-        instructions = 1
-        lines = None
-        while (instructions < budget
-               and len(children) == 1 and children[0] is state
-               and state.status is RUNNING and state.current is current
-               and thread.status is ENABLED
-               and "force_reschedule" not in options):
-            limit = options.get("max_instructions", default_limit)
-            if limit is not None and state.instructions_executed >= int(limit):
-                break
-            if lines is None:
-                lines = {line}
-            line, children = execute(state, thread)
-            lines.add(line)
-            instructions += 1
+        line, children, instructions, lines = self.interpreter.run_line(
+            state, thread, budget, default_limit)
         result = StepResult(children, line)
         self.total_instructions += instructions
         if lines is None:

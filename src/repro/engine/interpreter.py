@@ -1,31 +1,53 @@
 """Instruction interpretation with symbolic forking.
 
-The interpreter executes exactly one instruction of one state per call and
-returns the ordered list of resulting states: one state for straight-line
-execution, several when the instruction forks (symbolic branch, fault
-injection fork, out-of-bounds possibility, schedule fork handled by the
-executor).  The order of the returned list is deterministic; the cluster
-layer relies on this to encode jobs as fork-index paths and to replay them on
-other workers.
+:meth:`Interpreter.run_line` executes a state's current thread from its
+program counter along one straight line: at least one instruction, and on
+while each leaves the state its own only child, still running, on the same
+thread, up to a budget.  It returns the ordered list of states the last
+instruction produced: one state for straight-line execution, several when
+the instruction forks (symbolic branch, fault injection fork,
+out-of-bounds possibility; a schedule fork is the executor's).  The order of
+the returned list is deterministic; the cluster layer relies on this to
+encode jobs as fork-index paths and to replay them on other workers.
 
 Instructions are *decoded on first run*, the way KLEE interprets pre-lowered
 ``KInstruction``s rather than source trees: the first time a function of a
 program executes on an :class:`Interpreter`, each of its
 :class:`~repro.lang.compiler.Instruction` records becomes a ``(line,
-handler)`` pair, where the handler is a closure over closure-compiled operand
+handler)`` pair.  A handler is a closure over closure-compiled operand
 evaluators (a constant is masked once, a variable is one dict lookup, a
 binary operator is bound from :mod:`repro.engine.values`' operator table).
-:meth:`Interpreter.execute_instruction` is then bookkeeping, ``code[pc]`` and
-the exception ladder.  The decoded table lives on the interpreter, one entry
-per function, built when the function is first entered:
-``Instruction``/``CompiledProgram`` stay plain data (``repro.lang`` knows
-nothing of the engine), nothing is decoded at construction, and a native is
-still looked up by name on every call, so late registration keeps working.
+An ``ASSIGN`` or ``BRANCH`` whose expression is made of variables,
+constants, unary and binary operators (not ``/`` or ``%``, whose divisor is
+checked) and loads is also *generated*: one Python function whose
+all-concrete case is inline integer arithmetic, written out from the
+operator templates of :mod:`repro.engine.values` -- the one definition of
+concrete semantics.  A variable that is missing or not an ``int``, or a
+loaded byte that is symbolic, sends it to the closure handler, which starts
+the instruction again from the top (the generated part only reads).  Code
+objects are cached per process, keyed by their source, so a second executor
+of the same program compiles nothing.
+
+A handler returns ``None`` when the instruction went straight on -- only
+locals and the program counter changed (``ASSIGN``, ``JUMP``, a concrete
+``BRANCH``, a passing ``ASSERT``) -- and the list of successor states
+otherwise.  ``run_line`` checks nothing after a ``None`` but the step's
+instruction stop; after a list it checks the children, the state's status,
+its current thread, ``force_reschedule`` and the instruction limit (only a
+native changes ``state.options``).  The decoded table lives on the
+interpreter, one entry per function, built when the function is first
+entered: ``Instruction``/``CompiledProgram`` stay plain data (``repro.lang``
+knows nothing of the engine), nothing is decoded at construction, and a
+native is still looked up by name on every call, so late registration keeps
+working.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+import builtins
+from types import CodeType, FunctionType
+from typing import (Any, Callable, Dict, List, Optional, Sequence, Set,
+                    Tuple)
 
 from repro.engine.config import EngineConfig
 from repro.engine.errors import BugKind, BugReport
@@ -41,6 +63,8 @@ from repro.engine.natives import (
     NativeRegistry,
 )
 from repro.engine.state import (
+    ENABLED,
+    RUNNING,
     ExecutionState,
     Frame,
     StateStatus,
@@ -48,9 +72,11 @@ from repro.engine.state import (
     ThreadStatus,
 )
 from repro.engine.values import (
+    BINOP_TEMPLATES,
     CONCRETE_BINOPS,
     CONCRETE_UNOPS,
     DEFAULT_WIDTH,
+    UNOP_TEMPLATES,
     _DEFAULT_MASK,
     Value,
     byte_value,
@@ -78,9 +104,14 @@ from repro.solver.solver import Solver
 #: A decoded operand: evaluates a call-free expression in a frame.
 Evaluator = Callable[[ExecutionState, Frame], Value]
 #: A decoded instruction: executes in the current thread's top frame and
-#: returns the ordered successor states.
-Handler = Callable[[ExecutionState, Thread, Frame], List[ExecutionState]]
+#: returns ``None`` when it went straight on, else the ordered successors.
+Handler = Callable[[ExecutionState, Thread, Frame],
+                   Optional[List[ExecutionState]]]
 DecodedFunction = List[Tuple[int, Handler]]
+
+#: How many generated code objects a process keeps (the oldest goes first).
+_CODE_CACHE_SIZE = 4096
+_code_cache: Dict[str, CodeType] = {}
 
 
 class EngineInternalError(Exception):
@@ -91,8 +122,8 @@ class DivisionByZeroError(Exception):
     """The program divided (or took a remainder) by a divisor that is zero.
 
     Raised during expression evaluation and converted by
-    :meth:`Interpreter.execute_instruction` into a ``DIVISION_BY_ZERO`` bug
-    report, the same way KLEE turns a zero divisor into a test case.
+    :meth:`Interpreter.run_line` into a ``DIVISION_BY_ZERO`` bug report, the
+    same way KLEE turns a zero divisor into a test case.
     """
 
 
@@ -122,56 +153,117 @@ class Interpreter:
 
     # -- instruction execution ---------------------------------------------------------
 
-    def execute_instruction(self, state: ExecutionState, thread: Thread
-                            ) -> Tuple[int, List[ExecutionState]]:
-        """Execute one instruction of ``thread``, the state's current thread.
+    def run_line(self, state: ExecutionState, thread: Thread, budget: int,
+                 default_limit: Optional[int]
+                 ) -> Tuple[int, List[ExecutionState], int, Optional[Set[int]]]:
+        """Run ``thread``, the state's current thread, along its straight line.
 
-        Returns the executed line and the ordered list of resulting states
-        (the input state is always included, possibly terminated).  All
-        bookkeeping (coverage, instruction counters) is applied to every
-        resulting state.
+        The first instruction always runs (the caller has checked the
+        state's status, its instruction limit and its thread).  The line
+        then goes on while each instruction leaves the state its own only
+        child, still running, and stops at the first of: a fork or
+        termination; another current thread, or this one no longer
+        enabled; ``force_reschedule`` set; the path's instruction limit
+        (``options["max_instructions"]``, else ``default_limit``) reached;
+        ``budget`` instructions.  Every instruction is booked on the state
+        (``instructions_executed``, ``coverage``).
+
+        Returns the last executed line, the ordered states that instruction
+        produced (the input state always among them, possibly terminated),
+        how many instructions ran, and the set of lines they ran on --
+        ``None`` when only one ran.
         """
-        frame = thread.stack[-1]
         program = state.program
         if program is not self._program:
             self._program = program
             self._code = {}
-        code = self._code.get(frame.function)
+        table = self._code
+        options = state.options
+        current = state.current
+        coverage = state.coverage
+        frame = thread.stack[-1]
+        function = frame.function
+        code = table.get(function)
         if code is None:
-            code = self._code[frame.function] = self._decode_function(
-                program, frame.function)
-        try:
-            line, handler = code[frame.pc]
-        except IndexError:
-            raise EngineInternalError(
-                "program counter %d out of range in %s"
-                % (frame.pc, frame.function)) from None
-
-        state.instructions_executed += 1
-        state.coverage.add(line)
-        state.depth += 1
-
-        try:
-            return line, handler(state, thread, frame)
-        except MemoryError_ as exc:
-            return line, [self._terminate_error(
-                state, BugKind.MEMORY_ERROR, str(exc), line)]
-        except DivisionByZeroError as exc:
-            return line, [self._terminate_error(
-                state, BugKind.DIVISION_BY_ZERO, str(exc), line)]
-        except NativeBug as exc:
-            return line, [self._terminate_error(state, exc.kind, exc.message, line)]
-        except ExitProcess as exc:
-            return line, [self._exit_process(state, exc.code)]
-        except ExitState as exc:
-            state.terminate(exc.code)
-            return line, [state]
+            code = table[function] = self._decode_function(program, function)
+        limit: Any = options.get("max_instructions", default_limit)
+        stop = (budget if limit is None
+                else min(budget, int(limit) - state.instructions_executed))
+        instructions = 0
+        lines: Optional[Set[int]] = None
+        while True:
+            try:
+                line, handler = code[frame.pc]
+            except IndexError:
+                raise EngineInternalError(
+                    "program counter %d out of range in %s"
+                    % (frame.pc, function)) from None
+            state.instructions_executed += 1
+            coverage.add(line)
+            instructions += 1
+            try:
+                children = handler(state, thread, frame)
+            except MemoryError_ as exc:
+                children = [self._terminate_error(
+                    state, BugKind.MEMORY_ERROR, str(exc), line)]
+                break
+            except DivisionByZeroError as exc:
+                children = [self._terminate_error(
+                    state, BugKind.DIVISION_BY_ZERO, str(exc), line)]
+                break
+            except NativeBug as exc:
+                children = [self._terminate_error(
+                    state, exc.kind, exc.message, line)]
+                break
+            except ExitProcess as exc:
+                children = [self._exit_process(state, exc.code)]
+                break
+            except ExitState as exc:
+                state.terminate(exc.code)
+                children = [state]
+                break
+            if children is None:
+                # Straight on: nothing but locals and the pc changed.
+                if instructions >= stop:
+                    children = [state]
+                    break
+            else:
+                if (instructions >= budget or len(children) != 1
+                        or children[0] is not state
+                        or state.status is not RUNNING
+                        or state.current is not current
+                        or thread.status is not ENABLED
+                        or "force_reschedule" in options):
+                    break
+                limit = options.get("max_instructions", default_limit)
+                if limit is not None:
+                    stop = min(budget, instructions + int(limit)
+                               - state.instructions_executed)
+                    if instructions >= stop:
+                        break
+                else:
+                    stop = budget
+                # A call or a return moves to another frame.
+                frame = thread.stack[-1]
+                if frame.function != function:
+                    function = frame.function
+                    code = table.get(function)
+                    if code is None:
+                        code = table[function] = self._decode_function(
+                            program, function)
+            if lines is None:
+                lines = {line}
+            else:
+                lines.add(line)
+        if lines is not None:
+            lines.add(line)
+        return line, children, instructions, lines
 
     # -- decoding: expressions -------------------------------------------------------
 
     def _decode_function(self, program: CompiledProgram, name: str) -> DecodedFunction:
-        return [(instr.line, self._decode_instruction(program, instr))
-                for instr in program.function(name).instructions]
+        return [(instr.line, self._decode_instruction(program, index, instr))
+                for index, instr in enumerate(program.function(name).instructions)]
 
     def _decode_expr(self, expr) -> Evaluator:
         """Compile a call-free expression into an evaluator closure."""
@@ -310,13 +402,14 @@ class Interpreter:
 
     # -- decoding: instructions ------------------------------------------------------
 
-    def _decode_instruction(self, program: CompiledProgram,
+    def _decode_instruction(self, program: CompiledProgram, index: int,
                             instr: Instruction) -> Handler:
-        """Build the handler of one instruction.
+        """Build the handler of the ``index``-th instruction of a function.
 
         A handler does the instruction's common, concrete case inline and
         hands the symbolic one to the ``_exec_*`` method with the operands it
-        already evaluated.
+        already evaluated.  An ``ASSIGN`` or ``BRANCH`` the generator covers
+        gets a generated handler in front of that closure.
         """
         opcode = instr.opcode
         if opcode == Opcode.ASSIGN:
@@ -326,8 +419,7 @@ class Interpreter:
             def assign(state, thread, frame):
                 frame.locals[dest] = value_of(state, frame)
                 frame.pc += 1
-                return [state]
-            return assign
+            return _generated(index, instr, assign)
         if opcode == Opcode.BRANCH:
             condition = self._decode_expr(instr.expr)
             target, false_target = instr.target, instr.false_target
@@ -337,15 +429,14 @@ class Interpreter:
                 value = condition(state, frame)
                 if isinstance(value, int):
                     frame.pc = target if value != 0 else false_target
-                    return [state]
+                    return None
                 return branch_symbolic(state, frame, value, target, false_target)
-            return branch
+            return _generated(index, instr, branch)
         if opcode == Opcode.JUMP:
             jump_target = instr.target
 
             def jump(state, thread, frame):
                 frame.pc = jump_target
-                return [state]
             return jump
         if opcode == Opcode.STORE:
             base = self._decode_expr(instr.base)
@@ -382,7 +473,7 @@ class Interpreter:
                 value = asserted(state, frame)
                 if isinstance(value, int) and value != 0:
                     frame.pc += 1
-                    return [state]
+                    return None
                 return failed(state, frame, instr, value)
             return assertion
 
@@ -649,3 +740,134 @@ class Interpreter:
         else:
             state.options["force_reschedule"] = True
         return state
+
+
+# -- generated handlers -----------------------------------------------------------------
+
+
+class _NotGenerated(Exception):
+    """An expression the generator does not cover: the closure handler stays."""
+
+
+def _load_concrete(state: ExecutionState, base: int, offset: int
+                   ) -> Optional[int]:
+    """``base[offset]`` with both concrete: the byte (what
+    :meth:`Interpreter._load` returns), or ``None`` when the cell is
+    symbolic."""
+    obj, base_off, _ = state.resolve(base)
+    cell = obj.read_byte(base_off + offset)
+    if isinstance(cell, int):
+        return cell & 0xFF
+    return None
+
+
+_TEMPLATE_CONSTANTS = {"mask": _DEFAULT_MASK, "width": DEFAULT_WIDTH,
+                       "sign": 1 << (DEFAULT_WIDTH - 1)}
+_FALLBACK = "return _fallback(state, thread, frame)"
+
+
+class _Source:
+    """One generated handler's body: the variables it reads, guarded up
+    front, and the statements that bind loads and reused operands, in the
+    order the closures evaluate them."""
+
+    def __init__(self) -> None:
+        self.variables: Dict[str, str] = {}
+        self.statements: List[str] = []
+
+    def operand(self, expr, masked: bool) -> str:
+        """The operand as a side-effect-free Python atom.
+
+        ``masked`` is a binary operator's operand, masked as the closure's
+        ``binary`` does.  Only a variable can be out of range: a constant is
+        masked here, and every template and load yields a masked value.
+        """
+        if isinstance(expr, Const):
+            return "%d" % (expr.value & _DEFAULT_MASK)
+        if isinstance(expr, Var):
+            name = self.variables.get(expr.name)
+            if name is None:
+                name = self.variables[expr.name] = "v%d" % len(self.variables)
+            return "(%s & %d)" % (name, _DEFAULT_MASK) if masked else name
+        if isinstance(expr, BinExpr):
+            if expr.op in (BinaryOp.DIV, BinaryOp.MOD):
+                raise _NotGenerated  # the divisor check is the closure's
+            return self.apply(BINOP_TEMPLATES[expr.op],
+                              a=self.operand(expr.left, True),
+                              b=self.operand(expr.right, True))
+        if isinstance(expr, UnExpr):
+            return self.apply(UNOP_TEMPLATES[expr.op],
+                              x=self.operand(expr.operand, False))
+        if isinstance(expr, Index):
+            base = self.operand(expr.base, False)
+            offset = self.operand(expr.offset, False)
+            loaded = self.bind("_load(state, %s, %s)" % (base, offset))
+            self.statements.append("if %s is None:\n        %s"
+                                   % (loaded, _FALLBACK))
+            return loaded
+        raise _NotGenerated
+
+    def apply(self, template: str, **operands: str) -> str:
+        """``template`` over the operands; one it reads twice is bound first."""
+        for key, atom in operands.items():
+            if (template.count("{%s}" % key) > 1
+                    and not (atom.isidentifier() or atom.isdigit())):
+                operands[key] = self.bind(atom)
+        return "(%s)" % template.format(**_TEMPLATE_CONSTANTS, **operands)
+
+    def bind(self, value: str) -> str:
+        name = "t%d" % len(self.statements)
+        self.statements.append("%s = %s" % (name, value))
+        return name
+
+    def function(self, body: str, typed: bool) -> str:
+        """The handler's source; ``typed``: its variables must be ``int``s."""
+        lines = ["def handler(state, thread, frame):"]
+        if self.variables:
+            lines.append("    locals_ = frame.locals")
+            lines.append("    try:")
+            lines.extend("        %s = locals_[%r]" % (name, variable)
+                         for variable, name in self.variables.items())
+            lines.append("    except KeyError:")
+            lines.append("        " + _FALLBACK)
+        if self.variables and typed:
+            lines.append("    if %s:" % " or ".join(
+                "type(%s) is not int" % name
+                for name in self.variables.values()))
+            lines.append("        " + _FALLBACK)
+        lines.extend("    " + statement for statement in self.statements)
+        lines.append("    " + body)
+        return "\n".join(lines) + "\n"
+
+
+def _generated(index: int, instr: Instruction, fallback: Handler) -> Handler:
+    """The generated handler of an ``ASSIGN`` or ``BRANCH``, with
+    ``fallback`` (its closure handler) for what is not all-concrete; the
+    closure itself when the expression is not covered."""
+    source = _Source()
+    try:
+        value = source.operand(instr.expr, False)
+    except _NotGenerated:
+        return fallback
+    if instr.opcode == Opcode.ASSIGN:
+        body = ("%s[%r] = %s\n    frame.pc = %d"
+                % ("locals_" if source.variables else "frame.locals",
+                   str(instr.dest), value, index + 1))
+    else:
+        target, false_target = instr.target, instr.false_target
+        if target is None or false_target is None:
+            return fallback
+        body = ("frame.pc = %d if %s != 0 else %d"
+                % (target, value, false_target))
+    # A plain copy stores whatever the variable holds, as the closure does.
+    text = source.function(body, typed=not (instr.opcode == Opcode.ASSIGN
+                                             and isinstance(instr.expr, Var)))
+    code = _code_cache.get(text)
+    if code is None:
+        if len(_code_cache) >= _CODE_CACHE_SIZE:
+            del _code_cache[next(iter(_code_cache))]
+        module = compile(text, "<generated handler>", "exec")
+        code = _code_cache[text] = next(
+            const for const in module.co_consts if isinstance(const, CodeType))
+    return FunctionType(code, {"__builtins__": builtins, "_load": _load_concrete,
+                               "_fallback": fallback})

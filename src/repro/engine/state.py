@@ -182,7 +182,6 @@ class ExecutionState:
         self.fork_trace: List[int] = []
         self.instructions_executed = 0
         self.forks = 0
-        self.depth = 0
 
         # Symbolic inputs: name -> list of byte symbols (ordering matters).
         self.symbolic_inputs: Dict[str, List[Expr]] = {}
@@ -256,7 +255,6 @@ class ExecutionState:
         clone.fork_trace = list(self.fork_trace)
         clone.instructions_executed = self.instructions_executed
         clone.forks = self.forks
-        clone.depth = self.depth
 
         clone.symbolic_inputs = {k: list(v) for k, v in self.symbolic_inputs.items()}
         clone._symbol_counter = self._symbol_counter
@@ -457,6 +455,11 @@ class ExecutionState:
     def terminate_error(self, report: object) -> None:
         self.status = StateStatus.ERROR
         self.error = report
+
+    @property
+    def depth(self) -> int:
+        """Instructions executed on this path (``instructions_executed``)."""
+        return self.instructions_executed
 
     @property
     def is_running(self) -> bool:

@@ -45,6 +45,9 @@ def generate_test_case(state: ExecutionState, solver: Solver,
                        error_summary: Optional[str] = None) -> Optional[TestCase]:
     """Solve a state's path constraint and concretize its symbolic inputs.
 
+    A symbolic exit code is evaluated under the model that concretises the
+    inputs, so the test case records the code those inputs exit with.
+
     Returns None when the path constraint is (or has become) unsatisfiable,
     which only happens if the solver previously returned "unknown" for a
     branch that was in fact infeasible.
@@ -58,7 +61,9 @@ def generate_test_case(state: ExecutionState, solver: Solver,
         name: model.as_bytes(symbols)
         for name, symbols in state.symbolic_inputs.items()
     }
-    exit_code = state.exit_code if isinstance(state.exit_code, int) else None
+    exit_code = state.exit_code
+    if not isinstance(exit_code, int):
+        exit_code = int(model.evaluate(exit_code))
     return TestCase(
         state_id=state.state_id,
         inputs=inputs,

@@ -56,36 +56,55 @@ def common_width(a: Value, b: Value) -> int:
     return max(width_of(a), width_of(b), DEFAULT_WIDTH)
 
 
-#: The one table of concrete binary operators, C-like unsigned semantics.
-#: Each entry takes ``(a, b, mask, width)`` with both operands already masked
-#: to ``width`` bits.  :func:`concrete_binop` looks operators up here, and the
-#: interpreter's decoder binds them once per instruction.  Signed comparisons
-#: flip the sign bit, which maps signed order onto unsigned order.
+#: The one definition of concrete operator semantics, C-like unsigned: a
+#: Python expression per operator over operands already masked to
+#: ``{width}`` bits (``{mask}`` is ``2**width - 1``, ``{sign}`` its top bit).
+#: Signed comparisons flip the sign bit, which maps signed order onto
+#: unsigned order.  A unary operator takes its operand ``{x}`` unmasked.
+#: Operands are substituted as atoms (a name, a literal or a parenthesised
+#: expression); a template may read an operand twice or not at all.  The
+#: interpreter's decoder inlines these into generated handlers, and the
+#: tables below are compiled from the same text.
+BINOP_TEMPLATES: Dict[BinaryOp, str] = {
+    BinaryOp.ADD: "({a} + {b}) & {mask}",
+    BinaryOp.SUB: "({a} - {b}) & {mask}",
+    BinaryOp.MUL: "({a} * {b}) & {mask}",
+    BinaryOp.DIV: "{mask} if {b} == 0 else {a} // {b}",
+    BinaryOp.MOD: "{a} if {b} == 0 else {a} % {b}",
+    BinaryOp.AND: "{a} & {b}",
+    BinaryOp.OR: "{a} | {b}",
+    BinaryOp.XOR: "{a} ^ {b}",
+    BinaryOp.SHL: "0 if {b} >= {width} else ({a} << {b}) & {mask}",
+    BinaryOp.SHR: "0 if {b} >= {width} else {a} >> {b}",
+    BinaryOp.EQ: "1 if {a} == {b} else 0",
+    BinaryOp.NE: "1 if {a} != {b} else 0",
+    BinaryOp.LT: "1 if {a} ^ {sign} < {b} ^ {sign} else 0",
+    BinaryOp.LE: "1 if {a} ^ {sign} <= {b} ^ {sign} else 0",
+    BinaryOp.GT: "1 if {a} ^ {sign} > {b} ^ {sign} else 0",
+    BinaryOp.GE: "1 if {a} ^ {sign} >= {b} ^ {sign} else 0",
+    BinaryOp.LAND: "1 if {a} != 0 and {b} != 0 else 0",
+    BinaryOp.LOR: "1 if {a} != 0 or {b} != 0 else 0",
+}
+
+UNOP_TEMPLATES: Dict[UnaryOp, str] = {
+    UnaryOp.NEG: "-{x} & {mask}",
+    UnaryOp.NOT: "1 if {x} == 0 else 0",
+    UnaryOp.BNOT: "~{x} & {mask}",
+}
+
+#: The templates as functions.  Each binary entry takes ``(a, b, mask,
+#: width)`` with both operands already masked to ``width`` bits;
+#: :func:`concrete_binop` looks operators up here, and the interpreter's
+#: closure handlers bind them once per instruction.
 CONCRETE_BINOPS: Dict[BinaryOp, Callable[[int, int, int, int], int]] = {
-    BinaryOp.ADD: lambda a, b, mask, width: (a + b) & mask,
-    BinaryOp.SUB: lambda a, b, mask, width: (a - b) & mask,
-    BinaryOp.MUL: lambda a, b, mask, width: (a * b) & mask,
-    BinaryOp.DIV: lambda a, b, mask, width: mask if b == 0 else a // b,
-    BinaryOp.MOD: lambda a, b, mask, width: a if b == 0 else a % b,
-    BinaryOp.AND: lambda a, b, mask, width: a & b,
-    BinaryOp.OR: lambda a, b, mask, width: a | b,
-    BinaryOp.XOR: lambda a, b, mask, width: a ^ b,
-    BinaryOp.SHL: lambda a, b, mask, width: 0 if b >= width else (a << b) & mask,
-    BinaryOp.SHR: lambda a, b, mask, width: 0 if b >= width else a >> b,
-    BinaryOp.EQ: lambda a, b, mask, width: int(a == b),
-    BinaryOp.NE: lambda a, b, mask, width: int(a != b),
-    BinaryOp.LT: lambda a, b, mask, width: int(a ^ (1 << (width - 1)) < b ^ (1 << (width - 1))),
-    BinaryOp.LE: lambda a, b, mask, width: int(a ^ (1 << (width - 1)) <= b ^ (1 << (width - 1))),
-    BinaryOp.GT: lambda a, b, mask, width: int(a ^ (1 << (width - 1)) > b ^ (1 << (width - 1))),
-    BinaryOp.GE: lambda a, b, mask, width: int(a ^ (1 << (width - 1)) >= b ^ (1 << (width - 1))),
-    BinaryOp.LAND: lambda a, b, mask, width: int(a != 0 and b != 0),
-    BinaryOp.LOR: lambda a, b, mask, width: int(a != 0 or b != 0),
+    op: eval("lambda a, b, mask, width: " + template.format(
+        a="a", b="b", mask="mask", width="width", sign="(1 << (width - 1))"))
+    for op, template in BINOP_TEMPLATES.items()
 }
 
 CONCRETE_UNOPS: Dict[UnaryOp, Callable[[int], int]] = {
-    UnaryOp.NEG: lambda value: -value & _DEFAULT_MASK,
-    UnaryOp.NOT: lambda value: int(value == 0),
-    UnaryOp.BNOT: lambda value: ~value & _DEFAULT_MASK,
+    op: eval("lambda x: " + template.format(x="x", mask=_DEFAULT_MASK))
+    for op, template in UNOP_TEMPLATES.items()
 }
 
 

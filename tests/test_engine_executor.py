@@ -227,3 +227,22 @@ class TestStepResults:
         executor = make_executor(branchy_program(1))
         state = executor.make_initial_state(options={"max_instructions": 123})
         assert state.options["max_instructions"] == 123
+
+
+class TestSymbolicExitCodes:
+    """A path whose exit code is an expression records the code its inputs
+    exit with, evaluated under the model that concretised them."""
+
+    @pytest.mark.parametrize("spec", ["coreutils-expr", "testcmd", "prodcons"])
+    def test_every_normal_test_case_has_an_exit_code(self, spec):
+        result = specs.resolve_test(spec).run(backend="single",
+                                              max_instructions=3000)
+        normal = [case for case in result.test_cases if not case.is_error]
+        assert normal
+        assert all(case.exit_code is not None for case in normal)
+
+    def test_prodcons_records_its_symbolic_exit_code(self):
+        result = specs.resolve_test("prodcons").run(backend="single",
+                                                    max_instructions=3000)
+        assert [case.exit_code for case in result.test_cases
+                if not case.is_error] == [23]

@@ -3,13 +3,19 @@
 Until instructions were decoded into closures, ``Interpreter.eval_expr``
 re-walked the expression tree through an ``isinstance`` chain on every
 evaluation, ``execute_instruction`` found the opcode through a chain of
-``Opcode.X`` comparisons, and ``concrete_binop`` was an 18-way ``if`` ladder.
-That code lives on here as the *reference*: a :class:`ReferenceInterpreter`
-that shares only what the decoder did not replace (feasibility, concretising,
-native forks, termination helpers).  Two executors -- one per interpreter --
-are stepped in lock-step and must agree after every step on the number of
-children and, per child, on status, program counter, locals, path-constraint
-conjuncts, coverage and fork trace, and on the bugs and engine errors raised.
+``Opcode.X`` comparisons, ``concrete_binop`` was an 18-way ``if`` ladder, and
+the executor ran a straight line by calling ``execute_instruction`` once per
+instruction.  That code lives on here as the *reference*: a
+:class:`ReferenceInterpreter` with its own ``run_line`` (the tree walker in
+a loop with the executor's old stop rules) that shares only what the
+decoder did not replace (feasibility, concretising, native forks,
+termination helpers).  Two executors -- one per interpreter -- are stepped
+in lock-step and must agree after every step on the number of children and,
+per child, on status, program counter, locals, path-constraint conjuncts,
+coverage and fork trace, and on the bugs and engine errors raised.  In the
+second mode the decoded side steps whole straight lines and the reference
+one instruction at a time, compared wherever a decoded step ends.  Every
+run checks that the reference executed every instruction it was credited.
 
 The one deliberate difference to the code that was deleted: every constant is
 masked to the default width (the deleted evaluator masked only negative ones,
@@ -38,7 +44,7 @@ from repro.engine.natives import (
     NativeContext,
     NativeFork,
 )
-from repro.engine.state import Frame, ThreadStatus
+from repro.engine.state import Frame, StateStatus, ThreadStatus
 from repro.engine.values import (
     byte_value,
     false_condition,
@@ -144,6 +150,33 @@ def reference_unop(op, value):
 class ReferenceInterpreter(Interpreter):
     """The tree-walking interpreter, as it was."""
 
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.executed = 0
+
+    def run_line(self, state, thread, budget, default_limit):
+        """The executor's old straight-line loop over ``execute_instruction``."""
+        options = state.options
+        current = state.current
+        line, children = self.execute_instruction(state, thread)
+        instructions = 1
+        lines = None
+        while (instructions < budget
+               and len(children) == 1 and children[0] is state
+               and state.status is StateStatus.RUNNING
+               and state.current is current
+               and thread.status is ThreadStatus.ENABLED
+               and "force_reschedule" not in options):
+            limit = options.get("max_instructions", default_limit)
+            if limit is not None and state.instructions_executed >= int(limit):
+                break
+            if lines is None:
+                lines = {line}
+            line, children = self.execute_instruction(state, thread)
+            lines.add(line)
+            instructions += 1
+        return line, children, instructions, lines
+
     def eval_expr(self, state, frame, expr):
         if isinstance(expr, Const):
             return expr.value & ((1 << 32) - 1)
@@ -208,9 +241,9 @@ class ReferenceInterpreter(Interpreter):
         instr = function.instructions[frame.pc]
         line = instr.line
 
+        self.executed += 1
         state.instructions_executed += 1
         state.coverage.add(line)
-        state.depth += 1
 
         try:
             if instr.opcode == Opcode.ASSIGN:
@@ -395,33 +428,84 @@ def _snapshot(state):
             state.error.summary() if state.error is not None else None)
 
 
-def _step(executor, state):
+#: A decoded step's budget in whole-line mode: no cap but the path's own.
+WHOLE_LINE = 1 << 62
+MODES = ["one_instruction", "whole_lines"]
+
+
+def _step(executor, state, budget=1):
     """The step's result, or the engine error it raised."""
     try:
-        return executor.step(state), None
+        return executor.step(state, budget), None
     except EngineInternalError as exc:
         return None, str(exc)
 
 
+def _reference_line(reference, state, got):
+    """Step the reference one instruction at a time over the line the
+    decoded side ran as one step (``got``; ``None`` when that step raised).
+    Every step but the last must go straight on.  Returns the last step's
+    result or error, the instructions and the lines all of them ran."""
+    instructions, lines = 0, set()
+    while True:
+        want, want_error = _step(reference, state)
+        if want is None:
+            return None, want_error, instructions, lines
+        instructions += want.instructions
+        if want.line is not None:
+            lines.add(want.line)
+        if got is not None and instructions >= got.instructions:
+            return want, None, instructions, lines
+        assert want.instructions == 1 and want.children == [state]
+        assert state.is_running
+
+
 def lock_step(make_executor, make_state, budget: int):
-    """Explore depth-first on both interpreters at once.  Returns the decoded
-    side's executor, the engine errors both sides raised and the bugs its
-    steps found."""
+    """Explore depth-first on both interpreters at once, in every mode.
+    Returns what the ``one_instruction`` mode returns: the decoded side's
+    executor, the engine errors both sides raised and the bugs its steps
+    found."""
+    results = [_lock_step(make_executor, make_state, budget, mode)
+               for mode in MODES]
+    return results[0]
+
+
+def _lock_step(make_executor, make_state, budget: int, mode: str):
+    """``one_instruction`` steps both sides one instruction at a time;
+    ``whole_lines`` steps the decoded side by whole straight lines and the
+    reference by one instruction, compared at every decoded step boundary.
+    """
     errors, bugs = [], []
     decoded = make_executor()
     reference = _with_reference(make_executor())
     assert type(decoded.interpreter) is Interpreter
+    whole_lines = mode == "whole_lines"
+    # A step that raises books nothing, so a decoded line that raised
+    # leaves the reference's straight-on steps before it unbooked there.
+    uncredited, uncovered = 0, set()
     stack = [(make_state(decoded), make_state(reference))]
     while stack and decoded.total_instructions < budget:
         mine, theirs = stack.pop()
-        got, got_error = _step(decoded, mine)
-        want, want_error = _step(reference, theirs)
+        if whole_lines:
+            got, got_error = _step(decoded, mine, WHOLE_LINE)
+            want, want_error, instructions, lines = _reference_line(
+                reference, theirs, got)
+            if got is not None:
+                assert got.instructions == instructions
+                assert (got.lines or {got.line} - {None}) == lines
+            else:
+                uncredited += instructions
+                uncovered |= lines
+        else:
+            got, got_error = _step(decoded, mine)
+            want, want_error = _step(reference, theirs)
         assert got_error == want_error
         if got is None:
             errors.append(got_error)
             continue
         assert got.line == want.line
-        assert got.instructions == want.instructions
+        if not whole_lines:
+            assert got.instructions == want.instructions
         assert len(got.children) == len(want.children)
         for child, expected in zip(got.children, want.children):
             assert _snapshot(child) == _snapshot(expected)
@@ -432,8 +516,13 @@ def lock_step(make_executor, make_state, budget: int):
         pairs = [(a, b) for a, b in zip(got.children, want.children)
                  if a.is_running]
         stack.extend(reversed(pairs))
-    assert decoded.total_instructions == reference.total_instructions
-    assert decoded.covered_lines == reference.covered_lines
+    assert (decoded.total_instructions + uncredited
+            == reference.total_instructions)
+    # The reference's own loop ran every instruction it was credited, and
+    # the one each engine error stopped at.
+    assert (reference.interpreter.executed
+            == reference.total_instructions + len(errors))
+    assert decoded.covered_lines | uncovered == reference.covered_lines
     assert decoded.solver.stats.queries == reference.solver.stats.queries
     return decoded, errors, bugs
 
@@ -578,3 +667,58 @@ def test_the_error_paths_step_the_same():
         errors.extend(raised)
     assert {BugKind.DIVISION_BY_ZERO, BugKind.MEMORY_ERROR} <= kinds
     assert errors == ["use of undefined variable 'ghost' in main"]
+
+
+# -- values no operator produces -------------------------------------------------------
+
+#: What the test-local native ``odd`` returns, by argument: ints a native may
+#: hand back that are out of the 32-bit range, or not plain ints at all.
+ODD_VALUES = [2**32, 2**32 + 5, -1, True]
+
+
+def _odd(ctx):
+    return ODD_VALUES[ctx.concrete_arg(0)]
+
+
+def _odd_program():
+    """Every operator over every pair of odd values and constants, as
+    assignments and as branch conditions; the locals compared after every
+    step hold each result."""
+    names = ["x%d" % k for k in range(len(ODD_VALUES))]
+    operands = [L.var(name) for name in names] + [L.const(5), L.const(-1)]
+    body = [L.decl(name, L.call("odd", k)) for k, name in enumerate(names)]
+    body.append(L.decl("r", 0))
+    body.append(L.decl("hits", 0))
+    for op in BINARY:
+        for a in operands:
+            for b in operands:
+                body.append(L.assign("r", op(a, b)))
+                body.append(L.if_(op(a, b), [L.assign(
+                    "hits", L.add(L.var("hits"), 1))]))
+    for op in UNARY:
+        for a in operands:
+            body.append(L.assign("r", op(a)))
+            body.append(L.if_(op(a), [L.assign(
+                "hits", L.add(L.var("hits"), 1))]))
+    for name in names:
+        body.append(L.assign("r", L.var(name)))
+        body.append(L.if_(L.var(name), [L.assign(
+            "hits", L.add(L.var("hits"), 1))]))
+    body.append(L.ret(L.var("hits")))
+    return L.program("odd_values", L.func("main", [], *body))
+
+
+def test_out_of_range_native_values_step_the_same():
+    """The generated handlers mask a binary operand and leave a unary one
+    raw exactly as the reference does (``!x`` of ``2**32`` is 0)."""
+    program = _odd_program()
+
+    def make_executor():
+        executor = SymbolicExecutor(program)
+        executor.natives.register("odd", _odd)
+        return executor
+
+    executor, errors, bugs = lock_step(
+        make_executor, lambda executor: executor.make_initial_state(), 10**6)
+    assert not errors and not bugs
+    assert executor.total_instructions > 2 * len(BINARY) * 36
