@@ -98,6 +98,7 @@ from repro.lang.ast import (
 )
 from repro.lang.compiler import CompiledProgram, Instruction, Opcode
 from repro.solver import expr as E
+from repro.solver.pathconstraint import PathConstraint
 from repro.solver.simplify import simplify
 from repro.solver.solver import Solver
 
@@ -351,11 +352,12 @@ class Interpreter:
         offset32 = to_expr(offset, 32)
         limit = E.bv_const(obj.size - base_off, 32)
         in_bounds = simplify(E.ult(offset32, limit))
-        if not self._feasible(state, in_bounds):
+        checked = self._feasible(state, in_bounds)
+        if checked is None:
             raise MemoryError_(
                 "out-of-bounds read from %s (symbolic offset)"
                 % (obj.name or hex(obj.address)), address=base)
-        state.add_constraint(in_bounds)
+        state.add_constraint(in_bounds, checked)
         size = obj.size
         if size - base_off <= 64:
             result: Value = 0
@@ -382,7 +384,7 @@ class Interpreter:
             return
         nonzero = simplify(E.ne(to_expr(divisor, divisor.width),
                                 E.bv_const(0, divisor.width)))
-        if not self._feasible(state, nonzero):
+        if self._feasible(state, nonzero) is None:
             raise DivisionByZeroError("division by a divisor constrained to zero")
 
     def _concretize(self, state: ExecutionState, value: Value) -> int:
@@ -396,9 +398,18 @@ class Interpreter:
 
     # -- feasibility ----------------------------------------------------------------
 
-    def _feasible(self, state: ExecutionState, condition) -> bool:
-        return self.solver.is_satisfiable(
-            state.path_constraints.extended(condition))
+    def _feasible(self, state: ExecutionState,
+                  condition) -> Optional[PathConstraint]:
+        """The query ``state.path_constraints.extended(condition)`` if it is
+        satisfiable, else ``None``.
+
+        A side that is then taken hands the query to
+        ``state.add_constraint(condition, checked)``, which installs it as
+        the new path constraint (unless ``condition`` is already on the
+        path): each condition is simplified, grouped and keyed once, by
+        the check, not again when it is added."""
+        query = state.path_constraints.extended(condition)
+        return query if self.solver.is_satisfiable(query) else None
 
     # -- decoding: instructions ------------------------------------------------------
 
@@ -527,30 +538,30 @@ class Interpreter:
 
         err_message = ("out-of-bounds write to %s (symbolic offset)"
                        % (obj.name or hex(obj.address)))
-        if in_feasible and oob_feasible:
+        if in_feasible is not None and oob_feasible is not None:
             state.forks += 1
             err_state = state.fork()
             # In-bounds continuation (fork index 0).
-            state.add_constraint(in_bounds)
+            state.add_constraint(in_bounds, in_feasible)
             state.fork_trace.append(0)
             concrete_offset = self._concretize(state, offset)
             state.mem_write(base, concrete_offset, value)
             frame.pc += 1
             successors.append(state)
             # Out-of-bounds error path (fork index 1).
-            err_state.add_constraint(oob)
+            err_state.add_constraint(oob, oob_feasible)
             err_state.fork_trace.append(1)
             successors.append(self._terminate_error(
                 err_state, BugKind.MEMORY_ERROR, err_message, instr.line))
             return successors
-        if in_feasible:
-            state.add_constraint(in_bounds)
+        if in_feasible is not None:
+            state.add_constraint(in_bounds, in_feasible)
             concrete_offset = self._concretize(state, offset)
             state.mem_write(base, concrete_offset, value)
             frame.pc += 1
             return [state]
-        if oob_feasible:
-            state.add_constraint(oob)
+        if oob_feasible is not None:
+            state.add_constraint(oob, oob_feasible)
             return [self._terminate_error(state, BugKind.MEMORY_ERROR,
                                           err_message, instr.line)]
         return [self._terminate_error(state, BugKind.MEMORY_ERROR,
@@ -564,24 +575,24 @@ class Interpreter:
         can_true = self._feasible(state, true_cond)
         can_false = self._feasible(state, false_cond)
 
-        if can_true and can_false:
+        if can_true is not None and can_false is not None:
             state.forks += 1
             false_state = state.fork()
             # True branch continues in the original state (fork index 0).
-            state.add_constraint(true_cond)
+            state.add_constraint(true_cond, can_true)
             state.fork_trace.append(0)
             frame.pc = target
             # False branch in the clone (fork index 1).
-            false_state.add_constraint(false_cond)
+            false_state.add_constraint(false_cond, can_false)
             false_state.fork_trace.append(1)
             false_state.current_thread.top.pc = false_target
             return [state, false_state]
-        if can_true:
-            state.add_constraint(true_cond)
+        if can_true is not None:
+            state.add_constraint(true_cond, can_true)
             frame.pc = target
             return [state]
-        if can_false:
-            state.add_constraint(false_cond)
+        if can_false is not None:
+            state.add_constraint(false_cond, can_false)
             frame.pc = false_target
             return [state]
         # Neither side feasible: the path constraint itself became
@@ -620,10 +631,15 @@ class Interpreter:
 
     def _apply_native_fork(self, state: ExecutionState, instr: Instruction,
                            fork: NativeFork) -> List[ExecutionState]:
-        feasible: List[ForkBranch] = []
+        # Each feasible branch with the query that proved it, if any.
+        feasible: List[Tuple[ForkBranch, Optional[PathConstraint]]] = []
         for branch in fork.branches:
-            if branch.condition is None or self._feasible(state, branch.condition):
-                feasible.append(branch)
+            if branch.condition is None:
+                feasible.append((branch, None))
+                continue
+            checked = self._feasible(state, branch.condition)
+            if checked is not None:
+                feasible.append((branch, checked))
         if not feasible:
             state.terminate(0)
             return [state]
@@ -637,9 +653,10 @@ class Interpreter:
             state if index == 0 else state.fork()
             for index in range(len(feasible))
         ]
-        for index, (branch, succ) in enumerate(zip(feasible, successors)):
+        for index, ((branch, checked), succ) in enumerate(
+                zip(feasible, successors)):
             if branch.condition is not None:
-                succ.add_constraint(branch.condition)
+                succ.add_constraint(branch.condition, checked)
             if multi:
                 succ.fork_trace.append(index)
             if branch.side_effect is not None:
@@ -689,22 +706,22 @@ class Interpreter:
         can_hold = self._feasible(state, holds)
         can_fail = self._feasible(state, fails)
 
-        if can_hold and not can_fail:
-            state.add_constraint(holds)
+        if can_hold is not None and can_fail is None:
+            state.add_constraint(holds, can_hold)
             frame.pc += 1
             return [state]
-        if can_fail and not can_hold:
-            state.add_constraint(fails)
+        if can_fail is not None and can_hold is None:
+            state.add_constraint(fails, can_fail)
             return [self._terminate_error(state, BugKind.ASSERTION_FAILURE,
                                           instr.message or "assertion failed",
                                           instr.line)]
         # Both possible: continue on the holding side, report the failing side.
         state.forks += 1
         fail_state = state.fork()
-        state.add_constraint(holds)
+        state.add_constraint(holds, can_hold)
         state.fork_trace.append(0)
         frame.pc += 1
-        fail_state.add_constraint(fails)
+        fail_state.add_constraint(fails, can_fail)
         fail_state.fork_trace.append(1)
         failed = self._terminate_error(fail_state, BugKind.ASSERTION_FAILURE,
                                        instr.message or "assertion failed",

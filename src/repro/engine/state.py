@@ -148,7 +148,11 @@ class ExecutionState:
 
     Attributes of note:
 
-    * ``path_constraints`` -- the conjunction of branch conditions taken.
+    * ``path_constraints`` -- the conjunction of branch conditions taken,
+      an immutable :class:`~repro.solver.pathconstraint.PathConstraint`.
+      :meth:`add_constraint` replaces it: with the query that proved the
+      condition feasible when the interpreter checked it first, else with
+      its extension by the condition.
     * ``coverage`` -- line numbers executed along this path.
     * ``symbolic_inputs`` -- named byte-symbol lists created by
       ``make_symbolic`` calls; used for test-case generation.
@@ -436,15 +440,23 @@ class ExecutionState:
         self.symbolic_inputs.setdefault(name, []).extend(symbols)
         return obj, symbols
 
-    def add_constraint(self, constraint: Expr) -> None:
+    def add_constraint(self, constraint: Expr,
+                       checked: Optional[PathConstraint] = None) -> None:
         """Append a branch condition to the path constraint (deduplicated).
 
         Loops re-test the same conditions on every iteration; skipping exact
         duplicates keeps the constraint set (and thus solver queries) small
         on long loop-heavy paths such as the memcached UDP hang.
+
+        ``checked`` is the query that proved ``constraint`` feasible on this
+        path, ``self.path_constraints.extended(constraint)`` (what
+        ``Interpreter._feasible`` returns): it is installed as it is rather
+        than extended a second time.
         """
         if constraint not in self.path_constraints:
-            self.path_constraints = self.path_constraints.extended(constraint)
+            self.path_constraints = (
+                checked if checked is not None
+                else self.path_constraints.extended(constraint))
 
     # -- termination ----------------------------------------------------------------------
 

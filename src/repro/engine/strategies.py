@@ -32,11 +32,12 @@ from __future__ import annotations
 
 import random
 from itertools import islice
-from typing import Dict, Iterable, Optional, Sequence, Set
+from typing import Dict, Iterable, Optional, Sequence, Set, Tuple
 
 from repro.engine.frontier import Frontier, WeightIndex
 from repro.engine.state import RUNNING
 from repro.engine.tree import ExecutionTree, TreeNode
+from repro.lang.compiler import CompiledProgram
 
 
 def _uniform(rng: random.Random, candidates: Frontier) -> TreeNode:
@@ -111,8 +112,15 @@ class RandomPathStrategy(SearchStrategy):
 
     def select(self, tree: ExecutionTree, candidates: Frontier) -> TreeNode:
         # ``randrange(n)`` is ``_randbelow(n)`` for every ``n >= 1``: the
-        # same draw, without the argument checks at every level.
+        # same draw, without the argument checks at every level.  At a
+        # two-way fork the draw is written out as the loop ``_randbelow``
+        # runs (``k = n.bit_length()`` bits, redrawn while ``>= n``), so it
+        # costs C calls only: ``n == 1`` draws one bit until it is 0,
+        # ``n == 2`` draws two bits until they are below 2.  Both consume
+        # exactly the generator state ``_randbelow(n)`` would
+        # (``tests/test_frontier_differential.py`` holds them to it).
         below = self._rng._randbelow  # type: ignore[attr-defined]
+        getrandbits = self._rng.getrandbits
         node = tree.root
         guard = 0
         while True:
@@ -125,14 +133,21 @@ class RandomPathStrategy(SearchStrategy):
             if len(kids) == 2 and 0 in kids and 1 in kids:
                 # A two-way fork, walked without building a list: draw among
                 # the children that still hold candidates, in fork-index
-                # order.  A lone live child still costs its ``below(1)``
+                # order.  A lone live child still costs its ``_randbelow(1)``
                 # draw, exactly as in the general case.
                 first, second = kids[0], kids[1]
                 live_first = first.candidate_count > 0
                 live_second = second.candidate_count > 0
+                if live_first and live_second:
+                    pick = getrandbits(2)
+                    while pick >= 2:
+                        pick = getrandbits(2)
+                    node = second if pick else first
+                    continue
                 if live_first or live_second:
-                    pick = below(2 if live_first and live_second else 1)
-                    node = second if pick or not live_first else first
+                    while getrandbits(1):
+                        pass
+                    node = first if live_first else second
                     continue
             elif kids:
                 live = [kids[k] for k in sorted(kids)
@@ -161,7 +176,8 @@ class CoverageOptimizedStrategy(SearchStrategy):
     only, so the strategy keeps the weights in a
     :class:`~repro.engine.frontier.WeightIndex` on the frontier: a node is
     weighed when it joins the frontier or its state moves, and everything is
-    weighed again only after the covered set actually grew.
+    weighed again only after the covered set actually grew.  The weight of a
+    position, ``(function, pc)``, is memoised until then as well.
     """
 
     name = "coverage_optimized"
@@ -174,9 +190,11 @@ class CoverageOptimizedStrategy(SearchStrategy):
         if program is not None:
             for name, fn in program.functions.items():
                 self._function_lines[name] = {i.line for i in fn.instructions}
-        #: function -> number of its lines not covered yet; emptied whenever
-        #: the covered set grows.
+        #: function -> number of its lines not covered yet, and
+        #: ``(function, pc)`` -> the weight of a state there; both emptied
+        #: whenever the covered set grows.
         self._uncovered_left: Dict[str, int] = {}
+        self._weights: Dict[Tuple[str, int], int] = {}
         self._index: Optional[WeightIndex] = None
 
     def notify_covered(self, lines: Iterable[int]) -> None:
@@ -184,6 +202,7 @@ class CoverageOptimizedStrategy(SearchStrategy):
         self._covered.update(lines)
         if len(self._covered) != known:
             self._uncovered_left.clear()
+            self._weights.clear()
             if self._index is not None:
                 self._index.invalidate()
 
@@ -194,24 +213,35 @@ class CoverageOptimizedStrategy(SearchStrategy):
         state = node.state
         if state is None or state.status is not RUNNING or state.current is None:
             return 1
-        if not state.current_thread.stack:
+        pid, tid = state.current
+        stack = state.processes[pid].threads[tid].stack
+        if not stack:
             # The current thread just terminated; the state is waiting for a
             # scheduling decision and carries no useful position information.
             return 1
-        frame = state.current_thread.top
-        function = state.program.function(frame.function)
-        if frame.pc < len(function.instructions):
-            line = function.instructions[frame.pc].line
+        frame = stack[-1]
+        position = (frame.function, frame.pc)
+        weight = self._weights.get(position)
+        if weight is None:
+            weight = self._weights[position] = self._position_weight(
+                state.program, *position)
+        return weight
+
+    def _position_weight(self, program: CompiledProgram, name: str,
+                         pc: int) -> int:
+        function = program.function(name)
+        if pc < len(function.instructions):
+            line = function.instructions[pc].line
             if line not in self._covered:
                 return 16
-        uncovered_here = self._uncovered_left.get(frame.function)
+        uncovered_here = self._uncovered_left.get(name)
         if uncovered_here is None:
-            fn_lines = self._function_lines.get(frame.function)
+            fn_lines = self._function_lines.get(name)
             if fn_lines is None:
                 fn_lines = {i.line for i in function.instructions}
-                self._function_lines[frame.function] = fn_lines
+                self._function_lines[name] = fn_lines
             uncovered_here = len(fn_lines - self._covered)
-            self._uncovered_left[frame.function] = uncovered_here
+            self._uncovered_left[name] = uncovered_here
         if uncovered_here:
             return 4 + min(uncovered_here, 8)
         return 1

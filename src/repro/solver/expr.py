@@ -15,6 +15,14 @@ object and a solver-cache hit is an identity check.  ``Expr.__init__`` runs
 only for a structure that is new.  Hashing and ``==`` stay structural: a node
 built around the table is still equal, only slower to compare.
 
+The table is weak, but a node is not dropped the moment its last user lets
+go: the last ``_KEPT`` nodes built stay alive in a bounded queue, the
+*nursery*.  The engine rebuilds the same short-lived structures on every
+path -- a branch's ``ite(c, 1, 0)``, its ``!= 0`` and ``== 0`` sides and
+their negations -- and a structure rebuilt while its node is still in the
+nursery is a table hit that keeps its memos (``_simplified``, ``_symbols``,
+...).  Memory stays bounded by the live nodes plus the last ``_KEPT`` built.
+
 Facts derived from a node live *on* the node: its simplified form (written by
 :func:`repro.solver.simplify.simplify`), its symbol set, its depth and the
 constants it mentions are each computed once per node and read back from a
@@ -29,6 +37,7 @@ from __future__ import annotations
 
 import enum
 import weakref
+from collections import deque
 from typing import (Any, FrozenSet, Iterable, List, Literal, Mapping, Optional,
                     Sequence, Tuple, Union)
 
@@ -163,10 +172,18 @@ def from_signed(value: int, width: int) -> int:
 #: node is equal, only not shared.
 _NODES: weakref.WeakValueDictionary[tuple, Expr] = weakref.WeakValueDictionary()
 
+#: How many of the most recently built nodes the nursery keeps alive.
+_KEPT = 4096
+
+#: The nursery: the last ``_KEPT`` nodes built, oldest first.  Appending
+#: to a full queue lets its oldest node go.
+_NURSERY: deque[Expr] = deque(maxlen=_KEPT)
+
 
 class _Interned(type):
     """Metaclass of :class:`Expr`: constructing a structure that is already
-    alive returns that node; only a new structure reaches ``__init__``."""
+    alive returns that node; only a new structure reaches ``__init__``, and
+    its node joins the nursery."""
 
     def __call__(cls, op: Op, args: Tuple["Expr", ...] = (),
                  sort: Optional[Sort] = None, value: Any = None,
@@ -176,6 +193,7 @@ class _Interned(type):
         if node is None:
             node = _NODES[key] = super().__call__(op, args, sort, value, name,
                                                   params)
+            _NURSERY.append(node)
         return node
 
 

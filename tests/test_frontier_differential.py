@@ -12,9 +12,15 @@ checked the same way against its plain form (a sort and a ``randrange`` at
 every level), so a changed draw fails here.  Runs cover the single engine,
 in-process clusters (imports, replays, exports) and the death sweep of
 ``test_loopback_faults`` (recovered jobs, discarded subtrees).
+
+The walk draws at a two-way fork with ``getrandbits`` loops written out from
+``Random._randbelow``; the draw-equivalence test below pins them to it, seed
+by seed, so a CPython that changes ``_randbelow`` fails here instead of
+silently moving every random-path pick.
 """
 
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -24,6 +30,7 @@ from repro.cluster.jobs import Job, JobTree
 from repro.cluster.worker import Worker
 from repro.distrib import specs
 from repro.engine.explorer import Explorer
+from repro.engine.frontier import Frontier
 from repro.engine.strategies import (
     BfsStrategy,
     CoverageOptimizedStrategy,
@@ -33,6 +40,7 @@ from repro.engine.strategies import (
     RandomStateStrategy,
     make_strategy,
 )
+from repro.engine.tree import DEAD, ExecutionTree
 
 from test_loopback_faults import LIMITS, SCENARIOS, _faulty_cluster
 
@@ -196,6 +204,74 @@ def test_single_engine_picks_match_the_scan(checked, spec):
     assert checked["coverage_optimized"] == result.steps // 2
     assert checked["random_path"] == result.steps - result.steps // 2
     assert checked["coverage_optimized"] > 2000
+
+
+# The walk's own code, before the fixture wraps ``select``: a draw made there
+# is a random-path draw.
+_WALK = RandomPathStrategy.select.__code__
+
+
+def test_three_way_forks_and_coverage_growth_match_the_scan(checked,
+                                                            monkeypatch):
+    """lighttpd's symbolic fragmentation forks each read three ways, so the
+    walk draws ``_randbelow(3)`` in its general case; and coverage grows in
+    the middle of the run, emptying the coverage searcher's weight memo
+    while the reference weighs from scratch."""
+    draws = Counter()
+    randbelow = random.Random._randbelow
+
+    def counting_randbelow(self, n):
+        if sys._getframe(1).f_code is _WALK:
+            draws[n] += 1
+        return randbelow(self, n)
+
+    monkeypatch.setattr(random.Random, "_randbelow", counting_randbelow)
+    notify_covered = CoverageOptimizedStrategy.notify_covered
+    emptied = Counter()
+
+    def counting_notify_covered(self, lines):
+        memoised = len(self._weights)
+        notify_covered(self, lines)
+        if memoised and not self._weights:
+            emptied["memo"] += 1
+
+    monkeypatch.setattr(CoverageOptimizedStrategy, "notify_covered",
+                        counting_notify_covered)
+    test = specs.resolve_test("lighttpd-frag-1.4.12")
+    result = test.run(backend="single", max_instructions=3000)
+    assert result.steps == 3000
+    assert draws[3] > 100
+    assert emptied["memo"] > 10
+    assert checked["coverage_optimized"] == 1500
+
+
+# -- the written-out draws are ``_randbelow``'s ----------------------------------
+
+
+def _fork(live):
+    """A root with children 0 and 1; ``live`` names the ones that hold a
+    candidate (a child that does not is dead)."""
+    tree, frontier = ExecutionTree(), Frontier()
+    tree.root.mark_dead()
+    for index in (0, 1):
+        if index in live:
+            frontier.add(tree.root.add_child(index))
+        else:
+            tree.root.add_child(index, life=DEAD)
+    return tree, frontier
+
+
+@pytest.mark.parametrize("live", [(0, 1), (0,), (1,)])
+def test_the_written_out_draws_leave_the_rng_where_randbelow_does(live):
+    tree, frontier = _fork(live)
+    n = len(live)
+    for seed in range(300):
+        strategy = RandomPathStrategy(seed)
+        clone = _cloned(strategy._rng)
+        for _ in range(20):
+            picked = strategy.select(tree, frontier)
+            assert picked is tree.root.children[live[clone._randbelow(n)]]
+            assert strategy._rng.getstate() == clone.getstate(), seed
 
 
 # -- (b) in-process clusters: imports, replays, exports ----------------------------

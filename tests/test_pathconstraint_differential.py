@@ -11,8 +11,13 @@ duplicates), the verdict, the model and every counter, query after query.
 
 The mutants at the bottom show the comparison has teeth: a grouping that
 drops a duplicate, or that merges into the wrong position, fails it.
+
+A side the interpreter checked installs the query that checked it instead of
+extending its path constraint again.  Every install is compared with the
+extension it replaces, at every check-then-add site.
 """
 
+import sys
 from collections import Counter
 from typing import Dict, List
 
@@ -20,6 +25,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.distrib import specs
+from repro.engine.state import ExecutionState
 from repro.solver import expr as E
 from repro.solver import independence, pathconstraint
 from repro.solver.expr import Expr, Op
@@ -27,6 +33,8 @@ from repro.solver.independence import Group
 from repro.solver.pathconstraint import PathConstraint
 from repro.solver.simplify import _apply_identities, _fold_concrete, conjuncts
 from repro.solver.solver import Solver
+
+from conftest import BUILTIN_SPECS
 
 
 # -- the reference: what src/ did before path constraints kept their groups --------
@@ -193,6 +201,45 @@ def test_cluster_queries_match_the_recomputed_front_end(checked, spec):
     assert checked["queries"] == result.cache_stats["solver_queries"] > 1000
 
 
+# -- a checked side installs its query ------------------------------------------------
+
+
+def _front_end(pc):
+    return (pc.constraints, pc.conjuncts, pc.is_false,
+            [(g.constraints, g.positions, g.key, g.symbols) for g in pc.groups])
+
+
+def test_an_installed_query_is_the_extension_it_replaces(monkeypatch):
+    """At every site that checks a condition and then adds it, the path
+    constraint installed is ``pc.extended(c)`` -- or ``pc`` itself when
+    ``c`` was already on the path."""
+    installs = Counter()
+    real_add = ExecutionState.add_constraint
+
+    def add_constraint(self, constraint, checked=None):
+        before = self.path_constraints
+        present = constraint in before
+        real_add(self, constraint, checked)
+        after = self.path_constraints
+        site = sys._getframe(1).f_code.co_name
+        if present:
+            assert after is before, site
+        else:
+            assert _front_end(after) == _front_end(before.extended(constraint))
+            assert checked is None or after is checked, site
+        installs[site, checked is not None, present] += 1
+
+    monkeypatch.setattr(ExecutionState, "add_constraint", add_constraint)
+    for spec in BUILTIN_SPECS:
+        specs.resolve_test(spec).run(backend="single", max_instructions=3000)
+    for site in ("_exec_branch", "_exec_assert", "_exec_store", "_load",
+                 "_apply_native_fork"):
+        assert installs[site, True, False] > 0, site
+    assert installs["_exec_branch", True, True] > 0
+    assert installs["_exec_assert", True, True] > 0
+    assert installs["_exec_store", True, True] > 0
+
+
 # -- the comparison has teeth ---------------------------------------------------------
 
 
@@ -272,5 +319,6 @@ def test_memcached_front_end_cost_is_pinned(monkeypatch):
     assert result.cache_stats["solver_queries"] == 4885
     assert counts["partition_calls"] == 0
     # 322 985 before constraints were simplified once, 30 932 before
-    # expressions were interned; 11 632 since.
+    # expressions were interned, 11 632 before recently built nodes were
+    # kept alive; 312 since, in a cold process.
     assert counts["expr_allocs"] <= 15_000

@@ -245,6 +245,17 @@ class TestSharedSubDags:
         gone = weakref.ref(node)
         del node
         gc.collect()
+        # Dropped, but still among the last ``_KEPT`` nodes built: the
+        # nursery keeps it alive, so rebuilding it builds nothing.
+        assert gone() is not None
+        assert build() is gone() and len(built) == 3
+        # ``_KEPT`` newer structures push it out: then the table lets it go,
+        # and the nursery never holds more than ``_KEPT`` nodes.
+        for k in range(E._KEPT):
+            E.bv_symbol("intern_table_filler_%d" % k, 8)
+        assert len(built) == 3 + E._KEPT and len(E._NURSERY) == E._KEPT
+        gc.collect()
         assert gone() is None
         build()
-        assert built == [E.Op.BV_SYMBOL, E.Op.ADD, E.Op.ULT] * 2
+        assert built[-3:] == [E.Op.BV_SYMBOL, E.Op.ADD, E.Op.ULT]
+        assert len(built) == 6 + E._KEPT
