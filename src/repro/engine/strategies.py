@@ -130,12 +130,13 @@ class RandomPathStrategy(SearchStrategy):
                 return _uniform(self._rng, candidates)
             kids = node.children
             live: Sequence[TreeNode] = ()
-            if len(kids) == 2 and 0 in kids and 1 in kids:
+            first = kids.get(0)
+            second = kids.get(1)
+            if len(kids) == 2 and first is not None and second is not None:
                 # A two-way fork, walked without building a list: draw among
                 # the children that still hold candidates, in fork-index
                 # order.  A lone live child still costs its ``_randbelow(1)``
                 # draw, exactly as in the general case.
-                first, second = kids[0], kids[1]
                 live_first = first.candidate_count > 0
                 live_second = second.candidate_count > 0
                 if live_first and live_second:

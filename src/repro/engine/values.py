@@ -184,14 +184,31 @@ def unop(op: UnaryOp, value: Value) -> Value:
 
 
 def truth_condition(value: Value) -> Expr:
-    """The boolean constraint "value is non-zero" (C truthiness)."""
-    width = width_of(value)
-    return simplify(E.ne(to_expr(value, width), E.bv_const(0, width)))
+    """The boolean constraint "value is non-zero" (C truthiness), simplified.
+
+    A symbolic value keeps its two branch conditions on its node
+    (``Expr._truth`` and ``Expr._falsity``), so a branch on a value another
+    path already branched on builds and simplifies nothing.
+    """
+    if isinstance(value, Expr):
+        out = value._truth
+        if out is None:
+            out = value._truth = simplify(
+                E.ne(value, E.bv_const(0, value.width)))
+        return out
+    return simplify(E.ne(to_expr(value), E.bv_const(0, DEFAULT_WIDTH)))
 
 
 def false_condition(value: Value) -> Expr:
-    width = width_of(value)
-    return simplify(E.eq(to_expr(value, width), E.bv_const(0, width)))
+    """The boolean constraint "value is zero", memoised like
+    :func:`truth_condition`."""
+    if isinstance(value, Expr):
+        out = value._falsity
+        if out is None:
+            out = value._falsity = simplify(
+                E.eq(value, E.bv_const(0, value.width)))
+        return out
+    return simplify(E.eq(to_expr(value), E.bv_const(0, DEFAULT_WIDTH)))
 
 
 def byte_value(cell: Value) -> Value:

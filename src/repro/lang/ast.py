@@ -27,11 +27,17 @@ class BinaryOp(enum.Enum):
     LAND = "&&"
     LOR = "||"
 
+    # Members are singletons: hash by identity, in C (``Enum.__hash__``
+    # hashes the name in Python; the decoder looks operators up per node).
+    __hash__ = object.__hash__
+
 
 class UnaryOp(enum.Enum):
     NEG = "-"
     NOT = "!"
     BNOT = "~"
+
+    __hash__ = object.__hash__
 
 
 class Expr:

@@ -5,8 +5,9 @@ formulas.  This package provides a from-scratch replacement that is sufficient
 for the workloads the paper evaluates (byte-granular symbolic inputs such as
 network packets, format strings and HTTP headers):
 
-* :mod:`repro.solver.expr` -- a small bitvector/boolean expression language
-  with structural hashing; per-node facts are memoised on the node.
+* :mod:`repro.solver.expr` -- a small bitvector/boolean expression language,
+  interned (one object per structure, so nodes hash and compare by
+  identity); per-node facts are memoised on the node.
 * :mod:`repro.solver.simplify` -- canonicalization and constant folding,
   once per node.
 * :mod:`repro.solver.independence` -- independent constraint groups, grown

@@ -73,7 +73,15 @@ def aggregate_cache_counters(counters: Iterable[Dict[str, int]]) -> Dict[str, fl
 
 
 class ConstraintCache:
-    """Exact-match cache of query -> (is_sat, model)."""
+    """Exact-match cache of query -> (is_sat, model).
+
+    A caller may keep the very entry tuple it got back
+    (:class:`~repro.solver.independence.Group` does, as its ``memo``)
+    together with ``generation``: while that object is still the cache's
+    ``generation``, the entry is still what :meth:`lookup` returns for its
+    key.  :meth:`clear`, a wholesale eviction and re-inserting a key that is
+    already cached each replace it.
+    """
 
     def __init__(self, capacity: int = 65536):
         if capacity <= 0:
@@ -81,6 +89,7 @@ class ConstraintCache:
         self._capacity = capacity
         self._entries: Dict[QueryKey, Tuple[bool, Optional[Model]]] = {}
         self.stats = CacheStats()
+        self.generation = object()
 
     def lookup(self, constraints: Iterable[Expr]) -> Optional[Tuple[bool, Optional[Model]]]:
         key = query_key(constraints)
@@ -92,16 +101,23 @@ class ConstraintCache:
         return entry
 
     def insert(self, constraints: Iterable[Expr], is_sat: bool,
-               model: Optional[Model]) -> None:
+               model: Optional[Model]) -> Tuple[bool, Optional[Model]]:
+        """Cache ``(is_sat, model)`` for the query and return that entry."""
+        key = query_key(constraints)
         if len(self._entries) >= self._capacity:
             # Simple wholesale eviction: the cache is an accelerator, never a
             # correctness dependency, and Cloud9 likewise tolerates losing it
             # across job transfers.
-            self._entries.clear()
-        self._entries[query_key(constraints)] = (is_sat, model)
+            self.clear()
+        elif key in self._entries:
+            # An entry kept beside the old generation must not outlive it.
+            self.generation = object()
+        entry = self._entries[key] = (is_sat, model)
+        return entry
 
     def clear(self) -> None:
         self._entries.clear()
+        self.generation = object()
 
     def __len__(self) -> int:
         return len(self._entries)

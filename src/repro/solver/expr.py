@@ -1,8 +1,8 @@
 """Bitvector/boolean expression language.
 
-Expressions are immutable, structurally hashable DAGs (the engine shares
-sub-expressions freely).  Bitvector values are unsigned integers interpreted
-modulo ``2**width``; signed comparisons use two's-complement interpretation.
+Expressions are immutable, interned DAGs (the engine shares sub-expressions
+freely).  Bitvector values are unsigned integers interpreted modulo
+``2**width``; signed comparisons use two's-complement interpretation.
 The expression language intentionally covers only what the symbolic execution
 engine emits: arithmetic, bitwise operations, shifts, concatenation/extraction,
 comparisons and boolean connectives.
@@ -11,9 +11,18 @@ There is one node per structure.  Every construction -- the helpers below,
 :func:`~repro.solver.simplify.simplify`, unpickling -- looks its defining
 fields up in a weak intern table first and hands back the node that is
 already alive, so equal expressions built on different paths are the same
-object and a solver-cache hit is an identity check.  ``Expr.__init__`` runs
-only for a structure that is new.  Hashing and ``==`` stay structural: a node
-built around the table is still equal, only slower to compare.
+object.  ``Expr.__init__`` runs only for a structure that is new.
+
+Because of that, equality *is* identity: ``Expr`` defines no ``__eq__`` and
+no ``__hash__``, so a node hashes and compares as the object it is, in C,
+and a solver-cache hit is an identity check with no Python call.  The same
+holds below a node: ``BvSort(w)`` returns the single sort object of width
+``w`` and ``BoolSort()`` the single boolean sort (unpickling too), and
+:class:`Op` hashes by identity, so an intern-table key hashes and compares
+without entering Python.  The price is a rule: every node must be built
+through the table (``Expr(...)``, a helper, ``simplify``, unpickling).  A
+node made around it -- ``type.__call__(Expr, ...)`` -- is a different,
+unequal node of the same structure.
 
 The table is weak, but a node is not dropped the moment its last user lets
 go: the last ``_KEPT`` nodes built stay alive in a bounded queue, the
@@ -25,21 +34,24 @@ nursery is a table hit that keeps its memos (``_simplified``, ``_symbols``,
 
 Facts derived from a node live *on* the node: its simplified form (written by
 :func:`repro.solver.simplify.simplify`), its symbol set, its depth and the
-constants it mentions are each computed once per node and read back from a
-slot afterwards, so every walk is linear in *distinct* nodes however often a
+constants it mentions -- and, for a branch value, the two conditions
+:func:`repro.engine.values.truth_condition` and ``false_condition`` derive
+from it -- are each computed once per node and read back from a slot
+afterwards, so every walk is linear in *distinct* nodes however often a
 sub-DAG is referenced, and every path that builds a structure shares what
-another path already paid for.  The memo slots take no part in equality,
-hashing or pickling.  (:func:`evaluate` and the interval walks are not
-memoised and still pay once per reference.)
+another path already paid for.  The memo slots stay out of pickles.
+(:func:`evaluate` and the interval walks are not memoised and still pay
+once per reference.)
 """
 
 from __future__ import annotations
 
 import enum
+import threading
 import weakref
 from collections import deque
-from typing import (Any, FrozenSet, Iterable, List, Literal, Mapping, Optional,
-                    Sequence, Tuple, Union)
+from typing import (Any, Dict, FrozenSet, Iterable, List, Literal, Mapping,
+                    Optional, Sequence, Tuple, Union)
 
 
 class Op(enum.Enum):
@@ -84,6 +96,10 @@ class Op(enum.Enum):
     BOOL_NOT = "bool_not"
     ITE = "ite"
 
+    # Members are singletons: hash by identity, in C (``Enum.__hash__``
+    # hashes the name in Python, once per intern-table key).
+    __hash__ = object.__hash__
+
 
 # Every operator as a module constant.  On CPython 3.11 ``Op.ADD`` inside a
 # function goes through the enum metaclass's attribute hook, about ten times
@@ -103,59 +119,62 @@ class Sort:
     __slots__ = ()
 
 
+#: The bitvector sort of each width made so far.  There is one object per
+#: sort, so sorts compare and hash by identity.
+_BV_SORTS: Dict[int, "BvSort"] = {}
+
+
 class BoolSort(Sort):
-    """The boolean sort."""
+    """The boolean sort.  ``BoolSort()`` is always the one object ``BOOL``."""
 
     __slots__ = ()
+
+    def __new__(cls) -> "BoolSort":
+        return BOOL
+
+    def __reduce__(self):
+        return (BoolSort, ())
 
     def __repr__(self) -> str:
         return "Bool"
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, BoolSort)
-
-    def __hash__(self) -> int:
-        return hash("BoolSort")
-
 
 class BvSort(Sort):
-    """A fixed-width bitvector sort."""
+    """A fixed-width bitvector sort.  ``BvSort(w)`` is always the one sort
+    object of width ``w``; ``mask`` is ``2**w - 1``."""
 
-    __slots__ = ("width",)
+    __slots__ = ("width", "mask")
 
-    def __init__(self, width: int):
-        if width <= 0:
-            raise ValueError("bitvector width must be positive, got %r" % width)
-        self.width = width
+    def __new__(cls, width: int) -> "BvSort":
+        sort = _BV_SORTS.get(width)
+        if sort is None:
+            if width <= 0:
+                raise ValueError(
+                    "bitvector width must be positive, got %r" % width)
+            sort = super().__new__(cls)
+            sort.width = width
+            sort.mask = (1 << width) - 1
+            # ``setdefault`` is atomic: racing threads keep the same object.
+            sort = _BV_SORTS.setdefault(width, sort)
+        return sort
+
+    def __reduce__(self):
+        return (BvSort, (self.width,))
 
     def __repr__(self) -> str:
         return "Bv%d" % self.width
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, BvSort) and other.width == self.width
 
-    def __hash__(self) -> int:
-        return hash(("BvSort", self.width))
-
-    @property
-    def mask(self) -> int:
-        return (1 << self.width) - 1
-
-
-BOOL = BoolSort()
+BOOL: BoolSort = object.__new__(BoolSort)
 BV8 = BvSort(8)
 BV16 = BvSort(16)
 BV32 = BvSort(32)
 BV64 = BvSort(64)
 
 
-def _mask(value: int, width: int) -> int:
-    return value & ((1 << width) - 1)
-
-
 def to_signed(value: int, width: int) -> int:
     """Interpret an unsigned ``width``-bit value as two's-complement."""
-    value = _mask(value, width)
+    value &= (1 << width) - 1
     if value >= 1 << (width - 1):
         return value - (1 << width)
     return value
@@ -163,14 +182,22 @@ def to_signed(value: int, width: int) -> int:
 
 def from_signed(value: int, width: int) -> int:
     """Encode a (possibly negative) integer as an unsigned ``width``-bit value."""
-    return _mask(value, width)
+    return value & ((1 << width) - 1)
 
 
 #: Every live node, keyed on its class and defining fields.  Weak: a
-#: structure nothing references any more is dropped with its node.  Two
-#: threads racing to build one new structure may each build it; the loser's
-#: node is equal, only not shared.
+#: structure nothing references any more is dropped with its node.  There
+#: is never a second node of a live structure: the first build of a
+#: structure happens under ``_BUILDING``, which looks the key up again, so
+#: of two threads racing to build it one builds and the other gets its node.
 _NODES: weakref.WeakValueDictionary[tuple, Expr] = weakref.WeakValueDictionary()
+
+#: The table's own dict (key -> weak reference), read directly:
+#: ``WeakValueDictionary.get`` is a Python call.
+_REFS = _NODES.data
+
+#: Held while a new structure is looked up again, built and registered.
+_BUILDING = threading.Lock()
 
 #: How many of the most recently built nodes the nursery keeps alive.
 _KEPT = 4096
@@ -189,11 +216,18 @@ class _Interned(type):
                  sort: Optional[Sort] = None, value: Any = None,
                  name: Optional[str] = None, params: Tuple[int, ...] = ()) -> Any:
         key = (cls, op, args, sort, value, name, params)
-        node = _NODES.get(key)
-        if node is None:
-            node = _NODES[key] = super().__call__(op, args, sort, value, name,
-                                                  params)
-            _NURSERY.append(node)
+        ref = _REFS.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        with _BUILDING:
+            ref = _REFS.get(key)
+            node = ref() if ref is not None else None
+            if node is None:
+                node = _NODES[key] = super().__call__(op, args, sort, value,
+                                                      name, params)
+                _NURSERY.append(node)
         return node
 
 
@@ -202,12 +236,13 @@ class Expr(metaclass=_Interned):
 
     Instances should be created through the module-level constructor helpers
     (:func:`bv_const`, :func:`add`, :func:`eq`, ...) which validate sorts.
-    Constructing a structure that is already alive returns the existing node.
+    Constructing a structure that is already alive returns the existing node,
+    so two nodes are equal exactly when they are the same object.
     """
 
-    __slots__ = ("op", "args", "sort", "value", "name", "params", "_hash",
+    __slots__ = ("op", "args", "sort", "value", "name", "params",
                  "_simplified", "_symbols", "_depth", "_constants",
-                 "__weakref__")
+                 "_truth", "_falsity", "__weakref__")
 
     def __init__(
         self,
@@ -226,9 +261,6 @@ class Expr(metaclass=_Interned):
         self.value = value
         self.name = name
         self.params = params
-        self._hash = hash(
-            (op, args, repr(sort), value, name, params)
-        )
         #: Memo of :func:`repro.solver.simplify.simplify`: the canonical
         #: form, or ``True`` when this node is its own (a self-reference
         #: would be a cycle only the garbage collector could free).
@@ -236,6 +268,10 @@ class Expr(metaclass=_Interned):
         self._symbols: Optional[FrozenSet[Expr]] = None
         self._depth: Optional[int] = None
         self._constants: Optional[FrozenSet[int]] = None
+        #: Memos of :func:`repro.engine.values.truth_condition` and
+        #: :func:`~repro.engine.values.false_condition` on this node.
+        self._truth: Optional[Expr] = None
+        self._falsity: Optional[Expr] = None
 
     # -- identity ---------------------------------------------------------
 
@@ -253,24 +289,6 @@ class Expr(metaclass=_Interned):
         # Expressions are immutable; treating them as atoms keeps state
         # forking cheap (environment-model data may embed symbolic cells).
         return self
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, Expr):
-            return NotImplemented
-        return (
-            self._hash == other._hash
-            and self.op == other.op
-            and self.value == other.value
-            and self.name == other.name
-            and self.params == other.params
-            and self.sort == other.sort
-            and self.args == other.args
-        )
 
     # -- introspection ----------------------------------------------------
 
@@ -377,7 +395,10 @@ FALSE = BoolConst(BOOL_CONST, sort=BOOL, value=False)
 
 def bv_const(value: int, width: int) -> Expr:
     """A bitvector constant of the given width (value taken modulo 2**width)."""
-    return BvConst(BV_CONST, sort=BvSort(width), value=_mask(int(value), width))
+    # The sort is read from the table inline: ``BvSort.__new__`` is a
+    # Python call, and constants are built on every symbolic operation.
+    sort = _BV_SORTS.get(width) or BvSort(width)
+    return BvConst(BV_CONST, sort=sort, value=int(value) & sort.mask)
 
 
 def bool_const(value: bool) -> Expr:
@@ -398,6 +419,9 @@ def _require_bv(*exprs: Expr) -> None:
 
 
 def _require_same_width(a: Expr, b: Expr) -> None:
+    if (isinstance(a, Expr) and isinstance(b, Expr) and a.sort is b.sort
+            and isinstance(a.sort, BvSort)):
+        return
     _require_bv(a, b)
     if a.width != b.width:
         raise TypeError(
@@ -572,7 +596,7 @@ def implies(a: Expr, b: Expr) -> Expr:
 def ite(cond: Expr, then: Expr, otherwise: Expr) -> Expr:
     """If-then-else over bitvector or boolean branches of equal sort."""
     _require_bool(cond)
-    if then.sort != otherwise.sort:
+    if then.sort is not otherwise.sort:
         raise TypeError(
             "ite branch sorts differ: %r vs %r" % (then.sort, otherwise.sort)
         )
@@ -595,7 +619,8 @@ def evaluate(expr: Expr, assignment: Mapping[Expr, int],
 
     Returns an ``int`` for bitvector expressions and a ``bool`` for boolean
     expressions.  An unassigned symbol reads ``default``; without one it
-    raises ``KeyError``.
+    raises ``KeyError``.  (Widths and masks are read off the sort: the
+    ``width`` property is a Python call per node.)
     """
     op = expr.op
     if op is BV_CONST:
@@ -606,20 +631,21 @@ def evaluate(expr: Expr, assignment: Mapping[Expr, int],
         value = assignment.get(expr, default)
         if value is None:
             raise KeyError(expr)
-        return _mask(value, expr.width)
+        return value & expr.sort.mask
 
     args: List[Any] = [evaluate(a, assignment, default) for a in expr.args]
 
     if op is ADD:
-        return _mask(args[0] + args[1], expr.width)
+        return (args[0] + args[1]) & expr.sort.mask
     if op is SUB:
-        return _mask(args[0] - args[1], expr.width)
+        return (args[0] - args[1]) & expr.sort.mask
     if op is MUL:
-        return _mask(args[0] * args[1], expr.width)
+        return (args[0] * args[1]) & expr.sort.mask
     if op is UDIV:
-        return expr.sort.mask if args[1] == 0 else _mask(args[0] // args[1], expr.width)
+        mask = expr.sort.mask
+        return mask if args[1] == 0 else (args[0] // args[1]) & mask
     if op is UREM:
-        return args[0] if args[1] == 0 else _mask(args[0] % args[1], expr.width)
+        return args[0] if args[1] == 0 else (args[0] % args[1]) & expr.sort.mask
     if op is AND:
         return args[0] & args[1]
     if op is OR:
@@ -627,13 +653,15 @@ def evaluate(expr: Expr, assignment: Mapping[Expr, int],
     if op is XOR:
         return args[0] ^ args[1]
     if op is NOT:
-        return _mask(~args[0], expr.width)
+        return ~args[0] & expr.sort.mask
     if op is SHL:
-        return 0 if args[1] >= expr.width else _mask(args[0] << args[1], expr.width)
+        if args[1] >= expr.sort.width:
+            return 0
+        return (args[0] << args[1]) & expr.sort.mask
     if op is LSHR:
-        return 0 if args[1] >= expr.width else args[0] >> args[1]
+        return 0 if args[1] >= expr.sort.width else args[0] >> args[1]
     if op is CONCAT:
-        return (args[0] << expr.args[1].width) | args[1]
+        return (args[0] << expr.args[1].sort.width) | args[1]
     if op is EXTRACT:
         high, low = expr.params
         return (args[0] >> low) & ((1 << (high - low + 1)) - 1)
@@ -648,10 +676,10 @@ def evaluate(expr: Expr, assignment: Mapping[Expr, int],
     if op is ULE:
         return args[0] <= args[1]
     if op is SLT:
-        w = expr.args[0].width
+        w = expr.args[0].sort.width
         return to_signed(args[0], w) < to_signed(args[1], w)
     if op is SLE:
-        w = expr.args[0].width
+        w = expr.args[0].sort.width
         return to_signed(args[0], w) <= to_signed(args[1], w)
     if op is BOOL_AND:
         return args[0] and args[1]

@@ -22,9 +22,10 @@ it per new conjunct; :func:`partition` folds it over a whole list.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, List, Sequence, Tuple
+from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.solver.expr import Expr
+from repro.solver.model import Model
 
 __all__ = ["Group", "grouped", "partition"]
 
@@ -36,10 +37,20 @@ class Group:
     occurrences when it orders variables), ``positions`` the index each one
     had in the query, ``key`` is the group's cache key (the
     :data:`~repro.solver.cache.QueryKey` of ``constraints``) and ``symbols``
-    the union of their symbol sets.  Immutable once built.
+    the union of their symbol sets.  Immutable once built, but for ``memo``.
+
+    ``memo`` is ``None`` or ``(generation, entry)``: the entry a solver's
+    :class:`~repro.solver.cache.ConstraintCache` holds for ``key`` -- the
+    very ``(verdict, model)`` tuple -- and the cache generation it belongs
+    to.  The solver writes it whenever it finds ``key`` in that cache or
+    inserts it there, and while the generation is current it reads the
+    entry back instead of looking ``key`` up.  Path constraints share their
+    untouched groups, so the memo serves every later query of every state
+    that extends the path.  A generation belongs to one cache: a solver
+    never reads another solver's memo, it overwrites it.
     """
 
-    __slots__ = ("constraints", "positions", "key", "symbols")
+    __slots__ = ("constraints", "positions", "key", "symbols", "memo")
 
     def __init__(self, constraints: Tuple[Expr, ...], positions: Tuple[int, ...],
                  key: FrozenSet[Expr], symbols: FrozenSet[Expr]):
@@ -47,6 +58,7 @@ class Group:
         self.positions = positions
         self.key = key
         self.symbols = symbols
+        self.memo: Optional[Tuple[object, Tuple[bool, Optional[Model]]]] = None
 
     @classmethod
     def of(cls, constraints: Iterable[Expr]) -> "Group":

@@ -18,7 +18,7 @@ from typing import Dict, Optional, Tuple
 from repro.solver.expr import (
     ADD, AND, BOOL_AND, BOOL_CONST, BOOL_NOT, BOOL_OR, BV_CONST, BV_SYMBOL,
     CONCAT, EQ, EXTRACT, ITE, LSHR, MUL, NE, NOT, OR, SHL, SLE, SLT, SUB, UDIV,
-    ULE, ULT, UREM, XOR, ZEXT, Expr, Op, to_signed,
+    ULE, ULT, UREM, XOR, ZEXT, BvSort, Expr, Op, to_signed,
 )
 
 
@@ -71,8 +71,11 @@ def interval_of(expr: Expr, bounds: Dict[Expr, Interval]) -> Interval:
         got = bounds.get(expr)
         return got if got is not None else full_interval(expr.width)
 
-    width = expr.width if expr.is_bv else None
-    mask = (1 << width) - 1 if width is not None else None
+    sort = expr.sort
+    if isinstance(sort, BvSort):
+        width, mask = sort.width, sort.mask
+    else:
+        width = mask = None
 
     if op is ADD:
         a = interval_of(expr.args[0], bounds)
@@ -190,7 +193,7 @@ def truth_of(expr: Expr, bounds: Dict[Expr, Interval]) -> Optional[bool]:
             return MAYBE
     if op in (SLT, SLE):
         # Only decide when both operand intervals stay within one sign half.
-        width = expr.args[0].width
+        width = expr.args[0].sort.width
         half = 1 << (width - 1)
         a = interval_of(expr.args[0], bounds)
         b = interval_of(expr.args[1], bounds)

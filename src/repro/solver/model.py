@@ -32,7 +32,8 @@ class Model:
 
     def as_bytes(self, symbols: Iterable[Expr]) -> bytes:
         """Concretize a sequence of byte-sized symbols into a bytes object."""
-        return bytes(self.value_of(s) & 0xFF for s in symbols)
+        get = self.assignment.get
+        return bytes([get(s, 0) & 0xFF for s in symbols])
 
     def merged_with(self, other: Mapping[Expr, int]) -> "Model":
         merged = dict(self.assignment)

@@ -176,25 +176,40 @@ class Solver:
         merged: Dict[Expr, int] = {}
         unknown = False
         memoizable = True
+        # A group whose memo belongs to the constraint cache's current
+        # generation holds the entry ``lookup`` would return: take it, and
+        # count the hit ``_check_group`` would have counted when the query
+        # is decided.
+        generation = (self._cache.generation
+                      if self.config.use_constraint_cache else None)
+        memo_hits = 0
         for group in groups:
-            budget_before = budget[0]
-            verdict, group_model = self._check_group(group, budget)
+            memo = group.memo
+            if memo is not None and memo[0] is generation:
+                memo_hits += 1
+                verdict, group_model = memo[1]
+            else:
+                budget_before = budget[0]
+                verdict, group_model = self._check_group(group, budget)
+                if verdict is None:
+                    # Keep scanning the remaining groups: a cheap UNSAT
+                    # elsewhere still decides the whole query.
+                    unknown = True
+                    # An undecided group that entered without the full
+                    # budget may have been starved by an earlier group's
+                    # search; a retry of the identical query could succeed
+                    # (the earlier group is a cache hit by then), so the
+                    # query must not be memoized.
+                    if budget_before < self.config.max_search_steps:
+                        memoizable = False
+                    continue
             if verdict is False:
+                self._count_memo_hits(memo_hits)
                 self.stats.unsat_queries += 1
                 return SolverResult.UNSAT, None
-            if verdict is None:
-                # Keep scanning the remaining groups: a cheap UNSAT elsewhere
-                # still decides the whole query.
-                unknown = True
-                # An undecided group that entered without the full budget may
-                # have been starved by an earlier group's search; a retry of
-                # the identical query could succeed (the earlier group is a
-                # cache hit by then), so the query must not be memoized.
-                if budget_before < self.config.max_search_steps:
-                    memoizable = False
-                continue
             if group_model is not None:
                 merged.update(group_model.assignment)
+        self._count_memo_hits(memo_hits)
         if unknown:
             self.stats.unknown_queries += 1
             if memoizable:
@@ -209,6 +224,14 @@ class Solver:
             self._remember_model(model)
         return SolverResult.SAT, model
 
+    def _count_memo_hits(self, hits: int) -> None:
+        """Book ``hits`` groups answered from their memo as the constraint
+        cache hits they stand for."""
+        self._cache.stats.hits += hits
+        self.stats.cache_hits += hits
+        if self.config.use_independence:
+            self.stats.independence_hits += hits
+
     def _check_group(self, group: Group,
                      budget: List[int]) -> Tuple[Optional[bool], Optional[Model]]:
         """Resolve one independent group: ``(True/False/None, model)``.
@@ -218,6 +241,11 @@ class Solver:
         incremental: the unchanged groups of "previous path constraint + one
         new branch" all hit the exact cache, and only the group touching the
         branch's symbols reaches the search.
+
+        Wherever this finds the group's key in the constraint cache or
+        inserts it there, it writes the entry into ``group.memo`` with the
+        cache's generation, and :meth:`_check` answers the group's next
+        query from the memo without calling here.
 
         Every SAT model cached under or returned for a group key is
         *restricted to the group's own symbols*: reused models (recent
@@ -233,10 +261,11 @@ class Solver:
         if self.config.use_constraint_cache:
             hit = self._cache.lookup(key)
             if hit is not None:
+                group.memo = (self._cache.generation, hit)
                 self.stats.cache_hits += 1
                 if track:
                     self.stats.independence_hits += 1
-                return hit[0], hit[1]
+                return hit
         if self.config.use_counterexample_cache:
             hit = self._cex_cache.lookup(key)
             if hit is not None:
@@ -245,8 +274,7 @@ class Solver:
                     self.stats.independence_hits += 1
                 model = (hit[1].restricted_to(group.symbols)
                          if hit[1] is not None else None)
-                if self.config.use_constraint_cache:
-                    self._cache.insert(key, hit[0], model)
+                self._cache_verdict(group, hit[0], model)
                 return hit[0], model
 
         if key in self._unknown:
@@ -261,8 +289,7 @@ class Solver:
                 if track:
                     self.stats.independence_hits += 1
                 model = recent.restricted_to(group.symbols)
-                if self.config.use_constraint_cache:
-                    self._cache.insert(key, True, model)
+                self._cache_verdict(group, True, model)
                 if self.config.use_counterexample_cache:
                     self._cex_cache.insert(key, True, model)
                 return True, model
@@ -282,11 +309,19 @@ class Solver:
         is_sat = model is not None
         if is_sat:
             self._remember_model(model)
-        if self.config.use_constraint_cache:
-            self._cache.insert(key, is_sat, model)
+        self._cache_verdict(group, is_sat, model)
         if self.config.use_counterexample_cache:
             self._cex_cache.insert(key, is_sat, model)
         return is_sat, model
+
+    def _cache_verdict(self, group: Group, is_sat: bool,
+                       model: Optional[Model]) -> None:
+        """Put a group's verdict into the constraint cache, if it is on, and
+        memoise the new entry on the group."""
+        if self.config.use_constraint_cache:
+            entry = self._cache.insert(group.key, is_sat, model)
+            # Read after the insert: an eviction starts a new generation.
+            group.memo = (self._cache.generation, entry)
 
     def _remember_model(self, model: Model) -> None:
         self._recent_models.append(model)

@@ -47,9 +47,10 @@ def wait_until(predicate, timeout=5.0, what="condition"):
 
 
 @contextmanager
-def python_calls():
-    """Count the Python-level calls made inside the block, per source file
-    (``sum(calls.values())`` is all of them).  Calls repeat exactly between
+def python_calls(by_code: bool = False):
+    """Count the Python-level calls made inside the block, per source file,
+    or per code object with ``by_code`` (``sum(calls.values())`` is all of
+    them either way).  Calls repeat exactly between
     runs that start from the same state, including the same live nodes in
     the expression intern table (a node still alive is not built again), so
     a cost pinned this way holds on a noisy runner.
@@ -62,7 +63,7 @@ def python_calls():
 
     def on_event(frame, event, arg):
         if event == "call":
-            calls[frame.f_code.co_filename] += 1
+            calls[frame.f_code if by_code else frame.f_code.co_filename] += 1
 
     gc.collect()
     collecting = gc.isenabled()

@@ -20,10 +20,17 @@ Under interleaved search, the default, memcached-packets 3 x 4 took 110.3
 calls per instruction and built 11 632 ``Expr`` nodes for 195 distinct
 structures; 68.7 and 312 once recently built nodes stayed alive in the
 intern table's nursery, a checked branch side kept its query and the
-coverage searcher memoised the weight of a position.
+coverage searcher memoised the weight of a position; 40.0 once interned
+nodes, sorts and operators hashed and compared by identity (no call into
+``Enum.__hash__``, ``WeakValueDictionary.get`` or an ``Expr`` ``__hash__``
+or ``__eq__`` is left), a path-constraint group remembered its
+constraint-cache entry, a branch value kept its two conditions on its
+node and widths and masks were read off the sort.
 """
 
+import enum
 import os
+import weakref
 
 from repro import lang as L
 from repro.distrib import specs
@@ -31,6 +38,7 @@ from repro.engine import interpreter
 from repro.engine.explorer import Explorer
 from repro.engine.limits import ExplorationLimits
 from repro.engine.strategies import DfsStrategy, make_strategy
+from repro.solver import expr as E
 from repro.solver.expr import Expr
 
 from conftest import make_executor, python_calls
@@ -106,10 +114,18 @@ def _memcached_interleaved():
 
 
 def test_python_calls_per_instruction_stay_under_the_interleaved_budget():
-    with python_calls() as calls:
+    with python_calls(by_code=True) as calls:
         result = _memcached_interleaved().run(backend="single")
     assert result.exhausted and result.useful_instructions == 13_635
-    assert sum(calls.values()) / result.useful_instructions <= 72
+    assert sum(calls.values()) / result.useful_instructions <= 42
+    # Interned nodes, their sorts and operators hash and compare in C, and
+    # a hit in the intern table never enters ``WeakValueDictionary.get``.
+    in_python = [code for code in calls
+                 if code is enum.Enum.__hash__.__code__
+                 or code is weakref.WeakValueDictionary.get.__code__
+                 or (code.co_filename == E.__file__
+                     and code.co_name in ("__hash__", "__eq__"))]
+    assert in_python == []
 
 
 def test_a_cold_interleaved_run_builds_few_expressions(monkeypatch):

@@ -76,6 +76,13 @@ def test_truth_and_false_conditions():
     assert E.evaluate(truth, {sym: 3}) is True
     assert E.evaluate(truth, {sym: 0}) is False
     assert E.evaluate(falsity, {sym: 0}) is True
+    assert E.evaluate(falsity, {sym: 3}) is False
+    # Kept on the value's node: asking again builds nothing.
+    assert sym._truth is truth and sym._falsity is falsity
+    assert V.truth_condition(sym) is truth
+    assert V.false_condition(sym) is falsity
+    assert V.truth_condition(7) is E.TRUE and V.false_condition(7) is E.FALSE
+    assert V.truth_condition(0) is E.FALSE and V.false_condition(0) is E.TRUE
 
 
 def test_byte_value_normalization():

@@ -3,11 +3,14 @@
 import copy
 import gc
 import pickle
+import sys
+import threading
 import time
 import weakref
 
 import pytest
 
+from repro.engine.values import false_condition, truth_condition
 from repro.solver import expr as E
 from repro.solver.simplify import simplify
 from repro.solver.solver import Solver
@@ -18,6 +21,18 @@ class TestSorts:
         assert E.BvSort(8) == E.BvSort(8)
         assert E.BvSort(8) != E.BvSort(16)
         assert E.BoolSort() == E.BoolSort()
+
+    def test_a_sort_is_one_object(self):
+        assert E.BvSort(8) is E.BvSort(8) is E.BV8
+        assert E.BvSort(8) is not E.BvSort(16)
+        assert E.BoolSort() is E.BoolSort() is E.BOOL
+
+    def test_a_pickled_sort_comes_back_as_the_same_object(self):
+        for sort in (E.BvSort(8), E.BvSort(24), E.BoolSort()):
+            assert pickle.loads(pickle.dumps(sort)) is sort
+            assert copy.copy(sort) is sort and copy.deepcopy(sort) is sort
+        assert pickle.loads(pickle.dumps(E.bv_symbol("s", 24))).sort \
+            is E.BvSort(24)
 
     def test_bitvector_sort_mask(self):
         assert E.BvSort(8).mask == 0xFF
@@ -212,18 +227,53 @@ class TestSharedSubDags:
 
     def test_memos_stay_out_of_equality_hash_and_pickles(self):
         # ``type.__call__`` builds around the intern table: a second node of
-        # the same structure, without the memos.  It is equal, only slower
-        # to compare (a walk per reference).
+        # the same structure, without the memos.  Equality is identity, so
+        # it is a different, unequal node; only the table makes nodes equal.
         _, node = self.doubled(8)
         before = pickle.dumps(node)
         simplify(node), node.symbols(), node.depth(), node.constants()
+        truth_condition(node), false_condition(node)
+        assert node._truth is not None and node._falsity is not None
         stray = type.__call__(E.Expr, node.op, node.args, node.sort)
         assert stray is not node
-        assert stray == node and node == stray and hash(stray) == hash(node)
+        assert stray != node and node != stray and not stray == node
         assert stray._simplified is None and stray._symbols is None
         assert stray._depth is None and stray._constants is None
+        assert stray._truth is None and stray._falsity is None
+        # No memo is pickled, and unpickling goes through the table: both
+        # round trips hand back the table's own node.
         assert pickle.dumps(node) == pickle.dumps(stray) == before
         assert pickle.loads(before) is node
+        assert pickle.loads(pickle.dumps(stray)) is node
+
+    def test_racing_threads_build_one_node(self):
+        # Eight threads build the same fresh structures at once, switching
+        # as often as the interpreter allows: each structure is one node.
+        threads, structures = 8, 200
+        barrier = threading.Barrier(threads)
+        built = [[] for _ in range(threads)]
+
+        def build(out):
+            barrier.wait()
+            for k in range(structures):
+                x = E.bv_symbol("intern_race_probe_%d" % k, 8)
+                out.append(E.ult(E.add(x, E.bv_const(k, 8)), x))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=build, args=(out,))
+                       for out in built]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join()
+        finally:
+            sys.setswitchinterval(interval)
+        for k in range(structures):
+            nodes = [out[k] for out in built]
+            assert len({id(node) for node in nodes}) == 1
+            assert len({id(node.args[0]) for node in nodes}) == 1
 
     def test_the_intern_table_is_weak(self, monkeypatch):
         built = []

@@ -5,6 +5,7 @@ import pytest
 from repro.solver import expr as E
 from repro.solver.independence import partition
 from repro.solver.model import Model
+from repro.solver.pathconstraint import PathConstraint
 from repro.solver.solver import Solver, SolverConfig, SolverResult
 
 
@@ -164,6 +165,56 @@ class TestIndependentSolving:
         solved_before = solver.stats.groups_solved
         solver.check(constraints)
         assert solver.stats.groups_solved > solved_before
+
+
+class TestGroupMemo:
+    def test_untouched_groups_answer_from_their_memo(self):
+        solver = Solver()
+        base = PathConstraint([lt(A, 5), lt(B, 5)])
+        solver.check(base)
+        assert all(group.memo is not None for group in base.groups)
+        extended = base.extended(E.eq(C, E.bv_const(3, 8)))
+        # The a- and b-groups are the very objects the base query filled.
+        assert extended.groups[:2] == base.groups
+        looked_up = []
+        lookup = solver._cache.lookup
+        solver._cache.lookup = lambda key: looked_up.append(key) or lookup(key)
+        hits = solver.stats.independence_hits
+        solver.check(extended)
+        assert looked_up == [extended.groups[2].key]
+        assert solver.stats.independence_hits == hits + 2
+
+    def test_with_the_constraint_cache_off_no_memo_answers(self):
+        query = PathConstraint([lt(A, 5), lt(B, 5)])
+        Solver().check(query)  # leaves a memo on each group
+        solver = Solver(SolverConfig(use_constraint_cache=False,
+                                     use_counterexample_cache=False))
+        for _ in range(3):
+            assert solver.check(query)[0] == SolverResult.SAT
+        counters = solver.cache_counters()
+        assert counters["constraint_cache_hits"] == 0
+        assert counters["constraint_cache_misses"] == 0
+        # Nothing was answered without the search or the recent models.
+        assert solver.stats.groups_solved + solver.stats.cache_hits == 6
+
+    def test_solvers_sharing_a_path_constraint_keep_their_own_verdicts(self):
+        query = PathConstraint([lt(A, 5), lt(B, 5)])
+        first, second = Solver(), Solver()
+        first.check(query)
+        second.check(query)
+        # ``second`` saw ``first``'s memos and ignored them.
+        assert second.cache_counters()["constraint_cache_hits"] == 0
+        assert second.cache_counters()["constraint_cache_misses"] == 2
+        # Then ``first`` finds ``second``'s memos and ignores those.
+        first.check(query)
+        assert first.cache_counters()["constraint_cache_hits"] == 2
+        assert first.cache_counters()["constraint_cache_misses"] == 2
+        # A verdict ``second`` cached never answers for ``first``.
+        unsat = PathConstraint([lt(A, 5), E.ult(E.bv_const(9, 8), A)])
+        second._cache.insert(unsat.groups[0].key, True, Model({A: 0}))
+        unsat.groups[0].memo = (second._cache.generation,
+                                (True, Model({A: 0})))
+        assert first.check(unsat)[0] == SolverResult.UNSAT
 
 
 class TestUnknownMemoization:

@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.distrib import specs
 from repro.solver import expr as E
 from repro.solver.cache import ConstraintCache, CounterexampleCache
 from repro.solver.model import Model
+from repro.solver.pathconstraint import PathConstraint
 from repro.solver.solver import Solver, SolverConfig, SolverResult
 
 
@@ -135,6 +137,89 @@ class TestSolverCaching:
         hits_before = solver.stats.cache_hits
         assert solver.is_satisfiable(base + [E.ule(X, E.bv_const(200, 8))])
         assert solver.stats.cache_hits > hits_before
+
+
+class TestGroupMemo:
+    """A group remembers its constraint-cache entry (``Group.memo``): a
+    memo answers exactly as the cache would, hits included, and never
+    outlives the cache generation it was written in."""
+
+    @staticmethod
+    def misses(solver):
+        return solver.cache_counters()["constraint_cache_misses"]
+
+    @staticmethod
+    def hits(solver):
+        return solver.cache_counters()["constraint_cache_hits"]
+
+    def test_a_memo_answers_as_a_lookup_hit_would(self):
+        solver = Solver()
+        query = PathConstraint([E.ult(X, E.bv_const(5, 8))])
+        assert solver.check(query)[0] == SolverResult.SAT
+        (group,) = query.groups
+        assert group.memo is not None and group.memo[1][0] is True
+        for round_ in range(1, 4):
+            assert solver.check(query)[0] == SolverResult.SAT
+            assert (self.hits(solver), self.misses(solver)) == (round_, 1)
+            assert solver.stats.cache_hits == round_
+            assert solver.stats.independence_hits == round_
+        assert solver.stats.groups_solved == 1
+
+    def test_after_reset_caches_a_clean_group_misses_exactly_once(self):
+        solver = Solver()
+        query = PathConstraint([E.ult(X, E.bv_const(5, 8))])
+        solver.check(query)
+        solver.check(query)
+        assert (self.hits(solver), self.misses(solver)) == (1, 1)
+        solver.reset_caches()
+        solver.check(query)
+        assert (self.hits(solver), self.misses(solver)) == (1, 2)
+        assert solver.stats.groups_solved == 2
+        solver.check(query)
+        solver.check(query)
+        assert (self.hits(solver), self.misses(solver)) == (3, 2)
+
+    def test_after_an_eviction_a_clean_group_misses_exactly_once(self):
+        solver = Solver()
+        solver._cache = ConstraintCache(capacity=2)
+        first, second, third = (
+            PathConstraint([E.ult(v, E.bv_const(5, 8))]) for v in (X, Y, Z))
+        for query in (first, second, first, second):
+            solver.check(query)
+        assert (self.hits(solver), self.misses(solver)) == (2, 2)
+        solver.check(third)  # the third entry empties the cache wholesale
+        assert len(solver._cache) == 1 and self.misses(solver) == 3
+        solver.check(first)
+        assert (self.hits(solver), self.misses(solver)) == (2, 4)
+        solver.check(first)
+        assert (self.hits(solver), self.misses(solver)) == (3, 4)
+
+    def test_reinserting_a_cached_key_invalidates_the_memos(self):
+        cache = ConstraintCache()
+        entry = cache.insert([E.eq(X, E.bv_const(1, 8))], True, Model({X: 1}))
+        generation = cache.generation
+        assert cache.lookup([E.eq(X, E.bv_const(1, 8))]) is entry
+        cache.insert([E.eq(Y, E.bv_const(1, 8))], True, Model({Y: 1}))
+        assert cache.generation is generation
+        cache.insert([E.eq(X, E.bv_const(1, 8))], False, None)
+        assert cache.generation is not generation
+
+    def test_memcached_counters_are_the_cache_lookups_ones(self):
+        # The values every cache and layer counter had before groups kept
+        # their cache entries: a memo hit counts as the lookup hit it saves.
+        test = specs.resolve_test("memcached-packets", num_packets=3,
+                                  packet_size=4)
+        result = test.run(backend="single")
+        counters = result.cache_stats
+        assert result.exhausted and counters["solver_queries"] == 4885
+        assert {key: counters[key] for key in (
+            "constraint_cache_hits", "constraint_cache_misses",
+            "cex_cache_hits", "cex_cache_misses", "independence_hits",
+            "groups_solved", "solver_search_steps")} == {
+            "constraint_cache_hits": 37_857, "constraint_cache_misses": 78,
+            "cex_cache_hits": 30, "cex_cache_misses": 48,
+            "independence_hits": 37_895, "groups_solved": 40,
+            "solver_search_steps": 2_323}
 
 
 class TestConstraintCache:
