@@ -117,9 +117,8 @@ def run_test(test: "SymbolicTest", backend: str = "single",
     ``python -m repro.obs.report``).  Everything else goes to the backend:
     ``strategy=`` for ``"single"``; ``workers=``, ``resume_from=``,
     ``config=`` or any cluster-config field for the others -- e.g.
-    ``autoscale=`` an :class:`~repro.cluster.autoscale.AutoscalePolicy` to
-    run them elastically, or ``status_listen="127.0.0.1:0"`` to serve live
-    run status from the coordinator (:mod:`repro.obs.status`); ``spec=`` and
+    ``status_listen="127.0.0.1:0"`` to serve live run status from the
+    coordinator (:mod:`repro.obs.status`); ``spec=`` and
     ``spec_params=`` for ``"process"`` and ``"tcp"``.
     """
     limits = ExplorationLimits.pop_from(options, base=limits)

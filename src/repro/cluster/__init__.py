@@ -18,8 +18,6 @@ layer up, in :mod:`repro.distrib`):
 * :mod:`repro.cluster.checkpoint` -- resumable run snapshots (frontier,
   coverage, counters, bugs/test cases, the spec that produced them) behind
   ``run(resume_from=...)``.
-* :mod:`repro.cluster.autoscale` -- the autoscaling policy engine driving
-  elastic membership from queue-length band/spread and round wall time.
 * :mod:`repro.cluster.stats` -- instruction/transfer/coverage timelines used
   by the evaluation harness.
 * :mod:`repro.cluster.core` -- the coordinator's contract:
@@ -28,7 +26,6 @@ layer up, in :mod:`repro.distrib`):
 Nothing here imports :mod:`repro.distrib` or :mod:`repro.net`.
 """
 
-from repro.cluster.autoscale import AutoscalePolicy, Autoscaler
 from repro.cluster.checkpoint import ClusterCheckpoint
 from repro.cluster.core import ClusterConfig, StaticPartitionConfig
 from repro.cluster.jobs import Job, JobTree
@@ -39,8 +36,6 @@ from repro.cluster.stats import ClusterTimeline, WorkerStats
 from repro.cluster.worker import Worker
 
 __all__ = [
-    "AutoscalePolicy",
-    "Autoscaler",
     "ClusterCheckpoint",
     "ClusterConfig",
     "FrontierLedger",

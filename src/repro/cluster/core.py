@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.cluster.autoscale import AutoscalePolicy
-
 __all__ = ["ClusterConfig", "StaticPartitionConfig"]
 
 
@@ -43,11 +41,6 @@ class ClusterConfig:
     #: that file so a killed run can resume via ``run(resume_from=...)``.
     checkpoint_every: Optional[int] = None
     checkpoint_path: Optional[str] = None
-    #: Autoscaling policy driving elastic membership from the round hook
-    #: (None = fixed size; ``True`` = default :class:`AutoscalePolicy`).
-    #: ``num_workers`` is the *initial* size; the policy's min/max bound it
-    #: from there.
-    autoscale: Optional[AutoscalePolicy] = None
     #: Bind a read-only live-status endpoint (:mod:`repro.obs.status`) on
     #: this ``host:port`` for the duration of the run (``"127.0.0.1:0"``
     #: picks a free port; see ``cluster.status_address``).  None = no server.
@@ -82,7 +75,6 @@ class ClusterConfig:
             raise ValueError("shutdown_timeout must be positive")
         if self.max_worker_failures is not None and self.max_worker_failures < 0:
             raise ValueError("max_worker_failures must be non-negative")
-        self.autoscale = AutoscalePolicy.coerce(self.autoscale)
 
 
 @dataclass

@@ -65,11 +65,11 @@ class LoadBalancer:
 
         A worker joining mid-run has not sent a status update yet, so its
         report would read as queue length 0 until the first one arrives --
-        skewing ``queue_length_spread()`` (and autoscaling decisions built
-        on it) and triggering transfers toward a member the balancer knows
-        nothing about.  Elastic joins therefore seed the report (typically
-        with the mean of the current queue lengths); the worker's first real
-        status update overwrites the seed with ground truth.
+        classifying it as underloaded and triggering transfers toward a
+        member the balancer knows nothing about.  Elastic joins therefore
+        seed the report (typically with the mean of the current queue
+        lengths); the worker's first real status update overwrites the seed
+        with ground truth.
         """
         report = self.reports.setdefault(worker_id,
                                          WorkerReport(worker_id=worker_id))
@@ -197,12 +197,6 @@ class LoadBalancer:
         return commands
 
     # -- introspection -----------------------------------------------------------------
-
-    def queue_length_spread(self) -> Tuple[int, int]:
-        lengths = [r.queue_length for r in self.reports.values()]
-        if not lengths:
-            return 0, 0
-        return min(lengths), max(lengths)
 
     def total_queue_length(self) -> int:
         return sum(r.queue_length for r in self.reports.values())

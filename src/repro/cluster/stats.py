@@ -144,21 +144,10 @@ class ClusterTimeline:
             series.append(total)
         return series
 
-    def worker_count_series(self) -> List[int]:
-        """Live workers per round (flat for fixed clusters, the scaling
-        trace for autoscaled/elastic ones)."""
-        return [snap.num_workers for snap in self.snapshots]
-
     def elapsed_series(self) -> List[float]:
         """Monotonic elapsed seconds at each round close -- the time axis
         for plotting any other per-round series."""
         return [snap.elapsed for snap in self.snapshots]
-
-    def worker_rounds(self) -> int:
-        """Total worker-rounds consumed: the sum of live worker counts over
-        all rounds.  This is the run's capacity bill -- what an autoscaled
-        cluster is trying to keep below a fixed-size cluster's."""
-        return sum(snap.num_workers for snap in self.snapshots)
 
     def rounds_to_coverage(self, target_percent: float) -> Optional[int]:
         """First round index at which coverage reached the target, if any."""

@@ -247,7 +247,8 @@ class ProcessCloud9Cluster(Coordinator):
         """Join a fresh worker: fork a new worker process on the mp
         transport, or admit the next dialed-in agent on TCP (spawning a
         loopback agent first under ``spawn_local_agents=True``) -- which is
-        how the autoscaler scales against a pool of standby remote hosts."""
+        how a ``round_hook`` grows a cluster from a pool of standby remote
+        hosts."""
         if (self.server is not None
                 and not self.config.spawn_local_agents
                 and self.server.pending_count == 0):

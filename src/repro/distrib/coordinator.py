@@ -9,7 +9,7 @@ moves as path-encoded job trees the destination replays (§3.2), and the
 coordinator only ever sees queue lengths and coverage bit vectors
 (§3.1/§3.3).  :class:`Coordinator` owns the protocol end to end:
 
-* the round loop -- round hook, autoscaler, one instruction budget of
+* the round loop -- round hook, one instruction budget of
   exploration on every live member, status collection into the
   :class:`~repro.cluster.load_balancer.LoadBalancer`, brokered
   ⟨source, destination, count⟩ transfers, per-round recording -- in
@@ -56,7 +56,6 @@ from dataclasses import dataclass, field
 from typing import (Any, Callable, Dict, List, Optional, Set, Tuple, Type,
                     TypeVar, Union)
 
-from repro.cluster.autoscale import Autoscaler
 from repro.cluster.checkpoint import ClusterCheckpoint
 from repro.cluster.core import ClusterConfig
 from repro.cluster.jobs import Job, JobTree
@@ -233,9 +232,6 @@ class Coordinator:
         #: ``round_hook(round_index, cluster)`` -- the supported place to
         #: exercise elastic membership (add/remove workers) mid-run.
         self.round_hook: Optional[Callable[[int, Any], None]] = None
-        #: The Autoscaler driving the current run (None unless
-        #: ``config.autoscale`` is set; fresh per ``run()`` call).
-        self.autoscaler: Optional[Autoscaler] = None
         #: Most recent checkpoint written by this run (None until the first).
         self.last_checkpoint: Optional[ClusterCheckpoint] = None
         #: Structured event trace of the current run (:mod:`repro.obs.trace`);
@@ -323,8 +319,8 @@ class Coordinator:
     def _spawn_worker(self) -> _WorkerHandle:
         """Start one member and wait for it (respawn / elastic join path)."""
         # Seed the newcomer's balancer report with the mean queue length:
-        # until its first real status arrives, a fabricated zero would skew
-        # queue_length_spread() and draw spurious transfers (computed before
+        # until its first real status arrives, a fabricated zero would read
+        # as an idle member and draw spurious transfers (computed before
         # registration so the newcomer's own empty report is excluded).
         seed_length = round(self.load_balancer.mean_queue_length())
         handle = self._launch()
@@ -718,8 +714,6 @@ class Coordinator:
         config = self.config
         limit = lim.max_rounds if lim.max_rounds is not None else MAX_ROUNDS
         start = self._run_started = time.monotonic()
-        policy = config.autoscale
-        self.autoscaler = Autoscaler(policy) if policy is not None else None
         # Round wall-time distribution (p50/p99 on ``run_finished``).
         round_seconds = Histogram("round_seconds")
         result = self._result = self._new_result()
@@ -742,8 +736,6 @@ class Coordinator:
         while round_index < limit:
             if self.round_hook is not None:
                 self.round_hook(round_index, self)
-            if self.autoscaler is not None:
-                self.autoscaler(round_index, self)
             if not self.handles:
                 raise WorkerProcessError("no live workers left")
             self._note_peak()

@@ -97,9 +97,9 @@ class RunResult:
     #: separate from the totals to avoid double counting).
     failed_worker_stats: Dict[int, WorkerStats] = field(default_factory=dict)
     #: Elastic-membership counters (cluster backends): workers that joined /
-    #: left mid-run -- voluntarily or via ``autoscale=`` -- and the largest
-    #: live membership reached.  The per-round trace is
-    #: ``timeline.worker_count_series()``.
+    #: left mid-run through ``add_worker`` / ``remove_worker``, and the
+    #: largest live membership reached.  Each round's live count is its
+    #: snapshot's ``num_workers`` on ``timeline``.
     workers_added: int = 0
     workers_removed: int = 0
     peak_workers: int = 0
@@ -151,15 +151,6 @@ class RunResult:
     def transfer_savings_ratio(self) -> float:
         """Prefix-sharing savings of the JobTree transfer encoding."""
         return self.transfer_cost.savings_ratio if self.transfer_cost else 0.0
-
-    @property
-    def worker_rounds(self) -> Optional[int]:
-        """Total worker-rounds consumed (Σ live workers over rounds) -- the
-        capacity bill an autoscaled run tries to keep below a fixed-size
-        one's.  None when the backend keeps no timeline."""
-        if self.timeline is None:
-            return None
-        return self.timeline.worker_rounds()
 
     @property
     def found_bug(self) -> bool:

@@ -61,9 +61,9 @@ def run_agent(connect: str, spec_modules: Sequence[str] = (),
 
     Returns the number of commands served (useful to tests; the CLI ignores
     it).  The wait in the pending pool is unbounded, which is what a standby
-    pool an autoscaler admits from needs.  Raises :class:`AgentRejected` on a
-    handshake refusal and :class:`TransportError` if the coordinator
-    vanishes before admission.
+    pool that ``add_worker`` admits from needs.  Raises
+    :class:`AgentRejected` on a handshake refusal and :class:`TransportError`
+    if the coordinator vanishes before admission.
     """
     host, port = parse_address(connect)
     sock = socket.create_connection((host, port), timeout=DIAL_TIMEOUT)

@@ -1,14 +1,14 @@
 """Coordinator-side listener: where remote worker agents dial in.
 
 The paper's clusters grow by *workers joining*, not by the coordinator
-reaching out: an operator (or autoscaler) starts agents on as many machines
-as desired and points them all at one coordinator address.  This module is
-that rendezvous.  :class:`AgentServer` listens on a TCP address, performs
-the protocol handshake with every connection (hello in, version checked,
-reject or park), and keeps handshaken-but-unassigned connections in a
-*pending pool*.  The cluster's ``add_worker`` on the TCP path means "admit
-the next agent from this pool" -- so scale-up is an admission, and the PR 5
-autoscaler scales against remote hosts without knowing it.
+reaching out: an operator starts agents on as many machines as desired and
+points them all at one coordinator address.  This module is that rendezvous.
+:class:`AgentServer` listens on a TCP address, performs the protocol
+handshake with every connection (hello in, version checked, reject or park),
+and keeps handshaken-but-unassigned connections in a *pending pool*.  The
+cluster's ``add_worker`` on the TCP path means "admit the next agent from
+this pool" -- so scale-up is an admission, and a ``round_hook`` that grows
+the cluster reaches remote hosts without knowing it.
 
 Admission (:meth:`AgentServer.admit`) is where an agent becomes a worker:
 it is assigned its worker id and told, via :class:`WelcomeMessage`, which

@@ -19,7 +19,7 @@ aggregates only.  This package is the substrate those views are built on:
   workers, queue lengths), disconnect.
 * :mod:`repro.obs.report` -- ``python -m repro.obs.report trace.jsonl``
   renders coverage-over-time, per-worker utilization and the
-  transfer/autoscale/failure timeline from any run's trace.
+  transfer/membership/failure timeline from any run's trace.
 """
 
 from repro.obs import schema

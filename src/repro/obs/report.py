@@ -9,8 +9,7 @@ by :mod:`repro.obs.trace` and prints:
   and idle rounds per worker, from the ``workers_detail`` payload of each
   round event.
 * **Timeline** (Fig. 12 and the fault/elasticity story): every transfer,
-  autoscale decision, membership change, failure, checkpoint and bug, in
-  order.
+  membership change, failure, checkpoint and bug, in order.
 
 ``--json`` emits the same analysis as one JSON object for scripting.
 The reader tolerates a truncated final line, so a trace from a SIGKILLed
@@ -32,8 +31,7 @@ __all__ = ["analyze_trace", "render_report", "main"]
 _TIMELINE_EVENTS = (
     schema.RUN_STARTED, schema.JOB_TRANSFERRED, schema.WORKER_JOINED,
     schema.WORKER_LEFT, schema.WORKER_DIED, schema.WORKER_RESPAWNED,
-    schema.JOBS_RECOVERED,
-    schema.AUTOSCALE_DECISION, schema.CHECKPOINT_WRITTEN,
+    schema.JOBS_RECOVERED, schema.CHECKPOINT_WRITTEN,
     schema.HEARTBEAT_MISS, schema.BUG_FOUND, schema.TRACE_EVENTS_DROPPED,
     schema.RUN_FINISHED,
 )

@@ -132,10 +132,6 @@ WORKER_JOINED = _event("worker_joined", optional=("workers",))
 
 WORKER_LEFT = _event("worker_left", optional=("workers",))
 
-AUTOSCALE_DECISION = _event(
-    "autoscale_decision",
-    required=("action", "count", "workers"))
-
 # -- fault tolerance ---------------------------------------------------------------------
 
 HEARTBEAT_MISS = _event("heartbeat_miss")

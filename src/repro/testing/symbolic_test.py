@@ -119,9 +119,6 @@ class SymbolicTest:
         or saved checkpoint path for the cluster backends, paired with the
         ``checkpoint_every=`` / ``checkpoint_path=`` config knobs that
         produce the checkpoints;
-        ``autoscale=`` an :class:`~repro.cluster.autoscale.AutoscalePolicy`
-        (or ``True`` for the defaults) to let those same backends grow and
-        shrink the cluster mid-run from queue pressure and round wall time;
         ``trace_path=`` to write the run's structured JSONL event trace,
         on every backend -- see :mod:`repro.obs`).
         """

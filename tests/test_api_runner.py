@@ -76,6 +76,12 @@ class TestBackendDispatch:
         with pytest.raises(TypeError, match="unknown options"):
             test.run(backend="single", workers=4)
 
+    @pytest.mark.parametrize("backend", ["cluster", "process"])
+    def test_cluster_backends_refuse_a_removed_option_by_name(self, backend):
+        test = SymbolicTest("t", single_branch_program())
+        with pytest.raises(TypeError, match="autoscale"):
+            test.run(backend=backend, autoscale=True)
+
 
 class TestLimitsRoundTrip:
     def test_single_max_paths(self):

@@ -94,9 +94,8 @@ class TestLoadBalancer:
         lb.balance(round_index=7)
         assert lb.transfer_log[0][0] == 7
 
-    def test_queue_length_spread(self):
+    def test_total_queue_length(self):
         lb = self._lb_with_queues({1: 5, 2: 9})
-        assert lb.queue_length_spread() == (5, 9)
         assert lb.total_queue_length() == 14
 
     def test_invalid_delta(self):

@@ -1,11 +1,9 @@
-"""Autoscaling elastic clusters and one-step member removal (§2.3).
+"""Elastic membership: members join and leave at the round barrier (§3.3).
 
-Covers the :mod:`repro.cluster.autoscale` policy engine (band/spread/
-wall-time signals, hysteresis, cooldown, min/max clamps), ``remove_worker``
-handing a member's whole frontier to a survivor on both backends, the load
-balancer's membership-churn hygiene (report seeding on join, atomic purge on
-leave), the unified checkpoint cadence, and cumulative accounting (wall time,
-pre-crash bugs) across ``resume_from=``.
+Covers ``remove_worker`` handing a member's whole frontier to a survivor on
+both backends, the load balancer's membership-churn hygiene (report seeding
+on join, atomic purge on leave), the unified checkpoint cadence, and
+cumulative accounting (wall time, pre-crash bugs) across ``resume_from=``.
 """
 
 import multiprocessing
@@ -14,7 +12,6 @@ import pytest
 
 from repro import lang as L
 from repro.api import ExplorationLimits
-from repro.cluster.autoscale import AutoscalePolicy, Autoscaler
 from repro.cluster.checkpoint import ClusterCheckpoint
 from repro.cluster.core import ClusterConfig
 from repro.cluster.load_balancer import LoadBalancer
@@ -22,7 +19,6 @@ from repro.distrib import specs
 from repro.distrib.cluster import ProcessCloud9Cluster, ProcessClusterConfig
 from repro.engine.errors import BugKind, BugReport
 from repro.engine.test_case import TestCase
-from repro.obs.trace import load_trace
 from repro.testing.symbolic_test import SymbolicTest
 
 LIMITS = ExplorationLimits(max_rounds=500)
@@ -64,240 +60,6 @@ def _buggy_test(buffer_size=3):
 
 # Registered at import time: "fork" children inherit the registry.
 specs.register_spec("test-as-buggy", _buggy_test, replace=True)
-
-
-# -- policy signals ---------------------------------------------------------------------
-
-
-class TestAutoscalePolicy:
-    def test_validation(self):
-        with pytest.raises(ValueError, match="min_workers"):
-            AutoscalePolicy(min_workers=0)
-        with pytest.raises(ValueError, match="max_workers"):
-            AutoscalePolicy(min_workers=4, max_workers=2)
-        with pytest.raises(ValueError, match="queue_low"):
-            AutoscalePolicy(queue_low=5.0, queue_high=5.0)
-        with pytest.raises(ValueError, match="hysteresis"):
-            AutoscalePolicy(hysteresis_rounds=0)
-        with pytest.raises(ValueError, match="cooldown"):
-            AutoscalePolicy(cooldown_rounds=-1)
-
-    def test_grow_on_queue_band(self):
-        policy = AutoscalePolicy(queue_high=4.0, queue_low=1.0, max_workers=8)
-        assert policy.signal(num_workers=2, total_queue=20, spread=(8, 12)) == 1
-
-    def test_grow_on_spread(self):
-        policy = AutoscalePolicy(queue_high=100.0, queue_low=0.1,
-                                 spread_threshold=5)
-        assert policy.signal(num_workers=2, total_queue=10, spread=(0, 10)) == 1
-        assert policy.signal(num_workers=2, total_queue=10, spread=(4, 6)) == 0
-
-    def test_grow_on_round_wall_time(self):
-        policy = AutoscalePolicy(queue_high=100.0, queue_low=0.1,
-                                 round_wall_time_ceiling=0.5)
-        assert policy.signal(num_workers=2, total_queue=10, spread=(5, 5),
-                             round_wall_time=1.0) == 1
-        assert policy.signal(num_workers=2, total_queue=10, spread=(5, 5),
-                             round_wall_time=0.1) == 0
-        # No measurement yet (first round): never a growth signal.
-        assert policy.signal(num_workers=2, total_queue=10, spread=(5, 5),
-                             round_wall_time=None) == 0
-
-    def test_shrink_on_idle_band(self):
-        policy = AutoscalePolicy(queue_high=8.0, queue_low=2.0, min_workers=1)
-        assert policy.signal(num_workers=4, total_queue=2, spread=(0, 1)) == -1
-
-    def test_clamped_at_min_and_max(self):
-        policy = AutoscalePolicy(min_workers=2, max_workers=4,
-                                 queue_high=4.0, queue_low=1.0)
-        # At the ceiling a grow signal reads as hold (streaks reset).
-        assert policy.signal(num_workers=4, total_queue=100, spread=(20, 30)) == 0
-        # At the floor a shrink signal reads as hold.
-        assert policy.signal(num_workers=2, total_queue=0, spread=(0, 0)) == 0
-
-    def test_hold_inside_band(self):
-        policy = AutoscalePolicy(queue_high=8.0, queue_low=2.0)
-        assert policy.signal(num_workers=2, total_queue=10, spread=(4, 6)) == 0
-
-
-# -- the driver, against a scripted fake cluster ----------------------------------------
-
-
-class _FakeCluster:
-    """Just enough surface for an Autoscaler: LB + membership calls."""
-
-    def __init__(self, queue_lengths):
-        self.load_balancer = LoadBalancer(line_count=10)
-        self._next_id = 1
-        for length in queue_lengths:
-            self.load_balancer.receive_status(
-                self._next_id, queue_length=length, useful_instructions=0,
-                coverage_bits=0, round_index=0)
-            self._next_id += 1
-        self.added = []
-        self.removed = []
-
-    @property
-    def live_worker_ids(self):
-        return sorted(self.load_balancer.reports)
-
-    def add_worker(self):
-        worker_id = self._next_id
-        self._next_id += 1
-        self.load_balancer.receive_status(worker_id, queue_length=0,
-                                          useful_instructions=0,
-                                          coverage_bits=0, round_index=0)
-        self.added.append(worker_id)
-        return worker_id
-
-    def remove_worker(self, worker_id):
-        self.load_balancer.deregister_worker(worker_id)
-        self.removed.append(worker_id)
-
-    def set_queues(self, lengths_by_id):
-        for worker_id, length in lengths_by_id.items():
-            self.load_balancer.reports[worker_id].queue_length = length
-
-
-def _ticker(scaler, cluster):
-    """Advance the autoscaler one round at a time."""
-    state = {"round": 0}
-
-    def tick():
-        scaler(state["round"], cluster)
-        state["round"] += 1
-
-    return tick
-
-
-class TestAutoscaler:
-    def _scaler(self, **kw):
-        kw.setdefault("cooldown_rounds", 0)
-        kw.setdefault("hysteresis_rounds", 1)
-        return Autoscaler(AutoscalePolicy(**kw))
-
-    def test_grows_under_sustained_pressure_only(self):
-        cluster = _FakeCluster([20, 20])
-        scaler = Autoscaler(AutoscalePolicy(queue_high=4.0, queue_low=1.0,
-                                            cooldown_rounds=0,
-                                            hysteresis_rounds=3))
-        tick = _ticker(scaler, cluster)
-        tick(); tick()
-        assert cluster.added == []  # hysteresis not yet satisfied
-        tick()
-        assert cluster.added == [3]
-
-    def test_transient_spike_resets_the_streak(self):
-        cluster = _FakeCluster([20, 20])
-        scaler = Autoscaler(AutoscalePolicy(queue_high=4.0, queue_low=1.0,
-                                            cooldown_rounds=0,
-                                            hysteresis_rounds=2))
-        tick = _ticker(scaler, cluster)
-        tick()
-        cluster.set_queues({1: 3, 2: 3})  # pressure vanished
-        tick()
-        cluster.set_queues({1: 20, 2: 20})
-        tick()
-        assert cluster.added == []  # the streak restarted from scratch
-
-    def test_cooldown_blocks_the_next_action(self):
-        cluster = _FakeCluster([20, 20])
-        scaler = Autoscaler(AutoscalePolicy(queue_high=4.0, queue_low=1.0,
-                                            cooldown_rounds=3,
-                                            hysteresis_rounds=1))
-        tick = _ticker(scaler, cluster)
-        # Initial cooldown guards the ramp-up rounds.
-        tick(); tick(); tick()
-        assert cluster.added == []
-        tick()
-        assert len(cluster.added) == 1
-        tick(); tick(); tick()  # cooldown again
-        assert len(cluster.added) == 1
-        tick()
-        assert len(cluster.added) == 2
-
-    def test_respects_max_workers(self):
-        cluster = _FakeCluster([20, 20])
-        scaler = self._scaler(queue_high=4.0, queue_low=1.0, max_workers=3)
-        tick = _ticker(scaler, cluster)
-        for _ in range(6):
-            tick()
-        assert len(cluster.live_worker_ids) == 3  # grew 2 -> 3, then clamped
-
-    def test_shrinks_idle_cluster_to_min_removing_emptiest(self):
-        cluster = _FakeCluster([0, 5, 0])
-        scaler = self._scaler(queue_high=50.0, queue_low=3.0, min_workers=1)
-        tick = _ticker(scaler, cluster)
-        tick()
-        assert cluster.removed == [1]  # smallest queue, lowest id
-        tick()  # average 5/2 still under the low-water mark
-        assert cluster.removed == [1, 3]
-        tick(); tick()
-        assert cluster.removed == [1, 3]  # min_workers floor
-
-
-# -- in-process integration --------------------------------------------------------------
-
-
-class TestInProcessAutoscale:
-    @pytest.fixture(scope="class")
-    def fixed(self):
-        test = _buggy_test()
-        result = test.run(backend="cluster", workers=4,
-                          instructions_per_round=30, limits=LIMITS)
-        assert result.exhausted and result.found_bug
-        return result
-
-    def test_autoscaled_run_matches_fixed_size_run(self, fixed, tmp_path):
-        test = _buggy_test()
-        policy = AutoscalePolicy(min_workers=1, max_workers=4,
-                                 queue_high=3.0, queue_low=1.0,
-                                 cooldown_rounds=1, hysteresis_rounds=1)
-        trace_path = str(tmp_path / "trace.jsonl")
-        result = test.run(backend="cluster", workers=1,
-                          instructions_per_round=30, autoscale=policy,
-                          limits=LIMITS.merged(trace_path=trace_path))
-        assert result.exhausted
-        # Every decision and every join is on the trace.
-        events = load_trace(trace_path)
-        grown = sum(e["count"] for e in events
-                    if e["event"] == "autoscale_decision"
-                    and e["action"] == "grow")
-        joined = [e for e in events if e["event"] == "worker_joined"]
-        assert grown == len(joined) == result.workers_added
-        # Deterministic target: elasticity must not change the outcome.
-        assert result.paths_completed == fixed.paths_completed
-        assert result.covered_lines == fixed.covered_lines
-        assert result.bug_summaries() == fixed.bug_summaries()
-        # ...but the capacity bill must reflect the ramp-up.
-        assert result.workers_added >= 1
-        assert result.peak_workers <= 4
-        assert result.worker_rounds < fixed.worker_rounds
-        trace = result.timeline.worker_count_series()
-        assert trace[0] == 1 and max(trace) == result.peak_workers
-
-    def test_autoscale_true_uses_default_policy(self):
-        config = ClusterConfig(num_workers=2, autoscale=True)
-        assert isinstance(config.autoscale, AutoscalePolicy)
-        with pytest.raises(TypeError, match="autoscale"):
-            ClusterConfig(autoscale="yes")
-
-    def test_scale_down_of_last_removable_worker(self):
-        """Shrinking stops at min_workers=1: the final surviving worker
-        absorbs every drained job and finishes alone."""
-        test = _buggy_test()
-        policy = AutoscalePolicy(min_workers=1, max_workers=4,
-                                 queue_high=10_000.0, queue_low=10.0,
-                                 cooldown_rounds=0, hysteresis_rounds=1)
-        cluster = test.build_cluster(
-            ClusterConfig(num_workers=3, instructions_per_round=30,
-                          autoscale=policy))
-        result = cluster.run(limits=LIMITS)
-        assert result.exhausted
-        assert result.num_workers == 1
-        assert result.workers_removed == 2
-        single = test.run(backend="single", limits=ExplorationLimits())
-        assert result.paths_completed == single.paths_completed
 
 
 # -- removal -----------------------------------------------------------------------------
@@ -379,7 +141,7 @@ class TestMembershipChurnHygiene:
 
     def test_add_then_balance_before_first_status(self):
         """Regression: a just-added worker's fabricated zero-length report
-        used to skew queue_length_spread() and draw a transfer before the
+        used to skew the queue-length spread and draw a transfer before the
         balancer had heard from it even once."""
         test = _buggy_test()
         cluster = test.build_cluster(
@@ -388,13 +150,15 @@ class TestMembershipChurnHygiene:
         lb = cluster.load_balancer
         lengths_before = {w: lb.reports[w].queue_length
                           for w in lb.worker_ids}
-        spread_before = lb.queue_length_spread()
+        spread_before = (min(lengths_before.values()),
+                         max(lengths_before.values()))
         new_id = cluster.add_worker()
         # The newcomer is seeded with the mean, not zero...
         assert lb.reports[new_id].queue_length == round(
             sum(lengths_before.values()) / len(lengths_before))
-        # ...so the spread the autoscaler reads is not skewed to (0, max)...
-        low, high = lb.queue_length_spread()
+        # ...so the queue-length spread is not skewed to (0, max)...
+        lengths = [report.queue_length for report in lb.reports.values()]
+        low, high = min(lengths), max(lengths)
         assert low >= min(min(lengths_before.values()),
                           lb.reports[new_id].queue_length)
         assert (low, high) != (0, spread_before[1]) or spread_before[0] == 0
@@ -598,31 +362,11 @@ class TestResumeAccounting:
         assert resumed.wall_time >= checkpoint.wall_time
 
 
-# -- process-backend autoscaling (also the CI smoke) -------------------------------------
+# -- process-backend membership (also the CI smoke) --------------------------------------
 
 
 @needs_fork
-class TestProcessAutoscale:
-    def test_autoscaled_process_run_matches_fixed_and_scales_up(self):
-        test = specs.resolve_test("test-as-buggy")
-        fixed = test.run(backend="process", workers=2, limits=LIMITS,
-                         instructions_per_round=40, reply_timeout=1.0)
-        assert fixed.exhausted and fixed.found_bug
-
-        policy = AutoscalePolicy(min_workers=1, max_workers=3,
-                                 queue_high=2.0, queue_low=1.0,
-                                 cooldown_rounds=1, hysteresis_rounds=1)
-        result = test.run(backend="process", workers=1, limits=LIMITS,
-                          instructions_per_round=40, reply_timeout=1.0,
-                          autoscale=policy)
-        assert result.exhausted
-        assert result.workers_added >= 1
-        assert result.peak_workers <= 3
-        assert result.worker_failures == 0
-        assert result.paths_completed == fixed.paths_completed
-        assert result.covered_lines == fixed.covered_lines
-        assert result.bug_summaries() == fixed.bug_summaries()
-
+class TestProcessMembership:
     def test_retire_on_checkpoint_round_counts_members_once(self):
         """A member removed at the start of a checkpoint round is counted
         once in that round's checkpoint: by its closing full report, which

@@ -17,7 +17,6 @@ import pytest
 from conftest import wait_until
 from repro import lang as L
 from repro.api import ExplorationLimits
-from repro.cluster.autoscale import AutoscalePolicy
 from repro.distrib import specs
 from repro.distrib.cluster import (
     ProcessCloud9Cluster,
@@ -293,23 +292,6 @@ class TestTcpElasticity:
         assert result.exhausted
         assert result.worker_failures == 0
         assert result.workers_added == 0
-
-    def test_autoscaler_grow_without_pending_agents_is_a_noop(self):
-        """An aggressive grow policy over an empty pool must neither kill
-        the run nor stall it: Autoscaler._grow swallows the refusal."""
-        policy = AutoscalePolicy(min_workers=2, max_workers=4,
-                                 queue_low=0.01, queue_high=0.5,
-                                 hysteresis_rounds=1, cooldown_rounds=0)
-        cluster = ProcessCloud9Cluster(
-            "test-net-buggy", config=_tcp_config(autoscale=policy))
-        agents = _dial_agents(cluster, 2)
-        try:
-            result = cluster.run(limits=LIMITS)
-        finally:
-            _reap_agents(agents)
-        assert result.exhausted
-        assert result.worker_failures == 0
-        assert result.workers_added == 0  # nothing to admit, nothing added
 
 
 @needs_fork

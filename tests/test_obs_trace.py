@@ -1,7 +1,10 @@
-"""The JSONL tracer, the worker-side buffer, and crash-tolerant loading."""
+"""The JSONL tracer, the worker-side buffer, crash-tolerant loading, and the
+event-schema registry."""
 
+import ast
 import json
 import os
+import pathlib
 import tempfile
 import threading
 
@@ -9,7 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.distrib import specs
+from repro.obs import report as report_module
+from repro.obs import schema as schema_module
 from repro.obs import trace as trace_module
 from repro.obs.trace import (
     NULL_TRACER,
@@ -181,6 +187,41 @@ class TestRuntimeValidation:
         buf.emit("anything", worker=2)
         assert seen == [("anything", {"ts": seen[0][1]["ts"],
                                       "event": "anything", "worker": 2})]
+
+
+class TestSchemaRegistry:
+    """A registered event is one something emits, and a reader keys off
+    registered events only: a removed emit site takes its schema along."""
+
+    @staticmethod
+    def _names_read_outside_the_registry():
+        package = pathlib.Path(repro.__file__).parent
+        readers = {package / "obs" / "schema.py", package / "obs" / "report.py"}
+        names = set()
+        for path in package.rglob("*.py"):
+            if path in readers:
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+        return names
+
+    def test_every_registered_event_has_an_emit_site(self):
+        constants = {value: name for name, value in vars(schema_module).items()
+                     if isinstance(value, str)
+                     and value in schema_module.EVENT_SCHEMAS}
+        assert set(constants) == set(schema_module.EVENT_SCHEMAS)
+        read = self._names_read_outside_the_registry()
+        unused = sorted(event for event, name in constants.items()
+                        if name not in read)
+        assert unused == [], "registered but never emitted: %s" % unused
+
+    def test_every_timeline_event_is_registered(self):
+        assert report_module._TIMELINE_EVENTS
+        for event in report_module._TIMELINE_EVENTS:
+            assert event in schema_module.EVENT_SCHEMAS, event
 
 
 class TestLoadTrace:
