@@ -1014,10 +1014,8 @@ class Coordinator:
             replay_instructions=totals.replay_instructions,
             wall_time=(self.books.carried.wall_time
                        + (time.monotonic() - self._run_started)),
-            bug_reports=[ClusterCheckpoint.encode_bug(b)
-                         for b in dedupe_bugs(totals.bugs)],
-            test_cases=[ClusterCheckpoint.encode_test_case(t)
-                        for t in totals.test_cases],
+            bug_reports=dedupe_bugs(totals.bugs),
+            test_cases=totals.test_cases,
             spec_name=self.spec_name,
             spec_params=dict(self.spec_params),
             backend=self.backend_name,
@@ -1041,8 +1039,8 @@ class Coordinator:
                       useful_instructions=checkpoint.useful_instructions,
                       replay_instructions=checkpoint.replay_instructions,
                       covered_lines=checkpoint.covered_lines(),
-                      bugs=checkpoint.decode_bugs(),
-                      test_cases=checkpoint.decode_test_cases(),
+                      bugs=checkpoint.bug_reports,
+                      test_cases=checkpoint.test_cases,
                       wall_time=checkpoint.wall_time,
                       resumed_from_round=checkpoint.round_index),
             checkpoint.frontier_paths)

@@ -163,7 +163,9 @@ class AddressSpace:
         self._cow_shared = set(shared)
         return clone
 
-    def _writable_object(self, address: int) -> MemoryObject:
+    def own(self, address: int) -> MemoryObject:
+        """The object at ``address``, copied first if a clone still shares
+        it: the one object a change here may touch."""
         obj = self.objects.get(address)
         if obj is None:
             raise MemoryError_("access to unmapped address 0x%x" % address,
@@ -206,8 +208,7 @@ class AddressSpace:
 
     def write_byte(self, address: int, offset: int, value: Cell) -> None:
         obj, base_off = self.resolve(address)
-        writable = self._writable_object(obj.address)
-        writable.write_byte(base_off + offset, value)
+        self.own(obj.address).write_byte(base_off + offset, value)
 
     def __contains__(self, address: int) -> bool:
         try:

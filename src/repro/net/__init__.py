@@ -5,8 +5,9 @@ reproduces the coordinator/worker protocol but carried it on one host's
 multiprocessing queues.  This package abstracts the carrier:
 
 * :mod:`repro.net.framing` -- the TCP wire format: length-prefixed frames
-  with size limits, and the message codec (schema-checked JSON of the
-  registered message classes; nothing a peer sends is unpickled).
+  with size limits, each one registered message class as schema-checked
+  JSON (:mod:`repro.cluster.plain`'s record codec; nothing a peer sends is
+  unpickled).
 * :mod:`repro.net.transport` -- the :class:`~repro.net.transport.Transport`
   interface plus both implementations: the in-host mp-queue pair
   (:class:`~repro.net.transport.QueuePairTransport`, unchanged behavior)

@@ -11,6 +11,12 @@ The model supports the mapping modes the paper's targets rely on:
 * file-backed ``MAP_SHARED``      -- stores are written back to the modeled
   file on ``msync`` and on ``munmap``.
 
+Protection is enforced by the object behind a mapping: a store into one
+without ``PROT_WRITE`` is a ``memory_error`` bug, and ``mprotect`` changes
+it in place.  A shared mapping is one object for every process of the
+state, so one process's ``mprotect`` applies to all (a kernel keeps
+protection per process).
+
 The mapping bookkeeping lives in :class:`~repro.posix.data.PosixState`, so it
 forks together with the execution state.
 """
@@ -80,6 +86,7 @@ def posix_mmap(ctx: NativeContext):
         obj = state.allocate(length, name="mmap")
     if cells is not None:
         obj.cells = list(cells)
+    obj.writable = bool(prot & PROT_WRITE)
 
     mapping = MemoryMapping(
         address=obj.address,
@@ -87,7 +94,7 @@ def posix_mmap(ctx: NativeContext):
         shared=shared,
         file_path=file_path if shared or not anonymous else None,
         file_offset=offset,
-        writable=bool(prot & PROT_WRITE),
+        writable=obj.writable,
     )
     posix.mappings[obj.address] = mapping
     return obj.address
@@ -139,13 +146,18 @@ def posix_munmap(ctx: NativeContext):
 
 
 def posix_mprotect(ctx: NativeContext):
-    """``mprotect(addr, length, prot)``: record the new writability."""
+    """``mprotect(addr, length, prot)``: make the whole mapping writable or
+    read-only (``length`` is not looked at)."""
     address = ctx.concrete_arg(0)
     prot = ctx.concrete_arg(2, PROT_READ | PROT_WRITE)
-    mapping = posix_of(ctx.state).mappings.get(address)
+    state = ctx.state
+    mapping = posix_of(state).mappings.get(address)
     if mapping is None:
         return ERR
-    mapping.writable = bool(prot & PROT_WRITE)
+    # A state fork copies the CoW domain, not a private object: copy it now.
+    obj = (state.cow_domain.objects[address] if mapping.shared
+           else state.current_process.address_space.own(address))
+    mapping.writable = obj.writable = bool(prot & PROT_WRITE)
     return 0
 
 

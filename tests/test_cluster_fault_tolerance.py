@@ -12,6 +12,7 @@ import os
 import re
 import signal
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +35,8 @@ from repro.distrib.cluster import (
 from repro.distrib.messages import ExploreCommand, SeedCommand
 from repro.distrib.worker import DistribWorker
 from repro.engine.config import EngineConfig
+from repro.engine.errors import BugKind, BugReport
+from repro.engine.test_case import TestCase
 from repro.obs.trace import load_trace
 from repro.testing.symbolic_test import SymbolicTest
 
@@ -157,6 +160,38 @@ class TestFrontierLedger:
 
 # -- checkpoint serialization ----------------------------------------------------------
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _golden_checkpoint() -> ClusterCheckpoint:
+    """What ``tests/golden/checkpoint_v<CHECKPOINT_FORMAT>.json`` holds: a
+    bug with its test case, a test case, bytes/tuple/dict parameters, a
+    coverage vector wider than 64 bits and a float wall time."""
+    case = TestCase(state_id=9, inputs={"input": b"GET /", "env": b""},
+                    path_length=31, fork_trace=[1, 0, 2], exit_code=3)
+    bug = BugReport(kind=BugKind.ASSERTION_FAILURE, message="boom",
+                    state_id=7, line=12, function="main",
+                    test_case=TestCase(state_id=7, inputs={"input": b"AB"},
+                                       path_length=12, fork_trace=[0, 1],
+                                       is_error=True, error_summary="boom"))
+    return ClusterCheckpoint(
+        round_index=6, frontier_paths=[(0, 1), (2,)],
+        coverage_bits=1 << 70 | 0b1011, line_count=71, paths_completed=4,
+        useful_instructions=100, replay_instructions=20, wall_time=12.25,
+        bug_reports=[bug], test_cases=[case], spec_name="curl-glob",
+        spec_params={"prefix": b"http://{", "pair": (1, "a", (b"",)),
+                     "nested": {"k": [b"x", None, 2.5]}, "count": 3},
+        backend="process")
+
+
+def _read_golden_checkpoint(version: int) -> str:
+    path = GOLDEN / ("checkpoint_v%d.json" % version)
+    if not path.exists():
+        pytest.fail("no golden checkpoint for format %d: commit %s holding:\n%s"
+                    % (version, path.relative_to(GOLDEN.parent.parent),
+                       _golden_checkpoint().to_json()))
+    return path.read_text(encoding="ascii")
+
 
 class TestClusterCheckpoint:
     def _checkpoint(self):
@@ -170,6 +205,22 @@ class TestClusterCheckpoint:
             replay_instructions=20,
             spec_name="test-ft-buggy",
         )
+
+    def test_the_tree_writes_and_reads_the_golden_checkpoint(self):
+        """A checkpoint layout changed without a ``CHECKPOINT_FORMAT`` bump
+        fails here; a bump without a new golden file fails in
+        ``_read_golden_checkpoint``, which prints the file to commit."""
+        golden = _read_golden_checkpoint(CHECKPOINT_FORMAT)
+        assert _golden_checkpoint().to_json() + "\n" == golden, (
+            "the checkpoint layout changed at format %d: bump "
+            "CHECKPOINT_FORMAT and commit the new golden file (the test "
+            "prints it)" % CHECKPOINT_FORMAT)
+        assert ClusterCheckpoint.from_json(golden) == _golden_checkpoint()
+
+    def test_a_missing_golden_checkpoint_fails_printing_its_content(self):
+        with pytest.raises(pytest.fail.Exception) as failed:
+            _read_golden_checkpoint(CHECKPOINT_FORMAT + 1)
+        assert _golden_checkpoint().to_json() in str(failed.value)
 
     def test_json_round_trip(self):
         checkpoint = self._checkpoint()
@@ -199,7 +250,7 @@ class TestClusterCheckpoint:
     def test_a_parameter_that_is_not_plain_data_is_named_on_save(self):
         checkpoint = self._checkpoint()
         checkpoint.spec_params = {"when": object()}
-        with pytest.raises(TypeError, match=r"spec parameter 'when': "
+        with pytest.raises(TypeError, match=r"spec_params: 'when': "
                                             r"<object object .*> is not plain"):
             checkpoint.to_json()
 
@@ -214,6 +265,10 @@ class TestClusterCheckpoint:
         with pytest.raises(ValueError, match=(
                 r"format None, this tree reads format %d \(unknown keys: "
                 r"strategy_seeds, worker_stats\)" % CHECKPOINT_FORMAT)):
+            ClusterCheckpoint.from_json(json.dumps(older))
+        older["format"] = 2  # the layout before bugs became records
+        with pytest.raises(ValueError, match=r"format 2, this tree reads "
+                                             r"format %d " % CHECKPOINT_FORMAT):
             ClusterCheckpoint.from_json(json.dumps(older))
         newer = json.loads(self._checkpoint().to_json())
         newer["format"] = CHECKPOINT_FORMAT + 1
@@ -242,23 +297,46 @@ class TestClusterCheckpoint:
             ClusterCheckpoint.from_json(text)
 
     @pytest.mark.parametrize("key, value, says", [
-        ("round_index", "6", "round_index is a str"),
-        ("line_count", True, "line_count is a bool"),
-        ("coverage_bits", "xyz", "invalid literal for int() with base 16: 'xyz'"),
-        ("frontier_paths", [[0, "1"]], "frontier_paths[0][1] is a str"),
-        ("test_cases", [7], "test_cases[0] is a int"),
-        ("spec_name", 3, "spec_name is a int"),
-        ("bug_reports", [{"message": "no kind"}], "KeyError: 'kind'"),
-        ("bug_reports", [{"kind": "no_such_kind"}],
-         "'no_such_kind' is not a valid BugKind"),
-        ("test_cases", [{"inputs": {"in": "zz"}}],
-         "ValueError: non-hexadecimal number"),
-        ("spec_params", {"p": {"a": 1}}, "untagged object {'a': 1}"),
-        ("spec_params", {"p": {"bytes": "q"}}, "expected hex bytes, got 'q'"),
+        ("round_index", "6", "round_index: expected int, got str"),
+        ("line_count", True, "line_count: expected int, got bool"),
+        ("coverage_bits", "xyz",
+         "coverage_bits: expected a hex integer, got 'xyz'"),
+        ("frontier_paths", [[0, "1"]],
+         "frontier_paths[0][1]: expected int, got str"),
+        ("test_cases", [7], "test_cases[0]: expected a TestCase record, got int"),
+        ("spec_name", 3, "spec_name: expected str or NoneType, got int"),
+        ("bug_reports", [[]], "bug_reports[0]: BugReport.__init__() missing 3 "
+                              "required positional arguments: 'kind'"),
+        ("bug_reports", [["no_such_kind", "m", 1]],
+         "bug_reports[0].kind: 'no_such_kind' is not a BugKind"),
+        ("test_cases", [[1, {"in": "zz"}, 3]],
+         "test_cases[0].inputs: expected hex bytes, got 'zz'"),
+        ("spec_params", {"p": {"a": 1}}, "spec_params: untagged object {'a': 1}"),
+        ("spec_params", {"p": {"bytes": "q"}},
+         "spec_params: expected hex bytes, got 'q'"),
     ])
     def test_a_field_of_the_wrong_kind_is_named(self, key, value, says):
         payload = json.loads(self._checkpoint().to_json())
         payload[key] = value
+        with pytest.raises(ValueError, match=re.escape(says)):
+            ClusterCheckpoint.from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize("key, index, value, says", [
+        ("bug_reports", 3, "twelve",
+         "bug_reports[0].line: expected int or NoneType, got str"),
+        ("bug_reports", 4, 3,
+         "bug_reports[0].function: expected str or NoneType, got int"),
+        ("bug_reports", 1, ["x"], "bug_reports[0].message: expected str, got list"),
+        ("test_cases", 5, "no", "test_cases[0].is_error: expected bool, got str"),
+        ("test_cases", 4, "abc",
+         "test_cases[0].exit_code: expected int or NoneType, got str"),
+    ])
+    def test_a_nested_field_of_the_wrong_kind_is_named_by_its_path(
+            self, key, index, value, says):
+        """A bug or test case is kind-checked field by field, as a frame is:
+        a bad ``line`` fails the load, not a later ``summary()``."""
+        payload = json.loads(_golden_checkpoint().to_json())
+        payload[key][0][index] = value
         with pytest.raises(ValueError, match=re.escape(says)):
             ClusterCheckpoint.from_json(json.dumps(payload))
 
@@ -273,17 +351,16 @@ class TestClusterCheckpoint:
     @settings(max_examples=300)
     @given(st.data())
     def test_fuzzed_checkpoints_fail_only_with_value_error(self, data):
-        """Text, or a good checkpoint with one key dropped or replaced (the
-        bug and test-case entries included): from_json either reads it or
-        raises ValueError."""
-        payload = json.loads(self._checkpoint().to_json())
-        payload["bug_reports"] = [{"kind": "abort", "message": "m"}]
-        payload["test_cases"] = [{"inputs": {"in": "41"}, "fork_trace": [1]}]
-        target = data.draw(st.sampled_from(
-            [payload, payload["bug_reports"][0], payload["test_cases"][0]]))
-        key = data.draw(st.sampled_from(sorted(target) + ["kind", "inputs"]))
+        """Text, or a good checkpoint with one key or record field dropped
+        or replaced (the fields of a bug, of its test case and of a test
+        case included): from_json either reads it or raises ValueError."""
+        payload = json.loads(_golden_checkpoint().to_json())
+        (bug,), (case,) = payload["bug_reports"], payload["test_cases"]
+        target = data.draw(st.sampled_from([payload, bug, bug[5], case]))
+        key = data.draw(st.sampled_from(
+            sorted(target) if type(target) is dict else range(len(target))))
         if data.draw(st.booleans()):
-            target.pop(key, None)
+            del target[key]
         else:
             target[key] = data.draw(self._JSON)
         text = data.draw(st.sampled_from(

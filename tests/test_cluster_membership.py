@@ -215,13 +215,12 @@ class TestResumeAccounting:
         checkpoint = ClusterCheckpoint(
             round_index=2, frontier_paths=[(0,)], coverage_bits=0b1,
             line_count=4, wall_time=1.5,
-            bug_reports=[ClusterCheckpoint.encode_bug(bug)],
-            test_cases=[ClusterCheckpoint.encode_test_case(case)])
+            bug_reports=[bug], test_cases=[case])
         restored = ClusterCheckpoint.from_json(checkpoint.to_json())
         assert restored.wall_time == 1.5
-        (decoded_bug,) = restored.decode_bugs()
+        (decoded_bug,) = restored.bug_reports
         assert decoded_bug.summary() == bug.summary()
-        (decoded_case,) = restored.decode_test_cases()
+        (decoded_case,) = restored.test_cases
         assert decoded_case.inputs == {"input": b"AAA"}
         assert decoded_case.is_error and decoded_case.fork_trace == [0, 1]
 

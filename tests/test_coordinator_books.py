@@ -256,7 +256,7 @@ def test_member_retiring_between_a_status_and_the_checkpoint_is_counted_once():
     assert victim.status.stats.paths_completed > 0
     assert checkpoint.paths_completed == snapshot.paths_completed
     assert len(checkpoint.test_cases) == checkpoint.paths_completed
-    traces = [tuple(t["fork_trace"]) for t in checkpoint.test_cases]
+    traces = [tuple(t.fork_trace) for t in checkpoint.test_cases]
     assert len(set(traces)) == len(traces)
     # Each outstanding job is listed once, by whoever held it at its report.
     assert len(set(checkpoint.frontier_paths)) \
@@ -327,7 +327,7 @@ def test_round_record_checkpoint_and_result_read_the_same_books():
     assert final.replay_instructions == result.replay_instructions
     assert len(final.bug_reports) == len(result.bugs)
     assert final.covered_lines() == result.covered_lines
-    assert sorted(tuple(t["fork_trace"]) for t in final.test_cases) \
+    assert sorted(tuple(t.fork_trace) for t in final.test_cases) \
         == sorted(tuple(t.fork_trace) for t in result.test_cases)
     assert result.timeline.snapshots[-1].paths_completed == result.paths_completed
 

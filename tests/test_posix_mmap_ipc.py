@@ -1,6 +1,7 @@
 """Unit tests for the mmap and System V IPC components of the POSIX model."""
 
 from repro import lang as L
+from repro.engine.errors import BugKind
 from repro.posix.api import add_concrete_file
 from repro.posix.data import posix_of
 from repro.testing import SymbolicTest
@@ -8,6 +9,7 @@ from repro.testing import SymbolicTest
 MAP_SHARED = 0x01
 MAP_PRIVATE = 0x02
 MAP_ANONYMOUS = 0x20
+PROT_READ = 0x1
 PROT_RW = 0x3
 IPC_CREAT = 0x200
 IPC_EXCL = 0x400
@@ -69,6 +71,87 @@ class TestMmapAnonymous:
             L.ret(L.index(L.var("p"), 0)),
         )
         assert result.test_cases[0].exit_code == 77
+
+
+class TestMmapProtection:
+    """``PROT_WRITE`` is enforced by the object behind the mapping."""
+
+    @staticmethod
+    def _map(prot, flags=MAP_PRIVATE | MAP_ANONYMOUS, name="p"):
+        return L.decl(name, L.call("mmap", 0, 8, prot, flags, ERR, 0))
+
+    def test_store_into_a_read_only_mapping_is_a_memory_error(self):
+        result = run_program(
+            self._map(PROT_READ),
+            L.store(L.var("p"), 3, 0x5A),
+            L.ret(L.index(L.var("p"), 3)),
+        )
+        assert [bug.kind for bug in result.bugs] == [BugKind.MEMORY_ERROR]
+        assert "read-only" in result.bugs[0].message
+
+    def test_store_after_mprotect_read_only_is_a_memory_error(self):
+        result = run_program(
+            self._map(PROT_RW),
+            L.store(L.var("p"), 0, 1),
+            L.if_(L.ne(L.call("mprotect", L.var("p"), 8, PROT_READ), 0),
+                  [L.ret(99)]),
+            L.store(L.var("p"), 0, 2),
+            L.ret(L.index(L.var("p"), 0)),
+        )
+        assert [bug.kind for bug in result.bugs] == [BugKind.MEMORY_ERROR]
+
+    def test_mprotect_read_write_makes_a_mapping_writable_again(self):
+        result = run_program(
+            self._map(PROT_READ),
+            L.decl("r", L.call("mprotect", L.var("p"), 8, PROT_RW)),
+            L.store(L.var("p"), 0, 0x41),
+            L.ret(L.add(L.var("r"), L.index(L.var("p"), 0))),
+        )
+        assert not result.bugs
+        assert result.test_cases[0].exit_code == 0x41
+
+    def test_mprotect_of_an_unmapped_address_fails(self):
+        result = run_program(
+            L.ret(L.eq(L.call("mprotect", 12345, 8, PROT_READ), ERR)),
+        )
+        assert result.test_cases[0].exit_code == 1
+
+    def test_mprotect_on_one_path_leaves_its_sibling_writable(self):
+        """The object is copied before its flag changes, so a state fork
+        that still shares it keeps its own protection.  Each side protects
+        one mapping and stores into the other, so whichever side runs
+        first, a flag leaked across the fork is a bug on the second."""
+        def protect_then_store(protected, stored):
+            return [L.expr_stmt(L.call("mprotect", L.var(protected), 8,
+                                       PROT_READ)),
+                    L.store(L.var(stored), 0, 7)]
+
+        result = run_program(
+            self._map(PROT_RW),
+            self._map(PROT_RW, name="q"),
+            L.decl("buf", L.call("cloud9_symbolic_buffer", 1,
+                                 L.strconst("input"))),
+            L.if_(L.eq(L.index(L.var("buf"), 0), ord("A")),
+                  protect_then_store("p", "q"), protect_then_store("q", "p")),
+            L.ret(0),
+        )
+        assert not result.bugs
+        assert len(result.test_cases) == 2
+
+    def test_mprotect_of_a_shared_mapping_applies_to_every_process(self):
+        """A shared mapping is one object for all processes of the state."""
+        result = run_program(
+            self._map(PROT_RW, MAP_SHARED | MAP_ANONYMOUS),
+            L.decl("pid", L.call("fork")),
+            L.if_(L.eq(L.var("pid"), 0), [
+                L.expr_stmt(L.call("mprotect", L.var("p"), 8, PROT_READ)),
+                L.expr_stmt(L.call("exit", 0)),
+            ]),
+            L.expr_stmt(L.call("waitpid", L.var("pid"))),
+            L.store(L.var("p"), 0, 1),
+            L.ret(0),
+        )
+        assert [bug.kind for bug in result.bugs] == [BugKind.MEMORY_ERROR]
 
 
 class TestMmapFileBacked:

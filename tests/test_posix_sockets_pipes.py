@@ -39,6 +39,20 @@ class TestSocketPair:
         ])
         assert result.test_cases[0].exit_code == 0
 
+    def test_shutdown_of_the_write_side_makes_the_peer_read_eof(self):
+        result = run_program(entry_body=[
+            L.decl("pair", L.call("malloc", 2)),
+            L.expr_stmt(L.call("socketpair", L.var("pair"))),
+            L.decl("a", L.index(L.var("pair"), 0)),
+            L.decl("b", L.index(L.var("pair"), 1)),
+            L.decl("rc", L.call("shutdown", L.var("a"), 1)),
+            L.if_(L.ne(L.var("rc"), 0), [L.ret(100)]),
+            L.decl("buf", L.call("malloc", 4)),
+            L.ret(L.call("read", L.var("b"), L.var("buf"), 4)),
+        ])
+        assert not result.bugs
+        assert result.test_cases[0].exit_code == 0
+
     def test_write_after_peer_close_fails(self):
         result = run_program(entry_body=[
             L.decl("pair", L.call("malloc", 2)),

@@ -39,6 +39,13 @@ class TestThreads:
         ], extra_funcs=[worker])
         assert result.test_cases[0].exit_code == 99
 
+    def test_each_yield_returns_zero(self):
+        result = run_program([
+            L.ret(L.add(L.call("pthread_yield"), L.call("sched_yield"))),
+        ])
+        assert not result.bugs
+        assert result.test_cases[0].exit_code == 0
+
 
 class TestMutex:
     def test_lock_unlock(self):
@@ -64,6 +71,27 @@ class TestMutex:
             L.ret(L.call("pthread_mutex_trylock", L.var("m"))),
         ])
         assert result.test_cases[0].exit_code == 16  # EBUSY
+
+    def test_destroy_returns_zero_and_forgets_the_mutex(self):
+        result = run_program([
+            L.decl("m", L.call("pthread_mutex_init")),
+            L.decl("rc", L.call("pthread_mutex_destroy", L.var("m"))),
+            L.if_(L.ne(L.var("rc"), 0), [L.ret(100)]),
+            L.ret(L.call("pthread_mutex_lock", L.var("m"))),
+        ])
+        assert result.test_cases[0].exit_code == 0xFFFFFFFF  # ERR: gone
+
+    def test_destroy_of_a_held_mutex_is_busy(self):
+        result = run_program([
+            L.decl("m", L.call("pthread_mutex_init")),
+            L.expr_stmt(L.call("pthread_mutex_lock", L.var("m"))),
+            L.ret(L.call("pthread_mutex_destroy", L.var("m"))),
+        ])
+        assert result.test_cases[0].exit_code == 16  # EBUSY
+
+    def test_destroy_of_an_unknown_handle_fails(self):
+        result = run_program([L.ret(L.call("pthread_mutex_destroy", 77))])
+        assert result.test_cases[0].exit_code == 0xFFFFFFFF
 
     def test_mutex_provides_mutual_exclusion(self):
         # The worker increments a shared counter twice under the lock; main
@@ -135,6 +163,15 @@ class TestCondVars:
         assert not result.bugs
         assert result.test_cases[0].exit_code == 1
 
+    def test_destroy_returns_zero_then_fails_on_the_gone_handle(self):
+        result = run_program([
+            L.decl("cv", L.call("pthread_cond_init")),
+            L.decl("rc", L.call("pthread_cond_destroy", L.var("cv"))),
+            L.if_(L.ne(L.var("rc"), 0), [L.ret(100)]),
+            L.ret(L.call("pthread_cond_destroy", L.var("cv"))),
+        ])
+        assert result.test_cases[0].exit_code == 0xFFFFFFFF
+
 
 class TestSemaphores:
     def test_post_then_wait(self):
@@ -205,6 +242,18 @@ class TestProcesses:
             L.ret(L.var("child_pid")),
         ])
         assert not result.bugs
+
+    def test_getppid_in_the_child_is_the_parents_pid(self):
+        result = run_program([
+            L.decl("pid", L.call("fork")),
+            L.if_(L.eq(L.var("pid"), 0), [
+                L.expr_stmt(L.call("exit", L.call("getppid"))),
+            ]),
+            L.decl("parent_of_child", L.call("waitpid", L.var("pid"))),
+            L.ret(L.eq(L.var("parent_of_child"), L.call("getpid"))),
+        ])
+        assert not result.bugs
+        assert result.test_cases[0].exit_code == 1
 
     def test_waitpid_unknown_child(self):
         result = run_program([L.ret(L.call("waitpid", 77))])

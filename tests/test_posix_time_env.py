@@ -1,5 +1,7 @@
 """Unit tests for the virtual-clock time functions and environment variables."""
 
+import pytest
+
 from repro import lang as L
 from repro.posix.data import posix_of
 from repro.posix.env import add_env_var, add_symbolic_env_var
@@ -37,6 +39,23 @@ class TestVirtualClock:
             L.ret(L.ge(L.sub(L.var("b"), L.var("a")), 500_000)),
         )
         assert result.test_cases[0].exit_code == 1
+
+    @pytest.mark.parametrize("sleep, duration_ns", [
+        (L.call("sleep", 2), 2_000_000_000),
+        (L.call("nanosleep", 1, 234), 1_000_000_234),
+    ], ids=["sleep", "nanosleep"])
+    def test_sleep_advances_clock_by_exactly_duration(self, sleep,
+                                                      duration_ns):
+        """A sleep ticks the clock by its duration plus the one step every
+        clock query costs; the second read then adds its own step."""
+        result = run_program(
+            L.expr_stmt(L.call("c9_set_clock_step", 7)),
+            L.decl("a", L.call("c9_clock_ns")),
+            L.decl("rc", sleep),
+            L.decl("b", L.call("c9_clock_ns")),
+            L.ret(L.add(L.var("rc"), L.sub(L.var("b"), L.var("a")))),
+        )
+        assert result.test_cases[0].exit_code == duration_ns + 7 + 7
 
     def test_gettimeofday_writes_seconds_and_micros(self):
         result = run_program(

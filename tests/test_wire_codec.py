@@ -224,7 +224,7 @@ class TestCodec:
         (b'["StatusReply",1,2,"3",0,[1,"x"],{}]', r"StatusReply\.stats\.useful_instructions"),
         (b'["ImportCommand",[1,[[0]]]]', r"ImportCommand\.encoded_jobs: malformed job tree edge"),
         (b'["ImportCommand",[2,[]]]', r"ImportCommand\.encoded_jobs: malformed job tree node"),
-        (b'["ImportCommand",[0,[]],[[1,"a"]]]', r"ImportCommand\.fence_paths: expected int, got str"),
+        (b'["ImportCommand",[0,[]],[[1,"a"]]]', r"ImportCommand\.fence_paths\[0\]\[1\]: expected int, got str"),
         (b'["BugReport","no_such_kind","m",1]', r"BugReport\.kind: 'no_such_kind' is not a BugKind"),
         (b'["TestCase",1,{"a":"zz"},3]', r"TestCase\.inputs: expected hex bytes, got 'zz'"),
         (b'["os.system","rm -rf /"]', r"unknown message 'os\.system'"),
