@@ -12,7 +12,6 @@ bug is found, with a concrete reproducer) and reports the exploration cost.
   found by exhaustive exploration.
 """
 
-from repro.api import Campaign
 from repro.engine import BugKind
 from repro.targets import bandicoot, curl, memcached
 
@@ -20,16 +19,13 @@ from conftest import print_table
 
 
 def _run_case_studies():
-    # The three case studies batched through one Campaign.
-    campaign = Campaign("case-studies")
-    campaign.add(curl.make_globbing_test(), label="curl")
-    campaign.add(memcached.make_udp_hang_test(), label="udp")
-    campaign.add(bandicoot.make_get_exploration_test(), label="bandicoot")
-    outcome = campaign.run()
+    # The three case studies, one run each.
+    curl_result = curl.make_globbing_test().run()
+    udp_result = memcached.make_udp_hang_test().run()
+    bandicoot_result = bandicoot.make_get_exploration_test().run()
 
     rows = []
 
-    curl_result = outcome.results["curl"]
     curl_bugs = [b for b in curl_result.bugs if b.kind == BugKind.MEMORY_ERROR]
     reproducer = (curl_bugs[0].test_case.input_bytes("url_suffix")
                   if curl_bugs and curl_bugs[0].test_case else b"")
@@ -37,14 +33,12 @@ def _run_case_studies():
                  len(curl_bugs) > 0, curl_result.paths_completed,
                  repr(reproducer)))
 
-    udp_result = outcome.results["udp"]
     hangs = [b for b in udp_result.bugs if b.kind == BugKind.INFINITE_LOOP]
     datagram = (hangs[0].test_case.input_bytes("datagram0")
                 if hangs and hangs[0].test_case else b"")
     rows.append(("memcached UDP handling (7.3.3)", "infinite loop / hang",
                  len(hangs) > 0, udp_result.paths_completed, repr(datagram)))
 
-    bandicoot_result = outcome.results["bandicoot"]
     oob = [b for b in bandicoot_result.bugs if b.kind == BugKind.MEMORY_ERROR]
     query = (oob[0].test_case.input_bytes("query")
              if oob and oob[0].test_case else b"")

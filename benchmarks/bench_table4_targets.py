@@ -10,7 +10,6 @@ the engine + POSIX model and must explore at least one complete path without
 engine-level errors -- the reproduction's analogue of "runs on Cloud9".
 """
 
-from repro.api import Campaign, ExplorationLimits
 from repro.lang.analysis import program_line_count
 from repro.targets import (
     bandicoot,
@@ -65,16 +64,10 @@ def _target_catalogue():
 
 
 def _run_all():
-    # One Campaign runs the whole catalogue under a shared path budget.
-    campaign = Campaign("table4", limits=ExplorationLimits(max_paths=100))
-    labelled = {}
-    for name, kind, test in _target_catalogue():
-        entry = campaign.add(test, label=name)
-        labelled[entry.label] = (name, kind, test)
-    outcome = campaign.run()
+    # Every target of the catalogue runs under one shared path budget.
     rows = []
-    for label, (name, kind, test) in labelled.items():
-        result = outcome.results[label]
+    for name, kind, test in _target_catalogue():
+        result = test.run(max_paths=100)
         rows.append((name, kind, program_line_count(test.program),
                      result.paths_completed,
                      round(result.coverage_percent, 1),

@@ -16,7 +16,6 @@ model:
 Run with:  python examples/memcached_symbolic_testing.py
 """
 
-from repro.api import Campaign
 from repro.engine import BugKind
 from repro.targets import memcached
 from repro.testing.report import CoverageAccounting
@@ -24,18 +23,11 @@ from repro.testing.report import CoverageAccounting
 
 def main() -> None:
     print("=== 1. concrete suite vs symbolic packets (Table 5 accounting) ===")
-    # Three testing techniques over the same target, batched in one campaign.
-    campaign = Campaign("memcached-techniques")
-    campaign.add(memcached.make_concrete_suite_test(), label="concrete")
-    campaign.add(memcached.make_symbolic_packets_test(num_packets=1,
-                                                      packet_size=6),
-                 label="symbolic")
-    campaign.add(memcached.make_fault_injection_test(), label="fault",
-                 max_paths=150)
-    outcome = campaign.run()
-    concrete = outcome.results["concrete"]
-    symbolic = outcome.results["symbolic"]
-    fault = outcome.results["fault"]
+    # Three testing techniques over the same target, run one after another.
+    concrete = memcached.make_concrete_suite_test().run()
+    symbolic = memcached.make_symbolic_packets_test(num_packets=1,
+                                                    packet_size=6).run()
+    fault = memcached.make_fault_injection_test().run(max_paths=150)
 
     accounting = CoverageAccounting(line_count=concrete.line_count)
     accounting.add_method("entire test suite", concrete.paths_completed,

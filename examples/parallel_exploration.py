@@ -10,7 +10,6 @@ scalability figures of the paper.
 Run with:  python examples/parallel_exploration.py
 """
 
-from repro.api import Campaign
 from repro.targets import printf
 
 
@@ -24,20 +23,16 @@ def main() -> None:
     print("%8s %10s %14s %14s %12s %12s" % (
         "workers", "rounds", "paths", "useful work", "replay work", "transfers"))
 
-    # One test, a grid of cluster sizes: a Campaign runs the sweep and keeps
-    # every per-size RunResult for comparison.
-    campaign = Campaign("printf-scalability")
-    campaign.add_grid(printf.make_symbolic_test(format_length=3), [
-        {"backend": "cluster", "workers": workers,
-         "instructions_per_round": instructions_per_round,
-         "label": "w%d" % workers}
-        for workers in worker_counts
-    ])
-    outcome = campaign.run()
+    # One test, one run per cluster size: every RunResult is kept for the
+    # comparison below.
+    test = printf.make_symbolic_test(format_length=3)
+    results = {workers: test.run(backend="cluster", workers=workers,
+                                 instructions_per_round=instructions_per_round)
+               for workers in worker_counts}
 
     baseline_rounds = None
     for workers in worker_counts:
-        result = outcome.results["w%d" % workers]
+        result = results[workers]
         if baseline_rounds is None:
             baseline_rounds = result.rounds_executed
         speedup = baseline_rounds / max(result.rounds_executed, 1)

@@ -12,9 +12,10 @@ EuroSys 2011) as a pure-Python library:
   balancing (§3), the paper's core contribution.
 * :mod:`repro.distrib` -- the same protocol across worker processes (real
   cores): path-encoded job shipping between private engines.
-* :mod:`repro.testing` -- the symbolic-test platform API (§5).
-* :mod:`repro.api`     -- the unified exploration API: one ``run`` surface,
-  uniform limits, five fixed backends, one result type, batch campaigns.
+* :mod:`repro.testing` -- the symbolic-test platform API (§5): one
+  ``SymbolicTest.run`` over five fixed backends.
+* :mod:`repro.api`     -- the names every backend shares: uniform limits and
+  one result type.
 * :mod:`repro.targets` -- models of the real-world systems evaluated in §7
   (memcached, lighttpd, printf, test, curl, Coreutils, Bandicoot, and a
   producer-consumer benchmark).
@@ -36,7 +37,7 @@ a cluster, which is the paper's core pitch::
     print(test.run(backend="cluster", workers=4).paths_completed)
 
 Every backend (``"single"``, ``"cluster"``, ``"static"``, ``"process"``,
-``"tcp"``) accepts the same :class:`~repro.api.limits.ExplorationLimits` -- either as a
+``"tcp"``) accepts the same :class:`~repro.engine.limits.ExplorationLimits` -- either as a
 ``limits=`` bundle or as direct kwargs -- and returns the same
 :class:`~repro.api.result.RunResult`::
 
@@ -47,27 +48,18 @@ Every backend (``"single"``, ``"cluster"``, ``"static"``, ``"process"``,
         result = test.run(backend=backend, limits=limits)
         print(backend, result.paths_completed, result.coverage_percent)
 
-Batches of tests (or one test across a grid of configurations) run through
-:class:`~repro.api.campaign.Campaign`::
+A batch of tests (or one test across a grid of configurations) is a loop
+over ``test.run``::
 
-    from repro.api import Campaign
-
-    campaign = Campaign("scalability", limits=ExplorationLimits(max_rounds=50))
-    campaign.add_grid(test, [{"backend": "cluster", "workers": w}
-                             for w in (1, 2, 4, 8)])
-    outcome = campaign.run()
-    print(outcome.summary_rows())
+    results = {workers: test.run(backend="cluster", workers=workers,
+                                 max_rounds=50)
+               for workers in (1, 2, 4, 8)}
+    for workers, result in results.items():
+        print(workers, result.rounds_executed, result.paths_completed)
 """
 
 from repro import api, cluster, engine, lang, posix, solver, testing
-from repro.api import (
-    Campaign,
-    CampaignResult,
-    ExplorationLimits,
-    RunResult,
-    available_backends,
-    run_test,
-)
+from repro.api import ExplorationLimits, RunResult
 from repro.cluster import ClusterConfig
 from repro.distrib import Cloud9Cluster
 from repro.engine import (
@@ -89,12 +81,8 @@ __all__ = [
     "posix",
     "solver",
     "testing",
-    "Campaign",
-    "CampaignResult",
     "ExplorationLimits",
     "RunResult",
-    "available_backends",
-    "run_test",
     "Cloud9Cluster",
     "ClusterConfig",
     "BugKind",

@@ -1,32 +1,22 @@
-"""The unified exploration API (one front end over every backend).
+"""The public names of the exploration API.
 
-This package is the single supported way to execute symbolic tests:
+A symbolic test runs on any of the five backends through one call,
+:meth:`SymbolicTest.run(backend=...) <repro.testing.symbolic_test.SymbolicTest.run>`;
+this package names the two things every backend shares:
 
-* :class:`~repro.api.limits.ExplorationLimits` -- one bag of budgets/goals
-  accepted uniformly by every backend (and by the lower-level ``run``
-  methods of the engine and the coordinator).
-* :func:`~repro.api.runner.run_test` -- one test on one of the five
-  backends (``"single"``, ``"cluster"``, ``"static"``, ``"process"``,
-  ``"tcp"``), behind ``SymbolicTest.run(backend=...)``.
+* :class:`~repro.engine.limits.ExplorationLimits` -- one bag of
+  budgets/goals accepted uniformly by every backend (and by the lower-level
+  ``run`` methods of the engine and the coordinator).
 * :class:`~repro.api.result.RunResult` -- the one result type: the engine
   and the coordinator build it directly, so backends compare
   apples-to-apples.
-* :class:`~repro.api.campaign.Campaign` -- batch execution of many tests
-  and/or configuration grids with aggregated coverage, bugs and timelines.
 """
 
-from repro.api.limits import UNLIMITED, ExplorationLimits
 from repro.api.result import RunResult
-from repro.api.runner import available_backends, run_test
-from repro.api.campaign import Campaign, CampaignEntry, CampaignResult
+from repro.engine.limits import UNLIMITED, ExplorationLimits
 
 __all__ = [
     "ExplorationLimits",
     "UNLIMITED",
     "RunResult",
-    "available_backends",
-    "run_test",
-    "Campaign",
-    "CampaignEntry",
-    "CampaignResult",
 ]

@@ -69,6 +69,15 @@ class ClusterConfig:
             raise ValueError("a cluster needs at least one worker")
         if self.instructions_per_round < 1:
             raise ValueError("instructions_per_round must be positive")
+        if self.balance_interval < 1:
+            raise ValueError("balance_interval must be positive")
+        if self.min_transfer < 1:
+            raise ValueError("min_transfer must be positive")
+        if self.checkpoint_every is not None and self.checkpoint_every < 1:
+            raise ValueError("checkpoint_every must be positive (or None)")
+        if self.checkpoint_path is not None and self.checkpoint_every is None:
+            raise ValueError("checkpoint_path needs checkpoint_every: "
+                             "without it no checkpoint is ever written")
         if self.reply_timeout <= 0:
             raise ValueError("reply_timeout must be positive")
         if self.shutdown_timeout <= 0:

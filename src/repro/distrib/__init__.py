@@ -27,7 +27,7 @@ Public pieces:
   round loop, balancing, transfers, frontier ledger and recovery,
   checkpoints, finalization.
 * :class:`~repro.distrib.loopback.Cloud9Cluster` -- the in-process shell
-  (the ``"cluster"`` backend of :mod:`repro.api.runner`), and
+  (the ``"cluster"`` backend of ``SymbolicTest.run``), and
   :class:`~repro.distrib.loopback.StaticPartitionCluster`, the §2 strawman
   on the same coordinator (``"static"``).
 * :class:`~repro.distrib.cluster.ProcessCloud9Cluster` -- the process shell

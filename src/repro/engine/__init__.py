@@ -21,9 +21,9 @@ provides:
   happens and grafts the children -- that both the single-node driver and
   the cluster worker explore with (:mod:`repro.engine.explorer`),
 * the uniform exploration limits shared by every backend
-  (:mod:`repro.engine.limits`, re-exported as :mod:`repro.api.limits`) and
-  the one result type they all return (:mod:`repro.engine.result`,
-  re-exported as :mod:`repro.api.result`),
+  (:mod:`repro.engine.limits`, exported by :mod:`repro.api`) and the one
+  result type they all return (:mod:`repro.engine.result`, re-exported as
+  :mod:`repro.api.result`),
 * a single-node exploration driver (:mod:`repro.engine.executor`).
 """
 

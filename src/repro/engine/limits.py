@@ -5,7 +5,8 @@ re-plumbing every knob, so :class:`ExplorationLimits` is the single bag of
 budgets and goals accepted by
 :meth:`repro.engine.executor.SymbolicExecutor.run`,
 :meth:`repro.distrib.coordinator.Coordinator.run` (under every cluster
-backend) and the :mod:`repro.api.runner` backends.  Each of them takes a
+backend) and :meth:`repro.testing.symbolic_test.SymbolicTest.run` on every
+backend.  Each of them takes a
 ``limits=`` bundle plus loose limit fields as keyword arguments, merged in
 one place: :meth:`ExplorationLimits.pop_from` (a loose field wins).
 
@@ -14,7 +15,8 @@ rest (``max_steps`` only bounds single-engine scheduling steps; ``max_rounds``
 only bounds cluster virtual-time rounds).  ``None`` always means "unlimited".
 
 The module lives under :mod:`repro.engine` (dependency-free, importable by
-every layer) and is re-exported as :mod:`repro.api.limits`, the public name.
+every layer); :mod:`repro.api` and the ``repro`` package export
+:class:`ExplorationLimits` under their own names too.
 """
 
 from __future__ import annotations

@@ -12,7 +12,9 @@ runs, ``steps`` is ``None`` for clusters).
 
 Like :mod:`repro.engine.limits`, the module lives under :mod:`repro.engine`
 so every layer can import it (the cluster-only field types are named for
-the type checker only) and is re-exported as :mod:`repro.api.result`.
+the type checker only) and is re-exported as :mod:`repro.api.result`;
+:meth:`repro.testing.symbolic_test.SymbolicTest.run` stamps a cluster's
+result with the test's name through :meth:`RunResult.from_cluster`.
 """
 
 from __future__ import annotations

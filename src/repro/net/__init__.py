@@ -25,7 +25,7 @@ multiprocessing queues.  This package abstracts the carrier:
 
 Used by :class:`~repro.distrib.cluster.ProcessCloud9Cluster` under
 ``ProcessClusterConfig(transport="tcp", ...)``, surfaced as
-``backend="tcp"`` in :mod:`repro.api.runner`.
+``backend="tcp"`` of :meth:`repro.testing.symbolic_test.SymbolicTest.run`.
 """
 
 from repro.net.framing import (

@@ -9,7 +9,7 @@ aggregates only.  This package is the substrate those views are built on:
   ordered trace file, identical event schema on every backend; workers on
   the process and TCP backends forward their events to the coordinator
   over the existing status channel.  Enabled with ``trace_path=`` on
-  :class:`~repro.api.limits.ExplorationLimits` / ``SymbolicTest.run``.
+  :class:`~repro.engine.limits.ExplorationLimits` / ``SymbolicTest.run``.
 * :mod:`repro.obs.metrics` -- :class:`Histogram`, the one shared metrics
   primitive (solver latency, round wall time).  Counters are plain fields
   of ``SolverStats``/``CacheStats``/``WorkerStats``; a run's totals are read

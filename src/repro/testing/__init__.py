@@ -4,9 +4,9 @@ A :class:`SymbolicTest` packages a program under test together with the
 environment setup (symbolic data, files, network conditions, fault injection,
 scheduler policy, instruction limits) and can then be run either on a single
 engine ("1-worker Cloud9", i.e. plain KLEE) or on a cluster of any
-size.  A batch of tests is a :class:`repro.api.Campaign`, whose result
-produces the combined coverage accounting used by Table 5
-(:class:`CoverageAccounting`).
+size, all through :meth:`SymbolicTest.run(backend=...) <SymbolicTest.run>`.
+A batch of tests is a loop over ``test.run``; Table 5's combined coverage
+accounting is built from the results with :class:`CoverageAccounting`.
 """
 
 from repro.testing.symbolic_test import SymbolicTest

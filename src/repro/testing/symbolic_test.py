@@ -1,4 +1,4 @@
-"""Symbolic test definitions.
+"""Symbolic test definitions, and the one runner every backend sits behind.
 
 A symbolic test encompasses "many similar concrete test cases into a single
 symbolic one" (§5): it names the program under test, how to set up its
@@ -12,27 +12,76 @@ backend through :meth:`SymbolicTest.run`::
     test.run(backend="process", workers=4)            # worker processes
                                                       # (spec-built tests)
 
-Every backend returns the same :class:`~repro.api.result.RunResult`.
+The backends (:data:`BACKENDS`):
+
+* ``"single"``  -- one in-process engine (plain KLEE / 1-worker Cloud9).
+* ``"cluster"`` -- the Cloud9 cluster with dynamic load balancing, every
+  member in this process (:class:`~repro.distrib.loopback.Cloud9Cluster`:
+  the coordinator over the loopback carrier; deterministic, virtual time).
+* ``"static"``  -- the §2 static-partitioning strawman: the same in-process
+  cluster, partitioned once by a bootstrap and never balanced.
+* ``"process"`` -- the same coordinator over mp queues
+  (:class:`~repro.distrib.cluster.ProcessCloud9Cluster`): worker processes
+  on real cores, jobs shipped as path-encoded trees and replayed at the
+  destination.  Live tests do not pickle, so a run ships the test's
+  ``(spec_name, spec_params)`` and each worker rebuilds it: the test must
+  come from :func:`repro.distrib.specs.resolve_test`.
+* ``"tcp"`` -- the same coordinator over the socket transport
+  (:mod:`repro.net`): workers are *agents* that dial in over TCP
+  (``python -m repro.net.agent --connect HOST:PORT``), possibly from other
+  machines, with heartbeat-based liveness.  Pass ``listen="0.0.0.0:4850"``
+  to accept remote agents, or ``spawn_local_agents=True`` for a
+  self-contained loopback cluster.
+
+The backend name decides the carrier: ``"process"`` always runs over mp
+queues and ``"tcp"`` over sockets, so ``result.backend`` names what ran.
+Every backend returns the same :class:`~repro.engine.result.RunResult`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Optional, Type, Union
+from typing import Any, Callable, Dict, Optional, Type, TypeVar, Union, cast
 
-from repro.api.limits import ExplorationLimits
-from repro.api.result import RunResult
 from repro.cluster.core import ClusterConfig, StaticPartitionConfig
+from repro.distrib.cluster import ProcessCloud9Cluster, ProcessClusterConfig
+from repro.distrib.coordinator import Coordinator
 from repro.distrib.loopback import Cloud9Cluster, StaticPartitionCluster
 from repro.engine.config import EngineConfig
 from repro.engine.executor import SymbolicExecutor
+from repro.engine.limits import ExplorationLimits
+from repro.engine.result import RunResult
 from repro.engine.state import ExecutionState
 from repro.lang.ast import Program
 from repro.lang.compiler import CompiledProgram, compile_program
 from repro.posix.model import install_posix_model
 from repro.solver.solver import Solver, SolverConfig
 
+#: Every name :meth:`SymbolicTest.run` accepts as ``backend=``.
+BACKENDS = ("cluster", "process", "single", "static", "tcp")
+
 StateSetup = Callable[[ExecutionState], None]
+_Config = TypeVar("_Config", bound=ClusterConfig)
+
+
+def _cluster_config(config_cls: Type[_Config], workers: Optional[int],
+                    options: Dict[str, object]) -> _Config:
+    """Resolve a cluster config from either a ready config or loose kwargs."""
+    config = options.pop("config", None)
+    if config is not None:
+        if workers is not None or options:
+            extra = (["workers"] if workers is not None else []) + sorted(options)
+            raise TypeError(
+                "pass either a full config= or loose options, not both "
+                "(got config plus %s)" % ", ".join(extra))
+        if not isinstance(config, config_cls):
+            raise TypeError("config must be a %s, got %r"
+                            % (config_cls.__name__, type(config).__name__))
+        return config
+    kwargs: Dict[str, Any] = dict(options)
+    if workers is not None:
+        kwargs["num_workers"] = workers
+    return config_cls(**kwargs)
 
 
 @dataclass
@@ -106,52 +155,114 @@ class SymbolicTest:
 
     def run(self, backend: str = "single",
             limits: Optional[ExplorationLimits] = None,
-            **options: object) -> RunResult:
-        """Run this test on one of the five backends (``"single"``,
-        ``"cluster"``, ``"static"``, ``"process"``, ``"tcp"``), returning a
-        :class:`~repro.api.result.RunResult`.
+            **options: Any) -> RunResult:
+        """Run this test on one of the :data:`BACKENDS`, returning a
+        :class:`~repro.engine.result.RunResult`.
 
         Limit fields (``max_paths=...``, ``coverage_target=...``, ...) may be
-        passed directly among ``options``; remaining options are
-        backend-specific (``strategy=`` for ``"single"``; ``workers=``,
-        ``config=`` or any cluster-config field for the cluster backends;
-        ``resume_from=`` a :class:`~repro.cluster.checkpoint.ClusterCheckpoint`
-        or saved checkpoint path for the cluster backends, paired with the
-        ``checkpoint_every=`` / ``checkpoint_path=`` config knobs that
-        produce the checkpoints;
-        ``trace_path=`` to write the run's structured JSONL event trace,
-        on every backend -- see :mod:`repro.obs`).
+        passed directly among ``options``; they are folded into ``limits``.
+        That includes ``trace_path=`` -- every backend then writes the run's
+        structured JSONL event trace there (render it with
+        ``python -m repro.obs.report``).  Everything else goes to the backend:
+        ``strategy=`` for ``"single"``; ``workers=``, ``config=`` or any
+        cluster-config field for the others -- e.g.
+        ``status_listen="127.0.0.1:0"`` to serve live run status from the
+        coordinator (:mod:`repro.obs.status`); ``resume_from=`` a
+        :class:`~repro.cluster.checkpoint.ClusterCheckpoint` or saved
+        checkpoint path, paired with the ``checkpoint_every=`` /
+        ``checkpoint_path=`` config fields that produce the checkpoints.
         """
-        from repro.api.runner import run_test
-        return run_test(self, backend=backend, limits=limits, **options)
+        limits = ExplorationLimits.pop_from(options, base=limits)
+        if backend == "single":
+            strategy = options.pop("strategy", None)
+            if options:
+                raise TypeError("unknown options for backend 'single': %s"
+                                % ", ".join(sorted(options)))
+            executor = self.build_executor()
+            result = executor.run(
+                initial_state=self.build_initial_state(executor),
+                strategy=strategy or self.strategy,
+                limits=limits,
+            )
+            result.test_name = self.name
+            return result
+        if backend not in BACKENDS:
+            raise ValueError("unknown backend %r (available: %s)"
+                             % (backend, ", ".join(BACKENDS)))
+        workers = options.pop("workers", None)
+        resume_from = options.pop("resume_from", None)
+        cluster: Coordinator
+        if backend == "cluster":
+            cluster = self.build_cluster(
+                _cluster_config(ClusterConfig, workers, options))
+        elif backend == "static":
+            cluster = self.build_static_cluster(
+                _cluster_config(StaticPartitionConfig, workers, options))
+        else:
+            cluster = self._process_cluster(backend, workers, options)
+        result = cluster.run(limits=limits, resume_from=resume_from)
+        return RunResult.from_cluster(result, backend=backend, test_name=self.name)
+
+    def _process_cluster(self, backend: str, workers: Optional[int],
+                         options: Dict[str, Any]) -> ProcessCloud9Cluster:
+        """The ``"process"``/``"tcp"`` cluster: the backend name picks the
+        carrier, and worker processes (or TCP agents) rebuild this test from
+        its spec, because live tests do not pickle.  Every refusal comes
+        before any process or socket exists."""
+        transport = "tcp" if backend == "tcp" else "mp"
+        if "config" not in options:
+            options.setdefault("transport", transport)
+        config = _cluster_config(ProcessClusterConfig, workers, options)
+        if config.transport != transport:
+            other = "tcp" if config.transport == "tcp" else "process"
+            raise ValueError(
+                "backend %r runs over transport %r, but the options ask for "
+                "transport %r (backend %r); pick one"
+                % (backend, transport, config.transport, other))
+        if self.spec_name is None:
+            raise ValueError(
+                "backend %r ships tests to worker processes by spec name, but "
+                "%r carries none; build it with "
+                "repro.distrib.specs.resolve_test(...)" % (backend, self.name))
+        return ProcessCloud9Cluster(self.spec_name,
+                                    spec_params=dict(self.spec_params),
+                                    config=self._own_strategy(config),
+                                    line_count=self.line_count)
 
     # -- cluster execution -----------------------------------------------------------------
+
+    def _own_strategy(self, config: _Config) -> _Config:
+        """``config``, or a copy naming this test's strategy when it names
+        none -- a copy rather than a mutation, because the caller's config
+        may be reused across tests with different strategies."""
+        if config.strategy is None:
+            return replace(config, strategy=self.strategy)
+        return config
 
     def build_cluster(self, config: Optional[ClusterConfig] = None,
                       cluster_class: Type[Cloud9Cluster] = Cloud9Cluster
                       ) -> Cloud9Cluster:
-        cluster_config = config or ClusterConfig()
-        if cluster_config.strategy is None:
-            # Copy rather than mutate: the caller's config may be reused
-            # across tests with different strategies.
-            cluster_config = replace(cluster_config, strategy=self.strategy)
         return cluster_class(
             executor_factory=self.build_executor,
             state_factory=self.build_initial_state,
-            config=cluster_config,
+            config=self._own_strategy(config or ClusterConfig()),
         )
 
     def build_static_cluster(self, config: Optional[StaticPartitionConfig] = None
                              ) -> StaticPartitionCluster:
         """The §2 static-partitioning baseline (for the ablation benchmarks)."""
-        return self.build_cluster(config or StaticPartitionConfig(),
-                                  StaticPartitionCluster)
+        return StaticPartitionCluster(
+            executor_factory=self.build_executor,
+            state_factory=self.build_initial_state,
+            config=self._own_strategy(config or StaticPartitionConfig()),
+        )
 
     # -- convenience ---------------------------------------------------------------------------
 
     @property
     def line_count(self) -> int:
-        return self.program.line_count
+        # __post_init__ compiled the program.
+        return cast(CompiledProgram, self.program).line_count
 
     def with_options(self, **options: object) -> "SymbolicTest":
         """A copy of this test with additional state options."""

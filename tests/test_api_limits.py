@@ -1,8 +1,8 @@
-"""Unit tests for the uniform exploration limits (repro.api.limits)."""
+"""Unit tests for the uniform exploration limits (repro.engine.limits)."""
 
 import pytest
 
-from repro.api.limits import UNLIMITED, ExplorationLimits
+from repro.engine.limits import UNLIMITED, ExplorationLimits
 from repro.cluster import ClusterConfig
 from repro.testing import SymbolicTest
 

@@ -1,15 +1,15 @@
-"""Tests for the unified runner API: backend dispatch, limits round-trip
-into every backend, the one RunResult shape, and the strategy-propagation
-fix."""
+"""Tests for ``SymbolicTest.run``, the one runner: backend dispatch, limits
+round-trip into every backend, the one RunResult shape, and the
+strategy-propagation fix."""
 
 import pytest
 
 from repro import lang as L
-from repro.api import ExplorationLimits, RunResult, available_backends
-from repro.api.runner import run_test
+from repro.api import ExplorationLimits, RunResult
 from repro.cluster import ClusterConfig, StaticPartitionConfig
 from repro.distrib import specs
 from repro.testing import SymbolicTest
+from repro.testing.symbolic_test import BACKENDS
 
 from conftest import branchy_program, single_branch_program
 
@@ -30,21 +30,21 @@ def buggy_program() -> L.Program:
 
 class TestRegistry:
     def test_builtin_backends_registered(self):
-        assert available_backends() == ("cluster", "process", "single",
-                                        "static", "tcp")
+        assert BACKENDS == ("cluster", "process", "single", "static", "tcp")
 
     def test_unknown_backend_is_an_error(self):
         test = SymbolicTest("t", single_branch_program())
-        with pytest.raises(ValueError, match="unknown backend"):
-            run_test(test, backend="carrier-pigeon")
         with pytest.raises(ValueError,
-                           match="available: cluster, process, single"):
+                           match=r"unknown backend 'carrier-pigeon' \(available: "
+                                 r"cluster, process, single, static, tcp\)"):
             test.run(backend="carrier-pigeon")
 
-    def test_run_test_function_matches_method(self):
+    def test_default_backend_is_single(self):
         test = SymbolicTest("t", single_branch_program())
-        assert (run_test(test).paths_completed
-                == test.run().paths_completed == 2)
+        result = test.run()
+        assert result.backend == "single"
+        assert (result.paths_completed
+                == test.run(backend="single").paths_completed == 2)
 
 
 class TestBackendDispatch:

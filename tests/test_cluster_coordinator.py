@@ -149,3 +149,18 @@ class TestConfigValidation:
     def test_invalid_round_budget(self):
         with pytest.raises(ValueError):
             ClusterConfig(instructions_per_round=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("balance_interval", 0),
+        ("balance_interval", -1),
+        ("min_transfer", 0),
+        ("checkpoint_every", 0),
+        ("checkpoint_every", -2),
+        ("checkpoint_path", "run.ckpt.json"),
+    ])
+    def test_values_the_coordinator_cannot_honour(self, field, value):
+        """Each was accepted and then either crashed the run after round 0
+        (a zero balance interval divides by zero), checkpointed on the
+        wrong rounds or never, or silently wrote no file."""
+        with pytest.raises(ValueError, match=field):
+            ClusterConfig(**{field: value})

@@ -13,6 +13,7 @@ from repro.cluster.stats import WorkerStats
 from repro.distrib import DistribWorker, ProcessClusterConfig, specs
 from repro.distrib.cluster import ProcessCloud9Cluster, WorkerProcessError
 from repro.distrib import messages
+from repro.obs.trace import load_trace
 from repro.distrib.messages import (
     REPLY_OF,
     ErrorReply,
@@ -357,34 +358,55 @@ class TestProcessRunnerValidation:
         def forbidden(*args, **kwargs):
             raise AssertionError("the refusal must come first")
 
-        monkeypatch.setattr("repro.api.runner.ProcessCloud9Cluster", forbidden)
+        monkeypatch.setattr("repro.testing.symbolic_test.ProcessCloud9Cluster",
+                            forbidden)
         monkeypatch.setattr("socket.socket", forbidden)
         test = SymbolicTest("t", branchy_program(2), use_posix_model=False)
         with pytest.raises(ValueError, match="backend 'tcp' ships"):
             test.run(backend="tcp")
 
-    def test_explicit_spec_option_overrides(self):
-        test = _branchy_spec_test()
-        if not fork_available:
-            pytest.skip("needs fork for runtime-registered specs")
-        result = test.run(backend="process", workers=2, spec="test-branchy",
-                          limits=LIMITS, instructions_per_round=50)
-        assert result.exhausted
-        assert result.paths_completed == 9
-
     def test_unknown_spec_fails_in_parent(self):
-        test = _branchy_spec_test()
         with pytest.raises(ValueError, match="unknown test spec"):
-            test.run(backend="process", workers=2, spec="no-such-spec")
+            ProcessCloud9Cluster("no-such-spec")
 
-    @needs_fork
-    def test_spec_override_may_build_a_different_program(self):
-        """Regression: an explicit spec= whose program differs from the local
-        test's must resolve its own line count, not inherit the local one."""
-        test = _branchy_spec_test()  # a different (much smaller) program
-        result = test.run(backend="process", workers=2, spec="printf",
-                          spec_params={"format_length": 2},
-                          limits=LIMITS, instructions_per_round=300)
-        assert result.exhausted
-        assert result.paths_completed == 30  # printf's tree, not branchy's
-        assert result.line_count > test.program.line_count
+
+class TestBackendNamesTheCarrier:
+    """``backend=`` decides the carrier: ``"process"`` runs over mp queues
+    and ``"tcp"`` over sockets, so ``result.backend`` names what ran."""
+
+    @pytest.mark.parametrize("backend, options", [
+        ("process", {}),
+        ("tcp", {"spawn_local_agents": True}),
+    ])
+    def test_result_backend_is_the_traced_one(self, backend, options,
+                                              tmp_path):
+        trace = str(tmp_path / "run.jsonl")
+        test = specs.resolve_test("printf", format_length=2)
+        result = test.run(backend=backend, workers=2, trace_path=trace,
+                          **options)
+        started = load_trace(trace)[0]
+        assert started["event"] == "run_started"
+        assert result.backend == started["backend"] == backend
+        assert result.exhausted and result.paths_completed == 30
+
+    @pytest.mark.parametrize("backend, options", [
+        ("process", {"transport": "tcp", "spawn_local_agents": True}),
+        ("process", {"config": ProcessClusterConfig(transport="tcp")}),
+        ("tcp", {"transport": "mp"}),
+        ("tcp", {"config": ProcessClusterConfig(num_workers=2)}),
+    ])
+    def test_contradicting_carrier_is_refused_first(self, backend, options,
+                                                     monkeypatch):
+        """Both used to run on the carrier the options named, and the
+        result reported the backend asked for."""
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the refusal must come first")
+
+        monkeypatch.setattr(
+            "repro.testing.symbolic_test.ProcessCloud9Cluster", forbidden)
+        monkeypatch.setattr("socket.socket", forbidden)
+        test = specs.resolve_test("printf", format_length=2)
+        with pytest.raises(ValueError, match="transport") as refused:
+            test.run(backend=backend, **options)
+        assert "'process'" in str(refused.value)
+        assert "'tcp'" in str(refused.value)

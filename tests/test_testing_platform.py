@@ -1,9 +1,7 @@
-"""Unit tests for the symbolic testing platform (SymbolicTest, suites, reports)."""
+"""Unit tests for the symbolic testing platform (SymbolicTest, reports)."""
 
 import pytest
 
-from repro import lang as L
-from repro.api import Campaign, ExplorationLimits
 from repro.distrib import specs
 from repro.engine.config import EngineConfig
 from repro.solver.solver import SolverConfig
@@ -76,59 +74,6 @@ class TestSymbolicTest:
     def test_line_count_exposed(self):
         test = SymbolicTest("t", single_branch_program())
         assert test.line_count > 0
-
-
-class TestSuite:
-    """A suite of tests is a ``Campaign`` they were added to together."""
-
-    def _tests(self):
-        return [SymbolicTest("a", single_branch_program()),
-                SymbolicTest("b", branchy_program(1))]
-
-    def _campaign(self, **configuration):
-        campaign = Campaign("demo-suite")
-        campaign.add_tests(self._tests(), **configuration)
-        return campaign
-
-    def test_run_aggregates(self):
-        result = self._campaign().run()
-        assert result.total_paths == 2 + 3
-        assert set(result.results) == {"a@single", "b@single"}
-        for name in "ab":
-            assert result.combined_coverage_percent(name) > 0
-            assert result.combined_covered_lines(name) \
-                == result.results[name + "@single"].covered_lines
-
-    def test_limits_apply_to_each_test(self):
-        result = self._campaign(limits=ExplorationLimits(max_paths=2),
-                                max_paths=1).run()
-        assert {label: r.paths_completed
-                for label, r in result.results.items()} \
-            == {"a@single": 1, "b@single": 1}
-        with pytest.raises(TypeError, match="max_bananas"):
-            self._campaign(max_bananas=3).run()
-
-    def test_duplicate_names_rejected(self):
-        campaign = Campaign("demo-suite")
-        with pytest.raises(ValueError, match="duplicate test name"):
-            campaign.add_tests(self._tests()
-                               + [SymbolicTest("a", single_branch_program())])
-        assert len(campaign) == 0
-
-    def test_iteration_and_len(self):
-        campaign = self._campaign()
-        assert len(campaign) == 2
-        assert [entry.test.name for entry in campaign] == ["a", "b"]
-
-    def test_coverage_accounting_from_suite(self):
-        result = self._campaign().run()
-        accounting = result.coverage_accounting(baseline="a@single")
-        assert accounting.line_count == max(
-            r.line_count for r in result.results.values())
-        rows = accounting.rows()
-        assert rows[0]["method"] == "a@single"
-        assert rows[0]["cumulated_percent"] is None
-        assert rows[1]["cumulated_percent"] is not None
 
 
 class TestCoverageAccounting:
