@@ -10,7 +10,6 @@ the engine + POSIX model and must explore at least one complete path without
 engine-level errors -- the reproduction's analogue of "runs on Cloud9".
 """
 
-from repro.lang.analysis import program_line_count
 from repro.targets import (
     bandicoot,
     coreutils,
@@ -68,7 +67,7 @@ def _run_all():
     rows = []
     for name, kind, test in _target_catalogue():
         result = test.run(max_paths=100)
-        rows.append((name, kind, program_line_count(test.program),
+        rows.append((name, kind, test.line_count,
                      result.paths_completed,
                      round(result.coverage_percent, 1),
                      "yes" if result.paths_completed >= 1 else "no"))

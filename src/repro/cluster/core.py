@@ -6,13 +6,15 @@ it speaks :mod:`repro.distrib.messages` over a
 :class:`repro.net.transport.Transport`.  This module holds the plain data
 both sides of that boundary share: :class:`ClusterConfig` (the knobs every
 carrier understands; :class:`~repro.distrib.cluster.ProcessClusterConfig`
-adds the process/socket ones) and :class:`StaticPartitionConfig` (the §2
+and :class:`~repro.distrib.cluster.TcpClusterConfig` add the process and
+socket ones) and :class:`StaticPartitionConfig` (the §2
 strawman as a policy on the same coordinator).  What comes out is the
 :class:`~repro.engine.result.RunResult` every backend returns.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -71,6 +73,11 @@ class ClusterConfig:
             raise ValueError("instructions_per_round must be positive")
         if self.balance_interval < 1:
             raise ValueError("balance_interval must be positive")
+        if not 0 < self.delta < math.inf:  # NaN fails both comparisons
+            raise ValueError("delta must be positive and finite")
+        if (self.disable_balancing_after_round or 0) < 0:
+            raise ValueError("disable_balancing_after_round must be "
+                             "non-negative (or None)")
         if self.min_transfer < 1:
             raise ValueError("min_transfer must be positive")
         if self.checkpoint_every is not None and self.checkpoint_every < 1:

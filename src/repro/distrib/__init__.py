@@ -31,14 +31,21 @@ Public pieces:
   :class:`~repro.distrib.loopback.StaticPartitionCluster`, the §2 strawman
   on the same coordinator (``"static"``).
 * :class:`~repro.distrib.cluster.ProcessCloud9Cluster` -- the process shell
-  (``"process"``); with ``ProcessClusterConfig(transport="tcp")`` (the
-  ``"tcp"`` backend) it admits remote worker agents over the
+  (``"process"``, configured by ``ProcessClusterConfig``): forked worker
+  processes on mp queues; and its subclass
+  :class:`~repro.distrib.cluster.TcpCloud9Cluster` (``"tcp"``, configured
+  by ``TcpClusterConfig``), which admits remote worker agents over the
   :mod:`repro.net` socket transport instead of forking local processes.
 * :mod:`repro.distrib.specs` -- the test-spec registry
   (:func:`~repro.distrib.specs.resolve_test` and friends).
 """
 
-from repro.distrib.cluster import ProcessCloud9Cluster, ProcessClusterConfig
+from repro.distrib.cluster import (
+    ProcessCloud9Cluster,
+    ProcessClusterConfig,
+    TcpCloud9Cluster,
+    TcpClusterConfig,
+)
 from repro.distrib.coordinator import Coordinator
 from repro.distrib.loopback import (
     Cloud9Cluster,
@@ -55,6 +62,8 @@ __all__ = [
     "LoopbackTransport",
     "ProcessCloud9Cluster",
     "ProcessClusterConfig",
+    "TcpCloud9Cluster",
+    "TcpClusterConfig",
     "DistribWorker",
     "available_specs",
     "register_spec",

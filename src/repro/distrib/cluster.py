@@ -1,4 +1,4 @@
-"""The process shell: worker processes and TCP agents under the coordinator.
+"""The process shells: worker processes or TCP agents under the coordinator.
 
 This is the paper's deployment shape: shared-nothing workers (each owning a
 private executor, solver, strategy and subtree of the global execution tree)
@@ -12,16 +12,17 @@ failure recovery, checkpoints, finalization -- is
 :class:`~repro.distrib.coordinator.Coordinator`, the same class that drives
 the in-process cluster over the loopback carrier, so results are directly
 comparable across backends by construction.  This module contributes how a
-member's :class:`~repro.net.transport.Transport` comes to exist, selected by
-``ProcessClusterConfig(transport=...)``:
+member's :class:`~repro.net.transport.Transport` comes to exist, one shell
+and one config class per backend:
 
-* ``"mp"`` (default) -- one worker process per channel on a pair of
-  multiprocessing queues, all on this host; liveness is
-  ``Process.is_alive()``.
-* ``"tcp"`` -- framed JSON messages over sockets (:mod:`repro.net`): the
-  coordinator listens (``listen="host:port"``) and workers are *agents*
-  that dial in (``python -m repro.net.agent --connect HOST:PORT``), from
-  this machine or any other.  Liveness is heartbeat-based (periodic pings;
+* :class:`ProcessCloud9Cluster` / :class:`ProcessClusterConfig`
+  (``"process"``) -- one worker process per channel on a pair of
+  multiprocessing queues on this host; liveness is ``Process.is_alive()``.
+* :class:`TcpCloud9Cluster` / :class:`TcpClusterConfig` (``"tcp"``) --
+  framed JSON messages over sockets (:mod:`repro.net`): the coordinator
+  listens (``listen="host:port"``) and workers are *agents* that dial in
+  (``python -m repro.net.agent --connect HOST:PORT``), from this machine or
+  any other.  Liveness is heartbeat-based (periodic pings;
   ``heartbeat_interval`` x ``heartbeat_miss_threshold`` of silence means
   dead), so a SIGKILLed or partitioned remote agent is detected without an
   OS-level oracle and recovered through the coordinator's ledger.
@@ -57,7 +58,8 @@ from repro.net.heartbeat import (
 from repro.net.server import AgentServer, NoPendingAgent
 from repro.net.transport import QueuePairTransport, reap_process
 
-__all__ = ["ProcessClusterConfig", "ProcessCloud9Cluster", "WorkerProcessError"]
+__all__ = ["ProcessClusterConfig", "ProcessCloud9Cluster",
+           "TcpClusterConfig", "TcpCloud9Cluster", "WorkerProcessError"]
 
 
 def default_mp_context() -> Any:
@@ -73,49 +75,48 @@ def default_mp_context() -> Any:
 class ProcessClusterConfig(ClusterConfig):
     """Configuration of a multiprocess Cloud9 cluster.
 
-    The shared :class:`~repro.cluster.core.ClusterConfig` knobs plus process
-    and socket management.  The default ``instructions_per_round`` is higher
-    than the in-process cluster's because each round costs a command/reply
-    round trip per worker, and amortizing that IPC is what makes real-core
-    parallelism pay off.
+    The shared :class:`~repro.cluster.core.ClusterConfig` knobs plus the
+    spec modules.  The default ``instructions_per_round`` is higher than the
+    in-process cluster's because each round costs a command/reply round trip
+    per worker, and amortizing that IPC is what makes real-core parallelism
+    pay off.
     """
 
     instructions_per_round: int = 2000
     #: Modules each worker process imports before resolving the spec, for
     #: specs registered outside repro.targets (required under "spawn").
     spec_modules: Tuple[str, ...] = ()
-    #: Carrier of the coordinator<->worker channel: ``"mp"`` (the in-host
-    #: multiprocessing-queue pair, the default) or ``"tcp"`` (framed JSON
-    #: messages over sockets, :mod:`repro.net` -- workers are *agents* that dial in
-    #: from anywhere, ``python -m repro.net.agent --connect HOST:PORT``).
-    transport: str = "mp"
-    #: TCP only: the ``"host:port"`` the coordinator listens on for agents
-    #: (port 0 picks a free port; the bound address is
-    #: ``cluster.listen_address``).  Default loopback-only; listen on
-    #: ``"0.0.0.0:PORT"`` to accept remote machines.
+
+
+@dataclass
+class TcpClusterConfig(ProcessClusterConfig):
+    """Configuration of a Cloud9 cluster whose workers are TCP agents: the
+    process config plus the listener, liveness and wire settings."""
+
+    #: The ``"host:port"`` the coordinator listens on for agents (port 0
+    #: picks a free port; the bound address is ``cluster.listen_address``).
+    #: Default loopback-only; listen on ``"0.0.0.0:PORT"`` to accept remote
+    #: machines.
     listen: str = "127.0.0.1:0"
-    #: TCP only: seconds between agent heartbeat pings, and how many may be
-    #: missed before a silent agent is declared dead and its territory
-    #: recovered (detection latency = interval * miss threshold).
+    #: Seconds between agent heartbeat pings, and how many may be missed
+    #: before a silent agent is declared dead and its territory recovered
+    #: (detection latency = interval * miss threshold).
     heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL
     heartbeat_miss_threshold: int = DEFAULT_MISS_THRESHOLD
-    #: TCP only: reject wire frames larger than this many bytes (a corrupt
-    #: or hostile peer fails alone instead of ballooning the coordinator).
+    #: Reject wire frames larger than this many bytes (a corrupt or hostile
+    #: peer fails alone instead of ballooning the coordinator).
     max_frame_size: int = DEFAULT_MAX_FRAME_SIZE
-    #: TCP only: seconds to wait for a dialed-in agent when one is needed
-    #: (initial membership, ``add_worker``, respawn) before giving up.
+    #: Seconds to wait for a dialed-in agent when one is needed (initial
+    #: membership, ``add_worker``, respawn) before giving up.
     agent_wait_timeout: float = 30.0
-    #: TCP only: let the coordinator spawn loopback agent processes itself
-    #: whenever a worker is needed, instead of waiting for external agents.
-    #: Exercises the full socket path self-contained -- the CI smoke, the
-    #: benchmarks and ``backend="tcp"`` quickstarts use this.
+    #: Let the coordinator spawn loopback agent processes itself whenever a
+    #: worker is needed, instead of waiting for external agents.  Exercises
+    #: the full socket path self-contained -- the CI smoke, the benchmarks
+    #: and ``backend="tcp"`` quickstarts use this.
     spawn_local_agents: bool = False
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.transport not in ("mp", "tcp"):
-            raise ValueError("transport must be 'mp' or 'tcp', got %r"
-                             % (self.transport,))
         if self.heartbeat_interval <= 0:
             raise ValueError("heartbeat_interval must be positive")
         if self.heartbeat_miss_threshold < 1:
@@ -124,12 +125,10 @@ class ProcessClusterConfig(ClusterConfig):
             raise ValueError("max_frame_size must be at least 1 KiB")
         if self.agent_wait_timeout <= 0:
             raise ValueError("agent_wait_timeout must be positive")
-        if self.spawn_local_agents and self.transport != "tcp":
-            raise ValueError("spawn_local_agents requires transport='tcp'")
 
 
 class ProcessCloud9Cluster(Coordinator):
-    """Run a registered test spec across worker processes or TCP agents.
+    """Run a registered test spec across worker processes on this host.
 
     Parameters
     ----------
@@ -143,6 +142,7 @@ class ProcessCloud9Cluster(Coordinator):
         the spec is resolved once in the coordinator to measure it.
     """
 
+    backend_name = "process"
     config: ProcessClusterConfig
 
     def __init__(self, spec_name: str,
@@ -150,24 +150,53 @@ class ProcessCloud9Cluster(Coordinator):
                  config: Optional[ProcessClusterConfig] = None,
                  line_count: Optional[int] = None,
                  strategy: Optional[str] = None):
-        config = config or ProcessClusterConfig()
         # Validate the spec (and its arguments' picklability matters only in
         # the children; a bad name should fail fast here in the parent).
         specs.get_spec(spec_name)
         if line_count is None:
             line_count = specs.resolve_test(
                 spec_name, **dict(spec_params or {})).program.line_count
-        self.backend_name = "tcp" if config.transport == "tcp" else "process"
-        super().__init__(config, line_count, spec_name=spec_name,
-                         spec_params=spec_params, strategy=strategy)
-        # TCP transport: workers are agents that dial into this listener.
-        # Created eagerly so ``listen_address`` is known (and printable, and
-        # dialable) before ``run()`` blocks waiting for agents.
-        self.server: Optional[AgentServer] = None
-        if config.transport == "tcp":
-            self._open_server()
+        super().__init__(config or ProcessClusterConfig(), line_count,
+                         spec_name=spec_name, spec_params=spec_params,
+                         strategy=strategy)
 
-    # -- process / agent management ----------------------------------------------------
+    def _launch(self) -> _WorkerHandle:
+        """Start one worker process on its queue pair (without waiting for
+        its ReadyReply)."""
+        worker_id = self._take_worker_id()
+        ctx = default_mp_context()
+        command_queue = ctx.Queue()
+        reply_queue = ctx.Queue()
+        process = ctx.Process(
+            target=worker_main,
+            args=(worker_id, self.spec_name, self.spec_params,
+                  self.strategy, tuple(self.config.spec_modules),
+                  command_queue, reply_queue),
+            name="cloud9-worker-%d" % worker_id,
+            daemon=True)
+        process.start()
+        return _WorkerHandle(
+            worker_id, QueuePairTransport(process, command_queue, reply_queue))
+
+
+class TcpCloud9Cluster(ProcessCloud9Cluster):
+    """Run a registered test spec across TCP agents that dial in.
+
+    Takes a :class:`TcpClusterConfig`.  The listener opens here, so
+    :attr:`listen_address` is dialable before ``run()`` waits for agents.
+    """
+
+    backend_name = "tcp"
+    config: TcpClusterConfig
+    #: The listener agents dial into (closed and None between runs).
+    server: Optional[AgentServer]
+
+    def __init__(self, spec_name: str,
+                 spec_params: Optional[Dict[str, object]] = None,
+                 config: Optional[TcpClusterConfig] = None, **kwargs: Any):
+        super().__init__(spec_name, spec_params, config or TcpClusterConfig(),
+                         **kwargs)
+        self._open_server()
 
     def _open_server(self) -> AgentServer:
         self.server = AgentServer(
@@ -183,7 +212,7 @@ class ProcessCloud9Cluster(Coordinator):
 
     @property
     def listen_address(self) -> Optional[Tuple[str, int]]:
-        """The bound (host, port) agents should dial (TCP transport only)."""
+        """The bound (host, port) agents should dial (None between runs)."""
         return self.server.address if self.server is not None else None
 
     def _spawn_local_agent(self, server: AgentServer) -> Any:
@@ -199,43 +228,30 @@ class ProcessCloud9Cluster(Coordinator):
         return process
 
     def _launch(self) -> _WorkerHandle:
-        """Provision one worker (without waiting for its ReadyReply).
-
-        On the mp transport this starts a worker process on its queue pair;
-        on the TCP transport it *admits* the next dialed-in agent from the
-        pending pool (first spawning a loopback agent of our own under
-        ``spawn_local_agents=True``).
-        """
+        """Admit the next dialed-in agent from the pending pool (first
+        spawning a loopback agent of our own under
+        ``spawn_local_agents=True``), without waiting for its ReadyReply."""
         worker_id = self._take_worker_id()
-        if self.config.transport == "tcp":
-            # Re-running after a completed run() finds the listener closed.
-            server = self.server or self._open_server()
-            agent_process = None
-            if self.config.spawn_local_agents:
-                agent_process = self._spawn_local_agent(server)
-            try:
-                transport = server.admit(
-                    worker_id, timeout=self.config.agent_wait_timeout)
-            except NoPendingAgent as exc:
-                if agent_process is not None:
-                    reap_process(agent_process,
-                                 timeout=self.config.shutdown_timeout)
-                raise WorkerProcessError(str(exc)) from None
-            return _WorkerHandle(worker_id, transport,
-                                 agent_process=agent_process)
-        ctx = default_mp_context()
-        command_queue = ctx.Queue()
-        reply_queue = ctx.Queue()
-        process = ctx.Process(
-            target=worker_main,
-            args=(worker_id, self.spec_name, self.spec_params,
-                  self.strategy, tuple(self.config.spec_modules),
-                  command_queue, reply_queue),
-            name="cloud9-worker-%d" % worker_id,
-            daemon=True)
-        process.start()
-        return _WorkerHandle(
-            worker_id, QueuePairTransport(process, command_queue, reply_queue))
+        # Re-running after a completed run() finds the listener closed.
+        server = self.server or self._open_server()
+        process = (self._spawn_local_agent(server)
+                   if self.config.spawn_local_agents else None)
+        try:
+            transport = server.admit(
+                worker_id, timeout=self.config.agent_wait_timeout)
+        except NoPendingAgent as exc:
+            if process is not None:
+                reap_process(process, timeout=self.config.shutdown_timeout)
+            raise WorkerProcessError(str(exc)) from None
+        transport.process = process
+        return _WorkerHandle(worker_id, transport)
+
+    def _spawn_worker(self) -> _WorkerHandle:
+        # Every admission past the initial membership is an agent
+        # (re)connecting: a respawn replacement or an elastic join.
+        handle = super()._spawn_worker()
+        self.books.agents_reconnected += 1
+        return handle
 
     def _shutdown_workers(self) -> None:
         super()._shutdown_workers()
@@ -244,11 +260,9 @@ class ProcessCloud9Cluster(Coordinator):
             self.server = None
 
     def add_worker(self) -> int:
-        """Join a fresh worker: fork a new worker process on the mp
-        transport, or admit the next dialed-in agent on TCP (spawning a
-        loopback agent first under ``spawn_local_agents=True``) -- which is
-        how a ``round_hook`` grows a cluster from a pool of standby remote
-        hosts."""
+        """Admit the next dialed-in agent (spawning a loopback agent first
+        under ``spawn_local_agents=True``) -- which is how a ``round_hook``
+        grows a cluster from a pool of standby remote hosts."""
         if (self.server is not None
                 and not self.config.spawn_local_agents
                 and self.server.pending_count == 0):

@@ -43,10 +43,14 @@ and the ledger live exactly as long as the membership
 
 A shell supplies :meth:`Coordinator._launch` -- how one member's channel
 comes to exist -- and decides whether members outlive a run:
-:class:`~repro.distrib.cluster.ProcessCloud9Cluster` (mp / tcp: per-run
-members, so every ``run()`` starts clean) and
-:class:`~repro.distrib.loopback.Cloud9Cluster` (loopback: members outlive a
-run, so the books are cumulative across ``run()`` calls).
+:class:`~repro.distrib.cluster.ProcessCloud9Cluster` (mp) and
+:class:`~repro.distrib.cluster.TcpCloud9Cluster` (tcp) have per-run
+members, so every ``run()`` starts clean;
+:class:`~repro.distrib.loopback.Cloud9Cluster` (loopback) keeps its members
+across runs, so its books are cumulative across ``run()`` calls.  The
+coordinator reads a member's channel only through the
+:class:`~repro.net.transport.Transport` interface and never asks which
+carrier it is.
 """
 
 from __future__ import annotations
@@ -90,7 +94,6 @@ from repro.net.transport import (
     Transport,
     TransportError,
     parse_address,
-    reap_process,
 )
 from repro.obs import schema as trace_schema
 from repro.obs.metrics import Histogram
@@ -124,13 +127,9 @@ class _WorkerFailure(Exception):
 class _WorkerHandle:
     """One member behind its transport, and its account in the books."""
 
-    def __init__(self, worker_id: int, transport: Transport,
-                 agent_process: Any = None):
+    def __init__(self, worker_id: int, transport: Transport):
         self.worker_id = worker_id
         self.transport = transport
-        #: The loopback agent process, when this coordinator spawned one
-        #: itself (``spawn_local_agents=True``); None for external agents.
-        self.agent_process = agent_process
         #: The coordinator's own estimate between statuses: imports and
         #: exports adjust it (the balancer's report may lag behind it).
         self.queue_length = 0
@@ -141,13 +140,6 @@ class _WorkerHandle:
         #: The channel failed.  The last report stays for the failure report
         #: and the cache aggregate, but counts toward no total.
         self.dead = False
-
-    @property
-    def process(self) -> Any:
-        """The underlying worker process, where one exists on this host
-        (the mp-queue pair's child, or a coordinator-spawned loopback
-        agent); None for a remote agent or an in-process member."""
-        return getattr(self.transport, "process", None) or self.agent_process
 
 
 @dataclass
@@ -180,6 +172,7 @@ class _Books:
     workers_removed: int = 0
     peak_workers: int = 0
     heartbeat_misses: int = 0
+    #: Booked by the tcp shell: agents admitted past the initial membership.
     agents_reconnected: int = 0
 
 
@@ -325,11 +318,6 @@ class Coordinator:
         seed_length = round(self.load_balancer.mean_queue_length())
         handle = self._launch()
         self._check_ready(handle, queue_length=seed_length)
-        if handle.transport.kind == "tcp":
-            # Every admission past the initial membership is an agent
-            # (re)connecting into a running cluster: a respawn replacement
-            # or an elastic join.
-            self.books.agents_reconnected += 1
         # A joining member starts from the merged global coverage (§3.3).
         handle.pending_coverage_bits = (
             self.load_balancer.overlay.global_vector.as_int() or None)
@@ -340,14 +328,10 @@ class Coordinator:
 
         The transport owns the escalation: the queue pair reaps its child
         process (join -> terminate -> kill) and drains its queues; the TCP
-        transport grants a drain window for a graceful hang-up, then cuts
-        the socket.  A coordinator-spawned loopback agent process is reaped
-        here too, with the same escalation.
+        transport grants a drain window for a graceful hang-up, cuts the
+        socket and reaps the local agent it was admitted with, if any.
         """
-        timeout = self.config.shutdown_timeout
-        handle.transport.close(timeout=timeout)
-        if handle.agent_process is not None:
-            reap_process(handle.agent_process, timeout=timeout)
+        handle.transport.close(timeout=self.config.shutdown_timeout)
 
     def _shutdown_workers(self) -> None:
         """Stop every member; the membership's books go with it."""
@@ -464,7 +448,7 @@ class Coordinator:
         # The account closes on its last report.
         handle.dead = True
         self.books.departed.append(handle)
-        if getattr(handle.transport, "heartbeat_missed", False):
+        if handle.transport.heartbeat_missed:
             # Death detected by heartbeat silence (vs. connection loss or
             # process exit) -- kept as its own counter on the result.
             self.books.heartbeat_misses += 1

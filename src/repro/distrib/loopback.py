@@ -50,8 +50,6 @@ class LoopbackTransport(Transport):
     command on it, ``recv`` pops the reply.  The one place to inject delay,
     loss or death in front of an in-process member (subclass and override)."""
 
-    kind = "loopback"
-
     def __init__(self, member: DistribWorker):
         self.member = member
         self.peer = "in-process worker %d" % member.worker_id

@@ -23,9 +23,12 @@ multiprocessing queues.  This package abstracts the carrier:
   it pulls in the worker stack, which would cycle back through
   :mod:`repro.distrib`.
 
-Used by :class:`~repro.distrib.cluster.ProcessCloud9Cluster` under
-``ProcessClusterConfig(transport="tcp", ...)``, surfaced as
-``backend="tcp"`` of :meth:`repro.testing.symbolic_test.SymbolicTest.run`.
+The mp-queue pair is the carrier of
+:class:`~repro.distrib.cluster.ProcessCloud9Cluster` (``backend="process"``
+of :meth:`repro.testing.symbolic_test.SymbolicTest.run`); the socket
+carrier and the agent server are
+:class:`~repro.distrib.cluster.TcpCloud9Cluster`'s, configured by
+:class:`~repro.distrib.cluster.TcpClusterConfig` (``backend="tcp"``).
 """
 
 from repro.net.framing import (

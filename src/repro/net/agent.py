@@ -119,8 +119,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         description="Worker agent: dial into a listening repro coordinator "
                     "and serve as one cluster worker.")
     parser.add_argument("--connect", required=True, metavar="HOST:PORT",
-                        help="coordinator address (ProcessClusterConfig("
-                             "transport='tcp', listen=...))")
+                        help="coordinator address (TcpClusterConfig(listen="
+                             "...), printed as cluster.listen_address)")
     parser.add_argument("--spec-module", action="append", default=[],
                         metavar="MODULE",
                         help="extra module to import before resolving the "
@@ -146,7 +146,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 def _local_agent_main(connect: str, spec_modules: Sequence[str],
                       max_frame_size: int) -> None:
     """Process entry point for coordinator-spawned loopback agents
-    (``ProcessClusterConfig(spawn_local_agents=True)``)."""
+    (``TcpClusterConfig(spawn_local_agents=True)``)."""
     try:
         run_agent(connect, spec_modules=spec_modules,
                   max_frame_size=max_frame_size)

@@ -35,7 +35,7 @@ import socket
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.net.framing import (
     DEFAULT_MAX_FRAME_SIZE,
@@ -142,13 +142,20 @@ class Transport:
     raises :class:`ReceiveTimeout` when merely idle).  ``is_alive`` is the
     liveness oracle the receive loop polls between timeouts -- process
     aliveness for the queue pair, heartbeat freshness for TCP.  ``close``
-    tears the channel down, bounded by ``timeout`` at each escalation step.
+    tears the channel down, bounded by ``timeout`` at each escalation step,
+    and reaps :attr:`process`.  The coordinator reads nothing else, so it
+    never asks which carrier it drives.
     """
 
     #: Short human-readable peer name, used in every error message.
     peer: str = "?"
-    #: ``"mp"`` or ``"tcp"`` -- which carrier this is.
-    kind: str = "?"
+    #: The worker process behind this channel when one runs on this host
+    #: (the queue pair's child, or a loopback agent the coordinator spawned
+    #: itself); ``close`` reaps it.  None for a remote or in-process member.
+    process: Any = None
+    #: True when liveness was lost to heartbeat silence specifically
+    #: (surfaced as the ``heartbeat_misses`` result counter).
+    heartbeat_missed: bool = False
 
     def send(self, message: object) -> None:
         raise NotImplementedError
@@ -212,8 +219,6 @@ class QueuePairTransport(Transport):
     kill) and drains both queues so their feeder threads exit promptly.
     """
 
-    kind = "mp"
-
     def __init__(self, process, command_queue, reply_queue):
         self.process = process
         self.command_queue = command_queue
@@ -274,8 +279,6 @@ class TcpTransport(Transport):
     coordinator by EOF instead.
     """
 
-    kind = "tcp"
-
     #: Socket read chunk size (frames are reassembled, so any value works).
     RECV_CHUNK = 65536
 
@@ -303,9 +306,6 @@ class TcpTransport(Transport):
         self._done = threading.Event()
         self._error: Optional[str] = None
         self._closed = False
-        #: True when liveness was lost to heartbeat silence specifically
-        #: (surfaced as the ``heartbeat_misses`` result counter).
-        self.heartbeat_missed = False
 
     # -- sending ------------------------------------------------------------------
 
@@ -449,3 +449,5 @@ class TcpTransport(Transport):
             pass
         if self._receiver is not None:
             self._receiver.join(timeout=timeout)
+        if self.process is not None:
+            reap_process(self.process, timeout=timeout)

@@ -27,15 +27,17 @@ The backends (:data:`BACKENDS`):
   ``(spec_name, spec_params)`` and each worker rebuilds it: the test must
   come from :func:`repro.distrib.specs.resolve_test`.
 * ``"tcp"`` -- the same coordinator over the socket transport
-  (:mod:`repro.net`): workers are *agents* that dial in over TCP
+  (:class:`~repro.distrib.cluster.TcpCloud9Cluster`, :mod:`repro.net`):
+  workers are *agents* that dial in over TCP
   (``python -m repro.net.agent --connect HOST:PORT``), possibly from other
   machines, with heartbeat-based liveness.  Pass ``listen="0.0.0.0:4850"``
   to accept remote agents, or ``spawn_local_agents=True`` for a
   self-contained loopback cluster.
 
-The backend name decides the carrier: ``"process"`` always runs over mp
-queues and ``"tcp"`` over sockets, so ``result.backend`` names what ran.
-Every backend returns the same :class:`~repro.engine.result.RunResult`.
+The backend name decides the shell and the config class it takes
+(:data:`CONFIGS`), and with them the carrier, so ``result.backend`` names
+what ran.  Every backend returns the same
+:class:`~repro.engine.result.RunResult`.
 """
 
 from __future__ import annotations
@@ -44,7 +46,8 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, Optional, Type, TypeVar, Union, cast
 
 from repro.cluster.core import ClusterConfig, StaticPartitionConfig
-from repro.distrib.cluster import ProcessCloud9Cluster, ProcessClusterConfig
+from repro.distrib.cluster import (ProcessCloud9Cluster, ProcessClusterConfig,
+                                   TcpCloud9Cluster, TcpClusterConfig)
 from repro.distrib.coordinator import Coordinator
 from repro.distrib.loopback import Cloud9Cluster, StaticPartitionCluster
 from repro.engine.config import EngineConfig
@@ -60,13 +63,20 @@ from repro.solver.solver import Solver, SolverConfig
 #: Every name :meth:`SymbolicTest.run` accepts as ``backend=``.
 BACKENDS = ("cluster", "process", "single", "static", "tcp")
 
+#: The config class each cluster backend takes.
+CONFIGS: Dict[str, Type[ClusterConfig]] = {
+    "cluster": ClusterConfig, "process": ProcessClusterConfig,
+    "static": StaticPartitionConfig, "tcp": TcpClusterConfig}
+
 StateSetup = Callable[[ExecutionState], None]
 _Config = TypeVar("_Config", bound=ClusterConfig)
 
 
-def _cluster_config(config_cls: Type[_Config], workers: Optional[int],
-                    options: Dict[str, object]) -> _Config:
-    """Resolve a cluster config from either a ready config or loose kwargs."""
+def _cluster_config(backend: str, workers: Optional[int],
+                    options: Dict[str, object]) -> Any:
+    """Resolve ``backend``'s config from either a ready config or loose
+    kwargs; it takes exactly its own :data:`CONFIGS` class."""
+    config_cls = CONFIGS[backend]
     config = options.pop("config", None)
     if config is not None:
         if workers is not None or options:
@@ -74,9 +84,11 @@ def _cluster_config(config_cls: Type[_Config], workers: Optional[int],
             raise TypeError(
                 "pass either a full config= or loose options, not both "
                 "(got config plus %s)" % ", ".join(extra))
-        if not isinstance(config, config_cls):
-            raise TypeError("config must be a %s, got %r"
-                            % (config_cls.__name__, type(config).__name__))
+        if type(config) is not config_cls:
+            owner = [name for name, cls in CONFIGS.items() if type(config) is cls]
+            raise TypeError("backend %r takes a %s, got a %s%s" % (
+                backend, config_cls.__name__, type(config).__name__,
+                " (backend %r takes that)" % owner[0] if owner else ""))
         return config
     kwargs: Dict[str, Any] = dict(options)
     if workers is not None:
@@ -191,43 +203,31 @@ class SymbolicTest:
                              % (backend, ", ".join(BACKENDS)))
         workers = options.pop("workers", None)
         resume_from = options.pop("resume_from", None)
+        config = _cluster_config(backend, workers, options)
         cluster: Coordinator
         if backend == "cluster":
-            cluster = self.build_cluster(
-                _cluster_config(ClusterConfig, workers, options))
+            cluster = self.build_cluster(config)
         elif backend == "static":
-            cluster = self.build_static_cluster(
-                _cluster_config(StaticPartitionConfig, workers, options))
+            cluster = self.build_static_cluster(config)
         else:
-            cluster = self._process_cluster(backend, workers, options)
+            cluster = self._process_cluster(backend, config)
         result = cluster.run(limits=limits, resume_from=resume_from)
         return RunResult.from_cluster(result, backend=backend, test_name=self.name)
 
-    def _process_cluster(self, backend: str, workers: Optional[int],
-                         options: Dict[str, Any]) -> ProcessCloud9Cluster:
-        """The ``"process"``/``"tcp"`` cluster: the backend name picks the
-        carrier, and worker processes (or TCP agents) rebuild this test from
-        its spec, because live tests do not pickle.  Every refusal comes
-        before any process or socket exists."""
-        transport = "tcp" if backend == "tcp" else "mp"
-        if "config" not in options:
-            options.setdefault("transport", transport)
-        config = _cluster_config(ProcessClusterConfig, workers, options)
-        if config.transport != transport:
-            other = "tcp" if config.transport == "tcp" else "process"
-            raise ValueError(
-                "backend %r runs over transport %r, but the options ask for "
-                "transport %r (backend %r); pick one"
-                % (backend, transport, config.transport, other))
+    def _process_cluster(self, backend: str, config: ProcessClusterConfig
+                         ) -> ProcessCloud9Cluster:
+        """The ``"process"``/``"tcp"`` cluster: worker processes (or TCP
+        agents) rebuild this test from its spec, because live tests do not
+        pickle.  Every refusal comes before any process or socket exists."""
         if self.spec_name is None:
             raise ValueError(
                 "backend %r ships tests to worker processes by spec name, but "
                 "%r carries none; build it with "
                 "repro.distrib.specs.resolve_test(...)" % (backend, self.name))
-        return ProcessCloud9Cluster(self.spec_name,
-                                    spec_params=dict(self.spec_params),
-                                    config=self._own_strategy(config),
-                                    line_count=self.line_count)
+        shell = TcpCloud9Cluster if backend == "tcp" else ProcessCloud9Cluster
+        return shell(self.spec_name, spec_params=dict(self.spec_params),
+                     config=self._own_strategy(config),
+                     line_count=self.line_count)
 
     # -- cluster execution -----------------------------------------------------------------
 

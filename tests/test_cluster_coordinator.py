@@ -157,10 +157,18 @@ class TestConfigValidation:
         ("checkpoint_every", 0),
         ("checkpoint_every", -2),
         ("checkpoint_path", "run.ckpt.json"),
+        ("disable_balancing_after_round", -3),
+        ("delta", 0.0),
+        ("delta", -1.0),
+        ("delta", float("nan")),
+        ("delta", float("inf")),
     ])
     def test_values_the_coordinator_cannot_honour(self, field, value):
         """Each was accepted and then either crashed the run after round 0
         (a zero balance interval divides by zero), checkpointed on the
-        wrong rounds or never, or silently wrote no file."""
+        wrong rounds or never, silently wrote no file, silently never
+        balanced (a negative cut-off), failed only once the cluster was
+        built (a non-positive delta) or balanced with a meaningless band
+        (a NaN or infinite delta)."""
         with pytest.raises(ValueError, match=field):
             ClusterConfig(**{field: value})

@@ -510,8 +510,8 @@ def _kill_hook(target_round=2):
         victim = cluster.handles[-1]
         if victim.queue_length == 0:
             return  # wait until it owns territory worth recovering
-        killed["pid"] = victim.process.pid
-        os.kill(victim.process.pid, signal.SIGKILL)
+        killed["pid"] = victim.transport.process.pid
+        os.kill(victim.transport.process.pid, signal.SIGKILL)
 
     hook.killed = killed
     return hook
@@ -565,7 +565,7 @@ class TestProcessFaultTolerance:
         def hook(round_index, cl):
             if round_index == 0 and not timers and len(cl.handles) == 2:
                 timer = threading.Timer(0.003, kill,
-                                        (cl.handles[-1].process.pid,))
+                                        (cl.handles[-1].transport.process.pid,))
                 timer.start()
                 timers.append(timer)
 
@@ -633,8 +633,8 @@ class TestProcessFaultTolerance:
 
         def wrapper(round_index, cl):
             for handle in cl.handles:
-                if handle.process.pid not in pids:
-                    pids.append(handle.process.pid)
+                if handle.transport.process.pid not in pids:
+                    pids.append(handle.transport.process.pid)
             original_hook(round_index, cl)
 
         cluster.round_hook = wrapper
@@ -665,7 +665,7 @@ class TestProcessFaultTolerance:
         # An effectively unbounded budget on a concrete infinite loop.
         cluster._send(handle, ExploreCommand(budget=10 ** 9))
         assert exploring.wait(timeout=5.0), "the worker never began exploring"
-        pid = handle.process.pid
+        pid = handle.transport.process.pid
         assert _pid_alive(pid)
         cluster._shutdown_workers()
         assert cluster.handles == []

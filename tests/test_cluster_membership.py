@@ -427,7 +427,7 @@ class TestProcessMembership:
                     events["moved"] = cl.remove_worker(victim.worker_id)
                     assert victim in cl.books.departed
                     assert victim.status.queue_length == 0
-                    assert not victim.process.is_alive()
+                    assert not victim.transport.process.is_alive()
 
         cluster.round_hook = hook
         result = cluster.run(limits=LIMITS)

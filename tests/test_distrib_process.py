@@ -11,7 +11,11 @@ from repro.api import ExplorationLimits
 from repro.cluster.jobs import JobTree
 from repro.cluster.stats import WorkerStats
 from repro.distrib import DistribWorker, ProcessClusterConfig, specs
-from repro.distrib.cluster import ProcessCloud9Cluster, WorkerProcessError
+from repro.distrib.cluster import (
+    ProcessCloud9Cluster,
+    TcpClusterConfig,
+    WorkerProcessError,
+)
 from repro.distrib import messages
 from repro.obs.trace import load_trace
 from repro.distrib.messages import (
@@ -355,12 +359,7 @@ class TestProcessRunnerValidation:
     def test_specless_refusal_names_the_backend_asked_for(self, monkeypatch):
         """The tcp refusal names 'tcp', and comes before the cluster (and
         with it any socket) is built."""
-        def forbidden(*args, **kwargs):
-            raise AssertionError("the refusal must come first")
-
-        monkeypatch.setattr("repro.testing.symbolic_test.ProcessCloud9Cluster",
-                            forbidden)
-        monkeypatch.setattr("socket.socket", forbidden)
+        _forbid_clusters(monkeypatch)
         test = SymbolicTest("t", branchy_program(2), use_posix_model=False)
         with pytest.raises(ValueError, match="backend 'tcp' ships"):
             test.run(backend="tcp")
@@ -390,23 +389,48 @@ class TestBackendNamesTheCarrier:
         assert result.exhausted and result.paths_completed == 30
 
     @pytest.mark.parametrize("backend, options", [
-        ("process", {"transport": "tcp", "spawn_local_agents": True}),
-        ("process", {"config": ProcessClusterConfig(transport="tcp")}),
-        ("tcp", {"transport": "mp"}),
+        ("process", {"config": TcpClusterConfig(spawn_local_agents=True)}),
         ("tcp", {"config": ProcessClusterConfig(num_workers=2)}),
     ])
     def test_contradicting_carrier_is_refused_first(self, backend, options,
                                                      monkeypatch):
-        """Both used to run on the carrier the options named, and the
-        result reported the backend asked for."""
-        def forbidden(*args, **kwargs):
-            raise AssertionError("the refusal must come first")
-
-        monkeypatch.setattr(
-            "repro.testing.symbolic_test.ProcessCloud9Cluster", forbidden)
-        monkeypatch.setattr("socket.socket", forbidden)
+        """A config of the other carrier's class is refused, naming the
+        backend asked for and the one that takes that config, before any
+        cluster or socket exists."""
+        _forbid_clusters(monkeypatch)
         test = specs.resolve_test("printf", format_length=2)
-        with pytest.raises(ValueError, match="transport") as refused:
+        with pytest.raises(TypeError, match="takes a") as refused:
             test.run(backend=backend, **options)
         assert "'process'" in str(refused.value)
         assert "'tcp'" in str(refused.value)
+
+    @pytest.mark.parametrize("backend, option, value", [
+        ("process", "transport", "tcp"),
+        ("process", "listen", "0.0.0.0:9"),
+        ("process", "heartbeat_interval", 99.0),
+        ("process", "heartbeat_miss_threshold", 3),
+        ("process", "max_frame_size", 4096),
+        ("process", "agent_wait_timeout", 5.0),
+        ("process", "spawn_local_agents", True),
+        ("tcp", "transport", "mp"),
+    ])
+    def test_an_option_no_carrier_setting_honours_is_refused_by_name(
+            self, backend, option, value, monkeypatch):
+        """``transport`` is no option, and the socket settings are
+        ``TcpClusterConfig``'s alone: ``"process"`` used to run over mp
+        queues with ``listen``, the heartbeat settings, ``max_frame_size``
+        and ``agent_wait_timeout`` set, ignoring them."""
+        _forbid_clusters(monkeypatch)
+        test = specs.resolve_test("printf", format_length=2)
+        with pytest.raises(TypeError, match=option):
+            test.run(backend=backend, **{option: value})
+
+
+def _forbid_clusters(monkeypatch):
+    """Make building either process shell, or any socket, fail the test."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the refusal must come first")
+
+    for shell in ("ProcessCloud9Cluster", "TcpCloud9Cluster"):
+        monkeypatch.setattr("repro.testing.symbolic_test." + shell, forbidden)
+    monkeypatch.setattr("socket.socket", forbidden)

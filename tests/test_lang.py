@@ -1,15 +1,8 @@
-"""Unit tests for the program-under-test language: builder, compiler, analysis."""
+"""Unit tests for the program-under-test language: builder and compiler."""
 
 import pytest
 
 from repro import lang as L
-from repro.lang.analysis import (
-    branch_count,
-    call_graph,
-    lines_of_function,
-    program_line_count,
-    reachable_functions,
-)
 from repro.lang.ast import BinaryOp, Const, StrConst, Var
 from repro.lang.compiler import CompileError, Opcode, compile_program
 
@@ -149,27 +142,8 @@ class TestAnalysis:
             L.func("main", [], L.ret(L.call("middle", 1))),
         ))
 
-    def test_program_line_count(self):
-        compiled = self._program()
-        assert program_line_count(compiled) == compiled.line_count > 0
-
-    def test_call_graph_includes_native_callees(self):
-        graph = call_graph(self._program())
-        assert graph["main"] == {"middle"}
-        assert graph["unused"] == {"native_thing"}
-
-    def test_reachable_functions_from_entry(self):
-        assert reachable_functions(self._program()) == {"main", "middle", "leaf"}
-
     def test_lines_of_function_partition(self):
         compiled = self._program()
-        lines_main = lines_of_function(compiled, "main")
-        lines_leaf = lines_of_function(compiled, "leaf")
+        lines_main = {i.line for i in compiled.function("main").instructions}
+        lines_leaf = {i.line for i in compiled.function("leaf").instructions}
         assert lines_main.isdisjoint(lines_leaf)
-
-    def test_branch_count(self):
-        compiled = compile_program(L.program(
-            "p", L.func("main", [],
-                        L.if_(L.eq(1, 1), [L.ret(1)]),
-                        L.ret(0))))
-        assert branch_count(compiled) == 1

@@ -19,8 +19,8 @@ from repro import lang as L
 from repro.api import ExplorationLimits
 from repro.distrib import specs
 from repro.distrib.cluster import (
-    ProcessCloud9Cluster,
-    ProcessClusterConfig,
+    TcpCloud9Cluster,
+    TcpClusterConfig,
     WorkerProcessError,
 )
 from repro.net.agent import _local_agent_main, main as agent_main
@@ -69,13 +69,12 @@ specs.register_spec("test-net-buggy", _buggy_spec_test, replace=True)
 
 
 def _tcp_config(**kw):
-    kw.setdefault("transport", "tcp")
     kw.setdefault("num_workers", 2)
     kw.setdefault("instructions_per_round", 40)
     kw.setdefault("reply_timeout", 1.0)
     kw.setdefault("shutdown_timeout", 2.0)
     kw.setdefault("agent_wait_timeout", 20.0)
-    return ProcessClusterConfig(**kw)
+    return TcpClusterConfig(**kw)
 
 
 def _dial_agents(cluster, count):
@@ -111,8 +110,8 @@ def _kill_hook(target_round=2):
         victim = cluster.handles[-1]
         if victim.queue_length == 0:
             return  # wait until it owns territory worth recovering
-        killed["pid"] = victim.process.pid
-        os.kill(victim.process.pid, signal.SIGKILL)
+        killed["pid"] = victim.transport.process.pid
+        os.kill(victim.transport.process.pid, signal.SIGKILL)
 
     hook.killed = killed
     return hook
@@ -141,7 +140,7 @@ class TestTcpEquivalence:
     def test_spawned_loopback_agents_match_mp_backend(self, mp_baseline):
         """The CI clean smoke: self-contained TCP cluster, zero failures,
         byte-identical exploration outcome vs the mp-queue transport."""
-        cluster = ProcessCloud9Cluster(
+        cluster = TcpCloud9Cluster(
             "test-net-buggy", config=_tcp_config(spawn_local_agents=True))
         result = cluster.run(limits=LIMITS)
         assert result.exhausted
@@ -152,7 +151,7 @@ class TestTcpEquivalence:
     def test_external_agents_match_mp_backend(self, mp_baseline):
         """Same run, but the agents dial in as separate processes -- the
         cross-machine topology, folded onto 127.0.0.1."""
-        cluster = ProcessCloud9Cluster("test-net-buggy", config=_tcp_config())
+        cluster = TcpCloud9Cluster("test-net-buggy", config=_tcp_config())
         agents = _dial_agents(cluster, 2)
         try:
             result = cluster.run(limits=LIMITS)
@@ -198,7 +197,7 @@ class TestTcpFaultTolerance:
         (EOF or heartbeat silence -- there is no Process.is_alive() across a
         socket), its territory is requeued via the frontier ledger, and the
         run converges to the crash-free outcome."""
-        cluster = ProcessCloud9Cluster(
+        cluster = TcpCloud9Cluster(
             "test-net-buggy", config=_tcp_config(spawn_local_agents=True))
         hook = _kill_hook()
         cluster.round_hook = hook
@@ -210,7 +209,7 @@ class TestTcpFaultTolerance:
         _assert_matches(result, mp_baseline)
 
     def test_respawn_admits_a_replacement_agent(self, mp_baseline):
-        cluster = ProcessCloud9Cluster(
+        cluster = TcpCloud9Cluster(
             "test-net-buggy",
             config=_tcp_config(spawn_local_agents=True, respawn=True,
                                max_worker_failures=3))
@@ -226,7 +225,7 @@ class TestTcpFaultTolerance:
         _assert_matches(result, mp_baseline)
 
     def test_no_agent_dials_in_fails_fast_with_dial_hint(self):
-        cluster = ProcessCloud9Cluster(
+        cluster = TcpCloud9Cluster(
             "test-net-buggy", config=_tcp_config(agent_wait_timeout=0.5))
         started = time.monotonic()
         with pytest.raises(WorkerProcessError,
@@ -240,7 +239,7 @@ class TestTcpElasticity:
     def test_add_worker_admits_a_pending_agent(self):
         """Scale-up on TCP is an *admission*: the third agent waits in the
         pending pool until the round hook asks for it."""
-        cluster = ProcessCloud9Cluster("test-net-buggy", config=_tcp_config())
+        cluster = TcpCloud9Cluster("test-net-buggy", config=_tcp_config())
         agents = _dial_agents(cluster, 3)
         added = {}
 
@@ -268,7 +267,7 @@ class TestTcpElasticity:
     def test_add_worker_with_empty_pool_fails_fast(self):
         """Mid-run growth must not stall the round for agent_wait_timeout
         when nobody has dialed in -- it refuses immediately."""
-        cluster = ProcessCloud9Cluster("test-net-buggy", config=_tcp_config())
+        cluster = TcpCloud9Cluster("test-net-buggy", config=_tcp_config())
         agents = _dial_agents(cluster, 2)
         refusal = {}
 
@@ -321,7 +320,7 @@ class TestTcpApiAndLifecycle:
         _assert_matches(result, baseline)
 
     def test_graceful_shutdown_leaves_no_orphan_agents(self):
-        cluster = ProcessCloud9Cluster(
+        cluster = TcpCloud9Cluster(
             "test-net-buggy", config=_tcp_config(spawn_local_agents=True))
         result = cluster.run(limits=LIMITS)
         assert result.exhausted

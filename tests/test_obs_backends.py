@@ -9,7 +9,12 @@ import pytest
 
 from repro.api import ExplorationLimits
 from repro.distrib import specs
-from repro.distrib.cluster import ProcessCloud9Cluster, ProcessClusterConfig
+from repro.distrib.cluster import (
+    ProcessCloud9Cluster,
+    ProcessClusterConfig,
+    TcpCloud9Cluster,
+    TcpClusterConfig,
+)
 from repro.distrib.messages import (
     ExploreCommand,
     ReportCommand,
@@ -79,11 +84,14 @@ class TestTracePerBackend:
     @pytest.mark.parametrize("transport", ["mp", "tcp"])
     def test_process_backends_trace(self, transport, tmp_path):
         path = tmp_path / f"{transport}.jsonl"
-        config = ProcessClusterConfig(
-            num_workers=2, instructions_per_round=400, transport=transport,
-            spawn_local_agents=(transport == "tcp"))
-        cluster = ProcessCloud9Cluster("printf", {"format_length": 2},
-                                       config=config)
+        if transport == "tcp":
+            shell, config = TcpCloud9Cluster, TcpClusterConfig(
+                num_workers=2, instructions_per_round=400,
+                spawn_local_agents=True)
+        else:
+            shell, config = ProcessCloud9Cluster, ProcessClusterConfig(
+                num_workers=2, instructions_per_round=400)
+        cluster = shell("printf", {"format_length": 2}, config=config)
         result = cluster.run(limits=ExplorationLimits(
             max_rounds=30, trace_path=str(path)))
         assert result.paths_completed > 0
@@ -179,7 +187,7 @@ class TestFaultTracing:
             if round_index == 3 and "victim" not in state:
                 victim = state["account"] = cl.handles[0]
                 state["victim"] = victim.worker_id
-                os.kill(victim.process.pid, signal.SIGKILL)
+                os.kill(victim.transport.process.pid, signal.SIGKILL)
 
         cluster.round_hook = hook
         result = cluster.run(limits=ExplorationLimits(
