@@ -18,8 +18,8 @@ layer up, in :mod:`repro.distrib`):
 * :mod:`repro.cluster.checkpoint` -- resumable run snapshots (frontier,
   coverage, counters, bugs/test cases, the spec that produced them) behind
   ``run(resume_from=...)``.
-* :mod:`repro.cluster.stats` -- instruction/transfer/coverage timelines used
-  by the evaluation harness.
+* :mod:`repro.cluster.stats` -- worker counters, transfer cost and the
+  timeline of round records the evaluation harness reads.
 * :mod:`repro.cluster.core` -- the coordinator's contract:
   :class:`ClusterConfig` / :class:`StaticPartitionConfig`.
 

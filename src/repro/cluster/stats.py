@@ -4,15 +4,18 @@ The evaluation section of the paper is phrased in terms of two metrics
 (§7.2): the time to reach a goal (external) and the *useful work* performed,
 "measured as the number of useful (non-replay) instructions executed
 symbolically" (internal).  Workers therefore keep useful and replay
-instruction counters separately, and the cluster timeline records per-round
-snapshots that the benchmark harness turns into the paper's figures
-(7, 8, 9, 10, 12, 13).
+instruction counters separately, and the cluster timeline records one
+:class:`~repro.obs.schema.RoundSnapshot` per round -- the same record the
+``round_completed`` trace event and the live-status document carry -- which
+the benchmark harness turns into the paper's figures (7, 8, 9, 10, 12, 13).
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List
+
+from repro.obs.schema import RoundSnapshot
 
 
 @dataclass
@@ -93,37 +96,6 @@ class TransferCost:
 
 
 @dataclass
-class RoundSnapshot:
-    """One entry of the cluster timeline (one virtual-time round)."""
-
-    round_index: int
-    queue_lengths: Dict[int, int]
-    total_candidates: int
-    states_transferred: int
-    useful_instructions: int
-    replay_instructions: int
-    covered_lines: int
-    coverage_percent: float
-    paths_completed: int
-    bugs_found: int
-    load_balancing_enabled: bool
-    #: Live (exploring) workers this round -- the elastic-membership trace.
-    #: 0 on snapshots from before the field existed.
-    num_workers: int = 0
-    #: Monotonic seconds since the run started when the round closed, so the
-    #: per-round series (worker counts, coverage) can be plotted against
-    #: wall time.  0.0 on snapshots from before the field existed.
-    elapsed: float = 0.0
-
-    @property
-    def transfer_fraction(self) -> float:
-        """Fraction of all candidate states transferred during this round."""
-        if self.total_candidates == 0:
-            return 0.0
-        return self.states_transferred / self.total_candidates
-
-
-@dataclass
 class ClusterTimeline:
     """The full per-round history of a cluster run."""
 
@@ -134,24 +106,3 @@ class ClusterTimeline:
 
     def __len__(self) -> int:
         return len(self.snapshots)
-
-    def useful_work_series(self) -> List[int]:
-        """Cumulative useful instructions per round."""
-        series: List[int] = []
-        total = 0
-        for snap in self.snapshots:
-            total += snap.useful_instructions
-            series.append(total)
-        return series
-
-    def elapsed_series(self) -> List[float]:
-        """Monotonic elapsed seconds at each round close -- the time axis
-        for plotting any other per-round series."""
-        return [snap.elapsed for snap in self.snapshots]
-
-    def rounds_to_coverage(self, target_percent: float) -> Optional[int]:
-        """First round index at which coverage reached the target, if any."""
-        for snap in self.snapshots:
-            if snap.coverage_percent >= target_percent:
-                return snap.round_index
-        return None

@@ -65,12 +65,7 @@ from repro.cluster.core import ClusterConfig
 from repro.cluster.jobs import Job, JobTree
 from repro.cluster.ledger import FrontierLedger, RecoveryJob
 from repro.cluster.load_balancer import LoadBalancer, TransferCommand
-from repro.cluster.stats import (
-    ClusterTimeline,
-    RoundSnapshot,
-    TransferCost,
-    WorkerStats,
-)
+from repro.cluster.stats import ClusterTimeline, TransferCost, WorkerStats
 from repro.distrib.messages import (
     ErrorReply,
     ExploreCommand,
@@ -97,6 +92,7 @@ from repro.net.transport import (
 )
 from repro.obs import schema as trace_schema
 from repro.obs.metrics import Histogram
+from repro.obs.schema import RoundSnapshot
 from repro.obs.status import StatusServer
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer, emit_solver_query
 from repro.solver.cache import aggregate_cache_counters
@@ -195,10 +191,7 @@ class _Totals:
 class _RoundWork:
     """What one round of exploration produced."""
 
-    useful_delta: int = 0
-    replay_delta: int = 0
-    #: Per-worker ``{"useful": .., "replay": .., "queue": ..}`` for the
-    #: ``round_completed`` trace event.
+    #: :attr:`RoundSnapshot.workers_detail` of the round.
     detail: Dict[int, Dict[str, int]] = field(default_factory=dict)
     #: Candidate paths the members listed (checkpoint rounds only).
     frontier: List[Path] = field(default_factory=list)
@@ -651,19 +644,20 @@ class Coordinator:
         run returns.
         """
         lim = ExplorationLimits.pop_from(limit_fields, base=limits, strict=True)
-        tracer = Tracer(lim.trace_path) if lim.trace_path else NULL_TRACER
-        self.tracer = tracer
-        if self.config.status_listen is not None:
-            self.status_server = StatusServer(
-                parse_address(self.config.status_listen))
         try:
+            # Opened inside the ``try``, so a failing one closes the rest.
+            if lim.trace_path:
+                self.tracer = Tracer(lim.trace_path)
+            if self.config.status_listen is not None:
+                self.status_server = StatusServer(
+                    parse_address(self.config.status_listen))
             return self._run(lim, resume_from)
         finally:
             try:
                 self._teardown_run()
             finally:
+                self.tracer.close()
                 self.tracer = NULL_TRACER
-                tracer.close()
                 if self.status_server is not None:
                     self.status_server.close()
                     self.status_server = None
@@ -733,7 +727,6 @@ class Coordinator:
 
             # 1. Explore one round of virtual time.
             work = self._explore_phase(round_index, checkpoint_due)
-            instructions_executed += work.useful_delta + work.replay_delta
 
             # 2. Status updates into the load balancer (+ merged coverage
             # back out to the members, §3.3).
@@ -751,6 +744,8 @@ class Coordinator:
                                           states_transferred, balancing,
                                           traced_bugs)
             traced_bugs = max(traced_bugs, snapshot.bugs_found)
+            instructions_executed += (snapshot.useful_instructions
+                                      + snapshot.replay_instructions)
             round_seconds.observe(time.monotonic() - round_started)
             round_index += 1
 
@@ -818,15 +813,11 @@ class Coordinator:
                 continue
             before = (handle.status.stats if handle.status is not None
                       else WorkerStats(worker_id=handle.worker_id))
-            useful = (status.stats.useful_instructions
-                      - before.useful_instructions)
-            replay = (status.stats.replay_instructions
-                      - before.replay_instructions)
-            work.useful_delta += useful
-            work.replay_delta += replay
             work.detail[handle.worker_id] = {
-                "useful": useful, "replay": replay,
-                "queue": status.queue_length}
+                "useful": (status.stats.useful_instructions
+                           - before.useful_instructions),
+                "replay": (status.stats.replay_instructions
+                           - before.replay_instructions)}
             if status.frontier is not None:
                 work.frontier.extend(
                     job.path for job in JobTree.decode(status.frontier).jobs())
@@ -918,59 +909,43 @@ class Coordinator:
     def _record_round(self, round_index: int, work: _RoundWork,
                       states_transferred: int, balancing: bool,
                       traced_bugs: int) -> RoundSnapshot:
-        """Close one round: its timeline snapshot, its trace events and the
-        live-status document all say what the books say."""
+        """Close one round: one snapshot of the books, which is the timeline
+        entry, the ``round_completed`` payload and the live-status
+        document."""
         live = self.handles
         totals = self._totals()
         covered_count = self.load_balancer.overlay.covered_count
-        coverage_percent = (100.0 * covered_count / self.line_count
-                            if self.line_count else 0.0)
         queues = {h.worker_id: h.queue_length for h in live}
         snapshot = RoundSnapshot(
             round_index=round_index,
-            queue_lengths=dict(queues),
-            total_candidates=sum(queues.values()),
-            states_transferred=states_transferred,
-            useful_instructions=work.useful_delta,
-            replay_instructions=work.replay_delta,
+            elapsed=time.monotonic() - self._run_started,
+            coverage_percent=(100.0 * covered_count / self.line_count
+                              if self.line_count else 0.0),
             covered_lines=covered_count,
-            coverage_percent=coverage_percent,
             paths_completed=totals.paths_completed,
             bugs_found=totals.bugs_found,
-            load_balancing_enabled=balancing,
+            total_candidates=sum(queues.values()),
             num_workers=len(live),
-            elapsed=time.monotonic() - self._run_started,
+            useful_instructions=sum(d["useful"] for d in work.detail.values()),
+            replay_instructions=sum(d["replay"] for d in work.detail.values()),
+            states_transferred=states_transferred,
+            queue_lengths=queues,
+            workers_detail=work.detail,
+            load_balancing_enabled=balancing,
         )
         self._result.timeline.record(snapshot)
         tracer = self.tracer
+        if not tracer.enabled and self.status_server is None:
+            return snapshot
+        record = snapshot.as_record()
         if tracer.enabled:
             if snapshot.bugs_found > traced_bugs:
                 tracer.emit(trace_schema.BUG_FOUND, round=round_index,
                             bugs=snapshot.bugs_found,
                             new=snapshot.bugs_found - traced_bugs)
-            tracer.emit(
-                trace_schema.ROUND_COMPLETED, round=round_index,
-                elapsed=round(snapshot.elapsed, 6),
-                coverage_percent=round(coverage_percent, 3),
-                covered_lines=covered_count, paths=snapshot.paths_completed,
-                candidates=snapshot.total_candidates,
-                workers=len(live),
-                useful=work.useful_delta, replay=work.replay_delta,
-                transferred=states_transferred,
-                queues=queues, workers_detail=work.detail)
+            tracer.emit(trace_schema.ROUND_COMPLETED, **record)
         if self.status_server is not None:
-            self.status_server.update({
-                "backend": self.backend_name,
-                "round": round_index,
-                "elapsed": round(snapshot.elapsed, 3),
-                "coverage_percent": round(coverage_percent, 3),
-                "covered_lines": covered_count,
-                "paths_completed": snapshot.paths_completed,
-                "bugs_found": snapshot.bugs_found,
-                "candidates": snapshot.total_candidates,
-                "live_workers": len(live),
-                "queues": dict(queues),
-            })
+            self.status_server.update(dict(record, backend=self.backend_name))
         return snapshot
 
     # -- checkpoint / resume -------------------------------------------------------------
@@ -1110,18 +1085,6 @@ class Coordinator:
         tracer = self.tracer
         if tracer.enabled:
             emit_solver_query(tracer, result.cache_stats, latency)
-            round_p50 = round_seconds.percentile(50.0)
-            round_p99 = round_seconds.percentile(99.0)
-            tracer.emit(trace_schema.RUN_FINISHED, rounds=result.rounds_executed,
-                        paths=result.paths_completed,
-                        coverage_percent=round(result.coverage_percent, 3),
-                        bugs=len(result.bugs),
-                        useful=result.useful_instructions,
-                        replay=result.replay_instructions,
-                        exhausted=result.exhausted,
-                        goal_reached=result.goal_reached,
-                        wall_time=round(result.wall_time, 6),
-                        round_time_p50=(None if round_p50 is None
-                                        else round(round_p50, 6)),
-                        round_time_p99=(None if round_p99 is None
-                                        else round(round_p99, 6)))
+            tracer.emit(trace_schema.RUN_FINISHED, **result.summary(),
+                        round_time_p50=round_seconds.percentile(50.0),
+                        round_time_p99=round_seconds.percentile(99.0))

@@ -68,6 +68,7 @@ from repro.engine.test_case import TestCase, generate_test_case
 from repro.lang.ast import Program
 from repro.lang.compiler import CompiledProgram, compile_program
 from repro.obs import schema as trace_schema
+from repro.obs.schema import RoundSnapshot
 from repro.obs.trace import NULL_TRACER, Tracer, emit_solver_query
 from repro.solver.cache import aggregate_cache_counters
 from repro.solver.solver import Solver
@@ -413,37 +414,36 @@ class SymbolicExecutor:
                               traced_prev_useful)
             emit_solver_query(tracer, result.cache_stats,
                               self.solver.query_seconds)
-            tracer.emit(trace_schema.RUN_FINISHED, paths=result.paths_completed,
-                        coverage_percent=round(result.coverage_percent, 3),
-                        bugs=len(result.bugs), steps=result.steps,
-                        instructions=result.useful_instructions,
-                        exhausted=result.exhausted,
-                        wall_time=round(result.wall_time, 6))
+            tracer.emit(trace_schema.RUN_FINISHED, **result.summary())
         return result
 
     def _trace_round(self, tracer, round_index: int, start: float,
                      result: RunResult, instructions_at_start: int,
                      explorer: Explorer, prev_useful: int) -> int:
-        """One pseudo ``round_completed`` event (single-engine time series).
-
-        Like the cluster events, ``useful``/``replay`` are this round's
-        increments, not cumulative totals.  Returns the new cumulative
-        useful-instruction count for the next delta.
+        """One pseudo ``round_completed`` event (single-engine time series):
+        the round record of a one-worker cluster (worker 0, no balancing).
+        Returns the cumulative useful-instruction count for the next
+        round's increment.
         """
         covered = len(explorer.covered_lines)
-        frontier = explorer.frontier
-        percent = (100.0 * covered / result.line_count
-                   if result.line_count else 0.0)
+        candidates = len(explorer.frontier)
         total_useful = self.total_instructions - instructions_at_start
         useful = total_useful - prev_useful
-        tracer.emit(
-            trace_schema.ROUND_COMPLETED, round=round_index,
-            elapsed=round(time.monotonic() - start, 6),
-            coverage_percent=round(percent, 3), covered_lines=covered,
-            paths=explorer.paths_completed,
-            candidates=len(frontier), workers=1,
-            useful=useful, replay=0, transferred=0,
-            queues={0: len(frontier)},
-            workers_detail={0: {"useful": useful, "replay": 0,
-                                "queue": len(frontier)}})
+        tracer.emit(trace_schema.ROUND_COMPLETED, **RoundSnapshot(
+            round_index=round_index,
+            elapsed=time.monotonic() - start,
+            coverage_percent=(100.0 * covered / result.line_count
+                              if result.line_count else 0.0),
+            covered_lines=covered,
+            paths_completed=explorer.paths_completed,
+            bugs_found=len(explorer.bugs),
+            total_candidates=candidates,
+            num_workers=1,
+            useful_instructions=useful,
+            replay_instructions=0,
+            states_transferred=0,
+            queue_lengths={0: candidates},
+            workers_detail={0: {"useful": useful, "replay": 0}},
+            load_balancing_enabled=False,
+        ).as_record())
         return total_useful

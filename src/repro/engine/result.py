@@ -20,7 +20,8 @@ result with the test's name through :meth:`RunResult.from_cluster`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set,
+                    Tuple)
 
 from repro.engine.errors import BugKind, BugReport
 from repro.engine.test_case import TestCase
@@ -164,9 +165,20 @@ class RunResult:
     def bug_summaries(self) -> List[str]:
         return sorted({b.summary() for b in self.bugs})
 
+    def summary(self) -> Dict[str, Any]:
+        """The ``run_finished`` trace payload on every backend (``rounds``
+        is None on a single engine, ``steps`` on a cluster)."""
+        return dict(
+            rounds=self.rounds_executed, steps=self.steps,
+            paths=self.paths_completed, coverage_percent=self.coverage_percent,
+            bugs=len(self.bugs), useful=self.useful_instructions,
+            replay=self.replay_instructions, exhausted=self.exhausted,
+            goal_reached=self.goal_reached, wall_time=self.wall_time)
+
     def rounds_to_coverage(self, target_percent: float) -> Optional[int]:
         """Rounds until the timeline first reached the target (None when the
         backend keeps no timeline or never reached it)."""
         if self.timeline is None:
             return None
-        return self.timeline.rounds_to_coverage(target_percent)
+        return next((snap.round_index for snap in self.timeline.snapshots
+                     if snap.coverage_percent >= target_percent), None)

@@ -15,8 +15,8 @@ aggregates only.  This package is the substrate those views are built on:
   of ``SolverStats``/``CacheStats``/``WorkerStats``; a run's totals are read
   from ``RunResult`` and the trace's ``solver_query`` event.
 * :mod:`repro.obs.status` -- a read-only coordinator-side status server:
-  connect, read one JSON line (round, coverage, frontier sizes, live
-  workers, queue lengths), disconnect.
+  connect, read one JSON line (the last round's ``round_completed`` record,
+  :class:`~repro.obs.schema.RoundSnapshot`, plus ``backend``), disconnect.
 * :mod:`repro.obs.report` -- ``python -m repro.obs.report trace.jsonl``
   renders coverage-over-time, per-worker utilization and the
   transfer/membership/failure timeline from any run's trace.

@@ -4,7 +4,10 @@
 by :mod:`repro.obs.trace` and prints:
 
 * **Coverage over time** (Fig. 8/11): an ASCII chart of coverage percent
-  against trace time, one point per ``round_completed`` event.
+  against trace time, one point per ``round_completed`` event (a
+  :class:`~repro.obs.schema.RoundSnapshot` record; a point's ``paths``,
+  ``candidates`` and ``workers`` are its ``paths_completed``,
+  ``total_candidates`` and ``num_workers``).
 * **Per-worker utilization** (Fig. 9/10): useful vs replayed instructions
   and idle rounds per worker, from the ``workers_detail`` payload of each
   round event.
@@ -55,9 +58,9 @@ def analyze_trace(events: List[Dict[str, Any]]) -> Dict[str, Any]:
                 "ts": event.get("ts", 0.0),
                 "round": event.get("round", len(coverage)),
                 "coverage_percent": event.get("coverage_percent", 0.0),
-                "paths": event.get("paths", 0),
-                "candidates": event.get("candidates", 0),
-                "workers": event.get("workers", 0),
+                "paths": event.get("paths_completed", 0),
+                "candidates": event.get("total_candidates", 0),
+                "workers": event.get("num_workers", 0),
             })
             for wid, detail in (event.get("workers_detail") or {}).items():
                 entry = workers.setdefault(int(wid), {

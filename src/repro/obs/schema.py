@@ -10,7 +10,10 @@ explicit:
   payload is open (``allow_extra``, for pass-through dumps like
   ``solver_query``);
 * one module-level constant per event name (``ROUND_COMPLETED`` ...), which
-  emit call sites use instead of string literals.
+  emit call sites use instead of string literals;
+* :class:`RoundSnapshot`, the one round record: the timeline entry, and as
+  :meth:`~RoundSnapshot.as_record` the ``round_completed`` payload and the
+  live-status document (:mod:`repro.obs.status`) on every backend.
 
 The registry is checked in one place, at runtime:
 :func:`repro.obs.trace.schema_validator` holds every record to
@@ -36,11 +39,11 @@ Envelope keys (``seq``/``ts``/``event``/``run``/``worker``/``round``/
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Tuple
+from dataclasses import dataclass, fields
+from typing import Any, Dict, Tuple
 
-__all__ = ["EventSchema", "EVENT_SCHEMAS", "ENVELOPE_KEYS", "schema_for",
-           "validate_keys"]
+__all__ = ["EventSchema", "EVENT_SCHEMAS", "ENVELOPE_KEYS", "RoundSnapshot",
+           "schema_for", "validate_keys"]
 
 #: Keys owned by the trace envelope (:meth:`repro.obs.trace.Tracer.emit`),
 #: legal on any event and never part of a per-event schema.
@@ -79,6 +82,47 @@ def _event(name: str, required: Tuple[str, ...] = (),
     return name
 
 
+# -- the round record --------------------------------------------------------------------
+
+
+@dataclass
+class RoundSnapshot:
+    """One round of a run (totals so far; the instruction and transfer
+    counts are this round's increments) -- a cluster timeline entry."""
+
+    round_index: int
+    #: Monotonic seconds since the run started when the round closed.
+    elapsed: float
+    coverage_percent: float
+    covered_lines: int
+    paths_completed: int
+    bugs_found: int
+    total_candidates: int
+    #: Live (exploring) workers -- the elastic-membership trace.
+    num_workers: int
+    useful_instructions: int
+    replay_instructions: int
+    states_transferred: int
+    queue_lengths: Dict[int, int]
+    #: Worker id -> ``{"useful": .., "replay": ..}`` this round.
+    workers_detail: Dict[int, Dict[str, int]]
+    load_balancing_enabled: bool
+
+    @property
+    def transfer_fraction(self) -> float:
+        """Fraction of all candidate states transferred during this round."""
+        if self.total_candidates == 0:
+            return 0.0
+        return self.states_transferred / self.total_candidates
+
+    def as_record(self) -> Dict[str, Any]:
+        """The fields as a shallow dict with ``round_index`` under the
+        envelope key ``round``: the ``round_completed`` payload."""
+        record = dict(vars(self))
+        record["round"] = record.pop("round_index")
+        return record
+
+
 # -- run lifecycle -----------------------------------------------------------------------
 
 RUN_STARTED = _event(
@@ -86,17 +130,18 @@ RUN_STARTED = _event(
     required=("backend", "workers", "line_count"),
     optional=("test", "resumed_from_round"))
 
+#: :meth:`RoundSnapshot.as_record`; its ``round`` is the envelope key.
 ROUND_COMPLETED = _event(
     "round_completed",
-    required=("elapsed", "coverage_percent", "covered_lines", "paths",
-              "candidates", "workers", "useful", "replay", "transferred",
-              "queues", "workers_detail"))
+    required=tuple(f.name for f in fields(RoundSnapshot)
+                   if f.name != "round_index"))
 
+#: ``RunResult.summary()``, plus the round wall-time percentiles on a cluster.
 RUN_FINISHED = _event(
     "run_finished",
-    required=("paths", "coverage_percent", "bugs", "exhausted", "wall_time"),
-    optional=("rounds", "steps", "instructions", "useful", "replay",
-              "goal_reached", "round_time_p50", "round_time_p99"))
+    required=("paths", "coverage_percent", "bugs", "useful", "replay",
+              "exhausted", "goal_reached", "wall_time"),
+    optional=("rounds", "steps", "round_time_p50", "round_time_p99"))
 
 BUG_FOUND = _event(
     "bug_found",

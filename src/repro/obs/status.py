@@ -2,12 +2,13 @@
 
 ROADMAP item 2 asks for ``/healthz``-style per-run status (round,
 coverage, worker count); this is the substrate.  The coordinator owns a
-:class:`StatusServer` bound to a local address and replaces its snapshot
-once per round with :meth:`StatusServer.update`; any client that connects
-receives the current snapshot as one JSON line and is disconnected.  That
-connect-read-close protocol needs no framing, no request parsing and no
-client library -- ``nc localhost PORT`` works, and :func:`read_status` is
-the in-process helper.
+:class:`StatusServer` bound to a local address and, once per round, hands
+:meth:`StatusServer.update` the round's ``round_completed`` record
+(:meth:`repro.obs.schema.RoundSnapshot.as_record`) plus ``backend``; any
+client that connects receives the current snapshot as one JSON line and is
+disconnected.  That connect-read-close protocol needs no framing, no
+request parsing and no client library -- ``nc localhost PORT`` works, and
+:func:`read_status` is the in-process helper.
 
 The server thread never touches cluster state: it serves the last dict it
 was handed, so a hung round still answers (with a stale ``round`` and an

@@ -95,6 +95,24 @@ def _resolve_validator(validate: Any) -> Optional[Validator]:
     return validate
 
 
+def _build_record(envelope: Dict[str, Any], worker: Optional[int],
+                  round: Optional[int], fields: Dict[str, Any],
+                  validate: Optional[Validator]) -> Dict[str, Any]:
+    """Finish one record in place: ``envelope`` (its ``event`` included)
+    plus ``worker``/``round`` and the payload fields that are not ``None``,
+    held to ``validate`` when there is one."""
+    if worker is not None:
+        envelope["worker"] = worker
+    if round is not None:
+        envelope["round"] = round
+    for key, value in fields.items():
+        if value is not None:
+            envelope[key] = value
+    if validate is not None:
+        validate(envelope["event"], envelope)
+    return envelope
+
+
 class Tracer:
     """Process-safe JSONL trace writer.
 
@@ -131,21 +149,12 @@ class Tracer:
         """Append one event record.  ``ts`` defaults to now (tracer clock)."""
         if self._fd is None:
             return
-        record: Dict[str, Any] = {
+        record = _build_record({
             "seq": 0,  # patched under the lock below
             "ts": ts if ts is not None else time.monotonic() - self._epoch,
             "event": event,
             "run": self.run_id,
-        }
-        if worker is not None:
-            record["worker"] = worker
-        if round is not None:
-            record["round"] = round
-        for key, value in fields.items():
-            if value is not None:
-                record[key] = value
-        if self._validate is not None:
-            self._validate(event, record)
+        }, worker, round, fields, self._validate)
         with self._lock:
             if self._fd is None:
                 return
@@ -282,20 +291,10 @@ class BufferTracer:
         if len(self._events) >= self.capacity:
             self._dropped += 1
             return
-        record: Dict[str, Any] = {
+        self._events.append(_build_record({
             "ts": time.monotonic() - self._epoch,
             "event": event,
-        }
-        if worker is not None:
-            record["worker"] = worker
-        if round is not None:
-            record["round"] = round
-        for key, value in fields.items():
-            if value is not None:
-                record[key] = value
-        if self._validate is not None:
-            self._validate(event, record)
-        self._events.append(record)
+        }, worker, round, fields, self._validate))
 
     def span(self, phase: str, **fields: Any) -> _Span:
         return _Span(self, phase, fields)

@@ -76,7 +76,9 @@ class TestEndToEnd:
         cluster = make_cluster(2)
         result = cluster.run()
         assert len(result.timeline) == result.rounds_executed
-        assert result.timeline.useful_work_series()[-1] == result.useful_instructions
+        assert (sum(snap.useful_instructions
+                    for snap in result.timeline.snapshots)
+                == result.useful_instructions)
 
     def test_goal_coverage_stops_early(self):
         cluster = make_cluster(2, buffer_size=3)

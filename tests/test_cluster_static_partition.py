@@ -94,7 +94,7 @@ class TestSharedCoordinator:
         assert events[0]["backend"] == "static"
         rounds = [e for e in events if e["event"] == "round_completed"]
         assert len(rounds) == result.rounds_executed
-        assert all(e["transferred"] == 0 for e in rounds)
+        assert all(e["states_transferred"] == 0 for e in rounds)
         assert "job_transferred" not in names
         assert events[-1]["paths"] == result.paths_completed
 

@@ -34,8 +34,10 @@ needs_fork = pytest.mark.skipif(
 
 #: Every backend stamps round_completed with exactly these payload keys.
 ROUND_KEYS = {"round", "elapsed", "coverage_percent", "covered_lines",
-              "paths", "candidates", "workers", "useful", "replay",
-              "transferred", "queues", "workers_detail"}
+              "paths_completed", "bugs_found", "total_candidates",
+              "num_workers", "useful_instructions", "replay_instructions",
+              "states_transferred", "queue_lengths", "workers_detail",
+              "load_balancing_enabled"}
 ENVELOPE_KEYS = {"seq", "ts", "event", "run"}
 
 
@@ -102,6 +104,47 @@ class TestTracePerBackend:
         spans = [e for e in events if e["event"] == "span"]
         assert spans and all("wts" in e and "duration" in e for e in spans)
 
+    def test_static_backend_trace(self, tmp_path):
+        path = tmp_path / "static.jsonl"
+        result = _branchy_test().run(backend="static", workers=2,
+                                     trace_path=str(path))
+        assert result.exhausted
+        _assert_trace_shape(load_trace(str(path)), "static")
+
+    def test_run_finished_is_one_summary(self, tmp_path):
+        """Both ``run_finished`` sites write ``RunResult.summary()``: the
+        keys differ only where the backends do (rounds vs. steps, and the
+        round wall-time percentiles of a cluster)."""
+        keys = {}
+        for backend, options in (("single", {}), ("cluster", {"workers": 2})):
+            path = tmp_path / f"{backend}.jsonl"
+            result = _branchy_test().run(backend=backend,
+                                         trace_path=str(path), **options)
+            finished = load_trace(str(path))[-1]
+            assert finished["event"] == "run_finished"
+            keys[backend] = set(finished) - ENVELOPE_KEYS
+            summary = {k: v for k, v in result.summary().items()
+                       if v is not None}
+            assert summary.items() <= finished.items(), backend
+        assert keys["single"] - keys["cluster"] == {"steps"}
+        assert keys["cluster"] - keys["single"] == {
+            "rounds", "round_time_p50", "round_time_p99"}
+        assert "instructions" not in keys["single"]
+
+    def test_report_reads_a_real_cluster_trace(self, tmp_path):
+        """``analyze_trace`` reads the keys the coordinator writes: a stale
+        key name would render zeros here, not fail."""
+        path = tmp_path / "cluster.jsonl"
+        result = _branchy_test().run(backend="cluster", workers=2,
+                                     instructions_per_round=20,
+                                     max_rounds=6, trace_path=str(path))
+        assert not result.exhausted  # the last point is mid-run
+        last = analyze_trace(load_trace(str(path)))["coverage_over_time"][-1]
+        assert last["round"] == result.rounds_executed - 1
+        assert last["paths"] == result.paths_completed > 0
+        assert last["candidates"] == result.states_remaining > 0
+        assert last["workers"] == result.num_workers == 2
+
     def test_no_trace_file_without_trace_path(self, tmp_path):
         result = _branchy_test().run(backend="cluster", workers=2,
                                      max_rounds=50)
@@ -115,7 +158,7 @@ class TestElapsedTimeline:
     def test_in_process_cluster_elapsed(self):
         result = _branchy_test().run(backend="cluster", workers=2,
                                      max_rounds=50)
-        series = result.timeline.elapsed_series()
+        series = [snap.elapsed for snap in result.timeline.snapshots]
         assert len(series) == result.rounds_executed
         assert all(b > a for a, b in zip(series, series[1:]))
         assert all(s.elapsed > 0.0 for s in result.timeline.snapshots)
@@ -127,7 +170,7 @@ class TestElapsedTimeline:
         cluster = ProcessCloud9Cluster("printf", {"format_length": 2},
                                        config=config)
         result = cluster.run(limits=ExplorationLimits(max_rounds=20))
-        series = result.timeline.elapsed_series()
+        series = [snap.elapsed for snap in result.timeline.snapshots]
         assert series and all(b > a for a, b in zip(series, series[1:]))
 
 
@@ -268,5 +311,5 @@ class TestStatusServerLive:
         cluster.round_hook = hook
         cluster.run(limits=ExplorationLimits(max_rounds=10))
         assert seen["backend"] == "process"
-        assert seen["round"] >= 0 and seen["live_workers"] == 2
+        assert seen["round"] >= 0 and seen["num_workers"] == 2
         assert cluster.status_address is None  # torn down with the run

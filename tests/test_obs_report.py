@@ -12,20 +12,29 @@ def _synthetic_events():
          "backend": "cluster", "workers": 2, "test": "branchy",
          "line_count": 20},
         {"seq": 2, "ts": 0.1, "event": "round_completed", "run": "abc",
-         "round": 0, "coverage_percent": 40.0, "paths": 2, "candidates": 4,
-         "workers": 2, "useful": 100, "replay": 0,
-         "workers_detail": {"0": {"useful": 60, "replay": 0, "queue": 2},
-                            "1": {"useful": 40, "replay": 0, "queue": 2}}},
+         "round": 0, "elapsed": 0.1, "coverage_percent": 40.0,
+         "covered_lines": 8, "paths_completed": 2, "bugs_found": 0,
+         "total_candidates": 4, "num_workers": 2, "useful_instructions": 100,
+         "replay_instructions": 0, "states_transferred": 0,
+         "queue_lengths": {"0": 2, "1": 2},
+         "workers_detail": {"0": {"useful": 60, "replay": 0},
+                            "1": {"useful": 40, "replay": 0}},
+         "load_balancing_enabled": True},
         {"seq": 3, "ts": 0.15, "event": "job_transferred", "run": "abc",
          "round": 0, "source": 0, "destination": 1, "jobs": 2},
         {"seq": 4, "ts": 0.2, "event": "round_completed", "run": "abc",
-         "round": 1, "coverage_percent": 80.0, "paths": 5, "candidates": 1,
-         "workers": 2, "useful": 90, "replay": 10,
-         "workers_detail": {"0": {"useful": 90, "replay": 10, "queue": 1},
-                            "1": {"useful": 0, "replay": 0, "queue": 0}}},
+         "round": 1, "elapsed": 0.2, "coverage_percent": 80.0,
+         "covered_lines": 16, "paths_completed": 5, "bugs_found": 0,
+         "total_candidates": 1, "num_workers": 2, "useful_instructions": 90,
+         "replay_instructions": 10, "states_transferred": 2,
+         "queue_lengths": {"0": 1, "1": 0},
+         "workers_detail": {"0": {"useful": 90, "replay": 10},
+                            "1": {"useful": 0, "replay": 0}},
+         "load_balancing_enabled": True},
         {"seq": 5, "ts": 0.3, "event": "run_finished", "run": "abc",
          "rounds": 2, "paths": 6, "coverage_percent": 80.0, "bugs": 0,
-         "wall_time": 0.3},
+         "useful": 190, "replay": 10, "exhausted": True,
+         "goal_reached": False, "wall_time": 0.3},
     ]
 
 
@@ -35,6 +44,9 @@ class TestAnalyzeTrace:
         coverage = analysis["coverage_over_time"]
         assert [p["coverage_percent"] for p in coverage] == [40.0, 80.0]
         assert [p["round"] for p in coverage] == [0, 1]
+        assert [p["paths"] for p in coverage] == [2, 5]
+        assert [p["candidates"] for p in coverage] == [4, 1]
+        assert [p["workers"] for p in coverage] == [2, 2]
 
     def test_worker_utilization_sums_round_deltas(self):
         util = analyze_trace(_synthetic_events())["worker_utilization"]
@@ -76,9 +88,9 @@ class TestRender:
 class TestCli:
     def test_text_output(self, tmp_path, capsys):
         path = tmp_path / "t.jsonl"
-        # The synthetic events are deliberately minimal (old-trace compat),
-        # so keep runtime schema validation out of this writer.
-        with Tracer(str(path), validate=False) as tracer:
+        # The synthetic events are whole records, so the writer holds them
+        # to the declared schema.
+        with Tracer(str(path), validate=True) as tracer:
             for event in _synthetic_events():
                 fields = {k: v for k, v in event.items()
                           if k not in ("seq", "ts", "event", "run")}

@@ -6,8 +6,10 @@ import socket
 import pytest
 
 from repro.cluster import ClusterConfig, StaticPartitionConfig
+from repro.distrib.cluster import TcpCloud9Cluster, TcpClusterConfig
 from repro.net.transport import parse_address
 from repro.obs.status import StatusServer, read_status
+from repro.obs.trace import NULL_TRACER, load_trace
 from repro.testing import SymbolicTest
 
 from conftest import branchy_program
@@ -102,8 +104,8 @@ class TestInProcessBackendsServeStatus:
         seen = self._run_and_snapshot(cluster)
         assert seen["backend"] == "cluster"
         assert seen["round"] >= 0
-        assert seen["live_workers"] == 2  # an int count, as on process
-        assert isinstance(seen["queues"], dict)
+        assert seen["num_workers"] == 2  # an int count, as on process
+        assert isinstance(seen["queue_lengths"], dict)
         # Torn down with the run, exactly like the tracer.
         assert cluster.status_address is None
 
@@ -113,8 +115,30 @@ class TestInProcessBackendsServeStatus:
         cluster = self._build(static=True)
         seen = self._run_and_snapshot(cluster)
         assert seen["backend"] == "static"
-        assert seen["live_workers"] == 2
+        assert seen["num_workers"] == 2
         assert cluster.status_address is None
+
+    def test_status_document_is_the_round_record(self, tmp_path):
+        """The live status is the last ``round_completed`` payload plus the
+        backend and the snapshot's age -- one record, not a third rendering
+        of the round."""
+        path = tmp_path / "t.jsonl"
+        cluster = self._build()
+        seen = {}
+
+        def hook(round_index, cl):
+            if round_index == 2:
+                seen.update(read_status(cl.status_address))
+
+        cluster.round_hook = hook
+        cluster.run(max_rounds=10, trace_path=str(path))
+        assert seen["round"] == 1  # the round that closed before the hook
+        payload = next(e for e in load_trace(str(path))
+                       if e["event"] == "round_completed" and e["round"] == 1)
+        for envelope in ("seq", "ts", "event", "run"):
+            del payload[envelope]
+        assert seen == dict(payload, backend="cluster",
+                            updated=seen["updated"])
 
     def test_no_listener_without_status_listen(self):
         test = SymbolicTest("branchy", branchy_program(2))
@@ -122,3 +146,29 @@ class TestInProcessBackendsServeStatus:
         assert cluster.status_address is None
         cluster.run(max_rounds=5)
         assert cluster.status_address is None
+
+
+class TestBadStatusListen:
+    """A ``status_listen`` that does not parse fails the run before any
+    round, and whatever the run had opened is closed again."""
+
+    @pytest.mark.parametrize("address", ["nonsense", "127.0.0.1:99999"])
+    @pytest.mark.parametrize("backend", ["cluster", "tcp"])
+    def test_run_leaves_nothing_open(self, backend, address, tmp_path):
+        if backend == "tcp":
+            cluster = TcpCloud9Cluster(
+                "printf", {"format_length": 2},
+                config=TcpClusterConfig(num_workers=2,
+                                        spawn_local_agents=True,
+                                        status_listen=address))
+            assert cluster.listen_address is not None
+        else:
+            test = SymbolicTest("branchy", branchy_program(2))
+            cluster = test.build_cluster(
+                ClusterConfig(num_workers=2, status_listen=address))
+        with pytest.raises(ValueError, match="bad"):
+            cluster.run(max_rounds=3, trace_path=str(tmp_path / "t.jsonl"))
+        assert cluster.tracer is NULL_TRACER
+        assert cluster.status_address is None
+        if backend == "tcp":
+            assert cluster.listen_address is None
