@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
 from repro.cluster.plain import Mismatch, records
-from repro.engine.coverage import CoverageBits
+from repro.engine.coverage import CoverageBitVector, CoverageBits
 from repro.engine.errors import BugReport
 from repro.engine.test_case import TestCase
 
@@ -145,13 +145,11 @@ class ClusterCheckpoint:
 
     @property
     def coverage_percent(self) -> float:
-        if not self.line_count:
-            return 0.0
-        return 100.0 * bin(self.coverage_bits).count("1") / self.line_count
+        return CoverageBitVector(self.line_count, self.coverage_bits).percent()
 
     def covered_lines(self) -> Set[int]:
-        return {i for i in range(self.line_count)
-                if self.coverage_bits >> i & 1}
+        return CoverageBitVector(self.line_count,
+                                 self.coverage_bits).covered_lines()
 
 
 _RECORD = records([ClusterCheckpoint, BugReport, TestCase])[ClusterCheckpoint]

@@ -40,7 +40,6 @@ class WorkerReport:
     worker_id: int
     queue_length: int = 0
     useful_instructions: int = 0
-    coverage_bits: int = 0
     round_received: int = -1
 
 
@@ -115,7 +114,6 @@ class LoadBalancer:
         report = self.reports.setdefault(worker_id, WorkerReport(worker_id=worker_id))
         report.queue_length = queue_length
         report.useful_instructions = useful_instructions
-        report.coverage_bits = coverage_bits
         report.round_received = round_index
         return self.overlay.merge_from_worker(coverage_bits)
 

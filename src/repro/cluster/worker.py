@@ -34,7 +34,6 @@ from typing import List, Optional, Sequence, Set, Tuple
 from repro.cluster.jobs import Job, JobTree
 from repro.cluster.replay import replay_path
 from repro.cluster.stats import WorkerStats
-from repro.cluster.overlay import WorkerCoverageView
 from repro.engine.executor import SymbolicExecutor
 from repro.engine.explorer import Explorer
 from repro.engine.state import ExecutionState
@@ -62,7 +61,6 @@ class Worker(Explorer):
         self.stats = WorkerStats(worker_id=worker_id)
         super().__init__(executor, strategy or make_strategy(
             strategy_name, seed=worker_id, program=executor.program))
-        self.coverage_view = WorkerCoverageView(executor.program.line_count)
         # Recovered territories this worker re-explores (root, fence paths):
         # inside them, replay must not fence off-path siblings -- they are
         # ours to explore, not "being explored elsewhere" (§2.3 recovery).
@@ -130,10 +128,6 @@ class Worker(Explorer):
                 stats.schedule_steps += 1
                 consumed += 1
         return consumed
-
-    def new_lines(self, lines: Set[int]) -> None:
-        self.coverage_view.cover(lines)
-        super().new_lines(lines)
 
     # -- materializing nodes ----------------------------------------------------------------
 

@@ -37,7 +37,13 @@ work is redone by whoever recovers its territory, so it then adds nothing).
 Work done before these members existed -- a resumed checkpoint's totals, the
 static bootstrap's exploration -- is the one :class:`CarriedIn` account.
 Only :meth:`Coordinator._totals` adds the accounts up; the round record, the
-checkpoint and the final ``RunResult`` all read it.  The books, the balancer
+checkpoint and the final ``RunResult`` all read it.  Coverage is the one
+figure not in the accounts: the balancer's
+:class:`~repro.cluster.overlay.CoverageOverlay`, into which every status
+phase ORs each member's coverage bits and :meth:`Coordinator._carry_in` the
+carried-in lines, is the run's coverage for the round record, the coverage
+goal, the checkpoint and the result alike -- a line a member covered stays
+covered after it dies.  The books, the balancer
 and the ledger live exactly as long as the membership
 (:meth:`Coordinator._shutdown_workers` replaces them).
 
@@ -180,9 +186,9 @@ class _Totals:
     bugs_found: int
     useful_instructions: int
     replay_instructions: int
-    #: These three are complete when every report is a full one: on
-    #: checkpoint rounds and at the end.
-    covered_lines: Set[int]
+    #: These two are complete when every report is a full one: on
+    #: checkpoint rounds and at the end.  Coverage is not added up here: the
+    #: overlay is the run's.
     bugs: List[BugReport]
     test_cases: List[TestCase]
 
@@ -891,7 +897,6 @@ class Coordinator:
             bugs_found=len(carried.bugs),
             useful_instructions=carried.useful_instructions,
             replay_instructions=carried.replay_instructions,
-            covered_lines=set(carried.covered_lines),
             bugs=list(carried.bugs), test_cases=list(carried.test_cases))
         for member in self.handles + self.books.departed:
             status = member.status
@@ -901,7 +906,6 @@ class Coordinator:
             total.bugs_found += status.bugs_found
             total.useful_instructions += status.stats.useful_instructions
             total.replay_instructions += status.stats.replay_instructions
-            total.covered_lines.update(status.covered_lines or ())
             total.bugs.extend(status.bugs or ())
             total.test_cases.extend(status.test_cases or ())
         return total
@@ -914,14 +918,13 @@ class Coordinator:
         document."""
         live = self.handles
         totals = self._totals()
-        covered_count = self.load_balancer.overlay.covered_count
+        overlay = self.load_balancer.overlay
         queues = {h.worker_id: h.queue_length for h in live}
         snapshot = RoundSnapshot(
             round_index=round_index,
             elapsed=time.monotonic() - self._run_started,
-            coverage_percent=(100.0 * covered_count / self.line_count
-                              if self.line_count else 0.0),
-            covered_lines=covered_count,
+            coverage_percent=overlay.coverage_percent,
+            covered_lines=overlay.covered_count,
             paths_completed=totals.paths_completed,
             bugs_found=totals.bugs_found,
             total_candidates=sum(queues.values()),
@@ -960,13 +963,7 @@ class Coordinator:
         checkpoint = ClusterCheckpoint(
             round_index=round_index,
             frontier_paths=sorted(frontier),
-            # A full report's covered_lines includes replay, so it is a
-            # superset of the coverage_bits the overlay merged; fold it in so
-            # lines covered on completed paths (never re-explored on resume)
-            # cannot be lost.
-            coverage_bits=(self.load_balancer.overlay.global_vector.as_int()
-                           | CoverageBitVector.from_lines(
-                               self.line_count, totals.covered_lines).as_int()),
+            coverage_bits=self.load_balancer.overlay.global_vector.as_int(),
             line_count=self.line_count,
             paths_completed=totals.paths_completed,
             useful_instructions=totals.useful_instructions,
@@ -1059,7 +1056,7 @@ class Coordinator:
         result.paths_completed = totals.paths_completed
         result.useful_instructions = totals.useful_instructions
         result.replay_instructions = totals.replay_instructions
-        result.covered_lines = totals.covered_lines
+        result.covered_lines = self.load_balancer.overlay.covered_lines()
         result.bugs = dedupe_bugs(totals.bugs)
         result.test_cases.extend(totals.test_cases)
         worker_stats: Dict[int, WorkerStats] = {}

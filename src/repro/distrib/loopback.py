@@ -221,11 +221,11 @@ class StaticPartitionCluster(Cloud9Cluster):
             outcome.bugs.extend(result.bugs)
             outcome.test_cases.extend(result.test_cases)
             for child in result.children:
+                outcome.covered_lines.update(child.coverage)
                 if child.is_running:
                     frontier.append(child)
         outcome.prefixes = [tuple(state.fork_trace) for state in frontier]
         outcome.useful_instructions = executor.total_instructions
-        outcome.covered_lines = set(executor.covered_lines)
         return outcome
 
     def idle_worker_count(self) -> int:

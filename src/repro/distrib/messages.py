@@ -23,7 +23,7 @@ bookkeeping trivial and makes worker death detectable as a reply timeout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.cluster.jobs import EncodedJobTree
 from repro.cluster.stats import WorkerStats
@@ -122,6 +122,8 @@ class StatusReply:
 
     worker_id: int
     queue_length: int
+    #: Every line the member's explorer covered (§3.3); the coordinator ORs
+    #: it into the overlay, which is the run's coverage.
     coverage_bits: CoverageBits
     bugs_found: int
     #: The worker's counters as they stand (a copy: the worker keeps bumping
@@ -142,9 +144,6 @@ class StatusReply:
     #: from) and the final result needs no second message.
     bugs: Optional[Tuple[BugReport, ...]] = None
     test_cases: Optional[Tuple[TestCase, ...]] = None
-    #: Every line the worker's executor ran, replay included -- a superset
-    #: of ``coverage_bits``, which holds what was handed to the strategy.
-    covered_lines: Optional[FrozenSet[int]] = None
     #: The worker solver's query-latency histogram (bounded reservoir, a
     #: few KB), merged coordinator-side into the run-level p50/p99 on the
     #: final ``solver_query`` trace event.

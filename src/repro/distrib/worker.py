@@ -23,7 +23,7 @@ import importlib
 import multiprocessing
 import queue as queue_module
 import traceback
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence, Union
 
 from repro.cluster.jobs import Job, JobTree
 from repro.cluster.worker import Worker
@@ -41,8 +41,12 @@ from repro.distrib.messages import (
     StatusReply,
     StopCommand,
 )
+from repro.engine.coverage import CoverageBitVector
 from repro.net.transport import TransportError
 from repro.obs.trace import BufferTracer
+
+if TYPE_CHECKING:  # pragma: no cover - the spec registry builds the test
+    from repro.testing.symbolic_test import SymbolicTest
 
 __all__ = ["DistribWorker", "serve", "worker_main"]
 
@@ -50,7 +54,7 @@ __all__ = ["DistribWorker", "serve", "worker_main"]
 class DistribWorker:
     """One cluster member: a private engine plus the command handlers."""
 
-    def __init__(self, worker: Worker):
+    def __init__(self, worker: Worker) -> None:
         self.worker_id = worker.worker_id
         self.worker = worker
         # Created on the first traced ExploreCommand; buffered events ride
@@ -58,8 +62,8 @@ class DistribWorker:
         self.tracer: Optional[BufferTracer] = None
 
     @classmethod
-    def from_test(cls, worker_id: int, test,
-                  strategy: Optional[str] = None) -> "DistribWorker":
+    def from_test(cls, worker_id: int, test: SymbolicTest,
+                  strategy: Optional[str] = None) -> DistribWorker:
         """Build the member a worker process or agent serves from its spec."""
         executor = test.build_executor()
         return cls(Worker(worker_id, executor,
@@ -72,7 +76,8 @@ class DistribWorker:
 
     # -- command handlers --------------------------------------------------------------
 
-    def handle(self, command):
+    def handle(self, command: object
+               ) -> Union[StatusReply, ExportReply, ImportReply]:
         """Process one command, returning its reply."""
         if isinstance(command, SeedCommand):
             self.worker.seed()
@@ -94,7 +99,8 @@ class DistribWorker:
         reply = StatusReply(
             worker_id=self.worker_id,
             queue_length=worker.queue_length,
-            coverage_bits=worker.coverage_view.snapshot_bits(),
+            coverage_bits=CoverageBitVector.from_lines(
+                self.line_count, worker.covered_lines).as_int(),
             bugs_found=len(worker.bugs),
             # A copy: the loopback carrier does not serialise, and the
             # coordinator diffs consecutive reports.
@@ -111,16 +117,16 @@ class DistribWorker:
             ).encode(),
             bugs=tuple(worker.bugs),
             test_cases=tuple(worker.test_cases),
-            covered_lines=frozenset(executor.covered_lines),
             latency=executor.solver.query_seconds)
 
     def _explore(self, command: ExploreCommand) -> StatusReply:
         if command.trace and self.tracer is None:
             self.tracer = BufferTracer()
         if command.global_coverage_bits is not None:
-            new_lines = self.worker.coverage_view.merge_global(
-                command.global_coverage_bits)
-            self.worker.strategy.merge_global_coverage(new_lines)
+            # The strategy's covered set only grows: lines it knows already,
+            # its own included, change nothing.
+            self.worker.strategy.notify_covered(CoverageBitVector(
+                self.line_count, command.global_coverage_bits).covered_lines())
         if self.worker.has_work:
             # Worker.explore replays virtual candidates lazily as the
             # strategy selects them; a job whose replay breaks (divergence or
@@ -151,7 +157,7 @@ class DistribWorker:
         return ImportReply(worker_id=self.worker_id, imported=imported)
 
 
-def serve(worker_id: int, spec_name: str, spec_params: dict,
+def serve(worker_id: int, spec_name: str, spec_params: dict[str, Any],
           strategy: Optional[str], spec_modules: Sequence[str],
           recv: Callable[[], Optional[object]],
           send: Callable[[object], None]) -> int:
@@ -205,9 +211,9 @@ def _parent_is_alive() -> bool:
     return parent is None or parent.is_alive()
 
 
-def worker_main(worker_id: int, spec_name: str, spec_params: dict,
+def worker_main(worker_id: int, spec_name: str, spec_params: dict[str, Any],
                 strategy: Optional[str], spec_modules: Sequence[str],
-                command_queue, reply_queue,
+                command_queue: Any, reply_queue: Any,
                 parent_alive: Optional[Callable[[], bool]] = None) -> None:
     """Process entry point: :func:`serve` over a pair of mp queues.
 

@@ -52,12 +52,6 @@ class CoverageBitVector:
         self._bits |= other._bits
         return self
 
-    def union(self, other: "CoverageBitVector") -> "CoverageBitVector":
-        return CoverageBitVector(self.size, self._bits | other._bits)
-
-    def difference(self, other: "CoverageBitVector") -> "CoverageBitVector":
-        return CoverageBitVector(self.size, self._bits & ~other._bits)
-
     def count(self) -> int:
         return bin(self._bits).count("1")
 

@@ -18,12 +18,10 @@ two levels of API:
   :class:`~repro.engine.explorer.Explorer` -- the same tree, frontier, step
   and result counting a cluster worker (:mod:`repro.cluster.worker`) uses.
 
-A step costs the same however long the path behind it is.  ``covered_lines``
-grows by the lines a step executes; a whole ``state.coverage`` is unioned
-in only when a path finishes and when a state that already has a path behind
-it is seeded (:meth:`Explorer.seed_state
-<repro.engine.explorer.Explorer.seed_state>`).  Every other state ``step``
-sees was stepped here from such a root, so its lines are already in.
+A step costs the same however long the path behind it is, and the executor
+keeps no coverage: the lines a step ran are on its :class:`StepResult`, and
+:attr:`Explorer.covered_lines
+<repro.engine.explorer.Explorer.covered_lines>` is the one book of them.
 
 A step is one pass.  ``step`` tests the state's status, its instruction
 limit and its thread once, hands the thread to
@@ -129,10 +127,9 @@ class SymbolicExecutor:
 
         # Cumulative over every step this executor ever took (explorations,
         # replays, a bootstrap): worker status and the instruction accounting
-        # read them.  What a run or a step found is on its ``RunResult`` or
+        # read it.  What a run or a step found is on its ``RunResult`` or
         # ``StepResult``, never here.
         self.total_instructions = 0
-        self.covered_lines: Set[int] = set()
 
         # Environment models (e.g. the POSIX model) register natives and
         # per-state initialization hooks through installers.
@@ -192,12 +189,9 @@ class SymbolicExecutor:
             state, thread, budget, default_limit)
         result = StepResult(children, line)
         self.total_instructions += instructions
-        if lines is None:
-            self.covered_lines.add(line)
-        else:
+        if lines is not None:
             result.instructions = instructions
             result.lines = lines
-            self.covered_lines.update(lines)
         for child in children:
             if child.status is not RUNNING:
                 self._finish_state(child, result)
@@ -266,7 +260,6 @@ class SymbolicExecutor:
         if not result.terminated:
             result.terminated, result.bugs, result.test_cases = [], [], []
         result.terminated.append(state)
-        self.covered_lines.update(state.coverage)
         error = state.error
         summary = error.summary() if error is not None else None
         test_case = generate_test_case(state, self.solver, error_summary=summary)

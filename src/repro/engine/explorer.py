@@ -4,8 +4,8 @@ graft its children.
 An :class:`Explorer` owns what one exploration consists of -- the execution
 tree, the :class:`~repro.engine.frontier.Frontier` of its candidates, the
 search strategy, and the exploration's own results (``bugs``,
-``test_cases``, ``paths_completed``), which are the only books of results:
-the executor keeps none.  :meth:`Explorer.step_node` is the only place a node
+``test_cases``, ``paths_completed``, ``covered_lines``), which are the only
+books of results: the executor keeps none.  :meth:`Explorer.step_node` is the only place a node
 is stepped for exploration: it reads what the step produced off the
 :class:`~repro.engine.executor.StepResult` -- so a replay on the same
 executor, which steps without it, books nothing -- and is the only place a
@@ -68,8 +68,7 @@ class Explorer:
         self.test_cases: List[TestCase] = []
         self.paths_completed = 0
         # The lines this exploration covered, each handed on through
-        # new_lines() once (the executor's own set is cumulative over every
-        # exploration and replay it ever ran).
+        # new_lines() once: a worker's status reports this set.
         self.covered_lines: Set[int] = set()
         # Ids of nodes whose state did not come out of step_node (see adopt()).
         self._adopted: Set[int] = set()
@@ -80,9 +79,6 @@ class Explorer:
         root.materialize(state)
         root.mark_candidate()
         self.frontier.add(root)
-        # The executor only ever adds the line a step executes; a state that
-        # arrives with a path behind it brings that path's lines once, here.
-        self.executor.covered_lines.update(state.coverage)
         self.adopt(root)
 
     def adopt(self, node: TreeNode) -> None:

@@ -54,6 +54,8 @@ class RunResult:
     test_name: str
     num_workers: int = 1
     paths_completed: int = 0
+    #: The explorer's lines on one engine; on a cluster, the coordinator's
+    #: coverage overlay, which the round records and the goal read too.
     covered_lines: Set[int] = field(default_factory=set)
     line_count: int = 0
     #: Distinct defects (:func:`dedupe_bugs`), the same on every backend.

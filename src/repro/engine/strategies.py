@@ -24,8 +24,9 @@ instruction and answers every remaining question as before.  DFS and BFS
 are sticky; the other strategies here are not.
 
 A strategy operates on worker-local tree nodes; the cluster layer coordinates
-strategies across workers through the global coverage overlay (§3.3), which
-is fed to :class:`CoverageOptimizedStrategy` via :meth:`merge_global_coverage`.
+strategies across workers through the global coverage overlay (§3.3): a
+member hands the merged global lines to :meth:`SearchStrategy.notify_covered`
+like its own, and lines a strategy was told before change nothing.
 """
 
 from __future__ import annotations
@@ -57,11 +58,8 @@ class SearchStrategy:
         raise NotImplementedError
 
     def notify_covered(self, lines: Iterable[int]) -> None:
-        """Inform the strategy about lines local exploration covered for the
-        first time (called only when there are any)."""
-
-    def merge_global_coverage(self, lines: Iterable[int]) -> None:
-        """Inform the strategy about lines covered anywhere in the cluster."""
+        """Inform the strategy about covered lines: those local exploration
+        covered for the first time, or the cluster's merged coverage."""
 
 
 class DfsStrategy(SearchStrategy):
@@ -207,9 +205,6 @@ class CoverageOptimizedStrategy(SearchStrategy):
             if self._index is not None:
                 self._index.invalidate()
 
-    def merge_global_coverage(self, lines: Iterable[int]) -> None:
-        self.notify_covered(lines)
-
     def _weight(self, node: TreeNode) -> int:
         state = node.state
         if state is None or state.status is not RUNNING or state.current is None:
@@ -275,11 +270,6 @@ class InterleavedStrategy(SearchStrategy):
         lines = list(lines)
         for strategy in self._strategies:
             strategy.notify_covered(lines)
-
-    def merge_global_coverage(self, lines: Iterable[int]) -> None:
-        lines = list(lines)
-        for strategy in self._strategies:
-            strategy.merge_global_coverage(lines)
 
 
 class FewestFaultsFirstStrategy(SearchStrategy):

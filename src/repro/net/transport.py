@@ -71,7 +71,10 @@ __all__ = [
 #: full report and its ``full`` field is gone (breaking: floor moved too).
 #: v6: frames carry schema-checked JSON instead of pickles (breaking: floor
 #: moved too).
-PROTOCOL_VERSION = 6
+#: v7: StatusReply.covered_lines is gone: a member's lines are its
+#: coverage_bits and the run's are the coordinator's overlay (breaking:
+#: floor moved too).
+PROTOCOL_VERSION = 7
 
 #: Oldest protocol version whose agents may still join a campaign: the
 #: coordinator admits any hello in
@@ -79,7 +82,7 @@ PROTOCOL_VERSION = 6
 #: change (new trailing message fields with defaults) bumps only
 #: ``PROTOCOL_VERSION``; a breaking change advances both.  The golden frames
 #: in ``tests/golden/`` hold both numbers to the code.
-PROTOCOL_COMPAT_VERSION = 6
+PROTOCOL_COMPAT_VERSION = 7
 
 
 # -- handshake messages ------------------------------------------------------------------

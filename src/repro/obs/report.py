@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Any, Dict, List, Optional
 
@@ -190,10 +191,17 @@ def main(argv: Optional[List[str]] = None) -> int:
               file=sys.stderr)
         return 2
     analysis = analyze_trace(events)
-    if args.json:
-        print(json.dumps(analysis, indent=2, default=str))
-    else:
-        print(render_report(analysis))
+    try:
+        if args.json:
+            print(json.dumps(analysis, indent=2, default=str))
+        else:
+            print(render_report(analysis))
+        sys.stdout.flush()  # a reader that left (``| head``) raises here
+    except BrokenPipeError:
+        # The Python docs' SIGPIPE recipe: no second error at exit, code 1.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     return 0
 
 

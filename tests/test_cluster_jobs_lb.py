@@ -4,7 +4,8 @@ import pytest
 
 from repro.cluster.jobs import Job, JobTree
 from repro.cluster.load_balancer import LoadBalancer, TransferCommand
-from repro.cluster.overlay import CoverageOverlay, WorkerCoverageView
+from repro.cluster.overlay import CoverageOverlay
+from repro.engine.strategies import CoverageOptimizedStrategy
 
 from hypothesis import given, settings, strategies as st
 
@@ -144,37 +145,24 @@ class TestLoadBalancer:
 
 
 class TestCoverageOverlay:
-    def test_worker_view_and_global_merge(self):
+    def test_global_merge(self):
         overlay = CoverageOverlay(line_count=8)
-        view1 = WorkerCoverageView(8)
-        view2 = WorkerCoverageView(8)
-        view1.cover([0, 1])
-        view2.cover([2])
-        merged = overlay.merge_from_worker(view1.snapshot_bits())
-        merged = overlay.merge_from_worker(view2.snapshot_bits())
+        overlay.merge_from_worker(0b0011)
+        merged = overlay.merge_from_worker(0b0100)
+        assert merged == 0b0111
         assert overlay.covered_count == 3
-        new_for_2 = view2.merge_global(merged)
-        assert new_for_2 == {0, 1}
-        assert view2.known_covered() == {0, 1, 2}
+        assert overlay.covered_lines() == {0, 1, 2}
 
-    def test_local_growth_is_not_reported_as_global_news(self):
-        """Regression: merge_global used to OR the local vector into the
-        global view before comparing counts, so purely local growth was
-        misreported as LB-driven change (while the returned set, computed
-        against local only, could simultaneously be empty)."""
-        view = WorkerCoverageView(8)
-        view.cover([0, 1])
-        # The LB echoes back exactly what this worker reported: no news.
-        assert view.merge_global(view.snapshot_bits()) == set()
-
-    def test_returned_lines_exclude_previously_received_global(self):
-        view = WorkerCoverageView(8)
-        assert view.merge_global(0b0011) == {0, 1}
-        # A later vector repeating lines 0-1 only brings line 2 as news.
-        assert view.merge_global(0b0111) == {2}
-        view.cover([7])
-        assert view.merge_global(0b0111) == set()
-        assert view.known_covered() == {0, 1, 2, 7}
+    def test_known_lines_leave_a_strategy_unchanged(self):
+        """A member tells its strategy the whole merged vector every round;
+        lines it knows already, its own included, must change nothing."""
+        strategy = CoverageOptimizedStrategy()
+        strategy.notify_covered({0, 1})
+        strategy._weights[("main", 0)] = 16
+        strategy.notify_covered({0, 1})
+        assert strategy._weights == {("main", 0): 16}
+        strategy.notify_covered({0, 1, 2})
+        assert strategy._weights == {}
 
     def test_merge_is_monotone(self):
         overlay = CoverageOverlay(line_count=8)

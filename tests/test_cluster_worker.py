@@ -178,5 +178,4 @@ class TestOneWorkerIsTheSingleEngine:
         assert worker.paths_completed == result.paths_completed
         assert worker.stats.useful_instructions == result.useful_instructions
         assert worker.stats.replays == 0
-        assert executor.covered_lines == result.covered_lines
-        assert worker.coverage_view.known_covered() == result.covered_lines
+        assert worker.covered_lines == result.covered_lines

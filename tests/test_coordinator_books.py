@@ -164,7 +164,7 @@ def test_an_account_is_the_latest_report_whichever_kind_it_is(printf2):
 
     def hook(round_index, cl):
         kinds.append([h.status is not None
-                      and h.status.covered_lines is not None
+                      and h.status.frontier is not None
                       for h in cl.handles])
 
     cluster.round_hook = hook
@@ -174,7 +174,7 @@ def test_an_account_is_the_latest_report_whichever_kind_it_is(printf2):
         for handle in cluster.handles:
             assert set(vars(handle)) >= {"status", "dead"}
             assert "final" not in vars(handle)
-            assert handle.status.covered_lines is not None
+            assert handle.status.frontier is not None
             assert results[-1].worker_stats[handle.worker_id] \
                 is handle.status.stats
         assert results[-1].paths_completed == sum(
@@ -207,7 +207,7 @@ def test_member_lost_while_filing_its_end_of_run_report(printf2):
     lost = result.failed_worker_stats[1]
     (account,) = cluster.books.departed
     assert account.dead and lost is account.status.stats
-    assert account.status.covered_lines is None  # its last *brief* report
+    assert account.status.frontier is None  # its last *brief* report
     assert lost.useful_instructions > 0 and lost.paths_completed > 0
     assert lost.jobs_exported > 0 and lost.transfers > 0  # whole
     survivor = result.worker_stats[2]

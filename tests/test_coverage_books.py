@@ -1,17 +1,16 @@
 """Differential oracle: one line per step keeps the books the full diff kept.
 
-Until a step handed on just the line it executed, ``SymbolicExecutor.step``
-unioned every child's whole ``coverage`` into ``covered_lines`` and
-``Explorer.step_node`` diffed every child's whole ``coverage`` against the
-lines already handed on -- two costs that grow with the path, paid on every
-step.  That bookkeeping lives on here as the *reference*
-(:func:`reference_step_node`).  Each flow runs twice, once per
-implementation, and the two runs must agree on the sequence of line sets
-handed to ``strategy.notify_covered`` (through ``Explorer.new_lines``, its
-only caller), on ``executor.covered_lines`` after every step, and on every
-worker's final ``WorkerCoverageView`` bits.  The cluster flows are checked to
-contain the three ways a node comes to hold a state ``step_node`` did not
-produce: a replay, an export, and a bounced job revived from a fence.
+Until a step handed on just the line it executed, ``Explorer.step_node``
+diffed every child's whole ``coverage`` against the lines already handed on
+-- a cost that grows with the path, paid on every step.  That bookkeeping
+lives on here as the *reference* (:func:`reference_step_node`).  Each flow
+runs twice, once per implementation, and the two runs must agree on the
+sequence of line sets handed to ``strategy.notify_covered`` (through
+``Explorer.new_lines``), on ``explorer.covered_lines`` after every step, and
+on the coverage bits of every worker's last status.  The cluster flows are
+checked to contain the three ways a node comes to hold a state ``step_node``
+did not produce: a replay, an export, and a bounced job revived from a
+fence.
 The DFS flows take straight-line steps (a budget above one), which hand on
 the set of lines they ran through; the reference steps with the same budget.
 """
@@ -24,7 +23,7 @@ import pytest
 from repro import lang as L
 from repro.cluster.jobs import Job, JobTree
 from repro.cluster.worker import Worker
-from repro.distrib import specs
+from repro.distrib import DistribWorker, specs
 from repro.engine.explorer import Explorer
 
 from conftest import make_executor
@@ -45,8 +44,6 @@ def reference_step_node(self, node, budget=1):
         self.bugs.extend(result.bugs)
         self.test_cases.extend(result.test_cases)
     children = result.children
-    for child in children:
-        self.executor.covered_lines.update(child.coverage)
     told = self.covered_lines
     new: Set[int] = set()
     for child in children:
@@ -80,10 +77,15 @@ def keep_books(monkeypatch, step_node) -> Books:
     def recording_step(self, node, budget=1):
         result = step_node(self, node, budget)
         books.events.append(
-            ("covered", name_of(self), frozenset(self.executor.covered_lines)))
-        if isinstance(self, Worker):
-            books.views[self.worker_id] = self.coverage_view.local.as_int()
+            ("covered", name_of(self), frozenset(self.covered_lines)))
         return result
+
+    status = DistribWorker.status
+
+    def recording_status(self, full=False):
+        reply = status(self, full)
+        books.views[self.worker_id] = reply.coverage_bits
+        return reply
 
     new_lines = Explorer.new_lines
 
@@ -113,6 +115,7 @@ def keep_books(monkeypatch, step_node) -> Books:
 
     monkeypatch.setattr(Explorer, "step_node", recording_step)
     monkeypatch.setattr(Explorer, "new_lines", recording_new_lines)
+    monkeypatch.setattr(DistribWorker, "status", recording_status)
     monkeypatch.setattr(Worker, "import_jobs", counting_import)
     monkeypatch.setattr(Worker, "_materialize", counting_replay)
     monkeypatch.setattr(Worker, "export_jobs", counting_export)
@@ -241,4 +244,4 @@ def test_a_replay_time_fence_revived_before_its_sibling_ran_keeps_the_books(bran
     assert mine.flows["revived_fence"] == 1
     told = [lines for kind, _, lines in mine.events if kind == "told"]
     assert len(told) == 1 and len(told[0]) > 1
-    assert told[0] <= worker.executor.covered_lines
+    assert told[0] <= worker.covered_lines

@@ -18,6 +18,7 @@ from repro.distrib.cluster import (
 )
 from repro.distrib import messages
 from repro.obs.trace import load_trace
+from repro.engine.coverage import CoverageBitVector
 from repro.distrib.messages import (
     REPLY_OF,
     ErrorReply,
@@ -223,11 +224,12 @@ class TestEveryCommandHasItsReply:
         brief = worker.handle(ExploreCommand(budget=1000))
         full = worker.handle(ReportCommand())
         assert (brief.frontier, brief.bugs, brief.test_cases,
-                brief.covered_lines, brief.latency) == (None,) * 5
+                brief.latency) == (None,) * 4
         assert dataclasses.replace(
             full, frontier=None, bugs=None, test_cases=None,
-            covered_lines=None, latency=None) == brief
-        assert full.covered_lines == worker.worker.executor.covered_lines
+            latency=None) == brief
+        assert full.coverage_bits == CoverageBitVector.from_lines(
+            worker.line_count, worker.worker.covered_lines).as_int() != 0
         assert len(full.test_cases) == full.stats.paths_completed
         assert full.latency is worker.worker.executor.solver.query_seconds
         # The report is a copy: the worker keeps counting on its own.

@@ -120,7 +120,6 @@ class TestExecutorReuse:
         narrow = run(reused, max_paths=1)
         fresh = run(test.build_executor(), max_paths=1)
         assert narrow.covered_lines == fresh.covered_lines < wide.covered_lines
-        assert reused.covered_lines == wide.covered_lines  # cumulative
         # A coverage goal is the run's own too: it is met by exploring, not
         # by what an earlier run on this executor covered.
         again = run(reused, coverage_target=wide.coverage_percent)

@@ -155,8 +155,25 @@ def test_death_schedule_sweep(test_and_baseline):
                 assert sorted(tc.fork_trace
                               for tc in result.test_cases) == expected, label
                 assert result.covered_lines == baseline.covered_lines, label
+                assert (len(result.covered_lines)
+                        == result.timeline.snapshots[-1].covered_lines), label
                 fired += result.worker_failures
     assert fired >= 12, "most schedules never fired; tune the sweep"
+
+
+def test_a_dead_members_lines_count_in_the_result_as_in_the_round_record():
+    """Worker 2 loses the reply to its second import: the lines it covered
+    before it died are in the overlay, so the run's result reports them just
+    as its round record and its coverage goal do."""
+    test = specs.resolve_test("printf", format_length=3)
+    cluster = _faulty_cluster(test, victim=2, command=ImportCommand,
+                              occurrence=2, when="reply")
+    result = cluster.run(limits=LIMITS.merged(coverage_target=49.0))
+    assert result.worker_failures == 1
+    assert result.goal_reached
+    assert result.coverage_percent >= 49.0
+    assert (len(result.covered_lines)
+            == result.timeline.snapshots[-1].covered_lines)
 
 
 def test_respawn_replaces_the_dead_member(test_and_baseline, tmp_path):

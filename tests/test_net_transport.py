@@ -496,18 +496,18 @@ class TestHandshake:
             server.close()
 
     def test_version_mismatch_is_rejected_with_reason(self):
-        # Too new, and version 5: its agents speak pickles.
-        assert PROTOCOL_COMPAT_VERSION == PROTOCOL_VERSION == 6
+        # Too new, and version 6: its agents send StatusReply.covered_lines.
+        assert PROTOCOL_COMPAT_VERSION == PROTOCOL_VERSION == 7
         server = _server()
         clients = []
         try:
-            for rejected, version in enumerate((PROTOCOL_VERSION + 1, 5), 1):
+            for rejected, version in enumerate((PROTOCOL_VERSION + 1, 6), 1):
                 clients.append(_dial(server))
                 clients[-1].send(HelloMessage(protocol_version=version))
                 reply = clients[-1].recv(timeout=5.0)
                 assert isinstance(reply, RejectMessage)
                 assert "version mismatch" in reply.reason
-                assert "accepts 6..6, agent sent %d" % version in reply.reason
+                assert "accepts 7..7, agent sent %d" % version in reply.reason
                 wait_until(lambda expected=rejected:
                             server.handshakes_rejected == expected,
                             what="rejection count")

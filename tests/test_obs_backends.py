@@ -21,6 +21,7 @@ from repro.distrib.messages import (
     SeedCommand,
 )
 from repro.distrib.worker import DistribWorker
+from repro.engine.coverage import CoverageBitVector
 from repro.obs.report import analyze_trace
 from repro.obs.trace import load_trace
 from repro.testing.symbolic_test import SymbolicTest
@@ -188,7 +189,8 @@ class TestRemoval:
         assert worker.worker.stats.useful_instructions == before
         assert reply.queue_length == worker.worker.queue_length
         assert reply.frontier is not None
-        assert reply.covered_lines == worker.worker.executor.covered_lines
+        assert reply.coverage_bits == CoverageBitVector.from_lines(
+            worker.line_count, worker.worker.covered_lines).as_int() != 0
 
     @needs_fork
     def test_removal_is_traced(self, tmp_path):
@@ -254,7 +256,7 @@ class TestFaultTracing:
         # report, yet its piggybacked counters are in the aggregate.
         assert victim not in result.worker_stats
         assert state["account"].dead
-        assert state["account"].status.covered_lines is None
+        assert state["account"].status.frontier is None
         failed = state["account"].status.cache_counters
         assert failed["solver_queries"] > 0
         assert result.cache_stats["solver_queries"] >= (

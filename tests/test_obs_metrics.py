@@ -77,7 +77,7 @@ class TestStatsViews:
         reply = StatusReply(worker_id=7, queue_length=0, coverage_bits=0b101,
                             bugs_found=0, stats=stats, cache_counters={},
                             frontier=JobTree().encode(), bugs=(), test_cases=(),
-                            covered_lines=frozenset({0, 2}), latency=latency)
+                            latency=latency)
         (payload,) = FrameDecoder().feed(encode_message(reply))
         decoded = decode_message(payload)
         assert decoded.stats == stats

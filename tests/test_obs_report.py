@@ -1,6 +1,10 @@
 """The trace report: analysis reductions and the CLI."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from repro.obs.report import analyze_trace, main, render_report
 from repro.obs.trace import Tracer
@@ -110,3 +114,24 @@ class TestCli:
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main([str(tmp_path / "nope.jsonl")]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_a_reader_that_hangs_up_gets_no_traceback(self, tmp_path):
+        """``python -m repro.obs.report trace.jsonl | head -1``: the report
+        outgrows the pipe buffer, the reader leaves after one line, and the
+        CLI exits quietly instead of dying in a ``BrokenPipeError``."""
+        events = _synthetic_events()
+        transfer = events[2]
+        events[2:3] = [dict(transfer, seq=3 + i) for i in range(5000)]
+        path = tmp_path / "t.jsonl"
+        path.write_text("\n".join(json.dumps(e) for e in events) + "\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        child = subprocess.Popen(
+            [sys.executable, "-m", "repro.obs.report", str(path)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=str(src)))
+        assert child.stdout.readline() == b"== Run ==\n"
+        child.stdout.close()
+        err = child.stderr.read().decode()
+        child.stderr.close()
+        assert child.wait(timeout=60) == 1
+        assert "Traceback" not in err and "BrokenPipeError" not in err, err

@@ -257,7 +257,7 @@ def test_a_one_instruction_step_keeps_no_line_set():
     state = executor.make_initial_state()
     result = executor.step(state)
     assert result.instructions == 1 and result.lines is None
-    assert executor.covered_lines == {result.line}
+    assert state.coverage == {result.line}
 
 
 def test_a_step_runs_its_budget_and_no_further():
@@ -265,7 +265,7 @@ def test_a_step_runs_its_budget_and_no_further():
     state = executor.make_initial_state()
     result = executor.step(state, 25)
     assert result.instructions == 25 and result.children == [state]
-    assert result.lines == executor.covered_lines
+    assert result.lines == state.coverage
     assert executor.total_instructions == 25
     assert state.instructions_executed == 25
 

@@ -208,7 +208,7 @@ class TestCodec:
         reply = decode_message(b'["StatusReply",1,2,"3",0,[1],{}]')
         assert isinstance(reply, StatusReply)
         assert reply.stats.worker_id == 1 and reply.stats.paths_completed == 0
-        assert reply.frontier is None and reply.covered_lines is None
+        assert reply.frontier is None and reply.latency is None
 
     @pytest.mark.parametrize("payload, where", [
         (b'["StatusReply",1,2]', r"StatusReply: .*missing 4 required positional "
