@@ -58,18 +58,18 @@ over ``test.run``::
         print(workers, result.rounds_executed, result.paths_completed)
 """
 
-from repro import api, cluster, engine, lang, posix, solver, testing
-from repro.api import ExplorationLimits, RunResult
-from repro.cluster import ClusterConfig
-from repro.distrib import Cloud9Cluster
-from repro.engine import (
-    BugKind,
-    BugReport,
-    EngineConfig,
-    SymbolicExecutor,
-    TestCase,
-)
-from repro.testing import SymbolicTest
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro": ("api", "cluster", "distrib", "engine", "lang", "net", "obs",
+              "posix", "solver", "targets", "testing"),
+    "repro.api": ("ExplorationLimits", "RunResult"),
+    "repro.cluster": ("ClusterConfig",),
+    "repro.distrib": ("Cloud9Cluster",),
+    "repro.engine": ("BugKind", "BugReport", "EngineConfig",
+                     "SymbolicExecutor", "TestCase"),
+    "repro.testing": ("SymbolicTest",),
+})
 
 __version__ = "0.2.0"
 

@@ -26,14 +26,18 @@ layer up, in :mod:`repro.distrib`):
 Nothing here imports :mod:`repro.distrib` or :mod:`repro.net`.
 """
 
-from repro.cluster.checkpoint import ClusterCheckpoint
-from repro.cluster.core import ClusterConfig, StaticPartitionConfig
-from repro.cluster.jobs import Job, JobTree
-from repro.cluster.ledger import FrontierLedger, RecoveryJob
-from repro.cluster.load_balancer import LoadBalancer, TransferCommand
-from repro.cluster.overlay import CoverageOverlay
-from repro.cluster.stats import ClusterTimeline, WorkerStats
-from repro.cluster.worker import Worker
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.cluster.checkpoint": ("ClusterCheckpoint",),
+    "repro.cluster.core": ("ClusterConfig", "StaticPartitionConfig"),
+    "repro.cluster.jobs": ("Job", "JobTree"),
+    "repro.cluster.ledger": ("FrontierLedger", "RecoveryJob"),
+    "repro.cluster.load_balancer": ("LoadBalancer", "TransferCommand"),
+    "repro.cluster.overlay": ("CoverageOverlay",),
+    "repro.cluster.stats": ("ClusterTimeline", "WorkerStats"),
+    "repro.cluster.worker": ("Worker",),
+})
 
 __all__ = [
     "ClusterCheckpoint",

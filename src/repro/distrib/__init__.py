@@ -40,20 +40,17 @@ Public pieces:
   (:func:`~repro.distrib.specs.resolve_test` and friends).
 """
 
-from repro.distrib.cluster import (
-    ProcessCloud9Cluster,
-    ProcessClusterConfig,
-    TcpCloud9Cluster,
-    TcpClusterConfig,
-)
-from repro.distrib.coordinator import Coordinator
-from repro.distrib.loopback import (
-    Cloud9Cluster,
-    LoopbackTransport,
-    StaticPartitionCluster,
-)
-from repro.distrib.specs import available_specs, register_spec, resolve_test
-from repro.distrib.worker import DistribWorker
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.distrib.cluster": ("ProcessCloud9Cluster", "ProcessClusterConfig",
+                              "TcpCloud9Cluster", "TcpClusterConfig"),
+    "repro.distrib.coordinator": ("Coordinator",),
+    "repro.distrib.loopback": ("Cloud9Cluster", "LoopbackTransport",
+                               "StaticPartitionCluster"),
+    "repro.distrib.specs": ("available_specs", "register_spec", "resolve_test"),
+    "repro.distrib.worker": ("DistribWorker",),
+})
 
 __all__ = [
     "Coordinator",

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import multiprocessing
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 from repro.cluster.core import ClusterConfig
 from repro.distrib import specs
@@ -49,14 +49,15 @@ from repro.distrib.coordinator import (
     WorkerProcessError,
     _WorkerHandle,
 )
-from repro.distrib.worker import worker_main
 from repro.net.framing import DEFAULT_MAX_FRAME_SIZE
 from repro.net.heartbeat import (
     DEFAULT_HEARTBEAT_INTERVAL,
     DEFAULT_MISS_THRESHOLD,
 )
-from repro.net.server import AgentServer, NoPendingAgent
 from repro.net.transport import QueuePairTransport, reap_process
+
+if TYPE_CHECKING:  # the listener loads with the tcp backend
+    from repro.net.server import AgentServer
 
 __all__ = ["ProcessClusterConfig", "ProcessCloud9Cluster",
            "TcpClusterConfig", "TcpCloud9Cluster", "WorkerProcessError"]
@@ -163,6 +164,7 @@ class ProcessCloud9Cluster(Coordinator):
     def _launch(self) -> _WorkerHandle:
         """Start one worker process on its queue pair (without waiting for
         its ReadyReply)."""
+        from repro.distrib.worker import worker_main
         worker_id = self._take_worker_id()
         ctx = default_mp_context()
         command_queue = ctx.Queue()
@@ -199,6 +201,7 @@ class TcpCloud9Cluster(ProcessCloud9Cluster):
         self._open_server()
 
     def _open_server(self) -> AgentServer:
+        from repro.net.server import AgentServer
         self.server = AgentServer(
             spec_name=self.spec_name,
             spec_params=self.spec_params,
@@ -231,6 +234,7 @@ class TcpCloud9Cluster(ProcessCloud9Cluster):
         """Admit the next dialed-in agent from the pending pool (first
         spawning a loopback agent of our own under
         ``spawn_local_agents=True``), without waiting for its ReadyReply."""
+        from repro.net.server import NoPendingAgent
         worker_id = self._take_worker_id()
         # Re-running after a completed run() finds the listener closed.
         server = self.server or self._open_server()

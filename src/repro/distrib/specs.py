@@ -10,8 +10,10 @@ private program, executor, solver and strategy -- the shared-nothing worker
 the paper's architecture requires.  From then on, only ``(spec, path)`` jobs
 and status/transfer messages cross the process boundary.
 
-Every target under :mod:`repro.targets` is pre-registered (lazily, on first
-lookup).  User code adds its own with :func:`register_spec`; when using the
+Every target under :mod:`repro.targets` is a stock spec, listed below as the
+model module and factory it names: a lookup imports that one module, so a
+process rebuilding a test loads one model, not all of them.  User code adds
+its own specs with :func:`register_spec`; when using the
 ``"spawn"`` start method, list the registering module in
 ``ProcessClusterConfig.spec_modules`` so child processes import it too
 (``"fork"``, the default where available, inherits the parent's registry).
@@ -19,17 +21,48 @@ lookup).  User code adds its own with :func:`register_spec`; when using the
 
 from __future__ import annotations
 
+import functools
+import importlib
 import threading
-from typing import Callable, Dict, List, TYPE_CHECKING
+from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - avoid import cycle at module load
     from repro.testing.symbolic_test import SymbolicTest
 
 SpecFactory = Callable[..., "SymbolicTest"]
 
+#: Registered specs, and the stock ones looked up so far.
 _REGISTRY: Dict[str, SpecFactory] = {}
 _LOCK = threading.Lock()
-_BUILTINS_LOADED = False
+
+#: The stock specs: name -> (module under :mod:`repro.targets`, its factory,
+#: and optionally the module constant the factory takes first).
+_BUILTINS: Dict[str, Tuple[str, ...]] = {
+    "printf": ("printf", "make_symbolic_test"),
+    "testcmd": ("testcmd", "make_symbolic_test"),
+    "memcached-packets": ("memcached", "make_symbolic_packets_test"),
+    "memcached-binary": ("memcached", "make_binary_suite_test"),
+    "memcached-fault": ("memcached", "make_fault_injection_test"),
+    "memcached-udp-hang": ("memcached", "make_udp_hang_test"),
+    "ghttpd": ("ghttpd", "make_symbolic_test"),
+    "httpd-header": ("httpd", "make_symbolic_header_test"),
+    "httpd-fault": ("httpd", "make_fault_injection_test"),
+    "curl-glob": ("curl", "make_globbing_test"),
+    "libevent": ("libevent", "make_symbolic_test"),
+    "rsync": ("rsync", "make_symbolic_test"),
+    "pbzip": ("pbzip", "make_symbolic_test"),
+    "bandicoot": ("bandicoot", "make_get_exploration_test"),
+    "prodcons": ("prodcons", "make_benchmark_test"),
+    "lighttpd-frag-1.4.12": ("lighttpd", "make_symbolic_fragmentation_test",
+                             "VERSION_1_4_12"),
+    "lighttpd-frag-1.4.13": ("lighttpd", "make_symbolic_fragmentation_test",
+                             "VERSION_1_4_13"),
+    "lighttpd-frag-fixed": ("lighttpd", "make_symbolic_fragmentation_test",
+                            "VERSION_FIXED"),
+}
+#: ``coreutils-<utility>`` is a stock spec for every utility of the
+#: Coreutils model (``make_utility_test(utility, ...)``).
+_COREUTILS = "coreutils-"
 
 __all__ = ["register_spec", "get_spec", "resolve_test", "available_specs"]
 
@@ -59,14 +92,17 @@ def register_spec(name: str, factory: SpecFactory,
 
 
 def get_spec(name: str) -> SpecFactory:
-    _ensure_builtins()
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise ValueError(
-            "unknown test spec %r (available: %s); register it with "
-            "repro.distrib.specs.register_spec" %
-            (name, ", ".join(available_specs()))) from None
+    factory = _REGISTRY.get(name)
+    if factory is None:
+        factory = _builtin(name)
+        if factory is None:
+            raise ValueError(
+                "unknown test spec %r (available: %s); register it with "
+                "repro.distrib.specs.register_spec" %
+                (name, ", ".join(available_specs())))
+        with _LOCK:
+            factory = _REGISTRY.setdefault(name, factory)
+    return factory
 
 
 def resolve_test(name: str, **params: object) -> "SymbolicTest":
@@ -82,63 +118,31 @@ def resolve_test(name: str, **params: object) -> "SymbolicTest":
 
 
 def available_specs() -> List[str]:
-    _ensure_builtins()
-    return sorted(_REGISTRY)
+    """Every spec name, stock and registered.  Imports every target model,
+    so one that fails to import fails this call -- every call, until it is
+    fixed -- rather than dropping out of the list."""
+    coreutils = importlib.import_module("repro.targets.coreutils")
+    names = set(_BUILTINS)
+    names.update(_COREUTILS + utility for utility in coreutils.utility_names())
+    for name in sorted(names):
+        get_spec(name)
+    return sorted(names | set(_REGISTRY))
 
 
-# -- built-in specs: everything under repro/targets/ ------------------------------------
-
-
-def _ensure_builtins() -> None:
-    """Register the stock targets on first use.
-
-    Deferred because importing :mod:`repro.targets` pulls in the testing and
-    api layers; doing it at module-import time would create a cycle.
-    """
-    global _BUILTINS_LOADED
-    with _LOCK:
-        if _BUILTINS_LOADED:
-            return
-        from repro.targets import (
-            bandicoot, coreutils, curl, ghttpd, httpd, libevent, lighttpd,
-            memcached, pbzip, printf, prodcons, rsync, testcmd)
-        from repro.targets.lighttpd import (
-            VERSION_1_4_12, VERSION_1_4_13, VERSION_FIXED)
-
-        def _lighttpd_factory(version):
-            def factory(**params):
-                return lighttpd.make_symbolic_fragmentation_test(version, **params)
-            return factory
-
-        def _coreutils_factory(utility):
-            def factory(**params):
-                return coreutils.make_utility_test(utility, **params)
-            return factory
-
-        builtins: Dict[str, SpecFactory] = {
-            "printf": printf.make_symbolic_test,
-            "testcmd": testcmd.make_symbolic_test,
-            "memcached-packets": memcached.make_symbolic_packets_test,
-            "memcached-binary": memcached.make_binary_suite_test,
-            "memcached-fault": memcached.make_fault_injection_test,
-            "memcached-udp-hang": memcached.make_udp_hang_test,
-            "ghttpd": ghttpd.make_symbolic_test,
-            "httpd-header": httpd.make_symbolic_header_test,
-            "httpd-fault": httpd.make_fault_injection_test,
-            "curl-glob": curl.make_globbing_test,
-            "libevent": libevent.make_symbolic_test,
-            "rsync": rsync.make_symbolic_test,
-            "pbzip": pbzip.make_symbolic_test,
-            "bandicoot": bandicoot.make_get_exploration_test,
-            "prodcons": prodcons.make_benchmark_test,
-            "lighttpd-frag-1.4.12": _lighttpd_factory(VERSION_1_4_12),
-            "lighttpd-frag-1.4.13": _lighttpd_factory(VERSION_1_4_13),
-            "lighttpd-frag-fixed": _lighttpd_factory(VERSION_FIXED),
-        }
-        for utility in coreutils.utility_names():
-            builtins["coreutils-%s" % utility] = _coreutils_factory(utility)
-        for name, factory in builtins.items():
-            _REGISTRY.setdefault(name, factory)
-        # Only now: an import that raised above must raise again on the next
-        # call, not leave an empty registry behind.
-        _BUILTINS_LOADED = True
+def _builtin(name: str) -> Optional[SpecFactory]:
+    """The stock factory called ``name`` (importing its target module), or
+    None when no stock spec has that name."""
+    if name.startswith(_COREUTILS):
+        coreutils = importlib.import_module("repro.targets.coreutils")
+        utility = name[len(_COREUTILS):]
+        if utility not in coreutils.utility_names():
+            return None
+        return functools.partial(coreutils.make_utility_test, utility)
+    entry = _BUILTINS.get(name)
+    if entry is None:
+        return None
+    module = importlib.import_module("repro.targets." + entry[0])
+    factory: SpecFactory = getattr(module, entry[1])
+    if len(entry) > 2:
+        factory = functools.partial(factory, getattr(module, entry[2]))
+    return factory

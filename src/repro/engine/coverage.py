@@ -9,7 +9,7 @@ harness (Table 5, Figures 8 and 11).
 
 from __future__ import annotations
 
-from typing import Annotated, Iterable, Iterator, Set
+from typing import Annotated, Iterable, Set
 
 #: A vector's bits packed into an int (:meth:`CoverageBitVector.as_int`), as
 #: messages and checkpoints carry it.  Marked so serializers write it as hex:
@@ -39,11 +39,6 @@ class CoverageBitVector:
         if 0 <= line < self.size:
             self._bits |= 1 << line
 
-    def get(self, line: int) -> bool:
-        if not 0 <= line < self.size:
-            return False
-        return bool(self._bits >> line & 1)
-
     def or_with(self, other: "CoverageBitVector") -> "CoverageBitVector":
         """In-place OR (the LB-side merge); returns self for chaining."""
         if other.size != self.size:
@@ -62,9 +57,6 @@ class CoverageBitVector:
     def covered_lines(self) -> Set[int]:
         return {i for i in range(self.size) if self._bits >> i & 1}
 
-    def copy(self) -> "CoverageBitVector":
-        return CoverageBitVector(self.size, self._bits)
-
     def as_int(self) -> int:
         """The raw bits, e.g. for piggybacking on a status-update message."""
         return self._bits
@@ -73,13 +65,6 @@ class CoverageBitVector:
         if not isinstance(other, CoverageBitVector):
             return NotImplemented
         return self.size == other.size and self._bits == other._bits
-
-    def __len__(self) -> int:
-        return self.size
-
-    def __iter__(self) -> Iterator[bool]:
-        for i in range(self.size):
-            yield bool(self._bits >> i & 1)
 
     def __repr__(self) -> str:
         return "CoverageBitVector(%d/%d lines)" % (self.count(), self.size)

@@ -31,28 +31,20 @@ carrier and the agent server are
 :class:`~repro.distrib.cluster.TcpClusterConfig` (``backend="tcp"``).
 """
 
-from repro.net.framing import (
-    DEFAULT_MAX_FRAME_SIZE,
-    FrameCorruptError,
-    FrameDecoder,
-    FrameError,
-    FrameTooLarge,
-    encode_frame,
-)
-from repro.net.heartbeat import HeartbeatMonitor, HeartbeatSender
-from repro.net.server import AgentServer, NoPendingAgent
-from repro.net.transport import (
-    PROTOCOL_VERSION,
-    HelloMessage,
-    QueuePairTransport,
-    ReceiveTimeout,
-    RejectMessage,
-    TcpTransport,
-    Transport,
-    TransportClosed,
-    TransportError,
-    WelcomeMessage,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.net.framing": ("DEFAULT_MAX_FRAME_SIZE", "FrameCorruptError",
+                          "FrameDecoder", "FrameError", "FrameTooLarge",
+                          "encode_frame"),
+    "repro.net.heartbeat": ("HeartbeatMonitor", "HeartbeatSender"),
+    "repro.net.server": ("AgentServer", "NoPendingAgent"),
+    "repro.net.transport": ("PROTOCOL_VERSION", "HelloMessage",
+                            "QueuePairTransport", "ReceiveTimeout",
+                            "RejectMessage", "TcpTransport", "Transport",
+                            "TransportClosed", "TransportError",
+                            "WelcomeMessage"),
+})
 
 __all__ = [
     "DEFAULT_MAX_FRAME_SIZE", "FrameError", "FrameTooLarge",

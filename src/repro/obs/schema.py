@@ -96,6 +96,10 @@ class RoundSnapshot:
     coverage_percent: float
     covered_lines: int
     paths_completed: int
+    #: Bug reports so far, one per path that reached a bug -- not distinct
+    #: defects: a defect that two paths reach counts twice here and once in
+    #: ``run_finished``'s ``bugs`` and ``RunResult.bugs``
+    #: (:func:`~repro.engine.result.dedupe_bugs`).
     bugs_found: int
     total_candidates: int
     #: Live (exploring) workers -- the elastic-membership trace.

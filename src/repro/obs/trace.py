@@ -50,7 +50,6 @@ import json
 import os
 import threading
 import time
-import uuid
 from typing import Any, Callable, Dict, Iterable, List, Optional, Union
 
 from repro.obs.metrics import Histogram
@@ -132,7 +131,7 @@ class Tracer:
     def __init__(self, path: str, run_id: Optional[str] = None,
                  validate: Any = None):
         self.path = str(path)
-        self.run_id = run_id or uuid.uuid4().hex[:8]
+        self.run_id = run_id or os.urandom(4).hex()
         self._fd: Optional[int] = os.open(
             self.path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_APPEND,
             0o644)

@@ -34,23 +34,11 @@ The models are not line-by-line ports of the original C code; they recreate
 the *path structure* the paper's experiments depend on (which inputs crash,
 hang, or cover new code): each target stands in for its original only as far
 as the figure, table or case study named above needs.
-"""
 
-from repro.targets import (
-    bandicoot,
-    coreutils,
-    curl,
-    ghttpd,
-    httpd,
-    libevent,
-    lighttpd,
-    memcached,
-    pbzip,
-    printf,
-    prodcons,
-    rsync,
-    testcmd,
-)
+Importing this package imports none of them: a run imports the one model its
+spec names (:mod:`repro.distrib.specs`), and ``from repro.targets import
+memcached`` imports that module alone.
+"""
 
 __all__ = [
     "bandicoot",

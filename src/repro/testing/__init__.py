@@ -9,8 +9,12 @@ A batch of tests is a loop over ``test.run``; Table 5's combined coverage
 accounting is built from the results with :class:`CoverageAccounting`.
 """
 
-from repro.testing.symbolic_test import SymbolicTest
-from repro.testing.report import CoverageAccounting, MethodCoverage
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.testing.symbolic_test": ("SymbolicTest",),
+    "repro.testing.report": ("CoverageAccounting", "MethodCoverage"),
+})
 
 __all__ = [
     "SymbolicTest",

@@ -43,13 +43,13 @@ what ran.  Every backend returns the same
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, Optional, Type, TypeVar, Union, cast
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Optional, Type,
+                    TypeVar, Union, cast)
 
 from repro.cluster.core import ClusterConfig, StaticPartitionConfig
 from repro.distrib.cluster import (ProcessCloud9Cluster, ProcessClusterConfig,
                                    TcpCloud9Cluster, TcpClusterConfig)
 from repro.distrib.coordinator import Coordinator
-from repro.distrib.loopback import Cloud9Cluster, StaticPartitionCluster
 from repro.engine.config import EngineConfig
 from repro.engine.executor import SymbolicExecutor
 from repro.engine.limits import ExplorationLimits
@@ -59,6 +59,9 @@ from repro.lang.ast import Program
 from repro.lang.compiler import CompiledProgram, compile_program
 from repro.posix.model import install_posix_model
 from repro.solver.solver import Solver, SolverConfig
+
+if TYPE_CHECKING:  # the in-process shells are imported by the runs using them
+    from repro.distrib.loopback import Cloud9Cluster, StaticPartitionCluster
 
 #: Every name :meth:`SymbolicTest.run` accepts as ``backend=``.
 BACKENDS = ("cluster", "process", "single", "static", "tcp")
@@ -240,9 +243,10 @@ class SymbolicTest:
         return config
 
     def build_cluster(self, config: Optional[ClusterConfig] = None,
-                      cluster_class: Type[Cloud9Cluster] = Cloud9Cluster
+                      cluster_class: Optional[Type[Cloud9Cluster]] = None
                       ) -> Cloud9Cluster:
-        return cluster_class(
+        from repro.distrib.loopback import Cloud9Cluster
+        return (cluster_class or Cloud9Cluster)(
             executor_factory=self.build_executor,
             state_factory=self.build_initial_state,
             config=self._own_strategy(config or ClusterConfig()),
@@ -251,6 +255,7 @@ class SymbolicTest:
     def build_static_cluster(self, config: Optional[StaticPartitionConfig] = None
                              ) -> StaticPartitionCluster:
         """The §2 static-partitioning baseline (for the ablation benchmarks)."""
+        from repro.distrib.loopback import StaticPartitionCluster
         return StaticPartitionCluster(
             executor_factory=self.build_executor,
             state_factory=self.build_initial_state,

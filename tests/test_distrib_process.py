@@ -85,7 +85,6 @@ class TestSpecRegistry:
         same way until it is fixed, not leave an empty registry behind."""
         import repro.targets
         monkeypatch.setattr(specs, "_REGISTRY", {})
-        monkeypatch.setattr(specs, "_BUILTINS_LOADED", False)
         with monkeypatch.context() as broken:
             broken.delattr(repro.targets, "rsync")
             broken.setitem(sys.modules, "repro.targets.rsync", None)

@@ -7,18 +7,19 @@ from hypothesis import given, settings, strategies as st
 from repro.engine.coverage import CoverageBitVector
 
 
-def test_set_and_get():
+def test_set_covers_one_line():
     vector = CoverageBitVector(10)
     vector.set(3)
-    assert vector.get(3)
-    assert not vector.get(4)
+    assert vector.covered_lines() == {3}
+    assert vector.as_int() == 1 << 3
 
 
 def test_out_of_range_ignored():
     vector = CoverageBitVector(10)
     vector.set(99)
     assert vector.count() == 0
-    assert not vector.get(99)
+    assert vector.covered_lines() == set()
+    assert vector.as_int() == 0
 
 
 def test_count_and_percent():
@@ -49,17 +50,19 @@ def test_as_int_roundtrip():
     assert a == b
 
 
-def test_iteration_and_len():
+def test_lines_and_bits_agree():
     vector = CoverageBitVector.from_lines(4, [1, 3])
-    assert list(vector) == [False, True, False, True]
-    assert len(vector) == 4
+    assert vector.covered_lines() == {1, 3}
+    assert vector.as_int() == 0b1010
+    assert vector.size == 4
 
 
-def test_copy_is_independent():
+def test_vector_rebuilt_from_bits_is_independent():
     a = CoverageBitVector.from_lines(8, [1])
-    b = a.copy()
+    b = CoverageBitVector(a.size, a.as_int())
     b.set(2)
-    assert not a.get(2)
+    assert a.covered_lines() == {1}
+    assert b.covered_lines() == {1, 2}
 
 
 def test_negative_size_rejected():

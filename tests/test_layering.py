@@ -1,7 +1,8 @@
 """The package layering, as module-level imports state it.
 
 ``obs``/``lang`` <- ``solver`` <- ``engine`` <- {``posix``, ``cluster``} <-
-``distrib`` (+ ``net``) <- ``api`` <- ``testing`` <- ``targets``: a package
+``distrib`` (+ ``net``) <- ``api`` <- ``testing`` <- ``targets``, with the
+lazy re-export helper ``_lazy`` at the bottom: a package
 imports, at module level, only from its own layer or a lower one.  (An import
 inside a function or under ``if TYPE_CHECKING:`` is a stated exception where
 it stands.)
@@ -11,7 +12,7 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
-LAYERS = [{"obs", "lang"}, {"solver"}, {"engine"}, {"posix", "cluster"},
+LAYERS = [{"_lazy"}, {"obs", "lang"}, {"solver"}, {"engine"}, {"posix", "cluster"},
           {"distrib", "net"}, {"api"}, {"testing"}, {"targets"}]
 RANK = {package: rank for rank, layer in enumerate(LAYERS) for package in layer}
 
@@ -34,7 +35,9 @@ def _imported_packages(path):
 def test_no_package_imports_from_a_higher_layer():
     upward = sorted(
         "%s imports repro.%s" % (path.relative_to(SRC), target)
-        for package in RANK for path in (SRC / package).rglob("*.py")
+        for package in RANK
+        for path in ((SRC / package).rglob("*.py") if (SRC / package).is_dir()
+                     else [SRC / ("%s.py" % package)])
         for target in _imported_packages(path)
         if RANK[target] > RANK[package])
     assert upward == []
@@ -42,4 +45,5 @@ def test_no_package_imports_from_a_higher_layer():
 
 def test_every_package_has_a_layer():
     packages = {p.name for p in SRC.iterdir() if (p / "__init__.py").exists()}
-    assert packages == set(RANK)
+    modules = {p.stem for p in SRC.glob("*.py") if p.stem != "__init__"}
+    assert packages | modules == set(RANK)

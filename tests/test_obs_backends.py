@@ -7,6 +7,7 @@ import signal
 
 import pytest
 
+from repro import lang as L
 from repro.api import ExplorationLimits
 from repro.distrib import specs
 from repro.distrib.cluster import (
@@ -131,6 +132,33 @@ class TestTracePerBackend:
         assert keys["cluster"] - keys["single"] == {
             "rounds", "round_time_p50", "round_time_p99"}
         assert "instructions" not in keys["single"]
+
+    @pytest.mark.parametrize("backend", ["single", "cluster"])
+    def test_round_records_count_reports_the_result_counts_defects(
+            self, backend, tmp_path):
+        """Both paths of this program fail its one assert: the last round
+        record's ``bugs_found`` counts the two bug reports, while
+        ``run_finished`` and the result count the one defect."""
+        program = L.program("one-assert", L.func(
+            "main", [],
+            L.decl("buf", L.call("cloud9_symbolic_buffer", 1,
+                                 L.strconst("input"))),
+            L.decl("x", 0),
+            L.if_(L.eq(L.index(L.var("buf"), 0), ord("!")),
+                  [L.assign("x", 1)], [L.assign("x", 2)]),
+            L.assert_(L.eq(L.var("x"), 0)),
+            L.ret(0)))
+        path = tmp_path / f"{backend}.jsonl"
+        options = {} if backend == "single" else {"workers": 2}
+        result = SymbolicTest("one-assert", program, use_posix_model=False).run(
+            backend=backend, trace_path=str(path), **options)
+        events = load_trace(str(path))
+        rounds = [e for e in events if e["event"] == "round_completed"]
+        assert result.paths_completed == 2
+        assert rounds[-1]["bugs_found"] == 2
+        assert events[-1]["event"] == "run_finished"
+        assert events[-1]["bugs"] == 1
+        assert len(result.bugs) == 1
 
     def test_report_reads_a_real_cluster_trace(self, tmp_path):
         """``analyze_trace`` reads the keys the coordinator writes: a stale
