@@ -22,12 +22,14 @@ subtrees nested inside it that still belong to live workers.  Requeuing those
 jobs to survivors (importing the root as a virtual candidate and the fences
 as fence nodes) makes the cluster re-explore exactly the dead worker's
 territory and nothing else, so a deterministic run converges to the same
-explored tree as a crash-free one.
+explored tree as a crash-free one.  ``take_over(w, job)`` books such a job
+on survivor ``w``: the root acquired, the fences that are not ``w``'s own
+ceded.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 Path = Tuple[int, ...]
 
@@ -130,6 +132,29 @@ class FrontierLedger:
             self._ceded[worker_id].add(path)
 
     # -- recovery ------------------------------------------------------------------
+
+    def take_over(self, worker_id: int, job: RecoveryJob) -> None:
+        """Survivor ``worker_id`` takes a dead worker's ``job``: it acquires
+        the root and cedes the fences that are not its own.
+
+        What the survivor holds inside such a foreign fence (a job handed
+        to it from the dead worker's hole) stays as it was: the acquire
+        would subsume it and the cede cut it out again, leaving it to no
+        one.
+        """
+        foreign = [fence for fence in job.fences
+                   if not self.covers(worker_id, fence)]
+
+        def inside(paths: Iterable[Path]) -> Set[Path]:
+            return {p for p in paths if any(_within(p, f) for f in foreign)}
+
+        nested_owned = inside(self._owned.get(worker_id, ()))
+        nested_ceded = inside(self._ceded.get(worker_id, ()))
+        self.acquire(worker_id, job.root)
+        for fence in foreign:
+            self.cede(worker_id, fence)
+        self._owned[worker_id] |= nested_owned
+        self._ceded[worker_id] |= nested_ceded
 
     def recovery_jobs(self, worker_id: int) -> List[RecoveryJob]:
         """The dead worker's territory as requeueable jobs (sorted, stable)."""

@@ -180,7 +180,12 @@ class Worker(Explorer):
                 # would orphan its state; stepping it later covers the same
                 # interior fork anyway.
                 continue
-            if not interior.is_dead:
+            if interior.is_fence:
+                # A fence stays one: another member explores below it, and
+                # ``_graft`` would revive a dead virtual child.  Like a
+                # dead interior, it keeps no state.
+                interior.state = None
+            elif not interior.is_dead:
                 interior.mark_dead()
         for fence_path, fence_state in outcome.fence_states:
             if self._ours_to_explore(fence_path):

@@ -513,11 +513,7 @@ class Coordinator:
             handle = min(self.handles, key=lambda h: h.queue_length)
             # Fences are live territory inside the root -- possibly the
             # survivor's own, which it keeps rather than cedes.
-            foreign = [fence for fence in job.fences
-                       if not self.ledger.covers(handle.worker_id, fence)]
-            self.ledger.acquire(handle.worker_id, job.root)
-            for fence in foreign:
-                self.ledger.cede(handle.worker_id, fence)
+            self.ledger.take_over(handle.worker_id, job)
             tree = JobTree.from_jobs([Job(job.root)])
             imported = self._import_into(handle, ImportCommand(
                 encoded_jobs=tree.encode(), fence_paths=job.fences,

@@ -77,14 +77,15 @@ def register_spec(name: str, factory: SpecFactory,
     forked workers receive pickled and tcp agents as JSON
     (:mod:`repro.net.framing`).  Given the same arguments it must build the
     same program (path replay across processes relies on deterministic
-    fork structure).
+    fork structure).  A name already taken -- registered, or a stock spec
+    whether looked up yet or not -- is refused unless ``replace=True``.
     """
     if not name or not isinstance(name, str):
         raise ValueError("spec name must be a non-empty string")
     if not callable(factory):
         raise TypeError("spec factory must be callable, got %r" % (factory,))
     with _LOCK:
-        if not replace and name in _REGISTRY:
+        if not replace and (name in _REGISTRY or _is_stock(name)):
             raise ValueError("spec %r is already registered "
                              "(pass replace=True to override)" % name)
         _REGISTRY[name] = factory
@@ -127,6 +128,14 @@ def available_specs() -> List[str]:
     for name in sorted(names):
         get_spec(name)
     return sorted(names | set(_REGISTRY))
+
+
+def _is_stock(name: str) -> bool:
+    """Whether ``name`` is a stock spec, looked up yet or not."""
+    if name.startswith(_COREUTILS):
+        coreutils = importlib.import_module("repro.targets.coreutils")
+        return name[len(_COREUTILS):] in coreutils.utility_names()
+    return name in _BUILTINS
 
 
 def _builtin(name: str) -> Optional[SpecFactory]:

@@ -23,8 +23,10 @@ checked) and loads is also *generated*: one Python function whose
 all-concrete case is inline integer arithmetic, written out from the
 operator templates of :mod:`repro.engine.values` -- the one definition of
 concrete semantics.  A variable that is missing or not an ``int``, or a
-loaded byte that is symbolic, sends it to the closure handler, which starts
-the instruction again from the top (the generated part only reads).  Code
+loaded byte that is symbolic, makes it return its closure handler, which
+``run_line`` runs to start the instruction again from the top (the
+generated part only reads).  A concrete load at an object's base address
+reads the cell in the one call the generated function makes.  Code
 objects are cached per process, keyed by their source, so a second executor
 of the same program compiles nothing.
 
@@ -34,9 +36,15 @@ locals and the program counter changed (``ASSIGN``, ``JUMP``, a concrete
 otherwise.  ``run_line`` checks nothing after a ``None`` but the step's
 instruction stop; after a list it checks the children, the state's status,
 its current thread, ``force_reschedule`` and the instruction limit (only a
-native changes ``state.options``).  The decoded table lives on the
-interpreter, one entry per function, built when the function is first
-entered: ``Instruction``/``CompiledProgram`` stay plain data (``repro.lang``
+native changes ``state.options``).  A state's books
+(``instructions_executed``, ``coverage``) are written once per stretch of
+generated handlers and ``JUMP``s, which cannot read them: ``run_line``
+counts those in locals and writes them, with only the lines new since the
+last write, before any other handler or a closure fallback runs, before an
+instruction's exception ends the state, and when the line ends.  The
+decoded table lives on the interpreter: per function, one ``(line,
+handler, booked_later)`` entry per instruction, built when the function is
+first entered: ``Instruction``/``CompiledProgram`` stay plain data (``repro.lang``
 knows nothing of the engine), nothing is decoded at construction, and a
 native is still looked up by name on every call, so late registration keeps
 working.
@@ -47,7 +55,7 @@ from __future__ import annotations
 import builtins
 from types import CodeType, FunctionType
 from typing import (Any, Callable, Dict, List, Optional, Sequence, Set,
-                    Tuple)
+                    Tuple, Union)
 
 from repro.engine.config import EngineConfig
 from repro.engine.errors import BugKind, BugReport
@@ -108,7 +116,12 @@ Evaluator = Callable[[ExecutionState, Frame], Value]
 #: returns ``None`` when it went straight on, else the ordered successors.
 Handler = Callable[[ExecutionState, Thread, Frame],
                    Optional[List[ExecutionState]]]
-DecodedFunction = List[Tuple[int, Handler]]
+#: A generated instruction: returns ``None`` when it went straight on, else
+#: its closure handler, which runs the instruction again from the top.
+Generated = Callable[[ExecutionState, Thread, Frame], Optional[Handler]]
+#: ``(line, handler, booked_later)`` per instruction; ``booked_later``: the
+#: handler is generated or a ``JUMP``, so it cannot read the state's books.
+DecodedFunction = List[Tuple[int, Union[Handler, Generated], bool]]
 
 #: How many generated code objects a process keeps (the oldest goes first).
 _CODE_CACHE_SIZE = 4096
@@ -126,6 +139,11 @@ class DivisionByZeroError(Exception):
     :meth:`Interpreter.run_line` into a ``DIVISION_BY_ZERO`` bug report, the
     same way KLEE turns a zero divisor into a test case.
     """
+
+
+#: What an instruction raises to end its state rather than the run.
+_ENDS_THE_STATE = (MemoryError_, DivisionByZeroError, NativeBug, ExitProcess,
+                   ExitState)
 
 
 def _raiser(message: str) -> Evaluator:
@@ -167,7 +185,13 @@ class Interpreter:
         enabled; ``force_reschedule`` set; the path's instruction limit
         (``options["max_instructions"]``, else ``default_limit``) reached;
         ``budget`` instructions.  Every instruction is booked on the state
-        (``instructions_executed``, ``coverage``).
+        (``instructions_executed``, ``coverage``) before anything can read
+        it: a generated handler or a ``JUMP`` only reads locals and moves
+        the pc, so the instructions and lines they run are counted here and
+        written to the state before any other handler runs, before a
+        generated handler's closure takes over, before an instruction's
+        exception ends the state, and when the line ends.  Each write adds
+        only the lines run since the previous one.
 
         Returns the last executed line, the ordered states that instruction
         produced (the input state always among them, possibly terminated),
@@ -190,45 +214,53 @@ class Interpreter:
         limit: Any = options.get("max_instructions", default_limit)
         stop = (budget if limit is None
                 else min(budget, int(limit) - state.instructions_executed))
-        instructions = 0
-        lines: Optional[Set[int]] = None
-        while True:
-            try:
-                line, handler = code[frame.pc]
-            except IndexError:
-                raise EngineInternalError(
-                    "program counter %d out of range in %s"
-                    % (frame.pc, function)) from None
-            state.instructions_executed += 1
-            coverage.add(line)
-            instructions += 1
-            try:
-                children = handler(state, thread, frame)
-            except MemoryError_ as exc:
-                children = [self._terminate_error(
-                    state, BugKind.MEMORY_ERROR, str(exc), line)]
-                break
-            except DivisionByZeroError as exc:
-                children = [self._terminate_error(
-                    state, BugKind.DIVISION_BY_ZERO, str(exc), line)]
-                break
-            except NativeBug as exc:
-                children = [self._terminate_error(
-                    state, exc.kind, exc.message, line)]
-                break
-            except ExitProcess as exc:
-                children = [self._exit_process(state, exc.code)]
-                break
-            except ExitState as exc:
-                state.terminate(exc.code)
-                children = [state]
-                break
-            if children is None:
-                # Straight on: nothing but locals and the pc changed.
-                if instructions >= stop:
-                    children = [state]
+        instructions = booked = 0
+        lines: Set[int] = set()  # the lines of the instructions booked
+        fresh: Set[int] = set()  # and of those run since
+        children: Any
+        try:
+            while True:
+                try:
+                    line, handler, booked_later = code[frame.pc]
+                except IndexError:
+                    raise EngineInternalError(
+                        "program counter %d out of range in %s"
+                        % (frame.pc, function)) from None
+                instructions += 1
+                fresh.add(line)
+                try:
+                    if booked_later:
+                        children = handler(state, thread, frame)
+                        if children is None:
+                            # Straight on: nothing but locals and the pc
+                            # changed.
+                            if instructions >= stop:
+                                children = [state]
+                                break
+                            continue
+                        # An operand that is not a concrete int: the
+                        # closure runs the instruction from the top.
+                        handler = children
+                    state.instructions_executed += instructions - booked
+                    booked = instructions
+                    coverage.update(fresh)
+                    lines.update(fresh)
+                    fresh.clear()
+                    children = handler(state, thread, frame)
+                except _ENDS_THE_STATE as exc:
+                    # Ended here: ``exc`` kept in a local past this block
+                    # would make a cycle with its traceback and this frame,
+                    # left to the collector with every state it holds.
+                    state.instructions_executed += instructions - booked
+                    booked = instructions
+                    coverage.update(fresh)
+                    children = [self._terminated(state, exc, line)]
                     break
-            else:
+                if children is None:
+                    if instructions >= stop:
+                        children = [state]
+                        break
+                    continue
                 if (instructions >= budget or len(children) != 1
                         or children[0] is not state
                         or state.status is not RUNNING
@@ -252,19 +284,25 @@ class Interpreter:
                     if code is None:
                         code = table[function] = self._decode_function(
                             program, function)
-            if lines is None:
-                lines = {line}
-            else:
-                lines.add(line)
-        if lines is not None:
-            lines.add(line)
+        finally:
+            if booked != instructions:
+                state.instructions_executed += instructions - booked
+                coverage.update(fresh)
+        if instructions == 1:
+            return line, children, 1, None
+        lines.update(fresh)
         return line, children, instructions, lines
 
     # -- decoding: expressions -------------------------------------------------------
 
     def _decode_function(self, program: CompiledProgram, name: str) -> DecodedFunction:
-        return [(instr.line, self._decode_instruction(program, index, instr))
-                for index, instr in enumerate(program.function(name).instructions)]
+        decoded: DecodedFunction = []
+        for index, instr in enumerate(program.function(name).instructions):
+            handler = self._decode_instruction(program, index, instr)
+            decoded.append((instr.line, handler, instr.opcode == Opcode.JUMP
+                            or (isinstance(handler, FunctionType) and
+                                handler.__code__.co_filename == _GENERATED)))
+        return decoded
 
     def _decode_expr(self, expr) -> Evaluator:
         """Compile a call-free expression into an evaluator closure."""
@@ -339,6 +377,14 @@ class Interpreter:
 
     def _load(self, state: ExecutionState, base: Value, offset: Value) -> Value:
         """Read the byte at ``base[offset]`` (the ``Index`` expression)."""
+        if isinstance(base, int) and isinstance(offset, int):
+            # A direct pointer in bounds, looked up as ``state.resolve``
+            # would find it (the CoW domain first).
+            shared = state.cow_domain.objects
+            obj = (shared.get(base) if shared else state.processes[
+                state.current[0]].address_space.objects.get(base))
+            if obj is not None and 0 <= offset < obj.size:
+                return byte_value(obj.cells[offset])
         base = self._concretize(state, base)
         obj, base_off, _ = state.resolve(base)
 
@@ -414,7 +460,7 @@ class Interpreter:
     # -- decoding: instructions ------------------------------------------------------
 
     def _decode_instruction(self, program: CompiledProgram, index: int,
-                            instr: Instruction) -> Handler:
+                            instr: Instruction) -> Union[Handler, Generated]:
         """Build the handler of the ``index``-th instruction of a function.
 
         A handler does the instruction's common, concrete case inline and
@@ -730,6 +776,24 @@ class Interpreter:
 
     # -- termination helpers -------------------------------------------------------------
 
+    def _terminated(self, state: ExecutionState, exc: Exception,
+                    line: int) -> ExecutionState:
+        """The state an instruction on ``line`` that raised ``exc`` (one of
+        ``_ENDS_THE_STATE``) leaves."""
+        if isinstance(exc, MemoryError_):
+            return self._terminate_error(state, BugKind.MEMORY_ERROR,
+                                         str(exc), line)
+        if isinstance(exc, DivisionByZeroError):
+            return self._terminate_error(state, BugKind.DIVISION_BY_ZERO,
+                                         str(exc), line)
+        if isinstance(exc, NativeBug):
+            return self._terminate_error(state, exc.kind, exc.message, line)
+        if isinstance(exc, ExitProcess):
+            return self._exit_process(state, exc.code)
+        assert isinstance(exc, ExitState)
+        state.terminate(exc.code)
+        return state
+
     def _terminate_error(self, state: ExecutionState, kind: BugKind, message: str,
                          line: int) -> ExecutionState:
         in_function = None
@@ -770,9 +834,17 @@ def _load_concrete(state: ExecutionState, base: int, offset: int
                    ) -> Optional[int]:
     """``base[offset]`` with both concrete: the byte (what
     :meth:`Interpreter._load` returns), or ``None`` when the cell is
-    symbolic."""
-    obj, base_off, _ = state.resolve(base)
-    cell = obj.read_byte(base_off + offset)
+    symbolic.  A direct pointer in bounds is read here, found as
+    ``state.resolve`` would find it (the CoW domain first); anything else
+    goes through ``resolve`` and ``read_byte`` and their errors."""
+    shared = state.cow_domain.objects
+    obj = (shared.get(base) if shared else state.processes[
+        state.current[0]].address_space.objects.get(base))
+    if obj is not None and 0 <= offset < obj.size:
+        cell = obj.cells[offset]
+    else:
+        obj, base_off, _ = state.resolve(base)
+        cell = obj.read_byte(base_off + offset)
     if isinstance(cell, int):
         return cell & 0xFF
     return None
@@ -780,7 +852,8 @@ def _load_concrete(state: ExecutionState, base: int, offset: int
 
 _TEMPLATE_CONSTANTS = {"mask": _DEFAULT_MASK, "width": DEFAULT_WIDTH,
                        "sign": 1 << (DEFAULT_WIDTH - 1)}
-_FALLBACK = "return _fallback(state, thread, frame)"
+_FALLBACK = "return _fallback"
+_GENERATED = "<generated handler>"
 
 
 class _Source:
@@ -857,8 +930,9 @@ class _Source:
         return "\n".join(lines) + "\n"
 
 
-def _generated(index: int, instr: Instruction, fallback: Handler) -> Handler:
-    """The generated handler of an ``ASSIGN`` or ``BRANCH``, with
+def _generated(index: int, instr: Instruction,
+               fallback: Handler) -> Union[Handler, Generated]:
+    """The generated handler of an ``ASSIGN`` or ``BRANCH``, which returns
     ``fallback`` (its closure handler) for what is not all-concrete; the
     closure itself when the expression is not covered."""
     source = _Source()
@@ -883,7 +957,7 @@ def _generated(index: int, instr: Instruction, fallback: Handler) -> Handler:
     if code is None:
         if len(_code_cache) >= _CODE_CACHE_SIZE:
             del _code_cache[next(iter(_code_cache))]
-        module = compile(text, "<generated handler>", "exec")
+        module = compile(text, _GENERATED, "exec")
         code = _code_cache[text] = next(
             const for const in module.co_consts if isinstance(const, CodeType))
     return FunctionType(code, {"__builtins__": builtins, "_load": _load_concrete,

@@ -42,7 +42,7 @@ what ran.  Every backend returns the same
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import (TYPE_CHECKING, Any, Callable, Dict, Optional, Type,
                     TypeVar, Union, cast)
 
@@ -93,10 +93,25 @@ def _cluster_config(backend: str, workers: Optional[int],
                 backend, config_cls.__name__, type(config).__name__,
                 " (backend %r takes that)" % owner[0] if owner else ""))
         return config
+    accepted = {f.name for f in fields(config_cls)}
+    unknown = sorted(set(options) - accepted)
+    if unknown:
+        raise TypeError("unknown options for backend %r: %s" % (
+            backend, "; ".join(_naming_owner(name) for name in unknown)))
     kwargs: Dict[str, Any] = dict(options)
     if workers is not None:
         kwargs["num_workers"] = workers
     return config_cls(**kwargs)
+
+
+def _naming_owner(option: str) -> str:
+    """``option``, and the backends whose config has it, if any."""
+    owners = ["backend=%r (%s)" % (name, cls.__name__)
+              for name, cls in CONFIGS.items()
+              if option in {f.name for f in fields(cls)}]
+    if not owners:
+        return option
+    return "%s, which belongs to %s" % (option, ", ".join(owners))
 
 
 @dataclass

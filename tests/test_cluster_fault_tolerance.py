@@ -144,6 +144,35 @@ class TestFrontierLedger:
             RecoveryJob((), fences=((1, 0, 1),))]
         assert ledger.covers(2, (1, 0, 0)) and not ledger.covers(2, (1, 0, 1, 0))
 
+    def test_recovery_keeps_a_survivors_root_inside_a_foreign_fence(self):
+        """A job handed back into the dead worker's hole, then on to the
+        survivor, stays the survivor's when the survivor takes over the
+        dead worker's root: before, acquiring the root subsumed it and
+        ceding the foreign fence around it cut it out again."""
+        fence = (1,) * 8
+        nested = fence + (0, 0)
+        ledger = FrontierLedger()
+        for worker_id in (1, 2, 3):
+            ledger.register(worker_id)
+        ledger.acquire(1, ())          # member 1 seeds
+        ledger.cede(1, fence)          # and hands F to member 3,
+        ledger.acquire(3, fence)
+        ledger.cede(3, nested)         # which hands N back to member 1;
+        ledger.acquire(1, nested)
+        ledger.cede(1, nested)         # member 1 is removed: N goes to 2,
+        ledger.acquire(2, nested)
+        ledger.cede(2, nested + (1,))  # which passes a piece on to 3,
+        ledger.acquire(3, nested + (1,))
+        [job] = ledger.recovery_jobs(1)  # and member 1 dies at its report.
+        assert job == RecoveryJob((), fences=(fence,))
+        ledger.forget(1)
+        ledger.take_over(2, job)
+        assert ledger.covers(2, nested) and not ledger.covers(3, nested)
+        assert ledger.covers(2, (0,)) and not ledger.covers(2, fence)
+        assert ledger.covers(3, fence + (0,))
+        assert ledger.covers(3, nested + (1,))
+        assert not ledger.covers(2, nested + (1,))
+
     def test_export_of_whole_owned_root_clears_it(self):
         ledger = FrontierLedger()
         ledger.acquire(1, (2,))
@@ -428,6 +457,32 @@ class TestRecoveredImport:
             worker.explore(1000)
         # branchy(2) has 9 paths; the fenced first-byte=='A' subtree holds 3.
         assert worker.paths_completed == 6
+
+    def test_a_replay_through_a_recovered_fence_keeps_it_fenced(self):
+        """The survivor holds N inside fence F of the root it recovers.
+        Replaying N passes through F; F must stay a fence, or stepping the
+        recovered root later revives it and re-explores F's line."""
+        fence, nested = (0,), (0, 0)
+
+        def explored(*imports):
+            executor = make_executor(branchy_program(2))
+            worker = Worker(1, executor, executor.make_initial_state())
+            for job, fences in imports:
+                worker.import_jobs(JobTree.from_jobs([Job(job)]),
+                                   fence_paths=fences,
+                                   recovered=fences is not None)
+            while worker.has_work:
+                worker.explore(1)
+            return worker
+
+        own = explored((nested, None))
+        recovered = explored(((), [fence]))
+        both = explored((nested, None), ((), [fence]))
+        assert both.tree.node_at(list(fence)).is_fence
+        assert both.paths_completed == own.paths_completed + recovered.paths_completed == 7
+        assert (both.stats.useful_instructions
+                == own.stats.useful_instructions
+                + recovered.stats.useful_instructions)
 
     def test_recovered_root_import_replays_the_seed(self):
         executor = make_executor(branchy_program(2))

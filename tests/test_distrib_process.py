@@ -75,6 +75,21 @@ class TestSpecRegistry:
         with pytest.raises(ValueError, match="already registered"):
             specs.register_spec("test-branchy", _branchy_spec_test)
 
+    @pytest.mark.parametrize("name", ["printf", "coreutils-echo"])
+    def test_a_stock_name_is_refused_before_and_after_its_lookup(
+            self, name, monkeypatch):
+        """Registering over a stock spec used to replace it silently before
+        its first lookup and raise after it."""
+        monkeypatch.setattr(specs, "_REGISTRY", {})
+        for looked_up in (False, True):
+            with pytest.raises(ValueError, match="already registered"):
+                specs.register_spec(name, _branchy_spec_test)
+            assert (name in specs._REGISTRY) is looked_up
+            assert specs.get_spec(name) is not _branchy_spec_test
+        specs._REGISTRY.clear()
+        specs.register_spec(name, _branchy_spec_test, replace=True)
+        assert specs.get_spec(name) is _branchy_spec_test
+
     def test_with_options_drops_spec_reference(self):
         test = specs.resolve_test("printf", format_length=2)
         derived = test.with_options(max_instructions=10)
@@ -425,6 +440,21 @@ class TestBackendNamesTheCarrier:
         test = specs.resolve_test("printf", format_length=2)
         with pytest.raises(TypeError, match=option):
             test.run(backend=backend, **{option: value})
+
+    @pytest.mark.parametrize("backend", ["process", "cluster", "static"])
+    def test_a_tcp_setting_names_the_backend_it_belongs_to(
+            self, backend, monkeypatch):
+        """Not the config constructor's "unexpected keyword argument": the
+        error says which backend takes the setting."""
+        _forbid_clusters(monkeypatch)
+        test = specs.resolve_test("printf", format_length=2)
+        with pytest.raises(TypeError) as refused:
+            test.run(backend=backend, spawn_local_agents=True)
+        message = str(refused.value)
+        assert "backend %r" % backend in message
+        assert "spawn_local_agents" in message
+        assert "backend='tcp' (TcpClusterConfig)" in message
+        assert "unexpected keyword" not in message
 
 
 def _forbid_clusters(monkeypatch):

@@ -728,3 +728,79 @@ def test_out_of_range_native_values_step_the_same():
         make_executor, lambda executor: executor.make_initial_state(), 10**6)
     assert not errors and not bugs
     assert executor.total_instructions > 2 * len(BINARY) * 36
+
+
+# -- booking in the middle of a straight line ------------------------------------------
+#
+# A generated handler or a ``JUMP`` leaves its instruction and line to be
+# written to the state later; whatever reads the books mid-line must still
+# see every instruction the reference booked one at a time.
+
+
+def _executed(ctx):
+    return ctx.state.instructions_executed
+
+
+def _covered(ctx):
+    """The covered lines as one number: bit ``k`` set for line ``k``."""
+    return sum(1 << line for line in ctx.state.coverage)
+
+
+#: What sits in the middle of a straight line, by case.
+MID_LINE = {
+    # Natives that read the books (their values land in the locals).
+    "native": [L.decl("n", L.call("executed")),
+               L.decl("lines", L.call("covered")),
+               L.assign("a", L.add(L.var("n"), L.var("a"))),
+               L.decl("m", L.call("executed"))],
+    # A generated load whose concrete offset is out of bounds.
+    "faulting_load": [L.assign("a", L.index(BUF, L.add(L.var("a"), 9)))],
+    # A generated branch on a symbolic byte: its closure forks.
+    "forking_fallback": [L.decl("s", L.index(BUF, 0)),
+                         L.if_(L.eq(L.var("s"), 7),
+                               [L.assign("b", L.add(L.var("b"), 5))])],
+}
+
+
+def _mid_line_executor(case):
+    program = L.program("mid_line", L.func(
+        "main", [],
+        L.decl("buf", L.call("cloud9_symbolic_buffer", 2, L.strconst("in"))),
+        L.decl("a", 3), L.decl("b", L.add(L.var("a"), 1)),
+        L.decl("i", 0),
+        L.while_(L.lt(L.var("i"), 2), L.assign("i", L.add(L.var("i"), 1))),
+        *MID_LINE[case],
+        L.assign("b", L.mul(L.var("b"), L.var("a"))),
+        L.ret(L.var("b"))))
+    executor = SymbolicExecutor(program)
+    executor.natives.register("executed", _executed)
+    executor.natives.register("covered", _covered)
+    return executor
+
+
+@pytest.mark.parametrize("case", sorted(MID_LINE))
+def test_the_books_are_written_before_anything_reads_them(case):
+    """Each case agrees with the one-instruction reference, and it runs
+    inside the first straight line the decoded side steps."""
+    _, errors, bugs = lock_step(lambda: _mid_line_executor(case),
+                                lambda executor: executor.make_initial_state(),
+                                10**4)
+    assert not errors
+    executor = _mid_line_executor(case)
+    state = executor.make_initial_state()
+    line = executor.step(state, WHOLE_LINE)
+    while line.instructions == 0:  # the first scheduling decision
+        line = executor.step(state, WHOLE_LINE)
+    assert line.instructions > 10 and line.children[0] is state
+    if case == "native":
+        assert line.children == [state] and state.exit_code != 0
+    elif case == "faulting_load":
+        assert [bug.kind for bug in bugs] == [BugKind.MEMORY_ERROR]
+        assert line.children == [state]
+        assert state.error.kind is BugKind.MEMORY_ERROR
+        pc = state.current_thread.top.pc
+        _, handler, booked_later = executor.interpreter._code["main"][pc]
+        assert booked_later and handler.__code__.co_filename == "<generated handler>"
+    else:
+        assert len(line.children) == 2
+        assert line.children[1].instructions_executed == state.instructions_executed
