@@ -13,8 +13,10 @@ layer up, in :mod:`repro.distrib`):
 * :mod:`repro.cluster.load_balancer` -- the queue-length-based balancing
   policy (mean +/- delta*sigma classification and pairing).
 * :mod:`repro.cluster.overlay` -- the global coverage bit-vector overlay.
-* :mod:`repro.cluster.ledger` -- the coordinator-side frontier ledger used
-  to recover a dead worker's territory (§2.3 failure model).
+* :mod:`repro.cluster.ledger` -- the coordinator-side frontier ledger, one
+  trie of owner labels in which a path's deepest label is its owner, used
+  to recover a dead worker's territory by relabelling it (§2.3 failure
+  model).
 * :mod:`repro.cluster.checkpoint` -- resumable run snapshots (frontier,
   coverage, counters, bugs/test cases, the spec that produced them) behind
   ``run(resume_from=...)``.

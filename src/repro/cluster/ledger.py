@@ -2,43 +2,40 @@
 
 Cloud9 tolerates worker failures (§2.3): "the system adjusts the global
 exploration frontier as if the failed worker's candidate nodes were deleted".
-This reproduction goes one step further and *recovers* the lost work: because
-every job a worker ever receives flows through the coordinator (the seed job
-plus every brokered transfer), the coordinator can maintain, per worker, the
-set of execution-tree subtrees that worker is responsible for -- its
-*territory* -- without ever seeing the worker's private frontier.
+This reproduction *recovers* the lost work instead: every job a worker ever
+receives flows through the coordinator (the seed job and every brokered
+transfer), so the coordinator can record each worker's *territory* without
+seeing its private frontier.
 
-Territory algebra (all paths are root-to-node fork-index tuples):
+The record is one trie of fork indices.  A node may carry an owner label, and
+a path belongs to the label on its deepest labelled prefix, so every path has
+one owner and territories are disjoint by construction.  The label
+``NOBODY`` (worker ids start at 1) marks a cession not yet acquired and a
+forgotten member's territory.  Labels stay canonical: a label equal to the
+one it inherits is dropped, and a node with no label and no children is
+pruned, so a job that bounces back leaves nothing behind.  ``acquire(w, p)``
+labels ``p`` with ``w`` (a received job carries its whole subtree, §3.2, but
+labels below ``p`` keep their owners); ``cede(w, p)`` labels it nobody until
+the receiver acquires it.
 
-* ``acquire(w, p)`` -- worker ``w`` received a job for path ``p``: its
-  territory grows by the whole subtree under ``p`` (an exported candidate
-  node carries everything below it, §3.2).
-* ``cede(w, p)`` -- worker ``w`` exported a job for path ``p``: the subtree
-  under ``p`` leaves its territory (it is now someone else's acquisition).
-
-``recovery_jobs(w)`` re-materializes the territory of a dead worker as jobs:
-one job per owned subtree root, each paired with the *fence paths* -- ceded
-subtrees nested inside it that still belong to live workers.  Requeuing those
-jobs to survivors (importing the root as a virtual candidate and the fences
-as fence nodes) makes the cluster re-explore exactly the dead worker's
-territory and nothing else, so a deterministic run converges to the same
-explored tree as a crash-free one.  ``take_over(w, job)`` books such a job
-on survivor ``w``: the root acquired, the fences that are not ``w``'s own
-ceded.
+Recovery is relabelling: ``recovery_jobs(w)`` is one job per label of the
+dead worker, fenced at the first (foreign) labels below it; ``forget(w)``
+turns its labels into nobody; a survivor that acquires a job's root takes
+exactly the dead worker's paths under it, as the fences keep their labels.
+The survivors import each root as a virtual candidate and its fences as fence
+nodes, so a deterministic run converges to the crash-free explored tree.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 Path = Tuple[int, ...]
 
 __all__ = ["FrontierLedger", "RecoveryJob"]
 
-
-def _within(path: Path, root: Path) -> bool:
-    """True when ``path`` lies inside the subtree rooted at ``root``."""
-    return len(path) >= len(root) and path[:len(root)] == root
+#: The owner of a ceded, not yet acquired path and of a forgotten member's.
+NOBODY = 0
 
 
 class RecoveryJob:
@@ -59,109 +56,110 @@ class RecoveryJob:
         return self.root == other.root and set(self.fences) == set(other.fences)
 
 
-class FrontierLedger:
-    """Per-worker territory bookkeeping from the coordinator's vantage point."""
+class _Node:
+    __slots__ = ("label", "children")
 
     def __init__(self) -> None:
-        self._owned: Dict[int, Set[Path]] = {}
-        self._ceded: Dict[int, Set[Path]] = {}
+        self.label: Optional[int] = None
+        self.children: Dict[int, _Node] = {}
+
+
+class FrontierLedger:
+    """Every path's owner, from the coordinator's vantage point."""
+
+    def __init__(self) -> None:
+        self._members: Set[int] = set()
+        self._root = _Node()
 
     # -- membership --------------------------------------------------------------
 
     def register(self, worker_id: int) -> None:
-        self._owned.setdefault(worker_id, set())
-        self._ceded.setdefault(worker_id, set())
+        self._members.add(worker_id)
 
     def forget(self, worker_id: int) -> None:
-        self._owned.pop(worker_id, None)
-        self._ceded.pop(worker_id, None)
+        self._members.discard(worker_id)
+        self._relabel((), dead=worker_id)
 
     @property
     def worker_ids(self) -> List[int]:
-        return sorted(self._owned)
+        return sorted(self._members)
 
     # -- queries -----------------------------------------------------------------
 
     def owned_roots(self, worker_id: int) -> Set[Path]:
-        return set(self._owned.get(worker_id, ()))
+        return {job.root for job in self.recovery_jobs(worker_id)}
 
     def covers(self, worker_id: int, path: Path) -> bool:
-        """Whether ``path`` currently lies inside the worker's territory.
-
-        The deepest owned/ceded root that is a prefix of ``path`` decides:
-        owned means inside, ceded means outside, neither means outside.
-        """
-        best_len = -1
-        best_owned = False
-        for root in self._owned.get(worker_id, ()):
-            if _within(path, root) and len(root) > best_len:
-                best_len = len(root)
-                best_owned = True
-        for root in self._ceded.get(worker_id, ()):
-            if _within(path, root) and len(root) > best_len:
-                best_len = len(root)
-                best_owned = False
-        return best_owned
+        """Whether ``path`` lies inside the worker's territory: the label on
+        its deepest labelled prefix is the worker's."""
+        node, owner = self._root, self._root.label
+        for index in path:
+            if index not in node.children:
+                break
+            node = node.children[index]
+            if node.label is not None:
+                owner = node.label
+        return owner == worker_id
 
     # -- territory updates ---------------------------------------------------------
 
     def acquire(self, worker_id: int, path: Path) -> None:
-        path = tuple(path)
         self.register(worker_id)
-        # Roots already owned below the acquired one are subsumed, and so is
-        # a cession of the acquired subtree itself (a job bouncing back).
-        # Subtrees ceded from *inside* a subsumed root stay ceded: they are
-        # someone else's, and a recovered root above them does not fill the
-        # hole.
-        subsumed = {o for o in self._owned[worker_id] if _within(o, path)}
-        self._owned[worker_id] -= subsumed
-        self._ceded[worker_id] = {
-            c for c in self._ceded[worker_id]
-            if not _within(c, path) or any(_within(c, o) for o in subsumed)}
-        if not self.covers(worker_id, path):
-            self._owned[worker_id].add(path)
+        self._relabel(path, label=worker_id)
 
     def cede(self, worker_id: int, path: Path) -> None:
-        path = tuple(path)
-        self.register(worker_id)
-        self._owned[worker_id] = {o for o in self._owned[worker_id]
-                                  if not _within(o, path)}
-        self._ceded[worker_id] = {c for c in self._ceded[worker_id]
-                                  if not _within(c, path)}
         if self.covers(worker_id, path):
-            self._ceded[worker_id].add(path)
+            self._relabel(path, label=NOBODY)
+
+    def _relabel(self, path: Path, label: Optional[int] = None,
+                 dead: int = NOBODY) -> None:
+        """Label ``path`` (unless ``label`` is None), turn ``dead``'s labels
+        under it into nobody's, and make the subtree canonical again."""
+        node, inherited = self._root, NOBODY
+        visited: List[Tuple[_Node, int, _Node]] = []
+        for index in path:
+            if node.label is not None:
+                inherited = node.label
+            child = node.children.get(index)
+            if child is None:
+                child = node.children[index] = _Node()
+            visited.append((node, index, child))
+            node = child
+        if label is not None:
+            node.label = label
+        stack = [(node, inherited)]
+        while stack:
+            node, inherited = stack.pop()
+            if node.label == dead:
+                node.label = NOBODY
+            if node.label == inherited:
+                node.label = None
+            elif node.label is not None:
+                inherited = node.label
+            for index, child in node.children.items():
+                visited.append((node, index, child))
+                stack.append((child, inherited))
+        # Children come after their parents in ``visited``: prune bottom-up.
+        for parent, index, child in reversed(visited):
+            if child.label is None and not child.children:
+                del parent.children[index]
 
     # -- recovery ------------------------------------------------------------------
 
-    def take_over(self, worker_id: int, job: RecoveryJob) -> None:
-        """Survivor ``worker_id`` takes a dead worker's ``job``: it acquires
-        the root and cedes the fences that are not its own.
-
-        What the survivor holds inside such a foreign fence (a job handed
-        to it from the dead worker's hole) stays as it was: the acquire
-        would subsume it and the cede cut it out again, leaving it to no
-        one.
-        """
-        foreign = [fence for fence in job.fences
-                   if not self.covers(worker_id, fence)]
-
-        def inside(paths: Iterable[Path]) -> Set[Path]:
-            return {p for p in paths if any(_within(p, f) for f in foreign)}
-
-        nested_owned = inside(self._owned.get(worker_id, ()))
-        nested_ceded = inside(self._ceded.get(worker_id, ()))
-        self.acquire(worker_id, job.root)
-        for fence in foreign:
-            self.cede(worker_id, fence)
-        self._owned[worker_id] |= nested_owned
-        self._ceded[worker_id] |= nested_ceded
-
     def recovery_jobs(self, worker_id: int) -> List[RecoveryJob]:
-        """The dead worker's territory as requeueable jobs (sorted, stable)."""
-        jobs: List[RecoveryJob] = []
-        ceded = self._ceded.get(worker_id, set())
-        for root in sorted(self._owned.get(worker_id, set())):
-            fences = tuple(sorted(c for c in ceded
-                                  if _within(c, root) and c != root))
-            jobs.append(RecoveryJob(root, fences))
-        return jobs
+        """The dead worker's territory as requeueable jobs (sorted, stable):
+        one per label it holds, fenced at the first labels below it."""
+        fences: Dict[Path, List[Path]] = {}
+        stack: List[Tuple[Path, _Node, Optional[Path]]] = [((), self._root, None)]
+        while stack:
+            path, node, root = stack.pop()
+            if node.label is not None:
+                if root is not None:
+                    fences[root].append(path)
+                root = path if node.label == worker_id else None
+                if root is not None:
+                    fences[root] = []
+            stack.extend((path + (index,), child, root)
+                         for index, child in node.children.items())
+        return [RecoveryJob(root, tuple(sorted(fences[root])))
+                for root in sorted(fences)]

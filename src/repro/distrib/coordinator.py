@@ -511,9 +511,9 @@ class Coordinator:
                     % len(self._pending_recovery))
             job = self._pending_recovery.pop(0)
             handle = min(self.handles, key=lambda h: h.queue_length)
-            # Fences are live territory inside the root -- possibly the
-            # survivor's own, which it keeps rather than cedes.
-            self.ledger.take_over(handle.worker_id, job)
+            # The fences keep their labels: the survivor takes exactly what
+            # the dead member held under the root.
+            self.ledger.acquire(handle.worker_id, job.root)
             tree = JobTree.from_jobs([Job(job.root)])
             imported = self._import_into(handle, ImportCommand(
                 encoded_jobs=tree.encode(), fence_paths=job.fences,

@@ -565,10 +565,12 @@ class Interpreter:
                     base: int, offset: Value, value: Value
                     ) -> List[ExecutionState]:
         value = byte_value(value)
-        obj, base_off, _ = state.resolve(base)
+        obj, base_off, is_shared = state.resolve(base)
 
         if isinstance(offset, int):
-            state.mem_write(base, offset, value)
+            if not is_shared:
+                obj = state.current_process.address_space.own(obj.address)
+            obj.write_byte(base_off + offset, value)
             frame.pc += 1
             return [state]
 

@@ -406,11 +406,10 @@ class ExecutionState:
     def mem_write(self, address: int, offset: int, value: Cell,
                   process: Optional[Process] = None) -> None:
         obj, base_off, is_shared = self.resolve(address, process)
-        if is_shared:
-            obj.write_byte(base_off + offset, value)
-            return
-        target = process if process is not None else self.current_process
-        target.address_space.write_byte(address, offset, value)
+        if not is_shared:
+            target = process if process is not None else self.current_process
+            obj = target.address_space.own(obj.address)
+        obj.write_byte(base_off + offset, value)
 
     def mem_read_bytes(self, address: int, length: int,
                        process: Optional[Process] = None) -> List[Cell]:

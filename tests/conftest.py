@@ -10,6 +10,7 @@ import os
 os.environ["REPRO_TRACE_VALIDATE"] = "1"
 
 import gc
+import multiprocessing
 import sys
 import time
 from collections import Counter
@@ -44,6 +45,36 @@ def wait_until(predicate, timeout=5.0, what="condition"):
         if time.monotonic() >= deadline:
             raise AssertionError("timed out waiting for %s" % what)
         time.sleep(0.01)
+
+
+def _cluster_processes():
+    """The live worker processes and TCP agents (reaping the dead ones)."""
+    return [p for p in multiprocessing.active_children()
+            if p.name.startswith("cloud9-worker-") or p.name == "cloud9-agent"]
+
+
+def pytest_sessionfinish(session):
+    """No worker process outlives the suite.  A run reaps its members when
+    it ends, so one still alive after a bounded wait was leaked: the session
+    fails naming it, and it is killed."""
+    try:
+        wait_until(lambda: not _cluster_processes(), timeout=10.0,
+                   what="worker processes to exit")
+    except AssertionError:
+        leaked = _cluster_processes()
+        for process in leaked:
+            process.kill()
+            process.join(5.0)
+        if leaked:
+            names = ", ".join("%s (pid %s)" % (p.name, p.pid) for p in leaked)
+            reporter = session.config.pluginmanager.get_plugin(
+                "terminalreporter")
+            if reporter is not None:
+                reporter.write_line("")
+                reporter.write_sep("=", "worker processes outlived the suite",
+                                   red=True)
+                reporter.write_line(names)
+            session.exitstatus = pytest.ExitCode.TESTS_FAILED
 
 
 @contextmanager

@@ -166,7 +166,7 @@ class TestFrontierLedger:
         [job] = ledger.recovery_jobs(1)  # and member 1 dies at its report.
         assert job == RecoveryJob((), fences=(fence,))
         ledger.forget(1)
-        ledger.take_over(2, job)
+        ledger.acquire(2, job.root)
         assert ledger.covers(2, nested) and not ledger.covers(3, nested)
         assert ledger.covers(2, (0,)) and not ledger.covers(2, fence)
         assert ledger.covers(3, fence + (0,))

@@ -35,7 +35,7 @@ from repro.engine.interpreter import (
     EngineInternalError,
     Interpreter,
 )
-from repro.engine.memory import MemoryError_
+from repro.engine.memory import AddressSpace, MemoryError_
 from repro.engine.natives import (
     Block,
     ExitProcess,
@@ -71,7 +71,7 @@ from repro.solver import expr as E
 from repro.solver.simplify import simplify
 from repro.solver.solver import Solver, SolverConfig
 
-from conftest import BUILTIN_SPECS
+from conftest import BUILTIN_SPECS, make_executor, python_calls
 
 
 # -- the reference: what src/ did before instructions were decoded --------------
@@ -804,3 +804,78 @@ def test_the_books_are_written_before_anything_reads_them(case):
     else:
         assert len(line.children) == 2
         assert line.children[1].instructions_executed == state.instructions_executed
+
+
+# -- concrete stores --------------------------------------------------------------------
+#
+# A store at a concrete offset writes through the object its base resolved
+# to: in place when the object is shared, through the address space's own
+# copy otherwise.
+
+P = L.var("p")
+#: Each program, with what its paths end in: the exit codes of the paths
+#: that end normally and the messages of the bugs.
+STORES = {
+    "interior_pointer": ([
+        L.decl("p", L.call("malloc", 4)),
+        L.store(L.add(P, 1), 2, 9),
+        L.ret(L.index(P, 3))], [9], []),
+    # The sibling state shares the object until one of them writes.
+    "cow_after_fork": ([
+        L.decl("p", L.call("malloc", 1)),
+        L.decl("buf", L.call("cloud9_symbolic_buffer", 1, L.strconst("in"))),
+        L.if_(L.eq(L.index(BUF, 0), 7), [L.store(P, 0, 5)]),
+        L.ret(L.index(P, 0))], [0, 5], []),
+    # The child's store reaches the parent only through the shared object.
+    "shared": ([
+        L.decl("p", L.call("malloc", 2)),
+        L.expr_stmt(L.call("cloud9_make_shared", P)),
+        L.decl("child", L.call("fork")),
+        L.if_(L.eq(L.var("child"), 0),
+              [L.store(P, 1, 4), L.expr_stmt(L.call("exit", 0))]),
+        L.expr_stmt(L.call("waitpid", L.var("child"), 0, 0)),
+        L.ret(L.index(P, 1))], [4], []),
+    "out_of_bounds": ([
+        L.decl("p", L.call("malloc", 2)),
+        L.store(L.add(P, 1), 1, 1)], [],
+        ["out-of-bounds write at heap+2 (size 2)"]),
+    "read_only_mapping": ([
+        # mmap(NULL, 4, PROT_READ, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0)
+        L.decl("p", L.call("mmap", 0, 4, 1, 0x22, L.const(-1), 0)),
+        L.store(P, 0, 1)], [], ["write to read-only object mmap"]),
+}
+
+
+def _store_executor(case) -> SymbolicExecutor:
+    body, _, _ = STORES[case]
+    return make_executor(L.program("store", L.func("main", [], *body)),
+                         posix=True)
+
+
+@pytest.mark.parametrize("case", sorted(STORES))
+def test_concrete_stores_step_the_same(case):
+    _, errors, _ = lock_step(lambda: _store_executor(case),
+                             lambda executor: executor.make_initial_state(),
+                             10**4)
+    assert not errors
+    _, exit_codes, messages = STORES[case]
+    result = _store_executor(case).run()
+    assert sorted(t.exit_code for t in result.test_cases
+                  if not t.is_error) == exit_codes
+    assert [bug.message for bug in result.bugs] == messages
+
+
+def test_a_concrete_store_resolves_its_address_once():
+    program = L.program("stores", L.func(
+        "main", [],
+        L.decl("p", L.call("malloc", 8)),
+        L.decl("i", 0),
+        L.while_(L.lt(L.var("i"), 8),
+                 L.store(P, L.var("i"), L.var("i")),
+                 L.assign("i", L.add(L.var("i"), 1))),
+        L.ret(L.index(P, 7))))
+    executor = SymbolicExecutor(program)
+    with python_calls(by_code=True) as calls:
+        result = executor.run()
+    assert [t.exit_code for t in result.test_cases] == [7]
+    assert calls[AddressSpace.resolve.__code__] == 8
