@@ -68,21 +68,12 @@ class FrontierLedger:
     """Every path's owner, from the coordinator's vantage point."""
 
     def __init__(self) -> None:
-        self._members: Set[int] = set()
         self._root = _Node()
 
     # -- membership --------------------------------------------------------------
 
-    def register(self, worker_id: int) -> None:
-        self._members.add(worker_id)
-
     def forget(self, worker_id: int) -> None:
-        self._members.discard(worker_id)
         self._relabel((), dead=worker_id)
-
-    @property
-    def worker_ids(self) -> List[int]:
-        return sorted(self._members)
 
     # -- queries -----------------------------------------------------------------
 
@@ -104,7 +95,6 @@ class FrontierLedger:
     # -- territory updates ---------------------------------------------------------
 
     def acquire(self, worker_id: int, path: Path) -> None:
-        self.register(worker_id)
         self._relabel(path, label=worker_id)
 
     def cede(self, worker_id: int, path: Path) -> None:

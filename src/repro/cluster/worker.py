@@ -7,9 +7,10 @@ children, exactly what :meth:`SymbolicExecutor.run
 <repro.engine.executor.SymbolicExecutor.run>` explores with -- plus replay,
 export/import and recovered regions.  The tree is a local view of the
 execution tree rooted at the global root; a node is a frontier member exactly
-while its life is ``CANDIDATE``.  The work-transfer protocol guarantees
-frontiers are pairwise disjoint and that their union is the global
-exploration frontier.  A worker:
+while its life is ``CANDIDATE``, because the tree keeps its frontier: the
+methods below change lives, never the frontier itself.  The work-transfer
+protocol guarantees frontiers are pairwise disjoint and that their union is
+the global exploration frontier.  A worker:
 
 * explores materialized candidates with :meth:`Explorer.step_node
   <repro.engine.explorer.Explorer.step_node>`,
@@ -163,7 +164,6 @@ class Worker(Explorer):
         if outcome.broken:
             stats.broken_replays += 1
             node.mark_dead()
-            self.frontier.discard(node)
             return max(outcome.instructions, 1)
 
         # Interior nodes along the path are dead; off-path siblings are fences.
@@ -174,7 +174,7 @@ class Worker(Explorer):
                 child = interior.add_child(index, status=NodeStatus.VIRTUAL,
                                            life=NodeLife.DEAD)
             interior = child
-            if interior in self.frontier:
+            if interior.is_candidate:
                 # One of our own candidates sits on the replayed path (it
                 # can only happen inside a recovered territory): killing it
                 # would orphan its state; stepping it later covers the same
@@ -196,7 +196,7 @@ class Worker(Explorer):
             fence_node = self.tree.ensure_path(list(fence_path),
                                                status=NodeStatus.MATERIALIZED,
                                                life=NodeLife.FENCE)
-            if fence_node in self.frontier:
+            if fence_node.is_candidate:
                 # Never demote one of our own candidates to a fence.
                 continue
             fence_node.state = fence_state
@@ -227,7 +227,6 @@ class Worker(Explorer):
         for node in selected:
             jobs.append(Job(tuple(node.path_from_root())))
             node.mark_fence()
-            self.frontier.discard(node)
             self.stats.jobs_exported += 1
         job_tree = JobTree.from_jobs(jobs)
         self.stats.transfers += 1
@@ -254,24 +253,22 @@ class Worker(Explorer):
                 imported += self._import_recovered_job(job.path, fence_paths)
             return imported
         for job in job_tree.jobs():
+            # A new node arrives dead and becomes a candidate below, like a
+            # node already explored here (the same path bounced back).
             node = self.tree.ensure_path(list(job.path),
                                          status=NodeStatus.VIRTUAL,
-                                         life=NodeLife.CANDIDATE)
-            if node.is_dead or node.is_fence:
-                # The node was already explored here (can only happen if the
-                # same path bounced back); revive it as a candidate.
-                node.mark_candidate()
+                                         life=NodeLife.DEAD)
             if node.is_materialized and node.state is None:
                 # A shell without a program state (e.g. the root of a
                 # freshly reset tree, or a node killed by mark_dead): force
                 # a replay instead of stepping a missing state.
                 node.status = NodeStatus.VIRTUAL
-            if node not in self.frontier:
+            if not node.is_candidate:
                 if node.is_materialized:
                     # A fence revived with the state it kept (a replay-time
                     # sibling, or a job that bounced back).
                     self._materialize(node)
-                self.frontier.add(node)
+                node.mark_candidate()
                 imported += 1
                 self.stats.jobs_imported += 1
         return imported
@@ -294,7 +291,7 @@ class Worker(Explorer):
         self._recovered_regions.append((root_path, tuple(sorted(fences))))
         node = self.tree.ensure_path(list(root_path),
                                      status=NodeStatus.VIRTUAL,
-                                     life=NodeLife.CANDIDATE)
+                                     life=NodeLife.DEAD)
         self._reset_recovered_subtree(node, root_path, fences)
         for fence in fences:
             if self.tree.node_at(list(fence)) is None:
@@ -306,11 +303,10 @@ class Worker(Explorer):
         # mechanism guaranteed to rebuild a consistent frontier from a path.
         node.state = None
         node.status = NodeStatus.VIRTUAL
-        if node in self.frontier:
+        if node.is_candidate:
             self.frontier.moved(node)
             return 0
         node.mark_candidate()
-        self.frontier.add(node)
         self.stats.jobs_imported += 1
         self.stats.jobs_recovered += 1
         return 1
@@ -333,11 +329,11 @@ class Worker(Explorer):
                     # Live territory (possibly our own): keep it whole, and
                     # make sure stepping past it never re-enters -- unless
                     # it is our own pending candidate, which stays one.
-                    if child not in self.frontier and not child.is_fence:
+                    if not child.is_candidate and not child.is_fence:
                         child.mark_fence()
                     continue
                 if child_path in keep_interior:
-                    if child not in self.frontier:
+                    if not child.is_candidate:
                         # Whatever this shell recorded -- a replay-time
                         # fence, or one a later replay marked dead while it
                         # still looked materialized -- described the *dead*
@@ -356,9 +352,9 @@ class Worker(Explorer):
     def _discard_subtree(self, node: TreeNode) -> None:
         """Drop a stale subtree, keeping candidate bookkeeping consistent."""
         for stale in node.iter_subtree():
-            self.frontier.discard(stale)
             if not stale.is_dead:
-                stale.mark_dead()  # fixes ancestor candidate counts, drops state
+                # Fixes ancestor candidate counts and the frontier, drops state.
+                stale.mark_dead()
 
     def _prune_recovered_regions(self) -> None:
         """Drop recovered regions whose re-exploration has finished.

@@ -283,7 +283,6 @@ class Coordinator:
         self.handles.append(handle)
         self.load_balancer.register_worker(handle.worker_id,
                                            queue_length=queue_length)
-        self.ledger.register(handle.worker_id)
 
     def _start_workers(self) -> None:
         launched: List[_WorkerHandle] = []

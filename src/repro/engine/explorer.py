@@ -2,10 +2,11 @@
 graft its children.
 
 An :class:`Explorer` owns what one exploration consists of -- the execution
-tree, the :class:`~repro.engine.frontier.Frontier` of its candidates, the
-search strategy, and the exploration's own results (``bugs``,
-``test_cases``, ``paths_completed``, ``covered_lines``), which are the only
-books of results: the executor keeps none.  :meth:`Explorer.step_node` is the only place a node
+tree (which holds the :class:`~repro.engine.frontier.Frontier` of its
+candidates and keeps it in step with the nodes' lives), the search
+strategy, and the exploration's own results (``bugs``, ``test_cases``,
+``paths_completed``, ``covered_lines``), which are the only books of
+results: the executor keeps none.  :meth:`Explorer.step_node` is the only place a node
 is stepped for exploration: it reads what the step produced off the
 :class:`~repro.engine.executor.StepResult` -- so a replay on the same
 executor, which steps without it, books nothing -- and is the only place a
@@ -38,7 +39,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List, Sequence, Set
 
 from repro.engine.errors import BugReport
-from repro.engine.frontier import Frontier
 from repro.engine.state import RUNNING, ExecutionState
 from repro.engine.strategies import SearchStrategy
 from repro.engine.test_case import TestCase
@@ -63,7 +63,7 @@ class Explorer:
         # the root is an interior shell like any other node on the way to a
         # candidate.
         self.tree.root.mark_dead()
-        self.frontier = Frontier()
+        self.frontier = self.tree.frontier
         self.bugs: List[BugReport] = []
         self.test_cases: List[TestCase] = []
         self.paths_completed = 0
@@ -78,7 +78,6 @@ class Explorer:
         root = self.tree.root
         root.materialize(state)
         root.mark_candidate()
-        self.frontier.add(root)
         self.adopt(root)
 
     def adopt(self, node: TreeNode) -> None:
@@ -148,22 +147,23 @@ class Explorer:
         self.strategy.notify_covered(lines)
 
     def _graft(self, node: TreeNode, children: Sequence[ExecutionState]) -> None:
-        """Update the tree and the frontier after ``node`` was stepped."""
-        frontier = self.frontier
+        """Update the tree (and with it the frontier) after ``node`` was
+        stepped."""
         if len(children) == 1 and children[0] is node.state:
             if children[0].status is RUNNING:
-                frontier.moved(node)
+                self.frontier.moved(node)
             else:
                 node.mark_dead()
-                frontier.discard(node)
             return
         # A fork (or a termination that replaced the state object): the node
-        # becomes an interior dead node and each resulting state gets a child.
-        frontier.discard(node)
+        # becomes an interior dead node and each resulting state gets a child,
+        # which holds its state before it becomes a candidate (the frontier
+        # weighs a node when it joins).
+        node.mark_dead()
         for index, child_state in enumerate(children):
             child_node = node.children.get(index)
             if child_node is None:
-                child_node = node.add_child(index)
+                child_node = node.add_child(index, life=DEAD)
             elif child_node.life is FENCE:
                 # The subtree below this child belongs to another worker --
                 # either a fence installed by replay or one shipped with a
@@ -178,8 +178,6 @@ class Explorer:
             if child_state.status is RUNNING:
                 child_node.materialize(child_state)
                 child_node.mark_candidate()
-                frontier.add(child_node)
             else:
                 child_node.materialize(None)
                 child_node.mark_dead()
-        node.mark_dead()

@@ -1,12 +1,15 @@
 """The exploration frontier: the candidate nodes, in ``node_id`` order.
 
+Every :class:`~repro.engine.tree.ExecutionTree` holds one :class:`Frontier`,
+and only the tree's nodes change it: a node is added when it becomes a
+candidate and discarded when it stops being one (``TreeNode._set_life``).
 Every :class:`~repro.engine.explorer.Explorer` -- the one behind
 :meth:`repro.engine.executor.SymbolicExecutor.run` and each
-:class:`repro.cluster.worker.Worker` -- owns one :class:`Frontier`, changes
-it only through its methods and hands *it* to
-``strategy.select(tree, frontier)``.  A strategy reads it like a sequence of
-nodes sorted by ``node_id`` (``len``, ``in``, iteration, :meth:`Frontier.first`
-/ :meth:`Frontier.last`); nothing is copied or sorted per step.
+:class:`repro.cluster.worker.Worker` -- hands its tree's frontier to
+``strategy.select(tree, frontier)`` and tells it when a member's state
+moved.  A strategy reads it like a sequence of nodes sorted by ``node_id``
+(``len``, ``in``, iteration, :meth:`Frontier.first` /
+:meth:`Frontier.last`); nothing is copied or sorted per step.
 
 A strategy that samples by weight keeps a :class:`WeightIndex` on the
 frontier.  The frontier tells its indexes about every change -- a node added,
@@ -23,9 +26,10 @@ frontier nobody indexes (DFS, BFS, ...) keeps no record of changes at all.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional
 
-from repro.engine.tree import TreeNode
+if TYPE_CHECKING:  # pragma: no cover - the tree imports this module
+    from repro.engine.tree import TreeNode
 
 __all__ = ["Frontier", "WeightIndex"]
 

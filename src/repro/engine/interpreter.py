@@ -567,53 +567,48 @@ class Interpreter:
         value = byte_value(value)
         obj, base_off, is_shared = state.resolve(base)
 
-        if isinstance(offset, int):
-            if not is_shared:
-                obj = state.current_process.address_space.own(obj.address)
-            obj.write_byte(base_off + offset, value)
-            frame.pc += 1
-            return [state]
+        err_state = None
+        if not isinstance(offset, int):
+            # Symbolic offset: fork an error state if out-of-bounds is feasible.
+            offset_expr = to_expr(offset, 32)
+            limit = E.bv_const(obj.size - base_off, 32)
+            oob = simplify(E.uge(offset_expr, limit))
+            in_bounds = simplify(E.ult(offset_expr, limit))
 
-        # Symbolic offset: fork an error state if out-of-bounds is feasible.
-        successors: List[ExecutionState] = []
-        offset_expr = to_expr(offset, 32)
-        limit = E.bv_const(obj.size - base_off, 32)
-        oob = simplify(E.uge(offset_expr, limit))
-        in_bounds = simplify(E.ult(offset_expr, limit))
+            oob_feasible = self._feasible(state, oob)
+            in_feasible = self._feasible(state, in_bounds)
 
-        oob_feasible = self._feasible(state, oob)
-        in_feasible = self._feasible(state, in_bounds)
-
-        err_message = ("out-of-bounds write to %s (symbolic offset)"
-                       % (obj.name or hex(obj.address)))
-        if in_feasible is not None and oob_feasible is not None:
-            state.forks += 1
-            err_state = state.fork()
-            # In-bounds continuation (fork index 0).
+            err_message = ("out-of-bounds write to %s (symbolic offset)"
+                           % (obj.name or hex(obj.address)))
+            if in_feasible is None:
+                if oob_feasible is None:
+                    err_message = "store with infeasible bounds"
+                else:
+                    state.add_constraint(oob, oob_feasible)
+                return [self._terminate_error(state, BugKind.MEMORY_ERROR,
+                                              err_message, instr.line)]
+            if oob_feasible is not None:
+                state.forks += 1
+                err_state = state.fork()
+                # In-bounds continuation (fork index 0); the out-of-bounds
+                # error path (fork index 1) follows the write.
+                state.fork_trace.append(0)
             state.add_constraint(in_bounds, in_feasible)
-            state.fork_trace.append(0)
-            concrete_offset = self._concretize(state, offset)
-            state.mem_write(base, concrete_offset, value)
-            frame.pc += 1
-            successors.append(state)
-            # Out-of-bounds error path (fork index 1).
-            err_state.add_constraint(oob, oob_feasible)
-            err_state.fork_trace.append(1)
-            successors.append(self._terminate_error(
-                err_state, BugKind.MEMORY_ERROR, err_message, instr.line))
-            return successors
-        if in_feasible is not None:
-            state.add_constraint(in_bounds, in_feasible)
-            concrete_offset = self._concretize(state, offset)
-            state.mem_write(base, concrete_offset, value)
-            frame.pc += 1
+            offset = self._concretize(state, offset)
+
+        # ``obj`` is still this state's object after a fork: the fork shares
+        # private objects copy-on-write (``own`` copies) and gives the error
+        # state copies of the shared ones.
+        if not is_shared:
+            obj = state.current_process.address_space.own(obj.address)
+        obj.write_byte(base_off + offset, value)
+        frame.pc += 1
+        if err_state is None:
             return [state]
-        if oob_feasible is not None:
-            state.add_constraint(oob, oob_feasible)
-            return [self._terminate_error(state, BugKind.MEMORY_ERROR,
-                                          err_message, instr.line)]
-        return [self._terminate_error(state, BugKind.MEMORY_ERROR,
-                                      "store with infeasible bounds", instr.line)]
+        err_state.add_constraint(oob, oob_feasible)
+        err_state.fork_trace.append(1)
+        return [state, self._terminate_error(
+            err_state, BugKind.MEMORY_ERROR, err_message, instr.line)]
 
     def _exec_branch(self, state: ExecutionState, frame: Frame, cond_value: Value,
                      target: int, false_target: int) -> List[ExecutionState]:

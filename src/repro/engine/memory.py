@@ -16,9 +16,7 @@ another worker reconstructs identical addresses.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import field
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.solver.expr import Expr
 
@@ -88,22 +86,6 @@ class MemoryObject:
                 "out-of-bounds write at %s+%d (size %d)" % (self.name or hex(self.address), offset, self.size),
                 address=self.address, offset=offset)
         self.cells[offset] = value
-
-    def read_bytes(self, offset: int, length: int) -> List[Cell]:
-        return [self.read_byte(offset + i) for i in range(length)]
-
-    def write_bytes(self, offset: int, values: Iterable[Cell]) -> None:
-        for i, v in enumerate(values):
-            self.write_byte(offset + i, v)
-
-    def concrete_bytes(self) -> Optional[bytes]:
-        """The object's contents as bytes, or None if any cell is symbolic."""
-        out = bytearray()
-        for cell in self.cells:
-            if isinstance(cell, Expr):
-                return None
-            out.append(cell & 0xFF)
-        return bytes(out)
 
     def __repr__(self) -> str:
         return "MemoryObject(%s @0x%x, %d bytes)" % (self.name, self.address, self.size)
@@ -200,26 +182,6 @@ class AddressSpace:
         raise MemoryError_("access to unmapped address 0x%x" % address,
                            address=address)
 
-    # -- accessors -------------------------------------------------------------
-
-    def read_byte(self, address: int, offset: int = 0) -> Cell:
-        obj, base_off = self.resolve(address)
-        return obj.read_byte(base_off + offset)
-
-    def write_byte(self, address: int, offset: int, value: Cell) -> None:
-        obj, base_off = self.resolve(address)
-        self.own(obj.address).write_byte(base_off + offset, value)
-
-    def __contains__(self, address: int) -> bool:
-        try:
-            self.resolve(address)
-            return True
-        except MemoryError_:
-            return False
-
-    def __len__(self) -> int:
-        return len(self.objects)
-
 
 class CowDomain:
     """A copy-on-write domain: objects shared between processes of one state.
@@ -256,9 +218,3 @@ class CowDomain:
             if base <= address < base + candidate.size:
                 return candidate, address - base
         return None
-
-    def __contains__(self, address: int) -> bool:
-        return self.resolve(address) is not None
-
-    def __len__(self) -> int:
-        return len(self.objects)

@@ -413,12 +413,23 @@ class ExecutionState:
 
     def mem_read_bytes(self, address: int, length: int,
                        process: Optional[Process] = None) -> List[Cell]:
-        return [self.mem_read(address, i, process) for i in range(length)]
+        """``length`` cells from ``address`` on; the base resolves once."""
+        if length <= 0:
+            return []
+        obj, base_off, _ = self.resolve(address, process)
+        return [obj.read_byte(base_off + i) for i in range(length)]
 
     def mem_write_bytes(self, address: int, values: Sequence[Cell],
                         process: Optional[Process] = None) -> None:
-        for i, v in enumerate(values):
-            self.mem_write(address, i, v, process)
+        """Write ``values`` from ``address`` on; the base resolves once."""
+        if not values:
+            return
+        obj, base_off, is_shared = self.resolve(address, process)
+        if not is_shared:
+            target = process if process is not None else self.current_process
+            obj = target.address_space.own(obj.address)
+        for i, value in enumerate(values):
+            obj.write_byte(base_off + i, value)
 
     def string_address(self, blob: bytes) -> int:
         """Address of an interned read-only string constant."""

@@ -10,6 +10,10 @@ execution tree.  Every node carries two attributes:
   exploration frontier, *fence* nodes demarcate work delegated to other
   workers, and *dead* nodes are fully explored interior nodes whose program
   state can be discarded.
+
+A tree holds its :class:`~repro.engine.frontier.Frontier`, and only its
+nodes change it: a node is a member exactly while it is a candidate, since
+node creation and ``TreeNode._set_life`` add and remove it there.
 """
 
 from __future__ import annotations
@@ -17,6 +21,8 @@ from __future__ import annotations
 import enum
 import itertools
 from typing import Any, Dict, Iterator, List, Optional, Sequence
+
+from repro.engine.frontier import Frontier
 
 
 class NodeStatus(enum.Enum):
@@ -44,13 +50,16 @@ class TreeNode:
     """One node of a worker's local view of the execution tree."""
 
     __slots__ = ("node_id", "parent", "children", "status", "life", "state",
-                 "fork_index", "candidate_count")
+                 "fork_index", "candidate_count", "frontier")
 
     def __init__(self, parent: Optional["TreeNode"] = None, fork_index: int = 0,
                  status: NodeStatus = NodeStatus.MATERIALIZED,
                  life: NodeLife = NodeLife.CANDIDATE):
         self.node_id = next(_node_id_counter)
         self.parent = parent
+        # A root starts its tree's frontier; every node below shares it.
+        self.frontier: Frontier = (Frontier() if parent is None
+                                   else parent.frontier)
         self.children: Dict[int, TreeNode] = {}
         self.status = status
         self.life = life
@@ -65,6 +74,8 @@ class TreeNode:
             parent.children[fork_index] = self
             if self.candidate_count:
                 parent._propagate_candidate_delta(self.candidate_count)
+        if self.candidate_count:
+            self.frontier.add(self)
 
     # -- structure ----------------------------------------------------------
 
@@ -111,13 +122,18 @@ class TreeNode:
             node = node.parent
 
     def _set_life(self, life: NodeLife) -> None:
+        """The one place a node's candidacy changes: the subtree counts and
+        the tree's frontier follow it here."""
         was_candidate = self.life is CANDIDATE
-        will_be_candidate = life is CANDIDATE
         self.life = life
-        if was_candidate and not will_be_candidate:
+        if was_candidate is (life is CANDIDATE):
+            return
+        if was_candidate:
             self._propagate_candidate_delta(-1)
-        elif will_be_candidate and not was_candidate:
+            self.frontier.discard(self)
+        else:
             self._propagate_candidate_delta(1)
+            self.frontier.add(self)
 
     def mark_dead(self) -> None:
         """Explored: discard the program state, keep only the skeleton."""
@@ -172,16 +188,12 @@ class TreeNode:
 
 
 class ExecutionTree:
-    """A worker-local (or single-engine) view of the execution tree."""
+    """A worker-local (or single-engine) view of the execution tree, and the
+    frontier of its candidates."""
 
     def __init__(self):
         self.root = TreeNode()
-
-    def nodes(self) -> List[TreeNode]:
-        return list(self.root.iter_subtree())
-
-    def candidates(self) -> List[TreeNode]:
-        return [n for n in self.root.iter_subtree() if n.is_candidate]
+        self.frontier = self.root.frontier
 
     def fences(self) -> List[TreeNode]:
         return [n for n in self.root.iter_subtree() if n.is_fence]

@@ -108,8 +108,6 @@ specs.register_spec("test-ft-spin", _spin_spec_test, replace=True)
 class TestFrontierLedger:
     def test_seed_then_transfer_tracks_territory(self):
         ledger = FrontierLedger()
-        ledger.register(1)
-        ledger.register(2)
         ledger.acquire(1, ())
         ledger.cede(1, (0,))
         ledger.acquire(2, (0,))
@@ -152,8 +150,6 @@ class TestFrontierLedger:
         fence = (1,) * 8
         nested = fence + (0, 0)
         ledger = FrontierLedger()
-        for worker_id in (1, 2, 3):
-            ledger.register(worker_id)
         ledger.acquire(1, ())          # member 1 seeds
         ledger.cede(1, fence)          # and hands F to member 3,
         ledger.acquire(3, fence)
@@ -184,7 +180,9 @@ class TestFrontierLedger:
         ledger.acquire(3, ())
         ledger.forget(3)
         assert ledger.recovery_jobs(3) == []
-        assert 3 not in ledger.worker_ids
+        # The dead member owns no path.
+        assert not ledger.covers(3, ()) and not ledger.covers(3, (0, 1))
+        assert ledger.owned_roots(3) == set()
 
 
 # -- checkpoint serialization ----------------------------------------------------------

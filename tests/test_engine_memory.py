@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import lang as L
 from repro.engine.memory import (
     AddressSpace,
     CowDomain,
@@ -9,7 +10,16 @@ from repro.engine.memory import (
     MemoryError_,
     MemoryObject,
 )
+from repro.engine.state import ExecutionState
+from repro.lang.compiler import compile_program
 from repro.solver import expr as E
+
+
+def _state() -> ExecutionState:
+    state = ExecutionState(compile_program(
+        L.program("p", L.func("main", [], L.ret(0)))))
+    state.create_main_process()
+    return state
 
 
 class TestMemoryObject:
@@ -39,12 +49,14 @@ class TestMemoryObject:
         sym = E.bv_symbol("s", 8)
         obj.write_byte(0, sym)
         assert obj.read_byte(0) is sym
-        assert obj.concrete_bytes() is None
+        assert obj.cells == [sym, 0]
 
     def test_concrete_bytes(self):
-        obj = MemoryObject(0x1000, 2)
-        obj.write_bytes(0, [0x41, 0x42])
-        assert obj.concrete_bytes() == b"AB"
+        state = _state()
+        obj = state.allocate(2)
+        state.mem_write_bytes(obj.address, [0x41, 0x42])
+        assert bytes(state.mem_read_bytes(obj.address, 2)) == b"AB"
+        assert state.resolve(obj.address)[0].cells == [0x41, 0x42]
 
     def test_copy_is_independent(self):
         obj = MemoryObject(0x1000, 2)
@@ -101,7 +113,9 @@ class TestAddressSpace:
         space = AddressSpace()
         space.bind(MemoryObject(0x2000, 8))
         space.unbind(0x2000)
-        assert 0x2000 not in space
+        assert 0x2000 not in space.objects
+        with pytest.raises(MemoryError_):
+            space.resolve(0x2000)
         with pytest.raises(MemoryError_):
             space.unbind(0x2000)
 
@@ -109,22 +123,25 @@ class TestAddressSpace:
         space = AddressSpace()
         space.bind(MemoryObject(0x2000, 4))
         clone = space.clone()
-        clone.write_byte(0x2000, 0, 0x7)
-        assert space.read_byte(0x2000, 0) == 0
-        assert clone.read_byte(0x2000, 0) == 0x7
+        clone.own(0x2000).write_byte(0, 0x7)
+        assert space.resolve(0x2000)[0].read_byte(0) == 0
+        assert clone.resolve(0x2000)[0].read_byte(0) == 0x7
+        # The copy is made once: the clone now owns its object.
+        assert clone.own(0x2000) is clone.objects[0x2000]
 
     def test_clone_write_in_original_does_not_leak(self):
         space = AddressSpace()
         space.bind(MemoryObject(0x2000, 4))
         clone = space.clone()
-        space.write_byte(0x2000, 1, 0x9)
-        assert clone.read_byte(0x2000, 1) == 0
+        space.own(0x2000).write_byte(1, 0x9)
+        assert clone.resolve(0x2000)[0].read_byte(1) == 0
+        assert space.resolve(0x2000)[0].read_byte(1) == 0x9
 
     def test_len(self):
         space = AddressSpace()
         space.bind(MemoryObject(0x2000, 4))
         space.bind(MemoryObject(0x3000, 4))
-        assert len(space) == 2
+        assert len(space.objects) == 2
 
 
 class TestCowDomain:
@@ -132,7 +149,8 @@ class TestCowDomain:
         domain = CowDomain()
         obj = MemoryObject(0x4000, 4)
         domain.share(obj)
-        assert 0x4000 in domain
+        assert domain.resolve(0x4000) == (obj, 0)
+        assert domain.objects == {0x4000: obj}
         assert obj.shared
 
     def test_clone_isolates_states(self):

@@ -3,9 +3,12 @@
 import pytest
 
 from repro import lang as L
+from repro.engine.memory import AddressSpace, MemoryError_
 from repro.engine.state import ExecutionState, StateStatus, ThreadStatus
 from repro.lang.compiler import compile_program
 from repro.solver import expr as E
+
+from conftest import make_executor, python_calls
 
 
 def _state() -> ExecutionState:
@@ -74,6 +77,69 @@ class TestMemoryOperations:
         child = state.fork_process(state.current_process)
         state.mem_write(obj.address, 0, 9, process=state.processes[1])
         assert state.mem_read(obj.address, 0, process=child) == 0
+
+
+class TestBufferCopies:
+    """``mem_read_bytes``/``mem_write_bytes`` resolve a buffer's base once and
+    behave as ``len(buffer)`` single-cell accesses did."""
+
+    def test_a_posix_read_resolves_each_buffer_once(self):
+        program = L.program("p", L.func(
+            "main", [],
+            L.decl("pair", L.call("malloc", 2)),
+            L.expr_stmt(L.call("socketpair", L.var("pair"))),
+            L.decl("msg", L.strconst("abcdef")),
+            L.expr_stmt(L.call("write", L.index(L.var("pair"), 0),
+                               L.var("msg"), 6)),
+            L.decl("buf", L.call("malloc", 6)),
+            L.decl("n", L.call("read", L.index(L.var("pair"), 1),
+                               L.var("buf"), 6)),
+            L.ret(L.add(L.mul(L.var("n"), 256), L.index(L.var("buf"), 5)))))
+        executor = make_executor(program, posix=True)
+        with python_calls(by_code=True) as calls:
+            result = executor.run()
+        assert [t.exit_code for t in result.test_cases] == [6 * 256 + ord("f")]
+        # socketpair's descriptor pair, write's source, read's destination.
+        assert calls[AddressSpace.resolve.__code__] == 3
+
+    def test_a_buffer_past_the_end_of_its_object(self):
+        state = _state()
+        obj = state.allocate(4, name="buf")
+        with pytest.raises(MemoryError_,
+                           match=r"^out-of-bounds write at buf\+4 \(size 4\)$"):
+            state.mem_write_bytes(obj.address + 1, [1, 2, 3, 4])
+        # The cells before the end were written.
+        assert state.mem_read_bytes(obj.address, 4) == [0, 1, 2, 3]
+        with pytest.raises(MemoryError_,
+                           match=r"^out-of-bounds read at buf\+4 \(size 4\)$"):
+            state.mem_read_bytes(obj.address + 2, 3)
+
+    def test_a_buffer_write_owns_one_copy(self):
+        state = _state()
+        obj = state.allocate(4)
+        clone = state.fork()
+        with python_calls(by_code=True) as calls:
+            clone.mem_write_bytes(obj.address, [5, 6, 7])
+        assert calls[AddressSpace.resolve.__code__] == 1
+        copy = clone.resolve(obj.address)[0]
+        assert copy is not obj and copy.cells == [5, 6, 7, 0]
+        assert obj.cells == [0, 0, 0, 0]
+        assert state.resolve(obj.address)[0] is obj
+
+    def test_a_shared_buffer_is_written_in_place(self):
+        state = _state()
+        obj = state.allocate_shared(4)
+        child = state.fork_process(state.current_process)
+        state.mem_write_bytes(obj.address, [1, 2], process=child)
+        assert state.resolve(obj.address)[0] is obj
+        assert state.mem_read_bytes(obj.address, 4) == [1, 2, 0, 0]
+
+    def test_a_zero_length_copy_resolves_nothing(self):
+        state = _state()
+        with python_calls(by_code=True) as calls:
+            assert state.mem_read_bytes(0xDEAD0000, 0) == []
+            state.mem_write_bytes(0xDEAD0000, [])
+        assert calls[ExecutionState.resolve.__code__] == 0
 
 
 class TestSymbolicInputs:

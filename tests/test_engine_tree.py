@@ -1,5 +1,7 @@
 """Unit tests for the execution tree, node life-cycle, pins and layers."""
 
+from hypothesis import given, settings, strategies as st
+
 from repro.engine.tree import (
     ExecutionTree,
     NodeLife,
@@ -86,10 +88,51 @@ class TestCandidateCounts:
         tree = ExecutionTree()
         a = tree.root.add_child(0)
         tree.root.mark_dead()
-        assert tree.candidates() == [a]
+        assert list(tree.frontier) == [a]
         assert tree.fences() == []
         a.mark_fence()
+        assert list(tree.frontier) == []
         assert tree.fences() == [a]
+
+
+STEPS = st.lists(
+    st.tuples(
+        st.sampled_from(["add_child", "ensure_path", "mark_candidate",
+                         "mark_dead", "mark_fence"]),
+        # The node acted on, as an index into the tree in depth-first order.
+        st.integers(0, 63),
+        # A fork index (add_child takes the first) or a path below the node.
+        st.lists(st.integers(0, 2), min_size=1, max_size=3),
+        st.sampled_from(list(NodeLife))),
+    max_size=40)
+
+
+class TestFrontierFollowsLife:
+    """The tree's frontier is its candidates after every step, not only when
+    someone checks: the one place candidacy changes keeps both books."""
+
+    @settings(max_examples=300)
+    @given(STEPS)
+    def test_the_frontier_is_the_candidates_after_every_step(self, steps):
+        tree = ExecutionTree()
+        for name, which, path, life in steps:
+            nodes = list(tree.root.iter_subtree())
+            node = nodes[which % len(nodes)]
+            if name == "add_child":
+                if path[0] not in node.children:
+                    node.add_child(path[0], life=life)
+            elif name == "ensure_path":
+                tree.ensure_path(node.path_from_root() + path, life=life)
+            else:
+                getattr(node, name)()
+            nodes = list(tree.root.iter_subtree())
+            candidates = sorted((n for n in nodes if n.is_candidate),
+                                key=lambda n: n.node_id)
+            assert list(tree.frontier) == candidates
+            assert len(tree.frontier) == len(candidates)
+            for member in nodes:
+                assert member.candidate_count == sum(
+                    1 for n in member.iter_subtree() if n.is_candidate)
 
 
 class TestLayers:

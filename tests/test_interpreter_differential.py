@@ -44,7 +44,7 @@ from repro.engine.natives import (
     NativeContext,
     NativeFork,
 )
-from repro.engine.state import Frame, StateStatus, ThreadStatus
+from repro.engine.state import ExecutionState, Frame, StateStatus, ThreadStatus
 from repro.engine.values import (
     byte_value,
     false_condition,
@@ -852,17 +852,23 @@ def _store_executor(case) -> SymbolicExecutor:
                          posix=True)
 
 
-@pytest.mark.parametrize("case", sorted(STORES))
-def test_concrete_stores_step_the_same(case):
-    _, errors, _ = lock_step(lambda: _store_executor(case),
+def _stores_step_the_same(build, exit_codes, messages):
+    """Lock-step ``build()``'s program against the reference, then check what
+    its paths end in."""
+    _, errors, _ = lock_step(build,
                              lambda executor: executor.make_initial_state(),
                              10**4)
     assert not errors
-    _, exit_codes, messages = STORES[case]
-    result = _store_executor(case).run()
+    result = build().run()
     assert sorted(t.exit_code for t in result.test_cases
                   if not t.is_error) == exit_codes
     assert [bug.message for bug in result.bugs] == messages
+
+
+@pytest.mark.parametrize("case", sorted(STORES))
+def test_concrete_stores_step_the_same(case):
+    _, exit_codes, messages = STORES[case]
+    _stores_step_the_same(lambda: _store_executor(case), exit_codes, messages)
 
 
 def test_a_concrete_store_resolves_its_address_once():
@@ -879,3 +885,85 @@ def test_a_concrete_store_resolves_its_address_once():
         result = executor.run()
     assert [t.exit_code for t in result.test_cases] == [7]
     assert calls[AddressSpace.resolve.__code__] == 8
+
+
+# -- symbolic stores --------------------------------------------------------------------
+#
+# A store at a symbolic offset writes through the object its base resolved
+# to, like a concrete one.  When out of bounds is feasible too, the error
+# state is forked off before the write and must keep the memory from before
+# it: private objects are shared copy-on-write, shared ones copied.
+
+def _symbolic_store_program(size: int, shared: bool):
+    """``p[i] = 9`` into a ``size``-byte object, ``i`` a symbolic byte."""
+    return L.program("store", L.func(
+        "main", [],
+        L.decl("p", L.call("malloc", size)),
+        *([L.expr_stmt(L.call("cloud9_make_shared", P))] if shared else []),
+        L.decl("buf", L.call("cloud9_symbolic_buffer", 1, L.strconst("in"))),
+        L.decl("i", L.index(BUF, 0)),
+        L.store(P, L.var("i"), 9),
+        L.ret(L.index(P, 0))))
+
+
+SYMBOLIC_STORES = {
+    # (object size, shared): the exit codes of the paths that end normally
+    # and the messages of the bugs.
+    "in_bounds": ((256, False), [9], []),
+    "in_bounds_shared": ((256, True), [9], []),
+    "forking": ((4, False), [9],
+                ["out-of-bounds write to heap (symbolic offset)"]),
+    "forking_shared": ((4, True), [9],
+                       ["out-of-bounds write to heap (symbolic offset)"]),
+}
+
+
+def _symbolic_store_executor(case) -> SymbolicExecutor:
+    (size, shared), _, _ = SYMBOLIC_STORES[case]
+    return make_executor(_symbolic_store_program(size, shared), posix=True)
+
+
+@pytest.mark.parametrize("case", sorted(SYMBOLIC_STORES))
+def test_symbolic_stores_step_the_same(case):
+    _, exit_codes, messages = SYMBOLIC_STORES[case]
+    _stores_step_the_same(lambda: _symbolic_store_executor(case), exit_codes,
+                          messages)
+
+
+def _step_the_store(executor):
+    """Step a fresh state up to the store, then the store alone.  Returns
+    the store's children, what each reads at ``p``, and the calls the store
+    made."""
+    state = executor.make_initial_state()
+    main = state.program.function("main")
+    while main.instructions[state.current_thread.top.pc].opcode is not Opcode.STORE:
+        [state] = executor.step(state).children
+    p = state.current_thread.top.locals["p"]
+    with python_calls(by_code=True) as calls:
+        children = executor.step(state).children
+    size = state.resolve(p)[0].size
+    return children, [[c.mem_read(p, k) for k in range(size)]
+                      for c in children], calls
+
+
+@pytest.mark.parametrize("case", sorted(SYMBOLIC_STORES))
+def test_a_symbolic_store_resolves_its_address_once(case):
+    (size, shared), _, _ = SYMBOLIC_STORES[case]
+    children, memory, calls = _step_the_store(_symbolic_store_executor(case))
+    assert len(children) == (2 if size == 4 else 1)
+    assert calls[ExecutionState.resolve.__code__] == 1
+    assert calls[AddressSpace.resolve.__code__] == (0 if shared else 1)
+    assert memory[0].count(9) == 1
+
+
+@pytest.mark.parametrize("shared", [False, True])
+def test_the_out_of_bounds_child_does_not_see_the_write(shared):
+    case = "forking_shared" if shared else "forking"
+    got, got_memory, _ = _step_the_store(_symbolic_store_executor(case))
+    want, want_memory, _ = _step_the_store(
+        _with_reference(_symbolic_store_executor(case)))
+    assert [_snapshot(c) for c in got] == [_snapshot(c) for c in want]
+    assert got_memory == want_memory
+    in_bounds, out_of_bounds = got_memory
+    assert in_bounds.count(9) == 1 and out_of_bounds == [0, 0, 0, 0]
+    assert got[1].status is StateStatus.ERROR

@@ -62,8 +62,6 @@ class OwnerMap:
     def __init__(self) -> None:
         self.ledger = FrontierLedger()
         self.live = set(MEMBERS)
-        for worker_id in MEMBERS:
-            self.ledger.register(worker_id)
         self.ledger.acquire(1, ())
         self.owner = {path: 1 for path in PATHS}
         self.check()
@@ -109,7 +107,8 @@ class OwnerMap:
         assert set().union(*regions) == held
         self.ledger.forget(victim)
         self.live.discard(victim)
-        assert victim not in self.ledger.worker_ids
+        # The dead member owns no path.
+        assert not any(self.ledger.covers(victim, p) for p in PATHS)
         assert _owners(self.ledger) == {
             p: NOBODY if p in held else w for p, w in self.owner.items()}
         survivors = sorted(self.live)
