@@ -26,9 +26,26 @@ concrete semantics.  A variable that is missing or not an ``int``, or a
 loaded byte that is symbolic, makes it return its closure handler, which
 ``run_line`` runs to start the instruction again from the top (the
 generated part only reads).  A concrete load at an object's base address
-reads the cell in the one call the generated function makes.  Code
-objects are cached per process, keyed by their source, so a second executor
-of the same program compiles nothing.
+reads the cell in the one call the generated function makes.
+
+A loop head -- the target of a backward ``JUMP`` -- whose instruction is
+generated also gets a *region*, so that a concrete pass of the loop is one
+Python call, and a run of passes one call too (superinstructions, Ertl and
+Gregg, PLDI 2003; Dynamo's compiled regions, Bala et al., PLDI 2000).  A
+region is one generated function holding every path of generated
+instructions and ``JUMP``s forward from the head, both sides of a branch
+written out as a tree of ``if``s (at most ``_REGION_SIZE`` instructions),
+inside a ``while True`` that a path back to the head continues.  It reads
+each variable from ``frame.locals`` once per call, guarded as a handler
+guards it (and as an ``int`` in range, so no operand is masked), keeps it
+in a Python local and writes every ``ASSIGN`` through at once.  It leaves
+*before* an instruction whose guard fails, whose load finds a symbolic byte
+or whose load raises; ``run_line`` runs that instruction again one at a
+time, so the closure fallback, the error, the bug's line and the books are
+the handler's.  A region is built the first time a step has room for two
+instructions at its head: a search that steps one instruction at a time
+never builds or enters one.  Code objects are cached per process, keyed by
+their source, so a second executor of the same program compiles nothing.
 
 A handler returns ``None`` when the instruction went straight on -- only
 locals and the program counter changed (``ASSIGN``, ``JUMP``, a concrete
@@ -41,10 +58,16 @@ native changes ``state.options``).  A state's books
 generated handlers and ``JUMP``s, which cannot read them: ``run_line``
 counts those in locals and writes them, with only the lines new since the
 last write, before any other handler or a closure fallback runs, before an
-instruction's exception ends the state, and when the line ends.  The
-decoded table lives on the interpreter: per function, one ``(line,
-handler, booked_later)`` entry per instruction, built when the function is
-first entered: ``Instruction``/``CompiledProgram`` stay plain data (``repro.lang``
+instruction's exception ends the state, and when the line ends.  A region
+books the same way: each exit sets the pc, adds the lines of the passes it
+ran to those unwritten lines and returns how many instructions it ran.
+``run_line`` enters a region only when its longest pass fits in the step
+with one instruction to spare, and the region starts a pass only on the
+same terms, so a step stops on the instruction, and names the line, that
+it would one instruction at a time.  The decoded table lives on the
+interpreter: per function, one ``(line, handler, booked_later)`` entry per
+instruction (at a loop head ``booked_later`` holds the region), built when
+the function is first entered: ``Instruction``/``CompiledProgram`` stay plain data (``repro.lang``
 knows nothing of the engine), nothing is decoded at construction, and a
 native is still looked up by name on every call, so late registration keeps
 working.
@@ -54,8 +77,8 @@ from __future__ import annotations
 
 import builtins
 from types import CodeType, FunctionType
-from typing import (Any, Callable, Dict, List, Optional, Sequence, Set,
-                    Tuple, Union)
+from typing import (Any, Callable, Dict, FrozenSet, List, Optional, Sequence,
+                    Set, Tuple, Union)
 
 from repro.engine.config import EngineConfig
 from repro.engine.errors import BugKind, BugReport
@@ -119,9 +142,15 @@ Handler = Callable[[ExecutionState, Thread, Frame],
 #: A generated instruction: returns ``None`` when it went straight on, else
 #: its closure handler, which runs the instruction again from the top.
 Generated = Callable[[ExecutionState, Thread, Frame], Optional[Handler]]
+#: A loop head's region: runs whole passes from the head, at most ``room``
+#: instructions, adds their lines to ``fresh`` and returns how many ran.
+Region = Callable[[ExecutionState, Frame, int, Set[int]], int]
 #: ``(line, handler, booked_later)`` per instruction; ``booked_later``: the
-#: handler is generated or a ``JUMP``, so it cannot read the state's books.
-DecodedFunction = List[Tuple[int, Union[Handler, Generated], bool]]
+#: handler is generated or a ``JUMP``, so it cannot read the state's books --
+#: ``True``, or at a loop head its region and the most instructions one pass
+#: of it runs.
+DecodedFunction = List[Tuple[int, Union[Handler, Generated],
+                             Union[bool, Tuple[Region, int]]]]
 
 #: How many generated code objects a process keeps (the oldest goes first).
 _CODE_CACHE_SIZE = 4096
@@ -191,7 +220,10 @@ class Interpreter:
         written to the state before any other handler runs, before a
         generated handler's closure takes over, before an instruction's
         exception ends the state, and when the line ends.  Each write adds
-        only the lines run since the previous one.
+        only the lines run since the previous one.  A loop head's region
+        runs whole passes in one call and is booked as their handlers
+        would be; it runs only when its longest pass leaves room for one
+        more instruction, so the line ends where it would without it.
 
         Returns the last executed line, the ordered states that instruction
         produced (the input state always among them, possibly terminated),
@@ -218,6 +250,7 @@ class Interpreter:
         lines: Set[int] = set()  # the lines of the instructions booked
         fresh: Set[int] = set()  # and of those run since
         children: Any
+        booked_later: Any
         try:
             while True:
                 try:
@@ -230,6 +263,18 @@ class Interpreter:
                 fresh.add(line)
                 try:
                     if booked_later:
+                        if booked_later is not True:
+                            # A loop head: its region runs whole passes in
+                            # one call while the longest one fits and leaves
+                            # room for one more instruction, which ends the
+                            # step if anything does and names its line.
+                            region, longest = booked_later
+                            room = stop - instructions
+                            if longest <= room:
+                                ran = region(state, frame, room, fresh)
+                                if ran:
+                                    instructions += ran - 1
+                                    continue
                         children = handler(state, thread, frame)
                         if children is None:
                             # Straight on: nothing but locals and the pc
@@ -296,12 +341,14 @@ class Interpreter:
     # -- decoding: expressions -------------------------------------------------------
 
     def _decode_function(self, program: CompiledProgram, name: str) -> DecodedFunction:
+        instructions = program.function(name).instructions
         decoded: DecodedFunction = []
-        for index, instr in enumerate(program.function(name).instructions):
+        for index, instr in enumerate(instructions):
             handler = self._decode_instruction(program, index, instr)
             decoded.append((instr.line, handler, instr.opcode == Opcode.JUMP
                             or (isinstance(handler, FunctionType) and
                                 handler.__code__.co_filename == _GENERATED)))
+        _install_regions(instructions, decoded)
         return decoded
 
     def _decode_expr(self, expr) -> Evaluator:
@@ -833,7 +880,8 @@ def _load_concrete(state: ExecutionState, base: int, offset: int
     :meth:`Interpreter._load` returns), or ``None`` when the cell is
     symbolic.  A direct pointer in bounds is read here, found as
     ``state.resolve`` would find it (the CoW domain first); anything else
-    goes through ``resolve`` and ``read_byte`` and their errors."""
+    goes through ``resolve`` and ``read_byte`` and their errors.  A region
+    writes the direct-pointer half out inline and calls this for the rest."""
     shared = state.cow_domain.objects
     obj = (shared.get(base) if shared else state.processes[
         state.current[0]].address_space.objects.get(base))
@@ -849,18 +897,33 @@ def _load_concrete(state: ExecutionState, base: int, offset: int
 
 _TEMPLATE_CONSTANTS = {"mask": _DEFAULT_MASK, "width": DEFAULT_WIDTH,
                        "sign": 1 << (DEFAULT_WIDTH - 1)}
-_FALLBACK = "return _fallback"
 _GENERATED = "<generated handler>"
+_REGION = "<generated region>"
+#: The most instructions a region's tree holds.  Each path is written out
+#: on its own, so the code after a branch is there once per side.
+_REGION_SIZE = 64
+
+
+def _indented(depth: int, lines: Sequence[str]) -> List[str]:
+    return ["    " * depth + line for line in lines]
 
 
 class _Source:
-    """One generated handler's body: the variables it reads, guarded up
-    front, and the statements that bind loads and reused operands, in the
-    order the closures evaluate them."""
+    """One generated instruction: the variables it reads, and the statements
+    that bind loads and reused operands, in the order the closures evaluate
+    them."""
 
-    def __init__(self) -> None:
-        self.variables: Dict[str, str] = {}
-        self.statements: List[str] = []
+    def __init__(self, names: Optional[Dict[str, str]] = None,
+                 in_range: bool = False) -> None:
+        # Each variable's Python local: the handler's own, or the region's,
+        # shared by all its instructions.
+        self.names: Dict[str, str] = {} if names is None else names
+        # Whether every variable's local is known to be in range (a
+        # region's reads guard it), so none is masked.
+        self.in_range = in_range
+        self.variables: Dict[str, str] = {}  # the ones this instruction reads
+        # ``(name, value, loaded)``: ``loaded`` is a load's base and offset.
+        self.statements: List[Tuple[str, str, Optional[Tuple[str, str]]]] = []
 
     def operand(self, expr, masked: bool) -> str:
         """The operand as a side-effect-free Python atom.
@@ -874,8 +937,13 @@ class _Source:
         if isinstance(expr, Var):
             name = self.variables.get(expr.name)
             if name is None:
-                name = self.variables[expr.name] = "v%d" % len(self.variables)
-            return "(%s & %d)" % (name, _DEFAULT_MASK) if masked else name
+                name = self.names.get(expr.name)
+                if name is None:
+                    name = self.names[expr.name] = "v%d" % len(self.names)
+                self.variables[expr.name] = name
+            if masked and not self.in_range:
+                return "(%s & %d)" % (name, _DEFAULT_MASK)
+            return name
         if isinstance(expr, BinExpr):
             if expr.op in (BinaryOp.DIV, BinaryOp.MOD):
                 raise _NotGenerated  # the divisor check is the closure's
@@ -888,10 +956,8 @@ class _Source:
         if isinstance(expr, Index):
             base = self.operand(expr.base, False)
             offset = self.operand(expr.offset, False)
-            loaded = self.bind("_load(state, %s, %s)" % (base, offset))
-            self.statements.append("if %s is None:\n        %s"
-                                   % (loaded, _FALLBACK))
-            return loaded
+            return self.bind("_load(state, %s, %s)" % (base, offset),
+                             (base, offset))
         raise _NotGenerated
 
     def apply(self, template: str, **operands: str) -> str:
@@ -902,29 +968,32 @@ class _Source:
                 operands[key] = self.bind(atom)
         return "(%s)" % template.format(**_TEMPLATE_CONSTANTS, **operands)
 
-    def bind(self, value: str) -> str:
+    def bind(self, value: str,
+             loaded: Optional[Tuple[str, str]] = None) -> str:
         name = "t%d" % len(self.statements)
-        self.statements.append("%s = %s" % (name, value))
+        self.statements.append((name, value, loaded))
         return name
 
-    def function(self, body: str, typed: bool) -> str:
-        """The handler's source; ``typed``: its variables must be ``int``s."""
-        lines = ["def handler(state, thread, frame):"]
-        if self.variables:
-            lines.append("    locals_ = frame.locals")
-            lines.append("    try:")
-            lines.extend("        %s = locals_[%r]" % (name, variable)
-                         for variable, name in self.variables.items())
-            lines.append("    except KeyError:")
-            lines.append("        " + _FALLBACK)
-        if self.variables and typed:
-            lines.append("    if %s:" % " or ".join(
-                "type(%s) is not int" % name
-                for name in self.variables.values()))
-            lines.append("        " + _FALLBACK)
-        lines.extend("    " + statement for statement in self.statements)
-        lines.append("    " + body)
-        return "\n".join(lines) + "\n"
+
+def _truth(value: str) -> str:
+    """``value != 0`` as a Python condition: a comparison template's own
+    test when ``value`` is one (``(1 if C else 0)``)."""
+    if value.startswith("(1 if ") and value.endswith(" else 0)"):
+        return value[len("(1 if "):-len(" else 0)")]
+    return "%s != 0" % value
+
+
+def _compiled(text: str, filename: str) -> CodeType:
+    """The code object of the one function ``text`` defines, compiled once
+    per process."""
+    code = _code_cache.get(text)
+    if code is None:
+        if len(_code_cache) >= _CODE_CACHE_SIZE:
+            del _code_cache[next(iter(_code_cache))]
+        module = compile(text, filename, "exec")
+        code = _code_cache[text] = next(
+            const for const in module.co_consts if isinstance(const, CodeType))
+    return code
 
 
 def _generated(index: int, instr: Instruction,
@@ -938,24 +1007,234 @@ def _generated(index: int, instr: Instruction,
     except _NotGenerated:
         return fallback
     if instr.opcode == Opcode.ASSIGN:
-        body = ("%s[%r] = %s\n    frame.pc = %d"
-                % ("locals_" if source.variables else "frame.locals",
-                   str(instr.dest), value, index + 1))
+        body = ["%s[%r] = %s" % ("locals_" if source.variables
+                                 else "frame.locals", str(instr.dest), value),
+                "frame.pc = %d" % (index + 1)]
     else:
         target, false_target = instr.target, instr.false_target
         if target is None or false_target is None:
             return fallback
-        body = ("frame.pc = %d if %s != 0 else %d"
-                % (target, value, false_target))
-    # A plain copy stores whatever the variable holds, as the closure does.
-    text = source.function(body, typed=not (instr.opcode == Opcode.ASSIGN
-                                             and isinstance(instr.expr, Var)))
-    code = _code_cache.get(text)
-    if code is None:
-        if len(_code_cache) >= _CODE_CACHE_SIZE:
-            del _code_cache[next(iter(_code_cache))]
-        module = compile(text, _GENERATED, "exec")
-        code = _code_cache[text] = next(
-            const for const in module.co_consts if isinstance(const, CodeType))
-    return FunctionType(code, {"__builtins__": builtins, "_load": _load_concrete,
-                               "_fallback": fallback})
+        body = ["frame.pc = %d if %s else %d"
+                % (target, _truth(value), false_target)]
+    lines: List[str] = []
+    if source.variables:
+        lines.append("locals_ = frame.locals")
+        lines.append("try:")
+        lines.extend("    %s = locals_[%r]" % (name, variable)
+                     for variable, name in source.variables.items())
+        lines.extend(["except KeyError:", "    return _fallback"])
+        # A plain copy stores whatever the variable holds, as the closure
+        # does.
+        if not (instr.opcode == Opcode.ASSIGN and isinstance(instr.expr, Var)):
+            lines.append("if %s:" % " or ".join(
+                "type(%s) is not int" % name
+                for name in source.variables.values()))
+            lines.append("    return _fallback")
+    for name, value, loaded in source.statements:
+        lines.append("%s = %s" % (name, value))
+        if loaded is not None:
+            lines.extend(["if %s is None:" % name, "    return _fallback"])
+    text = "\n".join(["def handler(state, thread, frame):"]
+                     + _indented(1, lines + body)) + "\n"
+    return FunctionType(_compiled(text, _GENERATED),
+                        {"__builtins__": builtins, "_load": _load_concrete,
+                         "_fallback": fallback})
+
+
+# -- regions ------------------------------------------------------------------------------
+
+
+class _Region:
+    """The source of the region at a loop head: every path of generated
+    instructions and ``JUMP``s forward from the head, written out as a tree
+    of Python ``if``s inside one ``while True`` that a path back to the head
+    continues.
+
+    A path ends before an instruction that is neither generated nor a
+    ``JUMP``, that it already ran, or past ``_REGION_SIZE`` instructions;
+    there the function sets the pc, adds the lines it ran to ``fresh`` and
+    returns how many instructions ran.  A variable is read once per call,
+    guarded as an ``int`` in range, so every local holds one; an ``ASSIGN``
+    writes through to ``frame.locals`` at once.  A guard that fails, a load
+    that finds a symbolic byte or raises, leaves before the instruction,
+    which wrote nothing yet."""
+
+    def __init__(self, head: int, instructions: Sequence[Instruction],
+                 generated: Sequence[bool]):
+        self.head = head
+        self.instructions = instructions
+        self.generated = generated
+        self.names: Dict[str, str] = {}
+        # Each line set an exit books, and its global's number (``_L0``, ...).
+        self.lines: Dict[FrozenSet[int], int] = {}
+        self.text: List[str] = []
+        self.size = 0
+        self.longest = 0  # the most instructions one pass runs
+        self.back_edges = 0
+        self.loads = False
+
+    def function(self) -> Optional[Tuple[Region, int]]:
+        """The region and its longest pass; ``None`` when no pass runs two
+        instructions."""
+        self.walk(self.head, [], set(), 2)
+        if self.longest < 2:
+            return None
+        flags = ["f%d = " % k for k in range(self.back_edges)]
+        text = "\n".join(
+            ["def region(state, frame, room, fresh):",
+             "    locals_ = frame.locals",
+             "    n = 0"]
+            # Nothing in a region writes memory: the table stays put.
+            + (["    shared = state.cow_domain.objects",
+                "    objects = shared if shared else state.processes["
+                "state.current[0]].address_space.objects"]
+               if self.loads else [])
+            + (["    %sTrue" % "".join(flags)] if flags else [])
+            + (["    %sNone" % "".join(
+                "%s = " % name for name in self.names.values())]
+               if self.names else [])
+            + ["    while True:"] + self.text) + "\n"
+        scope: Dict[str, Any] = {"__builtins__": builtins,
+                                 "_load": _load_concrete,
+                                 "_ends": _ENDS_THE_STATE,
+                                 "_longest": self.longest}
+        scope.update(("_L%d" % k, lines) for lines, k in self.lines.items())
+        return FunctionType(_compiled(text, _REGION), scope), self.longest
+
+    def walk(self, pc: Optional[int], path: List[int], bound: Set[str],
+             depth: int) -> None:
+        """Write the tree from ``pc`` on, after ``path`` ran this pass and
+        bound the variables ``bound``."""
+        emit = self.text.extend
+        if pc == self.head and path:
+            self.longest = max(self.longest, len(path))
+            flag = self.back_edges
+            self.back_edges += 1
+            emit(_indented(depth, [
+                "n += %d" % len(path),
+                "if f%d:" % flag,
+                "    f%d = False" % flag,
+                "    fresh.update(_L%d)" % self.booked(path),
+                "if n + _longest > room:",
+                "    return n",
+                "continue"]))
+            return
+        if (pc is None or pc in path or not 0 <= pc < len(self.generated)
+                or not self.generated[pc] or self.size >= _REGION_SIZE):
+            emit(_indented(depth, self.leave(pc, path)))
+            return
+        self.size += 1
+        instr = self.instructions[pc]
+        ran = path + [pc]
+        if instr.opcode == Opcode.JUMP:
+            self.walk(instr.target, ran, bound, depth)
+            return
+        source = _Source(self.names, in_range=True)
+        value = source.operand(instr.expr, False)
+        emit(_indented(depth, self.evaluation(
+            source, bound, self.leave(pc, path))))
+        bound = bound | set(source.variables)
+        if instr.opcode == Opcode.ASSIGN:
+            dest = str(instr.dest)
+            name = self.names.setdefault(dest, "v%d" % len(self.names))
+            emit(_indented(depth, ["%s = %s" % (name, value),
+                                   "locals_[%r] = %s" % (dest, name)]))
+            self.walk(pc + 1, ran, bound | {dest}, depth)
+            return
+        emit(_indented(depth, ["if %s:" % _truth(value)]))
+        self.walk(instr.target, ran, bound, depth + 1)
+        emit(_indented(depth, ["else:"]))
+        self.walk(instr.false_target, ran, bound, depth + 1)
+
+    def evaluation(self, source: _Source, bound: Set[str],
+                   leave: List[str]) -> List[str]:
+        """Read the variables of ``source`` that the path has not bound
+        (unless an earlier pass did: a local is ``None`` until read) and
+        run its statements, leaving by ``leave`` when a variable is missing
+        or not an ``int`` in range, or a load finds a symbolic byte or
+        raises.  A load at a direct pointer in bounds reads the cell from
+        ``objects``, ``_load_concrete``'s table."""
+        lines: List[str] = []
+        for variable, name in source.variables.items():
+            if variable in bound:
+                continue
+            lines.extend(["if %s is None:" % name,
+                          "    try:",
+                          "        %s = locals_[%r]" % (name, variable),
+                          "    except KeyError:"])
+            lines.extend(_indented(2, leave))
+            lines.append("    if type(%s) is not int or %s >> %d:"
+                         % (name, name, DEFAULT_WIDTH))
+            lines.extend(_indented(2, leave))
+        for name, value, loaded in source.statements:
+            if loaded is None:
+                lines.append("%s = %s" % (name, value))
+                continue
+            self.loads = True
+            base, offset = loaded
+            if not (offset.isidentifier() or offset.isdigit()):
+                lines.append("o = %s" % offset)
+                offset = "o"
+            lines.extend(["obj = objects.get(%s)" % base,
+                          "if obj is not None and 0 <= %s < obj.size:"
+                          % offset,
+                          "    %s = obj.cells[%s]" % (name, offset),
+                          "    if type(%s) is not int:" % name])
+            lines.extend(_indented(2, leave))
+            lines.extend(["    %s &= 255" % name,
+                          "else:",
+                          "    try:",
+                          "        %s = _load(state, %s, %s)"
+                          % (name, base, offset),
+                          "    except _ends:"])
+            lines.extend(_indented(2, leave))
+            lines.append("    if %s is None:" % name)
+            lines.extend(_indented(2, leave))
+        return lines
+
+    def leave(self, pc: Optional[int], path: List[int]) -> List[str]:
+        """Return before instruction ``pc``, having run ``path`` this pass
+        (a ``JUMP`` without a target leaves the pc ``None``, as its handler
+        does)."""
+        if not path:
+            return ["return n"]  # the pc is still the head
+        self.longest = max(self.longest, len(path))
+        return ["frame.pc = %r" % pc,
+                "fresh.update(_L%d)" % self.booked(path),
+                "return n + %d" % len(path)]
+
+    def booked(self, path: List[int]) -> int:
+        """The number of the global holding ``path``'s lines."""
+        lines = frozenset(self.instructions[pc].line for pc in path)
+        return self.lines.setdefault(lines, len(self.lines))
+
+
+def _install_regions(instructions: Sequence[Instruction],
+                     decoded: DecodedFunction) -> None:
+    """Mark every loop head (the target of a backward ``JUMP``) that is
+    generated: its entry's ``booked_later`` slot gets a stand-in region that
+    builds the real one the first time a step has room for two instructions
+    there, puts it in the slot (``True`` when there is none) and runs it.
+    A search that steps one instruction at a time never builds one."""
+    generated = [bool(booked_later) for _, _, booked_later in decoded]
+    heads = {instr.target for index, instr in enumerate(instructions)
+             if instr.opcode == Opcode.JUMP and instr.target is not None
+             and 0 <= instr.target <= index}
+    for head in heads:
+        if generated[head]:
+            line, handler, _ = decoded[head]
+            decoded[head] = (line, handler, (_stand_in(
+                head, instructions, generated, decoded), 2))
+
+
+def _stand_in(head: int, instructions: Sequence[Instruction],
+              generated: Sequence[bool], decoded: DecodedFunction) -> Region:
+    def build(state: ExecutionState, frame: Frame, room: int,
+              fresh: Set[int]) -> int:
+        line, handler, _ = decoded[head]
+        region = _Region(head, instructions, generated).function()
+        decoded[head] = (line, handler, True if region is None else region)
+        if region is None or region[1] > room:
+            return 0
+        return region[0](state, frame, room, fresh)
+    return build

@@ -21,13 +21,13 @@ A native handler is a Python callable ``handler(ctx)`` receiving a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.engine.errors import BugKind
 from repro.engine.memory import MemoryObject
 from repro.engine.state import ExecutionState, Process, Thread
-from repro.engine.values import Value, is_concrete, to_expr
+from repro.engine.values import Value, is_concrete
 from repro.solver.expr import Expr
 from repro.solver.solver import Solver
 
@@ -182,10 +182,17 @@ class NativeContext:
         """Read a NUL-terminated concrete string from memory.
 
         Symbolic bytes encountered before the terminator are concretized.
+        The address resolves once; past its object's end a read goes
+        through ``mem_read``, which raises the out-of-bounds error.
         """
+        if max_length <= 0:
+            return b""
         out = bytearray()
+        obj, base_off, _ = self.state.resolve(address)
+        cells, end = obj.cells, obj.size - base_off
         for offset in range(max_length):
-            cell = self.state.mem_read(address, offset)
+            cell = (cells[base_off + offset] if offset < end
+                    else self.state.mem_read(address, offset))
             value = cell if is_concrete(cell) else self.concretize(cell)
             if value == 0:
                 break

@@ -14,8 +14,6 @@ sockets, synchronization) lives in :mod:`repro.posix`.
 
 from __future__ import annotations
 
-from typing import Dict
-
 from repro.engine.errors import BugKind
 from repro.engine.memory import MemoryError_
 from repro.engine.natives import (
@@ -26,7 +24,7 @@ from repro.engine.natives import (
     NativeRegistry,
 )
 from repro.engine.state import Frame, Thread, ThreadStatus
-from repro.engine.values import byte_value, is_concrete
+from repro.engine.values import byte_value
 
 
 # -- Table 1: Cloud9 primitives ------------------------------------------------

@@ -10,9 +10,14 @@ from repro.engine.memory import (
     MemoryError_,
     MemoryObject,
 )
+from repro.engine import SymbolicExecutor
+from repro.engine.natives import NativeContext
 from repro.engine.state import ExecutionState
+from repro.engine.values import is_concrete
 from repro.lang.compiler import compile_program
 from repro.solver import expr as E
+
+from conftest import python_calls
 
 
 def _state() -> ExecutionState:
@@ -168,3 +173,68 @@ class TestCowDomain:
         resolved = domain.resolve(0x4003)
         assert resolved is not None and resolved[1] == 3
         assert domain.resolve(0x9000) is None
+
+
+# -- C strings ---------------------------------------------------------------------------
+
+
+def _byte_at_a_time(ctx, address, max_length=4096):
+    """``read_c_string`` as it was: one ``mem_read`` per byte."""
+    out = bytearray()
+    for offset in range(max_length):
+        cell = ctx.state.mem_read(address, offset)
+        value = cell if is_concrete(cell) else ctx.concretize(cell)
+        if value == 0:
+            break
+        out.append(value & 0xFF)
+    return bytes(out)
+
+
+def _string_context():
+    """A native's context over a state holding the label ``"in"`` and a
+    4-byte heap object ``"ab" <symbolic byte above 0x20> "c"`` with no
+    terminator."""
+    executor = SymbolicExecutor(L.program("p", L.func(
+        "main", [], L.decl("label", L.strconst("in")), L.ret(0))))
+    state = executor.make_initial_state()
+    heap = state.allocate(4, name="heap")
+    symbol = E.bv_symbol("s", 8)
+    state.add_constraint(E.ult(E.bv_const(0x20, 8), symbol))
+    state.mem_write_bytes(heap.address, [0x61, 0x62, symbol, 0x63])
+    return NativeContext(executor, state, [], None), heap.address
+
+
+def _read(read, address_of, max_length):
+    ctx, heap = _string_context()
+    address = address_of(ctx.state, heap)
+    try:
+        value = read(ctx, address, max_length)
+    except MemoryError_ as exc:
+        value = str(exc)
+    return value, list(ctx.state.path_constraints)
+
+
+class TestCString:
+    def test_the_label_resolves_once(self):
+        ctx, _ = _string_context()
+        label = ctx.state.string_address(b"in")
+        with python_calls(by_code=True) as calls:
+            assert ctx.read_c_string(label) == b"in"
+        assert calls[ExecutionState.resolve.__code__] == 1
+        assert calls[AddressSpace.resolve.__code__] == 1
+
+    @pytest.mark.parametrize("where", ["label", "interior", "heap",
+                                       "unmapped"])
+    @pytest.mark.parametrize("max_length", [0, 1, 2, 4, 4096])
+    def test_reads_what_a_byte_at_a_time_read_reads(self, where, max_length):
+        """The same bytes, the same concretized symbolic byte, and the same
+        error at the same offset past the object's end."""
+        address_of = {
+            "label": lambda state, heap: state.string_address(b"in"),
+            "interior": lambda state, heap: heap + 1,
+            "heap": lambda state, heap: heap,
+            "unmapped": lambda state, heap: 0x10,
+        }[where]
+        got = _read(lambda ctx, address, length: ctx.read_c_string(
+            address, length), address_of, max_length)
+        assert got == _read(_byte_at_a_time, address_of, max_length)

@@ -14,14 +14,18 @@ in lock-step and must agree after every step on the number of children and,
 per child, on status, program counter, locals, path-constraint conjuncts,
 coverage and fork trace, and on the bugs and engine errors raised.  In the
 second mode the decoded side steps whole straight lines and the reference
-one instruction at a time, compared wherever a decoded step ends.  Every
-run checks that the reference executed every instruction it was credited.
+one instruction at a time, compared wherever a decoded step ends; in the
+third the decoded side's budgets cycle through small primes, so a loop
+head's region is entered, refused for want of room and cut at every offset
+of a pass.  Every run checks that the reference executed every instruction
+it was credited.
 
 The one deliberate difference to the code that was deleted: every constant is
 masked to the default width (the deleted evaluator masked only negative ones,
 which is the bug ``test_engine_interpreter.TestConstantWidth`` pins).
 """
 
+import itertools
 from typing import List
 
 import pytest
@@ -430,7 +434,9 @@ def _snapshot(state):
 
 #: A decoded step's budget in whole-line mode: no cap but the path's own.
 WHOLE_LINE = 1 << 62
-MODES = ["one_instruction", "whole_lines"]
+#: The decoded side's budgets in ``cut_lines`` mode, in turn.
+CUTS = (1, 2, 3, 5, 7, 11, 13)
+MODES = ["one_instruction", "whole_lines", "cut_lines"]
 
 
 def _step(executor, state, budget=1):
@@ -473,13 +479,15 @@ def lock_step(make_executor, make_state, budget: int):
 def _lock_step(make_executor, make_state, budget: int, mode: str):
     """``one_instruction`` steps both sides one instruction at a time;
     ``whole_lines`` steps the decoded side by whole straight lines and the
-    reference by one instruction, compared at every decoded step boundary.
+    reference by one instruction, compared at every decoded step boundary;
+    ``cut_lines`` does the same with the decoded budgets ``CUTS``.
     """
     errors, bugs = [], []
     decoded = make_executor()
     reference = _with_reference(make_executor())
     assert type(decoded.interpreter) is Interpreter
-    whole_lines = mode == "whole_lines"
+    whole_lines = mode != "one_instruction"
+    budgets = itertools.cycle(CUTS if mode == "cut_lines" else [WHOLE_LINE])
     # A step that raises books nothing, so a decoded line that raised
     # leaves the reference's straight-on steps before it unbooked there.
     uncredited, uncovered = 0, set()
@@ -489,12 +497,13 @@ def _lock_step(make_executor, make_state, budget: int, mode: str):
     while stack and decoded.total_instructions < budget:
         mine, theirs = stack.pop()
         if whole_lines:
-            got, got_error = _step(decoded, mine, WHOLE_LINE)
+            cap = next(budgets)
+            got, got_error = _step(decoded, mine, cap)
             want, want_error, instructions, lines = _reference_line(
                 reference, theirs, got)
             reference_covered |= lines
             if got is not None:
-                assert got.instructions == instructions
+                assert got.instructions == instructions <= cap
                 assert (got.lines or {got.line} - {None}) == lines
                 covered |= lines
             else:
@@ -505,6 +514,8 @@ def _lock_step(make_executor, make_state, budget: int, mode: str):
             want, want_error = _step(reference, theirs)
         assert got_error == want_error
         if got is None:
+            # The books up to and including the instruction that raised.
+            assert _snapshot(mine) == _snapshot(theirs)
             errors.append(got_error)
             continue
         assert got.line == want.line
@@ -967,3 +978,91 @@ def test_the_out_of_bounds_child_does_not_see_the_write(shared):
     in_bounds, out_of_bounds = got_memory
     assert in_bounds.count(9) == 1 and out_of_bounds == [0, 0, 0, 0]
     assert got[1].status is StateStatus.ERROR
+
+
+# -- regions: a loop pass cut short ----------------------------------------------------
+#
+# A loop head's region runs whole passes of the loop in one call and leaves
+# before an instruction it cannot run concretely, which the per-instruction
+# path then runs again.  Each loop below turns at iteration ``K``, inside a
+# region's pass; a region that books one instruction too many, or runs one
+# past its room, fails the lock-step.
+
+K = 3
+I = L.var("i")
+
+
+def _region_program(size, prelude, loop):
+    """``p``: ``size`` bytes 1, 2, ...; then ``prelude``, and ``loop`` as
+    the body of ``while (i < 8) { ...; i += 1; }``."""
+    return L.program("region", L.func(
+        "main", [],
+        L.decl("p", L.call("malloc", size)),
+        L.decl("sym", L.call("cloud9_symbolic_buffer", 1, L.strconst("in"))),
+        L.decl("j", 0),
+        L.while_(L.lt(L.var("j"), size),
+                 L.store(P, L.var("j"), L.add(L.var("j"), 1)),
+                 L.assign("j", L.add(L.var("j"), 1))),
+        *prelude,
+        L.decl("a", 0),
+        L.decl("i", 0),
+        L.while_(L.lt(I, 8), *loop, L.assign("i", L.add(I, 1))),
+        L.ret(L.var("a"))))
+
+
+ADD_A_BYTE = L.assign("a", L.add(L.var("a"), L.index(P, I)))
+#: Each loop by case: its size, prelude and body.
+REGION_LOOPS = {
+    # ``p[K]`` is symbolic: the load there forks on the branch.
+    "symbolic_load": (8, [L.store(P, K, L.index(L.var("sym"), 0))],
+                      [L.if_(L.eq(L.index(P, I), 0), [L.break_()]),
+                       ADD_A_BYTE]),
+    # ``p`` ends at ``K``: the load there is the memory error.
+    "out_of_bounds": (K, [], [ADD_A_BYTE]),
+    # Only iteration ``K`` reads ``ghost``, which is never declared.
+    "undefined": (8, [], [L.if_(L.eq(I, K), [L.assign(
+        "a", L.add(L.var("a"), L.var("ghost")))]), ADD_A_BYTE]),
+    # Run to its end, and with every path limit that stops it short.
+    "path_limit": (8, [], [ADD_A_BYTE]),
+}
+
+
+def _region_lock_step(case, limit=None):
+    size, prelude, loop = REGION_LOOPS[case]
+    program = _region_program(size, prelude, loop)
+    options = None if limit is None else {"max_instructions": limit}
+    return lock_step(lambda: make_executor(program),
+                     lambda executor: executor.make_initial_state(options),
+                     10**4)
+
+
+@pytest.mark.parametrize("case", sorted(REGION_LOOPS))
+def test_a_region_cut_short_steps_the_same(case):
+    with python_calls() as calls:
+        executor, errors, bugs = _region_lock_step(case)
+    assert calls["<generated region>"] > 0
+    if case == "symbolic_load":
+        assert not errors and not bugs
+        size, prelude, loop = REGION_LOOPS[case]
+        result = make_executor(_region_program(size, prelude, loop)).run()
+        # One path breaks at ``K``, one sums on past it.
+        exit_codes = sorted(t.exit_code for t in result.test_cases)
+        assert len(exit_codes) == 2 and exit_codes[0] == 1 + 2 + 3
+    elif case == "out_of_bounds":
+        assert not errors
+        [load] = [instr.line for instr in
+                  executor.program.function("main").instructions
+                  if instr.opcode is Opcode.ASSIGN and instr.dest == "a"
+                  and isinstance(instr.expr, BinExpr)]
+        assert [(bug.kind, bug.line) for bug in bugs] == [
+            (BugKind.MEMORY_ERROR, load)]
+    elif case == "undefined":
+        assert errors == ["use of undefined variable 'ghost' in main"]
+    else:
+        assert not errors and not bugs
+        whole = executor.total_instructions
+        for limit in range(1, whole):
+            executor, errors, bugs = _region_lock_step(case, limit)
+            assert not errors
+            assert [(bug.kind, executor.total_instructions)
+                    for bug in bugs] == [(BugKind.INFINITE_LOOP, limit)]
