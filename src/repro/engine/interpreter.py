@@ -14,62 +14,54 @@ Instructions are *decoded on first run*, the way KLEE interprets pre-lowered
 ``KInstruction``s rather than source trees: the first time a function of a
 program executes on an :class:`Interpreter`, each of its
 :class:`~repro.lang.compiler.Instruction` records becomes a ``(line,
-handler)`` pair.  A handler is a closure over closure-compiled operand
-evaluators (a constant is masked once, a variable is one dict lookup, a
-binary operator is bound from :mod:`repro.engine.values`' operator table).
-An ``ASSIGN`` or ``BRANCH`` whose expression is made of variables,
-constants, unary and binary operators (not ``/`` or ``%``, whose divisor is
-checked) and loads is also *generated*: one Python function whose
-all-concrete case is inline integer arithmetic, written out from the
-operator templates of :mod:`repro.engine.values` -- the one definition of
-concrete semantics.  A variable that is missing or not an ``int``, or a
-loaded byte that is symbolic, makes it return its closure handler, which
-``run_line`` runs to start the instruction again from the top (the
-generated part only reads).  A concrete load at an object's base address
-reads the cell in the one call the generated function makes.
-
-A loop head -- the target of a backward ``JUMP`` -- whose instruction is
-generated also gets a *region*, so that a concrete pass of the loop is one
+handler, region)`` entry.  A handler is a closure over closure-compiled
+operand evaluators (a constant is masked once, a variable is one dict
+lookup, a binary operator is bound from :mod:`repro.engine.values`'
+operator table); it runs every case, the symbolic one included.  A
+``JUMP``, and an ``ASSIGN`` or ``BRANCH`` whose expression is made of
+variables, constants, unary and binary operators (not ``/`` or ``%``,
+whose divisor is checked) and loads, also has a *region*: one generated
+Python function whose all-concrete case is inline integer arithmetic,
+written out from the operator templates of :mod:`repro.engine.values` --
+the one definition of concrete semantics.  An instruction's region runs
+that one instruction.  A loop head -- the target of a backward ``JUMP`` --
+gets a region of the loop, so that a concrete pass of the loop is one
 Python call, and a run of passes one call too (superinstructions, Ertl and
-Gregg, PLDI 2003; Dynamo's compiled regions, Bala et al., PLDI 2000).  A
-region is one generated function holding every path of generated
-instructions and ``JUMP``s forward from the head, both sides of a branch
+Gregg, PLDI 2003; Dynamo's compiled regions, Bala et al., PLDI 2000): every
+path of covered instructions forward from the head, both sides of a branch
 written out as a tree of ``if``s (at most ``_REGION_SIZE`` instructions),
-inside a ``while True`` that a path back to the head continues.  It reads
-each variable from ``frame.locals`` once per call, guarded as a handler
-guards it (and as an ``int`` in range, so no operand is masked), keeps it
-in a Python local and writes every ``ASSIGN`` through at once.  It leaves
-*before* an instruction whose guard fails, whose load finds a symbolic byte
-or whose load raises; ``run_line`` runs that instruction again one at a
-time, so the closure fallback, the error, the bug's line and the books are
-the handler's.  A region is built the first time a step has room for two
-instructions at its head: a search that steps one instruction at a time
-never builds or enters one.  Code objects are cached per process, keyed by
-their source, so a second executor of the same program compiles nothing.
+inside a ``while True`` that a path back to the head continues.  It is
+built the first time a step has room at its head for a pass of two
+instructions and one more, so a search that steps one instruction at a time
+never builds one.  A region reads each variable from ``frame.locals`` once
+per call, guarded as an ``int`` in range (so no operand is masked), keeps
+it in a Python local and writes every ``ASSIGN`` through at once.  It
+leaves *before* an instruction whose variable is missing, not an ``int`` or
+out of range, or whose load finds a symbolic byte or raises; the handler
+then runs that instruction, so the masking, the fork, the error, the bug's
+line and the books are the handler's.  Code objects are cached per
+process, keyed by their source, so a second executor of the same program
+compiles nothing.
 
-A handler returns ``None`` when the instruction went straight on -- only
-locals and the program counter changed (``ASSIGN``, ``JUMP``, a concrete
-``BRANCH``, a passing ``ASSERT``) -- and the list of successor states
-otherwise.  ``run_line`` checks nothing after a ``None`` but the step's
-instruction stop; after a list it checks the children, the state's status,
-its current thread, ``force_reschedule`` and the instruction limit (only a
-native changes ``state.options``).  A state's books
-(``instructions_executed``, ``coverage``) are written once per stretch of
-generated handlers and ``JUMP``s, which cannot read them: ``run_line``
-counts those in locals and writes them, with only the lines new since the
-last write, before any other handler or a closure fallback runs, before an
-instruction's exception ends the state, and when the line ends.  A region
-books the same way: each exit sets the pc, adds the lines of the passes it
-ran to those unwritten lines and returns how many instructions it ran.
-``run_line`` enters a region only when its longest pass fits in the step
-with one instruction to spare, and the region starts a pass only on the
-same terms, so a step stops on the instruction, and names the line, that
-it would one instruction at a time.  The decoded table lives on the
-interpreter: per function, one ``(line, handler, booked_later)`` entry per
-instruction (at a loop head ``booked_later`` holds the region), built when
-the function is first entered: ``Instruction``/``CompiledProgram`` stay plain data (``repro.lang``
-knows nothing of the engine), nothing is decoded at construction, and a
-native is still looked up by name on every call, so late registration keeps
+A region returns how many instructions it ran, having set the pc and added
+their lines to the line's unwritten set; ``run_line`` counts them, and
+after a region of one instruction checks the step's instruction stop.  A
+loop's region starts a pass only when one more instruction fits in the
+step after it, so a step stops on the instruction, and names the line,
+that it would one instruction at a time.  A handler returns ``None`` when
+the instruction went straight on -- only locals and the program counter
+changed (an ``ASSIGN``, a ``BRANCH`` on a concrete value, a passing
+``ASSERT``) -- and the list of successor states otherwise; after a list
+``run_line`` checks the children, the state's status, its current thread,
+``force_reschedule`` and the instruction limit (only a native changes
+``state.options``).  A state's books (``instructions_executed``,
+``coverage``) are written once per stretch of regions, which cannot read
+them: before a handler runs, and when the line ends, each write adding only
+the lines new since the last.  The decoded table lives on the interpreter,
+per function, built when the function is first entered:
+``Instruction``/``CompiledProgram`` stay plain data (``repro.lang`` knows
+nothing of the engine), nothing is decoded at construction, and a native
+is still looked up by name on every call, so late registration keeps
 working.
 """
 
@@ -78,7 +70,7 @@ from __future__ import annotations
 import builtins
 from types import CodeType, FunctionType
 from typing import (Any, Callable, Dict, FrozenSet, List, Optional, Sequence,
-                    Set, Tuple, Union)
+                    Set, Tuple)
 
 from repro.engine.config import EngineConfig
 from repro.engine.errors import BugKind, BugReport
@@ -139,18 +131,13 @@ Evaluator = Callable[[ExecutionState, Frame], Value]
 #: returns ``None`` when it went straight on, else the ordered successors.
 Handler = Callable[[ExecutionState, Thread, Frame],
                    Optional[List[ExecutionState]]]
-#: A generated instruction: returns ``None`` when it went straight on, else
-#: its closure handler, which runs the instruction again from the top.
-Generated = Callable[[ExecutionState, Thread, Frame], Optional[Handler]]
-#: A loop head's region: runs whole passes from the head, at most ``room``
-#: instructions, adds their lines to ``fresh`` and returns how many ran.
+#: A generated region: runs its instruction, or a loop's whole passes while
+#: one more instruction fits in ``room``, adds the lines it ran to ``fresh``
+#: and returns how many instructions ran (0: run the handler instead).
 Region = Callable[[ExecutionState, Frame, int, Set[int]], int]
-#: ``(line, handler, booked_later)`` per instruction; ``booked_later``: the
-#: handler is generated or a ``JUMP``, so it cannot read the state's books --
-#: ``True``, or at a loop head its region and the most instructions one pass
-#: of it runs.
-DecodedFunction = List[Tuple[int, Union[Handler, Generated],
-                             Union[bool, Tuple[Region, int]]]]
+#: ``(line, handler, region)`` per instruction: the region is ``None`` when
+#: the generator does not cover the instruction.
+DecodedFunction = List[Tuple[int, Handler, Optional[Region]]]
 
 #: How many generated code objects a process keeps (the oldest goes first).
 _CODE_CACHE_SIZE = 4096
@@ -215,15 +202,13 @@ class Interpreter:
         (``options["max_instructions"]``, else ``default_limit``) reached;
         ``budget`` instructions.  Every instruction is booked on the state
         (``instructions_executed``, ``coverage``) before anything can read
-        it: a generated handler or a ``JUMP`` only reads locals and moves
-        the pc, so the instructions and lines they run are counted here and
-        written to the state before any other handler runs, before a
-        generated handler's closure takes over, before an instruction's
-        exception ends the state, and when the line ends.  Each write adds
-        only the lines run since the previous one.  A loop head's region
-        runs whole passes in one call and is booked as their handlers
-        would be; it runs only when its longest pass leaves room for one
-        more instruction, so the line ends where it would without it.
+        it: a region only reads locals and memory and moves the pc, so the
+        instructions it counts and the lines it adds to ``fresh`` are
+        written to the state before a handler runs and when the line ends.
+        Each write adds only the lines run since the previous one.  A
+        region of one instruction is followed by the step's stop check; a
+        loop's region runs a pass only when one more instruction fits
+        after it, so the line ends where it would without it.
 
         Returns the last executed line, the ordered states that instruction
         produced (the input state always among them, possibly terminated),
@@ -250,55 +235,39 @@ class Interpreter:
         lines: Set[int] = set()  # the lines of the instructions booked
         fresh: Set[int] = set()  # and of those run since
         children: Any
-        booked_later: Any
         try:
             while True:
                 try:
-                    line, handler, booked_later = code[frame.pc]
+                    line, handler, region = code[frame.pc]
                 except IndexError:
                     raise EngineInternalError(
                         "program counter %d out of range in %s"
                         % (frame.pc, function)) from None
+                if region is not None:
+                    ran = region(state, frame, stop - instructions, fresh)
+                    if ran:
+                        # Straight on: nothing but locals and the pc
+                        # changed.
+                        instructions += ran
+                        if instructions >= stop:
+                            children = [state]
+                            break
+                        continue
+                    # A local that is not an int in range, or a load that
+                    # is symbolic or raises: the handler runs it.
                 instructions += 1
                 fresh.add(line)
+                state.instructions_executed += instructions - booked
+                booked = instructions
+                coverage.update(fresh)
+                lines.update(fresh)
+                fresh.clear()
                 try:
-                    if booked_later:
-                        if booked_later is not True:
-                            # A loop head: its region runs whole passes in
-                            # one call while the longest one fits and leaves
-                            # room for one more instruction, which ends the
-                            # step if anything does and names its line.
-                            region, longest = booked_later
-                            room = stop - instructions
-                            if longest <= room:
-                                ran = region(state, frame, room, fresh)
-                                if ran:
-                                    instructions += ran - 1
-                                    continue
-                        children = handler(state, thread, frame)
-                        if children is None:
-                            # Straight on: nothing but locals and the pc
-                            # changed.
-                            if instructions >= stop:
-                                children = [state]
-                                break
-                            continue
-                        # An operand that is not a concrete int: the
-                        # closure runs the instruction from the top.
-                        handler = children
-                    state.instructions_executed += instructions - booked
-                    booked = instructions
-                    coverage.update(fresh)
-                    lines.update(fresh)
-                    fresh.clear()
                     children = handler(state, thread, frame)
                 except _ENDS_THE_STATE as exc:
                     # Ended here: ``exc`` kept in a local past this block
                     # would make a cycle with its traceback and this frame,
                     # left to the collector with every state it holds.
-                    state.instructions_executed += instructions - booked
-                    booked = instructions
-                    coverage.update(fresh)
                     children = [self._terminated(state, exc, line)]
                     break
                 if children is None:
@@ -342,12 +311,10 @@ class Interpreter:
 
     def _decode_function(self, program: CompiledProgram, name: str) -> DecodedFunction:
         instructions = program.function(name).instructions
-        decoded: DecodedFunction = []
-        for index, instr in enumerate(instructions):
-            handler = self._decode_instruction(program, index, instr)
-            decoded.append((instr.line, handler, instr.opcode == Opcode.JUMP
-                            or (isinstance(handler, FunctionType) and
-                                handler.__code__.co_filename == _GENERATED)))
+        decoded: DecodedFunction = [
+            (instr.line, self._decode_instruction(program, instr),
+             _Region(index, instructions).function())
+            for index, instr in enumerate(instructions)]
         _install_regions(instructions, decoded)
         return decoded
 
@@ -506,14 +473,14 @@ class Interpreter:
 
     # -- decoding: instructions ------------------------------------------------------
 
-    def _decode_instruction(self, program: CompiledProgram, index: int,
-                            instr: Instruction) -> Union[Handler, Generated]:
-        """Build the handler of the ``index``-th instruction of a function.
+    def _decode_instruction(self, program: CompiledProgram,
+                            instr: Instruction) -> Handler:
+        """Build the handler of an instruction.
 
         A handler does the instruction's common, concrete case inline and
         hands the symbolic one to the ``_exec_*`` method with the operands it
-        already evaluated.  An ``ASSIGN`` or ``BRANCH`` the generator covers
-        gets a generated handler in front of that closure.
+        already evaluated.  It runs what the instruction's region, if it has
+        one, leaves to it; a ``JUMP`` is all region.
         """
         opcode = instr.opcode
         if opcode == Opcode.ASSIGN:
@@ -523,7 +490,7 @@ class Interpreter:
             def assign(state, thread, frame):
                 frame.locals[dest] = value_of(state, frame)
                 frame.pc += 1
-            return _generated(index, instr, assign)
+            return assign
         if opcode == Opcode.BRANCH:
             condition = self._decode_expr(instr.expr)
             target, false_target = instr.target, instr.false_target
@@ -535,13 +502,7 @@ class Interpreter:
                     frame.pc = target if value != 0 else false_target
                     return None
                 return branch_symbolic(state, frame, value, target, false_target)
-            return _generated(index, instr, branch)
-        if opcode == Opcode.JUMP:
-            jump_target = instr.target
-
-            def jump(state, thread, frame):
-                frame.pc = jump_target
-            return jump
+            return branch
         if opcode == Opcode.STORE:
             base = self._decode_expr(instr.base)
             offset = self._decode_expr(instr.offset)
@@ -867,29 +828,21 @@ class Interpreter:
         return state
 
 
-# -- generated handlers -----------------------------------------------------------------
+# -- regions ------------------------------------------------------------------------------
 
 
 class _NotGenerated(Exception):
-    """An expression the generator does not cover: the closure handler stays."""
+    """An instruction the generator does not cover: its handler runs it."""
 
 
 def _load_concrete(state: ExecutionState, base: int, offset: int
                    ) -> Optional[int]:
-    """``base[offset]`` with both concrete: the byte (what
-    :meth:`Interpreter._load` returns), or ``None`` when the cell is
-    symbolic.  A direct pointer in bounds is read here, found as
-    ``state.resolve`` would find it (the CoW domain first); anything else
-    goes through ``resolve`` and ``read_byte`` and their errors.  A region
-    writes the direct-pointer half out inline and calls this for the rest."""
-    shared = state.cow_domain.objects
-    obj = (shared.get(base) if shared else state.processes[
-        state.current[0]].address_space.objects.get(base))
-    if obj is not None and 0 <= offset < obj.size:
-        cell = obj.cells[offset]
-    else:
-        obj, base_off, _ = state.resolve(base)
-        cell = obj.read_byte(base_off + offset)
+    """``base[offset]`` with both concrete, where a direct pointer in
+    bounds (which a region reads inline) does not find it: the byte, as
+    :meth:`Interpreter._load` returns it, or ``None`` when the cell is
+    symbolic.  ``resolve`` and ``read_byte`` raise their errors."""
+    obj, base_off, _ = state.resolve(base)
+    cell = obj.read_byte(base_off + offset)
     if isinstance(cell, int):
         return cell & 0xFF
     return None
@@ -897,15 +850,14 @@ def _load_concrete(state: ExecutionState, base: int, offset: int
 
 _TEMPLATE_CONSTANTS = {"mask": _DEFAULT_MASK, "width": DEFAULT_WIDTH,
                        "sign": 1 << (DEFAULT_WIDTH - 1)}
-_GENERATED = "<generated handler>"
 _REGION = "<generated region>"
-#: The most instructions a region's tree holds.  Each path is written out
+#: The most instructions a loop's region holds.  Each path is written out
 #: on its own, so the code after a branch is there once per side.
 _REGION_SIZE = 64
 
 
 def _indented(depth: int, lines: Sequence[str]) -> List[str]:
-    return ["    " * depth + line for line in lines]
+    return list(map(("    " * depth).__add__, lines))
 
 
 class _Source:
@@ -913,25 +865,17 @@ class _Source:
     that bind loads and reused operands, in the order the closures evaluate
     them."""
 
-    def __init__(self, names: Optional[Dict[str, str]] = None,
-                 in_range: bool = False) -> None:
-        # Each variable's Python local: the handler's own, or the region's,
-        # shared by all its instructions.
-        self.names: Dict[str, str] = {} if names is None else names
-        # Whether every variable's local is known to be in range (a
-        # region's reads guard it), so none is masked.
-        self.in_range = in_range
+    def __init__(self, names: Dict[str, str]) -> None:
+        self.names = names  # each variable's Python local, region-wide
         self.variables: Dict[str, str] = {}  # the ones this instruction reads
         # ``(name, value, loaded)``: ``loaded`` is a load's base and offset.
         self.statements: List[Tuple[str, str, Optional[Tuple[str, str]]]] = []
 
-    def operand(self, expr, masked: bool) -> str:
-        """The operand as a side-effect-free Python atom.
-
-        ``masked`` is a binary operator's operand, masked as the closure's
-        ``binary`` does.  Only a variable can be out of range: a constant is
-        masked here, and every template and load yields a masked value.
-        """
+    def operand(self, expr) -> str:
+        """The operand as a side-effect-free Python atom.  Nothing is
+        masked: a region guards every variable's local as an ``int`` in
+        range, a constant is masked here, and every template and load
+        yields a value in range."""
         if isinstance(expr, Const):
             return "%d" % (expr.value & _DEFAULT_MASK)
         if isinstance(expr, Var):
@@ -941,23 +885,20 @@ class _Source:
                 if name is None:
                     name = self.names[expr.name] = "v%d" % len(self.names)
                 self.variables[expr.name] = name
-            if masked and not self.in_range:
-                return "(%s & %d)" % (name, _DEFAULT_MASK)
             return name
         if isinstance(expr, BinExpr):
             if expr.op in (BinaryOp.DIV, BinaryOp.MOD):
-                raise _NotGenerated  # the divisor check is the closure's
+                raise _NotGenerated  # the divisor check is the handler's
             return self.apply(BINOP_TEMPLATES[expr.op],
-                              a=self.operand(expr.left, True),
-                              b=self.operand(expr.right, True))
+                              a=self.operand(expr.left),
+                              b=self.operand(expr.right))
         if isinstance(expr, UnExpr):
             return self.apply(UNOP_TEMPLATES[expr.op],
-                              x=self.operand(expr.operand, False))
+                              x=self.operand(expr.operand))
         if isinstance(expr, Index):
-            base = self.operand(expr.base, False)
-            offset = self.operand(expr.offset, False)
-            return self.bind("_load(state, %s, %s)" % (base, offset),
-                             (base, offset))
+            base = self.operand(expr.base)
+            offset = self.operand(expr.offset)
+            return self.bind("", (base, offset))
         raise _NotGenerated
 
     def apply(self, template: str, **operands: str) -> str:
@@ -996,74 +937,33 @@ def _compiled(text: str, filename: str) -> CodeType:
     return code
 
 
-def _generated(index: int, instr: Instruction,
-               fallback: Handler) -> Union[Handler, Generated]:
-    """The generated handler of an ``ASSIGN`` or ``BRANCH``, which returns
-    ``fallback`` (its closure handler) for what is not all-concrete; the
-    closure itself when the expression is not covered."""
-    source = _Source()
-    try:
-        value = source.operand(instr.expr, False)
-    except _NotGenerated:
-        return fallback
-    if instr.opcode == Opcode.ASSIGN:
-        body = ["%s[%r] = %s" % ("locals_" if source.variables
-                                 else "frame.locals", str(instr.dest), value),
-                "frame.pc = %d" % (index + 1)]
-    else:
-        target, false_target = instr.target, instr.false_target
-        if target is None or false_target is None:
-            return fallback
-        body = ["frame.pc = %d if %s else %d"
-                % (target, _truth(value), false_target)]
-    lines: List[str] = []
-    if source.variables:
-        lines.append("locals_ = frame.locals")
-        lines.append("try:")
-        lines.extend("    %s = locals_[%r]" % (name, variable)
-                     for variable, name in source.variables.items())
-        lines.extend(["except KeyError:", "    return _fallback"])
-        # A plain copy stores whatever the variable holds, as the closure
-        # does.
-        if not (instr.opcode == Opcode.ASSIGN and isinstance(instr.expr, Var)):
-            lines.append("if %s:" % " or ".join(
-                "type(%s) is not int" % name
-                for name in source.variables.values()))
-            lines.append("    return _fallback")
-    for name, value, loaded in source.statements:
-        lines.append("%s = %s" % (name, value))
-        if loaded is not None:
-            lines.extend(["if %s is None:" % name, "    return _fallback"])
-    text = "\n".join(["def handler(state, thread, frame):"]
-                     + _indented(1, lines + body)) + "\n"
-    return FunctionType(_compiled(text, _GENERATED),
-                        {"__builtins__": builtins, "_load": _load_concrete,
-                         "_fallback": fallback})
-
-
-# -- regions ------------------------------------------------------------------------------
-
-
 class _Region:
-    """The source of the region at a loop head: every path of generated
-    instructions and ``JUMP``s forward from the head, written out as a tree
-    of Python ``if``s inside one ``while True`` that a path back to the head
-    continues.
+    """The source of a region: every path of covered instructions forward
+    from its head -- ``JUMP``s, and ``ASSIGN``s and ``BRANCH``es whose
+    expression ``_Source`` lowers -- written out as a tree of Python
+    ``if``s, both sides of a branch.
 
-    A path ends before an instruction that is neither generated nor a
-    ``JUMP``, that it already ran, or past ``_REGION_SIZE`` instructions;
-    there the function sets the pc, adds the lines it ran to ``fresh`` and
-    returns how many instructions ran.  A variable is read once per call,
-    guarded as an ``int`` in range, so every local holds one; an ``ASSIGN``
-    writes through to ``frame.locals`` at once.  A guard that fails, a load
-    that finds a symbolic byte or raises, leaves before the instruction,
-    which wrote nothing yet."""
+    An instruction's own region is its one instruction, with no back edge.
+    A loop head's holds at most ``_REGION_SIZE`` instructions inside one
+    ``while True`` that a path back to the head continues, and starts a
+    pass only while one more instruction fits in ``room`` after it.  A path
+    ends before an instruction that is not covered, that it already ran, or
+    past the cap; there the function sets the pc, adds the lines it ran to
+    ``fresh`` and returns how many instructions ran.  A variable is read
+    once per call, guarded as an ``int`` in range; an ``ASSIGN`` writes
+    through to ``frame.locals`` at once.  A guard that fails, a load that
+    finds a symbolic byte or raises, leaves before the instruction, which
+    wrote nothing yet."""
 
     def __init__(self, head: int, instructions: Sequence[Instruction],
-                 generated: Sequence[bool]):
+                 covered: Sequence[bool] = ()):
         self.head = head
         self.instructions = instructions
-        self.generated = generated
+        # Which instructions a loop's region runs; an instruction's own
+        # region runs its head alone, covered if its walk lowers it.
+        self.covered = covered
+        self.loop = bool(covered)
+        self.cap = _REGION_SIZE if self.loop else 1
         self.names: Dict[str, str] = {}
         # Each line set an exit books, and its global's number (``_L0``, ...).
         self.lines: Dict[FrozenSet[int], int] = {}
@@ -1073,40 +973,52 @@ class _Region:
         self.back_edges = 0
         self.loads = False
 
-    def function(self) -> Optional[Tuple[Region, int]]:
-        """The region and its longest pass; ``None`` when no pass runs two
-        instructions."""
-        self.walk(self.head, [], set(), 2)
-        if self.longest < 2:
+    def function(self, grow: Optional[Region] = None) -> Optional[Region]:
+        """The region; ``None`` when its head is not covered, or when no
+        pass of a loop runs two instructions.  A step with room for a pass
+        of two and one more calls ``grow`` instead, which builds the loop's
+        region."""
+        try:
+            self.walk(self.head, [], set(), 2 if self.loop else 1)
+        except _NotGenerated:
             return None
-        flags = ["f%d = " % k for k in range(self.back_edges)]
-        text = "\n".join(
-            ["def region(state, frame, room, fresh):",
-             "    locals_ = frame.locals",
-             "    n = 0"]
-            # Nothing in a region writes memory: the table stays put.
-            + (["    shared = state.cow_domain.objects",
-                "    objects = shared if shared else state.processes["
-                "state.current[0]].address_space.objects"]
-               if self.loads else [])
-            + (["    %sTrue" % "".join(flags)] if flags else [])
-            + (["    %sNone" % "".join(
-                "%s = " % name for name in self.names.values())]
-               if self.names else [])
-            + ["    while True:"] + self.text) + "\n"
+        if self.loop and self.longest < 2:
+            return None
+        prologue = ["locals_ = frame.locals", "n = 0"]
+        if grow is not None:
+            prologue += ["if room > 2:",
+                         "    return _grow(state, frame, room, fresh)"]
+        # Nothing in a region writes memory: the table stays put.
+        if self.loads:
+            prologue += ["shared = state.cow_domain.objects",
+                         "objects = shared if shared else state.processes["
+                         "state.current[0]].address_space.objects"]
+        if self.loop:
+            if self.back_edges:
+                prologue.append("%sTrue" % "".join(
+                    map("f{} = ".format, range(self.back_edges))))
+            if self.names:
+                prologue.append("%sNone" % "".join(
+                    map("{} = ".format, self.names.values())))
+            prologue += ["while True:",
+                         "    if n + _longest >= room:",
+                         "        return n"]
+        text = "\n".join(["def region(state, frame, room, fresh):"]
+                         + _indented(1, prologue) + self.text) + "\n"
         scope: Dict[str, Any] = {"__builtins__": builtins,
                                  "_load": _load_concrete,
                                  "_ends": _ENDS_THE_STATE,
-                                 "_longest": self.longest}
-        scope.update(("_L%d" % k, lines) for lines, k in self.lines.items())
-        return FunctionType(_compiled(text, _REGION), scope), self.longest
+                                 "_longest": self.longest, "_grow": grow}
+        for lines, k in self.lines.items():
+            scope["_L%d" % k] = lines
+        return FunctionType(_compiled(text, _REGION), scope)
 
     def walk(self, pc: Optional[int], path: List[int], bound: Set[str],
              depth: int) -> None:
         """Write the tree from ``pc`` on, after ``path`` ran this pass and
         bound the variables ``bound``."""
         emit = self.text.extend
-        if pc == self.head and path:
+        if pc == self.head and path and self.loop:
             self.longest = max(self.longest, len(path))
             flag = self.back_edges
             self.back_edges += 1
@@ -1115,12 +1027,13 @@ class _Region:
                 "if f%d:" % flag,
                 "    f%d = False" % flag,
                 "    fresh.update(_L%d)" % self.booked(path),
-                "if n + _longest > room:",
-                "    return n",
                 "continue"]))
             return
-        if (pc is None or pc in path or not 0 <= pc < len(self.generated)
-                or not self.generated[pc] or self.size >= _REGION_SIZE):
+        # An instruction's own region stops at its cap before it reads
+        # ``covered``.
+        if (pc is None or pc in path
+                or not 0 <= pc < len(self.instructions)
+                or self.size >= self.cap or path and not self.covered[pc]):
             emit(_indented(depth, self.leave(pc, path)))
             return
         self.size += 1
@@ -1129,8 +1042,10 @@ class _Region:
         if instr.opcode == Opcode.JUMP:
             self.walk(instr.target, ran, bound, depth)
             return
-        source = _Source(self.names, in_range=True)
-        value = source.operand(instr.expr, False)
+        if instr.opcode not in (Opcode.ASSIGN, Opcode.BRANCH):
+            raise _NotGenerated
+        source = _Source(self.names)
+        value = source.operand(instr.expr)
         emit(_indented(depth, self.evaluation(
             source, bound, self.leave(pc, path))))
         bound = bound | set(source.variables)
@@ -1149,23 +1064,27 @@ class _Region:
     def evaluation(self, source: _Source, bound: Set[str],
                    leave: List[str]) -> List[str]:
         """Read the variables of ``source`` that the path has not bound
-        (unless an earlier pass did: a local is ``None`` until read) and
-        run its statements, leaving by ``leave`` when a variable is missing
-        or not an ``int`` in range, or a load finds a symbolic byte or
-        raises.  A load at a direct pointer in bounds reads the cell from
-        ``objects``, ``_load_concrete``'s table."""
+        (in a loop, unless an earlier pass did: a local is ``None`` until
+        read) and run its statements, leaving by ``leave`` when a variable
+        is missing or not an ``int`` in range, or a load finds a symbolic
+        byte or raises.  A load at a direct pointer in bounds reads the
+        cell from ``objects``, the table ``state.resolve`` looks in first;
+        any other calls ``_load_concrete``."""
         lines: List[str] = []
+        nested, twice = _indented(1, leave), _indented(2, leave)
         for variable, name in source.variables.items():
             if variable in bound:
                 continue
-            lines.extend(["if %s is None:" % name,
-                          "    try:",
-                          "        %s = locals_[%r]" % (name, variable),
-                          "    except KeyError:"])
-            lines.extend(_indented(2, leave))
-            lines.append("    if type(%s) is not int or %s >> %d:"
-                         % (name, name, DEFAULT_WIDTH))
-            lines.extend(_indented(2, leave))
+            read = ["try:",
+                    "    %s = locals_[%r]" % (name, variable),
+                    "except KeyError:",
+                    *nested,
+                    "if type(%s) is not int or %s >> %d:"
+                    % (name, name, DEFAULT_WIDTH),
+                    *nested]
+            if self.loop:
+                read = ["if %s is None:" % name] + _indented(1, read)
+            lines.extend(read)
         for name, value, loaded in source.statements:
             if loaded is None:
                 lines.append("%s = %s" % (name, value))
@@ -1180,22 +1099,22 @@ class _Region:
                           % offset,
                           "    %s = obj.cells[%s]" % (name, offset),
                           "    if type(%s) is not int:" % name])
-            lines.extend(_indented(2, leave))
+            lines.extend(twice)
             lines.extend(["    %s &= 255" % name,
                           "else:",
                           "    try:",
                           "        %s = _load(state, %s, %s)"
                           % (name, base, offset),
                           "    except _ends:"])
-            lines.extend(_indented(2, leave))
+            lines.extend(twice)
             lines.append("    if %s is None:" % name)
-            lines.extend(_indented(2, leave))
+            lines.extend(twice)
         return lines
 
     def leave(self, pc: Optional[int], path: List[int]) -> List[str]:
         """Return before instruction ``pc``, having run ``path`` this pass
-        (a ``JUMP`` without a target leaves the pc ``None``, as its handler
-        does)."""
+        (a ``JUMP`` without a target leaves the pc ``None``, as the
+        reference does)."""
         if not path:
             return ["return n"]  # the pc is still the head
         self.longest = max(self.longest, len(path))
@@ -1205,36 +1124,35 @@ class _Region:
 
     def booked(self, path: List[int]) -> int:
         """The number of the global holding ``path``'s lines."""
-        lines = frozenset(self.instructions[pc].line for pc in path)
+        lines = frozenset([self.instructions[pc].line for pc in path])
         return self.lines.setdefault(lines, len(self.lines))
 
 
 def _install_regions(instructions: Sequence[Instruction],
                      decoded: DecodedFunction) -> None:
-    """Mark every loop head (the target of a backward ``JUMP``) that is
-    generated: its entry's ``booked_later`` slot gets a stand-in region that
-    builds the real one the first time a step has room for two instructions
-    there, puts it in the slot (``True`` when there is none) and runs it.
-    A search that steps one instruction at a time never builds one."""
-    generated = [bool(booked_later) for _, _, booked_later in decoded]
+    """Give every covered loop head (the target of a backward ``JUMP``) a
+    region of its instruction that, the first time a step has room there
+    for a pass of two instructions and one more, builds the loop's region,
+    puts it in the entry (its plain region when no pass runs two) and runs
+    it.  A search that steps one instruction at a time never builds one."""
+    covered = [region is not None for _, _, region in decoded]
     heads = {instr.target for index, instr in enumerate(instructions)
              if instr.opcode == Opcode.JUMP and instr.target is not None
              and 0 <= instr.target <= index}
     for head in heads:
-        if generated[head]:
-            line, handler, _ = decoded[head]
-            decoded[head] = (line, handler, (_stand_in(
-                head, instructions, generated, decoded), 2))
+        line, handler, plain = decoded[head]
+        if plain is not None:
+            decoded[head] = (line, handler, _Region(head, instructions).function(
+                _stand_in(head, instructions, covered, decoded, plain)))
 
 
 def _stand_in(head: int, instructions: Sequence[Instruction],
-              generated: Sequence[bool], decoded: DecodedFunction) -> Region:
-    def build(state: ExecutionState, frame: Frame, room: int,
-              fresh: Set[int]) -> int:
+              covered: Sequence[bool], decoded: DecodedFunction,
+              plain: Region) -> Region:
+    def grow(state: ExecutionState, frame: Frame, room: int,
+             fresh: Set[int]) -> int:
         line, handler, _ = decoded[head]
-        region = _Region(head, instructions, generated).function()
-        decoded[head] = (line, handler, True if region is None else region)
-        if region is None or region[1] > room:
-            return 0
-        return region[0](state, frame, room, fresh)
-    return build
+        region = _Region(head, instructions, covered).function() or plain
+        decoded[head] = (line, handler, region)
+        return region(state, frame, room, fresh)
+    return grow

@@ -63,8 +63,9 @@ def common_width(a: Value, b: Value) -> int:
 #: unsigned order.  A unary operator takes its operand ``{x}`` unmasked.
 #: Operands are substituted as atoms (a name, a literal or a parenthesised
 #: expression); a template may read an operand twice or not at all.  The
-#: interpreter's decoder inlines these into generated handlers, and the
-#: tables below are compiled from the same text.
+#: interpreter's decoder inlines these into the regions it generates, whose
+#: operands are all in range, and the tables below are compiled from the
+#: same text.
 BINOP_TEMPLATES: Dict[BinaryOp, str] = {
     BinaryOp.ADD: "({a} + {b}) & {mask}",
     BinaryOp.SUB: "({a} - {b}) & {mask}",

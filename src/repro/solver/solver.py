@@ -31,7 +31,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obs.metrics import Histogram
 from repro.solver.cache import ConstraintCache, CounterexampleCache, QueryKey, query_key
-from repro.solver.expr import BOOL_NOT, Expr, evaluate
+from repro.solver.expr import BOOL_NOT, EQ, NE, Expr, evaluate
 from repro.solver.independence import Group
 from repro.solver.interval import Interval, full_interval, refine_bounds, truth_of
 from repro.solver.model import Model
@@ -375,11 +375,17 @@ class Solver:
                budget: Optional[List[int]] = None) -> Optional[Model]:
         # Cheap syntactic contradiction check: a constraint and its negation
         # in the same set (very common right after a fork re-tests the same
-        # condition) is unsatisfiable without any search.
+        # condition) is unsatisfiable without any search.  ``simplify`` keeps
+        # operand order, so an (in)equality is also looked for with its
+        # operands swapped (``a == b`` against ``b != a``); an ordering needs
+        # no such look, as the negation of ``a < b`` is ``b <= a``.
         constraint_set = set(constraints)
+        swapped = {(c.op, c.args[::-1]) for c in constraints
+                   if c.op is EQ or c.op is NE}
         for c in constraints:
             negated = simplify(Expr(BOOL_NOT, (c,), sort=c.sort))
-            if negated in constraint_set:
+            if (negated in constraint_set
+                    or (negated.op, negated.args) in swapped):
                 return None
 
         symbols = sorted(

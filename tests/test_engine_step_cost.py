@@ -13,12 +13,15 @@ a time, from 3.43 and 11.27, once ``run_line`` booked a straight line's
 instructions and lines once -- before a handler that can read them, and at
 the line's end -- and a concrete byte at a direct pointer loaded in one
 call; 1.71 under DFS, from 2.60, once a loop head's region ran whole passes
-of its loop in one call), the calls one random-path select makes (35.1 when every level
+of its loop in one call; 1.76 under DFS and 10.54 one instruction at a
+time, from 1.71 and 10.44, once every generated instruction became a
+region of one, written when its function is decoded, and a non-``int`` or
+out-of-range local went to the closure), the calls one random-path select makes (35.1 when every level
 built a list, 17.0 walking two-way forks without one, 1.01 once a two-way draw was written out as ``getrandbits``
 loops, which are C calls), and the set elements the coverage books copy or
-scan per step, which must not grow with the length of the path.  Generated
-handlers and regions are compiled once per process: a second executor of
-the same program compiles nothing.
+scan per step, which must not grow with the length of the path.  Regions,
+the one kind of generated code, are compiled once per process: a second
+executor of the same program compiles nothing.
 
 Under interleaved search, the default, memcached-packets 3 x 4 took 110.3
 calls per instruction and built 11 632 ``Expr`` nodes for 195 distinct
@@ -42,6 +45,8 @@ from repro.engine import interpreter
 from repro.engine.explorer import Explorer
 from repro.engine.limits import ExplorationLimits
 from repro.engine.strategies import DfsStrategy, make_strategy
+from repro.lang.ast import BinaryOp, BinExpr, Const, Index, UnExpr, Var
+from repro.lang.compiler import Opcode
 from repro.solver import expr as E
 from repro.solver.expr import Expr
 
@@ -92,17 +97,41 @@ def test_a_second_executor_of_the_same_spec_compiles_no_handler(monkeypatch):
         executors.append((executor, len(compiled)))
     (_, first), (second, both) = executors
     assert both == first
-    generated = [booked_later
-                 for code in second.interpreter._code.values()
-                 for _, handler, booked_later in code
-                 if handler.__code__.co_filename == "<generated handler>"]
-    assert len(generated) > 50 and all(generated)
-    regions = {function: [booked_later[0].__code__.co_filename
-                          for _, _, booked_later in code
-                          if booked_later not in (False, True)]
-               for function, code in second.interpreter._code.items()}
-    assert regions["scan_terminator"] == ["<generated region>"]
-    assert regions["parse_request_line"] == ["<generated region>"]
+    # One generator: every covered instruction's entry holds a region, and
+    # nothing else is generated.
+    assert all(code.co_filename == "<generated region>"
+               for code in interpreter._code_cache.values())
+    regions = []
+    for function, code in second.interpreter._code.items():
+        instructions = second.program.function(function).instructions
+        for instr, (_, _, region) in zip(instructions, code):
+            if instr.opcode in (Opcode.ASSIGN, Opcode.BRANCH):
+                assert (region is not None) == _covered(instr.expr), instr
+            else:
+                assert (region is not None) == (instr.opcode == Opcode.JUMP)
+            if region is not None:
+                assert region.__code__.co_filename == "<generated region>"
+                regions.append((function, region))
+    assert len(regions) > 50
+    loops = [function for function, region in regions
+             if region.__globals__["_longest"] > 1]
+    assert loops.count("scan_terminator") == 1
+    assert loops.count("parse_request_line") == 1
+
+
+def _covered(expr) -> bool:
+    """Whether the generator lowers ``expr``: variables, constants, loads,
+    unary operators and binary ones but ``/`` and ``%``."""
+    if isinstance(expr, (Const, Var)):
+        return True
+    if isinstance(expr, UnExpr):
+        return _covered(expr.operand)
+    if isinstance(expr, BinExpr):
+        return (expr.op not in (BinaryOp.DIV, BinaryOp.MOD)
+                and _covered(expr.left) and _covered(expr.right))
+    if isinstance(expr, Index):
+        return _covered(expr.base) and _covered(expr.offset)
+    return False
 
 
 def test_python_calls_per_random_path_select_stay_under_the_walk_budget():

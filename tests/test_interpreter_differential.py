@@ -726,8 +726,9 @@ def _odd_program():
 
 
 def test_out_of_range_native_values_step_the_same():
-    """The generated handlers mask a binary operand and leave a unary one
-    raw exactly as the reference does (``!x`` of ``2**32`` is 0)."""
+    """A local that is not an ``int`` in range leaves its region for the
+    handler, which masks a binary operand and leaves a unary one raw exactly
+    as the reference does (``!x`` of ``2**32`` is 0)."""
     program = _odd_program()
 
     def make_executor():
@@ -743,9 +744,9 @@ def test_out_of_range_native_values_step_the_same():
 
 # -- booking in the middle of a straight line ------------------------------------------
 #
-# A generated handler or a ``JUMP`` leaves its instruction and line to be
-# written to the state later; whatever reads the books mid-line must still
-# see every instruction the reference booked one at a time.
+# A region leaves the instructions and lines it ran to be written to the
+# state later; whatever reads the books mid-line must still see every
+# instruction the reference booked one at a time.
 
 
 def _executed(ctx):
@@ -810,8 +811,8 @@ def test_the_books_are_written_before_anything_reads_them(case):
         assert line.children == [state]
         assert state.error.kind is BugKind.MEMORY_ERROR
         pc = state.current_thread.top.pc
-        _, handler, booked_later = executor.interpreter._code["main"][pc]
-        assert booked_later and handler.__code__.co_filename == "<generated handler>"
+        _, _, region = executor.interpreter._code["main"][pc]
+        assert region.__code__.co_filename == "<generated region>"
     else:
         assert len(line.children) == 2
         assert line.children[1].instructions_executed == state.instructions_executed

@@ -10,6 +10,7 @@ compared with the set of points that really satisfy the query.
 import functools
 import itertools
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.solver import expr as E
@@ -110,6 +111,17 @@ def test_solver_equality_pair(value, other):
     assert solver.is_satisfiable(constraints) == (value == other)
 
 
+@pytest.mark.parametrize("first, second", [(E.eq, E.ne), (E.ne, E.eq)])
+def test_a_commuted_equality_contradiction_takes_no_search(first, second):
+    """``a == b`` and ``b != a`` over two bytes, as ``rev`` asks it: a
+    contradiction found without trying the 65 536 byte pairs."""
+    a, b = (E.zext(symbol, 32) for symbol in SYMBOLS[:2])
+    solver = Solver()
+    result, _ = solver.check([first(a, b), second(b, a)])
+    assert result == SolverResult.UNSAT
+    assert solver.stats.search_steps == 0
+
+
 # -- the full operator set, over three 4-bit symbols ---------------------------------
 
 NIBBLES = [E.bv_symbol("p", 4), E.bv_symbol("q", 4), E.bv_symbol("r", 4)]
@@ -162,11 +174,17 @@ def condition_strategy(depth: int = 2):
                             E.bv_const(k, 4)),
         st.sampled_from([E.eq, E.ne]), compare,
         st.integers(min_value=0, max_value=2))
+    # An (in)equality and another over the same operands swapped: the pair
+    # lands in one query as two conjuncts.
+    equalities = st.sampled_from([E.eq, E.ne])
+    commuted = st.builds(lambda op, other, a, b: E.logical_and(op(a, b),
+                                                               other(b, a)),
+                         equalities, equalities, sub, sub)
     if depth == 0:
-        return st.one_of(compare, wide)
+        return st.one_of(compare, wide, commuted)
     lower = condition_strategy(depth - 1)
     return st.one_of(
-        compare, wide, c_style,
+        compare, wide, c_style, commuted,
         st.sampled_from([E.TRUE, E.FALSE]),
         st.builds(E.logical_not, lower),
         st.builds(E.logical_and, lower, lower),
