@@ -139,9 +139,16 @@ Region = Callable[[ExecutionState, Frame, int, Set[int]], int]
 #: the generator does not cover the instruction.
 DecodedFunction = List[Tuple[int, Handler, Optional[Region]]]
 
-#: How many generated code objects a process keeps (the oldest goes first).
+#: How many generated code objects, and written one-instruction regions, a
+#: process keeps (the oldest goes first).
 _CODE_CACHE_SIZE = 4096
 _code_cache: Dict[str, CodeType] = {}
+#: A region as written: its code and the constants its scope adds.
+Written = Tuple[CodeType, Dict[str, Any]]
+#: Each instruction's own region as written (``None``: not covered), by
+#: what its text is written from, so that a second executor, or a program
+#: built again, writes none again.
+_own_regions: Dict[Tuple[Any, ...], Optional[Written]] = {}
 
 
 class EngineInternalError(Exception):
@@ -313,7 +320,7 @@ class Interpreter:
         instructions = program.function(name).instructions
         decoded: DecodedFunction = [
             (instr.line, self._decode_instruction(program, instr),
-             _Region(index, instructions).function())
+             _own_region(index, instructions))
             for index, instr in enumerate(instructions)]
         _install_regions(instructions, decoded)
         return decoded
@@ -973,11 +980,16 @@ class _Region:
         self.back_edges = 0
         self.loads = False
 
-    def function(self, grow: Optional[Region] = None) -> Optional[Region]:
+    def function(self) -> Optional[Region]:
         """The region; ``None`` when its head is not covered, or when no
-        pass of a loop runs two instructions.  A step with room for a pass
-        of two and one more calls ``grow`` instead, which builds the loop's
-        region."""
+        pass of a loop runs two instructions."""
+        written = self.written(False)
+        return None if written is None else _bound(written, None)
+
+    def written(self, grows: bool) -> Optional[Written]:
+        """The region's code and constants (see :meth:`function`).  With
+        ``grows``, a step with room for a pass of two and one more calls
+        ``_grow`` instead, which builds the loop's region."""
         try:
             self.walk(self.head, [], set(), 2 if self.loop else 1)
         except _NotGenerated:
@@ -985,7 +997,7 @@ class _Region:
         if self.loop and self.longest < 2:
             return None
         prologue = ["locals_ = frame.locals", "n = 0"]
-        if grow is not None:
+        if grows:
             prologue += ["if room > 2:",
                          "    return _grow(state, frame, room, fresh)"]
         # Nothing in a region writes memory: the table stays put.
@@ -1005,13 +1017,10 @@ class _Region:
                          "        return n"]
         text = "\n".join(["def region(state, frame, room, fresh):"]
                          + _indented(1, prologue) + self.text) + "\n"
-        scope: Dict[str, Any] = {"__builtins__": builtins,
-                                 "_load": _load_concrete,
-                                 "_ends": _ENDS_THE_STATE,
-                                 "_longest": self.longest, "_grow": grow}
+        constants: Dict[str, Any] = {"_longest": self.longest}
         for lines, k in self.lines.items():
-            scope["_L%d" % k] = lines
-        return FunctionType(_compiled(text, _REGION), scope)
+            constants["_L%d" % k] = lines
+        return _compiled(text, _REGION), constants
 
     def walk(self, pc: Optional[int], path: List[int], bound: Set[str],
              depth: int) -> None:
@@ -1128,6 +1137,37 @@ class _Region:
         return self.lines.setdefault(lines, len(self.lines))
 
 
+def _bound(written: Written, grow: Optional[Region]) -> Region:
+    """A written region as a function, with ``grow`` as its ``_grow``."""
+    code, constants = written
+    return FunctionType(code, {"__builtins__": builtins,
+                               "_load": _load_concrete,
+                               "_ends": _ENDS_THE_STATE, "_grow": grow,
+                               **constants})
+
+
+def _own_region(pc: int, instructions: Sequence[Instruction],
+                grow: Optional[Region] = None) -> Optional[Region]:
+    """Instruction ``pc``'s own region (``None``: not covered), written once
+    per process for each key its text depends on: ``pc``, the fields of
+    the instruction that the walk reads, and whether it grows.  An
+    instruction that is not a ``JUMP``, ``ASSIGN`` or ``BRANCH`` has
+    none."""
+    instr = instructions[pc]
+    if instr.opcode not in (Opcode.JUMP, Opcode.ASSIGN, Opcode.BRANCH):
+        return None
+    key = (pc, grow is None, instr.opcode, instr.line, instr.dest, instr.expr,
+           instr.target, instr.false_target)
+    try:
+        written = _own_regions[key]
+    except KeyError:
+        if len(_own_regions) >= _CODE_CACHE_SIZE:
+            del _own_regions[next(iter(_own_regions))]
+        written = _own_regions[key] = _Region(pc, instructions).written(
+            grow is not None)
+    return None if written is None else _bound(written, grow)
+
+
 def _install_regions(instructions: Sequence[Instruction],
                      decoded: DecodedFunction) -> None:
     """Give every covered loop head (the target of a backward ``JUMP``) a
@@ -1142,7 +1182,8 @@ def _install_regions(instructions: Sequence[Instruction],
     for head in heads:
         line, handler, plain = decoded[head]
         if plain is not None:
-            decoded[head] = (line, handler, _Region(head, instructions).function(
+            decoded[head] = (line, handler, _own_region(
+                head, instructions,
                 _stand_in(head, instructions, covered, decoded, plain)))
 
 

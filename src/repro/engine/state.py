@@ -263,12 +263,12 @@ class ExecutionState:
         clone.symbolic_inputs = {k: list(v) for k, v in self.symbolic_inputs.items()}
         clone._symbol_counter = self._symbol_counter
 
-        # The environment area is copied lazily, on a write: both sides
+        # The environment area is forked lazily, on a write: both sides
         # share the dict and its sharer count, which the fork raises by one.
-        # env_for_write copies only while another state still shares it, so
-        # an n-way fork costs n - 1 copies and the last sharer writes in
-        # place.  The copy is copy.deepcopy, which hands the POSIX model to
-        # PosixState.__deepcopy__ (a structural copy, repro.posix.data).
+        # env_for_write forks it only while another state still shares it,
+        # so an n-way fork takes n - 1 forks and the last sharer writes in
+        # place.  The POSIX model forks itself: a PosixState shell that
+        # shares every table and record until a write (repro.posix.data).
         clone.env = self.env
         clone._env_sharers = self._env_sharers
         self._env_sharers[0] += 1
@@ -281,18 +281,23 @@ class ExecutionState:
         """The environment area, privately owned by this state.
 
         The write barrier of the copy-on-write fork: while another state
-        still shares the area, take a private deep copy and leave the shared
-        one to the others (one sharer fewer); the last sharer owns it and
-        writes in place.  A sharer that dies without writing is never
-        subtracted, which only makes a later copy unnecessary, never a
-        write shared.  Every accessor that may mutate model data (in
-        practice: any syscall) must come through here rather than touching
-        ``env`` directly.
+        still shares the area, take a private fork of it and leave the
+        shared one to the others (one sharer fewer); the last sharer owns it
+        and writes in place.  A value with a ``fork()`` method forks itself
+        (the POSIX model takes a shell that shares its records until a
+        write); any other value is deep-copied.  A sharer that dies without
+        writing is never subtracted, which only makes a later fork
+        unnecessary, never a write shared.  Every accessor that may mutate
+        model data (in practice: any syscall) must come through here rather
+        than touching ``env`` directly.
         """
         sharers = self._env_sharers
         if sharers[0] > 1:
             sharers[0] -= 1
-            self.env = copy.deepcopy(self.env)
+            memo: Dict[int, object] = {}
+            self.env = {key: value.fork() if hasattr(value, "fork")
+                        else copy.deepcopy(value, memo)
+                        for key, value in self.env.items()}
             self._env_sharers = [1]
         return self.env
 

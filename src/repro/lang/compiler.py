@@ -60,6 +60,10 @@ class Opcode(enum.Enum):
     RET = "ret"            # return expr (or nothing)
     ASSERT = "assert"      # check cond, report bug otherwise
 
+    # Members are singletons: hash by identity, in C (the decoder keys
+    # each instruction's written region by its opcode).
+    __hash__ = object.__hash__
+
 
 @dataclass
 class Instruction:

@@ -12,12 +12,14 @@ into an engine with :func:`install_posix_model`.
 The model keeps its auxiliary data (descriptor tables, stream buffers, mutex
 records) in the execution state's environment area, so it forks together
 with the state -- the analogue of the paper's "shared memory structures to
-keep track of all system objects".  A fork copies it once per state that
-needs its own: the forked states share the area and a sharer count, the
-first write of each (the state's ``env_for_write`` barrier) copies only
-while another state still shares it, and the last sharer writes in place.
-The copy is :meth:`PosixState.__deepcopy__`, which copies each table and
-each record once, by structure, and keeps their aliases.
+keep track of all system objects".  It is copy-on-write per record: the
+forked states share the area and a sharer count, and the first access of
+each (the state's ``env_for_write`` barrier) takes only a
+:class:`PosixState` shell while another state still shares it (the last
+sharer keeps the original).  A shell shares every table and record; a
+write copies the one record it touches (``own``), a table is copied on its
+first insert or delete (``own_table``), and every read finds the state's
+copy again (``view``), so the aliases between records hold.
 """
 
 from repro.posix.buffers import BlockBuffer, StreamBuffer

@@ -79,7 +79,7 @@ def add_concrete_file(state: ExecutionState, path: Union[str, bytes],
         path = path.encode("latin-1")
     node = FileNode(path=path, data=BlockBuffer())
     node.data.set_contents(list(contents))
-    posix_of(state).filesystem[path] = node
+    posix_of(state).own_table("filesystem")[path] = node
 
 
 def add_symbolic_file(state: ExecutionState, path: Union[str, bytes],
@@ -92,4 +92,4 @@ def add_symbolic_file(state: ExecutionState, path: Union[str, bytes],
     state.symbolic_inputs.setdefault(label, []).extend(cells)
     node = FileNode(path=path, data=BlockBuffer(), symbolic=True)
     node.data.set_contents(cells)
-    posix_of(state).filesystem[path] = node
+    posix_of(state).own_table("filesystem")[path] = node

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 from repro.engine.natives import NativeContext
 from repro.engine.state import ExecutionState
@@ -18,17 +18,17 @@ def current_pid(ctx: NativeContext) -> int:
 
 
 def lookup_fd(ctx: NativeContext, fd: int) -> Optional[FileDescriptor]:
+    """The caller's open descriptor ``fd``, to read."""
     return posix_of(ctx.state).lookup(current_pid(ctx), fd)
 
 
-def lookup_fd_in(state: ExecutionState, fd: int) -> Optional[FileDescriptor]:
-    return posix_of(state).lookup(state.current[0], fd)
-
-
 def ensure_read_wlist(state: ExecutionState, stream: StreamBuffer) -> int:
-    if stream.read_wlist is None:
-        stream.read_wlist = state.create_wait_list()
-    return stream.read_wlist
+    """The wait list of ``stream`` (a key), made on first use."""
+    posix = posix_of(state)
+    wlist = posix.view(stream).read_wlist
+    if wlist is None:
+        wlist = posix.own(stream).read_wlist = state.create_wait_list()
+    return wlist
 
 
 def ensure_select_wlist(state: ExecutionState) -> int:
@@ -46,10 +46,11 @@ def ensure_process_exit_wlist(state: ExecutionState) -> int:
 
 
 def notify_readers(state: ExecutionState, stream: StreamBuffer) -> None:
-    """Wake everything that may be waiting for data on a stream."""
-    if stream.read_wlist is not None:
-        state.notify(stream.read_wlist, wake_all=True)
+    """Wake everything that may be waiting for data on a stream (a key)."""
     posix = posix_of(state)
+    wlist = posix.view(stream).read_wlist
+    if wlist is not None:
+        state.notify(wlist, wake_all=True)
     if posix.select_wlist is not None:
         state.notify(posix.select_wlist, wake_all=True)
 

@@ -6,9 +6,19 @@ descriptors, flags, sockets, synchronization objects -- is stored by the
 model in auxiliary structures held in the execution state's environment area
 (``state.env['posix']``), mirroring §4.3 of the paper.
 
-A fork copies this data on the first write after it (the state's
-``env_for_write`` barrier), and :meth:`PosixState.__deepcopy__` copies it by
-structure: each table once, each record once, aliases kept.
+The model is copy-on-write per record, as KLEE shares ``ObjectState``s and
+the engine shares memory objects (``AddressSpace.own``).  A fork's write
+barrier (the state's ``env_for_write``) takes only a :class:`PosixState`
+shell (:meth:`PosixState.fork`) that shares every table and every record.
+A write copies the one record it touches (:meth:`PosixState.own`), and a
+table is copied on its first insert or delete
+(:meth:`PosixState.own_table`).  Tables and record fields keep holding the
+record a fork shared -- its *key* -- and every read finds this state's copy
+again through one per-state forwarding map (:meth:`PosixState.view`).  So
+the aliases hold without being tracked: a socket pair's crosswise stream
+buffers, descriptors shared across pids by ``duplicate_table``, ``fd.file``
+and ``filesystem``, a listener's pending endpoints and the descriptors that
+accept them, ``udp_ports`` and ``fd.dgram`` all name one key, and one copy.
 """
 
 from __future__ import annotations
@@ -16,7 +26,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, TypeVar
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple, TypeVar
 
 from repro.engine.state import ExecutionState
 from repro.posix.buffers import BlockBuffer, StreamBuffer
@@ -153,90 +163,67 @@ class FileDescriptor:
 _R = TypeVar("_R")
 
 
-def _record(record: _R, memo: Dict[int, object]) -> _R:
-    """The copy of one record: made once per copy, found in ``memo`` after.
-
-    A shallow copy first (registered before its fields are filled, so a
-    cycle back to it finds it), then ``_FILL`` replaces each mutable field.
-    """
-    new = memo.get(id(record))
-    if new is None:
-        new = object.__new__(type(record))
-        new.__dict__.update(record.__dict__)
-        memo[id(record)] = new
-        fill = _FILL.get(type(record))
-        if fill is not None:
-            fill(new, memo)
+def _copy(record: _R) -> _R:
+    """A record's private copy: a shallow copy whose own containers are
+    copied too (``_FILL``).  The records it refers to are not copied: a
+    field holds a record's *key*, which every read resolves through
+    :meth:`PosixState.view`."""
+    new = object.__new__(type(record))
+    new.__dict__.update(record.__dict__)
+    fill = _FILL.get(type(record))
+    if fill is not None:
+        fill(new)
     return new
 
 
-def _fill_stream(new: StreamBuffer, memo: Dict[int, object]) -> None:
+def _fill_stream(new: StreamBuffer) -> None:
     new.cells = deque(new.cells)
     new.datagram_sizes = deque(new.datagram_sizes)
 
 
-def _fill_block(new: BlockBuffer, memo: Dict[int, object]) -> None:
+def _fill_block(new: BlockBuffer) -> None:
     new.cells = list(new.cells)
 
 
-def _fill_file(new: FileNode, memo: Dict[int, object]) -> None:
-    new.data = _record(new.data, memo)
+def _fill_listener(new: ListeningSocket) -> None:
+    new.pending = list(new.pending)
 
 
-def _fill_endpoint(new: StreamEndpoint, memo: Dict[int, object]) -> None:
-    new.rx = _record(new.rx, memo)
-    new.tx = _record(new.tx, memo)
-
-
-def _fill_listener(new: ListeningSocket, memo: Dict[int, object]) -> None:
-    new.pending = [_record(endpoint, memo) for endpoint in new.pending]
-
-
-def _fill_dgram(new: DatagramSocket, memo: Dict[int, object]) -> None:
-    new.queue = _record(new.queue, memo)
-
-
-def _fill_queue(new: MessageQueue, memo: Dict[int, object]) -> None:
+def _fill_queue(new: MessageQueue) -> None:
     new.messages = [(mtype, list(body)) for mtype, body in new.messages]
 
 
-def _fill_descriptor(new: FileDescriptor, memo: Dict[int, object]) -> None:
-    if new.file is not None:
-        new.file = _record(new.file, memo)
-    if new.endpoint is not None:
-        new.endpoint = _record(new.endpoint, memo)
-    if new.listener is not None:
-        new.listener = _record(new.listener, memo)
-    if new.dgram is not None:
-        new.dgram = _record(new.dgram, memo)
+def _fill_descriptor(new: FileDescriptor) -> None:
     if new.fragment_pattern is not None:
         new.fragment_pattern = list(new.fragment_pattern)
 
 
-#: How to fill the mutable fields of each record class's shallow copy; a
-#: class that is absent here (the sync records, shm segments, mappings) has
-#: immutable fields only.
-_FILL = {
+#: How to copy the mutable containers of each record class's shallow copy;
+#: a class that is absent here holds immutable values and record keys only.
+_FILL: Dict[type, Callable[[Any], None]] = {
     StreamBuffer: _fill_stream,
     BlockBuffer: _fill_block,
-    FileNode: _fill_file,
-    StreamEndpoint: _fill_endpoint,
     ListeningSocket: _fill_listener,
-    DatagramSocket: _fill_dgram,
     MessageQueue: _fill_queue,
     FileDescriptor: _fill_descriptor,
 }
 
-#: The ``PosixState`` tables that map a key to one record each.
-_RECORD_TABLES = ("filesystem", "listeners", "udp_ports", "mutexes",
-                  "condvars", "semaphores", "shm_segments", "message_queues",
-                  "mappings")
+#: The ``PosixState`` tables (dicts) that a fork shares until a write.
+_TABLES = ("fd_tables", "next_fd", "filesystem", "listeners", "udp_ports",
+           "mutexes", "condvars", "semaphores", "cond_wait_phase",
+           "shm_segments", "message_queues", "mappings", "env_vars", "_view")
 
 
 class PosixState:
-    """All POSIX-model bookkeeping for one execution state."""
+    """All POSIX-model bookkeeping for one execution state.
 
-    def __init__(self):
+    Tables and records are shared with the states forked from this one
+    until a write: read a record through :meth:`view`, write it through
+    :meth:`own`, and write a table through :meth:`own_table` (or
+    :meth:`own_fds` for one process's descriptors).
+    """
+
+    def __init__(self) -> None:
         self.fd_tables: Dict[int, Dict[int, FileDescriptor]] = {}
         self.next_fd: Dict[int, int] = {}
         self.filesystem: Dict[bytes, FileNode] = {}
@@ -264,61 +251,100 @@ class PosixState:
         # Modeled process environment variables (name -> concrete bytes or
         # symbolic cells), shared by all processes of the state.
         self.env_vars: Dict[bytes, List[object]] = {}
+        # Copy-on-write bookkeeping.  ``_view`` maps a shared record's id to
+        # (that record, this state's copy of it); holding the record keeps
+        # its id from being reused while the entry lives.  ``_owned`` holds
+        # what this state alone may write: table names, ``("fd", pid)`` for
+        # a process's descriptor table, and the ids of its record copies.
+        self._view: Dict[int, Tuple[Any, Any]] = {}
+        self._owned: Set[object] = set(_TABLES)
 
-    def __deepcopy__(self, memo: Dict[int, object]) -> "PosixState":
-        """The copy a fork's write barrier takes: the same object graph as
-        the generic ``copy.deepcopy``, built by structure.
+    def fork(self) -> "PosixState":
+        """The shell a fork's write barrier takes: it shares every table
+        and every record with this state, and neither side may write any of
+        them in place any more."""
+        shell = object.__new__(PosixState)
+        shell.__dict__.update(self.__dict__)
+        shell._owned = set()
+        self._owned = set()
+        return shell
 
-        Tables are copied as dicts and lists, and each record once: ``memo``
-        (the deepcopy memo, keyed by ``id``) keeps the aliases -- a socket
-        pair's shared buffers, descriptors shared across pids by
-        :meth:`duplicate_table`, a listener's pending endpoints and the
-        descriptors that accept them, ``filesystem`` nodes and ``fd.file``.
-        Cells, ints, ``Expr`` and tuples of them are immutable and stay
-        shared.  A record that gains a mutable field must be filled in
-        ``_FILL``; ``tests/test_posix_copy.py`` fails until it is.
-        """
-        new = object.__new__(PosixState)
-        new.__dict__.update(self.__dict__)
-        memo[id(self)] = new
-        new.fd_tables = {
-            pid: {fd: _record(entry, memo) for fd, entry in table.items()}
-            for pid, table in self.fd_tables.items()}
-        new.next_fd = dict(self.next_fd)
-        new.cond_wait_phase = dict(self.cond_wait_phase)
-        new.env_vars = {name: list(value)
-                        for name, value in self.env_vars.items()}
-        for name in _RECORD_TABLES:
-            setattr(new, name, {key: _record(record, memo) for key, record
-                                in getattr(self, name).items()})
-        return new
+    # -- copy on write ------------------------------------------------------------
+
+    def view(self, record: _R) -> _R:
+        """What this state reads for ``record`` (a key: a table value or a
+        record's field): its own copy if it made one, else the record."""
+        hit = self._view.get(id(record))
+        return record if hit is None else hit[1]
+
+    def own(self, record: _R) -> _R:
+        """This state's writable ``record`` (a key, never a view): its own
+        copy, made on the first write after a fork and found by
+        :meth:`view` from then on."""
+        hit = self._view.get(id(record))
+        current: _R = record if hit is None else hit[1]
+        owned = self._owned
+        if id(current) in owned:
+            return current
+        copy = _copy(current)
+        owned.add(id(copy))
+        if "_view" not in owned:
+            self._view = dict(self._view)
+            owned.add("_view")
+        self._view[id(record)] = (record, copy)
+        return copy
+
+    def own_table(self, name: str) -> Dict[Any, Any]:
+        """The table ``name``, copied first if a fork still shares it."""
+        table: Dict[Any, Any] = getattr(self, name)
+        if name not in self._owned:
+            if name == "env_vars":
+                table = {key: list(value) for key, value in table.items()}
+            else:
+                table = dict(table)
+            setattr(self, name, table)
+            self._owned.add(name)
+        return table
+
+    def own_fds(self, pid: int) -> Dict[int, FileDescriptor]:
+        """Process ``pid``'s descriptor table to write (made if missing)."""
+        if ("fd", pid) in self._owned:
+            return self.fd_tables[pid]
+        table = dict(self.fd_tables.get(pid, {}))
+        self.own_table("fd_tables")[pid] = table
+        self._owned.add(("fd", pid))
+        return table
 
     # -- descriptor management -------------------------------------------------------
 
-    def table_for(self, pid: int) -> Dict[int, FileDescriptor]:
-        return self.fd_tables.setdefault(pid, {})
-
     def allocate_fd(self, pid: int, descriptor: FileDescriptor) -> int:
-        table = self.table_for(pid)
+        table = self.own_fds(pid)
         fd = self.next_fd.get(pid, 3)
         while fd in table:
             fd += 1
-        self.next_fd[pid] = fd + 1
+        self.own_table("next_fd")[pid] = fd + 1
         descriptor.fd = fd
         table[fd] = descriptor
         return fd
 
     def lookup(self, pid: int, fd: int) -> Optional[FileDescriptor]:
-        entry = self.table_for(pid).get(fd)
+        """The open descriptor ``fd`` of process ``pid``, to read."""
+        table = self.fd_tables.get(pid)
+        entry = None if table is None else self.view(table.get(fd))
         if entry is None or entry.closed:
             return None
         return entry
 
+    def own_fd(self, pid: int, fd: int) -> FileDescriptor:
+        """The descriptor ``fd`` of process ``pid`` (it exists), to write."""
+        return self.own(self.fd_tables[pid][fd])
+
     def duplicate_table(self, parent_pid: int, child_pid: int) -> None:
         """Share the parent's descriptors with a forked child (POSIX fork)."""
-        parent = self.table_for(parent_pid)
-        self.fd_tables[child_pid] = dict(parent)
-        self.next_fd[child_pid] = self.next_fd.get(parent_pid, 3)
+        self.own_table("fd_tables")[child_pid] = dict(
+            self.fd_tables.get(parent_pid, {}))
+        self._owned.add(("fd", child_pid))
+        self.own_table("next_fd")[child_pid] = self.next_fd.get(parent_pid, 3)
 
     def new_handle(self) -> int:
         handle = self.next_handle
@@ -332,12 +358,13 @@ POSIX_ENV_KEY = "posix"
 def posix_of(state: ExecutionState) -> PosixState:
     """The POSIX model data of a state (installed by ``install_posix_model``).
 
-    Goes through the state's copy-on-write barrier: model data is freely
-    mutated by every syscall handler, so the first access after a fork peels
-    the state's private copy off the shared environment area.
+    Goes through the state's write barrier: the first access after a fork
+    takes the state's own :class:`PosixState` shell, whose tables and
+    records are still shared (read them through ``view``, write them
+    through ``own`` and ``own_table``).
     """
     posix = state.env_for_write().get(POSIX_ENV_KEY)
-    if posix is None:
+    if not isinstance(posix, PosixState):
         raise RuntimeError(
             "POSIX model not installed for this state; "
             "construct the executor with install_posix_model")

@@ -48,17 +48,17 @@ def posix_setenv(ctx: NativeContext):
     name = ctx.read_c_string(ctx.concrete_arg(0))
     value = ctx.read_c_string(ctx.concrete_arg(1))
     overwrite = ctx.concrete_arg(2, 1)
-    env = posix_of(ctx.state).env_vars
-    if name in env and not overwrite:
+    posix = posix_of(ctx.state)
+    if name in posix.env_vars and not overwrite:
         return 0
-    env[name] = list(value)
+    posix.own_table("env_vars")[name] = list(value)
     return 0
 
 
 def posix_unsetenv(ctx: NativeContext):
     """``unsetenv(name)``."""
     name = ctx.read_c_string(ctx.concrete_arg(0))
-    posix_of(ctx.state).env_vars.pop(name, None)
+    posix_of(ctx.state).own_table("env_vars").pop(name, None)
     return 0
 
 
@@ -70,7 +70,7 @@ def c9_env_symbolic(ctx: NativeContext):
     label = "env_%s" % name.decode("latin-1")
     symbols = [state.new_symbol(label) for _ in range(size)]
     state.symbolic_inputs.setdefault(label, []).extend(symbols)
-    posix_of(state).env_vars[name] = list(symbols)
+    posix_of(state).own_table("env_vars")[name] = list(symbols)
     return 0
 
 
@@ -92,7 +92,7 @@ def add_env_var(state: ExecutionState, name: Union[str, bytes],
         name = name.encode("latin-1")
     if isinstance(value, str):
         value = value.encode("latin-1")
-    posix_of(state).env_vars[name] = list(value)
+    posix_of(state).own_table("env_vars")[name] = list(value)
 
 
 def add_symbolic_env_var(state: ExecutionState, name: Union[str, bytes],
@@ -103,4 +103,4 @@ def add_symbolic_env_var(state: ExecutionState, name: Union[str, bytes],
     label = label or "env_%s" % name.decode("latin-1")
     symbols = [state.new_symbol(label) for _ in range(size)]
     state.symbolic_inputs.setdefault(label, []).extend(symbols)
-    posix_of(state).env_vars[name] = list(symbols)
+    posix_of(state).own_table("env_vars")[name] = list(symbols)

@@ -19,11 +19,11 @@ extensions hook in:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from repro.engine.natives import Block, ForkBranch, NativeContext, NativeFork
 from repro.engine.state import ExecutionState
-from repro.posix.buffers import BlockBuffer, Cell, StreamBuffer
+from repro.posix.buffers import BlockBuffer, Cell
 from repro.posix.common import (
     ERR,
     copy_cells_to_memory,
@@ -31,7 +31,6 @@ from repro.posix.common import (
     ensure_read_wlist,
     fresh_symbolic_bytes,
     lookup_fd,
-    lookup_fd_in,
     notify_readers,
     read_cells_from_memory,
 )
@@ -60,13 +59,13 @@ def posix_open(ctx: NativeContext):
     flags = ctx.concrete_arg(1, O_RDONLY)
     posix = posix_of(ctx.state)
     node = posix.filesystem.get(path)
-    if node is None or not node.exists:
+    if node is None or not posix.view(node).exists:
         if not flags & O_CREAT:
             return ERR
         node = FileNode(path=path, data=BlockBuffer())
-        posix.filesystem[path] = node
+        posix.own_table("filesystem")[path] = node
     if flags & O_TRUNC:
-        node.data.truncate(0)
+        posix.own(posix.view(node).data).truncate(0)
     descriptor = FileDescriptor(fd=-1, kind=FdKind.FILE, file=node)
     return posix.allocate_fd(current_pid(ctx), descriptor)
 
@@ -76,15 +75,18 @@ def posix_close(ctx: NativeContext):
     entry = lookup_fd(ctx, fd)
     if entry is None:
         return ERR
-    entry.closed = True
+    posix = posix_of(ctx.state)
+    posix.own_fd(current_pid(ctx), fd).closed = True
     if entry.endpoint is not None:
-        entry.endpoint.tx.close_write()
-        entry.endpoint.rx.close_read()
-        notify_readers(ctx.state, entry.endpoint.tx)
+        endpoint = posix.view(entry.endpoint)
+        posix.own(endpoint.tx).close_write()
+        posix.own(endpoint.rx).close_read()
+        notify_readers(ctx.state, endpoint.tx)
     if entry.listener is not None:
-        posix_of(ctx.state).listeners.pop(entry.listener.port, None)
-    if entry.dgram is not None and entry.dgram.port is not None:
-        posix_of(ctx.state).udp_ports.pop(entry.dgram.port, None)
+        posix.own_table("listeners").pop(posix.view(entry.listener).port, None)
+    port = posix.view(entry.dgram).port if entry.dgram is not None else None
+    if port is not None:
+        posix.own_table("udp_ports").pop(port, None)
     return 0
 
 
@@ -95,35 +97,35 @@ def posix_lseek(ctx: NativeContext):
     entry = lookup_fd(ctx, fd)
     if entry is None or entry.kind != FdKind.FILE:
         return ERR
-    size = entry.file.data.size
-    if whence == SEEK_SET:
-        entry.offset = offset
-    elif whence == SEEK_CUR:
-        entry.offset += offset
+    posix = posix_of(ctx.state)
+    if whence == SEEK_CUR:
+        offset += entry.offset
     elif whence == SEEK_END:
-        entry.offset = size + offset
-    else:
+        offset += posix.view(posix.view(entry.file).data).size
+    elif whence != SEEK_SET:
         return ERR
-    return entry.offset
+    posix.own_fd(current_pid(ctx), fd).offset = offset
+    return offset
 
 
 def posix_unlink(ctx: NativeContext):
     path = ctx.read_c_string(ctx.concrete_arg(0))
     posix = posix_of(ctx.state)
     node = posix.filesystem.get(path)
-    if node is None or not node.exists:
+    if node is None or not posix.view(node).exists:
         return ERR
-    node.exists = False
+    posix.own(node).exists = False
     return 0
 
 
 def posix_file_size(ctx: NativeContext):
     """``c9_file_size(path)`` -- helper used by targets and tests."""
     path = ctx.read_c_string(ctx.concrete_arg(0))
-    node = posix_of(ctx.state).filesystem.get(path)
+    posix = posix_of(ctx.state)
+    node = posix.view(posix.filesystem.get(path))
     if node is None or not node.exists:
         return ERR
-    return node.data.size
+    return posix.view(node.data).size
 
 
 def posix_dup(ctx: NativeContext):
@@ -149,32 +151,29 @@ class _ReadPlan:
     is_datagram: bool = False
 
 
-def _stream_of(entry: FileDescriptor) -> Optional[StreamBuffer]:
-    if entry.endpoint is not None:
-        return entry.endpoint.rx
-    return None
-
-
 def _plan_read(ctx: NativeContext, entry: FileDescriptor, n: int) -> _ReadPlan:
     """Determine how many bytes a read can return, blocking if none yet."""
+    posix = posix_of(ctx.state)
     if entry.kind == FdKind.FILE:
-        available = max(entry.file.data.size - entry.offset, 0)
-        return _ReadPlan(count=min(n, available))
+        size = posix.view(posix.view(entry.file).data).size
+        return _ReadPlan(count=min(n, max(size - entry.offset, 0)))
     if entry.kind == FdKind.CHAR_SOURCE:
         return _ReadPlan(count=0)
     if entry.kind in (FdKind.SOCKET_STREAM, FdKind.PIPE_READ):
-        stream = _stream_of(entry)
-        if stream is None:
+        if entry.endpoint is None:
             return _ReadPlan(count=0)
+        key = posix.view(entry.endpoint).rx
+        stream = posix.view(key)
         if stream.is_empty and not stream.write_closed:
-            raise Block(ensure_read_wlist(ctx.state, stream))
+            raise Block(ensure_read_wlist(ctx.state, key))
         if stream.at_eof:
             return _ReadPlan(count=0, is_stream=True)
         return _ReadPlan(count=min(n, len(stream)), is_stream=True)
     if entry.kind == FdKind.SOCKET_DGRAM:
-        queue = entry.dgram.queue
+        key = posix.view(entry.dgram).queue
+        queue = posix.view(key)
         if not queue.has_datagram:
-            raise Block(ensure_read_wlist(ctx.state, queue))
+            raise Block(ensure_read_wlist(ctx.state, key))
         size = queue.datagram_sizes[0]
         return _ReadPlan(count=min(n, size), is_datagram=True)
     return _ReadPlan(count=0)
@@ -183,24 +182,25 @@ def _plan_read(ctx: NativeContext, entry: FileDescriptor, n: int) -> _ReadPlan:
 def _commit_read(state: ExecutionState, fd: int, buf_addr: int, count: int,
                  consume_pattern: bool) -> None:
     """Perform the data movement of a read of ``count`` bytes on ``state``."""
-    entry = lookup_fd_in(state, fd)
+    posix = posix_of(state)
+    pid = state.current[0]
+    entry = posix.lookup(pid, fd)
     if entry is None or count == 0:
         return
     if entry.kind == FdKind.FILE:
-        cells = entry.file.data.read(entry.offset, count)
-        entry.offset += len(cells)
+        cells = posix.view(posix.view(entry.file).data).read(entry.offset, count)
+        posix.own_fd(pid, fd).offset = entry.offset + len(cells)
         copy_cells_to_memory(state, buf_addr, cells)
         return
     if entry.kind in (FdKind.SOCKET_STREAM, FdKind.PIPE_READ):
-        stream = _stream_of(entry)
-        cells = stream.pop(count)
+        cells = posix.own(posix.view(entry.endpoint).rx).pop(count)
         copy_cells_to_memory(state, buf_addr, cells)
         if consume_pattern and entry.fragment_pattern:
-            entry.fragment_pattern.pop(0)
+            posix.own_fd(pid, fd).fragment_pattern.pop(0)
         return
     if entry.kind == FdKind.SOCKET_DGRAM:
-        cells = entry.dgram.queue.pop_datagram(max_bytes=count)
-        copy_cells_to_memory(state, buf_addr, cells)
+        queue = posix.own(posix.view(entry.dgram).queue)
+        copy_cells_to_memory(state, buf_addr, queue.pop_datagram(max_bytes=count))
         return
 
 
@@ -296,7 +296,9 @@ def posix_write(ctx: NativeContext):
     cells = read_cells_from_memory(state, buf_addr, n)
 
     if entry.kind in (FdKind.SOCKET_STREAM, FdKind.PIPE_WRITE):
-        peer = entry.endpoint.tx if entry.endpoint is not None else None
+        posix = posix_of(state)
+        peer = (posix.view(posix.view(entry.endpoint).tx)
+                if entry.endpoint is not None else None)
         if peer is None or peer.read_closed or peer.write_closed:
             return ERR  # EPIPE
 
@@ -312,18 +314,20 @@ def posix_write(ctx: NativeContext):
 
 
 def _commit_write(state: ExecutionState, fd: int, cells: List[Cell]) -> None:
-    entry = lookup_fd_in(state, fd)
+    posix = posix_of(state)
+    pid = state.current[0]
+    entry = posix.lookup(pid, fd)
     if entry is None:
         return
     if entry.kind == FdKind.FILE:
-        entry.file.data.write(entry.offset, cells)
-        entry.offset += len(cells)
+        posix.own(posix.view(entry.file).data).write(entry.offset, cells)
+        posix.own_fd(pid, fd).offset = entry.offset + len(cells)
         return
     if entry.kind == FdKind.CHAR_SINK:
         return
     if entry.kind in (FdKind.SOCKET_STREAM, FdKind.PIPE_WRITE):
-        stream = entry.endpoint.tx
-        stream.push(cells)
+        stream = posix.view(entry.endpoint).tx
+        posix.own(stream).push(cells)
         notify_readers(state, stream)
         return
     if entry.kind == FdKind.SOCKET_DGRAM:

@@ -27,10 +27,11 @@ def posix_ioctl(ctx: NativeContext):
     code = ctx.concrete_arg(1)
     arg = ctx.concrete_arg(2, RD | WR)
     posix = posix_of(ctx.state)
-    entry = posix.lookup(ctx.state.current[0], fd)
-    if entry is None:
+    pid = ctx.state.current[0]
+    if posix.lookup(pid, fd) is None:
         return 0xFFFFFFFF  # -1: EBADF
 
+    entry = posix.own_fd(pid, fd)
     if code == SIO_SYMBOLIC:
         entry.symbolic_source = bool(arg)
         return 0
@@ -57,9 +58,10 @@ def c9_set_frag_pattern(ctx: NativeContext):
     pattern_addr = ctx.concrete_arg(1)
     count = ctx.concrete_arg(2, 0)
     posix = posix_of(ctx.state)
-    entry = posix.lookup(ctx.state.current[0], fd)
-    if entry is None:
+    pid = ctx.state.current[0]
+    if posix.lookup(pid, fd) is None:
         return 0xFFFFFFFF
+    entry = posix.own_fd(pid, fd)
     entry.fragment_reads = True
     if count > 0:
         sizes = []

@@ -43,14 +43,14 @@ def posix_shmget(ctx: NativeContext):
     size = ctx.concrete_arg(1)
     flags = ctx.concrete_arg(2, 0)
     posix = posix_of(ctx.state)
-    segment = posix.shm_segments.get(key)
+    segment = posix.view(posix.shm_segments.get(key))
     if segment is None:
         if not flags & IPC_CREAT:
             return ERR
         if size <= 0:
             return ERR
-        segment = SharedMemorySegment(key=key, size=size)
-        posix.shm_segments[key] = segment
+        posix.own_table("shm_segments")[key] = SharedMemorySegment(
+            key=key, size=size)
         return key
     if flags & IPC_CREAT and flags & IPC_EXCL:
         return ERR  # EEXIST
@@ -66,6 +66,7 @@ def posix_shmat(ctx: NativeContext):
     segment = posix.shm_segments.get(key)
     if segment is None:
         return ERR
+    segment = posix.own(segment)
     if segment.address is None:
         obj = ctx.state.allocate_shared(segment.size, name="shm:%d" % key)
         segment.address = obj.address
@@ -77,8 +78,10 @@ def posix_shmdt(ctx: NativeContext):
     """``shmdt(addr)``: detach; the segment is destroyed once unused and removed."""
     address = ctx.concrete_arg(0)
     posix = posix_of(ctx.state)
-    for segment in posix.shm_segments.values():
+    for key in posix.shm_segments.values():
+        segment = posix.view(key)
         if segment.address == address and segment.attach_count > 0:
+            segment = posix.own(key)
             segment.attach_count -= 1
             if segment.marked_for_removal and segment.attach_count == 0:
                 _destroy_segment(ctx, segment)
@@ -96,6 +99,7 @@ def posix_shmctl(ctx: NativeContext):
         return ERR
     if cmd != IPC_RMID:
         return ERR
+    segment = posix.own(segment)
     segment.marked_for_removal = True
     if segment.attach_count == 0:
         _destroy_segment(ctx, segment)
@@ -103,10 +107,9 @@ def posix_shmctl(ctx: NativeContext):
 
 
 def _destroy_segment(ctx: NativeContext, segment: SharedMemorySegment) -> None:
-    posix = posix_of(ctx.state)
     if segment.address is not None:
         ctx.state.cow_domain.unshare(segment.address)
-    posix.shm_segments.pop(segment.key, None)
+    posix_of(ctx.state).own_table("shm_segments").pop(segment.key, None)
 
 
 # -- message queues ----------------------------------------------------------------
@@ -121,7 +124,7 @@ def posix_msgget(ctx: NativeContext):
     if queue is None:
         if not flags & IPC_CREAT:
             return ERR
-        posix.message_queues[key] = MessageQueue(key=key)
+        posix.own_table("message_queues")[key] = MessageQueue(key=key)
         return key
     if flags & IPC_CREAT and flags & IPC_EXCL:
         return ERR
@@ -129,7 +132,10 @@ def posix_msgget(ctx: NativeContext):
 
 
 def _queue(ctx: NativeContext, key: int) -> Optional[MessageQueue]:
-    return posix_of(ctx.state).message_queues.get(key)
+    """The message queue ``key``, to write (every caller that finds one may)."""
+    posix = posix_of(ctx.state)
+    queue = posix.message_queues.get(key)
+    return None if queue is None else posix.own(queue)
 
 
 def posix_msgsnd(ctx: NativeContext):
@@ -197,7 +203,7 @@ def posix_msgctl(ctx: NativeContext):
     posix = posix_of(ctx.state)
     if key not in posix.message_queues or cmd != IPC_RMID:
         return ERR
-    queue = posix.message_queues.pop(key)
+    queue = posix.view(posix.own_table("message_queues").pop(key))
     # Wake anything still blocked so sleeping threads do not become a
     # spurious deadlock report.
     if queue.read_wlist is not None:

@@ -46,7 +46,8 @@ def _file_cells(ctx: NativeContext, fd: int, offset: int, length: int) -> Option
     entry = lookup_fd(ctx, fd)
     if entry is None or entry.kind != FdKind.FILE or entry.file is None:
         return None
-    cells = entry.file.data.read(offset, length)
+    posix = posix_of(ctx.state)
+    cells = posix.view(posix.view(entry.file).data).read(offset, length)
     if len(cells) < length:
         cells = list(cells) + [0] * (length - len(cells))
     return cells
@@ -78,7 +79,7 @@ def posix_mmap(ctx: NativeContext):
         if entry is None or entry.kind != FdKind.FILE or entry.file is None:
             return MAP_FAILED
         cells = _file_cells(ctx, fd, offset, length)
-        file_path = entry.file.path
+        file_path = posix.view(entry.file).path
 
     if shared:
         obj = state.allocate_shared(length, name="mmap")
@@ -96,7 +97,7 @@ def posix_mmap(ctx: NativeContext):
         file_offset=offset,
         writable=obj.writable,
     )
-    posix.mappings[obj.address] = mapping
+    posix.own_table("mappings")[obj.address] = mapping
     return obj.address
 
 
@@ -105,18 +106,19 @@ def _write_back(ctx: NativeContext, mapping: MemoryMapping) -> int:
     if not mapping.shared or mapping.file_path is None:
         return 0
     posix = posix_of(ctx.state)
-    node = posix.filesystem.get(mapping.file_path)
+    node = posix.view(posix.filesystem.get(mapping.file_path))
     if node is None or not node.exists:
         return ERR
     cells = ctx.read_bytes(mapping.address, mapping.length)
-    node.data.write(mapping.file_offset, cells)
+    posix.own(node.data).write(mapping.file_offset, cells)
     return 0
 
 
 def posix_msync(ctx: NativeContext):
     """``msync(addr, length, flags)``: write back a shared file mapping."""
     address = ctx.concrete_arg(0)
-    mapping = posix_of(ctx.state).mappings.get(address)
+    posix = posix_of(ctx.state)
+    mapping = posix.view(posix.mappings.get(address))
     if mapping is None:
         return ERR
     return _write_back(ctx, mapping)
@@ -126,11 +128,11 @@ def posix_munmap(ctx: NativeContext):
     """``munmap(addr, length)``: flush (if shared file-backed) and unmap."""
     address = ctx.concrete_arg(0)
     posix = posix_of(ctx.state)
-    mapping = posix.mappings.get(address)
+    mapping = posix.view(posix.mappings.get(address))
     if mapping is None:
         return ERR
     status = _write_back(ctx, mapping)
-    del posix.mappings[address]
+    del posix.own_table("mappings")[address]
     state = ctx.state
     if mapping.shared:
         # Shared objects live in the CoW domain; drop the sharing record.
@@ -151,9 +153,11 @@ def posix_mprotect(ctx: NativeContext):
     address = ctx.concrete_arg(0)
     prot = ctx.concrete_arg(2, PROT_READ | PROT_WRITE)
     state = ctx.state
-    mapping = posix_of(state).mappings.get(address)
+    posix = posix_of(state)
+    mapping = posix.mappings.get(address)
     if mapping is None:
         return ERR
+    mapping = posix.own(mapping)
     # A state fork copies the CoW domain, not a private object: copy it now.
     obj = (state.cow_domain.objects[address] if mapping.shared
            else state.current_process.address_space.own(address))

@@ -51,11 +51,11 @@ def initialize_posix_state(state: ExecutionState) -> None:
     posix = PosixState()
     state.env_for_write()[POSIX_ENV_KEY] = posix
     main_pid = 1
-    table = posix.table_for(main_pid)
+    table = posix.own_fds(main_pid)
     table[0] = FileDescriptor(fd=0, kind=FdKind.CHAR_SOURCE)
     table[1] = FileDescriptor(fd=1, kind=FdKind.CHAR_SINK)
     table[2] = FileDescriptor(fd=2, kind=FdKind.CHAR_SINK)
-    posix.next_fd[main_pid] = 3
+    posix.own_table("next_fd")[main_pid] = 3
 
 
 def install_posix_model(executor: SymbolicExecutor) -> None:

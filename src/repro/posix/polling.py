@@ -17,33 +17,36 @@ any other value blocks until at least one descriptor becomes ready.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.engine.natives import Block, NativeContext
 from repro.engine.values import is_concrete
 from repro.posix.common import ERR, ensure_select_wlist, lookup_fd
-from repro.posix.data import FdKind, FileDescriptor
+from repro.posix.data import FdKind, FileDescriptor, PosixState, posix_of
 
 
-def _fd_readable(entry: FileDescriptor) -> bool:
+def _fd_readable(posix: PosixState, entry: FileDescriptor) -> bool:
+    view = posix.view
     if entry.kind == FdKind.FILE:
         return True
     if entry.kind == FdKind.SOCKET_LISTEN:
-        return bool(entry.listener.pending)
+        return bool(view(entry.listener).pending)
     if entry.kind == FdKind.SOCKET_DGRAM:
-        return entry.dgram.queue.has_datagram
+        return view(view(entry.dgram).queue).has_datagram
     if entry.kind in (FdKind.SOCKET_STREAM, FdKind.PIPE_READ):
-        return entry.endpoint is not None and entry.endpoint.rx.readable
+        return (entry.endpoint is not None
+                and view(view(entry.endpoint).rx).readable)
     if entry.kind == FdKind.CHAR_SOURCE:
         return False
     return False
 
 
-def _fd_writable(entry: FileDescriptor) -> bool:
+def _fd_writable(posix: PosixState, entry: FileDescriptor) -> bool:
     if entry.kind in (FdKind.FILE, FdKind.CHAR_SINK):
         return True
     if entry.kind in (FdKind.SOCKET_STREAM, FdKind.PIPE_WRITE):
-        return entry.endpoint is not None and entry.endpoint.tx.writable
+        return (entry.endpoint is not None
+                and posix.view(posix.view(entry.endpoint).tx).writable)
     if entry.kind == FdKind.SOCKET_DGRAM:
         return True
     return False
@@ -71,6 +74,7 @@ def posix_select(ctx: NativeContext):
     if not read_fds and not write_fds:
         return 0
 
+    posix = posix_of(ctx.state)
     mask = 0
     any_symbolic_source = False
     for i, fd in enumerate(read_fds):
@@ -79,13 +83,13 @@ def posix_select(ctx: NativeContext):
             return ERR
         if entry.symbolic_source:
             any_symbolic_source = True
-        if entry.symbolic_source or _fd_readable(entry):
+        if entry.symbolic_source or _fd_readable(posix, entry):
             mask |= 1 << i
     for j, fd in enumerate(write_fds):
         entry = lookup_fd(ctx, fd)
         if entry is None:
             return ERR
-        if _fd_writable(entry):
+        if _fd_writable(posix, entry):
             mask |= 1 << (16 + j)
 
     if mask or timeout == 0 or any_symbolic_source:

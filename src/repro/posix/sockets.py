@@ -73,15 +73,16 @@ def posix_bind(ctx: NativeContext):
     if entry.kind == FdKind.SOCKET_DGRAM:
         if port in posix.udp_ports:
             return ERR  # EADDRINUSE
-        entry.dgram.port = port
-        posix.udp_ports[port] = entry.dgram
+        posix.own(entry.dgram).port = port
+        posix.own_table("udp_ports")[port] = entry.dgram
         return 0
     if entry.kind == FdKind.SOCKET_STREAM:
         if port in posix.listeners:
             return ERR
         # The port is remembered; listen() turns the descriptor passive.
-        entry.endpoint = None
-        entry.offset = port  # stash the bound port until listen()
+        owned = posix.own_fd(current_pid(ctx), fd)
+        owned.endpoint = None
+        owned.offset = port  # stash the bound port until listen()
         return 0
     return ERR
 
@@ -96,9 +97,10 @@ def posix_listen(ctx: NativeContext):
     posix = posix_of(ctx.state)
     port = entry.offset
     listener = ListeningSocket(port=port, backlog=backlog)
-    posix.listeners[port] = listener
-    entry.kind = FdKind.SOCKET_LISTEN
-    entry.listener = listener
+    posix.own_table("listeners")[port] = listener
+    owned = posix.own_fd(current_pid(ctx), fd)
+    owned.kind = FdKind.SOCKET_LISTEN
+    owned.listener = listener
     return 0
 
 
@@ -108,15 +110,18 @@ def posix_accept(ctx: NativeContext):
     entry = lookup_fd(ctx, fd)
     if entry is None or entry.kind != FdKind.SOCKET_LISTEN:
         return ERR
-    listener = entry.listener
+    posix = posix_of(ctx.state)
+    listener = posix.view(entry.listener)
     if not listener.pending:
-        if listener.accept_wlist is None:
-            listener.accept_wlist = ctx.state.create_wait_list()
-        raise Block(listener.accept_wlist)
-    endpoint = listener.pending.pop(0)
+        wlist = listener.accept_wlist
+        if wlist is None:
+            wlist = posix.own(entry.listener).accept_wlist = (
+                ctx.state.create_wait_list())
+        raise Block(wlist)
+    endpoint = posix.own(entry.listener).pending.pop(0)
     descriptor = FileDescriptor(fd=-1, kind=FdKind.SOCKET_STREAM,
                                 endpoint=endpoint)
-    return posix_of(ctx.state).allocate_fd(current_pid(ctx), descriptor)
+    return posix.allocate_fd(current_pid(ctx), descriptor)
 
 
 def posix_connect(ctx: NativeContext):
@@ -127,16 +132,17 @@ def posix_connect(ctx: NativeContext):
     if entry is None or entry.kind != FdKind.SOCKET_STREAM:
         return ERR
     posix = posix_of(ctx.state)
-    listener = posix.listeners.get(port)
-    if listener is None:
+    key = posix.listeners.get(port)
+    if key is None:
         return ERR  # ECONNREFUSED
+    listener = posix.view(key)
     if len(listener.pending) >= listener.backlog:
         return ERR
     client_side, server_side = _connected_pair()
     client_side.peer_port = port
     server_side.local_port = port
-    entry.endpoint = client_side
-    listener.pending.append(server_side)
+    posix.own_fd(current_pid(ctx), fd).endpoint = client_side
+    posix.own(key).pending.append(server_side)
     if listener.accept_wlist is not None:
         ctx.state.notify(listener.accept_wlist, wake_all=True)
     if posix.select_wlist is not None:
@@ -171,11 +177,13 @@ def posix_shutdown(ctx: NativeContext):
     entry = lookup_fd(ctx, fd)
     if entry is None or entry.endpoint is None:
         return ERR
+    posix = posix_of(ctx.state)
+    endpoint = posix.view(entry.endpoint)
     if how in (0, 2):
-        entry.endpoint.rx.close_read()
+        posix.own(endpoint.rx).close_read()
     if how in (1, 2):
-        entry.endpoint.tx.close_write()
-        notify_readers(ctx.state, entry.endpoint.tx)
+        posix.own(endpoint.tx).close_write()
+        notify_readers(ctx.state, endpoint.tx)
     return 0
 
 
@@ -196,8 +204,9 @@ def posix_sendto(ctx: NativeContext):
     if target is None:
         return ERR
     cells = read_cells_from_memory(ctx.state, buf_addr, n)
-    target.queue.push_datagram(cells)
-    notify_readers(ctx.state, target.queue)
+    queue = posix.view(target).queue
+    posix.own(queue).push_datagram(cells)
+    notify_readers(ctx.state, queue)
     return n
 
 
@@ -209,10 +218,11 @@ def posix_recvfrom(ctx: NativeContext):
     entry = lookup_fd(ctx, fd)
     if entry is None or entry.kind != FdKind.SOCKET_DGRAM:
         return ERR
-    queue = entry.dgram.queue
-    if not queue.has_datagram:
+    posix = posix_of(ctx.state)
+    queue = posix.view(entry.dgram).queue
+    if not posix.view(queue).has_datagram:
         raise Block(ensure_read_wlist(ctx.state, queue))
-    cells = queue.pop_datagram(max_bytes=n)
+    cells = posix.own(queue).pop_datagram(max_bytes=n)
     copy_cells_to_memory(ctx.state, buf_addr, cells)
     return len(cells)
 

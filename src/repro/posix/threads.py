@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from repro.engine.errors import BugKind
 from repro.engine.natives import Block, NativeContext
 from repro.engine.state import ThreadStatus
 from repro.engine.syscalls import cloud9_thread_create, cloud9_thread_terminate
@@ -88,12 +87,15 @@ def pthread_mutex_init(ctx: NativeContext):
     """Create a mutex and return its handle."""
     posix = posix_of(ctx.state)
     handle = posix.new_handle()
-    posix.mutexes[handle] = MutexRecord()
+    posix.own_table("mutexes")[handle] = MutexRecord()
     return handle
 
 
 def _mutex(ctx: NativeContext, handle: int) -> Optional[MutexRecord]:
-    return posix_of(ctx.state).mutexes.get(handle)
+    """The mutex ``handle``, to write (every caller that finds one may)."""
+    posix = posix_of(ctx.state)
+    mutex = posix.mutexes.get(handle)
+    return None if mutex is None else posix.own(mutex)
 
 
 def pthread_mutex_lock(ctx: NativeContext):
@@ -145,12 +147,12 @@ def pthread_mutex_unlock(ctx: NativeContext):
 def pthread_mutex_destroy(ctx: NativeContext):
     handle = ctx.concrete_arg(0)
     posix = posix_of(ctx.state)
-    mutex = posix.mutexes.get(handle)
+    mutex = posix.view(posix.mutexes.get(handle))
     if mutex is None:
         return ERR
     if mutex.taken:
         return EBUSY
-    del posix.mutexes[handle]
+    del posix.own_table("mutexes")[handle]
     return 0
 
 
@@ -160,7 +162,7 @@ def pthread_mutex_destroy(ctx: NativeContext):
 def pthread_cond_init(ctx: NativeContext):
     posix = posix_of(ctx.state)
     handle = posix.new_handle()
-    posix.condvars[handle] = CondVarRecord()
+    posix.own_table("condvars")[handle] = CondVarRecord()
     return handle
 
 
@@ -179,6 +181,7 @@ def pthread_cond_wait(ctx: NativeContext):
     if cond is None or mutex is None:
         return ERR
     me = _me(ctx)
+    mutex = posix.own(mutex)
 
     if posix.cond_wait_phase.get(me) != cond_handle:
         # Phase 1: the caller must hold the mutex; release it and sleep.
@@ -188,10 +191,11 @@ def pthread_cond_wait(ctx: NativeContext):
         mutex.owner = None
         if mutex.wlist is not None:
             ctx.state.notify(mutex.wlist, wake_all=False)
-        if cond.wlist is None:
-            cond.wlist = ctx.state.create_wait_list()
-        posix.cond_wait_phase[me] = cond_handle
-        raise Block(cond.wlist)
+        wlist = posix.view(cond).wlist
+        if wlist is None:
+            wlist = posix.own(cond).wlist = ctx.state.create_wait_list()
+        posix.own_table("cond_wait_phase")[me] = cond_handle
+        raise Block(wlist)
 
     # Phase 2: woken up; re-acquire the mutex (possibly blocking again).
     if mutex.taken:
@@ -200,12 +204,13 @@ def pthread_cond_wait(ctx: NativeContext):
         raise Block(mutex.wlist)
     mutex.taken = True
     mutex.owner = me
-    del posix.cond_wait_phase[me]
+    del posix.own_table("cond_wait_phase")[me]
     return 0
 
 
 def pthread_cond_signal(ctx: NativeContext):
-    cond = posix_of(ctx.state).condvars.get(ctx.concrete_arg(0))
+    posix = posix_of(ctx.state)
+    cond = posix.view(posix.condvars.get(ctx.concrete_arg(0)))
     if cond is None:
         return ERR
     if cond.wlist is not None:
@@ -214,7 +219,8 @@ def pthread_cond_signal(ctx: NativeContext):
 
 
 def pthread_cond_broadcast(ctx: NativeContext):
-    cond = posix_of(ctx.state).condvars.get(ctx.concrete_arg(0))
+    posix = posix_of(ctx.state)
+    cond = posix.view(posix.condvars.get(ctx.concrete_arg(0)))
     if cond is None:
         return ERR
     if cond.wlist is not None:
@@ -224,8 +230,10 @@ def pthread_cond_broadcast(ctx: NativeContext):
 
 def pthread_cond_destroy(ctx: NativeContext):
     posix = posix_of(ctx.state)
-    if posix.condvars.pop(ctx.concrete_arg(0), None) is None:
+    handle = ctx.concrete_arg(0)
+    if handle not in posix.condvars:
         return ERR
+    del posix.own_table("condvars")[handle]
     return 0
 
 
@@ -236,12 +244,20 @@ def sem_init(ctx: NativeContext):
     """``sem_init(initial_value)`` -> handle."""
     posix = posix_of(ctx.state)
     handle = posix.new_handle()
-    posix.semaphores[handle] = SemaphoreRecord(value=ctx.concrete_arg(0, 0))
+    posix.own_table("semaphores")[handle] = SemaphoreRecord(
+        value=ctx.concrete_arg(0, 0))
     return handle
 
 
+def _semaphore(ctx: NativeContext) -> Optional[SemaphoreRecord]:
+    """The semaphore named by the first argument, to write."""
+    posix = posix_of(ctx.state)
+    sem = posix.semaphores.get(ctx.concrete_arg(0))
+    return None if sem is None else posix.own(sem)
+
+
 def sem_wait(ctx: NativeContext):
-    sem = posix_of(ctx.state).semaphores.get(ctx.concrete_arg(0))
+    sem = _semaphore(ctx)
     if sem is None:
         return ERR
     if sem.value <= 0:
@@ -253,7 +269,7 @@ def sem_wait(ctx: NativeContext):
 
 
 def sem_trywait(ctx: NativeContext):
-    sem = posix_of(ctx.state).semaphores.get(ctx.concrete_arg(0))
+    sem = _semaphore(ctx)
     if sem is None:
         return ERR
     if sem.value <= 0:
@@ -263,7 +279,7 @@ def sem_trywait(ctx: NativeContext):
 
 
 def sem_post(ctx: NativeContext):
-    sem = posix_of(ctx.state).semaphores.get(ctx.concrete_arg(0))
+    sem = _semaphore(ctx)
     if sem is None:
         return ERR
     sem.value += 1

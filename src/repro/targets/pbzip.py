@@ -218,7 +218,7 @@ def make_setup(contents: bytes = b"aaabbb", symbolic_bytes: int = 0):
             cells[i] = symbol
         node = FileNode(path=b"/input", data=BlockBuffer(), symbolic=True)
         node.data.set_contents(cells)
-        posix_of(state).filesystem[b"/input"] = node
+        posix_of(state).own_table("filesystem")[b"/input"] = node
 
     return setup
 

@@ -213,7 +213,7 @@ def make_setup(basis: bytes = DEFAULT_BASIS,
             cells[i] = symbol
         node = FileNode(path=b"/new", data=BlockBuffer(), symbolic=symbolic_bytes > 0)
         node.data.set_contents(cells)
-        posix_of(state).filesystem[b"/new"] = node
+        posix_of(state).own_table("filesystem")[b"/new"] = node
 
     return setup
 

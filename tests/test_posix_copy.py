@@ -1,18 +1,18 @@
-"""The POSIX model's fork copy: ``PosixState.__deepcopy__`` by structure.
+"""The POSIX model's fork: a shell, and a copy per record written.
 
 A fork shares the environment area until a write (``env_for_write``), and
-the copy it then takes is ``copy.deepcopy`` of the area, which hands the
-POSIX model to ``PosixState.__deepcopy__``.  These tests hold that copy to
-the generic stdlib deepcopy (same object graph, same aliases, nothing
-mutable shared with the original), walking every record through ``vars()``
-so that a record which gains a mutable field fails here until the copy
-handles it; and they count copies on the lighttpd fragmentation target.
+then takes only a ``PosixState`` shell (``PosixState.fork``) that shares
+every table and record; a write copies the one record it touches
+(``own``), and every read finds the copy again (``view``).  These tests
+hold what a fork reads, with every record read through its view, to the
+generic stdlib deepcopy (same object graph, same aliases); check that a
+fork which owns everything shares no mutable object with the original,
+walking every record through ``vars()`` so that a record which gains a
+mutable field fails here until ``own`` copies it; and count the shells and
+record copies of the lighttpd fragmentation target.
 """
 
 import copy
-import dataclasses
-import enum
-from collections import deque
 
 from repro.distrib import specs
 from repro.engine.interpreter import Interpreter
@@ -34,10 +34,17 @@ from repro.posix.data import (
     StreamEndpoint,
 )
 from repro.solver import expr as E
-from repro.solver.expr import Expr
 
-#: Values the copy may share with the original: they cannot be mutated.
-ATOMS = (int, float, bool, str, bytes, type(None), enum.Enum, Expr)
+from posix_reference import (
+    ATOMS,
+    RECORDS,
+    assert_same_graph,
+    children,
+    materialise,
+    own_everything,
+    reads,
+    tables,
+)
 
 
 def _pair():
@@ -51,7 +58,7 @@ def full_posix_state() -> PosixState:
     x = E.bv_symbol("x", 8)
     posix = PosixState()
     pid = 1
-    table = posix.table_for(pid)
+    table = posix.own_fds(pid)
     table[0] = FileDescriptor(fd=0, kind=FdKind.CHAR_SOURCE)
     table[1] = FileDescriptor(fd=1, kind=FdKind.CHAR_SINK)
     posix.next_fd[pid] = 3
@@ -129,15 +136,6 @@ def full_posix_state() -> PosixState:
     return posix
 
 
-def _children(obj):
-    """The objects one step below ``obj`` in the graph, in a fixed order."""
-    if isinstance(obj, dict):
-        return [item for pair in obj.items() for item in pair]
-    if isinstance(obj, (list, tuple, deque)):
-        return list(obj)
-    return list(vars(obj).values())
-
-
 def _walk(root):
     """Every object reachable from ``root`` (atoms included), once each."""
     seen, order, todo = set(), [], [root]
@@ -148,69 +146,43 @@ def _walk(root):
         seen.add(id(obj))
         order.append(obj)
         if not isinstance(obj, ATOMS):
-            todo.extend(_children(obj))
+            todo.extend(children(obj))
     return order
 
 
-def _mutables(root):
-    """The mutable objects reachable from ``root``.  A tuple is not one (a
-    list inside a shared tuple is found on its own)."""
-    return {id(obj): obj for obj in _walk(root)
-            if not isinstance(obj, ATOMS + (tuple,))}
-
-
-def assert_same_graph(ours, reference):
-    """``ours`` and ``reference`` are one graph: a bijection of their
-    mutable objects that keeps types, atoms and every edge."""
-    forward, backward = {}, {}
-    todo = [(ours, reference)]
-    while todo:
-        a, b = todo.pop()
-        assert type(a) is type(b)
-        if isinstance(a, ATOMS):
-            if isinstance(a, Expr):
-                assert a is b
-            else:
-                assert a == b
-            continue
-        if id(a) in forward:
-            assert forward[id(a)] is b, "an alias differs"
-            continue
-        assert id(b) not in backward, "an alias differs"
-        forward[id(a)], backward[id(b)] = b, a
-        kids_a, kids_b = _children(a), _children(b)
-        assert len(kids_a) == len(kids_b)
-        if not isinstance(a, (dict, list, tuple, deque)):
-            assert list(vars(a)) == list(vars(b))
-        todo.extend(zip(kids_a, kids_b))
-
-
 class TestStructuralCopy:
-    def test_the_copy_is_the_generic_deepcopy(self, monkeypatch):
+    def test_the_fork_reads_the_generic_deepcopy(self):
+        """What a fork reads -- every record through its view -- is the
+        generic deepcopy of the original, before and after the fork owns
+        (copies) every table and record, and the original still reads it."""
         posix = full_posix_state()
-        ours = copy.deepcopy(posix)
-        monkeypatch.delattr(PosixState, "__deepcopy__")
-        reference = copy.deepcopy(posix)
-        assert type(ours) is PosixState
-        assert_same_graph(ours, reference)
+        reference = tables(copy.deepcopy(posix))
+        shell = posix.fork()
+        assert type(shell) is PosixState
+        assert_same_graph(materialise(shell), reference)
+        own_everything(shell)
+        assert_same_graph(materialise(shell), reference)
+        assert_same_graph(materialise(posix), reference)
 
     def test_the_fixture_holds_every_record_kind(self):
-        kinds = {type(obj) for obj in _walk(full_posix_state())}
-        records = {StreamBuffer, BlockBuffer} | {
-            obj for obj in vars(posix_data).values()
-            if isinstance(obj, type) and dataclasses.is_dataclass(obj)}
-        assert records <= kinds
+        kinds = {type(obj) for obj in _walk(tables(full_posix_state()))}
+        assert set(RECORDS) <= kinds
 
-    def test_the_copy_shares_no_mutable_object(self):
+    def test_a_fork_that_owns_everything_shares_no_mutable_object(self):
+        """Each ``own`` copies its record's containers: a record that gains
+        a mutable field fails here until ``_FILL`` copies it."""
         posix = full_posix_state()
-        original = _mutables(posix)
-        clone = copy.deepcopy(posix)
-        shared = [obj for key, obj in _mutables(clone).items() if key in original]
+        original = reads(posix)
+        shell = posix.fork()
+        own_everything(shell)
+        shared = [obj for key, obj in reads(shell).items() if key in original]
         assert not shared
 
-    def test_aliases_survive_within_the_copy(self):
-        clone = copy.deepcopy({"posix": full_posix_state()})["posix"]
-        parent, child = clone.fd_tables[1], clone.fd_tables[2]
+    def test_aliases_survive_in_what_the_fork_reads(self):
+        shell = full_posix_state().fork()
+        own_everything(shell)
+        clone = materialise(shell)
+        parent, child = clone["fd_tables"][1], clone["fd_tables"][2]
         client, server = parent[3], parent[4]
         # A socket pair shares its two buffers, crosswise.
         assert client.endpoint.tx is server.endpoint.rx
@@ -218,44 +190,61 @@ class TestStructuralCopy:
         # duplicate_table shares descriptors across pids.
         assert all(child[fd] is entry for fd, entry in parent.items())
         # The listener's table entry, its port entry and the accepted fd.
-        listener = clone.listeners[80]
+        listener = clone["listeners"][80]
         assert parent[5].listener is listener
         assert parent[8].endpoint is listener.pending[0]
         assert parent[6].endpoint.tx is listener.pending[0].rx
-        assert clone.udp_ports[53] is parent[9].dgram
-        assert clone.filesystem[b"/etc/conf"] is parent[10].file
+        assert clone["udp_ports"][53] is parent[9].dgram
+        assert clone["filesystem"][b"/etc/conf"] is parent[10].file
         # The pipe's two ends share the channel and the unused buffer.
         assert parent[11].endpoint.rx is parent[12].endpoint.tx
         assert parent[11].endpoint.tx is parent[12].endpoint.rx
 
+    def test_a_write_through_one_alias_is_read_through_the_other(self):
+        posix = full_posix_state()
+        shell = posix.fork()
+        client = shell.lookup(1, 3)
+        shell.own(shell.view(client.endpoint).tx).push([9])
+        server = shell.lookup(2, 4)  # the child pid's alias of fd 4
+        assert list(shell.view(shell.view(server.endpoint).rx).cells)[-1] == 9
+        assert list(posix.view(posix.view(server.endpoint).rx).cells)[-1] == ord("T")
+
 
 class TestForkCopyCount:
-    """Copies are counted, never timed."""
+    """Shells and record copies are counted, never timed."""
 
-    def test_an_n_way_fragment_fork_copies_the_model_n_minus_one_times(
+    def test_an_n_way_fragment_fork_takes_n_minus_one_shells_and_copies_n_buffers(
             self, monkeypatch):
-        copies = [0]
-        deepcopy = PosixState.__deepcopy__
+        shells, copied = [0], []
+        fork, record_copy = PosixState.fork, posix_data._copy
 
-        def counting_copy(posix, memo):
-            copies[0] += 1
-            return deepcopy(posix, memo)
+        def counting_fork(posix):
+            shells[0] += 1
+            return fork(posix)
+
+        def counting_copy(record):
+            copied.append(type(record))
+            return record_copy(record)
 
         fanouts = []
         apply_native_fork = Interpreter._apply_native_fork
 
-        def counting_fork(interpreter, state, instr, fork):
-            before = copies[0]
-            successors = apply_native_fork(interpreter, state, instr, fork)
-            fanouts.append((len(successors), copies[0] - before))
+        def counting_native_fork(interpreter, state, instr, native_fork):
+            before = shells[0], len(copied)
+            successors = apply_native_fork(interpreter, state, instr,
+                                           native_fork)
+            fanouts.append((len(successors), shells[0] - before[0],
+                            copied[before[1]:]))
             return successors
 
-        monkeypatch.setattr(PosixState, "__deepcopy__", counting_copy)
-        monkeypatch.setattr(Interpreter, "_apply_native_fork", counting_fork)
+        monkeypatch.setattr(PosixState, "fork", counting_fork)
+        monkeypatch.setattr(posix_data, "_copy", counting_copy)
+        monkeypatch.setattr(Interpreter, "_apply_native_fork",
+                            counting_native_fork)
         test = specs.resolve_test("lighttpd-frag-1.4.12")
         test.run(backend="single", strategy="dfs", max_instructions=20_000)
 
-        three_way = [n for ways, n in fanouts if ways == 3]
-        assert len(three_way) >= 20
-        assert set(three_way) == {2}
-        assert all(n == ways - 1 for ways, n in fanouts)
+        assert len([ways for ways, _, _ in fanouts if ways == 3]) >= 20
+        for ways, forks, records in fanouts:
+            assert forks == ways - 1
+            assert records == [StreamBuffer] * ways
