@@ -14,10 +14,9 @@ conjuncts, independent groups, cache keys).
 
 from __future__ import annotations
 
-import copy
 import enum
 import itertools
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Protocol, Sequence, Set, Tuple, Union
 
 from repro.engine.memory import (
     AddressSpace,
@@ -34,6 +33,13 @@ from repro.solver.expr import Expr, bv_symbol
 from repro.solver.pathconstraint import PathConstraint
 
 Value = Union[int, Expr]
+
+
+class EnvModel(Protocol):
+    """An environment model kept on a state (``repro.posix``'s
+    ``PosixState``): a state's fork forks it."""
+
+    def fork(self) -> "EnvModel": ...
 
 
 class StateStatus(enum.Enum):
@@ -61,7 +67,7 @@ class Frame:
     __slots__ = ("function", "pc", "locals", "return_dest")
 
     def __init__(self, function: str, pc: int, locals: Dict[str, Value],
-                 return_dest: Optional[str] = None):
+                 return_dest: Optional[str] = None) -> None:
         self.function = function
         self.pc = pc
         self.locals = locals
@@ -81,7 +87,7 @@ class Thread:
     __slots__ = ("tid", "pid", "stack", "status", "wait_list", "joiners",
                  "exit_value")
 
-    def __init__(self, tid: int, pid: int):
+    def __init__(self, tid: int, pid: int) -> None:
         self.tid = tid
         self.pid = pid
         self.stack: List[Frame] = []
@@ -112,7 +118,7 @@ class Process:
     __slots__ = ("pid", "parent_pid", "address_space", "threads",
                  "next_tid", "exit_code", "alive")
 
-    def __init__(self, pid: int, parent_pid: int = 0):
+    def __init__(self, pid: int, parent_pid: int = 0) -> None:
         self.pid = pid
         self.parent_pid = parent_pid
         self.address_space = AddressSpace()
@@ -160,7 +166,7 @@ class ExecutionState:
       exactly the path encoding Cloud9 ships between workers in a job.
     """
 
-    def __init__(self, program: CompiledProgram):
+    def __init__(self, program: CompiledProgram) -> None:
         self.state_id = next(_state_id_counter)
         self.program = program
         self.status = StateStatus.RUNNING
@@ -191,13 +197,9 @@ class ExecutionState:
         self.symbolic_inputs: Dict[str, List[Expr]] = {}
         self._symbol_counter = 0
 
-        # Environment-model private data (the POSIX model hangs its
-        # auxiliary structures here; see repro.posix).  Copy-on-write across
-        # forks: read/mutate it through env_for_write(), never directly.
-        # ``_env_sharers`` is a one-element list, the same object in every
-        # state that holds this same ``env`` dict: how many states hold it.
-        self.env: Dict[str, object] = {}
-        self._env_sharers = [1]
+        # The environment model (repro.posix keeps its PosixState here), or
+        # None when none is installed.  Every fork forks it.
+        self.env: Optional[EnvModel] = None
 
         # Testing-platform knobs (fault injection, scheduler policy, ...).
         self.options: Dict[str, object] = {}
@@ -228,14 +230,15 @@ class ExecutionState:
             address = self.data_segment.setdefault(blob, next_address)
             next_address = max(next_address, address + len(blob) + 1)
             obj = MemoryObject(address, len(blob) + 1, name="rodata", writable=False)
-            obj.cells = list(blob) + [0]
+            obj.cells = [*blob, 0]
             obj.writable = False
             process.address_space.bind(obj)
 
     # -- cloning -------------------------------------------------------------------
 
     def fork(self) -> "ExecutionState":
-        """Clone this state (copy-on-write for memory, deep for bookkeeping)."""
+        """Clone this state, its environment model included (copy-on-write
+        for memory and the model, deep for bookkeeping)."""
         clone = ExecutionState.__new__(ExecutionState)
         clone.state_id = next(_state_id_counter)
         clone.program = self.program
@@ -263,52 +266,24 @@ class ExecutionState:
         clone.symbolic_inputs = {k: list(v) for k, v in self.symbolic_inputs.items()}
         clone._symbol_counter = self._symbol_counter
 
-        # The environment area is forked lazily, on a write: both sides
-        # share the dict and its sharer count, which the fork raises by one.
-        # env_for_write forks it only while another state still shares it,
-        # so an n-way fork takes n - 1 forks and the last sharer writes in
-        # place.  The POSIX model forks itself: a PosixState shell that
-        # shares every table and record until a write (repro.posix.data).
-        clone.env = self.env
-        clone._env_sharers = self._env_sharers
-        self._env_sharers[0] += 1
+        # The model forks itself: the POSIX model takes a shell that shares
+        # every table and record until a write (repro.posix.data).
+        clone.env = None if self.env is None else self.env.fork()
         # Option values must be flat (ints, bools, strings): a fork copies
         # the dict, not its values.
         clone.options = dict(self.options)
         return clone
 
-    def env_for_write(self) -> Dict[str, object]:
-        """The environment area, privately owned by this state.
-
-        The write barrier of the copy-on-write fork: while another state
-        still shares the area, take a private fork of it and leave the
-        shared one to the others (one sharer fewer); the last sharer owns it
-        and writes in place.  A value with a ``fork()`` method forks itself
-        (the POSIX model takes a shell that shares its records until a
-        write); any other value is deep-copied.  A sharer that dies without
-        writing is never subtracted, which only makes a later fork
-        unnecessary, never a write shared.  Every accessor that may mutate
-        model data (in practice: any syscall) must come through here rather
-        than touching ``env`` directly.
-        """
-        sharers = self._env_sharers
-        if sharers[0] > 1:
-            sharers[0] -= 1
-            memo: Dict[int, object] = {}
-            self.env = {key: value.fork() if hasattr(value, "fork")
-                        else copy.deepcopy(value, memo)
-                        for key, value in self.env.items()}
-            self._env_sharers = [1]
-        return self.env
-
     # -- processes / threads -------------------------------------------------------
 
     @property
     def current_process(self) -> Process:
+        assert self.current is not None, "no thread is running"
         return self.processes[self.current[0]]
 
     @property
     def current_thread(self) -> Thread:
+        assert self.current is not None, "no thread is running"
         pid, tid = self.current
         return self.processes[pid].threads[tid]
 

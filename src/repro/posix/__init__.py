@@ -10,16 +10,14 @@ symbolic system calls (Table 1) plus ordinary state memory, and is installed
 into an engine with :func:`install_posix_model`.
 
 The model keeps its auxiliary data (descriptor tables, stream buffers, mutex
-records) in the execution state's environment area, so it forks together
-with the state -- the analogue of the paper's "shared memory structures to
-keep track of all system objects".  It is copy-on-write per record: the
-forked states share the area and a sharer count, and the first access of
-each (the state's ``env_for_write`` barrier) takes only a
-:class:`PosixState` shell while another state still shares it (the last
-sharer keeps the original).  A shell shares every table and record; a
-write copies the one record it touches (``own``), a table is copied on its
-first insert or delete (``own_table``), and every read finds the state's
-copy again (``view``), so the aliases between records hold.
+records) as the execution state's environment model (``state.env``), so it
+forks together with the state -- the analogue of the paper's "shared memory
+structures to keep track of all system objects".  It is copy-on-write per
+record: a state's fork takes a :class:`PosixState` shell that shares every
+table and record; a write copies the one record it touches (``own``), a
+table is copied on its first insert or delete (``own_table``), and every
+read finds the state's copy again (``view``), so the aliases between
+records hold.
 """
 
 from repro.posix.buffers import BlockBuffer, StreamBuffer

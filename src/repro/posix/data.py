@@ -3,13 +3,13 @@
 The engine keeps only minimal process/thread information (identifiers,
 running status, parenthood); everything else mandated by POSIX -- open file
 descriptors, flags, sockets, synchronization objects -- is stored by the
-model in auxiliary structures held in the execution state's environment area
-(``state.env['posix']``), mirroring §4.3 of the paper.
+model in auxiliary structures held as the execution state's environment
+model (``state.env``), mirroring §4.3 of the paper.
 
 The model is copy-on-write per record, as KLEE shares ``ObjectState``s and
-the engine shares memory objects (``AddressSpace.own``).  A fork's write
-barrier (the state's ``env_for_write``) takes only a :class:`PosixState`
-shell (:meth:`PosixState.fork`) that shares every table and every record.
+the engine shares memory objects (``AddressSpace.own``).  A state's fork
+takes only a :class:`PosixState` shell (:meth:`PosixState.fork`) that
+shares every table and every record.
 A write copies the one record it touches (:meth:`PosixState.own`), and a
 table is copied on its first insert or delete
 (:meth:`PosixState.own_table`).  Tables and record fields keep holding the
@@ -260,9 +260,9 @@ class PosixState:
         self._owned: Set[object] = set(_TABLES)
 
     def fork(self) -> "PosixState":
-        """The shell a fork's write barrier takes: it shares every table
-        and every record with this state, and neither side may write any of
-        them in place any more."""
+        """The shell a state's fork takes: it shares every table and every
+        record with this state, and neither side may write any of them in
+        place any more."""
         shell = object.__new__(PosixState)
         shell.__dict__.update(self.__dict__)
         shell._owned = set()
@@ -352,18 +352,14 @@ class PosixState:
         return handle
 
 
-POSIX_ENV_KEY = "posix"
-
-
 def posix_of(state: ExecutionState) -> PosixState:
     """The POSIX model data of a state (installed by ``install_posix_model``).
 
-    Goes through the state's write barrier: the first access after a fork
-    takes the state's own :class:`PosixState` shell, whose tables and
-    records are still shared (read them through ``view``, write them
-    through ``own`` and ``own_table``).
+    After a fork it is the state's own :class:`PosixState` shell, whose
+    tables and records are still shared (read them through ``view``, write
+    them through ``own`` and ``own_table``).
     """
-    posix = state.env_for_write().get(POSIX_ENV_KEY)
+    posix = state.env
     if not isinstance(posix, PosixState):
         raise RuntimeError(
             "POSIX model not installed for this state; "

@@ -34,7 +34,7 @@ from repro.posix import (
     threads,
     time,
 )
-from repro.posix.data import POSIX_ENV_KEY, FdKind, FileDescriptor, PosixState
+from repro.posix.data import FdKind, FileDescriptor, PosixState
 
 
 def posix_handlers() -> Dict[str, NativeHandler]:
@@ -48,8 +48,7 @@ def posix_handlers() -> Dict[str, NativeHandler]:
 
 def initialize_posix_state(state: ExecutionState) -> None:
     """Create the model's bookkeeping and standard descriptors for a state."""
-    posix = PosixState()
-    state.env_for_write()[POSIX_ENV_KEY] = posix
+    posix = state.env = PosixState()
     main_pid = 1
     table = posix.own_fds(main_pid)
     table[0] = FileDescriptor(fd=0, kind=FdKind.CHAR_SOURCE)

@@ -3,9 +3,13 @@
 import pytest
 
 from repro import lang as L
+from repro.distrib import specs
 from repro.engine.memory import AddressSpace, MemoryError_
 from repro.engine.state import ExecutionState, StateStatus, ThreadStatus
 from repro.lang.compiler import compile_program
+from repro.posix import data as posix_data
+from repro.posix.buffers import StreamBuffer
+from repro.posix.data import PosixState
 from repro.solver import expr as E
 
 from conftest import make_executor, python_calls
@@ -18,6 +22,25 @@ def _state() -> ExecutionState:
     ))
     state = ExecutionState(program)
     state.create_main_process()
+    return state
+
+
+class CountingModel:
+    """A stand-in environment model: its fork copies its one table, and the
+    forks of every model descended from one root are counted together."""
+
+    def __init__(self, table, forks=None):
+        self.table = table
+        self.forks = [0] if forks is None else forks
+
+    def fork(self):
+        self.forks[0] += 1
+        return CountingModel(dict(self.table), self.forks)
+
+
+def _modelled() -> ExecutionState:
+    state = _state()
+    state.env = CountingModel({1: "a"})
     return state
 
 
@@ -222,74 +245,96 @@ class TestForking:
         assert 42 not in state.coverage
 
     def test_fork_isolates_env(self):
-        state = _state()
-        state.env_for_write()["posixish"] = {"table": {1: "a"}}
+        state = _modelled()
         clone = state.fork()
-        clone.env_for_write()["posixish"]["table"][1] = "b"
-        assert state.env["posixish"]["table"][1] == "a"
+        clone.env.table[1] = "b"
+        assert state.env.table[1] == "a"
 
-    def test_fork_env_is_copy_on_write(self):
-        """Forking no longer deep-copies the environment area eagerly: both
-        sides share it until one writes through the env_for_write barrier."""
-        state = _state()
-        state.env_for_write()["posixish"] = {"table": {1: "a"}}
+    def test_a_fork_forks_the_model_once_and_the_original_keeps_it(self):
+        state = _modelled()
+        original = state.env
         clone = state.fork()
-        assert clone.env is state.env  # shared until first write
-        shared = state.env
-        clone.env_for_write()["posixish"]["table"][1] = "b"
-        assert clone.env is not shared
-        assert state.env is shared  # the parent still sees the original
-        assert state.env["posixish"]["table"][1] == "a"
-        # The parent is now the last sharer: it writes in place.
-        state.env_for_write()["posixish"]["table"][1] = "c"
-        assert state.env is shared
-        assert state.env["posixish"]["table"][1] == "c"
-        assert clone.env["posixish"]["table"][1] == "b"
+        assert state.env is original and clone.env is not original
+        assert original.forks == [1]
 
-    def test_env_for_write_without_fork_is_in_place(self):
-        state = _state()
-        env = state.env_for_write()
-        assert env is state.env
-        assert state.env_for_write() is env  # no spurious copies
-
-    def test_a_three_way_fork_copies_twice_and_the_last_sharer_keeps_it(self):
-        state = _state()
-        state.env_for_write()["posixish"] = {"table": {1: "a"}}
-        shared = state.env
+    def test_a_three_way_fork_forks_the_model_twice_and_the_original_keeps_it(self):
+        state = _modelled()
+        original = state.env
         siblings = [state, state.fork(), state.fork()]
-        envs = [s.env_for_write() for s in siblings]
-        assert [env is shared for env in envs] == [False, False, True]
-        assert len({id(env) for env in envs}) == 3
-        for sibling in siblings:  # now every one writes in place
-            assert sibling.env_for_write() is sibling.env
+        assert original.forks == [2]
+        assert siblings[0].env is original
+        assert len({id(sibling.env) for sibling in siblings}) == 3
+        for name, sibling in zip("xyz", siblings):  # a write forks nothing
+            sibling.env.table[1] = name
+        assert original.forks == [2]
 
     def test_no_sibling_sees_another_s_write(self):
-        state = _state()
-        state.env_for_write()["posixish"] = {"table": {1: "a"}}
+        state = _modelled()
         siblings = [state, state.fork(), state.fork()]
         grandchild = siblings[1].fork()
         family = siblings + [grandchild]
         for name, member in zip("wxyz", family):
-            member.env_for_write()["posixish"]["table"][1] = name
-        assert [m.env["posixish"]["table"][1] for m in family] == list("wxyz")
+            member.env.table[1] = name
+        assert [m.env.table[1] for m in family] == list("wxyz")
 
     def test_a_sibling_that_dies_unwritten_is_harmless(self):
-        state = _state()
-        state.env_for_write()["posixish"] = {"table": {1: "a"}}
-        shared = state.env
+        state = _modelled()
         dead, live = state.fork(), state.fork()
         dead.terminate(0)
-        # The dead sibling still counts: both writers copy, conservatively,
-        # and the original is left to it untouched.
-        state.env_for_write()["posixish"]["table"][1] = "b"
-        live.env_for_write()["posixish"]["table"][1] = "c"
-        assert state.env is not shared and live.env is not shared
-        assert dead.env is shared and shared["posixish"]["table"][1] == "a"
-        assert state.env["posixish"]["table"][1] == "b"
+        state.env.table[1] = "b"
+        live.env.table[1] = "c"
+        assert dead.env.table[1] == "a"
+        assert [state.env.table[1], live.env.table[1]] == ["b", "c"]
+
+    def test_a_state_without_a_model_forks_none(self):
+        state = _state()
+        assert state.env is None
+        assert state.fork().env is None
 
     def test_fork_gets_fresh_state_id(self):
         state = _state()
         assert state.fork().state_id != state.state_id
+
+
+class TestModelForkCount:
+    """A state's fork is the model's only fork point.  Counted, never timed."""
+
+    @staticmethod
+    def _count(monkeypatch, test):
+        forks = {"state": 0, "model": 0}
+        copied = []
+        state_fork, model_fork = ExecutionState.fork, PosixState.fork
+        record_copy = posix_data._copy
+
+        def counting_state_fork(state):
+            forks["state"] += 1
+            return state_fork(state)
+
+        def counting_model_fork(posix):
+            forks["model"] += 1
+            return model_fork(posix)
+
+        def counting_copy(record):
+            copied.append(type(record))
+            return record_copy(record)
+
+        monkeypatch.setattr(ExecutionState, "fork", counting_state_fork)
+        monkeypatch.setattr(PosixState, "fork", counting_model_fork)
+        monkeypatch.setattr(posix_data, "_copy", counting_copy)
+        assert test.run(backend="single").exhausted
+        return forks, copied
+
+    def test_memcached_takes_one_shell_per_state_fork(self, monkeypatch):
+        forks, copied = self._count(monkeypatch, specs.resolve_test(
+            "memcached-packets", num_packets=3, packet_size=4))
+        assert forks == {"state": 1110, "model": 1110}
+        assert copied == [StreamBuffer] * 111
+
+    def test_printf_has_no_model_to_fork(self, monkeypatch):
+        forks, copied = self._count(
+            monkeypatch, specs.resolve_test("printf", format_length=2))
+        assert forks["state"] > 0
+        assert forks["model"] == 0 and not copied
 
 
 class TestTermination:

@@ -1,9 +1,8 @@
 """The POSIX model's fork: a shell, and a copy per record written.
 
-A fork shares the environment area until a write (``env_for_write``), and
-then takes only a ``PosixState`` shell (``PosixState.fork``) that shares
-every table and record; a write copies the one record it touches
-(``own``), and every read finds the copy again (``view``).  These tests
+A state's fork takes only a ``PosixState`` shell (``PosixState.fork``)
+that shares every table and record; a write copies the one record it
+touches (``own``), and every read finds the copy again (``view``).  These tests
 hold what a fork reads, with every record read through its view, to the
 generic stdlib deepcopy (same object graph, same aliases); check that a
 fork which owns everything shares no mutable object with the original,

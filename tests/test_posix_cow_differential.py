@@ -28,7 +28,7 @@ from hypothesis import given, note, settings, strategies as st
 from repro import lang as L
 from repro.engine.natives import Block, NativeContext, NativeFork
 from repro.posix.api import add_concrete_file
-from repro.posix.data import POSIX_ENV_KEY, FdKind
+from repro.posix.data import FdKind
 from repro.posix.ioctl import SIO_FAULT_INJ, SIO_PKT_FRAGMENT, SIO_SYMBOLIC
 from repro.posix.ipc import IPC_CREAT, IPC_NOWAIT
 from repro.posix.mmap import MAP_ANONYMOUS, MAP_PRIVATE, MAP_SHARED, PROT_READ, PROT_WRITE
@@ -60,8 +60,7 @@ class Family:
         self.executor = make_executor(PROGRAM, posix=True)
         state = self.executor.make_initial_state()
         if eager:
-            state.env[POSIX_ENV_KEY] = EagerPosixState.of(
-                state.env[POSIX_ENV_KEY])
+            state.env = EagerPosixState.of(state.env)
         self.scratch = state.allocate(SCRATCH, name="scratch").address
         self.states = [state]
 
@@ -121,7 +120,7 @@ class Family:
 
 
 def _model(state):
-    return state.env[POSIX_ENV_KEY]
+    return state.env
 
 
 def _nth(keys, a):
@@ -341,7 +340,7 @@ def _assert_same_siblings(cow, eager):
         return seen[id(posix)]
 
     for ours, reference in zip(cow.states, eager.states):
-        ours, reference = ours.env[POSIX_ENV_KEY], reference.env[POSIX_ENV_KEY]
+        ours, reference = ours.env, reference.env
         if read(ours) != read(reference):
             assert_same_graph(materialise(ours), materialise(reference))
             raise AssertionError("the fingerprints differ")
@@ -351,7 +350,7 @@ def test_the_set_up_builds_one_of_everything():
     cow, eager = _families()
     _assert_same_siblings(cow, eager)
     assert len(cow.states) == 3
-    posix = cow.states[0].env[POSIX_ENV_KEY]
+    posix = cow.states[0].env
     assert sorted(posix.fd_tables[1]) == list(range(13))
     assert posix.listeners and posix.udp_ports and posix.mappings
     assert posix.mutexes and posix.semaphores and posix.condvars

@@ -3,7 +3,6 @@
 from repro import lang as L
 from repro.engine.errors import BugKind
 from repro.posix.api import add_concrete_file
-from repro.posix.data import posix_of
 from repro.testing import SymbolicTest
 
 MAP_SHARED = 0x01
@@ -172,10 +171,6 @@ class TestMmapFileBacked:
         def setup(state):
             add_concrete_file(state, "/data/blob", b"ABCDEF")
 
-        def check(state):
-            node = posix_of(state).filesystem[b"/data/blob"]
-            return node.data.cells[0]
-
         result = run_program(
             L.decl("fd", L.call("open", L.strconst("/data/blob"), 0)),
             L.decl("p", L.call("mmap", 0, 6, PROT_RW, MAP_PRIVATE,
@@ -271,9 +266,6 @@ class TestSharedMemorySegments:
         assert result.test_cases[0].exit_code == 99
 
     def test_shmctl_rmid_destroys_when_detached(self):
-        def check(state):
-            return len(posix_of(state).shm_segments)
-
         result = run_program(
             L.decl("id", L.call("shmget", 3, 8, IPC_CREAT)),
             L.decl("p", L.call("shmat", L.var("id"))),

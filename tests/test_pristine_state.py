@@ -30,7 +30,7 @@ ATOMS = (int, float, bool, str, bytes, type(None), enum.Enum, Expr)
 #: Copy-on-write bookkeeping that a fork legitimately updates on the state it
 #: forks from (who shares what), not the state's content.  ``_owned`` is the
 #: POSIX model's: a fork of the model leaves neither side owning anything.
-SHARING = {"_env_sharers", "_cow_shared", "_owned"}
+SHARING = {"_cow_shared", "_owned"}
 
 
 def _plain(value, seen):
