@@ -1,13 +1,12 @@
 """The coordinator and its members: one §3 protocol, three carriers.
 
 :mod:`repro.cluster` holds what a Cloud9 cluster is made of; this package
-ties it together.  One :class:`~repro.distrib.coordinator.Coordinator`
-drives every member with the small plain-data messages the paper's design
-calls for (§3.2) -- status updates, transfer requests, and path-encoded
-:class:`~repro.cluster.jobs.JobTree` payloads that the destination
-materializes by replay (:meth:`Worker._materialize
-<repro.cluster.worker.Worker._materialize>`) -- over a
-:class:`repro.net.transport.Transport`.  The carrier decides where members
+ties it together.  One coordinator drives every member with the small
+plain-data messages the paper's design calls for (§3.2) -- status updates,
+transfer requests, and path-encoded :class:`~repro.cluster.jobs.JobTree`
+payloads that the destination materializes by replay
+(:meth:`Worker._materialize <repro.cluster.worker.Worker._materialize>`) --
+over a :class:`repro.net.transport.Transport`.  The carrier decides where members
 live: in this process (loopback), in worker processes on real cores (mp
 queues), or on other machines (TCP agents).
 
@@ -23,9 +22,11 @@ Public pieces:
 * :class:`~repro.distrib.worker.DistribWorker` -- the member side: a
   :class:`~repro.cluster.worker.Worker` behind ``handle(command)``, shared
   verbatim by in-process members, forked worker processes and TCP agents.
-* :class:`~repro.distrib.coordinator.Coordinator` -- the coordinator side:
-  round loop, balancing, transfers, frontier ledger and recovery,
-  checkpoints, finalization.
+* :class:`~repro.distrib.protocol.ProtocolCore` -- the coordinator's
+  decisions, with no transport, clock or tracer: membership, balancing,
+  transfers, frontier ledger and recovery, checkpoint records,
+  finalization; and :class:`~repro.distrib.coordinator.Coordinator`, the
+  one driver that moves its messages over the carriers.
 * :class:`~repro.distrib.loopback.Cloud9Cluster` -- the in-process shell
   (the ``"cluster"`` backend of ``SymbolicTest.run``), and
   :class:`~repro.distrib.loopback.StaticPartitionCluster`, the §2 strawman

@@ -1,4 +1,4 @@
-"""The process shells: worker processes or TCP agents under the coordinator.
+"""The process shells: worker processes or TCP agents under the driver.
 
 This is the paper's deployment shape: shared-nothing workers (each owning a
 private executor, solver, strategy and subtree of the global execution tree)
@@ -8,8 +8,9 @@ path-encoded job trees that the destination replays (§3.2) -- never as
 serialized program state.
 
 The protocol itself -- rounds, balancing, transfers, the frontier ledger and
-failure recovery, checkpoints, finalization -- is
-:class:`~repro.distrib.coordinator.Coordinator`, the same class that drives
+failure recovery, checkpoints, finalization -- is decided by
+:class:`~repro.distrib.protocol.ProtocolCore` and carried out by
+:class:`~repro.distrib.coordinator.Coordinator`, the same two that drive
 the in-process cluster over the loopback carrier, so results are directly
 comparable across backends by construction.  This module contributes how a
 member's :class:`~repro.net.transport.Transport` comes to exist, one shell
@@ -31,24 +32,22 @@ Each round the worker processes explore their instruction budgets
 concurrently on real cores; a worker that dies mid-round is marked dead, its
 territory requeued to the survivors, and -- under ``respawn=True`` --
 replaced instead of the run raising.  Workers live for one ``run()``: they
-are started when it begins and stopped when it returns, and the
-coordinator's books, balancer and ledger go with them, so a second ``run()``
-of the same cluster object starts clean.
+are started when it begins and stopped when it returns, and the protocol
+core (books, balancer and ledger) goes with them, so a second ``run()`` of
+the same cluster object starts clean.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.cluster.core import ClusterConfig
 from repro.distrib import specs
-from repro.distrib.coordinator import (
-    Coordinator,
-    WorkerProcessError,
-    _WorkerHandle,
-)
+from repro.distrib.coordinator import Coordinator
+from repro.distrib.protocol import Member, WorkerProcessError
+from repro.engine.result import RunResult
 from repro.net.framing import DEFAULT_MAX_FRAME_SIZE
 from repro.net.heartbeat import (
     DEFAULT_HEARTBEAT_INTERVAL,
@@ -161,11 +160,11 @@ class ProcessCloud9Cluster(Coordinator):
                          spec_name=spec_name, spec_params=spec_params,
                          strategy=strategy)
 
-    def _launch(self) -> _WorkerHandle:
+    def _launch(self) -> Member:
         """Start one worker process on its queue pair (without waiting for
         its ReadyReply)."""
         from repro.distrib.worker import worker_main
-        worker_id = self._take_worker_id()
+        worker_id = next(self.core.worker_ids)
         ctx = default_mp_context()
         command_queue = ctx.Queue()
         reply_queue = ctx.Queue()
@@ -177,7 +176,7 @@ class ProcessCloud9Cluster(Coordinator):
             name="cloud9-worker-%d" % worker_id,
             daemon=True)
         process.start()
-        return _WorkerHandle(
+        return Member(
             worker_id, QueuePairTransport(process, command_queue, reply_queue))
 
 
@@ -230,12 +229,12 @@ class TcpCloud9Cluster(ProcessCloud9Cluster):
         process.start()
         return process
 
-    def _launch(self) -> _WorkerHandle:
+    def _launch(self) -> Member:
         """Admit the next dialed-in agent from the pending pool (first
         spawning a loopback agent of our own under
         ``spawn_local_agents=True``), without waiting for its ReadyReply."""
         from repro.net.server import NoPendingAgent
-        worker_id = self._take_worker_id()
+        worker_id = next(self.core.worker_ids)
         # Re-running after a completed run() finds the listener closed.
         server = self.server or self._open_server()
         process = (self._spawn_local_agent(server)
@@ -248,17 +247,18 @@ class TcpCloud9Cluster(ProcessCloud9Cluster):
                 reap_process(process, timeout=self.config.shutdown_timeout)
             raise WorkerProcessError(str(exc)) from None
         transport.process = process
-        return _WorkerHandle(worker_id, transport)
+        return Member(worker_id, transport)
 
-    def _spawn_worker(self) -> _WorkerHandle:
+    def run(self, *args: Any, **kwargs: Any) -> RunResult:
+        result = super().run(*args, **kwargs)
         # Every admission past the initial membership is an agent
         # (re)connecting: a respawn replacement or an elastic join.
-        handle = super()._spawn_worker()
-        self.books.agents_reconnected += 1
-        return handle
+        result.agents_reconnected = result.workers_added + result.respawns
+        return result
 
-    def _shutdown_workers(self) -> None:
-        super()._shutdown_workers()
+    def _shutdown_workers(self, handles: Optional[List[Member]] = None
+                          ) -> None:
+        super()._shutdown_workers(handles)
         if self.server is not None:
             self.server.close()
             self.server = None

@@ -1,16 +1,17 @@
-"""The in-process shell: the coordinator over a loopback carrier.
+"""The in-process shell: the driver over a loopback carrier.
 
 The paper's prototype runs workers on separate machines and measures wall
-clock.  :class:`Cloud9Cluster` runs the same
-:class:`~repro.distrib.coordinator.Coordinator` with every member in this
+clock.  :class:`Cloud9Cluster` runs the same protocol core and driver
+(:class:`~repro.distrib.coordinator.Coordinator`) with every member in this
 process: :class:`LoopbackTransport` hands each command straight to a
 :class:`~repro.distrib.worker.DistribWorker` and queues its reply.  Members
 step one after another within a round, which makes runs deterministic and
 lets the scalability experiments compare rounds-to-goal and
 useful-work-per-round across cluster sizes -- the shape of Figures 7-13 --
-with exactly the counters a process or TCP cluster would report.
+with exactly the counters a process or TCP cluster would report.  Its
+members, and so its core and books, outlive a run.
 
-:class:`StaticPartitionCluster` is the §2 strawman on the same coordinator:
+:class:`StaticPartitionCluster` is the §2 strawman on the same driver:
 Cloud9 does *not* statically divide the execution tree because "this
 approach leads to high workload imbalance among nodes, making the entire
 cluster proceed at the pace of the slowest node" (§8 discusses the same
@@ -28,8 +29,9 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple, Type
 
 from repro.cluster.core import ClusterConfig, StaticPartitionConfig
 from repro.cluster.worker import DEFAULT_STRATEGY, Worker
-from repro.distrib.coordinator import CarriedIn, Coordinator, _WorkerHandle
+from repro.distrib.coordinator import Coordinator
 from repro.distrib.messages import ReadyReply, StopCommand
+from repro.distrib.protocol import CarriedIn, Member, Operation
 from repro.distrib.worker import DistribWorker
 from repro.engine.executor import SymbolicExecutor
 from repro.engine.state import ExecutionState
@@ -107,16 +109,15 @@ class Cloud9Cluster(Coordinator):
         super().__init__(config or ClusterConfig(), first.program.line_count)
         self._start_workers()
 
-    def _launch(self) -> _WorkerHandle:
+    def _launch(self) -> Member:
         executor = self._spare_executor or self.executor_factory()
         self._spare_executor = None
         # The member's pristine initial state: built once, only ever forked.
-        worker = Worker(self._take_worker_id(), executor,
+        worker = Worker(next(self.core.worker_ids), executor,
                         self.state_factory(executor),
                         strategy_name=self.strategy or DEFAULT_STRATEGY)
         self._launched[worker.worker_id] = worker
-        return _WorkerHandle(worker.worker_id,
-                             self.carrier(DistribWorker(worker)))
+        return Member(worker.worker_id, self.carrier(DistribWorker(worker)))
 
     def _teardown_run(self) -> None:
         """Members outlive the run (see the class docstring)."""
@@ -147,7 +148,7 @@ class Cloud9Cluster(Coordinator):
                     return False, ("path %s is a candidate on workers %d and %d"
                                    % (path, seen[path], worker_id))
                 seen[path] = worker_id
-                if not self.ledger.covers(worker_id, path):
+                if not self.core.ledger.covers(worker_id, path):
                     return False, ("worker %d holds %s outside its ledger "
                                    "territory" % (worker_id, path))
         return True, ""
@@ -186,11 +187,11 @@ class StaticPartitionCluster(Cloud9Cluster):
         #: What the bootstrap produced (None until a fresh run has dealt it).
         self.bootstrap: Optional[BootstrapOutcome] = None
 
-    def _seed(self) -> None:
+    def _seed(self) -> Operation:
         """Deal the bootstrap's prefixes in place of the seed job; nothing
         will ever move between members afterwards."""
         self.bootstrap = self._bootstrap_split()
-        self._carry_in(self.bootstrap, self.bootstrap.prefixes)
+        return self.core.carry_in(self.bootstrap, self.bootstrap.prefixes)
 
     def _bootstrap_split(self) -> BootstrapOutcome:
         """Expand the tree breadth-first until there is work for every worker."""

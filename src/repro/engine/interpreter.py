@@ -402,8 +402,13 @@ class Interpreter:
             # A direct pointer in bounds, looked up as ``state.resolve``
             # would find it (the CoW domain first).
             shared = state.cow_domain.objects
-            obj = (shared.get(base) if shared else state.processes[
-                state.current[0]].address_space.objects.get(base))
+            if shared:
+                obj = shared.get(base)
+            else:
+                current = state.current
+                assert current is not None, "no thread is running"
+                obj = state.processes[current[0]].address_space.objects.get(
+                    base)
             if obj is not None and 0 <= offset < obj.size:
                 return byte_value(obj.cells[offset])
         base = self._concretize(state, base)

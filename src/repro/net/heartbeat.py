@@ -8,7 +8,7 @@ keep the worker's main thread busy for seconds at a time, do not read as
 death), and the coordinator feeds every received frame -- pings and real
 replies alike -- into a :class:`HeartbeatMonitor`.  A peer that stays silent
 for ``interval * miss_threshold`` seconds is declared dead, which flows into
-the exact same ``_WorkerFailure`` -> frontier-ledger recovery machinery a
+the exact same ``Failure`` -> frontier-ledger recovery machinery a
 crashed local process does.
 
 The monitor takes its clock as a parameter so the miss logic is testable

@@ -275,7 +275,7 @@ class TcpTransport(Transport):
     Any wire fault -- EOF, an oversized frame, a payload that does not
     decode -- is recorded as *this peer's* failure: ``recv`` raises a
     :class:`TransportError` naming the peer, the coordinator turns that into
-    a single ``_WorkerFailure``, and the run continues on the survivors.
+    a single ``Failure`` event, and the run continues on the survivors.
 
     Used on both ends: the coordinator attaches a heartbeat monitor
     (``heartbeat=``); the agent leaves it None and detects a dead

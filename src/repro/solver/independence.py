@@ -82,22 +82,14 @@ def grouped(groups: Tuple[Group, ...], position: int,
     and every group lists its constraints in query order.
     """
     symbols = constraint.symbols()
-    kept: List[Group] = []
-    touched: List[Group] = []
-    slot = 0
-    for group in groups:
-        if symbols.isdisjoint(group.symbols):
-            kept.append(group)
-        else:
-            if not touched:
-                slot = len(kept)
-            touched.append(group)
+    touched = [g for g in groups if not symbols.isdisjoint(g.symbols)]
     if not touched:
         return groups + (Group((constraint,), (position,),
                                frozenset((constraint,)), symbols),)
+    first = touched[0]
     if len(touched) == 1:
-        constraints = touched[0].constraints + (constraint,)
-        positions = touched[0].positions + (position,)
+        constraints = first.constraints + (constraint,)
+        positions = first.positions + (position,)
     else:
         # Interleave the merging groups back into query order.
         placed = sorted(
@@ -106,11 +98,15 @@ def grouped(groups: Tuple[Group, ...], position: int,
             key=lambda pair: pair[0])
         positions = tuple(p for p, _ in placed) + (position,)
         constraints = tuple(c for _, c in placed) + (constraint,)
-    kept.insert(slot, Group(
+    merged = Group(
         constraints, positions,
-        touched[0].key.union(*(g.key for g in touched[1:]), (constraint,)),
-        symbols.union(*(g.symbols for g in touched))))
-    return tuple(kept)
+        first.key.union(*(g.key for g in touched[1:]), (constraint,)),
+        symbols.union(*(g.symbols for g in touched)))
+    slot = groups.index(first)
+    rest = groups[slot + 1:]
+    if len(touched) > 1:
+        rest = tuple(g for g in rest if g not in touched)
+    return groups[:slot] + (merged,) + rest
 
 
 def partition(constraints: Sequence[Expr]) -> List[List[Expr]]:

@@ -21,7 +21,7 @@ Values are immutable: a forked state shares its parent's path constraint.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, Iterator, Tuple
+from typing import Iterable, Iterator, Tuple
 
 from repro.solver.expr import BOOL_CONST, Expr
 from repro.solver.independence import Group, grouped
@@ -43,11 +43,10 @@ class PathConstraint:
       ``FALSE``: the whole is unsatisfiable whatever else it holds.
     """
 
-    __slots__ = ("constraints", "_members", "conjuncts", "groups", "is_false")
+    __slots__ = ("constraints", "conjuncts", "groups", "is_false")
 
     def __init__(self, constraints: Iterable[Expr] = ()):
         self.constraints: Tuple[Expr, ...] = ()
-        self._members: FrozenSet[Expr] = frozenset()
         self.conjuncts: Tuple[Expr, ...] = ()
         self.groups: Tuple[Group, ...] = ()
         self.is_false = False
@@ -59,7 +58,6 @@ class PathConstraint:
         already present: a query repeats what the engine repeats)."""
         out = PathConstraint.__new__(PathConstraint)
         out.constraints = self.constraints
-        out._members = self._members
         out.conjuncts = self.conjuncts
         out.groups = self.groups
         out.is_false = self.is_false
@@ -70,7 +68,6 @@ class PathConstraint:
         """Take in one more constraint.  Only for a value nobody else holds
         yet; every field is replaced, never mutated."""
         self.constraints += (constraint,)
-        self._members = self._members.union((constraint,))
         for conjunct in conjuncts(simplify(constraint)):
             if conjunct.op is BOOL_CONST:
                 if not conjunct.value:
@@ -80,7 +77,8 @@ class PathConstraint:
             self.conjuncts += (conjunct,)
 
     def __contains__(self, constraint: object) -> bool:
-        return constraint in self._members
+        # Interned expressions compare by identity, so the scan is exact.
+        return constraint in self.constraints
 
     def __iter__(self) -> Iterator[Expr]:
         return iter(self.constraints)

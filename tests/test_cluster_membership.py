@@ -83,7 +83,7 @@ class TestIncrementalDrain:
                     observed["moved"] = cl.remove_worker(victim.worker_id)
                     assert victim.queue_length == 0
                     assert [(a.worker_id, a.dead)
-                            for a in cl.books.departed] \
+                            for a in cl.core.books.departed] \
                         == [(victim.worker_id, False)]
             ok, message = cl.check_frontier_invariants()
             assert ok, "round %d: %s" % (round_index, message)
@@ -111,7 +111,7 @@ class TestIncrementalDrain:
         assert cluster.workers[1].queue_length == 0
         assert cluster.remove_worker(2) == 0
         assert [(a.worker_id, a.dead)
-                for a in cluster.books.departed] == [(2, False)]
+                for a in cluster.core.books.departed] == [(2, False)]
 
     def test_remove_guards_unchanged(self):
         test = _buggy_test()
@@ -147,7 +147,7 @@ class TestMembershipChurnHygiene:
         cluster = test.build_cluster(
             ClusterConfig(num_workers=2, instructions_per_round=30))
         cluster.run(limits=ExplorationLimits(max_rounds=4))
-        lb = cluster.load_balancer
+        lb = cluster.core.load_balancer
         lengths_before = {w: lb.reports[w].queue_length
                           for w in lb.worker_ids}
         spread_before = (min(lengths_before.values()),
@@ -320,7 +320,7 @@ class TestResumeAccounting:
         result = cluster.run(limits=LIMITS)
         assert removed, "no worker found the bug; tune the budgets"
         assert result.exhausted and result.workers_removed == 1
-        assert removed["id"] in {a.worker_id for a in cluster.books.departed
+        assert removed["id"] in {a.worker_id for a in cluster.core.books.departed
                                  if not a.dead}
         series = [snap.bugs_found for snap in result.timeline.snapshots]
         assert series == sorted(series), series
@@ -392,7 +392,7 @@ class TestProcessMembership:
                     captured["removed"] = round_index
                     captured["moved"] = cl.remove_worker(victim.worker_id)
                     assert captured["moved"] >= 2
-                    assert victim in cl.books.departed and not victim.dead
+                    assert victim in cl.core.books.departed and not victim.dead
 
         cluster.round_hook = hook
         result = cluster.run(limits=LIMITS)
@@ -425,7 +425,7 @@ class TestProcessMembership:
                     events["removed"] = victim.worker_id
                     events["queue"] = victim.queue_length
                     events["moved"] = cl.remove_worker(victim.worker_id)
-                    assert victim in cl.books.departed
+                    assert victim in cl.core.books.departed
                     assert victim.status.queue_length == 0
                     assert not victim.transport.process.is_alive()
 

@@ -85,9 +85,9 @@ def test_second_run_of_a_process_cluster_starts_with_clean_books():
             cl.remove_worker(cl.live_worker_ids[-1])
         members = {h.worker_id for h in cl.handles}
         assert members <= {1, 2}
-        assert sorted(cl.load_balancer.reports) == cl.live_worker_ids
+        assert sorted(cl.core.load_balancer.reports) == cl.live_worker_ids
         # No departed member owns territory in the ledger.
-        assert all(cl.ledger.recovery_jobs(gone) == []
+        assert all(cl.core.ledger.recovery_jobs(gone) == []
                    for gone in {1, 2} - members)
         seen.append(members)
 
@@ -104,7 +104,7 @@ def test_second_run_of_a_process_cluster_starts_with_clean_books():
         assert getattr(second, name) == getattr(first, name), name
     assert sorted(second.worker_stats) == sorted(first.worker_stats) == [1, 2]
     assert seen[rounds_of_first:] == seen[:rounds_of_first]
-    assert cluster.handles == [] and cluster.books.departed == []
+    assert cluster.handles == [] and cluster.core.books.departed == []
 
 
 def test_loopback_cluster_run_a_few_rounds_at_a_time_stays_cumulative(printf2):
@@ -207,7 +207,7 @@ def test_member_lost_while_filing_its_end_of_run_report(printf2):
     assert result.worker_failures == 1 and result.jobs_recovered == 0
     assert sorted(result.worker_stats) == [2]
     lost = result.failed_worker_stats[1]
-    (account,) = cluster.books.departed
+    (account,) = cluster.core.books.departed
     assert account.dead and lost is account.status.stats
     assert account.status.frontier is None  # its last *brief* report
     assert lost.useful_instructions > 0 and lost.paths_completed > 0
@@ -244,7 +244,7 @@ def test_member_retiring_between_a_status_and_the_checkpoint_is_counted_once():
             assert victim.queue_length > 0
             seen["victim"] = victim
             cl.remove_worker(victim.worker_id)
-            assert victim in cl.books.departed
+            assert victim in cl.core.books.departed
         elif round_index == 4:
             # Written after round 3, the first round without the victim.
             seen["checkpoint"] = cl.last_checkpoint
@@ -340,7 +340,7 @@ def test_round_record_checkpoint_and_result_read_the_same_books():
         == sorted(t.fork_trace for t in single.test_cases)
     # Accounts: the retired member's is closed and counted, the dead one's
     # closed and void.
-    assert {(a.worker_id, a.dead) for a in cluster.books.departed} \
+    assert {(a.worker_id, a.dead) for a in cluster.core.books.departed} \
         == {(2, False), (3, True)}
     assert sorted(result.worker_stats) == [1, 2, 4]
 
@@ -385,5 +385,5 @@ def test_joining_member_that_is_refused_is_closed(printf2):
         cluster.add_worker()
     assert not built[2].is_alive()
     assert cluster.live_worker_ids == [1, 2]
-    assert sorted(cluster.load_balancer.reports) == [1, 2]
+    assert sorted(cluster.core.load_balancer.reports) == [1, 2]
     assert cluster.run().exhausted

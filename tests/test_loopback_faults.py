@@ -222,7 +222,7 @@ def test_member_dying_during_its_removal_is_recovered_not_replaced(
             victim.transport.armed = True
             seen["moved"] = cl.remove_worker(victim.worker_id)
             seen["victim"] = victim
-            assert victim.dead and victim in cl.books.departed
+            assert victim.dead and victim in cl.core.books.departed
             assert victim.worker_id not in cl.live_worker_ids
         ok, message = cl.check_frontier_invariants()
         assert ok, "round %d: %s" % (round_index, message)

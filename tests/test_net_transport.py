@@ -419,26 +419,26 @@ class TestTcpTransport:
 
 class TestFaultContainment:
     def test_corrupt_frame_becomes_one_workers_failure(self):
-        """The cluster receive loop turns a wire fault into a _WorkerFailure
+        """The cluster receive loop turns a wire fault into a Failure event
         for that handle -- the per-peer error the ledger recovery consumes --
         instead of an exception that would abort the whole run."""
         from repro.distrib.cluster import (
             ProcessCloud9Cluster,
             ProcessClusterConfig,
         )
-        from repro.distrib.coordinator import _WorkerFailure, _WorkerHandle
+        from repro.distrib.protocol import Failure, Member
 
         cluster = ProcessCloud9Cluster(
             "printf", spec_params={"format_length": 2},
             config=ProcessClusterConfig(num_workers=2, reply_timeout=0.5))
         transport, raw = _transport_and_raw()
-        handle = _WorkerHandle(worker_id=9, transport=transport)
+        handle = Member(worker_id=9, transport=transport)
         try:
             raw.sendall(encode_frame(b"garbage that will not unpickle"))
-            with pytest.raises(_WorkerFailure) as excinfo:
-                cluster._receive(handle)
-            assert excinfo.value.handle is handle
-            assert "bad frame from agent 10.0.0.9:4850" in excinfo.value.reason
+            failure = cluster._receive(handle)
+            assert isinstance(failure, Failure)
+            assert failure.member is handle
+            assert "bad frame from agent 10.0.0.9:4850" in failure.reason
         finally:
             transport.close(timeout=0)
             raw.close()
