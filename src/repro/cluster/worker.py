@@ -345,6 +345,7 @@ class Worker(Explorer):
                     continue
                 self._discard_subtree(child)
                 del node.children[index]
+                node.refresh_pair()
                 child.parent = None
 
         walk(root, root_path)

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import multiprocessing
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 from repro.cluster.core import ClusterConfig
 from repro.distrib import specs
@@ -256,9 +256,8 @@ class TcpCloud9Cluster(ProcessCloud9Cluster):
         result.agents_reconnected = result.workers_added + result.respawns
         return result
 
-    def _shutdown_workers(self, handles: Optional[List[Member]] = None
-                          ) -> None:
-        super()._shutdown_workers(handles)
+    def _shutdown_workers(self) -> None:
+        super()._shutdown_workers()
         if self.server is not None:
             self.server.close()
             self.server = None

@@ -85,6 +85,9 @@ class Coordinator:
         self.status_server: Optional[StatusServer] = None
         #: The protocol's decisions; replaced with the membership.
         self.core = self._new_core()
+        #: Every member whose channel is open, by worker id: the live ones,
+        #: and one the core has let go of before it was stopped.
+        self._roster: Dict[int, Member] = {}
 
     def _new_core(self) -> ProtocolCore:
         return ProtocolCore(self.config, self.line_count, self.backend_name,
@@ -111,16 +114,21 @@ class Coordinator:
         ReadyReply) under the next worker id -- the carrier-specific part."""
         raise NotImplementedError
 
+    def _open(self) -> Member:
+        """Launch one member onto the roster."""
+        member = self._launch()
+        self._roster[member.worker_id] = member
+        return member
+
     def _start_workers(self) -> None:
-        launched: List[Member] = []
         try:
             for _ in range(self.config.num_workers):
-                launched.append(self._launch())
-            self._drive(self.core.start(launched))
+                self._open()
+            self._drive(self.core.start(list(self._roster.values())))
         except WorkerProcessError:
             # No member launched so far, enrolled or not, may outlive the
             # error.
-            self._shutdown_workers(launched)
+            self._shutdown_workers()
             raise
 
     def _cleanup_handle(self, handle: Member) -> None:
@@ -131,12 +139,13 @@ class Coordinator:
         transport grants a drain window for a graceful hang-up, cuts the
         socket and reaps the local agent it was admitted with, if any.
         """
+        self._roster.pop(handle.worker_id, None)
         handle.transport.close(timeout=self.config.shutdown_timeout)
 
-    def _shutdown_workers(self, handles: Optional[List[Member]] = None
-                          ) -> None:
-        """Stop every member; the membership's core goes with them."""
-        handles = list(self.handles if handles is None else handles)
+    def _shutdown_workers(self) -> None:
+        """Stop every member whose channel is open, one the core let go of
+        mid-removal included; the membership's core goes with them."""
+        handles = list(self._roster.values())
         for handle in handles:
             if handle.transport.is_alive():
                 try:
@@ -181,7 +190,7 @@ class Coordinator:
                 self._perform(self.core.fail(
                     self._fail(action.member, action.reason)))
             else:  # Launch: a member the core asked for
-                self.core.join(self._launch())
+                self.core.join(self._open())
 
     def _fail(self, handle: Member, reason: str) -> Failure:
         """The one place a member fails: its channel closes first."""

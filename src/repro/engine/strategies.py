@@ -32,7 +32,7 @@ like its own, and lines a strategy was told before change nothing.
 from __future__ import annotations
 
 import random
-from itertools import islice
+from itertools import cycle, islice
 from typing import Dict, Iterable, Optional, Sequence, Set, Tuple
 
 from repro.engine.frontier import Frontier, WeightIndex
@@ -101,6 +101,17 @@ class RandomPathStrategy(SearchStrategy):
     interior node among children that still contain candidate nodes, until a
     candidate is reached.  This biases selection toward shallow states and is
     immune to the "swarm of states in one loop" pathology of random-state.
+
+    Every level draws ``_randbelow(n)`` among its ``n`` live children in
+    fork-index order, also where only one is live.  At a two-way fork (the
+    node's ``pair``) the draw is written out as the loop ``_randbelow``
+    runs (``k = n.bit_length()`` bits, redrawn while ``>= n``): ``n == 2``
+    draws two bits until they are below 2, ``n == 1`` one bit until it is
+    0.  Both consume exactly the generator state ``_randbelow(n)`` would,
+    so such a level costs its ``getrandbits`` calls and nothing else
+    (``tests/test_frontier_differential.py`` holds every select to the
+    plain walk).  Any other node -- a three-way fork, a lone child left by
+    an import -- takes the sorted live list and ``_randbelow``.
     """
 
     name = "random_path"
@@ -109,55 +120,43 @@ class RandomPathStrategy(SearchStrategy):
         self._rng = random.Random(seed)
 
     def select(self, tree: ExecutionTree, candidates: Frontier) -> TreeNode:
-        # ``randrange(n)`` is ``_randbelow(n)`` for every ``n >= 1``: the
-        # same draw, without the argument checks at every level.  At a
-        # two-way fork the draw is written out as the loop ``_randbelow``
-        # runs (``k = n.bit_length()`` bits, redrawn while ``>= n``), so it
-        # costs C calls only: ``n == 1`` draws one bit until it is 0,
-        # ``n == 2`` draws two bits until they are below 2.  Both consume
-        # exactly the generator state ``_randbelow(n)`` would
-        # (``tests/test_frontier_differential.py`` holds them to it).
-        below = self._rng._randbelow  # type: ignore[attr-defined]
         getrandbits = self._rng.getrandbits
         node = tree.root
-        guard = 0
         while True:
-            guard += 1
-            if guard > 100000:
-                # Fall back to uniform choice if the tree is malformed.
-                return _uniform(self._rng, candidates)
-            kids = node.children
-            live: Sequence[TreeNode] = ()
-            first = kids.get(0)
-            second = kids.get(1)
-            if len(kids) == 2 and first is not None and second is not None:
-                # A two-way fork, walked without building a list: draw among
-                # the children that still hold candidates, in fork-index
-                # order.  A lone live child still costs its ``_randbelow(1)``
-                # draw, exactly as in the general case.
-                live_first = first.candidate_count > 0
-                live_second = second.candidate_count > 0
-                if live_first and live_second:
-                    pick = getrandbits(2)
-                    while pick >= 2:
+            pair = node.pair
+            if pair is not None:
+                first, second = pair
+                if first.candidate_count:
+                    if second.candidate_count:
                         pick = getrandbits(2)
-                    node = second if pick else first
-                    continue
-                if live_first or live_second:
+                        while pick >= 2:
+                            pick = getrandbits(2)
+                        node = second if pick else first
+                        continue
                     while getrandbits(1):
                         pass
-                    node = first if live_first else second
+                    node = first
                     continue
-            elif kids:
+                if second.candidate_count:
+                    while getrandbits(1):
+                        pass
+                    node = second
+                    continue
+            elif node.children:
+                kids = node.children
                 live = [kids[k] for k in sorted(kids)
-                        if kids[k].candidate_count > 0]
-            if not live:
-                # A frontier member with candidate descendants can exist
-                # transiently; descending is preferred above.
-                if node in candidates:
-                    return node
-                return _uniform(self._rng, candidates)
-            node = live[below(len(live))]
+                        if kids[k].candidate_count]
+                if live:
+                    # ``randrange(n)`` is ``_randbelow(n)`` for every
+                    # ``n >= 1``, without the argument checks.
+                    below = self._rng._randbelow  # type: ignore[attr-defined]
+                    node = live[below(len(live))]
+                    continue
+            # No child holds a candidate.  A frontier member with candidate
+            # descendants can exist transiently; descending is preferred.
+            if node in candidates:
+                return node
+            return _uniform(self._rng, candidates)
 
 
 class CoverageOptimizedStrategy(SearchStrategy):
@@ -247,7 +246,9 @@ class CoverageOptimizedStrategy(SearchStrategy):
         if index is None or index.frontier is not candidates:
             index = self._index = WeightIndex(candidates, self._weight)
         total = index.total()
-        return index.pick(self._rng.uniform(0.0, float(total)))
+        # ``uniform(0.0, total)`` computes ``0.0 + (total - 0.0) * random()``:
+        # the same float, without its Python frame.
+        return index.pick(float(total) * self._rng.random())
 
 
 class InterleavedStrategy(SearchStrategy):
@@ -259,12 +260,10 @@ class InterleavedStrategy(SearchStrategy):
         if not strategies:
             raise ValueError("InterleavedStrategy needs at least one strategy")
         self._strategies = list(strategies)
-        self._next = 0
+        self._turns = cycle(self._strategies)
 
     def select(self, tree: ExecutionTree, candidates: Frontier) -> TreeNode:
-        strategy = self._strategies[self._next % len(self._strategies)]
-        self._next += 1
-        return strategy.select(tree, candidates)
+        return next(self._turns).select(tree, candidates)
 
     def notify_covered(self, lines: Iterable[int]) -> None:
         lines = list(lines)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from typing import Any, Dict, Iterator, List, Optional, Sequence
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.engine.frontier import Frontier
 
@@ -47,10 +47,18 @@ _node_id_counter = itertools.count(1)
 
 
 class TreeNode:
-    """One node of a worker's local view of the execution tree."""
+    """One node of a worker's local view of the execution tree.
 
-    __slots__ = ("node_id", "parent", "children", "status", "life", "state",
-                 "fork_index", "candidate_count", "frontier")
+    ``pair`` is ``(children[0], children[1])`` while the children are
+    exactly fork indices 0 and 1, else ``None``: a two-way fork, the shape
+    the random-path walk meets at almost every level, read without a dict
+    lookup.  :meth:`refresh_pair` keeps it, where a child is attached
+    (``__init__``) and where one is detached (a recovered subtree's reset
+    in :mod:`repro.cluster.worker`).
+    """
+
+    __slots__ = ("node_id", "parent", "children", "pair", "status", "life",
+                 "state", "fork_index", "candidate_count", "frontier")
 
     def __init__(self, parent: Optional["TreeNode"] = None, fork_index: int = 0,
                  status: NodeStatus = NodeStatus.MATERIALIZED,
@@ -61,6 +69,7 @@ class TreeNode:
         self.frontier: Frontier = (Frontier() if parent is None
                                    else parent.frontier)
         self.children: Dict[int, TreeNode] = {}
+        self.pair: Optional[Tuple[TreeNode, TreeNode]] = None
         self.status = status
         self.life = life
         # ExecutionState for materialized candidate/fence nodes
@@ -72,6 +81,7 @@ class TreeNode:
         self.candidate_count = 1 if life is CANDIDATE else 0
         if parent is not None:
             parent.children[fork_index] = self
+            parent.refresh_pair()
             if self.candidate_count:
                 parent._propagate_candidate_delta(self.candidate_count)
         if self.candidate_count:
@@ -86,6 +96,12 @@ class TreeNode:
             raise ValueError("child %d already exists under node %d"
                              % (fork_index, self.node_id))
         return TreeNode(self, fork_index, status=status, life=life)
+
+    def refresh_pair(self) -> None:
+        """Recompute ``pair`` after a child was attached or detached."""
+        kids = self.children
+        self.pair = ((kids[0], kids[1])
+                     if len(kids) == 2 and 0 in kids and 1 in kids else None)
 
     def path_from_root(self) -> List[int]:
         """The sequence of fork indices leading from the root to this node."""

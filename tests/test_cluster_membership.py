@@ -7,6 +7,8 @@ cumulative accounting (wall time, pre-crash bugs) across ``resume_from=``.
 """
 
 import multiprocessing
+import os
+import signal
 
 import pytest
 
@@ -16,10 +18,19 @@ from repro.cluster.checkpoint import ClusterCheckpoint
 from repro.cluster.core import ClusterConfig
 from repro.cluster.load_balancer import LoadBalancer
 from repro.distrib import specs
-from repro.distrib.cluster import ProcessCloud9Cluster, ProcessClusterConfig
+from repro.distrib.cluster import (
+    ProcessCloud9Cluster,
+    ProcessClusterConfig,
+    TcpCloud9Cluster,
+    TcpClusterConfig,
+)
+from repro.distrib.messages import ImportCommand
+from repro.distrib.protocol import WorkerProcessError
 from repro.engine.errors import BugKind, BugReport
 from repro.engine.test_case import TestCase
 from repro.testing.symbolic_test import SymbolicTest
+
+from conftest import _cluster_processes
 
 LIMITS = ExplorationLimits(max_rounds=500)
 
@@ -441,3 +452,52 @@ class TestProcessMembership:
         test = specs.resolve_test("test-as-buggy")
         single = test.run(backend="single", limits=ExplorationLimits())
         assert result.paths_completed == single.paths_completed
+
+
+# -- a removal cut short by its target's death leaves no member behind -----------------
+
+
+@pytest.mark.parametrize("backend", ["process", "tcp"])
+def test_a_removal_whose_target_dies_leaves_no_member_alive(backend):
+    """``leave`` takes the member off the core's list before it hands its
+    frontier over; the target SIGKILLed as the handover's ``ImportCommand``
+    goes out spends a failure budget of 0, so ``run()`` raises mid-removal.
+    The driver stops every channel it opened, the leaving member's too."""
+    options = {"num_workers": 2, "instructions_per_round": 40,
+               "reply_timeout": 1.0, "shutdown_timeout": 2.0,
+               "max_worker_failures": 0}
+    if backend == "tcp":
+        cluster = TcpCloud9Cluster(
+            "printf", {"format_length": 2},
+            config=TcpClusterConfig(spawn_local_agents=True,
+                                    agent_wait_timeout=20.0, **options))
+    else:
+        cluster = ProcessCloud9Cluster(
+            "printf", {"format_length": 2},
+            config=ProcessClusterConfig(**options))
+    killed = []
+
+    def hook(round_index, cl):
+        leaving = max(cl.handles, key=lambda h: h.queue_length)
+        if killed or round_index < 1 or leaving.queue_length == 0:
+            return
+        (target,) = [h for h in cl.handles if h is not leaving]
+        transport = target.transport
+        send = transport.send
+
+        def send_after_the_kill(command):
+            if isinstance(command, ImportCommand):
+                killed.append(target.worker_id)
+                os.kill(transport.process.pid, signal.SIGKILL)
+                transport.process.join(5.0)
+            send(command)
+
+        transport.send = send_after_the_kill
+        cl.remove_worker(leaving.worker_id)
+
+    cluster.round_hook = hook
+    before = _cluster_processes()
+    with pytest.raises(WorkerProcessError, match="max_worker_failures=0"):
+        cluster.run(limits=LIMITS)
+    assert killed, "no member held work to hand over; tune the budgets"
+    assert [p.name for p in _cluster_processes() if p not in before] == []

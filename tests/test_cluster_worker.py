@@ -1,11 +1,10 @@
 """Unit tests for worker-level operation: frontier, job transfer, replay."""
 
-from repro.cluster.jobs import JobTree
+from repro.cluster.jobs import Job, JobTree
 from repro.cluster.replay import replay_path
 from repro.cluster.worker import Worker
 from repro.distrib import specs
 from repro.engine import SymbolicExecutor, make_strategy
-from repro.engine.tree import NodeStatus
 from repro.posix import install_posix_model
 
 from conftest import branchy_program
@@ -52,6 +51,40 @@ class TestSeedAndExplore:
             assert False
         except ValueError:
             pass
+
+
+def _pairs_match_children(tree):
+    for node in tree.root.iter_subtree():
+        kids = node.children
+        expected = (kids[0], kids[1]) if sorted(kids) == [0, 1] else None
+        assert node.pair == expected, node
+
+
+class TestRecoveredReset:
+    def test_a_two_way_node_that_loses_a_child_is_no_pair(self):
+        """A recovered root's reset discards what no fence path protects:
+        a two-way node left with one child must stop reading as a pair,
+        or the random-path walk would descend into a detached subtree."""
+        worker = make_worker()
+        worker.seed()
+        while worker.has_work:
+            worker.explore(1000)
+        tree = worker.tree
+        node = next(n for n in tree.root.iter_subtree()
+                    if n.pair is not None and n.pair[0].pair is not None)
+        path = tuple(node.path_from_root())
+        kept = node.children[0]
+        # The fence keeps (0, 0) below the root: (1,) and (0, 1) go.
+        assert worker.import_jobs(JobTree.from_jobs([Job(path)]),
+                                  fence_paths=[path + (0, 0)],
+                                  recovered=True) == 1
+        assert list(node.children) == [0] and node.pair is None
+        assert list(kept.children) == [0] and kept.pair is None
+        _pairs_match_children(tree)
+        while worker.has_work:
+            worker.explore(1000)
+        assert node.pair is not None
+        _pairs_match_children(tree)
 
 
 class TestJobTransfer:
