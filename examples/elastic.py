@@ -6,8 +6,11 @@ in flight -- the place to call ``add_worker`` (the newcomer starts from the
 merged coverage and takes jobs at the next balance) and ``remove_worker``
 (the member's whole frontier goes to the least-loaded survivor before the
 call returns).  This script grows a 1-worker printf cluster to four workers,
-retires the one with the shortest queue, and checks that the run explored
-exactly what one engine explores.
+one join a round; at the first boundary after the third join at which the
+newcomers hold work, it retires the member with the shortest queue.  Both
+are keyed to what the cluster holds, not to a round number, so the script
+means the same under any schedule.  It checks that the run explored exactly
+what one engine explores.
 
 Run with:  python examples/elastic.py
 """
@@ -21,13 +24,17 @@ def main() -> None:
     cluster = test.build_cluster(
         ClusterConfig(num_workers=1, instructions_per_round=100))
 
+    newcomers, retired = [], []
+
     def grow_then_shrink(round_index, cl):
-        if round_index in (1, 2, 3):
-            cl.add_worker()
-        elif round_index == 6:
+        if len(newcomers) < 3:
+            if round_index > 0:
+                newcomers.append(cl.add_worker())
+        elif not retired and any(h.queue_length for h in cl.handles
+                                 if h.worker_id in newcomers):
             shortest = min(cl.handles,
                            key=lambda h: (h.queue_length, h.worker_id))
-            cl.remove_worker(shortest.worker_id)
+            retired.append(cl.remove_worker(shortest.worker_id))
 
     cluster.round_hook = grow_then_shrink
     result = cluster.run()

@@ -47,7 +47,6 @@ from repro.cluster.core import ClusterConfig
 from repro.distrib import specs
 from repro.distrib.coordinator import Coordinator
 from repro.distrib.protocol import Member, WorkerProcessError
-from repro.engine.result import RunResult
 from repro.net.framing import DEFAULT_MAX_FRAME_SIZE
 from repro.net.heartbeat import (
     DEFAULT_HEARTBEAT_INTERVAL,
@@ -248,13 +247,6 @@ class TcpCloud9Cluster(ProcessCloud9Cluster):
             raise WorkerProcessError(str(exc)) from None
         transport.process = process
         return Member(worker_id, transport)
-
-    def run(self, *args: Any, **kwargs: Any) -> RunResult:
-        result = super().run(*args, **kwargs)
-        # Every admission past the initial membership is an agent
-        # (re)connecting: a respawn replacement or an elastic join.
-        result.agents_reconnected = result.workers_added + result.respawns
-        return result
 
     def _shutdown_workers(self) -> None:
         super()._shutdown_workers()

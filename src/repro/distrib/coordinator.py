@@ -99,10 +99,6 @@ class Coordinator:
         return self.core.members
 
     @property
-    def live_worker_ids(self) -> List[int]:
-        return [m.worker_id for m in self.core.members]
-
-    @property
     def status_address(self) -> Optional[Tuple[str, int]]:
         """``(host, port)`` of the live-status endpoint, if one is running."""
         return self.status_server.address if self.status_server else None

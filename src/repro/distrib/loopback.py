@@ -127,32 +127,6 @@ class Cloud9Cluster(Coordinator):
         """The live members' :class:`Worker` objects."""
         return [self._launched[h.worker_id] for h in self.handles]
 
-    # -- invariants (used by the test suite) ---------------------------------------------
-
-    def check_frontier_invariants(self) -> Tuple[bool, str]:
-        """The §3.2 partition invariants, against what members really hold.
-
-        No path is a candidate on two members at once, and every candidate
-        lies inside the territory the coordinator's ledger records for its
-        holder.  (A member's frontier is its tree's candidates by
-        construction, and recorded territories cannot overlap: the ledger
-        gives every path one owner.  Completeness is checked by the tests
-        that compare explored paths against a single-engine exhaustive run.)
-        """
-        members = {h.worker_id: self._launched[h.worker_id]
-                   for h in self.handles}
-        seen: Dict[Tuple[int, ...], int] = {}
-        for worker_id, worker in members.items():
-            for path in sorted(worker.frontier_paths()):
-                if path in seen:
-                    return False, ("path %s is a candidate on workers %d and %d"
-                                   % (path, seen[path], worker_id))
-                seen[path] = worker_id
-                if not self.core.ledger.covers(worker_id, path):
-                    return False, ("worker %d holds %s outside its ledger "
-                                   "territory" % (worker_id, path))
-        return True, ""
-
 
 @dataclass
 class BootstrapOutcome(CarriedIn):
@@ -214,7 +188,3 @@ class StaticPartitionCluster(Cloud9Cluster):
         outcome.prefixes = [tuple(state.fork_trace) for state in frontier]
         outcome.useful_instructions = executor.total_instructions
         return outcome
-
-    def idle_worker_count(self) -> int:
-        """Workers with nothing left to do (the imbalance the paper measures)."""
-        return sum(1 for w in self.workers if not w.has_work)

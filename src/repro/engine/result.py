@@ -108,12 +108,11 @@ class RunResult:
     workers_added: int = 0
     workers_removed: int = 0
     peak_workers: int = 0
-    #: TCP-transport liveness counters (``backend="tcp"``, :mod:`repro.net`):
-    #: worker deaths detected by heartbeat silence (as opposed to connection
-    #: loss or a local process exit), and agents admitted into an
-    #: already-running cluster -- respawn replacements plus elastic joins.
+    #: TCP-transport liveness (``backend="tcp"``, :mod:`repro.net`): worker
+    #: deaths detected by heartbeat silence (as opposed to connection loss
+    #: or a local process exit).  Agents admitted into an already-running
+    #: cluster are ``workers_added + respawns``.
     heartbeat_misses: int = 0
-    agents_reconnected: int = 0
     #: Round index of the checkpoint this run resumed from (None = fresh).
     resumed_from_round: Optional[int] = None
 

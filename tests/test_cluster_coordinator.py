@@ -8,6 +8,7 @@ from repro.posix import install_posix_model
 from repro.testing import SymbolicTest
 
 from conftest import branchy_program
+from triggers import frontier_invariants
 
 
 def make_cluster(num_workers, buffer_size=2, **config_kwargs):
@@ -48,7 +49,7 @@ class TestEndToEnd:
         # Interleave manual round execution with invariant checks.
         for _ in range(10):
             cluster.run(max_rounds=1)
-            ok, message = cluster.check_frontier_invariants()
+            ok, message = frontier_invariants(cluster)
             assert ok, message
 
     def test_coverage_matches_single_node(self):

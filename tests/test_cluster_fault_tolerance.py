@@ -41,6 +41,7 @@ from repro.obs.trace import load_trace
 from repro.testing.symbolic_test import SymbolicTest
 
 from conftest import branchy_program, make_executor, wait_until
+from triggers import Trigger, kill_the_last_member
 
 LIMITS = ExplorationLimits(max_rounds=500)
 
@@ -553,23 +554,6 @@ def _pconfig(**kw):
     return ProcessClusterConfig(**kw)
 
 
-def _kill_hook(target_round=2):
-    """A round hook that SIGKILLs the last worker once it has work."""
-    killed = {}
-
-    def hook(round_index, cluster):
-        if killed or round_index < target_round or len(cluster.handles) < 2:
-            return
-        victim = cluster.handles[-1]
-        if victim.queue_length == 0:
-            return  # wait until it owns territory worth recovering
-        killed["pid"] = victim.transport.process.pid
-        os.kill(victim.transport.process.pid, signal.SIGKILL)
-
-    hook.killed = killed
-    return hook
-
-
 @needs_fork
 class TestProcessFaultTolerance:
     @pytest.fixture(scope="class")
@@ -584,10 +568,10 @@ class TestProcessFaultTolerance:
 
     def test_sigkill_between_rounds_recovers_and_matches_baseline(self, baseline):
         cluster = ProcessCloud9Cluster("test-ft-buggy", config=_pconfig())
-        hook = _kill_hook()
+        hook = kill_the_last_member()
         cluster.round_hook = hook
         result = cluster.run(limits=LIMITS)
-        assert hook.killed, "the victim never owned work; tune the target"
+        assert hook.fired, "the victim never owned work; tune the target"
         assert result.worker_failures == 1
         assert result.jobs_recovered > 0
         assert result.exhausted
@@ -615,14 +599,16 @@ class TestProcessFaultTolerance:
             except ProcessLookupError:  # pragma: no cover - run won the race
                 pass
 
-        def hook(round_index, cl):
-            if round_index == 0 and not timers and len(cl.handles) == 2:
-                timer = threading.Timer(0.003, kill,
-                                        (cl.handles[-1].transport.process.pid,))
-                timer.start()
-                timers.append(timer)
+        def start_the_timer(cl, victim):
+            timer = threading.Timer(0.003, kill,
+                                    (victim.transport.process.pid,))
+            timer.start()
+            timers.append(timer)
 
-        cluster.round_hook = hook
+        # At the first explore: the seed job is all there is to recover.
+        cluster.round_hook = Trigger(
+            lambda cl: len(cl.handles) == 2 and cl.handles[-1],
+            start_the_timer)
         result = cluster.run(limits=LIMITS)
         for timer in timers:
             timer.join()
@@ -635,10 +621,10 @@ class TestProcessFaultTolerance:
         cluster = ProcessCloud9Cluster(
             "test-ft-buggy",
             config=_pconfig(respawn=True, max_worker_failures=3))
-        hook = _kill_hook()
+        hook = kill_the_last_member()
         cluster.round_hook = hook
         result = cluster.run(limits=LIMITS)
-        assert hook.killed
+        assert hook.fired
         assert result.worker_failures == 1
         assert result.respawns == 1
         assert result.num_workers == 2  # back at configured size
@@ -660,10 +646,10 @@ class TestProcessFaultTolerance:
         cluster = ProcessCloud9Cluster(
             "printf", spec_params={"format_length": 2},
             config=_pconfig(instructions_per_round=100))
-        hook = _kill_hook(target_round=4)
+        hook = kill_the_last_member(bounced=True)
         cluster.round_hook = hook
         result = cluster.run(limits=LIMITS)
-        assert hook.killed
+        assert hook.fired
         assert result.worker_failures == 1
         assert result.jobs_recovered > 0
         assert result.exhausted
@@ -673,7 +659,7 @@ class TestProcessFaultTolerance:
     def test_failure_budget_zero_restores_old_behavior(self):
         cluster = ProcessCloud9Cluster(
             "test-ft-buggy", config=_pconfig(max_worker_failures=0))
-        hook = _kill_hook(target_round=1)
+        hook = kill_the_last_member()
         cluster.round_hook = hook
         with pytest.raises(WorkerProcessError, match="failure budget"):
             cluster.run(limits=LIMITS)
@@ -681,17 +667,17 @@ class TestProcessFaultTolerance:
     def test_no_orphan_processes_after_recovered_run(self):
         cluster = ProcessCloud9Cluster("test-ft-buggy", config=_pconfig())
         pids = []
-        hook = _kill_hook()
-        original_hook = hook
+        hook = kill_the_last_member()
 
         def wrapper(round_index, cl):
             for handle in cl.handles:
                 if handle.transport.process.pid not in pids:
                     pids.append(handle.transport.process.pid)
-            original_hook(round_index, cl)
+            hook(round_index, cl)
 
         cluster.round_hook = wrapper
         cluster.run(limits=LIMITS)
+        assert hook.fired
         assert cluster.handles == []
         assert len(pids) >= 2
         wait_until(lambda: not any(_pid_alive(pid) for pid in pids),
@@ -893,21 +879,21 @@ class TestInProcessElasticity:
         test = _buggy_spec_test()
         cluster = test.build_cluster(
             ClusterConfig(num_workers=3, instructions_per_round=30))
-        removed = {}
 
-        def hook(round_index, cl):
-            if round_index == 3 and not removed:
-                victims = [w.worker_id for w in cl.workers]
-                removed["id"] = victims[-1]
-                cl.remove_worker(victims[-1])
+        def the_last_has_finished_a_path(cl):
+            last = cl.workers[-1]
+            return last if last.paths_completed else None
 
-        cluster.round_hook = hook
+        removed = cluster.round_hook = Trigger(
+            the_last_has_finished_a_path,
+            lambda cl, last: cl.remove_worker(last.worker_id))
         result = cluster.run(limits=LIMITS)
-        assert removed
+        assert removed.fired
         assert result.exhausted
         assert result.num_workers == 2
         # The departed worker's stats and paths still count.
-        assert removed["id"] in result.worker_stats
+        assert removed.subject.worker_id in result.worker_stats
+        assert result.worker_stats[removed.subject.worker_id].paths_completed
         assert result.paths_completed == self._single_baseline().paths_completed
 
     def test_remove_worker_guards(self):
@@ -925,17 +911,32 @@ class TestProcessElasticity:
         cluster = ProcessCloud9Cluster("test-ft-buggy", config=_pconfig())
         events = []
 
+        def add(cl, _):
+            events.append("added")
+            events.append(cl.add_worker())
+
+        def the_guest_holds_work(cl):
+            return next((h for h in cl.handles if len(events) > 1
+                         and h.worker_id == events[1] and h.queue_length),
+                        None)
+
+        def remove(cl, guest):
+            events.append("removed")
+            cl.remove_worker(guest.worker_id)
+
+        # Joins once the first round's statuses are in; leaves once it
+        # has taken work (the balancer fed it).
+        join = Trigger(lambda cl: all(h.status for h in cl.handles), add)
+        leave = Trigger(the_guest_holds_work, remove)
+
         def hook(round_index, cl):
-            if round_index == 1 and "added" not in events:
-                events.append("added")
-                events.append(cl.add_worker())
-            elif round_index == 4 and "removed" not in events:
-                events.append("removed")
-                cl.remove_worker(events[1])
+            leave(round_index, cl)  # first: never on the join's boundary
+            join(round_index, cl)
 
         cluster.round_hook = hook
         result = cluster.run(limits=LIMITS)
         assert events and events[0] == "added" and "removed" in events
+        assert join.fired_at < leave.fired_at
         assert result.exhausted
         assert result.worker_failures == 0
         # The guest worker's contributions are merged into the result.

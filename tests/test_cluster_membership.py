@@ -3,12 +3,14 @@
 Covers ``remove_worker`` handing a member's whole frontier to a survivor on
 both backends, the load balancer's membership-churn hygiene (report seeding
 on join, atomic purge on leave), the unified checkpoint cadence, and
-cumulative accounting (wall time, pre-crash bugs) across ``resume_from=``.
+cumulative accounting (wall time, pre-crash bugs) across ``resume_from=``,
+and that no way out of ``run()`` leaves a member or a listener behind.
 """
 
 import multiprocessing
 import os
 import signal
+import socket
 
 import pytest
 
@@ -31,6 +33,7 @@ from repro.engine.test_case import TestCase
 from repro.testing.symbolic_test import SymbolicTest
 
 from conftest import _cluster_processes
+from triggers import Trigger, frontier_invariants
 
 LIMITS = ExplorationLimits(max_rounds=500)
 
@@ -84,29 +87,28 @@ class TestIncrementalDrain:
         test = _buggy_test()
         cluster = test.build_cluster(
             ClusterConfig(num_workers=3, instructions_per_round=30))
-        observed = {"rounds": 0}
+        observed = {}
 
-        def hook(round_index, cl):
-            if "moved" not in observed and round_index >= 3:
-                victim = max(cl.workers, key=lambda w: w.queue_length)
-                if victim.queue_length >= 3:
-                    observed["queue"] = victim.queue_length
-                    observed["moved"] = cl.remove_worker(victim.worker_id)
-                    assert victim.queue_length == 0
-                    assert [(a.worker_id, a.dead)
-                            for a in cl.core.books.departed] \
-                        == [(victim.worker_id, False)]
-            ok, message = cl.check_frontier_invariants()
-            assert ok, "round %d: %s" % (round_index, message)
-            observed["rounds"] += 1
+        def three_jobs_or_more(cl):
+            victim = max(cl.workers, key=lambda w: w.queue_length)
+            return victim if victim.queue_length >= 3 else None
 
-        cluster.round_hook = hook
+        def retire(cl, victim):
+            observed["queue"] = victim.queue_length
+            observed["moved"] = cl.remove_worker(victim.worker_id)
+            assert victim.queue_length == 0
+            assert [(a.worker_id, a.dead)
+                    for a in cl.core.books.departed] \
+                == [(victim.worker_id, False)]
+
+        # The trigger checks the invariants at every boundary.
+        trigger = cluster.round_hook = Trigger(three_jobs_or_more, retire)
         result = cluster.run(limits=LIMITS)
         assert "moved" in observed, \
             "no worker accumulated enough queue; tune the budgets"
         assert observed["moved"] == observed["queue"]
-        assert observed["rounds"] == result.rounds_executed
-        ok, message = cluster.check_frontier_invariants()
+        assert trigger.rounds == result.rounds_executed
+        ok, message = frontier_invariants(cluster)
         assert ok, message
         assert result.exhausted
         assert result.workers_removed == 1
@@ -242,16 +244,11 @@ class TestResumeAccounting:
         # Scout run: learn when the bug appears and how long the run is.
         scout = test.build_cluster(
             ClusterConfig(num_workers=2, instructions_per_round=60))
-        bug_round = {}
-
-        def hook(round_index, cl):
-            if "found" not in bug_round and any(w.bugs for w in cl.workers):
-                bug_round["found"] = round_index
-
-        scout.round_hook = hook
+        found = scout.round_hook = Trigger(
+            lambda cl: any(w.bugs for w in cl.workers))
         scouted = scout.run(limits=LIMITS)
-        assert scouted.exhausted and "found" in bug_round
-        stop_at = bug_round["found"] + 1
+        assert scouted.exhausted and found.fired
+        stop_at = found.fired_at + 1
         assert stop_at < scouted.rounds_executed, \
             "bug found on the last round; tune the budgets"
         # The real, deterministic interrupted run.
@@ -318,24 +315,22 @@ class TestResumeAccounting:
         test = _buggy_test(buffer_size=4)
         cluster = test.build_cluster(
             ClusterConfig(num_workers=3, instructions_per_round=60))
-        removed = {}
 
-        def hook(round_index, cl):
+        def a_finder_among_others(cl):
             finders = [w for w in cl.workers if w.bugs]
-            if finders and not removed and len(cl.workers) > 1:
-                removed["id"] = finders[0].worker_id
-                removed["round"] = round_index
-                cl.remove_worker(finders[0].worker_id)
+            return finders[0] if finders and len(cl.workers) > 1 else None
 
-        cluster.round_hook = hook
+        removed = cluster.round_hook = Trigger(
+            a_finder_among_others,
+            lambda cl, finder: cl.remove_worker(finder.worker_id))
         result = cluster.run(limits=LIMITS)
-        assert removed, "no worker found the bug; tune the budgets"
+        assert removed.fired, "no worker found the bug; tune the budgets"
         assert result.exhausted and result.workers_removed == 1
-        assert removed["id"] in {a.worker_id for a in cluster.core.books.departed
-                                 if not a.dead}
+        assert removed.subject.worker_id in {
+            a.worker_id for a in cluster.core.books.departed if not a.dead}
         series = [snap.bugs_found for snap in result.timeline.snapshots]
         assert series == sorted(series), series
-        assert series[removed["round"]] >= 1
+        assert series[removed.fired_at] >= 1
         assert series[-1] >= len(result.bugs)
 
     @needs_fork
@@ -390,26 +385,31 @@ class TestProcessMembership:
                                         checkpoint_every=1))
         captured = {"ckpts": {}}
 
+        def paths_and_queue(cl):
+            victim = max(cl.handles, key=lambda h: (
+                h.status.stats.paths_completed if h.status else -1,
+                h.queue_length))
+            return (victim if victim.queue_length >= 2 and victim.status
+                    and victim.status.stats.paths_completed >= 1 else None)
+
+        def retire(cl, victim):
+            captured["moved"] = cl.remove_worker(victim.worker_id)
+            assert captured["moved"] >= 2
+            assert victim in cl.core.books.departed and not victim.dead
+
+        retirement = Trigger(paths_and_queue, retire)
+
         def hook(round_index, cl):
             if cl.last_checkpoint is not None:
                 captured["ckpts"][cl.last_checkpoint.round_index] = \
                     cl.last_checkpoint
-            if "removed" not in captured and round_index >= 2:
-                victim = max(cl.handles,
-                             key=lambda h: (h.status.stats.paths_completed,
-                                            h.queue_length))
-                if (victim.queue_length >= 2
-                        and victim.status.stats.paths_completed >= 1):
-                    captured["removed"] = round_index
-                    captured["moved"] = cl.remove_worker(victim.worker_id)
-                    assert captured["moved"] >= 2
-                    assert victim in cl.core.books.departed and not victim.dead
+            retirement(round_index, cl)
 
         cluster.round_hook = hook
         result = cluster.run(limits=LIMITS)
         captured["ckpts"][cluster.last_checkpoint.round_index] = \
             cluster.last_checkpoint
-        assert "removed" in captured, \
+        assert retirement.fired, \
             "no victim had paths and queue; tune the budgets"
         assert result.exhausted and result.workers_removed == 1
         # Every checkpoint's counters must agree with the round snapshot
@@ -429,18 +429,19 @@ class TestProcessMembership:
                                         reply_timeout=1.0))
         events = {}
 
-        def hook(round_index, cl):
-            if "removed" not in events and round_index >= 2:
-                victim = max(cl.handles, key=lambda h: h.queue_length)
-                if victim.queue_length >= 2:
-                    events["removed"] = victim.worker_id
-                    events["queue"] = victim.queue_length
-                    events["moved"] = cl.remove_worker(victim.worker_id)
-                    assert victim in cl.core.books.departed
-                    assert victim.status.queue_length == 0
-                    assert not victim.transport.process.is_alive()
+        def two_jobs_or_more(cl):
+            victim = max(cl.handles, key=lambda h: h.queue_length)
+            return victim if victim.queue_length >= 2 else None
 
-        cluster.round_hook = hook
+        def retire(cl, victim):
+            events["removed"] = victim.worker_id
+            events["queue"] = victim.queue_length
+            events["moved"] = cl.remove_worker(victim.worker_id)
+            assert victim in cl.core.books.departed
+            assert victim.status.queue_length == 0
+            assert not victim.transport.process.is_alive()
+
+        cluster.round_hook = Trigger(two_jobs_or_more, retire)
         result = cluster.run(limits=LIMITS)
         assert "removed" in events, \
             "no worker accumulated enough queue; tune the budgets"
@@ -477,10 +478,11 @@ def test_a_removal_whose_target_dies_leaves_no_member_alive(backend):
             config=ProcessClusterConfig(**options))
     killed = []
 
-    def hook(round_index, cl):
+    def holds_work(cl):
         leaving = max(cl.handles, key=lambda h: h.queue_length)
-        if killed or round_index < 1 or leaving.queue_length == 0:
-            return
+        return leaving if leaving.queue_length else None
+
+    def remove_as_the_target_dies(cl, leaving):
         (target,) = [h for h in cl.handles if h is not leaving]
         transport = target.transport
         send = transport.send
@@ -495,9 +497,74 @@ def test_a_removal_whose_target_dies_leaves_no_member_alive(backend):
         transport.send = send_after_the_kill
         cl.remove_worker(leaving.worker_id)
 
-    cluster.round_hook = hook
+    cluster.round_hook = Trigger(holds_work, remove_as_the_target_dies)
     before = _cluster_processes()
     with pytest.raises(WorkerProcessError, match="max_worker_failures=0"):
         cluster.run(limits=LIMITS)
     assert killed, "no member held work to hand over; tune the budgets"
     assert [p.name for p in _cluster_processes() if p not in before] == []
+
+
+# -- every other way out of run() leaves no member and no listener ---------------------
+
+
+def _raise_once_explored(error):
+    """A round hook that raises at the first boundary where every member
+    has reported (so every member has a live channel and has done work)."""
+    def hook(round_index, cl):
+        if all(h.status is not None for h in cl.handles):
+            raise error("raised from round_hook at round %d" % round_index)
+    return hook
+
+
+#: way out -> (config options, run() limits, round hook, what run() raises).
+#: The files go to a directory that does not exist.
+WAYS_OUT = {
+    "hook-raises": ({}, {}, _raise_once_explored(RuntimeError),
+                    RuntimeError),
+    "hook-interrupted": ({}, {}, _raise_once_explored(KeyboardInterrupt),
+                         KeyboardInterrupt),
+    "checkpoint-unwritable": ({"checkpoint_every": 1,
+                               "checkpoint_path": "missing/ckpt.json"},
+                              {}, None, FileNotFoundError),
+    "trace-dir-missing": ({}, {"trace_path": "missing/trace.jsonl"}, None,
+                          FileNotFoundError),
+    # An address of no interface on this host: bind() fails locally.
+    "status-unbindable": ({"status_listen": "192.0.2.1:0"}, {}, None,
+                          OSError),
+}
+
+
+@pytest.mark.parametrize("backend", ["process", "tcp"])
+@pytest.mark.parametrize("way_out", sorted(WAYS_OUT))
+def test_every_way_out_of_run_leaves_no_member_and_no_listener(
+        backend, way_out, tmp_path, monkeypatch):
+    """An exception from ``round_hook``, a ``KeyboardInterrupt``, a
+    checkpoint or trace file that cannot be written and a status address
+    that cannot be bound all leave ``run()`` through its teardown: no worker
+    process or agent is alive afterwards, and the agents' listener and the
+    status endpoint are closed."""
+    monkeypatch.chdir(tmp_path)
+    options, limits, hook, error = WAYS_OUT[way_out]
+    options = dict(options, num_workers=2, instructions_per_round=40,
+                   reply_timeout=1.0, shutdown_timeout=2.0)
+    if backend == "tcp":
+        cluster = TcpCloud9Cluster(
+            "printf", {"format_length": 2},
+            config=TcpClusterConfig(spawn_local_agents=True,
+                                    agent_wait_timeout=20.0, **options))
+    else:
+        cluster = ProcessCloud9Cluster(
+            "printf", {"format_length": 2},
+            config=ProcessClusterConfig(**options))
+    listener = cluster.listen_address if backend == "tcp" else None
+    cluster.round_hook = hook
+    before = _cluster_processes()
+    with pytest.raises(error):
+        cluster.run(limits=LIMITS.merged(**limits))
+    assert [p.name for p in _cluster_processes() if p not in before] == []
+    assert cluster.status_address is None
+    if listener is not None:
+        assert cluster.listen_address is None
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(listener, timeout=2.0).close()

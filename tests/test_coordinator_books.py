@@ -21,6 +21,7 @@ from repro.distrib.messages import ExploreCommand, ReadyReply, ReportCommand
 from repro.net.transport import TransportError
 
 from test_loopback_faults import FaultyTransport
+from triggers import Trigger, arm
 
 fork_available = "fork" in multiprocessing.get_all_start_methods()
 needs_fork = pytest.mark.skipif(not fork_available,
@@ -80,12 +81,22 @@ def test_second_run_of_a_process_cluster_starts_with_clean_books():
                                     reply_timeout=1.0, shutdown_timeout=2.0))
     seen = []
 
+    def the_last_member_holds_work(cl):
+        last = cl.handles[-1]
+        return last if len(cl.handles) == 2 and last.queue_length else None
+
+    retirements = []  # one trigger per run
+
     def hook(round_index, cl):
-        if round_index == 4:
-            cl.remove_worker(cl.live_worker_ids[-1])
+        if round_index == 0:
+            retirements.append(Trigger(
+                the_last_member_holds_work,
+                lambda cl, last: cl.remove_worker(last.worker_id)))
+        retirements[-1](round_index, cl)
         members = {h.worker_id for h in cl.handles}
         assert members <= {1, 2}
-        assert sorted(cl.core.load_balancer.reports) == cl.live_worker_ids
+        assert sorted(cl.core.load_balancer.reports) \
+            == [h.worker_id for h in cl.handles]
         # No departed member owns territory in the ledger.
         assert all(cl.core.ledger.recovery_jobs(gone) == []
                    for gone in {1, 2} - members)
@@ -95,6 +106,9 @@ def test_second_run_of_a_process_cluster_starts_with_clean_books():
     first = cluster.run()
     rounds_of_first = len(seen)
     second = cluster.run()
+    first_retirement, second_retirement = retirements
+    assert first_retirement.fired
+    assert second_retirement.fired_at == first_retirement.fired_at
     assert first.exhausted and first.workers_removed == 1
     assert first.transfer_commands > 0 and rounds_of_first > 5
     for name in ("paths_completed", "useful_instructions",
@@ -143,11 +157,13 @@ def test_final_filed_at_the_end_of_a_run_is_void_once_the_member_dies(printf2):
         ClusterConfig(num_workers=3, instructions_per_round=60)).run()
     cluster, _ = _cluster(
         printf2, lambda member: FaultyTransport(
-            member, victim=1, command=ExploreCommand, occurrence=3,
+            member, victim=0, command=ExploreCommand, occurrence=1,
             when="reply"),
         num_workers=3, instructions_per_round=60)
     first = cluster.run(max_rounds=2)
     assert first.worker_failures == 0 and 1 in first.worker_stats
+    # Member 1 loses the reply to its first explore of the next run.
+    arm(cluster.handles[0])
     second = cluster.run()
     assert second.exhausted and list(second.failed_worker_stats) == [1]
     assert second.paths_completed == whole.paths_completed
@@ -236,25 +252,38 @@ def test_member_retiring_between_a_status_and_the_checkpoint_is_counted_once():
     test = specs.resolve_test("printf", format_length=3)
     cluster = test.build_cluster(ClusterConfig(
         num_workers=3, instructions_per_round=120, checkpoint_every=1))
-    seen = {}
+    checkpoints = {}
+
+    def finished_a_path_and_holds_work(cl):
+        return max((h for h in cl.handles if h.status is not None
+                    and h.status.stats.paths_completed > 0
+                    and h.queue_length > 0),
+                   key=lambda h: h.queue_length, default=None)
+
+    def retire(cl, victim):
+        assert victim.queue_length > 0
+        assert victim.status.stats.paths_completed > 0
+        cl.remove_worker(victim.worker_id)
+        assert victim in cl.core.books.departed
+
+    retirement = Trigger(finished_a_path_and_holds_work, retire)
 
     def hook(round_index, cl):
-        if round_index == 3:
-            victim = max(cl.handles, key=lambda h: h.queue_length)
-            assert victim.queue_length > 0
-            seen["victim"] = victim
-            cl.remove_worker(victim.worker_id)
-            assert victim in cl.core.books.departed
-        elif round_index == 4:
-            # Written after round 3, the first round without the victim.
-            seen["checkpoint"] = cl.last_checkpoint
+        retirement(round_index, cl)
+        if cl.last_checkpoint is not None:
+            checkpoints[cl.last_checkpoint.round_index] = cl.last_checkpoint
 
     cluster.round_hook = hook
     result = cluster.run()
+    checkpoints[cluster.last_checkpoint.round_index] = cluster.last_checkpoint
     assert result.exhausted and result.workers_removed == 1
-    victim, checkpoint = seen["victim"], seen["checkpoint"]
-    assert checkpoint.round_index == 4
-    snapshot = result.timeline.snapshots[3]
+    assert retirement.fired
+    # Written after the retirement round, the first round without the
+    # victim.
+    retired_at = retirement.fired_at
+    victim, checkpoint = retirement.subject, checkpoints[retired_at + 1]
+    assert checkpoint.round_index == retired_at + 1
+    snapshot = result.timeline.snapshots[retired_at]
     assert victim.status.stats.paths_completed > 0
     assert checkpoint.paths_completed == snapshot.paths_completed
     assert len(checkpoint.test_cases) == checkpoint.paths_completed
@@ -275,16 +304,30 @@ def test_round_record_checkpoint_and_result_read_the_same_books():
     round: wherever a number is reported, it is the same number."""
     test = specs.resolve_test("printf", format_length=3)
     single = test.run(backend="single")
+    # Nobody is armed up front: worker 3 is armed at the first boundary
+    # after worker 2's removal at which it holds work, and loses the reply
+    # to that round's explore.
     cluster, _ = _cluster(
         test, lambda member: FaultyTransport(
-            member, victim=3, command=ExploreCommand, occurrence=6,
+            member, victim=0, command=ExploreCommand, occurrence=1,
             when="reply"),
         num_workers=4, instructions_per_round=120, checkpoint_every=1)
     checkpoints = {}
 
+    def holding_work(worker_id):
+        def holds(cl):
+            return next((h for h in cl.handles if h.worker_id == worker_id
+                         and h.queue_length > 0), None)
+        return holds
+
+    removal = Trigger(holding_work(2),
+                      lambda cl, member: cl.remove_worker(member.worker_id))
+    death = Trigger(lambda cl: removal.fired and holding_work(3)(cl),
+                    lambda cl, member: arm(member))
+
     def hook(round_index, cl):
-        if round_index == 3:
-            cl.remove_worker(2)
+        death(round_index, cl)  # first: never on the removal's boundary
+        removal(round_index, cl)
         if cl.last_checkpoint is not None:
             checkpoints[cl.last_checkpoint.round_index] = cl.last_checkpoint
 
@@ -297,7 +340,8 @@ def test_round_record_checkpoint_and_result_read_the_same_books():
     lost = result.failed_worker_stats[3]
     died_in = next(snap.round_index for snap in result.timeline.snapshots
                    if snap.round_index + 1 not in checkpoints)
-    assert 3 < died_in < result.rounds_executed - 1
+    assert removal.fired and died_in == death.fired_at
+    assert removal.fired_at < died_in < result.rounds_executed - 1
     assert len(checkpoints) == result.rounds_executed - 1  # none that round
 
     useful = replay = 0
@@ -362,17 +406,22 @@ def test_replacement_that_fails_to_start_past_the_budget_is_closed(printf2):
     def carrier(member):
         if member.worker_id == 4:
             return Stillborn(member)
-        return FaultyTransport(member, victim=1, command=ExploreCommand,
-                               occurrence=3, when="reply")
+        return FaultyTransport(member, victim=0, command=ExploreCommand,
+                               occurrence=1, when="reply")
 
     cluster, built = _cluster(printf2, carrier, num_workers=3,
                               instructions_per_round=60, respawn=True,
                               max_worker_failures=1)
+    # Member 1 loses the reply to its next explore once it has reported.
+    death = cluster.round_hook = Trigger(
+        lambda cl: cl.handles[0].status is not None and cl.handles[0],
+        lambda cl, member: arm(member))
     with pytest.raises(WorkerProcessError, match="worker 4 .*failure budget"):
         cluster.run(max_rounds=50)
+    assert death.fired and death.subject.worker_id == 1
     assert [t.peer for t in built if not t.is_alive()] \
         == [built[0].peer, built[3].peer]
-    assert cluster.live_worker_ids == [2, 3]
+    assert [m.worker_id for m in cluster.handles] == [2, 3]
 
 
 def test_joining_member_that_is_refused_is_closed(printf2):
@@ -384,6 +433,6 @@ def test_joining_member_that_is_refused_is_closed(printf2):
                        match="worker 3 compiled .* while joining"):
         cluster.add_worker()
     assert not built[2].is_alive()
-    assert cluster.live_worker_ids == [1, 2]
+    assert [m.worker_id for m in cluster.handles] == [1, 2]
     assert sorted(cluster.core.load_balancer.reports) == [1, 2]
     assert cluster.run().exhausted

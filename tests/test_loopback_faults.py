@@ -6,7 +6,10 @@ no processes, signals or timing -- by putting a faulty
 :class:`~repro.distrib.loopback.LoopbackTransport` in front of it.  Every
 scenario must converge to the crash-free outcome, and after every round the
 coordinator's :class:`~repro.cluster.ledger.FrontierLedger` must agree with
-what each surviving :class:`~repro.cluster.worker.Worker` really holds.
+what each surviving :class:`~repro.cluster.worker.Worker` really holds
+(:class:`triggers.Trigger` checks it at every round boundary).  A death
+staged at a protocol event arms its fault there (:func:`triggers.arm`), so
+no occurrence count is chosen up front.
 """
 
 import pytest
@@ -23,6 +26,8 @@ from repro.distrib.messages import (
 )
 from repro.net.transport import TransportError
 from repro.obs.trace import load_trace
+
+from triggers import Trigger, arm, frontier_invariants
 
 CONFIG = dict(num_workers=3, instructions_per_round=60)
 LIMITS = ExplorationLimits(max_rounds=200)
@@ -78,25 +83,18 @@ def _faulty_cluster(test, policy=None, **fault):
 
 
 def _check_every_round(cluster):
-    rounds = []
-
-    def hook(round_index, cl):
-        ok, message = cl.check_frontier_invariants()
-        assert ok, "round %d: %s" % (round_index, message)
-        rounds.append(round_index)
-
-    cluster.round_hook = hook
-    return rounds
+    cluster.round_hook = Trigger()
+    return cluster.round_hook
 
 
 @pytest.fixture(scope="module")
 def test_and_baseline():
     test = specs.resolve_test("printf", format_length=2)
     cluster = test.build_cluster(ClusterConfig(**CONFIG))
-    rounds = _check_every_round(cluster)
+    checker = _check_every_round(cluster)
     baseline = cluster.run(limits=LIMITS)
     assert baseline.exhausted and baseline.worker_failures == 0
-    assert baseline.states_transferred > 0 and rounds
+    assert baseline.states_transferred > 0 and checker.rounds
     return test, baseline
 
 
@@ -118,7 +116,7 @@ def test_member_death_converges_to_the_crash_free_run(test_and_baseline,
                                                       scenario):
     test, baseline = test_and_baseline
     cluster = _faulty_cluster(test, **SCENARIOS[scenario])
-    rounds = _check_every_round(cluster)
+    checker = _check_every_round(cluster)
     result = cluster.run(limits=LIMITS)
 
     assert result.exhausted
@@ -131,8 +129,8 @@ def test_member_death_converges_to_the_crash_free_run(test_and_baseline,
     assert sorted(tc.fork_trace for tc in result.test_cases) \
         == sorted(tc.fork_trace for tc in baseline.test_cases)
     # The invariants were checked at every round barrier, and hold at the end.
-    assert len(rounds) == result.rounds_executed
-    ok, message = cluster.check_frontier_invariants()
+    assert checker.rounds == result.rounds_executed
+    ok, message = frontier_invariants(cluster)
     assert ok, message
 
 
@@ -162,14 +160,31 @@ def test_death_schedule_sweep(test_and_baseline):
 
 
 def test_a_dead_members_lines_count_in_the_result_as_in_the_round_record():
-    """Worker 2 loses the reply to its second import: the lines it covered
-    before it died are in the overlay, so the run's result reports them just
-    as its round record and its coverage goal do."""
+    """Worker 2 loses the reply to an explore once its status shows lines it
+    explored itself: the lines it covered before it died are in the
+    overlay, so the run's result reports them just as its round record and
+    its coverage goal do."""
     test = specs.resolve_test("printf", format_length=3)
-    cluster = _faulty_cluster(test, victim=2, command=ImportCommand,
-                              occurrence=2, when="reply")
+    # Nobody is armed up front (worker ids start at 1).
+    cluster = _faulty_cluster(test, victim=0, command=ExploreCommand,
+                              occurrence=1, when="reply")
+
+    def explored_lines_itself(cl):
+        for member in cl.handles:
+            status = member.status
+            if (member.worker_id == 2 and status is not None
+                    and status.coverage_bits
+                    and status.stats.useful_instructions > 0):
+                return member
+        return None
+
+    trigger = Trigger(explored_lines_itself, lambda cl, member: arm(member))
+    cluster.round_hook = trigger
     result = cluster.run(limits=LIMITS.merged(coverage_target=49.0))
+    assert trigger.fired, "worker 2 explored nothing of its own"
+    assert trigger.subject.status.stats.useful_instructions > 0
     assert result.worker_failures == 1
+    assert list(result.failed_worker_stats) == [2]
     assert result.goal_reached
     assert result.coverage_percent >= 49.0
     assert (len(result.covered_lines)
@@ -211,32 +226,36 @@ def test_member_dying_during_its_removal_is_recovered_not_replaced(
     # member it removes, so it dies at its first ``command`` from then on.
     cluster = _faulty_cluster(test, policy=dict(respawn=True), victim=0,
                               command=command, occurrence=1, when="reply")
-    seen = {}
 
-    def hook(round_index, cl):
-        if round_index == 3:
-            # One with finished paths: its territory outlives the handover.
-            victim = max(cl.handles, key=lambda h: (
-                h.status.stats.paths_completed, h.queue_length))
-            assert victim.status.stats.paths_completed > 0
-            victim.transport.armed = True
-            seen["moved"] = cl.remove_worker(victim.worker_id)
-            seen["victim"] = victim
-            assert victim.dead and victim in cl.core.books.departed
-            assert victim.worker_id not in cl.live_worker_ids
-        ok, message = cl.check_frontier_invariants()
-        assert ok, "round %d: %s" % (round_index, message)
+    def finished_paths_and_holds_work(cl):
+        # One with finished paths: its territory outlives the handover; and
+        # with a queue, so the removal has a frontier to export.
+        return max((h for h in cl.handles if h.status is not None
+                    and h.status.stats.paths_completed > 0
+                    and h.queue_length > 0),
+                   key=lambda h: (h.status.stats.paths_completed,
+                                  h.queue_length), default=None)
 
-    cluster.round_hook = hook
+    def retire_armed(cl, victim):
+        assert victim.status.stats.paths_completed > 0
+        arm(victim)
+        moved = cl.remove_worker(victim.worker_id)
+        assert victim.dead and victim in cl.core.books.departed
+        assert victim.worker_id not in [m.worker_id for m in cl.handles]
+        return moved
+
+    trigger = Trigger(finished_paths_and_holds_work, retire_armed)
+    cluster.round_hook = trigger
     result = cluster.run(limits=LIMITS)
+    assert trigger.fired
     assert result.exhausted
     assert result.workers_removed == 1
     assert result.worker_failures == 1 and result.respawns == 0
     assert result.jobs_recovered >= 1
-    assert list(result.failed_worker_stats) == [seen["victim"].worker_id]
+    assert list(result.failed_worker_stats) == [trigger.subject.worker_id]
     assert result.num_workers == CONFIG["num_workers"] - 1
     if command is ExportCommand:
-        assert seen["moved"] == 0
+        assert trigger.outcome == 0  # jobs moved
     assert result.paths_completed == single.paths_completed
     assert result.covered_lines == single.covered_lines
     assert sorted(tc.fork_trace for tc in result.test_cases) \
@@ -268,19 +287,19 @@ def test_member_still_holding_a_job_after_its_removal_is_failed(
                                  cluster_class=Cluster)
     seen = {}
 
-    def hook(round_index, cl):
-        if round_index == 3:
-            victim = max(cl.handles, key=lambda h: h.queue_length)
-            queue = victim.queue_length
-            assert queue >= 2
-            seen["moved"] = cl.remove_worker(victim.worker_id)
-            assert seen["moved"] == queue - 1
-            assert victim.dead and victim.status.queue_length == 1
-            assert not victim.transport.is_alive()
-        ok, message = cl.check_frontier_invariants()
-        assert ok, "round %d: %s" % (round_index, message)
+    def two_jobs_or_more(cl):
+        victim = max(cl.handles, key=lambda h: h.queue_length)
+        return victim if victim.queue_length >= 2 else None
 
-    cluster.round_hook = hook
+    def retire(cl, victim):
+        queue = victim.queue_length
+        assert queue >= 2
+        seen["moved"] = cl.remove_worker(victim.worker_id)
+        assert seen["moved"] == queue - 1
+        assert victim.dead and victim.status.queue_length == 1
+        assert not victim.transport.is_alive()
+
+    cluster.round_hook = Trigger(two_jobs_or_more, retire)
     result = cluster.run(limits=LIMITS)
     assert "moved" in seen
     assert result.exhausted and result.worker_failures == 1

@@ -8,13 +8,12 @@ from the pending-connections pool instead of forking.
 """
 
 import multiprocessing
-import os
-import signal
 import time
 
 import pytest
 
 from conftest import wait_until
+from triggers import Trigger, kill_the_last_member
 from repro import lang as L
 from repro.api import ExplorationLimits
 from repro.distrib import specs
@@ -100,23 +99,6 @@ def _reap_agents(agents):
             process.join(timeout=5.0)
 
 
-def _kill_hook(target_round=2):
-    """A round hook that SIGKILLs the last worker's agent once it has work."""
-    killed = {}
-
-    def hook(round_index, cluster):
-        if killed or round_index < target_round or len(cluster.handles) < 2:
-            return
-        victim = cluster.handles[-1]
-        if victim.queue_length == 0:
-            return  # wait until it owns territory worth recovering
-        killed["pid"] = victim.transport.process.pid
-        os.kill(victim.transport.process.pid, signal.SIGKILL)
-
-    hook.killed = killed
-    return hook
-
-
 def _assert_matches(result, baseline):
     """The §4 determinism bar: identical exploration outcome."""
     assert result.paths_completed == baseline.paths_completed
@@ -199,10 +181,10 @@ class TestTcpFaultTolerance:
         run converges to the crash-free outcome."""
         cluster = TcpCloud9Cluster(
             "test-net-buggy", config=_tcp_config(spawn_local_agents=True))
-        hook = _kill_hook()
+        hook = kill_the_last_member()
         cluster.round_hook = hook
         result = cluster.run(limits=LIMITS)
-        assert hook.killed, "the victim never owned work; tune the target"
+        assert hook.fired, "the victim never owned work; tune the target"
         assert result.worker_failures == 1
         assert result.jobs_recovered > 0
         assert result.exhausted
@@ -213,13 +195,14 @@ class TestTcpFaultTolerance:
             "test-net-buggy",
             config=_tcp_config(spawn_local_agents=True, respawn=True,
                                max_worker_failures=3))
-        hook = _kill_hook()
+        hook = kill_the_last_member()
         cluster.round_hook = hook
         result = cluster.run(limits=LIMITS)
-        assert hook.killed
+        assert hook.fired
         assert result.worker_failures == 1
         assert result.respawns == 1
-        assert result.agents_reconnected == 1  # the replacement dialed in
+        # The replacement dialed in.
+        assert result.workers_added + result.respawns == 1
         assert result.num_workers == 2  # back at configured size
         assert result.exhausted
         _assert_matches(result, mp_baseline)
@@ -241,25 +224,24 @@ class TestTcpElasticity:
         pending pool until the round hook asks for it."""
         cluster = TcpCloud9Cluster("test-net-buggy", config=_tcp_config())
         agents = _dial_agents(cluster, 3)
-        added = {}
 
-        def hook(round_index, cl):
-            if added or round_index < 2:
-                return
+        def admit(cl, _):
             # The third agent dials in on its own schedule; under load it
             # may not have yet, and add_worker refuses an empty pool.
             wait_until(lambda: cl.server.pending_count >= 1, timeout=30.0,
                        what="the third agent to dial in")
-            added["worker_id"] = cl.add_worker()
+            return cl.add_worker()
 
-        cluster.round_hook = hook
+        # Once a member holds work to share with a newcomer.
+        added = cluster.round_hook = Trigger(
+            lambda cl: any(h.queue_length for h in cl.handles), admit)
         try:
             result = cluster.run(limits=LIMITS)
         finally:
             _reap_agents(agents)
-        assert added
+        assert added.fired
         assert result.workers_added == 1
-        assert result.agents_reconnected == 1
+        assert result.workers_added + result.respawns == 1
         assert result.peak_workers == 3
         assert result.exhausted
         assert result.worker_failures == 0
@@ -271,9 +253,7 @@ class TestTcpElasticity:
         agents = _dial_agents(cluster, 2)
         refusal = {}
 
-        def hook(round_index, cl):
-            if refusal or round_index < 2:
-                return
+        def try_to_grow(cl, _):
             started = time.monotonic()
             try:
                 cl.add_worker()
@@ -281,7 +261,8 @@ class TestTcpElasticity:
                 refusal["message"] = str(exc)
                 refusal["elapsed"] = time.monotonic() - started
 
-        cluster.round_hook = hook
+        cluster.round_hook = Trigger(
+            lambda cl: any(h.queue_length for h in cl.handles), try_to_grow)
         try:
             result = cluster.run(limits=LIMITS)
         finally:

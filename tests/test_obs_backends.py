@@ -28,6 +28,7 @@ from repro.obs.trace import load_trace
 from repro.testing.symbolic_test import SymbolicTest
 
 from conftest import branchy_program, wait_until
+from triggers import Trigger
 
 fork_available = "fork" in multiprocessing.get_all_start_methods()
 needs_fork = pytest.mark.skipif(
@@ -228,13 +229,17 @@ class TestRemoval:
         cluster = ProcessCloud9Cluster("printf", {"format_length": 2},
                                        config=config)
 
-        def hook(round_index, cl):
-            if round_index == 2 and len(cl.live_worker_ids) == 3:
-                cl.remove_worker(cl.live_worker_ids[-1])
+        def all_three_reported(cl):
+            reported = len(cl.handles) == 3 and all(
+                h.status is not None for h in cl.handles)
+            return cl.handles[-1] if reported else None
 
-        cluster.round_hook = hook
+        hook = cluster.round_hook = Trigger(
+            all_three_reported,
+            lambda cl, last: cl.remove_worker(last.worker_id))
         result = cluster.run(limits=ExplorationLimits(
             max_rounds=60, trace_path=str(path)))
+        assert hook.fired and hook.subject.worker_id == 3
         assert result.workers_removed == 1
         events = load_trace(str(path))
         left = [e for e in events if e["event"] == "worker_left"]
@@ -254,19 +259,23 @@ class TestFaultTracing:
                                       respawn=True, reply_timeout=2.0)
         cluster = ProcessCloud9Cluster("printf", {"format_length": 2},
                                        config=config)
-        state = {}
 
-        def hook(round_index, cl):
-            if round_index == 3 and "victim" not in state:
-                victim = state["account"] = cl.handles[0]
-                state["victim"] = victim.worker_id
-                os.kill(victim.transport.process.pid, signal.SIGKILL)
+        def queried_and_holds_work(cl):
+            # Solver queries to aggregate, and territory to recover.
+            first = cl.handles[0]
+            return first if (first.status is not None and first.queue_length
+                             and first.status.cache_counters[
+                                 "solver_queries"]) else None
 
-        cluster.round_hook = hook
+        killing = cluster.round_hook = Trigger(
+            queried_and_holds_work, lambda cl, victim: os.kill(
+                victim.transport.process.pid, signal.SIGKILL))
         result = cluster.run(limits=ExplorationLimits(
             max_rounds=60, trace_path=str(path)))
+        assert killing.fired
         assert result.worker_failures == 1 and result.respawns == 1
-        victim = state["victim"]
+        account = killing.subject
+        victim = account.worker_id
 
         events = load_trace(str(path))
         died = [e for e in events if e["event"] == "worker_died"]
@@ -283,9 +292,9 @@ class TestFaultTracing:
         # Dead-worker cache counters: the victim filed no end-of-run
         # report, yet its piggybacked counters are in the aggregate.
         assert victim not in result.worker_stats
-        assert state["account"].dead
-        assert state["account"].status.frontier is None
-        failed = state["account"].status.cache_counters
+        assert account.dead
+        assert account.status.frontier is None
+        failed = account.status.cache_counters
         assert failed["solver_queries"] > 0
         assert result.cache_stats["solver_queries"] >= (
             failed["solver_queries"] + 1)
