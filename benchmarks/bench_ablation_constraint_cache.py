@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.api import ExplorationLimits
+from repro.engine.limits import ExplorationLimits
 from repro.cluster.replay import replay_path
-from repro.engine import SymbolicExecutor
+from repro.engine.executor import SymbolicExecutor
 from repro.solver.solver import Solver, SolverConfig
 from repro.targets import printf, testcmd
 

@@ -16,7 +16,8 @@ format-string workload of Fig. 8:
   re-executing transferred paths (the price of the compact encoding).
 """
 
-from repro.cluster import ClusterConfig, Job, JobTree
+from repro.cluster.core import ClusterConfig
+from repro.cluster.jobs import Job, JobTree
 from repro.targets import printf
 
 from conftest import WORKER_COUNTS, print_table

@@ -8,7 +8,7 @@ added.  Figure 13 shows the dynamic side of the claim; this ablation measures
 the static side directly by running the same workload to exhaustion on
 
 * the Cloud9 cluster (dynamic partitioning + load balancing), and
-* :class:`repro.distrib.StaticPartitionCluster` (one up-front split, no
+* :class:`repro.distrib.loopback.StaticPartitionCluster` (one up-front split, no
   transfers),
 
 and comparing (a) virtual rounds until the exhaustive test completes -- the
@@ -18,7 +18,7 @@ deep and skewed (parsing loops), exactly the situation in which a static
 split leaves some workers starved while one grinds through a heavy subtree.
 """
 
-from repro.api import ExplorationLimits
+from repro.engine.limits import ExplorationLimits
 from repro.targets import printf
 
 from conftest import WORKER_COUNTS, print_table

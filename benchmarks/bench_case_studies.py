@@ -12,7 +12,7 @@ bug is found, with a concrete reproducer) and reports the exploration cost.
   found by exhaustive exploration.
 """
 
-from repro.engine import BugKind
+from repro.engine.errors import BugKind
 from repro.targets import bandicoot, curl, memcached
 
 from conftest import print_table

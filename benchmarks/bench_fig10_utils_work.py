@@ -9,7 +9,7 @@ Reproduction: total useful instructions executed within a fixed budget of
 virtual rounds on the printf and test models, for increasing cluster sizes.
 """
 
-from repro.cluster import ClusterConfig
+from repro.cluster.core import ClusterConfig
 from repro.targets import printf, testcmd
 
 from conftest import WORKER_COUNTS, print_table

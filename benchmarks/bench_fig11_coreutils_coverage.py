@@ -11,7 +11,7 @@ quantity is additional coverage in percentage points of program size, sorted
 per utility exactly like the lower plot of Fig. 11.
 """
 
-from repro.cluster import ClusterConfig
+from repro.cluster.core import ClusterConfig
 from repro.targets import coreutils
 
 from conftest import WORKER_COUNTS, print_table

@@ -10,7 +10,7 @@ The expected shape is a non-trivial, sustained transfer fraction (load
 balancing keeps happening, not just at start-up).
 """
 
-from repro.cluster import ClusterConfig
+from repro.cluster.core import ClusterConfig
 from repro.targets import memcached
 
 from conftest import WORKER_COUNTS, print_table

@@ -10,7 +10,7 @@ balancing disabled after round 1/2/4/8; reported is the total useful work
 done within a fixed budget of rounds.
 """
 
-from repro.cluster import ClusterConfig
+from repro.cluster.core import ClusterConfig
 from repro.targets import memcached
 
 from conftest import WORKER_COUNTS, print_table

@@ -9,7 +9,7 @@ Reproduction: rounds of virtual time needed to reach each coverage target on
 the printf model, for increasing cluster sizes.
 """
 
-from repro.cluster import ClusterConfig
+from repro.cluster.core import ClusterConfig
 from repro.targets import printf
 
 from conftest import WORKER_COUNTS, print_table

@@ -10,7 +10,7 @@ instructions for increasing cluster sizes on the symbolic-packet memcached
 workload.
 """
 
-from repro.cluster import ClusterConfig
+from repro.cluster.core import ClusterConfig
 from repro.targets import memcached
 
 from conftest import WORKER_COUNTS, print_table

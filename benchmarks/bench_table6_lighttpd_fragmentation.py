@@ -16,7 +16,7 @@ search that rediscovers a crashing pattern for 1.4.13 without being given
 one.
 """
 
-from repro.engine import BugKind
+from repro.engine.errors import BugKind
 from repro.targets import lighttpd
 
 from conftest import print_table

@@ -15,7 +15,7 @@ what one engine explores.
 Run with:  python examples/elastic.py
 """
 
-from repro.cluster import ClusterConfig
+from repro.cluster.core import ClusterConfig
 from repro.targets import printf
 
 

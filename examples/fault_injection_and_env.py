@@ -15,7 +15,7 @@ use case for a newly added ``X-NewExtension`` header:
 Run with:  python examples/fault_injection_and_env.py
 """
 
-from repro.engine import BugKind
+from repro.engine.errors import BugKind
 from repro.targets import httpd
 
 

@@ -10,7 +10,7 @@ that the 1.4.13 fix is incomplete without having to guess the pattern.
 Run with:  python examples/lighttpd_fragmentation.py
 """
 
-from repro.engine import BugKind
+from repro.engine.errors import BugKind
 from repro.targets import lighttpd
 
 

@@ -16,7 +16,7 @@ model:
 Run with:  python examples/memcached_symbolic_testing.py
 """
 
-from repro.engine import BugKind
+from repro.engine.errors import BugKind
 from repro.targets import memcached
 from repro.testing.report import CoverageAccounting
 

@@ -19,17 +19,18 @@ data flows across processes, IPC objects, memory mappings and files.
 Run with:  python examples/posix_model_tour.py
 """
 
-from repro import lang as L
+from repro.lang import builder as L
+from repro.lang.ast import Program
 from repro.posix.api import add_concrete_file
 from repro.posix.env import add_symbolic_env_var
-from repro.testing import SymbolicTest
+from repro.testing.symbolic_test import SymbolicTest
 
 IPC_CREAT = 0x200
 MAP_SHARED = 0x01
 PROT_RW = 0x3
 
 
-def build_program() -> L.Program:
+def build_program() -> Program:
     child = L.func(
         "child_work", ["qid"],
         # Map the spool file shared, copy the MODE env value into it.

@@ -17,7 +17,7 @@ Also used by CI as the multiprocessing smoke test (2 workers, tight limits).
 
 import sys
 
-from repro.api import ExplorationLimits
+from repro.engine.limits import ExplorationLimits
 from repro.distrib import specs
 
 

@@ -15,12 +15,13 @@ so the backends compare apples-to-apples.
 Run with:  python examples/quickstart.py
 """
 
-from repro import lang as L
-from repro.api import ExplorationLimits
-from repro.testing import SymbolicTest
+from repro.lang import builder as L
+from repro.lang.ast import Program
+from repro.engine.limits import ExplorationLimits
+from repro.testing.symbolic_test import SymbolicTest
 
 
-def build_program() -> L.Program:
+def build_program() -> Program:
     """A toy packet handler with a bug on one specific input."""
     handle = L.func(
         "handle", ["pkt", "n"],

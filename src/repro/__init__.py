@@ -14,17 +14,18 @@ EuroSys 2011) as a pure-Python library:
   cores): path-encoded job shipping between private engines.
 * :mod:`repro.testing` -- the symbolic-test platform API (§5): one
   ``SymbolicTest.run`` over five fixed backends.
-* :mod:`repro.api`     -- the names every backend shares: uniform limits and
-  one result type.
+* :mod:`repro.api`     -- :mod:`repro.api.result`, the result type's
+  public path for the benchmark harness.
 * :mod:`repro.targets` -- models of the real-world systems evaluated in §7
   (memcached, lighttpd, printf, test, curl, Coreutils, Bandicoot, and a
   producer-consumer benchmark).
 
 Quickstart -- the same symbolic test scales transparently from one engine to
-a cluster, which is the paper's core pitch::
+a cluster, which is the paper's core pitch.  Every name is imported from
+the module that defines it; no package re-exports one::
 
-    from repro import lang as L
-    from repro.testing import SymbolicTest
+    from repro.lang import builder as L
+    from repro.testing.symbolic_test import SymbolicTest
 
     program = L.program("demo",
         L.func("main", [],
@@ -37,11 +38,11 @@ a cluster, which is the paper's core pitch::
     print(test.run(backend="cluster", workers=4).paths_completed)
 
 Every backend (``"single"``, ``"cluster"``, ``"static"``, ``"process"``,
-``"tcp"``) accepts the same :class:`~repro.engine.limits.ExplorationLimits` -- either as a
-``limits=`` bundle or as direct kwargs -- and returns the same
-:class:`~repro.api.result.RunResult`::
+``"tcp"``) accepts the same :class:`~repro.engine.limits.ExplorationLimits`
+-- either as a ``limits=`` bundle or as direct kwargs -- and returns the
+same :class:`~repro.engine.result.RunResult`::
 
-    from repro.api import ExplorationLimits
+    from repro.engine.limits import ExplorationLimits
 
     limits = ExplorationLimits(max_paths=100, stop_on_first_bug=True)
     for backend in ("single", "cluster"):
@@ -58,38 +59,4 @@ over ``test.run``::
         print(workers, result.rounds_executed, result.paths_completed)
 """
 
-from repro._lazy import lazy_exports
-
-__getattr__, __dir__ = lazy_exports(__name__, {
-    "repro": ("api", "cluster", "distrib", "engine", "lang", "net", "obs",
-              "posix", "solver", "targets", "testing"),
-    "repro.api": ("ExplorationLimits", "RunResult"),
-    "repro.cluster": ("ClusterConfig",),
-    "repro.distrib": ("Cloud9Cluster",),
-    "repro.engine": ("BugKind", "BugReport", "EngineConfig",
-                     "SymbolicExecutor", "TestCase"),
-    "repro.testing": ("SymbolicTest",),
-})
-
 __version__ = "0.2.0"
-
-__all__ = [
-    "api",
-    "cluster",
-    "engine",
-    "lang",
-    "posix",
-    "solver",
-    "testing",
-    "ExplorationLimits",
-    "RunResult",
-    "Cloud9Cluster",
-    "ClusterConfig",
-    "BugKind",
-    "BugReport",
-    "EngineConfig",
-    "SymbolicExecutor",
-    "TestCase",
-    "SymbolicTest",
-    "__version__",
-]

@@ -1,22 +1,9 @@
-"""The public names of the exploration API.
+"""The public path of the one result type.
 
-A symbolic test runs on any of the five backends through one call,
-:meth:`SymbolicTest.run(backend=...) <repro.testing.symbolic_test.SymbolicTest.run>`;
-this package names the two things every backend shares:
-
-* :class:`~repro.engine.limits.ExplorationLimits` -- one bag of
-  budgets/goals accepted uniformly by every backend (and by the lower-level
-  ``run`` methods of the engine and the coordinator).
-* :class:`~repro.api.result.RunResult` -- the one result type: the engine
-  and the coordinator build it directly, so backends compare
-  apples-to-apples.
+Every backend takes :class:`~repro.engine.limits.ExplorationLimits` and
+returns :class:`~repro.engine.result.RunResult`; both live under
+:mod:`repro.engine`, so the engine and the coordinator build them without
+importing this package.  :mod:`repro.api.result` names ``RunResult`` once
+more, because the benchmark harness (``bench/workloads.py``) imports it
+from there; it is the one re-export module in ``repro``.
 """
-
-from repro.api.result import RunResult
-from repro.engine.limits import UNLIMITED, ExplorationLimits
-
-__all__ = [
-    "ExplorationLimits",
-    "UNLIMITED",
-    "RunResult",
-]

@@ -6,6 +6,6 @@ re-export stays because the benchmark harness (``bench/workloads.py``)
 imports ``RunResult`` from here.
 """
 
-from repro.engine.result import RunResult, dedupe_bugs
+from repro.engine.result import RunResult
 
-__all__ = ["RunResult", "dedupe_bugs"]
+__all__ = ["RunResult"]

@@ -23,36 +23,8 @@ layer up, in :mod:`repro.distrib`):
 * :mod:`repro.cluster.stats` -- worker counters, transfer cost and the
   timeline of round records the evaluation harness reads.
 * :mod:`repro.cluster.core` -- the coordinator's contract:
-  :class:`ClusterConfig` / :class:`StaticPartitionConfig`.
+  :class:`~repro.cluster.core.ClusterConfig` /
+  :class:`~repro.cluster.core.StaticPartitionConfig`.
 
 Nothing here imports :mod:`repro.distrib` or :mod:`repro.net`.
 """
-
-from repro._lazy import lazy_exports
-
-__getattr__, __dir__ = lazy_exports(__name__, {
-    "repro.cluster.checkpoint": ("ClusterCheckpoint",),
-    "repro.cluster.core": ("ClusterConfig", "StaticPartitionConfig"),
-    "repro.cluster.jobs": ("Job", "JobTree"),
-    "repro.cluster.ledger": ("FrontierLedger", "RecoveryJob"),
-    "repro.cluster.load_balancer": ("LoadBalancer", "TransferCommand"),
-    "repro.cluster.overlay": ("CoverageOverlay",),
-    "repro.cluster.stats": ("ClusterTimeline", "WorkerStats"),
-    "repro.cluster.worker": ("Worker",),
-})
-
-__all__ = [
-    "ClusterCheckpoint",
-    "ClusterConfig",
-    "FrontierLedger",
-    "RecoveryJob",
-    "Job",
-    "JobTree",
-    "LoadBalancer",
-    "TransferCommand",
-    "CoverageOverlay",
-    "StaticPartitionConfig",
-    "ClusterTimeline",
-    "WorkerStats",
-    "Worker",
-]

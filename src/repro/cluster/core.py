@@ -29,7 +29,6 @@ class ClusterConfig:
     instructions_per_round: int = 500
     balance_interval: int = 1
     delta: float = 1.0
-    min_transfer: int = 1
     # None = "resolve at build time": a SymbolicTest substitutes its own
     # strategy, a bare cluster falls back to DEFAULT_STRATEGY.  (A concrete
     # default here used to silently override the test's strategy.)
@@ -78,8 +77,6 @@ class ClusterConfig:
         if (self.disable_balancing_after_round or 0) < 0:
             raise ValueError("disable_balancing_after_round must be "
                              "non-negative (or None)")
-        if self.min_transfer < 1:
-            raise ValueError("min_transfer must be positive")
         if self.checkpoint_every is not None and self.checkpoint_every < 1:
             raise ValueError("checkpoint_every must be positive (or None)")
         if self.checkpoint_path is not None and self.checkpoint_every is None:

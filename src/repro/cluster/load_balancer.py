@@ -46,12 +46,10 @@ class WorkerReport:
 class LoadBalancer:
     """Queue-length balancing plus the global coverage overlay."""
 
-    def __init__(self, line_count: int, delta: float = 1.0,
-                 min_transfer: int = 1):
+    def __init__(self, line_count: int, delta: float = 1.0):
         if delta <= 0:
             raise ValueError("delta must be positive")
         self.delta = delta
-        self.min_transfer = min_transfer
         self.reports: Dict[int, WorkerReport] = {}
         self.overlay = CoverageOverlay(line_count)
         self.transfer_log: List[Tuple[int, TransferCommand]] = []
@@ -162,7 +160,7 @@ class LoadBalancer:
                 return []
             donors = sorted(
                 (w for w in self.reports if w not in set(idle)
-                 and self.reports[w].queue_length >= 2 * self.min_transfer),
+                 and self.reports[w].queue_length >= 2),
                 key=lambda w: -self.reports[w].queue_length)
             overloaded = donors
             underloaded = idle
@@ -180,7 +178,7 @@ class LoadBalancer:
             l_i = self.reports[destination].queue_length
             l_j = self.reports[source].queue_length
             count = (l_j - l_i) // 2
-            if count < self.min_transfer:
+            if count < 1:
                 continue
             command = TransferCommand(source=source, destination=destination,
                                       job_count=count)

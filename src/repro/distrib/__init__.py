@@ -40,30 +40,3 @@ Public pieces:
 * :mod:`repro.distrib.specs` -- the test-spec registry
   (:func:`~repro.distrib.specs.resolve_test` and friends).
 """
-
-from repro._lazy import lazy_exports
-
-__getattr__, __dir__ = lazy_exports(__name__, {
-    "repro.distrib.cluster": ("ProcessCloud9Cluster", "ProcessClusterConfig",
-                              "TcpCloud9Cluster", "TcpClusterConfig"),
-    "repro.distrib.coordinator": ("Coordinator",),
-    "repro.distrib.loopback": ("Cloud9Cluster", "LoopbackTransport",
-                               "StaticPartitionCluster"),
-    "repro.distrib.specs": ("available_specs", "register_spec", "resolve_test"),
-    "repro.distrib.worker": ("DistribWorker",),
-})
-
-__all__ = [
-    "Coordinator",
-    "Cloud9Cluster",
-    "StaticPartitionCluster",
-    "LoopbackTransport",
-    "ProcessCloud9Cluster",
-    "ProcessClusterConfig",
-    "TcpCloud9Cluster",
-    "TcpClusterConfig",
-    "DistribWorker",
-    "available_specs",
-    "register_spec",
-    "resolve_test",
-]

@@ -218,8 +218,7 @@ class ProtocolCore:
         self.members: List[Member] = []
         self.worker_ids = itertools.count(1)
         self.load_balancer = LoadBalancer(line_count=line_count,
-                                          delta=config.delta,
-                                          min_transfer=config.min_transfer)
+                                          delta=config.delta)
         #: Which execution-tree territory each member owns (for recovery).
         self.ledger = FrontierLedger()
         self.books = _Books()

@@ -21,55 +21,7 @@ provides:
   happens and grafts the children -- that both the single-node driver and
   the cluster worker explore with (:mod:`repro.engine.explorer`),
 * the uniform exploration limits shared by every backend
-  (:mod:`repro.engine.limits`, exported by :mod:`repro.api`) and the one
-  result type they all return (:mod:`repro.engine.result`, re-exported as
-  :mod:`repro.api.result`),
+  (:mod:`repro.engine.limits`) and the one result type they all return
+  (:mod:`repro.engine.result`),
 * a single-node exploration driver (:mod:`repro.engine.executor`).
 """
-
-from repro.engine.config import EngineConfig
-from repro.engine.errors import BugKind, BugReport
-from repro.engine.executor import SymbolicExecutor, StepResult
-from repro.engine.explorer import Explorer
-from repro.engine.frontier import Frontier
-from repro.engine.limits import ExplorationLimits
-from repro.engine.result import RunResult
-from repro.engine.state import ExecutionState, StateStatus
-from repro.engine.strategies import (
-    BfsStrategy,
-    CoverageOptimizedStrategy,
-    DfsStrategy,
-    InterleavedStrategy,
-    RandomPathStrategy,
-    RandomStateStrategy,
-    make_strategy,
-)
-from repro.engine.coverage import CoverageBitVector
-from repro.engine.test_case import TestCase
-from repro.engine.tree import NodeLife, NodeStatus, TreeNode
-
-__all__ = [
-    "EngineConfig",
-    "BugKind",
-    "BugReport",
-    "ExplorationLimits",
-    "Explorer",
-    "Frontier",
-    "RunResult",
-    "SymbolicExecutor",
-    "StepResult",
-    "ExecutionState",
-    "StateStatus",
-    "BfsStrategy",
-    "CoverageOptimizedStrategy",
-    "DfsStrategy",
-    "InterleavedStrategy",
-    "RandomPathStrategy",
-    "RandomStateStrategy",
-    "make_strategy",
-    "CoverageBitVector",
-    "TestCase",
-    "NodeLife",
-    "NodeStatus",
-    "TreeNode",
-]

@@ -15,8 +15,7 @@ rest (``max_steps`` only bounds single-engine scheduling steps; ``max_rounds``
 only bounds cluster virtual-time rounds).  ``None`` always means "unlimited".
 
 The module lives under :mod:`repro.engine` (dependency-free, importable by
-every layer); :mod:`repro.api` and the ``repro`` package export
-:class:`ExplorationLimits` under their own names too.
+every layer).
 """
 
 from __future__ import annotations

@@ -28,6 +28,7 @@ from repro.engine.errors import BugKind
 from repro.engine.memory import MemoryObject
 from repro.engine.state import ExecutionState, Process, Thread
 from repro.engine.values import Value, is_concrete
+from repro.solver import expr as E
 from repro.solver.expr import Expr
 from repro.solver.solver import Solver
 
@@ -161,8 +162,6 @@ class NativeContext:
         """
         if is_concrete(value):
             return value
-        from repro.solver import expr as E  # local import to avoid cycles at import time
-
         model = self.solver.get_model(self.state.path_constraints)
         concrete = int(model.evaluate(value)) if model is not None else 0
         if bind:

@@ -281,9 +281,6 @@ class FewestFaultsFirstStrategy(SearchStrategy):
 
     name = "fewest_faults_first"
 
-    def __init__(self, seed: int = 0):
-        self._rng = random.Random(seed)
-
     def select(self, tree: ExecutionTree, candidates: Frontier) -> TreeNode:
         def fault_count(node: TreeNode) -> int:
             state = node.state
@@ -309,8 +306,8 @@ def make_strategy(name: str, seed: int = 0, program=None) -> SearchStrategy:
     if name == "coverage_optimized":
         return CoverageOptimizedStrategy(seed, program=program)
     if name == "fewest_faults_first":
-        return FewestFaultsFirstStrategy(seed)
-    if name in ("interleaved", "default", "klee"):
+        return FewestFaultsFirstStrategy()
+    if name == "interleaved":
         return InterleavedStrategy([
             RandomPathStrategy(seed),
             CoverageOptimizedStrategy(seed + 1, program=program),

@@ -10,131 +10,3 @@ The language covers what the paper's target programs need: integers and byte
 buffers, arithmetic and comparisons, structured control flow, functions,
 assertions, and calls into the modeled POSIX environment.
 """
-
-from repro.lang.ast import (
-    BinaryOp,
-    UnaryOp,
-    Const,
-    StrConst,
-    Var,
-    BinExpr,
-    UnExpr,
-    Index,
-    CallExpr,
-    Assign,
-    VarDecl,
-    Store,
-    If,
-    While,
-    Return,
-    ExprStmt,
-    Assert,
-    Break,
-    Continue,
-    Function,
-    Program,
-)
-from repro.lang.builder import (
-    const,
-    strconst,
-    var,
-    add,
-    sub,
-    mul,
-    div,
-    mod,
-    band,
-    bor,
-    bxor,
-    shl,
-    shr,
-    eq,
-    ne,
-    lt,
-    le,
-    gt,
-    ge,
-    land,
-    lor,
-    lnot,
-    index,
-    call,
-    assign,
-    decl,
-    store,
-    if_,
-    while_,
-    ret,
-    expr_stmt,
-    assert_,
-    break_,
-    continue_,
-    func,
-    program,
-)
-from repro.lang.compiler import CompiledFunction, CompiledProgram, Instruction, Opcode, compile_program
-
-__all__ = [
-    "BinaryOp",
-    "UnaryOp",
-    "Const",
-    "StrConst",
-    "Var",
-    "BinExpr",
-    "UnExpr",
-    "Index",
-    "CallExpr",
-    "Assign",
-    "VarDecl",
-    "Store",
-    "If",
-    "While",
-    "Return",
-    "ExprStmt",
-    "Assert",
-    "Break",
-    "Continue",
-    "Function",
-    "Program",
-    "const",
-    "strconst",
-    "var",
-    "add",
-    "sub",
-    "mul",
-    "div",
-    "mod",
-    "band",
-    "bor",
-    "bxor",
-    "shl",
-    "shr",
-    "eq",
-    "ne",
-    "lt",
-    "le",
-    "gt",
-    "ge",
-    "land",
-    "lor",
-    "lnot",
-    "index",
-    "call",
-    "assign",
-    "decl",
-    "store",
-    "if_",
-    "while_",
-    "ret",
-    "expr_stmt",
-    "assert_",
-    "break_",
-    "continue_",
-    "func",
-    "program",
-    "CompiledFunction",
-    "CompiledProgram",
-    "Instruction",
-    "Opcode",
-    "compile_program",
-]

@@ -2,7 +2,7 @@
 
 Target programs (``repro.targets``) are written with these helpers, e.g.::
 
-    from repro import lang as L
+    from repro.lang import builder as L
 
     parse = L.func(
         "parse", ["buf", "n"],

@@ -30,28 +30,3 @@ carrier and the agent server are
 :class:`~repro.distrib.cluster.TcpCloud9Cluster`'s, configured by
 :class:`~repro.distrib.cluster.TcpClusterConfig` (``backend="tcp"``).
 """
-
-from repro._lazy import lazy_exports
-
-__getattr__, __dir__ = lazy_exports(__name__, {
-    "repro.net.framing": ("DEFAULT_MAX_FRAME_SIZE", "FrameCorruptError",
-                          "FrameDecoder", "FrameError", "FrameTooLarge",
-                          "encode_frame"),
-    "repro.net.heartbeat": ("HeartbeatMonitor", "HeartbeatSender"),
-    "repro.net.server": ("AgentServer", "NoPendingAgent"),
-    "repro.net.transport": ("PROTOCOL_VERSION", "HelloMessage",
-                            "QueuePairTransport", "ReceiveTimeout",
-                            "RejectMessage", "TcpTransport", "Transport",
-                            "TransportClosed", "TransportError",
-                            "WelcomeMessage"),
-})
-
-__all__ = [
-    "DEFAULT_MAX_FRAME_SIZE", "FrameError", "FrameTooLarge",
-    "FrameCorruptError", "FrameDecoder", "encode_frame",
-    "HeartbeatMonitor", "HeartbeatSender",
-    "AgentServer", "NoPendingAgent",
-    "PROTOCOL_VERSION", "HelloMessage", "WelcomeMessage", "RejectMessage",
-    "Transport", "QueuePairTransport", "TcpTransport",
-    "TransportError", "TransportClosed", "ReceiveTimeout",
-]

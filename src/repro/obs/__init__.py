@@ -10,10 +10,11 @@ aggregates only.  This package is the substrate those views are built on:
   the process and TCP backends forward their events to the coordinator
   over the existing status channel.  Enabled with ``trace_path=`` on
   :class:`~repro.engine.limits.ExplorationLimits` / ``SymbolicTest.run``.
-* :mod:`repro.obs.metrics` -- :class:`Histogram`, the one shared metrics
-  primitive (solver latency, round wall time).  Counters are plain fields
-  of ``SolverStats``/``CacheStats``/``WorkerStats``; a run's totals are read
-  from ``RunResult`` and the trace's ``solver_query`` event.
+* :mod:`repro.obs.metrics` -- :class:`~repro.obs.metrics.Histogram`, the
+  one shared metrics primitive (solver latency, round wall time).  Counters
+  are plain fields of ``SolverStats``/``CacheStats``/``WorkerStats``; a
+  run's totals are read from ``RunResult`` and the trace's ``solver_query``
+  event.
 * :mod:`repro.obs.status` -- a read-only coordinator-side status server:
   connect, read one JSON line (the last round's ``round_completed`` record,
   :class:`~repro.obs.schema.RoundSnapshot`, plus ``backend``), disconnect.
@@ -21,20 +22,3 @@ aggregates only.  This package is the substrate those views are built on:
   renders coverage-over-time, per-worker utilization and the
   transfer/membership/failure timeline from any run's trace.
 """
-
-from repro.obs import schema
-from repro.obs.metrics import Histogram
-from repro.obs.trace import NULL_TRACER, BufferTracer, NullTracer, Tracer, load_trace
-from repro.obs.status import StatusServer, read_status
-
-__all__ = [
-    "schema",
-    "Histogram",
-    "Tracer",
-    "NullTracer",
-    "NULL_TRACER",
-    "BufferTracer",
-    "load_trace",
-    "StatusServer",
-    "read_status",
-]

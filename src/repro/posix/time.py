@@ -2,7 +2,8 @@
 
 Real time sources would break replay determinism (§6 "Broken Replays"): the
 same path replayed on another worker must observe the same values.  The model
-therefore keeps a per-state virtual clock in :class:`PosixState`:
+therefore keeps a per-state virtual clock in
+:class:`~repro.posix.data.PosixState`:
 
 * every clock query advances the clock by a fixed small step, so successive
   reads are monotonically increasing (programs that measure elapsed time see

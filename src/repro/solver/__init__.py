@@ -21,105 +21,3 @@ network packets, format strings and HTTP headers):
 * :mod:`repro.solver.cache` -- constraint and counterexample caches mirroring
   the caching architecture described in section 6 of the paper.
 """
-
-from repro.solver.expr import (
-    BoolSort,
-    BvSort,
-    Expr,
-    BoolConst,
-    BvConst,
-    BvSymbol,
-    Op,
-    TRUE,
-    FALSE,
-    bv_const,
-    bv_symbol,
-    add,
-    sub,
-    mul,
-    udiv,
-    urem,
-    band,
-    bor,
-    bxor,
-    bnot,
-    shl,
-    lshr,
-    concat,
-    extract,
-    zext,
-    eq,
-    ne,
-    ult,
-    ule,
-    ugt,
-    uge,
-    slt,
-    sle,
-    sgt,
-    sge,
-    logical_and,
-    logical_or,
-    logical_not,
-    implies,
-    ite,
-)
-from repro.solver.model import Model
-from repro.solver.simplify import simplify
-from repro.solver.independence import partition
-from repro.solver.pathconstraint import PathConstraint
-from repro.solver.solver import Solver, SolverConfig, SolverResult, SolverStats
-from repro.solver.cache import ConstraintCache, CounterexampleCache
-
-__all__ = [
-    "BoolSort",
-    "BvSort",
-    "Expr",
-    "BoolConst",
-    "BvConst",
-    "BvSymbol",
-    "Op",
-    "TRUE",
-    "FALSE",
-    "bv_const",
-    "bv_symbol",
-    "add",
-    "sub",
-    "mul",
-    "udiv",
-    "urem",
-    "band",
-    "bor",
-    "bxor",
-    "bnot",
-    "shl",
-    "lshr",
-    "concat",
-    "extract",
-    "zext",
-    "eq",
-    "ne",
-    "ult",
-    "ule",
-    "ugt",
-    "uge",
-    "slt",
-    "sle",
-    "sgt",
-    "sge",
-    "logical_and",
-    "logical_or",
-    "logical_not",
-    "implies",
-    "ite",
-    "Model",
-    "simplify",
-    "partition",
-    "PathConstraint",
-    "Solver",
-    "SolverConfig",
-    "SolverResult",
-    "SolverStats",
-    "ConstraintCache",
-    "CounterexampleCache",
-]

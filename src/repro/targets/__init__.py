@@ -1,7 +1,7 @@
 """Models of the real-world systems evaluated in the paper (§7, Table 4).
 
 Each module builds one target as a program in :mod:`repro.lang` plus
-ready-made :class:`~repro.testing.SymbolicTest` constructors for the
+ready-made :class:`~repro.testing.symbolic_test.SymbolicTest` constructors for the
 experiments that use it:
 
 =====================  =======================================================

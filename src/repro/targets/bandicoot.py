@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from typing import List
 
-from repro import lang as L
+from repro.lang import builder as L
+from repro.lang.ast import Program
 from repro.engine.config import EngineConfig
 from repro.testing.symbolic_test import SymbolicTest
 
@@ -28,7 +29,7 @@ RELATION_B_TUPLES = 2
 QUERY_LENGTH = 6     # "/x?n=Y" -- relation letter, count digit, padding
 
 
-def build_program(query_length: int = QUERY_LENGTH) -> L.Program:
+def build_program(query_length: int = QUERY_LENGTH) -> Program:
     # catalogue_init() -> pointer to two relations laid out back to back is
     # deliberately avoided: each relation is its own allocation so that an
     # overrun is an out-of-bounds access rather than a silent read of the

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List
 
-from repro import lang as L
+from repro.lang import builder as L
+from repro.lang.ast import Function, Program
 from repro.engine.config import EngineConfig
 from repro.testing.symbolic_test import SymbolicTest
 
@@ -24,7 +25,7 @@ DEFAULT_INPUT_SIZE = 4
 
 
 def _symbolic_main(body_builder: Callable[[], List[object]],
-                   input_size: int) -> L.Function:
+                   input_size: int) -> Function:
     """main(): allocate the symbolic input then run the utility body.
 
     The body can refer to ``argv`` (the symbolic buffer) and ``argc`` (its
@@ -40,8 +41,8 @@ def _symbolic_main(body_builder: Callable[[], List[object]],
 
 
 def _program(name: str, body_builder: Callable[[], List[object]],
-             helpers: List[L.Function] = (),
-             input_size: int = DEFAULT_INPUT_SIZE) -> L.Program:
+             helpers: List[Function] = (),
+             input_size: int = DEFAULT_INPUT_SIZE) -> Program:
     return L.program(name, *helpers, _symbolic_main(body_builder, input_size))
 
 
@@ -393,7 +394,7 @@ def utility_names() -> List[str]:
 
 
 def build_utility_program(name: str,
-                          input_size: int = DEFAULT_INPUT_SIZE) -> L.Program:
+                          input_size: int = DEFAULT_INPUT_SIZE) -> Program:
     try:
         body_builder = _UTILITIES[name]
     except KeyError:

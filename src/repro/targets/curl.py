@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from typing import List
 
-from repro import lang as L
+from repro.lang import builder as L
+from repro.lang.ast import Program
 from repro.engine.config import EngineConfig
 from repro.testing.symbolic_test import SymbolicTest
 
@@ -27,7 +28,7 @@ DEFAULT_SYMBOLIC_SUFFIX = 2
 
 
 def build_program(prefix: bytes = DEFAULT_PREFIX,
-                  symbolic_suffix: int = DEFAULT_SYMBOLIC_SUFFIX) -> L.Program:
+                  symbolic_suffix: int = DEFAULT_SYMBOLIC_SUFFIX) -> Program:
     url_length = len(prefix) + symbolic_suffix
 
     # count_globs(url, n) -> number of glob openers ('{' or '[') seen.

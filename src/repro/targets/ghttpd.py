@@ -25,7 +25,8 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro import lang as L
+from repro.lang import builder as L
+from repro.lang.ast import Program
 from repro.engine.config import EngineConfig
 from repro.testing.symbolic_test import SymbolicTest
 
@@ -39,7 +40,7 @@ DEFAULT_PATH_LENGTH = 12      # longer than LOG_BUFFER_SIZE: the overflow is rea
 def build_program(version: int = VERSION_VULNERABLE,
                   path_length: int = DEFAULT_PATH_LENGTH,
                   symbolic_path: bool = False,
-                  concrete_path: bytes = b"/") -> L.Program:
+                  concrete_path: bytes = b"/") -> Program:
     """Build the ghttpd model for one server version and one request shape."""
 
     # parse_method(buf, total) -> 1 GET, 2 HEAD, 3 POST, 0 unknown.

@@ -25,7 +25,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from repro import lang as L
+from repro.lang import builder as L
+from repro.lang.ast import Program
 from repro.engine.config import EngineConfig
 from repro.testing.symbolic_test import SymbolicTest
 
@@ -43,7 +44,7 @@ def build_program(symbolic_header: bool = True,
                   header_value_length: int = HEADER_VALUE_LENGTH,
                   fragment_pattern: Optional[Sequence[int]] = None,
                   fault_injection: bool = False,
-                  buggy_extension: bool = True) -> L.Program:
+                  buggy_extension: bool = True) -> Program:
     """Build the httpd model with one §5.2-style test driver."""
     value_length = header_value_length if symbolic_header else len(header_value)
     request_length = len(REQUEST_PREFIX) + value_length + len(REQUEST_SUFFIX)

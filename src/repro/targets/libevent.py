@@ -23,7 +23,8 @@ descriptor, and every written byte is delivered to exactly one callback.
 
 from __future__ import annotations
 
-from repro import lang as L
+from repro.lang import builder as L
+from repro.lang.ast import Program
 from repro.engine.config import EngineConfig
 from repro.testing.symbolic_test import SymbolicTest
 
@@ -45,7 +46,7 @@ A_EVENTS = 4           # event records start here
 ARENA_SIZE = A_EVENTS + MAX_EVENTS * EV_RECORD
 
 
-def build_program(symbolic_trigger: bool = True) -> L.Program:
+def build_program(symbolic_trigger: bool = True) -> Program:
     """Build the libevent model with its two-pipe test driver."""
 
     # event_add(arena, fd, callback_id) -> slot index.

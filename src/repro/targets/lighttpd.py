@@ -27,7 +27,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from repro import lang as L
+from repro.lang import builder as L
+from repro.lang.ast import Program
 from repro.engine.config import EngineConfig
 from repro.testing.symbolic_test import SymbolicTest
 
@@ -51,7 +52,7 @@ def build_program(version: int,
                   request: bytes = DEFAULT_REQUEST,
                   bookkeeping_slots: int = BOOKKEEPING_SLOTS,
                   fragment_pattern: Optional[Sequence[int]] = None,
-                  symbolic_fragmentation: bool = False) -> L.Program:
+                  symbolic_fragmentation: bool = False) -> Program:
     """Build the lighttpd model for one server version and one test driver."""
     request_length = len(request)
 

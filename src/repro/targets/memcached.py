@@ -22,7 +22,8 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from repro import lang as L
+from repro.lang import builder as L
+from repro.lang.ast import Function, Program
 from repro.engine.config import EngineConfig
 from repro.testing.symbolic_test import SymbolicTest
 
@@ -43,7 +44,7 @@ SLOT_SIZE = 4             # used flag, key byte, value byte, hit counter
 DEFAULT_PACKET_SIZE = 6
 
 
-def _store_functions() -> List[L.Function]:
+def _store_functions() -> List[Function]:
     """The tiny key/value store behind the protocol handlers."""
 
     store_init = L.func(
@@ -102,7 +103,7 @@ def _store_functions() -> List[L.Function]:
             store_incr]
 
 
-def _protocol_functions(packet_size: int) -> List[L.Function]:
+def _protocol_functions(packet_size: int) -> List[Function]:
     """Binary-protocol parsing and dispatch."""
 
     # process_command(store, pkt, len) -> 0 ok, 1 protocol error, 2 quit.
@@ -181,7 +182,7 @@ def _protocol_functions(packet_size: int) -> List[L.Function]:
     return [process_command, server_loop]
 
 
-def _udp_functions() -> List[L.Function]:
+def _udp_functions() -> List[Function]:
     """UDP datagram handling with the record-scan hang of §7.3.3."""
 
     # process_udp_datagram(store, buf, len) -> records processed.
@@ -233,7 +234,7 @@ def _udp_functions() -> List[L.Function]:
     return [process_udp_datagram, udp_server_loop]
 
 
-def _driver_symbolic_packets(num_packets: int, packet_size: int) -> L.Function:
+def _driver_symbolic_packets(num_packets: int, packet_size: int) -> Function:
     """main(): send fully symbolic binary packets through a socket pair."""
     body: List[object] = [
         L.decl("pair", L.call("malloc", 2)),
@@ -256,7 +257,7 @@ def _driver_symbolic_packets(num_packets: int, packet_size: int) -> L.Function:
     return L.func("main", [], *body)
 
 
-def _driver_concrete_suite(commands: Sequence[bytes], packet_size: int) -> L.Function:
+def _driver_concrete_suite(commands: Sequence[bytes], packet_size: int) -> Function:
     """main(): replay a suite of concrete binary commands."""
     body: List[object] = [
         L.decl("pair", L.call("malloc", 2)),
@@ -279,7 +280,7 @@ def _driver_concrete_suite(commands: Sequence[bytes], packet_size: int) -> L.Fun
     return L.func("main", [], *body)
 
 
-def _driver_udp(num_datagrams: int, datagram_size: int) -> L.Function:
+def _driver_udp(num_datagrams: int, datagram_size: int) -> Function:
     """main(): feed symbolic UDP datagrams to the UDP handler."""
     body: List[object] = [
         L.decl("sock", L.call("socket", 1, 2)),          # SOCK_DGRAM
@@ -302,7 +303,7 @@ def _driver_udp(num_datagrams: int, datagram_size: int) -> L.Function:
     return L.func("main", [], *body)
 
 
-def build_program(main: L.Function, packet_size: int = DEFAULT_PACKET_SIZE) -> L.Program:
+def build_program(main: Function, packet_size: int = DEFAULT_PACKET_SIZE) -> Program:
     functions = (_store_functions() + _protocol_functions(packet_size)
                  + _udp_functions() + [main])
     return L.program("memcached", *functions)

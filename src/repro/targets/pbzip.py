@@ -17,7 +17,8 @@ across thread interleavings when schedule forking is enabled.
 
 from __future__ import annotations
 
-from repro import lang as L
+from repro.lang import builder as L
+from repro.lang.ast import Program
 from repro.engine.config import EngineConfig
 from repro.engine.state import ExecutionState
 from repro.posix.api import add_concrete_file
@@ -47,7 +48,7 @@ A_OUTPUT = 20        # per-block output slots              [A_OUTPUT + b*MAX_BLO
 ARENA_SIZE = A_OUTPUT + NUM_BLOCKS * MAX_BLOCK_OUT
 
 
-def build_program(num_workers: int = NUM_WORKERS) -> L.Program:
+def build_program(num_workers: int = NUM_WORKERS) -> Program:
     """Build the pbzip model: read, compress on workers, reassemble, verify."""
 
     # rle_compress(arena, block) -> compressed length of that block.

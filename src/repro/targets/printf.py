@@ -11,14 +11,15 @@ plus escape sequences, with distinct handling code per conversion class.
 
 from __future__ import annotations
 
-from repro import lang as L
+from repro.lang import builder as L
+from repro.lang.ast import Program
 from repro.engine.config import EngineConfig
 from repro.testing.symbolic_test import SymbolicTest
 
 DEFAULT_FORMAT_LENGTH = 5
 
 
-def build_program() -> L.Program:
+def build_program() -> Program:
     """The printf model: ``main`` parses a symbolic format string."""
 
     # classify_conversion(c) -> 1 int-like, 2 unsigned-like, 3 char, 4 string,
@@ -182,7 +183,7 @@ def build_program() -> L.Program:
                      parse_escape, parse_format, main)
 
 
-def build_program_with_length(format_length: int) -> L.Program:
+def build_program_with_length(format_length: int) -> Program:
     """Same model with a caller-chosen symbolic format length."""
     program = build_program()
     main = L.func(

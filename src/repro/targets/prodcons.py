@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from typing import List
 
-from repro import lang as L
+from repro.lang import builder as L
+from repro.lang.ast import Program
 from repro.engine.config import EngineConfig
 from repro.testing.symbolic_test import SymbolicTest
 
@@ -44,7 +45,7 @@ SHARED_SIZE = 10 + QUEUE_CAPACITY
 
 def build_program(num_items: int = DEFAULT_ITEMS,
                   num_consumers: int = 2,
-                  symbolic_items: int = 1) -> L.Program:
+                  symbolic_items: int = 1) -> Program:
     """Build the producer-consumer benchmark program."""
 
     # queue_push(shared, mutex, not_full, not_empty, value)

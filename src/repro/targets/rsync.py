@@ -23,7 +23,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro import lang as L
+from repro.lang import builder as L
+from repro.lang.ast import Program
 from repro.engine.config import EngineConfig
 from repro.engine.state import ExecutionState
 from repro.posix.api import add_concrete_file
@@ -42,7 +43,7 @@ OP_LITERAL = 2
 
 
 def build_program(file_size: int = DEFAULT_FILE_SIZE,
-                  block_size: int = BLOCK_SIZE) -> L.Program:
+                  block_size: int = BLOCK_SIZE) -> Program:
     """The rsync model: delta-encode ``/new`` against ``/basis`` and verify."""
     num_blocks = file_size // block_size
     max_delta = 2 * file_size + 2    # worst case: every byte is a literal

@@ -14,7 +14,8 @@ self-contained while preserving the branching structure.
 
 from __future__ import annotations
 
-from repro import lang as L
+from repro.lang import builder as L
+from repro.lang.ast import Program
 from repro.engine.config import EngineConfig
 from repro.testing.symbolic_test import SymbolicTest
 
@@ -23,7 +24,7 @@ SLOT_SIZE = 4
 SLOT_COUNT = 3
 
 
-def build_program() -> L.Program:
+def build_program() -> Program:
     # parse_int(buf, base_off) -> value of a single decimal digit, or 255 on
     # a non-digit (the utility's "integer expression expected" error path).
     parse_int = L.func(

@@ -19,10 +19,12 @@ from contextlib import contextmanager
 import pytest
 from hypothesis import settings
 
-from repro import lang as L
+from repro.lang import builder as L
+from repro.lang.ast import Program
 from repro.distrib import specs
-from repro.engine import EngineConfig, SymbolicExecutor
-from repro.posix import install_posix_model
+from repro.engine.config import EngineConfig
+from repro.engine.executor import SymbolicExecutor
+from repro.posix.model import install_posix_model
 
 # One hypothesis profile for every property test: the same examples on every
 # run and every machine (a CI failure reproduces locally), no example
@@ -109,7 +111,7 @@ def python_calls(by_code: bool = False):
             gc.enable()
 
 
-def branchy_program(buffer_size: int = 3) -> L.Program:
+def branchy_program(buffer_size: int = 3) -> Program:
     """A small program with 3^buffer_size paths over a symbolic buffer."""
     return L.program(
         "branchy",
@@ -132,7 +134,7 @@ def branchy_program(buffer_size: int = 3) -> L.Program:
     )
 
 
-def single_branch_program() -> L.Program:
+def single_branch_program() -> Program:
     """Two paths: the first symbolic byte is either '!' or not."""
     return L.program(
         "single_branch",
@@ -144,7 +146,7 @@ def single_branch_program() -> L.Program:
     )
 
 
-def make_executor(program: L.Program, posix: bool = False,
+def make_executor(program: Program, posix: bool = False,
                   config: EngineConfig = None) -> SymbolicExecutor:
     installers = [install_posix_model] if posix else []
     return SymbolicExecutor(program, config=config,

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.engine.limits import UNLIMITED, ExplorationLimits
-from repro.cluster import ClusterConfig
-from repro.testing import SymbolicTest
+from repro.cluster.core import ClusterConfig
+from repro.testing.symbolic_test import SymbolicTest
 
 from conftest import branchy_program
 

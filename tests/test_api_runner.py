@@ -4,17 +4,18 @@ strategy-propagation fix."""
 
 import pytest
 
-from repro import lang as L
-from repro.api import ExplorationLimits, RunResult
-from repro.cluster import ClusterConfig, StaticPartitionConfig
+from repro.lang import builder as L
+from repro.lang.ast import Program
+from repro.engine.limits import ExplorationLimits
+from repro.engine.result import RunResult
+from repro.cluster.core import ClusterConfig, StaticPartitionConfig
 from repro.distrib import specs
-from repro.testing import SymbolicTest
-from repro.testing.symbolic_test import BACKENDS
+from repro.testing.symbolic_test import BACKENDS, SymbolicTest
 
 from conftest import branchy_program, single_branch_program
 
 
-def buggy_program() -> L.Program:
+def buggy_program() -> Program:
     """Two paths; the '!' path trips an assertion."""
     return L.program(
         "buggy",

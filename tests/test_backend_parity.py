@@ -18,8 +18,8 @@ import multiprocessing
 
 import pytest
 
-from repro.api import ExplorationLimits
-from repro.cluster import ClusterConfig
+from repro.engine.limits import ExplorationLimits
+from repro.cluster.core import ClusterConfig
 from repro.distrib import specs
 from repro.distrib.cluster import ProcessCloud9Cluster, ProcessClusterConfig
 from repro.obs.schema import ENVELOPE_KEYS, schema_for

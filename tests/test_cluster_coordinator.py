@@ -2,10 +2,8 @@
 
 import pytest
 
-from repro.cluster import ClusterConfig
-from repro.engine import SymbolicExecutor
-from repro.posix import install_posix_model
-from repro.testing import SymbolicTest
+from repro.cluster.core import ClusterConfig
+from repro.testing.symbolic_test import SymbolicTest
 
 from conftest import branchy_program
 from triggers import frontier_invariants
@@ -60,7 +58,7 @@ class TestEndToEnd:
         assert covered_multi == covered_single
 
     def test_bugs_found_once_despite_replays(self):
-        from repro import lang as L
+        from repro.lang import builder as L
 
         program = L.program("buggy", L.func(
             "main", [],
@@ -92,7 +90,7 @@ class TestEndToEnd:
         assert result.paths_completed >= 5
 
     def test_stop_on_first_bug(self):
-        from repro import lang as L
+        from repro.lang import builder as L
 
         program = L.program("buggy", L.func(
             "main", [],
@@ -156,7 +154,6 @@ class TestConfigValidation:
     @pytest.mark.parametrize("field, value", [
         ("balance_interval", 0),
         ("balance_interval", -1),
-        ("min_transfer", 0),
         ("checkpoint_every", 0),
         ("checkpoint_every", -2),
         ("checkpoint_path", "run.ckpt.json"),

@@ -18,8 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import lang as L
-from repro.api import ExplorationLimits
+from repro.lang import builder as L
+from repro.engine.limits import ExplorationLimits
 from repro.cluster.checkpoint import CHECKPOINT_FORMAT, ClusterCheckpoint
 from repro.cluster.core import ClusterConfig
 from repro.cluster.jobs import Job, JobTree

@@ -86,7 +86,7 @@ class TestLoadBalancer:
         lb = self._lb_with_queues({1: 50})
         assert lb.balance() == []
 
-    def test_balance_respects_min_transfer(self):
+    def test_a_donor_needs_two_jobs(self):
         lb = self._lb_with_queues({1: 1, 2: 0})
         assert lb.balance() == []
 

@@ -14,8 +14,8 @@ import socket
 
 import pytest
 
-from repro import lang as L
-from repro.api import ExplorationLimits
+from repro.lang import builder as L
+from repro.engine.limits import ExplorationLimits
 from repro.cluster.checkpoint import ClusterCheckpoint
 from repro.cluster.core import ClusterConfig
 from repro.cluster.load_balancer import LoadBalancer

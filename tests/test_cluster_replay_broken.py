@@ -7,7 +7,7 @@ from repro.cluster import replay
 from repro.cluster.jobs import JobTree
 from repro.cluster.replay import replay_path
 from repro.cluster.worker import Worker
-from repro.engine import SymbolicExecutor
+from repro.engine.executor import SymbolicExecutor
 
 from conftest import branchy_program, single_branch_program
 

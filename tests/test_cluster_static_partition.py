@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.cluster import ClusterCheckpoint, StaticPartitionConfig
+from repro.cluster.checkpoint import ClusterCheckpoint
+from repro.cluster.core import StaticPartitionConfig
 from repro.distrib import specs
 from repro.obs.trace import load_trace
-from repro.testing import SymbolicTest
+from repro.testing.symbolic_test import SymbolicTest
 
 from conftest import branchy_program, single_branch_program
 from triggers import frontier_invariants
@@ -163,7 +164,7 @@ class TestImbalance:
         """The §2 claim: static partitioning leaves workers idle while one
         worker still has a deep subtree, whereas dynamic balancing keeps the
         frontier spread out."""
-        from repro import lang as L
+        from repro.lang import builder as L
 
         # A skewed program: one branch terminates immediately, the other
         # opens a deep subtree of further branching.

@@ -4,8 +4,9 @@ from repro.cluster.jobs import Job, JobTree
 from repro.cluster.replay import replay_path
 from repro.cluster.worker import Worker
 from repro.distrib import specs
-from repro.engine import SymbolicExecutor, make_strategy
-from repro.posix import install_posix_model
+from repro.engine.executor import SymbolicExecutor
+from repro.engine.strategies import make_strategy
+from repro.posix.model import install_posix_model
 
 from conftest import branchy_program
 

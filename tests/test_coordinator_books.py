@@ -10,8 +10,9 @@ import multiprocessing
 
 import pytest
 
-from repro.cluster import ClusterConfig
-from repro.distrib import Cloud9Cluster, LoopbackTransport, specs
+from repro.cluster.core import ClusterConfig
+from repro.distrib import specs
+from repro.distrib.loopback import Cloud9Cluster, LoopbackTransport
 from repro.distrib.cluster import (
     ProcessCloud9Cluster,
     ProcessClusterConfig,

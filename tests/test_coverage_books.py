@@ -20,10 +20,11 @@ from typing import Set
 
 import pytest
 
-from repro import lang as L
+from repro.lang import builder as L
 from repro.cluster.jobs import Job, JobTree
 from repro.cluster.worker import Worker
-from repro.distrib import DistribWorker, specs
+from repro.distrib import specs
+from repro.distrib.worker import DistribWorker
 from repro.engine.explorer import Explorer
 
 from conftest import make_executor

@@ -22,7 +22,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from repro.api import ExplorationLimits
+from repro.engine.limits import ExplorationLimits
 from repro.distrib import specs
 from repro.obs.trace import load_trace
 

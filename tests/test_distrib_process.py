@@ -7,12 +7,14 @@ import sys
 
 import pytest
 
-from repro.api import ExplorationLimits
+from repro.engine.limits import ExplorationLimits
 from repro.cluster.jobs import JobTree
 from repro.cluster.stats import WorkerStats
-from repro.distrib import DistribWorker, ProcessClusterConfig, specs
+from repro.distrib import specs
+from repro.distrib.worker import DistribWorker
 from repro.distrib.cluster import (
     ProcessCloud9Cluster,
+    ProcessClusterConfig,
     TcpClusterConfig,
     WorkerProcessError,
 )

@@ -1,8 +1,8 @@
 """Tests for the engine's division-by-zero detector."""
 
-from repro import lang as L
-from repro.engine import BugKind
-from repro.testing import SymbolicTest
+from repro.lang import builder as L
+from repro.engine.errors import BugKind
+from repro.testing.symbolic_test import SymbolicTest
 
 
 def run_program(*main_body, posix=False):

@@ -6,10 +6,10 @@ import pytest
 
 import dataclasses
 
-from repro import lang as L
+from repro.lang import builder as L
 from repro.distrib import specs
-from repro.engine import SymbolicExecutor
-from repro.engine.strategies import DfsStrategy, make_strategy
+from repro.engine import strategies
+from repro.engine.strategies import DfsStrategy, SearchStrategy, make_strategy
 from repro.obs.trace import load_trace
 
 from conftest import branchy_program, make_executor
@@ -187,6 +187,13 @@ class TestStrategies:
         strategy = make_strategy("dfs")
         result = executor.run(strategy=strategy)
         assert result.exhausted
+
+    @pytest.mark.parametrize("strategy", [
+        value for value in vars(strategies).values()
+        if isinstance(value, type) and issubclass(value, SearchStrategy)
+        and value is not SearchStrategy], ids=lambda strategy: strategy.name)
+    def test_a_strategy_is_made_by_its_one_name(self, strategy):
+        assert type(make_strategy(strategy.name)) is strategy
 
     def test_unknown_strategy_rejected(self):
         try:

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro import lang as L
-from repro.engine import BugKind, SymbolicExecutor
+from repro.lang import builder as L
+from repro.engine.errors import BugKind
 from repro.engine.config import EngineConfig
 
 from conftest import make_executor

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import lang as L
+from repro.lang import builder as L
 from repro.engine.memory import (
     AddressSpace,
     CowDomain,
@@ -10,7 +10,7 @@ from repro.engine.memory import (
     MemoryError_,
     MemoryObject,
 )
-from repro.engine import SymbolicExecutor
+from repro.engine.executor import SymbolicExecutor
 from repro.engine.natives import NativeContext
 from repro.engine.state import ExecutionState
 from repro.engine.values import is_concrete

@@ -1,7 +1,7 @@
 """Unit tests for cooperative scheduling, schedule forking and hang detection."""
 
-from repro import lang as L
-from repro.engine import BugKind
+from repro.lang import builder as L
+from repro.engine.errors import BugKind
 from repro.engine.config import EngineConfig
 from repro.engine.scheduler import (
     POLICY_FORK_ALL,

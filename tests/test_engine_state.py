@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import lang as L
+from repro.lang import builder as L
 from repro.distrib import specs
 from repro.engine.memory import AddressSpace, MemoryError_
 from repro.engine.state import ExecutionState, StateStatus, ThreadStatus

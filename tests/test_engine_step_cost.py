@@ -44,7 +44,7 @@ import sys
 import weakref
 from collections import Counter
 
-from repro import lang as L
+from repro.lang import builder as L
 from repro.distrib import specs
 from repro.engine import interpreter
 from repro.engine.explorer import Explorer

@@ -25,7 +25,7 @@ from collections import Counter
 
 import pytest
 
-from repro.cluster import ClusterConfig
+from repro.cluster.core import ClusterConfig
 from repro.cluster.jobs import Job, JobTree
 from repro.cluster.worker import Worker
 from repro.distrib import specs

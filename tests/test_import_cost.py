@@ -1,5 +1,4 @@
-"""A set-up imports what its run uses, and the lazy package surfaces keep
-every name they export.
+"""A set-up imports what its run uses.
 
 Every process a run starts -- the user's, each worker, each tcp agent --
 imports ``repro`` and rebuilds one test from its spec, so what that imports
@@ -7,7 +6,6 @@ is paid once per process.  These are set checks in a fresh interpreter, not
 timings.
 """
 
-import importlib
 import json
 import os
 import subprocess
@@ -32,14 +30,6 @@ specs.resolve_test("memcached-packets", num_packets=1, packet_size=1)
 print(json.dumps({"import": after_import, "resolve": sorted(sys.modules)}))
 """
 
-LAZY_PACKAGES = ["repro", "repro.cluster", "repro.distrib", "repro.net",
-                 "repro.testing"]
-
-#: Exported constants, which carry no ``__module__``.
-CONSTANTS = {"__version__": "repro",
-             "DEFAULT_MAX_FRAME_SIZE": "repro.net.framing",
-             "PROTOCOL_VERSION": "repro.net.transport"}
-
 
 @pytest.fixture(scope="module")
 def footprint():
@@ -50,8 +40,8 @@ def footprint():
 
 
 class TestSetUpFootprint:
-    def test_import_repro_imports_only_the_lazy_helper(self, footprint):
-        assert footprint["import"] == ["repro._lazy"]
+    def test_import_repro_imports_no_submodule(self, footprint):
+        assert footprint["import"] == []
 
     def test_resolving_a_spec_imports_its_one_target(self, footprint):
         loaded = set(footprint["resolve"])
@@ -62,45 +52,6 @@ class TestSetUpFootprint:
         loaded = set(footprint["resolve"])
         assert loaded & {"repro.net.server", "repro.distrib.loopback",
                          "repro.cluster.worker", "uuid"} == set()
-
-
-@pytest.mark.parametrize("package", LAZY_PACKAGES)
-class TestLazySurfaces:
-    def test_every_exported_name_is_its_defining_modules_object(self, package):
-        module = importlib.import_module(package)
-        for name in module.__all__:
-            value = getattr(module, name)
-            if isinstance(value, type(module)):
-                assert value.__name__ == "%s.%s" % (package, name)
-                continue
-            defining = importlib.import_module(
-                CONSTANTS.get(name) or value.__module__)
-            assert getattr(defining, name) is value, (package, name)
-
-    def test_dir_lists_every_exported_name(self, package):
-        module = importlib.import_module(package)
-        assert set(module.__all__) <= set(dir(module))
-
-    def test_an_unknown_name_is_an_attribute_error_naming_the_package(
-            self, package):
-        module = importlib.import_module(package)
-        with pytest.raises(AttributeError, match=repr(package)):
-            module.no_such_name  # noqa: B018 - the read is the test
-
-
-def test_a_package_name_follows_its_defining_module(monkeypatch):
-    """The package reads the defining module on every access, so it never
-    keeps a copy that module has rebound."""
-    import repro.distrib
-    from repro.distrib import loopback
-
-    class Replacement:
-        pass
-
-    monkeypatch.setattr(loopback, "Cloud9Cluster", Replacement)
-    assert repro.distrib.Cloud9Cluster is Replacement
-    monkeypatch.undo()
-    assert repro.distrib.Cloud9Cluster is loopback.Cloud9Cluster
 
 
 def test_a_target_module_imports_by_name():

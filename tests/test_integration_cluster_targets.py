@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.cluster import ClusterConfig
-from repro.engine import BugKind
+from repro.engine.errors import BugKind
 from repro.targets import bandicoot, curl, memcached, printf
 
 

@@ -33,7 +33,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.lang import builder as L
 from repro.distrib import specs
-from repro.engine import BugKind, SymbolicExecutor
+from repro.engine.errors import BugKind
+from repro.engine.executor import SymbolicExecutor
 from repro.engine.interpreter import (
     DivisionByZeroError,
     EngineInternalError,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import lang as L
+from repro.lang import builder as L
 from repro.lang.ast import BinaryOp, Const, StrConst, Var
 from repro.lang.compiler import CompileError, Opcode, compile_program
 

@@ -1,18 +1,18 @@
 """The package layering, as module-level imports state it.
 
 ``obs``/``lang`` <- ``solver`` <- ``engine`` <- {``posix``, ``cluster``} <-
-``distrib`` (+ ``net``) <- ``api`` <- ``testing`` <- ``targets``, with the
-lazy re-export helper ``_lazy`` at the bottom: a package
+``distrib`` (+ ``net``) <- ``api`` <- ``testing`` <- ``targets``: a package
 imports, at module level, only from its own layer or a lower one.  (An import
 inside a function or under ``if TYPE_CHECKING:`` is a stated exception where
-it stands.)
+it stands.)  A package's ``__init__`` imports nothing, so every name has one
+import path: the module that defines it.
 """
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
-LAYERS = [{"_lazy"}, {"obs", "lang"}, {"solver"}, {"engine"}, {"posix", "cluster"},
+LAYERS = [{"obs", "lang"}, {"solver"}, {"engine"}, {"posix", "cluster"},
           {"distrib", "net"}, {"api"}, {"testing"}, {"targets"}]
 RANK = {package: rank for rank, layer in enumerate(LAYERS) for package in layer}
 
@@ -47,3 +47,12 @@ def test_every_package_has_a_layer():
     packages = {p.name for p in SRC.iterdir() if (p / "__init__.py").exists()}
     modules = {p.stem for p in SRC.glob("*.py") if p.stem != "__init__"}
     assert packages | modules == set(RANK)
+
+
+def test_no_package_init_imports():
+    importing = sorted(
+        "%s:%d" % (path.relative_to(SRC), node.lineno)
+        for path in SRC.rglob("__init__.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.Import, ast.ImportFrom)))
+    assert importing == []

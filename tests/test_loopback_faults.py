@@ -14,9 +14,10 @@ no occurrence count is chosen up front.
 
 import pytest
 
-from repro.api import ExplorationLimits
-from repro.cluster import ClusterConfig
-from repro.distrib import Cloud9Cluster, LoopbackTransport, specs
+from repro.engine.limits import ExplorationLimits
+from repro.cluster.core import ClusterConfig
+from repro.distrib import specs
+from repro.distrib.loopback import Cloud9Cluster, LoopbackTransport
 from repro.distrib.cluster import WorkerProcessError
 from repro.distrib.messages import (
     ExploreCommand,

@@ -14,8 +14,8 @@ import pytest
 
 from conftest import wait_until
 from triggers import Trigger, kill_the_last_member
-from repro import lang as L
-from repro.api import ExplorationLimits
+from repro.lang import builder as L
+from repro.engine.limits import ExplorationLimits
 from repro.distrib import specs
 from repro.distrib.cluster import (
     TcpCloud9Cluster,

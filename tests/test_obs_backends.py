@@ -7,8 +7,8 @@ import signal
 
 import pytest
 
-from repro import lang as L
-from repro.api import ExplorationLimits
+from repro.lang import builder as L
+from repro.engine.limits import ExplorationLimits
 from repro.distrib import specs
 from repro.distrib.cluster import (
     ProcessCloud9Cluster,

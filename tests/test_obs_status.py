@@ -5,12 +5,12 @@ import socket
 
 import pytest
 
-from repro.cluster import ClusterConfig, StaticPartitionConfig
+from repro.cluster.core import ClusterConfig, StaticPartitionConfig
 from repro.distrib.cluster import TcpCloud9Cluster, TcpClusterConfig
 from repro.net.transport import parse_address
 from repro.obs.status import StatusServer, read_status
 from repro.obs.trace import NULL_TRACER, load_trace
-from repro.testing import SymbolicTest
+from repro.testing.symbolic_test import SymbolicTest
 
 from conftest import branchy_program
 

@@ -309,9 +309,7 @@ def test_memcached_front_end_cost_is_pinned(monkeypatch):
         return real_partition(constraints)
 
     monkeypatch.setattr(Expr, "__init__", counting_init)
-    import repro.solver
-    for module in (repro.solver, independence):
-        monkeypatch.setattr(module, "partition", counting_partition)
+    monkeypatch.setattr(independence, "partition", counting_partition)
 
     test = specs.resolve_test("memcached-packets", num_packets=3, packet_size=4)
     result = test.run(backend="single")

@@ -8,11 +8,11 @@ check both the computed results and the engine-level invariants (no spurious
 bugs, deterministic outcomes across cluster execution).
 """
 
-from repro import lang as L
-from repro.engine import BugKind
+from repro.lang import builder as L
+from repro.engine.errors import BugKind
 from repro.posix.api import add_concrete_file
 from repro.posix.env import add_env_var, add_symbolic_env_var
-from repro.testing import SymbolicTest
+from repro.testing.symbolic_test import SymbolicTest
 
 IPC_CREAT = 0x200
 MAP_SHARED = 0x01

@@ -25,7 +25,7 @@ import random
 import pytest
 from hypothesis import given, note, settings, strategies as st
 
-from repro import lang as L
+from repro.lang import builder as L
 from repro.engine.natives import Block, NativeContext, NativeFork
 from repro.posix.api import add_concrete_file
 from repro.posix.data import FdKind

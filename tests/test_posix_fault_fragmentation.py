@@ -1,9 +1,8 @@
 """Unit tests for fault injection and network-stream fragmentation."""
 
-from repro import lang as L
-from repro.engine import BugKind
+from repro.lang import builder as L
 from repro.posix.buffers import BlockBuffer, StreamBuffer
-from repro.testing import SymbolicTest
+from repro.testing.symbolic_test import SymbolicTest
 
 
 def run_program(entry_body, options=None, extra_funcs=()):

@@ -1,9 +1,8 @@
 """Unit tests for the POSIX model: files, descriptors, symbolic files."""
 
-from repro import lang as L
-from repro.engine import BugKind
+from repro.lang import builder as L
 from repro.posix.api import add_concrete_file, add_symbolic_file
-from repro.testing import SymbolicTest
+from repro.testing.symbolic_test import SymbolicTest
 
 from conftest import make_executor
 

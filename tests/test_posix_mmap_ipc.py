@@ -1,9 +1,9 @@
 """Unit tests for the mmap and System V IPC components of the POSIX model."""
 
-from repro import lang as L
+from repro.lang import builder as L
 from repro.engine.errors import BugKind
 from repro.posix.api import add_concrete_file
-from repro.testing import SymbolicTest
+from repro.testing.symbolic_test import SymbolicTest
 
 MAP_SHARED = 0x01
 MAP_PRIVATE = 0x02

@@ -1,8 +1,8 @@
 """Unit tests for the POSIX model: sockets, pipes, select polling."""
 
-from repro import lang as L
-from repro.engine import BugKind
-from repro.testing import SymbolicTest
+from repro.lang import builder as L
+from repro.engine.errors import BugKind
+from repro.testing.symbolic_test import SymbolicTest
 
 
 def run_program(*main_functions, entry_body=None, options=None, extra_funcs=()):

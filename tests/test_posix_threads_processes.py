@@ -1,8 +1,8 @@
 """Unit tests for the POSIX model: pthreads, synchronization, processes."""
 
-from repro import lang as L
-from repro.engine import BugKind
-from repro.testing import SymbolicTest
+from repro.lang import builder as L
+from repro.engine.errors import BugKind
+from repro.testing.symbolic_test import SymbolicTest
 
 
 def run_program(entry_body, extra_funcs=(), options=None):

@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro import lang as L
+from repro.lang import builder as L
 from repro.posix.data import posix_of
 from repro.posix.env import add_env_var, add_symbolic_env_var
-from repro.testing import SymbolicTest
+from repro.testing.symbolic_test import SymbolicTest
 
 
 def run_program(*main_body, functions=(), setup=None, options=None):

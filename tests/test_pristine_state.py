@@ -14,7 +14,7 @@ from collections import deque
 
 import pytest
 
-from repro.cluster import ClusterConfig
+from repro.cluster.core import ClusterConfig
 from repro.distrib import specs
 from repro.solver.expr import Expr
 from repro.solver.pathconstraint import PathConstraint

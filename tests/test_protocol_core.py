@@ -11,7 +11,7 @@ and the frontier ledger after it.  The deaths are the protocol points
 
 import pytest
 
-from repro.cluster import ClusterConfig
+from repro.cluster.core import ClusterConfig
 from repro.cluster.jobs import Job, JobTree
 from repro.cluster.ledger import RecoveryJob
 from repro.cluster.load_balancer import TransferCommand

@@ -12,7 +12,7 @@ stop on the same step.
 
 import pytest
 
-from repro import lang as L
+from repro.lang import builder as L
 from repro.cluster import worker as worker_module
 from repro.distrib import specs
 from repro.engine.errors import BugKind

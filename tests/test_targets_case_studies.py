@@ -3,7 +3,7 @@ lighttpd fragmentation (the paper's §7.3 case studies)."""
 
 import pytest
 
-from repro.engine import BugKind
+from repro.engine.errors import BugKind
 from repro.targets import bandicoot, curl, lighttpd, memcached
 
 

@@ -3,7 +3,7 @@ ghttpd, Apache httpd, rsync, pbzip and libevent."""
 
 import pytest
 
-from repro.engine import BugKind
+from repro.engine.errors import BugKind
 from repro.targets import ghttpd, httpd, libevent, pbzip, rsync
 
 

@@ -3,7 +3,7 @@ producer-consumer."""
 
 import pytest
 
-from repro.engine import BugKind
+from repro.engine.errors import BugKind
 from repro.targets import coreutils, memcached, printf, prodcons, testcmd
 
 

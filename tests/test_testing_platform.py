@@ -5,7 +5,7 @@ import pytest
 from repro.distrib import specs
 from repro.engine.config import EngineConfig
 from repro.solver.solver import SolverConfig
-from repro.testing import SymbolicTest
+from repro.testing.symbolic_test import SymbolicTest
 from repro.testing.report import CoverageAccounting
 
 from conftest import branchy_program, single_branch_program

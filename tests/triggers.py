@@ -15,7 +15,7 @@ fails at its next command of the injected kind.
 import os
 import signal
 
-from repro.distrib import Cloud9Cluster
+from repro.distrib.loopback import Cloud9Cluster
 
 
 def frontier_invariants(cluster):
