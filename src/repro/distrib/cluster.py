@@ -147,8 +147,7 @@ class ProcessCloud9Cluster(Coordinator):
     def __init__(self, spec_name: str,
                  spec_params: Optional[Dict[str, object]] = None,
                  config: Optional[ProcessClusterConfig] = None,
-                 line_count: Optional[int] = None,
-                 strategy: Optional[str] = None):
+                 line_count: Optional[int] = None):
         # Validate the spec (and its arguments' picklability matters only in
         # the children; a bad name should fail fast here in the parent).
         specs.get_spec(spec_name)
@@ -156,8 +155,7 @@ class ProcessCloud9Cluster(Coordinator):
             line_count = specs.resolve_test(
                 spec_name, **dict(spec_params or {})).program.line_count
         super().__init__(config or ProcessClusterConfig(), line_count,
-                         spec_name=spec_name, spec_params=spec_params,
-                         strategy=strategy)
+                         spec_name=spec_name, spec_params=spec_params)
 
     def _launch(self) -> Member:
         """Start one worker process on its queue pair (without waiting for
@@ -170,7 +168,7 @@ class ProcessCloud9Cluster(Coordinator):
         process = ctx.Process(
             target=worker_main,
             args=(worker_id, self.spec_name, self.spec_params,
-                  self.strategy, tuple(self.config.spec_modules),
+                  self.config.strategy, tuple(self.config.spec_modules),
                   command_queue, reply_queue),
             name="cloud9-worker-%d" % worker_id,
             daemon=True)
@@ -203,7 +201,7 @@ class TcpCloud9Cluster(ProcessCloud9Cluster):
         self.server = AgentServer(
             spec_name=self.spec_name,
             spec_params=self.spec_params,
-            strategy=self.strategy,
+            strategy=self.config.strategy,
             spec_modules=tuple(self.config.spec_modules),
             listen=self.config.listen,
             heartbeat_interval=self.config.heartbeat_interval,

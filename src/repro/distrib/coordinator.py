@@ -62,15 +62,13 @@ class Coordinator:
 
     def __init__(self, config: ClusterConfig, line_count: int,
                  spec_name: Optional[str] = None,
-                 spec_params: Optional[Dict[str, object]] = None,
-                 strategy: Optional[str] = None):
+                 spec_params: Optional[Dict[str, object]] = None):
         self.config = config
         self.line_count = line_count
         #: Identity of the test under exploration, stamped on ``run_started``
         #: and on checkpoints (None for tests built outside the registry).
         self.spec_name = spec_name
         self.spec_params = dict(spec_params or {})
-        self.strategy = strategy if strategy is not None else config.strategy
         #: Optional callback invoked at the start of every round as
         #: ``round_hook(round_index, cluster)`` -- the supported place to
         #: exercise elastic membership (add/remove workers) mid-run.

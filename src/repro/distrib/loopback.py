@@ -115,7 +115,7 @@ class Cloud9Cluster(Coordinator):
         # The member's pristine initial state: built once, only ever forked.
         worker = Worker(next(self.core.worker_ids), executor,
                         self.state_factory(executor),
-                        strategy_name=self.strategy or DEFAULT_STRATEGY)
+                        strategy_name=self.config.strategy or DEFAULT_STRATEGY)
         self._launched[worker.worker_id] = worker
         return Member(worker.worker_id, self.carrier(DistribWorker(worker)))
 

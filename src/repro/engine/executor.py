@@ -51,12 +51,10 @@ from __future__ import annotations
 import time
 from typing import Callable, Dict, List, Optional, Sequence, Set, Union
 
-from repro.engine.config import EngineConfig
 from repro.engine.errors import BugKind, BugReport
 from repro.engine.explorer import Explorer
 from repro.engine.interpreter import Interpreter
 from repro.engine.limits import ExplorationLimits
-from repro.engine.natives import NativeRegistry
 from repro.engine.result import RunResult, dedupe_bugs
 from repro.engine.scheduler import CooperativeScheduler
 from repro.engine.state import ENABLED, RUNNING, ExecutionState
@@ -111,18 +109,14 @@ class SymbolicExecutor:
     """A single-node symbolic execution engine for one compiled program."""
 
     def __init__(self, program: Union[Program, CompiledProgram],
-                 config: Optional[EngineConfig] = None,
                  solver: Optional[Solver] = None,
-                 natives: Optional[NativeRegistry] = None,
                  environment_installers: Sequence[Callable[["SymbolicExecutor"], None]] = ()):
         self.program = (program if isinstance(program, CompiledProgram)
                         else compile_program(program))
-        self.config = config or EngineConfig()
         self.solver = solver or Solver()
-        self.natives = natives or default_registry()
-        self.scheduler = CooperativeScheduler(
-            fork_schedules=self.config.fork_on_schedule)
-        self.interpreter = Interpreter(self.solver, self.natives, self.config)
+        self.natives = default_registry()
+        self.scheduler = CooperativeScheduler()
+        self.interpreter = Interpreter(self.solver, self.natives)
         self.interpreter.executor = self
 
         # Cumulative over every step this executor ever took (explorations,
@@ -172,8 +166,7 @@ class SymbolicExecutor:
         options = state.options
 
         # Per-path instruction limit: the infinite-loop/hang detector.
-        default_limit = self.config.max_instructions_per_path
-        limit = options.get("max_instructions", default_limit)
+        limit = options.get("max_instructions")
         if limit is not None and state.instructions_executed >= int(limit):
             return self._hung(state, int(limit))
 
@@ -186,7 +179,7 @@ class SymbolicExecutor:
             return self._schedule(state)
 
         line, children, instructions, lines = self.interpreter.run_line(
-            state, thread, budget, default_limit)
+            state, thread, budget)
         result = StepResult(children, line)
         self.total_instructions += instructions
         if lines is not None:
@@ -232,10 +225,7 @@ class SymbolicExecutor:
             state.terminate(exit_code)
             return self._finished(state)
         if decision.deadlock:
-            if self.config.detect_deadlocks:
-                state.terminate_error(self.scheduler.deadlock_report(state))
-            else:
-                state.terminate(0)
+            state.terminate_error(self.scheduler.deadlock_report(state))
             return self._finished(state)
 
         choices = decision.choices

@@ -72,7 +72,6 @@ from types import CodeType, FunctionType
 from typing import (Any, Callable, Dict, FrozenSet, List, Optional, Sequence,
                     Set, Tuple)
 
-from repro.engine.config import EngineConfig
 from repro.engine.errors import BugKind, BugReport
 from repro.engine.memory import MemoryError_
 from repro.engine.natives import (
@@ -139,6 +138,10 @@ Region = Callable[[ExecutionState, Frame, int, Set[int]], int]
 #: the generator does not cover the instruction.
 DecodedFunction = List[Tuple[int, Handler, Optional[Region]]]
 
+#: Frames a thread may hold: a call past them ends the state with a
+#: ``STACK_OVERFLOW`` bug report.
+MAX_CALL_DEPTH = 256
+
 #: How many generated code objects, and written one-instruction regions, a
 #: process keeps (the oldest goes first).
 _CODE_CACHE_SIZE = 4096
@@ -180,11 +183,9 @@ def _raiser(message: str) -> Evaluator:
 class Interpreter:
     """Executes instructions of compiled programs over execution states."""
 
-    def __init__(self, solver: Solver, natives: NativeRegistry,
-                 config: EngineConfig):
+    def __init__(self, solver: Solver, natives: NativeRegistry):
         self.solver = solver
         self.natives = natives
-        self.config = config
         # Back-reference installed by the executor (native handlers need it).
         self.executor: Any = None
         # Decoded functions of ``_program``, by name, each built when first
@@ -195,8 +196,7 @@ class Interpreter:
 
     # -- instruction execution ---------------------------------------------------------
 
-    def run_line(self, state: ExecutionState, thread: Thread, budget: int,
-                 default_limit: Optional[int]
+    def run_line(self, state: ExecutionState, thread: Thread, budget: int
                  ) -> Tuple[int, List[ExecutionState], int, Optional[Set[int]]]:
         """Run ``thread``, the state's current thread, along its straight line.
 
@@ -206,7 +206,7 @@ class Interpreter:
         child, still running, and stops at the first of: a fork or
         termination; another current thread, or this one no longer
         enabled; ``force_reschedule`` set; the path's instruction limit
-        (``options["max_instructions"]``, else ``default_limit``) reached;
+        (``options["max_instructions"]``) reached;
         ``budget`` instructions.  Every instruction is booked on the state
         (``instructions_executed``, ``coverage``) before anything can read
         it: a region only reads locals and memory and moves the pc, so the
@@ -235,7 +235,7 @@ class Interpreter:
         code = table.get(function)
         if code is None:
             code = table[function] = self._decode_function(program, function)
-        limit: Any = options.get("max_instructions", default_limit)
+        limit: Any = options.get("max_instructions")
         stop = (budget if limit is None
                 else min(budget, int(limit) - state.instructions_executed))
         instructions = booked = 0
@@ -289,7 +289,7 @@ class Interpreter:
                         or thread.status is not ENABLED
                         or "force_reschedule" in options):
                     break
-                limit = options.get("max_instructions", default_limit)
+                limit = options.get("max_instructions")
                 if limit is not None:
                     stop = min(budget, instructions + int(limit)
                                - state.instructions_executed)
@@ -564,15 +564,14 @@ class Interpreter:
         params = tuple(program.function(name).params)
         # Missing arguments read as 0, surplus ones are dropped.
         padding = [0] * max(0, len(params) - len(arguments))
-        config = self.config
 
         def call(state, thread, frame):
             args = [argument(state, frame) for argument in arguments]
-            if len(thread.stack) >= config.max_call_depth:
+            if len(thread.stack) >= MAX_CALL_DEPTH:
                 return [self._terminate_error(
                     state, BugKind.STACK_OVERFLOW,
                     "call depth limit (%d) exceeded calling %s"
-                    % (config.max_call_depth, name), instr.line)]
+                    % (MAX_CALL_DEPTH, name), instr.line)]
             frame.pc += 1
             thread.stack.append(
                 Frame(name, 0, dict(zip(params, args + padding)), dest))

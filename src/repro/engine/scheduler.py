@@ -8,6 +8,11 @@ thread) or fork the execution state once per runnable thread, which is how
 the testing platform explores thread interleavings (§5.1 "Symbolic
 Scheduler").
 
+Schedule forking is one state option, ``state.options["fork_schedules"]``:
+a test sets it in its ``options``, and ``cloud9_set_scheduler`` writes it
+mid-path.  It finds concurrency bugs but is a large source of path
+explosion, hence off by default.
+
 If no thread can be scheduled when the current thread goes to sleep, a hang
 (deadlock) is detected and the state is terminated with a bug report.
 """
@@ -47,9 +52,6 @@ class ScheduleDecision:
 class CooperativeScheduler:
     """Chooses the next thread to run within a state."""
 
-    def __init__(self, fork_schedules: bool = False):
-        self.fork_schedules = fork_schedules
-
     def runnable(self, state: ExecutionState) -> List[Thread]:
         return [t for t in state.all_threads() if t.status == ThreadStatus.ENABLED]
 
@@ -63,7 +65,7 @@ class CooperativeScheduler:
             return ScheduleDecision([], all_exited=True)
 
         policy = state.options.get("scheduler_policy", POLICY_ROUND_ROBIN)
-        fork = self.fork_schedules or state.options.get("fork_schedules", False)
+        fork = state.options.get("fork_schedules", False)
         ordered = self._order(state, runnable, policy)
         if fork and len(ordered) > 1:
             bound = state.options.get("context_bound")

@@ -154,8 +154,7 @@ def cloud9_get_wlist(ctx: NativeContext):
 MAX_MALLOC = 4096
 
 
-def native_malloc(ctx: NativeContext):
-    size = ctx.concrete_arg(0)
+def _heap_allocate(ctx: NativeContext, size: int) -> int:
     limit = ctx.state.options.get("max_heap")
     if limit is not None:
         used = ctx.state.options.get("heap_used", 0)
@@ -167,11 +166,13 @@ def native_malloc(ctx: NativeContext):
     return obj.address
 
 
+def native_malloc(ctx: NativeContext):
+    return _heap_allocate(ctx, ctx.concrete_arg(0))
+
+
 def native_calloc(ctx: NativeContext):
-    count = ctx.concrete_arg(0)
-    size = ctx.concrete_arg(1)
-    obj = ctx.allocate(count * size, name="heap")
-    return obj.address
+    # Modeled memory is zero-filled, so calloc is malloc of the product.
+    return _heap_allocate(ctx, ctx.concrete_arg(0) * ctx.concrete_arg(1))
 
 
 def native_free(ctx: NativeContext):

@@ -50,7 +50,7 @@ import json
 import os
 import threading
 import time
-from typing import Any, Callable, Dict, Iterable, List, Optional, Union
+from typing import Any, Dict, Iterable, List, Optional, Union
 
 from repro.obs.metrics import Histogram
 from repro.obs.schema import SOLVER_QUERY, SPAN, TRACE_EVENTS_DROPPED, WORKER_EVENT
@@ -65,11 +65,6 @@ __all__ = ["Tracer", "NullTracer", "NULL_TRACER", "BufferTracer",
 #: explicit ``validate=``.
 TRACE_VALIDATE_ENV = "REPRO_TRACE_VALIDATE"
 
-#: A runtime payload validator: called with ``(event, record)`` before the
-#: record is written; raises to reject it.
-Validator = Callable[[str, Dict[str, Any]], None]
-
-
 def schema_validator(event: str, record: Dict[str, Any]) -> None:
     """Raise ``ValueError`` unless ``record`` satisfies the declared schema
     (:mod:`repro.obs.schema`) for ``event``.  Envelope keys are exempt."""
@@ -79,27 +74,20 @@ def schema_validator(event: str, record: Dict[str, Any]) -> None:
                          "schema: %s" % (event, "; ".join(problems)))
 
 
-def _resolve_validator(validate: Any) -> Optional[Validator]:
-    """``None`` defers to the environment switch; ``False`` forces
-    validation off, ``True`` forces the schema validator on; any other
-    value is the validator itself."""
+def _validates(validate: Optional[bool]) -> bool:
+    """Whether a tracer checks its records: ``None`` defers to the
+    environment switch."""
     if validate is None:
-        if os.environ.get(TRACE_VALIDATE_ENV, "") not in ("", "0"):
-            return schema_validator
-        return None
-    if validate is False:
-        return None
-    if validate is True:
-        return schema_validator
+        return os.environ.get(TRACE_VALIDATE_ENV, "") not in ("", "0")
     return validate
 
 
 def _build_record(envelope: Dict[str, Any], worker: Optional[int],
                   round: Optional[int], fields: Dict[str, Any],
-                  validate: Optional[Validator]) -> Dict[str, Any]:
+                  validate: bool) -> Dict[str, Any]:
     """Finish one record in place: ``envelope`` (its ``event`` included)
     plus ``worker``/``round`` and the payload fields that are not ``None``,
-    held to ``validate`` when there is one."""
+    held to :func:`schema_validator` when ``validate`` is set."""
     if worker is not None:
         envelope["worker"] = worker
     if round is not None:
@@ -107,8 +95,8 @@ def _build_record(envelope: Dict[str, Any], worker: Optional[int],
     for key, value in fields.items():
         if value is not None:
             envelope[key] = value
-    if validate is not None:
-        validate(envelope["event"], envelope)
+    if validate:
+        schema_validator(envelope["event"], envelope)
     return envelope
 
 
@@ -120,16 +108,15 @@ class Tracer:
     whose value is ``None`` so call sites can pass optional fields
     unconditionally.
 
-    ``validate`` is the runtime schema hook, called with every finished
-    record before it is written (default: on only when
-    ``REPRO_TRACE_VALIDATE`` is set in the environment, as it is under
-    pytest).
+    ``validate`` holds every finished record to :func:`schema_validator`
+    before it is written (default: only when ``REPRO_TRACE_VALIDATE`` is
+    set in the environment, as it is under pytest).
     """
 
     enabled = True
 
     def __init__(self, path: str, run_id: Optional[str] = None,
-                 validate: Any = None):
+                 validate: Optional[bool] = None):
         self.path = str(path)
         self.run_id = run_id or os.urandom(4).hex()
         self._fd: Optional[int] = os.open(
@@ -138,19 +125,18 @@ class Tracer:
         self._lock = threading.Lock()
         self._seq = 0
         self._epoch = time.monotonic()
-        self._validate = _resolve_validator(validate)
+        self._validate = _validates(validate)
 
     # -- core ---------------------------------------------------------------------------
 
     def emit(self, event: str, *, worker: Optional[int] = None,
-             round: Optional[int] = None, ts: Optional[float] = None,
-             **fields: Any) -> None:
-        """Append one event record.  ``ts`` defaults to now (tracer clock)."""
+             round: Optional[int] = None, **fields: Any) -> None:
+        """Append one event record, stamped now (tracer clock)."""
         if self._fd is None:
             return
         record = _build_record({
             "seq": 0,  # patched under the lock below
-            "ts": ts if ts is not None else time.monotonic() - self._epoch,
+            "ts": time.monotonic() - self._epoch,
             "event": event,
             "run": self.run_id,
         }, worker, round, fields, self._validate)
@@ -278,12 +264,13 @@ class BufferTracer:
 
     enabled = True
 
-    def __init__(self, capacity: int = 10_000, validate: Any = None):
+    def __init__(self, capacity: int = 10_000,
+                 validate: Optional[bool] = None):
         self.capacity = capacity
         self._events: List[Dict[str, Any]] = []
         self._dropped = 0
         self._epoch = time.monotonic()
-        self._validate = _resolve_validator(validate)
+        self._validate = _validates(validate)
 
     def emit(self, event: str, *, worker: Optional[int] = None,
              round: Optional[int] = None, **fields: Any) -> None:

@@ -16,11 +16,8 @@ error.  Exhaustive exploration of the symbolic query string finds it.
 
 from __future__ import annotations
 
-from typing import List
-
 from repro.lang import builder as L
 from repro.lang.ast import Program
-from repro.engine.config import EngineConfig
 from repro.testing.symbolic_test import SymbolicTest
 
 # Catalogue layout: two relations, each a byte array of tuples.
@@ -102,6 +99,6 @@ def make_get_exploration_test(query_length: int = QUERY_LENGTH,
     return SymbolicTest(
         name="bandicoot-get",
         program=build_program(query_length),
-        engine_config=EngineConfig(max_instructions_per_path=max_instructions),
+        options={"max_instructions": max_instructions},
         use_posix_model=False,
     )

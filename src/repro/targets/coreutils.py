@@ -18,7 +18,6 @@ from typing import Callable, Dict, List
 
 from repro.lang import builder as L
 from repro.lang.ast import Function, Program
-from repro.engine.config import EngineConfig
 from repro.testing.symbolic_test import SymbolicTest
 
 DEFAULT_INPUT_SIZE = 4
@@ -409,6 +408,6 @@ def make_utility_test(name: str, input_size: int = DEFAULT_INPUT_SIZE,
     return SymbolicTest(
         name="coreutils-%s" % name,
         program=build_utility_program(name, input_size),
-        engine_config=EngineConfig(max_instructions_per_path=max_instructions),
+        options={"max_instructions": max_instructions},
         use_posix_model=False,
     )

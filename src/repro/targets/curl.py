@@ -20,7 +20,6 @@ from typing import List
 
 from repro.lang import builder as L
 from repro.lang.ast import Program
-from repro.engine.config import EngineConfig
 from repro.testing.symbolic_test import SymbolicTest
 
 DEFAULT_PREFIX = b"http://s.{a,b}.com"
@@ -136,7 +135,7 @@ def make_globbing_test(prefix: bytes = DEFAULT_PREFIX,
     return SymbolicTest(
         name="curl-url-globbing",
         program=build_program(prefix, symbolic_suffix),
-        engine_config=EngineConfig(max_instructions_per_path=max_instructions),
+        options={"max_instructions": max_instructions},
         use_posix_model=False,
     )
 

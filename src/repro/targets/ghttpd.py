@@ -23,11 +23,10 @@ case studies.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.lang import builder as L
 from repro.lang.ast import Program
-from repro.engine.config import EngineConfig
 from repro.testing.symbolic_test import SymbolicTest
 
 VERSION_VULNERABLE = 14
@@ -202,5 +201,5 @@ def make_symbolic_test(version: int = VERSION_VULNERABLE,
         name="ghttpd-%s-symbolic-path" % version_label(version),
         program=build_program(version, path_length=path_length,
                               symbolic_path=True),
-        engine_config=EngineConfig(max_instructions_per_path=max_instructions),
+        options={"max_instructions": max_instructions},
     )

@@ -27,7 +27,6 @@ from typing import List, Optional, Sequence
 
 from repro.lang import builder as L
 from repro.lang.ast import Program
-from repro.engine.config import EngineConfig
 from repro.testing.symbolic_test import SymbolicTest
 
 CR = 0x0D
@@ -258,7 +257,7 @@ def make_symbolic_header_test(value_length: int = HEADER_VALUE_LENGTH,
         program=build_program(symbolic_header=True,
                               header_value_length=value_length,
                               buggy_extension=buggy),
-        engine_config=EngineConfig(max_instructions_per_path=max_instructions),
+        options={"max_instructions": max_instructions},
     )
 
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from repro.lang import builder as L
 from repro.lang.ast import Program
-from repro.engine.config import EngineConfig
 from repro.testing.symbolic_test import SymbolicTest
 
 MAX_EVENTS = 4
@@ -215,5 +214,5 @@ def make_symbolic_test(max_instructions: int = 200_000) -> SymbolicTest:
     return SymbolicTest(
         name="libevent-symbolic-trigger",
         program=build_program(symbolic_trigger=True),
-        engine_config=EngineConfig(max_instructions_per_path=max_instructions),
+        options={"max_instructions": max_instructions},
     )

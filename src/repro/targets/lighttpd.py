@@ -29,7 +29,6 @@ from typing import List, Optional, Sequence
 
 from repro.lang import builder as L
 from repro.lang.ast import Program
-from repro.engine.config import EngineConfig
 from repro.testing.symbolic_test import SymbolicTest
 
 VERSION_1_4_12 = 1412
@@ -229,6 +228,6 @@ def make_symbolic_fragmentation_test(version: int,
         program=build_program(version, request=request,
                               bookkeeping_slots=bookkeeping_slots,
                               symbolic_fragmentation=True),
-        options={"frag_choice_limit": frag_choice_limit},
-        engine_config=EngineConfig(max_instructions_per_path=50_000),
+        options={"frag_choice_limit": frag_choice_limit,
+                 "max_instructions": 50_000},
     )

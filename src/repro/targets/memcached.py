@@ -24,7 +24,6 @@ from typing import List, Sequence
 
 from repro.lang import builder as L
 from repro.lang.ast import Function, Program
-from repro.engine.config import EngineConfig
 from repro.testing.symbolic_test import SymbolicTest
 
 # Binary protocol constants (simplified from the real protocol).
@@ -353,7 +352,7 @@ def make_symbolic_packets_test(num_packets: int = 2,
     return SymbolicTest(
         name="memcached-symbolic-packets-%dx%d" % (num_packets, packet_size),
         program=build_program(main, packet_size),
-        engine_config=EngineConfig(max_instructions_per_path=max_instructions),
+        options={"max_instructions": max_instructions},
     )
 
 
@@ -387,8 +386,8 @@ def make_fault_injection_test(packet_size: int = DEFAULT_PACKET_SIZE,
     return SymbolicTest(
         name="memcached-fault-injection",
         program=build_program(main, packet_size),
-        options={"fault_injection_all": True},
-        engine_config=EngineConfig(max_instructions_per_path=max_instructions),
+        options={"fault_injection_all": True,
+                 "max_instructions": max_instructions},
         strategy="fewest_faults_first",
     )
 
@@ -405,5 +404,4 @@ def make_udp_hang_test(num_datagrams: int = 1, datagram_size: int = 3,
         name="memcached-udp-symbolic",
         program=build_program(main),
         options={"max_instructions": max_instructions},
-        engine_config=EngineConfig(max_instructions_per_path=max_instructions),
     )

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from repro.lang import builder as L
 from repro.lang.ast import Program
-from repro.engine.config import EngineConfig
 from repro.engine.state import ExecutionState
 from repro.posix.api import add_concrete_file
 from repro.posix.buffers import BlockBuffer
@@ -238,7 +237,7 @@ def make_symbolic_test(contents: bytes = b"aaabbb",
                        fork_schedules: bool = False,
                        max_instructions: int = 400_000) -> SymbolicTest:
     """Compress an input with symbolic bytes; optionally fork thread schedules."""
-    options = {}
+    options = {"max_instructions": max_instructions}
     if fork_schedules:
         options["fork_schedules"] = True
     return SymbolicTest(
@@ -247,5 +246,4 @@ def make_symbolic_test(contents: bytes = b"aaabbb",
         program=build_program(),
         setup=make_setup(contents, symbolic_bytes=symbolic_bytes),
         options=options,
-        engine_config=EngineConfig(max_instructions_per_path=max_instructions),
     )

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from repro.lang import builder as L
 from repro.lang.ast import Program
-from repro.engine.config import EngineConfig
 from repro.testing.symbolic_test import SymbolicTest
 
 DEFAULT_FORMAT_LENGTH = 5
@@ -204,6 +203,6 @@ def make_symbolic_test(format_length: int = DEFAULT_FORMAT_LENGTH,
     return SymbolicTest(
         name="printf-symbolic-format",
         program=build_program_with_length(format_length),
-        engine_config=EngineConfig(max_instructions_per_path=max_instructions),
+        options={"max_instructions": max_instructions},
         use_posix_model=False,
     )

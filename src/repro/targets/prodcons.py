@@ -23,7 +23,6 @@ from typing import List
 
 from repro.lang import builder as L
 from repro.lang.ast import Program
-from repro.engine.config import EngineConfig
 from repro.testing.symbolic_test import SymbolicTest
 
 DEFAULT_ITEMS = 3
@@ -199,12 +198,11 @@ def make_benchmark_test(num_items: int = DEFAULT_ITEMS,
     scheduling decision (the "symbolic scheduler" of §5.1), exploring thread
     interleavings as well as input values.
     """
-    options = {}
+    options = {"max_instructions": max_instructions}
     if fork_schedules:
         options["fork_schedules"] = True
     return SymbolicTest(
         name="producer-consumer",
         program=build_program(num_items, num_consumers, symbolic_items),
         options=options,
-        engine_config=EngineConfig(max_instructions_per_path=max_instructions),
     )

@@ -25,7 +25,6 @@ from typing import Optional
 
 from repro.lang import builder as L
 from repro.lang.ast import Program
-from repro.engine.config import EngineConfig
 from repro.engine.state import ExecutionState
 from repro.posix.api import add_concrete_file
 from repro.posix.data import posix_of
@@ -227,7 +226,7 @@ def make_symbolic_test(basis: bytes = DEFAULT_BASIS,
         name="rsync-delta-%d-symbolic" % symbolic_bytes,
         program=build_program(file_size=len(basis)),
         setup=make_setup(basis, symbolic_bytes),
-        engine_config=EngineConfig(max_instructions_per_path=max_instructions),
+        options={"max_instructions": max_instructions},
     )
 
 

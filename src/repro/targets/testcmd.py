@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from repro.lang import builder as L
 from repro.lang.ast import Program
-from repro.engine.config import EngineConfig
 from repro.testing.symbolic_test import SymbolicTest
 
 # Layout of the symbolic argv buffer: 3 slots of 4 bytes each.
@@ -136,6 +135,6 @@ def make_symbolic_test(max_instructions: int = 100_000) -> SymbolicTest:
     return SymbolicTest(
         name="test-symbolic-argv",
         program=build_program(),
-        engine_config=EngineConfig(max_instructions_per_path=max_instructions),
+        options={"max_instructions": max_instructions},
         use_posix_model=False,
     )

@@ -50,7 +50,6 @@ from repro.cluster.core import ClusterConfig, StaticPartitionConfig
 from repro.distrib.cluster import (ProcessCloud9Cluster, ProcessClusterConfig,
                                    TcpCloud9Cluster, TcpClusterConfig)
 from repro.distrib.coordinator import Coordinator
-from repro.engine.config import EngineConfig
 from repro.engine.executor import SymbolicExecutor
 from repro.engine.limits import ExplorationLimits
 from repro.engine.result import RunResult
@@ -130,10 +129,15 @@ class SymbolicTest:
         where tests pre-populate files, queue datagrams or tweak options
         (symbolic tests "programmatically orchestrate environment events").
     options:
-        Initial ``state.options`` entries (e.g. ``max_instructions``,
-        ``fault_injection_all``, ``scheduler_policy``).
-    engine_config:
-        Engine limits/policies shared by all workers.
+        Initial ``state.options`` entries (e.g. ``fault_injection_all``,
+        ``scheduler_policy``).  Two of them are the engine's only settings
+        for their decision, and the testing API writes them mid-path:
+        ``max_instructions``, the per-path instruction limit -- the
+        hang/infinite-loop detector of §7.3.3 (the memcached UDP bug), which
+        ends a path that reaches it with an ``infinite_loop`` bug report
+        (``cloud9_set_max_instructions``); and ``fork_schedules``, forking
+        the state once per runnable thread at every scheduling point (§4.2;
+        ``cloud9_set_scheduler``).
     solver_config:
         Optional :class:`~repro.solver.solver.SolverConfig` applied to every
         engine instance the test creates (one private solver per worker).
@@ -154,7 +158,6 @@ class SymbolicTest:
     program: Union[Program, CompiledProgram]
     setup: Optional[StateSetup] = None
     options: Dict[str, object] = field(default_factory=dict)
-    engine_config: EngineConfig = field(default_factory=EngineConfig)
     solver_config: Optional[SolverConfig] = None
     use_posix_model: bool = True
     strategy: str = "interleaved"
@@ -171,8 +174,7 @@ class SymbolicTest:
         installers = [install_posix_model] if self.use_posix_model else []
         solver = (Solver(replace(self.solver_config))
                   if self.solver_config is not None else None)
-        return SymbolicExecutor(self.program, config=self.engine_config.copy(),
-                                solver=solver,
+        return SymbolicExecutor(self.program, solver=solver,
                                 environment_installers=installers)
 
     def build_initial_state(self, executor: SymbolicExecutor) -> ExecutionState:
@@ -283,23 +285,3 @@ class SymbolicTest:
     def line_count(self) -> int:
         # __post_init__ compiled the program.
         return cast(CompiledProgram, self.program).line_count
-
-    def with_options(self, **options: object) -> "SymbolicTest":
-        """A copy of this test with additional state options."""
-        merged = dict(self.options)
-        merged.update(options)
-        return SymbolicTest(
-            name=self.name,
-            program=self.program,
-            setup=self.setup,
-            options=merged,
-            engine_config=self.engine_config.copy(),
-            solver_config=(replace(self.solver_config)
-                           if self.solver_config is not None else None),
-            use_posix_model=self.use_posix_model,
-            strategy=self.strategy,
-            # Extra options are applied locally only; a worker process
-            # rebuilding from the spec would not see them, so drop the ref.
-            spec_name=None,
-            spec_params={},
-        )

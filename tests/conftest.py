@@ -22,7 +22,6 @@ from hypothesis import settings
 from repro.lang import builder as L
 from repro.lang.ast import Program
 from repro.distrib import specs
-from repro.engine.config import EngineConfig
 from repro.engine.executor import SymbolicExecutor
 from repro.posix.model import install_posix_model
 
@@ -146,11 +145,9 @@ def single_branch_program() -> Program:
     )
 
 
-def make_executor(program: Program, posix: bool = False,
-                  config: EngineConfig = None) -> SymbolicExecutor:
+def make_executor(program: Program, posix: bool = False) -> SymbolicExecutor:
     installers = [install_posix_model] if posix else []
-    return SymbolicExecutor(program, config=config,
-                            environment_installers=installers)
+    return SymbolicExecutor(program, environment_installers=installers)
 
 
 @pytest.fixture

@@ -34,7 +34,6 @@ from repro.distrib.cluster import (
 )
 from repro.distrib.messages import ExploreCommand, SeedCommand
 from repro.distrib.worker import DistribWorker
-from repro.engine.config import EngineConfig
 from repro.engine.errors import BugKind, BugReport
 from repro.engine.test_case import TestCase
 from repro.obs.trace import load_trace
@@ -95,7 +94,7 @@ def _spin_program():
 
 def _spin_spec_test():
     return SymbolicTest(name="spin", program=_spin_program(),
-                        use_posix_model=False, engine_config=EngineConfig())
+                        use_posix_model=False)
 
 
 # Registered at import time: "fork" children inherit the registry.

@@ -1,8 +1,6 @@
 """Broken replays (§6): divergence and premature termination are detected,
 reported, and survivable at worker level."""
 
-import pytest
-
 from repro.cluster import replay
 from repro.cluster.jobs import JobTree
 from repro.cluster.replay import replay_path

@@ -92,11 +92,6 @@ class TestSpecRegistry:
         specs.register_spec(name, _branchy_spec_test, replace=True)
         assert specs.get_spec(name) is _branchy_spec_test
 
-    def test_with_options_drops_spec_reference(self):
-        test = specs.resolve_test("printf", format_length=2)
-        derived = test.with_options(max_instructions=10)
-        assert derived.spec_name is None
-
     def test_failed_first_load_is_retried_not_remembered(self, monkeypatch):
         """A target module that fails to import must fail every lookup the
         same way until it is fixed, not leave an empty registry behind."""

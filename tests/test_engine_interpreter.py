@@ -4,13 +4,16 @@ import pytest
 
 from repro.lang import builder as L
 from repro.engine.errors import BugKind
-from repro.engine.config import EngineConfig
+from repro.engine.interpreter import MAX_CALL_DEPTH
+from repro.engine.syscalls import MAX_MALLOC
 
 from conftest import make_executor
 
 
-def run(program, posix=False, config=None, **kwargs):
-    executor = make_executor(program, posix=posix, config=config)
+def run(program, posix=False, options=None, **kwargs):
+    executor = make_executor(program, posix=posix)
+    if options is not None:
+        kwargs["initial_state"] = executor.make_initial_state(options=options)
     return executor.run(**kwargs), executor
 
 
@@ -293,8 +296,10 @@ class TestBugDetection:
             L.func("loop", ["n"], L.ret(L.call("loop", L.add(L.var("n"), 1)))),
             L.func("main", [], L.ret(L.call("loop", 0))),
         )
-        result, _ = run(program, config=EngineConfig(max_call_depth=32))
-        assert any(b.kind == BugKind.STACK_OVERFLOW for b in result.bugs)
+        result, _ = run(program)
+        overflows = [b for b in result.bugs if b.kind == BugKind.STACK_OVERFLOW]
+        assert len(overflows) == 1
+        assert "limit (%d)" % MAX_CALL_DEPTH in overflows[0].message
 
     def test_infinite_loop_detection(self):
         program = L.program("p", L.func(
@@ -303,8 +308,7 @@ class TestBugDetection:
             L.while_(L.eq(L.var("x"), 1), L.assign("x", 1)),
             L.ret(0),
         ))
-        result, _ = run(program,
-                        config=EngineConfig(max_instructions_per_path=500))
+        result, _ = run(program, options={"max_instructions": 500})
         assert any(b.kind == BugKind.INFINITE_LOOP for b in result.bugs)
 
 
@@ -358,6 +362,29 @@ class TestNativeInterface:
         ))
         result, _ = run(program, posix=True)
         assert result.test_cases[0].exit_code == 1
+
+    def test_calloc_is_held_to_the_max_heap(self):
+        program = L.program("p", L.func(
+            "main", [],
+            L.expr_stmt(L.call("cloud9_set_max_heap", 16)),
+            L.decl("a", L.call("malloc", 32)),
+            L.decl("b", L.call("calloc", 4, 8)),
+            L.ret(L.add(L.eq(L.var("a"), 0),
+                        L.mul(L.eq(L.var("b"), 0), 2))),
+        ))
+        result, _ = run(program, posix=True)
+        assert result.test_cases[0].exit_code == 3  # both NULL
+
+    def test_calloc_is_clamped_as_malloc_is(self):
+        """A large ``calloc`` builds no object past ``MAX_MALLOC`` bytes:
+        the byte after them is out of bounds, as it is for ``malloc``."""
+        program = L.program("p", L.func(
+            "main", [],
+            L.decl("b", L.call("calloc", 2, MAX_MALLOC)),
+            L.ret(L.index(L.var("b"), MAX_MALLOC)),
+        ))
+        result, _ = run(program)
+        assert [b.kind for b in result.bugs] == [BugKind.MEMORY_ERROR]
 
     def test_exit_terminates_state(self):
         program = L.program("p", L.func(

@@ -2,7 +2,6 @@
 
 from repro.lang import builder as L
 from repro.engine.errors import BugKind
-from repro.engine.config import EngineConfig
 from repro.engine.scheduler import (
     POLICY_FORK_ALL,
     POLICY_ROUND_ROBIN,
@@ -87,17 +86,6 @@ class TestHangDetection:
         result = make_executor(program).run()
         assert any(b.kind == BugKind.DEADLOCK for b in result.bugs)
 
-    def test_deadlock_detection_can_be_disabled(self):
-        program = L.program("p", L.func(
-            "main", [],
-            L.decl("wlist", L.call("cloud9_get_wlist")),
-            L.expr_stmt(L.call("cloud9_thread_sleep", L.var("wlist"))),
-            L.ret(0),
-        ))
-        config = EngineConfig(detect_deadlocks=False)
-        result = make_executor(program, config=config).run()
-        assert not result.bugs
-
     def test_a_limit_reached_after_a_thread_returned_names_no_function(self):
         """At limit 7 the path runs out on the step right after the worker
         thread returned from its bottom frame: the current thread has an
@@ -108,8 +96,9 @@ class TestHangDetection:
         )
         functions = {}
         for limit in (6, 7, 8):
-            config = EngineConfig(max_instructions_per_path=limit)
-            result = make_executor(program, config=config).run()
+            executor = make_executor(program)
+            result = executor.run(initial_state=executor.make_initial_state(
+                options={"max_instructions": limit}))
             assert result.paths_completed == 1
             functions[limit] = [bug.function for bug in result.bugs
                                 if bug.kind == BugKind.INFINITE_LOOP]
@@ -136,8 +125,9 @@ class TestScheduleForking:
                 L.ret(L.index(L.var("shared"), 0)),
             ),
         )
-        config = EngineConfig(fork_on_schedule=True)
-        result = make_executor(program, config=config).run()
+        executor = make_executor(program)
+        result = executor.run(initial_state=executor.make_initial_state(
+            options={"fork_schedules": True}))
         exit_codes = {t.exit_code for t in result.test_cases}
         assert result.paths_completed >= 2
         assert 17 in exit_codes      # worker ran before main's second store
@@ -170,5 +160,6 @@ class TestSchedulerUnit:
         decision = scheduler.decide(state)
         assert len(decision.choices) == 2
         state.options["scheduler_policy"] = POLICY_ROUND_ROBIN
-        assert len(CooperativeScheduler(fork_schedules=True)
-                   .decide(state).choices) == 2
+        assert len(scheduler.decide(state).choices) == 2
+        state.options["fork_schedules"] = False
+        assert len(scheduler.decide(state).choices) == 1

@@ -1,7 +1,5 @@
 """Integration tests: the cluster running the paper's targets end to end."""
 
-import pytest
-
 from repro.engine.errors import BugKind
 from repro.targets import bandicoot, curl, memcached, printf
 

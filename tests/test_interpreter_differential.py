@@ -37,6 +37,7 @@ from repro.engine.errors import BugKind
 from repro.engine.executor import SymbolicExecutor
 from repro.engine.interpreter import (
     DivisionByZeroError,
+    MAX_CALL_DEPTH,
     EngineInternalError,
     Interpreter,
 )
@@ -159,7 +160,7 @@ class ReferenceInterpreter(Interpreter):
         super().__init__(*args)
         self.executed = 0
 
-    def run_line(self, state, thread, budget, default_limit):
+    def run_line(self, state, thread, budget):
         """The executor's old straight-line loop over ``execute_instruction``."""
         options = state.options
         current = state.current
@@ -172,7 +173,7 @@ class ReferenceInterpreter(Interpreter):
                and state.current is current
                and thread.status is ThreadStatus.ENABLED
                and "force_reschedule" not in options):
-            limit = options.get("max_instructions", default_limit)
+            limit = options.get("max_instructions")
             if limit is not None and state.instructions_executed >= int(limit):
                 break
             if lines is None:
@@ -364,11 +365,11 @@ class ReferenceInterpreter(Interpreter):
         args = [self.eval_expr(state, frame, a) for a in instr.args]
         name = instr.name
         if name in state.program.functions:
-            if len(thread.stack) >= self.config.max_call_depth:
+            if len(thread.stack) >= MAX_CALL_DEPTH:
                 return [self._terminate_error(
                     state, BugKind.STACK_OVERFLOW,
                     "call depth limit (%d) exceeded calling %s"
-                    % (self.config.max_call_depth, name), instr.line)]
+                    % (MAX_CALL_DEPTH, name), instr.line)]
             callee = state.program.function(name)
             locals_ = {p: (args[i] if i < len(args) else 0)
                        for i, p in enumerate(callee.params)}
@@ -414,8 +415,7 @@ class ReferenceInterpreter(Interpreter):
 
 
 def _with_reference(executor: SymbolicExecutor) -> SymbolicExecutor:
-    reference = ReferenceInterpreter(executor.solver, executor.natives,
-                                     executor.config)
+    reference = ReferenceInterpreter(executor.solver, executor.natives)
     reference.executor = executor
     executor.interpreter = reference
     return executor

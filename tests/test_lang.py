@@ -3,7 +3,7 @@
 import pytest
 
 from repro.lang import builder as L
-from repro.lang.ast import BinaryOp, Const, StrConst, Var
+from repro.lang.ast import BinaryOp, Const, StrConst
 from repro.lang.compiler import CompileError, Opcode, compile_program
 
 

@@ -180,14 +180,6 @@ class TestRuntimeValidation:
         with Tracer(str(path)) as tracer:
             tracer.emit("jobs_recovered")
 
-    def test_custom_validator_callable(self):
-        seen = []
-        buf = BufferTracer(validate=lambda event, record:
-                           seen.append((event, dict(record))))
-        buf.emit("anything", worker=2)
-        assert seen == [("anything", {"ts": seen[0][1]["ts"],
-                                      "event": "anything", "worker": 2})]
-
 
 class TestSchemaRegistry:
     """A registered event is one something emits, and a reader keys off

@@ -4,8 +4,6 @@ from repro.lang import builder as L
 from repro.posix.api import add_concrete_file, add_symbolic_file
 from repro.testing.symbolic_test import SymbolicTest
 
-from conftest import make_executor
-
 
 def run_program(*main_body, setup=None, options=None):
     program = L.program("p", L.func("main", [], *main_body))

@@ -304,6 +304,9 @@ class TestTable2Api:
         # 0 = round robin: one schedule.  1 = fork at every scheduling point.
         # 2 = fork, but only while fewer than 2 preemptions were spent.
         assert self._interleaving_paths(0) == (1, {0})
+        # The state option is the one setting: round robin turns off the
+        # forking the test asked for.
+        assert self._interleaving_paths(0, {"fork_schedules": True}) == (1, {0})
         assert self._interleaving_paths(1) == (69, {0})
         assert self._interleaving_paths(2) == (13, {0})
         # The context bound is all that separates the last two.

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.lang import builder as L
-from repro.posix.data import posix_of
 from repro.posix.env import add_env_var, add_symbolic_env_var
 from repro.testing.symbolic_test import SymbolicTest
 

@@ -1,7 +1,5 @@
 """Unit tests for expression simplification."""
 
-import pytest
-
 from repro.solver import expr as E
 from repro.solver.simplify import conjuncts, simplify
 

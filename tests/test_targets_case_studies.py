@@ -1,8 +1,6 @@
 """Tests for the case-study targets: curl, Bandicoot, memcached UDP hang,
 lighttpd fragmentation (the paper's §7.3 case studies)."""
 
-import pytest
-
 from repro.engine.errors import BugKind
 from repro.targets import bandicoot, curl, lighttpd, memcached
 

@@ -3,12 +3,11 @@
 import pytest
 
 from repro.distrib import specs
-from repro.engine.config import EngineConfig
 from repro.solver.solver import SolverConfig
 from repro.testing.symbolic_test import SymbolicTest
 from repro.testing.report import CoverageAccounting
 
-from conftest import branchy_program, single_branch_program
+from conftest import BUILTIN_SPECS, branchy_program, single_branch_program
 
 
 class TestSymbolicTest:
@@ -41,18 +40,6 @@ class TestSymbolicTest:
         state = test.build_initial_state(executor)
         assert seen and state.options["custom"]
 
-    def test_with_options_copies(self):
-        base = SymbolicTest("t", single_branch_program(), options={"a": 1})
-        derived = base.with_options(b=2)
-        assert derived.options == {"a": 1, "b": 2}
-        assert base.options == {"a": 1}
-
-    def test_engine_config_respected(self):
-        config = EngineConfig(max_instructions_per_path=123)
-        test = SymbolicTest("t", single_branch_program(), engine_config=config)
-        executor = test.build_executor()
-        assert executor.config.max_instructions_per_path == 123
-
     def test_solver_config_respected(self):
         """A test's ``solver_config`` reaches the executor a run solves with."""
         def run(solver_config=None):
@@ -74,6 +61,30 @@ class TestSymbolicTest:
     def test_line_count_exposed(self):
         test = SymbolicTest("t", single_branch_program())
         assert test.line_count > 0
+
+
+#: Each stock spec's per-path instruction limit (the hang detector), as
+#: resolved with its default parameters; ``None``: it has none.  Every
+#: ``coreutils-*`` spec has 50 000.
+SPEC_LIMITS = {
+    "bandicoot": 20_000, "curl-glob": 20_000, "prodcons": 20_000,
+    "ghttpd": 100_000, "memcached-fault": 100_000, "testcmd": 100_000,
+    "httpd-header": 200_000, "libevent": 200_000,
+    "memcached-packets": 200_000, "printf": 200_000,
+    "pbzip": 400_000, "rsync": 400_000,
+    "lighttpd-frag-1.4.12": 50_000, "lighttpd-frag-1.4.13": 50_000,
+    "lighttpd-frag-fixed": 50_000,
+    "memcached-udp-hang": 2_000,
+    "httpd-fault": None, "memcached-binary": None,
+}
+
+
+@pytest.mark.parametrize("name", BUILTIN_SPECS)
+def test_every_spec_keeps_its_instruction_limit(name):
+    """The limit is a state option the test carries, so it reaches every
+    backend's initial state; no spec lost or gained one."""
+    limit = 50_000 if name.startswith("coreutils-") else SPEC_LIMITS[name]
+    assert specs.resolve_test(name).options.get("max_instructions") == limit
 
 
 class TestCoverageAccounting:
